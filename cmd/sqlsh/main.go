@@ -149,6 +149,7 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 				esp.SetAttr("cost", res.Cost)
 				esp.SetAttr("batches", res.Batches)
 				esp.SetAttr("parallel_workers", res.Workers)
+				esp.SetAttr("path", res.Path)
 				esp.End()
 			}
 		}
@@ -177,13 +178,17 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 				source = "plan cache hit"
 			}
 			// Physical execution mode: row-at-a-time (serial) vs vectorized
-			// batches, and the widest parallel fan-out any operator reached.
+			// batches, the widest parallel fan-out any operator reached, and
+			// for a SELECT the path its tail took (Result.Path).
 			mode := "serial"
 			if res.Batches > 0 {
 				mode = fmt.Sprintf("vectorized, %d batches", res.Batches)
 			}
 			if res.Workers > 1 {
 				mode += fmt.Sprintf(", %d workers", res.Workers)
+			}
+			if res.Path != "" {
+				mode += ", path " + res.Path
 			}
 			fmt.Printf("timing: prepare %v (%s), execute %v (%s)\n",
 				prepTime.Round(time.Microsecond), source, execTime.Round(time.Microsecond), mode)

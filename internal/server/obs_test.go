@@ -87,7 +87,7 @@ func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 		}
 		if sp.Name == "sqlengine.execute" {
 			// The execute span must describe the physical execution mode.
-			for _, attr := range []string{"batches", "parallel_workers"} {
+			for _, attr := range []string{"batches", "parallel_workers", "path"} {
 				if _, ok := sp.Attrs[attr]; !ok {
 					t.Errorf("sqlengine.execute span missing %q attr (got %v)", attr, sp.Attrs)
 				}

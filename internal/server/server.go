@@ -562,6 +562,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	execSpan.SetAttr("cost", res.Cost)
 	execSpan.SetAttr("batches", res.Batches)
 	execSpan.SetAttr("parallel_workers", res.Workers)
+	execSpan.SetAttr("path", res.Path)
 	if res.Rows != nil {
 		execSpan.SetAttr("rows", len(res.Rows.Data))
 	}
@@ -685,6 +686,9 @@ func (s *Server) tryMemory(w http.ResponseWriter, r *http.Request, sess *Session
 	span.SetAttr("pattern", hit.PatternID)
 	span.SetAttr("confidence", hit.Confidence)
 	span.SetAttr("similarity", hit.Similarity)
+	// Lookup, verification and execution are one span here, so the engine's
+	// physical path rides on it.
+	span.SetAttr("path", res.Path)
 	mem.Success(hit.PatternID, e.Question)
 
 	if root := obs.CurrentSpan(r.Context()); root != nil {

@@ -147,8 +147,10 @@ func (db *Database) SetPlanner(enabled bool) { db.plannerOff = !enabled }
 
 // SetVectorized enables or disables the columnar batch executor (vectorized
 // scan-filter kernels, morsel-parallel filters, joins and grouping; see
-// parallel.go). It is on by default and engages only for planned execution;
-// turning it off forces the row-at-a-time interpreter everywhere. Like
+// parallel.go) and with it the late-materialising tail of single-table
+// SELECTs (positions.go). It is on by default and engages only for planned
+// execution; turning it off forces the row-at-a-time interpreter
+// everywhere. Like
 // SetPlanner, the switch changes only the physical execution: rows, row
 // order, errors and the logical Result.Cost are identical either way — the
 // property the vectorized-on/off × planner-on/off equivalence tests pin.

@@ -15,6 +15,9 @@ import (
 // fixtures, so every kernel in kernels.go is exercised against the
 // interpreter on the same queries.
 func TestVectorizedPlannerMatrix(t *testing.T) {
+	// The tail queries run after the planner battery so its subtests keep
+	// their numbers.
+	queries := append(append([]string{}, crossCheckQueries...), tailCheckQueries...)
 	for _, seed := range []int64{1, 7, 42} {
 		naive := buildMultiDB(seed, 60)
 		naive.SetPlanner(false)
@@ -51,7 +54,7 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 			}()},
 		}
 		for _, cfg := range configs {
-			for _, q := range crossCheckQueries {
+			for _, q := range queries {
 				t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.name), func(t *testing.T) {
 					crossCheck(t, cfg.db, naive, q)
 				})
@@ -81,6 +84,14 @@ var engineQueries = []string{
 	"SELECT DISTINCT grp FROM f ORDER BY grp",
 	"SELECT id, num, txt FROM f WHERE flag = 1 ORDER BY num DESC, id LIMIT 30",
 	"SELECT * FROM f WHERE flag = 0 ORDER BY id LIMIT 10",
+	// The positions tail over more than one morsel: top-k on a column that
+	// is not projected, ungrouped and index-narrowed grouped accumulators,
+	// DISTINCT under a window.
+	"SELECT id FROM f ORDER BY num DESC, id LIMIT 8",
+	"SELECT id, grp FROM f WHERE num > 90 ORDER BY grp DESC, txt LIMIT 12 OFFSET 5",
+	"SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f",
+	"SELECT flag, COUNT(*), AVG(num) FROM f WHERE grp = 'a' GROUP BY flag",
+	"SELECT DISTINCT grp, flag FROM f ORDER BY 1, 2 LIMIT 5 OFFSET 2",
 }
 
 // buildEngineDB bulk-loads a database big enough to cross the *default*
@@ -156,6 +167,83 @@ func TestResultReportsPhysicalExecution(t *testing.T) {
 	}
 }
 
+// TestResultPath pins Result.Path: which consumer a vectorized single-table
+// SELECT's tail ran on, which clause sent a candidate back to the row
+// path, and plain "rows" for everything that never was a candidate.
+func TestResultPath(t *testing.T) {
+	vec := buildMultiDB(1, 60)
+	vec.SetBatchTuning(1, 1)
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT id FROM m ORDER BY a DESC, id LIMIT 5", "positions/topk"},
+		{"SELECT id FROM m WHERE a = 2 ORDER BY b LIMIT 3 OFFSET 1", "positions/topk"},
+		{"SELECT id FROM m ORDER BY a", "positions/topk"},
+		{"SELECT DISTINCT a FROM m ORDER BY 1 LIMIT 2", "positions/topk"},
+		{"SELECT AVG(v) FROM m", "positions/agg"},
+		{"SELECT COUNT(*) FROM m WHERE a = 1", "positions/agg"},
+		{"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY 2 DESC LIMIT 1 + 1", "positions/agg"},
+		{"SELECT id, v FROM m WHERE b > 0", "positions/gather"},
+		{"SELECT * FROM m LIMIT 3", "positions/gather"},
+		{"SELECT id FROM m WHERE a > (SELECT 1)", "rows(where)"},
+		{"SELECT id + 1 FROM m ORDER BY a LIMIT 3", "rows(projection)"},
+		{"SELECT a + 1, COUNT(*) FROM m GROUP BY a", "rows(projection)"},
+		{"SELECT id FROM m ORDER BY a + b LIMIT 3", "rows(order-by)"},
+		{"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY COUNT(*)", "rows(order-by)"},
+		{"SELECT id FROM m ORDER BY a LIMIT 1 + 2", "rows(limit)"},
+		{"SELECT COUNT(DISTINCT a) FROM m", "rows(aggregate)"},
+		{"SELECT COUNT(*) FROM m GROUP BY a + 1", "rows(group-by)"},
+		{"SELECT a, COUNT(*) FROM m GROUP BY a HAVING COUNT(*) > 1", "rows(having)"},
+		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp LIMIT 2", "rows"},
+		{"SELECT s.id FROM (SELECT id FROM m ORDER BY a LIMIT 2) AS s", "rows"},
+		{"SELECT a FROM m UNION SELECT b FROM m", "rows"},
+		{"SELECT 1", "rows"},
+		{"INSERT INTO g VALUES ('q', 'Q', 1)", ""},
+	} {
+		if got := vec.MustExec(tc.sql).Path; got != tc.want {
+			t.Errorf("vectorized %q: Path = %q, want %q", tc.sql, got, tc.want)
+		}
+	}
+
+	// Below the batch threshold, with vectorization off and with the planner
+	// off, nothing is a candidate.
+	small := buildMultiDB(1, 60)
+	rowwise := buildMultiDB(1, 60)
+	rowwise.SetBatchTuning(1, 1)
+	rowwise.SetVectorized(false)
+	naive := buildMultiDB(1, 60)
+	naive.SetBatchTuning(1, 1)
+	naive.SetPlanner(false)
+	for _, db := range []*Database{small, rowwise, naive} {
+		if got := db.MustExec("SELECT id FROM m ORDER BY a DESC, id LIMIT 5").Path; got != "rows" {
+			t.Errorf("Path = %q, want rows", got)
+		}
+	}
+}
+
+// TestTopKAllocations pins late materialisation where it pays most: top-k
+// over 10k rows may allocate for the heap and the k returned rows, never per
+// scanned row (the row path allocates a key slice and a scope per row — over
+// 20k here). Eight times the k must not change the count either: the rows
+// share one backing array.
+func TestTopKAllocations(t *testing.T) {
+	db := buildEngineDB(3, 10000)
+	allocs := func(sql string) float64 {
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if res, err := st.Exec(); err != nil || res.Path != "positions/topk" {
+				t.Fatalf("%q: path %q, err %v", sql, res.Path, err)
+			}
+		})
+	}
+	k8 := allocs("SELECT id FROM f ORDER BY num DESC, id LIMIT 8")
+	k64 := allocs("SELECT id FROM f ORDER BY num DESC, id LIMIT 64")
+	if k8 > 32 || k64 > k8 {
+		t.Errorf("top-k over 10k rows allocates %.0f times at k=8 and %.0f at k=64, want <= 32 and no growth with k", k8, k64)
+	}
+}
+
 // TestEngineConcurrentQueryHammer runs 8 goroutines of concurrent
 // Prepare/Exec against ONE shared database while morsel workers are live.
 // Under -race this guards the shared plan cache, the lazily built
@@ -173,6 +261,8 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 		"SELECT f.id, d.label FROM f JOIN d ON f.grp = d.grp ORDER BY f.id LIMIT 20",
 		"SELECT grp, MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp",
 		"SELECT COUNT(*) FROM f WHERE txt LIKE 'x%'",
+		"SELECT id FROM f ORDER BY num DESC, id LIMIT 8",
+		"SELECT AVG(num) FROM f WHERE flag = 1",
 	}
 	// Reference pass on an identical database, serial and unplanned.
 	ref := buildEngineDB(23, 10000)

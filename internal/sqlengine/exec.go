@@ -28,11 +28,22 @@ type Result struct {
 	Cost         int64
 	// Batches and Workers describe the *physical* execution and carry no
 	// semantic weight (unlike Cost they may change across engine versions):
-	// Batches counts the morsels processed by batch operators (0 = fully
-	// row-at-a-time execution) and Workers is the widest parallel fan-out
-	// any single operator reached (1 = serial).
+	// Batches counts the morsels processed by morsel-driven operators —
+	// filters, join probes, grouping (0 = none ran) — and Workers is the
+	// widest parallel fan-out any single operator reached (1 = serial).
 	Batches int64
 	Workers int
+	// Path names the physical path the statement's top-level SELECT took
+	// from scan to tail (empty for other statements). Like Batches it is
+	// telemetry only. "rows" is the row path: rows materialised at the scan
+	// and handed downstream. A vectorized single-table SELECT instead
+	// carries row positions and reports its tail consumer — "positions/topk"
+	// (ORDER BY through a bounded heap), "positions/agg" (typed aggregate
+	// accumulators) or "positions/gather" (plain projection) — or, when the
+	// planner could not prove a consumer equivalent, "rows(<reason>)" with
+	// the clause that disqualified it: where, projection, order-by, limit,
+	// aggregate, group-by or having.
+	Path string
 }
 
 // Exec parses and executes a single statement. Parsing and planning go
@@ -83,6 +94,7 @@ func (ec *execCtx) execStatement(st Statement) (*Result, error) {
 	}
 	res.Batches = ec.batches
 	res.Workers = maxInt(ec.maxPar, 1)
+	res.Path = ec.path
 	return res, nil
 }
 
@@ -90,6 +102,7 @@ func (ec *execCtx) execStatementInner(st Statement) (*Result, error) {
 	db := ec.db
 	switch s := st.(type) {
 	case *SelectStmt:
+		ec.top, ec.path = s, pathRows
 		rows, err := ec.execSelect(s, nil)
 		if err != nil {
 			return nil, err
@@ -138,6 +151,10 @@ type execCtx struct {
 	// goroutine (batchRun): morsels processed, widest worker fan-out.
 	batches int64
 	maxPar  int
+	// top is the statement's top-level SELECT and path the physical path
+	// it took (Result.Path); nested and compound-arm SELECTs leave it alone.
+	top  *SelectStmt
+	path string
 	// Uncorrelated-subquery memo, per statement execution: results keyed
 	// by subquery node, plus the cached correlation verdict (see
 	// subquery.go).
@@ -337,6 +354,15 @@ func (ec *execCtx) execSelectSimple(sel *SelectStmt, outer *scope) (*Rows, error
 }
 
 func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPlan) (*Rows, error) {
+	// A vectorized scan of one base table carries row positions instead of
+	// rows (positions.go). An unsafe WHERE has to run through the
+	// interpreter on every row in order, so it stays on the row path.
+	if t := ec.positionsTable(sel, pl); t != nil {
+		if sel.Where == nil || pl.whereSafe {
+			return ec.execSelectPositions(sel, outer, pl, t)
+		}
+		ec.notePath(sel, pathRowsWhere)
+	}
 	// 1. FROM (with pushdown placement when the plan allows it)
 	src, fp, err := ec.execFrom(sel, outer, pl)
 	if err != nil {
@@ -410,7 +436,14 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 	} else {
 		filtered = src.rows
 	}
+	return ec.projectTail(sel, src, filtered, outer, pl)
+}
 
+// projectTail runs everything after the WHERE filter on materialised rows:
+// grouping or projection, DISTINCT, ORDER BY and LIMIT. It is the row
+// path's tail, and the one place the positions path lands on when no
+// positions consumer applies.
+func (ec *execCtx) projectTail(sel *SelectStmt, src *rowSet, filtered [][]Value, outer *scope, pl *selectPlan) (*Rows, error) {
 	grouped := len(sel.GroupBy) > 0 || anyAggregate(sel)
 	out := &selOutput{columns: projectionNames(sel, src)}
 
@@ -449,35 +482,52 @@ func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope, s
 		}
 	}
 	if sel.Limit != nil {
-		env := &evalEnv{ec: ec, sc: &scope{parent: outer}}
-		lv, err := env.eval(sel.Limit)
+		limit, offset, err := ec.evalLimit(sel, outer)
 		if err != nil {
 			return err
 		}
-		limit := lv.AsInt()
-		var offset int64
-		if sel.Offset != nil {
-			ov, err := env.eval(sel.Offset)
-			if err != nil {
-				return err
-			}
-			offset = ov.AsInt()
-		}
-		if offset < 0 {
-			offset = 0
-		}
-		n := int64(len(out.data))
-		if offset > n {
-			offset = n
-		}
-		end := n
-		if limit >= 0 && offset+limit < n {
-			end = offset + limit
-		}
-		out.data = out.data[offset:end]
-		out.envs = out.envs[offset:end]
+		lo, hi := limitWindow(len(out.data), limit, offset)
+		out.data = out.data[lo:hi]
+		out.envs = out.envs[lo:hi]
 	}
 	return nil
+}
+
+// evalLimit evaluates the LIMIT and OFFSET expressions of sel (which must
+// have a LIMIT; OFFSET defaults to 0).
+func (ec *execCtx) evalLimit(sel *SelectStmt, outer *scope) (limit, offset int64, err error) {
+	env := &evalEnv{ec: ec, sc: &scope{parent: outer}}
+	lv, err := env.eval(sel.Limit)
+	if err != nil {
+		return 0, 0, err
+	}
+	if sel.Offset != nil {
+		ov, err := env.eval(sel.Offset)
+		if err != nil {
+			return 0, 0, err
+		}
+		offset = ov.AsInt()
+	}
+	return lv.AsInt(), offset, nil
+}
+
+// limitWindow returns the half-open range of n ordered rows that LIMIT
+// limit OFFSET offset keeps: a negative limit keeps everything, a negative
+// offset skips nothing. The limit is compared against what is left after
+// the offset rather than added to it, so LIMIT 9223372036854775807
+// OFFSET 1 cannot wrap.
+func limitWindow(n int, limit, offset int64) (lo, hi int) {
+	if offset < 0 {
+		offset = 0
+	}
+	if offset > int64(n) {
+		offset = int64(n)
+	}
+	lo, hi = int(offset), n
+	if limit >= 0 && limit < int64(n-lo) {
+		hi = lo + int(limit)
+	}
+	return lo, hi
 }
 
 // orderOutput sorts the output rows by the ORDER BY terms. Each term can be
@@ -836,17 +886,32 @@ func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet, columns []st
 	if !ec.vec {
 		return nil, false
 	}
-	var ixs []int
+	ixs, ok := projectionCols(sel, src.cols)
+	if !ok {
+		return nil, false
+	}
+	for _, ob := range sel.OrderBy {
+		if outputOrderTerm(ob.Expr, columns) < 0 {
+			return nil, false
+		}
+	}
+	return ixs, true
+}
+
+// projectionCols maps a select list made only of stars and uniquely
+// resolving column references to source column positions, one per output
+// column. ok is false for any other select list.
+func projectionCols(sel *SelectStmt, cols []scopeCol) (ixs []int, ok bool) {
 	for _, item := range sel.Columns {
 		switch {
 		case item.Star && item.StarTable == "":
-			for i := range src.cols {
+			for i := range cols {
 				ixs = append(ixs, i)
 			}
 		case item.Star:
 			lt := strings.ToLower(item.StarTable)
 			matched := false
-			for i, c := range src.cols {
+			for i, c := range cols {
 				if c.table == lt {
 					ixs = append(ixs, i)
 					matched = true
@@ -856,39 +921,47 @@ func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet, columns []st
 				return nil, false
 			}
 		default:
-			cr, ok := item.Expr.(*ColumnRef)
-			if !ok || cr.Name == "*" {
-				return nil, false
-			}
-			idx, n := resolveCols(src.cols, cr.Table, cr.Name)
-			if n != 1 {
+			idx, ok := bareColumn(item.Expr, cols)
+			if !ok {
 				return nil, false
 			}
 			ixs = append(ixs, idx)
 		}
 	}
-	for _, ob := range sel.OrderBy {
-		if lit, ok := ob.Expr.(*Literal); ok && lit.Val.Kind == KindInt {
-			if idx := int(lit.Val.I) - 1; idx >= 0 && idx < len(columns) {
-				continue
-			}
-			return nil, false
-		}
-		if cr, ok := ob.Expr.(*ColumnRef); ok && cr.Table == "" {
-			found := false
-			for _, c := range columns {
-				if strings.EqualFold(c, cr.Name) {
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
-		}
-		return nil, false
-	}
 	return ixs, true
+}
+
+// bareColumn resolves e as a plain column reference within cols. ok is
+// false unless e is one and resolves uniquely, so an absent or ambiguous
+// reference keeps the interpreter's error.
+func bareColumn(e Expr, cols []scopeCol) (idx int, ok bool) {
+	cr, isRef := e.(*ColumnRef)
+	if !isRef || cr.Name == "*" {
+		return -1, false
+	}
+	idx, n := resolveCols(cols, cr.Table, cr.Name)
+	return idx, n == 1
+}
+
+// outputOrderTerm returns the output column an ORDER BY term names without
+// needing an evaluation environment — an in-range ordinal or an
+// unqualified output column name or alias, the first two rules of
+// evalOrderTerm — or -1.
+func outputOrderTerm(e Expr, columns []string) int {
+	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
+		if idx := int(lit.Val.I) - 1; idx >= 0 && idx < len(columns) {
+			return idx
+		}
+		return -1
+	}
+	if cr, ok := e.(*ColumnRef); ok && cr.Table == "" {
+		for i, c := range columns {
+			if strings.EqualFold(c, cr.Name) {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // projectIndexed gathers the projected columns per row, morsel-parallel,
@@ -953,6 +1026,16 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (*row
 	return acc, fp, nil
 }
 
+// scanCols returns t's columns as a scan exposes them under the
+// (lower-cased) FROM name.
+func scanCols(name string, t *Table) []scopeCol {
+	cols := make([]scopeCol, len(t.Columns))
+	for i, c := range t.Columns {
+		cols[i] = scopeCol{table: name, name: strings.ToLower(c.Name)}
+	}
+	return cols
+}
+
 // execFromItem materialises one FROM item. pushed holds the WHERE conjuncts
 // the planner placed at this scan (always nil for subquery items and for
 // unplanned execution). The scan is charged at full table size whether or
@@ -977,12 +1060,21 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct)
 	if err := ec.charge(int64(len(t.Rows))); err != nil {
 		return nil, err
 	}
-	rs := &rowSet{logical: len(t.Rows)}
-	for _, c := range t.Columns {
-		rs.cols = append(rs.cols, scopeCol{table: name, name: strings.ToLower(c.Name)})
-	}
+	rs := &rowSet{cols: scanCols(name, t), logical: len(t.Rows)}
 	if len(pushed) == 0 {
 		rs.rows = t.Rows
+		return rs, nil
+	}
+
+	// Vectorized scan: the positions scan (index bucket, then kernels over
+	// the columnar shadow, morsel-parallel), materialised for the join that
+	// consumes it.
+	if ec.useBatch(len(t.Rows)) {
+		s, err := ec.scanPositions(t, rs.cols, pushed, outer)
+		if err != nil {
+			return nil, err
+		}
+		rs.rows = s.materialise()
 		return rs, nil
 	}
 
@@ -992,7 +1084,6 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct)
 	// candidate still passes through the full pushed-conjunct filter below,
 	// which re-verifies the indexed equality with real `=` semantics.
 	rows := t.Rows
-	narrowed := false
 	for _, c := range pushed {
 		if c.eqLit == nil {
 			continue
@@ -1010,21 +1101,7 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct)
 		for i, ri := range bucket {
 			rows[i] = t.Rows[ri]
 		}
-		narrowed = true
 		break
-	}
-
-	// Vectorized scan filter: compile the pushed conjuncts into kernels
-	// over the table's columnar shadow and evaluate morsel-parallel. Only
-	// for full scans — an index-narrowed candidate list no longer aligns
-	// positionally with the column vectors and is small anyway.
-	if !narrowed && ec.useBatch(len(t.Rows)) {
-		filtered, err := ec.filterScan(t, rs.cols, pushed, outer)
-		if err != nil {
-			return nil, err
-		}
-		rs.rows = filtered
-		return rs, nil
 	}
 
 	sc := &scope{cols: rs.cols, parent: outer}

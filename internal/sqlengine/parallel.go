@@ -190,13 +190,54 @@ func (ec *execCtx) batchRun(nUnits, gateRows int, setup func(workers int), fn fu
 	engineBatchesTotal.Add(int64(nUnits))
 }
 
-// runFilter applies compiled predicates to rows, morsel-parallel, emitting
-// survivors in input order. Index-form kernels (byIdx) require rows to be
-// the exact slice the predicates were compiled against (a full table
-// scan); expression fallbacks evaluate with a worker-local environment.
-func (ec *execCtx) runFilter(cols []scopeCol, rows [][]Value, preds []rowPred, outer *scope) ([][]Value, error) {
-	nm := morselCount(len(rows))
-	outs := make([][][]Value, nm)
+// selection is a set of rows of one relation, held as ascending positions
+// into rows. all stands for every position without listing them, so an
+// unfiltered scan costs nothing to describe; pos is never written through
+// (it may be an equality-index bucket).
+type selection struct {
+	rows [][]Value
+	pos  []int
+	all  bool
+}
+
+func (s selection) len() int {
+	if s.all {
+		return len(s.rows)
+	}
+	return len(s.pos)
+}
+
+// at returns the row position of the i'th selected row.
+func (s selection) at(i int) int {
+	if s.all {
+		return i
+	}
+	return s.pos[i]
+}
+
+// materialise returns the selected rows as row slices, in order.
+func (s selection) materialise() [][]Value {
+	if s.all {
+		return s.rows
+	}
+	out := make([][]Value, len(s.pos))
+	for i, p := range s.pos {
+		out[i] = s.rows[p]
+	}
+	return out
+}
+
+// filterPositions applies compiled predicates to the selected rows,
+// morsel-parallel, and returns the survivors' positions in input order.
+// Index-form kernels (byIdx) require in.rows to be the exact slice the
+// predicates were compiled against (a base table's rows); expression
+// fallbacks evaluate with a worker-local environment. Each worker collects
+// a morsel's survivors in one reused buffer and keeps an exact-size copy,
+// so a selective filter allocates by what passes, not by what is scanned.
+func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPred, outer *scope) ([]int, error) {
+	n := in.len()
+	nm := morselCount(n)
+	outs := make([][]int, nm)
 	errs := make([]error, nm)
 	needEnv := false
 	for _, p := range preds {
@@ -205,8 +246,10 @@ func (ec *execCtx) runFilter(cols []scopeCol, rows [][]Value, preds []rowPred, o
 		}
 	}
 	var envs []*evalEnv
-	ec.batchRun(nm, len(rows), func(workers int) {
+	var bufs [][]int
+	ec.batchRun(nm, n, func(workers int) {
 		envs = make([]*evalEnv, workers)
+		bufs = make([][]int, workers)
 	}, func(w, m int) {
 		var env *evalEnv
 		if needEnv {
@@ -216,16 +259,17 @@ func (ec *execCtx) runFilter(cols []scopeCol, rows [][]Value, preds []rowPred, o
 				envs[w] = env
 			}
 		}
-		lo, hi := morselBounds(m, len(rows))
-		out := make([][]Value, 0, hi-lo)
+		lo, hi := morselBounds(m, n)
+		buf := bufs[w][:0]
 		for i := lo; i < hi; i++ {
-			row := rows[i]
+			pos := in.at(i)
+			row := in.rows[pos]
 			pass := true
 			for _, p := range preds {
 				var ok bool
 				switch {
 				case p.byIdx != nil:
-					ok = p.byIdx(i)
+					ok = p.byIdx(pos)
 				case p.byRow != nil:
 					ok = p.byRow(row)
 				default:
@@ -244,17 +288,39 @@ func (ec *execCtx) runFilter(cols []scopeCol, rows [][]Value, preds []rowPred, o
 				}
 			}
 			if pass {
-				out = append(out, row)
+				buf = append(buf, pos)
 			}
 		}
-		outs[m] = out
+		bufs[w] = buf
+		if len(buf) > 0 {
+			outs[m] = append([]int(nil), buf...)
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return concatRowMorsels(outs), nil
+	total := 0
+	for _, o := range outs {
+		total += len(o)
+	}
+	// Concatenating in morsel order restores serial emission order.
+	res := make([]int, 0, total)
+	for _, o := range outs {
+		res = append(res, o...)
+	}
+	return res, nil
+}
+
+// runFilter is filterPositions over every row of an intermediate relation,
+// emitting the surviving rows.
+func (ec *execCtx) runFilter(cols []scopeCol, rows [][]Value, preds []rowPred, outer *scope) ([][]Value, error) {
+	pos, err := ec.filterPositions(cols, selection{rows: rows, all: true}, preds, outer)
+	if err != nil {
+		return nil, err
+	}
+	return selection{rows: rows, pos: pos}.materialise(), nil
 }
 
 // concatRowMorsels merges per-morsel outputs in morsel order — the step
@@ -269,19 +335,6 @@ func concatRowMorsels(outs [][][]Value) [][]Value {
 		res = append(res, o...)
 	}
 	return res
-}
-
-// filterScan is the vectorized scan filter: pushed conjuncts compiled
-// against t's columnar shadow and applied over the full table, morsel
-// parallel. Only valid for full scans — index-narrowed candidate lists
-// break the positional alignment the vectors rely on.
-func (ec *execCtx) filterScan(t *Table, cols []scopeCol, pushed []conjunct, outer *scope) ([][]Value, error) {
-	exprs := make([]Expr, len(pushed))
-	for i, c := range pushed {
-		exprs[i] = c.expr
-	}
-	ps := &predSource{t: t, vecs: true, cols: cols}
-	return ec.runFilter(cols, t.Rows, compilePreds(ps, exprs), outer)
 }
 
 // filterIntermediate is the batch filter for post-join and WHERE-residual

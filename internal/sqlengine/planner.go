@@ -558,12 +558,7 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 		if !ok {
 			return nil // let the naive scan raise "no such table"
 		}
-		name := strings.ToLower(items[i].Name())
-		cols := make([]scopeCol, len(t.Columns))
-		for j, c := range t.Columns {
-			cols[j] = scopeCol{table: name, name: strings.ToLower(c.Name)}
-		}
-		itemCols[i] = cols
+		itemCols[i] = scanCols(strings.ToLower(items[i].Name()), t)
 	}
 	// Pushdown shrinks join inputs, so the affected ON clauses get
 	// evaluated on fewer pairs than the naive executor evaluates them on.

@@ -40,6 +40,30 @@ func buildMultiDB(seed int64, nRows int) *Database {
 		// t.id exercises the harmonise coercion inside the hash join.
 		db.MustExec(fmt.Sprintf("INSERT INTO acc VALUES (%d, %d, '%d', '%s')", i, tid, tid, kind))
 	}
+	// m is the tail fixture (tailCheckQueries): a and b are small-range sort
+	// keys with NULLs, so every key ties; mixed holds INTEGER, REAL and TEXT
+	// cells (an INTEGER column keeps non-numeric text and fractional reals
+	// as they are); nul is all NULL; v mixes INTEGER and REAL for SUM. It is
+	// generated last so the tables above keep their contents.
+	db.MustExec("CREATE TABLE m (id INTEGER, a INTEGER, b INTEGER, mixed INTEGER, nul INTEGER, v INTEGER)")
+	orNull := func(oneIn int, lit string) string {
+		if rng.Intn(oneIn) == 0 {
+			return "NULL"
+		}
+		return lit
+	}
+	for i := 0; i < nRows; i++ {
+		mixed := []string{
+			fmt.Sprint(rng.Intn(5)), fmt.Sprintf("%d.5", rng.Intn(5)),
+			fmt.Sprintf("'s%d'", rng.Intn(3)), "NULL", fmt.Sprint(-rng.Intn(3)),
+		}[rng.Intn(5)]
+		v := fmt.Sprint(rng.Intn(50))
+		if rng.Intn(3) == 0 {
+			v += ".25"
+		}
+		db.MustExec(fmt.Sprintf("INSERT INTO m VALUES (%d, %s, %s, %s, NULL, %s)", i,
+			orNull(6, fmt.Sprint(rng.Intn(4))), orNull(8, fmt.Sprint(rng.Intn(3))), mixed, orNull(10, v)))
+	}
 	return db
 }
 
@@ -62,7 +86,9 @@ func rowsIdentical(a, b *Rows) bool {
 	if !reflect.DeepEqual(a.Columns, b.Columns) {
 		return false
 	}
-	if len(a.Data) != len(b.Data) {
+	// nil and empty Data are different answers: no rows at all, against
+	// rows that LIMIT/OFFSET windowed away.
+	if len(a.Data) != len(b.Data) || (a.Data == nil) != (b.Data == nil) {
 		return false
 	}
 	for i := range a.Data {
@@ -160,10 +186,113 @@ var crossCheckQueries = []string{
 	"SELECT t.id FROM t JOIN g ON t.grp = g.nosuch WHERE t.id = 99999",
 }
 
+// tailCheckQueries cover what happens after the scan of one table — ORDER
+// BY, LIMIT/OFFSET, DISTINCT, aggregates — on the fixture table m: every
+// shape the positions path (positions.go) takes over, and next to each the
+// nearest shape that must fall back to the row path.
+var tailCheckQueries = []string{
+	// Top-k: multi-key ASC/DESC with ties on every key, so the position
+	// tie-break is what orders most of the output.
+	"SELECT id FROM m ORDER BY a DESC, b, id LIMIT 5",
+	"SELECT id FROM m ORDER BY a, b DESC LIMIT 7",
+	"SELECT id FROM m ORDER BY b DESC, a LIMIT 9",
+	// NULL keys sort first ascending, last descending.
+	"SELECT id, a FROM m ORDER BY a LIMIT 4",
+	"SELECT id, a FROM m ORDER BY a DESC LIMIT 50",
+	// A sort column holding INTEGER, REAL, TEXT and NULL.
+	"SELECT id, mixed FROM m ORDER BY mixed, id LIMIT 50",
+	"SELECT id FROM m ORDER BY mixed DESC LIMIT 6",
+	// Ordinal, alias (one shadowing a source column) and qualified terms.
+	"SELECT b, id FROM m ORDER BY 1 DESC, 2 LIMIT 5",
+	"SELECT a AS k, id FROM m ORDER BY k DESC, id LIMIT 5",
+	"SELECT a AS b, id FROM m ORDER BY b, id LIMIT 5",
+	"SELECT id FROM m ORDER BY m.a, m.id LIMIT 3",
+	"SELECT * FROM m ORDER BY v DESC, id LIMIT 3",
+	// OFFSET, k = 0, k >= n, no LIMIT, negative and MySQL-style forms.
+	"SELECT id FROM m ORDER BY a DESC LIMIT 4 OFFSET 3",
+	"SELECT id FROM m ORDER BY a LIMIT 0",
+	"SELECT id FROM m LIMIT 0",
+	"SELECT id FROM m ORDER BY a, id LIMIT 1000",
+	"SELECT id FROM m ORDER BY a LIMIT 5 OFFSET 1000",
+	"SELECT id FROM m ORDER BY b DESC, a",
+	"SELECT id FROM m ORDER BY a LIMIT -1 OFFSET 2",
+	"SELECT id FROM m ORDER BY a LIMIT 3 OFFSET -2",
+	"SELECT id FROM m ORDER BY a LIMIT 2, 3",
+	"SELECT id FROM m ORDER BY a LIMIT 9223372036854775807 OFFSET 1",
+	"SELECT id FROM m LIMIT 9223372036854775807 OFFSET 1",
+	// Plain gather windows.
+	"SELECT id FROM m LIMIT 5 OFFSET 2",
+	"SELECT * FROM m LIMIT 3",
+	"SELECT v, id, v FROM m",
+	// DISTINCT before ORDER BY and LIMIT, also ordered by a column that is
+	// not projected (the first occurrence's value).
+	"SELECT DISTINCT a FROM m ORDER BY a DESC LIMIT 3",
+	"SELECT DISTINCT a, b FROM m LIMIT 4",
+	"SELECT DISTINCT a FROM m ORDER BY b LIMIT 3",
+	"SELECT DISTINCT mixed FROM m ORDER BY 1",
+	// Index-narrowed and kernel-filtered selections feeding the tail.
+	"SELECT id FROM m WHERE a = 2 ORDER BY b DESC, id LIMIT 3",
+	"SELECT id FROM t WHERE grp = 'a' ORDER BY num DESC, id LIMIT 4",
+	"SELECT id FROM m WHERE a = 12345 ORDER BY b LIMIT 3",
+	"SELECT id FROM m WHERE a = NULL ORDER BY b LIMIT 3",
+	"SELECT id FROM m WHERE b > 0 AND a = 1 ORDER BY v LIMIT 5 OFFSET 1",
+	"SELECT id FROM m WHERE b > 1 ORDER BY a LIMIT 5 OFFSET 1",
+	"SELECT id FROM m WHERE 1 = 1 ORDER BY a LIMIT 2",
+	"SELECT id FROM m WHERE 1 = 0",
+	// Row-tail fallbacks and errors.
+	"SELECT id FROM m ORDER BY a + b, id LIMIT 3",
+	"SELECT id + 1 FROM m ORDER BY a, id LIMIT 3",
+	"SELECT id FROM m ORDER BY a, id LIMIT 1 + 2",
+	"SELECT id FROM m ORDER BY a, id LIMIT 2 OFFSET (SELECT 1)",
+	"SELECT id FROM m ORDER BY 9 LIMIT 2",
+	"SELECT id FROM m ORDER BY nosuch LIMIT 2",
+	"SELECT id FROM m WHERE a > (SELECT 1) ORDER BY a, id LIMIT 2",
+	"SELECT id FROM m WHERE a > 0 AND nosuch = 1 ORDER BY a LIMIT 2",
+	// Aggregates: every accumulator, over everything, over an empty
+	// selection (index miss, kernel miss), over an all-NULL column, over
+	// mixed INTEGER/REAL and mixed-kind cells.
+	"SELECT COUNT(*), COUNT(a), SUM(a), TOTAL(a), AVG(a), MIN(a), MAX(a) FROM m",
+	"SELECT COUNT(*), COUNT(a), SUM(a), TOTAL(a), AVG(a), MIN(a), MAX(a) FROM m WHERE a = 12345",
+	"SELECT COUNT(*), SUM(v), TOTAL(v), MIN(v) FROM m WHERE a > 999",
+	"SELECT id, COUNT(*) FROM m WHERE a > 999",
+	"SELECT id, a, COUNT(*) FROM m",
+	"SELECT COUNT(nul), SUM(nul), TOTAL(nul), AVG(nul), MIN(nul), MAX(nul) FROM m",
+	"SELECT SUM(v), TOTAL(v), AVG(v) FROM m",
+	"SELECT SUM(v) FROM m WHERE a = 1",
+	"SELECT SUM(mixed), AVG(mixed), MIN(mixed), MAX(mixed), COUNT(mixed) FROM m",
+	"SELECT COUNT(*) FROM m LIMIT 0",
+	// GROUP BY: NULL keys, first-seen group order, several keys, a
+	// mixed-kind key, a bare column read from the group's first row.
+	"SELECT a, COUNT(*), SUM(v) FROM m GROUP BY a",
+	"SELECT a, b, COUNT(*), MIN(id) FROM m GROUP BY a, b ORDER BY 3 DESC, 1, 2 LIMIT 5",
+	"SELECT mixed, COUNT(*) FROM m GROUP BY mixed",
+	"SELECT a, id, MAX(v) FROM m GROUP BY a",
+	"SELECT a AS k, AVG(v) AS mean FROM m WHERE b = 1 GROUP BY a ORDER BY mean DESC, k",
+	"SELECT DISTINCT COUNT(*) FROM m GROUP BY b",
+	"SELECT a, COUNT(*) FROM m WHERE a = 12345 GROUP BY a",
+	// Aggregate fallbacks.
+	"SELECT COUNT(DISTINCT a) FROM m",
+	"SELECT a, COUNT(*) FROM m GROUP BY a HAVING COUNT(*) > 1",
+	"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY COUNT(*) DESC, a",
+	"SELECT a FROM m GROUP BY a ORDER BY m.a",
+	"SELECT SUM(a) / COUNT(*) FROM m",
+	"SELECT GROUP_CONCAT(a) FROM m",
+	"SELECT a + 1, COUNT(*) FROM m GROUP BY a + 1",
+	"SELECT *, COUNT(*) FROM m",
+	"SELECT MAX(*) FROM m",
+	// The tail inside a correlated subquery and inside compound arms.
+	"SELECT id, (SELECT COUNT(*) FROM m WHERE m.a = t.flag) FROM t WHERE id < 5",
+	"SELECT id, (SELECT m.id FROM m WHERE m.a = t.flag ORDER BY m.b DESC, m.id LIMIT 1) FROM t WHERE id < 5",
+	"SELECT a FROM m WHERE b = 1 UNION ALL SELECT b FROM m WHERE a = 1 ORDER BY 1 LIMIT 5",
+}
+
 func TestPlannerCrossValidation(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		planned, naive := plannerPair(seed, 60)
 		for _, q := range crossCheckQueries {
+			crossCheck(t, planned, naive, q)
+		}
+		for _, q := range tailCheckQueries {
 			crossCheck(t, planned, naive, q)
 		}
 	}

@@ -226,6 +226,18 @@ func (v Value) String() string {
 // case-sensitivity evidence defects genuinely fail at execution time).
 // The result is -1, 0 or +1.
 func Compare(a, b Value) int {
+	// Two integers — what keys, ids and counts overwhelmingly are — need
+	// neither the rank nor the float conversion below.
+	if a.Kind == KindInt && b.Kind == KindInt {
+		switch {
+		case a.I < b.I:
+			return -1
+		case a.I > b.I:
+			return 1
+		default:
+			return 0
+		}
+	}
 	ra, rb := compareRank(a), compareRank(b)
 	if ra != rb {
 		if ra < rb {
@@ -238,17 +250,6 @@ func Compare(a, b Value) int {
 		return 0
 	case 1: // both numeric
 		fa, fb := a.AsFloat(), b.AsFloat()
-		// Preserve exact int64 comparison when both sides are integers.
-		if a.Kind == KindInt && b.Kind == KindInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			default:
-				return 0
-			}
-		}
 		switch {
 		case fa < fb:
 			return -1

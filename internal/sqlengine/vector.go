@@ -12,9 +12,9 @@ package sqlengine
 // them (invalidateIndexes), except BulkInsert, which appends to already
 // built vectors in place (noteBulkAppend) so repeated bulk loads do not
 // churn the shadow. A vector is always positionally aligned with t.Rows —
-// vec position i is row t.Rows[i] — which is why the vectorized scan path
-// only applies to full-table scans, never to index-narrowed candidate
-// lists.
+// vec position i is row t.Rows[i] — so kernels address it by row position;
+// only full-table scans consult (and so build) vectors, an index-narrowed
+// bucket being too small to be worth one.
 
 // colVec is the columnar shadow of one table column. When every non-NULL
 // cell of the column has the same storage kind, typed reports that kind
