@@ -1,11 +1,9 @@
 package evserve
 
 import (
-	"container/list"
 	"hash/fnv"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/pipeline"
 )
 
@@ -52,29 +50,10 @@ func KeyFor(db, variant, question string) Key {
 	return Key{DB: db, Variant: variant, QHash: h.Sum64()}
 }
 
-// shardFor selects the key's shard: a mask over the precomputed hash, so
-// Get and Put cost no hashing.
-func (k Key) shardFor(mask uint64) uint64 { return k.QHash & mask }
-
-// Cache is a sharded LRU cache for generated evidence. Each shard has its
-// own lock and recency list, so concurrent lookups on different shards never
-// contend. The zero value is not usable; construct with NewCache.
-type Cache struct {
-	shards []*cacheShard
-	mask   uint64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-// cacheShard is one independently locked LRU segment.
-type cacheShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[Key]*list.Element
-	order    *list.List // front = most recently used
-}
+// Cache is the sharded LRU of generated evidence: internal/lru keyed by
+// Key, sharded by a mask over the precomputed QHash so Get and Put cost
+// no hashing. Construct with NewCache.
+type Cache = lru.Cache[Key, Entry]
 
 // Entry is one cached evidence result: the evidence text plus the
 // provenance trace of the generation that produced it. The trace is
@@ -89,115 +68,13 @@ type Entry struct {
 	Trace *pipeline.Trace
 }
 
-// cacheEntry is the list payload: the key (for eviction bookkeeping) and the
-// cached evidence entry.
-type cacheEntry struct {
-	key Key
-	val Entry
-}
-
-// NewCache builds a sharded LRU of roughly capacity entries, spread over
-// the given shard count. Shards is rounded up to a power of two and each
-// shard holds ceil(capacity/shards) entries, so the exact total bound is
-// that per-shard capacity times the shard count — slightly above capacity
-// when it doesn't divide evenly. Non-positive arguments fall back to
-// defaults (capacity 4096, 16 shards).
+// NewCache builds an evidence cache of roughly capacity entries over the
+// given shard count; see lru.New for the rounding and the defaults
+// non-positive arguments fall back to.
 func NewCache(capacity, shards int) *Cache {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := (capacity + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &Cache{shards: make([]*cacheShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			capacity: perShard,
-			entries:  make(map[Key]*list.Element),
-			order:    list.New(),
-		}
-	}
-	return c
+	return lru.New[Key, Entry](capacity, shards, func(k Key) uint64 { return k.QHash })
 }
 
-// Get returns the cached evidence entry for k, marking it most recently
-// used. The second result reports whether the key was present.
-func (c *Cache) Get(k Key) (Entry, bool) {
-	s := c.shards[k.shardFor(c.mask)]
-	s.mu.Lock()
-	el, ok := s.entries[k]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return Entry{}, false
-	}
-	s.order.MoveToFront(el)
-	v := el.Value.(*cacheEntry).val
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
-}
-
-// Put stores an evidence entry under k, evicting the shard's least
-// recently used entry when the shard is full. Re-putting an existing key
-// refreshes both the value and its recency.
-func (c *Cache) Put(k Key, v Entry) {
-	s := c.shards[k.shardFor(c.mask)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		el.Value.(*cacheEntry).val = v
-		s.order.MoveToFront(el)
-		return
-	}
-	if s.order.Len() >= s.capacity {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*cacheEntry).key)
-			c.evictions.Add(1)
-		}
-	}
-	s.entries[k] = s.order.PushFront(&cacheEntry{key: k, val: v})
-}
-
-// Len returns the current number of cached entries across all shards.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// CacheStats is a point-in-time snapshot of cache effectiveness counters.
-type CacheStats struct {
-	// Hits counts lookups served from the cache.
-	Hits int64
-	// Misses counts lookups that fell through to generation.
-	Misses int64
-	// Evictions counts entries displaced by the LRU policy.
-	Evictions int64
-	// Entries is the current cache population.
-	Entries int
-}
-
-// Stats snapshots the cache counters.
-func (c *Cache) Stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-	}
-}
+// CacheStats is a point-in-time snapshot of cache effectiveness counters:
+// a miss is a lookup that fell through to generation.
+type CacheStats = lru.Stats

@@ -107,33 +107,6 @@ func TestSingleFlightDedup(t *testing.T) {
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	c := NewCache(2, 1) // one shard, two entries
-	k1, k2, k3 := KeyFor("db", "v", "a"), KeyFor("db", "v", "b"), KeyFor("db", "v", "c")
-	c.Put(k1, Entry{Evidence: "1"})
-	c.Put(k2, Entry{Evidence: "2"})
-	if _, ok := c.Get(k1); !ok {
-		t.Fatal("k1 missing before eviction")
-	}
-	c.Put(k3, Entry{Evidence: "3"}) // evicts k2: k1 was refreshed by the Get above
-	if _, ok := c.Get(k2); ok {
-		t.Error("k2 should have been evicted as least recently used")
-	}
-	if _, ok := c.Get(k1); !ok {
-		t.Error("k1 should have survived: it was most recently used")
-	}
-	if _, ok := c.Get(k3); !ok {
-		t.Error("k3 should be present")
-	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
-	}
-	if st.Entries != 2 {
-		t.Errorf("entries = %d, want 2", st.Entries)
-	}
-}
-
 func TestServiceEvictionRegenerates(t *testing.T) {
 	var calls atomic.Int64
 	s := echoService(t, Options{Variant: "v", CacheCapacity: 2, CacheShards: 1}, &calls)

@@ -106,7 +106,7 @@ func TestWALCorruptionRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			keys := populate(t, dir, total)
-			tc.corrupt(t, filepath.Join(dir, walFile))
+			tc.corrupt(t, filepath.Join(dir, files.WAL))
 
 			s, err := Open(dir, Options{})
 			if err != nil {
@@ -222,7 +222,7 @@ func TestSnapshotCorruptionRecovery(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, _ := setup(t)
-			tc.corrupt(t, filepath.Join(dir, snapshotFile))
+			tc.corrupt(t, filepath.Join(dir, files.Snapshot))
 			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("Open over corrupt snapshot: %v", err)

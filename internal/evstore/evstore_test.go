@@ -3,6 +3,8 @@ package evstore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/evserve"
 	"repro/internal/pipeline"
+	"repro/internal/wal"
 )
 
 // testEntry builds a deterministic entry with a trace, so persistence
@@ -29,6 +32,18 @@ func testEntry(text string, wall int64) evserve.Entry {
 		},
 	}
 }
+
+// frame renders one record as it sits on disk, independently of the log's
+// own writer: "%08x payload\n" with the CRC-32C of the payload.
+func frame(k evserve.Key, e evserve.Entry) []byte {
+	payload, err := codec{}.Encode(k, e)
+	if err != nil {
+		panic(err)
+	}
+	return fmt.Appendf(nil, "%08x %s\n", crc32.Checksum(payload, castagnoli), payload)
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // loadAll replays a store into a map for assertions.
 func loadAll(t *testing.T, s *Store) map[evserve.Key]evserve.Entry {
@@ -154,21 +169,21 @@ func TestCompactionSnapshotsAndEmptiesWAL(t *testing.T) {
 
 	// Disk state matches the counters: compacted snapshot + fresh WAL, no
 	// leftover tail.
-	wal, err := os.ReadFile(filepath.Join(dir, walFile))
+	wal, err := os.ReadFile(filepath.Join(dir, files.WAL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := bytes.Count(wal, []byte{'\n'}); n != st.WALRecords {
 		t.Fatalf("wal holds %d records on disk, stats say %d", n, st.WALRecords)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	snap, err := os.ReadFile(filepath.Join(dir, files.Snapshot))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := bytes.Count(snap, []byte{'\n'}); n != st.SnapshotRecords {
 		t.Fatalf("snapshot holds %d records on disk, stats say %d", n, st.SnapshotRecords)
 	}
-	if _, err := os.Stat(filepath.Join(dir, walTailFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, files.Tail)); !os.IsNotExist(err) {
 		t.Fatalf("tail WAL still present after completed compaction: %v", err)
 	}
 
@@ -242,19 +257,13 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 	// Simulate the crash point: the WAL was rotated to the tail, a fresh
 	// WAL took one more append (overwriting k1), and the snapshot never
 	// landed.
-	if err := os.Rename(filepath.Join(dir, walFile), filepath.Join(dir, walTailFile)); err != nil {
+	if err := os.Rename(filepath.Join(dir, files.WAL), filepath.Join(dir, files.Tail)); err != nil {
 		t.Fatal(err)
 	}
 	k2 := evserve.KeyFor("db", "v", "post-rotation")
-	line, err := encodeRecord(record{DB: k2.DB, Variant: k2.Variant, QHash: k2.QHash, Evidence: "fresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	line2, err := encodeRecord(record{DB: k1.DB, Variant: k1.Variant, QHash: k1.QHash, Evidence: "new-value"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, walFile), append(line, line2...), 0o644); err != nil {
+	line := frame(k2, evserve.Entry{Evidence: "fresh"})
+	line2 := frame(k1, evserve.Entry{Evidence: "new-value"})
+	if err := os.WriteFile(filepath.Join(dir, files.WAL), append(line, line2...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,7 +280,7 @@ func TestCrashMidCompactionRecovers(t *testing.T) {
 		t.Fatalf("replay order wrong: %+v", got)
 	}
 	// The tail was absorbed into a fresh snapshot.
-	if _, err := os.Stat(filepath.Join(dir, walTailFile)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, files.Tail)); !os.IsNotExist(err) {
 		t.Fatalf("tail WAL not absorbed at Open: %v", err)
 	}
 	st := r.Stats()
@@ -333,13 +342,13 @@ func TestBatchedFlushSurvivesOnlyAfterFlush(t *testing.T) {
 	// the append is still in the bufio buffer, so the file must be empty.
 	// (The flock forbids opening a second Store while this one is alive,
 	// so crash survival is asserted at the byte level.)
-	if wal := readWAL(t, filepath.Join(dir, walFile)); len(wal) != 0 {
+	if wal := readWAL(t, filepath.Join(dir, files.WAL)); len(wal) != 0 {
 		t.Fatalf("unflushed append reached disk: %d bytes", len(wal))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if wal := readWAL(t, filepath.Join(dir, walFile)); bytes.Count(wal, []byte{'\n'}) != 1 {
+	if wal := readWAL(t, filepath.Join(dir, files.WAL)); bytes.Count(wal, []byte{'\n'}) != 1 {
 		t.Fatalf("flushed append not on disk: %q", wal)
 	}
 	if err := s.Close(); err != nil {
@@ -455,10 +464,10 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := s.Append(evserve.KeyFor("db", "v", "q"), testEntry("e", 1)); err != ErrClosed {
+	if err := s.Append(evserve.KeyFor("db", "v", "q"), testEntry("e", 1)); err != wal.ErrClosed {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
-	if err := s.Flush(); err != ErrClosed {
+	if err := s.Flush(); err != wal.ErrClosed {
 		t.Fatalf("Flush after Close = %v, want ErrClosed", err)
 	}
 }

@@ -1,153 +1,22 @@
 package pipeline
 
-import (
-	"container/list"
-	"hash/fnv"
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/lru"
 
-// Memo is a sharded LRU cache for stage results, keyed by the stage's
-// input-derived key string. It follows the evserve cache idiom — one lock
-// and recency list per shard, shard chosen by key hash — so concurrent
-// runs memoizing different questions never contend on one lock.
+// Memo is a sharded LRU cache for stage results (internal/lru), keyed by
+// the stage's input-derived key string, so concurrent runs memoizing
+// different questions never contend on one lock.
 //
 // Values are stored as produced by the stage and returned to later runs
 // by reference: memoized stage outputs must be treated as immutable by
 // every consumer.
-type Memo struct {
-	shards []*memoShard
-	mask   uint64
+type Memo = lru.Cache[string, any]
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type memoShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-}
-
-// memoEntry is the list payload: the key (for eviction bookkeeping) and
-// the stage value.
-type memoEntry struct {
-	key string
-	val any
-}
-
-// NewMemo builds a sharded LRU of roughly capacity entries over the given
-// shard count (rounded up to a power of two). Non-positive arguments fall
-// back to defaults (capacity 4096, 16 shards).
+// NewMemo builds a memo of roughly capacity entries over the given shard
+// count; see lru.New for the rounding and the defaults non-positive
+// arguments fall back to.
 func NewMemo(capacity, shards int) *Memo {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := (capacity + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	m := &Memo{shards: make([]*memoShard, n), mask: uint64(n - 1)}
-	for i := range m.shards {
-		m.shards[i] = &memoShard{
-			capacity: perShard,
-			entries:  make(map[string]*list.Element),
-			order:    list.New(),
-		}
-	}
-	return m
-}
-
-func (m *Memo) shardFor(key string) *memoShard {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return m.shards[h.Sum64()&m.mask]
-}
-
-// Get returns the memoized value, marking the entry most recently used.
-func (m *Memo) Get(key string) (val any, ok bool) {
-	s := m.shardFor(key)
-	s.mu.Lock()
-	el, found := s.entries[key]
-	if !found {
-		s.mu.Unlock()
-		m.misses.Add(1)
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	val = el.Value.(*memoEntry).val
-	s.mu.Unlock()
-	m.hits.Add(1)
-	return val, true
-}
-
-// Put stores a stage result under key, evicting the shard's least
-// recently used entry when full.
-func (m *Memo) Put(key string, val any) {
-	s := m.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*memoEntry).val = val
-		s.order.MoveToFront(el)
-		return
-	}
-	if s.order.Len() >= s.capacity {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*memoEntry).key)
-			m.evictions.Add(1)
-		}
-	}
-	s.entries[key] = s.order.PushFront(&memoEntry{key: key, val: val})
-}
-
-// Reset drops every entry (counters are preserved). Benchmarks use it to
-// re-measure the cold path on a warmed pipeline.
-func (m *Memo) Reset() {
-	for _, s := range m.shards {
-		s.mu.Lock()
-		s.entries = make(map[string]*list.Element)
-		s.order = list.New()
-		s.mu.Unlock()
-	}
-}
-
-// Len returns the current entry count across shards.
-func (m *Memo) Len() int {
-	n := 0
-	for _, s := range m.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+	return lru.New[string, any](capacity, shards, lru.HashString)
 }
 
 // MemoStats is a point-in-time snapshot of memo effectiveness counters.
-type MemoStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-}
-
-// Stats snapshots the memo counters.
-func (m *Memo) Stats() MemoStats {
-	return MemoStats{
-		Hits:      m.hits.Load(),
-		Misses:    m.misses.Load(),
-		Evictions: m.evictions.Load(),
-		Entries:   m.Len(),
-	}
-}
+type MemoStats = lru.Stats

@@ -180,26 +180,6 @@ func TestMemoizationServesWarmRuns(t *testing.T) {
 	}
 }
 
-func TestMemoResetAndEviction(t *testing.T) {
-	m := NewMemo(2, 1)
-	m.Put("a", 1)
-	m.Put("b", 2)
-	if _, ok := m.Get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	m.Put("c", 3) // evicts b (a was refreshed)
-	if _, ok := m.Get("b"); ok {
-		t.Error("b should be evicted")
-	}
-	if st := m.Stats(); st.Evictions != 1 {
-		t.Errorf("evictions = %d", st.Evictions)
-	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Errorf("Len after Reset = %d", m.Len())
-	}
-}
-
 func TestConcurrentExecutes(t *testing.T) {
 	// Many goroutines share one graph + memo; -race is the assertion.
 	memo := NewMemo(64, 4)

@@ -4,8 +4,12 @@ import "repro/internal/obs"
 
 // RegisterMetrics publishes the memory's counters into reg as gauge
 // functions, mirroring the evstore/evserve convention so the scrape
-// surface stays uniform across subsystems.
+// surface stays uniform across subsystems. A durable memory also exports
+// its store's log gauges as qmemory_store_*.
 func (m *Memory) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	if m.opts.Store != nil {
+		m.opts.Store.RegisterMetrics(reg, labels...)
+	}
 	reg.GaugeFunc("qmemory_patterns", "Patterns held in the query memory.",
 		func() float64 { return float64(m.Stats().Patterns) }, labels...)
 	reg.GaugeFunc("qmemory_phrasings", "Stored question phrasings across all patterns.",

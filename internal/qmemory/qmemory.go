@@ -14,9 +14,10 @@
 // failure, so a pattern whose SQL goes stale (schema drift, data change)
 // demotes itself out of serving within a failure or two.
 //
-// The memory is optionally durable (a WAL-backed Store reusing the
-// evstore framing idioms) and replicates to fleet peers over an
-// incremental sync protocol (see replicate.go), exactly like evidence.
+// The memory is optionally durable (Store: an internal/wal log of
+// pattern records, files qmemory.wal, qmemory.snapshot, qmemory.wal.tail,
+// LOCK and MANIFEST) and replicates to fleet peers over an incremental
+// sync protocol of its own (see replicate.go).
 package qmemory
 
 import (

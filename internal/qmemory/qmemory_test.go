@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sqlengine"
+	"repro/internal/wal"
 )
 
 func testRows() *sqlengine.Rows {
@@ -123,7 +124,7 @@ func TestPoisonedPatternStopsServing(t *testing.T) {
 
 func TestStoreRestartRestoresPatterns(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, StoreOptions{Manifest: "corpus=test seed=1"})
+	st, err := OpenStore(dir, wal.Options{Manifest: "corpus=test seed=1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestStoreRestartRestoresPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := OpenStore(dir, StoreOptions{Manifest: "corpus=test seed=1"})
+	st2, err := OpenStore(dir, wal.Options{Manifest: "corpus=test seed=1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,19 +170,19 @@ func TestStoreRestartRestoresPatterns(t *testing.T) {
 
 func TestStoreManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, StoreOptions{Manifest: "corpus=a seed=1"})
+	st, err := OpenStore(dir, wal.Options{Manifest: "corpus=a seed=1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	if _, err := OpenStore(dir, StoreOptions{Manifest: "corpus=b seed=2"}); err == nil {
+	if _, err := OpenStore(dir, wal.Options{Manifest: "corpus=b seed=2"}); err == nil {
 		t.Fatal("manifest mismatch must refuse to open")
 	}
 }
 
 func TestStoreTruncatesCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, StoreOptions{})
+	st, err := OpenStore(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestStoreTruncatesCorruptTail(t *testing.T) {
 	}
 	st.Close()
 	// Simulate a torn write: garbage after the valid frame.
-	path := filepath.Join(dir, walName)
+	path := filepath.Join(dir, storeFiles.WAL)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestStoreTruncatesCorruptTail(t *testing.T) {
 	f.WriteString("deadbeef {\"id\":\"torn")
 	f.Close()
 
-	st2, err := OpenStore(dir, StoreOptions{})
+	st2, err := OpenStore(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestStoreTruncatesCorruptTail(t *testing.T) {
 	if st2.Len() != 1 {
 		t.Fatalf("want 1 live record after truncation, got %d", st2.Len())
 	}
-	if !st2.Stats().Truncated {
+	if st2.Stats().TailDropped != 1 {
 		t.Fatal("stats should record the truncation")
 	}
 	// The store must be appendable after truncation (frame boundary
@@ -218,7 +219,7 @@ func TestStoreTruncatesCorruptTail(t *testing.T) {
 
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir, StoreOptions{CompactEvery: 4})
+	st, err := OpenStore(dir, wal.Options{CompactEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +231,21 @@ func TestStoreCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.Stats().Compacts == 0 {
-		t.Fatal("compaction should have triggered")
+	// Compaction runs behind the appends (Memory calls Append under its
+	// one mutex): the crossing append only rotates the WAL, and Flush is
+	// what waits for the snapshot.
+	if before := st.Stats(); before.WALRecords >= 20 {
+		t.Fatalf("WAL never rotated at CompactEvery=4: %+v", before)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if after := st.Stats(); after.Compactions == 0 || after.SnapshotRecords != 1 || after.CompactErrors != 0 {
+		t.Fatalf("compaction should have triggered: %+v", after)
 	}
 	st.Close()
 
-	st2, err := OpenStore(dir, StoreOptions{})
+	st2, err := OpenStore(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

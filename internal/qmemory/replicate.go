@@ -1,12 +1,15 @@
 package qmemory
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -50,11 +53,7 @@ func (m *Memory) SyncRead(gen, since int64, limit int) SyncChunk {
 		}
 	}
 	// Oldest-first so a truncated chunk advances the cursor correctly.
-	for i := 1; i < len(changed); i++ {
-		for j := i; j > 0 && changed[j].seq < changed[j-1].seq; j-- {
-			changed[j], changed[j-1] = changed[j-1], changed[j]
-		}
-	}
+	slices.SortFunc(changed, func(a, b seqRec) int { return cmp.Compare(a.seq, b.seq) })
 	if limit > 0 && len(changed) > limit {
 		changed = changed[:limit]
 	}
@@ -203,7 +202,7 @@ func (t *Tailer) Poll(ctx context.Context) error {
 	t.mu.Unlock()
 
 	sep := "?"
-	if len(t.source) > 0 && containsQuery(t.source) {
+	if strings.Contains(t.source, "?") {
 		sep = "&"
 	}
 	url := fmt.Sprintf("%s%sgen=%d&since=%d&limit=%d", t.source, sep, gen, since, t.opts.Limit)
@@ -271,13 +270,4 @@ func (t *Tailer) Stats() TailerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.stats
-}
-
-func containsQuery(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '?' {
-			return true
-		}
-	}
-	return false
 }

@@ -1,328 +1,71 @@
 package qmemory
 
 import (
-	"bufio"
-	"bytes"
+	"cmp"
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
+
+	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
-// Store is the memory's durable side: a single append-only WAL of
-// pattern records in the evstore framing — one line per append,
-// "%08x payload\n" with a CRC-32C over the payload — replayed
-// newest-wins at open, with the corrupt tail (a torn final write after a
-// crash) truncated rather than fatal. Every confidence change appends
-// the pattern's full record, so replay needs no delta logic and
-// compaction is just "rewrite the live set".
+// storeFiles are the names inside a memory directory. qmemory.wal and
+// MANIFEST are what every earlier build wrote; the snapshot, tail and
+// lock came with internal/wal's compaction and flock.
+var storeFiles = wal.Files{
+	WAL:      "qmemory.wal",
+	Tail:     "qmemory.wal.tail",
+	Snapshot: "qmemory.snapshot",
+	Lock:     "LOCK",
+	Manifest: "MANIFEST",
+}
+
+// recordCodec is the wal.Codec of pattern records, keyed by Record.ID.
+type recordCodec struct{}
+
+func (recordCodec) Encode(_ string, rec Record) ([]byte, error) { return json.Marshal(rec) }
+
+// Decode rejects a record without an ID as a corrupt frame: no Memory
+// ever wrote one.
+func (recordCodec) Decode(payload []byte) (string, Record, bool) {
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil || rec.ID == "" {
+		return "", Record{}, false
+	}
+	return rec.ID, rec, true
+}
+
+func (recordCodec) Compare(a, b string) int { return cmp.Compare(a, b) }
+
+// Store is the memory's durable side: an internal/wal log of pattern
+// records — see that package for the framing, replay, compaction and
+// one-process-per-directory rule. Every confidence change appends the
+// pattern's full record, so replay needs no delta logic and compaction is
+// just "rewrite the live set".
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	f       *os.File
-	w       *bufio.Writer
-	live    map[string]Record
-	appends int // appends since last compaction
-	closed  bool
-
-	opts StoreOptions
-
-	statAppends   int64
-	statCompacts  int64
-	statDropped   int64 // corrupt lines truncated at open
-	statRestored  int64
-	statTruncated bool
+	*wal.Log[string, Record]
 }
 
-// StoreOptions configures a Store.
-type StoreOptions struct {
-	// Manifest, when non-empty, stamps the directory with a corpus
-	// identity (evstore.Manifest formatting); reopening over a different
-	// manifest fails instead of serving another corpus's SQL.
-	Manifest string
-	// CompactEvery rewrites the WAL once this many appends accumulate
-	// past the live-set size; default 1024.
-	CompactEvery int
-}
-
-var storeCastagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-const walName = "qmemory.wal"
-
-// OpenStore opens (creating if needed) the WAL store in dir and replays
-// its live set.
-func OpenStore(dir string, opts StoreOptions) (*Store, error) {
-	if opts.CompactEvery <= 0 {
-		opts.CompactEvery = 1024
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("qmemory: creating store dir: %w", err)
-	}
-	if opts.Manifest != "" {
-		mPath := filepath.Join(dir, "MANIFEST")
-		existing, err := os.ReadFile(mPath)
-		switch {
-		case os.IsNotExist(err):
-			if err := os.WriteFile(mPath, []byte(opts.Manifest), 0o644); err != nil {
-				return nil, fmt.Errorf("qmemory: writing manifest: %w", err)
-			}
-		case err != nil:
-			return nil, fmt.Errorf("qmemory: reading manifest: %w", err)
-		case string(existing) != opts.Manifest:
-			return nil, fmt.Errorf("qmemory: store %s belongs to %q, want %q",
-				dir, existing, opts.Manifest)
-		}
-	}
-	s := &Store{dir: dir, live: make(map[string]Record), opts: opts}
-	if err := s.replay(); err != nil {
+// OpenStore opens (creating if needed) the store in dir and replays its
+// live set. opts.Manifest should carry the corpus identity
+// (evstore.Manifest formatting): reopening over a different one fails
+// instead of serving another corpus's SQL.
+func OpenStore(dir string, opts wal.Options) (*Store, error) {
+	l, err := wal.Open(dir, storeFiles, recordCodec{}, opts)
+	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("qmemory: opening wal: %w", err)
-	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	return s, nil
-}
-
-// replay loads the WAL newest-wins, truncating any corrupt tail so the
-// next append starts on a valid frame boundary.
-func (s *Store) replay() error {
-	path := filepath.Join(s.dir, walName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("qmemory: reading wal: %w", err)
-	}
-	valid := 0
-	for len(data) > valid {
-		nl := bytes.IndexByte(data[valid:], '\n')
-		if nl < 0 {
-			break // torn final line
-		}
-		line := data[valid : valid+nl]
-		rec, ok := decodeLine(line)
-		if !ok {
-			break // corrupt frame: everything after it is suspect
-		}
-		s.live[rec.ID] = rec
-		valid += nl + 1
-	}
-	if valid < len(data) {
-		s.statDropped = int64(countStoreLines(data[valid:]))
-		s.statTruncated = true
-		if err := os.Truncate(path, int64(valid)); err != nil {
-			return fmt.Errorf("qmemory: truncating corrupt wal tail: %w", err)
-		}
-	}
-	s.statRestored = int64(len(s.live))
-	return nil
+	return &Store{l}, nil
 }
 
 // Append durably records a pattern's current state.
-func (s *Store) Append(rec Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("qmemory: store closed")
-	}
-	line, err := encodeLine(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := s.w.Write(line); err != nil {
-		return fmt.Errorf("qmemory: appending wal: %w", err)
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("qmemory: flushing wal: %w", err)
-	}
-	s.live[rec.ID] = rec
-	s.appends++
-	s.statAppends++
-	if s.appends > len(s.live)+s.opts.CompactEvery {
-		return s.compactLocked()
-	}
-	return nil
-}
+func (s *Store) Append(rec Record) error { return s.Log.Append(rec.ID, rec) }
 
 // Load replays the live set (sorted by ID for determinism) into fn.
 func (s *Store) Load(fn func(Record)) {
-	s.mu.Lock()
-	recs := make([]Record, 0, len(s.live))
-	for _, rec := range s.live {
-		recs = append(recs, rec)
-	}
-	s.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	for _, rec := range recs {
-		fn(rec)
-	}
+	s.Log.Load(func(_ string, rec Record) { fn(rec) })
 }
 
-// Len reports the live pattern count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.live)
-}
-
-// Compact rewrites the WAL down to the live set.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("qmemory: store closed")
-	}
-	return s.compactLocked()
-}
-
-func (s *Store) compactLocked() error {
-	recs := make([]Record, 0, len(s.live))
-	for _, rec := range s.live {
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-
-	tmp := filepath.Join(s.dir, walName+".compact")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("qmemory: creating compaction file: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, rec := range recs {
-		line, err := encodeLine(rec)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			f.Close()
-			return fmt.Errorf("qmemory: writing compaction: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("qmemory: flushing compaction: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("qmemory: syncing compaction: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("qmemory: closing compaction: %w", err)
-	}
-
-	// Swap the new WAL in under the old name, then reopen the append
-	// handle on it.
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("qmemory: flushing wal before swap: %w", err)
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("qmemory: closing wal before swap: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, walName)); err != nil {
-		return fmt.Errorf("qmemory: swapping compacted wal: %w", err)
-	}
-	f, err = os.OpenFile(filepath.Join(s.dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("qmemory: reopening wal: %w", err)
-	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	s.appends = 0
-	s.statCompacts++
-	return nil
-}
-
-// Close flushes and closes the WAL. Further appends fail.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("qmemory: flushing wal at close: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("qmemory: syncing wal at close: %w", err)
-	}
-	return s.f.Close()
-}
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// StoreStats is the store's counter snapshot.
-type StoreStats struct {
-	Live      int   `json:"live"`
-	Appends   int64 `json:"appends"`
-	Compacts  int64 `json:"compacts"`
-	Restored  int64 `json:"restored"`
-	Dropped   int64 `json:"dropped,omitempty"`
-	Truncated bool  `json:"truncated,omitempty"`
-}
-
-// Stats snapshots the store's counters.
-func (s *Store) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return StoreStats{
-		Live:      len(s.live),
-		Appends:   s.statAppends,
-		Compacts:  s.statCompacts,
-		Restored:  s.statRestored,
-		Dropped:   s.statDropped,
-		Truncated: s.statTruncated,
-	}
-}
-
-func encodeLine(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("qmemory: encoding record: %w", err)
-	}
-	line := fmt.Appendf(nil, "%08x ", crc32.Checksum(payload, storeCastagnoli))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-func decodeLine(line []byte) (Record, bool) {
-	if len(line) < 10 || line[8] != ' ' {
-		return Record{}, false
-	}
-	var want uint64
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return Record{}, false
-	}
-	payload := line[9:]
-	if crc32.Checksum(payload, storeCastagnoli) != uint32(want) {
-		return Record{}, false
-	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, false
-	}
-	if rec.ID == "" {
-		return Record{}, false
-	}
-	return rec, true
-}
-
-func countStoreLines(data []byte) int {
-	n := bytes.Count(data, []byte{'\n'})
-	if len(data) > 0 && data[len(data)-1] != '\n' {
-		n++
-	}
-	return n
+// RegisterMetrics publishes the log's counters as qmemory_store_*.
+func (s *Store) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	s.Log.RegisterMetrics(reg, "qmemory_store", labels...)
 }

@@ -49,6 +49,7 @@ import (
 	"repro/internal/seed"
 	"repro/internal/sqlengine"
 	"repro/internal/texttosql"
+	"repro/internal/wal"
 )
 
 // Config assembles a Server. Corpora and Client are required; everything
@@ -302,7 +303,7 @@ func New(cfg Config) (*Server, error) {
 			mopts := cfg.MemoryOptions
 			mopts.Store = nil
 			if cfg.MemoryDir != "" {
-				mstore, err := qmemory.OpenStore(filepath.Join(cfg.MemoryDir, corpus.Name), qmemory.StoreOptions{
+				mstore, err := qmemory.OpenStore(filepath.Join(cfg.MemoryDir, corpus.Name), wal.Options{
 					Manifest: evstore.Manifest(corpus.Name, cfg.StoreSeed),
 				})
 				if err != nil {

@@ -135,7 +135,7 @@ type Database struct {
 
 // NewDatabase returns an empty database with the given name.
 func NewDatabase(name string) *Database {
-	return &Database{Name: name, tables: make(map[string]*Table), plans: newPlanCache(0, 0)}
+	return &Database{Name: name, tables: make(map[string]*Table), plans: newPlanCache()}
 }
 
 // SetPlanner enables or disables the query planner (plan-driven hash joins,

@@ -1,11 +1,6 @@
 package sqlengine
 
-import (
-	"container/list"
-	"hash/fnv"
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/lru"
 
 // Stmt is a prepared statement: a parsed AST plus the planner's structural
 // analysis of every SELECT it contains. A Stmt is bound to the Database that
@@ -53,7 +48,7 @@ func (db *Database) Prepare(sql string) (*Stmt, error) {
 // individual request (the aggregate PlanCacheStats counters cannot be
 // attributed to one call under concurrency).
 func (db *Database) PrepareCached(sql string) (*Stmt, bool, error) {
-	if st, ok := db.plans.get(sql); ok {
+	if st, ok := db.plans.Get(sql); ok {
 		return st, true, nil
 	}
 	ast, err := Parse(sql)
@@ -61,7 +56,7 @@ func (db *Database) PrepareCached(sql string) (*Stmt, bool, error) {
 		return nil, false, err
 	}
 	st := &Stmt{db: db, src: sql, ast: ast, plans: planStatement(ast)}
-	db.plans.put(sql, st)
+	db.plans.Put(sql, st)
 	return st, false, nil
 }
 
@@ -89,118 +84,18 @@ func (st *PlanCacheStats) Add(o PlanCacheStats) {
 
 // PlanCacheStats snapshots the database's prepared-plan cache counters.
 func (db *Database) PlanCacheStats() PlanCacheStats {
-	return db.plans.stats()
+	return PlanCacheStats(db.plans.Stats())
 }
 
-// planCache is a sharded LRU over prepared statements, keyed by SQL text.
-// The sharding mirrors evserve's evidence cache: an FNV-1a hash picks the
-// shard, each shard has its own lock and recency list, so concurrent
-// evaluation workers preparing different statements never contend.
-type planCache struct {
-	shards []*planShard
-	mask   uint64
+// planCache is the prepared-statement cache: internal/lru keyed by SQL
+// text, so concurrent evaluation workers preparing different statements
+// never contend on one lock.
+type planCache = lru.Cache[string, *Stmt]
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type planShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used
-}
-
-type planEntry struct {
-	key  string
-	stmt *Stmt
-}
-
-// newPlanCache builds a cache of roughly capacity entries over the given
-// shard count (rounded up to a power of two). Non-positive arguments fall
-// back to defaults sized for evaluation workloads: a few thousand distinct
-// statements (gold + predicted queries for a dev split) fit without
-// eviction, while corpus-construction INSERT floods just churn the LRU tail.
-func newPlanCache(capacity, shards int) *planCache {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	if shards <= 0 {
-		shards = 8
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := (capacity + n - 1) / n
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &planCache{shards: make([]*planShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		c.shards[i] = &planShard{
-			capacity: perShard,
-			entries:  make(map[string]*list.Element),
-			order:    list.New(),
-		}
-	}
-	return c
-}
-
-func (c *planCache) shardFor(key string) *planShard {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum64()&c.mask]
-}
-
-func (c *planCache) get(key string) (*Stmt, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.entries[key]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	st := el.Value.(*planEntry).stmt
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return st, true
-}
-
-func (c *planCache) put(key string, st *Stmt) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*planEntry).stmt = st
-		s.order.MoveToFront(el)
-		return
-	}
-	if s.order.Len() >= s.capacity {
-		oldest := s.order.Back()
-		if oldest != nil {
-			s.order.Remove(oldest)
-			delete(s.entries, oldest.Value.(*planEntry).key)
-			c.evictions.Add(1)
-		}
-	}
-	s.entries[key] = s.order.PushFront(&planEntry{key: key, stmt: st})
-}
-
-func (c *planCache) stats() PlanCacheStats {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return PlanCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   n,
-	}
+// newPlanCache sizes the cache for evaluation workloads: a few thousand
+// distinct statements (gold + predicted queries for a dev split) fit
+// without eviction, while corpus-construction INSERT floods just churn the
+// LRU tail.
+func newPlanCache() *planCache {
+	return lru.New[string, *Stmt](4096, 8, lru.HashString)
 }

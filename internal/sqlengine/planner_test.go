@@ -544,19 +544,6 @@ func TestPlanCache(t *testing.T) {
 	if s1 != s2 {
 		t.Error("Prepare returned distinct Stmt objects for one statement text")
 	}
-
-	// Direct LRU behaviour on a tiny cache.
-	c := newPlanCache(4, 2)
-	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("q%d", i), &Stmt{src: fmt.Sprintf("q%d", i)})
-	}
-	cs := c.stats()
-	if cs.Entries > 4 {
-		t.Errorf("entries = %d, want <= 4", cs.Entries)
-	}
-	if cs.Evictions == 0 {
-		t.Error("expected evictions on an overfull cache")
-	}
 }
 
 // TestPreparedConcurrentExec exercises the plan cache and the lazy

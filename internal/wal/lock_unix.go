@@ -2,7 +2,7 @@
 // "unix" tag would pull in solaris/aix, where syscall.Flock is undefined.
 //go:build darwin || dragonfly || freebsd || linux || netbsd || openbsd
 
-package evstore
+package wal
 
 import (
 	"os"

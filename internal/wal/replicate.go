@@ -1,4 +1,4 @@
-package evstore
+package wal
 
 import (
 	"bytes"
@@ -7,19 +7,17 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/evserve"
 	"repro/internal/obs"
 )
 
-// WAL shipping: the replication layer that turns N independent seedd
-// stores into a fleet that survives losing any replica.
+// WAL shipping: the replication layer that turns N independent logs into
+// a fleet that survives losing any replica.
 //
 // The leader side is ReplicationRead/ServeReplication: a follower asks
 // for WAL bytes from (generation, offset) and gets back either the raw
@@ -33,9 +31,9 @@ import (
 // The follower side is Tailer: a loop that polls a peer, consumes only
 // complete CRC-valid frames (a truncated body or flipped bit costs a
 // re-poll, never a bad record), applies records it does not already hold
-// into its own store, and resumes at the frame boundary it last trusted.
+// into its own log, and resumes at the frame boundary it last trusted.
 // Because the follower re-frames records through its own Append, its
-// store is exactly as crash-safe as a leader's — a follower promoted by
+// log is exactly as crash-safe as a leader's — a follower promoted by
 // the router serves the dead leader's shard from its own durable state,
 // with zero LLM calls.
 
@@ -73,76 +71,53 @@ type Chunk struct {
 	Data []byte
 }
 
-// ReplicationRead serves one follower poll against this store's WAL.
+// ReplicationRead serves one follower poll against this log's WAL.
 // gen/from are the follower's position; a mismatched generation or
 // out-of-range offset downgrades to a full dump — correctness never
 // depends on the follower's bookkeeping, only progress does.
-func (s *Store) ReplicationRead(gen, from int64, maxBytes int) (Chunk, error) {
+func (l *Log[K, V]) ReplicationRead(gen, from int64, maxBytes int) (Chunk, error) {
 	if maxBytes <= 0 || maxBytes > maxReplicationChunk {
 		maxBytes = maxReplicationChunk
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return Chunk{}, ErrClosed
 	}
 	// Expose everything accepted so far: replication lag should be one
 	// poll interval, not one FlushEvery batch.
-	if err := s.flushLocked(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		return Chunk{}, err
 	}
-	if gen != s.walGen || from < 0 || from > s.walBytes {
-		dump, err := s.encodeLiveSetLocked()
-		if err != nil {
-			return Chunk{}, err
+	if gen != l.walGen || from < 0 || from > l.walBytes {
+		var dump bytes.Buffer
+		if err := l.encodePairs(&dump, l.stageLocked()); err != nil {
+			return Chunk{}, fmt.Errorf("wal: %w", err)
 		}
 		// The dump covers every record in the live set, which includes
 		// every record in the current WAL — so the follower resumes at the
 		// WAL's end, not at zero.
-		return Chunk{Gen: s.walGen, From: 0, Next: s.walBytes, Full: true, Data: dump}, nil
+		return Chunk{Gen: l.walGen, From: 0, Next: l.walBytes, Full: true, Data: dump.Bytes()}, nil
 	}
-	end := s.walBytes
+	end := l.walBytes
 	if end > from+int64(maxBytes) {
 		end = from + int64(maxBytes)
 	}
 	buf := make([]byte, end-from)
 	if len(buf) > 0 {
-		// ReadAt (pread) leaves the writer's file offset alone, and s.mu
+		// ReadAt (pread) leaves the writer's file offset alone, and l.mu
 		// excludes rotation, so the read window is stable.
-		if _, err := s.wal.ReadAt(buf, from); err != nil {
-			return Chunk{}, fmt.Errorf("evstore: replication read: %w", err)
+		if _, err := l.wal.ReadAt(buf, from); err != nil {
+			return Chunk{}, fmt.Errorf("wal: replication read: %w", err)
 		}
 	}
-	return Chunk{Gen: s.walGen, From: from, Next: end, Data: buf}, nil
-}
-
-// encodeLiveSetLocked frames the entire live set for a full dump.
-// Callers must hold s.mu.
-func (s *Store) encodeLiveSetLocked() ([]byte, error) {
-	keys := make([]evserve.Key, 0, len(s.records))
-	for k := range s.records {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	var out []byte
-	for _, k := range keys {
-		e := s.records[k]
-		line, err := encodeRecord(record{
-			DB: k.DB, Variant: k.Variant, QHash: k.QHash,
-			Evidence: e.Evidence, Trace: e.Trace,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("evstore: %w", err)
-		}
-		out = append(out, line...)
-	}
-	return out, nil
+	return Chunk{Gen: l.walGen, From: from, Next: end, Data: buf}, nil
 }
 
 // ServeReplication is the leader-side HTTP handler for GET
 // /v1/replicate?gen=<gen>&from=<offset>. seedd mounts it; Tailer is its
 // client.
-func (s *Store) ServeReplication(w http.ResponseWriter, r *http.Request) {
+func (l *Log[K, V]) ServeReplication(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	gen, _ := strconv.ParseInt(q.Get("gen"), 10, 64)
 	from, _ := strconv.ParseInt(q.Get("from"), 10, 64)
@@ -152,7 +127,7 @@ func (s *Store) ServeReplication(w http.ResponseWriter, r *http.Request) {
 			maxBytes = n
 		}
 	}
-	chunk, err := s.ReplicationRead(gen, from, maxBytes)
+	chunk, err := l.ReplicationRead(gen, from, maxBytes)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, ErrClosed) {
@@ -172,30 +147,8 @@ func (s *Store) ServeReplication(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(chunk.Data)
 }
 
-// scanFrames walks the complete, CRC-valid frames at the head of data,
-// calling fn for each decoded record. It returns how many bytes those
-// frames span — a torn final frame (no newline yet) or a corrupt frame
-// stops the scan without consuming it, so a caller resuming at
-// from+consumed always lands on a frame boundary.
-func scanFrames(data []byte, fn func(record)) (consumed int) {
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: wait for the rest
-		}
-		rec, ok := decodeRecord(data[off : off+nl])
-		if !ok {
-			break // corrupt frame: do not consume it or anything after
-		}
-		fn(rec)
-		off += nl + 1
-	}
-	return off
-}
-
 // TailerOptions configures a Tailer.
-type TailerOptions struct {
+type TailerOptions[K comparable, V any] struct {
 	// Interval is the poll period; <= 0 defaults to 200ms. A poll that
 	// consumed a full chunk re-polls immediately — catch-up is bounded by
 	// bandwidth, not by the poll interval.
@@ -205,9 +158,9 @@ type TailerOptions struct {
 	// MaxBytes bounds one poll's chunk; 0 uses the server default.
 	MaxBytes int
 	// Apply, when non-nil, observes every record actually applied to the
-	// store — seedd uses it to inject replicated evidence into the serving
+	// log — seedd uses it to inject replicated evidence into the serving
 	// cache so a promoted follower answers from memory.
-	Apply func(k evserve.Key, e evserve.Entry)
+	Apply func(k K, v V)
 }
 
 // tailerStallLimit is how many consecutive zero-progress polls (with a
@@ -215,12 +168,15 @@ type TailerOptions struct {
 // forcing a full resync.
 const tailerStallLimit = 3
 
-// Tailer replicates one peer's store into a local store by tailing its
-// WAL over HTTP. Construct with NewTailer, drive with Run.
-type Tailer struct {
+// Tailer replicates one peer's log into a local log by tailing its WAL
+// over HTTP. Construct with NewTailer, drive with Run.
+type Tailer[K comparable, V any] struct {
 	source string
-	store  *Store
-	opts   TailerOptions
+	into   *Log[K, V]
+	// same is the instance's merge rule: it reports whether the record
+	// already held under a key makes an incoming one redundant.
+	same func(held, incoming V) bool
+	opts TailerOptions[K, V]
 	// requestID identifies this tailer's replication stream in the peer's
 	// request logs (every poll carries it as X-Request-Id).
 	requestID string
@@ -240,11 +196,12 @@ type Tailer struct {
 }
 
 // NewTailer builds a tailer that replicates from the peer named by source
-// into the local store. source is either a replica base URL (e.g.
+// into the local log, skipping records for which same(held, incoming)
+// holds. source is either a replica base URL (e.g.
 // "http://127.0.0.1:8081" — the standard /v1/replicate path is appended)
 // or a full replication URL carrying its own query parameters (e.g.
 // ".../v1/replicate?corpus=bird" for seedd's corpus-scoped endpoint).
-func NewTailer(source string, store *Store, opts TailerOptions) *Tailer {
+func NewTailer[K comparable, V any](source string, into *Log[K, V], same func(held, incoming V) bool, opts TailerOptions[K, V]) *Tailer[K, V] {
 	if opts.Interval <= 0 {
 		opts.Interval = 200 * time.Millisecond
 	}
@@ -254,14 +211,14 @@ func NewTailer(source string, store *Store, opts TailerOptions) *Tailer {
 	// gen 0 never matches a real generation (they are UnixNano stamps), so
 	// the first poll always receives a full dump — a fresh follower needs
 	// the history, not just new bytes.
-	return &Tailer{source: source, store: store, opts: opts, requestID: "tail-" + obs.NewRequestID()}
+	return &Tailer[K, V]{source: source, into: into, same: same, opts: opts, requestID: "tail-" + obs.NewRequestID()}
 }
 
 // Run polls until ctx is cancelled. Transient errors (peer down, torn
 // responses) are counted and retried on the next tick; the loop itself
 // never gives up — a peer that died may come back, and the ring router
 // owns the decision to stop caring about one.
-func (t *Tailer) Run(ctx context.Context) {
+func (t *Tailer[K, V]) Run(ctx context.Context) {
 	tick := time.NewTicker(t.opts.Interval)
 	defer tick.Stop()
 	for {
@@ -286,7 +243,7 @@ func (t *Tailer) Run(ctx context.Context) {
 
 // Poll performs one replication round trip. It reports whether it
 // consumed a full chunk (meaning more data is likely waiting).
-func (t *Tailer) Poll(ctx context.Context) (progress bool, err error) {
+func (t *Tailer[K, V]) Poll(ctx context.Context) (progress bool, err error) {
 	t.polls.Add(1)
 	t.mu.Lock()
 	gen, from := t.gen, t.next
@@ -318,7 +275,7 @@ func (t *Tailer) Poll(ctx context.Context) (progress bool, err error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("evstore: replication poll: peer answered %d", resp.StatusCode)
+		return false, fmt.Errorf("wal: replication poll: peer answered %d", resp.StatusCode)
 	}
 	respGen, _ := strconv.ParseInt(resp.Header.Get(HeaderReplicateGen), 10, 64)
 	respNext, _ := strconv.ParseInt(resp.Header.Get(HeaderReplicateNext), 10, 64)
@@ -328,12 +285,10 @@ func (t *Tailer) Poll(ctx context.Context) (progress bool, err error) {
 	// valid prefix, and scanFrames refuses anything mid-frame.
 	body, readErr := io.ReadAll(io.LimitReader(resp.Body, maxReplicationChunk+1))
 
-	applyErr := error(nil)
-	consumed := scanFrames(body, func(rec record) {
-		if applyErr != nil {
-			return
-		}
-		applyErr = t.apply(rec)
+	var applyErr error
+	consumed := scanFrames(body, t.into.codec, func(k K, v V) error {
+		applyErr = t.apply(k, v)
+		return applyErr
 	})
 	if applyErr != nil {
 		return false, applyErr
@@ -375,23 +330,21 @@ func (t *Tailer) Poll(ctx context.Context) (progress bool, err error) {
 	}
 }
 
-// apply lands one replicated record in the local store unless an
-// identical entry is already present. The identity check is what makes
-// full-mesh topologies converge: without it every replica would re-append
-// (and re-ship) every record it hears, forever.
-func (t *Tailer) apply(rec record) error {
-	k := evserve.Key{DB: rec.DB, Variant: rec.Variant, QHash: rec.QHash}
-	e := evserve.Entry{Evidence: rec.Evidence, Trace: rec.Trace}
-	if cur, ok := t.store.Get(k); ok && cur.Evidence == e.Evidence && reflect.DeepEqual(cur.Trace, e.Trace) {
+// apply lands one replicated record in the local log unless an identical
+// one is already present. The identity check is what makes full-mesh
+// topologies converge: without it every replica would re-append (and
+// re-ship) every record it hears, forever.
+func (t *Tailer[K, V]) apply(k K, v V) error {
+	if cur, ok := t.into.Get(k); ok && t.same(cur, v) {
 		t.duplicates.Add(1)
 		return nil
 	}
-	if err := t.store.Append(k, e); err != nil {
+	if err := t.into.Append(k, v); err != nil {
 		return err
 	}
 	t.applied.Add(1)
 	if t.opts.Apply != nil {
-		t.opts.Apply(k, e)
+		t.opts.Apply(k, v)
 	}
 	return nil
 }
@@ -404,7 +357,7 @@ type TailerStats struct {
 	Gen  int64 `json:"gen"`
 	Next int64 `json:"next"`
 	// Polls counts replication round trips; Applied counts records landed
-	// in the local store; Duplicates counts records skipped because an
+	// in the local log; Duplicates counts records skipped because an
 	// identical entry was already present.
 	Polls      int64 `json:"polls"`
 	Applied    int64 `json:"applied"`
@@ -416,7 +369,7 @@ type TailerStats struct {
 }
 
 // Stats snapshots the tailer's counters.
-func (t *Tailer) Stats() TailerStats {
+func (t *Tailer[K, V]) Stats() TailerStats {
 	t.mu.Lock()
 	gen, next := t.gen, t.next
 	t.mu.Unlock()
@@ -430,4 +383,22 @@ func (t *Tailer) Stats() TailerStats {
 		Resyncs:    t.resyncs.Load(),
 		Errors:     t.errors.Load(),
 	}
+}
+
+// RegisterMetrics publishes the tailer's replication counters into reg,
+// named prefix + "_polls_total" and so on and labelled by the peer it
+// replicates from.
+func (t *Tailer[K, V]) RegisterMetrics(reg *obs.Registry, prefix string, labels ...obs.Label) {
+	if reg == nil {
+		return
+	}
+	labels = append([]obs.Label{obs.L("source", t.source)}, labels...)
+	gauge := func(name, help string, get func(TailerStats) float64) {
+		reg.GaugeFunc(prefix+name, help, func() float64 { return get(t.Stats()) }, labels...)
+	}
+	gauge("_polls_total", "Replication round trips.", func(st TailerStats) float64 { return float64(st.Polls) })
+	gauge("_applied_total", "Replicated records landed locally.", func(st TailerStats) float64 { return float64(st.Applied) })
+	gauge("_duplicates_total", "Replicated records already present.", func(st TailerStats) float64 { return float64(st.Duplicates) })
+	gauge("_resyncs_total", "Full-dump restarts after stalled polls.", func(st TailerStats) float64 { return float64(st.Resyncs) })
+	gauge("_errors_total", "Failed polls.", func(st TailerStats) float64 { return float64(st.Errors) })
 }
