@@ -113,7 +113,11 @@ func normalise(v *Vector) {
 
 // Cosine returns the cosine similarity of two vectors in [-1, 1]. Vectors
 // from Embed are unit length, so this is their dot product.
-func Cosine(a, b Vector) float64 {
+func Cosine(a, b Vector) float64 { return a.Dot(&b) }
+
+// Dot is Cosine without the two 1 KiB argument copies, for scans over
+// stored vectors. The sum runs in index order, so it is the same float64.
+func (a *Vector) Dot(b *Vector) float64 {
 	var dot float64
 	for i := range a {
 		dot += float64(a[i]) * float64(b[i])

@@ -18,6 +18,8 @@ func (m *Memory) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		func() float64 { return float64(m.Stats().Lookups) }, labels...)
 	reg.GaugeFunc("qmemory_hits_total", "Probes that returned a servable pattern.",
 		func() float64 { return float64(m.Stats().Hits) }, labels...)
+	reg.GaugeFunc("qmemory_exact_hits_total", "Hits whose question was a stored phrasing (repeat traffic).",
+		func() float64 { return float64(m.Stats().ExactHits) }, labels...)
 	reg.GaugeFunc("qmemory_misses_total", "Probes with no servable pattern.",
 		func() float64 { return float64(m.Stats().Misses) }, labels...)
 	reg.GaugeFunc("qmemory_hit_rate", "Hits over lookups.",

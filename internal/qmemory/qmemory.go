@@ -3,16 +3,17 @@
 // result-fingerprint) tuples and serves them back for new phrasings of
 // the same intent — skipping evidence generation and the LLM entirely.
 //
-// Retrieval is hybrid (ekaya-engine's text2sql-plan pattern): an
-// incoming question is matched against every stored phrasing by cosine
-// similarity over the deterministic embedding model plus a BM25 lexical
-// score, and the best-scoring pattern is a candidate only if it clears a
-// similarity floor, a literal-overlap gate (every literal in the stored
-// SQL must appear in the question — a paraphrase of "count rows where
-// name='Alice'" still mentions Alice), and a per-pattern confidence
-// threshold. Confidence rises on execution success and decays on
-// failure, so a pattern whose SQL goes stale (schema drift, data change)
-// demotes itself out of serving within a failure or two.
+// Retrieval is hybrid (ekaya-engine's text2sql-plan pattern): a question
+// that is a stored phrasing is found by one map probe; any other is
+// matched against every stored phrasing by cosine similarity over the
+// deterministic embedding model plus a BM25 lexical score from the
+// postings of its terms, and the best-scoring pattern is a candidate only
+// if it clears a similarity floor, a literal-overlap gate (every literal
+// in the stored SQL must appear in the question — a paraphrase of "count
+// rows where name='Alice'" still mentions Alice), and a per-pattern
+// confidence threshold. Confidence rises on execution success and decays
+// on failure, so a pattern whose SQL goes stale (schema drift, data
+// change) demotes itself out of serving within a failure or two.
 //
 // The memory is optionally durable (Store: an internal/wal log of
 // pattern records, files qmemory.wal, qmemory.snapshot, qmemory.wal.tail,
@@ -23,9 +24,11 @@ package qmemory
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bm25"
@@ -177,21 +180,33 @@ type Hit struct {
 // pattern is a Record plus its in-memory retrieval state.
 type pattern struct {
 	rec  Record
-	vecs []embed.Vector // parallel to rec.Phrasings
-	seq  int64          // last mutation sequence, for incremental sync
+	lits []string // rec.SQL's literals, lower-cased, for the literal-overlap gate
+	seq  int64    // last mutation sequence, for incremental sync
 }
 
-// dbIndex is one database's retrieval index: a flat phrasing list with a
-// lazily (re)built BM25 side. Embeddings live on the patterns.
+func (p *pattern) hit(similarity float64) Hit {
+	return Hit{
+		PatternID:   p.rec.ID,
+		SQL:         p.rec.SQL,
+		Evidence:    p.rec.Evidence,
+		Fingerprint: p.rec.Fingerprint,
+		Confidence:  p.rec.Confidence,
+		Similarity:  similarity,
+	}
+}
+
+// dbIndex is one database's retrieval index: one entry per stored
+// phrasing, in the order they were learned, as three parallel lists; the
+// exact-phrasing map; and the BM25 postings over docs.
 type dbIndex struct {
-	ids  []string // pattern ID per phrasing entry
-	docs []string // phrasing text per entry
-	idx  *bm25.Index
-	// selfNorm is each doc's BM25 score against itself — the absolute
-	// scale lexical scores normalize by, so a weak best match reads as
-	// weak instead of being inflated to 1.0 by top-score normalization.
-	selfNorm []float64
-	dirty    bool
+	pats  []*pattern            // owning pattern per entry
+	docs  []string              // phrasing text per entry
+	vecs  []*embed.Vector       // phrasing embedding per entry
+	exact map[string][]*pattern // phrasing text -> its entries' patterns, in entry order
+	// idx grows by Add as phrasings are learned. Postings cannot drop a
+	// document, so replacing a pattern (applyHeld) sets idx to nil and the
+	// next semantic look-up rebuilds it.
+	idx *bm25.Index
 }
 
 // Stats is the memory's counter snapshot.
@@ -200,11 +215,13 @@ type Stats struct {
 	Patterns  int `json:"patterns"`
 	Phrasings int `json:"phrasings"`
 	// Lookups, Hits and Misses count serve-path probes; HitRate is
-	// Hits/Lookups.
-	Lookups int64   `json:"lookups"`
-	Hits    int64   `json:"hits"`
-	Misses  int64   `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
+	// Hits/Lookups. ExactHits are the hits whose question was a stored
+	// phrasing (repeat traffic); the rest matched semantically.
+	Lookups   int64   `json:"lookups"`
+	Hits      int64   `json:"hits"`
+	ExactHits int64   `json:"exact_hits"`
+	Misses    int64   `json:"misses"`
+	HitRate   float64 `json:"hit_rate"`
 	// Admitted counts new patterns; Reinforced counts successes recorded
 	// against existing ones.
 	Admitted   int64 `json:"admitted"`
@@ -227,13 +244,17 @@ type Memory struct {
 	opts  Options
 	model *embed.Model
 
-	mu       sync.Mutex
+	// mu is held for reading by Lookup, which mutates nothing it guards,
+	// and for writing by every mutation.
+	mu       sync.RWMutex
 	patterns map[string]*pattern
 	dbs      map[string]*dbIndex
 	gen      int64 // sync generation: fresh per construction
 	seq      int64 // bumped on every mutation
 
-	stats Stats
+	stats Stats // the counters mutations bump, under mu
+	// Lookup's counters: readers do not write under mu.
+	lookups, hits, exactHits, misses atomic.Int64
 }
 
 // New builds a Memory. With Options.Store set, the store's live set is
@@ -277,90 +298,73 @@ func (m *Memory) Close() error {
 	return m.opts.Store.Close()
 }
 
-// Lookup finds the best servable pattern for a question: hybrid
-// embedding+BM25 match over every stored phrasing of the database,
+// Lookup finds the best servable pattern for a question. A question that
+// is a stored phrasing costs one map probe; any other costs the posting
+// lists of its terms plus one cosine per stored phrasing of the database,
 // gated by similarity floor, literal overlap and pattern confidence.
 // Patterns named in exclude are skipped — the serve path passes the
 // candidates that already failed verification for this question, so a
 // look-alike outscoring the right pattern costs one engine execution
 // rather than suppressing the hit.
 func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
-	var excluded map[string]bool
-	if len(exclude) > 0 {
-		excluded = make(map[string]bool, len(exclude))
-		for _, id := range exclude {
-			excluded[id] = true
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.Lookups++
-	di := m.dbs[db]
-	if di == nil || len(di.docs) == 0 {
-		m.stats.Misses++
-		return Hit{}, false
-	}
-	if di.dirty || di.idx == nil {
-		di.idx = bm25.New(di.docs)
-		di.selfNorm = make([]float64, len(di.docs))
-		for i, doc := range di.docs {
-			di.selfNorm[i] = di.idx.Score(doc, i)
-		}
-		di.dirty = false
-	}
-
-	// BM25 side: lexical score for the top-K entries normalized by each
-	// doc's self-score, zero elsewhere.
-	lex := make(map[int]float64, m.opts.TopK)
-	for _, r := range di.idx.TopK(question, m.opts.TopK) {
-		if norm := di.selfNorm[r.Index]; norm > 0 {
-			s := r.Score / norm
-			if s > 1 {
-				s = 1
-			}
-			lex[r.Index] = s
-		}
+	m.lookups.Add(1)
+	qLower := strings.ToLower(question)
+	servable := func(p *pattern) bool {
+		return !slices.Contains(exclude, p.rec.ID) &&
+			p.rec.Confidence >= m.opts.ServeThreshold && literalsCovered(p.lits, qLower)
 	}
 
 	// Exact-phrasing fast path: a question that IS a recorded successful
 	// phrasing of a confident pattern serves that pattern outright —
 	// repeat traffic is the common case, and semantic ranking can only
 	// add noise on top of an exact prior success.
-	for i, doc := range di.docs {
-		if doc != question || excluded[di.ids[i]] {
-			continue
+	m.mu.RLock()
+	di := m.dbs[db]
+	if di == nil || len(di.docs) == 0 {
+		m.mu.RUnlock()
+		m.misses.Add(1)
+		return Hit{}, false
+	}
+	for _, p := range di.exact[question] {
+		if servable(p) {
+			hit := p.hit(1)
+			m.mu.RUnlock()
+			m.hits.Add(1)
+			m.exactHits.Add(1)
+			return hit, true
 		}
-		p := m.patterns[di.ids[i]]
-		if p == nil || p.rec.Confidence < m.opts.ServeThreshold || !literalsCovered(p.rec.SQL, question) {
-			continue
+	}
+	m.mu.RUnlock()
+
+	// What depends only on the question is computed outside the lock.
+	terms, qv := bm25.Terms(question), m.model.Embed(question)
+	m.mu.RLock()
+	for di.idx == nil {
+		m.mu.RUnlock()
+		m.reindex(di)
+		m.mu.RLock()
+	}
+	defer m.mu.RUnlock()
+
+	// BM25 side: lexical score for the top-K entries, zero elsewhere, each
+	// normalized by the entry's score against itself under the same corpus
+	// statistics — an absolute scale, so a weak best match reads as weak
+	// instead of being inflated to 1.0 by top-score normalization.
+	lex := make(map[int]float64, m.opts.TopK)
+	for _, r := range di.idx.TopKTerms(terms, m.opts.TopK) {
+		if norm := di.idx.Score(di.docs[r.Index], r.Index); norm > 0 {
+			lex[r.Index] = min(r.Score/norm, 1)
 		}
-		m.stats.Hits++
-		return Hit{
-			PatternID:   p.rec.ID,
-			SQL:         p.rec.SQL,
-			Evidence:    p.rec.Evidence,
-			Fingerprint: p.rec.Fingerprint,
-			Confidence:  p.rec.Confidence,
-			Similarity:  1,
-		}, true
 	}
 
 	// Embedding side: cosine against every phrasing of the db, fused
 	// with the lexical score into one hybrid score per pattern (a
-	// pattern's best phrasing wins). The scan is bounded by
-	// patterns×phrasings, which the phrasing cap keeps small relative to
-	// a single pipeline run.
-	qv := m.model.Embed(question)
-	bestOf := make(map[string]float64)
-	for i, id := range di.ids {
-		p := m.patterns[id]
-		if p == nil || excluded[id] {
-			continue
-		}
-		cos := embed.Cosine(qv, m.vecFor(p, di.docs[i]))
-		score := 0.65*cos + 0.35*lex[i]
-		if score >= m.opts.MinSimilarity && score > bestOf[id] {
-			bestOf[id] = score
+	// pattern's best phrasing wins).
+	bestOf := make(map[*pattern]float64)
+	for i := range di.vecs {
+		score := 0.65*qv.Dot(di.vecs[i]) + 0.35*lex[i]
+		if p := di.pats[i]; score >= m.opts.MinSimilarity && score > bestOf[p] && !slices.Contains(exclude, p.rec.ID) {
+			bestOf[p] = score
 		}
 	}
 	// Candidates ranked by score. Templated workloads make near-ties
@@ -370,55 +374,40 @@ func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
 	// confidence and the literal-overlap gate, not just the argmax. The
 	// literal gate is what tells the look-alikes apart.
 	type cand struct {
-		id    string
+		p     *pattern
 		score float64
 	}
 	ranked := make([]cand, 0, len(bestOf))
-	for id, s := range bestOf {
-		ranked = append(ranked, cand{id, s})
+	for p, s := range bestOf {
+		ranked = append(ranked, cand{p, s})
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].score != ranked[j].score {
 			return ranked[i].score > ranked[j].score
 		}
-		return ranked[i].id < ranked[j].id
+		return ranked[i].p.rec.ID < ranked[j].p.rec.ID
 	})
 	if len(ranked) > m.opts.TopK {
 		ranked = ranked[:m.opts.TopK]
 	}
 	for _, c := range ranked {
-		p := m.patterns[c.id]
-		if p.rec.Confidence < m.opts.ServeThreshold || !literalsCovered(p.rec.SQL, question) {
-			continue
+		if servable(c.p) {
+			m.hits.Add(1)
+			return c.p.hit(c.score), true
 		}
-		m.stats.Hits++
-		return Hit{
-			PatternID:   p.rec.ID,
-			SQL:         p.rec.SQL,
-			Evidence:    p.rec.Evidence,
-			Fingerprint: p.rec.Fingerprint,
-			Confidence:  p.rec.Confidence,
-			Similarity:  c.score,
-		}, true
 	}
-	m.stats.Misses++
+	m.misses.Add(1)
 	return Hit{}, false
 }
 
-// vecFor returns the embedding of one of p's phrasings, computing and
-// caching it on first use (restored/injected patterns arrive without
-// vectors).
-func (m *Memory) vecFor(p *pattern, phrasing string) embed.Vector {
-	for i, ph := range p.rec.Phrasings {
-		if ph == phrasing {
-			var zero embed.Vector
-			if p.vecs[i] == zero {
-				p.vecs[i] = m.model.Embed(ph)
-			}
-			return p.vecs[i]
-		}
+// reindex rebuilds di's postings after a replace discarded them. It takes
+// the write lock itself: Lookup calls it between two read-locked sections.
+func (m *Memory) reindex(di *dbIndex) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if di.idx == nil {
+		di.idx = bm25.New(di.docs)
 	}
-	return m.model.Embed(phrasing)
 }
 
 // Admit records a verified-correct serving outcome: a new pattern (at
@@ -451,9 +440,9 @@ func (m *Memory) Admit(db, question, evidence, sql, fingerprint string) {
 		Successes:   1,
 		Phrasings:   []string{question},
 	}
-	p := &pattern{rec: rec, vecs: []embed.Vector{m.model.Embed(question)}}
+	p := &pattern{rec: rec, lits: lowerLiterals(sql)}
 	m.patterns[id] = p
-	m.indexPhrasingLocked(db, id, question)
+	m.indexPhrasingLocked(p, question)
 	m.touchLocked(p)
 	m.stats.Admitted++
 }
@@ -497,9 +486,10 @@ func (m *Memory) Failure(patternID string) {
 
 // Stats snapshots the memory's counters.
 func (m *Memory) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	s := m.stats
+	s.Lookups, s.Hits, s.ExactHits, s.Misses = m.lookups.Load(), m.hits.Load(), m.exactHits.Load(), m.misses.Load()
 	s.Patterns = len(m.patterns)
 	for _, di := range m.dbs {
 		s.Phrasings += len(di.docs)
@@ -513,8 +503,8 @@ func (m *Memory) Stats() Stats {
 // Patterns returns a copy of every record, sorted by ID (tests and the
 // sync reader use it).
 func (m *Memory) Patterns() []Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	out := make([]Record, 0, len(m.patterns))
 	for _, p := range m.patterns {
 		out = append(out, cloneRecord(p.rec))
@@ -549,20 +539,25 @@ func (m *Memory) addPhrasingLocked(p *pattern, question string) {
 		}
 	}
 	p.rec.Phrasings = append(p.rec.Phrasings, question)
-	p.vecs = append(p.vecs, m.model.Embed(question))
-	m.indexPhrasingLocked(p.rec.DB, p.rec.ID, question)
+	m.indexPhrasingLocked(p, question)
 }
 
-// indexPhrasingLocked adds one retrieval document to the db's index.
-func (m *Memory) indexPhrasingLocked(db, id, phrasing string) {
-	di := m.dbs[db]
+// indexPhrasingLocked adds one retrieval entry to p's database: O(the
+// phrasing's tokens), whatever the index already holds.
+func (m *Memory) indexPhrasingLocked(p *pattern, phrasing string) {
+	di := m.dbs[p.rec.DB]
 	if di == nil {
-		di = &dbIndex{}
-		m.dbs[db] = di
+		di = &dbIndex{exact: make(map[string][]*pattern), idx: bm25.New(nil)}
+		m.dbs[p.rec.DB] = di
 	}
-	di.ids = append(di.ids, id)
+	di.pats = append(di.pats, p)
 	di.docs = append(di.docs, phrasing)
-	di.dirty = true
+	vec := m.model.Embed(phrasing)
+	di.vecs = append(di.vecs, &vec)
+	di.exact[phrasing] = append(di.exact[phrasing], p)
+	if di.idx != nil {
+		di.idx.Add(phrasing)
+	}
 }
 
 // applyLocked installs a full record (restore and sync paths), replacing
@@ -581,27 +576,32 @@ func (m *Memory) applyHeld(rec Record, persist bool) error {
 	}
 	old := m.patterns[rec.ID]
 	rec = cloneRecord(rec)
-	p := &pattern{rec: rec, vecs: make([]embed.Vector, len(rec.Phrasings))}
+	p := &pattern{rec: rec, lits: lowerLiterals(rec.SQL)}
 	m.patterns[rec.ID] = p
-	// Reindex: drop the old entries for this pattern, add the new set.
-	// Rebuilding the flat lists is O(phrasings of the db), fine at the
-	// mutation rates sync and restore run at.
-	di := m.dbs[rec.DB]
-	if old != nil && di != nil {
-		ids, docs := di.ids[:0], di.docs[:0]
-		for i, id := range di.ids {
-			if id != rec.ID {
-				ids = append(ids, id)
-				docs = append(docs, di.docs[i])
+	// Reindex: drop the old version's entries, add the new set. Filtering
+	// the flat lists is O(phrasings of the db), fine at the mutation rates
+	// sync runs at (restore never replaces).
+	if di := m.dbs[rec.DB]; old != nil && di != nil {
+		n := 0
+		for i, q := range di.pats {
+			if q != old {
+				di.pats[n], di.docs[n], di.vecs[n] = q, di.docs[i], di.vecs[i]
+				n++
 			}
 		}
-		di.ids, di.docs = ids, docs
+		clear(di.pats[n:])
+		clear(di.vecs[n:])
+		di.pats, di.docs, di.vecs = di.pats[:n], di.docs[:n], di.vecs[:n]
+		for _, ph := range old.rec.Phrasings {
+			di.exact[ph] = slices.DeleteFunc(di.exact[ph], func(q *pattern) bool { return q == old })
+			if len(di.exact[ph]) == 0 {
+				delete(di.exact, ph)
+			}
+		}
+		di.idx = nil
 	}
 	for _, ph := range rec.Phrasings {
-		m.indexPhrasingLocked(rec.DB, rec.ID, ph)
-	}
-	if di = m.dbs[rec.DB]; di != nil {
-		di.dirty = true
+		m.indexPhrasingLocked(p, ph)
 	}
 	m.seq++
 	p.seq = m.seq
@@ -626,14 +626,23 @@ func cloneRecord(rec Record) Record {
 // entities; a different-entity question that merely *sounds* similar
 // does not, and must regenerate instead of being served someone else's
 // constants.
-func literalsCovered(sql, question string) bool {
-	q := strings.ToLower(question)
-	for _, lit := range sqlLiterals(sql) {
-		if !strings.Contains(q, strings.ToLower(lit)) {
+func literalsCovered(lits []string, qLower string) bool {
+	for _, lit := range lits {
+		if !strings.Contains(qLower, lit) {
 			return false
 		}
 	}
 	return true
+}
+
+// lowerLiterals is sqlLiterals lower-cased: extracted once per pattern,
+// not once per candidate per look-up.
+func lowerLiterals(sql string) []string {
+	lits := sqlLiterals(sql)
+	for i, lit := range lits {
+		lits[i] = strings.ToLower(lit)
+	}
+	return lits
 }
 
 // sqlLiterals extracts quoted string literals and standalone numeric

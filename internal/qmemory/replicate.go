@@ -37,8 +37,8 @@ type SyncChunk struct {
 // A generation mismatch resets the cursor: the follower gets the full
 // live set and adopts the new generation.
 func (m *Memory) SyncRead(gen, since int64, limit int) SyncChunk {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	if gen != m.gen {
 		since = 0
 	}

@@ -40,9 +40,11 @@ func (recordCodec) Compare(a, b string) int { return cmp.Compare(a, b) }
 // records — see that package for the framing, replay, compaction and
 // one-process-per-directory rule. Every confidence change appends the
 // pattern's full record, so replay needs no delta logic and compaction is
-// just "rewrite the live set".
+// just "rewrite the live set". The log is a named field, not embedded:
+// the memory replicates through SyncRead/Inject, so the log's byte feed
+// and point reads are not part of this store's surface.
 type Store struct {
-	*wal.Log[string, Record]
+	log *wal.Log[string, Record]
 }
 
 // OpenStore opens (creating if needed) the store in dir and replays its
@@ -58,14 +60,27 @@ func OpenStore(dir string, opts wal.Options) (*Store, error) {
 }
 
 // Append durably records a pattern's current state.
-func (s *Store) Append(rec Record) error { return s.Log.Append(rec.ID, rec) }
+func (s *Store) Append(rec Record) error { return s.log.Append(rec.ID, rec) }
 
 // Load replays the live set (sorted by ID for determinism) into fn.
 func (s *Store) Load(fn func(Record)) {
-	s.Log.Load(func(_ string, rec Record) { fn(rec) })
+	s.log.Load(func(_ string, rec Record) { fn(rec) })
 }
+
+// Flush pushes buffered appends to the operating system.
+func (s *Store) Flush() error { return s.log.Flush() }
+
+// Stats snapshots the log's counters.
+func (s *Store) Stats() wal.Stats { return s.log.Stats() }
+
+// Compact rewrites the live set as a snapshot now, rather than waiting
+// for the background threshold.
+func (s *Store) Compact() error { return s.log.Compact() }
+
+// Close flushes and closes the log, releasing the directory.
+func (s *Store) Close() error { return s.log.Close() }
 
 // RegisterMetrics publishes the log's counters as qmemory_store_*.
 func (s *Store) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	s.Log.RegisterMetrics(reg, "qmemory_store", labels...)
+	s.log.RegisterMetrics(reg, "qmemory_store", labels...)
 }

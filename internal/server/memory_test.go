@@ -2,14 +2,17 @@ package server
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
-
-	"net/http/httptest"
 
 	"repro/internal/api"
 	"repro/internal/dataset"
 	"repro/internal/llm"
+	"repro/internal/obs"
 	"repro/internal/seed"
 )
 
@@ -19,7 +22,7 @@ import (
 // simulated LLM calls for the request.
 func TestMemoryServesRepeatWithZeroLLMCalls(t *testing.T) {
 	sim := llm.NewSimulator()
-	_, ts := newTestServer(t, func(cfg *Config) {
+	srv, ts := newTestServer(t, func(cfg *Config) {
 		cfg.Client = sim
 		cfg.Memory = true
 	})
@@ -77,9 +80,46 @@ func TestMemoryServesRepeatWithZeroLLMCalls(t *testing.T) {
 		if second.Timing.GenerateMicros != 0 || second.Timing.EvidenceMicros != 0 {
 			t.Errorf("memory hit for %s reports pipeline time: %+v", e.ID, second.Timing)
 		}
+		// The trace says which path answered: a repeat is the exact map's.
+		tresp, err := http.Get(ts.URL + "/v1/traces/" + resp.Header.Get(obs.TraceIDHeader))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec obs.TraceRecord
+		err = json.NewDecoder(tresp.Body).Decode(&rec)
+		tresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var attrs map[string]any
+		for _, sp := range rec.Spans {
+			if sp.Name == "memory.lookup" {
+				attrs = sp.Attrs
+			}
+		}
+		if attrs["match"] != "exact" || attrs["attempts"] != float64(1) || attrs["path"] == nil {
+			t.Errorf("memory.lookup span of %s: %v; want match=exact attempts=1 and the engine's path", e.ID, attrs)
+		}
 	}
 	if memoryHits == 0 {
 		t.Fatal("no example was served from memory on repeat")
+	}
+	// Repeat traffic is told from paraphrase traffic without a trace.
+	var exact, hits int64
+	for _, st := range srv.Metrics().Memory {
+		exact, hits = exact+st.ExactHits, hits+st.Hits
+	}
+	if exact < int64(memoryHits) || exact > hits {
+		t.Errorf("memory stats: %d exact of %d hits; want at least %d exact", exact, hits, memoryHits)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(prom), "qmemory_exact_hits_total") {
+		t.Error("/metrics does not export qmemory_exact_hits_total")
 	}
 }
 

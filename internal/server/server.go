@@ -680,7 +680,17 @@ func (s *Server) tryMemory(w http.ResponseWriter, r *http.Request, sess *Session
 		verified = true
 	}
 	span.SetAttr("hit", len(tried) > 0)
+	span.SetAttr("attempts", len(tried))
 	span.SetAttr("verified", verified)
+	// match says which retrieval path answered: repeat traffic ("exact",
+	// a stored phrasing) or paraphrase traffic ("semantic").
+	match := "none"
+	if verified && hit.Similarity >= 1 {
+		match = "exact"
+	} else if verified {
+		match = "semantic"
+	}
+	span.SetAttr("match", match)
 	if !verified {
 		return false, 0
 	}

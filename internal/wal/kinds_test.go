@@ -74,10 +74,19 @@ func (s patternStore) put(i int, text string) error {
 	})
 }
 
-func (s patternStore) get(i int) (string, bool) {
-	rec, ok := s.Get(qmemory.PatternID("financial", patternSQL(i)))
-	return rec.Evidence, ok
+// The memory store has no point read or Len of its own: a Memory only
+// ever loads the whole live set.
+func (s patternStore) get(i int) (text string, ok bool) {
+	id := qmemory.PatternID("financial", patternSQL(i))
+	s.Load(func(rec qmemory.Record) {
+		if rec.ID == id {
+			text, ok = rec.Evidence, true
+		}
+	})
+	return text, ok
 }
+
+func (s patternStore) Len() int { return s.Stats().Records }
 
 // forEachKind runs fn as a subtest per log instance.
 func forEachKind(t *testing.T, fn func(t *testing.T, k kind)) {
@@ -349,7 +358,13 @@ func TestParentLayoutMemoryStore(t *testing.T) {
 	if st := s.Stats(); st.Records != 3 || st.TailDropped != 0 || st.WALRecords != 4 {
 		t.Fatalf("stats = %+v; want 3 patterns from 4 WAL records, none dropped", st)
 	}
-	rec, ok := s.Get(qmemory.PatternID("financial", patternSQL(2)))
+	var rec qmemory.Record
+	ok := false
+	s.Load(func(r qmemory.Record) {
+		if r.ID == qmemory.PatternID("financial", patternSQL(2)) {
+			rec, ok = r, true
+		}
+	})
 	if !ok || rec.Successes != 2 || rec.Confidence != 0.925 || len(rec.Phrasings) != 2 {
 		t.Fatalf("re-appended pattern = %+v, %v; want its newest state", rec, ok)
 	}
