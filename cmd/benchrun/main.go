@@ -6,15 +6,7 @@
 //	benchrun -exp table4            # one experiment
 //	benchrun -exp all -sample 4     # everything, sampled dev for speed
 //	benchrun -exp all -stats        # plus service throughput + plan cache reports
-//	benchrun -benchjson BENCH_sqlengine.json   # emit the engine perf snapshot and exit
-//	benchrun -servebench BENCH_server.json     # emit the serving perf snapshot and exit
-//	benchrun -pipebench BENCH_pipeline.json    # emit the evidence-pipeline snapshot and exit
-//	benchrun -storebench BENCH_store.json      # emit the durability (warm-restart) snapshot and exit
-//	benchrun -scalebench BENCH_scale.json      # emit the scale snapshot (1k/100k/1M-row synthetic corpora) and exit
-//	benchrun -fleetbench BENCH_fleet.json      # emit the fleet fault-tolerance snapshot (QPS scaling, chaos, failover) and exit
-//	benchrun -obsbench BENCH_obs.json          # emit the observability snapshot (tracing on/off overhead, routed-trace coverage) and exit
-//	benchrun -enginebench BENCH_engine.json    # emit the columnar/parallel execution snapshot (vectorized + morsel-parallel vs row-wise) and exit
-//	benchrun -memorybench BENCH_memory.json    # emit the query-memory snapshot (paraphrase hit rate, zero-LLM hit serving vs pipeline, EX on/off) and exit
+//	benchrun -exp table7 -seed 11 -store-dir DIR   # other corpus seed; evidence replayed from DIR on repeat runs
 //
 // Experiments: fig2, fig3, table1, table2, table3, table4, table5,
 // table6, table7, all.
@@ -24,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/experiments"
@@ -34,82 +27,18 @@ func main() {
 	seedFlag := flag.Uint64("seed", 7, "corpus generation seed")
 	sample := flag.Int("sample", 1, "evaluate every n-th dev example (1 = full split)")
 	stats := flag.Bool("stats", false, "print the evidence-service throughput and plan-cache reports at the end")
-	benchJSON := flag.String("benchjson", "", "write the sqlengine perf snapshot (cold parse, cached plan, nested vs hash join, Evaluate pass) to this JSON file and exit")
-	serveBench := flag.String("servebench", "", "write the serving perf snapshot (serial vs concurrent vs micro-batched /v1/query load) to this JSON file and exit")
-	pipeBench := flag.String("pipebench", "", "write the evidence-pipeline perf snapshot (cold sequential vs stage-DAG generation, partial-warm memo reuse) to this JSON file and exit")
-	storeBench := flag.String("storebench", "", "write the durability perf snapshot (cold vs steady vs warm-restart serving over the evidence store) to this JSON file and exit")
-	scaleBench := flag.String("scalebench", "", "write the scale perf snapshot (synthetic corpora at 1k/100k/1M rows: generation, engine planner on/off, serving QPS) to this JSON file and exit")
-	fleetBench := flag.String("fleetbench", "", "write the fleet fault-tolerance snapshot (routed QPS scaling 1 vs 3 replicas, p99 under injected chaos, failover takeover time) to this JSON file and exit")
-	obsBench := flag.String("obsbench", "", "write the observability snapshot (serving QPS with tracing+metrics on vs off, routed-trace span coverage) to this JSON file and exit")
-	engineBench := flag.String("enginebench", "", "write the columnar/parallel execution snapshot (row-wise vs vectorized vs N-core morsel-parallel on 100k/1M synth corpora, plus cost-invariance check) to this JSON file and exit")
-	memoryBench := flag.String("memorybench", "", "write the query-memory snapshot (paraphrase hit rate, zero-LLM hit serving vs per-request pipeline, EX memory on/off) to this JSON file and exit")
 	storeDir := flag.String("store-dir", "", "durable evidence store directory for the experiment drivers (same layout as seedd -store-dir): repeat runs replay instead of regenerating")
 	flag.Parse()
 
-	if *benchJSON != "" {
-		if err := writeEngineBench(*benchJSON, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+	ids := []string{"fig2", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig3"}
+	if *exp != "all" {
+		// Checked before the Env exists: os.Exit skips its deferred Close.
+		if !slices.Contains(ids, *exp) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+			os.Exit(2)
 		}
-		return
+		ids = []string{*exp}
 	}
-	if *serveBench != "" {
-		if err := writeServerBench(*serveBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pipeBench != "" {
-		if err := writePipeBench(*pipeBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "pipebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *storeBench != "" {
-		if err := writeStoreBench(*storeBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "storebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleBench != "" {
-		if err := writeScaleBench(*scaleBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "scalebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetBench != "" {
-		if err := writeFleetBench(*fleetBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "fleetbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *obsBench != "" {
-		if err := writeObsBench(*obsBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "obsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *engineBench != "" {
-		if err := writeEngineParBench(*engineBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "enginebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *memoryBench != "" {
-		if err := writeMemoryBench(*memoryBench, *seedFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "memorybench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var env *experiments.Env
 	if *storeDir != "" {
 		env = experiments.NewEnvWithStore(*seedFlag, *storeDir)
@@ -138,19 +67,12 @@ func main() {
 			fmt.Println(experiments.Table6(env).Render())
 		case "table7":
 			fmt.Println(experiments.Table7(env, *sample).Render())
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-			os.Exit(2)
 		}
 		fmt.Printf("[%s took %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if *exp == "all" {
-		for _, id := range []string{"fig2", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig3"} {
-			run(id)
-		}
-	} else {
-		run(*exp)
+	for _, id := range ids {
+		run(id)
 	}
 	if *stats {
 		fmt.Println(experiments.ThroughputReport(env).Render())

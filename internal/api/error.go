@@ -35,8 +35,6 @@ const (
 	// CodeClientClosed marks a request whose client went away before the
 	// answer existed (499-style accounting: not a server fault).
 	CodeClientClosed = "client_closed"
-	// CodeExhausted is a router that ran out of backend attempts.
-	CodeExhausted = "exhausted"
 )
 
 // StatusClientClosedRequest is the non-standard 499 status (nginx

@@ -8,16 +8,6 @@ import (
 	"repro/internal/sqlengine"
 )
 
-// Split names a corpus partition.
-type Split string
-
-// Corpus splits.
-const (
-	Train Split = "train"
-	Dev   Split = "dev"
-	Test  Split = "test"
-)
-
 // Example is one text-to-SQL task instance.
 type Example struct {
 	// ID is unique within the corpus, e.g. "financial-0042".
@@ -131,20 +121,6 @@ type Corpus struct {
 func (c *Corpus) DB(name string) (*schema.DB, bool) {
 	db, ok := c.DBs[name]
 	return db, ok
-}
-
-// SplitExamples returns the examples of the requested split.
-func (c *Corpus) SplitExamples(s Split) []Example {
-	switch s {
-	case Train:
-		return c.Train
-	case Dev:
-		return c.Dev
-	case Test:
-		return c.Test
-	default:
-		return nil
-	}
 }
 
 // TrainByDB groups training examples by database name, the index few-shot

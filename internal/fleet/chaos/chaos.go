@@ -1,9 +1,9 @@
 // Package chaos is the fault-injection layer for fleet testing: an HTTP
 // proxy that sits between the router and one replica and injects the
 // failure modes the fleet must absorb — latency spikes, 5xx bursts,
-// mid-body truncation, and total blackout. The chaos suite in benchrun
-// -fleetbench and the failover tests drive these knobs while asserting
-// zero availability loss at the router.
+// mid-body truncation, and total blackout. fleet's TestRouterMasksChaos
+// drives these knobs while asserting zero availability loss at the
+// router.
 //
 // Faults are injected at the HTTP layer rather than in-process so the
 // proxied replica runs its real serving path: what the router observes

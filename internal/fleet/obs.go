@@ -65,9 +65,6 @@ func (rt *Router) initObs() {
 	}
 }
 
-// Registry exposes the router's metrics registry.
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
-
 // stamp is the router's outermost middleware: it resolves the request ID
 // (propagating a client-supplied one, minting one otherwise), echoes it on
 // the response before any outcome is decided — sheds, 502s and proxied

@@ -3,12 +3,16 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fleet/chaos"
 )
 
 // fakeReplica is a scriptable seedd stand-in: it counts hits and serves
@@ -329,6 +333,55 @@ func TestRouterExhaustionPassesThroughLastResponse(t *testing.T) {
 	}
 	if m := rt.Metrics(); m.Exhausted != 1 {
 		t.Fatalf("Exhausted = %d, want 1", m.Exhausted)
+	}
+}
+
+// TestRouterMasksChaos: three replicas each misbehave a different way —
+// every third response stalls, a burst of 500s, every fifth body cut
+// mid-flight — and no injected fault may reach a client: every routed
+// query answers 2xx and the router counts zero 5xx and zero exhaustions.
+func TestRouterMasksChaos(t *testing.T) {
+	var proxies []*chaos.Proxy
+	rt, _ := newTestFleet(t, 3, func(cfg *Config) {
+		cfg.Logger = slog.New(slog.DiscardHandler) // 300+ access-log lines otherwise
+		for i, target := range cfg.Replicas {
+			p, err := chaos.NewProxy(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(p.Close)
+			proxies = append(proxies, p)
+			cfg.Replicas[i] = p.URL()
+		}
+	})
+	proxies[0].SpikeLatency(25*time.Millisecond, 3)
+	proxies[1].Burst5xx(25)
+	proxies[2].TruncateEvery(5)
+
+	h := rt.Handler()
+	const total = 300
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1); i <= total; i = next.Add(1) {
+				if w := postQuery(t, h, "financial", fmt.Sprintf("question %d", i)); w.Code/100 != 2 {
+					t.Errorf("request %d under chaos: status %d body %s", i, w.Code, w.Body)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if m := rt.Metrics(); m.ClientFivexx != 0 || m.Exhausted != 0 {
+		t.Errorf("faults leaked: ClientFivexx = %d, Exhausted = %d, want 0 and 0", m.ClientFivexx, m.Exhausted)
+	}
+	for i, p := range proxies {
+		if p.Injected() == 0 {
+			t.Errorf("proxy %d injected no fault: the run proved nothing about it", i)
+		}
 	}
 }
 

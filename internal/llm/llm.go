@@ -84,15 +84,6 @@ func RegisterModel(m Model) {
 	registryMu.Unlock()
 }
 
-// MustLookup is Lookup for statically known names; it panics on a typo.
-func MustLookup(name string) Model {
-	m, err := Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // ModelNames lists all registered model identifiers (unordered).
 func ModelNames() []string {
 	registryMu.RLock()

@@ -24,14 +24,6 @@ func NewSlowLog(logger *slog.Logger, threshold time.Duration) *SlowLog {
 	return &SlowLog{logger: logger, threshold: threshold}
 }
 
-// Threshold returns the configured threshold (0 on nil).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Record logs rec if it crossed the threshold. sql may be empty for
 // non-query routes. Safe on nil receiver and nil record.
 func (l *SlowLog) Record(rec *TraceRecord, sql string) {

@@ -38,7 +38,6 @@ type Trace struct {
 
 	mu    sync.Mutex
 	spans []*Span
-	root  *Span
 }
 
 type traceKey struct{}
@@ -110,23 +109,7 @@ func (t *Trace) StartRoot(name, parentSpanID string) *Span {
 	if t == nil {
 		return nil
 	}
-	sp := t.newSpan(name, parentSpanID, time.Now())
-	t.mu.Lock()
-	if t.root == nil {
-		t.root = sp
-	}
-	t.mu.Unlock()
-	return sp
-}
-
-// Root returns the first root-started span (nil-safe).
-func (t *Trace) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.root
+	return t.newSpan(name, parentSpanID, time.Now())
 }
 
 func (t *Trace) newSpan(name, parent string, start time.Time) *Span {

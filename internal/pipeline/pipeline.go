@@ -365,15 +365,3 @@ func (g *Graph) runStage(ctx context.Context, r *Run, st *stage) (err error) {
 	r.mu.Unlock()
 	return nil
 }
-
-// Stages lists the stage names in registration order.
-func (g *Graph) Stages() []string {
-	out := make([]string, len(g.stages))
-	for i, st := range g.stages {
-		out[i] = st.name
-	}
-	return out
-}
-
-// Name returns the graph's display name.
-func (g *Graph) Name() string { return g.name }

@@ -153,8 +153,8 @@ func (p *Pipeline) GenerateEvidenceTraced(ctx context.Context, dbName, question 
 // GenerateEvidenceSequential is the pre-DAG reference implementation: the
 // stages as a hard-coded sequential call chain, bypassing the stage graph
 // and its memos. The DAG must produce byte-identical evidence — the
-// golden equivalence test and benchrun -pipebench both compare against
-// this path.
+// golden equivalence test compares against this path, and bench/ times
+// it as seed.evidence_seq_ms.
 func (p *Pipeline) GenerateEvidenceSequential(dbName, question string) (string, error) {
 	db, ok := p.corpus.DB(dbName)
 	if !ok {
@@ -187,8 +187,8 @@ func (p *Pipeline) GenerateEvidenceSequential(dbName, question string) (string, 
 }
 
 // ResetStageMemos drops every stage-memo entry, forcing the next run of
-// each question down the cold path. Benchmarks use it to separate
-// stage-overlap gains from memo gains.
+// each question down the cold path. The stage-overlap test uses it to
+// separate overlap gains from memo gains.
 func (p *Pipeline) ResetStageMemos() {
 	p.kwMemo.Reset()
 	p.sumMemo.Reset()

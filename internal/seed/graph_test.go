@@ -234,7 +234,8 @@ func TestDAGOverlapBeatsSequentialWithLatency(t *testing.T) {
 	t.Logf("cold with latency: sequential %v, DAG %v (%.2fx)", seqTotal, dagTotal, float64(seqTotal)/float64(dagTotal))
 }
 
-// TestResetStageMemosForcesColdPath covers the benchmarking hook.
+// TestResetStageMemosForcesColdPath covers the hook the overlap test
+// above relies on to stay cold.
 func TestResetStageMemosForcesColdPath(t *testing.T) {
 	p := gptPipeline(t)
 	q := "Among the weekly issuance accounts, how many have a loan of under 200000?"

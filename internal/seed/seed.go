@@ -32,7 +32,6 @@ func contentWords(s string) []string   { return textutil.ContentWords(s) }
 func stem(s string) string             { return textutil.Stem(s) }
 func synonyms(s string) []string       { return textutil.Synonyms(s) }
 func similarity(a, b string) float64   { return textutil.Similarity(a, b) }
-func tokenize(s string) []string       { return textutil.Tokenize(s) }
 func normalizeIdent(s string) []string { return textutil.NormalizeIdent(s) }
 
 // Variant names a SEED architecture.
@@ -157,9 +156,6 @@ func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 	p.buildGraph()
 	return p
 }
-
-// Config returns the pipeline's configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
 
 // GenerateEvidence runs the full SEED pipeline for one question. It uses
 // only public database information (schema, description files, values) and

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/dataset"
 	"repro/internal/llm"
 	"repro/internal/schema"
 )
@@ -367,16 +366,6 @@ func summarizeShots(shots []Shot) []Shot {
 			q = strings.Join(words[:8], " ") + " ..."
 		}
 		out[i] = Shot{Question: q, Evidence: s.Evidence, Summarized: true}
-	}
-	return out
-}
-
-// ShotPool converts dataset examples into shots directly, bypassing
-// similarity selection; used by ablation benchmarks.
-func ShotPool(examples []dataset.Example) []Shot {
-	out := make([]Shot, len(examples))
-	for i, e := range examples {
-		out[i] = Shot{Question: e.Question, Evidence: e.CleanEvidence}
 	}
 	return out
 }

@@ -68,10 +68,6 @@ func (s *Server) initObs() {
 	sqlengine.RegisterEngineExecMetrics(s.obsReg)
 }
 
-// Registry exposes the server's metrics registry (for benchmarks and
-// embedding processes that add their own metrics).
-func (s *Server) Registry() *obs.Registry { return s.obsReg }
-
 // Traces exposes the server's trace store; nil when tracing is disabled.
 func (s *Server) Traces() *obs.TraceStore { return s.traces }
 

@@ -48,11 +48,11 @@ func runBenchLoad(b *testing.B, base string) {
 		payloads = append(payloads, body)
 	}
 	ctx := context.Background()
-	if _, err := RunLoad(ctx, LoadOptions{BaseURL: base, Payloads: payloads, Concurrency: 8}); err != nil {
+	if _, err := runLoad(ctx, loadOptions{baseURL: base, payloads: payloads, concurrency: 8}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	if _, err := RunLoad(ctx, LoadOptions{BaseURL: base, Payloads: payloads, Concurrency: 16, Total: b.N}); err != nil {
+	if _, err := runLoad(ctx, loadOptions{baseURL: base, payloads: payloads, concurrency: 16, total: b.N}); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -421,9 +421,6 @@ func (s *Server) Handler() http.Handler {
 // notice, then shuts the listener down.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports the current drain state.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the peer replication tailers, flushes pending
 // micro-batches, stops the evidence worker pools (each service flushes
 // its store after its pool drains), and closes the evidence stores. It is

@@ -385,30 +385,58 @@ func TestBatchedServingBeatsSerialPipeline(t *testing.T) {
 	}
 	ctx := context.Background()
 	// Warm pass: fill the evidence cache and build every session.
-	if _, err := RunLoad(ctx, LoadOptions{BaseURL: ts.URL, Payloads: payloads, Concurrency: 8}); err != nil {
+	if _, err := runLoad(ctx, loadOptions{baseURL: ts.URL, payloads: payloads, concurrency: 8}); err != nil {
 		t.Fatal(err)
 	}
-	batched, err := RunLoad(ctx, LoadOptions{BaseURL: ts.URL, Payloads: payloads, Concurrency: 16, Total: 2 * len(payloads)})
+	batched, err := runLoad(ctx, loadOptions{baseURL: ts.URL, payloads: payloads, concurrency: 16, total: 2 * len(payloads)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A few dev examples legitimately 422 (the generator emits SQL that
 	// does not execute); that is serving behaviour, not load failure. It
 	// must stay a small minority.
-	if batched.Errors*10 > batched.Requests {
-		t.Fatalf("load error rate too high: %d/%d", batched.Errors, batched.Requests)
+	if batched.errors*10 > batched.requests {
+		t.Fatalf("load error rate too high: %d/%d", batched.errors, batched.requests)
 	}
-	serial, err := RunSerialBaseline(corpus, llm.NewSimulator(), seed.VariantGPT, "codes-15b", 64)
+	// The status quo served requests are judged against: a script wrapping
+	// the offline pipeline per request. Each of 64 dev questions pays a
+	// full evidence generation (no cache, no batching, no concurrency),
+	// then SQL generation and execution, without even the HTTP hop.
+	seedCfg, err := seedConfigFor(seed.VariantGPT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("pipeline serial: %.0f qps (p50 %.0fus); batched c=16: %.0f qps (p50 %.0fus p99 %.0fus)",
-		serial.QPS, serial.P50Micros, batched.QPS, batched.P50Micros, batched.P99Micros)
+	client := llm.NewSimulator()
+	p := seed.New(seedCfg, client, corpus)
+	gen, err := GeneratorFor("codes-15b", client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for _, e := range corpus.Dev[:64] {
+		db := corpus.DBs[e.DB]
+		ev, err := p.GenerateEvidence(e.DB, e.Question)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sql, err := gen.Generate(texttosql.Task{Example: e, DB: db, Evidence: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// SQL that does not execute (the served path's 422s) still cost
+		// its pipeline run.
+		if stmt, err := db.Engine.Prepare(sql); err == nil {
+			_, _ = stmt.Exec()
+		}
+	}
+	serialQPS := 64 / time.Since(start).Seconds()
+	t.Logf("pipeline serial: %.0f qps; batched c=16: %.0f qps (p50 %.0fus p99 %.0fus)",
+		serialQPS, batched.qps, batched.p50Micros, batched.p99Micros)
 	// Require a real margin, not a coin flip: measured ~8x on one CPU,
 	// so 1.5x leaves ample room for noisy machines.
-	if batched.QPS <= 1.5*serial.QPS {
+	if batched.qps <= 1.5*serialQPS {
 		t.Errorf("batched serving (%.0f qps) does not beat per-request serial pipeline calls (%.0f qps) by >= 1.5x",
-			batched.QPS, serial.QPS)
+			batched.qps, serialQPS)
 	}
 }
 

@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -313,5 +314,73 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// BenchmarkExecModes times one statement per batch mechanism — pushed
+// comparison kernels, the hash-join probe, grouped accumulators, a
+// bounded top-k heap on a column that is not projected, ungrouped
+// accumulators — under each execution mode: the naive executor (100k
+// only: its nested-loop join takes minutes at 1M), the planned row-wise
+// interpreter, and the vectorized path on one worker and on GOMAXPROCS
+// workers, so `-cpu 1,2,4` sets N and vecN against vec1 at one -cpu is
+// the parallel gain. The statements come from engineQueries, which
+// TestEngineCrossValidationAtScale holds to identical rows and Cost in
+// every mode: only ns/op and allocations differ.
+func BenchmarkExecModes(b *testing.B) {
+	queries := []struct{ name, sql string }{
+		{"filter", "SELECT id FROM f WHERE num > 50 AND flag = 1"},
+		{"join", "SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp"},
+		{"agg", "SELECT grp, COUNT(*), SUM(num), AVG(num), MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp"},
+		{"topk", "SELECT id FROM f ORDER BY num DESC, id LIMIT 8"},
+		{"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"},
+	}
+	modes := []struct {
+		name                string
+		planner, vectorized bool
+		workers             int // SetParallelism: 0 = GOMAXPROCS
+	}{
+		{"naive", false, false, 1},
+		{"rowwise", true, false, 1},
+		{"vec1", true, true, 1},
+		{"vecN", true, true, 0},
+	}
+	sizes := []int{100_000}
+	if !testing.Short() {
+		sizes = append(sizes, 1_000_000)
+	}
+	for _, n := range sizes {
+		// One level per size, so a -bench filter on 100k never builds 1M rows.
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			db := buildEngineDB(5, n)
+			for _, q := range queries {
+				if !slices.Contains(engineQueries, q.sql) {
+					b.Fatalf("%s is not in engineQueries, so nothing holds its modes equivalent", q.name)
+				}
+				for _, m := range modes {
+					if !m.planner && n > 100_000 {
+						continue
+					}
+					b.Run(q.name+"/"+m.name, func(b *testing.B) {
+						db.SetPlanner(m.planner)
+						db.SetVectorized(m.vectorized)
+						db.SetParallelism(m.workers)
+						stmt, err := db.Prepare(q.sql)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.ReportAllocs()
+						// A b.N loop, not b.Loop: testing (go 1.24) applies -cpu only
+						// after a leaf's first run, which is b.Loop's only run.
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if _, err := stmt.Exec(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+		})
 	}
 }

@@ -79,14 +79,6 @@ func (db *Database) MustExec(sql string) *Result {
 	return res
 }
 
-// ExecStmt executes an already-parsed statement. Statements executed this
-// way bypass the plan cache and run unplanned; use Prepare to get planned
-// execution for a hand-built AST.
-func (db *Database) ExecStmt(st Statement) (*Result, error) {
-	ec := &execCtx{db: db}
-	return ec.execStatement(st)
-}
-
 func (ec *execCtx) execStatement(st Statement) (*Result, error) {
 	res, err := ec.execStatementInner(st)
 	if err != nil {

@@ -2,8 +2,8 @@
 // Given any schema.DB it introspects the foreign-key graph, infers a value
 // model per column from the fixture rows and the description files, and
 // materialises dependency-ordered, referentially consistent tables of
-// arbitrary size — the instrument behind `cmd/dbgen` and the scale
-// benchmark (`benchrun -scalebench`). Generation is deterministic: the
+// arbitrary size — the instrument behind `cmd/dbgen` and the 100k-row
+// corpora of bench/. Generation is deterministic: the
 // same seed produces byte-identical tables and workloads, regardless of
 // worker count, because every batch of rows is a pure function of
 // (table, batch index, seed).

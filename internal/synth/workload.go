@@ -118,22 +118,6 @@ func ParaphraseExamples(dbName string, qs []Query) ([]dataset.Example, error) {
 	return out, nil
 }
 
-// ToCorpus wraps a generated database and its workload as a corpus: first
-// half train, second half dev — the shape the serving stack consumes.
-func ToCorpus(db *schema.DB, qs []Query) (*dataset.Corpus, error) {
-	examples, err := ToExamples(db.Name, qs)
-	if err != nil {
-		return nil, err
-	}
-	half := len(examples) / 2
-	return &dataset.Corpus{
-		Name:  "synth",
-		DBs:   map[string]*schema.DB{db.Name: db},
-		Train: examples[:half],
-		Dev:   examples[half:],
-	}, nil
-}
-
 // fullName resolves a column's natural-language name from the description
 // files, falling back to the raw column name.
 func fullName(db *schema.DB, table, col string) string {

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 func TestWorkloadExecutableAndDeterministic(t *testing.T) {
@@ -91,9 +89,18 @@ func TestWorkloadParaphrases(t *testing.T) {
 	if len(ex) != want {
 		t.Fatalf("ParaphraseExamples produced %d examples, want %d", len(ex), want)
 	}
-	for _, e := range ex {
-		if e.GoldSQL == "" || e.Question == "" || e.DB != db.Name {
-			t.Fatalf("paraphrase example malformed: %+v", e)
+	// The canonical questions convert one to one, and neither form has
+	// atoms: the template is the gold SQL.
+	base, err := ToExamples(db.Name, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base) != len(qs) {
+		t.Fatalf("ToExamples produced %d examples, want %d", len(base), len(qs))
+	}
+	for _, e := range append(base, ex...) {
+		if e.GoldSQL != e.SQLTemplate || e.Question == "" || e.DB != db.Name {
+			t.Fatalf("workload example malformed: %+v", e)
 		}
 	}
 }
@@ -140,34 +147,4 @@ func testLiterals(sql string) []string {
 
 func isWordByte(c byte) bool {
 	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-func TestWorkloadToCorpus(t *testing.T) {
-	src := financialFixture(t)
-	db, err := Generate(src, Options{Seed: 3, Rows: ProportionalRows(src, 3000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := Workload(db, 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ToCorpus(db, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Train)+len(c.Dev) != 20 {
-		t.Fatalf("corpus lost examples: %d train + %d dev", len(c.Train), len(c.Dev))
-	}
-	if _, ok := c.DB(db.Name); !ok {
-		t.Fatalf("corpus has no database %q", db.Name)
-	}
-	for _, e := range append(append([]dataset.Example{}, c.Train...), c.Dev...) {
-		if e.GoldSQL != e.SQLTemplate {
-			t.Fatalf("example %s: atom-free gold SQL should equal the template", e.ID)
-		}
-		if e.Question == "" || e.DB != db.Name {
-			t.Fatalf("example %s malformed: %+v", e.ID, e)
-		}
-	}
 }
