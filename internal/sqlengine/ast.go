@@ -160,9 +160,27 @@ func (*DeleteStmt) stmt() {}
 // --- Expressions ---
 
 // ColumnRef references a column, optionally qualified by table or alias.
+// Table and Name keep the statement's spelling (SQL and output column names
+// print them); resolution is case-insensitive and compares the lower-cased
+// forms, which the parser folds once so that no evaluation does.
 type ColumnRef struct {
 	Table string
 	Name  string
+
+	lowerTable, lowerName string
+}
+
+func newColumnRef(table, name string) *ColumnRef {
+	return &ColumnRef{Table: table, Name: name, lowerTable: strings.ToLower(table), lowerName: strings.ToLower(name)}
+}
+
+// folded returns the lower-cased table and column name. A reference built
+// outside the parser has none stored and folds on every call.
+func (c *ColumnRef) folded() (table, name string) {
+	if c.lowerName == "" {
+		return strings.ToLower(c.Table), strings.ToLower(c.Name)
+	}
+	return c.lowerTable, c.lowerName
 }
 
 func (*ColumnRef) expr() {}

@@ -22,7 +22,8 @@ type Table struct {
 	ForeignKeys []ForeignKeyDef
 	Rows        [][]Value
 
-	colIndex map[string]int // lower-case column name -> position
+	colIndex  map[string]int // lower-case column name -> position
+	lowerCols []string       // lower-case column names; Columns never change after creation
 
 	// idxMu guards eqIdx and colVecs. Indexes and column vectors are built
 	// lazily by concurrent read-only queries; any DML drops them (the
@@ -41,9 +42,10 @@ type colEqIndex struct {
 }
 
 func newTable(name string, cols []Column, fks []ForeignKeyDef) *Table {
-	t := &Table{Name: name, Columns: cols, ForeignKeys: fks, colIndex: make(map[string]int, len(cols))}
+	t := &Table{Name: name, Columns: cols, ForeignKeys: fks, colIndex: make(map[string]int, len(cols)), lowerCols: make([]string, len(cols))}
 	for i, c := range cols {
-		t.colIndex[strings.ToLower(c.Name)] = i
+		t.lowerCols[i] = strings.ToLower(c.Name)
+		t.colIndex[t.lowerCols[i]] = i
 	}
 	return t
 }
@@ -148,12 +150,12 @@ func (db *Database) SetPlanner(enabled bool) { db.plannerOff = !enabled }
 // SetVectorized enables or disables the columnar batch executor (vectorized
 // scan-filter kernels, morsel-parallel filters, joins and grouping; see
 // parallel.go) and with it the late-materialising tail of single-table
-// SELECTs (positions.go). It is on by default and engages only for planned
-// execution; turning it off forces the row-at-a-time interpreter
-// everywhere. Like
-// SetPlanner, the switch changes only the physical execution: rows, row
-// order, errors and the logical Result.Cost are identical either way — the
-// property the vectorized-on/off × planner-on/off equivalence tests pin.
+// SELECTs and hash joins (positions.go). It is on by default and engages
+// only for planned execution; turning it off forces the row-at-a-time
+// interpreter everywhere. Like SetPlanner, the switch changes only the
+// physical execution: rows, row order, errors and the logical Result.Cost
+// are identical either way — the property the vectorized-on/off ×
+// planner-on/off equivalence tests pin.
 func (db *Database) SetVectorized(enabled bool) { db.vectorOff = !enabled }
 
 // SetParallelism caps the number of worker goroutines a single batch

@@ -66,8 +66,9 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 
 // engineQueries are the shapes that matter at scale: pushdown filter
 // kernels, parallel hash-join probes, LEFT JOIN null extension, grouped
-// aggregation, fast projection with ORDER BY/LIMIT. All subquery-free so
-// the big-input cross-check stays O(n).
+// aggregation, fast projection with ORDER BY/LIMIT. Subquery-free but for
+// one uncorrelated EXISTS (evaluated once), so the big-input cross-check
+// stays O(n).
 var engineQueries = []string{
 	"SELECT id FROM f WHERE num > 50 AND flag = 1",
 	"SELECT id FROM f WHERE grp IN ('a', 'b') AND num BETWEEN 10 AND 70",
@@ -93,6 +94,17 @@ var engineQueries = []string{
 	"SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f",
 	"SELECT flag, COUNT(*), AVG(num) FROM f WHERE grp = 'a' GROUP BY flag",
 	"SELECT DISTINCT grp, flag FROM f ORDER BY 1, 2 LIMIT 5 OFFSET 2",
+	// The shapes the served SQL has (internal/server's TestServedSynthPaths):
+	// COUNT(*) over a join behind a pushed negation and behind an unsafe
+	// EXISTS, a negated single-table filter, and a join on INTEGER keys — grp
+	// is TEXT, flag and weight are the only integer pair. Then the tail of a
+	// join over more than one morsel of pairs.
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE NOT (d.label = 'L1')",
+	"SELECT COUNT(*) FROM f JOIN d ON (f.grp = d.grp) WHERE ((d.label = 'L2') AND EXISTS (SELECT 1 FROM f))",
+	"SELECT SUM(flag) FROM f WHERE NOT (grp = 'a')",
+	"SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight",
+	"SELECT f.id, d.label FROM f LEFT JOIN d ON f.grp = d.grp ORDER BY d.weight DESC, f.id LIMIT 9",
+	"SELECT d.label, COUNT(*), AVG(f.num) FROM f LEFT JOIN d ON f.grp = d.grp WHERE NOT (f.flag = 1) GROUP BY d.label",
 }
 
 // buildEngineDB bulk-loads a database big enough to cross the *default*
@@ -168,9 +180,10 @@ func TestResultReportsPhysicalExecution(t *testing.T) {
 	}
 }
 
-// TestResultPath pins Result.Path: which consumer a vectorized single-table
-// SELECT's tail ran on, which clause sent a candidate back to the row
-// path, and plain "rows" for everything that never was a candidate.
+// TestResultPath pins Result.Path: which consumer the tail of a vectorized
+// single-table SELECT (positions/…) or hash join (pairs/…) ran on, which
+// clause sent a candidate back to the row path, and plain "rows" for
+// everything that never was a candidate.
 func TestResultPath(t *testing.T) {
 	vec := buildMultiDB(1, 60)
 	vec.SetBatchTuning(1, 1)
@@ -193,7 +206,19 @@ func TestResultPath(t *testing.T) {
 		{"SELECT COUNT(DISTINCT a) FROM m", "rows(aggregate)"},
 		{"SELECT COUNT(*) FROM m GROUP BY a + 1", "rows(group-by)"},
 		{"SELECT a, COUNT(*) FROM m GROUP BY a HAVING COUNT(*) > 1", "rows(having)"},
-		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp LIMIT 2", "rows"},
+		{"SELECT 1 FROM m WHERE a = 1", "positions/gather"},
+		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp LIMIT 2", "pairs/gather"},
+		{"SELECT t.id, g.label FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY g.weight DESC, t.id LIMIT 3", "pairs/topk"},
+		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp WHERE NOT (g.label = 'L1')", "pairs/agg"},
+		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp WHERE g.label = 'L1' AND EXISTS (SELECT 1 FROM t)", "pairs/agg"},
+		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp JOIN acc ON acc.t_id = t.id", "pairs/agg"},
+		{"SELECT g.label, SUM(t.num) FROM t JOIN g ON t.grp = g.grp GROUP BY g.label", "pairs/agg"},
+		{"SELECT grp FROM t JOIN g ON t.grp = g.grp WHERE t.id = 99999", "rows(projection)"},
+		{"SELECT t.id + 1 FROM t JOIN g ON t.grp = g.grp", "rows(projection)"},
+		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight", "rows(order-by)"},
+		{"SELECT COUNT(DISTINCT g.label) FROM t JOIN g ON t.grp = g.grp", "rows(aggregate)"},
+		{"SELECT t.id, g.weight FROM t JOIN g ON t.num > g.weight WHERE t.id < 12", "rows"},
+		{"SELECT COUNT(*) FROM t CROSS JOIN g", "rows"},
 		{"SELECT s.id FROM (SELECT id FROM m ORDER BY a LIMIT 2) AS s", "rows"},
 		{"SELECT a FROM m UNION SELECT b FROM m", "rows"},
 		{"SELECT 1", "rows"},
@@ -216,6 +241,14 @@ func TestResultPath(t *testing.T) {
 	for _, db := range []*Database{small, rowwise, naive} {
 		if got := db.MustExec("SELECT id FROM m ORDER BY a DESC, id LIMIT 5").Path; got != "rows" {
 			t.Errorf("Path = %q, want rows", got)
+		}
+	}
+	// A hash join's output is pairs whatever its size, so vectorized
+	// execution runs its tail on them below the batch threshold too; without
+	// vectorization, and without the planner's hash join, it is rows.
+	for db, want := range map[*Database]string{small: "pairs/agg", rowwise: "rows", naive: "rows"} {
+		if got := db.MustExec("SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp").Path; got != want {
+			t.Errorf("join Path = %q, want %q", got, want)
 		}
 	}
 }
@@ -242,6 +275,106 @@ func TestTopKAllocations(t *testing.T) {
 	k64 := allocs("SELECT id FROM f ORDER BY num DESC, id LIMIT 64")
 	if k8 > 32 || k64 > k8 {
 		t.Errorf("top-k over 10k rows allocates %.0f times at k=8 and %.0f at k=64, want <= 32 and no growth with k", k8, k64)
+	}
+}
+
+// TestJoinCountAllocations pins what pairs are for: counting a join of 10k
+// probe rows builds no joined row, so it allocates for the key map, the
+// chains and the per-morsel pair lists — a constant number of times, not
+// once per joined row (the row-building join allocated over 6,000 times
+// here).
+func TestJoinCountAllocations(t *testing.T) {
+	db := buildEngineDB(3, 10000)
+	db.SetParallelism(1)
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp",
+		"SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight",
+	} {
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if res, err := st.Exec(); err != nil || res.Path != "pairs/agg" {
+				t.Fatalf("%q: path %q, err %v", sql, res.Path, err)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("%q allocates %.0f times over 10k probe rows, want <= 64", sql, allocs)
+		}
+	}
+}
+
+// TestFilterAllocations pins filterPositions' output: a filter every selected
+// row passes returns its input — here a 4k-position index bucket re-verified
+// whole — and a filter that thins it allocates the survivors once, at their
+// exact size, with nothing per morsel.
+func TestFilterAllocations(t *testing.T) {
+	db := buildEngineDB(3, 10000)
+	db.SetParallelism(1)
+	tab, _ := db.Table("f")
+	ec := &execCtx{db: db, vec: true}
+	cols := scanCols("f", tab)
+	preds := func(cond string) []rowPred {
+		sel, err := ParseSelect("SELECT 1 FROM f WHERE " + cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return compilePreds(&predSource{t: tab, cols: cols}, flattenAnd(sel.Where, nil))
+	}
+	bucket := selection{rows: tab.Rows, pos: tab.eqLookup(3, string(coarseKey(nil, Int(1))))}
+	for _, tc := range []struct {
+		cond     string
+		in       selection
+		maxBytes int // beyond the bitmask and the per-morsel bookkeeping
+	}{
+		{"flag = 1", bucket, 0},
+		{"num >= 0", selection{rows: tab.Rows, all: true}, 0},
+		{"flag = 1 AND num > 50", bucket, 8 * bucket.len()},
+	} {
+		p := preds(tc.cond)
+		var out selection
+		allocs := testing.AllocsPerRun(10, func() {
+			var err error
+			if out, err = ec.filterPositions(cols, tc.in, p, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("%s over %d rows allocates %.0f times, want <= 8", tc.cond, tc.in.len(), allocs)
+		}
+		switch {
+		case tc.maxBytes == 0 && (out.len() != tc.in.len() || out.all != tc.in.all || (len(out.pos) > 0 && &out.pos[0] != &tc.in.pos[0])):
+			t.Errorf("%s passes every row but did not return its input selection", tc.cond)
+		case tc.maxBytes > 0 && (out.len() == 0 || out.len() >= tc.in.len() || cap(out.pos) != out.len()):
+			t.Errorf("%s kept %d of %d rows in a list of capacity %d, want an exact-size list of some", tc.cond, out.len(), tc.in.len(), cap(out.pos))
+		}
+	}
+}
+
+// TestInterpreterFilterAllocations pins case folding: an interpreted filter
+// over a column the statement spells in upper case resolves it against the
+// lower-cased scope without allocating per row — the name was folded when it
+// was parsed. (It used to cost one strings.ToLower allocation per row.)
+func TestInterpreterFilterAllocations(t *testing.T) {
+	db := buildEngineDB(3, 10000)
+	db.SetVectorized(false)
+	st, err := db.Prepare("SELECT COUNT(*) FROM f WHERE NOT (`GRP` = 'a') AND F.NUM >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int64
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = res.Rows.Data[0][0].I
+	})
+	// The interpreter's tail still allocates a scope per surviving row; the
+	// filter itself must add nothing per scanned row.
+	if perRow := (allocs - float64(rows)) / 10000; rows == 0 || perRow > 0.01 {
+		t.Errorf("interpreted filter allocates %.0f times for %d surviving of 10000 rows: %.3f per scanned row beyond the survivors' scopes, want 0", allocs, rows, perRow)
 	}
 }
 
@@ -318,7 +451,8 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 }
 
 // BenchmarkExecModes times one statement per batch mechanism — pushed
-// comparison kernels, the hash-join probe, grouped accumulators, a
+// comparison kernels, the hash-join probe on a TEXT key (coarseKey) and on
+// an INTEGER key (the cell itself), grouped accumulators, a
 // bounded top-k heap on a column that is not projected, ungrouped
 // accumulators — under each execution mode: the naive executor (100k
 // only: its nested-loop join takes minutes at 1M), the planned row-wise
@@ -331,6 +465,7 @@ func BenchmarkExecModes(b *testing.B) {
 	queries := []struct{ name, sql string }{
 		{"filter", "SELECT id FROM f WHERE num > 50 AND flag = 1"},
 		{"join", "SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp"},
+		{"join_int", "SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight"},
 		{"agg", "SELECT grp, COUNT(*), SUM(num), AVG(num), MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp"},
 		{"topk", "SELECT id FROM f ORDER BY num DESC, id LIMIT 8"},
 		{"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"},

@@ -37,12 +37,14 @@ type Result struct {
 	// from scan to tail (empty for other statements). Like Batches it is
 	// telemetry only. "rows" is the row path: rows materialised at the scan
 	// and handed downstream. A vectorized single-table SELECT instead
-	// carries row positions and reports its tail consumer — "positions/topk"
-	// (ORDER BY through a bounded heap), "positions/agg" (typed aggregate
-	// accumulators) or "positions/gather" (plain projection) — or, when the
-	// planner could not prove a consumer equivalent, "rows(<reason>)" with
-	// the clause that disqualified it: where, projection, order-by, limit,
-	// aggregate, group-by or having.
+	// carries row positions, and a vectorized hash join (left, right)
+	// position pairs, and each reports its tail consumer — "positions/topk"
+	// or "pairs/topk" (ORDER BY through a bounded heap), "positions/agg" or
+	// "pairs/agg" (typed aggregate accumulators), "positions/gather" or
+	// "pairs/gather" (plain projection) — or, when the planner could not
+	// prove a consumer equivalent, "rows(<reason>)" with the clause that
+	// disqualified it: where, projection, order-by, limit, aggregate,
+	// group-by or having.
 	Path string
 }
 
@@ -188,8 +190,8 @@ type scope struct {
 // resolve finds a column by (optionally qualified) name, walking outward
 // through parent scopes. Ambiguous unqualified references within one scope
 // level are an error, as in SQLite.
-func (s *scope) resolve(table, name string) (Value, error) {
-	lt, ln := strings.ToLower(table), strings.ToLower(name)
+func (s *scope) resolve(cr *ColumnRef) (Value, error) {
+	lt, ln := cr.folded()
 	for cur := s; cur != nil; cur = cur.parent {
 		found := -1
 		for i, c := range cur.cols {
@@ -200,7 +202,7 @@ func (s *scope) resolve(table, name string) (Value, error) {
 				continue
 			}
 			if found >= 0 {
-				return Value{}, fmt.Errorf("sqlengine: ambiguous column name %q", name)
+				return Value{}, fmt.Errorf("sqlengine: ambiguous column name %q", cr.Name)
 			}
 			found = i
 		}
@@ -208,10 +210,10 @@ func (s *scope) resolve(table, name string) (Value, error) {
 			return cur.row[found], nil
 		}
 	}
-	if table != "" {
-		return Value{}, fmt.Errorf("sqlengine: no such column: %s.%s", table, name)
+	if cr.Table != "" {
+		return Value{}, fmt.Errorf("sqlengine: no such column: %s.%s", cr.Table, cr.Name)
 	}
-	return Value{}, fmt.Errorf("sqlengine: no such column: %s", name)
+	return Value{}, fmt.Errorf("sqlengine: no such column: %s", cr.Name)
 }
 
 // rowSet is an intermediate relation during FROM evaluation. logical is
@@ -355,80 +357,49 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 		}
 		ec.notePath(sel, pathRowsWhere)
 	}
-	// 1. FROM (with pushdown placement when the plan allows it)
-	src, fp, err := ec.execFrom(sel, outer, pl)
+	// 1. FROM (with pushdown placement when the plan allows it). What comes
+	// back is a selection: every row of a scanned or nested-loop relation,
+	// or a hash join's position pairs.
+	src, s, fp, err := ec.execFrom(sel, outer, pl)
 	if err != nil {
 		return nil, err
 	}
-	// 2. WHERE. The scope and environment are reused across rows: filter
-	// environments are never retained (unlike projection environments,
-	// which ORDER BY may consult later).
-	var filtered [][]Value
-	if fp != nil {
+	// 2. WHERE thins the selection. A safe-total conjunction over a big
+	// enough input runs as a batch filter — the AND-tree passes iff every
+	// conjunct is true, and short-circuit differences are unobservable on
+	// pure total expressions; anything else runs through the interpreter,
+	// every row in order.
+	batch := pl != nil && pl.whereSafe && ec.useBatch(s.len())
+	var conj []Expr
+	switch {
+	case fp != nil:
 		// Pushdown ran: pushed conjuncts were applied during the scans and
 		// every conjunct is safe-total, so a row passes the original WHERE
 		// iff every residual conjunct is true on it.
-		switch {
-		case len(fp.residual) == 0:
-			filtered = src.rows
-		case ec.useBatch(len(src.rows)):
-			filtered, err = ec.filterIntermediate(src.cols, src.rows, fp.residual, outer)
-			if err != nil {
-				return nil, err
-			}
-		default:
-			sc := &scope{cols: src.cols, parent: outer}
-			env := &evalEnv{ec: ec, sc: sc}
-			for _, row := range src.rows {
-				sc.row = row
-				pass := true
-				for _, e := range fp.residual {
-					v, err := env.eval(e)
-					if err != nil {
-						return nil, err
-					}
-					if t, known := v.Truth(); !t || !known {
-						pass = false
-						break
-					}
-				}
-				if pass {
-					filtered = append(filtered, row)
-				}
-			}
+		conj = fp.residual
+	case sel.Where != nil && batch:
+		for _, c := range pl.where {
+			conj = append(conj, c.expr)
 		}
-	} else if sel.Where != nil {
-		// Without pushdown the WHERE can still run as a batch filter when
-		// the plan proves every conjunct safe-total: the AND-tree passes
-		// iff every conjunct is true, and short-circuit differences are
-		// unobservable on pure total expressions.
-		if pl != nil && pl.whereSafe && len(pl.where) > 0 && ec.useBatch(len(src.rows)) {
-			exprs := make([]Expr, len(pl.where))
-			for i, c := range pl.where {
-				exprs[i] = c.expr
-			}
-			filtered, err = ec.filterIntermediate(src.cols, src.rows, exprs, outer)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			sc := &scope{cols: src.cols, parent: outer}
-			env := &evalEnv{ec: ec, sc: sc}
-			for _, row := range src.rows {
-				sc.row = row
-				v, err := env.eval(sel.Where)
-				if err != nil {
-					return nil, err
-				}
-				if t, known := v.Truth(); t && known {
-					filtered = append(filtered, row)
-				}
-			}
-		}
-	} else {
-		filtered = src.rows
+	case sel.Where != nil:
+		conj = []Expr{sel.Where}
 	}
-	return ec.projectTail(sel, src, filtered, outer, pl)
+	switch {
+	case len(conj) == 0:
+	case batch:
+		s, err = ec.filterPositions(src.cols, s, compilePreds(&predSource{cols: src.cols, left: s.leftWidth()}, conj), outer)
+	default:
+		s, err = ec.filterInterpreted(src.cols, s, conj, outer)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// 3. The tail: on the pairs when a vectorized hash join produced them,
+	// on rows otherwise.
+	if ec.vec && s.right != nil {
+		return ec.tailPositions(sel, src, s, outer, pl)
+	}
+	return ec.projectTail(sel, src, s.materialise(), outer, pl)
 }
 
 // projectTail runs everything after the WHERE filter on materialised rows:
@@ -443,8 +414,8 @@ func (ec *execCtx) projectTail(sel *SelectStmt, src *rowSet, filtered [][]Value,
 		if err := ec.projectGrouped(sel, src, filtered, outer, out, pl); err != nil {
 			return nil, err
 		}
-	} else if ixs, ok := ec.planFastProjection(sel, src, out.columns); ok && ec.useBatch(len(filtered)) {
-		ec.projectIndexed(filtered, ixs, out)
+	} else if ixs, consts, ok := ec.planFastProjection(sel, src, out.columns); ok && ec.useBatch(len(filtered)) {
+		ec.projectIndexed(filtered, ixs, consts, out)
 	} else {
 		for _, row := range filtered {
 			sc := &scope{cols: src.cols, row: row, parent: outer}
@@ -868,32 +839,33 @@ func (ec *execCtx) projectGroupsParallel(sel *SelectStmt, src *rowSet, groups []
 }
 
 // planFastProjection decides whether the select list can run as a pure
-// index gather — every item a star or a uniquely resolving column
-// reference — and whether every ORDER BY term is static (ordinal or
+// index gather — every item a star, a uniquely resolving column reference
+// or a literal — and whether every ORDER BY term is static (ordinal or
 // output-column name), since gathered rows carry no evaluation
 // environment for ORDER BY expressions to use. Any resolution failure
 // falls back to the interpreted path so the naive error surfaces
 // verbatim.
-func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet, columns []string) ([]int, bool) {
+func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet, columns []string) (ixs []int, consts []Value, ok bool) {
 	if !ec.vec {
-		return nil, false
+		return nil, nil, false
 	}
-	ixs, ok := projectionCols(sel, src.cols)
-	if !ok {
-		return nil, false
+	if ixs, consts, ok = projectionCols(sel, src.cols); !ok {
+		return nil, nil, false
 	}
 	for _, ob := range sel.OrderBy {
 		if outputOrderTerm(ob.Expr, columns) < 0 {
-			return nil, false
+			return nil, nil, false
 		}
 	}
-	return ixs, true
+	return ixs, consts, true
 }
 
-// projectionCols maps a select list made only of stars and uniquely
-// resolving column references to source column positions, one per output
-// column. ok is false for any other select list.
-func projectionCols(sel *SelectStmt, cols []scopeCol) (ixs []int, ok bool) {
+// projectionCols maps a select list made only of stars, uniquely resolving
+// column references and literals (`SELECT 1 FROM t`, the body of most
+// EXISTS) to source column positions, one per output column; a literal's
+// entry is negative, ^ix indexing consts. ok is false for any other select
+// list.
+func projectionCols(sel *SelectStmt, cols []scopeCol) (ixs []int, consts []Value, ok bool) {
 	for _, item := range sel.Columns {
 		switch {
 		case item.Star && item.StarTable == "":
@@ -910,17 +882,22 @@ func projectionCols(sel *SelectStmt, cols []scopeCol) (ixs []int, ok bool) {
 				}
 			}
 			if !matched {
-				return nil, false
+				return nil, nil, false
 			}
 		default:
+			if lit, isLit := item.Expr.(*Literal); isLit {
+				ixs = append(ixs, ^len(consts))
+				consts = append(consts, lit.Val)
+				continue
+			}
 			idx, ok := bareColumn(item.Expr, cols)
 			if !ok {
-				return nil, false
+				return nil, nil, false
 			}
 			ixs = append(ixs, idx)
 		}
 	}
-	return ixs, true
+	return ixs, consts, true
 }
 
 // bareColumn resolves e as a plain column reference within cols. ok is
@@ -931,7 +908,7 @@ func bareColumn(e Expr, cols []scopeCol) (idx int, ok bool) {
 	if !isRef || cr.Name == "*" {
 		return -1, false
 	}
-	idx, n := resolveCols(cols, cr.Table, cr.Name)
+	idx, n := resolveCols(cols, cr)
 	return idx, n == 1
 }
 
@@ -959,7 +936,7 @@ func outputOrderTerm(e Expr, columns []string) int {
 // projectIndexed gathers the projected columns per row, morsel-parallel,
 // with nil environments (planFastProjection guaranteed nothing will need
 // them).
-func (ec *execCtx) projectIndexed(rows [][]Value, ixs []int, out *selOutput) {
+func (ec *execCtx) projectIndexed(rows [][]Value, ixs []int, consts []Value, out *selOutput) {
 	nm := morselCount(len(rows))
 	outs := make([][][]Value, nm)
 	ec.batchRun(nm, len(rows), nil, func(w, m int) {
@@ -969,7 +946,11 @@ func (ec *execCtx) projectIndexed(rows [][]Value, ixs []int, out *selOutput) {
 			row := rows[i]
 			vals := make([]Value, len(ixs))
 			for k, ix := range ixs {
-				vals[k] = row[ix]
+				if ix < 0 {
+					vals[k] = consts[^ix]
+				} else {
+					vals[k] = row[ix]
+				}
 			}
 			part = append(part, vals)
 		}
@@ -984,13 +965,17 @@ func (ec *execCtx) projectIndexed(rows [][]Value, ixs []int, out *selOutput) {
 
 // --- FROM evaluation ---
 
-func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (*rowSet, *fromPlan, error) {
+// execFrom evaluates the FROM clause. The relation it returns is described
+// by src (its columns) and listed by the selection: every row of a scan, a
+// subquery or a nested-loop join, or the position pairs of a hash join,
+// whose rows are not built here.
+func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (src *rowSet, s selection, fp *fromPlan, err error) {
 	items := sel.From
 	if len(items) == 0 {
 		// SELECT without FROM: a single empty row.
-		return &rowSet{rows: [][]Value{{}}, logical: 1}, nil, nil
+		return &rowSet{logical: 1}, selection{rows: [][]Value{{}}, all: true}, nil, nil
 	}
-	fp := ec.planFrom(pl, sel, outer)
+	fp = ec.planFrom(pl, sel, outer)
 	pushedFor := func(i int) []conjunct {
 		if fp == nil {
 			return nil
@@ -999,31 +984,37 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (*row
 	}
 	acc, err := ec.execFromItem(&items[0], outer, pushedFor(0))
 	if err != nil {
-		return nil, nil, err
+		return nil, selection{}, nil, err
 	}
+	s = selection{rows: acc.rows, all: true}
 	for i := 1; i < len(items); i++ {
 		right, err := ec.execFromItem(&items[i], outer, pushedFor(i))
 		if err != nil {
-			return nil, nil, err
+			return nil, selection{}, nil, err
 		}
 		var ja *joinAnalysis
 		if pl != nil && pl.joins != nil {
 			ja = pl.joins[i]
 		}
-		acc, err = ec.join(acc, right, items[i].Join, items[i].On, outer, ja)
-		if err != nil {
-			return nil, nil, err
+		// A join reads its left input as rows: an earlier hash join's pairs
+		// are materialised for the next one.
+		acc.rows = s.materialise()
+		if s, err = ec.join(acc, right, items[i].Join, items[i].On, outer, ja); err != nil {
+			return nil, selection{}, nil, err
 		}
+		cols := make([]scopeCol, 0, len(acc.cols)+len(right.cols))
+		cols = append(append(cols, acc.cols...), right.cols...)
+		acc = &rowSet{cols: cols, logical: s.len()}
 	}
-	return acc, fp, nil
+	return acc, s, fp, nil
 }
 
 // scanCols returns t's columns as a scan exposes them under the
 // (lower-cased) FROM name.
 func scanCols(name string, t *Table) []scopeCol {
-	cols := make([]scopeCol, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = scopeCol{table: name, name: strings.ToLower(c.Name)}
+	cols := make([]scopeCol, len(t.lowerCols))
+	for i, c := range t.lowerCols {
+		cols[i] = scopeCol{table: name, name: c}
 	}
 	return cols
 }
@@ -1080,7 +1071,7 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct)
 		if c.eqLit == nil {
 			continue
 		}
-		col, n := resolveCols(rs.cols, c.eqLit.col.Table, c.eqLit.col.Name)
+		col, n := resolveCols(rs.cols, c.eqLit.col)
 		if n != 1 {
 			continue
 		}
@@ -1123,12 +1114,13 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct)
 // join combines two relations. The logical pair count |L|·|R| is charged up
 // front — exactly the naive nested loop's total, and computed from the
 // inputs' logical cardinalities so that pushdown-filtered scans do not
-// change the charge. With a usable plan the join runs as a hash join;
-// otherwise the nested loop below runs with one reusable pair buffer and
-// environment (fresh slices are allocated only for emitted rows).
-func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope, ja *joinAnalysis) (*rowSet, error) {
+// change the charge. With a usable plan the join runs as a hash join, whose
+// output is position pairs; otherwise the nested loop below builds the
+// joined rows, with one reusable pair buffer and environment (fresh slices
+// are allocated only for emitted rows).
+func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope, ja *joinAnalysis) (selection, error) {
 	if err := ec.charge(int64(left.logical) * int64(right.logical)); err != nil {
-		return nil, err
+		return selection{}, err
 	}
 	if on != nil && ja != nil && ja.safe {
 		if equis, residual, ok := resolveHashJoin(left, right, ja, outer); ok {
@@ -1138,7 +1130,7 @@ func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope,
 	cols := make([]scopeCol, 0, len(left.cols)+len(right.cols))
 	cols = append(cols, left.cols...)
 	cols = append(cols, right.cols...)
-	out := &rowSet{cols: cols}
+	var out [][]Value
 	nullRight := make([]Value, len(right.cols))
 	buf := make([]Value, len(cols))
 	sc := &scope{cols: cols, row: buf, parent: outer}
@@ -1151,7 +1143,7 @@ func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope,
 			if on != nil {
 				v, err := env.eval(on)
 				if err != nil {
-					return nil, err
+					return selection{}, err
 				}
 				if t, known := v.Truth(); !t || !known {
 					continue
@@ -1160,17 +1152,16 @@ func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope,
 			matched = true
 			row := make([]Value, len(cols))
 			copy(row, buf)
-			out.rows = append(out.rows, row)
+			out = append(out, row)
 		}
 		if jt == JoinLeft && !matched {
 			row := make([]Value, 0, len(cols))
 			row = append(row, lr...)
 			row = append(row, nullRight...)
-			out.rows = append(out.rows, row)
+			out = append(out, row)
 		}
 	}
-	out.logical = len(out.rows)
-	return out, nil
+	return selection{rows: out, all: true}, nil
 }
 
 // --- DML execution ---
@@ -1204,13 +1195,8 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sqlengine: no such table: %s", up.Table)
 	}
-	cols := make([]scopeCol, len(t.Columns))
-	lt := strings.ToLower(t.Name)
-	for i, c := range t.Columns {
-		cols[i] = scopeCol{table: lt, name: strings.ToLower(c.Name)}
-	}
 	var n int64
-	sc := &scope{cols: cols}
+	sc := &scope{cols: scanCols(strings.ToLower(t.Name), t)}
 	env := &evalEnv{ec: ec, sc: sc}
 	for ri, row := range t.Rows {
 		if err := ec.charge(1); err != nil {
@@ -1253,14 +1239,9 @@ func (ec *execCtx) execDelete(del *DeleteStmt) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sqlengine: no such table: %s", del.Table)
 	}
-	cols := make([]scopeCol, len(t.Columns))
-	lt := strings.ToLower(t.Name)
-	for i, c := range t.Columns {
-		cols[i] = scopeCol{table: lt, name: strings.ToLower(c.Name)}
-	}
 	var kept [][]Value
 	var n int64
-	sc := &scope{cols: cols}
+	sc := &scope{cols: scanCols(strings.ToLower(t.Name), t)}
 	env := &evalEnv{ec: ec, sc: sc}
 	for _, row := range t.Rows {
 		if err := ec.charge(1); err != nil {

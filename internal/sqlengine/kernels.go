@@ -5,9 +5,10 @@ import "strings"
 // Vectorized predicate kernels. A kernel is a compiled per-row predicate
 // for one safe-total WHERE/ON conjunct: instead of walking the expression
 // tree and resolving column names per row, the shapes the planner already
-// recognises (col <op> literal, BETWEEN, IN, LIKE, IS NULL) compile once
-// into closures over a column vector (vector.go) or a row position, and
-// the filter loop in parallel.go applies them per morsel.
+// recognises (col <op> literal, BETWEEN, IN, LIKE, IS NULL, and NOT over
+// any of them) compile once into closures over a column vector (vector.go),
+// a row position or a selected row, and the filter loop in parallel.go
+// applies them per morsel.
 //
 // Every kernel replicates the row interpreter's semantics exactly — the
 // same NULL propagation, the same harmonise text/numeric coercion, the
@@ -19,11 +20,12 @@ import "strings"
 // which is what makes both forms legal inside parallel morsels.
 
 // rowPred is one compiled conjunct. Exactly one evaluation form applies:
-// byIdx (vector kernel over a base-table scan position), byRow (direct
-// row-slice kernel), or expr (worker-local interpreter fallback).
+// byIdx (kernel over a base-table scan position, reading a vector or the
+// table's rows), byRow (kernel over a selected row of an intermediate
+// relation, see selection.row), or expr (worker-local interpreter fallback).
 type rowPred struct {
 	byIdx func(i int) bool
-	byRow func(row []Value) bool
+	byRow func(l, r []Value) bool
 	expr  Expr
 }
 
@@ -98,11 +100,13 @@ func flipOp(op string) string {
 }
 
 // predSource abstracts where a kernel reads its column cells from: a
-// base-table scan position (with an optional typed vector) or a row slice.
+// base-table scan position (with an optional typed vector) or a selected
+// row of an intermediate relation.
 type predSource struct {
 	t    *Table // non-nil: scan source, kernels may be position-based
 	vecs bool   // consult t's columnar shadow (table is large enough)
 	cols []scopeCol
+	left int // a join's output: the left input's width (selection.leftWidth)
 }
 
 // resolveLocal resolves a column reference strictly within the source's
@@ -110,7 +114,7 @@ type predSource struct {
 // ambiguous or absent reference must keep its expression form so the
 // interpreter raises exactly the naive error.
 func (ps *predSource) resolveLocal(cr *ColumnRef) (int, bool) {
-	idx, n := resolveCols(ps.cols, cr.Table, cr.Name)
+	idx, n := resolveCols(ps.cols, cr)
 	return idx, n == 1
 }
 
@@ -126,71 +130,90 @@ func compilePreds(ps *predSource, exprs []Expr) []rowPred {
 }
 
 func compilePred(ps *predSource, e Expr) rowPred {
+	if p := compileKernel(ps, e, false); p.usable() {
+		return p
+	}
+	return rowPred{expr: e}
+}
+
+// compileKernel returns the kernel for e — for NOT e when neg — or an
+// unusable rowPred when e has no kernel shape. NOT distributes into the
+// shapes' own negation: a comparison takes the complementary mask (a NULL
+// cell or literal still fails, as NOT NULL does) and the others flip the
+// not flag their kernels already take. A negated column is read from the
+// rows: negation passes most of them, and a vector built for it would stay
+// resident for no gain a selective filter could repay.
+func compileKernel(ps *predSource, e Expr, neg bool) rowPred {
 	switch x := e.(type) {
+	case *Unary:
+		if x.Op == "NOT" {
+			rows := *ps
+			rows.vecs = false
+			return compileKernel(&rows, x.X, !neg)
+		}
 	case *Binary:
-		if mask := opMask(x.Op); mask != 0 {
+		if opMask(x.Op) != 0 {
+			maskFor := func(op string) uint8 {
+				if neg {
+					return opMask(op) ^ 7
+				}
+				return opMask(op)
+			}
 			if cr, ok := x.L.(*ColumnRef); ok && cr.Name != "*" {
 				if lit, ok := x.R.(*Literal); ok {
-					if p := cmpKernel(ps, cr, lit.Val, mask); p.usable() {
+					if p := cmpKernel(ps, cr, lit.Val, maskFor(x.Op)); p.usable() {
 						return p
 					}
 				}
 			}
 			if cr, ok := x.R.(*ColumnRef); ok && cr.Name != "*" {
 				if lit, ok := x.L.(*Literal); ok {
-					if p := cmpKernel(ps, cr, lit.Val, opMask(flipOp(x.Op))); p.usable() {
-						return p
-					}
+					return cmpKernel(ps, cr, lit.Val, maskFor(flipOp(x.Op)))
 				}
 			}
 		}
 	case *IsNullExpr:
 		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" {
-			if p := isNullKernel(ps, cr, x.Not); p.usable() {
-				return p
-			}
+			return isNullKernel(ps, cr, x.Not != neg)
 		}
 	case *BetweenExpr:
 		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" {
 			lo, lok := x.Lo.(*Literal)
 			hi, hok := x.Hi.(*Literal)
 			if lok && hok {
-				if p := betweenKernel(ps, cr, lo.Val, hi.Val, x.Not); p.usable() {
-					return p
-				}
+				return betweenKernel(ps, cr, lo.Val, hi.Val, x.Not != neg)
 			}
 		}
 	case *InExpr:
 		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" && x.Sub == nil {
 			lits := make([]Value, 0, len(x.List))
-			allLit := true
 			for _, le := range x.List {
 				lit, ok := le.(*Literal)
 				if !ok {
-					allLit = false
-					break
+					return rowPred{}
 				}
 				lits = append(lits, lit.Val)
 			}
-			if allLit {
-				if p := inKernel(ps, cr, lits, x.Not); p.usable() {
-					return p
-				}
-			}
+			return inKernel(ps, cr, lits, x.Not != neg)
 		}
 	case *LikeExpr:
 		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" {
 			if lit, ok := x.Pattern.(*Literal); ok {
-				if p := likeKernel(ps, cr, lit.Val, x.Not); p.usable() {
-					return p
-				}
+				return likeKernel(ps, cr, lit.Val, x.Not != neg)
 			}
 		}
 	}
-	return rowPred{expr: e}
+	return rowPred{}
 }
 
 func (p rowPred) usable() bool { return p.byIdx != nil || p.byRow != nil }
+
+// rowKernel is the row form of a kernel body: test applied to column col of
+// a selected row.
+func (ps *predSource) rowKernel(col int, test func(Value) bool) func(l, r []Value) bool {
+	c := splitCol(ps.left, col)
+	return func(l, r []Value) bool { return test(cell(l, r, c)) }
+}
 
 // cellAt builds a position-indexed cell reader for a scan source column.
 // Used by the generic kernel bodies when no typed specialisation applies.
@@ -218,7 +241,7 @@ func cmpKernel(ps *predSource, cr *ColumnRef, lit Value, mask uint8) rowPred {
 		return mask&cmpMask3(Compare(a, b)) != 0
 	}
 	if ps.t == nil {
-		return rowPred{byRow: func(row []Value) bool { return generic(row[col]) }}
+		return rowPred{byRow: ps.rowKernel(col, generic)}
 	}
 	if !ps.vecs {
 		cell := cellAt(ps, col)
@@ -298,7 +321,7 @@ func isNullKernel(ps *predSource, cr *ColumnRef, not bool) rowPred {
 		return rowPred{}
 	}
 	if ps.t == nil {
-		return rowPred{byRow: func(row []Value) bool { return row[col].IsNull() != not }}
+		return rowPred{byRow: ps.rowKernel(col, func(v Value) bool { return v.IsNull() != not })}
 	}
 	if ps.vecs {
 		vec := ps.t.columnVec(col)
@@ -330,7 +353,7 @@ func betweenKernel(ps *predSource, cr *ColumnRef, lo, hi Value, not bool) rowPre
 		return in != not
 	}
 	if ps.t == nil {
-		return rowPred{byRow: func(row []Value) bool { return generic(row[col]) }}
+		return rowPred{byRow: ps.rowKernel(col, generic)}
 	}
 	if ps.vecs {
 		vec := ps.t.columnVec(col)
@@ -379,7 +402,7 @@ func inKernel(ps *predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
 		return not
 	}
 	if ps.t == nil {
-		return rowPred{byRow: func(row []Value) bool { return generic(row[col]) }}
+		return rowPred{byRow: ps.rowKernel(col, generic)}
 	}
 	cell := cellAt(ps, col)
 	return rowPred{byIdx: func(i int) bool { return generic(cell(i)) }}
@@ -401,7 +424,7 @@ func likeKernel(ps *predSource, cr *ColumnRef, pattern Value, not bool) rowPred 
 		return likeRec(p, strings.ToLower(v.AsText())) != not
 	}
 	if ps.t == nil {
-		return rowPred{byRow: func(row []Value) bool { return generic(row[col]) }}
+		return rowPred{byRow: ps.rowKernel(col, generic)}
 	}
 	if ps.vecs {
 		vec := ps.t.columnVec(col)
@@ -419,7 +442,7 @@ func likeKernel(ps *predSource, cr *ColumnRef, pattern Value, not bool) rowPred 
 // constPred is a kernel with a row-independent verdict (e.g. `col = NULL`).
 func constPred(ps *predSource, res bool) rowPred {
 	if ps.t == nil {
-		return rowPred{byRow: func([]Value) bool { return res }}
+		return rowPred{byRow: func(l, r []Value) bool { return res }}
 	}
 	return rowPred{byIdx: func(int) bool { return res }}
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,9 +12,10 @@ import (
 // input into fixed-size morsels; a small worker group — the coordinating
 // goroutine plus workers borrowed from a process-wide per-core pool —
 // pulls morsel indices from an atomic counter, writes results into
-// per-morsel slots, and the coordinator concatenates the slots in morsel
-// order. That order-preserving merge is what keeps every parallel operator
-// emitting byte-identical rows to its serial counterpart.
+// per-morsel slots (a filter: into the morsel's own words of one bitmask),
+// and the coordinator concatenates the slots in morsel order. That
+// order-preserving merge is what keeps every parallel operator emitting
+// byte-identical rows to its serial counterpart.
 //
 // Only safe-total expressions (planner.go) ever run inside a morsel:
 // they cannot execute subqueries (the one path by which evaluation touches
@@ -194,50 +196,213 @@ func (ec *execCtx) batchRun(nUnits, gateRows int, setup func(workers int), fn fu
 // into rows. all stands for every position without listing them, so an
 // unfiltered scan costs nothing to describe; pos is never written through
 // (it may be an equality-index bucket).
+//
+// A hash join's output is a two-sided selection (right != nil): row i is
+// pairs[i], a position into rows — the join's left input — and one into the
+// right input, in the nested loop's emission order. The joined rows exist
+// only if materialise is called; filters thin the pair list and the tail
+// consumers of positions.go read cells through it.
 type selection struct {
+	rows  [][]Value
+	pos   []int
+	all   bool
+	right *rightSide
+	pairs []pair
+}
+
+// pair is one row of a join's output. r < 0 is a LEFT JOIN null extension.
+// int32 holds any position: a relation's rows have all been charged to
+// Cost, and maxCost ends the statement far below 2^31.
+type pair struct{ l, r int32 }
+
+// rightSide is the right input of a join: its rows, the all-NULL row that
+// stands in for them under a null extension, and the width of the left
+// input's rows — where the right row's columns start in the joined row.
+type rightSide struct {
 	rows [][]Value
-	pos  []int
-	all  bool
+	null []Value
+	left int
 }
 
-func (s selection) len() int {
-	if s.all {
-		return len(s.rows)
+// colAt addresses one column of a selected row (selection.row): which of
+// its two rows holds it — the only or left relation's, or for a join's
+// output the right relation's — and where. Consumers split their column
+// numbers once, so reading a cell costs the same whichever kind of
+// selection it is read from.
+type colAt struct{ side, col int }
+
+// cell reads column c of the selected row (l, r).
+func cell(l, r []Value, c colAt) Value {
+	if c.side != 0 {
+		l = r
 	}
-	return len(s.pos)
+	return l[c.col]
 }
 
-// at returns the row position of the i'th selected row.
-func (s selection) at(i int) int {
+// splitCol addresses column col of a row whose first left columns are the
+// left relation's (left 0: a one-sided row, everything in the only relation).
+func splitCol(left, col int) colAt {
+	if left > 0 && col >= left {
+		return colAt{side: 1, col: col - left}
+	}
+	return colAt{col: col}
+}
+
+// scopeRow returns the selected row (l, r) as one row slice for the
+// interpreter: l itself, or for a join's output both rows copied into buf
+// (one reused buffer per evaluating goroutine — nothing retains a scope's
+// row past the evaluation).
+func scopeRow(l, r, buf []Value) []Value {
+	if r == nil {
+		return l
+	}
+	copy(buf[copy(buf, l):], r)
+	return buf
+}
+
+// leftWidth is splitCol's left for s's rows.
+func (s *selection) leftWidth() int {
+	if s.right == nil {
+		return 0
+	}
+	return s.right.left
+}
+
+// colAt addresses column col of s's rows.
+func (s *selection) colAt(col int) colAt { return splitCol(s.leftWidth(), col) }
+
+// colsAt addresses columns cols of s's rows.
+func (s *selection) colsAt(cols []int) []colAt {
+	out := make([]colAt, len(cols))
+	for i, col := range cols {
+		out[i] = s.colAt(col)
+	}
+	return out
+}
+
+func (s *selection) len() int {
+	switch {
+	case s.all:
+		return len(s.rows)
+	case s.right != nil:
+		return len(s.pairs)
+	default:
+		return len(s.pos)
+	}
+}
+
+// at returns the row position of the i'th selected row of a one-sided
+// selection.
+func (s *selection) at(i int) int {
 	if s.all {
 		return i
 	}
 	return s.pos[i]
 }
 
-// materialise returns the selected rows as row slices, in order.
+// row returns the i'th selected row: the row of the only (or left) relation
+// and, for a join's output, the right relation's row (nil otherwise). Two
+// slices, not a struct of two: the compiler keeps a composite wider than
+// four words in memory, which cost the single-table consumers 20-50%.
+func (s *selection) row(i int) (l, r []Value) {
+	if s.right == nil {
+		return s.rows[s.at(i)], nil
+	}
+	p := s.pairs[i]
+	if p.r < 0 {
+		return s.rows[p.l], s.right.null
+	}
+	return s.rows[p.l], s.right.rows[p.r]
+}
+
+// materialise returns the selected rows as row slices, in order. A join's
+// rows are built here, in one backing array (one full-capacity sub-slice per
+// row, so appending to one cannot reach its neighbour).
 func (s selection) materialise() [][]Value {
 	if s.all {
 		return s.rows
 	}
-	out := make([][]Value, len(s.pos))
-	for i, p := range s.pos {
-		out[i] = s.rows[p]
+	if s.right == nil {
+		out := make([][]Value, len(s.pos))
+		for i, p := range s.pos {
+			out[i] = s.rows[p]
+		}
+		return out
+	}
+	if len(s.pairs) == 0 {
+		return nil
+	}
+	w := s.right.left + len(s.right.null)
+	backing := make([]Value, len(s.pairs)*w)
+	out := make([][]Value, len(s.pairs))
+	for i := range out {
+		l, r := s.row(i)
+		out[i] = scopeRow(l, r, backing[i*w:(i+1)*w:(i+1)*w])
+	}
+	return out
+}
+
+// pick returns the selection of s's rows idx, in idx's order (idx is
+// consumed). Only gathering may follow an idx that is not ascending.
+func (s selection) pick(idx []int) selection {
+	out := selection{rows: s.rows, right: s.right}
+	if s.right != nil {
+		out.pairs = make([]pair, len(idx))
+		for j, i := range idx {
+			out.pairs[j] = s.pairs[i]
+		}
+		return out
+	}
+	if !s.all {
+		for j, i := range idx {
+			idx[j] = s.pos[i]
+		}
+	}
+	out.pos = idx
+	return out
+}
+
+// keep returns the selection of the n rows of s whose bit is set in mask.
+// When that is all of them it is s itself: pos may go on aliasing an index
+// bucket, all stays all.
+func (s selection) keep(mask []uint64, n int) selection {
+	if n == s.len() {
+		return s
+	}
+	out := selection{rows: s.rows, right: s.right}
+	if s.right != nil {
+		out.pairs = make([]pair, n)
+	} else {
+		out.pos = make([]int, n)
+	}
+	k := 0
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if s.right != nil {
+				out.pairs[k] = s.pairs[i]
+			} else {
+				out.pos[k] = s.at(i)
+			}
+			k++
+		}
 	}
 	return out
 }
 
 // filterPositions applies compiled predicates to the selected rows,
-// morsel-parallel, and returns the survivors' positions in input order.
-// Index-form kernels (byIdx) require in.rows to be the exact slice the
-// predicates were compiled against (a base table's rows); expression
-// fallbacks evaluate with a worker-local environment. Each worker collects
-// a morsel's survivors in one reused buffer and keeps an exact-size copy,
-// so a selective filter allocates by what passes, not by what is scanned.
-func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPred, outer *scope) ([]int, error) {
+// morsel-parallel, and returns the selection of the survivors, in input
+// order. Index-form kernels (byIdx) require in to be a selection of the
+// base table the predicates were compiled against; expression fallbacks
+// evaluate with a worker-local environment (and, over a join's output, a
+// worker-local pair buffer). Workers mark survivors in a bitmask — a morsel
+// is morselRows/64 whole words, so they share none — and the output is
+// allocated once, at its exact size, or not at all when everything passes.
+func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPred, outer *scope) (selection, error) {
 	n := in.len()
 	nm := morselCount(n)
-	outs := make([][]int, nm)
+	mask := make([]uint64, (n+63)/64)
+	counts := make([]int, nm)
 	errs := make([]error, nm)
 	needEnv := false
 	for _, p := range preds {
@@ -245,102 +410,99 @@ func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPre
 			needEnv = true
 		}
 	}
-	var envs []*evalEnv
-	var bufs [][]int
+	type evalState struct {
+		env *evalEnv
+		buf []Value
+	}
+	var states []evalState
 	ec.batchRun(nm, n, func(workers int) {
-		envs = make([]*evalEnv, workers)
-		bufs = make([][]int, workers)
+		states = make([]evalState, workers)
 	}, func(w, m int) {
-		var env *evalEnv
-		if needEnv {
-			env = envs[w]
-			if env == nil {
-				env = &evalEnv{ec: ec, sc: &scope{cols: cols, parent: outer}}
-				envs[w] = env
+		st := &states[w]
+		if needEnv && st.env == nil {
+			st.env = &evalEnv{ec: ec, sc: &scope{cols: cols, parent: outer}}
+			if in.right != nil {
+				st.buf = make([]Value, len(cols))
 			}
 		}
+		// A morsel starts on a word boundary: its survivors are gathered a
+		// word at a time and each word is written once.
 		lo, hi := morselBounds(m, n)
-		buf := bufs[w][:0]
-		for i := lo; i < hi; i++ {
-			pos := in.at(i)
-			row := in.rows[pos]
-			pass := true
-			for _, p := range preds {
-				var ok bool
-				switch {
-				case p.byIdx != nil:
-					ok = p.byIdx(pos)
-				case p.byRow != nil:
-					ok = p.byRow(row)
-				default:
-					env.sc.row = row
-					v, err := env.eval(p.expr)
-					if err != nil {
-						errs[m] = err
-						return
+		for base := lo; base < hi; base += 64 {
+			var word uint64
+			for i := base; i < min(base+64, hi); i++ {
+				pass := true
+				for _, p := range preds {
+					var ok bool
+					switch {
+					case p.byIdx != nil:
+						ok = p.byIdx(in.at(i))
+					case p.byRow != nil:
+						ok = p.byRow(in.row(i))
+					default:
+						l, r := in.row(i)
+						st.env.sc.row = scopeRow(l, r, st.buf)
+						v, err := st.env.eval(p.expr)
+						if err != nil {
+							errs[m] = err
+							return
+						}
+						t, known := v.Truth()
+						ok = t && known
 					}
-					t, known := v.Truth()
-					ok = t && known
+					if !ok {
+						pass = false
+						break
+					}
 				}
-				if !ok {
-					pass = false
-					break
+				if pass {
+					word |= 1 << (i - base)
 				}
 			}
-			if pass {
-				buf = append(buf, pos)
-			}
-		}
-		bufs[w] = buf
-		if len(buf) > 0 {
-			outs[m] = append([]int(nil), buf...)
+			mask[base/64] = word
+			counts[m] += bits.OnesCount64(word)
 		}
 	})
-	for _, err := range errs {
+	total := 0
+	for m, err := range errs {
 		if err != nil {
-			return nil, err
+			return selection{}, err
 		}
+		total += counts[m]
+	}
+	return in.keep(mask, total), nil
+}
+
+// filterInterpreted is the serial, in-order filter for what may not run
+// inside morsels (an unsafe WHERE: subqueries charge Cost and fill the memo)
+// or is too small to: every selected row is visited in order and passes iff
+// every expression is true on it, evaluation stopping at the first that is
+// not. A join's output is evaluated in one reused pair buffer.
+func (ec *execCtx) filterInterpreted(cols []scopeCol, in selection, exprs []Expr, outer *scope) (selection, error) {
+	n := in.len()
+	mask := make([]uint64, (n+63)/64)
+	sc := &scope{cols: cols, parent: outer}
+	env := &evalEnv{ec: ec, sc: sc}
+	var buf []Value
+	if in.right != nil {
+		buf = make([]Value, len(cols))
 	}
 	total := 0
-	for _, o := range outs {
-		total += len(o)
+rows:
+	for i := 0; i < n; i++ {
+		l, r := in.row(i)
+		sc.row = scopeRow(l, r, buf)
+		for _, e := range exprs {
+			v, err := env.eval(e)
+			if err != nil {
+				return selection{}, err
+			}
+			if t, known := v.Truth(); !t || !known {
+				continue rows
+			}
+		}
+		mask[i/64] |= 1 << (i % 64)
+		total++
 	}
-	// Concatenating in morsel order restores serial emission order.
-	res := make([]int, 0, total)
-	for _, o := range outs {
-		res = append(res, o...)
-	}
-	return res, nil
-}
-
-// runFilter is filterPositions over every row of an intermediate relation,
-// emitting the surviving rows.
-func (ec *execCtx) runFilter(cols []scopeCol, rows [][]Value, preds []rowPred, outer *scope) ([][]Value, error) {
-	pos, err := ec.filterPositions(cols, selection{rows: rows, all: true}, preds, outer)
-	if err != nil {
-		return nil, err
-	}
-	return selection{rows: rows, pos: pos}.materialise(), nil
-}
-
-// concatRowMorsels merges per-morsel outputs in morsel order — the step
-// that restores serial emission order after parallel execution.
-func concatRowMorsels(outs [][][]Value) [][]Value {
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	res := make([][]Value, 0, total)
-	for _, o := range outs {
-		res = append(res, o...)
-	}
-	return res
-}
-
-// filterIntermediate is the batch filter for post-join and WHERE-residual
-// stages: row-form kernels (no columnar shadow exists for intermediate
-// relations) with expression fallback, morsel parallel.
-func (ec *execCtx) filterIntermediate(cols []scopeCol, rows [][]Value, exprs []Expr, outer *scope) ([][]Value, error) {
-	ps := &predSource{cols: cols}
-	return ec.runFilter(cols, rows, compilePreds(ps, exprs), outer)
+	return in.keep(mask, total), nil
 }

@@ -1035,15 +1035,15 @@ func (p *Parser) parseIdentExpr() (Expr, error) {
 			// table.* in expression position is only valid inside COUNT();
 			// represent as a column ref with Name "*", the evaluator rejects
 			// it outside aggregate contexts.
-			return &ColumnRef{Table: name, Name: "*"}, nil
+			return newColumnRef(name, "*"), nil
 		}
 		col, err := p.expectIdentLike()
 		if err != nil {
 			return nil, err
 		}
-		return &ColumnRef{Table: name, Name: col}, nil
+		return newColumnRef(name, col), nil
 	}
-	return &ColumnRef{Name: name}, nil
+	return newColumnRef("", name), nil
 }
 
 func (p *Parser) parseFuncArgs(name string) (Expr, error) {

@@ -28,7 +28,8 @@ import (
 //     `left.col = right.col` become hash conditions, the rest become
 //     residual filters on hash-matched pairs. The output relation equals
 //     the nested-loop output in content *and order* (probe in left-row
-//     order, buckets hold right-row positions ascending). The join still
+//     order, each key's right rows chained ascending), and is emitted as
+//     (left, right) position pairs, not rows (hashjoin.go). The join still
 //     charges |L|·|R| — the naive pair count — via the rowSet's logical
 //     cardinality. Residual conjuncts are evaluated on fewer pairs than
 //     the naive loop would, so they must be provably pure: subquery-free
@@ -579,11 +580,11 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 		visible := itemCols[:i+1]
 		for _, c := range ja.conj {
 			for _, r := range c.refs {
-				_, cnt := resolveItems(visible, r.Table, r.Name)
+				_, cnt := resolveItems(visible, r)
 				if cnt > 1 {
 					return nil
 				}
-				if cnt == 0 && outerResolveClass(outer, r.Table, r.Name) != 1 {
+				if cnt == 0 && outerResolveClass(outer, r) != 1 {
 					return nil
 				}
 			}
@@ -612,12 +613,12 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 	for _, c := range pl.where {
 		target := -1 // item index; -1 undecided, -2 multi-item
 		for _, r := range c.refs {
-			item, cnt := resolveItems(itemCols, r.Table, r.Name)
+			item, cnt := resolveItems(itemCols, r)
 			if cnt > 1 {
 				return nil // naive evaluation raises "ambiguous column name"
 			}
 			if cnt == 0 {
-				if outerResolveClass(outer, r.Table, r.Name) != 1 {
+				if outerResolveClass(outer, r) != 1 {
 					return nil // "no such column" (or outer ambiguity) must surface naively
 				}
 				continue // correlated reference: fine, scan scopes chain to outer
@@ -644,8 +645,8 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 // resolveItems resolves a column reference against the FROM items' columns
 // as one scope level (the executor's join scope), returning the owning item
 // and the total number of matches across all items.
-func resolveItems(itemCols [][]scopeCol, table, name string) (item, count int) {
-	lt, ln := strings.ToLower(table), strings.ToLower(name)
+func resolveItems(itemCols [][]scopeCol, cr *ColumnRef) (item, count int) {
+	lt, ln := cr.folded()
 	item = -1
 	for i, cols := range itemCols {
 		for _, c := range cols {
@@ -666,8 +667,8 @@ func resolveItems(itemCols [][]scopeCol, table, name string) (item, count int) {
 
 // resolveCols counts matches for a reference within one column list,
 // returning the first matching position.
-func resolveCols(cols []scopeCol, table, name string) (idx, count int) {
-	lt, ln := strings.ToLower(table), strings.ToLower(name)
+func resolveCols(cols []scopeCol, cr *ColumnRef) (idx, count int) {
+	lt, ln := cr.folded()
 	idx = -1
 	for i, c := range cols {
 		if c.name != ln {
@@ -687,9 +688,9 @@ func resolveCols(cols []scopeCol, table, name string) (idx, count int) {
 // outerResolveClass classifies how a reference resolves in the outer scope
 // chain: 1 = uniquely at some level, 2 = ambiguous at the first level that
 // matches, 0 = nowhere.
-func outerResolveClass(outer *scope, table, name string) int {
+func outerResolveClass(outer *scope, cr *ColumnRef) int {
 	for cur := outer; cur != nil; cur = cur.parent {
-		_, n := resolveCols(cur.cols, table, name)
+		_, n := resolveCols(cur.cols, cr)
 		if n == 1 {
 			return 1
 		}

@@ -189,7 +189,8 @@ var crossCheckQueries = []string{
 // tailCheckQueries cover what happens after the scan of one table — ORDER
 // BY, LIMIT/OFFSET, DISTINCT, aggregates — on the fixture table m: every
 // shape the positions path (positions.go) takes over, and next to each the
-// nearest shape that must fall back to the row path.
+// nearest shape that must fall back to the row path; then the same tails
+// over a hash join's pairs, and the filters the served SQL has.
 var tailCheckQueries = []string{
 	// Top-k: multi-key ASC/DESC with ties on every key, so the position
 	// tie-break is what orders most of the output.
@@ -284,6 +285,58 @@ var tailCheckQueries = []string{
 	"SELECT id, (SELECT COUNT(*) FROM m WHERE m.a = t.flag) FROM t WHERE id < 5",
 	"SELECT id, (SELECT m.id FROM m WHERE m.a = t.flag ORDER BY m.b DESC, m.id LIMIT 1) FROM t WHERE id < 5",
 	"SELECT a FROM m WHERE b = 1 UNION ALL SELECT b FROM m WHERE a = 1 ORDER BY 1 LIMIT 5",
+	// Negation kernels: the complement of each comparison (NULL cells fail
+	// both ways), NOT over the shapes that carry their own flag, a double
+	// negation, a NULL literal, a negation with no kernel shape.
+	"SELECT COUNT(*), SUM(v) FROM m WHERE NOT (a = 2)",
+	"SELECT id FROM m WHERE NOT (mixed = 's1') AND NOT (b < 1)",
+	"SELECT id FROM m WHERE NOT (mixed >= 2)",
+	"SELECT id FROM m WHERE NOT (1 < a)",
+	"SELECT id FROM m WHERE NOT (a BETWEEN 1 AND 2) AND NOT (b NOT BETWEEN 0 AND 1)",
+	"SELECT id FROM m WHERE NOT (a IN (1, 3)) AND NOT (mixed NOT IN ('s0', 1, NULL))",
+	"SELECT id FROM m WHERE NOT (mixed LIKE 's%') AND NOT (a IS NULL)",
+	"SELECT id FROM m WHERE NOT (nul IS NOT NULL) AND NOT NOT (a = 1)",
+	"SELECT id FROM m WHERE NOT (a = NULL)",
+	"SELECT id FROM m WHERE NOT (a = b) AND NOT (a + 1 = 2)",
+	"SELECT id FROM t WHERE NOT (grp = 'a') AND NOT (num > 50)",
+	// Literal select items, the body of most EXISTS.
+	"SELECT 1 FROM m WHERE a = 1",
+	"SELECT 'x', id, 2.5, NULL FROM m ORDER BY 1, a DESC, id LIMIT 4",
+	"SELECT DISTINCT 1 FROM m",
+	"SELECT DISTINCT 1, b FROM m ORDER BY 2",
+	"SELECT 1 FROM m WHERE a = 12345",
+	"SELECT id FROM t WHERE id < 4 AND EXISTS (SELECT 1 FROM m WHERE m.a = t.flag)",
+	// The served joins: COUNT(*) behind a pushed negation, behind an unsafe
+	// EXISTS, on INTEGER keys (t.id, acc.t_id and flag/weight hold nothing
+	// else) and on an INTEGER key against numeric TEXT.
+	"SELECT COUNT(*) FROM t JOIN g ON (t.grp = g.grp) WHERE NOT (g.label = 'L1')",
+	"SELECT COUNT(*) FROM t JOIN g ON (t.grp = g.grp) WHERE ((g.label = 'L1') AND EXISTS (SELECT 1 FROM t))",
+	"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp WHERE g.label = 'L2' AND EXISTS (SELECT 1 FROM acc WHERE acc.t_id = t.id)",
+	"SELECT COUNT(*), SUM(acc.id) FROM t JOIN acc ON t.id = acc.t_id",
+	"SELECT COUNT(*) FROM t JOIN g ON t.flag = g.weight",
+	"SELECT COUNT(*), MIN(acc.num_text) FROM acc JOIN t ON acc.num_text = t.id WHERE NOT (acc.kind = 'zz')",
+	// Every consumer over pairs: top-k on the right side's column with NULL
+	// extensions among the keys, gather windows, DISTINCT, grouped
+	// accumulators keyed by either side, a third table, compound arms.
+	"SELECT t.id, g.label FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY g.weight DESC, t.id LIMIT 6",
+	"SELECT t.id, g.label FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY 2, 1 DESC LIMIT 4 OFFSET 3",
+	"SELECT g.*, t.id FROM t JOIN g ON t.grp = g.grp LIMIT 5 OFFSET 2",
+	"SELECT 1, g.label FROM t LEFT JOIN g ON t.grp = g.grp WHERE g.label IS NULL",
+	"SELECT DISTINCT g.label, t.flag FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY 1 DESC, 2",
+	"SELECT g.label, COUNT(*), COUNT(g.weight), AVG(t.num), MAX(g.label) FROM t LEFT JOIN g ON t.grp = g.grp GROUP BY g.label ORDER BY 2 DESC, 1",
+	"SELECT t.flag, g.weight, MIN(t.id) FROM t JOIN g ON t.grp = g.grp AND t.num > g.weight GROUP BY t.flag, g.weight",
+	"SELECT acc.kind, COUNT(*) FROM t JOIN g ON t.grp = g.grp JOIN acc ON acc.t_id = t.id GROUP BY acc.kind ORDER BY 1",
+	"SELECT t.id FROM t JOIN acc ON t.id = acc.t_id WHERE t.id = 99999 ORDER BY acc.id LIMIT 2",
+	"SELECT g.label FROM t JOIN g ON t.grp = g.grp WHERE t.flag = 1 EXCEPT SELECT g.label FROM t JOIN g ON t.grp = g.grp WHERE t.num > 90",
+	// Pair-tail fallbacks and errors: a column both sides have, by name and
+	// over no rows (where nothing may be raised), expressions, HAVING.
+	"SELECT grp FROM t JOIN g ON t.grp = g.grp",
+	"SELECT grp FROM t JOIN g ON t.grp = g.grp WHERE t.id = 99999",
+	"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY grp LIMIT 3",
+	"SELECT COUNT(grp) FROM t JOIN g ON t.grp = g.grp",
+	"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight, t.id LIMIT 3",
+	"SELECT g.label, COUNT(*) FROM t JOIN g ON t.grp = g.grp GROUP BY g.label HAVING COUNT(*) > 3",
+	"SELECT t.id FROM t JOIN g ON t.grp = g.grp WHERE NOT (nosuch = 1)",
 }
 
 func TestPlannerCrossValidation(t *testing.T) {
@@ -393,6 +446,25 @@ func TestHashJoinLeftJoinNullRows(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows.Data, want) {
 		t.Fatalf("LEFT JOIN rows = %v, want %v", rows.Data, want)
+	}
+
+	// The same through each consumer of the join's pairs: the extension's
+	// NULLs counted, sorted first, and filtered for.
+	for _, tc := range []struct {
+		sql, path string
+		want      [][]Value
+	}{
+		{"SELECT COUNT(*), COUNT(r.v), MIN(r.v) FROM l LEFT JOIN r ON l.k = r.k", "pairs/agg", [][]Value{{Int(5), Int(3), Text("va")}}},
+		{"SELECT l.id, r.v FROM l LEFT JOIN r ON l.k = r.k ORDER BY r.v, l.id DESC LIMIT 3", "pairs/topk", [][]Value{{Int(3), Null()}, {Int(2), Null()}, {Int(1), Text("va")}}},
+		{"SELECT l.id FROM l LEFT JOIN r ON l.k = r.k WHERE r.k IS NULL", "pairs/gather", [][]Value{{Int(2)}, {Int(3)}}},
+	} {
+		res, err := db.Exec(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Path != tc.path || !reflect.DeepEqual(res.Rows.Data, tc.want) {
+			t.Errorf("%s: path %q rows %v, want %q %v", tc.sql, res.Path, res.Rows.Data, tc.path, tc.want)
+		}
 	}
 }
 

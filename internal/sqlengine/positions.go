@@ -7,8 +7,10 @@ import (
 
 // Late materialisation. A vectorized SELECT over one base table does not
 // turn its scan into rows: the scan, the index bucket and the filters hand
-// on a selection (parallel.go) — ascending positions into t.Rows — and one
-// of three consumers builds []Value rows only for what the query returns:
+// on a selection (parallel.go) — ascending positions into t.Rows — and a
+// vectorized hash join does not build joined rows: it hands on a two-sided
+// selection, (left, right) position pairs in emission order. One of three
+// consumers then builds []Value rows only for what the query returns:
 //
 //   - top-k: ORDER BY over source columns keeps the best LIMIT+OFFSET
 //     positions in a bounded heap ordered by (keys, position) and sorts
@@ -21,24 +23,33 @@ import (
 //   - gather: a projection of bare columns copies the returned window into
 //     one backing array.
 //
-// All three are serial and read t.Rows[pos][col] directly: no column vector
-// is built for a column that is only sorted or aggregated. Nothing is
-// charged here beyond the scan, exactly as execFromItem charges it.
+// All three are serial and read the relations' rows directly (selection.row
+// and cell: one row for a table's selection, the left or the right row for
+// a join's):
+// no column vector is built for a column that is only sorted, aggregated or
+// joined. Nothing is charged here beyond the scan, exactly as execFromItem
+// charges it.
 //
 // A consumer applies only where evaluating less than the row path does
 // cannot be observed: every expression it skips is a column read that
 // cannot fail, and LIMIT/OFFSET are constants. Everything else — expression
 // keys or projections, DISTINCT aggregates, HAVING, an ORDER BY that needs
-// the row's environment, a computed LIMIT — materialises the selection once
-// and continues on projectTail, the row path's own tail, which stays the
-// reference implementation.
+// the row's environment, a computed LIMIT, a column name the two sides of a
+// join share — materialises the selection once (for a join: builds the
+// joined rows it kept) and continues on projectTail, the row path's own
+// tail, which stays the reference implementation.
 
-// Result.Path values.
+// Result.Path values: the consumer, prefixed by what it consumed — a
+// table's positions or a join's pairs — or the row path with the clause that
+// sent a candidate back to it.
 const (
 	pathRows           = "rows"
 	pathTopK           = "positions/topk"
 	pathAgg            = "positions/agg"
 	pathGather         = "positions/gather"
+	pathPairsTopK      = "pairs/topk"
+	pathPairsAgg       = "pairs/agg"
+	pathPairsGather    = "pairs/gather"
 	pathRowsWhere      = "rows(where)"
 	pathRowsProjection = "rows(projection)"
 	pathRowsOrderBy    = "rows(order-by)"
@@ -101,29 +112,40 @@ func (ec *execCtx) execSelectPositions(sel *SelectStmt, outer *scope, pl *select
 			// Position kernels over the rows themselves: a residual is not
 			// worth building a column vector for.
 			ps := &predSource{t: t, cols: src.cols}
-			pos, err := ec.filterPositions(src.cols, s, compilePreds(ps, residual), outer)
-			if err != nil {
+			var err error
+			if s, err = ec.filterPositions(src.cols, s, compilePreds(ps, residual), outer); err != nil {
 				return nil, err
 			}
-			s = selection{rows: t.Rows, pos: pos}
 		}
 	}
+	return ec.tailPositions(sel, src, s, outer, pl)
+}
 
+// tailPositions produces a SELECT's result from the selection its FROM and
+// WHERE left — a table's positions or a join's pairs: the consumer the
+// select list allows, or projectTail over the materialised selection.
+func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, outer *scope, pl *selectPlan) (*Rows, error) {
+	path := func(positions, pairs string) string {
+		if s.right != nil {
+			return pairs
+		}
+		return positions
+	}
 	columns := projectionNames(sel, src)
 	var reason string
 	if len(sel.GroupBy) > 0 || anyAggregate(sel) {
 		var ap *aggPlan
 		if ap, reason = planAggTail(sel, src.cols, columns); ap != nil {
-			ec.notePath(sel, pathAgg)
+			ec.notePath(sel, path(pathAgg, pathPairsAgg))
 			return ec.aggregatePositions(sel, s, ap, columns, outer)
 		}
 	} else {
 		var rp *rowTailPlan
 		if rp, reason = planRowTail(sel, src.cols, columns); rp != nil {
 			if len(rp.keys) > 0 {
-				ec.notePath(sel, pathTopK)
+				ec.notePath(sel, path(pathTopK, pathPairsTopK))
 			} else {
-				ec.notePath(sel, pathGather)
+				ec.notePath(sel, path(pathGather, pathPairsGather))
 			}
 			return ec.rowTailPositions(sel, s, rp, columns, outer)
 		}
@@ -152,7 +174,7 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, o
 		if c.eqLit == nil {
 			continue
 		}
-		col, n := resolveCols(cols, c.eqLit.col.Table, c.eqLit.col.Name)
+		col, n := resolveCols(cols, c.eqLit.col)
 		if n != 1 {
 			continue
 		}
@@ -166,11 +188,7 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, o
 		break
 	}
 	ps := &predSource{t: t, vecs: s.all, cols: cols}
-	pos, err := ec.filterPositions(cols, s, compilePreds(ps, exprs), outer)
-	if err != nil {
-		return selection{}, err
-	}
-	return selection{rows: t.Rows, pos: pos}, nil
+	return ec.filterPositions(cols, s, compilePreds(ps, exprs), outer)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---
@@ -182,27 +200,29 @@ type orderKey struct {
 }
 
 // rowTailPlan is a non-grouped SELECT whose tail runs on positions: output
-// column i is source column ixs[i], ORDER BY reads the source columns in
+// column i is source column ixs[i] — or the literal consts[^ixs[i]] when
+// that is negative (projectionCols) — ORDER BY reads the source columns in
 // keys, and LIMIT/OFFSET are constants.
 type rowTailPlan struct {
-	ixs  []int
-	keys []orderKey
+	ixs    []int
+	consts []Value
+	keys   []orderKey
 }
 
 // planRowTail proves a non-grouped select list runs on positions, or names
-// the clause that prevents it. The select list must be stars and bare
-// columns; every ORDER BY term must be one evalOrderTerm answers with a
+// the clause that prevents it. The select list must be stars, bare columns
+// and literals; every ORDER BY term must be one evalOrderTerm answers with a
 // column read — an in-range ordinal, an output column name (both read the
 // projected column), or a column reference resolving uniquely in the scan
 // — because those cannot fail on any row, which makes sorting fewer rows
 // than the row path unobservable; and LIMIT/OFFSET must be constants for
 // the same reason, since they are read before the sort instead of after.
 func planRowTail(sel *SelectStmt, cols []scopeCol, columns []string) (*rowTailPlan, string) {
-	ixs, ok := projectionCols(sel, cols)
+	ixs, consts, ok := projectionCols(sel, cols)
 	if !ok {
 		return nil, pathRowsProjection
 	}
-	rp := &rowTailPlan{ixs: ixs}
+	rp := &rowTailPlan{ixs: ixs, consts: consts}
 	for _, ob := range sel.OrderBy {
 		col, ok := bareColumn(ob.Expr, cols)
 		if oi := outputOrderTerm(ob.Expr, columns); oi >= 0 {
@@ -211,7 +231,9 @@ func planRowTail(sel *SelectStmt, cols []scopeCol, columns []string) (*rowTailPl
 		if !ok {
 			return nil, pathRowsOrderBy
 		}
-		rp.keys = append(rp.keys, orderKey{col: col, desc: ob.Desc})
+		if col >= 0 { // a literal output column orders nothing
+			rp.keys = append(rp.keys, orderKey{col: col, desc: ob.Desc})
+		}
 	}
 	if !constLimit(sel.Limit) || !constLimit(sel.Offset) {
 		return nil, pathRowsLimit
@@ -254,69 +276,83 @@ func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPla
 	if len(rp.keys) > 0 {
 		// The one selection not in ascending order: it is only ever
 		// gathered.
-		s = selection{rows: s.rows, pos: topPositions(s, rp.keys, hi)}
+		s = s.pick(topPositions(&s, rp.keys, hi))
 	}
-	out.Data = gatherRows(s, lo, hi, rp.ixs)
+	out.Data = gatherRows(&s, lo, hi, rp)
 	return out, nil
 }
 
-// gatherRows copies columns ixs of selected rows lo..hi into one backing
-// array, one full-capacity sub-slice per row so appending to a result row
-// cannot reach its neighbour.
-func gatherRows(s selection, lo, hi int, ixs []int) [][]Value {
-	w := len(ixs)
+// gatherRows projects selected rows lo..hi into one backing array, one
+// full-capacity sub-slice per row so appending to a result row cannot reach
+// its neighbour.
+func gatherRows(s *selection, lo, hi int, rp *rowTailPlan) [][]Value {
+	w := len(rp.ixs)
+	cols := s.colsAt(rp.ixs)
 	backing := make([]Value, (hi-lo)*w)
 	data := make([][]Value, hi-lo)
 	for i := range data {
 		vals := backing[i*w : (i+1)*w : (i+1)*w]
-		row := s.rows[s.at(lo+i)]
-		for k, ix := range ixs {
-			vals[k] = row[ix]
+		l, r := s.row(lo + i)
+		for k, c := range cols {
+			if c.col < 0 {
+				vals[k] = rp.consts[^c.col]
+			} else {
+				vals[k] = cell(l, r, c)
+			}
 		}
 		data[i] = vals
 	}
 	return data
 }
 
-// distinctPositions keeps the first position of every distinct projected
-// row — dedupeOutput's rule, applied before anything is projected.
+// distinctPositions keeps the first of every distinct projected row —
+// dedupeOutput's rule, applied before anything is projected. Literal
+// columns (negative ixs) are the same in every row and tell none apart.
 func distinctPositions(s selection, ixs []int) selection {
 	seen := make(map[string]struct{})
+	cols := s.colsAt(ixs)
 	var kept []int
 	var buf []byte
 	for i, n := 0, s.len(); i < n; i++ {
-		p := s.at(i)
-		row := s.rows[p]
+		l, r := s.row(i)
 		buf = buf[:0]
-		for _, ix := range ixs {
-			buf = row[ix].AppendKey(buf)
+		for _, c := range cols {
+			if c.col < 0 {
+				continue
+			}
+			buf = cell(l, r, c).AppendKey(buf)
 			buf = append(buf, '\x00')
 		}
 		if _, dup := seen[string(buf)]; !dup {
 			seen[string(buf)] = struct{}{}
-			kept = append(kept, p)
+			kept = append(kept, i)
 		}
 	}
-	return selection{rows: s.rows, pos: kept}
+	return s.pick(kept)
 }
 
-// topPositions returns the first k positions of s in ORDER BY order.
-// before(a, b) — keys in turn, then the lower position — is the strict
-// total order a stable sort of the scan realises. Selection and ordering are
+// topPositions returns the first k rows of s in ORDER BY order, as indexes
+// into s. before(a, b) — keys in turn, then the lower index, which is the
+// earlier row of the scan or of the join's emission — is the strict total
+// order a stable sort of the input realises. Selection and ordering are
 // separate steps: a max-heap keeps the k best positions seen so far, its
 // root replaced whenever a later row sorts before it, which ends holding
 // exactly the rows a full stable sort would put first; the k kept positions
 // are then sorted. With k >= len there is nothing to select and the heap
 // never exists, so the one choice made here follows from k and n alone.
-func topPositions(s selection, keys []orderKey, k int) []int {
+func topPositions(s *selection, keys []orderKey, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	rows := s.rows
+	at := make([]colAt, len(keys))
+	for i, key := range keys {
+		at[i] = s.colAt(key.col)
+	}
 	before := func(a, b int) bool {
-		ra, rb := rows[a], rows[b]
-		for _, key := range keys {
-			if c := Compare(ra[key.col], rb[key.col]); c != 0 {
+		la, ra := s.row(a)
+		lb, rb := s.row(b)
+		for i, key := range keys {
+			if c := Compare(cell(la, ra, at[i]), cell(lb, rb, at[i])); c != 0 {
 				return (c < 0) != key.desc
 			}
 		}
@@ -324,7 +360,7 @@ func topPositions(s selection, keys []orderKey, k int) []int {
 	}
 	h := make([]int, k)
 	for i := range h {
-		h[i] = s.at(i)
+		h[i] = i
 	}
 	if n := s.len(); k < n {
 		// siftDown restores the heap below i: every parent sorts after its
@@ -349,8 +385,8 @@ func topPositions(s selection, keys []orderKey, k int) []int {
 			siftDown(i)
 		}
 		for i := k; i < n; i++ {
-			if p := s.at(i); before(p, h[0]) {
-				h[0] = p
+			if before(i, h[0]) {
+				h[0] = i
 				siftDown(0)
 			}
 		}
@@ -359,7 +395,7 @@ func topPositions(s selection, keys []orderKey, k int) []int {
 		if before(a, b) {
 			return -1
 		}
-		return 1 // positions are distinct, so never equal
+		return 1 // indexes are distinct, so never equal
 	})
 	return h
 }
@@ -547,35 +583,38 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 	w := len(ap.items)
 	var (
 		states []aggState // w per group, group-major
-		reps   []int      // each group's first position
+		reps   []int      // each group's first row, as an index into s
 		groups map[string]int
 		kb     []byte
 	)
+	groupAt, itemAt := s.colsAt(ap.groupCols), make([]colAt, w)
+	for k, it := range ap.items {
+		itemAt[k] = s.colAt(it.col)
+	}
 	if len(ap.groupCols) == 0 {
 		// One implicit group, present even over no rows; its
 		// representative is then an all-NULL row.
 		states, reps = make([]aggState, w), []int{-1}
 		if s.len() > 0 {
-			reps[0] = s.at(0)
+			reps[0] = 0
 		}
 	} else {
 		groups = make(map[string]int)
 	}
 	for i, n := 0, s.len(); i < n; i++ {
-		p := s.at(i)
-		row := s.rows[p]
+		l, r := s.row(i)
 		g := 0
 		if groups != nil {
 			kb = kb[:0]
-			for _, col := range ap.groupCols {
-				kb = row[col].AppendKey(kb)
+			for _, c := range groupAt {
+				kb = cell(l, r, c).AppendKey(kb)
 				kb = append(kb, '\x00')
 			}
 			var seen bool
 			if g, seen = groups[string(kb)]; !seen {
 				g = len(reps)
 				groups[string(kb)] = g
-				reps = append(reps, p)
+				reps = append(reps, i)
 				for range ap.items {
 					states = append(states, aggState{})
 				}
@@ -584,7 +623,7 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		st := states[g*w : (g+1)*w]
 		for k, it := range ap.items {
 			if it.fn != aggGroupCol {
-				st[k].add(it.fn, row[it.col])
+				st[k].add(it.fn, cell(l, r, itemAt[k]))
 			}
 		}
 	}
@@ -598,7 +637,8 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 			case it.fn != aggGroupCol:
 				vals[k] = states[g*w+k].result(it.fn)
 			case rep >= 0:
-				vals[k] = s.rows[rep][it.col]
+				l, r := s.row(rep)
+				vals[k] = cell(l, r, itemAt[k])
 			}
 		}
 		out.add(vals, nil)

@@ -96,18 +96,18 @@ func localFrame(db *Database, sel *SelectStmt) (frameCols, bool) {
 			return nil, false
 		}
 		cols := make(map[string]bool, len(t.Columns))
-		for _, c := range t.Columns {
-			cols[strings.ToLower(c.Name)] = true
+		for _, c := range t.lowerCols {
+			cols[c] = true
 		}
 		frame[strings.ToLower(fi.Name())] = cols
 	}
 	return frame, true
 }
 
-// refResolves reports whether a (table, name) column reference resolves in
-// any frame, innermost last — mirroring scope.resolve without values.
-func refResolves(frames []frameCols, table, name string) bool {
-	lt, ln := strings.ToLower(table), strings.ToLower(name)
+// refResolves reports whether a column reference resolves in any frame,
+// innermost last — mirroring scope.resolve without values.
+func refResolves(frames []frameCols, cr *ColumnRef) bool {
+	lt, ln := cr.folded()
 	for _, frame := range frames {
 		if lt != "" {
 			if cols, ok := frame[lt]; ok && (ln == "*" || cols[ln]) {
@@ -134,7 +134,7 @@ func exprCorrelated(db *Database, e Expr, frames []frameCols) bool {
 	case *Literal:
 		return false
 	case *ColumnRef:
-		return !refResolves(frames, x.Table, x.Name)
+		return !refResolves(frames, x)
 	case *Unary:
 		return exprCorrelated(db, x.X, frames)
 	case *Binary:

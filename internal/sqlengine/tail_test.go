@@ -40,6 +40,17 @@ func tailCase(p *picker) (inserts []string, query string) {
 		inserts = append(inserts, fmt.Sprintf("INSERT INTO z VALUES (%d, %s, %s, %s)", i, p.of(cells...), p.of(cells...), p.of(cells...)))
 	}
 	where := p.of("", "", " WHERE a = 1", " WHERE a = 'x'", " WHERE a = 7", " WHERE b > 0", " WHERE c IS NULL", " WHERE a = 1 AND b < 2", " WHERE 1 = 0")
+	return inserts, selectAround(p, tailCols{id: "id", a: "a", b: "b", c: "c", qa: "z.a"}, " FROM z"+where)
+}
+
+// tailCols names the four columns a generated tail reads — a row id and three
+// value columns — and a qualified spelling of the first value column.
+type tailCols struct{ id, a, b, c, qa string }
+
+// selectAround generates the select list and the tail of one SELECT around a
+// given FROM/WHERE: a row tail or an aggregate tail over columns n (see
+// tailCase). It is what tailCase and joinCase share, so both run every tail.
+func selectAround(p *picker, n tailCols, from string) string {
 	limits := []string{"", " LIMIT 3", " LIMIT 0", " LIMIT 1", " LIMIT 100", " LIMIT -1", " LIMIT -5", " LIMIT 9223372036854775807", " LIMIT 1 + 1"}
 	offsets := []string{"", " OFFSET 1", " OFFSET 0", " OFFSET 2", " OFFSET 100", " OFFSET -1", " OFFSET 9223372036854775807"}
 	tail := func() string {
@@ -50,7 +61,7 @@ func tailCase(p *picker) (inserts []string, query string) {
 		return limit + p.of(offsets...)
 	}
 	if p.pick(3) == 0 {
-		cols := []string{"a", "b", "c"}
+		cols := []string{n.a, n.b, n.c}
 		aggs := []string{"COUNT(*)", "COUNT(%s)", "SUM(%s)", "TOTAL(%s)", "AVG(%s)", "MIN(%s)", "MAX(%s)", "COUNT(DISTINCT %s)", "GROUP_CONCAT(%s)"}
 		agg := func() string {
 			a := p.of(aggs...)
@@ -61,37 +72,43 @@ func tailCase(p *picker) (inserts []string, query string) {
 		}
 		list := agg() + ", " + agg()
 		group, order := "", ""
-		if g := p.of("", "a", "b", "a, b", "a + 1"); g != "" {
+		if g := p.of("", n.a, n.b, n.a+", "+n.b, n.a+" + 1"); g != "" {
 			list, group = g+", "+list, " GROUP BY "+g
 			order = p.of("", " ORDER BY 1", " ORDER BY 2 DESC, 1", " ORDER BY COUNT(*), 1")
 		}
-		return inserts, "SELECT " + p.of("", "DISTINCT ") + list + " FROM z" + where + group + order + tail()
+		return "SELECT " + p.of("", "DISTINCT ") + list + from + group + order + tail()
 	}
-	list := p.of("id", "id, a", "*", "a, b", "b AS a, id", "c", "id + 1")
+	list := p.of(n.id, n.id+", "+n.a, "*", n.a+", "+n.b, n.b+" AS a, "+n.id, n.c, n.id+" + 1")
 	order := ""
 	if p.pick(4) > 0 {
-		terms := []string{"a", "b", "c", "id", "1", "z.a", "a + b", "9", "nosuch"}
+		terms := []string{n.a, n.b, n.c, n.id, "1", n.qa, n.a + " + " + n.b, "9", "nosuch"}
 		dirs := []string{"", " DESC", " ASC"}
 		order = " ORDER BY " + p.of(terms...) + p.of(dirs...)
 		if p.pick(2) == 0 {
 			order += ", " + p.of(terms...) + p.of(dirs...)
 		}
 	}
-	return inserts, "SELECT " + p.of("", "", "DISTINCT ") + list + " FROM z" + where + order + tail()
+	return "SELECT " + p.of("", "", "DISTINCT ") + list + from + order + tail()
 }
 
 // checkTailCase runs the generated query in every execution mode against the
-// naive executor: same error-ness, rows and logical Cost. The vectorized
-// configurations force the batch gate open so the positions path runs on
-// the small table.
+// naive executor.
 func checkTailCase(t *testing.T, data []byte) {
 	t.Helper()
 	inserts, query := tailCase(&picker{data: data})
+	checkEveryMode(t, append([]string{"CREATE TABLE z (id INTEGER, a INTEGER, b INTEGER, c INTEGER)"}, inserts...), query)
+}
+
+// checkEveryMode builds one database per execution mode from the set-up
+// statements and runs query in each against the naive executor: same
+// error-ness, rows and logical Cost. The vectorized configurations force
+// the batch gate open so the batch paths run on the small tables.
+func checkEveryMode(t *testing.T, setup []string, query string) {
+	t.Helper()
 	build := func(configure func(*Database)) *Database {
-		db := NewDatabase("tail")
-		db.MustExec("CREATE TABLE z (id INTEGER, a INTEGER, b INTEGER, c INTEGER)")
-		for _, ins := range inserts {
-			db.MustExec(ins)
+		db := NewDatabase("generated")
+		for _, st := range setup {
+			db.MustExec(st)
 		}
 		configure(db)
 		return db

@@ -27,6 +27,7 @@ package texttosql
 import (
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strings"
 
 	"repro/internal/dataset"
@@ -501,12 +502,8 @@ func fingerprint(rows *sqlengine.Rows) string {
 		}
 		lines = append(lines, sb.String())
 	}
-	// Insertion sort: result sets are small.
-	for i := 1; i < len(lines); i++ {
-		for j := i; j > 0 && lines[j] < lines[j-1]; j-- {
-			lines[j], lines[j-1] = lines[j-1], lines[j]
-		}
-	}
+	// The served SQL can lose its LIMIT: a result set is not always small.
+	sort.Strings(lines)
 	return strings.Join(lines, "\x01")
 }
 

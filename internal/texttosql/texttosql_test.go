@@ -1,12 +1,15 @@
 package texttosql
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/llm"
+	"repro/internal/sqlengine"
 )
 
 var (
@@ -307,5 +310,70 @@ func TestValueIndexBuiltOncePerDB(t *testing.T) {
 	}
 	if &v1[0] != &v2[0] {
 		t.Fatal("distinctValues rebuilt its slice on a repeat lookup")
+	}
+}
+
+// fingerprintRows builds an n-row result in a fixed shuffled order, with
+// duplicate rows, NULLs and every kind of value.
+func fingerprintRows(n int) *sqlengine.Rows {
+	rows := &sqlengine.Rows{Columns: []string{"a", "b"}}
+	x := uint64(12345)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		var b sqlengine.Value
+		switch x >> 61 {
+		case 0:
+			b = sqlengine.Null()
+		case 1:
+			b = sqlengine.Float(float64(x>>40) / 8)
+		case 2:
+			b = sqlengine.Text(fmt.Sprintf("t%d", x>>50))
+		default:
+			b = sqlengine.Int(int64(x >> 52))
+		}
+		rows.Data = append(rows.Data, []sqlengine.Value{sqlengine.Int(int64(x>>33) % int64(n/2+1)), b})
+	}
+	return rows
+}
+
+// TestFingerprintMatchesInsertionSort pins fingerprint's bytes to those of
+// the quadratic loop it used to sort with, and its growth to a sort's: the
+// served SQL returns tens of thousands of rows when it loses its LIMIT, and
+// eight times the rows must not cost sixty-four times the time.
+func TestFingerprintMatchesInsertionSort(t *testing.T) {
+	rows := fingerprintRows(3000)
+	lines := make([]string, 0, len(rows.Data))
+	for _, r := range rows.Data {
+		var sb strings.Builder
+		for _, v := range r {
+			sb.WriteString(v.Key())
+			sb.WriteByte(0)
+		}
+		lines = append(lines, sb.String())
+	}
+	for i := 1; i < len(lines); i++ {
+		for j := i; j > 0 && lines[j] < lines[j-1]; j-- {
+			lines[j], lines[j-1] = lines[j-1], lines[j]
+		}
+	}
+	if got, want := fingerprint(rows), strings.Join(lines, "\x01"); got != want {
+		t.Fatalf("fingerprint of %d shuffled rows differs from the insertion-sorted reference", len(rows.Data))
+	}
+
+	best := func(rows *sqlengine.Rows) time.Duration {
+		min := time.Hour
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			fingerprint(rows)
+			if d := time.Since(t0); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	small, large := best(rows), best(fingerprintRows(24000))
+	t.Logf("fingerprint: %d rows %v, 24000 rows %v", len(rows.Data), small, large)
+	if large > 32*small {
+		t.Errorf("fingerprint of 8x the rows took %.0fx the time (%v vs %v): quadratic again?", float64(large)/float64(small), large, small)
 	}
 }
