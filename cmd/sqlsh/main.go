@@ -88,7 +88,7 @@ func main() {
 			if timing {
 				state = "on"
 			}
-			fmt.Printf("timing %s (prepare vs execute, via the prepared-plan cache, plus execution mode)\n", state)
+			fmt.Printf("timing %s (prepare vs execute, via the prepared-plan cache, plus morsels, workers and the tail's path)\n", state)
 			fmt.Print("> ")
 			continue
 		}
@@ -177,12 +177,13 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 			if cacheHit {
 				source = "plan cache hit"
 			}
-			// Physical execution mode: row-at-a-time (serial) vs vectorized
-			// batches, the widest parallel fan-out any operator reached, and
-			// for a SELECT the path its tail took (Result.Path).
+			// Physical execution: the morsels filters and probes ran in (none
+			// below the engine's batch threshold: the interpreter, serially),
+			// the widest parallel fan-out any operator reached, and for a
+			// SELECT the path its tail took (Result.Path).
 			mode := "serial"
 			if res.Batches > 0 {
-				mode = fmt.Sprintf("vectorized, %d batches", res.Batches)
+				mode = fmt.Sprintf("%d morsels", res.Batches)
 			}
 			if res.Workers > 1 {
 				mode += fmt.Sprintf(", %d workers", res.Workers)

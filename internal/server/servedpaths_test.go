@@ -24,11 +24,6 @@ import (
 // shape: their literals.
 var servedLiteral = regexp.MustCompile(`'[^']*'|\b\d+(\.\d+)?\b`)
 
-// smallestBatchTable is sqlengine's default batch gate: a single-table
-// statement over fewer rows never was a candidate for the positions path
-// and reports plain "rows".
-const smallestBatchTable = 1024
-
 // TestServedSynthPaths is the histogram ROADMAP 2(b) asks the kernel list to
 // be driven from: the financial schema at 10,000 rows, the bench's 40-question
 // workload, one server with seedd's defaults, every question asked once, and
@@ -99,23 +94,32 @@ func TestServedSynthPaths(t *testing.T) {
 	}
 
 	hist := make(map[string]int)
+	existsServed := 0
 	for _, s := range all {
 		hist[s.path+"  "+servedLiteral.ReplaceAllString(s.sql, "?")]++
 		sel, err := sqlengine.ParseSelect(s.sql)
 		if err != nil {
 			t.Fatalf("served SQL does not parse: %s: %v", s.sql, err)
 		}
-		small := len(sel.From) == 1
-		if tab, ok := db.Engine.Table(sel.From[0].Table); !ok || len(tab.Rows) >= smallestBatchTable {
-			small = false
+		// Every served statement is a planned SELECT: whatever the size of its
+		// tables its tail is a consumer's, or the interpreter's with the clause
+		// that declined it — never plain rows.
+		if s.path == "rows" {
+			t.Errorf("served statement never reached a tail consumer: %s", s.sql)
 		}
-		aggregate := strings.HasPrefix(s.sql, "SELECT COUNT(") || strings.HasPrefix(s.sql, "SELECT SUM(") || strings.HasPrefix(s.sql, "SELECT AVG(")
-		if aggregate && s.path == "rows" && !small {
-			t.Errorf("aggregate ran on materialised rows: %s", s.sql)
+		// ROADMAP 2(b)'s leftover: an unsafe EXISTS beside a single-table
+		// filter is interpreted per row, and the count still runs on positions.
+		if and, ok := sel.Where.(*sqlengine.Binary); ok && and.Op == "AND" && len(sel.From) == 1 {
+			if _, exists := and.R.(*sqlengine.ExistsExpr); exists {
+				existsServed++
+				if s.path != "positions/agg" {
+					t.Errorf("single-table WHERE … AND EXISTS (…) reports %q, want positions/agg: %s", s.path, s.sql)
+				}
+			}
 		}
-		if notOnly, ok := sel.Where.(*sqlengine.Unary); ok && notOnly.Op == "NOT" && s.path == "rows(where)" {
-			t.Errorf("a WHERE that is only a NOT fell back to the row path: %s", s.sql)
-		}
+	}
+	if existsServed == 0 {
+		t.Error("no single-table WHERE … AND EXISTS (…) statement was served: its path is no longer pinned")
 	}
 	lines := make([]string, 0, len(hist))
 	for k, n := range hist {

@@ -126,10 +126,9 @@ type Database struct {
 	plans      *planCache
 	plannerOff bool
 
-	// Batch-execution knobs (see parallel.go). Zero values mean defaults:
-	// vectorized execution on, parallelism = GOMAXPROCS, threshold
-	// constants from parallel.go.
-	vectorOff  bool
+	// Overrides of parallel.go's worker cap and engagement thresholds; zero
+	// means the default. Nothing outside the package's tests sets them
+	// (export_test.go), so that small fixtures reach the kernels and fan-out.
 	workers    int
 	minVecRows int
 	minParRows int
@@ -140,46 +139,14 @@ func NewDatabase(name string) *Database {
 	return &Database{Name: name, tables: make(map[string]*Table), plans: newPlanCache()}
 }
 
-// SetPlanner enables or disables the query planner (plan-driven hash joins,
-// predicate pushdown and point-lookup indexes). The planner is on by
-// default; turning it off forces the naive executor, which by construction
-// produces identical rows and identical Cost — the switch exists for the
-// equivalence tests and the nested-vs-hash benchmarks.
+// SetPlanner enables or disables the query planner: plan-driven hash joins,
+// predicate pushdown, point-lookup indexes, filter kernels and the
+// late-materialising tail (positions.go). The planner is on by default;
+// turning it off forces the naive executor — full scans into nested loops,
+// the interpreter on every row — which by construction produces identical
+// rows, errors and Cost. It is the reference every equivalence test and the
+// evaluation oracles compare against, which is what the switch exists for.
 func (db *Database) SetPlanner(enabled bool) { db.plannerOff = !enabled }
-
-// SetVectorized enables or disables the columnar batch executor (vectorized
-// scan-filter kernels, morsel-parallel filters, joins and grouping; see
-// parallel.go) and with it the late-materialising tail of single-table
-// SELECTs and hash joins (positions.go). It is on by default and engages
-// only for planned execution; turning it off forces the row-at-a-time
-// interpreter everywhere. Like SetPlanner, the switch changes only the
-// physical execution: rows, row order, errors and the logical Result.Cost
-// are identical either way — the property the vectorized-on/off ×
-// planner-on/off equivalence tests pin.
-func (db *Database) SetVectorized(enabled bool) { db.vectorOff = !enabled }
-
-// SetParallelism caps the number of worker goroutines a single batch
-// operator may use. 0 (the default) means GOMAXPROCS; 1 forces serial
-// batch execution (vectorized kernels still apply). The cap is a request:
-// workers beyond the first are borrowed from a process-wide per-core pool
-// and under concurrent query load an operator degrades toward serial
-// rather than oversubscribing the machine.
-func (db *Database) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.workers = n
-}
-
-// SetBatchTuning overrides the batch executor's engagement thresholds:
-// minVecRows is the smallest table scan that consults the columnar shadow,
-// minParRows the smallest operator input that may fan out to parallel
-// workers. Zero restores the defaults (parallel.go). Intended for tests
-// and benchmarks that need the batch paths to engage on small fixtures.
-func (db *Database) SetBatchTuning(minVecRows, minParRows int) {
-	db.minVecRows = minVecRows
-	db.minParRows = minParRows
-}
 
 // Table returns the named table (case-insensitive).
 func (db *Database) Table(name string) (*Table, bool) {

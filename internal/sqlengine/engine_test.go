@@ -9,12 +9,12 @@ import (
 )
 
 // TestVectorizedPlannerMatrix is the engine's core equivalence guarantee:
-// every combination of planner on/off and vectorized on/off (plus parallel
-// workers) must produce byte-identical rows AND byte-identical logical
-// Cost against the naive reference for the full planner battery.
-// SetBatchTuning(1, 1) forces the batch path to engage even on the small
-// fixtures, so every kernel in kernels.go is exercised against the
-// interpreter on the same queries.
+// the planned engine must produce byte-identical rows AND byte-identical
+// logical Cost against the naive reference for the full planner battery —
+// as it runs on tables this size in production, and with the kernels and
+// fan-out forced onto them. SetBatchTuning(1, 1) (export_test.go) makes the
+// batch operators engage even on the small fixtures, so every kernel in
+// kernels.go is exercised against the interpreter on the same queries.
 func TestVectorizedPlannerMatrix(t *testing.T) {
 	// The tail queries run after the planner battery so its subtests keep
 	// their numbers.
@@ -27,11 +27,11 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 			name string
 			db   *Database
 		}{
-			{"planned row-wise", func() *Database {
-				db := buildMultiDB(seed, 60)
-				db.SetVectorized(false)
-				return db
-			}()},
+			// No hook set. At the default gates a 60-row fixture is below
+			// every batch threshold, so each pushed filter, residual and probe
+			// runs row-wise through the interpreter and hands its selection to
+			// the tail consumers: the path BIRD-sized tables take when served.
+			{"planned row-wise", buildMultiDB(seed, 60)},
 			{"planned vectorized serial", func() *Database {
 				db := buildMultiDB(seed, 60)
 				db.SetBatchTuning(1, 1)
@@ -45,8 +45,8 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 				return db
 			}()},
 			{"unplanned with vec flags set", func() *Database {
-				// Planner off must ignore the vectorized machinery entirely:
-				// identical to naive by construction, pinned here anyway.
+				// Planner off must ignore the hooks entirely: identical to
+				// naive by construction, pinned here anyway.
 				db := buildMultiDB(seed, 60)
 				db.SetPlanner(false)
 				db.SetBatchTuning(1, 1)
@@ -66,8 +66,8 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 
 // engineQueries are the shapes that matter at scale: pushdown filter
 // kernels, parallel hash-join probes, LEFT JOIN null extension, grouped
-// aggregation, fast projection with ORDER BY/LIMIT. Subquery-free but for
-// one uncorrelated EXISTS (evaluated once), so the big-input cross-check
+// aggregation, gathered projection with ORDER BY/LIMIT. Subquery-free but
+// for one uncorrelated EXISTS (evaluated once), so the big-input cross-check
 // stays O(n).
 var engineQueries = []string{
 	"SELECT id FROM f WHERE num > 50 AND flag = 1",
@@ -105,6 +105,9 @@ var engineQueries = []string{
 	"SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight",
 	"SELECT f.id, d.label FROM f LEFT JOIN d ON f.grp = d.grp ORDER BY d.weight DESC, f.id LIMIT 9",
 	"SELECT d.label, COUNT(*), AVG(f.num) FROM f LEFT JOIN d ON f.grp = d.grp WHERE NOT (f.flag = 1) GROUP BY d.label",
+	// An expression key: with HAVING above, the grouped shapes no consumer
+	// takes, so the interpreter's tail groups every row (rows(group-by)).
+	"SELECT num % 10, COUNT(*), SUM(num) FROM f GROUP BY num % 10",
 }
 
 // buildEngineDB bulk-loads a database big enough to cross the *default*
@@ -138,7 +141,7 @@ func buildEngineDB(seed int64, n int) *Database {
 	return db
 }
 
-// TestEngineCrossValidationAtScale cross-checks the batch engine against
+// TestEngineCrossValidationAtScale cross-checks the planned engine against
 // the naive executor on inputs large enough that morsel splitting, the
 // worker pool, and the columnar scan kernels all engage with production
 // thresholds.
@@ -147,15 +150,12 @@ func TestEngineCrossValidationAtScale(t *testing.T) {
 	if testing.Short() {
 		n = 9000 // still > defMinParRows and > 2 morsels
 	}
-	vec := buildEngineDB(5, n)
-	vec.SetParallelism(4)
+	planned := buildEngineDB(5, n)
+	planned.SetParallelism(4)
 	naive := buildEngineDB(5, n)
 	naive.SetPlanner(false)
-	rowwise := buildEngineDB(5, n)
-	rowwise.SetVectorized(false)
 	for _, q := range engineQueries {
-		crossCheck(t, vec, naive, q)
-		crossCheck(t, rowwise, naive, q)
+		crossCheck(t, planned, naive, q)
 	}
 }
 
@@ -180,13 +180,18 @@ func TestResultReportsPhysicalExecution(t *testing.T) {
 	}
 }
 
-// TestResultPath pins Result.Path: which consumer the tail of a vectorized
-// single-table SELECT (positions/…) or hash join (pairs/…) ran on, which
-// clause sent a candidate back to the row path, and plain "rows" for
-// everything that never was a candidate.
+// TestResultPath pins Result.Path: which consumer the tail of a planned
+// SELECT ran on — over one relation's rows (positions/…: a table, a
+// sub-select, a nested loop's output) or over a hash join's pairs (pairs/…)
+// — which clause sent it to the interpreter's tail instead, and plain "rows"
+// for what never reaches a consumer: compound arms and the naive reference.
 func TestResultPath(t *testing.T) {
-	vec := buildMultiDB(1, 60)
-	vec.SetBatchTuning(1, 1)
+	forced := buildMultiDB(1, 60)
+	forced.SetBatchTuning(1, 1)
+	planned := buildMultiDB(1, 60)
+	naive := buildMultiDB(1, 60)
+	naive.SetBatchTuning(1, 1)
+	naive.SetPlanner(false)
 	for _, tc := range []struct{ sql, want string }{
 		{"SELECT id FROM m ORDER BY a DESC, id LIMIT 5", "positions/topk"},
 		{"SELECT id FROM m WHERE a = 2 ORDER BY b LIMIT 3 OFFSET 1", "positions/topk"},
@@ -197,7 +202,8 @@ func TestResultPath(t *testing.T) {
 		{"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY 2 DESC LIMIT 1 + 1", "positions/agg"},
 		{"SELECT id, v FROM m WHERE b > 0", "positions/gather"},
 		{"SELECT * FROM m LIMIT 3", "positions/gather"},
-		{"SELECT id FROM m WHERE a > (SELECT 1)", "rows(where)"},
+		{"SELECT id FROM m WHERE a > (SELECT 1)", "positions/gather"},
+		{"SELECT COUNT(*) FROM m WHERE a = 1 AND EXISTS (SELECT 1 FROM g)", "positions/agg"},
 		{"SELECT id + 1 FROM m ORDER BY a LIMIT 3", "rows(projection)"},
 		{"SELECT a + 1, COUNT(*) FROM m GROUP BY a", "rows(projection)"},
 		{"SELECT id FROM m ORDER BY a + b LIMIT 3", "rows(order-by)"},
@@ -209,6 +215,7 @@ func TestResultPath(t *testing.T) {
 		{"SELECT 1 FROM m WHERE a = 1", "positions/gather"},
 		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp LIMIT 2", "pairs/gather"},
 		{"SELECT t.id, g.label FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY g.weight DESC, t.id LIMIT 3", "pairs/topk"},
+		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp", "pairs/agg"},
 		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp WHERE NOT (g.label = 'L1')", "pairs/agg"},
 		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp WHERE g.label = 'L1' AND EXISTS (SELECT 1 FROM t)", "pairs/agg"},
 		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp JOIN acc ON acc.t_id = t.id", "pairs/agg"},
@@ -217,38 +224,31 @@ func TestResultPath(t *testing.T) {
 		{"SELECT t.id + 1 FROM t JOIN g ON t.grp = g.grp", "rows(projection)"},
 		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight", "rows(order-by)"},
 		{"SELECT COUNT(DISTINCT g.label) FROM t JOIN g ON t.grp = g.grp", "rows(aggregate)"},
-		{"SELECT t.id, g.weight FROM t JOIN g ON t.num > g.weight WHERE t.id < 12", "rows"},
-		{"SELECT COUNT(*) FROM t CROSS JOIN g", "rows"},
-		{"SELECT s.id FROM (SELECT id FROM m ORDER BY a LIMIT 2) AS s", "rows"},
+		// One-sided selections that are not a table's: a nested loop's rows,
+		// a sub-select's, the single empty row of a SELECT without FROM.
+		{"SELECT t.id, g.weight FROM t JOIN g ON t.num > g.weight WHERE t.id < 12", "positions/gather"},
+		{"SELECT COUNT(*) FROM t CROSS JOIN g", "positions/agg"},
+		{"SELECT s.id FROM (SELECT id FROM m ORDER BY a LIMIT 2) AS s", "positions/gather"},
+		{"SELECT s.a, COUNT(*) FROM (SELECT a FROM m WHERE b > 0) AS s GROUP BY s.a", "positions/agg"},
+		{"SELECT 1", "positions/gather"},
 		{"SELECT a FROM m UNION SELECT b FROM m", "rows"},
-		{"SELECT 1", "rows"},
 		{"INSERT INTO g VALUES ('q', 'Q', 1)", ""},
 	} {
-		if got := vec.MustExec(tc.sql).Path; got != tc.want {
-			t.Errorf("vectorized %q: Path = %q, want %q", tc.sql, got, tc.want)
+		// Nothing in front of the tail looks at a table's size: the paths are
+		// the same with the kernels forced onto the 60-row fixture and
+		// without, and the naive reference is rows whatever the statement.
+		naiveWant := ""
+		if tc.want != "" {
+			naiveWant = "rows"
 		}
-	}
-
-	// Below the batch threshold, with vectorization off and with the planner
-	// off, nothing is a candidate.
-	small := buildMultiDB(1, 60)
-	rowwise := buildMultiDB(1, 60)
-	rowwise.SetBatchTuning(1, 1)
-	rowwise.SetVectorized(false)
-	naive := buildMultiDB(1, 60)
-	naive.SetBatchTuning(1, 1)
-	naive.SetPlanner(false)
-	for _, db := range []*Database{small, rowwise, naive} {
-		if got := db.MustExec("SELECT id FROM m ORDER BY a DESC, id LIMIT 5").Path; got != "rows" {
-			t.Errorf("Path = %q, want rows", got)
-		}
-	}
-	// A hash join's output is pairs whatever its size, so vectorized
-	// execution runs its tail on them below the batch threshold too; without
-	// vectorization, and without the planner's hash join, it is rows.
-	for db, want := range map[*Database]string{small: "pairs/agg", rowwise: "rows", naive: "rows"} {
-		if got := db.MustExec("SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp").Path; got != want {
-			t.Errorf("join Path = %q, want %q", got, want)
+		for _, m := range []struct {
+			name string
+			db   *Database
+			want string
+		}{{"forced", forced, tc.want}, {"planned", planned, tc.want}, {"naive", naive, naiveWant}} {
+			if got := m.db.MustExec(tc.sql).Path; got != m.want {
+				t.Errorf("%s %q: Path = %q, want %q", m.name, tc.sql, got, m.want)
+			}
 		}
 	}
 }
@@ -275,6 +275,66 @@ func TestTopKAllocations(t *testing.T) {
 	k64 := allocs("SELECT id FROM f ORDER BY num DESC, id LIMIT 64")
 	if k8 > 32 || k64 > k8 {
 		t.Errorf("top-k over 10k rows allocates %.0f times at k=8 and %.0f at k=64, want <= 32 and no growth with k", k8, k64)
+	}
+}
+
+// TestSubGateAllocations pins that nothing between a planned FROM and the
+// tail consumers looks at a table's size: below the batch threshold the
+// interpreter filters, but the selection it leaves is counted, summed, sorted
+// through the heap and gathered exactly as above it — a constant number of
+// allocations, not some per row. (Behind the old 1,024-row gate these
+// allocated 135, 878, 3,234 and 315 times at 800 rows.)
+func TestSubGateAllocations(t *testing.T) {
+	queries := []string{
+		"SELECT COUNT(*) FROM f WHERE grp = 'a'",
+		"SELECT SUM(num) FROM f WHERE flag = 1",
+		"SELECT id FROM f ORDER BY num DESC, id LIMIT 8",
+		"SELECT id, num FROM f WHERE num > 90",
+	}
+	allocs := func(n int) []float64 {
+		db := buildEngineDB(5, n)
+		out := make([]float64, len(queries))
+		for i, sql := range queries {
+			st, err := db.Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = testing.AllocsPerRun(10, func() {
+				if res, err := st.Exec(); err != nil || len(res.Rows.Data) == 0 || res.Batches != 0 {
+					t.Fatalf("%q over %d rows: %d batches, err %v, want rows from below the batch threshold", sql, n, res.Batches, err)
+				}
+			})
+		}
+		return out
+	}
+	at400, at800 := allocs(400), allocs(800)
+	for i, sql := range queries {
+		if at800[i] != at400[i] || at800[i] > 40 {
+			t.Errorf("%q allocates %.0f times over 400 rows and %.0f over 800, want the same small number", sql, at400[i], at800[i])
+		}
+	}
+}
+
+// TestLimitWindowIsExact pins that a LIMIT window is a slice of its own: a
+// result that someone retains (the judge's gold cache) must not keep every
+// sorted row the window dropped alive behind it. The interpreter's tail used
+// to return a sub-slice of its whole output. Three ways into that tail — the
+// naive reference, an ORDER BY expression, a compound — and the consumers.
+func TestLimitWindowIsExact(t *testing.T) {
+	planned := buildEngineDB(5, 800)
+	naive := buildEngineDB(5, 800)
+	naive.SetPlanner(false)
+	for _, sql := range []string{
+		"SELECT id FROM f ORDER BY num DESC, id LIMIT 8",
+		"SELECT id FROM f ORDER BY num + flag, id LIMIT 3",
+		"SELECT id FROM f WHERE flag = 1 UNION SELECT id FROM f WHERE flag = 0 ORDER BY 1 LIMIT 5 OFFSET 2",
+	} {
+		for name, db := range map[string]*Database{"planned": planned, "naive": naive} {
+			data := db.MustExec(sql).Rows.Data
+			if len(data) == 0 || cap(data) != len(data) {
+				t.Errorf("%s %q: %d rows in a slice of capacity %d, want a window of its own", name, sql, len(data), cap(data))
+			}
+		}
 	}
 }
 
@@ -313,7 +373,7 @@ func TestFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
 	db.SetParallelism(1)
 	tab, _ := db.Table("f")
-	ec := &execCtx{db: db, vec: true}
+	ec := &execCtx{db: db}
 	cols := scanCols("f", tab)
 	preds := func(cond string) []rowPred {
 		sel, err := ParseSelect("SELECT 1 FROM f WHERE " + cond)
@@ -355,10 +415,11 @@ func TestFilterAllocations(t *testing.T) {
 // TestInterpreterFilterAllocations pins case folding: an interpreted filter
 // over a column the statement spells in upper case resolves it against the
 // lower-cased scope without allocating per row — the name was folded when it
-// was parsed. (It used to cost one strings.ToLower allocation per row.)
+// was parsed. (It used to cost one strings.ToLower allocation per row.) The
+// naive reference is where the interpreter filters 10k rows.
 func TestInterpreterFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
-	db.SetVectorized(false)
+	db.SetPlanner(false)
 	st, err := db.Prepare("SELECT COUNT(*) FROM f WHERE NOT (`GRP` = 'a') AND F.NUM >= 0")
 	if err != nil {
 		t.Fatal(err)
@@ -450,55 +511,67 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 	}
 }
 
-// BenchmarkExecModes times one statement per batch mechanism — pushed
-// comparison kernels, the hash-join probe on a TEXT key (coarseKey) and on
-// an INTEGER key (the cell itself), grouped accumulators, a
-// bounded top-k heap on a column that is not projected, ungrouped
-// accumulators — under each execution mode: the naive executor (100k
-// only: its nested-loop join takes minutes at 1M), the planned row-wise
-// interpreter, and the vectorized path on one worker and on GOMAXPROCS
-// workers, so `-cpu 1,2,4` sets N and vecN against vec1 at one -cpu is
-// the parallel gain. The statements come from engineQueries, which
-// TestEngineCrossValidationAtScale holds to identical rows and Cost in
-// every mode: only ns/op and allocations differ.
+// BenchmarkExecModes times one statement per mechanism of the planned engine
+// — pushed comparison kernels, the hash-join probe on a TEXT key (coarseKey)
+// and on an INTEGER key (the cell itself), the grouped accumulators of the
+// aggregate consumer (serial, whatever the mode), a bounded top-k heap on a
+// column that is not projected, ungrouped accumulators — and the two grouped
+// shapes no consumer takes, HAVING and an expression key, which the
+// interpreter's tail groups serially. Modes: the naive executor (to 100k
+// only: its nested-loop join takes minutes at 1M), and the planned engine on
+// one worker and on GOMAXPROCS workers, so `-cpu 1,2,4` sets N and plannedN
+// against planned1 at one -cpu is what fan-out gains — for filter and join
+// only; nothing else fans out. The 800-row size is below every batch
+// threshold: the interpreter filters and the consumers take the tail, as on
+// BIRD-sized tables. The statements come from engineQueries, which
+// TestEngineCrossValidationAtScale holds to identical rows and Cost: only
+// ns/op and allocations differ.
 func BenchmarkExecModes(b *testing.B) {
-	queries := []struct{ name, sql string }{
+	type query struct{ name, sql string }
+	small := []query{
 		{"filter", "SELECT id FROM f WHERE num > 50 AND flag = 1"},
-		{"join", "SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp"},
-		{"join_int", "SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight"},
-		{"agg", "SELECT grp, COUNT(*), SUM(num), AVG(num), MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp"},
 		{"topk", "SELECT id FROM f ORDER BY num DESC, id LIMIT 8"},
 		{"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"},
 	}
+	large := append([]query{
+		{"join", "SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp"},
+		{"join_int", "SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight"},
+		{"agg", "SELECT grp, COUNT(*), SUM(num), AVG(num), MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp"},
+		{"having", "SELECT grp, COUNT(*) FROM f GROUP BY grp HAVING COUNT(*) > 100 ORDER BY 2 DESC, 1"},
+		{"group_expr", "SELECT num % 10, COUNT(*), SUM(num) FROM f GROUP BY num % 10"},
+	}, small...)
 	modes := []struct {
-		name                string
-		planner, vectorized bool
-		workers             int // SetParallelism: 0 = GOMAXPROCS
+		name    string
+		planner bool
+		workers int // SetParallelism: 0 = GOMAXPROCS
 	}{
-		{"naive", false, false, 1},
-		{"rowwise", true, false, 1},
-		{"vec1", true, true, 1},
-		{"vecN", true, true, 0},
+		{"naive", false, 1},
+		{"planned1", true, 1},
+		{"plannedN", true, 0},
 	}
-	sizes := []int{100_000}
+	type size struct {
+		name    string
+		n       int
+		queries []query
+	}
+	sizes := []size{{"800", 800, small}, {"100k", 100_000, large}}
 	if !testing.Short() {
-		sizes = append(sizes, 1_000_000)
+		sizes = append(sizes, size{"1000k", 1_000_000, large})
 	}
-	for _, n := range sizes {
+	for _, size := range sizes {
 		// One level per size, so a -bench filter on 100k never builds 1M rows.
-		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
-			db := buildEngineDB(5, n)
-			for _, q := range queries {
+		b.Run(size.name, func(b *testing.B) {
+			db := buildEngineDB(5, size.n)
+			for _, q := range size.queries {
 				if !slices.Contains(engineQueries, q.sql) {
 					b.Fatalf("%s is not in engineQueries, so nothing holds its modes equivalent", q.name)
 				}
 				for _, m := range modes {
-					if !m.planner && n > 100_000 {
+					if !m.planner && size.n > 100_000 {
 						continue
 					}
 					b.Run(q.name+"/"+m.name, func(b *testing.B) {
 						db.SetPlanner(m.planner)
-						db.SetVectorized(m.vectorized)
 						db.SetParallelism(m.workers)
 						stmt, err := db.Prepare(q.sql)
 						if err != nil {

@@ -29,22 +29,24 @@ type Result struct {
 	// Batches and Workers describe the *physical* execution and carry no
 	// semantic weight (unlike Cost they may change across engine versions):
 	// Batches counts the morsels processed by morsel-driven operators —
-	// filters, join probes, grouping (0 = none ran) — and Workers is the
-	// widest parallel fan-out any single operator reached (1 = serial).
+	// filters and join probes (0 = none ran) — and Workers is the widest
+	// parallel fan-out any single operator reached (1 = serial).
 	Batches int64
 	Workers int
 	// Path names the physical path the statement's top-level SELECT took
 	// from scan to tail (empty for other statements). Like Batches it is
-	// telemetry only. "rows" is the row path: rows materialised at the scan
-	// and handed downstream. A vectorized single-table SELECT instead
-	// carries row positions, and a vectorized hash join (left, right)
-	// position pairs, and each reports its tail consumer — "positions/topk"
-	// or "pairs/topk" (ORDER BY through a bounded heap), "positions/agg" or
+	// telemetry only. A planned SELECT hands its tail a selection — positions
+	// into one relation's rows (a table, a sub-select, a nested loop's
+	// output), or a hash join's (left, right) position pairs — and reports the
+	// consumer that turned it into the result: "positions/topk" or
+	// "pairs/topk" (ORDER BY through a bounded heap), "positions/agg" or
 	// "pairs/agg" (typed aggregate accumulators), "positions/gather" or
 	// "pairs/gather" (plain projection) — or, when the planner could not
-	// prove a consumer equivalent, "rows(<reason>)" with the clause that
-	// disqualified it: where, projection, order-by, limit, aggregate,
-	// group-by or having.
+	// prove a consumer equivalent, "rows(<reason>)": the selection was
+	// materialised for the interpreter's tail by the clause named, one of
+	// projection, order-by, limit, aggregate, group-by or having. Plain
+	// "rows" is what never reaches a consumer: the naive executor, and a
+	// compound SELECT, whose arms are combined as rows.
 	Path string
 }
 
@@ -87,7 +89,7 @@ func (ec *execCtx) execStatement(st Statement) (*Result, error) {
 		return nil, err
 	}
 	res.Batches = ec.batches
-	res.Workers = maxInt(ec.maxPar, 1)
+	res.Workers = max(ec.maxPar, 1)
 	res.Path = ec.path
 	return res, nil
 }
@@ -137,10 +139,6 @@ type execCtx struct {
 	db    *Database
 	cost  int64
 	plans map[*SelectStmt]*selectPlan
-	// vec enables the columnar batch paths (vector.go, kernels.go,
-	// parallel.go). It is only ever true for planned execution, so
-	// planner-off remains the pristine serial reference implementation.
-	vec bool
 	// Physical execution stats, written only by the coordinating
 	// goroutine (batchRun): morsels processed, widest worker fan-out.
 	batches int64
@@ -216,11 +214,13 @@ func (s *scope) resolve(cr *ColumnRef) (Value, error) {
 	return Value{}, fmt.Errorf("sqlengine: no such column: %s", cr.Name)
 }
 
-// rowSet is an intermediate relation during FROM evaluation. logical is
-// the cardinality the *naive* executor's relation would have at this point
-// in the pipeline: it differs from len(rows) only when predicate pushdown
-// filtered a scan, and it is what join charges are computed from so that
-// Cost stays plan-independent.
+// rowSet is an intermediate relation during FROM evaluation. rows is set
+// only on a join's two inputs (execFrom): what the relation holds is
+// otherwise listed by the selection that travels with it. logical is the
+// cardinality the *naive* executor's relation would have at this point in
+// the pipeline: it differs from the number of rows only when predicate
+// pushdown filtered a scan, and it is what join charges are computed from so
+// that Cost stays plan-independent.
 type rowSet struct {
 	cols    []scopeCol
 	rows    [][]Value
@@ -231,7 +231,7 @@ type rowSet struct {
 
 func (ec *execCtx) execSelect(sel *SelectStmt, outer *scope) (*Rows, error) {
 	if sel.Compound == CompoundNone {
-		return ec.execSelectSimple(sel, outer)
+		return ec.execSelectPlanned(sel, outer, ec.planFor(sel))
 	}
 	// Compound: evaluate each core without the shared tail, then combine.
 	head, err := ec.execSelectCoreOnly(sel, outer)
@@ -343,23 +343,14 @@ func (o *selOutput) add(vals []Value, env *evalEnv) {
 
 func (o *selOutput) rows() *Rows { return &Rows{Columns: o.columns, Data: o.data} }
 
-func (ec *execCtx) execSelectSimple(sel *SelectStmt, outer *scope) (*Rows, error) {
-	return ec.execSelectPlanned(sel, outer, ec.planFor(sel))
-}
-
+// execSelectPlanned is the one SELECT pipeline: FROM hands on a selection,
+// WHERE thins it, and the tail turns it into the result. pl is nil for
+// unplanned execution, which then is the naive reference: full scans, nested
+// loops, the interpreter on every row.
 func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPlan) (*Rows, error) {
-	// A vectorized scan of one base table carries row positions instead of
-	// rows (positions.go). An unsafe WHERE has to run through the
-	// interpreter on every row in order, so it stays on the row path.
-	if t := ec.positionsTable(sel, pl); t != nil {
-		if sel.Where == nil || pl.whereSafe {
-			return ec.execSelectPositions(sel, outer, pl, t)
-		}
-		ec.notePath(sel, pathRowsWhere)
-	}
 	// 1. FROM (with pushdown placement when the plan allows it). What comes
-	// back is a selection: every row of a scanned or nested-loop relation,
-	// or a hash join's position pairs.
+	// back is a selection: positions into a scanned table, every row of a
+	// sub-select or a nested-loop join, or a hash join's position pairs.
 	src, s, fp, err := ec.execFrom(sel, outer, pl)
 	if err != nil {
 		return nil, err
@@ -394,28 +385,25 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 	if err != nil {
 		return nil, err
 	}
-	// 3. The tail: on the pairs when a vectorized hash join produced them,
-	// on rows otherwise.
-	if ec.vec && s.right != nil {
-		return ec.tailPositions(sel, src, s, outer, pl)
+	// 3. The tail: planned, on the selection; unplanned, on its rows.
+	if pl != nil {
+		return ec.tailPositions(sel, src, s, outer)
 	}
-	return ec.projectTail(sel, src, s.materialise(), outer, pl)
+	return ec.projectTail(sel, src, s.materialise(), outer)
 }
 
-// projectTail runs everything after the WHERE filter on materialised rows:
-// grouping or projection, DISTINCT, ORDER BY and LIMIT. It is the row
-// path's tail, and the one place the positions path lands on when no
-// positions consumer applies.
-func (ec *execCtx) projectTail(sel *SelectStmt, src *rowSet, filtered [][]Value, outer *scope, pl *selectPlan) (*Rows, error) {
+// projectTail runs everything after the WHERE filter on materialised rows,
+// through the interpreter: grouping or projection, DISTINCT, ORDER BY and
+// LIMIT. It is the naive reference's tail, and where a planned selection
+// lands when no consumer of positions.go applies.
+func (ec *execCtx) projectTail(sel *SelectStmt, src *rowSet, filtered [][]Value, outer *scope) (*Rows, error) {
 	grouped := len(sel.GroupBy) > 0 || anyAggregate(sel)
 	out := &selOutput{columns: projectionNames(sel, src)}
 
 	if grouped {
-		if err := ec.projectGrouped(sel, src, filtered, outer, out, pl); err != nil {
+		if err := ec.projectGrouped(sel, src, filtered, outer, out); err != nil {
 			return nil, err
 		}
-	} else if ixs, consts, ok := ec.planFastProjection(sel, src, out.columns); ok && ec.useBatch(len(filtered)) {
-		ec.projectIndexed(filtered, ixs, consts, out)
 	} else {
 		for _, row := range filtered {
 			sc := &scope{cols: src.cols, row: row, parent: outer}
@@ -450,7 +438,14 @@ func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope, s
 			return err
 		}
 		lo, hi := limitWindow(len(out.data), limit, offset)
-		out.data = out.data[lo:hi]
+		if hi-lo < len(out.data) {
+			// A copy at its exact size, not a sub-slice: whoever retains the
+			// result must not keep every row the window dropped alive with it.
+			// (envs go no further than this statement.)
+			data := make([][]Value, hi-lo)
+			copy(data, out.data[lo:hi])
+			out.data = data
+		}
 		out.envs = out.envs[lo:hi]
 	}
 	return nil
@@ -645,17 +640,10 @@ type rowGroup struct {
 	rows []*scope
 }
 
-// projectGrouped partitions rows into groups, applies HAVING, and projects
-// the select list with aggregate support. With a plan that proves the
-// GROUP BY keys safe-total, the partitioning runs morsel-parallel: workers
-// build per-morsel group fragments in first-seen order, and the
-// coordinator merges fragments in morsel order, which reproduces the
-// serial first-seen group order exactly. When HAVING and every projection
-// item are aggregate-safe as well (aggExprSafeTotal), the per-group
-// evaluation also fans out, each group still computed serially over its
-// rows in input order — float aggregate accumulation order is preserved,
-// so results stay byte-identical.
-func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, outer *scope, out *selOutput, pl *selectPlan) error {
+// projectGrouped partitions rows into groups in first-seen order, applies
+// HAVING, and projects the select list with aggregate support, each group
+// computed over its rows in input order.
+func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, outer *scope, out *selOutput) error {
 	var groups []*rowGroup
 	if len(sel.GroupBy) == 0 {
 		// Single implicit group (possibly empty: COUNT over no rows). The
@@ -673,12 +661,6 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, 
 			g.rep = &scope{cols: src.cols, row: make([]Value, len(src.cols)), parent: outer}
 		}
 		groups = append(groups, g)
-	} else if pl != nil && pl.groupBySafe && ec.useBatch(len(rows)) {
-		var err error
-		groups, err = ec.groupMorsels(sel, src, rows, outer)
-		if err != nil {
-			return err
-		}
 	} else {
 		idx := make(map[string]*rowGroup)
 		var order []string
@@ -709,9 +691,6 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, 
 		}
 	}
 
-	if pl != nil && pl.aggProjSafe && ec.vec && len(groups) > 1 && len(rows) >= ec.minParRows() {
-		return ec.projectGroupsParallel(sel, src, groups, out)
-	}
 	for _, g := range groups {
 		env := &evalEnv{ec: ec, sc: g.rep, group: g.rows}
 		if sel.Having != nil {
@@ -730,134 +709,6 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, 
 		out.add(vals, env)
 	}
 	return nil
-}
-
-// groupMorsels is the parallel GROUP BY partitioning phase: per-morsel
-// group fragments built by workers, merged by the coordinator in morsel
-// order so first-seen group order matches the serial loop.
-func (ec *execCtx) groupMorsels(sel *SelectStmt, src *rowSet, rows [][]Value, outer *scope) ([]*rowGroup, error) {
-	type fragment struct {
-		order []string
-		m     map[string]*rowGroup
-		err   error
-	}
-	nm := morselCount(len(rows))
-	frags := make([]fragment, nm)
-	ec.batchRun(nm, len(rows), nil, func(w, m int) {
-		lo, hi := morselBounds(m, len(rows))
-		fr := fragment{m: make(map[string]*rowGroup)}
-		var kb []byte
-		for i := lo; i < hi; i++ {
-			sc := &scope{cols: src.cols, row: rows[i], parent: outer}
-			env := &evalEnv{ec: ec, sc: sc}
-			kb = kb[:0]
-			for _, ge := range sel.GroupBy {
-				v, err := env.eval(ge)
-				if err != nil {
-					fr.err = err
-					frags[m] = fr
-					return
-				}
-				kb = v.AppendKey(kb)
-				kb = append(kb, '\x00')
-			}
-			k := string(kb)
-			g, ok := fr.m[k]
-			if !ok {
-				g = &rowGroup{rep: sc}
-				fr.m[k] = g
-				fr.order = append(fr.order, k)
-			}
-			g.rows = append(g.rows, sc)
-		}
-		frags[m] = fr
-	})
-	idx := make(map[string]*rowGroup)
-	var groups []*rowGroup
-	for _, fr := range frags {
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		for _, k := range fr.order {
-			part := fr.m[k]
-			g, ok := idx[k]
-			if !ok {
-				idx[k] = part
-				groups = append(groups, part)
-				continue
-			}
-			g.rows = append(g.rows, part.rows...)
-		}
-	}
-	return groups, nil
-}
-
-// projectGroupsParallel evaluates HAVING and the projection per group with
-// one group per work unit, emitting surviving groups in group order. Only
-// called when every evaluated expression is aggregate-safe (no subqueries,
-// no possible cost charge; errors are row-independent), so worker-local
-// environments are sound and the first error in group order matches the
-// serial loop's error.
-func (ec *execCtx) projectGroupsParallel(sel *SelectStmt, src *rowSet, groups []*rowGroup, out *selOutput) error {
-	vals := make([][]Value, len(groups))
-	keep := make([]bool, len(groups))
-	envs := make([]*evalEnv, len(groups))
-	errs := make([]error, len(groups))
-	totalRows := 0
-	for _, g := range groups {
-		totalRows += len(g.rows)
-	}
-	ec.batchRun(len(groups), totalRows, nil, func(w, gi int) {
-		g := groups[gi]
-		env := &evalEnv{ec: ec, sc: g.rep, group: g.rows}
-		if sel.Having != nil {
-			hv, err := env.eval(sel.Having)
-			if err != nil {
-				errs[gi] = err
-				return
-			}
-			if t, known := hv.Truth(); !t || !known {
-				return
-			}
-		}
-		v, err := ec.projectRow(sel, src, env)
-		if err != nil {
-			errs[gi] = err
-			return
-		}
-		vals[gi], envs[gi], keep[gi] = v, env, true
-	})
-	for gi := range groups {
-		if errs[gi] != nil {
-			return errs[gi]
-		}
-		if keep[gi] {
-			out.add(vals[gi], envs[gi])
-		}
-	}
-	return nil
-}
-
-// planFastProjection decides whether the select list can run as a pure
-// index gather — every item a star, a uniquely resolving column reference
-// or a literal — and whether every ORDER BY term is static (ordinal or
-// output-column name), since gathered rows carry no evaluation
-// environment for ORDER BY expressions to use. Any resolution failure
-// falls back to the interpreted path so the naive error surfaces
-// verbatim.
-func (ec *execCtx) planFastProjection(sel *SelectStmt, src *rowSet, columns []string) (ixs []int, consts []Value, ok bool) {
-	if !ec.vec {
-		return nil, nil, false
-	}
-	if ixs, consts, ok = projectionCols(sel, src.cols); !ok {
-		return nil, nil, false
-	}
-	for _, ob := range sel.OrderBy {
-		if outputOrderTerm(ob.Expr, columns) < 0 {
-			return nil, nil, false
-		}
-	}
-	return ixs, consts, true
 }
 
 // projectionCols maps a select list made only of stars, uniquely resolving
@@ -933,42 +784,12 @@ func outputOrderTerm(e Expr, columns []string) int {
 	return -1
 }
 
-// projectIndexed gathers the projected columns per row, morsel-parallel,
-// with nil environments (planFastProjection guaranteed nothing will need
-// them).
-func (ec *execCtx) projectIndexed(rows [][]Value, ixs []int, consts []Value, out *selOutput) {
-	nm := morselCount(len(rows))
-	outs := make([][][]Value, nm)
-	ec.batchRun(nm, len(rows), nil, func(w, m int) {
-		lo, hi := morselBounds(m, len(rows))
-		part := make([][]Value, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			row := rows[i]
-			vals := make([]Value, len(ixs))
-			for k, ix := range ixs {
-				if ix < 0 {
-					vals[k] = consts[^ix]
-				} else {
-					vals[k] = row[ix]
-				}
-			}
-			part = append(part, vals)
-		}
-		outs[m] = part
-	})
-	for _, part := range outs {
-		for _, vals := range part {
-			out.add(vals, nil)
-		}
-	}
-}
-
 // --- FROM evaluation ---
 
 // execFrom evaluates the FROM clause. The relation it returns is described
-// by src (its columns) and listed by the selection: every row of a scan, a
-// subquery or a nested-loop join, or the position pairs of a hash join,
-// whose rows are not built here.
+// by src (its columns) and listed by the selection: a scan's positions,
+// every row of a subquery or a nested-loop join, or the position pairs of a
+// hash join. Rows are built only for what a join reads as input.
 func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (src *rowSet, s selection, fp *fromPlan, err error) {
 	items := sel.From
 	if len(items) == 0 {
@@ -982,13 +803,12 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (src 
 		}
 		return fp.pushed[i]
 	}
-	acc, err := ec.execFromItem(&items[0], outer, pushedFor(0))
+	acc, s, err := ec.execFromItem(&items[0], outer, pushedFor(0))
 	if err != nil {
 		return nil, selection{}, nil, err
 	}
-	s = selection{rows: acc.rows, all: true}
 	for i := 1; i < len(items); i++ {
-		right, err := ec.execFromItem(&items[i], outer, pushedFor(i))
+		right, rs, err := ec.execFromItem(&items[i], outer, pushedFor(i))
 		if err != nil {
 			return nil, selection{}, nil, err
 		}
@@ -996,9 +816,9 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (src 
 		if pl != nil && pl.joins != nil {
 			ja = pl.joins[i]
 		}
-		// A join reads its left input as rows: an earlier hash join's pairs
-		// are materialised for the next one.
-		acc.rows = s.materialise()
+		// A join reads both inputs as rows: a filtered scan's positions and
+		// an earlier hash join's pairs are materialised for it.
+		acc.rows, right.rows = s.materialise(), rs.materialise()
 		if s, err = ec.join(acc, right, items[i].Join, items[i].On, outer, ja); err != nil {
 			return nil, selection{}, nil, err
 		}
@@ -1019,96 +839,36 @@ func scanCols(name string, t *Table) []scopeCol {
 	return cols
 }
 
-// execFromItem materialises one FROM item. pushed holds the WHERE conjuncts
-// the planner placed at this scan (always nil for subquery items and for
+// execFromItem evaluates one FROM item: its columns and logical size (the
+// rowSet's rows stay unset), and its rows as a selection — all of a
+// sub-select's result or of an unfiltered table, or the positions the table's
+// pushed conjuncts keep (scanPositions). pushed holds the WHERE conjuncts the
+// planner placed at this scan (always nil for subquery items and for
 // unplanned execution). The scan is charged at full table size whether or
 // not pushdown filters it — that is the naive executor's charge.
-func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct) (*rowSet, error) {
+func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct) (*rowSet, selection, error) {
 	name := strings.ToLower(item.Name())
 	if item.Sub != nil {
 		sub, err := ec.execSelect(item.Sub, outer)
 		if err != nil {
-			return nil, err
+			return nil, selection{}, err
 		}
-		rs := &rowSet{rows: sub.Data, logical: len(sub.Data)}
+		rs := &rowSet{logical: len(sub.Data)}
 		for _, c := range sub.Columns {
 			rs.cols = append(rs.cols, scopeCol{table: name, name: strings.ToLower(c)})
 		}
-		return rs, nil
+		return rs, selection{rows: sub.Data, all: true}, nil
 	}
 	t, ok := ec.db.Table(item.Table)
 	if !ok {
-		return nil, fmt.Errorf("sqlengine: no such table: %s", item.Table)
+		return nil, selection{}, fmt.Errorf("sqlengine: no such table: %s", item.Table)
 	}
 	if err := ec.charge(int64(len(t.Rows))); err != nil {
-		return nil, err
+		return nil, selection{}, err
 	}
 	rs := &rowSet{cols: scanCols(name, t), logical: len(t.Rows)}
-	if len(pushed) == 0 {
-		rs.rows = t.Rows
-		return rs, nil
-	}
-
-	// Vectorized scan: the positions scan (index bucket, then kernels over
-	// the columnar shadow, morsel-parallel), materialised for the join that
-	// consumes it.
-	if ec.useBatch(len(t.Rows)) {
-		s, err := ec.scanPositions(t, rs.cols, pushed, outer)
-		if err != nil {
-			return nil, err
-		}
-		rs.rows = s.materialise()
-		return rs, nil
-	}
-
-	// Point-lookup fast path: the first pushed `col = literal` conjunct
-	// narrows the scan to the column's equality-index bucket. Buckets hold
-	// ascending row positions, so emission order matches a full scan; every
-	// candidate still passes through the full pushed-conjunct filter below,
-	// which re-verifies the indexed equality with real `=` semantics.
-	rows := t.Rows
-	for _, c := range pushed {
-		if c.eqLit == nil {
-			continue
-		}
-		col, n := resolveCols(rs.cols, c.eqLit.col)
-		if n != 1 {
-			continue
-		}
-		if c.eqLit.lit.IsNull() {
-			// `col = NULL` is never true: the scan yields nothing.
-			return rs, nil
-		}
-		bucket := t.eqLookup(col, string(coarseKey(nil, c.eqLit.lit)))
-		rows = make([][]Value, len(bucket))
-		for i, ri := range bucket {
-			rows[i] = t.Rows[ri]
-		}
-		break
-	}
-
-	sc := &scope{cols: rs.cols, parent: outer}
-	env := &evalEnv{ec: ec, sc: sc}
-	out := make([][]Value, 0, len(rows))
-	for _, row := range rows {
-		sc.row = row
-		pass := true
-		for _, c := range pushed {
-			v, err := env.eval(c.expr)
-			if err != nil {
-				return nil, err
-			}
-			if t, known := v.Truth(); !t || !known {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			out = append(out, row)
-		}
-	}
-	rs.rows = out
-	return rs, nil
+	s, err := ec.scanPositions(t, rs.cols, pushed, outer)
+	return rs, s, err
 }
 
 // join combines two relations. The logical pair count |L|·|R| is charged up

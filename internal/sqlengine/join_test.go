@@ -45,8 +45,8 @@ func joinCase(p *picker) (inserts []string, query string) {
 	return inserts, query
 }
 
-// checkJoinCase runs the generated query in every execution mode against the
-// naive executor, as checkTailCase does.
+// checkJoinCase runs the generated query in every configuration of the
+// planned engine against the naive executor, as checkTailCase does.
 func checkJoinCase(t *testing.T, data []byte) {
 	t.Helper()
 	inserts, query := joinCase(&picker{data: data})
@@ -57,9 +57,9 @@ func checkJoinCase(t *testing.T, data []byte) {
 }
 
 // Property: whatever the two tables hold, however they are joined and
-// filtered and whatever tail the query has, the planned row-wise, vectorized
-// and parallel executors return the naive executor's rows, in its order, at
-// its Cost.
+// filtered and whatever tail the query has, the planned engine — unforced, on
+// kernels, and fanned out — returns the naive executor's rows, in its order,
+// at its Cost.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		checkJoinCase(t, data)
@@ -71,8 +71,9 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 }
 
 // FuzzSelectJoin is the differential fuzz target for joins: fuzzer bytes
-// choose both tables' contents and the query (joinCase), and every execution
-// mode must agree with the naive executor without panicking.
+// choose both tables' contents and the query (joinCase), and every
+// configuration of the planned engine must agree with the naive executor
+// without panicking.
 func FuzzSelectJoin(f *testing.F) {
 	// COUNT(*) over l LEFT JOIN r ON l.ki = r.kt (INTEGER cells against
 	// TEXT '1' and '01') WHERE NOT (w = 1): three left rows, one NULL-keyed;

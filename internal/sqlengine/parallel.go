@@ -8,14 +8,13 @@ import (
 )
 
 // Morsel-driven parallel execution. Batch operators (scan filters, WHERE
-// residual filters, hash-join probes, grouped aggregation) split their
-// input into fixed-size morsels; a small worker group — the coordinating
-// goroutine plus workers borrowed from a process-wide per-core pool —
-// pulls morsel indices from an atomic counter, writes results into
-// per-morsel slots (a filter: into the morsel's own words of one bitmask),
-// and the coordinator concatenates the slots in morsel order. That
-// order-preserving merge is what keeps every parallel operator emitting
-// byte-identical rows to its serial counterpart.
+// residual filters, hash-join probes) split their input into fixed-size
+// morsels; a small worker group — the coordinating goroutine plus workers
+// borrowed from a process-wide per-core pool — pulls morsel indices from an
+// atomic counter, writes results into per-morsel slots (a filter: into the
+// morsel's own words of one bitmask), and the coordinator concatenates the
+// slots in morsel order. That order-preserving merge is what keeps every
+// parallel operator emitting byte-identical rows to its serial counterpart.
 //
 // Only safe-total expressions (planner.go) ever run inside a morsel:
 // they cannot execute subqueries (the one path by which evaluation touches
@@ -29,12 +28,12 @@ const (
 	// amortise scheduling, small enough that NumCPU workers load-balance
 	// over skewed filters.
 	morselRows = 4096
-	// defMinBatchRows is the smallest operator input that takes the batch
-	// (vectorized/kernel) path at all; below it the plain serial
-	// interpreter loop wins. Database.SetBatchTuning overrides.
+	// defMinBatchRows is the smallest operator input a filter or a join
+	// probe runs in morsels over, through kernels and column vectors; below
+	// it the plain serial interpreter loop wins.
 	defMinBatchRows = 1024
 	// defMinParRows is the smallest operator input that may fan out to
-	// parallel workers. Database.SetBatchTuning overrides.
+	// parallel workers.
 	defMinParRows = 8192
 )
 
@@ -44,14 +43,7 @@ const (
 // box when explicitly requested). Operators acquire tokens without
 // blocking — under concurrent query load, execution degrades toward
 // serial instead of oversubscribing the machine.
-var workerTokens = make(chan struct{}, maxInt(runtime.GOMAXPROCS(0)-1, 1))
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+var workerTokens = make(chan struct{}, max(runtime.GOMAXPROCS(0)-1, 1))
 
 func acquireTokens(want int) int {
 	got := 0
@@ -145,9 +137,10 @@ func (ec *execCtx) minParRows() int {
 }
 
 // useBatch reports whether a batch operator should engage for an input of
-// nRows rows under this execution.
+// nRows rows. Only planned execution asks: pushed conjuncts, a safe WHERE
+// and the hash join all come from a plan.
 func (ec *execCtx) useBatch(nRows int) bool {
-	return ec.vec && nRows >= ec.minBatchRows()
+	return nRows >= ec.minBatchRows()
 }
 
 // workerCap is the per-operator worker ceiling for this execution.

@@ -25,7 +25,7 @@ func (s *Stmt) Exec() (*Result, error) {
 	if s.db.plannerOff {
 		plans = nil
 	}
-	ec := &execCtx{db: s.db, plans: plans, vec: plans != nil && !s.db.vectorOff}
+	ec := &execCtx{db: s.db, plans: plans}
 	return ec.execStatement(s.ast)
 }
 

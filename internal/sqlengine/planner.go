@@ -70,13 +70,6 @@ type selectPlan struct {
 	// joins holds the ON-clause analysis per FROM item (index aligned with
 	// SelectStmt.From; entry 0 and ON-less items are nil).
 	joins []*joinAnalysis
-	// groupBySafe reports every GROUP BY expression is safe-total — the
-	// precondition for partitioning rows into groups in parallel.
-	groupBySafe bool
-	// aggProjSafe reports HAVING and every projection item are
-	// aggregate-safe-total (aggExprSafeTotal) — the precondition for
-	// evaluating groups in parallel.
-	aggProjSafe bool
 }
 
 // conjunct is one AND-term of a WHERE or ON clause.
@@ -221,25 +214,6 @@ func planSelect(sel *SelectStmt) *selectPlan {
 				pl.whereSafe = false
 			}
 			pl.where = append(pl.where, c)
-		}
-	}
-	pl.groupBySafe = true
-	for _, ge := range sel.GroupBy {
-		if !exprSafeTotal(ge) {
-			pl.groupBySafe = false
-			break
-		}
-	}
-	pl.aggProjSafe = sel.Having == nil || aggExprSafeTotal(sel.Having)
-	if pl.aggProjSafe {
-		for _, item := range sel.Columns {
-			if item.Star {
-				continue
-			}
-			if !aggExprSafeTotal(item.Expr) {
-				pl.aggProjSafe = false
-				break
-			}
 		}
 	}
 	if len(sel.From) > 1 {
@@ -396,73 +370,6 @@ func exprSafeTotal(e Expr) bool {
 	}
 }
 
-// aggExprSafeTotal extends exprSafeTotal to grouped-projection contexts:
-// aggregate calls with a statically valid shape (COUNT(*)-style star, or
-// exactly one safe-total argument) are additionally allowed — evaluated
-// with a group they cannot error and cannot charge cost. Everything else
-// follows exprSafeTotal's rules, recursing with aggregate awareness so
-// e.g. `SUM(x) / COUNT(*)` qualifies. Nested aggregates do not: the inner
-// call is rejected by exprSafeTotal, which sends the expression down the
-// serial path where the naive "misuse of aggregate" error surfaces.
-func aggExprSafeTotal(e Expr) bool {
-	switch x := e.(type) {
-	case *Unary:
-		return (x.Op == "-" || x.Op == "NOT") && aggExprSafeTotal(x.X)
-	case *Binary:
-		switch x.Op {
-		case "AND", "OR", "=", "!=", "<", "<=", ">", ">=", "||", "+", "-", "*", "/", "%":
-			return aggExprSafeTotal(x.L) && aggExprSafeTotal(x.R)
-		}
-		return false
-	case *CaseExpr:
-		if x.Operand != nil && !aggExprSafeTotal(x.Operand) {
-			return false
-		}
-		for _, w := range x.Whens {
-			if !aggExprSafeTotal(w.When) || !aggExprSafeTotal(w.Then) {
-				return false
-			}
-		}
-		return x.Else == nil || aggExprSafeTotal(x.Else)
-	case *BetweenExpr:
-		return aggExprSafeTotal(x.X) && aggExprSafeTotal(x.Lo) && aggExprSafeTotal(x.Hi)
-	case *LikeExpr:
-		return aggExprSafeTotal(x.X) && aggExprSafeTotal(x.Pattern)
-	case *IsNullExpr:
-		return aggExprSafeTotal(x.X)
-	case *InExpr:
-		if x.Sub != nil || !aggExprSafeTotal(x.X) {
-			return false
-		}
-		for _, le := range x.List {
-			if !aggExprSafeTotal(le) {
-				return false
-			}
-		}
-		return true
-	case *CastExpr:
-		return aggExprSafeTotal(x.X)
-	case *FuncCall:
-		if isAggregateCall(x) {
-			if x.Star {
-				return true
-			}
-			return len(x.Args) == 1 && exprSafeTotal(x.Args[0])
-		}
-		if x.Star {
-			return false
-		}
-		for _, a := range x.Args {
-			if !aggExprSafeTotal(a) {
-				return false
-			}
-		}
-		return scalarArityTotal(x)
-	default:
-		return exprSafeTotal(e)
-	}
-}
-
 // scalarCallSafe reports whether a function call is a known scalar with a
 // statically valid arity that cannot error at runtime. Aggregates are
 // unsafe here: outside a grouped projection they raise "misuse of
@@ -476,12 +383,6 @@ func scalarCallSafe(fc *FuncCall) bool {
 			return false
 		}
 	}
-	return scalarArityTotal(fc)
-}
-
-// scalarArityTotal is the name/arity half of scalarCallSafe: whether this
-// scalar, given evaluable arguments, can never error.
-func scalarArityTotal(fc *FuncCall) bool {
 	n := len(fc.Args)
 	switch fc.Name {
 	case "ABS", "LENGTH", "UPPER", "LOWER", "TRIM", "LTRIM", "RTRIM", "TYPEOF", "DATE":

@@ -1,16 +1,14 @@
 package sqlengine
 
-import (
-	"slices"
-	"strings"
-)
+import "slices"
 
-// Late materialisation. A vectorized SELECT over one base table does not
-// turn its scan into rows: the scan, the index bucket and the filters hand
-// on a selection (parallel.go) — ascending positions into t.Rows — and a
-// vectorized hash join does not build joined rows: it hands on a two-sided
-// selection, (left, right) position pairs in emission order. One of three
-// consumers then builds []Value rows only for what the query returns:
+// Late materialisation. A planned SELECT does not turn its FROM into rows:
+// the scan, the index bucket and the filters hand on a selection
+// (parallel.go) — ascending positions into t.Rows, or every row of a
+// sub-select or a nested loop — and a hash join does not build joined rows: it
+// hands on a two-sided selection, (left, right) position pairs in emission
+// order. One of three consumers then builds []Value rows only for what the
+// query returns, whatever the size of the input:
 //
 //   - top-k: ORDER BY over source columns keeps the best LIMIT+OFFSET
 //     positions in a bounded heap ordered by (keys, position) and sorts
@@ -24,24 +22,24 @@ import (
 //     one backing array.
 //
 // All three are serial and read the relations' rows directly (selection.row
-// and cell: one row for a table's selection, the left or the right row for
-// a join's):
-// no column vector is built for a column that is only sorted, aggregated or
-// joined. Nothing is charged here beyond the scan, exactly as execFromItem
-// charges it.
+// and cell: one row for a one-sided selection, the left or the right row for
+// a join's): no column vector is built for a column that is only sorted,
+// aggregated or joined. Nothing is charged here beyond the scan, exactly as
+// execFromItem charges it.
 //
-// A consumer applies only where evaluating less than the row path does
+// A consumer applies only where evaluating less than the interpreter does
 // cannot be observed: every expression it skips is a column read that
 // cannot fail, and LIMIT/OFFSET are constants. Everything else — expression
 // keys or projections, DISTINCT aggregates, HAVING, an ORDER BY that needs
 // the row's environment, a computed LIMIT, a column name the two sides of a
 // join share — materialises the selection once (for a join: builds the
-// joined rows it kept) and continues on projectTail, the row path's own
-// tail, which stays the reference implementation.
+// joined rows it kept) and continues on projectTail, the interpreter's tail,
+// which is the naive executor's and stays the reference implementation.
 
-// Result.Path values: the consumer, prefixed by what it consumed — a
-// table's positions or a join's pairs — or the row path with the clause that
-// sent a candidate back to it.
+// Result.Path values: the consumer, prefixed by what it consumed — one
+// relation's positions or a join's pairs — or rows with the clause that sent
+// a planned selection to the interpreter's tail; plain rows is what never
+// reaches a consumer (the naive executor, compound arms).
 const (
 	pathRows           = "rows"
 	pathTopK           = "positions/topk"
@@ -50,7 +48,6 @@ const (
 	pathPairsTopK      = "pairs/topk"
 	pathPairsAgg       = "pairs/agg"
 	pathPairsGather    = "pairs/gather"
-	pathRowsWhere      = "rows(where)"
 	pathRowsProjection = "rows(projection)"
 	pathRowsOrderBy    = "rows(order-by)"
 	pathRowsLimit      = "rows(limit)"
@@ -66,65 +63,10 @@ func (ec *execCtx) notePath(sel *SelectStmt, path string) {
 	}
 }
 
-// positionsTable returns the base table of a SELECT the positions path can
-// scan: vectorized execution, exactly one FROM item, a table big enough for
-// batch operators to engage. nil sends the SELECT down the row path (which
-// also raises "no such table").
-func (ec *execCtx) positionsTable(sel *SelectStmt, pl *selectPlan) *Table {
-	if !ec.vec || pl == nil || len(sel.From) != 1 || sel.From[0].Sub != nil {
-		return nil
-	}
-	t, ok := ec.db.Table(sel.From[0].Table)
-	if !ok || !ec.useBatch(len(t.Rows)) {
-		return nil
-	}
-	return t
-}
-
-// execSelectPositions executes a SELECT over base table t whose WHERE, if
-// any, is safe-total: scan and filters produce a selection, then the tail
-// consumer the select list allows — or projectTail over the materialised
-// selection.
-func (ec *execCtx) execSelectPositions(sel *SelectStmt, outer *scope, pl *selectPlan, t *Table) (*Rows, error) {
-	if err := ec.charge(int64(len(t.Rows))); err != nil {
-		return nil, err
-	}
-	src := &rowSet{cols: scanCols(strings.ToLower(sel.From[0].Name()), t), logical: len(t.Rows)}
-	s := selection{rows: t.Rows, all: true}
-	if sel.Where != nil {
-		// With pushdown placed, the pushed conjuncts run as the scan filter
-		// and the rest as the residual; without it (a conjunct names no
-		// column of t, or one the row path must be left to reject) the
-		// whole safe-total conjunction is the residual.
-		var residual []Expr
-		if fp := ec.planFrom(pl, sel, outer); fp != nil {
-			var err error
-			if s, err = ec.scanPositions(t, src.cols, fp.pushed[0], outer); err != nil {
-				return nil, err
-			}
-			residual = fp.residual
-		} else {
-			for _, c := range pl.where {
-				residual = append(residual, c.expr)
-			}
-		}
-		if len(residual) > 0 {
-			// Position kernels over the rows themselves: a residual is not
-			// worth building a column vector for.
-			ps := &predSource{t: t, cols: src.cols}
-			var err error
-			if s, err = ec.filterPositions(src.cols, s, compilePreds(ps, residual), outer); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return ec.tailPositions(sel, src, s, outer, pl)
-}
-
-// tailPositions produces a SELECT's result from the selection its FROM and
-// WHERE left — a table's positions or a join's pairs: the consumer the
-// select list allows, or projectTail over the materialised selection.
-func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, outer *scope, pl *selectPlan) (*Rows, error) {
+// tailPositions produces a planned SELECT's result from the selection its
+// FROM and WHERE left — one relation's rows or a join's pairs: the consumer
+// the select list allows, or projectTail over the materialised selection.
+func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, outer *scope) (*Rows, error) {
 	path := func(positions, pairs string) string {
 		if s.right != nil {
 			return pairs
@@ -151,16 +93,18 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, oute
 		}
 	}
 	ec.notePath(sel, reason)
-	return ec.projectTail(sel, src, s.materialise(), outer, pl)
+	return ec.projectTail(sel, src, s.materialise(), outer)
 }
 
-// scanPositions is the vectorized scan of a base table under its pushed
-// conjuncts (execFromItem materialises its result for joins): the first
-// usable `col = literal` conjunct narrows the scan to the column's
-// equality-index bucket (already a selection), and every pushed conjunct
-// then filters what is left — over the column vectors for a full scan,
-// over the rows themselves for a bucket, which is small and not worth a
-// vector.
+// scanPositions is the scan of a base table under its pushed conjuncts (none:
+// every row): the first usable `col = literal` conjunct narrows the scan to
+// the column's equality-index bucket (already a selection, ascending, so
+// emission order is a full scan's), and every pushed conjunct — the indexed
+// equality included, re-verified with real `=` semantics — then filters what
+// is left. A table big enough for batch operators filters through kernels,
+// over the column vectors for a full scan and over the rows themselves for a
+// bucket, which is small and not worth a vector; a smaller one through the
+// interpreter.
 func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, outer *scope) (selection, error) {
 	s := selection{rows: t.Rows, all: true}
 	if len(pushed) == 0 {
@@ -186,6 +130,9 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, o
 			return s, nil
 		}
 		break
+	}
+	if !ec.useBatch(len(t.Rows)) {
+		return ec.filterInterpreted(cols, s, exprs, outer)
 	}
 	ps := &predSource{t: t, vecs: s.all, cols: cols}
 	return ec.filterPositions(cols, s, compilePreds(ps, exprs), outer)
@@ -215,7 +162,7 @@ type rowTailPlan struct {
 // column read — an in-range ordinal, an output column name (both read the
 // projected column), or a column reference resolving uniquely in the scan
 // — because those cannot fail on any row, which makes sorting fewer rows
-// than the row path unobservable; and LIMIT/OFFSET must be constants for
+// than the interpreter unobservable; and LIMIT/OFFSET must be constants for
 // the same reason, since they are read before the sort instead of after.
 func planRowTail(sel *SelectStmt, cols []scopeCol, columns []string) (*rowTailPlan, string) {
 	ixs, consts, ok := projectionCols(sel, cols)
@@ -263,7 +210,7 @@ func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPla
 	out := &Rows{Columns: columns}
 	n := s.len()
 	if n == 0 {
-		return out, nil // no rows at all: Data stays nil, as on the row path
+		return out, nil // no rows at all: Data stays nil, as from projectTail
 	}
 	lo, hi := 0, n
 	if sel.Limit != nil {
@@ -577,7 +524,7 @@ func (st *aggState) result(fn aggFn) Value {
 // aggregatePositions runs an aggPlan over the selection: one pass in
 // position order assigns each row its group (first-seen order, keyed as
 // projectGrouped keys them) and folds its cells into that group's
-// accumulators; then one output row per group, and the row path's own
+// accumulators; then one output row per group, and the interpreter's own
 // DISTINCT/ORDER BY/LIMIT over those few rows.
 func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan, columns []string, outer *scope) (*Rows, error) {
 	w := len(ap.items)

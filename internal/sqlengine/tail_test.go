@@ -91,18 +91,20 @@ func selectAround(p *picker, n tailCols, from string) string {
 	return "SELECT " + p.of("", "", "DISTINCT ") + list + from + order + tail()
 }
 
-// checkTailCase runs the generated query in every execution mode against the
-// naive executor.
+// checkTailCase runs the generated query in every configuration of the
+// planned engine against the naive executor.
 func checkTailCase(t *testing.T, data []byte) {
 	t.Helper()
 	inserts, query := tailCase(&picker{data: data})
 	checkEveryMode(t, append([]string{"CREATE TABLE z (id INTEGER, a INTEGER, b INTEGER, c INTEGER)"}, inserts...), query)
 }
 
-// checkEveryMode builds one database per execution mode from the set-up
-// statements and runs query in each against the naive executor: same
-// error-ness, rows and logical Cost. The vectorized configurations force
-// the batch gate open so the batch paths run on the small tables.
+// checkEveryMode builds one database per configuration of the planned engine
+// from the set-up statements and runs query in each against the naive
+// executor: same error-ness, rows and logical Cost. The first is the engine
+// as it runs on tables this small (interpreted filters, the tail consumers);
+// the other two force the batch gate open (export_test.go) so the kernels
+// and morsels run on them too, serially and fanned out.
 func checkEveryMode(t *testing.T, setup []string, query string) {
 	t.Helper()
 	build := func(configure func(*Database)) *Database {
@@ -115,7 +117,7 @@ func checkEveryMode(t *testing.T, setup []string, query string) {
 	}
 	naive := build(func(db *Database) { db.SetPlanner(false) })
 	for _, configure := range []func(*Database){
-		func(db *Database) { db.SetVectorized(false) },
+		func(db *Database) {},
 		func(db *Database) { db.SetBatchTuning(1, 1); db.SetParallelism(1) },
 		func(db *Database) { db.SetBatchTuning(1, 1); db.SetParallelism(4) },
 	} {
@@ -124,7 +126,7 @@ func checkEveryMode(t *testing.T, setup []string, query string) {
 }
 
 // Property: whatever the table holds and whatever tail the query has, the
-// planned row-wise, vectorized and parallel executors return the naive
+// planned engine — unforced, on kernels, and fanned out — returns the naive
 // executor's rows, in its order, at its Cost.
 func TestTailEquivalenceProperty(t *testing.T) {
 	f := func(data []byte) bool {
@@ -137,8 +139,8 @@ func TestTailEquivalenceProperty(t *testing.T) {
 }
 
 // FuzzSelectTail is the differential fuzz target for the tail: fuzzer bytes
-// choose the table contents and the query (tailCase), and every execution
-// mode must agree with the naive executor without panicking.
+// choose the table contents and the query (tailCase), and every configuration
+// of the planned engine must agree with the naive executor without panicking.
 func FuzzSelectTail(f *testing.F) {
 	// LIMIT MaxInt64 OFFSET 1 — offset+limit used to wrap negative and
 	// panic — over three rows, without and with ORDER BY: row count, nine
