@@ -63,7 +63,7 @@ func main() {
 	generator := flag.String("generator", "codes-15b", "text-to-SQL generator: codes-{1,3,7,15}b, chess, chess-sscg, rsl-sql, dail-sql, c3")
 	workers := flag.Int("workers", 0, "evidence worker pool size per corpus (0 = GOMAXPROCS)")
 	cache := flag.Int("cache", 0, "evidence cache capacity in entries (0 = 4096)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch window; 0 disables batching")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a cache miss may wait to share a pool dispatch; 0 disables batching")
 	batchMax := flag.Int("batch-max", 32, "micro-batch size that forces an early flush")
 	rate := flag.Float64("rate", 0, "admission rate limit in requests/second (0 = unlimited)")
 	burst := flag.Int("burst", 64, "admission token-bucket burst")

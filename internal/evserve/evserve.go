@@ -87,7 +87,8 @@ type Options struct {
 	Store Store
 }
 
-// ErrClosed is returned by Generate and GenerateAll after Close.
+// ErrClosed is returned by Generate, GenerateAll and GenerateMissed after
+// Close.
 var ErrClosed = errors.New("evserve: service closed")
 
 // Request is one unit of batch work for GenerateAll.
@@ -159,11 +160,13 @@ type Service struct {
 	batchNanos    atomic.Int64
 }
 
-// job carries one batch request to a pool worker.
+// job carries one batch request to a pool worker. probed marks a request
+// whose counted cache lookup already happened (GenerateMissed).
 type job struct {
 	ctx      context.Context
 	db       string
 	question string
+	probed   bool
 	out      *Result
 	wg       *sync.WaitGroup
 }
@@ -237,7 +240,7 @@ func (s *Service) worker() {
 				j.wg.Done()
 				continue
 			}
-			ev, err := s.GenerateTraced(j.ctx, j.db, j.question)
+			ev, err := s.serve(j.ctx, j.db, j.question, j.probed)
 			j.out.Evidence, j.out.Trace, j.out.CacheHit, j.out.Err = ev.Text, ev.Trace, ev.CacheHit, err
 			j.wg.Done()
 		}
@@ -258,23 +261,63 @@ func (s *Service) Generate(ctx context.Context, db, question string) (string, er
 // cache preserves traces, so warm hits still explain themselves) and
 // whether this particular request was a cache hit.
 func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evidence, error) {
+	return s.serve(ctx, db, question, false)
+}
+
+// Lookup answers a request from the cache alone, on the caller's
+// goroutine: the same counted probe and "evserve.lookup" span
+// GenerateTraced starts with, and nothing after it. Anything but a hit — a
+// miss, caching disabled, a dead context, a closed service — reports
+// false; the caller then takes a generating path (GenerateMissed, so the
+// miss counted here is not counted twice), which is also where a dead
+// context or a closed service gets its error.
+func (s *Service) Lookup(ctx context.Context, db, question string) (Evidence, bool) {
+	ev, _, err := s.probe(ctx, db, question, false)
+	return ev, err == nil && ev.CacheHit
+}
+
+// probe is the first half of every request: is the caller still there, is
+// the service open, is the answer cached. A hit comes back with CacheHit
+// set and its span recorded; a miss is the zero Evidence and the key to
+// generate under. Each request has one counted probe — cache_hits and
+// cache_misses move by one per request — so a request that already missed
+// in Lookup re-reads the cache (probed) without counting: the read stays
+// because the key may have been filled while the request sat in a batch.
+func (s *Service) probe(ctx context.Context, db, question string, probed bool) (Evidence, Key, error) {
 	if err := ctx.Err(); err != nil {
-		return Evidence{}, err
+		return Evidence{}, Key{}, err
 	}
 	select {
 	case <-s.done:
-		return Evidence{}, ErrClosed
+		return Evidence{}, Key{}, ErrClosed
 	default:
 	}
 	k := KeyFor(db, s.opts.Variant, question)
-	_, sp := obs.StartSpan(ctx, "evserve.lookup")
 	if s.cache != nil {
-		if e, ok := s.cache.Get(k); ok {
+		get := s.cache.Get
+		if probed {
+			get = s.cache.Peek
+		}
+		if e, ok := get(k); ok {
+			// Opened after the read so that a miss leaves no span behind: a
+			// hit is sub-microsecond, below the span clock's resolution.
+			_, sp := obs.StartSpan(ctx, "evserve.lookup")
 			sp.SetAttr("cache_hit", true)
 			sp.End()
-			return Evidence{Text: e.Evidence, Trace: e.Trace, CacheHit: true}, nil
+			return Evidence{Text: e.Evidence, Trace: e.Trace, CacheHit: true}, k, nil
 		}
 	}
+	return Evidence{}, k, nil
+}
+
+// serve is one request end to end: probe, then on a miss generate — at
+// most once per key across concurrent callers.
+func (s *Service) serve(ctx context.Context, db, question string, probed bool) (Evidence, error) {
+	ev, k, err := s.probe(ctx, db, question, probed)
+	if err != nil || ev.CacheHit {
+		return ev, err
+	}
+	_, sp := obs.StartSpan(ctx, "evserve.lookup")
 	sp.SetAttr("cache_hit", false)
 	// Generation/append timings escape the closure via these locals: the
 	// closure body runs only in the single-flight leader's goroutine (this
@@ -366,6 +409,17 @@ func (s *Service) Inject(k Key, e Entry) bool {
 // closed mid-batch, and nil otherwise — per-request failures are reported
 // on the individual Results only.
 func (s *Service) GenerateAll(ctx context.Context, reqs []Request) ([]Result, error) {
+	return s.generateAll(ctx, reqs, false)
+}
+
+// GenerateMissed is GenerateAll for requests that have each just missed in
+// Lookup: same pool, order, errors and batch counters, but a job's cache
+// read is not counted a second time.
+func (s *Service) GenerateMissed(ctx context.Context, reqs []Request) ([]Result, error) {
+	return s.generateAll(ctx, reqs, true)
+}
+
+func (s *Service) generateAll(ctx context.Context, reqs []Request, probed bool) ([]Result, error) {
 	start := time.Now()
 	results := make([]Result, len(reqs))
 	var wg sync.WaitGroup
@@ -376,7 +430,7 @@ submit:
 		results[i].Request = reqs[i]
 		wg.Add(1)
 		select {
-		case s.jobs <- job{ctx: ctx, db: reqs[i].DB, question: reqs[i].Question, out: &results[i], wg: &wg}:
+		case s.jobs <- job{ctx: ctx, db: reqs[i].DB, question: reqs[i].Question, probed: probed, out: &results[i], wg: &wg}:
 			submitted++
 		case <-ctx.Done():
 			wg.Done()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -599,5 +600,83 @@ func TestFailedGenerationKeepsPartialTrace(t *testing.T) {
 	}
 	if ev.Trace == nil || len(ev.Trace.Stages) != 1 || ev.Trace.Stages[0].Err != "boom" {
 		t.Fatalf("failure dropped the partial trace: %+v", ev.Trace)
+	}
+}
+
+// TestLookupThenGenerateMissedCountsOnce is the probe's counting and span
+// contract: Lookup is the request's one counted cache read, so the pool
+// job GenerateMissed runs for it re-reads the cache without counting
+// (GenerateAll, whose jobs make the first read, still counts), a hit
+// records evserve.lookup{cache_hit:true} and a miss records nothing.
+func TestLookupThenGenerateMissedCountsOnce(t *testing.T) {
+	var calls atomic.Int64
+	s := echoService(t, Options{Variant: "v", Workers: 1}, &calls)
+	ctx, tr := obs.NewTrace(context.Background(), "", "")
+	hitsMisses := func() [2]int64 { st := s.Stats().Cache; return [2]int64{st.Hits, st.Misses} }
+
+	if ev, ok := s.Lookup(ctx, "db", "q"); ok || ev != (Evidence{}) {
+		t.Fatalf("Lookup on an empty cache = %+v, %v", ev, ok)
+	}
+	if got := hitsMisses(); got != [2]int64{0, 1} {
+		t.Fatalf("after the missed Lookup: hits/misses = %v, want [0 1]", got)
+	}
+	// The same key twice in one batch on a one-worker pool: the second job
+	// finds the first's entry — one generation, and no read counted.
+	reqs := []Request{{DB: "db", Question: "q"}, {DB: "db", Question: "q"}}
+	res, err := s.GenerateMissed(context.Background(), reqs)
+	if err != nil || res[0].Err != nil || res[1].Err != nil {
+		t.Fatalf("GenerateMissed: %v, %+v", err, res)
+	}
+	if res[0].CacheHit || !res[1].CacheHit || res[1].Evidence != "db/q" || calls.Load() != 1 {
+		t.Errorf("GenerateMissed results %+v after %d generations, want a generation then a hit", res, calls.Load())
+	}
+	if got := hitsMisses(); got != [2]int64{0, 1} {
+		t.Errorf("after GenerateMissed: hits/misses = %v, want [0 1] still", got)
+	}
+	if ev, ok := s.Lookup(ctx, "db", "q"); !ok || !ev.CacheHit || ev.Text != "db/q" {
+		t.Errorf("Lookup of a cached key = %+v, %v", ev, ok)
+	}
+	if _, err := s.GenerateAll(context.Background(), reqs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := hitsMisses(); got != [2]int64{2, 1} {
+		t.Errorf("after a hit Lookup and a GenerateAll hit: hits/misses = %v, want [2 1]", got)
+	}
+
+	rec := tr.Finish("test", 0, "")
+	if len(rec.Spans) != 1 || rec.Spans[0].Name != "evserve.lookup" || rec.Spans[0].Attrs["cache_hit"] != true {
+		t.Errorf("two Lookups (a miss, a hit) left spans %+v, want one evserve.lookup{cache_hit:true}", rec.Spans)
+	}
+}
+
+// TestLookupDeclinesWhatItCannotAnswer: a dead context, a closed service
+// and a cacheless service are not hits, whatever the cache holds — the
+// generating path the caller takes next is what reports them.
+func TestLookupDeclinesWhatItCannotAnswer(t *testing.T) {
+	var calls atomic.Int64
+	s := echoService(t, Options{Variant: "v"}, &calls)
+	ctx := context.Background()
+	if _, err := s.Generate(ctx, "db", "q"); err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, ok := s.Lookup(dead, "db", "q"); ok {
+		t.Error("Lookup under a cancelled context reported a hit")
+	}
+	s.Close()
+	if _, ok := s.Lookup(ctx, "db", "q"); ok {
+		t.Error("Lookup on a closed service reported a hit")
+	}
+	if st := s.Stats().Cache; st.Hits != 0 {
+		t.Errorf("declined Lookups counted %d hits", st.Hits)
+	}
+
+	off := echoService(t, Options{Variant: "v", CacheCapacity: -1}, &calls)
+	if _, err := off.Generate(ctx, "db", "q"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := off.Lookup(ctx, "db", "q"); ok {
+		t.Error("Lookup with caching disabled reported a hit")
 	}
 }

@@ -126,6 +126,20 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return v, true
 }
 
+// Peek returns the value cached under k without counting the lookup or
+// touching recency: for a caller re-reading a key whose lookup it has
+// already had counted by Get.
+func (c *Cache[K, V]) Peek(k K) (V, bool) {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n, ok := s.entries[k]; ok {
+		return n.val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Put stores v under k, evicting the shard's least recently used entry
 // when the shard is full. Re-putting an existing key refreshes both the
 // value and its recency.

@@ -44,6 +44,27 @@ func TestEvictionOrderAndRefresh(t *testing.T) {
 	}
 }
 
+// TestPeekCountsAndRefreshesNothing: Peek reads a value and leaves both
+// the hit/miss counters and the eviction order as it found them.
+func TestPeekCountsAndRefreshesNothing(t *testing.T) {
+	c := lru.New[string, int](2, 1, lru.HashString)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d, %v; want 1, true", v, ok)
+	}
+	if _, ok := c.Peek("zz"); ok {
+		t.Fatal("Peek found a key that was never put")
+	}
+	c.Put("c", 3) // a is still the oldest: the Peek did not refresh it
+	if _, ok := c.Peek("a"); ok {
+		t.Error("a survived eviction: Peek refreshed its recency")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("hits = %d, misses = %d after Peeks only; want 0, 0", st.Hits, st.Misses)
+	}
+}
+
 func TestShardRoundingAndPerShardCapacity(t *testing.T) {
 	// 3 shards round up to 4; ceil(10/4) = 3 per shard, so the exact
 	// bound is 12, and one shard alone never holds more than 3.

@@ -10,13 +10,17 @@ import (
 	"repro/internal/obs"
 )
 
-// batcher coalesces concurrent evidence requests into evserve.GenerateAll
-// calls. Arrivals accumulate until either the batch window elapses or the
-// batch reaches maxSize, then the whole batch is handed to the service's
-// worker pool in one call. Under concurrent load this converts N cache
-// probes / pipeline runs dispatched one goroutine at a time into pooled
-// batches with backpressure — the serving-path analogue of what
-// experiments.evidenceMap does for offline splits.
+// batcher coalesces concurrent evidence cache misses into
+// evserve.GenerateMissed calls. A request whose evidence is cached has no
+// pipeline run to contribute to a batch, so Generate answers it from the
+// cache on the caller's goroutine and it never waits: no timer, no lock
+// shared with other requests, no pool worker. Misses accumulate until
+// either the batch window elapses or the batch reaches maxSize, then the
+// whole batch is handed to the service's worker pool in one call, which
+// bounds concurrent generations with backpressure — the serving-path
+// analogue of what experiments.evidenceMap does for offline splits. The
+// batch counters therefore describe only requests that had something to
+// generate.
 //
 // With batching disabled (window <= 0 or maxSize <= 1) Generate degrades
 // to a direct single-flight service call: the fast path for lightly
@@ -53,15 +57,19 @@ func newBatcher(svc *evserve.Service, window time.Duration, maxSize int) *batche
 	return &batcher{svc: svc, window: window, maxSize: maxSize}
 }
 
-// Generate produces evidence (with its provenance trace) for one request,
-// possibly sharing a batch with concurrent callers. Cancelling ctx
-// abandons the wait immediately; the batch itself keeps running for the
-// other participants, and the abandoned result is delivered into a
-// buffered channel and dropped.
+// Generate produces evidence (with its provenance trace) for one request:
+// from the cache at once, otherwise by generating, possibly sharing a
+// batch with concurrent callers. Cancelling ctx abandons the wait
+// immediately; the batch itself keeps running for the other participants,
+// and the abandoned result is delivered into a buffered channel and
+// dropped.
 func (b *batcher) Generate(ctx context.Context, db, question string) (evserve.Evidence, error) {
 	if b.window <= 0 || b.maxSize <= 1 {
 		b.singles.Add(1)
 		return b.svc.GenerateTraced(ctx, db, question)
+	}
+	if ev, ok := b.svc.Lookup(ctx, db, question); ok {
+		return ev, nil
 	}
 	// The wait span covers coalescing + the shared batch execution: the
 	// batch itself runs under its own context (it is shared by unrelated
@@ -145,7 +153,7 @@ func (b *batcher) run(items []batchItem) {
 	for i := range items {
 		reqs[i] = items[i].req
 	}
-	results, _ := b.svc.GenerateAll(context.Background(), reqs)
+	results, _ := b.svc.GenerateMissed(context.Background(), reqs)
 	// Count the batch before releasing its waiters, so a caller that
 	// reads stats right after its Generate returns sees this batch.
 	b.batches.Add(1)
@@ -167,9 +175,11 @@ func (b *batcher) run(items []batchItem) {
 type BatcherStats struct {
 	// Singles counts requests served on the unbatched fast path.
 	Singles int64 `json:"singles"`
-	// Batches counts dispatched GenerateAll batches.
+	// Batches counts dispatched batches of cache misses.
 	Batches int64 `json:"batches"`
-	// BatchedRequests counts requests served through batches.
+	// BatchedRequests counts requests served through batches: those that
+	// missed the cache. Hits never enter one (the evidence cache's hit
+	// counter is how many took that path).
 	BatchedRequests int64 `json:"batched_requests"`
 	// AvgFill is BatchedRequests / Batches — the batching win: how many
 	// requests each pool dispatch amortised over.

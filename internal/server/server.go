@@ -1,11 +1,12 @@
 // Package server is SEED's online serving subsystem: the practical-usability
 // half of the paper's claim, turned into a production-shaped HTTP service.
 // Evidence is generated (and cached) by an evserve.Service per corpus,
-// concurrent evidence requests are coalesced by a micro-batcher, text-to-SQL
-// generation and execution ride the per-database session registry and the
-// SQL engine's prepared-plan cache, and the whole thing sits behind
-// admission control (token-bucket rate limit + bounded in-flight semaphore)
-// with per-route latency histograms exported at /metrics.
+// concurrent evidence cache misses are coalesced by a micro-batcher (hits
+// are answered at once), text-to-SQL generation and execution ride the
+// per-database session registry and the SQL engine's prepared-plan cache,
+// and the whole thing sits behind admission control (token-bucket rate
+// limit + bounded in-flight semaphore) with per-route latency histograms
+// exported at /metrics.
 //
 // The JSON API:
 //
@@ -73,8 +74,9 @@ type Config struct {
 	// EvidenceCache is each evidence service's cache capacity in entries;
 	// 0 defaults to 4096.
 	EvidenceCache int
-	// BatchWindow is how long the micro-batcher holds the first request
-	// of a batch waiting for company; <= 0 disables batching.
+	// BatchWindow is how long the micro-batcher holds the first cache
+	// miss of a batch waiting for company (cache hits never wait);
+	// <= 0 disables batching.
 	BatchWindow time.Duration
 	// BatchMax flushes a batch early once it reaches this size; <= 1
 	// disables batching.
@@ -498,12 +500,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	evSpan.SetAttr("cache_hit", ev.CacheHit)
-	// The evidence's DAG provenance becomes child spans regardless of how
-	// it was served: the batched path runs under the batch's own context
-	// (no per-request spans can flow into it), and a cache hit did not run
-	// the DAG at all this request — either way ev.Trace carries the stage
-	// breakdown, anchored here at this request's evidence phase start.
-	if ev.Trace != nil {
+	// A request that waited for a generation (its own, a batch's, or a
+	// single-flight leader's) gets the DAG's stages as child spans: the
+	// batch runs under its own context, so no per-request span can flow
+	// into it, but ev.Trace carries the stage breakdown, anchored here at
+	// this request's evidence phase start. A cache hit ran no stage, so it
+	// gets none; the response's evidence_trace still says where its
+	// evidence came from.
+	if ev.Trace != nil && !ev.CacheHit {
 		for _, st := range ev.Trace.Stages {
 			var attrs map[string]any
 			if st.CacheHit || st.Tokens > 0 {

@@ -363,19 +363,18 @@ func TestQueryGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchedServingBeatsSerialPipeline is the load-harness acceptance
-// test: at concurrency 16 on a warm evidence cache, micro-batched serving
-// must sustain higher QPS than per-request serial pipeline calls — the
-// pre-serving status quo, where every request pays a fresh evidence
-// generation with no cache, no batching and no concurrency. This is the
-// paper's practical-usability claim measured end to end.
-func TestBatchedServingBeatsSerialPipeline(t *testing.T) {
+// TestWarmServingBeatsSerialPipeline is the load-harness acceptance test:
+// at concurrency 16 on a warm evidence cache — every request a cache hit,
+// so none of them is batched — serving must sustain higher QPS than
+// per-request serial pipeline calls: the pre-serving status quo, where
+// every request pays a fresh evidence generation with no cache and no
+// concurrency. This is the paper's practical-usability claim ("generate
+// once, answer cheaply ever after") measured end to end.
+func TestWarmServingBeatsSerialPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load measurement; skipped in -short")
 	}
-	_, ts := newTestServer(t, func(cfg *Config) {
-		cfg.BatchMax = 16 // match client concurrency: saturated batches flush on size
-	})
+	_, ts := newTestServer(t, nil)
 	corpus := testCorpus(t)
 	var payloads [][]byte
 	for i := 0; i < len(corpus.Dev); i += 2 {
@@ -388,15 +387,15 @@ func TestBatchedServingBeatsSerialPipeline(t *testing.T) {
 	if _, err := runLoad(ctx, loadOptions{baseURL: ts.URL, payloads: payloads, concurrency: 8}); err != nil {
 		t.Fatal(err)
 	}
-	batched, err := runLoad(ctx, loadOptions{baseURL: ts.URL, payloads: payloads, concurrency: 16, total: 2 * len(payloads)})
+	warm, err := runLoad(ctx, loadOptions{baseURL: ts.URL, payloads: payloads, concurrency: 16, total: 2 * len(payloads)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A few dev examples legitimately 422 (the generator emits SQL that
 	// does not execute); that is serving behaviour, not load failure. It
 	// must stay a small minority.
-	if batched.errors*10 > batched.requests {
-		t.Fatalf("load error rate too high: %d/%d", batched.errors, batched.requests)
+	if warm.errors*10 > warm.requests {
+		t.Fatalf("load error rate too high: %d/%d", warm.errors, warm.requests)
 	}
 	// The status quo served requests are judged against: a script wrapping
 	// the offline pipeline per request. Each of 64 dev questions pays a
@@ -430,13 +429,13 @@ func TestBatchedServingBeatsSerialPipeline(t *testing.T) {
 		}
 	}
 	serialQPS := 64 / time.Since(start).Seconds()
-	t.Logf("pipeline serial: %.0f qps; batched c=16: %.0f qps (p50 %.0fus p99 %.0fus)",
-		serialQPS, batched.qps, batched.p50Micros, batched.p99Micros)
-	// Require a real margin, not a coin flip: measured ~8x on one CPU,
-	// so 1.5x leaves ample room for noisy machines.
-	if batched.qps <= 1.5*serialQPS {
-		t.Errorf("batched serving (%.0f qps) does not beat per-request serial pipeline calls (%.0f qps) by >= 1.5x",
-			batched.qps, serialQPS)
+	t.Logf("pipeline serial: %.0f qps; warm serving c=16: %.0f qps (p50 %.0fus p99 %.0fus)",
+		serialQPS, warm.qps, warm.p50Micros, warm.p99Micros)
+	// Require a real margin, not a coin flip: measured 17–23x on two
+	// cores, so 1.5x leaves ample room for noisy machines.
+	if warm.qps <= 1.5*serialQPS {
+		t.Errorf("warm serving (%.0f qps) does not beat per-request serial pipeline calls (%.0f qps) by >= 1.5x",
+			warm.qps, serialQPS)
 	}
 }
 

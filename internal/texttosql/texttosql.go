@@ -29,6 +29,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/evidence"
@@ -104,6 +105,11 @@ type OptionsProvider interface {
 type pipeline struct {
 	opts   Options
 	client llm.Client
+	// ddl pins each database's rendered schema block (*schema.DB ->
+	// string), so a prompt costs one copy of it, not one Fprintf per
+	// column. Like the Retriever's value index it assumes a database's
+	// schema is fixed once the generator has seen it.
+	ddl sync.Map
 }
 
 // Options implements OptionsProvider.
@@ -179,12 +185,21 @@ func sharedRand(parts ...string) *llm.Rand {
 func (p *pipeline) buildPrompt(task Task) string {
 	var b strings.Builder
 	b.WriteString("Translate the question to SQL.\n")
-	b.WriteString(task.DB.DDL())
+	b.WriteString(p.schemaBlock(task.DB))
 	if task.Evidence != "" {
 		b.WriteString("\nEvidence: " + task.Evidence)
 	}
 	b.WriteString("\nQuestion: " + task.Example.Question)
 	return b.String()
+}
+
+func (p *pipeline) schemaBlock(db *schema.DB) string {
+	if s, ok := p.ddl.Load(db); ok {
+		return s.(string)
+	}
+	// Two first callers may both render; the text is the same either way.
+	s, _ := p.ddl.LoadOrStore(db, db.DDL())
+	return s.(string)
 }
 
 // assemble performs structural assembly plus per-atom knowledge

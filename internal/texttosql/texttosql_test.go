@@ -261,6 +261,37 @@ func TestCodeSSizes(t *testing.T) {
 	NewCodeS(client, 42)
 }
 
+// TestPromptSchemaBlockPinnedPerDB: the prompt carries the database's DDL
+// byte for byte, every database's own, and after the first prompt for a
+// database building one no longer renders the schema (which alone costs
+// 43–98 allocations on the BIRD fixtures).
+func TestPromptSchemaBlockPinnedPerDB(t *testing.T) {
+	c := testCorpus(t)
+	p := NewCodeS(llm.NewSimulator(), 15).(*pipeline)
+	seen := make(map[string]bool)
+	for i := range c.Dev {
+		task := taskFor(t, c, i, c.Dev[i].CleanEvidence)
+		if seen[task.DB.Name] {
+			continue
+		}
+		seen[task.DB.Name] = true
+		want := "Translate the question to SQL.\n" + task.DB.DDL() +
+			"\nEvidence: " + task.Evidence + "\nQuestion: " + task.Example.Question
+		for range 2 {
+			if got := p.buildPrompt(task); got != want {
+				t.Fatalf("%s: prompt diverged from the uncached rendering\n got: %q\nwant: %q", task.DB.Name, got, want)
+			}
+		}
+		render := testing.AllocsPerRun(20, func() { _ = task.DB.DDL() })
+		if n := testing.AllocsPerRun(20, func() { _ = p.buildPrompt(task) }); n >= render {
+			t.Errorf("%s: buildPrompt allocates %.0f times, rendering the DDL alone %.0f: the schema block is not pinned", task.DB.Name, n, render)
+		}
+	}
+	if len(seen) < 2 {
+		t.Fatalf("only %d databases seen", len(seen))
+	}
+}
+
 // TestValueIndexBuiltOncePerDB pins the retriever's caching contract: the
 // BM25 value index and the distinct-value inventories are constructed on
 // first use and then shared — repeat lookups (and concurrent ones) must
