@@ -1,12 +1,12 @@
 // Package repro's top-level benchmarks regenerate every table and figure
-// of the paper's evaluation section (see DESIGN.md §4 for the experiment
-// index). Each benchmark prints the reproduced artefact once; the timing
-// measures the full regeneration cost (corpus reuse included).
+// of the paper's evaluation section (README "Paper artefact → driver map"
+// lists them). Each benchmark prints the reproduced artefact once; the
+// timing measures the full regeneration cost (corpus reuse included).
 //
 //	go test -bench=. -benchmem
 //
 // Heavy tables sample the dev split under -short; run without -short for
-// the full-split numbers recorded in EXPERIMENTS.md.
+// the full-split numbers.
 package repro
 
 import (
@@ -112,7 +112,7 @@ func BenchmarkFig3PipelineTrace(b *testing.B) {
 	}
 }
 
-// --- Component ablation benchmarks (DESIGN.md design-choice probes) ---
+// --- Component ablation benchmarks ---
 
 // BenchmarkAblationSeedGeneration measures the per-question cost of the
 // full SEED pipeline, the number the paper's practicality claim rests on.

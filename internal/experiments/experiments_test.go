@@ -114,9 +114,9 @@ func TestTable6ShowsJoinDifference(t *testing.T) {
 }
 
 // TestTable4Shape asserts the paper's qualitative orderings on a sampled
-// run (DESIGN.md §4): evidence omission degrades everyone, DAIL-SQL
-// degrades most, CodeS profits at least as much from SEED as from gold
-// evidence, and SEED_revised beats SEED_deepseek for CHESS.
+// run (README "Paper artefact → driver map"): evidence omission degrades
+// everyone, DAIL-SQL degrades most, CodeS profits at least as much from SEED
+// as from gold evidence, and SEED_revised beats SEED_deepseek for CHESS.
 func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy: run without -short")

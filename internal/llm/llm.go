@@ -51,7 +51,8 @@ type Model struct {
 
 // Registry of the models used in the paper. Context windows follow the
 // public APIs at the paper's writing time; capabilities are calibration
-// parameters documented in EXPERIMENTS.md.
+// parameters, fitted to the tables README "Paper artefact → driver map"
+// lists.
 var registry = map[string]Model{
 	"gpt-4o":       {Name: "gpt-4o", ContextWindow: 128000, Capability: 0.92, InstructionFollowing: 0.95},
 	"gpt-4o-mini":  {Name: "gpt-4o-mini", ContextWindow: 128000, Capability: 0.84, InstructionFollowing: 0.90},

@@ -306,7 +306,7 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 	qv := p.embedder.Embed(question)
 	bestIdx, bestSim := -1, -2.0
 	for i := range p.corpus.Train {
-		if sim := cosine(qv, p.trainVecs[i]); sim > bestSim {
+		if sim := qv.Dot(&p.trainVecs[i]); sim > bestSim {
 			bestSim = sim
 			bestIdx = i
 		}
@@ -322,7 +322,7 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 	var cands []cand
 	for _, i := range sameDB {
 		if !used[i] {
-			cands = append(cands, cand{i, cosine(qv, p.trainVecs[i])})
+			cands = append(cands, cand{i, qv.Dot(&p.trainVecs[i])})
 		}
 	}
 	sort.SliceStable(cands, func(a, b int) bool {
@@ -344,14 +344,6 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 		shots = append(shots, Shot{Question: ex.Question, Evidence: ex.CleanEvidence})
 	}
 	return shots
-}
-
-func cosine(a, b [256]float32) float64 {
-	var dot float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-	}
-	return dot
 }
 
 // summarizeShots is the deepseek variant's second summarization: exemplars

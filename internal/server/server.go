@@ -734,15 +734,21 @@ func (s *Server) tryMemory(w http.ResponseWriter, r *http.Request, sess *Session
 }
 
 // renderRows converts engine rows to JSON-shaped values: NULL becomes
-// JSON null, everything else its text rendering.
+// JSON null, everything else its text rendering. The rows share one backing
+// array sized to their total cell count (rows of different widths included),
+// one full-capacity sub-slice per row.
 func renderRows(rows *sqlengine.Rows, n int) [][]any {
+	cells := 0
+	for _, r := range rows.Data[:n] {
+		cells += len(r)
+	}
+	backing := make([]any, cells)
 	out := make([][]any, n)
-	for i := 0; i < n; i++ {
-		row := make([]any, len(rows.Data[i]))
-		for j, v := range rows.Data[i] {
-			if v.IsNull() {
-				row[j] = nil
-			} else {
+	for i, r := range rows.Data[:n] {
+		row := backing[:len(r):len(r)]
+		backing = backing[len(r):]
+		for j, v := range r {
+			if !v.IsNull() { // NULL stays the nil the backing holds
 				row[j] = v.AsText()
 			}
 		}

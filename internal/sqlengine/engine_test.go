@@ -108,6 +108,13 @@ var engineQueries = []string{
 	// An expression key: with HAVING above, the grouped shapes no consumer
 	// takes, so the interpreter's tail groups every row (rows(group-by)).
 	"SELECT num % 10, COUNT(*), SUM(num) FROM f GROUP BY num % 10",
+	// Full sorts, as the served ORDER BY without LIMIT: packed words over a
+	// REAL key then an INTEGER one, over two INTEGER keys, over a join's
+	// pairs; the comparator for a key holding NULL and TEXT.
+	"SELECT id FROM f ORDER BY num DESC, id",
+	"SELECT id FROM f ORDER BY flag DESC, id",
+	"SELECT id FROM f ORDER BY grp, id",
+	"SELECT f.id FROM f JOIN d ON f.grp = d.grp ORDER BY d.weight DESC, f.id",
 }
 
 // buildEngineDB bulk-loads a database big enough to cross the *default*
@@ -515,8 +522,9 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 // — pushed comparison kernels, the hash-join probe on a TEXT key (coarseKey)
 // and on an INTEGER key (the cell itself), the grouped accumulators of the
 // aggregate consumer (serial, whatever the mode), a bounded top-k heap on a
-// column that is not projected, ungrouped accumulators — and the two grouped
-// shapes no consumer takes, HAVING and an expression key, which the
+// column that is not projected, ungrouped accumulators, a full sort through
+// packed words, a negated TEXT comparison read from the rows — and the two
+// grouped shapes no consumer takes, HAVING and an expression key, which the
 // interpreter's tail groups serially. Modes: the naive executor (to 100k
 // only: its nested-loop join takes minutes at 1M), and the planned engine on
 // one worker and on GOMAXPROCS workers, so `-cpu 1,2,4` sets N and plannedN
@@ -539,6 +547,8 @@ func BenchmarkExecModes(b *testing.B) {
 		{"agg", "SELECT grp, COUNT(*), SUM(num), AVG(num), MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp"},
 		{"having", "SELECT grp, COUNT(*) FROM f GROUP BY grp HAVING COUNT(*) > 100 ORDER BY 2 DESC, 1"},
 		{"group_expr", "SELECT num % 10, COUNT(*), SUM(num) FROM f GROUP BY num % 10"},
+		{"order_all", "SELECT id FROM f ORDER BY num DESC, id"},
+		{"not_text", "SELECT SUM(flag) FROM f WHERE NOT (grp = 'a')"},
 	}, small...)
 	modes := []struct {
 		name    string

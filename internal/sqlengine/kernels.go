@@ -142,7 +142,10 @@ func compilePred(ps *predSource, e Expr) rowPred {
 // cell or literal still fails, as NOT NULL does) and the others flip the
 // not flag their kernels already take. A negated column is read from the
 // rows: negation passes most of them, and a vector built for it would stay
-// resident for no gain a selective filter could repay.
+// resident for no gain a selective filter could repay. What a comparison
+// reads from rows — a negated column, an index bucket, a join's output —
+// still compares a TEXT or INTEGER cell against a literal of its own kind
+// without the general path (cmpKernel).
 func compileKernel(ps *predSource, e Expr, neg bool) rowPred {
 	switch x := e.(type) {
 	case *Unary:
@@ -215,16 +218,20 @@ func (ps *predSource) rowKernel(col int, test func(Value) bool) func(l, r []Valu
 	return func(l, r []Value) bool { return test(cell(l, r, c)) }
 }
 
-// cellAt builds a position-indexed cell reader for a scan source column.
-// Used by the generic kernel bodies when no typed specialisation applies.
-func cellAt(ps *predSource, col int) func(i int) Value {
+// idxKernel is the row-reading position form of a kernel body: test applied
+// to column col of the scanned table's row i. It serves what no typed vector
+// does — a negated column, an index bucket, a column of mixed kinds.
+func (ps *predSource) idxKernel(col int, test func(Value) bool) func(i int) bool {
 	rows := ps.t.Rows
-	return func(i int) Value { return rows[i][col] }
+	return func(i int) bool { return test(rows[i][col]) }
 }
 
 // cmpKernel compiles `col <op> lit` with the interpreter's exact
 // semantics: NULL on either side fails the filter, mixed numeric/text
-// operands harmonise, then Compare orders across kinds.
+// operands harmonise, then Compare orders across kinds. Where cells are read
+// from rows, a TEXT cell against a TEXT literal and an INTEGER cell against
+// an INTEGER literal — where harmonise changes nothing — compare directly,
+// and every other cell takes that general path.
 func cmpKernel(ps *predSource, cr *ColumnRef, lit Value, mask uint8) rowPred {
 	col, ok := ps.resolveLocal(cr)
 	if !ok {
@@ -240,17 +247,34 @@ func cmpKernel(ps *predSource, cr *ColumnRef, lit Value, mask uint8) rowPred {
 		a, b := harmonise(v, lit)
 		return mask&cmpMask3(Compare(a, b)) != 0
 	}
+	test := generic
+	switch lit.Kind {
+	case KindText:
+		ls := lit.S
+		test = func(v Value) bool {
+			if v.Kind == KindText {
+				return mask&cmpMask3(strings.Compare(v.S, ls)) != 0
+			}
+			return generic(v)
+		}
+	case KindInt:
+		li := lit.I
+		test = func(v Value) bool {
+			if v.Kind == KindInt {
+				return mask&cmpMaskInt(v.I, li) != 0
+			}
+			return generic(v)
+		}
+	}
 	if ps.t == nil {
-		return rowPred{byRow: ps.rowKernel(col, generic)}
+		return rowPred{byRow: ps.rowKernel(col, test)}
 	}
 	if !ps.vecs {
-		cell := cellAt(ps, col)
-		return rowPred{byIdx: func(i int) bool { return generic(cell(i)) }}
+		return rowPred{byIdx: ps.idxKernel(col, test)}
 	}
 	vec := ps.t.columnVec(col)
 	if !vec.typed || vec.kind == KindNull {
-		cell := cellAt(ps, col)
-		return rowPred{byIdx: func(i int) bool { return generic(cell(i)) }}
+		return rowPred{byIdx: ps.idxKernel(col, test)}
 	}
 	litF, litNum := 0.0, false
 	switch lit.Kind {
@@ -311,8 +335,7 @@ func cmpKernel(ps *predSource, cr *ColumnRef, lit Value, mask uint8) rowPred {
 			return textRes
 		}}
 	}
-	cell := cellAt(ps, col)
-	return rowPred{byIdx: func(i int) bool { return generic(cell(i)) }}
+	return rowPred{byIdx: ps.idxKernel(col, generic)}
 }
 
 func isNullKernel(ps *predSource, cr *ColumnRef, not bool) rowPred {
@@ -330,8 +353,7 @@ func isNullKernel(ps *predSource, cr *ColumnRef, not bool) rowPred {
 			return rowPred{byIdx: func(i int) bool { return vec.null(i) != not }}
 		}
 	}
-	cell := cellAt(ps, col)
-	return rowPred{byIdx: func(i int) bool { return cell(i).IsNull() != not }}
+	return rowPred{byIdx: ps.idxKernel(col, func(v Value) bool { return v.IsNull() != not })}
 }
 
 func betweenKernel(ps *predSource, cr *ColumnRef, lo, hi Value, not bool) rowPred {
@@ -368,8 +390,7 @@ func betweenKernel(ps *predSource, cr *ColumnRef, lo, hi Value, not bool) rowPre
 			}}
 		}
 	}
-	cell := cellAt(ps, col)
-	return rowPred{byIdx: func(i int) bool { return generic(cell(i)) }}
+	return rowPred{byIdx: ps.idxKernel(col, generic)}
 }
 
 func inKernel(ps *predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
@@ -404,8 +425,7 @@ func inKernel(ps *predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
 	if ps.t == nil {
 		return rowPred{byRow: ps.rowKernel(col, generic)}
 	}
-	cell := cellAt(ps, col)
-	return rowPred{byIdx: func(i int) bool { return generic(cell(i)) }}
+	return rowPred{byIdx: ps.idxKernel(col, generic)}
 }
 
 func likeKernel(ps *predSource, cr *ColumnRef, pattern Value, not bool) rowPred {
@@ -435,8 +455,7 @@ func likeKernel(ps *predSource, cr *ColumnRef, pattern Value, not bool) rowPred 
 			}}
 		}
 	}
-	cell := cellAt(ps, col)
-	return rowPred{byIdx: func(i int) bool { return generic(cell(i)) }}
+	return rowPred{byIdx: ps.idxKernel(col, generic)}
 }
 
 // constPred is a kernel with a row-independent verdict (e.g. `col = NULL`).

@@ -337,6 +337,23 @@ var tailCheckQueries = []string{
 	"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight, t.id LIMIT 3",
 	"SELECT g.label, COUNT(*) FROM t JOIN g ON t.grp = g.grp GROUP BY g.label HAVING COUNT(*) > 3",
 	"SELECT t.id FROM t JOIN g ON t.grp = g.grp WHERE NOT (nosuch = 1)",
+	// The row-reading comparison kernels over a column of every kind (mixed:
+	// INTEGER, REAL, TEXT, NULL): a TEXT or INTEGER literal, which compares a
+	// cell of its own kind directly, and numeric-looking TEXT ('01'), which
+	// harmonises — negated (read from the rows by design), index-narrowed
+	// (the bucket re-checked from the rows), over the whole scan (no typed
+	// vector exists for the column) and over a join's output, where a LEFT
+	// JOIN's right side is filtered after the join.
+	"SELECT id FROM m WHERE mixed = 's1'",
+	"SELECT id FROM m WHERE mixed > 's0' AND mixed != 2",
+	"SELECT id FROM m WHERE NOT (mixed = 's1') AND NOT (mixed < 's2')",
+	"SELECT id FROM m WHERE mixed = 1",
+	"SELECT id FROM m WHERE NOT (mixed = 1) AND NOT (mixed >= 3)",
+	"SELECT id FROM m WHERE mixed = '01'",
+	"SELECT id FROM m WHERE NOT (mixed = '01')",
+	"SELECT t.id, m.mixed FROM t LEFT JOIN m ON t.id = m.id WHERE m.mixed = 's1'",
+	"SELECT t.id FROM t LEFT JOIN m ON t.id = m.id WHERE NOT (m.mixed = 's1') AND NOT (m.mixed > 1)",
+	"SELECT COUNT(*) FROM t LEFT JOIN m ON t.id = m.id WHERE m.mixed = '01' OR m.mixed = 2",
 }
 
 func TestPlannerCrossValidation(t *testing.T) {

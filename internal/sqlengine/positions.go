@@ -14,6 +14,9 @@ import "slices"
 //     positions in a bounded heap ordered by (keys, position) and sorts
 //     just those. The position tie-break is what a stable sort of the scan
 //     order does, so the kept rows and their order are those of orderOutput.
+//     Without a LIMIT every position is sorted, as packed machine words
+//     radix-sorted in place (sortwords.go) where words order every key, and
+//     by the Compare-based comparator — the reference — where they do not.
 //   - aggregates: COUNT/SUM/TOTAL/AVG/MIN/MAX over a bare column, ungrouped
 //     or grouped by bare columns, fold each selected cell into a typed
 //     accumulator in position order — the order evalAggregate adds floats
@@ -281,35 +284,42 @@ func distinctPositions(s selection, ixs []int) selection {
 // topPositions returns the first k rows of s in ORDER BY order, as indexes
 // into s. before(a, b) — keys in turn, then the lower index, which is the
 // earlier row of the scan or of the join's emission — is the strict total
-// order a stable sort of the input realises. Selection and ordering are
-// separate steps: a max-heap keeps the k best positions seen so far, its
-// root replaced whenever a later row sorts before it, which ends holding
-// exactly the rows a full stable sort would put first; the k kept positions
-// are then sorted. With k >= len there is nothing to select and the heap
-// never exists, so the one choice made here follows from k and n alone.
+// order a stable sort of the input realises. With k = len(s) — no LIMIT —
+// every row is sorted, through packed words (sortwords.go) when words can
+// order every key. Otherwise selection and ordering are separate steps: a
+// max-heap keeps the k best positions seen so far, its root replaced
+// whenever a later row sorts before it, which ends holding exactly the rows
+// a full stable sort would put first; the k kept positions are then sorted.
+// The heap's admission test compares a row's first key with the root's, read
+// once per replacement, and calls before only on a tie. So the one choice
+// made here follows from k, n and the key cells alone.
 func topPositions(s *selection, keys []orderKey, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	at := make([]colAt, len(keys))
+	ks := make([]sortKey, len(keys))
 	for i, key := range keys {
-		at[i] = s.colAt(key.col)
+		ks[i] = sortKey{at: s.colAt(key.col), desc: key.desc}
 	}
 	before := func(a, b int) bool {
 		la, ra := s.row(a)
 		lb, rb := s.row(b)
-		for i, key := range keys {
-			if c := Compare(cell(la, ra, at[i]), cell(lb, rb, at[i])); c != 0 {
-				return (c < 0) != key.desc
+		for i := range ks {
+			if c := Compare(cell(la, ra, ks[i].at), cell(lb, rb, ks[i].at)); c != 0 {
+				return (c < 0) != ks[i].desc
 			}
 		}
 		return a < b
 	}
 	h := make([]int, k)
+	n := s.len()
+	if k == n && sortByWords(s, ks, h) {
+		return h
+	}
 	for i := range h {
 		h[i] = i
 	}
-	if n := s.len(); k < n {
+	if k < n {
 		// siftDown restores the heap below i: every parent sorts after its
 		// children, so h[0] is the worst position kept.
 		siftDown := func(i int) {
@@ -331,10 +341,31 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 		for i := k/2 - 1; i >= 0; i-- {
 			siftDown(i)
 		}
+		// Admission compares row i's first key with the root's, read once per
+		// replacement: two INTEGER or two REAL cells that differ decide it
+		// as Compare would; a tie, NaN or two kinds is before's to decide.
+		at0, desc0 := ks[0].at, ks[0].desc
+		first := func(i int) Value {
+			l, r := s.row(i)
+			return cell(l, r, at0)
+		}
+		root := first(h[0])
 		for i := k; i < n; i++ {
-			if before(i, h[0]) {
+			v, m := first(i), uint8(2) // cmpMask3's bits: 1 less, 2 equal, 4 greater
+			switch {
+			case v.Kind == KindInt && root.Kind == KindInt:
+				m = cmpMaskInt(v.I, root.I)
+			case v.Kind == KindFloat && root.Kind == KindFloat:
+				m = cmpMaskFloat(v.F, root.F)
+			}
+			admit := (m == 1) != desc0
+			if m == 2 {
+				admit = before(i, h[0])
+			}
+			if admit {
 				h[0] = i
 				siftDown(0)
+				root = first(h[0])
 			}
 		}
 	}

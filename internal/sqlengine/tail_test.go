@@ -29,18 +29,24 @@ func (p *picker) of(choices ...string) string { return choices[p.pick(len(choice
 // tailCase generates a single-table database and one SELECT whose interest
 // is its tail: table z's cells come from a palette of NULL, INTEGER, REAL
 // and TEXT values (its columns are INTEGER, which keeps fractional reals
-// and non-numeric text as they are), the query is either a row tail —
-// DISTINCT, up to two ORDER BY terms of every kind evalOrderTerm knows,
-// LIMIT/OFFSET including negative, MaxInt64 and computed ones — or an
-// aggregate tail, with or without GROUP BY, behind an optional filter that
-// may hit the equality index, a kernel, or nothing.
-func tailCase(p *picker) (inserts []string, query string) {
-	cells := []string{"NULL", "0", "1", "2", "-1", "1.5", "2.5", "'x'", "'y'", "''"}
+// and non-numeric text as they are, except that c may be REAL, which keeps
+// -0.0), the query is either a row tail — DISTINCT, up to two ORDER BY
+// terms of every kind evalOrderTerm knows, LIMIT/OFFSET including negative,
+// MaxInt64 and computed ones — or an aggregate tail, with or without GROUP
+// BY, behind an optional filter that may hit the equality index, a kernel,
+// or nothing. The set-up statements come first, the CREATE TABLE among
+// them.
+func tailCase(p *picker) (setup []string, query string) {
+	cells := []string{"NULL", "0", "1", "2", "-1", "1.5", "2.5", "'x'", "'y'", "''", "-0.0"}
+	var inserts []string
 	for i, n := 0, 1+p.pick(24); i < n; i++ {
 		inserts = append(inserts, fmt.Sprintf("INSERT INTO z VALUES (%d, %s, %s, %s)", i, p.of(cells...), p.of(cells...), p.of(cells...)))
 	}
 	where := p.of("", "", " WHERE a = 1", " WHERE a = 'x'", " WHERE a = 7", " WHERE b > 0", " WHERE c IS NULL", " WHERE a = 1 AND b < 2", " WHERE 1 = 0")
-	return inserts, selectAround(p, tailCols{id: "id", a: "a", b: "b", c: "c", qa: "z.a"}, " FROM z"+where)
+	query = selectAround(p, tailCols{id: "id", a: "a", b: "b", c: "c", qa: "z.a"}, " FROM z"+where)
+	// Chosen last, so that bytes which run out before it leave c INTEGER.
+	create := "CREATE TABLE z (id INTEGER, a INTEGER, b INTEGER, c " + p.of("INTEGER", "REAL") + ")"
+	return append([]string{create}, inserts...), query
 }
 
 // tailCols names the four columns a generated tail reads — a row id and three
@@ -95,8 +101,8 @@ func selectAround(p *picker, n tailCols, from string) string {
 // planned engine against the naive executor.
 func checkTailCase(t *testing.T, data []byte) {
 	t.Helper()
-	inserts, query := tailCase(&picker{data: data})
-	checkEveryMode(t, append([]string{"CREATE TABLE z (id INTEGER, a INTEGER, b INTEGER, c INTEGER)"}, inserts...), query)
+	setup, query := tailCase(&picker{data: data})
+	checkEveryMode(t, setup, query)
 }
 
 // checkEveryMode builds one database per configuration of the planned engine
@@ -152,6 +158,13 @@ func FuzzSelectTail(f *testing.F) {
 	// by a over mixed-kind cells, ordered by ordinal, windowed.
 	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 4, 0, 2, 0, 0, 0, 0, 0})
 	f.Add([]byte{5, 0, 1, 5, 7, 1, 6, 8, 2, 0, 1, 5, 9, 7, 3, 4, 0, 1, 5, 0, 0, 4, 2, 5, 1, 1, 2, 0, 1, 1})
+	// Two-key sorts without LIMIT over four rows whose a mixes INTEGER and
+	// REAL and whose REAL c holds -0.0 beside 0.0: ORDER BY c DESC, id (words:
+	// -0.0 and 0.0 tie, id decides) and ORDER BY a, c DESC (the comparator).
+	// Row count, twelve cells, filter, tail kind, select list, order terms,
+	// DISTINCT, LIMIT, c's type.
+	f.Add([]byte{3, 2, 0, 10, 5, 3, 1, 4, 10, 10, 2, 6, 6, 0, 1, 0, 1, 2, 1, 0, 3, 0, 0, 0, 1})
+	f.Add([]byte{3, 2, 0, 10, 5, 3, 1, 4, 10, 10, 2, 6, 6, 0, 1, 0, 1, 0, 0, 0, 2, 1, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkTailCase(t, data)
 	})

@@ -253,8 +253,8 @@ func (p *pipeline) assemble(task Task, m llm.Model, candidate int) string {
 	return sql
 }
 
-// Calibration constants for the shared core. EXPERIMENTS.md documents how
-// they were fitted to the paper's Table IV anchors.
+// Calibration constants for the shared core, fitted to the paper's Table IV
+// anchors (README "Paper artefact → driver map": experiments.Table4).
 const (
 	// structBase + structCap*capability is the structural ceiling of a
 	// complexity-zero query.
