@@ -125,6 +125,21 @@ func (a *Vector) Dot(b *Vector) float64 {
 	return dot
 }
 
+// Dot4 is four Dots against a in one pass: four independent chains, each
+// summed in index order, so each result is the float64 Dot returns. (A
+// product of two float32s is exact in float64, so no fusing can change
+// it.) Scans over stored vectors use it to overlap the four additions.
+func (a *Vector) Dot4(b0, b1, b2, b3 *Vector) (d0, d1, d2, d3 float64) {
+	for i := range a {
+		x := float64(a[i])
+		d0 += x * float64(b0[i])
+		d1 += x * float64(b1[i])
+		d2 += x * float64(b2[i])
+		d3 += x * float64(b3[i])
+	}
+	return d0, d1, d2, d3
+}
+
 // Rank orders candidate texts by descending cosine similarity to query and
 // returns candidate indices. Ties break by lower index, keeping results
 // deterministic. Candidate embeddings come from the memo, so ranking the

@@ -3,6 +3,7 @@ package embed
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -165,4 +166,43 @@ func BenchmarkEmbed(b *testing.B) {
 			m.Embed(q)
 		}
 	})
+}
+
+// TestDot4MatchesDot checks each Dot4 result against Dot bit for bit, over
+// random, embedded and subnormal vectors (subnormal products and sums are
+// where a reordered or fused chain would first round differently).
+func TestDot4MatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	random := func(scale float64) Vector {
+		var v Vector
+		for i := range v {
+			v[i] = float32(rng.NormFloat64() * scale)
+		}
+		return v
+	}
+	subnormal := func() Vector {
+		var v Vector
+		for i := range v {
+			v[i] = math.Float32frombits(rng.Uint32() & 0x807fffff) // zero exponent
+		}
+		return v
+	}
+	m := NewModel()
+	var vecs []Vector
+	for i := 0; i < 16; i++ {
+		vecs = append(vecs, random(1), random(1e-20), subnormal())
+	}
+	vecs = append(vecs, m.Embed("How many schools are in Alameda county?"),
+		m.Embed("weekly issuance accounts"), Vector{})
+	for a := range vecs {
+		for b := 0; b+3 < len(vecs); b++ {
+			var got [4]float64
+			got[0], got[1], got[2], got[3] = vecs[a].Dot4(&vecs[b], &vecs[b+1], &vecs[b+2], &vecs[b+3])
+			for k, g := range got {
+				if want := vecs[a].Dot(&vecs[b+k]); math.Float64bits(g) != math.Float64bits(want) {
+					t.Fatalf("Dot4 lane %d (vectors %d, %d) = %v, Dot = %v", k, a, b+k, g, want)
+				}
+			}
+		}
+	}
 }

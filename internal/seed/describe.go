@@ -59,7 +59,7 @@ func (p *Pipeline) describeTable(db *schema.DB, t *sqlengine.Table, m llm.Model,
 			if len(vals) > 0 && len(vals) <= 8 {
 				vm := make(map[string]string, len(vals))
 				for _, v := range vals {
-					vm[v] = inferMeaning(col.Name, v)
+					vm[v.text] = inferMeaning(col.Name, v.text)
 				}
 				cd.ValueMap = vm
 			}

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -31,7 +32,6 @@ import (
 func contentWords(s string) []string   { return textutil.ContentWords(s) }
 func stem(s string) string             { return textutil.Stem(s) }
 func synonyms(s string) []string       { return textutil.Synonyms(s) }
-func similarity(a, b string) float64   { return textutil.Similarity(a, b) }
 func normalizeIdent(s string) []string { return textutil.NormalizeIdent(s) }
 
 // Variant names a SEED architecture.
@@ -111,7 +111,12 @@ type Pipeline struct {
 	trainByDB map[string][]int // corpus.Train indices per database
 
 	valueMu    sync.RWMutex
-	valueCache map[string][]string // "db\x00table\x00col" -> distinct values
+	valueCache map[string][]value // "db\x00table\x00col" -> distinct values
+
+	// ddl pins each database's rendered schema (*schema.DB -> string) for
+	// the summarize_schema prompt; it assumes a database's schema is fixed
+	// once the pipeline has seen it.
+	ddl sync.Map
 
 	// The evidence stage graph (see buildGraph in graph.go) and the
 	// per-stage memos behind its warm partial hits.
@@ -132,7 +137,7 @@ func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 		corpus:     corpus,
 		embedder:   embed.NewModel(),
 		trainByDB:  make(map[string][]int),
-		valueCache: make(map[string][]string),
+		valueCache: make(map[string][]value),
 		kwMemo:     pipeline.NewMemo(4096, 16),
 		sumMemo:    pipeline.NewMemo(2048, 16),
 		shotMemo:   pipeline.NewMemo(4096, 16),
@@ -192,13 +197,27 @@ type tableView struct {
 	Doc   *schema.TableDoc
 }
 
+// value is one stored column value, prepared once for sample execution's
+// matcher: the text as stored, its lower-case form, and that form's rune
+// count (the edit-distance length).
+type value struct {
+	text  string
+	lower string
+	runes int
+}
+
+func newValue(text string) value {
+	lower := strings.ToLower(text)
+	return value{text: text, lower: lower, runes: utf8.RuneCountInString(lower)}
+}
+
 // distinctValues returns (and caches) the distinct TEXT values of a
 // column, capped at MaxDistinct, pulled with real sample SQL against the
 // engine — the paper's "unique values are extracted regardless of the data
 // type". The cache is prewarmed in New, but lookups of columns added later
 // (e.g. by generated description files) must stay safe under the evserve
 // worker pool, so access is lock-guarded.
-func (p *Pipeline) distinctValues(db *schema.DB, table, column string) []string {
+func (p *Pipeline) distinctValues(db *schema.DB, table, column string) []value {
 	key := db.Name + "\x00" + strings.ToLower(table) + "\x00" + strings.ToLower(column)
 	p.valueMu.RLock()
 	vals, ok := p.valueCache[key]
@@ -217,7 +236,7 @@ func (p *Pipeline) distinctValues(db *schema.DB, table, column string) []string 
 	if err == nil {
 		for _, r := range rows.Data {
 			if len(r) > 0 && !r[0].IsNull() {
-				vals = append(vals, r[0].AsText())
+				vals = append(vals, newValue(r[0].AsText()))
 			}
 		}
 	}
@@ -225,6 +244,16 @@ func (p *Pipeline) distinctValues(db *schema.DB, table, column string) []string 
 	p.valueCache[key] = vals
 	p.valueMu.Unlock()
 	return vals
+}
+
+// schemaDDL returns db.DDL(), rendered once per database.
+func (p *Pipeline) schemaDDL(db *schema.DB) string {
+	if s, ok := p.ddl.Load(db); ok {
+		return s.(string)
+	}
+	// Two first callers may both render; the text is the same either way.
+	s, _ := p.ddl.LoadOrStore(db, db.DDL())
+	return s.(string)
 }
 
 func quoteIdent(s string) string {

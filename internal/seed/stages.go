@@ -3,9 +3,11 @@ package seed
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/llm"
 	"repro/internal/schema"
+	"repro/internal/textutil"
 )
 
 // --- Stage 1: keyword extraction (paper §III-B, first step) ---
@@ -101,13 +103,28 @@ type Sample struct {
 // inspects real database values: unique values per column, containment
 // (the LIKE path) and edit-distance neighbours, exactly the three
 // retrieval modes of §III-B.
+//
+// Both sides come prepared: each column's inventory holds its values
+// already lowered and measured (see distinctValues), and each keyword is
+// lowered, measured and looked up in the synonym dictionary once per call,
+// not once per value.
 func (p *Pipeline) SampleExecution(db *schema.DB, keywords []string) []Sample {
 	var out []Sample
 	questionStems := make(map[string]bool)
-	for _, k := range keywords {
+	kws := make([]keyword, len(keywords))
+	longest := 0
+	for i, k := range keywords {
 		for _, w := range contentWords(k) {
 			questionStems[stem(w)] = true
 		}
+		kws[i] = newKeyword(k)
+		longest = max(longest, kws[i].runes)
+	}
+	// The edit-distance kernel's DP row spans the keyword.
+	var buf [64]int
+	row := buf[:]
+	if longest+1 > len(row) {
+		row = make([]int, longest+1)
 	}
 	for _, t := range db.Engine.Tables() {
 		for _, col := range t.Columns {
@@ -115,16 +132,16 @@ func (p *Pipeline) SampleExecution(db *schema.DB, keywords []string) []Sample {
 				continue
 			}
 			values := p.distinctValues(db, t.Name, col.Name)
-			for _, kw := range keywords {
-				best := Sample{Table: t.Name, Column: col.Name, Keyword: kw}
-				for _, v := range values {
-					sim := matchScore(kw, v)
-					if sim > best.Sim {
-						best.Sim = sim
-						best.Value = v
+			for k := range kws {
+				kw := &kws[k]
+				bestSim, bestValue := 0.0, ""
+				for v := range values {
+					if sim := matchScore(kw, &values[v], row); sim > bestSim {
+						bestSim, bestValue = sim, values[v].text
 					}
 				}
-				if best.Sim >= 0.7 {
+				if bestSim >= 0.7 {
+					best := Sample{Table: t.Name, Column: col.Name, Keyword: kw.text, Value: bestValue, Sim: bestSim}
 					// Column-name proximity boost: "Fresno county"
 					// prefers the County column over City.
 					for _, w := range normalizeIdent(col.Name) {
@@ -142,13 +159,39 @@ func (p *Pipeline) SampleExecution(db *schema.DB, keywords []string) []Sample {
 	return out
 }
 
+// keyword is one extracted keyword, prepared once per SampleExecution
+// call: the text as extracted, its lower-case form, that form's rune count
+// and its synonyms.
+type keyword struct {
+	text  string
+	lower string
+	runes int
+	syns  []string
+}
+
+func newKeyword(text string) keyword {
+	lower := strings.ToLower(text)
+	return keyword{text: text, lower: lower, runes: utf8.RuneCountInString(lower), syns: synonyms(lower)}
+}
+
+// minEditSim is the edit-distance similarity, 1 - d/max(len), below which
+// a keyword-value pair does not score.
+const minEditSim = 0.75
+
 // matchScore scores keyword-to-value affinity: exact (case-insensitive)
 // match, containment either way (the LIKE path), synonym-dictionary match,
-// then edit-distance similarity. Containment requires the contained side
-// to span at least three characters — single-letter codes such as 'M' or
-// 'A' must not match inside arbitrary words.
-func matchScore(kw, v string) float64 {
-	lk, lv := strings.ToLower(kw), strings.ToLower(v)
+// then edit-distance similarity. Containment requires the contained side's
+// lower-case form to span at least three bytes — single-letter codes such
+// as 'M' or 'A' must not match inside arbitrary words. The rule counts
+// bytes, not characters: a two-letter non-ASCII keyword such as "éé" is
+// long enough.
+//
+// Edit distance is at least the difference of the two lengths, and 1 - d/m
+// falls as d grows, so a pair whose lengths alone put it under minEditSim
+// returns 0 without a DP; otherwise the kernel runs bounded by the largest
+// distance that still scores.
+func matchScore(kw *keyword, v *value, row []int) float64 {
+	lk, lv := kw.lower, v.lower
 	if lk == lv {
 		return 1.0
 	}
@@ -158,15 +201,37 @@ func matchScore(kw, v string) float64 {
 	if len(lv) >= 3 && strings.Contains(lk, lv) {
 		return 0.8
 	}
-	for _, syn := range synonyms(lk) {
+	for _, syn := range kw.syns {
 		if syn == lv {
 			return 0.9
 		}
 	}
-	if s := similarity(lk, lv); s >= 0.75 {
-		return s * 0.9
+	m, diff := max(kw.runes, v.runes), kw.runes-v.runes
+	if diff < 0 {
+		diff = -diff
 	}
-	return 0
+	if 1-float64(diff)/float64(m) < minEditSim {
+		return 0
+	}
+	bound := scoringDistance(m)
+	d := textutil.EditDistanceWithin(lv, lk, bound, row)
+	if d > bound {
+		return 0
+	}
+	return (1 - float64(d)/float64(m)) * 0.9
+}
+
+// scoringDistance is the largest edit distance d for which 1 - d/m, in the
+// float64 arithmetic textutil.Similarity uses, still reaches minEditSim.
+func scoringDistance(m int) int {
+	d := int(float64(m) * (1 - minEditSim))
+	for d < m && 1-float64(d+1)/float64(m) >= minEditSim {
+		d++
+	}
+	for d > 0 && 1-float64(d)/float64(m) < minEditSim {
+		d--
+	}
+	return d
 }
 
 // --- Stage 3: schema summarization (paper §III-A) ---
@@ -183,7 +248,7 @@ func (p *Pipeline) SummarizeSchema(db *schema.DB, question string, visible []tab
 // summarizeSchema is SummarizeSchema plus the request's token spend, for
 // stage traces.
 func (p *Pipeline) summarizeSchema(db *schema.DB, question string, visible []tableView) ([]tableView, int, error) {
-	prompt := "Remove schema information irrelevant to the question.\nSchema: " + db.DDL() + "\nQuestion: " + question
+	prompt := "Remove schema information irrelevant to the question.\nSchema: " + p.schemaDDL(db) + "\nQuestion: " + question
 	type scored struct {
 		tv    tableView
 		score float64
@@ -303,26 +368,42 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 	if len(p.corpus.Train) == 0 {
 		return nil
 	}
+	// One pass scores every train question, four per Dot4; the overall
+	// best and the same-database candidates both come from it.
 	qv := p.embedder.Embed(question)
-	bestIdx, bestSim := -1, -2.0
-	for i := range p.corpus.Train {
-		if sim := qv.Dot(&p.trainVecs[i]); sim > bestSim {
-			bestSim = sim
-			bestIdx = i
-		}
-	}
-	chosen := []int{bestIdx}
-	used := map[int]bool{bestIdx: true}
-
-	sameDB := p.trainByDB[dbName]
 	type cand struct {
 		idx int
 		sim float64
 	}
-	var cands []cand
-	for _, i := range sameDB {
-		if !used[i] {
-			cands = append(cands, cand{i, qv.Dot(&p.trainVecs[i])})
+	cands := make([]cand, 0, len(p.trainByDB[dbName]))
+	bestIdx, bestSim := -1, -2.0
+	visit := func(i int, sim float64) {
+		if sim > bestSim {
+			bestSim = sim
+			bestIdx = i
+		}
+		if p.corpus.Train[i].DB == dbName {
+			cands = append(cands, cand{i, sim})
+		}
+	}
+	vecs := p.trainVecs
+	i := 0
+	for ; i+4 <= len(vecs); i += 4 {
+		s0, s1, s2, s3 := qv.Dot4(&vecs[i], &vecs[i+1], &vecs[i+2], &vecs[i+3])
+		visit(i, s0)
+		visit(i+1, s1)
+		visit(i+2, s2)
+		visit(i+3, s3)
+	}
+	for ; i < len(vecs); i++ {
+		visit(i, qv.Dot(&vecs[i]))
+	}
+	chosen := []int{bestIdx}
+	// The overall best is chosen already and may be on this database too.
+	for j, c := range cands {
+		if c.idx == bestIdx {
+			cands = append(cands[:j], cands[j+1:]...)
+			break
 		}
 	}
 	sort.SliceStable(cands, func(a, b int) bool {
@@ -336,7 +417,6 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 			break
 		}
 		chosen = append(chosen, c.idx)
-		used[c.idx] = true
 	}
 	shots := make([]Shot, 0, len(chosen))
 	for _, i := range chosen {

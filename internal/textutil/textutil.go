@@ -3,6 +3,12 @@
 // stop-word filtering, a light stemmer, Levenshtein edit distance, longest
 // common substring, and character n-grams.
 //
+// Edit distance has one kernel, EditDistanceWithin: a single-row DP over
+// a caller-owned buffer that may stop as soon as the distance is known to
+// exceed a bound. EditDistance and Similarity are unbounded callers of it,
+// and SEED's value matcher calls it with the largest distance that still
+// scores.
+//
 // The SEED paper relies on these in two places: sample SQL execution uses
 // LIKE patterns plus edit distance to find database values similar to
 // question keywords (§III-B), and CodeS retrieves matched values with a
@@ -12,6 +18,7 @@ package textutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords is a compact English stop-word list tuned for question text;
@@ -118,40 +125,72 @@ func Stem(w string) string {
 	}
 }
 
-// EditDistance computes the Levenshtein distance between a and b
-// (unit costs, full dynamic program, O(len(a)*len(b))).
+// EditDistance computes the Levenshtein distance between a and b over
+// runes (unit costs, O(len(a)*len(b))). It is EditDistanceWithin without a
+// bound.
 func EditDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
+	var row [64]int
+	return EditDistanceWithin(a, b, -1, row[:])
+}
+
+// EditDistanceWithin is the package's one edit-distance kernel: the
+// unit-cost Levenshtein distance between a and b over runes (an invalid
+// UTF-8 byte counts as one U+FFFD, as in a []rune conversion), computed
+// with a single DP row and no allocation when row holds at least
+// RuneCount(b)+1 ints.
+//
+// A bound >= 0 lets the kernel stop early: once every cell of a DP row
+// exceeds bound, the distance does too (row minima never decrease), and
+// the kernel returns bound+1. So the result is exact when it is <= bound
+// and only "more than bound" otherwise. A negative bound computes the
+// full distance.
+func EditDistanceWithin(a, b string, bound int, row []int) int {
+	n := utf8.RuneCountInString(b)
+	if len(row) < n+1 {
+		row = make([]int, n+1)
 	}
-	if len(rb) == 0 {
-		return len(ra)
+	row = row[:n+1]
+	for j := range row {
+		row[j] = j
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
+	i := 0
+	for _, ra := range a {
+		i++
+		diag := row[0]
+		row[0] = i
+		rowMin := i
+		j := 0
+		for _, rb := range b {
+			j++
+			up := row[j]
+			v := diag
+			if ra != rb {
+				v++
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			if up+1 < v {
+				v = up + 1
+			}
+			if row[j-1]+1 < v {
+				v = row[j-1] + 1
+			}
+			row[j] = v
+			diag = up
+			if v < rowMin {
+				rowMin = v
+			}
 		}
-		prev, cur = cur, prev
+		if bound >= 0 && rowMin > bound {
+			return bound + 1
+		}
 	}
-	return prev[len(rb)]
+	return row[n]
 }
 
 // Similarity converts edit distance to a [0,1] similarity:
 // 1 - dist/max(len). Case-insensitive. Empty-vs-empty is 1.
 func Similarity(a, b string) float64 {
 	a, b = strings.ToLower(a), strings.ToLower(b)
-	la, lb := len([]rune(a)), len([]rune(b))
+	la, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
 	if la == 0 && lb == 0 {
 		return 1
 	}
@@ -159,7 +198,8 @@ func Similarity(a, b string) float64 {
 	if lb > maxLen {
 		maxLen = lb
 	}
-	return 1 - float64(EditDistance(a, b))/float64(maxLen)
+	var row [64]int
+	return 1 - float64(EditDistanceWithin(a, b, -1, row[:]))/float64(maxLen)
 }
 
 // LongestCommonSubstring returns the longest contiguous substring common to
@@ -246,14 +286,4 @@ func NormalizeIdent(ident string) []string {
 	}
 	flush()
 	return words
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

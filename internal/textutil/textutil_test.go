@@ -1,6 +1,7 @@
 package textutil
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -202,6 +203,114 @@ func TestNormalizeIdent(t *testing.T) {
 	for _, c := range cases {
 		if got := NormalizeIdent(c.in); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("NormalizeIdent(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// editDistanceRef is the two-row, []rune, allocating DP EditDistance ran
+// before the bounded kernel: the reference the kernel is checked against.
+func editDistanceRef(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	if len(ra) == 0 {
+		return len(rb)
+	}
+	if len(rb) == 0 {
+		return len(ra)
+	}
+	prev := make([]int, len(rb)+1)
+	cur := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// kernelAlphabet mixes ASCII with multi-byte runes, an invalid UTF-8 byte
+// and U+FFFD (which an invalid byte decodes to), so random strings cover
+// every way a byte and a rune DP could disagree.
+var kernelAlphabet = []string{"a", "b", "c", "A", " ", "é", "É", "ß", "İ", "\xff", "�", "日"}
+
+func kernelString(picks []uint8, ascii bool) string {
+	var b strings.Builder
+	for _, p := range picks {
+		if ascii {
+			b.WriteByte('a' + p%4)
+		} else {
+			b.WriteString(kernelAlphabet[int(p)%len(kernelAlphabet)])
+		}
+	}
+	return b.String()
+}
+
+// TestEditDistanceWithinMatchesFullDP checks the bounded kernel against
+// the full reference DP at every cutoff, over random ASCII and non-ASCII
+// strings: exact whenever the distance is within the bound, above the
+// bound otherwise, and exact with no bound. A short row forces the
+// kernel's own allocation path.
+func TestEditDistanceWithinMatchesFullDP(t *testing.T) {
+	f := func(pa, pb []uint8, ascii bool) bool {
+		a, b := kernelString(pa, ascii), kernelString(pb, ascii)
+		want := editDistanceRef(a, b)
+		if EditDistance(a, b) != want || EditDistanceWithin(a, b, -1, nil) != want {
+			t.Logf("unbounded %q %q: want %d", a, b, want)
+			return false
+		}
+		var buf [64]int
+		for bound := 0; bound <= want+2; bound++ {
+			for _, row := range [][]int{buf[:], buf[:1]} {
+				got := EditDistanceWithin(a, b, bound, row)
+				if want <= bound && got != want || want > bound && got <= bound {
+					t.Logf("EditDistanceWithin(%q, %q, %d) = %d, full DP %d", a, b, bound, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	// Reference Similarity, before it called the kernel: the same float64
+	// expression over the reference distance.
+	simRef := func(a, b string) float64 {
+		a, b = strings.ToLower(a), strings.ToLower(b)
+		la, lb := len([]rune(a)), len([]rune(b))
+		if la == 0 && lb == 0 {
+			return 1
+		}
+		return 1 - float64(editDistanceRef(a, b))/float64(max(la, lb))
+	}
+	g := func(pa, pb []uint8) bool {
+		a, b := kernelString(pa, false), kernelString(pb, false)
+		return math.Float64bits(Similarity(a, b)) == math.Float64bits(simRef(a, b))
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestEditDistanceWithinAllocationFree pins the kernel's point: with a
+// caller-owned row it allocates nothing, and neither do its unbounded
+// callers on short text.
+func TestEditDistanceWithinAllocationFree(t *testing.T) {
+	var row [64]int
+	for _, c := range [][2]string{{"jesennik", "jesenik"}, {"École", "ecole"}, {"weekly issuance", "poplatek tydne"}} {
+		if n := testing.AllocsPerRun(50, func() { EditDistanceWithin(c[0], c[1], 2, row[:]) }); n != 0 {
+			t.Errorf("EditDistanceWithin(%q, %q) allocates %.0f times", c[0], c[1], n)
+		}
+		if n := testing.AllocsPerRun(50, func() { EditDistance(c[0], c[1]) }); n != 0 {
+			t.Errorf("EditDistance(%q, %q) allocates %.0f times", c[0], c[1], n)
 		}
 	}
 }
