@@ -24,7 +24,7 @@ import (
 
 func main() {
 	seedFlag := flag.Uint64("seed", 7, "corpus generation seed")
-	traceN := flag.Int("trace", 0, "print the stage-graph trace tree for the first n BIRD dev questions and exit")
+	traceN := flag.Int("trace", 0, "print the per-stage trace tree for the first n BIRD dev questions and exit")
 	fetchTrace := flag.String("fetch-trace", "", "fetch one retained trace by ID from a running seedd (GET /v1/traces/{id}) and render its span tree")
 	addr := flag.String("addr", "http://127.0.0.1:8080", "seedd base URL for -fetch-trace")
 	flag.Parse()
@@ -123,9 +123,9 @@ func printRemoteTrace(base, id string) error {
 	return nil
 }
 
-// printTraces renders the evidence DAG's provenance tree for the first n
-// dev questions: per-stage wall time, token spend and memo hits, indented
-// by dependency depth. The second generation of a repeated question shows
+// printTraces renders the evidence pipeline's provenance tree for the
+// first n dev questions: per-stage wall time and token spend, indented by
+// dependency depth. The second generation of a repeated question shows
 // the trace preserved across the evidence cache.
 func printTraces(env *experiments.Env, n int) error {
 	ctx := context.Background()

@@ -44,7 +44,7 @@ func main() {
 	revise := flag.Bool("revise", false, "also print the SEED_revised form")
 	workers := flag.Int("workers", 0, "evidence worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 4096, "evidence cache capacity in entries (negative disables)")
-	stats := flag.Bool("stats", false, "print the per-stage pipeline cost table (runs, memo hits, wall time, tokens)")
+	stats := flag.Bool("stats", false, "print the per-stage pipeline cost table (runs, wall time, tokens)")
 	storeDir := flag.String("store-dir", "", "durable evidence store directory (same layout as seedd -store-dir; empty = in-memory only)")
 	flag.Parse()
 
@@ -152,18 +152,14 @@ func main() {
 
 	if *stats {
 		fmt.Printf("\n-- per-stage pipeline cost (%s)\n", cfg.Variant)
-		fmt.Printf("--   %-18s %6s %10s %6s %12s %12s %9s\n",
-			"stage", "runs", "memo hits", "hit%", "mean wall", "total wall", "tokens")
+		fmt.Printf("--   %-18s %6s %12s %12s %9s\n",
+			"stage", "runs", "mean wall", "total wall", "tokens")
 		for _, sa := range svcStats.Stages {
-			fmt.Printf("--   %-18s %6d %10d %5.0f%% %12s %12s %9d\n",
-				sa.Stage, sa.Count, sa.CacheHits, 100*sa.HitRate(),
+			fmt.Printf("--   %-18s %6d %12s %12s %9d\n",
+				sa.Stage, sa.Count,
 				(time.Duration(sa.MeanMicros()) * time.Microsecond).Round(time.Microsecond),
 				(time.Duration(sa.WallMicros) * time.Microsecond).Round(time.Microsecond),
 				sa.Tokens)
-		}
-		for stage, ms := range p.StageMemoStats() {
-			fmt.Printf("--   memo %-18s %d entries, %d hits / %d misses, %d evictions\n",
-				stage, ms.Entries, ms.Hits, ms.Misses, ms.Evictions)
 		}
 	}
 }

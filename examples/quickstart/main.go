@@ -45,20 +45,15 @@ func main() {
 
 	// 5. SEED generates evidence from the schema, description files and
 	// sampled values — no human in the loop. The traced form also returns
-	// an EvidenceTrace: the pipeline runs as a stage DAG (sampling and
-	// few-shot selection in parallel after keyword extraction, schema
-	// summarization overlapping both), and the trace records each stage's
-	// wall time, token spend and whether a stage memo answered.
+	// an EvidenceTrace: keyword extraction, sampling and few-shot
+	// selection run in order while schema summarization runs beside them,
+	// and the trace records each stage's wall time and token spend.
 	ev, trace, err := pipeline.GenerateEvidenceTraced(context.Background(), ex.DB, ex.Question)
 	must(err)
 	fmt.Println("\nSEED evidence:\n ", ev)
-	fmt.Println("\nhow it was made (stage | wall | tokens | memo):")
+	fmt.Println("\nhow it was made (stage | wall | tokens):")
 	for _, st := range trace.Stages {
-		memo := ""
-		if st.CacheHit {
-			memo = "  <- memo hit"
-		}
-		fmt.Printf("  %-18s %6dus %6d tok%s\n", st.Stage, st.WallMicros, st.Tokens, memo)
+		fmt.Printf("  %-18s %6dus %6d tok\n", st.Stage, st.WallMicros, st.Tokens)
 	}
 	fmt.Printf("  whole run: %dus wall for %dus of stage time (%.2fx overlap)\n",
 		trace.WallMicros, trace.SerialMicros, trace.Overlap())

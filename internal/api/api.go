@@ -65,7 +65,7 @@ type QueryResponse struct {
 	// Evidence is the SEED-generated evidence the generator consumed (on
 	// a memory hit: the evidence stored with the pattern).
 	Evidence string `json:"evidence"`
-	// EvidenceTrace is the stage-graph provenance of the evidence: one
+	// EvidenceTrace is the per-stage provenance of the evidence: one
 	// entry per pipeline stage with memo-hit flag, wall time and token
 	// spend. On an evidence-cache hit it describes the original
 	// generation; memory hits carry none (no pipeline ran).
@@ -93,7 +93,7 @@ type EvidenceResponse struct {
 	Question string `json:"question"`
 	Variant  string `json:"variant"`
 	Evidence string `json:"evidence"`
-	// Trace is the stage-graph provenance of the evidence (see
+	// Trace is the per-stage provenance of the evidence (see
 	// QueryResponse.EvidenceTrace).
 	Trace    *pipeline.Trace `json:"evidence_trace,omitempty"`
 	CacheHit bool            `json:"evidence_cache_hit"`

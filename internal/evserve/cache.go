@@ -63,7 +63,7 @@ type Cache = lru.Cache[Key, Entry]
 type Entry struct {
 	// Evidence is the generated evidence text.
 	Evidence string
-	// Trace is the stage-graph provenance of the original generation;
+	// Trace is the per-stage provenance of the original generation;
 	// nil when the wrapped generator is untraced.
 	Trace *pipeline.Trace
 }

@@ -34,7 +34,7 @@ import (
 // be safe for concurrent use; seed.Pipeline.GenerateEvidence qualifies.
 type GenerateFunc func(dbName, question string) (string, error)
 
-// TracedFunc produces evidence plus its stage-graph provenance trace for
+// TracedFunc produces evidence plus its per-stage provenance trace for
 // one (database, question) pair. It must be safe for concurrent use;
 // seed.Pipeline.GenerateEvidenceTraced qualifies.
 type TracedFunc func(ctx context.Context, dbName, question string) (string, *pipeline.Trace, error)
@@ -105,7 +105,7 @@ type Result struct {
 	Request Request
 	// Evidence is the generated (or cached) evidence; empty on error.
 	Evidence string
-	// Trace is the stage-graph provenance of the evidence — preserved
+	// Trace is the per-stage provenance of the evidence — preserved
 	// across cache hits, nil when the generator is untraced.
 	Trace *pipeline.Trace
 	// CacheHit reports the request was answered from the evidence cache.
@@ -120,7 +120,7 @@ type Result struct {
 type Evidence struct {
 	// Text is the evidence string.
 	Text string
-	// Trace is the stage-graph provenance of the generation that produced
+	// Trace is the per-stage provenance of the generation that produced
 	// Text. On a cache hit it describes the original generation, not the
 	// lookup; it is nil when the wrapped generator is untraced.
 	Trace *pipeline.Trace
@@ -257,7 +257,7 @@ func (s *Service) Generate(ctx context.Context, db, question string) (string, er
 }
 
 // GenerateTraced is Generate plus provenance: the returned Evidence
-// carries the stage-graph trace of the generation that produced it (the
+// carries the per-stage trace of the generation that produced it (the
 // cache preserves traces, so warm hits still explain themselves) and
 // whether this particular request was a cache hit.
 func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evidence, error) {
@@ -524,8 +524,8 @@ type Stats struct {
 	// replication); 0 outside a fleet.
 	Injected int64
 	// Stages aggregates the per-stage provenance traces of every traced
-	// generation: count, memo hits, wall time and token spend per
-	// pipeline stage. Empty when the wrapped generator is untraced.
+	// generation: count, wall time and token spend per pipeline stage.
+	// Empty when the wrapped generator is untraced.
 	Stages []pipeline.StageAgg
 }
 

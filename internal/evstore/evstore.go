@@ -1,6 +1,6 @@
 // Package evstore is the durability layer under the evidence cache: a
 // crash-safe, append-only store that lets generated SEED evidence (and its
-// stage-graph provenance) survive process death. The paper's practicality
+// per-stage provenance) survive process death. The paper's practicality
 // claim is that evidence is generated once and reused across queries and
 // sessions; without a durable store every seedd restart throws the evserve
 // cache away and re-pays the full LLM round-trip cost for every question.

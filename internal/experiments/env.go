@@ -154,7 +154,7 @@ func (e *Env) BIRDSeedEvidenceFor(ctx context.Context, v seed.Variant, db, quest
 }
 
 // BIRDSeedEvidenceTraced is BIRDSeedEvidenceFor plus provenance: the
-// returned evidence carries the stage-graph trace of the generation that
+// returned evidence carries the per-stage trace of the generation that
 // produced it (preserved across the evidence cache). Diagnostics use it
 // to print per-question trace trees.
 func (e *Env) BIRDSeedEvidenceTraced(ctx context.Context, v seed.Variant, db, question string) (evserve.Evidence, error) {
@@ -286,14 +286,13 @@ func PlanCacheReport(env *Env) *Table {
 }
 
 // PipelineStageReport renders the per-stage cost table of every evidence
-// service built so far: how often each DAG stage ran, how often its memo
-// answered, and the wall time and token spend it accumulated. This is the
-// table the stage-graph refactor exists to make visible — where a
-// generation actually spends its time.
+// service built so far: how often each stage ran, and the wall time and
+// token spend it accumulated — where a generation actually spends its
+// time.
 func PipelineStageReport(env *Env) *Table {
 	t := &Table{
 		Title:  "Evidence pipeline stages",
-		Header: []string{"variant", "stage", "runs", "memo hits", "hit%", "mean wall", "total wall", "tokens"},
+		Header: []string{"variant", "stage", "runs", "mean wall", "total wall", "tokens"},
 	}
 	for _, st := range env.EvidenceStats() {
 		for _, sa := range st.Stages {
@@ -301,8 +300,6 @@ func PipelineStageReport(env *Env) *Table {
 				st.Variant,
 				sa.Stage,
 				fmt.Sprint(sa.Count),
-				fmt.Sprint(sa.CacheHits),
-				fmt.Sprintf("%.0f%%", 100*sa.HitRate()),
 				(time.Duration(sa.MeanMicros()) * time.Microsecond).Round(time.Microsecond).String(),
 				(time.Duration(sa.WallMicros) * time.Microsecond).Round(time.Microsecond).String(),
 				fmt.Sprint(sa.Tokens),

@@ -186,9 +186,9 @@ func NewSimulator() *Simulator { return &Simulator{} }
 // LLM request. The default is zero (no sleep), which keeps tests and
 // deterministic golden comparisons instant; latency changes only wall
 // time, never response content. Benchmarks enable it to measure how much
-// call latency the stage-graph scheduler hides by overlapping
-// independent LLM calls — the dominant cost in a deployed SEED, where a
-// single API round trip is hundreds of milliseconds.
+// call latency the pipeline hides by overlapping independent LLM calls —
+// the dominant cost in a deployed SEED, where a single API round trip is
+// hundreds of milliseconds.
 func (s *Simulator) SetLatency(d time.Duration) {
 	if d < 0 {
 		d = 0

@@ -1,9 +1,8 @@
-// Package lru is the one sharded LRU under every in-memory reuse layer of
-// the stack: the evidence cache (evserve.Cache), the stage memos
-// (pipeline.Memo) and the prepared-plan cache (sqlengine). Each of those
-// keeps its key type, its hash and its exported stats type; the
-// mechanics — power-of-two shards, one lock and one recency list per
-// shard, hit/miss/eviction counters — live here once.
+// Package lru is the one sharded LRU under both in-memory reuse layers of
+// the stack: the evidence cache (evserve.Cache) and the prepared-plan
+// cache (sqlengine). Each keeps its key type, its hash and its exported
+// stats type; the mechanics — power-of-two shards, one lock and one
+// recency list per shard, hit/miss/eviction counters — live here once.
 package lru
 
 import (
@@ -65,7 +64,8 @@ func New[K comparable, V any](capacity, shards int, hash func(K) uint64) *Cache[
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.capacity = perShard
-		s.reset()
+		s.entries = make(map[K]*node[K, V])
+		s.root.prev, s.root.next = &s.root, &s.root
 	}
 	return c
 }
@@ -79,11 +79,6 @@ func HashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-func (s *shard[K, V]) reset() {
-	s.entries = make(map[K]*node[K, V])
-	s.root.prev, s.root.next = &s.root, &s.root
 }
 
 func (s *shard[K, V]) pushFront(n *node[K, V]) {
@@ -163,17 +158,6 @@ func (c *Cache[K, V]) Put(k K, v V) {
 	s.pushFront(n)
 }
 
-// Reset drops every entry (counters are preserved). Benchmarks use it to
-// re-measure the cold path on a warmed pipeline.
-func (c *Cache[K, V]) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.reset()
-		s.mu.Unlock()
-	}
-}
-
 // Len returns the current number of cached entries across all shards.
 func (c *Cache[K, V]) Len() int {
 	n := 0
@@ -187,7 +171,7 @@ func (c *Cache[K, V]) Len() int {
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
-// evserve.CacheStats and pipeline.MemoStats are this type;
+// evserve.CacheStats is this type;
 // sqlengine.PlanCacheStats shares its field set and converts from it.
 type Stats struct {
 	// Hits counts lookups served from the cache.

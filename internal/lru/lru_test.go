@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/evserve"
 	"repro/internal/lru"
-	"repro/internal/pipeline"
 	"repro/internal/sqlengine"
 )
 
@@ -95,27 +94,6 @@ func TestShardRoundingAndPerShardCapacity(t *testing.T) {
 	}
 }
 
-func TestResetKeepsCounters(t *testing.T) {
-	c := lru.New[string, int](8, 2, lru.HashString)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("zz")
-	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("Len after Reset = %d", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("entry survived Reset")
-	}
-	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
-		t.Errorf("counters after Reset: %+v, want 1 hit and 2 misses", st)
-	}
-	c.Put("a", 2)
-	if v, ok := c.Get("a"); !ok || v != 2 {
-		t.Error("cache unusable after Reset")
-	}
-}
-
 func TestHashStringIsFNV1a(t *testing.T) {
 	// Published FNV-1a 64 test vectors.
 	for s, want := range map[string]uint64{
@@ -149,9 +127,6 @@ func TestConcurrentHammer(t *testing.T) {
 					c.Len()
 					c.Stats()
 				}
-				if w == 0 && i == 1000 {
-					c.Reset()
-				}
 			}
 		}(w)
 	}
@@ -161,15 +136,12 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestHitAllocatesNothing pins the hot path of the three adapters: a hit
+// TestHitAllocatesNothing pins the hot path of the two adapters: a hit
 // must not allocate.
 func TestHitAllocatesNothing(t *testing.T) {
 	cache := evserve.NewCache(16, 2)
 	key := evserve.KeyFor("db", "seed_gpt", "question")
 	cache.Put(key, evserve.Entry{Evidence: "ev"})
-
-	memo := pipeline.NewMemo(16, 2)
-	memo.Put("stage-key", "value")
 
 	db := sqlengine.NewDatabase("allocs")
 	db.MustExec("CREATE TABLE t (id INTEGER)")
@@ -181,11 +153,6 @@ func TestHitAllocatesNothing(t *testing.T) {
 	for name, hit := range map[string]func(){
 		"evserve.Cache.Get": func() {
 			if _, ok := cache.Get(key); !ok {
-				t.Fatal("miss")
-			}
-		},
-		"pipeline.Memo.Get": func() {
-			if _, ok := memo.Get("stage-key"); !ok {
 				t.Fatal("miss")
 			}
 		},

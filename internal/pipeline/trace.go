@@ -1,3 +1,8 @@
+// Package pipeline is the provenance format of evidence generation: a
+// Trace records, per stage, when it started, how long it took and how
+// many LLM tokens it spent. api, evserve and evstore share it, and an
+// Aggregator folds traces into per-stage cost totals for /metrics and the
+// stage cost tables.
 package pipeline
 
 import (
@@ -6,23 +11,25 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
-// StageTrace records one stage's execution inside a Run: whether the
-// result came from the stage memo, how long the stage took, and how many
-// simulated LLM tokens it spent. The zero Tokens value is omitted from
-// JSON so trace payloads stay compact for the non-LLM stages.
+// StageTrace records one stage's execution inside a run: when it started,
+// how long it took, and how many simulated LLM tokens it spent. The zero
+// Tokens value is omitted from JSON so trace payloads stay compact for the
+// non-LLM stages.
 type StageTrace struct {
 	// Stage is the stage name.
 	Stage string `json:"stage"`
 	// Deps lists the stages this stage waited on.
 	Deps []string `json:"deps,omitempty"`
-	// CacheHit reports that the result was served from the stage memo
-	// (WallMicros then measures the memo lookup, and Tokens is 0 — no
-	// tokens were spent).
+	// CacheHit reports that the result was served from a stage memo. No
+	// stage is memoized now; traces stored by earlier versions may still
+	// carry it.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// StartMicros is the stage's start offset from the run start, in
-	// microseconds — what lets a span view reconstruct the DAG's overlap
+	// microseconds — what lets a span view reconstruct the stages' overlap
 	// from a finished trace.
 	StartMicros int64 `json:"start_us,omitempty"`
 	// WallMicros is the stage's wall time in microseconds.
@@ -34,14 +41,14 @@ type StageTrace struct {
 	Err string `json:"error,omitempty"`
 }
 
-// Trace is the end-to-end provenance record of one Run: every executed
-// stage in registration order, plus the whole-run wall time. SerialMicros
-// sums the per-stage walls, so SerialMicros/WallMicros measures how much
-// work the DAG overlapped — 1.0 means fully sequential.
+// Trace is the end-to-end provenance record of one run: every executed
+// stage in a fixed order, plus the whole-run wall time. SerialMicros sums
+// the per-stage walls, so SerialMicros/WallMicros measures how much work
+// overlapped — 1.0 means fully sequential.
 type Trace struct {
 	// Graph names the graph that produced this trace.
 	Graph string `json:"graph"`
-	// Stages holds one entry per executed stage, in registration order.
+	// Stages holds one entry per executed stage, in a fixed order.
 	// Stages skipped because the run aborted have no entry.
 	Stages []StageTrace `json:"stages"`
 	// WallMicros is the whole-run wall time in microseconds.
@@ -61,17 +68,6 @@ func (t *Trace) Stage(name string) *StageTrace {
 	return nil
 }
 
-// CacheHits counts stages served from their memo.
-func (t *Trace) CacheHits() int {
-	n := 0
-	for _, st := range t.Stages {
-		if st.CacheHit {
-			n++
-		}
-	}
-	return n
-}
-
 // Tokens sums tokens spent across all stages.
 func (t *Trace) Tokens() int {
 	n := 0
@@ -82,7 +78,7 @@ func (t *Trace) Tokens() int {
 }
 
 // Overlap is SerialMicros/WallMicros: how many stage-seconds ran per
-// wall-second. 1.0 means no overlap; higher means the DAG ran stages
+// wall-second. 1.0 means no overlap; higher means stages ran
 // concurrently. Returns 0 before any stage completed.
 func (t *Trace) Overlap() float64 {
 	if t.WallMicros <= 0 {
@@ -102,7 +98,7 @@ func (t *Trace) Tree() string {
 		if d, ok := depth[name]; ok {
 			return d
 		}
-		depth[name] = 0 // breaks cycles defensively; graphs are validated acyclic
+		depth[name] = 0 // breaks cycles defensively
 		st := t.Stage(name)
 		if st == nil {
 			return 0
@@ -133,16 +129,13 @@ func (t *Trace) Tree() string {
 }
 
 // StageAgg accumulates one stage's cost across many runs: how often it
-// executed, how often the memo answered, and the total wall time and
-// tokens it consumed. Aggregators publish these; /metrics, benchrun
-// -stats and seedgen -stats render them.
+// executed, and the total wall time and tokens it consumed. Aggregators
+// publish these; /metrics, benchrun -stats and seedgen -stats render them.
 type StageAgg struct {
 	// Stage is the stage name.
 	Stage string `json:"stage"`
 	// Count is how many runs included the stage.
 	Count int64 `json:"count"`
-	// CacheHits is how many of those were served by the stage memo.
-	CacheHits int64 `json:"cache_hits"`
 	// WallMicros is the total stage wall time across runs.
 	WallMicros int64 `json:"wall_us_total"`
 	// Tokens is the total token spend across runs.
@@ -157,20 +150,12 @@ func (a StageAgg) MeanMicros() float64 {
 	return float64(a.WallMicros) / float64(a.Count)
 }
 
-// HitRate is CacheHits/Count.
-func (a StageAgg) HitRate() float64 {
-	if a.Count == 0 {
-		return 0
-	}
-	return float64(a.CacheHits) / float64(a.Count)
-}
-
 // Aggregator folds Traces into per-stage totals. It is safe for
 // concurrent use; evserve feeds it from every traced generation.
 type Aggregator struct {
 	mu     sync.Mutex
 	stages map[string]*StageAgg
-	order  []string // first-seen order, normally graph registration order
+	order  []string // first-seen order, normally trace order
 
 	runs       int64
 	wallMicros int64
@@ -199,9 +184,6 @@ func (a *Aggregator) Observe(t *Trace) {
 			a.order = append(a.order, st.Stage)
 		}
 		agg.Count++
-		if st.CacheHit {
-			agg.CacheHits++
-		}
 		agg.WallMicros += st.WallMicros
 		agg.Tokens += int64(st.Tokens)
 	}
@@ -232,3 +214,6 @@ func (a *Aggregator) SortedSnapshot() []StageAgg {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].WallMicros > out[j].WallMicros })
 	return out
 }
+
+// MemoStats is lru.Stats. Kept for bench/ until ROADMAP 1(i).
+type MemoStats = lru.Stats

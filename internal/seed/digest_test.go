@@ -29,10 +29,8 @@ var evidenceDigests = map[string]string{
 }
 
 // TestEvidenceDigestBIRDDev pins the evidence bytes and the sample
-// execution output of both variants over the full BIRD dev slice. Unlike
-// the DAG-versus-sequential golden, which compares two paths that share
-// SampleExecution and SelectFewShots, these constants see a change to
-// either stage.
+// execution output of both variants over the full BIRD dev slice; a
+// change to any stage moves one of these constants.
 func TestEvidenceDigestBIRDDev(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full BIRD dev digest sweep; skipped in -short")

@@ -3,13 +3,14 @@ package seed
 import (
 	"context"
 	"fmt"
+	"sync"
+	"time"
 
 	"repro/internal/pipeline"
-	"repro/internal/schema"
 )
 
-// Stage names of the SEED evidence DAG, as they appear in traces, memo
-// stats and /metrics.
+// Stage names of SEED evidence generation, as they appear in traces and
+// /metrics.
 const (
 	StageKeywords = "extract_keywords"
 	StageSamples  = "sample_execution"
@@ -18,189 +19,178 @@ const (
 	StageGenerate = "generate"
 )
 
-// evInput is the per-run input of the evidence DAG.
-type evInput struct {
-	db       *schema.DB
-	question string
-}
+// The stages each stage waits on, as recorded in its trace entry.
+var (
+	afterKeywords = []string{StageKeywords}
+	afterAll      = []string{StageSamples, StageSchema, StageShots}
+)
 
-// buildGraph declares GenerateEvidence as an explicit stage DAG:
+// GenerateEvidenceTraced runs SEED's stages for one question and returns
+// the evidence together with its provenance trace:
 //
-//	extract_keywords ──┬─ sample_execution ──┐
-//	                   └─ select_few_shots ──┼─ generate
-//	summarize_schema ────────────────────────┘
+//	extract_keywords → sample_execution → select_few_shots ──┐
+//	summarize_schema (own goroutine) ────────────────────────┴─ generate
 //
-// sample_execution and select_few_shots run in parallel once keywords are
-// out, and summarize_schema overlaps with all three — on the deepseek
-// variant that hides an entire LLM round trip behind the keyword/sampling
-// path. Three stages are memoized with byte-stable keys:
+// summarize_schema waits on nothing, so it starts on its own goroutine at
+// entry and is joined before generate: on the deepseek variant that hides
+// its LLM round trip behind extract_keywords'. The rest run in order on
+// the caller's goroutine.
 //
-//   - extract_keywords per question: the prompt is a fixed prefix plus
-//     the question, so (question) fully determines the deterministic
-//     model's output. Keyed without the database, a repeat question on a
-//     different database still hits.
-//   - summarize_schema per database alone on the non-summarizing
-//     variant (the stage is then a pure function of the schema), and per
-//     (db, question) when summarization is on — see schemaMemoKey for
-//     why the stem set alone would not be byte-safe.
-//   - select_few_shots per (db, question): shot selection is a pure
-//     function of the question embedding and the database's train pool.
-//
-// generate and sample_execution are never memoized: generate is what the
-// evserve request cache already deduplicates, and sample_execution's
-// value inventories are pre-warmed maps, cheap relative to a cache layer.
-func (p *Pipeline) buildGraph() {
-	g := pipeline.NewGraph("seed/" + string(p.cfg.Variant))
-
-	kw := pipeline.AddStage(g, StageKeywords, func(c *pipeline.Ctx) ([]string, error) {
-		in := c.Input().(evInput)
-		kws, tokens, err := p.extractKeywords(in.question)
-		c.AddTokens(tokens)
-		if err != nil {
-			return nil, fmt.Errorf("keyword extraction: %w", err)
-		}
-		return kws, nil
-	}, pipeline.Memoized(p.kwMemo, func(input any) (string, bool) {
-		return input.(evInput).question, true
-	}))
-
-	samples := pipeline.AddStage(g, StageSamples, func(c *pipeline.Ctx) ([]Sample, error) {
-		in := c.Input().(evInput)
-		return p.SampleExecution(in.db, pipeline.In(c, kw)), nil
-	}, pipeline.After(kw))
-
-	visible := pipeline.AddStage(g, StageSchema, func(c *pipeline.Ctx) ([]tableView, error) {
-		in := c.Input().(evInput)
-		vis := p.visibleTables(in.db, in.question)
-		if p.cfg.Summarize {
-			kept, tokens, err := p.summarizeSchema(in.db, in.question, vis)
-			c.AddTokens(tokens)
-			if err != nil {
-				return nil, fmt.Errorf("schema summarization: %w", err)
-			}
-			vis = kept
-		}
-		return vis, nil
-	}, pipeline.Memoized(p.sumMemo, p.schemaMemoKey))
-
-	shots := pipeline.AddStage(g, StageShots, func(c *pipeline.Ctx) ([]Shot, error) {
-		in := c.Input().(evInput)
-		sh := p.SelectFewShots(in.question, in.db.Name)
-		if p.cfg.Summarize {
-			// The deepseek variant's second summarization pass: compress
-			// the exemplars to evidence-bearing lines only.
-			sh = summarizeShots(sh)
-		}
-		return sh, nil
-	}, pipeline.After(kw), pipeline.Memoized(p.shotMemo, func(input any) (string, bool) {
-		in := input.(evInput)
-		return in.db.Name + "\x00" + in.question, true
-	}))
-
-	gen := pipeline.AddStage(g, StageGenerate, func(c *pipeline.Ctx) (string, error) {
-		in := c.Input().(evInput)
-		ev, tokens, err := p.generateCounted(in.db, in.question,
-			pipeline.In(c, visible), pipeline.In(c, samples), pipeline.In(c, shots))
-		c.AddTokens(tokens)
-		return ev, err
-	}, pipeline.After(samples, visible, shots))
-
-	p.graph = g
-	p.genRef = gen
-}
-
-// schemaMemoKey keys the summarize_schema memo. Without summarization the
-// stage is a pure function of the database (visibleTables ignores the
-// question), so the database name alone suffices. With summarization the
-// key must include the exact question text, not just its stem set: the
-// pruning *scores* depend only on the stems, but the capability-gated
-// keep/drop noise draws from an rng seeded by the full prompt — which
-// embeds the raw question — so two stem-identical questions can legally
-// prune differently, and a stems-only key would serve one question's
-// summary for the other, breaking the DAG == sequential byte-identity
-// guarantee. Either way the key assumes description files are installed
-// before generation starts (the established DescribeDatabase-before-
-// serving contract).
-func (p *Pipeline) schemaMemoKey(input any) (string, bool) {
-	in := input.(evInput)
-	if !p.cfg.Summarize {
-		return in.db.Name, true
-	}
-	return in.db.Name + "\x00" + in.question, true
-}
-
-// GenerateEvidenceTraced runs the evidence DAG for one question and
-// returns the evidence together with its end-to-end provenance trace.
-// The trace is also returned (when available) on failure, so callers can
-// see which stage aborted the run. Cancelling ctx aborts in-flight
-// stages.
+// The first stage error ends the run: stages not yet started are skipped,
+// the schema goroutine is joined, and the error comes back wrapped in its
+// stage name together with the trace of the stages that ran. A panicking
+// stage fails the run the same way, and a cancelled ctx skips every stage
+// not yet started.
 func (p *Pipeline) GenerateEvidenceTraced(ctx context.Context, dbName, question string) (string, *pipeline.Trace, error) {
 	db, ok := p.corpus.DB(dbName)
 	if !ok {
 		return "", nil, fmt.Errorf("seed: unknown database %q", dbName)
 	}
-	run, err := p.graph.Execute(ctx, evInput{db: db, question: question})
-	if err != nil {
-		var tr *pipeline.Trace
-		if run != nil {
-			tr = run.Trace()
-		}
-		return "", tr, fmt.Errorf("seed: %w", err)
-	}
-	return pipeline.Out(run, p.genRef), run.Trace(), nil
-}
+	r := &run{ctx: ctx, start: time.Now()}
+	var kwT, samplesT, schemaT, shotsT, genT pipeline.StageTrace
 
-// GenerateEvidenceSequential is the pre-DAG reference implementation: the
-// stages as a hard-coded sequential call chain, bypassing the stage graph
-// and its memos. The DAG must produce byte-identical evidence — the
-// golden equivalence test compares against this path, and bench/ times
-// it as seed.evidence_seq_ms.
-func (p *Pipeline) GenerateEvidenceSequential(dbName, question string) (string, error) {
-	db, ok := p.corpus.DB(dbName)
-	if !ok {
-		return "", fmt.Errorf("seed: unknown database %q", dbName)
-	}
+	var visible []tableView
+	schemaDone := make(chan struct{})
+	go func() {
+		defer close(schemaDone)
+		r.stage(&schemaT, StageSchema, nil, func() (int, error) {
+			visible = p.visibleTables(db, question)
+			if !p.cfg.Summarize {
+				return 0, nil
+			}
+			kept, tokens, err := p.summarizeSchema(db, question, visible)
+			if err != nil {
+				return tokens, fmt.Errorf("schema summarization: %w", err)
+			}
+			visible = kept
+			return tokens, nil
+		})
+	}()
 
-	keywords, err := p.ExtractKeywords(question)
-	if err != nil {
-		return "", fmt.Errorf("seed: keyword extraction: %w", err)
-	}
-
-	samples := p.SampleExecution(db, keywords)
-
-	visible := p.visibleTables(db, question)
-	if p.cfg.Summarize {
-		visible, err = p.SummarizeSchema(db, question, visible)
+	var keywords []string
+	r.stage(&kwT, StageKeywords, nil, func() (tokens int, err error) {
+		keywords, tokens, err = p.extractKeywords(question)
 		if err != nil {
-			return "", fmt.Errorf("seed: schema summarization: %w", err)
+			err = fmt.Errorf("keyword extraction: %w", err)
+		}
+		return tokens, err
+	})
+	var samples []Sample
+	r.stage(&samplesT, StageSamples, afterKeywords, func() (int, error) {
+		samples = p.SampleExecution(db, keywords)
+		return 0, nil
+	})
+	var shots []Shot
+	r.stage(&shotsT, StageShots, afterKeywords, func() (int, error) {
+		shots = p.SelectFewShots(question, dbName)
+		if p.cfg.Summarize {
+			// The deepseek variant's second summarization pass: compress
+			// the exemplars to evidence-bearing lines only.
+			shots = summarizeShots(shots)
+		}
+		return 0, nil
+	})
+	<-schemaDone
+	var ev string
+	r.stage(&genT, StageGenerate, afterAll, func() (tokens int, err error) {
+		ev, tokens, err = p.generateCounted(db, question, visible, samples, shots)
+		return tokens, err
+	})
+
+	tr := r.trace("seed/"+string(p.cfg.Variant), &kwT, &samplesT, &schemaT, &shotsT, &genT)
+	if r.err != nil {
+		return "", tr, fmt.Errorf("seed: %w", r.err)
+	}
+	return ev, tr, nil
+}
+
+// run is one generation's bookkeeping: its context and start time, and
+// the first stage error, which the schema goroutine may set too.
+type run struct {
+	ctx   context.Context
+	start time.Time
+
+	mu  sync.Mutex
+	err error
+}
+
+// stage runs fn, which returns the LLM tokens it spent, as the named stage
+// and fills tr with its trace entry. It skips fn, leaving tr zero, when
+// the run has already failed or ctx is done. An error or panic from fn
+// fails the run.
+func (r *run) stage(tr *pipeline.StageTrace, name string, deps []string, fn func() (int, error)) {
+	r.mu.Lock()
+	failed := r.err != nil
+	r.mu.Unlock()
+	if failed {
+		return
+	}
+	if err := r.ctx.Err(); err != nil {
+		r.fail(name, err)
+		return
+	}
+	t0 := time.Now()
+	tokens, err := recovered(fn)
+	*tr = pipeline.StageTrace{
+		Stage:       name,
+		Deps:        deps,
+		StartMicros: t0.Sub(r.start).Microseconds(),
+		WallMicros:  time.Since(t0).Microseconds(),
+		Tokens:      tokens,
+	}
+	if err != nil {
+		tr.Err = err.Error()
+		r.fail(name, err)
+	}
+}
+
+// fail records err as the run's error unless an earlier stage failed
+// first.
+func (r *run) fail(name string, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = fmt.Errorf("stage %s: %w", name, err)
+	}
+}
+
+// recovered calls fn, turning a panic into an error: generation runs
+// inside serving worker pools, and one bad question must not take the
+// process down.
+func recovered(fn func() (int, error)) (tokens int, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return fn()
+}
+
+// trace assembles the run's trace from the stages that ran, in the order
+// given.
+func (r *run) trace(graph string, stages ...*pipeline.StageTrace) *pipeline.Trace {
+	t := &pipeline.Trace{
+		Graph:      graph,
+		Stages:     make([]pipeline.StageTrace, 0, len(stages)),
+		WallMicros: time.Since(r.start).Microseconds(),
+	}
+	for _, st := range stages {
+		if st.Stage != "" {
+			t.Stages = append(t.Stages, *st)
+			t.SerialMicros += st.WallMicros
 		}
 	}
-
-	shots := p.SelectFewShots(question, dbName)
-	if p.cfg.Summarize {
-		// The deepseek variant's second summarization pass: compress the
-		// exemplars to evidence-bearing lines only.
-		shots = summarizeShots(shots)
-	}
-
-	return p.generate(db, question, visible, samples, shots)
+	return t
 }
 
-// ResetStageMemos drops every stage-memo entry, forcing the next run of
-// each question down the cold path. The stage-overlap test uses it to
-// separate overlap gains from memo gains.
-func (p *Pipeline) ResetStageMemos() {
-	p.kwMemo.Reset()
-	p.sumMemo.Reset()
-	p.shotMemo.Reset()
+// GenerateEvidenceSequential is GenerateEvidence. Kept for bench/ until
+// ROADMAP 1(i).
+func (p *Pipeline) GenerateEvidenceSequential(dbName, question string) (string, error) {
+	return p.GenerateEvidence(dbName, question)
 }
 
-// StageMemoStats snapshots the per-stage memo counters, keyed by stage
-// name.
+// StageMemoStats returns nil: no stage is memoized. Kept for bench/ until
+// ROADMAP 1(i).
 func (p *Pipeline) StageMemoStats() map[string]pipeline.MemoStats {
-	return map[string]pipeline.MemoStats{
-		StageKeywords: p.kwMemo.Stats(),
-		StageSchema:   p.sumMemo.Stats(),
-		StageShots:    p.shotMemo.Stats(),
-	}
+	return nil
 }

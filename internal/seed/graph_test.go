@@ -2,6 +2,7 @@ package seed
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -10,60 +11,6 @@ import (
 	"repro/internal/evidence"
 	"repro/internal/llm"
 )
-
-// TestDAGMatchesSequentialGoldenBIRDDev is the refactor's golden test: for
-// the full BIRD dev slice used by the experiment drivers, the stage-graph
-// path must produce byte-identical evidence to the pre-refactor sequential
-// call chain — for both variants, cold and memo-warm. CI runs this under
-// -race, which also exercises the DAG's intra-request stage concurrency on
-// every question.
-func TestDAGMatchesSequentialGoldenBIRDDev(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full BIRD dev golden sweep; skipped in -short (CI runs it in its own race lane)")
-	}
-	for _, mk := range []struct {
-		name string
-		p    func(t *testing.T) *Pipeline
-	}{
-		{"gpt", gptPipeline},
-		{"deepseek", deepseekPipeline},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			p := mk.p(t)
-			c := testCorpus(t)
-			warm := make(map[string]string, len(c.Dev))
-			for _, ex := range c.Dev {
-				seq, err := p.GenerateEvidenceSequential(ex.DB, ex.Question)
-				if err != nil {
-					t.Fatalf("%s sequential: %v", ex.ID, err)
-				}
-				dag, tr, err := p.GenerateEvidenceTraced(context.Background(), ex.DB, ex.Question)
-				if err != nil {
-					t.Fatalf("%s dag: %v", ex.ID, err)
-				}
-				if dag != seq {
-					t.Fatalf("%s: DAG evidence diverges from sequential\n dag: %q\n seq: %q\n trace: %+v",
-						ex.ID, dag, seq, tr.Stages)
-				}
-				warm[ex.ID] = dag
-			}
-			// Second pass: the stage memos are warm now (keywords, schema
-			// summaries and shots all hit), and the bytes must not move.
-			for _, ex := range c.Dev {
-				dag, tr, err := p.GenerateEvidenceTraced(context.Background(), ex.DB, ex.Question)
-				if err != nil {
-					t.Fatalf("%s warm dag: %v", ex.ID, err)
-				}
-				if dag != warm[ex.ID] {
-					t.Fatalf("%s: memo-warm DAG evidence diverges\n warm: %q\n cold: %q", ex.ID, dag, warm[ex.ID])
-				}
-				if tr.CacheHits() == 0 {
-					t.Errorf("%s: warm run hit no stage memo: %+v", ex.ID, tr.Stages)
-				}
-			}
-		})
-	}
-}
 
 // TestGenerateEvidenceTraceShape pins the trace contract: all five stages
 // present, dependency edges as declared, LLM stages carrying token counts,
@@ -87,7 +34,7 @@ func TestGenerateEvidenceTraceShape(t *testing.T) {
 		t.Errorf("graph name = %q", tr.Graph)
 	}
 	for _, name := range []string{StageKeywords, StageSchema, StageGenerate} {
-		if st := tr.Stage(name); !st.CacheHit && st.Tokens == 0 {
+		if st := tr.Stage(name); st.Tokens == 0 {
 			t.Errorf("LLM stage %s reports no tokens: %+v", name, st)
 		}
 	}
@@ -108,35 +55,11 @@ func TestGenerateEvidenceTraceShape(t *testing.T) {
 	}
 }
 
-// TestPartialWarmSkipsKeywordStage pins the cross-database partial hit:
-// the same question text against a different database must serve
-// extract_keywords from the memo (its key is the question alone) while
-// the db-keyed stages regenerate.
-func TestPartialWarmSkipsKeywordStage(t *testing.T) {
-	p := gptPipeline(t)
-	q := "How many clients who opened their accounts in the Jesenik branch are women?"
-	if _, _, err := p.GenerateEvidenceTraced(context.Background(), "financial", q); err != nil {
-		t.Fatal(err)
-	}
-	_, tr, err := p.GenerateEvidenceTraced(context.Background(), "california_schools", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Stage(StageKeywords).CacheHit {
-		t.Errorf("extract_keywords should hit across databases: %+v", tr.Stages)
-	}
-	for _, name := range []string{StageSchema, StageShots} {
-		if tr.Stage(name).CacheHit {
-			t.Errorf("db-keyed stage %s must not hit across databases", name)
-		}
-	}
-}
-
-// TestConcurrentGenerateEvidenceOnePipeline is the satellite -race test:
-// many concurrent GenerateEvidence callers on ONE pipeline, each of which
-// additionally runs two-plus stages in flight internally via the DAG. The
-// assertions are determinism of the results; the data-race assertions are
-// the -race build this runs under in CI.
+// TestConcurrentGenerateEvidenceOnePipeline runs many concurrent
+// GenerateEvidence callers on ONE pipeline, each of which also runs its
+// schema stage on a second goroutine. The assertions are determinism of
+// the results; the data-race assertions are the -race build this runs
+// under in CI.
 func TestConcurrentGenerateEvidenceOnePipeline(t *testing.T) {
 	p := deepseekPipeline(t)
 	c := testCorpus(t)
@@ -193,14 +116,13 @@ func TestTracedErrorCarriesPartialTrace(t *testing.T) {
 	}
 }
 
-// TestDAGOverlapBeatsSequentialWithLatency pins the refactor's perf
-// claim: with the simulator charging an API round trip per LLM call (the
-// deployed regime), the deepseek variant's DAG must beat the sequential
-// chain on cold generations, because summarize_schema's call overlaps the
-// extract_keywords -> sample_execution path. The margin is asserted
-// loosely (10%) so CPU noise — including -race overhead — cannot flake
-// it: the win comes from hidden sleep, not from CPU parallelism.
-func TestDAGOverlapBeatsSequentialWithLatency(t *testing.T) {
+// TestSchemaStageOverlapsWithLatency pins the one overlap that pays: with
+// the simulator charging an API round trip per LLM call, the deepseek
+// variant's summarize_schema call runs beside extract_keywords', so each
+// generation's wall time is well under the sum of its stage times. The
+// margin is loose (10%) so CPU noise, -race included, cannot flake it: the
+// win is hidden sleep, not CPU parallelism.
+func TestSchemaStageOverlapsWithLatency(t *testing.T) {
 	client := llm.NewSimulator()
 	client.SetLatency(10 * time.Millisecond)
 	p := New(ConfigDeepSeek(), client, testCorpus(t))
@@ -208,51 +130,97 @@ func TestDAGOverlapBeatsSequentialWithLatency(t *testing.T) {
 	if len(questions) > 8 {
 		questions = questions[:8]
 	}
-	var seqTotal, dagTotal time.Duration
 	for _, ex := range questions {
-		t0 := time.Now()
-		sev, err := p.GenerateEvidenceSequential(ex.DB, ex.Question)
+		_, tr, err := p.GenerateEvidenceTraced(context.Background(), ex.DB, ex.Question)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqTotal += time.Since(t0)
-
-		p.ResetStageMemos() // keep the DAG run cold: measure overlap, not memos
-		t0 = time.Now()
-		dev, _, err := p.GenerateEvidenceTraced(context.Background(), ex.DB, ex.Question)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dagTotal += time.Since(t0)
-		if dev != sev {
-			t.Fatalf("%s: latency run diverged from sequential", ex.ID)
+		if tr.WallMicros >= tr.SerialMicros*9/10 {
+			t.Errorf("%s: wall %dus not under 90%% of serial %dus:\n%s", ex.ID, tr.WallMicros, tr.SerialMicros, tr.Tree())
 		}
 	}
-	if dagTotal >= seqTotal*9/10 {
-		t.Errorf("cold DAG %v not faster than sequential %v (want < 90%%)", dagTotal, seqTotal)
-	}
-	t.Logf("cold with latency: sequential %v, DAG %v (%.2fx)", seqTotal, dagTotal, float64(seqTotal)/float64(dagTotal))
 }
 
-// TestResetStageMemosForcesColdPath covers the hook the overlap test
-// above relies on to stay cold.
-func TestResetStageMemosForcesColdPath(t *testing.T) {
-	p := gptPipeline(t)
-	q := "Among the weekly issuance accounts, how many have a loan of under 200000?"
-	if _, _, err := p.GenerateEvidenceTraced(context.Background(), "financial", q); err != nil {
-		t.Fatal(err)
-	}
-	p.ResetStageMemos()
-	_, tr, err := p.GenerateEvidenceTraced(context.Background(), "financial", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.CacheHits() != 0 {
-		t.Errorf("run after ResetStageMemos hit a memo: %+v", tr.Stages)
-	}
-	for stage, st := range p.StageMemoStats() {
-		if st.Entries == 0 {
-			t.Errorf("stage %s memo empty after regeneration", stage)
+// faultyClient is the simulator except on the summarize_schema prompt,
+// where it fails, or panics when panics is set.
+type faultyClient struct {
+	*llm.Simulator
+	panics bool
+}
+
+var errSummarizer = errors.New("summarizer unavailable")
+
+func (c faultyClient) Complete(req llm.Request) (llm.Response, error) {
+	if strings.HasPrefix(req.Prompt, "Remove schema information") {
+		if c.panics {
+			panic("summarizer crashed")
 		}
+		return llm.Response{}, errSummarizer
+	}
+	return c.Simulator.Complete(req)
+}
+
+// TestSchemaStageErrorFailsRun: a failing summarize_schema on the
+// deepseek variant fails the run with an error naming the stage, after
+// its goroutine is joined; the trace carries the stage's error and no
+// generate entry. Several callers at once give -race something to watch.
+func TestSchemaStageErrorFailsRun(t *testing.T) {
+	p := New(ConfigDeepSeek(), faultyClient{Simulator: llm.NewSimulator()}, testCorpus(t))
+	questions := testCorpus(t).Dev[:8]
+	var wg sync.WaitGroup
+	for _, ex := range questions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ev, tr, err := p.GenerateEvidenceTraced(context.Background(), ex.DB, ex.Question)
+			if !errors.Is(err, errSummarizer) || !strings.Contains(err.Error(), "stage "+StageSchema) {
+				t.Errorf("%s: err = %v, want the summarizer error named by its stage", ex.ID, err)
+				return
+			}
+			if ev != "" {
+				t.Errorf("%s: failed run returned evidence %q", ex.ID, ev)
+			}
+			if st := tr.Stage(StageSchema); st == nil || !strings.Contains(st.Err, errSummarizer.Error()) {
+				t.Errorf("%s: trace lacks the schema stage's error: %+v", ex.ID, tr.Stages)
+			}
+			if tr.Stage(StageGenerate) != nil {
+				t.Errorf("%s: generate ran after a stage failed: %+v", ex.ID, tr.Stages)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestStagePanicBecomesError: a panicking stage fails its run instead of
+// crashing the process.
+func TestStagePanicBecomesError(t *testing.T) {
+	p := New(ConfigDeepSeek(), faultyClient{Simulator: llm.NewSimulator(), panics: true}, testCorpus(t))
+	ex := testCorpus(t).Dev[0]
+	_, tr, err := p.GenerateEvidenceTraced(context.Background(), ex.DB, ex.Question)
+	if err == nil || !strings.Contains(err.Error(), "stage "+StageSchema+": panic: summarizer crashed") {
+		t.Fatalf("err = %v, want the schema stage's panic as an error", err)
+	}
+	if st := tr.Stage(StageSchema); st == nil || st.Err == "" {
+		t.Errorf("trace lacks the panicking stage: %+v", tr.Stages)
+	}
+}
+
+// TestCancelledContextSkipsStages: a context cancelled before the call
+// skips every stage, so no LLM call is made.
+func TestCancelledContextSkipsStages(t *testing.T) {
+	sim := llm.NewSimulator()
+	p := New(ConfigDeepSeek(), sim, testCorpus(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ex := testCorpus(t).Dev[0]
+	_, tr, err := p.GenerateEvidenceTraced(ctx, ex.DB, ex.Question)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(tr.Stages) != 0 {
+		t.Errorf("stages ran under a cancelled context: %+v", tr.Stages)
+	}
+	if calls := sim.LedgerSnapshot().TotalCalls(); calls != 0 {
+		t.Errorf("%d LLM calls under a cancelled context, want 0", calls)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/embed"
 	"repro/internal/llm"
-	"repro/internal/pipeline"
 	"repro/internal/schema"
 	"repro/internal/sqlengine"
 	"repro/internal/textutil"
@@ -99,8 +98,8 @@ func ConfigDeepSeek() Config {
 }
 
 // Pipeline generates evidence for questions against one corpus. It is
-// safe for concurrent use after construction: GenerateEvidence runs its
-// stages as a concurrent DAG, and many callers may generate at once.
+// safe for concurrent use after construction: many callers may generate
+// at once.
 type Pipeline struct {
 	cfg      Config
 	client   llm.Client
@@ -117,15 +116,6 @@ type Pipeline struct {
 	// the summarize_schema prompt; it assumes a database's schema is fixed
 	// once the pipeline has seen it.
 	ddl sync.Map
-
-	// The evidence stage graph (see buildGraph in graph.go) and the
-	// per-stage memos behind its warm partial hits.
-	graph  *pipeline.Graph
-	genRef pipeline.Ref[string]
-
-	kwMemo   *pipeline.Memo // extract_keywords, keyed by question
-	sumMemo  *pipeline.Memo // summarize_schema, keyed by (db, question stems)
-	shotMemo *pipeline.Memo // select_few_shots, keyed by (db, question)
 }
 
 // New builds a pipeline over a corpus. Train-split questions are embedded
@@ -138,9 +128,6 @@ func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 		embedder:   embed.NewModel(),
 		trainByDB:  make(map[string][]int),
 		valueCache: make(map[string][]value),
-		kwMemo:     pipeline.NewMemo(4096, 16),
-		sumMemo:    pipeline.NewMemo(2048, 16),
-		shotMemo:   pipeline.NewMemo(4096, 16),
 	}
 	p.trainVecs = make([]embed.Vector, len(corpus.Train))
 	for i, ex := range corpus.Train {
@@ -158,7 +145,6 @@ func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 			}
 		}
 	}
-	p.buildGraph()
 	return p
 }
 
@@ -166,11 +152,9 @@ func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 // only public database information (schema, description files, values) and
 // the training split — never the example's gold SQL or gold evidence.
 //
-// The stages execute as a concurrent DAG (sample execution and few-shot
-// selection in parallel after keyword extraction, schema summarization
-// overlapping both) with per-stage memoization; output is byte-identical
-// to GenerateEvidenceSequential. Callers that want the per-stage
-// provenance trace should use GenerateEvidenceTraced.
+// Schema summarization overlaps the keyword, sampling and few-shot
+// stages; the others run in order (see GenerateEvidenceTraced, which
+// also returns the per-stage provenance trace).
 func (p *Pipeline) GenerateEvidence(dbName, question string) (string, error) {
 	ev, _, err := p.GenerateEvidenceTraced(context.Background(), dbName, question)
 	return ev, err

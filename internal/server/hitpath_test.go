@@ -29,7 +29,7 @@ func postTraced(t *testing.T, srv *Server, base, path string, body any) ([]byte,
 }
 
 // spansNamed returns the record's spans whose name starts with prefix: a
-// whole span name, or "stage:" for every DAG stage.
+// whole span name, or "stage:" for every pipeline stage.
 func spansNamed(rec *obs.TraceRecord, prefix string) []obs.Span {
 	var out []obs.Span
 	for _, sp := range rec.Spans {
@@ -52,7 +52,7 @@ func childNames(rec *obs.TraceRecord, parent obs.Span) map[string]int {
 
 // TestEvidenceSpansHitAndMiss pins what a trace says about the evidence
 // step on both routes. A miss waited for a batch: batcher.wait{batch_size}
-// (and, on /v1/query, the DAG's stages) and no evserve.lookup — the batch
+// (and, on /v1/query, the pipeline's stages) and no evserve.lookup — the batch
 // runs under its own context. A hit did one cache lookup on its own
 // goroutine: evserve.lookup{cache_hit:true} and nothing else — no
 // batcher.wait, because it did not wait.
@@ -126,7 +126,7 @@ func TestEvidenceSpansHitAndMiss(t *testing.T) {
 	})
 }
 
-// TestWarmTraceHasNoStageSpans: a cache hit ran no DAG stage, so its trace
+// TestWarmTraceHasNoStageSpans: a cache hit ran no pipeline stage, so its trace
 // must not show any — replaying the cached generation's stages under a
 // microsecond-long evidence span hangs children off a parent that ended
 // before they started. Every span of a warm trace lies inside its parent;

@@ -17,7 +17,7 @@ import (
 // sent through a real fleet.Router must yield one trace, fetchable from
 // the serving replica via the response's X-Trace-Id, whose spans cover
 // every layer — the router's forward, admission, the batcher wait, the
-// evidence DAG stages, and the engine's prepare and execute.
+// evidence pipeline stages, and the engine's prepare and execute.
 func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 
@@ -103,7 +103,7 @@ func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 		}
 	}
 	if stages == 0 {
-		t.Errorf("trace has no evidence DAG stage spans (got %v)", names)
+		t.Errorf("trace has no evidence pipeline stage spans (got %v)", names)
 	}
 }
 

@@ -501,7 +501,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	evSpan.SetAttr("cache_hit", ev.CacheHit)
 	// A request that waited for a generation (its own, a batch's, or a
-	// single-flight leader's) gets the DAG's stages as child spans: the
+	// single-flight leader's) gets the pipeline's stages as child spans: the
 	// batch runs under its own context, so no per-request span can flow
 	// into it, but ev.Trace carries the stage breakdown, anchored here at
 	// this request's evidence phase start. A cache hit ran no stage, so it
@@ -510,14 +510,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if ev.Trace != nil && !ev.CacheHit {
 		for _, st := range ev.Trace.Stages {
 			var attrs map[string]any
-			if st.CacheHit || st.Tokens > 0 {
-				attrs = make(map[string]any, 2)
-				if st.CacheHit {
-					attrs["memo_hit"] = true
-				}
-				if st.Tokens > 0 {
-					attrs["tokens"] = st.Tokens
-				}
+			if st.Tokens > 0 {
+				attrs = map[string]any{"tokens": st.Tokens}
 			}
 			evSpan.Child("stage:"+st.Stage,
 				evStart.Add(time.Duration(st.StartMicros)*time.Microsecond),
@@ -962,7 +956,7 @@ type EvidenceSnapshot struct {
 	// outside a fleet.
 	Injected int64 `json:"injected,omitempty"`
 	// Stages aggregates per-stage pipeline cost across every traced
-	// generation: runs, memo hits, wall time and tokens per DAG stage.
+	// generation: runs, wall time and tokens per pipeline stage.
 	Stages []pipeline.StageAgg `json:"stages,omitempty"`
 }
 

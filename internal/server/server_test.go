@@ -501,7 +501,7 @@ func TestServerCloseIdempotentAndRejectsAfter(t *testing.T) {
 }
 
 // TestQueryExposesEvidenceTrace: /v1/query and /v1/evidence responses
-// carry the stage-graph provenance trace; a repeat question is flagged as
+// carry the per-stage provenance trace; a repeat question is flagged as
 // an evidence-cache hit while keeping the original generation's trace.
 func TestQueryExposesEvidenceTrace(t *testing.T) {
 	_, ts := newTestServer(t, nil)
