@@ -1,7 +1,7 @@
 // Command seedd is the SEED serving daemon: it loads one or both synthetic
 // corpora and serves the online text-to-SQL API (POST /v1/query,
 // POST /v1/evidence, GET /v1/dbs, /v1/examples, /healthz, /metrics) with
-// micro-batched evidence generation and admission control.
+// cached, deduplicated evidence generation and admission control.
 //
 // Usage:
 //
@@ -29,8 +29,8 @@
 // The daemon shuts down gracefully on SIGINT/SIGTERM: /healthz?ready
 // flips to 503 (draining) so routers take it out of rotation, the
 // -drain-grace period passes, in-flight requests drain (up to 5s),
-// pending micro-batches flush, worker pools stop, and the evidence store
-// is flushed and closed.
+// running evidence generations finish, and the evidence store is flushed
+// and closed.
 package main
 
 import (
@@ -61,13 +61,10 @@ func main() {
 	seedFlag := flag.Uint64("seed", 7, "corpus generation seed")
 	variant := flag.String("variant", string(seed.VariantGPT), "SEED evidence variant: seed_gpt or seed_deepseek")
 	generator := flag.String("generator", "codes-15b", "text-to-SQL generator: codes-{1,3,7,15}b, chess, chess-sscg, rsl-sql, dail-sql, c3")
-	workers := flag.Int("workers", 0, "evidence worker pool size per corpus (0 = GOMAXPROCS)")
 	cache := flag.Int("cache", 0, "evidence cache capacity in entries (0 = 4096)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a cache miss may wait to share a pool dispatch; 0 disables batching")
-	batchMax := flag.Int("batch-max", 32, "micro-batch size that forces an early flush")
 	rate := flag.Float64("rate", 0, "admission rate limit in requests/second (0 = unlimited)")
 	burst := flag.Int("burst", 64, "admission token-bucket burst")
-	inflight := flag.Int("inflight", 256, "max in-flight requests (0 = unlimited)")
+	inflight := flag.Int("inflight", 256, "max in-flight requests, which also bounds concurrent evidence generations (0 = unlimited)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = none)")
 	storeDir := flag.String("store-dir", "", "durable evidence store directory: evidence survives restarts, replayed into the cache on startup (empty = in-memory only)")
 	storeCompact := flag.Int("store-compact", 0, "store WAL compaction threshold in records (0 = 1024, negative disables)")
@@ -109,10 +106,7 @@ func main() {
 		Client:             llm.NewSimulator(),
 		Variant:            seed.Variant(*variant),
 		Generator:          *generator,
-		EvidenceWorkers:    *workers,
 		EvidenceCache:      *cache,
-		BatchWindow:        *batchWindow,
-		BatchMax:           *batchMax,
 		Rate:               *rate,
 		Burst:              *burst,
 		MaxInFlight:        *inflight,

@@ -7,10 +7,14 @@
 //     questions — the common case for a deployed text-to-SQL assistant —
 //     cost a map lookup instead of a full pipeline run.
 //  2. Single-flight deduplication, so concurrent identical requests share
-//     one pipeline invocation instead of racing to do the same work.
-//  3. A bounded worker pool with a batch API (GenerateAll), replacing
-//     unbounded per-split goroutine fan-out with backpressure and
-//     context cancellation.
+//     one pipeline invocation instead of racing to do the same work. The
+//     invocation runs detached from every caller's context: a caller whose
+//     context ends stops waiting at once, and the generation still lands
+//     in the cache (and the store).
+//  3. A bounded worker pool with a batch API (GenerateAll) for offline
+//     splits, replacing unbounded per-split goroutine fan-out with
+//     backpressure and context cancellation. Single requests
+//     (GenerateTraced, what the server calls) never enter the pool.
 //
 // Every layer exports counters (hits, misses, in-flight, dedups, batch
 // throughput) through Stats, which the benchrun CLI renders as the
@@ -52,8 +56,8 @@ type Store interface {
 	// Append persists one freshly generated entry write-through.
 	Append(Key, Entry) error
 	// Flush forces buffered appends down to the OS; Close calls it after
-	// the worker pool drains so no accepted write is lost on clean
-	// shutdown.
+	// every running generation has finished, so no accepted write is lost
+	// on clean shutdown.
 	Flush() error
 }
 
@@ -81,14 +85,14 @@ type Options struct {
 	// Store, when set, makes the cache durable: New replays the store
 	// into the cache (traces included) before serving, every generation
 	// is persisted write-through, and Close flushes the store after the
-	// worker pool drains. Caching must be enabled (CacheCapacity >= 0)
-	// for restore to have somewhere to land; appends happen regardless.
+	// running generations finish. Caching must be enabled
+	// (CacheCapacity >= 0) for restore to have somewhere to land; appends
+	// happen regardless.
 	// The Service does not close the store — its creator owns that.
 	Store Store
 }
 
-// ErrClosed is returned by Generate, GenerateAll and GenerateMissed after
-// Close.
+// ErrClosed is returned by Generate and GenerateAll after Close.
 var ErrClosed = errors.New("evserve: service closed")
 
 // Request is one unit of batch work for GenerateAll.
@@ -160,13 +164,11 @@ type Service struct {
 	batchNanos    atomic.Int64
 }
 
-// job carries one batch request to a pool worker. probed marks a request
-// whose counted cache lookup already happened (GenerateMissed).
+// job carries one batch request to a pool worker.
 type job struct {
 	ctx      context.Context
 	db       string
 	question string
-	probed   bool
 	out      *Result
 	wg       *sync.WaitGroup
 }
@@ -197,6 +199,7 @@ func New(opts Options) *Service {
 	}
 	if opts.CacheCapacity >= 0 {
 		s.cache = NewCache(opts.CacheCapacity, opts.CacheShards)
+		s.flight.cache = s.cache
 	}
 	if opts.Store != nil && s.cache != nil {
 		// Warm restart: replay the durable store into the cache before the
@@ -240,7 +243,7 @@ func (s *Service) worker() {
 				j.wg.Done()
 				continue
 			}
-			ev, err := s.serve(j.ctx, j.db, j.question, j.probed)
+			ev, err := s.GenerateTraced(j.ctx, j.db, j.question)
 			j.out.Evidence, j.out.Trace, j.out.CacheHit, j.out.Err = ev.Text, ev.Trace, ev.CacheHit, err
 			j.wg.Done()
 		}
@@ -260,84 +263,38 @@ func (s *Service) Generate(ctx context.Context, db, question string) (string, er
 // carries the per-stage trace of the generation that produced it (the
 // cache preserves traces, so warm hits still explain themselves) and
 // whether this particular request was a cache hit.
+//
+// A caller whose ctx ends while the generation runs gets ctx.Err() at
+// once; the generation runs on to completion under no caller's context,
+// and its result lands in the cache and the store all the same.
 func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evidence, error) {
-	return s.serve(ctx, db, question, false)
-}
-
-// Lookup answers a request from the cache alone, on the caller's
-// goroutine: the same counted probe and "evserve.lookup" span
-// GenerateTraced starts with, and nothing after it. Anything but a hit — a
-// miss, caching disabled, a dead context, a closed service — reports
-// false; the caller then takes a generating path (GenerateMissed, so the
-// miss counted here is not counted twice), which is also where a dead
-// context or a closed service gets its error.
-func (s *Service) Lookup(ctx context.Context, db, question string) (Evidence, bool) {
-	ev, _, err := s.probe(ctx, db, question, false)
-	return ev, err == nil && ev.CacheHit
-}
-
-// probe is the first half of every request: is the caller still there, is
-// the service open, is the answer cached. A hit comes back with CacheHit
-// set and its span recorded; a miss is the zero Evidence and the key to
-// generate under. Each request has one counted probe — cache_hits and
-// cache_misses move by one per request — so a request that already missed
-// in Lookup re-reads the cache (probed) without counting: the read stays
-// because the key may have been filled while the request sat in a batch.
-func (s *Service) probe(ctx context.Context, db, question string, probed bool) (Evidence, Key, error) {
-	if err := ctx.Err(); err != nil {
-		return Evidence{}, Key{}, err
-	}
-	select {
-	case <-s.done:
-		return Evidence{}, Key{}, ErrClosed
-	default:
-	}
-	k := KeyFor(db, s.opts.Variant, question)
-	if s.cache != nil {
-		get := s.cache.Get
-		if probed {
-			get = s.cache.Peek
-		}
-		if e, ok := get(k); ok {
-			// Opened after the read so that a miss leaves no span behind: a
-			// hit is sub-microsecond, below the span clock's resolution.
-			_, sp := obs.StartSpan(ctx, "evserve.lookup")
-			sp.SetAttr("cache_hit", true)
-			sp.End()
-			return Evidence{Text: e.Evidence, Trace: e.Trace, CacheHit: true}, k, nil
-		}
-	}
-	return Evidence{}, k, nil
-}
-
-// serve is one request end to end: probe, then on a miss generate — at
-// most once per key across concurrent callers.
-func (s *Service) serve(ctx context.Context, db, question string, probed bool) (Evidence, error) {
-	ev, k, err := s.probe(ctx, db, question, probed)
+	ev, k, err := s.probe(ctx, db, question)
 	if err != nil || ev.CacheHit {
 		return ev, err
 	}
 	_, sp := obs.StartSpan(ctx, "evserve.lookup")
 	sp.SetAttr("cache_hit", false)
-	// Generation/append timings escape the closure via these locals: the
-	// closure body runs only in the single-flight leader's goroutine (this
-	// one, when shared=false), so recording them as spans after do()
-	// returns is race-free, and followers — who did none of the work —
-	// record no child spans.
-	var genStart, appendStart time.Time
-	var genDur, appendDur time.Duration
-	v, err, shared := s.flight.do(k, func() (Entry, error) {
+	// Generation/append timings escape the closure through t (one struct,
+	// so one allocation). The closure writes t before the call's done
+	// channel closes, so the caller that started the generation may read
+	// it once it has seen done closed — and only then: a caller that
+	// stopped waiting would race the closure. Followers, who did none of
+	// the work, record no child spans.
+	var t struct {
+		genStart, appendStart time.Time
+		genDur, appendDur     time.Duration
+	}
+	c, shared, err := s.flight.start(k, func() (Entry, error) {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
-		genStart = time.Now()
+		t.genStart = time.Now()
 		// The generation is shared by every deduped caller, so it must
 		// not run under any single caller's context: the leader hanging
-		// up would fail followers whose own contexts are alive. Requests
-		// already generating run to completion — the contract GenerateAll
-		// documents — and callers stop *waiting* via their own ctx.
+		// up would fail followers whose own contexts are alive. It runs to
+		// completion, and callers stop *waiting* via their own ctx.
 		ev, trace, err := s.gen(context.Background(), db, question)
-		genDur = time.Since(genStart)
-		s.genNanos.Add(genDur.Nanoseconds())
+		t.genDur = time.Since(t.genStart)
+		s.genNanos.Add(t.genDur.Nanoseconds())
 		s.generations.Add(1)
 		if err != nil {
 			s.failures.Add(1)
@@ -353,31 +310,70 @@ func (s *Service) serve(ctx context.Context, db, question string, probed bool) (
 			// Write-through: the entry is on its way to disk before the
 			// caller sees it. Store failures never fail the request —
 			// evidence was generated; only durability suffered.
-			appendStart = time.Now()
+			t.appendStart = time.Now()
 			if serr := s.opts.Store.Append(k, e); serr != nil {
 				s.storeErrors.Add(1)
 			} else {
 				s.storeAppends.Add(1)
 			}
-			appendDur = time.Since(appendStart)
+			t.appendDur = time.Since(t.appendStart)
 		}
 		return e, nil
 	})
+	if err != nil {
+		sp.Fail(err)
+		return Evidence{}, err
+	}
 	if shared {
 		s.dedups.Add(1)
 		sp.SetAttr("deduped", true)
-	} else if genDur > 0 {
-		sp.Child("evserve.generate", genStart, genDur, nil)
-		if appendDur > 0 {
-			sp.Child("evstore.append", appendStart, appendDur, nil)
+	}
+	select {
+	case <-c.done:
+	case <-ctx.Done():
+		sp.Fail(ctx.Err())
+		return Evidence{}, ctx.Err()
+	}
+	if !shared {
+		sp.Child("evserve.generate", t.genStart, t.genDur, nil)
+		if t.appendDur > 0 {
+			sp.Child("evstore.append", t.appendStart, t.appendDur, nil)
 		}
 	}
-	if err != nil {
-		sp.Fail(err)
-		return Evidence{Trace: v.Trace}, err
+	if c.err != nil {
+		sp.Fail(c.err)
+		return Evidence{Trace: c.val.Trace}, c.err
 	}
 	sp.End()
-	return Evidence{Text: v.Evidence, Trace: v.Trace}, nil
+	return Evidence{Text: c.val.Evidence, Trace: c.val.Trace}, nil
+}
+
+// probe is the first step of every request: is the caller still there, is
+// the service open, is the answer cached. A hit comes back with CacheHit
+// set and its span recorded; a miss is the zero Evidence and the key to
+// generate under. Each request has one counted probe: cache_hits and
+// cache_misses move by one per request.
+func (s *Service) probe(ctx context.Context, db, question string) (Evidence, Key, error) {
+	if err := ctx.Err(); err != nil {
+		return Evidence{}, Key{}, err
+	}
+	select {
+	case <-s.done:
+		return Evidence{}, Key{}, ErrClosed
+	default:
+	}
+	k := KeyFor(db, s.opts.Variant, question)
+	if s.cache != nil {
+		if e, ok := s.cache.Get(k); ok {
+			// Opened after the read so that a miss leaves no span behind: a
+			// hit is sub-microsecond, below the span clock's resolution.
+			_, sp := obs.StartSpan(ctx, "evserve.lookup")
+			sp.SetAttr("cache_hit", true)
+			sp.End()
+			return Evidence{Text: e.Evidence, Trace: e.Trace, CacheHit: true}, k, nil
+		}
+	}
+	return Evidence{}, k, nil
 }
 
 // Inject lands an externally produced entry (typically one replicated
@@ -404,33 +400,23 @@ func (s *Service) Inject(k Key, e Entry) bool {
 // GenerateAll runs a batch of requests through the bounded worker pool and
 // returns one Result per request, in submission order. Cancelling ctx stops
 // submission and fails queued-but-unstarted requests with ctx.Err();
-// requests already generating run to completion. The returned error is
+// requests already generating fail with ctx.Err() too, while their
+// generations run to completion and are cached. The returned error is
 // ctx.Err() when the batch was cancelled, ErrClosed when the service was
 // closed mid-batch, and nil otherwise — per-request failures are reported
 // on the individual Results only.
 func (s *Service) GenerateAll(ctx context.Context, reqs []Request) ([]Result, error) {
-	return s.generateAll(ctx, reqs, false)
-}
-
-// GenerateMissed is GenerateAll for requests that have each just missed in
-// Lookup: same pool, order, errors and batch counters, but a job's cache
-// read is not counted a second time.
-func (s *Service) GenerateMissed(ctx context.Context, reqs []Request) ([]Result, error) {
-	return s.generateAll(ctx, reqs, true)
-}
-
-func (s *Service) generateAll(ctx context.Context, reqs []Request, probed bool) ([]Result, error) {
 	start := time.Now()
 	results := make([]Result, len(reqs))
 	var wg sync.WaitGroup
-	var batchErr error
+	var stopErr error
 	submitted := 0
 submit:
 	for i := range reqs {
 		results[i].Request = reqs[i]
 		wg.Add(1)
 		select {
-		case s.jobs <- job{ctx: ctx, db: reqs[i].DB, question: reqs[i].Question, probed: probed, out: &results[i], wg: &wg}:
+		case s.jobs <- job{ctx: ctx, db: reqs[i].DB, question: reqs[i].Question, out: &results[i], wg: &wg}:
 			submitted++
 		case <-ctx.Done():
 			wg.Done()
@@ -438,7 +424,7 @@ submit:
 				results[j].Request = reqs[j]
 				results[j].Err = ctx.Err()
 			}
-			batchErr = ctx.Err()
+			stopErr = ctx.Err()
 			break submit
 		case <-s.done:
 			wg.Done()
@@ -446,7 +432,7 @@ submit:
 				results[j].Request = reqs[j]
 				results[j].Err = ErrClosed
 			}
-			batchErr = ErrClosed
+			stopErr = ErrClosed
 			break submit
 		}
 	}
@@ -454,24 +440,21 @@ submit:
 	s.batchCalls.Add(1)
 	s.batchRequests.Add(int64(submitted))
 	s.batchNanos.Add(time.Since(start).Nanoseconds())
-	return results, batchErr
+	return results, stopErr
 }
 
-// Close stops the worker pool, waits for in-flight jobs to drain, and
+// Close stops the worker pool and refuses new generations (they get
+// ErrClosed), waits for the generations already running — pool jobs and
+// direct calls alike, including those whose callers stopped waiting — and
 // then flushes the store (when one is attached) so every write accepted
-// before shutdown is durable — flushing before the workers drain would
-// race the last generations' appends. It is idempotent. Batches submitted
-// concurrently with Close may observe ErrClosed on their remaining
-// requests.
+// before shutdown is durable: flushing earlier would race the last
+// generations' appends. It is idempotent. Batches submitted concurrently
+// with Close may observe ErrClosed on their remaining requests.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
+	s.flight.close()
 	s.workersWG.Wait()
 	if s.opts.Store != nil {
-		// Every pool worker has exited, so every batch-accepted append has
-		// been issued; flushing here pins the "no accepted write lost on
-		// clean shutdown" guarantee. (Direct Generate callers racing Close
-		// still append safely — the store serializes appends — but only
-		// their own Flush policy covers writes issued after this point.)
 		// Flushed once: a repeat Close after the store's owner closed it
 		// must not report a phantom StoreError.
 		s.flushOnce.Do(func() {

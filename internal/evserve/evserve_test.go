@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -544,8 +543,9 @@ func TestUntracedGeneratorStillWorks(t *testing.T) {
 
 // TestSharedGenerationDetachedFromCallerContext: the single-flight
 // generation is shared by every deduped caller, so it must not run under
-// the leader's context — a leader hanging up mid-generation must not
-// poison the result for followers (or for the cache).
+// the leader's context — a leader hanging up mid-generation stops waiting
+// at once, and must not poison the result for followers (or for the
+// cache).
 func TestSharedGenerationDetachedFromCallerContext(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
@@ -561,23 +561,162 @@ func TestSharedGenerationDetachedFromCallerContext(t *testing.T) {
 		},
 	})
 	defer svc.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, should the test fail with the gate shut
 
 	ctx, cancel := context.WithCancel(context.Background())
-	leader := make(chan Evidence, 1)
+	leader := make(chan error, 1)
 	go func() {
-		ev, _ := svc.GenerateTraced(ctx, "db", "q")
-		leader <- ev
+		_, err := svc.GenerateTraced(ctx, "db", "q")
+		leader <- err
 	}()
 	<-started // the generation is in flight under the leader
 	cancel()  // leader hangs up mid-generation
-	close(gate)
-	if ev := <-leader; ev.Text != "ok" {
-		t.Fatalf("generation observed the leader's cancellation: %+v", ev)
+	select {
+	case err := <-leader:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled leader = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled leader still waits for the generation")
+	}
+	release()
+	// A caller arriving now joins the generation or finds its entry;
+	// either way it sees the leader's generation succeed.
+	if ev, err := svc.GenerateTraced(context.Background(), "db", "q"); err != nil || ev.Text != "ok" {
+		t.Fatalf("generation observed the leader's cancellation: %+v, %v", ev, err)
 	}
 	// The result was cached despite the cancelled leader.
 	warm, err := svc.GenerateTraced(context.Background(), "db", "q")
 	if err != nil || !warm.CacheHit {
 		t.Fatalf("follow-up = %+v, %v; want cache hit", warm, err)
+	}
+}
+
+// TestCancelledWaitersAbandonOneGeneration: a leader and a follower whose
+// contexts end while their shared generation runs both return ctx.Err()
+// before it finishes; the one generation still completes and is cached.
+func TestCancelledWaitersAbandonOneGeneration(t *testing.T) {
+	var calls atomic.Int64
+	started := make(chan struct{})
+	gate := make(chan struct{})
+	svc := New(Options{
+		Variant: "t",
+		Generate: func(db, q string) (string, error) {
+			calls.Add(1)
+			close(started)
+			<-gate
+			return "ok", nil
+		},
+	})
+	defer svc.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, should the test fail with the gate shut
+
+	lctx, lcancel := context.WithCancel(context.Background())
+	fctx, fcancel := context.WithCancel(context.Background())
+	leader, follower := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := svc.Generate(lctx, "db", "q")
+		leader <- err
+	}()
+	<-started
+	go func() {
+		_, err := svc.Generate(fctx, "db", "q")
+		follower <- err
+	}()
+	for svc.Stats().Dedups == 0 {
+		time.Sleep(time.Millisecond) // the follower joined the generation
+	}
+	lcancel()
+	fcancel()
+	for name, ch := range map[string]chan error{"leader": leader, "follower": follower} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled %s = %v, want context.Canceled", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cancelled %s still waits for the generation", name)
+		}
+	}
+	release()
+	svc.flight.close() // waits for the abandoned generation to land
+	if n := calls.Load(); n != 1 {
+		t.Errorf("generator ran %d times, want 1", n)
+	}
+	if _, ok := svc.cache.Get(KeyFor("db", "t", "q")); !ok {
+		t.Error("the abandoned generation was not cached")
+	}
+}
+
+// recordingStore logs the order of the store calls it sees.
+type recordingStore struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (r *recordingStore) Load(func(Key, Entry)) error { return nil }
+
+func (r *recordingStore) Append(Key, Entry) error { r.record("append"); return nil }
+
+func (r *recordingStore) Flush() error { r.record("flush"); return nil }
+
+func (r *recordingStore) record(ev string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events = append(r.events, ev)
+}
+
+// TestCloseWaitsForDirectGenerationThenFlushes: a generation started by a
+// direct call (not a pool job) still holds Close until it finishes, so
+// its write-through append reaches the store before the shutdown flush —
+// even when its caller has stopped waiting — and once Close has begun, no
+// generation starts.
+func TestCloseWaitsForDirectGenerationThenFlushes(t *testing.T) {
+	started := make(chan struct{})
+	gate := make(chan struct{})
+	store := &recordingStore{}
+	svc := New(Options{
+		Variant: "t",
+		Store:   store,
+		Generate: func(db, q string) (string, error) {
+			if q == "q" {
+				close(started)
+				<-gate
+			}
+			return "ok", nil
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	go svc.Generate(ctx, "db", "q")
+	<-started
+	cancel() // the caller leaves; its generation does not
+
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	<-svc.done // Close has begun
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a generation was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := svc.Generate(context.Background(), "db", "other"); !errors.Is(err, ErrClosed) {
+		t.Errorf("Generate during Close = %v, want ErrClosed", err)
+	}
+	close(gate)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the generation finished")
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if got := fmt.Sprint(store.events); got != "[append flush]" {
+		t.Errorf("store saw %s, want [append flush]", got)
 	}
 }
 
@@ -600,83 +739,5 @@ func TestFailedGenerationKeepsPartialTrace(t *testing.T) {
 	}
 	if ev.Trace == nil || len(ev.Trace.Stages) != 1 || ev.Trace.Stages[0].Err != "boom" {
 		t.Fatalf("failure dropped the partial trace: %+v", ev.Trace)
-	}
-}
-
-// TestLookupThenGenerateMissedCountsOnce is the probe's counting and span
-// contract: Lookup is the request's one counted cache read, so the pool
-// job GenerateMissed runs for it re-reads the cache without counting
-// (GenerateAll, whose jobs make the first read, still counts), a hit
-// records evserve.lookup{cache_hit:true} and a miss records nothing.
-func TestLookupThenGenerateMissedCountsOnce(t *testing.T) {
-	var calls atomic.Int64
-	s := echoService(t, Options{Variant: "v", Workers: 1}, &calls)
-	ctx, tr := obs.NewTrace(context.Background(), "", "")
-	hitsMisses := func() [2]int64 { st := s.Stats().Cache; return [2]int64{st.Hits, st.Misses} }
-
-	if ev, ok := s.Lookup(ctx, "db", "q"); ok || ev != (Evidence{}) {
-		t.Fatalf("Lookup on an empty cache = %+v, %v", ev, ok)
-	}
-	if got := hitsMisses(); got != [2]int64{0, 1} {
-		t.Fatalf("after the missed Lookup: hits/misses = %v, want [0 1]", got)
-	}
-	// The same key twice in one batch on a one-worker pool: the second job
-	// finds the first's entry — one generation, and no read counted.
-	reqs := []Request{{DB: "db", Question: "q"}, {DB: "db", Question: "q"}}
-	res, err := s.GenerateMissed(context.Background(), reqs)
-	if err != nil || res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("GenerateMissed: %v, %+v", err, res)
-	}
-	if res[0].CacheHit || !res[1].CacheHit || res[1].Evidence != "db/q" || calls.Load() != 1 {
-		t.Errorf("GenerateMissed results %+v after %d generations, want a generation then a hit", res, calls.Load())
-	}
-	if got := hitsMisses(); got != [2]int64{0, 1} {
-		t.Errorf("after GenerateMissed: hits/misses = %v, want [0 1] still", got)
-	}
-	if ev, ok := s.Lookup(ctx, "db", "q"); !ok || !ev.CacheHit || ev.Text != "db/q" {
-		t.Errorf("Lookup of a cached key = %+v, %v", ev, ok)
-	}
-	if _, err := s.GenerateAll(context.Background(), reqs[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if got := hitsMisses(); got != [2]int64{2, 1} {
-		t.Errorf("after a hit Lookup and a GenerateAll hit: hits/misses = %v, want [2 1]", got)
-	}
-
-	rec := tr.Finish("test", 0, "")
-	if len(rec.Spans) != 1 || rec.Spans[0].Name != "evserve.lookup" || rec.Spans[0].Attrs["cache_hit"] != true {
-		t.Errorf("two Lookups (a miss, a hit) left spans %+v, want one evserve.lookup{cache_hit:true}", rec.Spans)
-	}
-}
-
-// TestLookupDeclinesWhatItCannotAnswer: a dead context, a closed service
-// and a cacheless service are not hits, whatever the cache holds — the
-// generating path the caller takes next is what reports them.
-func TestLookupDeclinesWhatItCannotAnswer(t *testing.T) {
-	var calls atomic.Int64
-	s := echoService(t, Options{Variant: "v"}, &calls)
-	ctx := context.Background()
-	if _, err := s.Generate(ctx, "db", "q"); err != nil {
-		t.Fatal(err)
-	}
-	dead, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, ok := s.Lookup(dead, "db", "q"); ok {
-		t.Error("Lookup under a cancelled context reported a hit")
-	}
-	s.Close()
-	if _, ok := s.Lookup(ctx, "db", "q"); ok {
-		t.Error("Lookup on a closed service reported a hit")
-	}
-	if st := s.Stats().Cache; st.Hits != 0 {
-		t.Errorf("declined Lookups counted %d hits", st.Hits)
-	}
-
-	off := echoService(t, Options{Variant: "v", CacheCapacity: -1}, &calls)
-	if _, err := off.Generate(ctx, "db", "q"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := off.Lookup(ctx, "db", "q"); ok {
-		t.Error("Lookup with caching disabled reported a hit")
 	}
 }

@@ -20,12 +20,9 @@ import (
 // (GET /healthz?ready answers 503) without killing liveness, replication,
 // or requests already in flight.
 func TestServerDrainKeepsInFlightAlive(t *testing.T) {
-	srv, ts := newTestServer(t, func(cfg *Config) {
-		// A wide batch window holds evidence requests in the micro-batcher,
-		// guaranteeing genuinely in-flight work while we flip the drain bit.
-		cfg.BatchWindow = 75 * time.Millisecond
-		cfg.BatchMax = 1024
-	})
+	// The gated client holds every evidence generation, guaranteeing
+	// genuinely in-flight work while we flip the drain bit.
+	srv, ts, release := newGatedServer(t, nil)
 	examples := testCorpus(t).Dev[:4]
 
 	var wg sync.WaitGroup
@@ -39,7 +36,7 @@ func TestServerDrainKeepsInFlightAlive(t *testing.T) {
 		}()
 	}
 
-	time.Sleep(20 * time.Millisecond) // let the requests reach the batcher
+	waitFor(t, "the requests to be in flight", func() bool { return srv.adm.stats().Inflight == int64(len(examples)) })
 	srv.SetDraining(true)
 
 	get := func(path string) int {
@@ -60,6 +57,7 @@ func TestServerDrainKeepsInFlightAlive(t *testing.T) {
 		t.Errorf("draining /metrics = %d, want 200", code)
 	}
 
+	release()
 	wg.Wait()
 	for i, code := range statuses {
 		if code != http.StatusOK {
@@ -165,8 +163,6 @@ func newFleetServer(t *testing.T, dir string, client llm.Client, peers []string)
 		Corpora:           []*dataset.Corpus{testCorpus(t)},
 		Client:            client,
 		Variant:           seed.VariantGPT,
-		BatchWindow:       2 * time.Millisecond,
-		BatchMax:          16,
 		StoreDir:          dir,
 		StoreSeed:         7,
 		Peers:             peers,

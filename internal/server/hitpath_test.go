@@ -3,9 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,14 +55,30 @@ func childNames(rec *obs.TraceRecord, parent obs.Span) map[string]int {
 }
 
 // TestEvidenceSpansHitAndMiss pins what a trace says about the evidence
-// step on both routes. A miss waited for a batch: batcher.wait{batch_size}
-// (and, on /v1/query, the pipeline's stages) and no evserve.lookup — the batch
-// runs under its own context. A hit did one cache lookup on its own
-// goroutine: evserve.lookup{cache_hit:true} and nothing else — no
-// batcher.wait, because it did not wait.
+// step on both routes. A hit did one cache lookup and nothing else:
+// evserve.lookup{cache_hit:true}. A miss generated on its own request:
+// evserve.lookup{cache_hit:false} with an evserve.generate child (and, on
+// /v1/query, the pipeline's stages under the evidence span).
 func TestEvidenceSpansHitAndMiss(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	corpus := testCorpus(t)
+
+	// lookup checks the one evserve.lookup span and its children.
+	lookup := func(t *testing.T, rec *obs.TraceRecord, hit bool) obs.Span {
+		t.Helper()
+		lks := spansNamed(rec, "evserve.lookup")
+		if len(lks) != 1 || lks[0].Attrs["cache_hit"] != hit {
+			t.Fatalf("hit=%v: evserve.lookup spans %+v, want one with cache_hit=%v", hit, lks, hit)
+		}
+		want := map[string]int{"evserve.generate": 1}
+		if hit {
+			want = map[string]int{}
+		}
+		if kids := childNames(rec, lks[0]); !reflect.DeepEqual(kids, want) {
+			t.Errorf("hit=%v: evserve.lookup has children %v, want %v", hit, kids, want)
+		}
+		return lks[0]
+	}
 
 	t.Run("query", func(t *testing.T) {
 		e := corpus.Dev[0]
@@ -76,28 +96,16 @@ func TestEvidenceSpansHitAndMiss(t *testing.T) {
 			if len(evs) != 1 || evs[0].Attrs["cache_hit"] != hit {
 				t.Fatalf("hit=%v: evidence spans %+v", hit, evs)
 			}
+			if lk := lookup(t, rec, hit); lk.ParentID != evs[0].SpanID {
+				t.Errorf("hit=%v: evserve.lookup is not under the evidence span", hit)
+			}
+			stages := 0
+			if !hit {
+				stages = len(qr.EvidenceTrace.Stages)
+			}
 			kids := childNames(rec, evs[0])
-			if hit {
-				if len(kids) != 1 || kids["evserve.lookup"] != 1 {
-					t.Errorf("hit: evidence has children %v, want one evserve.lookup", kids)
-				}
-				if lk := spansNamed(rec, "evserve.lookup"); len(lk) != 1 || lk[0].Attrs["cache_hit"] != true {
-					t.Errorf("hit: evserve.lookup spans %+v, want one with cache_hit=true", lk)
-				}
-				if n := len(spansNamed(rec, "batcher.wait")); n != 0 {
-					t.Errorf("hit: %d batcher.wait spans, want none", n)
-				}
-				continue
-			}
-			waits := spansNamed(rec, "batcher.wait")
-			if kids["batcher.wait"] != 1 || len(waits) != 1 || waits[0].Attrs["batch_size"] != 1 {
-				t.Errorf("miss: batcher.wait spans %+v under evidence %v, want one with batch_size=1", waits, kids)
-			}
-			if n := len(spansNamed(rec, "stage:")); n == 0 || n != len(qr.EvidenceTrace.Stages) || n != len(kids)-1 {
-				t.Errorf("miss: %d stage spans for %d traced stages (evidence children %v)", n, len(qr.EvidenceTrace.Stages), kids)
-			}
-			if n := len(spansNamed(rec, "evserve.lookup")); n != 0 {
-				t.Errorf("miss: %d evserve.lookup spans, want none", n)
+			if n := len(spansNamed(rec, "stage:")); n != stages || len(kids) != 1+stages {
+				t.Errorf("hit=%v: %d stage spans, evidence children %v; want %d stages", hit, n, kids, stages)
 			}
 		}
 	})
@@ -114,14 +122,7 @@ func TestEvidenceSpansHitAndMiss(t *testing.T) {
 			if er.CacheHit != hit {
 				t.Fatalf("hit=%v: response cache_hit %v", hit, er.CacheHit)
 			}
-			lookups, waits := spansNamed(rec, "evserve.lookup"), spansNamed(rec, "batcher.wait")
-			if hit {
-				if len(lookups) != 1 || lookups[0].Attrs["cache_hit"] != true || len(waits) != 0 {
-					t.Errorf("hit: lookups %+v, waits %+v; want one evserve.lookup{cache_hit:true} and no wait", lookups, waits)
-				}
-			} else if len(waits) != 1 || waits[0].Attrs["batch_size"] != 1 || len(lookups) != 0 {
-				t.Errorf("miss: lookups %+v, waits %+v; want one batcher.wait{batch_size:1} and no lookup", lookups, waits)
-			}
+			lookup(t, rec, hit)
 		}
 	})
 }
@@ -170,22 +171,18 @@ func TestWarmTraceHasNoStageSpans(t *testing.T) {
 // TestEvidenceProbeCountedOncePerRequest is the counting contract the
 // bench and /metrics read: each request moves the evidence cache's
 // counters by exactly one — a cold one cache_misses, a warm one
-// cache_hits — and only a request with something to generate is batched.
+// cache_hits — and only a miss generates.
 func TestEvidenceProbeCountedOncePerRequest(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	e := testCorpus(t).Dev[0]
 	req := api.QueryRequest{DB: e.DB, Question: e.Question}
 	counts := func() [3]int64 {
-		m := srv.Metrics()
-		ev, b := m.Evidence["bird"], m.Batcher["bird"]
-		if b.BatchedRequests != b.Batches {
-			t.Fatalf("serial requests shared a batch: %+v", b)
-		}
-		return [3]int64{ev.CacheMisses, ev.CacheHits, b.Batches}
+		ev := srv.Metrics().Evidence["bird"]
+		return [3]int64{ev.CacheMisses, ev.CacheHits, ev.Generations}
 	}
 	for _, step := range []struct {
 		name, path string
-		want       [3]int64 // misses, hits, batches so far
+		want       [3]int64 // misses, hits, generations so far
 	}{
 		{"cold query", "/v1/query", [3]int64{1, 0, 1}},
 		{"warm query", "/v1/query", [3]int64{1, 1, 1}},
@@ -195,24 +192,18 @@ func TestEvidenceProbeCountedOncePerRequest(t *testing.T) {
 			t.Fatalf("%s = %d: %s", step.name, resp.StatusCode, data)
 		}
 		if got := counts(); got != step.want {
-			t.Errorf("after the %s: misses/hits/batches = %v, want %v", step.name, got, step.want)
+			t.Errorf("after the %s: misses/hits/generations = %v, want %v", step.name, got, step.want)
 		}
 	}
 }
 
-// TestSameKeyMissesInOneBatchGenerateOnce: three concurrent cold requests
-// for one key, dispatched as one batch to a one-worker pool, are one
-// generation — the second and third jobs find the first's entry when the
-// pool re-reads the cache — and three counted probes, not six.
-func TestSameKeyMissesInOneBatchGenerateOnce(t *testing.T) {
-	srv, ts := newTestServer(t, func(cfg *Config) {
-		cfg.EvidenceWorkers = 1
-		cfg.BatchWindow = time.Hour // the batch leaves when it is full
-		cfg.BatchMax = 3
-	})
+// TestSameKeyConcurrentMissesGenerateOnce: three concurrent cold requests
+// for one key are one generation — the second and third join the first's
+// — and three counted probes, not six.
+func TestSameKeyConcurrentMissesGenerateOnce(t *testing.T) {
+	srv, ts, release := newGatedServer(t, nil)
 	e := testCorpus(t).Dev[0]
-	req := api.QueryRequest{DB: e.DB, Question: e.Question}
-	body, _ := json.Marshal(req)
+	body, _ := json.Marshal(api.QueryRequest{DB: e.DB, Question: e.Question})
 	texts := make([]string, 3)
 	var wg sync.WaitGroup
 	for i := range texts {
@@ -232,19 +223,127 @@ func TestSameKeyMissesInOneBatchGenerateOnce(t *testing.T) {
 			texts[i] = er.Evidence
 		}()
 	}
+	waitFor(t, "two requests to join the generation", func() bool { return srv.Metrics().Evidence["bird"].Dedups == 2 })
+	release()
 	wg.Wait()
 	if texts[0] == "" || texts[1] != texts[0] || texts[2] != texts[0] {
 		t.Errorf("the three answers differ: %q", texts)
 	}
-	m := srv.Metrics()
-	ev, b := m.Evidence["bird"], m.Batcher["bird"]
-	if ev.Generations != 1 {
-		t.Errorf("generations = %d, want 1", ev.Generations)
+	ev := srv.Metrics().Evidence["bird"]
+	if ev.Generations != 1 || ev.Dedups != 2 {
+		t.Errorf("generations = %d, dedups = %d; want 1, 2", ev.Generations, ev.Dedups)
 	}
-	if b.Batches != 1 || b.BatchedRequests != 3 || b.SizeFlushes != 1 {
-		t.Errorf("batcher = %+v, want one size-flushed batch of 3", b)
+	if ev.CacheMisses != 3 || ev.CacheHits != 0 {
+		t.Errorf("cache counted %d misses + %d hits for 3 concurrent cold requests, want 3 + 0", ev.CacheMisses, ev.CacheHits)
 	}
-	if ev.CacheMisses+ev.CacheHits != 3 {
-		t.Errorf("cache counted %d misses + %d hits for 3 requests", ev.CacheMisses, ev.CacheHits)
+}
+
+// TestEvidenceTimeoutAbandonsGeneration: a request whose deadline passes
+// while its evidence generates answers 504 at the deadline, not when the
+// generation ends; the generation finishes anyway, so the repeat is a
+// cache hit without a second one.
+func TestEvidenceTimeoutAbandonsGeneration(t *testing.T) {
+	srv, ts, release := newGatedServer(t, func(cfg *Config) {
+		cfg.RequestTimeout = 50 * time.Millisecond
+	})
+	e := testCorpus(t).Dev[0]
+	req := api.QueryRequest{DB: e.DB, Question: e.Question}
+	body, _ := json.Marshal(req)
+	// A client deadline, so a request that waits out the generation fails
+	// the test instead of waiting for a gate only the test can open.
+	client := &http.Client{Timeout: 5 * time.Second}
+	start := time.Now()
+	resp, err := client.Post(ts.URL+"/v1/evidence", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("timed-out request answered after %v, want about the 50 ms deadline", elapsed)
+	}
+	var env api.Error
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout || env.Code != api.CodeUpstreamTimeout {
+		t.Fatalf("timed-out request = %d %s, want 504 %s", resp.StatusCode, data, api.CodeUpstreamTimeout)
+	}
+
+	release()
+	svc := srv.services["bird"]
+	waitFor(t, "the abandoned generation to land", func() bool {
+		st := svc.Stats()
+		return st.Generations == 1 && st.Inflight == 0
+	})
+	resp, data = postJSON(t, ts.URL+"/v1/evidence", req)
+	var er api.EvidenceResponse
+	if err := json.Unmarshal(data, &er); err != nil || resp.StatusCode != http.StatusOK || !er.CacheHit {
+		t.Fatalf("repeat = %d %s, want a 200 cache hit", resp.StatusCode, data)
+	}
+	if n := svc.Stats().Generations; n != 1 {
+		t.Errorf("generations = %d, want 1", n)
+	}
+}
+
+// TestEvidenceHitsAndMissesRaceClose hammers cache hits and fresh misses
+// through the HTTP handler while the server closes under them: every
+// request answers 200 or 503 — never a hang, a panic or another status —
+// Close returns only once no generation is running, and a cached key
+// answers 503 afterwards. Run with -race.
+func TestEvidenceHitsAndMissesRaceClose(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	dev := testCorpus(t).Dev
+	const warm = 4
+	for _, e := range dev[:warm] {
+		if resp, data := postJSON(t, ts.URL+"/v1/evidence", api.QueryRequest{DB: e.DB, Question: e.Question}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm-up = %d: %s", resp.StatusCode, data)
+		}
+	}
+	var wg sync.WaitGroup
+	var answered, closed atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				e := dev[(g+i)%warm]
+				q := e.Question
+				if i%2 == 1 { // a question never asked before: a miss
+					q = fmt.Sprintf("%s (%d-%d)", q, g, i)
+				}
+				body, _ := json.Marshal(api.QueryRequest{DB: e.DB, Question: q})
+				resp, err := http.Post(ts.URL+"/v1/evidence", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				data, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					answered.Add(1)
+				case http.StatusServiceUnavailable:
+					closed.Add(1)
+				default:
+					t.Errorf("request = %d %s, want 200 or 503", resp.StatusCode, data)
+					return
+				}
+			}
+		}()
+	}
+	svc := srv.services["bird"]
+	waitFor(t, "traffic to reach the service", func() bool { return svc.Stats().Generations > warm })
+	srv.Close()
+	if n := svc.Stats().Inflight; n != 0 {
+		t.Errorf("Close returned with %d generations running", n)
+	}
+	wg.Wait()
+	if answered.Load() == 0 || closed.Load() == 0 {
+		t.Logf("answered %d, closed %d: the close did not land mid-traffic", answered.Load(), closed.Load())
+	}
+	e := dev[0]
+	if resp, data := postJSON(t, ts.URL+"/v1/evidence", api.QueryRequest{DB: e.DB, Question: e.Question}); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("cached key on a closed server = %d %s, want 503", resp.StatusCode, data)
 	}
 }

@@ -152,15 +152,13 @@ func TestMemoryWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	newMemServer := func(sim llm.Client) (*Server, string, func()) {
 		srv, err := New(Config{
-			Corpora:     []*dataset.Corpus{testCorpus(t)},
-			Client:      sim,
-			Variant:     seed.VariantGPT,
-			BatchWindow: 2 * time.Millisecond,
-			BatchMax:    16,
-			StoreSeed:   7,
-			Memory:      true,
-			MemoryDir:   dir,
-			Logger:      quietLogger(),
+			Corpora:   []*dataset.Corpus{testCorpus(t)},
+			Client:    sim,
+			Variant:   seed.VariantGPT,
+			StoreSeed: 7,
+			Memory:    true,
+			MemoryDir: dir,
+			Logger:    quietLogger(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -220,15 +218,13 @@ func TestMemoryWarmRestart(t *testing.T) {
 func TestMemoryReplicationServesOnFollower(t *testing.T) {
 	leaderDir := t.TempDir()
 	leaderSrv, err := New(Config{
-		Corpora:     []*dataset.Corpus{testCorpus(t)},
-		Client:      llm.NewSimulator(),
-		Variant:     seed.VariantGPT,
-		BatchWindow: 2 * time.Millisecond,
-		BatchMax:    16,
-		StoreDir:    leaderDir,
-		StoreSeed:   7,
-		Memory:      true,
-		Logger:      quietLogger(),
+		Corpora:   []*dataset.Corpus{testCorpus(t)},
+		Client:    llm.NewSimulator(),
+		Variant:   seed.VariantGPT,
+		StoreDir:  leaderDir,
+		StoreSeed: 7,
+		Memory:    true,
+		Logger:    quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +254,6 @@ func TestMemoryReplicationServesOnFollower(t *testing.T) {
 		Corpora:           []*dataset.Corpus{testCorpus(t)},
 		Client:            followerSim,
 		Variant:           seed.VariantGPT,
-		BatchWindow:       2 * time.Millisecond,
-		BatchMax:          16,
 		StoreDir:          t.TempDir(),
 		StoreSeed:         7,
 		Peers:             []string{leaderTS.URL},

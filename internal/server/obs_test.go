@@ -16,8 +16,9 @@ import (
 // TestRoutedQueryTraceEndToEnd is the tentpole acceptance test: one query
 // sent through a real fleet.Router must yield one trace, fetchable from
 // the serving replica via the response's X-Trace-Id, whose spans cover
-// every layer — the router's forward, admission, the batcher wait, the
-// evidence pipeline stages, and the engine's prepare and execute.
+// every layer — the router's forward, admission, the evidence lookup and
+// generation, the evidence pipeline stages, and the engine's prepare and
+// execute.
 func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 
@@ -96,7 +97,7 @@ func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 	}
 	for _, want := range []string{
 		"router.forward", "request", "admission", "evidence",
-		"batcher.wait", "generate", "sqlengine.prepare", "sqlengine.execute",
+		"evserve.lookup", "evserve.generate", "generate", "sqlengine.prepare", "sqlengine.execute",
 	} {
 		if names[want] == 0 {
 			t.Errorf("trace is missing span %q (got %v)", want, names)

@@ -20,8 +20,6 @@ func benchServer(b *testing.B, traceCapacity int, slow time.Duration) (string, f
 		Corpora:            []*dataset.Corpus{dataset.BuildBIRD(dataset.BIRDOptions{Seed: 7})},
 		Client:             llm.NewSimulator(),
 		Variant:            seed.VariantGPT,
-		BatchWindow:        2 * time.Millisecond,
-		BatchMax:           16,
 		MaxInFlight:        1024,
 		RequestTimeout:     time.Minute,
 		TraceCapacity:      traceCapacity,

@@ -54,7 +54,6 @@ func TestServedSynthPaths(t *testing.T) {
 		cfg.Client = llm.NewSimulator()
 		cfg.Variant = seed.VariantGPT
 		cfg.Generator = "codes-15b"
-		cfg.BatchWindow, cfg.BatchMax = 2*time.Millisecond, 32
 		cfg.Burst, cfg.MaxInFlight = 64, 256
 		cfg.RequestTimeout = 30 * time.Second
 		cfg.StoreSeed = 7

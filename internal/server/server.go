@@ -1,12 +1,14 @@
 // Package server is SEED's online serving subsystem: the practical-usability
 // half of the paper's claim, turned into a production-shaped HTTP service.
-// Evidence is generated (and cached) by an evserve.Service per corpus,
-// concurrent evidence cache misses are coalesced by a micro-batcher (hits
-// are answered at once), text-to-SQL generation and execution ride the
-// per-database session registry and the SQL engine's prepared-plan cache,
-// and the whole thing sits behind admission control (token-bucket rate
-// limit + bounded in-flight semaphore) with per-route latency histograms
-// exported at /metrics.
+// Evidence is generated (and cached) by an evserve.Service per corpus: a
+// request asks its corpus service directly, so a cache hit is answered at
+// once and a miss generates on the request's own behalf (deduplicated
+// against concurrent misses for the same question). Text-to-SQL
+// generation and execution ride the per-database session registry and the
+// SQL engine's prepared-plan cache, and the whole thing sits behind
+// admission control (token-bucket rate limit + bounded in-flight
+// semaphore, which is also what bounds concurrent generations) with
+// per-route latency histograms exported at /metrics.
 //
 // The JSON API:
 //
@@ -68,19 +70,13 @@ type Config struct {
 	// codes-15b, the strongest concat-style system — the configuration
 	// the paper pairs SEED with for its headline numbers).
 	Generator string
-	// EvidenceWorkers bounds each corpus evidence service's worker pool;
-	// 0 defaults to GOMAXPROCS.
-	EvidenceWorkers int
 	// EvidenceCache is each evidence service's cache capacity in entries;
 	// 0 defaults to 4096.
 	EvidenceCache int
-	// BatchWindow is how long the micro-batcher holds the first cache
-	// miss of a batch waiting for company (cache hits never wait);
-	// <= 0 disables batching.
+	// BatchWindow and BatchMax are ignored. Kept for bench/ until ROADMAP
+	// 1(i).
 	BatchWindow time.Duration
-	// BatchMax flushes a batch early once it reaches this size; <= 1
-	// disables batching.
-	BatchMax int
+	BatchMax    int
 	// Rate is the admission token-bucket refill rate in requests/second;
 	// <= 0 disables rate limiting.
 	Rate float64
@@ -145,16 +141,15 @@ type Config struct {
 }
 
 // Server is the serving subsystem. Construct with New; a Server is safe
-// for concurrent use and must be Closed to stop its evidence worker pools.
+// for concurrent use and must be Closed to stop its evidence services.
 type Server struct {
 	cfg Config
 	log *slog.Logger
 	reg *registry
 
-	// services, batchers and stores are keyed by corpus name; stores is
-	// empty when Config.StoreDir is unset.
+	// services and stores are keyed by corpus name; stores is empty when
+	// Config.StoreDir is unset.
 	services map[string]*evserve.Service
-	batchers map[string]*batcher
 	stores   map[string]*evstore.Store
 	corpora  map[string]*dataset.Corpus
 
@@ -208,11 +203,11 @@ type memStream struct {
 	tailer *qmemory.Tailer
 }
 
-// New builds the serving subsystem: one seed pipeline + evidence service +
-// micro-batcher per corpus, one generator per corpus shared by its
-// sessions, and the admission controller. Spider-style corpora that ship
-// no description files are described up front (the paper's §IV-E3
-// pipeline), exactly as the offline experiment drivers do.
+// New builds the serving subsystem: one seed pipeline + evidence service
+// per corpus, one generator per corpus shared by its sessions, and the
+// admission controller. Spider-style corpora that ship no description
+// files are described up front (the paper's §IV-E3 pipeline), exactly as
+// the offline experiment drivers do.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Corpora) == 0 {
 		return nil, errors.New("server: Config.Corpora is required")
@@ -240,7 +235,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		log:      log,
 		services: make(map[string]*evserve.Service),
-		batchers: make(map[string]*batcher),
 		stores:   make(map[string]*evstore.Store),
 		corpora:  make(map[string]*dataset.Corpus),
 		memories: make(map[string]*qmemory.Memory),
@@ -286,7 +280,6 @@ func New(cfg Config) (*Server, error) {
 		svcOpts := evserve.Options{
 			Variant:        variant,
 			GenerateTraced: p.GenerateEvidenceTraced,
-			Workers:        cfg.EvidenceWorkers,
 			CacheCapacity:  cfg.EvidenceCache,
 		}
 		if store != nil {
@@ -294,7 +287,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		svc := evserve.New(svcOpts)
 		s.services[corpus.Name] = svc
-		s.batchers[corpus.Name] = newBatcher(svc, cfg.BatchWindow, cfg.BatchMax)
 		gen, err := GeneratorFor(cfg.Generator, cfg.Client)
 		if err != nil {
 			s.Close() // svc is already registered; Close stops every pool so far
@@ -423,11 +415,10 @@ func (s *Server) Handler() http.Handler {
 // notice, then shuts the listener down.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Close stops the peer replication tailers, flushes pending
-// micro-batches, stops the evidence worker pools (each service flushes
-// its store after its pool drains), and closes the evidence stores. It is
-// idempotent, and safe to race with in-flight requests: they fail with
-// evserve.ErrClosed rather than hang.
+// Close stops the peer replication tailers, closes the evidence services
+// (each waits for its running generations, then flushes its store), and
+// closes the evidence stores. It is idempotent, and safe to race with
+// in-flight requests: they fail with evserve.ErrClosed rather than hang.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		// Tailers first: they append to the stores, which close below.
@@ -435,9 +426,6 @@ func (s *Server) Close() {
 			s.tailCancel()
 		}
 		s.tailWG.Wait()
-		for _, b := range s.batchers {
-			b.Flush()
-		}
 		for _, svc := range s.services {
 			svc.Close()
 		}
@@ -477,7 +465,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		root.SetAttr("example_id", e.ID)
 	}
 
-	// Query memory sits ahead of the evidence batcher: a high-confidence
+	// Query memory sits ahead of the evidence service: a high-confidence
 	// semantic match serves adapted cached SQL with zero pipeline/LLM
 	// work. A miss (or a hit that fails verification) falls through to
 	// the full path, carrying the lookup time into the response timing.
@@ -492,7 +480,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	evStart := time.Now()
 	evCtx, evSpan := obs.StartSpan(r.Context(), "evidence")
-	ev, err := s.batchers[sess.Corpus].Generate(evCtx, e.DB, e.Question)
+	ev, err := s.services[sess.Corpus].GenerateTraced(evCtx, e.DB, e.Question)
 	evDur := time.Since(evStart)
 	if err != nil {
 		evSpan.Fail(err)
@@ -500,9 +488,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	evSpan.SetAttr("cache_hit", ev.CacheHit)
-	// A request that waited for a generation (its own, a batch's, or a
-	// single-flight leader's) gets the pipeline's stages as child spans: the
-	// batch runs under its own context, so no per-request span can flow
+	// A request that waited for a generation (its own or a single-flight
+	// leader's) gets the pipeline's stages as child spans: the generation
+	// runs under no request's context, so no per-request span can flow
 	// into it, but ev.Trace carries the stage breakdown, anchored here at
 	// this request's evidence phase start. A cache hit ran no stage, so it
 	// gets none; the response's evidence_trace still says where its
@@ -595,16 +583,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ExecuteMicros:  execDur.Microseconds(),
 		},
 	}
-	if res.Rows != nil {
-		resp.Columns = res.Rows.Columns
-		resp.RowCount = len(res.Rows.Data)
-		n := resp.RowCount
-		if req.MaxRows > 0 && req.MaxRows < n {
-			n = req.MaxRows
-			resp.Truncated = true
-		}
-		resp.Rows = renderRows(res.Rows, n)
-	}
+	setRows(&resp, res.Rows, req.MaxRows)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -713,18 +692,26 @@ func (s *Server) tryMemory(w http.ResponseWriter, r *http.Request, sess *Session
 	// On the memory path lookup, verification and execution are one fused
 	// phase; the whole end-to-end cost lands in MemoryMicros.
 	resp.Timing.MemoryMicros = time.Since(start).Microseconds()
-	if res.Rows != nil {
-		resp.Columns = res.Rows.Columns
-		resp.RowCount = len(res.Rows.Data)
-		n := resp.RowCount
-		if req.MaxRows > 0 && req.MaxRows < n {
-			n = req.MaxRows
-			resp.Truncated = true
-		}
-		resp.Rows = renderRows(res.Rows, n)
-	}
+	setRows(&resp, res.Rows, req.MaxRows)
 	writeJSON(w, http.StatusOK, resp)
 	return true, time.Since(start)
+}
+
+// setRows puts the result rows on resp, rendering at most maxRows of them
+// when maxRows is positive. Nil rows (a statement with no result set)
+// leave resp as it is.
+func setRows(resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) {
+	if rows == nil {
+		return
+	}
+	resp.Columns = rows.Columns
+	resp.RowCount = len(rows.Data)
+	n := resp.RowCount
+	if maxRows > 0 && maxRows < n {
+		n = maxRows
+		resp.Truncated = true
+	}
+	resp.Rows = renderRows(rows, n)
 }
 
 // renderRows converts engine rows to JSON-shaped values: NULL becomes
@@ -775,7 +762,7 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 	// Evidence generation works for arbitrary question text — the SEED
 	// pipeline needs only the question and the database — so unlike
 	// /v1/query this endpoint is not restricted to corpus questions.
-	ev, err := s.batchers[sess.Corpus].Generate(r.Context(), req.DB, question)
+	ev, err := s.services[sess.Corpus].GenerateTraced(r.Context(), req.DB, question)
 	if err != nil {
 		writeUpstreamError(w, r, "evidence generation", err)
 		return
@@ -915,8 +902,9 @@ type MetricsSnapshot struct {
 	Routes         map[string]RouteSnapshot     `json:"routes"`
 	Admission      AdmissionStats               `json:"admission"`
 	Evidence       map[string]EvidenceSnapshot  `json:"evidence"`
-	Batcher        map[string]BatcherStats      `json:"batcher"`
 	PlanCache      map[string]PlanCacheSnapshot `json:"plan_cache"`
+	// Batcher is never filled. Kept for bench/ until ROADMAP 1(i).
+	Batcher map[string]BatcherStats `json:"-"`
 	// Store holds the per-corpus durable evidence store counters
 	// (records, WAL size, compactions, replay time, snapshot age);
 	// omitted when the server runs without -store-dir.
@@ -935,10 +923,17 @@ type MetricsSnapshot struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
+// BatcherStats is always zero. Kept for bench/ until ROADMAP 1(i).
+type BatcherStats struct {
+	Batches         int64
+	BatchedRequests int64
+	SizeFlushes     int64
+	WindowFlushes   int64
+}
+
 // EvidenceSnapshot is the /metrics view of one corpus evidence service.
 type EvidenceSnapshot struct {
 	Variant      string  `json:"variant"`
-	Workers      int     `json:"workers"`
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
@@ -969,7 +964,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Routes:         make(map[string]RouteSnapshot, len(s.routes)),
 		Admission:      s.adm.stats(),
 		Evidence:       make(map[string]EvidenceSnapshot, len(s.services)),
-		Batcher:        make(map[string]BatcherStats, len(s.batchers)),
 		PlanCache:      make(map[string]PlanCacheSnapshot, len(s.corpora)),
 	}
 	for route, rm := range s.routes {
@@ -979,7 +973,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		st := svc.Stats()
 		es := EvidenceSnapshot{
 			Variant:      st.Variant,
-			Workers:      st.Workers,
 			CacheHits:    st.Cache.Hits,
 			CacheMisses:  st.Cache.Misses,
 			Entries:      st.Cache.Entries,
@@ -996,9 +989,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 			es.CacheHitRate = float64(st.Cache.Hits) / float64(probes)
 		}
 		snap.Evidence[name] = es
-	}
-	for name, b := range s.batchers {
-		snap.Batcher[name] = b.stats()
 	}
 	if len(s.stores) > 0 {
 		snap.Store = make(map[string]evstore.Stats, len(s.stores))

@@ -19,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/llm"
 	"repro/internal/seed"
+	"repro/internal/sqlengine"
 	"repro/internal/texttosql"
 )
 
@@ -39,12 +40,10 @@ func quietLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
 func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
-		Corpora:     []*dataset.Corpus{testCorpus(t)},
-		Client:      llm.NewSimulator(),
-		Variant:     seed.VariantGPT,
-		BatchWindow: 2 * time.Millisecond,
-		BatchMax:    16,
-		Logger:      quietLogger(),
+		Corpora: []*dataset.Corpus{testCorpus(t)},
+		Client:  llm.NewSimulator(),
+		Variant: seed.VariantGPT,
+		Logger:  quietLogger(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -59,6 +58,46 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 		srv.Close()
 	})
 	return srv, ts
+}
+
+// gatedClient is an llm.Client whose completions wait until gate closes:
+// a request that generates evidence stays in flight until the test lets
+// it go.
+type gatedClient struct {
+	llm.Client
+	gate chan struct{}
+}
+
+func (c gatedClient) Complete(req llm.Request) (llm.Response, error) {
+	<-c.gate
+	return c.Client.Complete(req)
+}
+
+// newGatedServer is newTestServer over a gatedClient. The returned release
+// opens the gate; it is idempotent, and runs at cleanup too, so a failed
+// test never leaves the server's Close waiting on a held generation.
+func newGatedServer(t *testing.T, mutate func(*Config)) (srv *Server, ts *httptest.Server, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	srv, ts = newTestServer(t, func(cfg *Config) {
+		cfg.Client = gatedClient{Client: cfg.Client, gate: gate}
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	return srv, ts, release
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -209,10 +248,8 @@ func TestRateLimitReturns429WithRetryAfter(t *testing.T) {
 }
 
 func TestOverloadReturns503(t *testing.T) {
-	srv, ts := newTestServer(t, func(cfg *Config) {
+	srv, ts, release := newGatedServer(t, func(cfg *Config) {
 		cfg.MaxInFlight = 1
-		cfg.BatchWindow = 200 * time.Millisecond // park the first request in a batch window
-		cfg.BatchMax = 64
 	})
 	e := testCorpus(t).Dev[0]
 	first := make(chan int, 1)
@@ -220,12 +257,10 @@ func TestOverloadReturns503(t *testing.T) {
 		resp, _ := postJSON(t, ts.URL+"/v1/evidence", api.QueryRequest{DB: e.DB, Question: e.Question})
 		first <- resp.StatusCode
 	}()
-	// Wait until the first request holds the only slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.adm.stats().Inflight == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	// The first request holds the only slot until the gate opens.
+	waitFor(t, "the first request to hold the slot", func() bool { return srv.adm.stats().Inflight == 1 })
 	resp, _ := postJSON(t, ts.URL+"/v1/evidence", api.QueryRequest{DB: e.DB, Question: e.Question})
+	release()
 	if resp.StatusCode != 503 {
 		t.Errorf("over-capacity request = %d, want 503", resp.StatusCode)
 	}
@@ -562,12 +597,11 @@ func TestQueryExposesEvidenceTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsExposeStagesAndBatcherOccupancy: /metrics surfaces the
-// per-stage latency aggregation next to the micro-batcher's flush split
-// and mean occupancy.
-func TestMetricsExposeStagesAndBatcherOccupancy(t *testing.T) {
+// TestMetricsExposeStages: /metrics surfaces the per-stage latency
+// aggregation of the evidence generations, in the snapshot and in the
+// JSON body.
+func TestMetricsExposeStages(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
-	// Drive a few concurrent queries through the batcher.
 	exs := testCorpus(t).Dev
 	if len(exs) > 8 {
 		exs = exs[:8]
@@ -609,25 +643,6 @@ func TestMetricsExposeStagesAndBatcherOccupancy(t *testing.T) {
 		t.Errorf("stages missing generate: %+v", ev.Stages)
 	}
 
-	b, ok := snap.Batcher["bird"]
-	if !ok {
-		t.Fatal("no bird batcher snapshot")
-	}
-	if b.MaxSize != 16 {
-		t.Errorf("batcher max_size = %d, want 16", b.MaxSize)
-	}
-	if b.Batches > 0 {
-		if b.MeanOccupancy <= 0 || b.MeanOccupancy > 1 {
-			t.Errorf("mean occupancy = %.3f, want in (0, 1]", b.MeanOccupancy)
-		}
-		if got := b.AvgFill / float64(b.MaxSize); !floatsClose(got, b.MeanOccupancy) {
-			t.Errorf("mean occupancy %.3f != avg_fill/max_size %.3f", b.MeanOccupancy, got)
-		}
-	}
-	if b.Batches != b.SizeFlushes+b.WindowFlushes {
-		t.Errorf("batches %d != size %d + window %d flushes", b.Batches, b.SizeFlushes, b.WindowFlushes)
-	}
-
 	// The JSON body carries the same fields.
 	resp, err := http.Get(ts.URL + "/metrics?format=json")
 	if err != nil {
@@ -638,11 +653,6 @@ func TestMetricsExposeStagesAndBatcherOccupancy(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"evidence", "batcher"} {
-		if _, ok := raw[key]; !ok {
-			t.Errorf("/metrics body missing %q", key)
-		}
-	}
 	var evRaw map[string]EvidenceSnapshot
 	if err := json.Unmarshal(raw["evidence"], &evRaw); err != nil {
 		t.Fatal(err)
@@ -652,7 +662,27 @@ func TestMetricsExposeStagesAndBatcherOccupancy(t *testing.T) {
 	}
 }
 
-func floatsClose(a, b float64) bool {
-	d := a - b
-	return d < 1e-9 && d > -1e-9
+// TestSetRowsCapsRendering: a positive MaxRows caps the rendered rows and
+// flags the truncation while RowCount keeps the full count; nil rows (a
+// statement with no result set) leave the response as it was.
+func TestSetRowsCapsRendering(t *testing.T) {
+	rows := &sqlengine.Rows{Columns: []string{"n"}, Data: [][]sqlengine.Value{
+		{sqlengine.Int(1)}, {sqlengine.Null()}, {sqlengine.Text("x")},
+	}}
+	for _, tc := range []struct {
+		maxRows, want int
+		truncated     bool
+	}{{0, 3, false}, {2, 2, true}, {3, 3, false}, {5, 3, false}} {
+		var resp api.QueryResponse
+		setRows(&resp, rows, tc.maxRows)
+		if resp.RowCount != 3 || len(resp.Rows) != tc.want || resp.Truncated != tc.truncated || !reflect.DeepEqual(resp.Columns, rows.Columns) {
+			t.Errorf("maxRows %d: columns %v, row_count %d, %d rows, truncated %v; want 3 rows counted, %d rendered, truncated %v",
+				tc.maxRows, resp.Columns, resp.RowCount, len(resp.Rows), resp.Truncated, tc.want, tc.truncated)
+		}
+	}
+	var resp api.QueryResponse
+	setRows(&resp, nil, 1)
+	if !reflect.DeepEqual(resp, api.QueryResponse{}) {
+		t.Errorf("nil rows changed the response: %+v", resp)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/dataset"
@@ -20,14 +19,12 @@ import (
 func newStoreServer(t *testing.T, dir string, client llm.Client) (*Server, *httptest.Server, func()) {
 	t.Helper()
 	srv, err := New(Config{
-		Corpora:     []*dataset.Corpus{testCorpus(t)},
-		Client:      client,
-		Variant:     seed.VariantGPT,
-		BatchWindow: 2 * time.Millisecond,
-		BatchMax:    16,
-		StoreDir:    dir,
-		StoreSeed:   7, // testCorpus's generation seed
-		Logger:      quietLogger(),
+		Corpora:   []*dataset.Corpus{testCorpus(t)},
+		Client:    client,
+		Variant:   seed.VariantGPT,
+		StoreDir:  dir,
+		StoreSeed: 7, // testCorpus's generation seed
+		Logger:    quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/evserve"
 	"repro/internal/evstore"
+	"repro/internal/pipeline"
 	"repro/internal/qmemory"
 	"repro/internal/wal"
 )
@@ -51,12 +52,24 @@ func evidenceKey(i int) evserve.Key {
 	return evserve.KeyFor("financial", "seed_gpt", fmt.Sprintf("question %d", i))
 }
 
+// Every evidence record carries a two-stage trace, and get reports a
+// record whose trace did not survive as damaged text: recovery must keep
+// the provenance, not just the evidence.
 func (s evidenceStore) put(i int, text string) error {
-	return s.Append(evidenceKey(i), evserve.Entry{Evidence: text})
+	return s.Append(evidenceKey(i), evserve.Entry{Evidence: text, Trace: &pipeline.Trace{
+		Graph: "seed/seed_gpt",
+		Stages: []pipeline.StageTrace{
+			{Stage: "extract_keywords", WallMicros: int64(i + 1), Tokens: 12},
+			{Stage: "generate", Deps: []string{"extract_keywords"}, WallMicros: 40, Tokens: 40},
+		},
+	}})
 }
 
 func (s evidenceStore) get(i int) (string, bool) {
 	e, ok := s.Get(evidenceKey(i))
+	if ok && (e.Trace == nil || len(e.Trace.Stages) != 2) {
+		return e.Evidence + " (trace lost)", true
+	}
 	return e.Evidence, ok
 }
 
