@@ -75,7 +75,10 @@ type QueryResponse struct {
 	EvidenceCacheHit bool `json:"evidence_cache_hit"`
 	// SQL is the served query.
 	SQL string `json:"sql"`
-	// Columns and Rows are the execution result; NULLs are JSON nulls.
+	// Columns and Rows are the execution result; NULLs are JSON nulls,
+	// every other cell its text. Rows is the shape a client decodes into:
+	// seedd never fills it, but appends the rows to the body straight from
+	// the engine's, byte for byte what encoding/json would write here.
 	Columns []string `json:"columns"`
 	Rows    [][]any  `json:"rows"`
 	// RowCount is the full result size, even when Rows is truncated.

@@ -2,6 +2,8 @@ package api
 
 import (
 	"encoding/json"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 )
@@ -122,5 +124,27 @@ func TestQueryResponseWireKeys(t *testing.T) {
 	_ = json.Unmarshal(b, &raw)
 	if raw["memory_confidence"] != 0.93 {
 		t.Errorf("memory_confidence = %v, want 0.93", raw["memory_confidence"])
+	}
+}
+
+// TestWriteJSONEncodeError: a value encoding/json rejects answers 500 with
+// the error envelope, not the requested status over an empty body.
+func TestWriteJSONEncodeError(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rec := httptest.NewRecorder()
+		rec.Header().Set("X-Request-Id", "req-9")
+		WriteJSON(rec, http.StatusOK, QueryResponse{MemoryConfidence: f})
+		var e Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%v: body %q: %v", f, rec.Body, err)
+		}
+		if rec.Code != http.StatusInternalServerError || e.Code != CodeInternal || e.Error == "" || e.RequestID != "req-9" {
+			t.Errorf("%v: status %d, envelope %+v; want 500 %q with a message", f, rec.Code, e, CodeInternal)
+		}
+	}
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusCreated, QueryResponse{MemoryConfidence: 0.5})
+	if rec.Code != http.StatusCreated || rec.Header().Get("Content-Type") != "application/json" || !json.Valid(rec.Body.Bytes()) {
+		t.Errorf("finite value: status %d, content type %q, body %q", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
 	}
 }

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -77,11 +78,19 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	WriteJSON(w, status, e)
 }
 
-// WriteJSON writes v as a JSON response body with the given status.
+// WriteJSON writes v as a JSON response body with the given status. The
+// body is encoded before the status goes out, so a value encoding/json
+// rejects (a NaN, say) answers 500 CodeInternal, not the status with an
+// empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		WriteError(w, http.StatusInternalServerError, CodeInternal, "encoding response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }

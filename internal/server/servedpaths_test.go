@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"sort"
 	"strings"
@@ -31,33 +32,7 @@ var servedLiteral = regexp.MustCompile(`'[^']*'|\b\d+(\.\d+)?\b`)
 // span. The served SQL is the generator's, not the gold SQL, so this is
 // where an unkernelised NOT or a join that builds rows to count them shows.
 func TestServedSynthPaths(t *testing.T) {
-	src, ok := testCorpus(t).DB("financial")
-	if !ok {
-		t.Fatal("no financial database in BIRD")
-	}
-	db, err := synth.Generate(src, synth.Options{Seed: 7, Rows: synth.ProportionalRows(src, 10_000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := synth.Workload(db, 40, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := synth.ToExamples(db.Name, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := &dataset.Corpus{Name: "synth", DBs: map[string]*schema.DB{db.Name: db}, Dev: dev}
-	_, ts := newTestServer(t, func(cfg *Config) {
-		// cmd/seedd's flag defaults.
-		cfg.Corpora = []*dataset.Corpus{corpus}
-		cfg.Client = llm.NewSimulator()
-		cfg.Variant = seed.VariantGPT
-		cfg.Generator = "codes-15b"
-		cfg.Burst, cfg.MaxInFlight = 64, 256
-		cfg.RequestTimeout = 30 * time.Second
-		cfg.StoreSeed = 7
-	})
+	_, dev, ts := newSynthServer(t)
 
 	type served struct{ sql, path string }
 	var all []served
@@ -126,4 +101,38 @@ func TestServedSynthPaths(t *testing.T) {
 	}
 	sort.Strings(lines)
 	t.Logf("served paths over %d questions:\n%s", len(all), strings.Join(lines, "\n"))
+}
+
+// newSynthServer serves the financial schema at 10,000 rows with the bench's
+// 40-question workload, on one server with seedd's defaults.
+func newSynthServer(t *testing.T) (*schema.DB, []dataset.Example, *httptest.Server) {
+	t.Helper()
+	src, ok := testCorpus(t).DB("financial")
+	if !ok {
+		t.Fatal("no financial database in BIRD")
+	}
+	db, err := synth.Generate(src, synth.Options{Seed: 7, Rows: synth.ProportionalRows(src, 10_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := synth.Workload(db, 40, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := synth.ToExamples(db.Name, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := &dataset.Corpus{Name: "synth", DBs: map[string]*schema.DB{db.Name: db}, Dev: dev}
+	_, ts := newTestServer(t, func(cfg *Config) {
+		// cmd/seedd's flag defaults.
+		cfg.Corpora = []*dataset.Corpus{corpus}
+		cfg.Client = llm.NewSimulator()
+		cfg.Variant = seed.VariantGPT
+		cfg.Generator = "codes-15b"
+		cfg.Burst, cfg.MaxInFlight = 64, 256
+		cfg.RequestTimeout = 30 * time.Second
+		cfg.StoreSeed = 7
+	})
+	return db, dev, ts
 }

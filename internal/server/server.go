@@ -583,8 +583,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ExecuteMicros:  execDur.Microseconds(),
 		},
 	}
-	setRows(&resp, res.Rows, req.MaxRows)
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, &resp, res.Rows, req.MaxRows)
 }
 
 // tryMemory looks the question up in the corpus's query memory and, on a
@@ -692,50 +691,8 @@ func (s *Server) tryMemory(w http.ResponseWriter, r *http.Request, sess *Session
 	// On the memory path lookup, verification and execution are one fused
 	// phase; the whole end-to-end cost lands in MemoryMicros.
 	resp.Timing.MemoryMicros = time.Since(start).Microseconds()
-	setRows(&resp, res.Rows, req.MaxRows)
-	writeJSON(w, http.StatusOK, resp)
+	writeQueryResponse(w, &resp, res.Rows, req.MaxRows)
 	return true, time.Since(start)
-}
-
-// setRows puts the result rows on resp, rendering at most maxRows of them
-// when maxRows is positive. Nil rows (a statement with no result set)
-// leave resp as it is.
-func setRows(resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) {
-	if rows == nil {
-		return
-	}
-	resp.Columns = rows.Columns
-	resp.RowCount = len(rows.Data)
-	n := resp.RowCount
-	if maxRows > 0 && maxRows < n {
-		n = maxRows
-		resp.Truncated = true
-	}
-	resp.Rows = renderRows(rows, n)
-}
-
-// renderRows converts engine rows to JSON-shaped values: NULL becomes
-// JSON null, everything else its text rendering. The rows share one backing
-// array sized to their total cell count (rows of different widths included),
-// one full-capacity sub-slice per row.
-func renderRows(rows *sqlengine.Rows, n int) [][]any {
-	cells := 0
-	for _, r := range rows.Data[:n] {
-		cells += len(r)
-	}
-	backing := make([]any, cells)
-	out := make([][]any, n)
-	for i, r := range rows.Data[:n] {
-		row := backing[:len(r):len(r)]
-		backing = backing[len(r):]
-		for j, v := range r {
-			if !v.IsNull() { // NULL stays the nil the backing holds
-				row[j] = v.AsText()
-			}
-		}
-		out[i] = row
-	}
-	return out
 }
 
 func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {

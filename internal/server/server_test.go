@@ -664,8 +664,19 @@ func TestMetricsExposeStages(t *testing.T) {
 
 // TestSetRowsCapsRendering: a positive MaxRows caps the rendered rows and
 // flags the truncation while RowCount keeps the full count; nil rows (a
-// statement with no result set) leave the response as it was.
+// statement with no result set) leave the response as it was. Read from
+// the body writeQueryResponse writes.
 func TestSetRowsCapsRendering(t *testing.T) {
+	written := func(rows *sqlengine.Rows, maxRows int) api.QueryResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		writeQueryResponse(rec, &api.QueryResponse{}, rows, maxRows)
+		var resp api.QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: %v", rec.Body, err)
+		}
+		return resp
+	}
 	rows := &sqlengine.Rows{Columns: []string{"n"}, Data: [][]sqlengine.Value{
 		{sqlengine.Int(1)}, {sqlengine.Null()}, {sqlengine.Text("x")},
 	}}
@@ -673,16 +684,13 @@ func TestSetRowsCapsRendering(t *testing.T) {
 		maxRows, want int
 		truncated     bool
 	}{{0, 3, false}, {2, 2, true}, {3, 3, false}, {5, 3, false}} {
-		var resp api.QueryResponse
-		setRows(&resp, rows, tc.maxRows)
+		resp := written(rows, tc.maxRows)
 		if resp.RowCount != 3 || len(resp.Rows) != tc.want || resp.Truncated != tc.truncated || !reflect.DeepEqual(resp.Columns, rows.Columns) {
 			t.Errorf("maxRows %d: columns %v, row_count %d, %d rows, truncated %v; want 3 rows counted, %d rendered, truncated %v",
 				tc.maxRows, resp.Columns, resp.RowCount, len(resp.Rows), resp.Truncated, tc.want, tc.truncated)
 		}
 	}
-	var resp api.QueryResponse
-	setRows(&resp, nil, 1)
-	if !reflect.DeepEqual(resp, api.QueryResponse{}) {
+	if resp := written(nil, 1); !reflect.DeepEqual(resp, api.QueryResponse{}) {
 		t.Errorf("nil rows changed the response: %+v", resp)
 	}
 }

@@ -498,12 +498,9 @@ type aggState struct {
 	best   Value
 }
 
-// add folds one cell in, in evalAggregate's order of operations.
+// add folds one cell in, in evalAggregate's order of operations. COUNT(*)
+// reads no cell: aggregatePositions counts its rows itself.
 func (st *aggState) add(fn aggFn, v Value) {
-	if fn == aggCountStar {
-		st.n++
-		return
-	}
 	if v.Kind == KindNull {
 		return
 	}
@@ -579,7 +576,18 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 	} else {
 		groups = make(map[string]int)
 	}
-	for i, n := 0, s.len(); i < n; i++ {
+	// COUNT(*) reads no cell; over one implicit group with nothing else to
+	// fold, each count is the selection's length and no row is visited.
+	countOnly := groups == nil
+	for _, it := range ap.items {
+		countOnly = countOnly && it.fn == aggCountStar
+	}
+	if countOnly {
+		for k := range states {
+			states[k].n = int64(s.len())
+		}
+	}
+	for i, n := 0, s.len(); i < n && !countOnly; i++ {
 		l, r := s.row(i)
 		g := 0
 		if groups != nil {
@@ -600,7 +608,11 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		}
 		st := states[g*w : (g+1)*w]
 		for k, it := range ap.items {
-			if it.fn != aggGroupCol {
+			switch it.fn {
+			case aggGroupCol:
+			case aggCountStar:
+				st[k].n++
+			default:
 				st[k].add(it.fn, cell(l, r, itemAt[k]))
 			}
 		}

@@ -139,18 +139,46 @@ func (v Value) AsInt() int64 {
 	}
 }
 
-// AsText renders the value as text. NULL renders as the empty string; use
-// IsNull to distinguish.
+// AsText renders the value as text: the bytes AppendText appends. NULL
+// renders as the empty string; use IsNull to distinguish.
 func (v Value) AsText() string {
 	switch v.Kind {
 	case KindInt:
+		// Not through AppendText: strconv's small integers cost no allocation.
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return formatFloat(v.F)
+		var buf [32]byte
+		return string(v.AppendText(buf[:0]))
 	case KindText:
 		return v.S
 	default:
 		return ""
+	}
+}
+
+// AppendText appends the value's text to dst: an INTEGER in decimal, a REAL
+// as SQLite renders it (integral values below 1e15 get a trailing ".0" so
+// REAL and INTEGER stay distinguishable; Inf, -Inf and NaN by name), TEXT
+// as it is, NULL as nothing.
+func (v Value) AppendText(dst []byte) []byte {
+	switch v.Kind {
+	case KindInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		switch f := v.F; {
+		case math.IsInf(f, 1):
+			return append(dst, "Inf"...)
+		case math.IsInf(f, -1):
+			return append(dst, "-Inf"...)
+		case f == math.Trunc(f) && math.Abs(f) < 1e15:
+			return strconv.AppendFloat(dst, f, 'f', 1, 64)
+		default:
+			return strconv.AppendFloat(dst, f, 'g', -1, 64)
+		}
+	case KindText:
+		return append(dst, v.S...)
+	default:
+		return dst
 	}
 }
 
@@ -190,21 +218,6 @@ func numericText(s string) (float64, bool) {
 		return 0, true
 	}
 	return f, true
-}
-
-// formatFloat renders a REAL like SQLite does: integral values get a
-// trailing ".0" so that REAL and INTEGER remain distinguishable as text.
-func formatFloat(f float64) string {
-	if math.IsInf(f, 1) {
-		return "Inf"
-	}
-	if math.IsInf(f, -1) {
-		return "-Inf"
-	}
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', 1, 64)
-	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
 // String implements fmt.Stringer with SQL-literal-like rendering, used by
