@@ -88,7 +88,7 @@ func main() {
 			if timing {
 				state = "on"
 			}
-			fmt.Printf("timing %s (prepare vs execute, via the prepared-plan cache, plus morsels, workers and the tail's path)\n", state)
+			fmt.Printf("timing %s (prepare vs execute, via the prepared-plan cache, plus morsels and the tail's path)\n", state)
 			fmt.Print("> ")
 			continue
 		}
@@ -148,7 +148,6 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 				}
 				esp.SetAttr("cost", res.Cost)
 				esp.SetAttr("batches", res.Batches)
-				esp.SetAttr("parallel_workers", res.Workers)
 				esp.SetAttr("path", res.Path)
 				esp.End()
 			}
@@ -178,15 +177,11 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 				source = "plan cache hit"
 			}
 			// Physical execution: the morsels filters and probes ran in (none
-			// below the engine's batch threshold: the interpreter, serially),
-			// the widest parallel fan-out any operator reached, and for a
-			// SELECT the path its tail took (Result.Path).
+			// below the engine's batch threshold: the interpreter, serially)
+			// and for a SELECT the path its tail took (Result.Path).
 			mode := "serial"
 			if res.Batches > 0 {
 				mode = fmt.Sprintf("%d morsels", res.Batches)
-			}
-			if res.Workers > 1 {
-				mode += fmt.Sprintf(", %d workers", res.Workers)
 			}
 			if res.Path != "" {
 				mode += ", path " + res.Path

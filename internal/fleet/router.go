@@ -72,11 +72,19 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// maxProxiedBody bounds how much of a backend response the router will
-// buffer before relaying it. Buffering (rather than streaming) is what
-// lets a mid-body backend death turn into a retry instead of a truncated
-// client response.
+// maxProxiedBody bounds the request and response bodies the router will
+// buffer before forwarding or relaying them. Buffering (rather than
+// streaming) is what lets a mid-body backend death turn into a retry
+// instead of a truncated client response; a body over the bound is refused
+// whole, never passed on cut short.
 const maxProxiedBody = 32 << 20
+
+// readBounded reads all of r, reporting over when it holds more than
+// maxProxiedBody bytes.
+func readBounded(r io.Reader) (body []byte, over bool, err error) {
+	body, err = io.ReadAll(io.LimitReader(r, maxProxiedBody+1))
+	return body, len(body) > maxProxiedBody, err
+}
 
 // Router is the fleet front tier: an http.Handler that shards /v1/query
 // and /v1/evidence across replicas by consistent hash of (db, question),
@@ -213,9 +221,13 @@ func (rt *Router) Handler() http.Handler {
 // (db, question) pair, so repeat questions land on the replica whose
 // evidence cache and store are hot for them.
 func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxiedBody))
+	body, over, err := readBounded(r.Body)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("reading request body: %v", err))
+		return
+	}
+	if over {
+		rt.writeError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest, fmt.Sprintf("request body exceeds %d bytes", maxProxiedBody))
 		return
 	}
 	// Routing needs only the api.QueryRequest identity fields; the raw
@@ -263,14 +275,20 @@ type attemptResult struct {
 	status int
 	header http.Header
 	body   []byte
-	err    error
-	index  int // 0 = first attempt, >0 = retry/hedge
+	// tooLarge marks a response body over maxProxiedBody: final, because
+	// every replica returns the same answer, and relayed as a 502.
+	tooLarge bool
+	err      error
+	index    int // 0 = first attempt, >0 = retry/hedge
 }
 
 // final reports whether the result should be relayed to the client as-is:
 // any response that is not a replica fault (transport error, 5xx) and not
 // an admission shed (429, or 503 which also covers draining replicas).
 func (a attemptResult) final() bool {
+	if a.tooLarge {
+		return true
+	}
 	if a.err != nil {
 		return false
 	}
@@ -449,12 +467,16 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, r *http.Request, bo
 		out <- attemptResult{rep: rep, err: err, index: index}
 		return
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxProxiedBody))
+	buf, over, err := readBounded(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		// The replica died (or was chaos-truncated) mid-body: the client
 		// saw nothing yet, so this is still retryable.
 		out <- attemptResult{rep: rep, err: fmt.Errorf("reading response body: %w", err), index: index}
+		return
+	}
+	if over {
+		out <- attemptResult{rep: rep, tooLarge: true, index: index}
 		return
 	}
 	out <- attemptResult{rep: rep, status: resp.StatusCode, header: resp.Header, body: buf, index: index}
@@ -508,7 +530,7 @@ func nextCandidate(cands []*replica, tried map[*replica]int, now time.Time) *rep
 
 // relay writes a buffered backend response to the client, stamping which
 // replica served it (X-Fleet-Replica) so failover is observable end to
-// end.
+// end. A response too large to buffer answers 502 instead.
 func (rt *Router) relay(w http.ResponseWriter, res attemptResult, t0 time.Time, meta fwdMeta) {
 	// X-Trace-Id relays through so the client can fetch the serving
 	// replica's trace for the request it just made.
@@ -518,11 +540,16 @@ func (rt *Router) relay(w http.ResponseWriter, res attemptResult, t0 time.Time, 
 		}
 	}
 	w.Header().Set("X-Fleet-Replica", res.rep.name)
+	if res.tooLarge {
+		res.status = http.StatusBadGateway
+		rt.writeError(w, res.status, api.CodeUpstreamError, fmt.Sprintf("replica response exceeds %d bytes", maxProxiedBody))
+	} else {
+		w.WriteHeader(res.status)
+		_, _ = w.Write(res.body)
+	}
 	if res.status >= 500 {
 		rt.clientFivexx.Add(1)
 	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
 	d := time.Since(t0)
 	rt.lat.observe(d)
 	rt.log.Info("request",

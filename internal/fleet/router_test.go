@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/fleet/chaos"
 )
 
@@ -31,6 +33,7 @@ const (
 	modeSlow    = "slow"     // 2s then 200
 	modeDown    = "down"     // connection refused (server closed separately)
 	modeMissing = "notfound" // 404
+	modeHuge    = "huge"     // 200 with a body one byte over maxProxiedBody
 )
 
 func newFakeReplica(t *testing.T, initial string) *fakeReplica {
@@ -55,6 +58,9 @@ func newFakeReplica(t *testing.T, initial string) *fakeReplica {
 			fmt.Fprintf(w, `{"served_by":%q}`, f.srv.URL)
 		case modeMissing:
 			http.Error(w, "no such db", http.StatusNotFound)
+		case modeHuge:
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(bytes.Repeat([]byte{' '}, maxProxiedBody+1))
 		default:
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprintf(w, `{"served_by":%q}`, f.srv.URL)
@@ -333,6 +339,45 @@ func TestRouterExhaustionPassesThroughLastResponse(t *testing.T) {
 	}
 	if m := rt.Metrics(); m.Exhausted != 1 {
 		t.Fatalf("Exhausted = %d, want 1", m.Exhausted)
+	}
+}
+
+// TestRouterRefusesOversizeBodies: a body over maxProxiedBody is refused
+// whole, never passed on cut short. A replica answer one byte over reaches
+// the client as a 502 upstream_error after one attempt — every replica
+// would return the same answer — and a request body one byte over answers
+// 413 without reaching any replica.
+func TestRouterRefusesOversizeBodies(t *testing.T) {
+	rt, reps := newTestFleet(t, 3, func(c *Config) {
+		c.HedgeDelay = time.Minute // a slow first attempt must not be raced
+	})
+	h := rt.Handler()
+	hits := func() (n int64) {
+		for _, r := range reps {
+			n += r.hits.Load()
+		}
+		return n
+	}
+	for _, r := range reps {
+		r.mode.Store(modeHuge)
+	}
+	w := postQuery(t, h, "financial", "q")
+	var e api.Error
+	if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusBadGateway || err != nil || e.Code != api.CodeUpstreamError {
+		t.Fatalf("oversize answer: status %d, code %q (decode error %v), want 502 %s", w.Code, e.Code, err, api.CodeUpstreamError)
+	}
+	if n := hits(); n != 1 {
+		t.Fatalf("oversize answer took %d attempts, want 1 (no retry)", n)
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(bytes.Repeat([]byte{' '}, maxProxiedBody+1)))
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusRequestEntityTooLarge || err != nil || e.Code != api.CodeBadRequest {
+		t.Fatalf("oversize request: status %d, code %q (decode error %v), want 413 %s", w.Code, e.Code, err, api.CodeBadRequest)
+	}
+	if n := hits(); n != 1 {
+		t.Fatalf("an oversize request reached a replica (%d hits)", n-1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package qmemory
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -312,6 +313,23 @@ func TestSyncConvergence(t *testing.T) {
 		// What matters is the serve gate above — this assert documents
 		// that injection does not fabricate demotion metrics.
 		_ = b
+	}
+}
+
+// TestTailerCancelledPollIsNoError: a poll that shutdown cancelled fails,
+// but it is not a replication error and is not counted as one.
+func TestTailerCancelledPollIsNoError(t *testing.T) {
+	m, _ := New(Options{})
+	srv := httptest.NewServer(httpHandler(m))
+	defer srv.Close()
+	tailer := NewTailer(srv.URL, m, TailerOptions{})
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if err := tailer.Poll(ctx); err == nil {
+		t.Fatal("a poll under a cancelled context succeeded")
+	}
+	if got := tailer.Stats().Errors; got != 0 {
+		t.Fatalf("cancelled poll counted %d errors, want 0", got)
 	}
 }
 

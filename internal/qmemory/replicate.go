@@ -208,12 +208,12 @@ func (t *Tailer) Poll(ctx context.Context) error {
 	url := fmt.Sprintf("%s%sgen=%d&since=%d&limit=%d", t.source, sep, gen, since, t.opts.Limit)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		t.fail()
+		t.fail(ctx)
 		return err
 	}
 	resp, err := t.opts.Client.Do(req)
 	if err != nil {
-		t.fail()
+		t.fail(ctx)
 		return err
 	}
 	defer func() {
@@ -221,12 +221,12 @@ func (t *Tailer) Poll(ctx context.Context) error {
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		t.fail()
+		t.fail(ctx)
 		return fmt.Errorf("qmemory: sync %s: status %d", t.source, resp.StatusCode)
 	}
 	var chunk SyncChunk
 	if err := json.NewDecoder(resp.Body).Decode(&chunk); err != nil {
-		t.fail()
+		t.fail(ctx)
 		return fmt.Errorf("qmemory: decoding sync chunk: %w", err)
 	}
 
@@ -234,7 +234,7 @@ func (t *Tailer) Poll(ctx context.Context) error {
 	for _, rec := range chunk.Patterns {
 		ok, err := t.mem.Inject(rec)
 		if err != nil {
-			t.fail()
+			t.fail(ctx)
 			return err
 		}
 		if ok {
@@ -258,7 +258,12 @@ func (t *Tailer) Poll(ctx context.Context) error {
 	return nil
 }
 
-func (t *Tailer) fail() {
+// fail counts a failed poll. A poll cut short by ctx — the tailer shutting
+// down — is no failure and is not counted.
+func (t *Tailer) fail(ctx context.Context) {
+	if ctx.Err() != nil {
+		return
+	}
 	t.mu.Lock()
 	t.stats.Polls++
 	t.stats.Errors++

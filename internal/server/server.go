@@ -545,7 +545,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	execSpan.SetAttr("cost", res.Cost)
 	execSpan.SetAttr("batches", res.Batches)
-	execSpan.SetAttr("parallel_workers", res.Workers)
 	execSpan.SetAttr("path", res.Path)
 	if res.Rows != nil {
 		execSpan.SetAttr("rows", len(res.Rows.Data))
@@ -999,11 +998,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.obsReg.WritePrometheus(w)
 }
 
-// decodeBody parses a JSON request body, answering 400 on malformed input.
+// maxRequestBody bounds a request body. An api.QueryRequest is a database
+// name, a question and two small fields, so 1 MiB is far above any real one.
+const maxRequestBody = 1 << 20
+
+// decodeBody parses a JSON request body, answering 413 when it exceeds
+// maxRequestBody and 400 on malformed input.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest, fmt.Sprintf("request body exceeds %d bytes", maxRequestBody))
+			return false
+		}
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("malformed request body: %v", err))
 		return false
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -215,6 +216,21 @@ func TestQueryErrorPaths(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/evidence", api.QueryRequest{DB: e.DB})
 	if resp.StatusCode != 400 {
 		t.Errorf("evidence without question = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestQueryRefusesOversizeBody: a request body over maxRequestBody answers
+// 413 bad_request unread, and the server goes on serving.
+func TestQueryRefusesOversizeBody(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	e := testCorpus(t).Dev[0]
+	resp, data := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{DB: e.DB, Question: strings.Repeat("x", 2<<20)})
+	var env api.Error
+	if err := json.Unmarshal(data, &env); resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || env.Code != api.CodeBadRequest {
+		t.Fatalf("2 MiB body = %d %s, want 413 %s", resp.StatusCode, data, api.CodeBadRequest)
+	}
+	if resp, data = postJSON(t, ts.URL+"/v1/query", api.QueryRequest{DB: e.DB, Question: e.Question}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after the oversize body = %d: %s", resp.StatusCode, data)
 	}
 }
 

@@ -126,12 +126,10 @@ type Database struct {
 	plans      *planCache
 	plannerOff bool
 
-	// Overrides of parallel.go's worker cap and engagement thresholds; zero
-	// means the default. Nothing outside the package's tests sets them
-	// (export_test.go), so that small fixtures reach the kernels and fan-out.
-	workers    int
+	// Override of parallel.go's batch threshold; zero means the default.
+	// Nothing outside the package's tests sets it (export_test.go), so that
+	// small fixtures reach the kernels and morsels.
 	minVecRows int
-	minParRows int
 }
 
 // NewDatabase returns an empty database with the given name.

@@ -11,10 +11,13 @@ import (
 // TestVectorizedPlannerMatrix is the engine's core equivalence guarantee:
 // the planned engine must produce byte-identical rows AND byte-identical
 // logical Cost against the naive reference for the full planner battery —
-// as it runs on tables this size in production, and with the kernels and
-// fan-out forced onto them. SetBatchTuning(1, 1) (export_test.go) makes the
-// batch operators engage even on the small fixtures, so every kernel in
-// kernels.go is exercised against the interpreter on the same queries.
+// as it runs on tables this size in production, and with the kernels forced
+// onto them. SetBatchTuning(1) (export_test.go) makes the batch operators
+// engage even on the small fixtures, so every kernel in kernels.go is
+// exercised against the interpreter on the same queries. The parallel
+// config runs each query from 4 goroutines at once against the same
+// kernels-forced database: lazily built indexes and column vectors and the
+// plan cache under concurrent Exec.
 func TestVectorizedPlannerMatrix(t *testing.T) {
 	// The tail queries run after the planner battery so its subtests keep
 	// their numbers.
@@ -23,41 +26,37 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 		naive := buildMultiDB(seed, 60)
 		naive.SetPlanner(false)
 
+		vectorized := buildMultiDB(seed, 60)
+		vectorized.SetBatchTuning(1)
 		configs := []struct {
-			name string
-			db   *Database
+			name       string
+			db         *Database
+			goroutines int // > 1: run each query from this many at once
 		}{
 			// No hook set. At the default gates a 60-row fixture is below
 			// every batch threshold, so each pushed filter, residual and probe
 			// runs row-wise through the interpreter and hands its selection to
 			// the tail consumers: the path BIRD-sized tables take when served.
-			{"planned row-wise", buildMultiDB(seed, 60)},
-			{"planned vectorized serial", func() *Database {
-				db := buildMultiDB(seed, 60)
-				db.SetBatchTuning(1, 1)
-				db.SetParallelism(1)
-				return db
-			}()},
-			{"planned vectorized parallel", func() *Database {
-				db := buildMultiDB(seed, 60)
-				db.SetBatchTuning(1, 1)
-				db.SetParallelism(4)
-				return db
-			}()},
+			{"planned row-wise", buildMultiDB(seed, 60), 1},
+			{"planned vectorized serial", vectorized, 1},
+			{"planned vectorized parallel", vectorized, 4},
 			{"unplanned with vec flags set", func() *Database {
-				// Planner off must ignore the hooks entirely: identical to
+				// Planner off must ignore the hook entirely: identical to
 				// naive by construction, pinned here anyway.
 				db := buildMultiDB(seed, 60)
 				db.SetPlanner(false)
-				db.SetBatchTuning(1, 1)
-				db.SetParallelism(4)
+				db.SetBatchTuning(1)
 				return db
-			}()},
+			}(), 1},
 		}
 		for _, cfg := range configs {
 			for _, q := range queries {
 				t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.name), func(t *testing.T) {
-					crossCheck(t, cfg.db, naive, q)
+					if cfg.goroutines > 1 {
+						crossCheckConcurrent(t, cfg.db, naive, q, cfg.goroutines)
+					} else {
+						crossCheck(t, cfg.db, naive, q)
+					}
 				})
 			}
 		}
@@ -65,7 +64,7 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 }
 
 // engineQueries are the shapes that matter at scale: pushdown filter
-// kernels, parallel hash-join probes, LEFT JOIN null extension, grouped
+// kernels, hash-join probes over several morsels, LEFT JOIN null extension, grouped
 // aggregation, gathered projection with ORDER BY/LIMIT. Subquery-free but
 // for one uncorrelated EXISTS (evaluated once), so the big-input cross-check
 // stays O(n).
@@ -118,8 +117,8 @@ var engineQueries = []string{
 }
 
 // buildEngineDB bulk-loads a database big enough to cross the *default*
-// batch and parallel thresholds — no tuning override, so the production
-// engagement path is what gets tested.
+// batch threshold — no tuning override, so the production engagement path
+// is what gets tested.
 func buildEngineDB(seed int64, n int) *Database {
 	rng := rand.New(rand.NewSource(seed))
 	db := NewDatabase("engine")
@@ -149,16 +148,14 @@ func buildEngineDB(seed int64, n int) *Database {
 }
 
 // TestEngineCrossValidationAtScale cross-checks the planned engine against
-// the naive executor on inputs large enough that morsel splitting, the
-// worker pool, and the columnar scan kernels all engage with production
-// thresholds.
+// the naive executor on inputs large enough that morsel splitting and the
+// columnar scan kernels engage with production thresholds.
 func TestEngineCrossValidationAtScale(t *testing.T) {
 	n := 12000
 	if testing.Short() {
-		n = 9000 // still > defMinParRows and > 2 morsels
+		n = 9000 // still > 2 morsels
 	}
 	planned := buildEngineDB(5, n)
-	planned.SetParallelism(4)
 	naive := buildEngineDB(5, n)
 	naive.SetPlanner(false)
 	for _, q := range engineQueries {
@@ -168,15 +165,15 @@ func TestEngineCrossValidationAtScale(t *testing.T) {
 
 // TestResultReportsPhysicalExecution pins the Result.Batches/Workers
 // contract: batch execution reports morsels, naive execution reports none,
-// and Workers is always at least 1.
+// and Workers is always 1.
 func TestResultReportsPhysicalExecution(t *testing.T) {
 	vec := buildEngineDB(11, 9000)
 	res := vec.MustExec("SELECT COUNT(*) FROM f WHERE num > 50")
 	if res.Batches == 0 {
-		t.Fatalf("batch scan reported 0 batches (workers=%d)", res.Workers)
+		t.Fatal("batch scan reported 0 batches")
 	}
-	if res.Workers < 1 {
-		t.Fatalf("Workers = %d, want >= 1", res.Workers)
+	if res.Workers != 1 {
+		t.Fatalf("Workers = %d, want 1", res.Workers)
 	}
 
 	naive := buildEngineDB(11, 9000)
@@ -194,10 +191,10 @@ func TestResultReportsPhysicalExecution(t *testing.T) {
 // for what never reaches a consumer: compound arms and the naive reference.
 func TestResultPath(t *testing.T) {
 	forced := buildMultiDB(1, 60)
-	forced.SetBatchTuning(1, 1)
+	forced.SetBatchTuning(1)
 	planned := buildMultiDB(1, 60)
 	naive := buildMultiDB(1, 60)
-	naive.SetBatchTuning(1, 1)
+	naive.SetBatchTuning(1)
 	naive.SetPlanner(false)
 	for _, tc := range []struct{ sql, want string }{
 		{"SELECT id FROM m ORDER BY a DESC, id LIMIT 5", "positions/topk"},
@@ -352,7 +349,6 @@ func TestLimitWindowIsExact(t *testing.T) {
 // here).
 func TestJoinCountAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
-	db.SetParallelism(1)
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp",
 		"SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight",
@@ -378,7 +374,6 @@ func TestJoinCountAllocations(t *testing.T) {
 // exact size, with nothing per morsel.
 func TestFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
-	db.SetParallelism(1)
 	tab, _ := db.Table("f")
 	ec := &execCtx{db: db}
 	cols := scanCols("f", tab)
@@ -447,14 +442,12 @@ func TestInterpreterFilterAllocations(t *testing.T) {
 }
 
 // TestEngineConcurrentQueryHammer runs 8 goroutines of concurrent
-// Prepare/Exec against ONE shared database while morsel workers are live.
-// Under -race this guards the shared plan cache, the lazily built
-// point-lookup indexes and column vectors (all built on first use, so the
-// goroutines race to build them), and the process-wide worker-token pool.
+// Prepare/Exec against ONE shared database. Under -race this guards the
+// shared plan cache and the lazily built point-lookup indexes and column
+// vectors (all built on first use, so the goroutines race to build them).
 // Every result must equal the serially precomputed reference.
 func TestEngineConcurrentQueryHammer(t *testing.T) {
 	db := buildEngineDB(23, 10000)
-	db.SetParallelism(4)
 
 	queries := []string{
 		"SELECT COUNT(*) FROM f WHERE num > 50 AND flag = 1",
@@ -521,16 +514,13 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 // BenchmarkExecModes times one statement per mechanism of the planned engine
 // — pushed comparison kernels, the hash-join probe on a TEXT key (coarseKey)
 // and on an INTEGER key (the cell itself), the grouped accumulators of the
-// aggregate consumer (serial, whatever the mode), a bounded top-k heap on a
-// column that is not projected, ungrouped accumulators, a full sort through
-// packed words, a negated TEXT comparison read from the rows — and the two
-// grouped shapes no consumer takes, HAVING and an expression key, which the
-// interpreter's tail groups serially. Modes: the naive executor (to 100k
-// only: its nested-loop join takes minutes at 1M), and the planned engine on
-// one worker and on GOMAXPROCS workers, so `-cpu 1,2,4` sets N and plannedN
-// against planned1 at one -cpu is what fan-out gains — for filter and join
-// only; nothing else fans out. The 800-row size is below every batch
-// threshold: the interpreter filters and the consumers take the tail, as on
+// aggregate consumer, a bounded top-k heap on a column that is not projected,
+// ungrouped accumulators, a full sort through packed words, a negated TEXT
+// comparison read from the rows — and the two grouped shapes no consumer
+// takes, HAVING and an expression key, which the interpreter's tail groups.
+// Modes: the naive executor (to 100k only: its nested-loop join takes minutes
+// at 1M) and the planned engine (planned1). The 800-row size is below every
+// batch threshold: the interpreter filters and the consumers take the tail, as on
 // BIRD-sized tables. The statements come from engineQueries, which
 // TestEngineCrossValidationAtScale holds to identical rows and Cost: only
 // ns/op and allocations differ.
@@ -553,11 +543,9 @@ func BenchmarkExecModes(b *testing.B) {
 	modes := []struct {
 		name    string
 		planner bool
-		workers int // SetParallelism: 0 = GOMAXPROCS
 	}{
-		{"naive", false, 1},
-		{"planned1", true, 1},
-		{"plannedN", true, 0},
+		{"naive", false},
+		{"planned1", true},
 	}
 	type size struct {
 		name    string
@@ -582,7 +570,6 @@ func BenchmarkExecModes(b *testing.B) {
 					}
 					b.Run(q.name+"/"+m.name, func(b *testing.B) {
 						db.SetPlanner(m.planner)
-						db.SetParallelism(m.workers)
 						stmt, err := db.Prepare(q.sql)
 						if err != nil {
 							b.Fatal(err)

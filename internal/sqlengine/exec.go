@@ -26,12 +26,13 @@ type Result struct {
 	Rows         *Rows
 	RowsAffected int64
 	Cost         int64
-	// Batches and Workers describe the *physical* execution and carry no
-	// semantic weight (unlike Cost they may change across engine versions):
-	// Batches counts the morsels processed by morsel-driven operators —
-	// filters and join probes (0 = none ran) — and Workers is the widest
-	// parallel fan-out any single operator reached (1 = serial).
+	// Batches describes the *physical* execution and carries no semantic
+	// weight (unlike Cost it may change across engine versions): the morsels
+	// processed by morsel-driven operators — filters and join probes (0 =
+	// none ran).
 	Batches int64
+	// Workers is always 1: a statement runs on its caller's goroutine. It is
+	// kept for bench/ until ROADMAP 1(i).
 	Workers int
 	// Path names the physical path the statement's top-level SELECT took
 	// from scan to tail (empty for other statements). Like Batches it is
@@ -89,7 +90,7 @@ func (ec *execCtx) execStatement(st Statement) (*Result, error) {
 		return nil, err
 	}
 	res.Batches = ec.batches
-	res.Workers = max(ec.maxPar, 1)
+	res.Workers = 1
 	res.Path = ec.path
 	return res, nil
 }
@@ -139,10 +140,8 @@ type execCtx struct {
 	db    *Database
 	cost  int64
 	plans map[*SelectStmt]*selectPlan
-	// Physical execution stats, written only by the coordinating
-	// goroutine (batchRun): morsels processed, widest worker fan-out.
+	// Morsels processed (batchRun), the physical execution stat.
 	batches int64
-	maxPar  int
 	// top is the statement's top-level SELECT and path the physical path
 	// it took (Result.Path); nested and compound-arm SELECTs leave it alone.
 	top  *SelectStmt

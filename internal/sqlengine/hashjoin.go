@@ -11,9 +11,7 @@ import "slices"
 // the pair list, the tail consumers of positions.go read cells through it,
 // and only a consumer that needs rows (the interpreter's projection, a
 // further join) materialises them. For large probe inputs the
-// probe/emission phase runs morsel-parallel: the keys are hashed once by
-// the coordinator, then workers probe disjoint left-row morsels with
-// worker-local buffers and environments, and the per-morsel pair lists are
+// probe/emission phase runs in left-row morsels whose pair lists are
 // concatenated in morsel order.
 //
 // Equivalence with the nested loop is structural:
@@ -26,13 +24,13 @@ import "slices"
 //     row.
 //   - Order: pairs are emitted in left-row-major order with right matches
 //     ascending — exactly the nested loop's emission order — regardless of
-//     which side the hash table is built on, and regardless of how many
-//     workers probe (each morsel is a contiguous left-row range and the
-//     merge is in morsel order).
+//     which side the hash table is built on, and whether the probe runs in
+//     morsels (each morsel is a contiguous left-row range and the merge is
+//     in morsel order).
 //   - Cost: the caller (join) has already charged |L|·|R| logical pairs
 //     before this function runs, identical to the naive loop's total.
 //     Residual conjuncts are safe-total by the planner's gate, so probing
-//     them concurrently cannot charge cost or raise row-dependent errors.
+//     them cannot charge cost or raise row-dependent errors.
 
 // equiCond is one resolved hash condition: column positions in the left
 // and right input relations.
@@ -79,16 +77,6 @@ func resolveHashJoin(left, right *rowSet, ja *joinAnalysis, outer *scope) (equis
 	return equis, residual, true
 }
 
-// probeState is the worker-local mutable state of one probe goroutine:
-// the reusable pair buffer and environment for residual evaluation, the
-// reusable key buffer, and the morsel's output before it is copied out.
-type probeState struct {
-	buf []Value
-	env *evalEnv
-	key []byte
-	out []pair
-}
-
 // joinKeys maps an equi-key to its slot, the number of the chain of right
 // rows carrying it. When the join has one condition and every key cell on
 // both sides is INTEGER or NULL the key is the cell itself (ints); otherwise
@@ -125,7 +113,7 @@ func intKeyed(rows [][]Value, col int) bool {
 // before gets the next slot when insert is set. -1 means no slot: a NULL key
 // cell — NULL never equi-matches, the row can only surface through LEFT JOIN
 // null extension — or an absent key. buf is the caller's reusable key
-// buffer. Concurrent calls without insert are safe.
+// buffer.
 func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byte, int32) {
 	if k.ints != nil {
 		v := row[cols[0]]
@@ -162,37 +150,28 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 	return buf, s
 }
 
-// probeMorsels drives the probe phase: probe(state, lo, hi, dst) processes
-// left rows lo..hi, appending the pairs they emit to dst. Large inputs fan
-// out over left-row morsels with per-worker state, each morsel's pairs
-// copied out at their exact size and concatenated in morsel order; the
-// serial path runs one range into one list.
-func (ec *execCtx) probeMorsels(nLeft int, newState func() *probeState, probe func(p *probeState, lo, hi int, dst []pair) ([]pair, error)) ([]pair, error) {
+// probeMorsels drives the probe phase: probe(lo, hi, dst) processes left
+// rows lo..hi, appending the pairs they emit to dst. A large input is probed
+// a morsel at a time into one reused buffer, each morsel's pairs copied out
+// at their exact size and concatenated in morsel order; a small one is
+// probed as one range into one list.
+func (ec *execCtx) probeMorsels(nLeft int, probe func(lo, hi int, dst []pair) ([]pair, error)) ([]pair, error) {
 	if !ec.useBatch(nLeft) {
-		return probe(newState(), 0, nLeft, make([]pair, 0, nLeft))
+		return probe(0, nLeft, make([]pair, 0, nLeft))
 	}
-	nm := morselCount(nLeft)
-	outs := make([][]pair, nm)
-	errs := make([]error, nm)
-	var states []*probeState
-	ec.batchRun(nm, nLeft, func(workers int) {
-		states = make([]*probeState, workers)
-	}, func(w, m int) {
-		p := states[w]
-		if p == nil {
-			p = newState()
-			states[w] = p
-		}
-		lo, hi := morselBounds(m, nLeft)
-		p.out, errs[m] = probe(p, lo, hi, p.out[:0])
-		outs[m] = slices.Clone(p.out)
-	})
+	outs := make([][]pair, morselCount(nLeft))
+	var buf []pair
 	total := 0
-	for m, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		total += len(outs[m])
+	err := ec.batchRun(len(outs), func(m int) error {
+		lo, hi := morselBounds(m, nLeft)
+		var err error
+		buf, err = probe(lo, hi, buf[:0])
+		outs[m] = slices.Clone(buf)
+		total += len(buf)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := make([]pair, 0, total)
 	for _, o := range outs {
@@ -211,8 +190,8 @@ func (ec *execCtx) probeMorsels(nLeft int, newState func() *probeState, probe fu
 // rows in order, each following its slot's chain — so emission is
 // left-row-major with right matches ascending whichever side is smaller.
 // With the right side smaller the left rows find their slot during the
-// (parallel) probe; with the left side smaller they are given it up front
-// and it is the right rows that look theirs up, on the coordinator.
+// probe; with the left side smaller they are given it up front and it is
+// the right rows that look theirs up.
 func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, residual []Expr, outer *scope) (selection, error) {
 	lcols, rcols := make([]int, len(equis)), make([]int, len(equis))
 	for i, eq := range equis {
@@ -243,32 +222,27 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 		}
 	}
 
-	// Residual conjuncts are evaluated on the candidate pair copied into a
-	// worker-local buffer; a join without any needs neither buffer nor scope.
+	// Residual conjuncts are evaluated on the candidate pair copied into one
+	// reused buffer; a join without any needs neither buffer nor scope.
 	nl := len(left.cols)
-	var cols []scopeCol
+	var buf []Value
+	var env *evalEnv
 	if len(residual) > 0 {
-		cols = append(append(make([]scopeCol, 0, nl+len(right.cols)), left.cols...), right.cols...)
+		cols := append(append(make([]scopeCol, 0, nl+len(right.cols)), left.cols...), right.cols...)
+		buf = make([]Value, len(cols))
+		env = &evalEnv{ec: ec, sc: &scope{cols: cols, row: buf, parent: outer}}
 	}
-	newState := func() *probeState {
-		p := &probeState{}
-		if len(residual) > 0 {
-			p.buf = make([]Value, len(cols))
-			p.env = &evalEnv{ec: ec, sc: &scope{cols: cols, row: p.buf, parent: outer}}
-		}
-		return p
-	}
-	match := func(p *probeState, lr, rr []Value) (bool, error) {
+	match := func(lr, rr []Value) (bool, error) {
 		for i, lc := range lcols {
 			if !sqlEq(lr[lc], rr[rcols[i]]) {
 				return false, nil
 			}
 		}
 		if len(residual) > 0 {
-			copy(p.buf, lr)
-			copy(p.buf[nl:], rr)
+			copy(buf, lr)
+			copy(buf[nl:], rr)
 			for _, e := range residual {
-				v, err := p.env.eval(e)
+				v, err := env.eval(e)
 				if err != nil {
 					return false, err
 				}
@@ -279,19 +253,19 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 		}
 		return true, nil
 	}
-	probe := func(p *probeState, lo, hi int, dst []pair) ([]pair, error) {
+	probe := func(lo, hi int, dst []pair) ([]pair, error) {
 		for li := lo; li < hi; li++ {
 			lr := left.rows[li]
 			var slot int32
 			if leftSlot != nil {
 				slot = leftSlot[li]
 			} else {
-				p.key, slot = keys.slot(p.key, lr, lcols, false)
+				keyBuf, slot = keys.slot(keyBuf, lr, lcols, false)
 			}
 			matched := false
 			if slot >= 0 {
 				for ri := head[slot]; ri >= 0; ri = next[ri] {
-					hit, err := match(p, lr, right.rows[ri])
+					hit, err := match(lr, right.rows[ri])
 					if err != nil {
 						return dst, err
 					}
@@ -308,7 +282,7 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 		return dst, nil
 	}
 
-	pairs, err := ec.probeMorsels(len(left.rows), newState, probe)
+	pairs, err := ec.probeMorsels(len(left.rows), probe)
 	if err != nil {
 		return selection{}, err
 	}

@@ -57,9 +57,8 @@ func checkJoinCase(t *testing.T, data []byte) {
 }
 
 // Property: whatever the two tables hold, however they are joined and
-// filtered and whatever tail the query has, the planned engine — unforced, on
-// kernels, and fanned out — returns the naive executor's rows, in its order,
-// at its Cost.
+// filtered and whatever tail the query has, the planned engine — unforced and
+// on kernels — returns the naive executor's rows, in its order, at its Cost.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		checkJoinCase(t, data)

@@ -8,21 +8,21 @@ import "strings"
 // recognises (col <op> literal, BETWEEN, IN, LIKE, IS NULL, and NOT over
 // any of them) compile once into closures over a column vector (vector.go),
 // a row position or a selected row, and the filter loop in parallel.go
-// applies them per morsel.
+// applies them a morsel at a time.
 //
 // Every kernel replicates the row interpreter's semantics exactly — the
 // same NULL propagation, the same harmonise text/numeric coercion, the
 // same Compare ordering — so a kernel-filtered scan emits byte-identical
 // rows to the naive loop. A conjunct with no kernelizable shape keeps its
-// expression and is evaluated per row with a worker-local environment;
-// safe-total conjuncts cannot touch the shared execCtx (no subqueries, no
-// cost charges) and can only fail with row-independent resolution errors,
-// which is what makes both forms legal inside parallel morsels.
+// expression and is evaluated per row in the filter's own environment;
+// safe-total conjuncts cannot touch the execCtx (no subqueries, no cost
+// charges) and can only fail with row-independent resolution errors, which
+// is what makes both forms legal inside morsels.
 
 // rowPred is one compiled conjunct. Exactly one evaluation form applies:
 // byIdx (kernel over a base-table scan position, reading a vector or the
 // table's rows), byRow (kernel over a selected row of an intermediate
-// relation, see selection.row), or expr (worker-local interpreter fallback).
+// relation, see selection.row), or expr (interpreter fallback).
 type rowPred struct {
 	byIdx func(i int) bool
 	byRow func(l, r []Value) bool

@@ -21,14 +21,12 @@ func RegisterPlanCacheMetrics(reg *obs.Registry, stats func() PlanCacheStats, la
 }
 
 // RegisterEngineExecMetrics publishes the process-wide batch-execution
-// counters (parallel.go) into reg as gauge callbacks. These are engine
-// globals, not per-database, so one registration per process suffices.
+// counter (parallel.go) into reg as a gauge callback. It is an engine
+// global, not per-database, so one registration per process suffices.
 func RegisterEngineExecMetrics(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("sqlengine_engine_batches_total", "Morsels processed by batch (vectorized/parallel) operators.",
+	reg.GaugeFunc("sqlengine_engine_batches_total", "Morsels processed by batch (vectorized) operators.",
 		func() float64 { return float64(engineBatchesTotal.Load()) }, labels...)
-	reg.GaugeFunc("sqlengine_engine_parallel_ops_total", "Batch operators that executed with more than one worker.",
-		func() float64 { return float64(engineParallelOpsTotal.Load()) }, labels...)
 }

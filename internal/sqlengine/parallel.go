@@ -2,74 +2,36 @@ package sqlengine
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// Morsel-driven parallel execution. Batch operators (scan filters, WHERE
+// Morsel-driven batch execution. Batch operators (scan filters, WHERE
 // residual filters, hash-join probes) split their input into fixed-size
-// morsels; a small worker group — the coordinating goroutine plus workers
-// borrowed from a process-wide per-core pool — pulls morsel indices from an
-// atomic counter, writes results into per-morsel slots (a filter: into the
-// morsel's own words of one bitmask), and the coordinator concatenates the
-// slots in morsel order. That order-preserving merge is what keeps every
-// parallel operator emitting byte-identical rows to its serial counterpart.
+// morsels and run them in order on the statement's own goroutine, writing
+// results into per-morsel slots (a filter: into the morsel's own words of
+// one bitmask) that are then concatenated in morsel order — the same rows,
+// in the same order, as the serial interpreter loop.
 //
 // Only safe-total expressions (planner.go) ever run inside a morsel:
-// they cannot execute subqueries (the one path by which evaluation touches
-// the shared execCtx) and cannot fail except for row-independent column
-// resolution errors, so worker-local scopes and environments are fully
-// isolated and the logical Cost — charged serially before the operator
-// runs — is untouched.
+// they cannot execute subqueries (the one path by which evaluation charges
+// Cost or fills the execCtx memo) and cannot fail except for row-independent
+// column resolution errors, so a kernel may stand in for the interpreter and
+// the logical Cost — charged before the operator runs — is untouched.
 
 const (
-	// morselRows is the number of input rows per work unit. Big enough to
-	// amortise scheduling, small enough that NumCPU workers load-balance
-	// over skewed filters.
+	// morselRows is the number of input rows per morsel: a whole number of
+	// bitmask words, so a filter writes each word of its mask once.
 	morselRows = 4096
 	// defMinBatchRows is the smallest operator input a filter or a join
 	// probe runs in morsels over, through kernels and column vectors; below
 	// it the plain serial interpreter loop wins.
 	defMinBatchRows = 1024
-	// defMinParRows is the smallest operator input that may fan out to
-	// parallel workers.
-	defMinParRows = 8192
 )
 
-// workerTokens is the process-wide pool bounding extra worker goroutines
-// across all concurrently executing queries: GOMAXPROCS-1 tokens (at
-// least one, so two-way parallelism stays available on a single-core
-// box when explicitly requested). Operators acquire tokens without
-// blocking — under concurrent query load, execution degrades toward
-// serial instead of oversubscribing the machine.
-var workerTokens = make(chan struct{}, max(runtime.GOMAXPROCS(0)-1, 1))
-
-func acquireTokens(want int) int {
-	got := 0
-	for got < want {
-		select {
-		case workerTokens <- struct{}{}:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-func releaseTokens(n int) {
-	for i := 0; i < n; i++ {
-		<-workerTokens
-	}
-}
-
-// Engine-wide batch execution counters, exported to the metrics registry
-// via RegisterEngineExecMetrics (obs.go).
-var (
-	engineBatchesTotal     atomic.Int64 // morsels processed by batch operators
-	engineParallelOpsTotal atomic.Int64 // batch operators that ran with >1 worker
-)
+// engineBatchesTotal counts the morsels processed by batch operators,
+// engine-wide; exported to the metrics registry by RegisterEngineExecMetrics
+// (obs.go).
+var engineBatchesTotal atomic.Int64
 
 func morselCount(nRows int) int {
 	return (nRows + morselRows - 1) / morselRows
@@ -85,55 +47,12 @@ func morselBounds(m, nRows int) (lo, hi int) {
 	return lo, hi
 }
 
-// runMorsels executes fn(worker, unit) for every unit in [0, nUnits) over
-// the calling goroutine plus workers-1 spawned goroutines. Units are
-// claimed from a shared atomic counter (morsel stealing), so a skewed
-// unit cannot idle the other workers.
-func runMorsels(nUnits, workers int, fn func(w, m int)) {
-	if workers <= 1 || nUnits <= 1 {
-		for m := 0; m < nUnits; m++ {
-			fn(0, m)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= nUnits {
-					return
-				}
-				fn(w, m)
-			}
-		}(w)
-	}
-	for {
-		m := int(next.Add(1)) - 1
-		if m >= nUnits {
-			break
-		}
-		fn(0, m)
-	}
-	wg.Wait()
-}
-
-// minBatchRows / minParRows resolve the per-database thresholds.
+// minBatchRows resolves the per-database batch threshold.
 func (ec *execCtx) minBatchRows() int {
 	if ec.db.minVecRows > 0 {
 		return ec.db.minVecRows
 	}
 	return defMinBatchRows
-}
-
-func (ec *execCtx) minParRows() int {
-	if ec.db.minParRows > 0 {
-		return ec.db.minParRows
-	}
-	return defMinParRows
 }
 
 // useBatch reports whether a batch operator should engage for an input of
@@ -143,46 +62,18 @@ func (ec *execCtx) useBatch(nRows int) bool {
 	return nRows >= ec.minBatchRows()
 }
 
-// workerCap is the per-operator worker ceiling for this execution.
-func (ec *execCtx) workerCap() int {
-	if ec.db.workers > 0 {
-		return ec.db.workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// batchRun executes nUnits work units of one batch operator. gateRows is
-// the operator's input cardinality: below the parallel threshold the
-// units run serially on the coordinator; above it, up to workerCap-1
-// extra workers are borrowed from the process-wide pool (non-blocking —
-// zero available tokens means serial execution, not waiting). setup is
-// called with the final worker count before any unit runs, so callers
-// can allocate per-worker state. Only the coordinating goroutine touches
-// the execCtx stats.
-func (ec *execCtx) batchRun(nUnits, gateRows int, setup func(workers int), fn func(w, m int)) {
-	workers := 1
-	if gateRows >= ec.minParRows() && nUnits > 1 {
-		want := ec.workerCap()
-		if want > nUnits {
-			want = nUnits
-		}
-		if want > 1 {
-			workers = 1 + acquireTokens(want-1)
-		}
-	}
-	if setup != nil {
-		setup(workers)
-	}
-	runMorsels(nUnits, workers, fn)
-	if workers > 1 {
-		releaseTokens(workers - 1)
-		engineParallelOpsTotal.Add(1)
-	}
+// batchRun runs fn on morsels 0..nUnits-1, in order, on the calling
+// goroutine, stopping at the first error, and counts the morsels per
+// statement (Result.Batches) and engine-wide.
+func (ec *execCtx) batchRun(nUnits int, fn func(m int) error) error {
 	ec.batches += int64(nUnits)
-	if workers > ec.maxPar {
-		ec.maxPar = workers
-	}
 	engineBatchesTotal.Add(int64(nUnits))
+	for m := range nUnits {
+		if err := fn(m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // selection is a set of rows of one relation, held as ascending positions
@@ -383,41 +274,20 @@ func (s selection) keep(mask []uint64, n int) selection {
 	return out
 }
 
-// filterPositions applies compiled predicates to the selected rows,
-// morsel-parallel, and returns the selection of the survivors, in input
+// filterPositions applies compiled predicates to the selected rows, a
+// morsel at a time, and returns the selection of the survivors, in input
 // order. Index-form kernels (byIdx) require in to be a selection of the
 // base table the predicates were compiled against; expression fallbacks
-// evaluate with a worker-local environment (and, over a join's output, a
-// worker-local pair buffer). Workers mark survivors in a bitmask — a morsel
-// is morselRows/64 whole words, so they share none — and the output is
+// evaluate in one environment (and, over a join's output, one pair buffer)
+// built on first use. Survivors are marked in a bitmask and the output is
 // allocated once, at its exact size, or not at all when everything passes.
 func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPred, outer *scope) (selection, error) {
 	n := in.len()
-	nm := morselCount(n)
 	mask := make([]uint64, (n+63)/64)
-	counts := make([]int, nm)
-	errs := make([]error, nm)
-	needEnv := false
-	for _, p := range preds {
-		if p.byIdx == nil && p.byRow == nil {
-			needEnv = true
-		}
-	}
-	type evalState struct {
-		env *evalEnv
-		buf []Value
-	}
-	var states []evalState
-	ec.batchRun(nm, n, func(workers int) {
-		states = make([]evalState, workers)
-	}, func(w, m int) {
-		st := &states[w]
-		if needEnv && st.env == nil {
-			st.env = &evalEnv{ec: ec, sc: &scope{cols: cols, parent: outer}}
-			if in.right != nil {
-				st.buf = make([]Value, len(cols))
-			}
-		}
+	total := 0
+	var env *evalEnv
+	var buf []Value
+	err := ec.batchRun(morselCount(n), func(m int) error {
 		// A morsel starts on a word boundary: its survivors are gathered a
 		// word at a time and each word is written once.
 		lo, hi := morselBounds(m, n)
@@ -433,12 +303,17 @@ func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPre
 					case p.byRow != nil:
 						ok = p.byRow(in.row(i))
 					default:
+						if env == nil {
+							env = &evalEnv{ec: ec, sc: &scope{cols: cols, parent: outer}}
+							if in.right != nil {
+								buf = make([]Value, len(cols))
+							}
+						}
 						l, r := in.row(i)
-						st.env.sc.row = scopeRow(l, r, st.buf)
-						v, err := st.env.eval(p.expr)
+						env.sc.row = scopeRow(l, r, buf)
+						v, err := env.eval(p.expr)
 						if err != nil {
-							errs[m] = err
-							return
+							return err
 						}
 						t, known := v.Truth()
 						ok = t && known
@@ -453,15 +328,12 @@ func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPre
 				}
 			}
 			mask[base/64] = word
-			counts[m] += bits.OnesCount64(word)
+			total += bits.OnesCount64(word)
 		}
+		return nil
 	})
-	total := 0
-	for m, err := range errs {
-		if err != nil {
-			return selection{}, err
-		}
-		total += counts[m]
+	if err != nil {
+		return selection{}, err
 	}
 	return in.keep(mask, total), nil
 }

@@ -105,18 +105,44 @@ func crossCheck(t *testing.T, planned, naive *Database, sql string) {
 	t.Helper()
 	pr, perr := planned.Exec(sql)
 	nr, nerr := naive.Exec(sql)
-	if (perr == nil) != (nerr == nil) {
-		t.Fatalf("planner/naive error mismatch for %q: planner=%v naive=%v", sql, perr, nerr)
+	if msg := divergence(sql, pr, perr, nr, nerr); msg != "" {
+		t.Fatal(msg)
 	}
-	if perr != nil {
-		return
+}
+
+// crossCheckConcurrent is crossCheck with sql run on planned from g
+// goroutines at once, each result held to the naive one.
+func crossCheckConcurrent(t *testing.T, planned, naive *Database, sql string, g int) {
+	t.Helper()
+	nr, nerr := naive.Exec(sql)
+	var wg sync.WaitGroup
+	for range g {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pr, perr := planned.Exec(sql)
+			if msg := divergence(sql, pr, perr, nr, nerr); msg != "" {
+				t.Error(msg)
+			}
+		}()
 	}
-	if !rowsIdentical(pr.Rows, nr.Rows) {
-		t.Fatalf("planner/naive rows differ for %q:\nplanner=%v\nnaive=%v", sql, pr.Rows, nr.Rows)
+	wg.Wait()
+}
+
+// divergence describes how the planned outcome of sql differs from the
+// naive one, or is empty when they agree.
+func divergence(sql string, pr *Result, perr error, nr *Result, nerr error) string {
+	switch {
+	case (perr == nil) != (nerr == nil):
+		return fmt.Sprintf("planner/naive error mismatch for %q: planner=%v naive=%v", sql, perr, nerr)
+	case perr != nil:
+		return ""
+	case !rowsIdentical(pr.Rows, nr.Rows):
+		return fmt.Sprintf("planner/naive rows differ for %q:\nplanner=%v\nnaive=%v", sql, pr.Rows, nr.Rows)
+	case pr.Cost != nr.Cost:
+		return fmt.Sprintf("planner/naive Cost differ for %q: planner=%d naive=%d", sql, pr.Cost, nr.Cost)
 	}
-	if pr.Cost != nr.Cost {
-		t.Fatalf("planner/naive Cost differ for %q: planner=%d naive=%d", sql, pr.Cost, nr.Cost)
-	}
+	return ""
 }
 
 // crossCheckQueries is the planner's acceptance battery: every optimisable

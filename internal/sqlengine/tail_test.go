@@ -109,8 +109,8 @@ func checkTailCase(t *testing.T, data []byte) {
 // from the set-up statements and runs query in each against the naive
 // executor: same error-ness, rows and logical Cost. The first is the engine
 // as it runs on tables this small (interpreted filters, the tail consumers);
-// the other two force the batch gate open (export_test.go) so the kernels
-// and morsels run on them too, serially and fanned out.
+// the other forces the batch gate open (export_test.go) so the kernels and
+// morsels run on them too.
 func checkEveryMode(t *testing.T, setup []string, query string) {
 	t.Helper()
 	build := func(configure func(*Database)) *Database {
@@ -124,15 +124,14 @@ func checkEveryMode(t *testing.T, setup []string, query string) {
 	naive := build(func(db *Database) { db.SetPlanner(false) })
 	for _, configure := range []func(*Database){
 		func(db *Database) {},
-		func(db *Database) { db.SetBatchTuning(1, 1); db.SetParallelism(1) },
-		func(db *Database) { db.SetBatchTuning(1, 1); db.SetParallelism(4) },
+		func(db *Database) { db.SetBatchTuning(1) },
 	} {
 		crossCheck(t, build(configure), naive, query)
 	}
 }
 
 // Property: whatever the table holds and whatever tail the query has, the
-// planned engine — unforced, on kernels, and fanned out — returns the naive
+// planned engine — unforced and on kernels — returns the naive
 // executor's rows, in its order, at its Cost.
 func TestTailEquivalenceProperty(t *testing.T) {
 	f := func(data []byte) bool {

@@ -13,12 +13,11 @@ import (
 // synthesized workloads are executed naive and planned, and the two must
 // agree on every row AND on the logical Result.Cost (the cost model is
 // defined to be independent of the physical plan — of the planner's rewrites
-// and of the engine's batch and parallel execution alike). Nothing is forced:
-// each corpus straddles the engine's default thresholds — loan past the one
-// for fan-out (8,192 rows), client between that and the one for kernels
-// (1,024), the other tables below both, where the interpreter filters — so
-// every size-selected path runs as it does when served, while the naive
-// nested loops stay a few million pairs.
+// and of the engine's batch execution alike). Nothing is forced: each corpus
+// straddles the engine's default batch threshold (1,024 rows) — loan over
+// several morsels, client in one, the other tables below it, where the
+// interpreter filters — so every size-selected path runs as it does when
+// served, while the naive nested loops stay a few million pairs.
 func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 	src := financialFixture(t)
 	trials := 6
@@ -67,7 +66,7 @@ func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 			batched = batched || got.Batches > 0
 		}
 		if !batched {
-			t.Fatalf("trial %d: no statement ran in morsels: the corpus no longer reaches the batch thresholds", trial)
+			t.Fatalf("trial %d: no statement ran in morsels: the corpus no longer reaches the batch threshold", trial)
 		}
 	}
 }
