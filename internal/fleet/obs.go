@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -11,8 +10,9 @@ import (
 
 // initObs registers the router's counters into an obs.Registry so the
 // front tier speaks the same Prometheus exposition as the replicas. The
-// existing atomics stay the source of truth (the JSON Metrics snapshot
-// reads them directly); the registry wraps them in scrape-time gauges.
+// existing atomics stay the source of truth (the in-process Metrics
+// snapshot reads them directly); the registry wraps them in scrape-time
+// gauges.
 func (rt *Router) initObs() {
 	rt.reg = obs.NewRegistry()
 	rt.reg.GaugeFunc("fleet_uptime_seconds", "Router process uptime.",
@@ -77,10 +77,4 @@ func (rt *Router) stamp(h http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set(obs.RequestIDHeader, reqID)
 		h(w, r)
 	}
-}
-
-// isJSONFormat reports whether the /metrics request asked for the legacy
-// JSON snapshot (?format=json).
-func isJSONFormat(r *http.Request) bool {
-	return strings.EqualFold(r.URL.Query().Get("format"), "json")
 }

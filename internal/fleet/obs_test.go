@@ -114,9 +114,9 @@ func TestRequestIDMintedAndEchoedOnFailure(t *testing.T) {
 	}
 }
 
-// TestRouterMetricsPrometheusDefault pins the router's exposition switch:
-// Prometheus text by default, the legacy JSON snapshot behind
-// ?format=json.
+// TestRouterMetricsPrometheusDefault pins the router's exposition:
+// Prometheus text, and ?format=json (the retired JSON view) answers the
+// same text.
 func TestRouterMetricsPrometheusDefault(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{}`))
@@ -151,7 +151,8 @@ func TestRouterMetricsPrometheusDefault(t *testing.T) {
 	}
 	jbody, _ := io.ReadAll(jresp.Body)
 	jresp.Body.Close()
-	if !strings.Contains(string(jbody), `"client_5xx"`) {
-		t.Errorf("?format=json is not the legacy snapshot: %s", jbody)
+	if ct := jresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") ||
+		!strings.Contains(string(jbody), "# TYPE fleet_requests_total gauge") {
+		t.Errorf("?format=json answered %q: %.80s; want the text exposition", ct, jbody)
 	}
 }

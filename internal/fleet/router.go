@@ -113,7 +113,6 @@ type Router struct {
 	exhausted    atomic.Int64 // requests that ran out of attempts
 	clientFivexx atomic.Int64 // 5xx the router returned to its client
 	clientClosed atomic.Int64 // requests abandoned by the client (499s)
-	canceledAtts atomic.Int64 // attempts cut short by client cancellation
 
 	lat latencyReservoir
 }
@@ -414,7 +413,6 @@ func (rt *Router) record(res attemptResult) {
 		// attempt was in flight: the replica did nothing wrong, so the
 		// breaker must not hear about it — counting these as faults is how
 		// a wave of impatient clients ejects a healthy replica.
-		rt.canceledAtts.Add(1)
 	case res.err != nil:
 		res.rep.failures.Add(1)
 		res.rep.breaker.Record(false, now)
@@ -654,9 +652,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Metrics is the router's /metrics snapshot.
+// Metrics is an in-process snapshot of the router counters; GET /metrics
+// exports them as Prometheus text.
 type Metrics struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Requests counts client requests; Attempts counts backend round
 	// trips spent on them (attempts/requests > 1 means retries/hedges).
 	Requests int64 `json:"requests"`
@@ -675,31 +673,21 @@ type Metrics struct {
 	// the availability-loss number the chaos suite pins at zero.
 	ClientFivexx int64           `json:"client_5xx"`
 	ClientClosed int64           `json:"client_closed"`
-	CanceledAtts int64           `json:"canceled_attempts"`
-	P50Micros    float64         `json:"p50_us"`
-	P99Micros    float64         `json:"p99_us"`
-	MaxMicros    float64         `json:"max_us"`
 	Replicas     []ReplicaStatus `json:"replicas"`
 }
 
 // Metrics snapshots the router counters.
 func (rt *Router) Metrics() Metrics {
-	p50, p99, max := rt.lat.quantiles()
 	return Metrics{
-		UptimeSeconds: time.Since(rt.start).Seconds(),
-		Requests:      rt.requests.Load(),
-		Attempts:      rt.attempts.Load(),
-		Failovers:     rt.failovers.Load(),
-		HedgedWins:    rt.hedgedWins.Load(),
-		ShedRetries:   rt.shedRetries.Load(),
-		Exhausted:     rt.exhausted.Load(),
-		ClientFivexx:  rt.clientFivexx.Load(),
-		ClientClosed:  rt.clientClosed.Load(),
-		CanceledAtts:  rt.canceledAtts.Load(),
-		P50Micros:     p50,
-		P99Micros:     p99,
-		MaxMicros:     max,
-		Replicas:      rt.replicaStatuses(time.Now()),
+		Requests:     rt.requests.Load(),
+		Attempts:     rt.attempts.Load(),
+		Failovers:    rt.failovers.Load(),
+		HedgedWins:   rt.hedgedWins.Load(),
+		ShedRetries:  rt.shedRetries.Load(),
+		Exhausted:    rt.exhausted.Load(),
+		ClientFivexx: rt.clientFivexx.Load(),
+		ClientClosed: rt.clientClosed.Load(),
+		Replicas:     rt.replicaStatuses(time.Now()),
 	}
 }
 
@@ -713,10 +701,6 @@ func (rt *Router) replicaStatuses(now time.Time) []ReplicaStatus {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if isJSONFormat(r) {
-		rt.writeJSON(w, rt.Metrics())
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = rt.reg.WritePrometheus(w)
 }

@@ -169,15 +169,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Mean returns Sum/Count, or 0 before any observation.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // window snapshots the live samples: all of them before saturation, the
 // whole ring after.
 func (h *Histogram) window() []int64 {

@@ -54,8 +54,8 @@ func referenceLookup(m *Memory, db, question string, exclude ...string) (Hit, bo
 		return true
 	}
 
-	lex := make(map[int]float64, m.opts.TopK)
-	for _, r := range idx.TopK(question, m.opts.TopK) {
+	lex := make(map[int]float64, topK)
+	for _, r := range idx.TopK(question, topK) {
 		if norm := selfNorm[r.Index]; norm > 0 {
 			s := r.Score / norm
 			if s > 1 {
@@ -70,7 +70,7 @@ func referenceLookup(m *Memory, db, question string, exclude ...string) (Hit, bo
 			continue
 		}
 		p := m.patterns[ids[i]]
-		if p == nil || p.rec.Confidence < m.opts.ServeThreshold || !literalsCovered(p.rec.SQL, question) {
+		if p == nil || p.rec.Confidence < serveThreshold || !literalsCovered(p.rec.SQL, question) {
 			continue
 		}
 		return Hit{
@@ -92,7 +92,7 @@ func referenceLookup(m *Memory, db, question string, exclude ...string) (Hit, bo
 		}
 		cos := embed.Cosine(qv, m.model.Embed(di.docs[i]))
 		score := 0.65*cos + 0.35*lex[i]
-		if score >= m.opts.MinSimilarity && score > bestOf[id] {
+		if score >= minSimilarity && score > bestOf[id] {
 			bestOf[id] = score
 		}
 	}
@@ -110,12 +110,12 @@ func referenceLookup(m *Memory, db, question string, exclude ...string) (Hit, bo
 		}
 		return ranked[i].id < ranked[j].id
 	})
-	if len(ranked) > m.opts.TopK {
-		ranked = ranked[:m.opts.TopK]
+	if len(ranked) > topK {
+		ranked = ranked[:topK]
 	}
 	for _, c := range ranked {
 		p := m.patterns[c.id]
-		if p.rec.Confidence < m.opts.ServeThreshold || !literalsCovered(p.rec.SQL, question) {
+		if p.rec.Confidence < serveThreshold || !literalsCovered(p.rec.SQL, question) {
 			continue
 		}
 		return Hit{

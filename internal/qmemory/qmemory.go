@@ -36,65 +36,43 @@ import (
 	"repro/internal/sqlengine"
 )
 
-// Options tunes a Memory. The zero value is ready: every field defaults
-// to the serving-shaped constants below.
-type Options struct {
-	// ServeThreshold is the confidence a pattern needs before its SQL is
-	// served in place of generation; default 0.85.
-	ServeThreshold float64
-	// MinSimilarity is the hybrid retrieval score floor below which a
-	// best match is still a miss; default 0.35. The floor is a coarse
-	// relevance filter, not the accuracy gate: under the deterministic
-	// hash embeddings a genuine paraphrase lands around 0.4–0.7 while
-	// unrelated questions land near zero, and same-shape questions over
-	// *different entities* (which score high on any similarity measure)
-	// are rejected by the literal-overlap gate and, ultimately, by
-	// execution verification.
-	MinSimilarity float64
-	// InitialConfidence is a freshly admitted pattern's confidence.
+// The memory's serving constants.
+const (
+	// serveThreshold is the confidence a pattern needs before its SQL is
+	// served in place of generation.
+	serveThreshold = 0.85
+	// minSimilarity is the hybrid retrieval score floor below which a
+	// best match is still a miss. The floor is a coarse relevance filter,
+	// not the accuracy gate: under the deterministic hash embeddings a
+	// genuine paraphrase lands around 0.4–0.7 while unrelated questions
+	// land near zero, and same-shape questions over *different entities*
+	// (which score high on any similarity measure) are rejected by the
+	// literal-overlap gate and, ultimately, by execution verification.
+	minSimilarity = 0.35
+	// initialConfidence is a freshly admitted pattern's confidence.
 	// Admission is already execution-judged (only verified-correct
 	// generations enter the memory), so patterns start above the serve
-	// threshold; default 0.90.
-	InitialConfidence float64
-	// SuccessWeight moves confidence toward 1 on a verified success:
-	// conf += SuccessWeight * (1 - conf); default 0.25.
-	SuccessWeight float64
-	// FailureDecay multiplies confidence on a failed verification:
-	// conf *= FailureDecay; default 0.45, so one failure demotes a 0.90
-	// pattern to 0.405 — below the serve threshold until it re-earns
-	// trust through admissions.
-	FailureDecay float64
-	// TopK bounds the BM25 candidate pool per lookup; default 8.
-	TopK int
-	// MaxPhrasings bounds the stored phrasings per pattern; default 16.
-	MaxPhrasings int
+	// threshold.
+	initialConfidence = 0.90
+	// successWeight moves confidence toward 1 on a verified success:
+	// conf += successWeight * (1 - conf).
+	successWeight = 0.25
+	// failureDecay multiplies confidence on a failed verification:
+	// conf *= failureDecay, so one failure demotes a 0.90 pattern to
+	// 0.405 — below the serve threshold until it re-earns trust through
+	// admissions.
+	failureDecay = 0.45
+	// topK bounds the BM25 candidate pool per lookup.
+	topK = 8
+	// maxPhrasings bounds the stored phrasings per pattern.
+	maxPhrasings = 16
+)
+
+// Options configures a Memory. The zero value is an in-memory Memory.
+type Options struct {
 	// Store, when non-nil, makes the memory durable: patterns are
 	// replayed from it at construction and persisted write-through.
 	Store *Store
-}
-
-func (o *Options) fill() {
-	if o.ServeThreshold <= 0 {
-		o.ServeThreshold = 0.85
-	}
-	if o.MinSimilarity <= 0 {
-		o.MinSimilarity = 0.35
-	}
-	if o.InitialConfidence <= 0 {
-		o.InitialConfidence = 0.90
-	}
-	if o.SuccessWeight <= 0 {
-		o.SuccessWeight = 0.25
-	}
-	if o.FailureDecay <= 0 {
-		o.FailureDecay = 0.45
-	}
-	if o.TopK <= 0 {
-		o.TopK = 8
-	}
-	if o.MaxPhrasings <= 0 {
-		o.MaxPhrasings = 16
-	}
 }
 
 // Record is one pattern's serializable state: the WAL unit, the sync
@@ -115,7 +93,7 @@ type Record struct {
 	// with; a hit whose re-execution fingerprints differently fails
 	// verification.
 	Fingerprint string `json:"fingerprint"`
-	// Confidence is the serve gate; see Options.
+	// Confidence is the serve gate; see serveThreshold.
 	Confidence float64 `json:"confidence"`
 	// Successes and Failures count verified outcomes over the pattern's
 	// lifetime (admissions included). Their sum orders replicas'
@@ -123,7 +101,7 @@ type Record struct {
 	Successes int64 `json:"successes"`
 	Failures  int64 `json:"failures"`
 	// Phrasings are the known question phrasings, retrieval documents
-	// for future lookups. Bounded by Options.MaxPhrasings.
+	// for future lookups. Bounded by maxPhrasings.
 	Phrasings []string `json:"phrasings"`
 }
 
@@ -261,7 +239,6 @@ type Memory struct {
 // replayed into the index (warm restart: the memory a crashed replica
 // paid for survives).
 func New(opts Options) (*Memory, error) {
-	opts.fill()
 	m := &Memory{
 		opts:     opts,
 		model:    embed.NewModel(),
@@ -311,7 +288,7 @@ func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
 	qLower := strings.ToLower(question)
 	servable := func(p *pattern) bool {
 		return !slices.Contains(exclude, p.rec.ID) &&
-			p.rec.Confidence >= m.opts.ServeThreshold && literalsCovered(p.lits, qLower)
+			p.rec.Confidence >= serveThreshold && literalsCovered(p.lits, qLower)
 	}
 
 	// Exact-phrasing fast path: a question that IS a recorded successful
@@ -350,8 +327,8 @@ func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
 	// normalized by the entry's score against itself under the same corpus
 	// statistics — an absolute scale, so a weak best match reads as weak
 	// instead of being inflated to 1.0 by top-score normalization.
-	lex := make(map[int]float64, m.opts.TopK)
-	for _, r := range di.idx.TopKTerms(terms, m.opts.TopK) {
+	lex := make(map[int]float64, topK)
+	for _, r := range di.idx.TopKTerms(terms, topK) {
 		if norm := di.idx.Score(di.docs[r.Index], r.Index); norm > 0 {
 			lex[r.Index] = min(r.Score/norm, 1)
 		}
@@ -363,7 +340,7 @@ func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
 	bestOf := make(map[*pattern]float64)
 	for i := range di.vecs {
 		score := 0.65*qv.Dot(di.vecs[i]) + 0.35*lex[i]
-		if p := di.pats[i]; score >= m.opts.MinSimilarity && score > bestOf[p] && !slices.Contains(exclude, p.rec.ID) {
+		if p := di.pats[i]; score >= minSimilarity && score > bestOf[p] && !slices.Contains(exclude, p.rec.ID) {
 			bestOf[p] = score
 		}
 	}
@@ -387,8 +364,8 @@ func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
 		}
 		return ranked[i].p.rec.ID < ranked[j].p.rec.ID
 	})
-	if len(ranked) > m.opts.TopK {
-		ranked = ranked[:m.opts.TopK]
+	if len(ranked) > topK {
+		ranked = ranked[:topK]
 	}
 	for _, c := range ranked {
 		if servable(c.p) {
@@ -411,7 +388,7 @@ func (m *Memory) reindex(di *dbIndex) {
 }
 
 // Admit records a verified-correct serving outcome: a new pattern (at
-// InitialConfidence) or a success + new phrasing on an existing one.
+// initialConfidence) or a success + new phrasing on an existing one.
 // Callers must only admit judge-verified generations — admission is the
 // memory's accuracy floor.
 func (m *Memory) Admit(db, question, evidence, sql, fingerprint string) {
@@ -420,7 +397,7 @@ func (m *Memory) Admit(db, question, evidence, sql, fingerprint string) {
 	id := PatternID(db, sql)
 	if p, ok := m.patterns[id]; ok {
 		p.rec.Successes++
-		p.rec.Confidence += m.opts.SuccessWeight * (1 - p.rec.Confidence)
+		p.rec.Confidence += successWeight * (1 - p.rec.Confidence)
 		// The data may have legitimately changed since admission (bulk
 		// load, compaction): re-admission re-pins the fingerprint.
 		p.rec.Fingerprint = fingerprint
@@ -436,7 +413,7 @@ func (m *Memory) Admit(db, question, evidence, sql, fingerprint string) {
 		ID: id, DB: db, SQL: sql,
 		Evidence:    evidence,
 		Fingerprint: fingerprint,
-		Confidence:  m.opts.InitialConfidence,
+		Confidence:  initialConfidence,
 		Successes:   1,
 		Phrasings:   []string{question},
 	}
@@ -458,7 +435,7 @@ func (m *Memory) Success(patternID, question string) {
 		return
 	}
 	p.rec.Successes++
-	p.rec.Confidence += m.opts.SuccessWeight * (1 - p.rec.Confidence)
+	p.rec.Confidence += successWeight * (1 - p.rec.Confidence)
 	m.addPhrasingLocked(p, question)
 	m.touchLocked(p)
 	m.stats.Reinforced++
@@ -477,8 +454,8 @@ func (m *Memory) Failure(patternID string) {
 	}
 	was := p.rec.Confidence
 	p.rec.Failures++
-	p.rec.Confidence *= m.opts.FailureDecay
-	if was >= m.opts.ServeThreshold && p.rec.Confidence < m.opts.ServeThreshold {
+	p.rec.Confidence *= failureDecay
+	if was >= serveThreshold && p.rec.Confidence < serveThreshold {
 		m.stats.Demotions++
 	}
 	m.touchLocked(p)
@@ -530,7 +507,7 @@ func (m *Memory) touchLocked(p *pattern) {
 // addPhrasingLocked appends a phrasing to a pattern (dedup, bounded) and
 // indexes it for retrieval.
 func (m *Memory) addPhrasingLocked(p *pattern, question string) {
-	if question == "" || len(p.rec.Phrasings) >= m.opts.MaxPhrasings {
+	if question == "" || len(p.rec.Phrasings) >= maxPhrasings {
 		return
 	}
 	for _, ph := range p.rec.Phrasings {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/llm"
 	"repro/internal/obs"
+	"repro/internal/qmemory"
 	"repro/internal/seed"
 )
 
@@ -299,5 +301,109 @@ func TestMemoryReplicationServesOnFollower(t *testing.T) {
 		if delta := followerSim.LedgerSnapshot().TotalCalls() - before; delta != 0 {
 			t.Errorf("follower memory hit for %s made %d LLM calls", e.ID, delta)
 		}
+	}
+}
+
+// TestMemoryDeclineReasons: when the memory tier declines, the
+// memory.lookup span names why — no candidate offered, or the reason the
+// offered one was rejected — and the request is answered by the pipeline.
+// Each rejected pattern was offered on its own exact phrasing, so it is
+// decayed exactly once.
+func TestMemoryDeclineReasons(t *testing.T) {
+	// An example whose gold SQL the exact path offers: its literals all
+	// appear in the question.
+	var e dataset.Example
+	for _, c := range testCorpus(t).Dev {
+		probe, err := qmemory.New(qmemory.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe.Admit(c.DB, c.Question, "", c.GoldSQL, "")
+		if _, ok := probe.Lookup(c.DB, c.Question); ok {
+			e = c
+			break
+		}
+	}
+	if e.ID == "" {
+		t.Fatal("no dev example's gold SQL is servable on its own phrasing")
+	}
+
+	for _, tc := range []struct {
+		decline string
+		sql     string // "" plants nothing
+		wrongFP bool   // plant sql with a fingerprint its result does not have
+	}{
+		{decline: "no_candidate"},
+		{decline: "unparsable", sql: "SELEKT nothing FROM"},
+		{decline: "exec_error", sql: "SELECT * FROM no_such_table"},
+		{decline: "fingerprint", sql: e.GoldSQL, wrongFP: true},
+		{decline: "judge", sql: "SELECT NULL"},
+	} {
+		t.Run(tc.decline, func(t *testing.T) {
+			srv, ts := newTestServer(t, func(cfg *Config) { cfg.Memory = true })
+			sess, _ := srv.reg.Session(e.DB)
+			mem := srv.memories["bird"]
+			if tc.sql != "" {
+				fp := "not-the-result"
+				if stmt, _, err := sess.DB.Engine.PrepareCached(tc.sql); err == nil && !tc.wrongFP {
+					if res, err := stmt.Exec(); err == nil {
+						if srv.judgedCorrect(sess, e, res) {
+							t.Fatalf("%q is judged correct for %s", tc.sql, e.ID)
+						}
+						fp = qmemory.Fingerprint(res.Rows)
+					}
+				}
+				mem.Admit(e.DB, e.Question, "", tc.sql, fp)
+			}
+
+			resp, data := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{DB: e.DB, Question: e.Question})
+			if resp.StatusCode != 200 {
+				t.Fatalf("/v1/query = %d: %s", resp.StatusCode, data)
+			}
+			var qr api.QueryResponse
+			if err := json.Unmarshal(data, &qr); err != nil {
+				t.Fatal(err)
+			}
+			if qr.Source != api.SourceGenerated && qr.Source != api.SourceCache {
+				t.Errorf("source = %q, want the pipeline tier's", qr.Source)
+			}
+
+			tresp, err := http.Get(ts.URL + "/v1/traces/" + resp.Header.Get(obs.TraceIDHeader))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec obs.TraceRecord
+			err = json.NewDecoder(tresp.Body).Decode(&rec)
+			tresp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var attrs map[string]any
+			for _, sp := range rec.Spans {
+				if sp.Name == "memory.lookup" {
+					attrs = sp.Attrs
+				}
+			}
+			if attrs["decline"] != tc.decline || attrs["match"] != "none" {
+				t.Errorf("memory.lookup attrs %v; want decline=%s match=none", attrs, tc.decline)
+			}
+			for _, gone := range []string{"hit", "verified"} {
+				if _, ok := attrs[gone]; ok {
+					t.Errorf("memory.lookup still carries %q: %v", gone, attrs)
+				}
+			}
+
+			if tc.sql == "" {
+				return
+			}
+			id := qmemory.PatternID(e.DB, tc.sql)
+			i := slices.IndexFunc(mem.Patterns(), func(p qmemory.Record) bool { return p.ID == id })
+			if i < 0 {
+				t.Fatal("planted pattern is gone")
+			}
+			if n := mem.Patterns()[i].Failures; n != 1 {
+				t.Errorf("planted pattern decayed %d times, want once", n)
+			}
+		})
 	}
 }

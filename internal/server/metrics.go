@@ -7,8 +7,7 @@ import (
 )
 
 // routeMetrics aggregates one route's request counters, backed by the
-// server's obs registry: the same counter/histogram instances feed both
-// the Prometheus exposition and the legacy JSON snapshot.
+// server's obs registry, which /metrics exports.
 type routeMetrics struct {
 	count   *obs.Counter
 	errors  *obs.Counter // responses with status >= 400
@@ -30,34 +29,4 @@ func (rm *routeMetrics) observe(status int, d time.Duration) {
 		rm.errors.Inc()
 	}
 	rm.latency.Observe(d.Microseconds())
-}
-
-// RouteSnapshot is the /metrics?format=json view of one route's counters.
-// The quantiles are exact over the histogram's sample window (previously
-// they were interpolated from doubling buckets; the JSON shape is
-// unchanged).
-type RouteSnapshot struct {
-	// Count is the number of completed requests, including rejected ones.
-	Count int64 `json:"count"`
-	// Errors counts responses with status >= 400.
-	Errors int64 `json:"errors"`
-	// MeanMicros is the mean end-to-end latency in microseconds.
-	MeanMicros float64 `json:"mean_us"`
-	// P50Micros, P90Micros and P99Micros are exact latency quantiles in
-	// microseconds.
-	P50Micros float64 `json:"p50_us"`
-	P90Micros float64 `json:"p90_us"`
-	P99Micros float64 `json:"p99_us"`
-}
-
-func (rm *routeMetrics) snapshot() RouteSnapshot {
-	q := rm.latency.Quantiles(0.50, 0.90, 0.99)
-	return RouteSnapshot{
-		Count:      rm.count.Value(),
-		Errors:     rm.errors.Value(),
-		MeanMicros: rm.latency.Mean(),
-		P50Micros:  float64(q[0]),
-		P90Micros:  float64(q[1]),
-		P99Micros:  float64(q[2]),
-	}
 }

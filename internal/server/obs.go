@@ -3,9 +3,10 @@ package server
 import (
 	"net/http"
 	"strconv"
-	"strings"
+	"time"
 
 	"repro/internal/api"
+	"repro/internal/dataset"
 	"repro/internal/obs"
 	"repro/internal/sqlengine"
 )
@@ -26,9 +27,8 @@ func (s *Server) initObs() {
 	}
 	s.slowlog = obs.NewSlowLog(s.log, s.cfg.SlowQueryThreshold)
 
-	s.obsReg.GaugeFunc("server_uptime_seconds", "Process uptime.", func() float64 {
-		return s.Metrics().UptimeSeconds
-	})
+	s.obsReg.GaugeFunc("server_uptime_seconds", "Process uptime.",
+		func() float64 { return time.Since(s.start).Seconds() })
 	s.obsReg.GaugeFunc("server_admission_admitted_total", "Requests that passed admission.",
 		func() float64 { return float64(s.adm.stats().Admitted) })
 	s.obsReg.GaugeFunc("server_admission_rate_limited_total", "429 rejections from the token bucket.",
@@ -54,18 +54,23 @@ func (s *Server) initObs() {
 		ms.tailer.RegisterMetrics(s.obsReg, obs.L("corpus", ms.corpus), obs.L("peer", ms.peer))
 	}
 	for name, corpus := range s.corpora {
-		corpus := corpus
 		sqlengine.RegisterPlanCacheMetrics(s.obsReg, func() sqlengine.PlanCacheStats {
-			var agg sqlengine.PlanCacheStats
-			for _, db := range corpus.DBs {
-				agg.Add(db.Engine.PlanCacheStats())
-			}
-			return agg
+			return planCacheStats(corpus)
 		}, obs.L("corpus", name))
 	}
 	// Batch/parallel execution counters are engine-process globals, not
 	// per-corpus: register once.
 	sqlengine.RegisterEngineExecMetrics(s.obsReg)
+}
+
+// planCacheStats aggregates the prepared-plan cache counters of a
+// corpus's engines.
+func planCacheStats(corpus *dataset.Corpus) sqlengine.PlanCacheStats {
+	var agg sqlengine.PlanCacheStats
+	for _, db := range corpus.DBs {
+		agg.Add(db.Engine.PlanCacheStats())
+	}
+	return agg
 }
 
 // Traces exposes the server's trace store; nil when tracing is disabled.
@@ -118,10 +123,4 @@ func sqlOfTrace(rec *obs.TraceRecord) string {
 		}
 	}
 	return ""
-}
-
-// isJSONFormat reports whether the /metrics request asked for the legacy
-// JSON snapshot (?format=json).
-func isJSONFormat(r *http.Request) bool {
-	return strings.EqualFold(r.URL.Query().Get("format"), "json")
 }

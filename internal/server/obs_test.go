@@ -186,9 +186,9 @@ func TestPanicRecordsTraceAndCounter(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheusDefault pins the exposition switch: /metrics is
-// Prometheus text by default and the legacy JSON snapshot behind
-// ?format=json.
+// TestMetricsPrometheusDefault pins the exposition: /metrics is
+// Prometheus text, and ?format=json (the retired JSON view) answers the
+// same text.
 func TestMetricsPrometheusDefault(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	e := testCorpus(t).Dev[0]
@@ -220,10 +220,11 @@ func TestMetricsPrometheusDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jresp.Body.Close()
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(jresp.Body).Decode(&snap); err != nil {
-		t.Fatalf("?format=json is not the legacy JSON snapshot: %v", err)
+	jbody, _ := io.ReadAll(jresp.Body)
+	jresp.Body.Close()
+	if ct := jresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") ||
+		!strings.Contains(string(jbody), "# TYPE server_requests_total counter") {
+		t.Errorf("?format=json answered %q: %.80s; want the text exposition", ct, jbody)
 	}
 }
 

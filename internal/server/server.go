@@ -122,10 +122,6 @@ type Config struct {
 	// memory durable: each corpus gets a WAL-backed pattern store at
 	// MemoryDir/<corpus>, replayed on startup and flushed on shutdown.
 	MemoryDir string
-	// MemoryOptions tunes the memory's thresholds and retrieval knobs;
-	// zero fields take qmemory defaults. The Store field is managed by
-	// the server (see MemoryDir) and ignored here.
-	MemoryOptions qmemory.Options
 	// TraceCapacity sizes the in-memory trace store: up to TraceCapacity
 	// recent traces plus as many always-kept slow/error traces are
 	// retained behind GET /v1/traces. 0 defaults to 256; negative
@@ -294,8 +290,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		gens[corpus.Name] = gen
 		if cfg.Memory {
-			mopts := cfg.MemoryOptions
-			mopts.Store = nil
+			var mopts qmemory.Options
 			if cfg.MemoryDir != "" {
 				mstore, err := qmemory.OpenStore(filepath.Join(cfg.MemoryDir, corpus.Name), wal.Options{
 					Manifest: evstore.Manifest(corpus.Name, cfg.StoreSeed),
@@ -442,6 +437,23 @@ func (s *Server) Close() {
 	})
 }
 
+// answer is what a /v1/query tier hands back: everything the response
+// needs besides the request and the example. A declined memory answer
+// carries only its timing.
+type answer struct {
+	source     string
+	sql        string
+	evidence   string
+	trace      *pipeline.Trace
+	cacheHit   bool
+	confidence float64
+	res        *sqlengine.Result
+	timing     api.QueryTiming
+}
+
+// handleQuery answers from one of two tiers, in a fixed order: the query
+// memory, then — only if memory is off or declined — evidence plus
+// generation. Whichever answers, the response is written here, once.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req api.QueryRequest
 	if !decodeBody(w, r, &req) {
@@ -460,32 +472,150 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if root := obs.CurrentSpan(r.Context()); root != nil {
+	root := obs.CurrentSpan(r.Context())
+	if root != nil {
 		root.SetAttr("db", e.DB)
 		root.SetAttr("example_id", e.ID)
 	}
 
-	// Query memory sits ahead of the evidence service: a high-confidence
-	// semantic match serves adapted cached SQL with zero pipeline/LLM
-	// work. A miss (or a hit that fails verification) falls through to
-	// the full path, carrying the lookup time into the response timing.
-	var memDur time.Duration
-	if mem := s.memories[sess.Corpus]; mem != nil {
-		served, d := s.tryMemory(w, r, sess, e, req)
-		if served {
-			return
+	var a answer
+	hit := false
+	if s.memories[sess.Corpus] != nil {
+		a, hit = s.memoryTier(r.Context(), sess, e)
+	}
+	if hit {
+		if root != nil {
+			root.SetAttr("sql", a.sql)
 		}
-		memDur = d
+	} else if a, ok = s.pipelineTier(w, r, sess, e, a.timing); !ok {
+		return // the pipeline tier wrote its error
 	}
 
+	resp := api.QueryResponse{
+		DB:               e.DB,
+		ExampleID:        e.ID,
+		Question:         e.Question,
+		Source:           a.source,
+		MemoryConfidence: a.confidence,
+		Evidence:         a.evidence,
+		EvidenceTrace:    a.trace,
+		EvidenceCacheHit: a.cacheHit,
+		SQL:              a.sql,
+		Cost:             a.res.Cost,
+		Timing:           a.timing,
+	}
+	writeQueryResponse(w, &resp, a.res.Rows, req.MaxRows)
+}
+
+// memoryTier answers with a stored pattern's SQL once it verifies: the
+// SQL still executes, its result fingerprint matches the stored one, and
+// the judge scores it correct. A rejected candidate is skipped and the
+// lookup retried a bounded number of times, so a look-alike outscoring the
+// right pattern costs one engine execution, not a pipeline run. On a
+// decline the memory.lookup span names the reason, and the answer carries
+// only the lookup-plus-verification time.
+func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Example) (answer, bool) {
+	mem := s.memories[sess.Corpus]
+	start := time.Now()
+	_, span := obs.StartSpan(ctx, "memory.lookup")
+	defer span.End()
+
+	const maxVerifyAttempts = 3
+	var (
+		hit   qmemory.Hit
+		res   *sqlengine.Result
+		tried []string
+	)
+	// decline is why the last offered candidate was rejected, or
+	// "no_candidate" while none was offered; empty once one verifies.
+	decline := "no_candidate"
+	for attempt := 0; attempt < maxVerifyAttempts && decline != ""; attempt++ {
+		var ok bool
+		hit, ok = mem.Lookup(e.DB, e.Question, tried...)
+		if !ok {
+			break
+		}
+		tried = append(tried, hit.PatternID)
+
+		stmt, _, err := sess.DB.Engine.PrepareCached(hit.SQL)
+		if err != nil {
+			// A stored pattern that no longer parses is poison: demote it
+			// and rerank.
+			decline = "unparsable"
+			mem.Failure(hit.PatternID)
+			continue
+		}
+		if res, err = stmt.Exec(); err != nil {
+			decline = "exec_error"
+			mem.Failure(hit.PatternID)
+			continue
+		}
+		// Verification is the accuracy floor: the fingerprint pins the
+		// result the pattern was admitted with, and the judge pins
+		// execution accuracy against gold (gold results are cached per
+		// example, so steady-state verification costs one extra engine
+		// execution, not two).
+		switch {
+		case qmemory.Fingerprint(res.Rows) != hit.Fingerprint:
+			decline = "fingerprint"
+		case !s.judgedCorrect(sess, e, res):
+			decline = "judge"
+		default:
+			decline = ""
+		}
+		// A pattern failing a question it previously answered (similarity
+		// 1 is the exact-phrasing fast path) is poison: demote it. A
+		// semantic look-alike failing a NEW question is a retrieval error,
+		// not pattern damage — skip it for this request and leave its
+		// confidence (and its own questions) alone.
+		if decline != "" && hit.Similarity >= 1 {
+			mem.Failure(hit.PatternID)
+		}
+	}
+	span.SetAttr("attempts", len(tried))
+	if decline != "" {
+		span.SetAttr("match", "none")
+		span.SetAttr("decline", decline)
+		return answer{timing: api.QueryTiming{MemoryMicros: time.Since(start).Microseconds()}}, false
+	}
+	// match says which retrieval path answered: repeat traffic ("exact",
+	// a stored phrasing) or paraphrase traffic ("semantic").
+	match := "semantic"
+	if hit.Similarity >= 1 {
+		match = "exact"
+	}
+	span.SetAttr("match", match)
+	span.SetAttr("pattern", hit.PatternID)
+	span.SetAttr("confidence", hit.Confidence)
+	span.SetAttr("similarity", hit.Similarity)
+	// Lookup, verification and execution are one fused phase: the engine's
+	// physical path rides on its span, and its time is the whole answer's.
+	span.SetAttr("path", res.Path)
+	mem.Success(hit.PatternID, e.Question)
+	return answer{
+		source:     api.SourceMemory,
+		sql:        hit.SQL,
+		evidence:   hit.Evidence,
+		confidence: hit.Confidence,
+		res:        res,
+		timing:     api.QueryTiming{MemoryMicros: time.Since(start).Microseconds()},
+	}, true
+}
+
+// pipelineTier answers with SEED evidence, text-to-SQL generation and
+// execution, adding its phases to timing (which holds the memory tier's
+// time, if any). It writes its own error responses and reports false
+// after one. A judged-correct answer becomes a memory pattern: the next
+// paraphrase of this intent can skip this tier entirely.
+func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Session, e dataset.Example, timing api.QueryTiming) (answer, bool) {
 	evStart := time.Now()
 	evCtx, evSpan := obs.StartSpan(r.Context(), "evidence")
 	ev, err := s.services[sess.Corpus].GenerateTraced(evCtx, e.DB, e.Question)
-	evDur := time.Since(evStart)
+	timing.EvidenceMicros = time.Since(evStart).Microseconds()
 	if err != nil {
 		evSpan.Fail(err)
 		writeUpstreamError(w, r, "evidence generation", err)
-		return
+		return answer{}, false
 	}
 	evSpan.SetAttr("cache_hit", ev.CacheHit)
 	// A request that waited for a generation (its own or a single-flight
@@ -511,13 +641,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	genStart := time.Now()
 	_, genSpan := obs.StartSpan(r.Context(), "generate")
 	sql, err := sess.Gen.Generate(texttosql.Task{Example: e, DB: sess.DB, Evidence: ev.Text})
-	genDur := time.Since(genStart)
+	timing.GenerateMicros = time.Since(genStart).Microseconds()
 	if err != nil {
 		genSpan.Fail(err)
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, fmt.Sprintf("generation failed: %v", err))
-		return
+		return answer{}, false
 	}
 	genSpan.End()
+	// Named before prepare, so the slow-query log names SQL that fails to
+	// prepare.
 	if root := obs.CurrentSpan(r.Context()); root != nil {
 		root.SetAttr("sql", sql)
 	}
@@ -525,11 +657,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	prepStart := time.Now()
 	_, prepSpan := obs.StartSpan(r.Context(), "sqlengine.prepare")
 	stmt, planHit, err := sess.DB.Engine.PrepareCached(sql)
-	prepDur := time.Since(prepStart)
+	timing.PrepareMicros = time.Since(prepStart).Microseconds()
 	if err != nil {
 		prepSpan.Fail(err)
 		writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not parse: %v", err))
-		return
+		return answer{}, false
 	}
 	prepSpan.SetAttr("plan_cache_hit", planHit)
 	prepSpan.End()
@@ -537,11 +669,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	execStart := time.Now()
 	_, execSpan := obs.StartSpan(r.Context(), "sqlengine.execute")
 	res, err := stmt.Exec()
-	execDur := time.Since(execStart)
+	timing.ExecuteMicros = time.Since(execStart).Microseconds()
 	if err != nil {
 		execSpan.Fail(err)
 		writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not execute: %v", err))
-		return
+		return answer{}, false
 	}
 	execSpan.SetAttr("cost", res.Cost)
 	execSpan.SetAttr("batches", res.Batches)
@@ -551,147 +683,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	execSpan.End()
 
+	if mem := s.memories[sess.Corpus]; mem != nil && s.judgedCorrect(sess, e, res) {
+		mem.Admit(e.DB, e.Question, ev.Text, sql, qmemory.Fingerprint(res.Rows))
+	}
 	source := api.SourceGenerated
 	if ev.CacheHit {
 		source = api.SourceCache
 	}
-
-	// A judged-correct generation becomes a memory pattern: the next
-	// paraphrase of this intent can skip the pipeline entirely.
-	if mem := s.memories[sess.Corpus]; mem != nil {
-		if out := s.judges[sess.Corpus].ScoreRows(sess.DB, e, res); out.Correct {
-			mem.Admit(e.DB, e.Question, ev.Text, sql, qmemory.Fingerprint(res.Rows))
-		}
-	}
-
-	resp := api.QueryResponse{
-		DB:               e.DB,
-		ExampleID:        e.ID,
-		Question:         e.Question,
-		Source:           source,
-		Evidence:         ev.Text,
-		EvidenceTrace:    ev.Trace,
-		EvidenceCacheHit: ev.CacheHit,
-		SQL:              sql,
-		Cost:             res.Cost,
-		Timing: api.QueryTiming{
-			MemoryMicros:   memDur.Microseconds(),
-			EvidenceMicros: evDur.Microseconds(),
-			GenerateMicros: genDur.Microseconds(),
-			PrepareMicros:  prepDur.Microseconds(),
-			ExecuteMicros:  execDur.Microseconds(),
-		},
-	}
-	writeQueryResponse(w, &resp, res.Rows, req.MaxRows)
+	return answer{
+		source:   source,
+		sql:      sql,
+		evidence: ev.Text,
+		trace:    ev.Trace,
+		cacheHit: ev.CacheHit,
+		res:      res,
+		timing:   timing,
+	}, true
 }
 
-// tryMemory looks the question up in the corpus's query memory and, on a
-// confident hit, serves the stored SQL with zero pipeline/LLM calls —
-// after verifying it: the SQL must still execute, its result fingerprint
-// must match the stored one, and the execution judge must score it
-// correct against the example's gold. A hit that fails verification
-// decays the pattern's confidence; the demotion reshuffles the ranking,
-// so the lookup is retried a bounded number of times before giving up —
-// a look-alike pattern outscoring the right one costs one cheap engine
-// execution, not a full pipeline run. The returned duration covers
-// lookup plus verification, for the fall-through response's timing.
-func (s *Server) tryMemory(w http.ResponseWriter, r *http.Request, sess *Session, e dataset.Example, req api.QueryRequest) (served bool, memDur time.Duration) {
-	mem := s.memories[sess.Corpus]
-	start := time.Now()
-	_, span := obs.StartSpan(r.Context(), "memory.lookup")
-	defer func() {
-		memDur = time.Since(start)
-		span.End()
-	}()
-
-	const maxVerifyAttempts = 3
-	var (
-		hit   qmemory.Hit
-		res   *sqlengine.Result
-		tried []string
-	)
-	verified := false
-	for attempt := 0; attempt < maxVerifyAttempts && !verified; attempt++ {
-		var ok bool
-		hit, ok = mem.Lookup(e.DB, e.Question, tried...)
-		if !ok {
-			break
-		}
-		tried = append(tried, hit.PatternID)
-
-		stmt, _, err := sess.DB.Engine.PrepareCached(hit.SQL)
-		if err != nil {
-			// A stored pattern that no longer parses is poison: demote it
-			// and rerank.
-			mem.Failure(hit.PatternID)
-			continue
-		}
-		res, err = stmt.Exec()
-		if err != nil {
-			mem.Failure(hit.PatternID)
-			continue
-		}
-		// Verification is the accuracy floor: the fingerprint pins the
-		// result the pattern was admitted with, and the judge pins
-		// execution accuracy against gold (gold results are cached per
-		// example, so steady-state verification costs one extra engine
-		// execution, not two).
-		if qmemory.Fingerprint(res.Rows) != hit.Fingerprint ||
-			!s.judges[sess.Corpus].ScoreRows(sess.DB, e, res).Correct {
-			// A pattern failing a question it previously answered
-			// (similarity 1 is the exact-phrasing fast path) is poison:
-			// demote it. A semantic look-alike failing a NEW question is a
-			// retrieval error, not pattern damage — skip it for this
-			// request and leave its confidence (and its own questions)
-			// alone.
-			if hit.Similarity >= 1 {
-				mem.Failure(hit.PatternID)
-			}
-			continue
-		}
-		verified = true
-	}
-	span.SetAttr("hit", len(tried) > 0)
-	span.SetAttr("attempts", len(tried))
-	span.SetAttr("verified", verified)
-	// match says which retrieval path answered: repeat traffic ("exact",
-	// a stored phrasing) or paraphrase traffic ("semantic").
-	match := "none"
-	if verified && hit.Similarity >= 1 {
-		match = "exact"
-	} else if verified {
-		match = "semantic"
-	}
-	span.SetAttr("match", match)
-	if !verified {
-		return false, 0
-	}
-	span.SetAttr("pattern", hit.PatternID)
-	span.SetAttr("confidence", hit.Confidence)
-	span.SetAttr("similarity", hit.Similarity)
-	// Lookup, verification and execution are one span here, so the engine's
-	// physical path rides on it.
-	span.SetAttr("path", res.Path)
-	mem.Success(hit.PatternID, e.Question)
-
-	if root := obs.CurrentSpan(r.Context()); root != nil {
-		root.SetAttr("sql", hit.SQL)
-	}
-	resp := api.QueryResponse{
-		DB:               e.DB,
-		ExampleID:        e.ID,
-		Question:         e.Question,
-		Source:           api.SourceMemory,
-		MemoryConfidence: hit.Confidence,
-		Evidence:         hit.Evidence,
-		SQL:              hit.SQL,
-		Cost:             res.Cost,
-	}
-	// On the memory path lookup, verification and execution are one fused
-	// phase; the whole end-to-end cost lands in MemoryMicros.
-	resp.Timing.MemoryMicros = time.Since(start).Microseconds()
-	writeQueryResponse(w, &resp, res.Rows, req.MaxRows)
-	return true, time.Since(start)
+// judgedCorrect scores res against the example's gold result with the
+// corpus's execution judge. It is the request path's only use of gold
+// (ROADMAP 5(a)): memory verification and memory admission both ask here.
+func (s *Server) judgedCorrect(sess *Session, e dataset.Example, res *sqlengine.Result) bool {
+	return s.judges[sess.Corpus].ScoreRows(sess.DB, e, res).Correct
 }
 
 func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
@@ -841,24 +855,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// PlanCacheSnapshot aggregates the SQL engines' prepared-plan cache
-// counters over one corpus's databases.
-type PlanCacheSnapshot struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-}
-
-// MetricsSnapshot is the /metrics response body.
+// MetricsSnapshot is an in-process snapshot of the server's counters;
+// GET /metrics exports them as Prometheus text.
 type MetricsSnapshot struct {
-	UptimeSeconds  float64                      `json:"uptime_seconds"`
-	Databases      int                          `json:"databases"`
-	SessionsLoaded int64                        `json:"sessions_loaded"`
-	Routes         map[string]RouteSnapshot     `json:"routes"`
-	Admission      AdmissionStats               `json:"admission"`
-	Evidence       map[string]EvidenceSnapshot  `json:"evidence"`
-	PlanCache      map[string]PlanCacheSnapshot `json:"plan_cache"`
+	Admission AdmissionStats              `json:"admission"`
+	Evidence  map[string]EvidenceSnapshot `json:"evidence"`
+	// PlanCache aggregates the SQL engines' prepared-plan cache counters
+	// over each corpus's databases.
+	PlanCache map[string]sqlengine.PlanCacheStats `json:"plan_cache"`
 	// Batcher is never filled. Kept for bench/ until ROADMAP 1(i).
 	Batcher map[string]BatcherStats `json:"-"`
 	// Store holds the per-corpus durable evidence store counters
@@ -887,16 +891,15 @@ type BatcherStats struct {
 	WindowFlushes   int64
 }
 
-// EvidenceSnapshot is the /metrics view of one corpus evidence service.
+// EvidenceSnapshot is the snapshot of one corpus evidence service.
 type EvidenceSnapshot struct {
-	Variant      string  `json:"variant"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	Entries      int     `json:"cache_entries"`
-	Dedups       int64   `json:"dedups"`
-	Generations  int64   `json:"generations"`
-	Failures     int64   `json:"failures"`
+	Variant     string `json:"variant"`
+	CacheHits   int64  `json:"cache_hits"`
+	CacheMisses int64  `json:"cache_misses"`
+	Entries     int    `json:"cache_entries"`
+	Dedups      int64  `json:"dedups"`
+	Generations int64  `json:"generations"`
+	Failures    int64  `json:"failures"`
 	// Restored counts cache entries replayed from the durable store at
 	// startup; StoreAppends/StoreErrors count write-through persistence
 	// outcomes. All zero when the server runs without a store.
@@ -914,16 +917,9 @@ type EvidenceSnapshot struct {
 // Metrics snapshots every counter the server exports.
 func (s *Server) Metrics() MetricsSnapshot {
 	snap := MetricsSnapshot{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Databases:      len(s.reg.DBNames()),
-		SessionsLoaded: s.reg.Loaded(),
-		Routes:         make(map[string]RouteSnapshot, len(s.routes)),
-		Admission:      s.adm.stats(),
-		Evidence:       make(map[string]EvidenceSnapshot, len(s.services)),
-		PlanCache:      make(map[string]PlanCacheSnapshot, len(s.corpora)),
-	}
-	for route, rm := range s.routes {
-		snap.Routes[route] = rm.snapshot()
+		Admission: s.adm.stats(),
+		Evidence:  make(map[string]EvidenceSnapshot, len(s.services)),
+		PlanCache: make(map[string]sqlengine.PlanCacheStats, len(s.corpora)),
 	}
 	for name, svc := range s.services {
 		st := svc.Stats()
@@ -940,9 +936,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 			StoreErrors:  st.StoreErrors,
 			Injected:     st.Injected,
 			Stages:       st.Stages,
-		}
-		if probes := st.Cache.Hits + st.Cache.Misses; probes > 0 {
-			es.CacheHitRate = float64(st.Cache.Hits) / float64(probes)
 		}
 		snap.Evidence[name] = es
 	}
@@ -972,28 +965,13 @@ func (s *Server) Metrics() MetricsSnapshot {
 	}
 	snap.Draining = s.draining.Load()
 	for name, corpus := range s.corpora {
-		var agg sqlengine.PlanCacheStats
-		for _, db := range corpus.DBs {
-			agg.Add(db.Engine.PlanCacheStats())
-		}
-		snap.PlanCache[name] = PlanCacheSnapshot{
-			Hits:      agg.Hits,
-			Misses:    agg.Misses,
-			Evictions: agg.Evictions,
-			Entries:   agg.Entries,
-		}
+		snap.PlanCache[name] = planCacheStats(corpus)
 	}
 	return snap
 }
 
-// handleMetrics serves Prometheus text exposition by default and the
-// legacy JSON snapshot at ?format=json (the shape the CI jq asserts and
-// pre-existing dashboards consume).
+// handleMetrics serves the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if isJSONFormat(r) {
-		writeJSON(w, http.StatusOK, s.Metrics())
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.obsReg.WritePrometheus(w)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -301,28 +302,42 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 }
 
 func TestMetricsSnapshot(t *testing.T) {
-	_, ts := newTestServer(t, nil)
+	srv, ts := newTestServer(t, nil)
 	e := testCorpus(t).Dev[0]
 	for i := 0; i < 3; i++ {
 		postJSON(t, ts.URL+"/v1/query", api.QueryRequest{DB: e.DB, Question: e.Question})
 	}
-	resp, err := http.Get(ts.URL + "/metrics?format=json")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 
-	q := snap.Routes["/v1/query"]
-	if q.Count != 3 {
-		t.Errorf("query route count = %d, want 3", q.Count)
+	// The route counters are read from the Prometheus text.
+	sample := func(series string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(string(prom), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s", series)
+		return 0
 	}
-	if q.P50Micros <= 0 || q.P99Micros < q.P50Micros {
-		t.Errorf("histogram quantiles look wrong: p50=%v p99=%v", q.P50Micros, q.P99Micros)
+	if n := sample(`server_requests_total{route="/v1/query"}`); n != 3 {
+		t.Errorf("query route count = %v, want 3", n)
 	}
+	p50 := sample(`server_request_latency_us{quantile="0.5",route="/v1/query"}`)
+	p99 := sample(`server_request_latency_us{quantile="0.99",route="/v1/query"}`)
+	if p50 <= 0 || p99 < p50 {
+		t.Errorf("histogram quantiles look wrong: p50=%v p99=%v", p50, p99)
+	}
+	snap := srv.Metrics()
 	ev := snap.Evidence["bird"]
 	if ev.Variant != string(seed.VariantGPT) {
 		t.Errorf("evidence variant = %q", ev.Variant)
@@ -613,9 +628,8 @@ func TestQueryExposesEvidenceTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsExposeStages: /metrics surfaces the per-stage latency
-// aggregation of the evidence generations, in the snapshot and in the
-// JSON body.
+// TestMetricsExposeStages: the metrics snapshot surfaces the per-stage
+// latency aggregation of the evidence generations.
 func TestMetricsExposeStages(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	exs := testCorpus(t).Dev
@@ -657,24 +671,6 @@ func TestMetricsExposeStages(t *testing.T) {
 	}
 	if !sawGenerate {
 		t.Errorf("stages missing generate: %+v", ev.Stages)
-	}
-
-	// The JSON body carries the same fields.
-	resp, err := http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	var evRaw map[string]EvidenceSnapshot
-	if err := json.Unmarshal(raw["evidence"], &evRaw); err != nil {
-		t.Fatal(err)
-	}
-	if len(evRaw["bird"].Stages) == 0 {
-		t.Error("/metrics JSON lost the stage aggregation")
 	}
 }
 
