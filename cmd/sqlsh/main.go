@@ -176,9 +176,10 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 			if cacheHit {
 				source = "plan cache hit"
 			}
-			// Physical execution: the morsels filters and probes ran in (none
-			// below the engine's batch threshold: the interpreter, serially)
-			// and for a SELECT the path its tail took (Result.Path).
+			// Physical execution: the input of its kernel filters and join
+			// probes, in 4,096-row morsels ("serial" when none ran: no
+			// filter, an unsafe WHERE, the naive reference), and for a
+			// SELECT the path its tail took (Result.Path).
 			mode := "serial"
 			if res.Batches > 0 {
 				mode = fmt.Sprintf("%d morsels", res.Batches)

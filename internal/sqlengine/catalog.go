@@ -125,11 +125,6 @@ type Database struct {
 
 	plans      *planCache
 	plannerOff bool
-
-	// Override of parallel.go's batch threshold; zero means the default.
-	// Nothing outside the package's tests sets it (export_test.go), so that
-	// small fixtures reach the kernels and morsels.
-	minVecRows int
 }
 
 // NewDatabase returns an empty database with the given name.

@@ -4,20 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestVectorizedPlannerMatrix is the engine's core equivalence guarantee:
 // the planned engine must produce byte-identical rows AND byte-identical
-// logical Cost against the naive reference for the full planner battery —
-// as it runs on tables this size in production, and with the kernels forced
-// onto them. SetBatchTuning(1) (export_test.go) makes the batch operators
-// engage even on the small fixtures, so every kernel in kernels.go is
-// exercised against the interpreter on the same queries. The parallel
-// config runs each query from 4 goroutines at once against the same
-// kernels-forced database: lazily built indexes and column vectors and the
-// plan cache under concurrent Exec.
+// logical Cost against the naive reference for the full planner battery, on
+// 60-row fixtures — the size of BIRD's tables. The kernels run at every
+// size, so every kernel in kernels.go is exercised against the interpreter
+// on the same queries. The parallel config runs each query from 4
+// goroutines at once against one shared database: lazily built indexes and
+// column vectors and the plan cache under concurrent Exec.
 func TestVectorizedPlannerMatrix(t *testing.T) {
 	// The tail queries run after the planner battery so its subtests keep
 	// their numbers.
@@ -26,26 +25,25 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 		naive := buildMultiDB(seed, 60)
 		naive.SetPlanner(false)
 
-		vectorized := buildMultiDB(seed, 60)
-		vectorized.SetBatchTuning(1)
+		shared := buildMultiDB(seed, 60)
 		configs := []struct {
 			name       string
 			db         *Database
 			goroutines int // > 1: run each query from this many at once
 		}{
-			// No hook set. At the default gates a 60-row fixture is below
-			// every batch threshold, so each pushed filter, residual and probe
-			// runs row-wise through the interpreter and hands its selection to
-			// the tail consumers: the path BIRD-sized tables take when served.
+			// The names are kept from when a 1,024-row gate kept the
+			// kernels off these fixtures unless a test hook forced them on.
+			// Now "row-wise" and "vectorized serial" run the same engine on
+			// two databases built alike, and "parallel" shares the serial
+			// one.
 			{"planned row-wise", buildMultiDB(seed, 60), 1},
-			{"planned vectorized serial", vectorized, 1},
-			{"planned vectorized parallel", vectorized, 4},
+			{"planned vectorized serial", shared, 1},
+			{"planned vectorized parallel", shared, 4},
 			{"unplanned with vec flags set", func() *Database {
-				// Planner off must ignore the hook entirely: identical to
-				// naive by construction, pinned here anyway.
+				// A second naive database: identical to the reference by
+				// construction, pinned here anyway.
 				db := buildMultiDB(seed, 60)
 				db.SetPlanner(false)
-				db.SetBatchTuning(1)
 				return db
 			}(), 1},
 		}
@@ -64,7 +62,7 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 }
 
 // engineQueries are the shapes that matter at scale: pushdown filter
-// kernels, hash-join probes over several morsels, LEFT JOIN null extension, grouped
+// kernels, hash-join probes over thousands of left rows, LEFT JOIN null extension, grouped
 // aggregation, gathered projection with ORDER BY/LIMIT. Subquery-free but
 // for one uncorrelated EXISTS (evaluated once), so the big-input cross-check
 // stays O(n).
@@ -116,9 +114,9 @@ var engineQueries = []string{
 	"SELECT f.id FROM f JOIN d ON f.grp = d.grp ORDER BY d.weight DESC, f.id",
 }
 
-// buildEngineDB bulk-loads a database big enough to cross the *default*
-// batch threshold — no tuning override, so the production engagement path
-// is what gets tested.
+// buildEngineDB bulk-loads a database of n rows in f (and five in d): large
+// enough for the at-scale cross-check and the benchmarks, small enough for
+// the allocation pins.
 func buildEngineDB(seed int64, n int) *Database {
 	rng := rand.New(rand.NewSource(seed))
 	db := NewDatabase("engine")
@@ -148,8 +146,9 @@ func buildEngineDB(seed int64, n int) *Database {
 }
 
 // TestEngineCrossValidationAtScale cross-checks the planned engine against
-// the naive executor on inputs large enough that morsel splitting and the
-// columnar scan kernels engage with production thresholds.
+// the naive executor on inputs of several morsels (Result.Batches' unit),
+// where the column vectors, the typed kernels and the positions tail carry
+// thousands of rows.
 func TestEngineCrossValidationAtScale(t *testing.T) {
 	n := 12000
 	if testing.Short() {
@@ -190,11 +189,8 @@ func TestResultReportsPhysicalExecution(t *testing.T) {
 // — which clause sent it to the interpreter's tail instead, and plain "rows"
 // for what never reaches a consumer: compound arms and the naive reference.
 func TestResultPath(t *testing.T) {
-	forced := buildMultiDB(1, 60)
-	forced.SetBatchTuning(1)
 	planned := buildMultiDB(1, 60)
 	naive := buildMultiDB(1, 60)
-	naive.SetBatchTuning(1)
 	naive.SetPlanner(false)
 	for _, tc := range []struct{ sql, want string }{
 		{"SELECT id FROM m ORDER BY a DESC, id LIMIT 5", "positions/topk"},
@@ -238,9 +234,9 @@ func TestResultPath(t *testing.T) {
 		{"SELECT a FROM m UNION SELECT b FROM m", "rows"},
 		{"INSERT INTO g VALUES ('q', 'Q', 1)", ""},
 	} {
-		// Nothing in front of the tail looks at a table's size: the paths are
-		// the same with the kernels forced onto the 60-row fixture and
-		// without, and the naive reference is rows whatever the statement.
+		// Nothing in front of the tail looks at a table's size: the 60-row
+		// fixture takes the paths a 100k-row table does, and the naive
+		// reference is rows whatever the statement.
 		naiveWant := ""
 		if tc.want != "" {
 			naiveWant = "rows"
@@ -249,7 +245,7 @@ func TestResultPath(t *testing.T) {
 			name string
 			db   *Database
 			want string
-		}{{"forced", forced, tc.want}, {"planned", planned, tc.want}, {"naive", naive, naiveWant}} {
+		}{{"planned", planned, tc.want}, {"naive", naive, naiveWant}} {
 			if got := m.db.MustExec(tc.sql).Path; got != m.want {
 				t.Errorf("%s %q: Path = %q, want %q", m.name, tc.sql, got, m.want)
 			}
@@ -282,39 +278,47 @@ func TestTopKAllocations(t *testing.T) {
 	}
 }
 
-// TestSubGateAllocations pins that nothing between a planned FROM and the
-// tail consumers looks at a table's size: below the batch threshold the
-// interpreter filters, but the selection it leaves is counted, summed, sorted
-// through the heap and gathered exactly as above it — a constant number of
-// allocations, not some per row. (Behind the old 1,024-row gate these
-// allocated 135, 878, 3,234 and 315 times at 800 rows.)
+// TestSubGateAllocations pins that nothing in a planned statement looks at a
+// table's size. At 60, 400 and 800 rows — BIRD's sizes, all below the
+// 1,024-row gate that once kept them off the kernels — every filter runs
+// through the kernels (Batches >= 1), and the selection it leaves is counted,
+// summed, sorted through the heap and gathered in a constant number of
+// allocations: the same at every size, and no more than the interpreter's
+// filter took here behind that gate (23, 26, 16 and 22).
 func TestSubGateAllocations(t *testing.T) {
-	queries := []string{
-		"SELECT COUNT(*) FROM f WHERE grp = 'a'",
-		"SELECT SUM(num) FROM f WHERE flag = 1",
-		"SELECT id FROM f ORDER BY num DESC, id LIMIT 8",
-		"SELECT id, num FROM f WHERE num > 90",
+	queries := []struct {
+		sql  string
+		most float64
+	}{
+		{"SELECT COUNT(*) FROM f WHERE grp = 'a'", 23},
+		{"SELECT SUM(num) FROM f WHERE flag = 1", 26},
+		{"SELECT id FROM f ORDER BY num DESC, id LIMIT 8", 16},
+		{"SELECT id, num FROM f WHERE num > 90", 22},
 	}
 	allocs := func(n int) []float64 {
 		db := buildEngineDB(5, n)
 		out := make([]float64, len(queries))
-		for i, sql := range queries {
-			st, err := db.Prepare(sql)
+		for i, q := range queries {
+			st, err := db.Prepare(q.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
+			filters := strings.Contains(q.sql, "WHERE")
 			out[i] = testing.AllocsPerRun(10, func() {
-				if res, err := st.Exec(); err != nil || len(res.Rows.Data) == 0 || res.Batches != 0 {
-					t.Fatalf("%q over %d rows: %d batches, err %v, want rows from below the batch threshold", sql, n, res.Batches, err)
+				if res, err := st.Exec(); err != nil || len(res.Rows.Data) == 0 || (res.Batches > 0) != filters {
+					t.Fatalf("%q over %d rows: %d batches, err %v, want rows, and batches iff it filters", q.sql, n, res.Batches, err)
 				}
 			})
 		}
 		return out
 	}
-	at400, at800 := allocs(400), allocs(800)
-	for i, sql := range queries {
-		if at800[i] != at400[i] || at800[i] > 40 {
-			t.Errorf("%q allocates %.0f times over 400 rows and %.0f over 800, want the same small number", sql, at400[i], at800[i])
+	at60 := allocs(60)
+	for _, n := range []int{400, 800} {
+		at := allocs(n)
+		for i, q := range queries {
+			if at[i] != at60[i] || at[i] > q.most {
+				t.Errorf("%q allocates %.0f times over 60 rows and %.0f over %d, want the same number, at most %.0f", q.sql, at60[i], at[i], n, q.most)
+			}
 		}
 	}
 }
@@ -344,9 +348,8 @@ func TestLimitWindowIsExact(t *testing.T) {
 
 // TestJoinCountAllocations pins what pairs are for: counting a join of 10k
 // probe rows builds no joined row, so it allocates for the key map, the
-// chains and the per-morsel pair lists — a constant number of times, not
-// once per joined row (the row-building join allocated over 6,000 times
-// here).
+// chains and the one pair list — a constant number of times, not once per
+// joined row (the row-building join allocated over 6,000 times here).
 func TestJoinCountAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
 	for _, sql := range []string{
@@ -371,7 +374,7 @@ func TestJoinCountAllocations(t *testing.T) {
 // TestFilterAllocations pins filterPositions' output: a filter every selected
 // row passes returns its input — here a 4k-position index bucket re-verified
 // whole — and a filter that thins it allocates the survivors once, at their
-// exact size, with nothing per morsel.
+// exact size.
 func TestFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
 	tab, _ := db.Table("f")
@@ -382,13 +385,13 @@ func TestFilterAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return compilePreds(&predSource{t: tab, cols: cols}, flattenAnd(sel.Where, nil))
+		return compilePreds(nil, predSource{t: tab, cols: cols}, flattenAnd(sel.Where, nil))
 	}
 	bucket := selection{rows: tab.Rows, pos: tab.eqLookup(3, string(coarseKey(nil, Int(1))))}
 	for _, tc := range []struct {
 		cond     string
 		in       selection
-		maxBytes int // beyond the bitmask and the per-morsel bookkeeping
+		maxBytes int // beyond the bitmask
 	}{
 		{"flag = 1", bucket, 0},
 		{"num >= 0", selection{rows: tab.Rows, all: true}, 0},
@@ -519,27 +522,31 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 // comparison read from the rows — and the two grouped shapes no consumer
 // takes, HAVING and an expression key, which the interpreter's tail groups.
 // Modes: the naive executor (to 100k only: its nested-loop join takes minutes
-// at 1M) and the planned engine (planned1). The 800-row size is below every
-// batch threshold: the interpreter filters and the consumers take the tail, as on
-// BIRD-sized tables. The statements come from engineQueries, which
+// at 1M) and the planned engine (planned1). Every size runs the same engine:
+// the 60-row level is a BIRD fixture table's size and the 800-row one a
+// larger dev table's, and at both the kernels filter and the probe runs in
+// one range, as at 100k. The statements come from engineQueries, which
 // TestEngineCrossValidationAtScale holds to identical rows and Cost: only
 // ns/op and allocations differ.
 func BenchmarkExecModes(b *testing.B) {
 	type query struct{ name, sql string }
-	small := []query{
-		{"filter", "SELECT id FROM f WHERE num > 50 AND flag = 1"},
-		{"topk", "SELECT id FROM f ORDER BY num DESC, id LIMIT 8"},
-		{"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"},
-	}
-	large := append([]query{
-		{"join", "SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp"},
-		{"join_int", "SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight"},
-		{"agg", "SELECT grp, COUNT(*), SUM(num), AVG(num), MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp"},
-		{"having", "SELECT grp, COUNT(*) FROM f GROUP BY grp HAVING COUNT(*) > 100 ORDER BY 2 DESC, 1"},
-		{"group_expr", "SELECT num % 10, COUNT(*), SUM(num) FROM f GROUP BY num % 10"},
-		{"order_all", "SELECT id FROM f ORDER BY num DESC, id"},
-		{"not_text", "SELECT SUM(flag) FROM f WHERE NOT (grp = 'a')"},
-	}, small...)
+	var (
+		filter  = query{"filter", "SELECT id FROM f WHERE num > 50 AND flag = 1"}
+		topk    = query{"topk", "SELECT id FROM f ORDER BY num DESC, id LIMIT 8"}
+		join    = query{"join", "SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp"}
+		notText = query{"not_text", "SELECT SUM(flag) FROM f WHERE NOT (grp = 'a')"}
+		tiny    = []query{filter, notText, join, topk}
+		small   = []query{filter, topk, {"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"}}
+		large   = append([]query{
+			join,
+			{"join_int", "SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight"},
+			{"agg", "SELECT grp, COUNT(*), SUM(num), AVG(num), MIN(num), MAX(num) FROM f GROUP BY grp ORDER BY grp"},
+			{"having", "SELECT grp, COUNT(*) FROM f GROUP BY grp HAVING COUNT(*) > 100 ORDER BY 2 DESC, 1"},
+			{"group_expr", "SELECT num % 10, COUNT(*), SUM(num) FROM f GROUP BY num % 10"},
+			{"order_all", "SELECT id FROM f ORDER BY num DESC, id"},
+			notText,
+		}, small...)
+	)
 	modes := []struct {
 		name    string
 		planner bool
@@ -552,7 +559,7 @@ func BenchmarkExecModes(b *testing.B) {
 		n       int
 		queries []query
 	}
-	sizes := []size{{"800", 800, small}, {"100k", 100_000, large}}
+	sizes := []size{{"60", 60, tiny}, {"800", 800, small}, {"100k", 100_000, large}}
 	if !testing.Short() {
 		sizes = append(sizes, size{"1000k", 1_000_000, large})
 	}

@@ -140,7 +140,7 @@ type execCtx struct {
 	db    *Database
 	cost  int64
 	plans map[*SelectStmt]*selectPlan
-	// Morsels processed (batchRun), the physical execution stat.
+	// Morsels processed (countBatches), the physical execution stat.
 	batches int64
 	// top is the statement's top-level SELECT and path the physical path
 	// it took (Result.Path); nested and compound-arm SELECTs leave it alone.
@@ -354,12 +354,12 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 	if err != nil {
 		return nil, err
 	}
-	// 2. WHERE thins the selection. A safe-total conjunction over a big
-	// enough input runs as a batch filter — the AND-tree passes iff every
-	// conjunct is true, and short-circuit differences are unobservable on
-	// pure total expressions; anything else runs through the interpreter,
+	// 2. WHERE thins the selection. A planned safe-total conjunction runs as
+	// a batch filter, whatever the input's size — the AND-tree passes iff
+	// every conjunct is true, and short-circuit differences are unobservable
+	// on pure total expressions; anything else runs through the interpreter,
 	// every row in order.
-	batch := pl != nil && pl.whereSafe && ec.useBatch(s.len())
+	batch := pl != nil && pl.whereSafe
 	var conj []Expr
 	switch {
 	case fp != nil:
@@ -377,7 +377,8 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 	switch {
 	case len(conj) == 0:
 	case batch:
-		s, err = ec.filterPositions(src.cols, s, compilePreds(&predSource{cols: src.cols, left: s.leftWidth()}, conj), outer)
+		ps := predSource{cols: src.cols, left: s.leftWidth()}
+		s, err = ec.filterPositions(src.cols, s, compilePreds(make([]rowPred, 0, 4), ps, conj), outer)
 	default:
 		s, err = ec.filterInterpreted(src.cols, s, conj, outer)
 	}

@@ -1,7 +1,5 @@
 package sqlengine
 
-import "slices"
-
 // Hash equi-join execution. The planner hands the executor the flattened
 // ON conjunction (joinAnalysis); this file resolves the equi conditions
 // against the actual input relations and, when at least one resolves
@@ -10,9 +8,8 @@ import "slices"
 // two-sided selection (parallel.go) — instead of joined rows: filters thin
 // the pair list, the tail consumers of positions.go read cells through it,
 // and only a consumer that needs rows (the interpreter's projection, a
-// further join) materialises them. For large probe inputs the
-// probe/emission phase runs in left-row morsels whose pair lists are
-// concatenated in morsel order.
+// further join) materialises them. The probe walks the whole left input in
+// one range, whatever its size, into one pair list.
 //
 // Equivalence with the nested loop is structural:
 //
@@ -24,9 +21,7 @@ import "slices"
 //     row.
 //   - Order: pairs are emitted in left-row-major order with right matches
 //     ascending — exactly the nested loop's emission order — regardless of
-//     which side the hash table is built on, and whether the probe runs in
-//     morsels (each morsel is a contiguous left-row range and the merge is
-//     in morsel order).
+//     which side the hash table is built on.
 //   - Cost: the caller (join) has already charged |L|·|R| logical pairs
 //     before this function runs, identical to the naive loop's total.
 //     Residual conjuncts are safe-total by the planner's gate, so probing
@@ -150,36 +145,6 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 	return buf, s
 }
 
-// probeMorsels drives the probe phase: probe(lo, hi, dst) processes left
-// rows lo..hi, appending the pairs they emit to dst. A large input is probed
-// a morsel at a time into one reused buffer, each morsel's pairs copied out
-// at their exact size and concatenated in morsel order; a small one is
-// probed as one range into one list.
-func (ec *execCtx) probeMorsels(nLeft int, probe func(lo, hi int, dst []pair) ([]pair, error)) ([]pair, error) {
-	if !ec.useBatch(nLeft) {
-		return probe(0, nLeft, make([]pair, 0, nLeft))
-	}
-	outs := make([][]pair, morselCount(nLeft))
-	var buf []pair
-	total := 0
-	err := ec.batchRun(len(outs), func(m int) error {
-		lo, hi := morselBounds(m, nLeft)
-		var err error
-		buf, err = probe(lo, hi, buf[:0])
-		outs[m] = slices.Clone(buf)
-		total += len(buf)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := make([]pair, 0, total)
-	for _, o := range outs {
-		res = append(res, o...)
-	}
-	return res, nil
-}
-
 // hashJoin executes the join with the given resolved conditions and returns
 // its output as a two-sided selection over the inputs' rows: (left, right)
 // position pairs in emission order, no joined row built. The logical |L|·|R|
@@ -232,59 +197,48 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 		buf = make([]Value, len(cols))
 		env = &evalEnv{ec: ec, sc: &scope{cols: cols, row: buf, parent: outer}}
 	}
-	match := func(lr, rr []Value) (bool, error) {
-		for i, lc := range lcols {
-			if !sqlEq(lr[lc], rr[rcols[i]]) {
-				return false, nil
-			}
-		}
-		if len(residual) > 0 {
-			copy(buf, lr)
-			copy(buf[nl:], rr)
-			for _, e := range residual {
-				v, err := env.eval(e)
-				if err != nil {
-					return false, err
-				}
-				if t, known := v.Truth(); !t || !known {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	}
-	probe := func(lo, hi int, dst []pair) ([]pair, error) {
-		for li := lo; li < hi; li++ {
-			lr := left.rows[li]
-			var slot int32
-			if leftSlot != nil {
-				slot = leftSlot[li]
-			} else {
-				keyBuf, slot = keys.slot(keyBuf, lr, lcols, false)
-			}
-			matched := false
-			if slot >= 0 {
-				for ri := head[slot]; ri >= 0; ri = next[ri] {
-					hit, err := match(lr, right.rows[ri])
-					if err != nil {
-						return dst, err
-					}
-					if hit {
-						matched = true
-						dst = append(dst, pair{l: int32(li), r: ri})
-					}
-				}
-			}
-			if jt == JoinLeft && !matched {
-				dst = append(dst, pair{l: int32(li), r: -1})
-			}
-		}
-		return dst, nil
-	}
 
-	pairs, err := ec.probeMorsels(len(left.rows), probe)
-	if err != nil {
-		return selection{}, err
+	// The probe: every left row in order, each following its slot's chain,
+	// into one pair list sized for one pair per left row.
+	ec.countBatches(len(left.rows))
+	pairs := make([]pair, 0, len(left.rows))
+	for li, lr := range left.rows {
+		var slot int32
+		if leftSlot != nil {
+			slot = leftSlot[li]
+		} else {
+			keyBuf, slot = keys.slot(keyBuf, lr, lcols, false)
+		}
+		matched := false
+		if slot >= 0 {
+		chain:
+			for ri := head[slot]; ri >= 0; ri = next[ri] {
+				rr := right.rows[ri]
+				for i, lc := range lcols {
+					if !sqlEq(lr[lc], rr[rcols[i]]) {
+						continue chain
+					}
+				}
+				if env != nil {
+					copy(buf, lr)
+					copy(buf[nl:], rr)
+					for _, e := range residual {
+						v, err := env.eval(e)
+						if err != nil {
+							return selection{}, err
+						}
+						if t, known := v.Truth(); !t || !known {
+							continue chain
+						}
+					}
+				}
+				matched = true
+				pairs = append(pairs, pair{l: int32(li), r: ri})
+			}
+		}
+		if jt == JoinLeft && !matched {
+			pairs = append(pairs, pair{l: int32(li), r: -1})
+		}
 	}
 	return selection{
 		rows:  left.rows,

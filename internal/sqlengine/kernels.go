@@ -6,9 +6,9 @@ import "strings"
 // for one safe-total WHERE/ON conjunct: instead of walking the expression
 // tree and resolving column names per row, the shapes the planner already
 // recognises (col <op> literal, BETWEEN, IN, LIKE, IS NULL, and NOT over
-// any of them) compile once into closures over a column vector (vector.go),
-// a row position or a selected row, and the filter loop in parallel.go
-// applies them a morsel at a time.
+// any of them) compile once into a closure over a column vector (vector.go)
+// or a test of one cell of the selected row, and the filter loop in
+// parallel.go applies them.
 //
 // Every kernel replicates the row interpreter's semantics exactly — the
 // same NULL propagation, the same harmonise text/numeric coercion, the
@@ -17,15 +17,19 @@ import "strings"
 // expression and is evaluated per row in the filter's own environment;
 // safe-total conjuncts cannot touch the execCtx (no subqueries, no cost
 // charges) and can only fail with row-independent resolution errors, which
-// is what makes both forms legal inside morsels.
+// is what makes both forms legal in a batch filter.
 
 // rowPred is one compiled conjunct. Exactly one evaluation form applies:
-// byIdx (kernel over a base-table scan position, reading a vector or the
-// table's rows), byRow (kernel over a selected row of an intermediate
-// relation, see selection.row), or expr (interpreter fallback).
+// byIdx (kernel over a full scan's position, reading a column vector); a
+// cell kernel over the cell at of the selected row (see selection.row) —
+// `cell <op> *lit` when mask is set, which needs no closure (lit is the
+// plan's own literal), else test; or expr (interpreter fallback).
 type rowPred struct {
 	byIdx func(i int) bool
-	byRow func(l, r []Value) bool
+	at    colAt
+	test  func(Value) bool
+	lit   *Value
+	mask  uint8
 	expr  Expr
 }
 
@@ -99,12 +103,11 @@ func flipOp(op string) string {
 	}
 }
 
-// predSource abstracts where a kernel reads its column cells from: a
-// base-table scan position (with an optional typed vector) or a selected
-// row of an intermediate relation.
+// predSource is what a kernel reads its cells from: the selected rows of a
+// relation whose columns are cols, and for a full scan of a base table (t
+// non-nil) that table's column vectors.
 type predSource struct {
-	t    *Table // non-nil: scan source, kernels may be position-based
-	vecs bool   // consult t's columnar shadow (table is large enough)
+	t    *Table // non-nil: a full scan of t, kernels may read its vectors
 	cols []scopeCol
 	left int // a join's output: the left input's width (selection.leftWidth)
 }
@@ -113,23 +116,23 @@ type predSource struct {
 // scope level. ok is false unless the reference resolves uniquely — an
 // ambiguous or absent reference must keep its expression form so the
 // interpreter raises exactly the naive error.
-func (ps *predSource) resolveLocal(cr *ColumnRef) (int, bool) {
+func (ps predSource) resolveLocal(cr *ColumnRef) (int, bool) {
 	idx, n := resolveCols(ps.cols, cr)
 	return idx, n == 1
 }
 
-// compilePreds compiles one rowPred per conjunct expression. Exprs must
-// all be safe-total (the caller's precondition for running them inside
-// morsels at all).
-func compilePreds(ps *predSource, exprs []Expr) []rowPred {
-	preds := make([]rowPred, len(exprs))
-	for i, e := range exprs {
-		preds[i] = compilePred(ps, e)
+// compilePreds appends one rowPred per conjunct expression to preds (a
+// caller's `make([]rowPred, 0, 4)` keeps a short conjunction on its stack).
+// Exprs must all be safe-total (the caller's precondition for running them
+// as a batch filter at all).
+func compilePreds(preds []rowPred, ps predSource, exprs []Expr) []rowPred {
+	for _, e := range exprs {
+		preds = append(preds, compilePred(ps, e))
 	}
 	return preds
 }
 
-func compilePred(ps *predSource, e Expr) rowPred {
+func compilePred(ps predSource, e Expr) rowPred {
 	if p := compileKernel(ps, e, false); p.usable() {
 		return p
 	}
@@ -145,14 +148,13 @@ func compilePred(ps *predSource, e Expr) rowPred {
 // resident for no gain a selective filter could repay. What a comparison
 // reads from rows — a negated column, an index bucket, a join's output —
 // still compares a TEXT or INTEGER cell against a literal of its own kind
-// without the general path (cmpKernel).
-func compileKernel(ps *predSource, e Expr, neg bool) rowPred {
+// without the general path (cmpCell).
+func compileKernel(ps predSource, e Expr, neg bool) rowPred {
 	switch x := e.(type) {
 	case *Unary:
 		if x.Op == "NOT" {
-			rows := *ps
-			rows.vecs = false
-			return compileKernel(&rows, x.X, !neg)
+			ps.t = nil
+			return compileKernel(ps, x.X, !neg)
 		}
 	case *Binary:
 		if opMask(x.Op) != 0 {
@@ -164,14 +166,14 @@ func compileKernel(ps *predSource, e Expr, neg bool) rowPred {
 			}
 			if cr, ok := x.L.(*ColumnRef); ok && cr.Name != "*" {
 				if lit, ok := x.R.(*Literal); ok {
-					if p := cmpKernel(ps, cr, lit.Val, maskFor(x.Op)); p.usable() {
+					if p := cmpKernel(ps, cr, &lit.Val, maskFor(x.Op)); p.usable() {
 						return p
 					}
 				}
 			}
 			if cr, ok := x.R.(*ColumnRef); ok && cr.Name != "*" {
 				if lit, ok := x.L.(*Literal); ok {
-					return cmpKernel(ps, cr, lit.Val, maskFor(flipOp(x.Op)))
+					return cmpKernel(ps, cr, &lit.Val, maskFor(flipOp(x.Op)))
 				}
 			}
 		}
@@ -209,73 +211,58 @@ func compileKernel(ps *predSource, e Expr, neg bool) rowPred {
 	return rowPred{}
 }
 
-func (p rowPred) usable() bool { return p.byIdx != nil || p.byRow != nil }
+func (p *rowPred) usable() bool { return p.byIdx != nil || p.test != nil || p.mask != 0 }
 
-// rowKernel is the row form of a kernel body: test applied to column col of
-// a selected row.
-func (ps *predSource) rowKernel(col int, test func(Value) bool) func(l, r []Value) bool {
-	c := splitCol(ps.left, col)
-	return func(l, r []Value) bool { return test(cell(l, r, c)) }
+// pass applies a cell kernel to the cell it reads.
+func (p *rowPred) pass(v Value) bool {
+	if p.mask != 0 {
+		return cmpCell(v, *p.lit, p.mask)
+	}
+	return p.test(v)
 }
 
-// idxKernel is the row-reading position form of a kernel body: test applied
-// to column col of the scanned table's row i. It serves what no typed vector
-// does — a negated column, an index bucket, a column of mixed kinds.
-func (ps *predSource) idxKernel(col int, test func(Value) bool) func(i int) bool {
-	rows := ps.t.Rows
-	return func(i int) bool { return test(rows[i][col]) }
+// cellKernel is the row-reading form of a kernel: test applied to column col
+// of the selected row. It serves what no typed vector does — a negated
+// column, an index bucket, a join's output, a column of mixed kinds.
+func (ps predSource) cellKernel(col int, test func(Value) bool) rowPred {
+	return rowPred{test: test, at: splitCol(ps.left, col)}
+}
+
+// vec returns the typed vector of column col for a full scan, or nil where
+// kernels read the rows.
+func (ps predSource) vec(col int) *colVec {
+	if ps.t == nil {
+		return nil
+	}
+	if v := ps.t.columnVec(col); v.typed {
+		return v
+	}
+	return nil
 }
 
 // cmpKernel compiles `col <op> lit` with the interpreter's exact
 // semantics: NULL on either side fails the filter, mixed numeric/text
-// operands harmonise, then Compare orders across kinds. Where cells are read
-// from rows, a TEXT cell against a TEXT literal and an INTEGER cell against
-// an INTEGER literal — where harmonise changes nothing — compare directly,
-// and every other cell takes that general path.
-func cmpKernel(ps *predSource, cr *ColumnRef, lit Value, mask uint8) rowPred {
+// operands harmonise, then Compare orders across kinds. A typed vector is
+// compared in its own kind; where cells are read from rows, cmpCell.
+func cmpKernel(ps predSource, cr *ColumnRef, lit *Value, mask uint8) rowPred {
 	col, ok := ps.resolveLocal(cr)
 	if !ok {
 		return rowPred{}
 	}
 	if lit.IsNull() {
-		return constPred(ps, false)
+		return ps.cellKernel(col, never)
 	}
-	generic := func(v Value) bool {
-		if v.IsNull() {
-			return false
-		}
-		a, b := harmonise(v, lit)
-		return mask&cmpMask3(Compare(a, b)) != 0
-	}
-	test := generic
-	switch lit.Kind {
-	case KindText:
-		ls := lit.S
-		test = func(v Value) bool {
-			if v.Kind == KindText {
-				return mask&cmpMask3(strings.Compare(v.S, ls)) != 0
-			}
-			return generic(v)
-		}
-	case KindInt:
-		li := lit.I
-		test = func(v Value) bool {
-			if v.Kind == KindInt {
-				return mask&cmpMaskInt(v.I, li) != 0
-			}
-			return generic(v)
+	if vec := ps.vec(col); vec != nil {
+		if f := cmpVecKernel(vec, *lit, mask); f != nil {
+			return rowPred{byIdx: f}
 		}
 	}
-	if ps.t == nil {
-		return rowPred{byRow: ps.rowKernel(col, test)}
-	}
-	if !ps.vecs {
-		return rowPred{byIdx: ps.idxKernel(col, test)}
-	}
-	vec := ps.t.columnVec(col)
-	if !vec.typed || vec.kind == KindNull {
-		return rowPred{byIdx: ps.idxKernel(col, test)}
-	}
+	return rowPred{at: splitCol(ps.left, col), lit: lit, mask: mask}
+}
+
+// cmpVecKernel is `col <op> lit` over a typed vector, or nil for an
+// all-NULL one.
+func cmpVecKernel(vec *colVec, lit Value, mask uint8) func(i int) bool {
 	litF, litNum := 0.0, false
 	switch lit.Kind {
 	case KindInt:
@@ -290,42 +277,42 @@ func cmpKernel(ps *predSource, cr *ColumnRef, lit Value, mask uint8) rowPred {
 		ints := vec.ints
 		if lit.Kind == KindInt {
 			li := lit.I
-			return rowPred{byIdx: func(i int) bool {
+			return func(i int) bool {
 				return !vec.null(i) && mask&cmpMaskInt(ints[i], li) != 0
-			}}
+			}
 		}
 		if litNum {
 			// Int column vs REAL literal, or vs numeric-looking text that
 			// harmonise coerces to REAL: numeric comparison as float.
-			return rowPred{byIdx: func(i int) bool {
+			return func(i int) bool {
 				return !vec.null(i) && mask&cmpMaskFloat(float64(ints[i]), litF) != 0
-			}}
+			}
 		}
 		// Numeric column vs non-numeric text: numbers order before text.
 		res := mask&1 != 0
-		return rowPred{byIdx: func(i int) bool { return !vec.null(i) && res }}
+		return func(i int) bool { return !vec.null(i) && res }
 	case KindFloat:
 		floats := vec.floats
 		if litNum {
-			return rowPred{byIdx: func(i int) bool {
+			return func(i int) bool {
 				return !vec.null(i) && mask&cmpMaskFloat(floats[i], litF) != 0
-			}}
+			}
 		}
 		res := mask&1 != 0
-		return rowPred{byIdx: func(i int) bool { return !vec.null(i) && res }}
+		return func(i int) bool { return !vec.null(i) && res }
 	case KindText:
 		strs := vec.strs
 		if lit.Kind == KindText {
 			// Text vs text: no harmonise coercion, byte-wise Compare.
 			ls := lit.S
-			return rowPred{byIdx: func(i int) bool {
+			return func(i int) bool {
 				return !vec.null(i) && mask&cmpMask3(strings.Compare(strs[i], ls)) != 0
-			}}
+			}
 		}
 		// Text column vs numeric literal: numeric-looking cells harmonise
 		// to REAL and compare numerically; the rest order after numbers.
 		textRes := mask&4 != 0
-		return rowPred{byIdx: func(i int) bool {
+		return func(i int) bool {
 			if vec.null(i) {
 				return false
 			}
@@ -333,39 +320,65 @@ func cmpKernel(ps *predSource, cr *ColumnRef, lit Value, mask uint8) rowPred {
 				return mask&cmpMaskFloat(f, litF) != 0
 			}
 			return textRes
-		}}
+		}
 	}
-	return rowPred{byIdx: ps.idxKernel(col, generic)}
+	return nil
 }
 
-func isNullKernel(ps *predSource, cr *ColumnRef, not bool) rowPred {
+// cmpCell is `cell <op> lit` for a cell read from a row (every comparison
+// mask is non-zero). A TEXT cell against a TEXT literal and an INTEGER cell
+// against an INTEGER literal — where harmonise changes nothing — compare
+// directly; NULL fails, and every other cell harmonises and Compares.
+func cmpCell(v, lit Value, mask uint8) bool {
+	switch {
+	case v.Kind == KindText && lit.Kind == KindText:
+		return mask&cmpMask3(strings.Compare(v.S, lit.S)) != 0
+	case v.Kind == KindInt && lit.Kind == KindInt:
+		return mask&cmpMaskInt(v.I, lit.I) != 0
+	case v.IsNull():
+		return false
+	}
+	a, b := harmonise(v, lit)
+	return mask&cmpMask3(Compare(a, b)) != 0
+}
+
+func isNullKernel(ps predSource, cr *ColumnRef, not bool) rowPred {
 	col, ok := ps.resolveLocal(cr)
 	if !ok {
 		return rowPred{}
 	}
-	if ps.t == nil {
-		return rowPred{byRow: ps.rowKernel(col, func(v Value) bool { return v.IsNull() != not })}
+	// Only typed vectors carry an authoritative null bitmap.
+	if vec := ps.vec(col); vec != nil {
+		return rowPred{byIdx: func(i int) bool { return vec.null(i) != not }}
 	}
-	if ps.vecs {
-		vec := ps.t.columnVec(col)
-		if vec.typed {
-			// Only typed vectors carry an authoritative null bitmap.
-			return rowPred{byIdx: func(i int) bool { return vec.null(i) != not }}
-		}
+	if not {
+		return ps.cellKernel(col, isNotNull)
 	}
-	return rowPred{byIdx: ps.idxKernel(col, func(v Value) bool { return v.IsNull() != not })}
+	return ps.cellKernel(col, Value.IsNull)
 }
 
-func betweenKernel(ps *predSource, cr *ColumnRef, lo, hi Value, not bool) rowPred {
+func isNotNull(v Value) bool { return !v.IsNull() }
+
+func betweenKernel(ps predSource, cr *ColumnRef, lo, hi Value, not bool) rowPred {
 	col, ok := ps.resolveLocal(cr)
 	if !ok {
 		return rowPred{}
 	}
 	if lo.IsNull() || hi.IsNull() {
 		// Any NULL bound makes the BETWEEN NULL for every row: never true.
-		return constPred(ps, false)
+		return ps.cellKernel(col, never)
 	}
-	generic := func(v Value) bool {
+	if vec := ps.vec(col); vec != nil && vec.kind == KindInt && lo.Kind == KindInt && hi.Kind == KindInt {
+		ints, li, hv := vec.ints, lo.I, hi.I
+		return rowPred{byIdx: func(i int) bool {
+			if vec.null(i) {
+				return false
+			}
+			x := ints[i]
+			return (x >= li && x <= hv) != not
+		}}
+	}
+	return ps.cellKernel(col, func(v Value) bool {
 		if v.IsNull() {
 			return false
 		}
@@ -373,33 +386,16 @@ func betweenKernel(ps *predSource, cr *ColumnRef, lo, hi Value, not bool) rowPre
 		a2, b2 := harmonise(v, hi)
 		in := Compare(a1, b1) >= 0 && Compare(a2, b2) <= 0
 		return in != not
-	}
-	if ps.t == nil {
-		return rowPred{byRow: ps.rowKernel(col, generic)}
-	}
-	if ps.vecs {
-		vec := ps.t.columnVec(col)
-		if vec.typed && vec.kind == KindInt && lo.Kind == KindInt && hi.Kind == KindInt {
-			ints, li, hv := vec.ints, lo.I, hi.I
-			return rowPred{byIdx: func(i int) bool {
-				if vec.null(i) {
-					return false
-				}
-				x := ints[i]
-				return (x >= li && x <= hv) != not
-			}}
-		}
-	}
-	return rowPred{byIdx: ps.idxKernel(col, generic)}
+	})
 }
 
-func inKernel(ps *predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
+func inKernel(ps predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
 	col, ok := ps.resolveLocal(cr)
 	if !ok {
 		return rowPred{}
 	}
 	sawNull := false
-	cands := make([]Value, 0, len(lits))
+	cands := lits[:0]
 	for _, c := range lits {
 		if c.IsNull() {
 			sawNull = true
@@ -407,7 +403,7 @@ func inKernel(ps *predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
 		}
 		cands = append(cands, c)
 	}
-	generic := func(v Value) bool {
+	return ps.cellKernel(col, func(v Value) bool {
 		if v.IsNull() {
 			return false // NULL IN (...) is NULL: filtered out
 		}
@@ -421,47 +417,32 @@ func inKernel(ps *predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
 			return false // unknown: filtered out
 		}
 		return not
-	}
-	if ps.t == nil {
-		return rowPred{byRow: ps.rowKernel(col, generic)}
-	}
-	return rowPred{byIdx: ps.idxKernel(col, generic)}
+	})
 }
 
-func likeKernel(ps *predSource, cr *ColumnRef, pattern Value, not bool) rowPred {
+func likeKernel(ps predSource, cr *ColumnRef, pattern Value, not bool) rowPred {
 	col, ok := ps.resolveLocal(cr)
 	if !ok {
 		return rowPred{}
 	}
 	if pattern.IsNull() {
-		return constPred(ps, false)
+		return ps.cellKernel(col, never)
 	}
 	p := strings.ToLower(pattern.AsText())
-	generic := func(v Value) bool {
+	if vec := ps.vec(col); vec != nil && vec.kind == KindText {
+		strs := vec.strs
+		return rowPred{byIdx: func(i int) bool {
+			return !vec.null(i) && likeRec(p, strings.ToLower(strs[i])) != not
+		}}
+	}
+	return ps.cellKernel(col, func(v Value) bool {
 		if v.IsNull() {
 			return false
 		}
 		return likeRec(p, strings.ToLower(v.AsText())) != not
-	}
-	if ps.t == nil {
-		return rowPred{byRow: ps.rowKernel(col, generic)}
-	}
-	if ps.vecs {
-		vec := ps.t.columnVec(col)
-		if vec.typed && vec.kind == KindText {
-			strs := vec.strs
-			return rowPred{byIdx: func(i int) bool {
-				return !vec.null(i) && likeRec(p, strings.ToLower(strs[i])) != not
-			}}
-		}
-	}
-	return rowPred{byIdx: ps.idxKernel(col, generic)}
+	})
 }
 
-// constPred is a kernel with a row-independent verdict (e.g. `col = NULL`).
-func constPred(ps *predSource, res bool) rowPred {
-	if ps.t == nil {
-		return rowPred{byRow: func(l, r []Value) bool { return res }}
-	}
-	return rowPred{byIdx: func(int) bool { return res }}
-}
+// never is the test of a kernel with a row-independent false verdict (e.g.
+// `col = NULL`).
+func never(Value) bool { return false }

@@ -9,9 +9,9 @@ import (
 // over the three-valued truth table: every kind of cell (NULL, INTEGER,
 // REAL, numeric-looking and plain TEXT) against every kind of literal, NULL
 // included, under every comparison in both orientations and under the
-// shapes that carry their own negation. Each predicate is compiled for an
-// intermediate row, for a base-table position and for a base-table position
-// with vectors allowed — which a negation must not take up: it builds none.
+// shapes that carry their own negation. Each predicate is compiled for a
+// selected row (an index bucket, an intermediate relation) and for a full
+// scan, whose column vectors a negation must not take up: it builds none.
 func TestNegationKernelTruthTable(t *testing.T) {
 	db := NewDatabase("neg")
 	db.MustExec("CREATE TABLE n (c INTEGER, d INTEGER)")
@@ -44,10 +44,9 @@ func TestNegationKernelTruthTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", cond, err)
 		}
-		sources := map[string]*predSource{
-			"row":              {cols: cols},
-			"position":         {t: tab, cols: cols},
-			"position+vectors": {t: tab, vecs: true, cols: cols},
+		sources := map[string]predSource{
+			"row":       {cols: cols},
+			"full scan": {t: tab, cols: cols},
 		}
 		for name, ps := range sources {
 			p := compilePred(ps, sel.Where)
@@ -67,7 +66,7 @@ func TestNegationKernelTruthTable(t *testing.T) {
 				if p.byIdx != nil {
 					got = p.byIdx(pos)
 				} else {
-					got = p.byRow(row, nil)
+					got = p.pass(cell(row, nil, p.at))
 				}
 				if got != want {
 					t.Errorf("NOT (%s) on cell %v over a %s source: kernel %v, interpreter %v (value %v)", cond, row[0], name, got, want, v)
@@ -85,7 +84,7 @@ func TestNegationKernelTruthTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := compilePred(&predSource{t: tab, cols: cols}, sel.Where); p.usable() || p.expr != sel.Where {
+		if p := compilePred(predSource{t: tab, cols: cols}, sel.Where); p.usable() || p.expr != sel.Where {
 			t.Errorf("%s compiled to a kernel, want its expression kept", cond)
 		}
 	}

@@ -5,75 +5,35 @@ import (
 	"sync/atomic"
 )
 
-// Morsel-driven batch execution. Batch operators (scan filters, WHERE
-// residual filters, hash-join probes) split their input into fixed-size
-// morsels and run them in order on the statement's own goroutine, writing
-// results into per-morsel slots (a filter: into the morsel's own words of
-// one bitmask) that are then concatenated in morsel order — the same rows,
-// in the same order, as the serial interpreter loop.
+// Batch execution. A planned filter runs compiled kernels (kernels.go) over
+// its whole input in one pass, marking survivors in one bitmask, and a hash
+// join probes its whole left input in one range (hashjoin.go); both run on
+// the statement's own goroutine, whatever the size of the input, and emit
+// the same rows in the same order as the interpreter's loop.
 //
-// Only safe-total expressions (planner.go) ever run inside a morsel:
-// they cannot execute subqueries (the one path by which evaluation charges
-// Cost or fills the execCtx memo) and cannot fail except for row-independent
-// column resolution errors, so a kernel may stand in for the interpreter and
-// the logical Cost — charged before the operator runs — is untouched.
+// Only safe-total expressions (planner.go) ever run as a kernel or a probe's
+// residual: they cannot execute subqueries (the one path by which evaluation
+// charges Cost or fills the execCtx memo) and cannot fail except for
+// row-independent column resolution errors, so a kernel may stand in for the
+// interpreter and the logical Cost — charged before the operator runs — is
+// untouched.
 
-const (
-	// morselRows is the number of input rows per morsel: a whole number of
-	// bitmask words, so a filter writes each word of its mask once.
-	morselRows = 4096
-	// defMinBatchRows is the smallest operator input a filter or a join
-	// probe runs in morsels over, through kernels and column vectors; below
-	// it the plain serial interpreter loop wins.
-	defMinBatchRows = 1024
-)
+// morselRows is the unit the batch operators' input is counted in
+// (Result.Batches): a filter or a probe over n rows processes
+// ceil(n/morselRows) morsels.
+const morselRows = 4096
 
 // engineBatchesTotal counts the morsels processed by batch operators,
 // engine-wide; exported to the metrics registry by RegisterEngineExecMetrics
 // (obs.go).
 var engineBatchesTotal atomic.Int64
 
-func morselCount(nRows int) int {
-	return (nRows + morselRows - 1) / morselRows
-}
-
-// morselBounds returns the [lo, hi) input range of morsel m.
-func morselBounds(m, nRows int) (lo, hi int) {
-	lo = m * morselRows
-	hi = lo + morselRows
-	if hi > nRows {
-		hi = nRows
-	}
-	return lo, hi
-}
-
-// minBatchRows resolves the per-database batch threshold.
-func (ec *execCtx) minBatchRows() int {
-	if ec.db.minVecRows > 0 {
-		return ec.db.minVecRows
-	}
-	return defMinBatchRows
-}
-
-// useBatch reports whether a batch operator should engage for an input of
-// nRows rows. Only planned execution asks: pushed conjuncts, a safe WHERE
-// and the hash join all come from a plan.
-func (ec *execCtx) useBatch(nRows int) bool {
-	return nRows >= ec.minBatchRows()
-}
-
-// batchRun runs fn on morsels 0..nUnits-1, in order, on the calling
-// goroutine, stopping at the first error, and counts the morsels per
-// statement (Result.Batches) and engine-wide.
-func (ec *execCtx) batchRun(nUnits int, fn func(m int) error) error {
-	ec.batches += int64(nUnits)
-	engineBatchesTotal.Add(int64(nUnits))
-	for m := range nUnits {
-		if err := fn(m); err != nil {
-			return err
-		}
-	}
-	return nil
+// countBatches counts a batch operator's input of nRows rows, in morsels,
+// per statement (Result.Batches) and engine-wide.
+func (ec *execCtx) countBatches(nRows int) {
+	n := int64((nRows + morselRows - 1) / morselRows)
+	ec.batches += n
+	engineBatchesTotal.Add(n)
 }
 
 // selection is a set of rows of one relation, held as ascending positions
@@ -274,73 +234,60 @@ func (s selection) keep(mask []uint64, n int) selection {
 	return out
 }
 
-// filterPositions applies compiled predicates to the selected rows, a
-// morsel at a time, and returns the selection of the survivors, in input
-// order. Index-form kernels (byIdx) require in to be a selection of the
-// base table the predicates were compiled against; expression fallbacks
-// evaluate in one environment (and, over a join's output, one pair buffer)
-// built on first use. Survivors are marked in a bitmask and the output is
-// allocated once, at its exact size, or not at all when everything passes.
+// filterPositions applies compiled predicates to the selected rows and
+// returns the selection of the survivors, in input order. Index-form kernels
+// (byIdx) require in to be a selection of the base table the predicates were
+// compiled against; expression fallbacks evaluate in one environment (and,
+// over a join's output, one pair buffer) built on first use. Survivors are
+// marked in a bitmask and the output is allocated once, at its exact size, or
+// not at all when everything passes.
 func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPred, outer *scope) (selection, error) {
 	n := in.len()
+	ec.countBatches(n)
 	mask := make([]uint64, (n+63)/64)
 	total := 0
 	var env *evalEnv
 	var buf []Value
-	err := ec.batchRun(morselCount(n), func(m int) error {
-		// A morsel starts on a word boundary: its survivors are gathered a
-		// word at a time and each word is written once.
-		lo, hi := morselBounds(m, n)
-		for base := lo; base < hi; base += 64 {
-			var word uint64
-			for i := base; i < min(base+64, hi); i++ {
-				pass := true
-				for _, p := range preds {
-					var ok bool
-					switch {
-					case p.byIdx != nil:
-						ok = p.byIdx(in.at(i))
-					case p.byRow != nil:
-						ok = p.byRow(in.row(i))
-					default:
-						if env == nil {
-							env = &evalEnv{ec: ec, sc: &scope{cols: cols, parent: outer}}
-							if in.right != nil {
-								buf = make([]Value, len(cols))
-							}
-						}
-						l, r := in.row(i)
-						env.sc.row = scopeRow(l, r, buf)
-						v, err := env.eval(p.expr)
-						if err != nil {
-							return err
-						}
-						t, known := v.Truth()
-						ok = t && known
-					}
-					if !ok {
-						pass = false
-						break
+rows:
+	for i := 0; i < n; i++ {
+		for k := range preds {
+			p := &preds[k]
+			var ok bool
+			switch {
+			case p.byIdx != nil:
+				ok = p.byIdx(in.at(i))
+			case p.expr == nil:
+				l, r := in.row(i)
+				ok = p.pass(cell(l, r, p.at))
+			default:
+				if env == nil {
+					env = &evalEnv{ec: ec, sc: &scope{cols: cols, parent: outer}}
+					if in.right != nil {
+						buf = make([]Value, len(cols))
 					}
 				}
-				if pass {
-					word |= 1 << (i - base)
+				l, r := in.row(i)
+				env.sc.row = scopeRow(l, r, buf)
+				v, err := env.eval(p.expr)
+				if err != nil {
+					return selection{}, err
 				}
+				t, known := v.Truth()
+				ok = t && known
 			}
-			mask[base/64] = word
-			total += bits.OnesCount64(word)
+			if !ok {
+				continue rows
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		return selection{}, err
+		mask[i/64] |= 1 << (i % 64)
+		total++
 	}
 	return in.keep(mask, total), nil
 }
 
-// filterInterpreted is the serial, in-order filter for what may not run
-// inside morsels (an unsafe WHERE: subqueries charge Cost and fill the memo)
-// or is too small to: every selected row is visited in order and passes iff
+// filterInterpreted is the in-order filter for what may not run as kernels —
+// an unsafe WHERE, whose subqueries charge Cost and fill the memo — and the
+// naive reference's: every selected row is visited in order and passes iff
 // every expression is true on it, evaluation stopping at the first that is
 // not. A join's output is evaluated in one reused pair buffer.
 func (ec *execCtx) filterInterpreted(cols []scopeCol, in selection, exprs []Expr, outer *scope) (selection, error) {

@@ -104,18 +104,12 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, oute
 // the column's equality-index bucket (already a selection, ascending, so
 // emission order is a full scan's), and every pushed conjunct — the indexed
 // equality included, re-verified with real `=` semantics — then filters what
-// is left. A table big enough for batch operators filters through kernels,
-// over the column vectors for a full scan and over the rows themselves for a
-// bucket, which is small and not worth a vector; a smaller one through the
-// interpreter.
+// is left, through kernels: over the column vectors for a full scan, and over
+// the rows themselves for a bucket, which is small and not worth a vector.
 func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, outer *scope) (selection, error) {
 	s := selection{rows: t.Rows, all: true}
 	if len(pushed) == 0 {
 		return s, nil
-	}
-	exprs := make([]Expr, len(pushed))
-	for i, c := range pushed {
-		exprs[i] = c.expr
 	}
 	for _, c := range pushed {
 		if c.eqLit == nil {
@@ -134,11 +128,15 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, o
 		}
 		break
 	}
-	if !ec.useBatch(len(t.Rows)) {
-		return ec.filterInterpreted(cols, s, exprs, outer)
+	ps := predSource{cols: cols}
+	if s.all {
+		ps.t = t
 	}
-	ps := &predSource{t: t, vecs: s.all, cols: cols}
-	return ec.filterPositions(cols, s, compilePreds(ps, exprs), outer)
+	preds := make([]rowPred, 0, 4)
+	for _, c := range pushed {
+		preds = append(preds, compilePred(ps, c.expr))
+	}
+	return ec.filterPositions(cols, s, preds, outer)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---

@@ -97,42 +97,35 @@ func selectAround(p *picker, n tailCols, from string) string {
 	return "SELECT " + p.of("", "", "DISTINCT ") + list + from + order + tail()
 }
 
-// checkTailCase runs the generated query in every configuration of the
-// planned engine against the naive executor.
+// checkTailCase runs the generated query in the planned engine against the
+// naive executor.
 func checkTailCase(t *testing.T, data []byte) {
 	t.Helper()
 	setup, query := tailCase(&picker{data: data})
-	checkEveryMode(t, setup, query)
+	checkAgainstNaive(t, setup, query)
 }
 
-// checkEveryMode builds one database per configuration of the planned engine
-// from the set-up statements and runs query in each against the naive
-// executor: same error-ness, rows and logical Cost. The first is the engine
-// as it runs on tables this small (interpreted filters, the tail consumers);
-// the other forces the batch gate open (export_test.go) so the kernels and
-// morsels run on them too.
-func checkEveryMode(t *testing.T, setup []string, query string) {
+// checkAgainstNaive builds the planned engine's database and the naive
+// executor's from the set-up statements and runs query in both: same
+// error-ness, rows and logical Cost. The planned engine runs its kernels and
+// tail consumers on these small tables as on any other.
+func checkAgainstNaive(t *testing.T, setup []string, query string) {
 	t.Helper()
-	build := func(configure func(*Database)) *Database {
+	build := func() *Database {
 		db := NewDatabase("generated")
 		for _, st := range setup {
 			db.MustExec(st)
 		}
-		configure(db)
 		return db
 	}
-	naive := build(func(db *Database) { db.SetPlanner(false) })
-	for _, configure := range []func(*Database){
-		func(db *Database) {},
-		func(db *Database) { db.SetBatchTuning(1) },
-	} {
-		crossCheck(t, build(configure), naive, query)
-	}
+	naive := build()
+	naive.SetPlanner(false)
+	crossCheck(t, build(), naive, query)
 }
 
 // Property: whatever the table holds and whatever tail the query has, the
-// planned engine — unforced and on kernels — returns the naive
-// executor's rows, in its order, at its Cost.
+// planned engine returns the naive executor's rows, in its order, at its
+// Cost.
 func TestTailEquivalenceProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		checkTailCase(t, data)
@@ -144,8 +137,8 @@ func TestTailEquivalenceProperty(t *testing.T) {
 }
 
 // FuzzSelectTail is the differential fuzz target for the tail: fuzzer bytes
-// choose the table contents and the query (tailCase), and every configuration
-// of the planned engine must agree with the naive executor without panicking.
+// choose the table contents and the query (tailCase), and the planned engine
+// must agree with the naive executor without panicking.
 func FuzzSelectTail(f *testing.F) {
 	// LIMIT MaxInt64 OFFSET 1 — offset+limit used to wrap negative and
 	// panic — over three rows, without and with ORDER BY: row count, nine
