@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,40 @@ func TestBIRDDeterministic(t *testing.T) {
 			t.Fatalf("example %d differs between equal-seed builds", i)
 		}
 	}
+}
+
+// TestBIRDBuildCachesOnlyReads pins that the construction statements
+// (thousands of CREATEs and INSERTs, each run once) stay out of the
+// engines' plan caches: only the reads construction runs are kept.
+func TestBIRDBuildCachesOnlyReads(t *testing.T) {
+	c := BuildBIRD(BIRDOptions{Seed: 7})
+	var st sqlengine.PlanCacheStats
+	for _, db := range c.DBs {
+		st.Add(db.Engine.PlanCacheStats())
+	}
+	if st.Entries >= 1000 {
+		t.Errorf("plan-cache entries over the %d databases after BuildBIRD = %d, want < 1000", len(c.DBs), st.Entries)
+	}
+}
+
+// BenchmarkBuildBIRD times corpus construction and reports the heap a
+// built corpus retains once construction's garbage is collected
+// (retained_MiB): the set-up share of a serving process's heap.
+func BenchmarkBuildBIRD(b *testing.B) {
+	b.ReportAllocs()
+	var retained uint64
+	var ms runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		c := BuildBIRD(BIRDOptions{Seed: 7})
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		retained += ms.HeapAlloc - before
+		runtime.KeepAlive(c)
+	}
+	b.ReportMetric(float64(retained)/float64(b.N)/(1<<20), "retained_MiB")
 }
 
 func TestWrongFragsChangeResults(t *testing.T) {

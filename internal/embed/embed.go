@@ -4,22 +4,64 @@
 // and character trigrams, L2-normalised; cosine similarity between such
 // vectors ranks lexically and thematically related questions highly, which
 // is the only property SEED's similarity-based selection needs.
+//
+// A vector is kept one way, as its non-zero cells: the Model's memo holds
+// one Vector per text it has embedded, and a Pool packs a fixed set.
 package embed
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/textutil"
 )
 
 // Dim is the embedding dimensionality. 256 keeps hash collisions rare for
-// question-sized inputs while staying cheap to compare.
+// question-sized inputs while staying cheap to compare, and lets a uint8
+// index any cell.
 const Dim = 256
 
-// Vector is a fixed-size dense embedding.
-type Vector [Dim]float32
+// Vector is an embedding stored as its non-zero cells in ascending index
+// order (cell idx[k] holds val[k]): a BIRD question sets 43 / 58 / 81 of
+// the Dim cells at p10 / p50 / p90. It shares its arrays with the memo or
+// Pool it came from, so callers must not modify it.
+type Vector struct {
+	idx []uint8
+	val []float32
+}
+
+// Dense scatters v into all Dim cells: the form a query takes while it is
+// scored against stored vectors with Dot.
+func (v Vector) Dense() [Dim]float32 {
+	var d [Dim]float32
+	for k, i := range v.idx {
+		d[i] = v.val[k]
+	}
+	return d
+}
+
+// Dot is the cosine similarity of v and the scattered unit vector q, summed
+// over v's non-zeros in index order. That is bit for bit the dense sum over
+// all Dim cells: each float32×float32 product is exact in float64, and a
+// skipped term is ±0, which no running sum from +0 changes (+0 + −0 = +0).
+func (v Vector) Dot(q *[Dim]float32) float64 {
+	val := v.val[:len(v.idx)]
+	var dot float64
+	for k, i := range v.idx {
+		dot += float64(q[i]) * float64(val[k])
+	}
+	return dot
+}
+
+// Cosine returns the cosine similarity of two vectors in [-1, 1]. Vectors
+// from Embed are unit length, so this is their dot product.
+func Cosine(a, b Vector) float64 {
+	q := a.Dense()
+	return b.Dot(&q)
+}
 
 // Model converts text to vectors. The zero Model is ready to use; it exists
 // as a type (rather than free functions) so pipelines can hold it where the
@@ -64,9 +106,32 @@ func (m *Model) Embed(text string) Vector {
 	return v
 }
 
-// embedText is the uncached embedding computation.
+// embedText is the uncached embedding computation, in exact-size arrays.
 func embedText(text string) Vector {
-	var v Vector
+	d := embedDense(text)
+	n := 0
+	for _, x := range d {
+		if x != 0 {
+			n++
+		}
+	}
+	return appendNonZero(Vector{make([]uint8, 0, n), make([]float32, 0, n)}, &d)
+}
+
+// appendNonZero appends d's non-zero cells to v's arrays, in index order.
+func appendNonZero(v Vector, d *[Dim]float32) Vector {
+	for i, x := range d {
+		if x != 0 {
+			v.idx = append(v.idx, uint8(i))
+			v.val = append(v.val, x)
+		}
+	}
+	return v
+}
+
+// embedDense computes the embedding in all Dim cells.
+func embedDense(text string) [Dim]float32 {
+	var v [Dim]float32
 	words := textutil.Tokenize(text)
 	for _, w := range words {
 		addFeature(&v, "w:"+textutil.Stem(w), 1.0)
@@ -85,7 +150,7 @@ func embedText(text string) Vector {
 
 // addFeature hashes a feature into two buckets with opposite signs
 // (feature hashing with sign trick) to reduce collision bias.
-func addFeature(v *Vector, feat string, weight float32) {
+func addFeature(v *[Dim]float32, feat string, weight float32) {
 	h := fnv.New64a()
 	h.Write([]byte(feat))
 	sum := h.Sum64()
@@ -97,7 +162,7 @@ func addFeature(v *Vector, feat string, weight float32) {
 	v[idx] += sign * weight
 }
 
-func normalise(v *Vector) {
+func normalise(v *[Dim]float32) {
 	var sq float64
 	for _, x := range v {
 		sq += float64(x) * float64(x)
@@ -111,33 +176,31 @@ func normalise(v *Vector) {
 	}
 }
 
-// Cosine returns the cosine similarity of two vectors in [-1, 1]. Vectors
-// from Embed are unit length, so this is their dot product.
-func Cosine(a, b Vector) float64 { return a.Dot(&b) }
-
-// Dot is Cosine without the two 1 KiB argument copies, for scans over
-// stored vectors. The sum runs in index order, so it is the same float64.
-func (a *Vector) Dot(b *Vector) float64 {
-	var dot float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-	}
-	return dot
+// Pool packs a fixed set of texts' vectors into one index array and one
+// value array. Its members are embedded once, outside any Model's memo.
+type Pool struct {
+	off []int32 // member i's cells are [off[i], off[i+1])
+	idx []uint8
+	val []float32
 }
 
-// Dot4 is four Dots against a in one pass: four independent chains, each
-// summed in index order, so each result is the float64 Dot returns. (A
-// product of two float32s is exact in float64, so no fusing can change
-// it.) Scans over stored vectors use it to overlap the four additions.
-func (a *Vector) Dot4(b0, b1, b2, b3 *Vector) (d0, d1, d2, d3 float64) {
-	for i := range a {
-		x := float64(a[i])
-		d0 += x * float64(b0[i])
-		d1 += x * float64(b1[i])
-		d2 += x * float64(b2[i])
-		d3 += x * float64(b3[i])
+// NewPool embeds texts into a Pool; member i is texts[i].
+func NewPool(texts []string) *Pool {
+	p := &Pool{off: make([]int32, 1, len(texts)+1)}
+	var v Vector
+	for _, t := range texts {
+		d := embedDense(t)
+		v = appendNonZero(v, &d)
+		p.off = append(p.off, int32(len(v.idx)))
 	}
-	return d0, d1, d2, d3
+	p.idx, p.val = slices.Clone(v.idx), slices.Clone(v.val)
+	return p
+}
+
+// At is member i's vector, a view into the pool's arrays.
+func (p *Pool) At(i int) Vector {
+	lo, hi := p.off[i], p.off[i+1]
+	return Vector{p.idx[lo:hi:hi], p.val[lo:hi:hi]}
 }
 
 // Rank orders candidate texts by descending cosine similarity to query and
@@ -157,25 +220,11 @@ func (m *Model) Rank(query string, candidates []string) []int {
 // candidates by descending cosine similarity to query and returns their
 // indices, ties broken by lower index.
 func (m *Model) RankVectors(query string, vecs []Vector) []int {
-	qv := m.Embed(query)
-	type scored struct {
-		idx int
-		sim float64
+	q := m.Embed(query).Dense()
+	out, sims := make([]int, len(vecs)), make([]float64, len(vecs))
+	for i, v := range vecs {
+		out[i], sims[i] = i, v.Dot(&q)
 	}
-	items := make([]scored, len(vecs))
-	for i, cv := range vecs {
-		items[i] = scored{i, Cosine(qv, cv)}
-	}
-	// Insertion sort keeps determinism and is fast at few-shot scales.
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && (items[j].sim > items[j-1].sim ||
-			(items[j].sim == items[j-1].sim && items[j].idx < items[j-1].idx)); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-	out := make([]int, len(items))
-	for i, it := range items {
-		out[i] = it.idx
-	}
+	slices.SortStableFunc(out, func(a, b int) int { return cmp.Compare(sims[b], sims[a]) })
 	return out
 }

@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dataset"
 )
 
 func TestEmbedDeterministic(t *testing.T) {
 	m := NewModel()
 	a := m.Embed("How many schools are in Alameda county?")
 	b := m.Embed("How many schools are in Alameda county?")
-	if a != b {
+	if !equal(a, b) {
 		t.Error("identical text must embed identically")
 	}
 }
@@ -22,7 +25,7 @@ func TestEmbedUnitNorm(t *testing.T) {
 	m := NewModel()
 	v := m.Embed("weekly issuance accounts with a loan under 200000")
 	var sq float64
-	for _, x := range v {
+	for _, x := range v.val {
 		sq += float64(x) * float64(x)
 	}
 	if math.Abs(sq-1) > 1e-4 {
@@ -76,7 +79,7 @@ func TestCosineBounds(t *testing.T) {
 func TestEmbedWhitespaceInvariant(t *testing.T) {
 	m := NewModel()
 	f := func(s string) bool {
-		return m.Embed(s) == m.Embed("  "+s+"  ")
+		return equal(m.Embed(s), m.Embed("  "+s+"  "))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -95,10 +98,10 @@ func TestEmbedMemoised(t *testing.T) {
 	}
 	for _, s := range texts {
 		fresh := embedText(s)
-		if m.Embed(s) != fresh {
+		if !equal(m.Embed(s), fresh) {
 			t.Fatalf("first Embed(%q) differs from direct computation", s)
 		}
-		if m.Embed(s) != fresh {
+		if !equal(m.Embed(s), fresh) {
 			t.Fatalf("memoised Embed(%q) differs from direct computation", s)
 		}
 	}
@@ -139,7 +142,7 @@ func TestEmbedConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if m.Embed("shared question") != want {
+				if !equal(m.Embed("shared question"), want) {
 					t.Error("memoised vector drifted")
 					return
 				}
@@ -168,41 +171,90 @@ func BenchmarkEmbed(b *testing.B) {
 	})
 }
 
-// TestDot4MatchesDot checks each Dot4 result against Dot bit for bit, over
-// random, embedded and subnormal vectors (subnormal products and sums are
-// where a reordered or fused chain would first round differently).
-func TestDot4MatchesDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	random := func(scale float64) Vector {
-		var v Vector
-		for i := range v {
-			v[i] = float32(rng.NormFloat64() * scale)
-		}
-		return v
+// equal reports whether two vectors hold the same cells.
+func equal(a, b Vector) bool {
+	return slices.Equal(a.idx, b.idx) && slices.Equal(a.val, b.val)
+}
+
+// denseDot is the reference dot product: every one of the Dim cells, in
+// index order.
+func denseDot(a, b *[Dim]float32) float64 {
+	var dot float64
+	for i := range a {
+		dot += float64(a[i]) * float64(b[i])
 	}
-	subnormal := func() Vector {
-		var v Vector
-		for i := range v {
-			v[i] = math.Float32frombits(rng.Uint32() & 0x807fffff) // zero exponent
+	return dot
+}
+
+// TestSparseDotMatchesDense checks the gather-dot over stored non-zeros
+// against denseDot bit for bit: every BIRD dev question against every
+// train question (the few-shot scan), and hand-built vectors whose
+// buckets cancel to zero or hold -0, tiny and subnormal values, or
+// nothing at all.
+func TestSparseDotMatchesDense(t *testing.T) {
+	c := dataset.BuildBIRD(dataset.BIRDOptions{Seed: 7})
+	train := make([]string, len(c.Train))
+	for i, ex := range c.Train {
+		train[i] = ex.Question
+	}
+	pool := NewPool(train)
+	denseTrain := make([][Dim]float32, len(train))
+	for j, q := range train {
+		denseTrain[j] = embedDense(q)
+		if pool.At(j).Dense() != denseTrain[j] {
+			t.Fatalf("pool member %d does not scatter back to its dense embedding", j)
 		}
-		return v
 	}
 	m := NewModel()
-	var vecs []Vector
-	for i := 0; i < 16; i++ {
-		vecs = append(vecs, random(1), random(1e-20), subnormal())
-	}
-	vecs = append(vecs, m.Embed("How many schools are in Alameda county?"),
-		m.Embed("weekly issuance accounts"), Vector{})
-	for a := range vecs {
-		for b := 0; b+3 < len(vecs); b++ {
-			var got [4]float64
-			got[0], got[1], got[2], got[3] = vecs[a].Dot4(&vecs[b], &vecs[b+1], &vecs[b+2], &vecs[b+3])
-			for k, g := range got {
-				if want := vecs[a].Dot(&vecs[b+k]); math.Float64bits(g) != math.Float64bits(want) {
-					t.Fatalf("Dot4 lane %d (vectors %d, %d) = %v, Dot = %v", k, a, b+k, g, want)
-				}
+	for _, ex := range c.Dev {
+		d := embedDense(ex.Question)
+		v := m.Embed(ex.Question)
+		if v.Dense() != d {
+			t.Fatalf("Embed(%q) does not scatter back to its dense embedding", ex.Question)
+		}
+		for j := range train {
+			want := math.Float64bits(denseDot(&d, &denseTrain[j]))
+			if got := math.Float64bits(pool.At(j).Dot(&d)); got != want {
+				t.Fatalf("dev %s x train %d: gather-dot %x, dense %x", ex.ID, j, got, want)
 			}
 		}
+	}
+
+	rng := rand.New(rand.NewSource(32))
+	var hand [][Dim]float32
+	var cancelled [Dim]float32
+	for i := 0; i+1 < Dim; i += 3 {
+		cancelled[i] = 0.3
+		cancelled[i] -= 0.3 // +0, never -0: the embedder's buckets cancel this way
+		cancelled[i+1] = float32(rng.NormFloat64())
+	}
+	var negZero, tiny, subnormal [Dim]float32
+	for i := range negZero {
+		if i%2 == 0 {
+			negZero[i] = float32(math.Copysign(0, -1))
+		} else {
+			negZero[i] = -float32(rng.Float64())
+		}
+		tiny[i] = float32(rng.NormFloat64() * 1e-20)
+		if rng.Intn(4) == 0 {
+			subnormal[i] = math.Float32frombits(rng.Uint32() & 0x807fffff) // zero exponent
+		}
+	}
+	hand = append(hand, cancelled, negZero, tiny, subnormal, embedDense(""), [Dim]float32{},
+		embedDense("How many schools are in Alameda county?"))
+	for a := range hand {
+		for b := range hand {
+			v := appendNonZero(Vector{}, &hand[b])
+			want := math.Float64bits(denseDot(&hand[a], &hand[b]))
+			if got := math.Float64bits(v.Dot(&hand[a])); got != want {
+				t.Fatalf("hand-built %d x %d: gather-dot %x, dense %x", a, b, got, want)
+			}
+			if got := math.Float64bits(Cosine(appendNonZero(Vector{}, &hand[a]), v)); got != want {
+				t.Fatalf("hand-built %d x %d: Cosine %x, dense %x", a, b, got, want)
+			}
+		}
+	}
+	if v := m.Embed(""); len(v.idx) != 0 || Cosine(v, m.Embed("weekly issuance")) != 0 {
+		t.Errorf("a text with no features embeds to %d cells, cosine %v; want none, 0", len(v.idx), Cosine(v, m.Embed("weekly issuance")))
 	}
 }

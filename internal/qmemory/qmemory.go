@@ -179,7 +179,7 @@ func (p *pattern) hit(similarity float64) Hit {
 type dbIndex struct {
 	pats  []*pattern            // owning pattern per entry
 	docs  []string              // phrasing text per entry
-	vecs  []*embed.Vector       // phrasing embedding per entry
+	vecs  []embed.Vector        // phrasing embedding per entry, the model memo's
 	exact map[string][]*pattern // phrasing text -> its entries' patterns, in entry order
 	// idx grows by Add as phrasings are learned. Postings cannot drop a
 	// document, so replacing a pattern (applyHeld) sets idx to nil and the
@@ -314,7 +314,7 @@ func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
 	m.mu.RUnlock()
 
 	// What depends only on the question is computed outside the lock.
-	terms, qv := bm25.Terms(question), m.model.Embed(question)
+	terms, q := bm25.Terms(question), m.model.Embed(question).Dense()
 	m.mu.RLock()
 	for di.idx == nil {
 		m.mu.RUnlock()
@@ -339,7 +339,7 @@ func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
 	// pattern's best phrasing wins).
 	bestOf := make(map[*pattern]float64)
 	for i := range di.vecs {
-		score := 0.65*qv.Dot(di.vecs[i]) + 0.35*lex[i]
+		score := 0.65*di.vecs[i].Dot(&q) + 0.35*lex[i]
 		if p := di.pats[i]; score >= minSimilarity && score > bestOf[p] && !slices.Contains(exclude, p.rec.ID) {
 			bestOf[p] = score
 		}
@@ -529,8 +529,7 @@ func (m *Memory) indexPhrasingLocked(p *pattern, phrasing string) {
 	}
 	di.pats = append(di.pats, p)
 	di.docs = append(di.docs, phrasing)
-	vec := m.model.Embed(phrasing)
-	di.vecs = append(di.vecs, &vec)
+	di.vecs = append(di.vecs, m.model.Embed(phrasing))
 	di.exact[phrasing] = append(di.exact[phrasing], p)
 	if di.idx != nil {
 		di.idx.Add(phrasing)

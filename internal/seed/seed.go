@@ -106,7 +106,7 @@ type Pipeline struct {
 	corpus   *dataset.Corpus
 	embedder *embed.Model
 
-	trainVecs []embed.Vector
+	trainPool *embed.Pool      // corpus.Train questions, in split order
 	trainByDB map[string][]int // corpus.Train indices per database
 
 	valueMu    sync.RWMutex
@@ -119,7 +119,8 @@ type Pipeline struct {
 }
 
 // New builds a pipeline over a corpus. Train-split questions are embedded
-// eagerly: they form the few-shot retrieval pool.
+// eagerly into a packed pool, outside the embedder's memo: they form the
+// few-shot retrieval pool.
 func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 	p := &Pipeline{
 		cfg:        cfg,
@@ -129,11 +130,12 @@ func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 		trainByDB:  make(map[string][]int),
 		valueCache: make(map[string][]value),
 	}
-	p.trainVecs = make([]embed.Vector, len(corpus.Train))
+	questions := make([]string, len(corpus.Train))
 	for i, ex := range corpus.Train {
-		p.trainVecs[i] = p.embedder.Embed(ex.Question)
+		questions[i] = ex.Question
 		p.trainByDB[ex.DB] = append(p.trainByDB[ex.DB], i)
 	}
+	p.trainPool = embed.NewPool(questions)
 	// Pre-warm the value inventories so concurrent generation does not
 	// race on the cache.
 	for _, db := range corpus.DBs {

@@ -1,6 +1,8 @@
 package seed
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -368,16 +370,18 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 	if len(p.corpus.Train) == 0 {
 		return nil
 	}
-	// One pass scores every train question, four per Dot4; the overall
-	// best and the same-database candidates both come from it.
-	qv := p.embedder.Embed(question)
+	// One pass scores every train question against the query, scattered
+	// once; the overall best and the same-database candidates both come
+	// from it.
+	q := p.embedder.Embed(question).Dense()
 	type cand struct {
 		idx int
 		sim float64
 	}
 	cands := make([]cand, 0, len(p.trainByDB[dbName]))
 	bestIdx, bestSim := -1, -2.0
-	visit := func(i int, sim float64) {
+	for i := range p.corpus.Train {
+		sim := p.trainPool.At(i).Dot(&q)
 		if sim > bestSim {
 			bestSim = sim
 			bestIdx = i
@@ -385,18 +389,6 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 		if p.corpus.Train[i].DB == dbName {
 			cands = append(cands, cand{i, sim})
 		}
-	}
-	vecs := p.trainVecs
-	i := 0
-	for ; i+4 <= len(vecs); i += 4 {
-		s0, s1, s2, s3 := qv.Dot4(&vecs[i], &vecs[i+1], &vecs[i+2], &vecs[i+3])
-		visit(i, s0)
-		visit(i+1, s1)
-		visit(i+2, s2)
-		visit(i+3, s3)
-	}
-	for ; i < len(vecs); i++ {
-		visit(i, qv.Dot(&vecs[i]))
 	}
 	chosen := []int{bestIdx}
 	// The overall best is chosen already and may be on this database too.
@@ -406,11 +398,12 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 			break
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].sim != cands[b].sim {
-			return cands[a].sim > cands[b].sim
+	// (sim desc, idx asc) is a total order: any sort gives the same order.
+	slices.SortFunc(cands, func(a, b cand) int {
+		if c := cmp.Compare(b.sim, a.sim); c != 0 {
+			return c
 		}
-		return cands[a].idx < cands[b].idx
+		return a.idx - b.idx
 	})
 	for _, c := range cands {
 		if len(chosen) >= k {

@@ -30,14 +30,17 @@ func (s *Stmt) Exec() (*Result, error) {
 }
 
 // Prepare parses sql (or fetches the cached parse) and plans it. Each
-// distinct statement text is parsed and analysed once per database; repeat
-// executions — the evaluation harness re-runs every gold query per
-// prediction, and experiment drivers re-run whole splits per evidence
-// variant — hit the cache and skip straight to execution.
+// distinct SELECT text (compounds included) is parsed and analysed once
+// per database; repeat executions — the evaluation harness re-runs every
+// gold query per prediction, and experiment drivers re-run whole splits
+// per evidence variant — hit the cache and skip straight to execution.
 //
-// Parse errors are not cached: the error path is cold by construction
-// (a failed prediction is scored once), and caching only successes keeps
-// the cache a pure AST store.
+// Only reads are cached. CREATE, INSERT, UPDATE and DELETE are parsed and
+// planned on every call and count as misses: corpus construction runs
+// thousands of distinct INSERTs once each, and caching them made the
+// plans outweigh the table cells they wrote. Parse errors are not cached
+// either: the error path is cold by construction (a failed prediction is
+// scored once).
 func (db *Database) Prepare(sql string) (*Stmt, error) {
 	st, _, err := db.PrepareCached(sql)
 	return st, err
@@ -56,7 +59,9 @@ func (db *Database) PrepareCached(sql string) (*Stmt, bool, error) {
 		return nil, false, err
 	}
 	st := &Stmt{db: db, src: sql, ast: ast, plans: planStatement(ast)}
-	db.plans.Put(sql, st)
+	if _, read := ast.(*SelectStmt); read {
+		db.plans.Put(sql, st)
+	}
 	return st, false, nil
 }
 
@@ -92,10 +97,9 @@ func (db *Database) PlanCacheStats() PlanCacheStats {
 // never contend on one lock.
 type planCache = lru.Cache[string, *Stmt]
 
-// newPlanCache sizes the cache for evaluation workloads: a few thousand
-// distinct statements (gold + predicted queries for a dev split) fit
-// without eviction, while corpus-construction INSERT floods just churn the
-// LRU tail.
+// newPlanCache sizes the cache for evaluation workloads: the distinct
+// reads of a dev split (gold plus predicted queries, a few thousand at
+// most) fit without eviction. Writes never enter it (see Prepare).
 func newPlanCache() *planCache {
 	return lru.New[string, *Stmt](4096, 8, lru.HashString)
 }

@@ -661,6 +661,55 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
+// TestPlanCacheKeepsOnlyReads pins that writes never enter the plan
+// cache: a corpus's construction statements run once, and caching them
+// retained more heap than the rows they wrote. A write still parses,
+// plans, runs and counts as a miss on every call.
+func TestPlanCacheKeepsOnlyReads(t *testing.T) {
+	db := NewDatabase("writes")
+	db.MustExec("CREATE TABLE t (id INTEGER, name TEXT)")
+	for i := 0; i < 200; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'n%d')", i, i))
+	}
+	db.MustExec("UPDATE t SET name = 'low' WHERE id < 100")
+	db.MustExec("DELETE FROM t WHERE id >= 150")
+	st := db.PlanCacheStats()
+	if st.Entries != 0 {
+		t.Fatalf("entries after 203 writes = %d, want 0", st.Entries)
+	}
+	if st.Misses != 203 || st.Hits != 0 {
+		t.Errorf("hits/misses after 203 distinct writes = %d/%d, want 0/203", st.Hits, st.Misses)
+	}
+
+	// A repeated identical write runs every time.
+	const ins = "INSERT INTO t VALUES (500, 'again')"
+	for i := 0; i < 3; i++ {
+		if _, hit, err := db.PrepareCached(ins); err != nil || hit {
+			t.Fatalf("PrepareCached(%q) = hit %v, err %v; want a miss", ins, hit, err)
+		}
+		db.MustExec(ins)
+	}
+	if got := db.MustExec("SELECT COUNT(*) FROM t WHERE id = 500").Rows.Data[0][0]; got != Int(3) {
+		t.Errorf("rows from three identical INSERTs = %v, want 3", got)
+	}
+
+	const q = "SELECT name FROM t WHERE id = 4"
+	s1, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1 != s2 {
+		t.Error("Prepare returned distinct Stmt objects for one SELECT")
+	}
+	if st := db.PlanCacheStats(); st.Entries != 2 {
+		t.Errorf("entries = %d, want 2 (the COUNT and the SELECT)", st.Entries)
+	}
+}
+
 // TestPreparedConcurrentExec exercises the plan cache and the lazy
 // equality-index build under -race: one database, many goroutines, same
 // and different statements.
