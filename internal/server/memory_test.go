@@ -261,6 +261,7 @@ func TestMemoryReplicationServesOnFollower(t *testing.T) {
 		Peers:             []string{leaderTS.URL},
 		ReplicateInterval: 20 * time.Millisecond,
 		Memory:            true,
+		MemoryDir:         t.TempDir(),
 		Logger:            quietLogger(),
 	})
 	if err != nil {
@@ -300,6 +301,37 @@ func TestMemoryReplicationServesOnFollower(t *testing.T) {
 		}
 		if delta := followerSim.LedgerSnapshot().TotalCalls() - before; delta != 0 {
 			t.Errorf("follower memory hit for %s made %d LLM calls", e.ID, delta)
+		}
+	}
+}
+
+// TestPeersRequireDurableStores pins that a fleet member replicates only
+// what is durable: with Peers, New refuses a config without StoreDir and,
+// when the query memory is on, one without MemoryDir.
+func TestPeersRequireDurableStores(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func(*Config)
+		want string
+	}{
+		{"no StoreDir", func(c *Config) {}, "requires Config.StoreDir"},
+		{"memory without MemoryDir", func(c *Config) { c.StoreDir, c.Memory = t.TempDir(), true }, "requires Config.MemoryDir"},
+	} {
+		cfg := Config{
+			Corpora: []*dataset.Corpus{testCorpus(t)},
+			Client:  llm.NewSimulator(),
+			Variant: seed.VariantGPT,
+			Peers:   []string{"http://127.0.0.1:1"},
+			Logger:  quietLogger(),
+		}
+		tc.cfg(&cfg)
+		srv, err := New(cfg)
+		if err == nil {
+			srv.Close()
+			t.Fatalf("%s: New accepted the config", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New refused with %q, want it to name %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -34,7 +34,10 @@ var servedLiteral = regexp.MustCompile(`'[^']*'|\b\d+(\.\d+)?\b`)
 func TestServedSynthPaths(t *testing.T) {
 	_, dev, ts := newSynthServer(t)
 
-	type served struct{ sql, path string }
+	type served struct {
+		sql, path string
+		batches   float64
+	}
 	var all []served
 	for _, e := range dev {
 		resp, body := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{DB: e.DB, Question: e.Question})
@@ -55,16 +58,17 @@ func TestServedSynthPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := ""
+		path, batches := "", 0.0
 		for _, sp := range rec.Spans {
 			if sp.Name == "sqlengine.execute" {
 				path, _ = sp.Attrs["path"].(string)
+				batches, _ = sp.Attrs["batches"].(float64)
 			}
 		}
 		if path == "" {
 			t.Fatalf("%q: no sqlengine.execute span with a path (sql %q)", e.Question, qr.SQL)
 		}
-		all = append(all, served{sql: qr.SQL, path: path})
+		all = append(all, served{sql: qr.SQL, path: path, batches: batches})
 	}
 
 	hist := make(map[string]int)
@@ -81,13 +85,14 @@ func TestServedSynthPaths(t *testing.T) {
 		if s.path == "rows" {
 			t.Errorf("served statement never reached a tail consumer: %s", s.sql)
 		}
-		// ROADMAP 2(b)'s leftover: an unsafe EXISTS beside a single-table
-		// filter is interpreted per row, and the count still runs on positions.
+		// The generator's inefficient form, a single-table filter AND an
+		// uncorrelated EXISTS: the EXISTS is a constant settled apart, so
+		// the filter runs through the kernels and the count on positions.
 		if and, ok := sel.Where.(*sqlengine.Binary); ok && and.Op == "AND" && len(sel.From) == 1 {
 			if _, exists := and.R.(*sqlengine.ExistsExpr); exists {
 				existsServed++
-				if s.path != "positions/agg" {
-					t.Errorf("single-table WHERE … AND EXISTS (…) reports %q, want positions/agg: %s", s.path, s.sql)
+				if s.path != "positions/agg" || s.batches < 1 {
+					t.Errorf("single-table WHERE … AND EXISTS (…) reports %q over %.0f batches, want positions/agg over at least 1: %s", s.path, s.batches, s.sql)
 				}
 			}
 		}

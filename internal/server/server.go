@@ -103,11 +103,12 @@ type Config struct {
 	// generation would be served as stale cache hits.
 	StoreSeed uint64
 	// Peers are the base URLs of the other seedd replicas in the fleet.
-	// When non-empty (requires StoreDir), the server tails every peer's
-	// per-corpus evidence store over GET /v1/replicate and injects the
-	// replicated entries into its own stores and serving caches — so when
-	// the fleet router fails a dead peer's shard over to this replica, it
-	// answers from already-shipped evidence with zero LLM calls.
+	// When non-empty (requires StoreDir, and MemoryDir with Memory), the
+	// server tails every peer's per-corpus evidence store over GET
+	// /v1/replicate and injects the replicated entries into its own stores
+	// and serving caches — so when the fleet router fails a dead peer's
+	// shard over to this replica, it answers from already-shipped evidence
+	// with zero LLM calls.
 	Peers []string
 	// ReplicateInterval is the peer WAL poll period; <= 0 uses the
 	// evstore tailer default (200ms).
@@ -242,6 +243,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MemoryDir != "" && !cfg.Memory {
 		return nil, errors.New("server: Config.MemoryDir requires Config.Memory")
 	}
+	if len(cfg.Peers) > 0 && cfg.StoreDir == "" {
+		return nil, errors.New("server: Config.Peers requires Config.StoreDir — replication ships durable stores, not caches")
+	}
+	if len(cfg.Peers) > 0 && cfg.Memory && cfg.MemoryDir == "" {
+		return nil, errors.New("server: Config.Peers with Config.Memory requires Config.MemoryDir — replication ships durable stores, not caches")
+	}
 	gens := make(map[string]texttosql.Generator, len(cfg.Corpora))
 	for _, corpus := range cfg.Corpora {
 		if _, dup := s.corpora[corpus.Name]; dup {
@@ -318,10 +325,6 @@ func New(cfg Config) (*Server, error) {
 	s.reg = reg
 
 	if len(cfg.Peers) > 0 {
-		if cfg.StoreDir == "" {
-			s.Close()
-			return nil, errors.New("server: Config.Peers requires Config.StoreDir — replication ships durable stores, not caches")
-		}
 		var tailCtx context.Context
 		tailCtx, s.tailCancel = context.WithCancel(context.Background())
 		// Query memories ship to peers like evidence: every replica tails

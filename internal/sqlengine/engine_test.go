@@ -92,8 +92,8 @@ var engineQueries = []string{
 	"SELECT flag, COUNT(*), AVG(num) FROM f WHERE grp = 'a' GROUP BY flag",
 	"SELECT DISTINCT grp, flag FROM f ORDER BY 1, 2 LIMIT 5 OFFSET 2",
 	// The shapes the served SQL has (internal/server's TestServedSynthPaths):
-	// COUNT(*) over a join behind a pushed negation and behind an unsafe
-	// EXISTS, a negated single-table filter, and a join on INTEGER keys — grp
+	// COUNT(*) over a join behind a pushed negation and behind a pushed filter
+	// beside an uncorrelated EXISTS, a negated single-table filter, and a join on INTEGER keys — grp
 	// is TEXT, flag and weight are the only integer pair. Then the tail of a
 	// join over more than one morsel of pairs.
 	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE NOT (d.label = 'L1')",
@@ -112,6 +112,9 @@ var engineQueries = []string{
 	"SELECT id FROM f ORDER BY flag DESC, id",
 	"SELECT id FROM f ORDER BY grp, id",
 	"SELECT f.id FROM f JOIN d ON f.grp = d.grp ORDER BY d.weight DESC, f.id",
+	// The served single-table filter beside an uncorrelated EXISTS, settled
+	// apart from the kernels.
+	"SELECT COUNT(*) FROM f WHERE ((num > 50) AND EXISTS (SELECT 1 FROM f))",
 }
 
 // buildEngineDB bulk-loads a database of n rows in f (and five in d): large
@@ -385,7 +388,11 @@ func TestFilterAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return compilePreds(nil, predSource{t: tab, cols: cols}, flattenAnd(sel.Where, nil))
+		var preds []rowPred
+		for _, e := range flattenAnd(sel.Where, nil) {
+			preds = append(preds, compilePred(predSource{t: tab, cols: cols}, e))
+		}
+		return preds
 	}
 	bucket := selection{rows: tab.Rows, pos: tab.eqLookup(3, string(coarseKey(nil, Int(1))))}
 	for _, tc := range []struct {
@@ -519,8 +526,10 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 // and on an INTEGER key (the cell itself), the grouped accumulators of the
 // aggregate consumer, a bounded top-k heap on a column that is not projected,
 // ungrouped accumulators, a full sort through packed words, a negated TEXT
-// comparison read from the rows — and the two grouped shapes no consumer
-// takes, HAVING and an expression key, which the interpreter's tail groups.
+// comparison read from the rows, the served filter and join each beside an
+// uncorrelated EXISTS (settled once, its body asked for one row) — and the
+// two grouped shapes no consumer takes, HAVING and an expression key, which
+// the interpreter's tail groups.
 // Modes: the naive executor (to 100k only: its nested-loop join takes minutes
 // at 1M) and the planned engine (planned1). Every size runs the same engine:
 // the 60-row level is a BIRD fixture table's size and the 800-row one a
@@ -535,8 +544,10 @@ func BenchmarkExecModes(b *testing.B) {
 		topk    = query{"topk", "SELECT id FROM f ORDER BY num DESC, id LIMIT 8"}
 		join    = query{"join", "SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp"}
 		notText = query{"not_text", "SELECT SUM(flag) FROM f WHERE NOT (grp = 'a')"}
-		tiny    = []query{filter, notText, join, topk}
-		small   = []query{filter, topk, {"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"}}
+		exists  = query{"exists", "SELECT COUNT(*) FROM f WHERE ((num > 50) AND EXISTS (SELECT 1 FROM f))"}
+		existsJ = query{"exists_join", "SELECT COUNT(*) FROM f JOIN d ON (f.grp = d.grp) WHERE ((d.label = 'L2') AND EXISTS (SELECT 1 FROM f))"}
+		tiny    = []query{filter, notText, join, topk, exists, existsJ}
+		small   = []query{filter, topk, {"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"}, exists, existsJ}
 		large   = append([]query{
 			join,
 			{"join_int", "SELECT COUNT(*) FROM f JOIN d ON f.flag = d.weight"},

@@ -289,34 +289,41 @@ func (env *evalEnv) evalIn(in *InExpr) (Value, error) {
 	if xv.IsNull() {
 		return Null(), nil
 	}
-	var candidates []Value
+	// Every candidate is known before any is compared: a list's items are
+	// all evaluated first (the first failing one raises), and a subquery's
+	// rows are read in place — its first column — from the memoised result.
+	var list []Value
+	var rows [][]Value
 	if in.Sub != nil {
-		rows, err := env.execSub(in.Sub)
+		res, err := env.execSub(in.Sub)
 		if err != nil {
 			return Value{}, err
 		}
-		for _, r := range rows.Data {
-			if len(r) > 0 {
-				candidates = append(candidates, r[0])
-			}
-		}
+		rows = res.Data
 	} else {
-		for _, e := range in.List {
-			v, err := env.eval(e)
-			if err != nil {
+		list = make([]Value, len(in.List))
+		for i, e := range in.List {
+			if list[i], err = env.eval(e); err != nil {
 				return Value{}, err
 			}
-			candidates = append(candidates, v)
 		}
 	}
 	sawNull := false
-	for _, c := range candidates {
+	match := func(c Value) bool {
 		if c.IsNull() {
 			sawNull = true
-			continue
+			return false
 		}
 		a, b := harmonise(xv, c)
-		if Compare(a, b) == 0 {
+		return Compare(a, b) == 0
+	}
+	for _, r := range rows {
+		if len(r) > 0 && match(r[0]) {
+			return Bool(!in.Not), nil
+		}
+	}
+	for _, c := range list {
+		if match(c) {
 			return Bool(!in.Not), nil
 		}
 	}

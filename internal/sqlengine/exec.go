@@ -347,47 +347,51 @@ func (o *selOutput) rows() *Rows { return &Rows{Columns: o.columns, Data: o.data
 // unplanned execution, which then is the naive reference: full scans, nested
 // loops, the interpreter on every row.
 func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPlan) (*Rows, error) {
+	// A planned WHERE is filtered in batch when every conjunct but its
+	// uncorrelated EXISTS ones is safe-total: the AND chain passes a row iff
+	// every conjunct is true on it, and short-circuit differences are
+	// unobservable on pure total expressions. Anything else runs through the
+	// interpreter, every row in order.
+	batch := pl != nil && pl.whereSafe && ec.existsConstant(pl)
 	// 1. FROM (with pushdown placement when the plan allows it). What comes
 	// back is a selection: positions into a scanned table, every row of a
 	// sub-select or a nested-loop join, or a hash join's position pairs.
-	src, s, fp, err := ec.execFrom(sel, outer, pl)
+	src, s, fp, err := ec.execFrom(sel, outer, pl, batch)
 	if err != nil {
 		return nil, err
 	}
-	// 2. WHERE thins the selection. A planned safe-total conjunction runs as
-	// a batch filter, whatever the input's size — the AND-tree passes iff
-	// every conjunct is true, and short-circuit differences are unobservable
-	// on pure total expressions; anything else runs through the interpreter,
-	// every row in order.
-	batch := pl != nil && pl.whereSafe
-	var conj []Expr
+	// Pushdown resolved every reference already; without it the batch
+	// filter needs the same proof (resolves).
+	pushed := fp.at != nil
+	batch = batch && (pushed || resolves(pl.where, src.cols, outer))
+	// 2. WHERE thins the selection: the kernels — over what no scan
+	// evaluated — and then the EXISTS conjuncts, or the interpreter.
 	switch {
-	case fp != nil:
-		// Pushdown ran: pushed conjuncts were applied during the scans and
-		// every conjunct is safe-total, so a row passes the original WHERE
-		// iff every residual conjunct is true on it.
-		conj = fp.residual
-	case sel.Where != nil && batch:
-		for _, c := range pl.where {
-			conj = append(conj, c.expr)
+	case batch:
+		// A short conjunction's predicates stay on the stack.
+		preds := make([]rowPred, 0, 4)
+		ps := predSource{cols: src.cols, left: s.leftWidth()}
+		for k, c := range pl.where {
+			if !pushed || fp.at[k] < 0 {
+				preds = append(preds, compilePred(ps, c.expr))
+			}
+		}
+		from := s
+		if len(preds) > 0 {
+			s, err = ec.filterPositions(src.cols, s, preds, outer)
+		}
+		if err == nil && len(pl.exists) > 0 {
+			s, err = ec.settleExists(sel, outer, pl, src.cols, from, pushed, s)
 		}
 	case sel.Where != nil:
-		conj = []Expr{sel.Where}
-	}
-	switch {
-	case len(conj) == 0:
-	case batch:
-		ps := predSource{cols: src.cols, left: s.leftWidth()}
-		s, err = ec.filterPositions(src.cols, s, compilePreds(make([]rowPred, 0, 4), ps, conj), outer)
-	default:
-		s, err = ec.filterInterpreted(src.cols, s, conj, outer)
+		s, err = ec.filterInterpreted(src.cols, s, sel.Where, outer)
 	}
 	if err != nil {
 		return nil, err
 	}
 	// 3. The tail: planned, on the selection; unplanned, on its rows.
 	if pl != nil {
-		return ec.tailPositions(sel, src, s, outer)
+		return ec.tailPositions(sel, src, s, outer, pl.anyRow)
 	}
 	return ec.projectTail(sel, src, s.materialise(), outer)
 }
@@ -786,31 +790,28 @@ func outputOrderTerm(e Expr, columns []string) int {
 
 // --- FROM evaluation ---
 
-// execFrom evaluates the FROM clause. The relation it returns is described
-// by src (its columns) and listed by the selection: a scan's positions,
-// every row of a subquery or a nested-loop join, or the position pairs of a
-// hash join. Rows are built only for what a join reads as input.
-func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (src *rowSet, s selection, fp *fromPlan, err error) {
+// execFrom evaluates the FROM clause, pushing WHERE conjuncts into its scans
+// when push is set and planFrom places some. The relation it returns is
+// described by src (its columns) and listed by the selection: a scan's
+// positions, every row of a subquery or a nested-loop join, or the position
+// pairs of a hash join. Rows are built only for what a join reads as input.
+func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, push bool) (src *rowSet, s selection, fp fromPlan, err error) {
 	items := sel.From
 	if len(items) == 0 {
 		// SELECT without FROM: a single empty row.
-		return &rowSet{logical: 1}, selection{rows: [][]Value{{}}, all: true}, nil, nil
+		return &rowSet{logical: 1}, selection{rows: [][]Value{{}}, all: true}, fp, nil
 	}
-	fp = ec.planFrom(pl, sel, outer)
-	pushedFor := func(i int) []conjunct {
-		if fp == nil {
-			return nil
-		}
-		return fp.pushed[i]
+	if push {
+		fp = ec.planFrom(pl, sel, outer)
 	}
-	acc, s, err := ec.execFromItem(&items[0], outer, pushedFor(0))
+	acc, s, err := ec.execFromItem(&items[0], outer, pl, &fp, 0)
 	if err != nil {
-		return nil, selection{}, nil, err
+		return nil, selection{}, fp, err
 	}
 	for i := 1; i < len(items); i++ {
-		right, rs, err := ec.execFromItem(&items[i], outer, pushedFor(i))
+		right, rs, err := ec.execFromItem(&items[i], outer, pl, &fp, i)
 		if err != nil {
-			return nil, selection{}, nil, err
+			return nil, selection{}, fp, err
 		}
 		var ja *joinAnalysis
 		if pl != nil && pl.joins != nil {
@@ -820,7 +821,7 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (src 
 		// an earlier hash join's pairs are materialised for it.
 		acc.rows, right.rows = s.materialise(), rs.materialise()
 		if s, err = ec.join(acc, right, items[i].Join, items[i].On, outer, ja); err != nil {
-			return nil, selection{}, nil, err
+			return nil, selection{}, fp, err
 		}
 		cols := make([]scopeCol, 0, len(acc.cols)+len(right.cols))
 		cols = append(append(cols, acc.cols...), right.cols...)
@@ -839,14 +840,14 @@ func scanCols(name string, t *Table) []scopeCol {
 	return cols
 }
 
-// execFromItem evaluates one FROM item: its columns and logical size (the
+// execFromItem evaluates FROM item i: its columns and logical size (the
 // rowSet's rows stay unset), and its rows as a selection — all of a
 // sub-select's result or of an unfiltered table, or the positions the table's
-// pushed conjuncts keep (scanPositions). pushed holds the WHERE conjuncts the
-// planner placed at this scan (always nil for subquery items and for
-// unplanned execution). The scan is charged at full table size whether or
-// not pushdown filters it — that is the naive executor's charge.
-func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct) (*rowSet, selection, error) {
+// pushed conjuncts keep (scanPositions). fp places pl's WHERE conjuncts at
+// the scans (never at a subquery item, never in unplanned execution). The
+// scan is charged at full table size whether or not pushdown filters it —
+// that is the naive executor's charge.
+func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pl *selectPlan, fp *fromPlan, i int) (*rowSet, selection, error) {
 	name := strings.ToLower(item.Name())
 	if item.Sub != nil {
 		sub, err := ec.execSelect(item.Sub, outer)
@@ -866,8 +867,16 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pushed []conjunct)
 	if err := ec.charge(int64(len(t.Rows))); err != nil {
 		return nil, selection{}, err
 	}
-	rs := &rowSet{cols: scanCols(name, t), logical: len(t.Rows)}
-	s, err := ec.scanPositions(t, rs.cols, pushed, outer)
+	rs := &rowSet{logical: len(t.Rows)}
+	if fp.cols != nil {
+		rs.cols = fp.cols[i]
+	} else {
+		rs.cols = scanCols(name, t)
+	}
+	if fp.at == nil {
+		return rs, selection{rows: t.Rows, all: true}, nil
+	}
+	s, err := ec.scanPositions(t, rs.cols, pl.where, fp, i, outer)
 	return rs, s, err
 }
 

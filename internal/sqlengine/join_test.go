@@ -15,8 +15,10 @@ import (
 // and every cross-kind match harmonise makes (1 = 1.0 = '1' = '01',
 // -0.0 = 0 = '-0'). The ON clause joins any key column to any other, with
 // or without a second equality and a residual; the join is inner or LEFT;
-// WHERE is absent, pushed to either side, negated, an unsafe EXISTS, the
-// right side's IS NULL or a cross-side comparison; and selectAround puts
+// WHERE is absent, pushed to either side, negated, an uncorrelated EXISTS
+// (alone, behind a pushed filter, behind a residual one that may be NULL,
+// or false in front of one), the right side's IS NULL or a cross-side
+// comparison; and selectAround puts
 // XX, which is
 // ambiguous between the two sides and must fail exactly as it does naively.
 func joinCase(p *picker) (inserts []string, query string) {
@@ -28,7 +30,8 @@ func joinCase(p *picker) (inserts []string, query string) {
 	from := " FROM l " + p.of("JOIN", "LEFT JOIN") + " r ON " + on
 	from += p.of("", "", " WHERE l.ki = 1", " WHERE w = 1", " WHERE NOT (w = 1)", " WHERE NOT (l.kt = 'x')",
 		" WHERE EXISTS (SELECT 1 FROM r)", " WHERE l.id > 0 AND NOT EXISTS (SELECT 1 FROM l WHERE v = 7)",
-		" WHERE w IS NULL", " WHERE l.ki > w", " WHERE NOT (tag BETWEEN 1 AND 3) AND l.v IN (0, 1, NULL)")
+		" WHERE w IS NULL", " WHERE l.ki > w", " WHERE NOT (tag BETWEEN 1 AND 3) AND l.v IN (0, 1, NULL)",
+		" WHERE w > 5 AND EXISTS (SELECT 1 FROM l)", " WHERE EXISTS (SELECT 1 FROM r WHERE w > 100) AND l.ki = 1")
 	query = selectAround(p, tailCols{id: "id", a: "l.ki", b: "tag", c: "kt", qa: "r.kr"}, from)
 
 	keys := []string{"1", "NULL", "0", "2", "1.5", "-0.0", "'1'", "'01'", "'1.0'", "'x'", "''"}
@@ -79,7 +82,7 @@ func FuzzSelectJoin(f *testing.F) {
 	// aggregates, GROUP BY, DISTINCT, LIMIT; then the rows.
 	f.Add([]byte{0, 2, 0, 1, 4, 0, 0, 0, 0, 0, 0, 2, 0, 0, 6, 0, 3, 1, 7, 1, 1, 0, 0, 0, 1, 6, 0, 6, 0, 0, 0, 7, 2, 0})
 	// INTEGER-only keys on both sides (the int64 map): l.ki = r.ki AND
-	// l.id > r.w behind the unsafe EXISTS, l.ki and tag ordered by tag DESC
+	// l.id > r.w behind the uncorrelated EXISTS, l.ki and tag ordered by tag DESC
 	// LIMIT 3 OFFSET 1, four left rows against three right.
 	f.Add([]byte{0, 0, 3, 0, 6, 1, 3, 1, 1, 1, 1, 0, 1, 1, 3, 0, 0, 0, 0, 2, 2, 2, 1, 3, 0, 0, 2, 0, 1, 1, 3, 2, 0, 0, 0, 0, 3, 3, 0, 1, 2, 2, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -121,17 +121,6 @@ func (ps predSource) resolveLocal(cr *ColumnRef) (int, bool) {
 	return idx, n == 1
 }
 
-// compilePreds appends one rowPred per conjunct expression to preds (a
-// caller's `make([]rowPred, 0, 4)` keeps a short conjunction on its stack).
-// Exprs must all be safe-total (the caller's precondition for running them
-// as a batch filter at all).
-func compilePreds(preds []rowPred, ps predSource, exprs []Expr) []rowPred {
-	for _, e := range exprs {
-		preds = append(preds, compilePred(ps, e))
-	}
-	return preds
-}
-
 func compilePred(ps predSource, e Expr) rowPred {
 	if p := compileKernel(ps, e, false); p.usable() {
 		return p

@@ -288,9 +288,9 @@ rows:
 // filterInterpreted is the in-order filter for what may not run as kernels —
 // an unsafe WHERE, whose subqueries charge Cost and fill the memo — and the
 // naive reference's: every selected row is visited in order and passes iff
-// every expression is true on it, evaluation stopping at the first that is
-// not. A join's output is evaluated in one reused pair buffer.
-func (ec *execCtx) filterInterpreted(cols []scopeCol, in selection, exprs []Expr, outer *scope) (selection, error) {
+// where is true on it. A join's output is evaluated in one reused pair
+// buffer.
+func (ec *execCtx) filterInterpreted(cols []scopeCol, in selection, where Expr, outer *scope) (selection, error) {
 	n := in.len()
 	mask := make([]uint64, (n+63)/64)
 	sc := &scope{cols: cols, parent: outer}
@@ -300,21 +300,17 @@ func (ec *execCtx) filterInterpreted(cols []scopeCol, in selection, exprs []Expr
 		buf = make([]Value, len(cols))
 	}
 	total := 0
-rows:
 	for i := 0; i < n; i++ {
 		l, r := in.row(i)
 		sc.row = scopeRow(l, r, buf)
-		for _, e := range exprs {
-			v, err := env.eval(e)
-			if err != nil {
-				return selection{}, err
-			}
-			if t, known := v.Truth(); !t || !known {
-				continue rows
-			}
+		v, err := env.eval(where)
+		if err != nil {
+			return selection{}, err
 		}
-		mask[i/64] |= 1 << (i % 64)
-		total++
+		if t, known := v.Truth(); t && known {
+			mask[i/64] |= 1 << (i % 64)
+			total++
+		}
 	}
 	return in.keep(mask, total), nil
 }

@@ -6,7 +6,7 @@ import "repro/internal/lru"
 // analysis of every SELECT it contains. A Stmt is bound to the Database that
 // prepared it and is safe for concurrent Exec calls (execution state lives
 // in a per-call context, and both the AST and the plan are immutable after
-// Prepare).
+// Prepare, but for one atomic verdict cache, selectPlan.uncorrelated).
 type Stmt struct {
 	db    *Database
 	src   string

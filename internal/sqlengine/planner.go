@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // This file is the query planner. It analyses parsed SELECTs once (at
@@ -53,6 +54,18 @@ import (
 //     the naive executor would still have evaluated the remaining
 //     conjuncts on.
 //
+//   - The one exception is a top-level `[NOT] EXISTS` conjunct whose body
+//     is uncorrelated (subquery.go): it is a constant of the statement, set
+//     aside at Prepare while the other conjuncts are pushed down, indexed
+//     and filtered as if it were absent. Its only observable effects are
+//     the body's charge and errors, made once (the memo) on the first row
+//     the naive AND chain reaches it on — the first row where no earlier
+//     conjunct is FALSE. A non-empty filtered selection proves such a row
+//     exists; an empty one is settled by testing the earlier conjuncts for
+//     "not FALSE" over the FROM relation without pushdown, read again at no
+//     charge (subquery.go). So the body is charged iff the naive executor
+//     charges it, before anything the tail charges, and Cost holds.
+//
 //   - Point-lookup index: a pushed conjunct of shape `col = literal` uses
 //     a lazily built per-column hash index (invalidated by any DML)
 //     instead of scanning; the scan is still charged at full table size.
@@ -61,12 +74,22 @@ import (
 // at Prepare time from the AST alone (no schema access — column resolution
 // is deferred to execution, where the scopes are known).
 type selectPlan struct {
-	// where is the flattened WHERE conjunction in evaluation order; empty
-	// when the SELECT has no WHERE.
+	// where is the flattened WHERE conjunction in evaluation order, less its
+	// top-level EXISTS conjuncts; empty when there is nothing else.
 	where []conjunct
-	// whereSafe reports that every WHERE conjunct is safe-total — the
-	// precondition for pushdown.
+	// exists holds the top-level [NOT] EXISTS conjuncts in evaluation order.
+	exists []existsConjunct
+	// whereSafe reports that every conjunct in where is safe-total — the
+	// precondition for pushdown and the batch filter, which also need every
+	// EXISTS in exists to be uncorrelated (subquery.go).
 	whereSafe bool
+	// anyRow marks the body of an EXISTS: only whether it has a row is
+	// read, so a positions tail returns at most one (positions.go).
+	anyRow bool
+	// uncorrelated caches, once an execution has proved it, that this SELECT
+	// as a subquery reads nothing of an enclosing row (subquery.go). It is
+	// the one field written after Prepare, and only ever from false to true.
+	uncorrelated atomic.Bool
 	// joins holds the ON-clause analysis per FROM item (index aligned with
 	// SelectStmt.From; entry 0 and ON-less items are nil).
 	joins []*joinAnalysis
@@ -89,6 +112,14 @@ type conjunct struct {
 	// cost) and total (cannot error on any row), so evaluating it on more
 	// or fewer rows than the naive executor is unobservable.
 	safe bool
+}
+
+// existsConjunct is a top-level [NOT] EXISTS term of a WHERE; at counts
+// the where conjuncts before it, the ones the naive AND chain evaluates
+// first.
+type existsConjunct struct {
+	x  *ExistsExpr
+	at int
 }
 
 type eqPattern struct{ a, b *ColumnRef }
@@ -198,6 +229,8 @@ func walkExprSelects(e Expr, m map[*SelectStmt]*selectPlan) {
 		walkSelect(x.Sub, m)
 	case *ExistsExpr:
 		walkSelect(x.Sub, m)
+		// Not a compound body: UNION and the rest combine whole arms.
+		m[x.Sub].anyRow = x.Sub.Compound == CompoundNone
 	case *SubqueryExpr:
 		walkSelect(x.Sub, m)
 	case *CastExpr:
@@ -209,6 +242,10 @@ func planSelect(sel *SelectStmt) *selectPlan {
 	pl := &selectPlan{whereSafe: true}
 	if sel.Where != nil {
 		for _, e := range flattenAnd(sel.Where, nil) {
+			if x, ok := e.(*ExistsExpr); ok {
+				pl.exists = append(pl.exists, existsConjunct{x: x, at: len(pl.where)})
+				continue
+			}
 			c := analyzeConjunct(e)
 			if !c.safe {
 				pl.whereSafe = false
@@ -423,45 +460,50 @@ func scalarCallSafe(fc *FuncCall) bool {
 
 // fromPlan is the pushdown placement for one FROM chain, computed per
 // execution (placement depends on the catalog and the outer scope, which
-// are not known at Prepare time).
+// are not known at Prepare time). The zero fromPlan pushes nothing.
 type fromPlan struct {
-	// pushed holds, per FROM item, the WHERE conjuncts to evaluate during
-	// that item's scan.
-	pushed [][]conjunct
-	// residual holds the WHERE conjuncts left for the post-join filter
-	// stage. Because pushdown requires every conjunct to be safe-total,
-	// a row passes the original WHERE iff every residual conjunct is true
-	// on it.
-	residual []Expr
+	// cols holds each FROM item's columns as its scan exposes them, when
+	// every item is a base table; the scans reuse them.
+	cols [][]scopeCol
+	// at holds, per WHERE conjunct (selectPlan.where), the FROM item whose
+	// scan evaluates it, or -1: the post-join filter's. Because pushdown
+	// requires every conjunct but the EXISTS ones (settled apart) to be
+	// safe-total, a row passes the rest of the WHERE iff every conjunct at
+	// -1 is true on it. nil when nothing is pushed.
+	at []int
 }
 
-// planFrom decides pushdown placement. It returns nil — meaning "evaluate
-// the WHERE clause naively" — unless every placement rule holds:
+// pushedAt reports whether where[k] is pushed into the scan of item i.
+func (fp *fromPlan) pushedAt(k, i int) bool { return fp.at != nil && fp.at[k] == i }
+
+// planFrom decides pushdown placement. Nothing is pushed — the FROM
+// relation is filtered whole — unless every placement rule holds:
 // every WHERE conjunct safe-total, every FROM item a base table, every
 // column reference resolving uniquely (ambiguity and no-such-column must
 // surface exactly as the naive executor surfaces them), and the target
 // position cost-safe per the rules in the package comment above.
-func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *fromPlan {
+func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) fromPlan {
 	if pl == nil || len(pl.where) == 0 || !pl.whereSafe {
-		return nil
+		return fromPlan{}
 	}
 	items := sel.From
 	n := len(items)
 	if n == 0 {
-		return nil
+		return fromPlan{}
 	}
 	nJoins := n - 1
 	itemCols := make([][]scopeCol, n)
 	for i := range items {
 		if items[i].Sub != nil {
-			return nil
+			return fromPlan{}
 		}
 		t, ok := ec.db.Table(items[i].Table)
 		if !ok {
-			return nil // let the naive scan raise "no such table"
+			return fromPlan{} // let the naive scan raise "no such table"
 		}
 		itemCols[i] = scanCols(strings.ToLower(items[i].Name()), t)
 	}
+	none := fromPlan{cols: itemCols}
 	// Pushdown shrinks join inputs, so the affected ON clauses get
 	// evaluated on fewer pairs than the naive executor evaluates them on.
 	// That is only invisible when every ON conjunct is safe-total (an ON
@@ -475,7 +517,7 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 		}
 		ja := pl.joins[i]
 		if ja == nil || !ja.safe {
-			return nil
+			return none
 		}
 		// The ON of join i sees the columns of items 0..i.
 		visible := itemCols[:i+1]
@@ -483,10 +525,10 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 			for _, r := range c.refs {
 				_, cnt := resolveItems(visible, r)
 				if cnt > 1 {
-					return nil
+					return none
 				}
 				if cnt == 0 && outerResolveClass(outer, r) != 1 {
-					return nil
+					return none
 				}
 			}
 		}
@@ -509,18 +551,18 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 			return i == nJoins && items[i].Join != JoinLeft
 		}
 	}
-	fp := &fromPlan{pushed: make([][]conjunct, n)}
+	at := make([]int, len(pl.where))
 	anyPushed := false
-	for _, c := range pl.where {
+	for k, c := range pl.where {
 		target := -1 // item index; -1 undecided, -2 multi-item
 		for _, r := range c.refs {
 			item, cnt := resolveItems(itemCols, r)
 			if cnt > 1 {
-				return nil // naive evaluation raises "ambiguous column name"
+				return none // naive evaluation raises "ambiguous column name"
 			}
 			if cnt == 0 {
 				if outerResolveClass(outer, r) != 1 {
-					return nil // "no such column" (or outer ambiguity) must surface naively
+					return none // "no such column" (or outer ambiguity) must surface naively
 				}
 				continue // correlated reference: fine, scan scopes chain to outer
 			}
@@ -531,16 +573,33 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) *from
 			}
 		}
 		if target >= 0 && pushable(target) {
-			fp.pushed[target] = append(fp.pushed[target], c)
+			at[k] = target
 			anyPushed = true
 		} else {
-			fp.residual = append(fp.residual, c.expr)
+			at[k] = -1
 		}
 	}
 	if !anyPushed {
-		return nil
+		return none
 	}
-	return fp
+	return fromPlan{cols: itemCols, at: at}
+}
+
+// resolves reports whether every column reference in conj resolves
+// uniquely in cols or, absent there, in the outer scopes. Otherwise the
+// interpreter must filter: it raises "no such column" or "ambiguous column
+// name" on the first row its AND chain reaches the reference on, and a
+// kernel earlier in the batch filter may have rejected that row.
+func resolves(conj []conjunct, cols []scopeCol, outer *scope) bool {
+	for _, c := range conj {
+		for _, r := range c.refs {
+			switch _, n := resolveCols(cols, r); {
+			case n > 1, n == 0 && outerResolveClass(outer, r) != 1:
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // resolveItems resolves a column reference against the FROM items' columns

@@ -69,7 +69,10 @@ func (ec *execCtx) notePath(sel *SelectStmt, path string) {
 // tailPositions produces a planned SELECT's result from the selection its
 // FROM and WHERE left — one relation's rows or a join's pairs: the consumer
 // the select list allows, or projectTail over the materialised selection.
-func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, outer *scope) (*Rows, error) {
+// anyRow (an EXISTS body, which is asked only whether it has a row) has a
+// consumer return the first row of its result and no more; no consumer
+// charges, so Cost is the whole body's.
+func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, outer *scope, anyRow bool) (*Rows, error) {
 	path := func(positions, pairs string) string {
 		if s.right != nil {
 			return pairs
@@ -82,7 +85,7 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, oute
 		var ap *aggPlan
 		if ap, reason = planAggTail(sel, src.cols, columns); ap != nil {
 			ec.notePath(sel, path(pathAgg, pathPairsAgg))
-			return ec.aggregatePositions(sel, s, ap, columns, outer)
+			return ec.aggregatePositions(sel, s, ap, columns, outer, anyRow)
 		}
 	} else {
 		var rp *rowTailPlan
@@ -92,31 +95,34 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, oute
 			} else {
 				ec.notePath(sel, path(pathGather, pathPairsGather))
 			}
-			return ec.rowTailPositions(sel, s, rp, columns, outer)
+			return ec.rowTailPositions(sel, s, rp, columns, outer, anyRow)
 		}
 	}
 	ec.notePath(sel, reason)
 	return ec.projectTail(sel, src, s.materialise(), outer)
 }
 
-// scanPositions is the scan of a base table under its pushed conjuncts (none:
-// every row): the first usable `col = literal` conjunct narrows the scan to
-// the column's equality-index bucket (already a selection, ascending, so
-// emission order is a full scan's), and every pushed conjunct — the indexed
-// equality included, re-verified with real `=` semantics — then filters what
-// is left, through kernels: over the column vectors for a full scan, and over
-// the rows themselves for a bucket, which is small and not worth a vector.
-func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, outer *scope) (selection, error) {
+// scanPositions is the scan of base table i under the conjuncts of where fp
+// pushes into it (none: every row): the first usable `col = literal`
+// conjunct narrows the scan to the column's equality-index bucket (already a
+// selection, ascending, so emission order is a full scan's), and every
+// pushed conjunct — the indexed equality included, re-verified with real `=`
+// semantics — then filters what is left, through kernels: over the column
+// vectors for a full scan, and over the rows themselves for a bucket, which
+// is small and not worth a vector.
+func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, where []conjunct, fp *fromPlan, i int, outer *scope) (selection, error) {
 	s := selection{rows: t.Rows, all: true}
-	if len(pushed) == 0 {
-		return s, nil
-	}
-	for _, c := range pushed {
-		if c.eqLit == nil {
+	pushed := false
+	for k, c := range where {
+		if !fp.pushedAt(k, i) {
 			continue
 		}
-		col, n := resolveCols(cols, c.eqLit.col)
-		if n != 1 {
+		pushed = true
+		if c.eqLit == nil || !s.all {
+			continue
+		}
+		col, cnt := resolveCols(cols, c.eqLit.col)
+		if cnt != 1 {
 			continue
 		}
 		s.all = false
@@ -126,15 +132,19 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, pushed []conjunct, o
 		if len(s.pos) == 0 {
 			return s, nil
 		}
-		break
+	}
+	if !pushed {
+		return s, nil
 	}
 	ps := predSource{cols: cols}
 	if s.all {
 		ps.t = t
 	}
 	preds := make([]rowPred, 0, 4)
-	for _, c := range pushed {
-		preds = append(preds, compilePred(ps, c.expr))
+	for k, c := range where {
+		if fp.pushedAt(k, i) {
+			preds = append(preds, compilePred(ps, c.expr))
+		}
 	}
 	return ec.filterPositions(cols, s, preds, outer)
 }
@@ -203,8 +213,8 @@ func constLimit(e Expr) bool {
 // rowTailPositions produces the result of a planned row tail: DISTINCT
 // thins the selection to first occurrences, ORDER BY picks the window's
 // positions through the heap (without it the window is a slice of the
-// selection), and only the window is gathered.
-func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPlan, columns []string, outer *scope) (*Rows, error) {
+// selection), and only the window — for anyRow its first row — is gathered.
+func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPlan, columns []string, outer *scope, anyRow bool) (*Rows, error) {
 	if sel.Distinct {
 		s = distinctPositions(s, rp.ixs)
 	}
@@ -220,6 +230,9 @@ func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPla
 			return nil, err
 		}
 		lo, hi = limitWindow(n, limit, offset)
+	}
+	if anyRow && hi > lo+1 {
+		hi = lo + 1
 	}
 	if len(rp.keys) > 0 {
 		// The one selection not in ascending order: it is only ever
@@ -551,8 +564,9 @@ func (st *aggState) result(fn aggFn) Value {
 // position order assigns each row its group (first-seen order, keyed as
 // projectGrouped keys them) and folds its cells into that group's
 // accumulators; then one output row per group, and the interpreter's own
-// DISTINCT/ORDER BY/LIMIT over those few rows.
-func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan, columns []string, outer *scope) (*Rows, error) {
+// DISTINCT/ORDER BY/LIMIT over those few rows, of which anyRow keeps the
+// first.
+func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan, columns []string, outer *scope, anyRow bool) (*Rows, error) {
 	w := len(ap.items)
 	var (
 		states []aggState // w per group, group-major
@@ -636,6 +650,9 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 	}
 	if err := ec.finishSelect(sel, out, outer, nil); err != nil {
 		return nil, err
+	}
+	if anyRow && len(out.data) > 1 {
+		out.data = out.data[:1:1]
 	}
 	return out.rows(), nil
 }

@@ -34,7 +34,7 @@ func (p *picker) of(choices ...string) string { return choices[p.pick(len(choice
 // terms of every kind evalOrderTerm knows, LIMIT/OFFSET including negative,
 // MaxInt64 and computed ones — or an aggregate tail, with or without GROUP
 // BY, behind an optional filter that may hit the equality index, a kernel,
-// or nothing. The set-up statements come first, the CREATE TABLE among
+// or nothing, and may carry an uncorrelated EXISTS. The set-up statements come first, the CREATE TABLE among
 // them.
 func tailCase(p *picker) (setup []string, query string) {
 	cells := []string{"NULL", "0", "1", "2", "-1", "1.5", "2.5", "'x'", "'y'", "''", "-0.0"}
@@ -42,7 +42,8 @@ func tailCase(p *picker) (setup []string, query string) {
 	for i, n := 0, 1+p.pick(24); i < n; i++ {
 		inserts = append(inserts, fmt.Sprintf("INSERT INTO z VALUES (%d, %s, %s, %s)", i, p.of(cells...), p.of(cells...), p.of(cells...)))
 	}
-	where := p.of("", "", " WHERE a = 1", " WHERE a = 'x'", " WHERE a = 7", " WHERE b > 0", " WHERE c IS NULL", " WHERE a = 1 AND b < 2", " WHERE 1 = 0")
+	where := p.of("", "", " WHERE a = 1", " WHERE a = 'x'", " WHERE a = 7", " WHERE b > 0", " WHERE c IS NULL", " WHERE a = 1 AND b < 2", " WHERE 1 = 0",
+		" WHERE b > 5 AND EXISTS (SELECT 1 FROM z)", " WHERE NOT EXISTS (SELECT 1 FROM z WHERE c = 'y') AND a = 1")
 	query = selectAround(p, tailCols{id: "id", a: "a", b: "b", c: "c", qa: "z.a"}, " FROM z"+where)
 	// Chosen last, so that bytes which run out before it leave c INTEGER.
 	create := "CREATE TABLE z (id INTEGER, a INTEGER, b INTEGER, c " + p.of("INTEGER", "REAL") + ")"

@@ -20,10 +20,13 @@ import (
 //
 // p takes every kernel shape and its NOT on every column: comparisons in
 // both orientations against INTEGER, REAL, TEXT and NULL literals, BETWEEN,
-// IN with a NULL, LIKE, and IS [NOT] NULL. The frames reach each kernel form:
-// a full scan (column vectors), an index bucket (cells read from the rows)
-// and a LEFT JOIN's null-extended pairs (the right side's cells, filtered
-// after the join).
+// IN with a NULL, LIKE, and IS [NOT] NULL; and each shape beside an
+// uncorrelated EXISTS conjunct, true or false, which the planned WHERE
+// settles apart from the kernels while TLP's NOT (p) and (p) IS NULL arms,
+// where the EXISTS is nested, stay interpreted. The frames reach each
+// kernel form: a full scan (column vectors), an index bucket (cells read
+// from the rows) and a LEFT JOIN's null-extended pairs (the right side's
+// cells, filtered after the join).
 func TestFilterTLPNoREC(t *testing.T) {
 	frames := []struct {
 		from, where string // where: a conjunct ANDed in front of p, or ""
@@ -73,7 +76,16 @@ func TestFilterTLPNoREC(t *testing.T) {
 			total := count(all)
 			for _, col := range f.cols {
 				for _, shape := range shapes {
-					for _, p := range []string{fmt.Sprintf(shape, col), "NOT (" + fmt.Sprintf(shape, col) + ")"} {
+					p := fmt.Sprintf(shape, col)
+					for _, p := range []string{
+						p, "NOT (" + p + ")",
+						// The uncorrelated EXISTS conjuncts the planner
+						// settles apart from p's kernels: constant true,
+						// true by an empty body, and false.
+						p + " AND EXISTS (SELECT 1 FROM t)",
+						p + " AND NOT EXISTS (SELECT 1 FROM g WHERE weight > 1000)",
+						"EXISTS (SELECT 1 FROM g WHERE weight > 1000) AND " + p,
+					} {
 						where := "SELECT COUNT(*)" + from + " WHERE " + and(p)
 						res, err := db.Exec(where)
 						if err != nil {
