@@ -70,7 +70,7 @@ func main() {
 	storeCompact := flag.Int("store-compact", 0, "store WAL compaction threshold in records (0 = 1024, negative disables)")
 	memory := flag.Bool("memory", false, "enable the confidence-gated query memory: verified generations are remembered and paraphrases served with zero pipeline/LLM calls")
 	memoryDir := flag.String("memory-dir", "", "durable query-memory directory, patterns survive restarts (requires -memory)")
-	peers := flag.String("peers", "", "comma-separated base URLs of the other fleet replicas; their evidence stores are tailed over /v1/replicate into this one (requires -store-dir, and -memory-dir with -memory)")
+	peers := flag.String("peers", "", "comma-separated base URLs of the other fleet replicas; their evidence stores, and with -memory their query-memory stores, are tailed over /v1/replicate into this one (requires -store-dir, and -memory-dir with -memory)")
 	replicateEvery := flag.Duration("replicate-interval", 0, "peer WAL poll period (0 = 200ms)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "on SIGTERM/SIGINT, how long /healthz?ready advertises draining before the listener stops accepting")
 	traceCapacity := flag.Int("trace-capacity", 0, "retained traces behind /v1/traces (0 = 256, negative disables tracing)")

@@ -42,11 +42,10 @@ func Manifest(corpus string, seed uint64) string {
 	return fmt.Sprintf("corpus=%s seed=%d", corpus, seed)
 }
 
-// Options, Stats and TailerStats are the log's own: see internal/wal.
+// Options and Stats are the log's own: see internal/wal.
 type (
-	Options     = wal.Options
-	Stats       = wal.Stats
-	TailerStats = wal.TailerStats
+	Options = wal.Options
+	Stats   = wal.Stats
 )
 
 // record is the on-disk JSON payload: the full cache key plus the entry.
@@ -113,28 +112,32 @@ func (s *Store) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	s.Log.RegisterMetrics(reg, "evstore", labels...)
 }
 
-// TailerOptions configures a Tailer; Apply is how seedd injects
-// replicated evidence into the serving cache.
-type TailerOptions = wal.TailerOptions[evserve.Key, evserve.Entry]
+// TailerOptions configures a Tailer (see wal.TailerOptions).
+type TailerOptions = wal.TailerOptions
 
 // Tailer replicates one peer's store into a local store by tailing its
 // WAL over HTTP.
-type Tailer struct {
-	*wal.Tailer[evserve.Key, evserve.Entry]
-}
+type Tailer = wal.Tailer[evserve.Key, evserve.Entry]
 
 // NewTailer builds a tailer that replicates from the peer named by source
 // (see wal.NewTailer) into store. A record is skipped when the store
 // already holds an identical entry: full-mesh shipping would otherwise
-// echo every record back and forth forever.
-func NewTailer(source string, store *Store, opts TailerOptions) *Tailer {
-	same := func(held, incoming evserve.Entry) bool {
-		return held.Evidence == incoming.Evidence && reflect.DeepEqual(held.Trace, incoming.Trace)
+// echo every record back and forth forever. Every record appended is then
+// handed to inject, when non-nil — seedd puts replicated evidence
+// straight into the serving cache, so a promoted follower answers from
+// memory.
+func NewTailer(source string, store *Store, inject func(evserve.Key, evserve.Entry), opts TailerOptions) *Tailer {
+	land := func(k evserve.Key, e evserve.Entry) (bool, error) {
+		if held, ok := store.Get(k); ok && held.Evidence == e.Evidence && reflect.DeepEqual(held.Trace, e.Trace) {
+			return false, nil
+		}
+		if err := store.Append(k, e); err != nil {
+			return false, err
+		}
+		if inject != nil {
+			inject(k, e)
+		}
+		return true, nil
 	}
-	return &Tailer{wal.NewTailer(source, store.Log, same, opts)}
-}
-
-// RegisterMetrics publishes the tailer's counters as evstore_tailer_*.
-func (t *Tailer) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	t.Tailer.RegisterMetrics(reg, "evstore_tailer", labels...)
+	return wal.NewTailer(source, codec{}, land, opts)
 }

@@ -510,3 +510,12 @@ func TestConcurrentAppends(t *testing.T) {
 		t.Fatalf("concurrent appends left %d corrupt records", st.TailDropped)
 	}
 }
+
+func readWAL(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}

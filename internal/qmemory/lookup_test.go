@@ -307,7 +307,7 @@ func TestExactHitAllocations(t *testing.T) {
 	}
 }
 
-// TestConcurrentHammer runs look-ups, Stats, Patterns and SyncRead from
+// TestConcurrentHammer runs look-ups, Stats and Patterns from
 // four goroutines against four writers, each admitting, reinforcing,
 // failing and replacing its own patterns. Mutations touch one pattern
 // each, so whatever the interleaving the final records must equal the
@@ -361,7 +361,6 @@ func TestConcurrentHammer(t *testing.T) {
 					m.Lookup("financial", q.Paraphrases[0], hit.PatternID)
 				}
 				if r == 0 && i%8 == 0 {
-					m.SyncRead(0, 0, 16)
 					m.Stats()
 					m.Patterns()
 				}

@@ -30,23 +30,8 @@ func (m *Memory) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		func() float64 { return float64(m.Stats().Reinforced) }, labels...)
 	reg.GaugeFunc("qmemory_demotions_total", "Patterns whose confidence fell below the serve threshold.",
 		func() float64 { return float64(m.Stats().Demotions) }, labels...)
-	reg.GaugeFunc("qmemory_injected_total", "Patterns landed by fleet sync.",
+	reg.GaugeFunc("qmemory_injected_total", "Patterns landed by fleet replication.",
 		func() float64 { return float64(m.Stats().Injected) }, labels...)
 	reg.GaugeFunc("qmemory_store_errors_total", "Write-through persistence failures.",
 		func() float64 { return float64(m.Stats().StoreErrors) }, labels...)
-}
-
-// RegisterMetrics publishes the tailer's replication counters into reg,
-// keyed by the peer labels the caller supplies.
-func (t *Tailer) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
-	reg.GaugeFunc("qmemory_tail_polls_total", "Sync polls attempted.",
-		func() float64 { return float64(t.Stats().Polls) }, labels...)
-	reg.GaugeFunc("qmemory_tail_applied_total", "Replicated patterns applied.",
-		func() float64 { return float64(t.Stats().Applied) }, labels...)
-	reg.GaugeFunc("qmemory_tail_skipped_total", "Replicated patterns our copy dominated.",
-		func() float64 { return float64(t.Stats().Skipped) }, labels...)
-	reg.GaugeFunc("qmemory_tail_errors_total", "Sync polls that failed.",
-		func() float64 { return float64(t.Stats().Errors) }, labels...)
-	reg.GaugeFunc("qmemory_tail_resyncs_total", "Generation changes forcing a full resync.",
-		func() float64 { return float64(t.Stats().Resyncs) }, labels...)
 }

@@ -17,8 +17,8 @@
 //
 // The memory is optionally durable (Store: an internal/wal log of
 // pattern records, files qmemory.wal, qmemory.snapshot, qmemory.wal.tail,
-// LOCK and MANIFEST) and replicates to fleet peers over an incremental
-// sync protocol of its own (see replicate.go).
+// LOCK and MANIFEST) and replicates to fleet peers by shipping that log,
+// as evidence does (see replicate.go).
 package qmemory
 
 import (
@@ -29,7 +29,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bm25"
 	"repro/internal/embed"
@@ -75,8 +74,8 @@ type Options struct {
 	Store *Store
 }
 
-// Record is one pattern's serializable state: the WAL unit, the sync
-// unit, and the replay unit are all this shape.
+// Record is one pattern's serializable state: the WAL unit, the
+// replication unit, and the replay unit are all this shape.
 type Record struct {
 	// ID is the pattern key: a hash of (db, SQL), so re-admitting the
 	// same SQL under a new phrasing extends the pattern instead of
@@ -97,7 +96,7 @@ type Record struct {
 	Confidence float64 `json:"confidence"`
 	// Successes and Failures count verified outcomes over the pattern's
 	// lifetime (admissions included). Their sum orders replicas'
-	// versions of a pattern during sync.
+	// versions of a pattern during replication.
 	Successes int64 `json:"successes"`
 	Failures  int64 `json:"failures"`
 	// Phrasings are the known question phrasings, retrieval documents
@@ -106,7 +105,7 @@ type Record struct {
 }
 
 // events is the total verified-outcome count — the dominance order for
-// replica sync (more observed outcomes = newer knowledge).
+// replication (more observed outcomes = newer knowledge).
 func (r Record) events() int64 { return r.Successes + r.Failures }
 
 // PatternID derives the stable pattern key for a (db, SQL) pair.
@@ -159,7 +158,6 @@ type Hit struct {
 type pattern struct {
 	rec  Record
 	lits []string // rec.SQL's literals, lower-cased, for the literal-overlap gate
-	seq  int64    // last mutation sequence, for incremental sync
 }
 
 func (p *pattern) hit(similarity float64) Hit {
@@ -208,7 +206,7 @@ type Stats struct {
 	// pattern leaving rotation.
 	Demotions int64 `json:"demotions"`
 	// Restored counts patterns replayed from the durable store at
-	// startup; Injected counts patterns landed by fleet sync.
+	// startup; Injected counts patterns landed by fleet replication.
 	Restored int64 `json:"restored,omitempty"`
 	Injected int64 `json:"injected,omitempty"`
 	// StoreAppends/StoreErrors count write-through persistence outcomes.
@@ -227,8 +225,6 @@ type Memory struct {
 	mu       sync.RWMutex
 	patterns map[string]*pattern
 	dbs      map[string]*dbIndex
-	gen      int64 // sync generation: fresh per construction
-	seq      int64 // bumped on every mutation
 
 	stats Stats // the counters mutations bump, under mu
 	// Lookup's counters: readers do not write under mu.
@@ -244,7 +240,6 @@ func New(opts Options) (*Memory, error) {
 		model:    embed.NewModel(),
 		patterns: make(map[string]*pattern),
 		dbs:      make(map[string]*dbIndex),
-		gen:      time.Now().UnixNano(),
 	}
 	if opts.Store != nil {
 		var restoreErr error
@@ -477,8 +472,7 @@ func (m *Memory) Stats() Stats {
 	return s
 }
 
-// Patterns returns a copy of every record, sorted by ID (tests and the
-// sync reader use it).
+// Patterns returns a copy of every record, sorted by ID.
 func (m *Memory) Patterns() []Record {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -490,11 +484,8 @@ func (m *Memory) Patterns() []Record {
 	return out
 }
 
-// touchLocked stamps a mutated pattern with the next sequence number and
-// persists it write-through.
+// touchLocked persists a mutated pattern write-through.
 func (m *Memory) touchLocked(p *pattern) {
-	m.seq++
-	p.seq = m.seq
 	if m.opts.Store != nil {
 		if err := m.opts.Store.Append(cloneRecord(p.rec)); err != nil {
 			m.stats.StoreErrors++
@@ -536,7 +527,7 @@ func (m *Memory) indexPhrasingLocked(p *pattern, phrasing string) {
 	}
 }
 
-// applyLocked installs a full record (restore and sync paths), replacing
+// applyLocked installs a full record (restore and replication paths), replacing
 // any existing version and reindexing its phrasings. persist=true also
 // writes it through to the store.
 func (m *Memory) applyLocked(rec Record, persist bool) error {
@@ -556,7 +547,7 @@ func (m *Memory) applyHeld(rec Record, persist bool) error {
 	m.patterns[rec.ID] = p
 	// Reindex: drop the old version's entries, add the new set. Filtering
 	// the flat lists is O(phrasings of the db), fine at the mutation rates
-	// sync runs at (restore never replaces).
+	// replication runs at (restore never replaces).
 	if di := m.dbs[rec.DB]; old != nil && di != nil {
 		n := 0
 		for i, q := range di.pats {
@@ -579,14 +570,8 @@ func (m *Memory) applyHeld(rec Record, persist bool) error {
 	for _, ph := range rec.Phrasings {
 		m.indexPhrasingLocked(p, ph)
 	}
-	m.seq++
-	p.seq = m.seq
-	if persist && m.opts.Store != nil {
-		if err := m.opts.Store.Append(cloneRecord(p.rec)); err != nil {
-			m.stats.StoreErrors++
-		} else {
-			m.stats.StoreAppends++
-		}
+	if persist {
+		m.touchLocked(p)
 	}
 	return nil
 }

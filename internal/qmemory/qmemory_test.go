@@ -1,9 +1,6 @@
 package qmemory
 
 import (
-	"context"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -258,81 +255,6 @@ func TestStoreCompaction(t *testing.T) {
 	}
 }
 
-func TestSyncConvergence(t *testing.T) {
-	a, _ := New(Options{})
-	b, _ := New(Options{})
-	fp := Fingerprint(testRows())
-	a.Admit("shop", "How many orders have status 'shipped'?", "",
-		"SELECT COUNT(*) FROM orders WHERE status = 'shipped'", fp)
-	a.Admit("shop", "What is the total quantity across all items rows?", "",
-		"SELECT SUM(quantity) FROM items", fp)
-
-	srv := httptest.NewServer(httpHandler(a))
-	defer srv.Close()
-	tailer := NewTailer(srv.URL, b, TailerOptions{})
-	if err := tailer.Poll(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if got := tailer.Stats().Applied; got != 2 {
-		t.Fatalf("want 2 applied, got %d (stats %+v)", got, tailer.Stats())
-	}
-	if _, ok := b.Lookup("shop", "How many orders have status 'shipped'?"); !ok {
-		t.Fatal("replicated pattern should serve on the follower")
-	}
-
-	// A second poll with nothing new applies nothing (cursor advanced).
-	if err := tailer.Poll(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if got := tailer.Stats().Applied; got != 2 {
-		t.Fatalf("idle poll should apply nothing, got %d", got)
-	}
-
-	// The reverse direction skips everything — no echo amplification.
-	srvB := httptest.NewServer(httpHandler(b))
-	defer srvB.Close()
-	back := NewTailer(srvB.URL, a, TailerOptions{})
-	if err := back.Poll(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if got := back.Stats().Applied; got != 0 {
-		t.Fatalf("echo must not re-apply, got %d applied", got)
-	}
-
-	// A demotion on A (more events) wins on B.
-	hit, _ := a.Lookup("shop", "How many orders have status 'shipped'?")
-	a.Failure(hit.PatternID)
-	if err := tailer.Poll(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.Lookup("shop", "How many orders have status 'shipped'?"); ok {
-		t.Fatal("replicated demotion should stop the follower from serving")
-	}
-	if b.Stats().Demotions == 0 {
-		// Demotions count locally; the injected copy just replaces state.
-		// What matters is the serve gate above — this assert documents
-		// that injection does not fabricate demotion metrics.
-		_ = b
-	}
-}
-
-// TestTailerCancelledPollIsNoError: a poll that shutdown cancelled fails,
-// but it is not a replication error and is not counted as one.
-func TestTailerCancelledPollIsNoError(t *testing.T) {
-	m, _ := New(Options{})
-	srv := httptest.NewServer(httpHandler(m))
-	defer srv.Close()
-	tailer := NewTailer(srv.URL, m, TailerOptions{})
-	ctx, cancel := context.WithCancel(t.Context())
-	cancel()
-	if err := tailer.Poll(ctx); err == nil {
-		t.Fatal("a poll under a cancelled context succeeded")
-	}
-	if got := tailer.Stats().Errors; got != 0 {
-		t.Fatalf("cancelled poll counted %d errors, want 0", got)
-	}
-}
-
 func TestInjectDominance(t *testing.T) {
 	m, _ := New(Options{})
 	rec := Record{ID: "x", DB: "d", SQL: "SELECT a FROM t", Confidence: 0.9, Successes: 2, Phrasings: []string{"q"}}
@@ -379,9 +301,4 @@ func TestSQLLiterals(t *testing.T) {
 			t.Fatalf("literals %v, want %v", got, want)
 		}
 	}
-}
-
-// httpHandler adapts a Memory's sync endpoint for httptest.
-func httpHandler(m *Memory) http.Handler {
-	return http.HandlerFunc(m.ServeSync)
 }

@@ -3,6 +3,7 @@ package qmemory
 import (
 	"cmp"
 	"encoding/json"
+	"net/http"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -41,8 +42,9 @@ func (recordCodec) Compare(a, b string) int { return cmp.Compare(a, b) }
 // one-process-per-directory rule. Every confidence change appends the
 // pattern's full record, so replay needs no delta logic and compaction is
 // just "rewrite the live set". The log is a named field, not embedded:
-// the memory replicates through SyncRead/Inject, so the log's byte feed
-// and point reads are not part of this store's surface.
+// every write goes through Memory, under its lock (Append here, Inject
+// for replicated records), so the log's point reads and its keyed Append
+// are not part of this store's surface; its replication feed is.
 type Store struct {
 	log *wal.Log[string, Record]
 }
@@ -65,6 +67,12 @@ func (s *Store) Append(rec Record) error { return s.log.Append(rec.ID, rec) }
 // Load replays the live set (sorted by ID for determinism) into fn.
 func (s *Store) Load(fn func(Record)) {
 	s.log.Load(func(_ string, rec Record) { fn(rec) })
+}
+
+// ServeReplication serves the log's WAL to a peer's NewTailer (see
+// wal.Log.ServeReplication).
+func (s *Store) ServeReplication(w http.ResponseWriter, r *http.Request) {
+	s.log.ServeReplication(w, r)
 }
 
 // Flush pushes buffered appends to the operating system.

@@ -215,8 +215,9 @@ func TestMemoryWarmRestart(t *testing.T) {
 }
 
 // TestMemoryReplicationServesOnFollower: patterns learned on one replica
-// ship to peers like evidence — the follower serves a question it never
-// generated, from memory, with zero LLM calls.
+// ship to peers like evidence, over the memory kind of /v1/replicate — the
+// follower serves a question it never generated, from memory, with zero
+// LLM calls. Only a durable memory (MemoryDir) has a log to serve.
 func TestMemoryReplicationServesOnFollower(t *testing.T) {
 	leaderDir := t.TempDir()
 	leaderSrv, err := New(Config{
@@ -226,6 +227,7 @@ func TestMemoryReplicationServesOnFollower(t *testing.T) {
 		StoreDir:  leaderDir,
 		StoreSeed: 7,
 		Memory:    true,
+		MemoryDir: t.TempDir(),
 		Logger:    quietLogger(),
 	})
 	if err != nil {
@@ -332,6 +334,43 @@ func TestPeersRequireDurableStores(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: New refused with %q, want it to name %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestReplicateServesDurableKindsOnly: GET /v1/replicate serves one log
+// per kind and corpus — evidence by default, memory with kind=memory — and
+// answers 404 for a kind this replica keeps no durable log of.
+func TestReplicateServesDurableKindsOnly(t *testing.T) {
+	status := func(ts *httptest.Server, query string) int {
+		resp, err := http.Get(ts.URL + "/v1/replicate?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	_, volatile := newTestServer(t, func(c *Config) { c.Memory = true })
+	_, durable := newTestServer(t, func(c *Config) {
+		c.StoreDir, c.Memory, c.MemoryDir = t.TempDir(), true, t.TempDir()
+	})
+	for _, tc := range []struct {
+		ts    *httptest.Server
+		query string
+		want  int
+	}{
+		{volatile, "corpus=bird", http.StatusNotFound},
+		{volatile, "corpus=bird&kind=memory", http.StatusNotFound},
+		{durable, "corpus=bird", http.StatusOK},
+		{durable, "corpus=bird&kind=evidence", http.StatusOK},
+		{durable, "corpus=bird&kind=memory", http.StatusOK},
+		{durable, "kind=memory", http.StatusOK},
+		{durable, "corpus=bird&kind=traces", http.StatusNotFound},
+		{durable, "corpus=nope&kind=memory", http.StatusNotFound},
+	} {
+		if got := status(tc.ts, tc.query); got != tc.want {
+			t.Errorf("durable=%v ?%s: status %d, want %d", tc.ts == durable, tc.query, got, tc.want)
 		}
 	}
 }

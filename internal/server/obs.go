@@ -45,13 +45,14 @@ func (s *Server) initObs() {
 		st.RegisterMetrics(s.obsReg, obs.L("corpus", name))
 	}
 	for _, rs := range s.tailers {
-		rs.tailer.RegisterMetrics(s.obsReg, obs.L("corpus", rs.corpus))
+		prefix := "evstore_tailer"
+		if rs.kind == kindMemory {
+			prefix = "qmemory_tailer"
+		}
+		rs.tailer.RegisterMetrics(s.obsReg, prefix, obs.L("corpus", rs.corpus))
 	}
 	for name, mem := range s.memories {
 		mem.RegisterMetrics(s.obsReg, obs.L("corpus", name))
-	}
-	for _, ms := range s.memTailers {
-		ms.tailer.RegisterMetrics(s.obsReg, obs.L("corpus", ms.corpus), obs.L("peer", ms.peer))
 	}
 	for name, corpus := range s.corpora {
 		sqlengine.RegisterPlanCacheMetrics(s.obsReg, func() sqlengine.PlanCacheStats {

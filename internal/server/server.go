@@ -27,6 +27,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -104,14 +105,15 @@ type Config struct {
 	StoreSeed uint64
 	// Peers are the base URLs of the other seedd replicas in the fleet.
 	// When non-empty (requires StoreDir, and MemoryDir with Memory), the
-	// server tails every peer's per-corpus evidence store over GET
-	// /v1/replicate and injects the replicated entries into its own stores
-	// and serving caches — so when the fleet router fails a dead peer's
-	// shard over to this replica, it answers from already-shipped evidence
-	// with zero LLM calls.
+	// server tails every peer's per-corpus evidence store — and, with
+	// Memory, its query-memory store — over GET /v1/replicate and lands the
+	// replicated records in its own stores, serving caches and memories —
+	// so when the fleet router fails a dead peer's shard over to this
+	// replica, it answers from already-shipped evidence and patterns with
+	// zero LLM calls.
 	Peers []string
-	// ReplicateInterval is the peer WAL poll period; <= 0 uses the
-	// evstore tailer default (200ms).
+	// ReplicateInterval is the peer WAL poll period of every replication
+	// stream; <= 0 uses the wal tailer default (200ms).
 	ReplicateInterval time.Duration
 	// Memory enables the confidence-gated query memory: past successful
 	// (question, evidence, SQL, result-fingerprint) tuples are
@@ -175,29 +177,36 @@ type Server struct {
 	// finish tailing this replica's WAL.
 	draining atomic.Bool
 
-	// tailers replicate peer evidence stores and memTailers peer query
-	// memories (one stream per corpus per peer); tailCancel/tailWG stop
-	// them on Close before the stores close.
+	// feeds serve GET /v1/replicate: the durable log of each replication
+	// kind and corpus. A kind has feeds only when its store is durable
+	// (StoreDir for evidence, MemoryDir for memory).
+	feeds map[string]map[string]http.HandlerFunc
+
+	// tailers replicate peer stores, one stream per kind per corpus per
+	// peer; tailCancel/tailWG stop them on Close before the stores close.
 	tailers    []replStream
-	memTailers []memStream
 	tailCancel context.CancelFunc
 	tailWG     sync.WaitGroup
 
 	closeOnce sync.Once
 }
 
+// Replication kinds: the values of GET /v1/replicate's kind parameter.
+// Both ship a wal.Log through wal.Tailer; only the record codec and the
+// owner's land hook differ.
+const (
+	kindEvidence = "evidence"
+	kindMemory   = "memory"
+)
+
 // replStream is one peer replication stream for metrics labeling.
 type replStream struct {
-	corpus string
-	peer   string
-	tailer *evstore.Tailer
-}
-
-// memStream is one peer query-memory sync stream for metrics labeling.
-type memStream struct {
-	corpus string
-	peer   string
-	tailer *qmemory.Tailer
+	kind, corpus, peer string
+	tailer             interface {
+		Run(ctx context.Context)
+		Stats() wal.TailerStats
+		RegisterMetrics(reg *obs.Registry, prefix string, labels ...obs.Label)
+	}
 }
 
 // New builds the serving subsystem: one seed pipeline + evidence service
@@ -236,6 +245,7 @@ func New(cfg Config) (*Server, error) {
 		corpora:  make(map[string]*dataset.Corpus),
 		memories: make(map[string]*qmemory.Memory),
 		judges:   make(map[string]*eval.Judge),
+		feeds:    map[string]map[string]http.HandlerFunc{kindEvidence: {}, kindMemory: {}},
 		adm:      newAdmission(cfg.Rate, cfg.Burst, cfg.MaxInFlight),
 		routes:   make(map[string]*routeMetrics),
 		start:    time.Now(),
@@ -279,6 +289,7 @@ func New(cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("server: opening evidence store for %s: %w", corpus.Name, err)
 			}
 			s.stores[corpus.Name] = store
+			s.feeds[kindEvidence][corpus.Name] = store.ServeReplication
 		}
 		svcOpts := evserve.Options{
 			Variant:        variant,
@@ -307,6 +318,7 @@ func New(cfg Config) (*Server, error) {
 					return nil, fmt.Errorf("server: opening query-memory store for %s: %w", corpus.Name, err)
 				}
 				mopts.Store = mstore
+				s.feeds[kindMemory][corpus.Name] = mstore.ServeReplication
 			}
 			mem, err := qmemory.New(mopts)
 			if err != nil {
@@ -327,49 +339,45 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Peers) > 0 {
 		var tailCtx context.Context
 		tailCtx, s.tailCancel = context.WithCancel(context.Background())
-		// Query memories ship to peers like evidence: every replica tails
-		// every peer's pattern set, so a shard failed over to this replica
-		// is served from memory on the first paraphrase, not relearned.
-		for name, mem := range s.memories {
-			for _, peer := range cfg.Peers {
-				src := peer + pathMemSync + "?corpus=" + url.QueryEscape(name)
-				mt := qmemory.NewTailer(src, mem, qmemory.TailerOptions{Interval: cfg.ReplicateInterval})
-				s.memTailers = append(s.memTailers, memStream{corpus: name, peer: peer, tailer: mt})
-				s.tailWG.Add(1)
-				go func() {
-					defer s.tailWG.Done()
-					mt.Run(tailCtx)
-				}()
+		opts := wal.TailerOptions{Interval: cfg.ReplicateInterval}
+		for _, peer := range cfg.Peers {
+			src := func(kind, corpus string) string {
+				return peer + pathReplicate + "?corpus=" + url.QueryEscape(corpus) + "&kind=" + kind
 			}
-		}
-		for name, store := range s.stores {
-			svc := s.services[name]
-			for _, peer := range cfg.Peers {
-				src := peer + pathReplicate + "?corpus=" + url.QueryEscape(name)
-				tl := evstore.NewTailer(src, store, evstore.TailerOptions{
-					Interval: cfg.ReplicateInterval,
-					// Replicated evidence goes straight into the serving
-					// cache: a shard failed over to this replica is answered
-					// from memory, not just from disk on the next restart.
-					Apply: func(k evserve.Key, e evserve.Entry) { svc.Inject(k, e) },
-				})
-				s.tailers = append(s.tailers, replStream{corpus: name, peer: peer, tailer: tl})
-				s.tailWG.Add(1)
-				go func() {
-					defer s.tailWG.Done()
-					tl.Run(tailCtx)
-				}()
+			for name, store := range s.stores {
+				// Replicated evidence goes straight into the serving cache:
+				// a shard failed over to this replica is answered from
+				// memory, not just from disk on the next restart.
+				svc := s.services[name]
+				inject := func(k evserve.Key, e evserve.Entry) { svc.Inject(k, e) }
+				s.tail(tailCtx, replStream{kindEvidence, name, peer, evstore.NewTailer(src(kindEvidence, name), store, inject, opts)})
+			}
+			// Query memories ship like evidence, so a shard failed over to
+			// this replica is served from memory on the first paraphrase,
+			// not relearned.
+			for name, mem := range s.memories {
+				s.tail(tailCtx, replStream{kindMemory, name, peer, qmemory.NewTailer(src(kindMemory, name), mem, opts)})
 			}
 		}
 	}
 
 	s.initObs()
 	for _, route := range []string{
-		pathQuery, pathEvidence, pathDBs, pathExamples, pathReplicate, pathMemSync, pathHealthz, pathMetrics, pathTraces,
+		pathQuery, pathEvidence, pathDBs, pathExamples, pathReplicate, pathHealthz, pathMetrics, pathTraces,
 	} {
 		s.routes[route] = newRouteMetrics(s.obsReg, route)
 	}
 	return s, nil
+}
+
+// tail starts one peer replication stream; Close stops it.
+func (s *Server) tail(ctx context.Context, rs replStream) {
+	s.tailers = append(s.tailers, rs)
+	s.tailWG.Add(1)
+	go func() {
+		defer s.tailWG.Done()
+		rs.tailer.Run(ctx)
+	}()
 }
 
 // Route names; also the keys of the /metrics routes map.
@@ -379,7 +387,6 @@ const (
 	pathDBs       = "/v1/dbs"
 	pathExamples  = "/v1/examples"
 	pathReplicate = "/v1/replicate"
-	pathMemSync   = "/v1/memsync"
 	pathTraces    = "/v1/traces"
 	pathHealthz   = "/healthz"
 	pathMetrics   = "/metrics"
@@ -393,10 +400,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET "+pathDBs, s.wrap(pathDBs, false, s.handleDBs))
 	mux.Handle("GET "+pathExamples, s.wrap(pathExamples, false, s.handleExamples))
 	// Replication skips admission: a draining or overloaded replica must
-	// still let its followers catch up on the WAL — and on the query
-	// memory, which ships over the same peer mesh.
+	// still let its followers catch up on its evidence and memory logs.
 	mux.Handle("GET "+pathReplicate, s.wrap(pathReplicate, false, s.handleReplicate))
-	mux.Handle("GET "+pathMemSync, s.wrap(pathMemSync, false, s.handleMemSync))
 	// Trace retrieval skips admission for the same reason /metrics does:
 	// the traces explaining an overload must be readable during one.
 	mux.Handle("GET "+pathTraces, s.wrap(pathTraces, false, s.handleTraces))
@@ -792,48 +797,32 @@ func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleReplicate serves one corpus's WAL to a fleet follower: GET
-// /v1/replicate?corpus=<name>&gen=<gen>&from=<offset>. With exactly one
-// corpus loaded the corpus parameter may be omitted.
+// handleReplicate serves one corpus's log of one kind to a fleet
+// follower: GET /v1/replicate?corpus=<name>&kind=<evidence|memory>&gen=<gen>&from=<offset>.
+// kind defaults to evidence, and with exactly one corpus the corpus
+// parameter may be omitted. A kind this replica keeps no durable log of
+// answers 404.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if len(s.stores) == 0 {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "replication requires a durable store (-store-dir)")
+	q := r.URL.Query()
+	kind := cmp.Or(q.Get("kind"), kindEvidence)
+	feeds := s.feeds[kind]
+	if len(feeds) == 0 {
+		writeError(w, http.StatusNotFound, api.CodeNotFound,
+			fmt.Sprintf("no durable %q log to replicate (evidence needs -store-dir, memory -memory-dir)", kind))
 		return
 	}
-	corpus := r.URL.Query().Get("corpus")
-	if corpus == "" && len(s.stores) == 1 {
-		for name := range s.stores {
+	corpus := q.Get("corpus")
+	if corpus == "" && len(feeds) == 1 {
+		for name := range feeds {
 			corpus = name
 		}
 	}
-	store, ok := s.stores[corpus]
+	feed, ok := feeds[corpus]
 	if !ok {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown corpus %q", corpus))
 		return
 	}
-	store.ServeReplication(w, r)
-}
-
-// handleMemSync serves one corpus's query-memory patterns to a fleet
-// follower: GET /v1/memsync?corpus=<name>&gen=<gen>&since=<seq>. With
-// exactly one memory-enabled corpus the corpus parameter may be omitted.
-func (s *Server) handleMemSync(w http.ResponseWriter, r *http.Request) {
-	if len(s.memories) == 0 {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "query memory is disabled on this replica")
-		return
-	}
-	corpus := r.URL.Query().Get("corpus")
-	if corpus == "" && len(s.memories) == 1 {
-		for name := range s.memories {
-			corpus = name
-		}
-	}
-	mem, ok := s.memories[corpus]
-	if !ok {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown corpus %q", corpus))
-		return
-	}
-	mem.ServeSync(w, r)
+	feed(w, r)
 }
 
 // handleHealthz is the liveness/readiness split: a plain GET /healthz
@@ -872,16 +861,16 @@ type MetricsSnapshot struct {
 	// (records, WAL size, compactions, replay time, snapshot age);
 	// omitted when the server runs without -store-dir.
 	Store map[string]evstore.Stats `json:"store,omitempty"`
-	// Replication holds one tailer snapshot per peer stream, keyed
-	// "corpus<-peerURL"; omitted outside a fleet (-peers unset).
-	Replication map[string]evstore.TailerStats `json:"replication,omitempty"`
+	// Replication holds one evidence tailer snapshot per peer stream,
+	// keyed "corpus<-peerURL"; omitted outside a fleet (-peers unset).
+	Replication map[string]wal.TailerStats `json:"replication,omitempty"`
 	// Memory holds the per-corpus query-memory counters (patterns,
 	// lookups, hits, demotions, confidence distribution); omitted when
 	// the server runs without -memory.
 	Memory map[string]qmemory.Stats `json:"memory,omitempty"`
-	// MemoryReplication holds one memory-sync tailer snapshot per peer
-	// stream, keyed "corpus<-peerURL"; omitted outside a fleet.
-	MemoryReplication map[string]qmemory.TailerStats `json:"memory_replication,omitempty"`
+	// MemoryReplication is Replication for the query memory's streams;
+	// omitted outside a fleet or without -memory.
+	MemoryReplication map[string]wal.TailerStats `json:"memory_replication,omitempty"`
 	// Draining reports the shutdown drain state (see SetDraining).
 	Draining bool `json:"draining,omitempty"`
 }
@@ -948,22 +937,20 @@ func (s *Server) Metrics() MetricsSnapshot {
 			snap.Store[name] = st.Stats()
 		}
 	}
-	if len(s.tailers) > 0 {
-		snap.Replication = make(map[string]evstore.TailerStats, len(s.tailers))
-		for _, rs := range s.tailers {
-			snap.Replication[rs.corpus+"<-"+rs.peer] = rs.tailer.Stats()
+	for _, rs := range s.tailers {
+		streams := &snap.Replication
+		if rs.kind == kindMemory {
+			streams = &snap.MemoryReplication
 		}
+		if *streams == nil {
+			*streams = make(map[string]wal.TailerStats)
+		}
+		(*streams)[rs.corpus+"<-"+rs.peer] = rs.tailer.Stats()
 	}
 	if len(s.memories) > 0 {
 		snap.Memory = make(map[string]qmemory.Stats, len(s.memories))
 		for name, mem := range s.memories {
 			snap.Memory[name] = mem.Stats()
-		}
-	}
-	if len(s.memTailers) > 0 {
-		snap.MemoryReplication = make(map[string]qmemory.TailerStats, len(s.memTailers))
-		for _, ms := range s.memTailers {
-			snap.MemoryReplication[ms.corpus+"<-"+ms.peer] = ms.tailer.Stats()
 		}
 	}
 	snap.Draining = s.draining.Load()

@@ -30,12 +30,14 @@ import (
 //
 // The follower side is Tailer: a loop that polls a peer, consumes only
 // complete CRC-valid frames (a truncated body or flipped bit costs a
-// re-poll, never a bad record), applies records it does not already hold
-// into its own log, and resumes at the frame boundary it last trusted.
-// Because the follower re-frames records through its own Append, its
-// log is exactly as crash-safe as a leader's — a follower promoted by
-// the router serves the dead leader's shard from its own durable state,
-// with zero LLM calls.
+// re-poll, never a bad record), hands each record to its owner's land
+// hook, and resumes at the frame boundary it last trusted. The owner
+// decides what landing means — evidence appends what it does not already
+// hold, the query memory applies its dominance rule — and re-frames what
+// it keeps through its own log's Append, so a follower's log is exactly
+// as crash-safe as a leader's: a follower promoted by the router serves
+// the dead leader's shard from its own durable state, with zero LLM
+// calls.
 
 // Replication HTTP headers. The body of a replication response is raw
 // framed records; these carry the stream position metadata.
@@ -57,7 +59,9 @@ const (
 	HeaderReplicateLen = "X-Replicate-Len"
 )
 
-// maxReplicationChunk bounds one incremental replication response.
+// maxReplicationChunk bounds one incremental replication response. A full
+// dump is the whole live set and has no bound: the follower reads it to
+// its advertised length.
 const maxReplicationChunk = 4 << 20
 
 // Chunk is one replication response: Data holds framed records; when Full
@@ -148,7 +152,7 @@ func (l *Log[K, V]) ServeReplication(w http.ResponseWriter, r *http.Request) {
 }
 
 // TailerOptions configures a Tailer.
-type TailerOptions[K comparable, V any] struct {
+type TailerOptions struct {
 	// Interval is the poll period; <= 0 defaults to 200ms. A poll that
 	// consumed a full chunk re-polls immediately — catch-up is bounded by
 	// bandwidth, not by the poll interval.
@@ -157,10 +161,6 @@ type TailerOptions[K comparable, V any] struct {
 	Client *http.Client
 	// MaxBytes bounds one poll's chunk; 0 uses the server default.
 	MaxBytes int
-	// Apply, when non-nil, observes every record actually applied to the
-	// log — seedd uses it to inject replicated evidence into the serving
-	// cache so a promoted follower answers from memory.
-	Apply func(k K, v V)
 }
 
 // tailerStallLimit is how many consecutive zero-progress polls (with a
@@ -168,15 +168,19 @@ type TailerOptions[K comparable, V any] struct {
 // forcing a full resync.
 const tailerStallLimit = 3
 
-// Tailer replicates one peer's log into a local log by tailing its WAL
-// over HTTP. Construct with NewTailer, drive with Run.
+// Tailer replicates one peer's log into its owner by tailing the peer's
+// WAL over HTTP. It keeps only the transport, the cursor, stall/resync
+// and the counters; what a record does on arrival is the owner's land
+// hook. Construct with NewTailer, drive with Run.
 type Tailer[K comparable, V any] struct {
 	source string
-	into   *Log[K, V]
-	// same is the instance's merge rule: it reports whether the record
-	// already held under a key makes an incoming one redundant.
-	same func(held, incoming V) bool
-	opts TailerOptions[K, V]
+	codec  Codec[K, V]
+	// land is the owner's merge rule and write: it lands one replicated
+	// record and reports whether it changed anything. false means the
+	// owner already held an equal or dominant version — what stops
+	// full-mesh echo and makes a re-delivered dump idempotent.
+	land func(k K, v V) (applied bool, err error)
+	opts TailerOptions
 	// requestID identifies this tailer's replication stream in the peer's
 	// request logs (every poll carries it as X-Request-Id).
 	requestID string
@@ -195,13 +199,13 @@ type Tailer[K comparable, V any] struct {
 	errors     atomic.Int64
 }
 
-// NewTailer builds a tailer that replicates from the peer named by source
-// into the local log, skipping records for which same(held, incoming)
-// holds. source is either a replica base URL (e.g.
-// "http://127.0.0.1:8081" — the standard /v1/replicate path is appended)
-// or a full replication URL carrying its own query parameters (e.g.
-// ".../v1/replicate?corpus=bird" for seedd's corpus-scoped endpoint).
-func NewTailer[K comparable, V any](source string, into *Log[K, V], same func(held, incoming V) bool, opts TailerOptions[K, V]) *Tailer[K, V] {
+// NewTailer builds a tailer that decodes the frames of the peer named by
+// source with codec and lands each record through land. source is either
+// a replica base URL (e.g. "http://127.0.0.1:8081" — the standard
+// /v1/replicate path is appended) or a full replication URL carrying its
+// own query parameters (e.g. ".../v1/replicate?corpus=bird&kind=memory"
+// for seedd's corpus- and kind-scoped feed).
+func NewTailer[K comparable, V any](source string, codec Codec[K, V], land func(k K, v V) (applied bool, err error), opts TailerOptions) *Tailer[K, V] {
 	if opts.Interval <= 0 {
 		opts.Interval = 200 * time.Millisecond
 	}
@@ -211,7 +215,7 @@ func NewTailer[K comparable, V any](source string, into *Log[K, V], same func(he
 	// gen 0 never matches a real generation (they are UnixNano stamps), so
 	// the first poll always receives a full dump — a fresh follower needs
 	// the history, not just new bytes.
-	return &Tailer[K, V]{source: source, into: into, same: same, opts: opts, requestID: "tail-" + obs.NewRequestID()}
+	return &Tailer[K, V]{source: source, codec: codec, land: land, opts: opts, requestID: "tail-" + obs.NewRequestID()}
 }
 
 // Run polls until ctx is cancelled. Transient errors (peer down, torn
@@ -281,12 +285,17 @@ func (t *Tailer[K, V]) Poll(ctx context.Context) (progress bool, err error) {
 	respNext, _ := strconv.ParseInt(resp.Header.Get(HeaderReplicateNext), 10, 64)
 	respLen, _ := strconv.ParseInt(resp.Header.Get(HeaderReplicateLen), 10, 64)
 	full := resp.Header.Get(HeaderReplicateFull) == "1"
+	limit := int64(maxReplicationChunk)
+	if full && respLen > limit {
+		// A full dump is the whole live set: read what the leader sent.
+		limit = respLen
+	}
 	// Read the body leniently: a chaos-truncated stream still yields its
 	// valid prefix, and scanFrames refuses anything mid-frame.
-	body, readErr := io.ReadAll(io.LimitReader(resp.Body, maxReplicationChunk+1))
+	body, readErr := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 
 	var applyErr error
-	consumed := scanFrames(body, t.into.codec, func(k K, v V) error {
+	consumed := scanFrames(body, t.codec, func(k K, v V) error {
 		applyErr = t.apply(k, v)
 		return applyErr
 	})
@@ -304,11 +313,15 @@ func (t *Tailer[K, V]) Poll(ctx context.Context) (progress bool, err error) {
 			// a frame boundary parses cleanly but is still missing the
 			// dump's tail.
 			t.gen, t.next, t.stalls = respGen, respNext, 0
+			return false, nil
 		}
 		// An incomplete dump keeps the old (mismatched) position, so the
 		// next poll fetches the whole dump again — applying a prefix twice
-		// is idempotent.
-		return false, readErr
+		// is idempotent — and is an error, so Run counts it.
+		if readErr != nil {
+			return false, readErr
+		}
+		return false, fmt.Errorf("wal: replication poll: full dump incomplete: applied %d of %d bytes", consumed, respLen)
 	case consumed > 0:
 		t.next += int64(consumed)
 		t.stalls = 0
@@ -330,21 +343,17 @@ func (t *Tailer[K, V]) Poll(ctx context.Context) (progress bool, err error) {
 	}
 }
 
-// apply lands one replicated record in the local log unless an identical
-// one is already present. The identity check is what makes full-mesh
-// topologies converge: without it every replica would re-append (and
-// re-ship) every record it hears, forever.
+// apply lands one replicated record through the owner's hook and counts
+// the outcome.
 func (t *Tailer[K, V]) apply(k K, v V) error {
-	if cur, ok := t.into.Get(k); ok && t.same(cur, v) {
-		t.duplicates.Add(1)
-		return nil
-	}
-	if err := t.into.Append(k, v); err != nil {
+	applied, err := t.land(k, v)
+	switch {
+	case err != nil:
 		return err
-	}
-	t.applied.Add(1)
-	if t.opts.Apply != nil {
-		t.opts.Apply(k, v)
+	case applied:
+		t.applied.Add(1)
+	default:
+		t.duplicates.Add(1)
 	}
 	return nil
 }
@@ -356,9 +365,9 @@ type TailerStats struct {
 	// Gen and Next are the current stream position.
 	Gen  int64 `json:"gen"`
 	Next int64 `json:"next"`
-	// Polls counts replication round trips; Applied counts records landed
-	// in the local log; Duplicates counts records skipped because an
-	// identical entry was already present.
+	// Polls counts replication round trips; Applied counts records the
+	// owner landed; Duplicates counts records it declined because it
+	// already held an equal or dominant version.
 	Polls      int64 `json:"polls"`
 	Applied    int64 `json:"applied"`
 	Duplicates int64 `json:"duplicates"`
@@ -398,7 +407,7 @@ func (t *Tailer[K, V]) RegisterMetrics(reg *obs.Registry, prefix string, labels 
 	}
 	gauge("_polls_total", "Replication round trips.", func(st TailerStats) float64 { return float64(st.Polls) })
 	gauge("_applied_total", "Replicated records landed locally.", func(st TailerStats) float64 { return float64(st.Applied) })
-	gauge("_duplicates_total", "Replicated records already present.", func(st TailerStats) float64 { return float64(st.Duplicates) })
+	gauge("_duplicates_total", "Replicated records already held, or dominated by the local copy.", func(st TailerStats) float64 { return float64(st.Duplicates) })
 	gauge("_resyncs_total", "Full-dump restarts after stalled polls.", func(st TailerStats) float64 { return float64(st.Resyncs) })
 	gauge("_errors_total", "Failed polls.", func(st TailerStats) float64 { return float64(st.Errors) })
 }
