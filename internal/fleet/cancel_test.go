@@ -86,6 +86,9 @@ func TestRouterClientCancelAnswers499(t *testing.T) {
 	if m.ClientClosed != 1 {
 		t.Errorf("ClientClosed = %d, want 1", m.ClientClosed)
 	}
+	if m.Exhausted != 0 {
+		t.Errorf("client cancellation counted as %d exhausted requests", m.Exhausted)
+	}
 	for _, rs := range m.Replicas {
 		if rs.Breaker != "closed" {
 			t.Errorf("replica %s breaker %q after a client cancel, want closed", rs.Name, rs.Breaker)

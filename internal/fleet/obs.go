@@ -29,17 +29,7 @@ func (rt *Router) initObs() {
 	counter("fleet_exhausted_total", "Requests that ran out of attempts.", &rt.exhausted)
 	counter("fleet_client_5xx_total", "5xx responses returned to clients.", &rt.clientFivexx)
 
-	quantile := func(name, help string, pick func(p50, p99, max float64) float64) {
-		rt.reg.GaugeFunc(name, help, func() float64 {
-			return pick(rt.lat.quantiles())
-		})
-	}
-	quantile("fleet_request_p50_us", "Median end-to-end request latency in microseconds.",
-		func(p50, _, _ float64) float64 { return p50 })
-	quantile("fleet_request_p99_us", "P99 end-to-end request latency in microseconds.",
-		func(_, p99, _ float64) float64 { return p99 })
-	quantile("fleet_request_max_us", "Max end-to-end request latency in microseconds over the sample window.",
-		func(_, _, max float64) float64 { return max })
+	rt.lat = rt.reg.Histogram("fleet_request_latency_us", "End-to-end request latency in microseconds.", 0)
 
 	for name, rep := range rt.replicas {
 		rep := rep

@@ -138,7 +138,7 @@ func TestRouterMetricsPrometheusDefault(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE fleet_requests_total gauge",
 		"fleet_replica_alive{replica=",
-		"fleet_request_p99_us",
+		"fleet_request_latency_us",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics exposition is missing %q", want)

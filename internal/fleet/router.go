@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,7 +113,7 @@ type Router struct {
 	clientFivexx atomic.Int64 // 5xx the router returned to its client
 	clientClosed atomic.Int64 // requests abandoned by the client (499s)
 
-	lat latencyReservoir
+	lat *obs.Histogram // end-to-end request latency, microseconds
 }
 
 // NewRouter builds the front tier and starts its health probers.
@@ -549,7 +548,7 @@ func (rt *Router) relay(w http.ResponseWriter, res attemptResult, t0 time.Time, 
 		rt.clientFivexx.Add(1)
 	}
 	d := time.Since(t0)
-	rt.lat.observe(d)
+	rt.lat.Observe(d.Microseconds())
 	rt.log.Info("request",
 		"route", meta.path, "status", res.status, "replica", res.rep.name,
 		"attempt", res.index, "duration_us", d.Microseconds(),
@@ -557,24 +556,24 @@ func (rt *Router) relay(w http.ResponseWriter, res attemptResult, t0 time.Time, 
 }
 
 // relayFailure answers a client whose attempts are exhausted. A request
-// the *client* abandoned answers 499 and stays out of the 5xx accounting
-// — the fleet did not fail, the caller left. Otherwise: the last backend
-// response verbatim when there was one (its Retry-After still means
-// something), a 504 when the request deadline expired, a 502 when every
-// attempt faulted.
+// the *client* abandoned answers 499 and stays out of the exhausted and
+// 5xx accounting — the fleet did not fail, the caller left. Otherwise:
+// the last backend response verbatim when there was one (its Retry-After
+// still means something), a 504 when the request deadline expired, a 502
+// when every attempt faulted.
 func (rt *Router) relayFailure(w http.ResponseWriter, ctx context.Context, last attemptResult, t0 time.Time, meta fwdMeta) {
-	rt.exhausted.Add(1)
 	if errors.Is(ctx.Err(), context.Canceled) {
 		rt.clientClosed.Add(1)
 		status := api.StatusClientClosedRequest
 		rt.writeError(w, status, api.CodeClientClosed, "client closed request")
 		d := time.Since(t0)
-		rt.lat.observe(d)
+		rt.lat.Observe(d.Microseconds())
 		rt.log.Info("request abandoned by client",
 			"route", meta.path, "status", status, "duration_us", d.Microseconds(),
 			"request_id", meta.reqID, "trace_id", meta.traceID)
 		return
 	}
+	rt.exhausted.Add(1)
 	if last.err == nil && last.status != 0 {
 		rt.relay(w, last, t0, meta)
 		return
@@ -591,7 +590,7 @@ func (rt *Router) relayFailure(w http.ResponseWriter, ctx context.Context, last 
 	rt.clientFivexx.Add(1)
 	rt.writeError(w, status, code, msg)
 	d := time.Since(t0)
-	rt.lat.observe(d)
+	rt.lat.Observe(d.Microseconds())
 	rt.log.Warn("request exhausted",
 		"route", meta.path, "status", status, "duration_us", d.Microseconds(),
 		"request_id", meta.reqID, "trace_id", meta.traceID, "error", msg)
@@ -710,45 +709,4 @@ func (rt *Router) writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-// latencyReservoir keeps the most recent request latencies for quantile
-// estimation — a fixed ring so memory stays bounded under any load.
-type latencyReservoir struct {
-	mu      sync.Mutex
-	samples [4096]int64
-	n       int64
-}
-
-func (lr *latencyReservoir) observe(d time.Duration) {
-	lr.mu.Lock()
-	lr.samples[lr.n%int64(len(lr.samples))] = d.Microseconds()
-	lr.n++
-	lr.mu.Unlock()
-}
-
-func (lr *latencyReservoir) quantiles() (p50, p99, max float64) {
-	lr.mu.Lock()
-	n := lr.n
-	if n > int64(len(lr.samples)) {
-		n = int64(len(lr.samples))
-	}
-	snap := make([]int64, n)
-	copy(snap, lr.samples[:n])
-	lr.mu.Unlock()
-	if len(snap) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	at := func(q float64) float64 {
-		i := int(q*float64(len(snap))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(snap) {
-			i = len(snap) - 1
-		}
-		return float64(snap[i])
-	}
-	return at(0.50), at(0.99), float64(snap[len(snap)-1])
 }

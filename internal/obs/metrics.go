@@ -135,12 +135,9 @@ const DefaultHistogramCapacity = 4096
 // Count and Sum always cover every observation.
 type Histogram struct {
 	samples []atomic.Int64
-	// cursor counts Observe calls only — it is the ring write position.
-	// count additionally includes merged-in observations whose samples
-	// never entered this ring (see Merge), so it must not index samples.
-	cursor atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
+	// count is the number of observations and the ring write position.
+	count atomic.Int64
+	sum   atomic.Int64
 }
 
 // NewHistogram builds a histogram with the given sample capacity
@@ -156,9 +153,8 @@ func NewHistogram(capacity int) *Histogram {
 // observes microseconds and counts, and integer samples keep the ring
 // atomic without float bit-punning.
 func (h *Histogram) Observe(v int64) {
-	i := h.cursor.Add(1) - 1
+	i := h.count.Add(1) - 1
 	h.samples[i%int64(len(h.samples))].Store(v)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
@@ -172,7 +168,7 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // window snapshots the live samples: all of them before saturation, the
 // whole ring after.
 func (h *Histogram) window() []int64 {
-	n := h.cursor.Load()
+	n := h.count.Load()
 	if n > int64(len(h.samples)) {
 		n = int64(len(h.samples))
 	}
@@ -230,25 +226,4 @@ func sortedQuantile(sorted []int64, q float64) int64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// Merge folds o's current sample window into h (each sample re-observed),
-// plus o's out-of-window count and sum so Count/Sum stay whole-history
-// accurate. Merging is snapshot-level: samples o already rotated out
-// contribute to Count/Sum but not to quantiles, exactly as they no longer
-// do in o itself.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	snap := o.window()
-	var snapSum int64
-	for _, v := range snap {
-		h.Observe(v)
-		snapSum += v
-	}
-	if extra := o.count.Load() - int64(len(snap)); extra > 0 {
-		h.count.Add(extra)
-		h.sum.Add(o.sum.Load() - snapSum)
-	}
 }

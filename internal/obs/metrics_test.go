@@ -78,53 +78,6 @@ func TestHistogramSaturatedCountAndSum(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	t.Run("both unsaturated", func(t *testing.T) {
-		a, b := NewHistogram(8), NewHistogram(8)
-		for _, v := range []int64{1, 2, 3} {
-			a.Observe(v)
-		}
-		for _, v := range []int64{4, 5, 6} {
-			b.Observe(v)
-		}
-		a.Merge(b)
-		if a.Count() != 6 || a.Sum() != 21 {
-			t.Fatalf("merged count/sum = %d/%d, want 6/21", a.Count(), a.Sum())
-		}
-		if got := a.Quantile(0.5); got != 3 { // rank ceil(0.5*6)=3 → 3rd smallest of {1..6}
-			t.Fatalf("merged p50 = %d, want 3", got)
-		}
-		if got := a.Quantile(1); got != 6 {
-			t.Fatalf("merged max = %d, want 6", got)
-		}
-	})
-	t.Run("saturated source keeps whole-history count", func(t *testing.T) {
-		a, b := NewHistogram(16), NewHistogram(4)
-		for i := int64(1); i <= 10; i++ { // b window = {7,8,9,10}, extra count 6, extra sum 21
-			b.Observe(i)
-		}
-		a.Merge(b)
-		if a.Count() != 10 {
-			t.Fatalf("merged count = %d, want 10", a.Count())
-		}
-		if a.Sum() != 55 {
-			t.Fatalf("merged sum = %d, want 55", a.Sum())
-		}
-		// Quantiles only see b's surviving window.
-		if got := a.Quantile(0); got != 7 {
-			t.Fatalf("merged min = %d, want 7", got)
-		}
-	})
-	t.Run("nil merge is a no-op", func(t *testing.T) {
-		a := NewHistogram(4)
-		a.Observe(1)
-		a.Merge(nil)
-		if a.Count() != 1 {
-			t.Fatalf("count changed on nil merge")
-		}
-	})
-}
-
 func TestRegistryIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("reqs_total", "requests", L("route", "/v1/query"))

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"repro/internal/sqlengine"
 )
@@ -131,11 +133,95 @@ func parseValueDescription(s string, rangeOut *string) map[string]string {
 
 // DB bundles an executable database with its documentation. Descriptions
 // may be nil for Spider-style corpora that ship no description files.
+// A DB must not be copied after first use: it holds the value inventory.
 type DB struct {
 	Name   string
 	Engine *sqlengine.Database
 	// Docs maps lower-cased table names to their description files.
 	Docs map[string]*TableDoc
+
+	valuesOnce sync.Once
+	values     map[*sqlengine.Table][]columnValues // by column position
+}
+
+// MaxValues is the most values Values returns for one column: the length
+// of the inventory pulled per TEXT column.
+const MaxValues = 40
+
+// Value is one stored column value, prepared once for value matchers: the
+// text as stored, its lower-case form and that form's rune count (the
+// edit-distance length).
+type Value struct {
+	Text  string
+	Lower string
+	Runes int
+}
+
+// NewValue prepares one stored value.
+func NewValue(text string) Value {
+	lower := strings.ToLower(text)
+	return Value{Text: text, Lower: lower, Runes: utf8.RuneCountInString(lower)}
+}
+
+// columnValues is one column's inventory: the non-NULL values among the
+// first MaxValues rows of its sorted distinct values, and how many of
+// those rows were NULL. NULL sorts first, so those are the leading rows.
+type columnValues struct {
+	vals  []Value
+	nulls int
+}
+
+// Values returns the non-NULL values among the first n rows (n <=
+// MaxValues) of SELECT DISTINCT c FROM t ORDER BY c, for TEXT column
+// number col of t — the sampled values SEED's sample execution and the
+// baselines' value retrievers read. The inventory is pulled once per DB,
+// on the first Values or WarmValues call, over the tables the engine had
+// then; a DB is not expected to change after it is served. Other columns
+// and tables have no values. The result is shared: callers must not
+// modify it.
+func (d *DB) Values(t *sqlengine.Table, col, n int) []Value {
+	d.WarmValues()
+	cols := d.values[t]
+	if col >= len(cols) {
+		return nil
+	}
+	cv := &cols[col]
+	n = min(max(n-cv.nulls, 0), len(cv.vals))
+	return cv.vals[:n:n]
+}
+
+// WarmValues pulls the value inventory of every TEXT column now, so no
+// later Values call pays for it.
+func (d *DB) WarmValues() {
+	d.valuesOnce.Do(func() {
+		d.values = make(map[*sqlengine.Table][]columnValues)
+		for _, t := range d.Engine.Tables() {
+			cols := make([]columnValues, len(t.Columns))
+			for i, c := range t.Columns {
+				if c.Type == "TEXT" {
+					cols[i] = d.pullValues(t, c.Name)
+				}
+			}
+			d.values[t] = cols
+		}
+	})
+}
+
+func (d *DB) pullValues(t *sqlengine.Table, col string) columnValues {
+	var cv columnValues
+	rows, err := d.Engine.Query(fmt.Sprintf("SELECT DISTINCT %s FROM %s ORDER BY %s LIMIT %d",
+		quote(col), quote(t.Name), quote(col), MaxValues))
+	if err != nil {
+		return cv // the statement is built from t's own schema: a column it cannot read has no values
+	}
+	for _, r := range rows.Data {
+		if r[0].IsNull() {
+			cv.nulls++
+		} else {
+			cv.vals = append(cv.vals, NewValue(r[0].AsText()))
+		}
+	}
+	return cv
 }
 
 // NewDB wraps an engine database with empty documentation.

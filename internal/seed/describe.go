@@ -46,7 +46,7 @@ func (p *Pipeline) describeTable(db *schema.DB, t *sqlengine.Table, m llm.Model,
 		Table:       t.Name,
 		Description: "auto-generated description of " + strings.Join(normalizeIdent(t.Name), " "),
 	}
-	for _, col := range t.Columns {
+	for i, col := range t.Columns {
 		cd := schema.ColumnDoc{
 			Column:      col.Name,
 			FullName:    strings.Join(normalizeIdent(col.Name), " "),
@@ -55,11 +55,11 @@ func (p *Pipeline) describeTable(db *schema.DB, t *sqlengine.Table, m llm.Model,
 		// Document coded values for low-cardinality text columns; a weak
 		// model occasionally skips a column.
 		if col.Type == "TEXT" && !rng.Chance((1-m.Capability)*0.2) {
-			vals := p.distinctValues(db, t.Name, col.Name)
+			vals := db.Values(t, i, sampleValues)
 			if len(vals) > 0 && len(vals) <= 8 {
 				vm := make(map[string]string, len(vals))
 				for _, v := range vals {
-					vm[v.text] = inferMeaning(col.Name, v.text)
+					vm[v.Text] = inferMeaning(col.Name, v.Text)
 				}
 				cd.ValueMap = vm
 			}

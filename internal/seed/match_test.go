@@ -58,10 +58,10 @@ var adversarialValues = []string{
 	"�", "\xff", "abxd", "abxy", "abcxd", "abcxyd", "xéé", "xééx", "ÉCOLE",
 }
 
-func newValues(texts []string) []value {
-	out := make([]value, len(texts))
+func newValues(texts []string) []schema.Value {
+	out := make([]schema.Value, len(texts))
 	for i, s := range texts {
-		out[i] = newValue(s)
+		out[i] = schema.NewValue(s)
 	}
 	return out
 }
@@ -76,12 +76,12 @@ func TestMatchScoreMatchesStringReference(t *testing.T) {
 	c := testCorpus(t)
 	row := make([]int, 8)
 	pairs := 0
-	check := func(kw *keyword, vals []value) {
+	check := func(kw *keyword, vals []schema.Value) {
 		for i := range vals {
 			v := &vals[i]
-			got, want := matchScore(kw, v, row), matchScoreRef(kw.text, v.text)
+			got, want := matchScore(kw, v, row), matchScoreRef(kw.text, v.Text)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("matchScore(%q, %q) = %v, string reference %v", kw.text, v.text, got, want)
+				t.Fatalf("matchScore(%q, %q) = %v, string reference %v", kw.text, v.Text, got, want)
 			}
 			pairs++
 		}
@@ -92,12 +92,12 @@ func TestMatchScoreMatchesStringReference(t *testing.T) {
 		cfg  Config
 	}{{"gpt", ConfigGPT()}, {"deepseek", ConfigDeepSeek()}} {
 		p := New(v.cfg, llm.NewSimulator(), c)
-		inventories := func(db *schema.DB) [][]value {
-			out := [][]value{adv}
+		inventories := func(db *schema.DB) [][]schema.Value {
+			out := [][]schema.Value{adv}
 			for _, t := range db.Engine.Tables() {
-				for _, col := range t.Columns {
+				for i, col := range t.Columns {
 					if col.Type == "TEXT" {
-						out = append(out, p.distinctValues(db, t.Name, col.Name))
+						out = append(out, db.Values(t, i, sampleValues))
 					}
 				}
 			}
@@ -136,22 +136,22 @@ func TestMatchScoreMatchesStringReference(t *testing.T) {
 	// Containment counts bytes of the lowered text: "éé" is two runes but
 	// four bytes, so it is contained in "xééx" (0.85), where a rune count
 	// would have sent it to edit distance (d = 2 of 4, no score).
-	kw, v := newKeyword("éé"), newValue("xééx")
+	kw, v := newKeyword("éé"), schema.NewValue("xééx")
 	if got := matchScore(&kw, &v, row); got != 0.85 {
 		t.Errorf("matchScore(éé, xééx) = %v, want 0.85 (byte-length containment)", got)
 	}
 	// m = 4, d = 1 sits exactly on the cutoff: similarity 0.75 scores.
-	kw, v = newKeyword("abcd"), newValue("abxd")
+	kw, v = newKeyword("abcd"), schema.NewValue("abxd")
 	if got, want := matchScore(&kw, &v, row), 0.75*0.9; got != want {
 		t.Errorf("matchScore(abcd, abxd) = %v, want %v (boundary scores)", got, want)
 	}
-	v = newValue("abxy")
+	v = schema.NewValue("abxy")
 	if got := matchScore(&kw, &v, row); got != 0 {
 		t.Errorf("matchScore(abcd, abxy) = %v, want 0", got)
 	}
 	// One insertion: the length difference alone is the distance, and the
 	// length bound must let the pair through (1 - 1/5 = 0.8).
-	v = newValue("abcxd")
+	v = schema.NewValue("abcxd")
 	if got, want := matchScore(&kw, &v, row), matchScoreRef("abcd", "abcxd"); got == 0 || got != want {
 		t.Errorf("matchScore(abcd, abcxd) = %v, want %v", got, want)
 	}

@@ -13,11 +13,8 @@ package seed
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -64,10 +61,11 @@ type Config struct {
 	// most similar question overall plus same-database neighbours, five
 	// in total in the paper.
 	FewShot int
-	// MaxDistinct caps the per-column value inventory pulled by sample
-	// SQL execution.
-	MaxDistinct int
 }
+
+// sampleValues is how many rows of each TEXT column's sorted distinct
+// values sample SQL execution and description generation read.
+const sampleValues = 30
 
 // ConfigGPT returns the Fig. 3a architecture.
 func ConfigGPT() Config {
@@ -79,7 +77,6 @@ func ConfigGPT() Config {
 		Summarize:     false,
 		EmitJoinHints: false,
 		FewShot:       5,
-		MaxDistinct:   30,
 	}
 }
 
@@ -93,7 +90,6 @@ func ConfigDeepSeek() Config {
 		Summarize:     true,
 		EmitJoinHints: true,
 		FewShot:       5,
-		MaxDistinct:   30,
 	}
 }
 
@@ -109,9 +105,6 @@ type Pipeline struct {
 	trainPool *embed.Pool      // corpus.Train questions, in split order
 	trainByDB map[string][]int // corpus.Train indices per database
 
-	valueMu    sync.RWMutex
-	valueCache map[string][]value // "db\x00table\x00col" -> distinct values
-
 	// ddl pins each database's rendered schema (*schema.DB -> string) for
 	// the summarize_schema prompt; it assumes a database's schema is fixed
 	// once the pipeline has seen it.
@@ -123,12 +116,11 @@ type Pipeline struct {
 // few-shot retrieval pool.
 func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 	p := &Pipeline{
-		cfg:        cfg,
-		client:     client,
-		corpus:     corpus,
-		embedder:   embed.NewModel(),
-		trainByDB:  make(map[string][]int),
-		valueCache: make(map[string][]value),
+		cfg:       cfg,
+		client:    client,
+		corpus:    corpus,
+		embedder:  embed.NewModel(),
+		trainByDB: make(map[string][]int),
 	}
 	questions := make([]string, len(corpus.Train))
 	for i, ex := range corpus.Train {
@@ -136,16 +128,9 @@ func New(cfg Config, client llm.Client, corpus *dataset.Corpus) *Pipeline {
 		p.trainByDB[ex.DB] = append(p.trainByDB[ex.DB], i)
 	}
 	p.trainPool = embed.NewPool(questions)
-	// Pre-warm the value inventories so concurrent generation does not
-	// race on the cache.
+	// Pull the value inventories now, so no question pays for them.
 	for _, db := range corpus.DBs {
-		for _, t := range db.Engine.Tables() {
-			for _, col := range t.Columns {
-				if col.Type == "TEXT" {
-					p.distinctValues(db, t.Name, col.Name)
-				}
-			}
-		}
+		db.WarmValues()
 	}
 	return p
 }
@@ -183,55 +168,6 @@ type tableView struct {
 	Doc   *schema.TableDoc
 }
 
-// value is one stored column value, prepared once for sample execution's
-// matcher: the text as stored, its lower-case form, and that form's rune
-// count (the edit-distance length).
-type value struct {
-	text  string
-	lower string
-	runes int
-}
-
-func newValue(text string) value {
-	lower := strings.ToLower(text)
-	return value{text: text, lower: lower, runes: utf8.RuneCountInString(lower)}
-}
-
-// distinctValues returns (and caches) the distinct TEXT values of a
-// column, capped at MaxDistinct, pulled with real sample SQL against the
-// engine — the paper's "unique values are extracted regardless of the data
-// type". The cache is prewarmed in New, but lookups of columns added later
-// (e.g. by generated description files) must stay safe under the evserve
-// worker pool, so access is lock-guarded.
-func (p *Pipeline) distinctValues(db *schema.DB, table, column string) []value {
-	key := db.Name + "\x00" + strings.ToLower(table) + "\x00" + strings.ToLower(column)
-	p.valueMu.RLock()
-	vals, ok := p.valueCache[key]
-	p.valueMu.RUnlock()
-	if ok {
-		return vals
-	}
-	max := p.cfg.MaxDistinct
-	if max <= 0 {
-		max = 30
-	}
-	sql := fmt.Sprintf("SELECT DISTINCT %s FROM %s ORDER BY %s LIMIT %d",
-		quoteIdent(column), quoteIdent(table), quoteIdent(column), max)
-	rows, err := db.Engine.Query(sql)
-	vals = nil
-	if err == nil {
-		for _, r := range rows.Data {
-			if len(r) > 0 && !r[0].IsNull() {
-				vals = append(vals, newValue(r[0].AsText()))
-			}
-		}
-	}
-	p.valueMu.Lock()
-	p.valueCache[key] = vals
-	p.valueMu.Unlock()
-	return vals
-}
-
 // schemaDDL returns db.DDL(), rendered once per database.
 func (p *Pipeline) schemaDDL(db *schema.DB) string {
 	if s, ok := p.ddl.Load(db); ok {
@@ -240,16 +176,6 @@ func (p *Pipeline) schemaDDL(db *schema.DB) string {
 	// Two first callers may both render; the text is the same either way.
 	s, _ := p.ddl.LoadOrStore(db, db.DDL())
 	return s.(string)
-}
-
-func quoteIdent(s string) string {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-			return "`" + s + "`"
-		}
-	}
-	return s
 }
 
 // stemsWithSynonyms returns the stemmed content words of text expanded

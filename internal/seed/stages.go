@@ -107,7 +107,7 @@ type Sample struct {
 // retrieval modes of §III-B.
 //
 // Both sides come prepared: each column's inventory holds its values
-// already lowered and measured (see distinctValues), and each keyword is
+// already lowered and measured (see schema.DB.Values), and each keyword is
 // lowered, measured and looked up in the synonym dictionary once per call,
 // not once per value.
 func (p *Pipeline) SampleExecution(db *schema.DB, keywords []string) []Sample {
@@ -129,17 +129,17 @@ func (p *Pipeline) SampleExecution(db *schema.DB, keywords []string) []Sample {
 		row = make([]int, longest+1)
 	}
 	for _, t := range db.Engine.Tables() {
-		for _, col := range t.Columns {
+		for i, col := range t.Columns {
 			if col.Type != "TEXT" {
 				continue
 			}
-			values := p.distinctValues(db, t.Name, col.Name)
+			values := db.Values(t, i, sampleValues)
 			for k := range kws {
 				kw := &kws[k]
 				bestSim, bestValue := 0.0, ""
 				for v := range values {
 					if sim := matchScore(kw, &values[v], row); sim > bestSim {
-						bestSim, bestValue = sim, values[v].text
+						bestSim, bestValue = sim, values[v].Text
 					}
 				}
 				if bestSim >= 0.7 {
@@ -192,8 +192,8 @@ const minEditSim = 0.75
 // falls as d grows, so a pair whose lengths alone put it under minEditSim
 // returns 0 without a DP; otherwise the kernel runs bounded by the largest
 // distance that still scores.
-func matchScore(kw *keyword, v *value, row []int) float64 {
-	lk, lv := kw.lower, v.lower
+func matchScore(kw *keyword, v *schema.Value, row []int) float64 {
+	lk, lv := kw.lower, v.Lower
 	if lk == lv {
 		return 1.0
 	}
@@ -208,7 +208,7 @@ func matchScore(kw *keyword, v *value, row []int) float64 {
 			return 0.9
 		}
 	}
-	m, diff := max(kw.runes, v.runes), kw.runes-v.runes
+	m, diff := max(kw.runes, v.Runes), kw.runes-v.Runes
 	if diff < 0 {
 		diff = -diff
 	}

@@ -66,8 +66,8 @@ func GeneratorFor(name string, client llm.Client) (texttosql.Generator, error) {
 // outside the simulation boundary, so serving is defined over corpus
 // questions). A Session is built exactly once per database — on first
 // request — and shared by every subsequent request; building it warms the
-// generator's value retriever so no request pays the distinct-value scan
-// or BM25 index construction.
+// generator's value retriever so no request pays for the database's value
+// inventory or BM25 index construction.
 type Session struct {
 	// DB is the executable database with its description files.
 	DB *schema.DB
@@ -215,8 +215,8 @@ func buildSession(corpus *dataset.Corpus, db *schema.DB, gen texttosql.Generator
 		}
 	}
 	// Warm the generator's shared value retriever for this database so
-	// the distinct-value inventory / BM25 value index is loaded once, at
-	// session build, not on the first request that needs it.
+	// its BM25 value index (and the database's value inventory, if SEED
+	// has not pulled it) is built now, not on the first request.
 	if op, ok := gen.(texttosql.OptionsProvider); ok {
 		if r := op.Options().Values; r != nil {
 			r.Warm(db)

@@ -46,6 +46,6 @@ func (db *Database) BulkInsert(table string, rows [][]Value) (int, error) {
 		t.Rows = grown
 	}
 	t.Rows = append(t.Rows, staged...)
-	t.noteBulkAppend(staged)
+	t.invalidateIndexes()
 	return len(staged), nil
 }

@@ -79,9 +79,8 @@ func (t *Table) eqLookup(col int, key string) []int {
 }
 
 // invalidateIndexes drops all lazily built equality indexes and column
-// vectors. Every DML path (INSERT/UPDATE/DELETE) calls it so index and
-// vector reads never see stale rows. (BulkInsert instead extends the
-// vectors in place — see Table.noteBulkAppend.)
+// vectors. Every DML path (INSERT/UPDATE/DELETE and BulkInsert) calls it
+// so index and vector reads never see stale rows.
 func (t *Table) invalidateIndexes() {
 	t.idxMu.Lock()
 	t.eqIdx = nil

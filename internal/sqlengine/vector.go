@@ -8,10 +8,8 @@ package sqlengine
 // switching on Kind per cell.
 //
 // Vectors are built lazily per column, under the same lock and with the
-// same invalidation discipline as the point-lookup indexes: any DML drops
-// them (invalidateIndexes), except BulkInsert, which appends to already
-// built vectors in place (noteBulkAppend) so repeated bulk loads do not
-// churn the shadow. A vector is always positionally aligned with t.Rows —
+// same invalidation discipline as the point-lookup indexes: any DML,
+// BulkInsert included, drops them (invalidateIndexes). A vector is always positionally aligned with t.Rows —
 // vec position i is row t.Rows[i] — so kernels address it by row position;
 // only full-table scans consult (and so build) vectors, an index-narrowed
 // bucket being too small to be worth one.
@@ -151,72 +149,4 @@ func (t *Table) columnVec(col int) *colVec {
 		t.colVecs[col] = v
 	}
 	return v
-}
-
-// noteBulkAppend is BulkInsert's index maintenance: the staged rows were
-// just appended to t.Rows, so the point-lookup indexes are stale and must
-// drop, but any built column vectors can be extended in place instead of
-// being rebuilt from scratch on next use. A staged cell that breaks a
-// vector's uniform kind evicts just that column's vector.
-func (t *Table) noteBulkAppend(staged [][]Value) {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	t.eqIdx = nil
-	if t.colVecs == nil {
-		return
-	}
-	base := len(t.Rows) - len(staged)
-	for col, v := range t.colVecs {
-		if !v.typed {
-			// Untyped vectors only carry the null bitmap; keep it current.
-			if v.nulls != nil {
-				for _, row := range staged {
-					v.nulls = append(v.nulls, row[col].IsNull())
-				}
-			}
-			continue
-		}
-		evict := false
-		for si, row := range staged {
-			c := row[col]
-			if c.IsNull() {
-				if v.nulls == nil {
-					v.nulls = make([]bool, base+si)
-				}
-				for len(v.nulls) < base+si {
-					v.nulls = append(v.nulls, false)
-				}
-				v.nulls = append(v.nulls, true)
-				v.pad(1)
-				continue
-			}
-			if v.kind == KindNull {
-				// First non-NULL value the column has ever seen: the arrays
-				// were never allocated, so a rebuild on next use is cheaper
-				// than retrofitting here.
-				evict = true
-				break
-			}
-			if c.Kind != v.kind {
-				evict = true
-				break
-			}
-			if v.nulls != nil {
-				for len(v.nulls) < base+si {
-					v.nulls = append(v.nulls, false)
-				}
-				v.nulls = append(v.nulls, false)
-			}
-			v.appendCell(c)
-		}
-		if evict {
-			delete(t.colVecs, col)
-			continue
-		}
-		if v.nulls != nil {
-			for len(v.nulls) < len(t.Rows) {
-				v.nulls = append(v.nulls, false)
-			}
-		}
-	}
 }

@@ -65,44 +65,47 @@ func TestColumnVecInvalidationOnDML(t *testing.T) {
 	}
 }
 
-func TestNoteBulkAppendExtendsInPlace(t *testing.T) {
+// TestColumnVecInvalidationOnBulkInsert: BulkInsert drops built vectors
+// like every other DML, and the rebuilt ones cover the appended rows, a
+// NULL cell included.
+func TestColumnVecInvalidationOnBulkInsert(t *testing.T) {
 	db, tab := buildVecTable(t)
-	a := tab.columnVec(0)
-	b := tab.columnVec(1)
-
+	a, b := tab.columnVec(0), tab.columnVec(1)
 	if _, err := db.BulkInsert("v", [][]Value{
 		{Int(4), Null(), Text("z"), Int(40)},
 		{Int(5), Float(5.5), Text("w"), Int(50)},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if got := tab.columnVec(0); got == a {
+		t.Fatal("BulkInsert did not invalidate the int vector")
+	} else if got.length() != 5 || got.ints[3] != 4 || got.ints[4] != 5 {
+		t.Fatalf("int vector after BulkInsert: len=%d ints=%v", got.length(), got.ints)
+	}
+	if got := tab.columnVec(1); got == b {
+		t.Fatal("BulkInsert did not invalidate the float vector")
+	} else if !got.null(3) || got.null(4) || got.floats[4] != 5.5 {
+		t.Fatalf("float vector nulls/values after BulkInsert: nulls=%v floats=%v", got.nulls, got.floats)
+	}
+	for col := range tab.Columns {
+		vec := tab.columnVec(col)
+		if !vec.typed {
+			continue
+		}
+		for i := range tab.Rows {
+			if got, want := vecCell(vec, i), tab.Rows[i][col]; got != want {
+				t.Fatalf("col %d row %d after BulkInsert: vector %v vs row %v", col, i, got, want)
+			}
+		}
+	}
 
-	// Same-kind appends extend the existing vectors in place.
-	if got := tab.columnVec(0); got != a {
-		t.Fatal("bulk append rebuilt the int vector instead of extending it")
-	}
-	if a.length() != 5 || a.ints[3] != 4 || a.ints[4] != 5 {
-		t.Fatalf("int vector after append: len=%d ints=%v", a.length(), a.ints)
-	}
-	if got := tab.columnVec(1); got != b {
-		t.Fatal("bulk append rebuilt the float vector instead of extending it")
-	}
-	if !b.null(3) || b.null(4) || b.floats[4] != 5.5 {
-		t.Fatalf("float vector nulls/values after append: nulls=%v floats=%v", b.nulls, b.floats)
-	}
-
-	// A kind-breaking append must evict the column's vector, and the
-	// rebuilt vector must be untyped.
+	// A kind-breaking row leaves the rebuilt vector untyped.
 	if _, err := db.BulkInsert("v", [][]Value{
 		{Text("oops"), Float(6.5), Text("q"), Int(60)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got := tab.columnVec(0)
-	if got == a {
-		t.Fatal("kind-breaking append did not evict the int vector")
-	}
-	if got.typed {
+	if tab.columnVec(0).typed {
 		t.Fatal("rebuilt vector over mixed kinds claims to be typed")
 	}
 }

@@ -16,18 +16,18 @@ import (
 // mirror the baselines' machinery: StrategyScan is CHESS's information
 // retriever (distinct-value scan with LIKE and edit-distance matching, the
 // same primitives as SEED's sample SQL execution); StrategyBM25 is CodeS's
-// BM25 index refined with the longest-common-substring method.
+// BM25 index refined with the longest-common-substring method. Both read
+// each column's values from schema.DB.Values.
 type Retriever struct {
 	strategy Strategy
 
-	mu       sync.Mutex
-	distinct map[string][]string    // "db\x00table\x00col" -> values
-	indexes  map[string]*indexEntry // db name -> build-once BM25 value index
+	mu      sync.Mutex
+	indexes map[*schema.DB]*indexEntry // build-once BM25 value index
 }
 
 // indexEntry wraps a lazily built value index so concurrent first lookups
 // construct it exactly once, without holding the retriever lock for the
-// duration of the build (the build itself issues engine queries).
+// duration of the build (the build may pull the value inventory).
 type indexEntry struct {
 	once sync.Once
 	idx  *valueIndex
@@ -52,28 +52,18 @@ type valueIndex struct {
 
 // NewRetriever returns a retriever with the given strategy.
 func NewRetriever(s Strategy) *Retriever {
-	return &Retriever{
-		strategy: s,
-		distinct: make(map[string][]string),
-		indexes:  make(map[string]*indexEntry),
-	}
+	return &Retriever{strategy: s, indexes: make(map[*schema.DB]*indexEntry)}
 }
 
-// Warm eagerly loads the retriever's per-database state — the distinct
-// value inventories and, under StrategyBM25, the BM25 value index — so a
-// serving session pays the build cost once at load time instead of on its
-// first request. Warm is idempotent and safe for concurrent use.
+// Warm eagerly loads the per-database state retrieval reads — the
+// database's value inventory and, under StrategyBM25, the BM25 value
+// index — so a serving session pays the build cost once at load time
+// instead of on its first request. Warm is idempotent and safe for
+// concurrent use.
 func (r *Retriever) Warm(db *schema.DB) {
+	db.WarmValues()
 	if r.strategy == StrategyBM25 {
 		r.valueIndex(db)
-		return
-	}
-	for _, t := range db.Engine.Tables() {
-		for _, c := range t.Columns {
-			if c.Type == "TEXT" {
-				r.distinctValues(db, t.Name, c.Name)
-			}
-		}
 	}
 }
 
@@ -116,15 +106,16 @@ func (r *Retriever) searchScan(db *schema.DB, term string) (string, string, stri
 	for _, w := range textutil.ContentWords(term) {
 		termStems[textutil.Stem(w)] = true
 	}
+	lt := strings.ToLower(term)
 	var bt, bc, bv string
 	best := 0.0
 	for _, t := range db.Engine.Tables() {
-		for _, c := range t.Columns {
+		for i, c := range t.Columns {
 			if c.Type != "TEXT" {
 				continue
 			}
-			for _, v := range r.distinctValues(db, t.Name, c.Name) {
-				s := valueAffinity(term, v)
+			for _, v := range db.Values(t, i, schema.MaxValues) {
+				s := valueAffinity(term, lt, v.Lower)
 				if s <= 0 {
 					continue
 				}
@@ -135,7 +126,7 @@ func (r *Retriever) searchScan(db *schema.DB, term string) (string, string, stri
 					}
 				}
 				if s > best {
-					best, bt, bc, bv = s, t.Name, c.Name, v
+					best, bt, bc, bv = s, t.Name, c.Name, v.Text
 				}
 			}
 		}
@@ -186,10 +177,10 @@ func (r *Retriever) searchBM25(db *schema.DB, term string) (string, string, stri
 	return bt, bc, bv, best
 }
 
-// valueAffinity scores a term against one stored value, mirroring the
-// scan-retrieval primitives (exact, containment, synonym, edit distance).
-func valueAffinity(term, v string) float64 {
-	lt, lv := strings.ToLower(term), strings.ToLower(v)
+// valueAffinity scores a term (lt is its lower-case form) against one
+// stored value's lower-case form lv, mirroring the scan-retrieval
+// primitives (exact, containment, synonym, edit distance).
+func valueAffinity(term, lt, lv string) float64 {
 	switch {
 	case lt == lv:
 		return 1.0
@@ -211,59 +202,30 @@ func valueAffinity(term, v string) float64 {
 	return 0
 }
 
-func (r *Retriever) distinctValues(db *schema.DB, table, col string) []string {
-	key := db.Name + "\x00" + strings.ToLower(table) + "\x00" + strings.ToLower(col)
-	r.mu.Lock()
-	vals, ok := r.distinct[key]
-	r.mu.Unlock()
-	if ok {
-		return vals
-	}
-	sql := fmt.Sprintf("SELECT DISTINCT `%s` FROM `%s` ORDER BY `%s` LIMIT 40", col, table, col)
-	rows, err := db.Engine.Query(sql)
-	if err == nil {
-		for _, row := range rows.Data {
-			if len(row) > 0 && !row[0].IsNull() {
-				vals = append(vals, row[0].AsText())
-			}
-		}
-	}
-	r.mu.Lock()
-	if winner, ok := r.distinct[key]; ok {
-		// A concurrent caller built the same inventory first; keep its
-		// slice so every caller observes one identity per key.
-		r.mu.Unlock()
-		return winner
-	}
-	r.distinct[key] = vals
-	r.mu.Unlock()
-	return vals
-}
-
 func (r *Retriever) valueIndex(db *schema.DB) *valueIndex {
 	r.mu.Lock()
-	e, ok := r.indexes[db.Name]
+	e, ok := r.indexes[db]
 	if !ok {
 		e = &indexEntry{}
-		r.indexes[db.Name] = e
+		r.indexes[db] = e
 	}
 	r.mu.Unlock()
-	e.once.Do(func() { e.idx = r.buildValueIndex(db) })
+	e.once.Do(func() { e.idx = buildValueIndex(db) })
 	return e.idx
 }
 
-func (r *Retriever) buildValueIndex(db *schema.DB) *valueIndex {
+func buildValueIndex(db *schema.DB) *valueIndex {
 	var docs, tables, cols, values []string
 	for _, t := range db.Engine.Tables() {
-		for _, c := range t.Columns {
+		for i, c := range t.Columns {
 			if c.Type != "TEXT" {
 				continue
 			}
-			for _, v := range r.distinctValues(db, t.Name, c.Name) {
-				docs = append(docs, t.Name+" "+c.Name+" "+v)
+			for _, v := range db.Values(t, i, schema.MaxValues) {
+				docs = append(docs, t.Name+" "+c.Name+" "+v.Text)
 				tables = append(tables, t.Name)
 				cols = append(cols, c.Name)
-				values = append(values, v)
+				values = append(values, v.Text)
 			}
 		}
 	}

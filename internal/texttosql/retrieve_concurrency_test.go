@@ -12,11 +12,12 @@ import (
 // TestFindFragConcurrent drives a single Retriever — the configuration the
 // serving subsystem runs, one retriever shared by every request of a
 // session — from many goroutines at once, across both strategies, while
-// the lazy distinct-value inventories and BM25 value indexes are still
-// cold. Run with -race; every worker must also observe identical
-// resolutions, since retrieval is deterministic.
+// the databases' value inventories and the BM25 value indexes are still
+// cold (a corpus of its own, not the shared test corpus). Run with -race;
+// every worker must also observe identical resolutions, since retrieval
+// is deterministic.
 func TestFindFragConcurrent(t *testing.T) {
-	c := testCorpus(t)
+	c := dataset.BuildBIRD(dataset.BIRDOptions{Seed: 7})
 	atoms := []dataset.Atom{
 		{Kind: dataset.Synonym, Term: "women", ValueDerivable: true},
 		{Kind: dataset.ValueMap, Term: "weekly issuance", ValueDerivable: true},
