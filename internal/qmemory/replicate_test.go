@@ -158,12 +158,20 @@ func TestReplicationLandsUnderConcurrentWrites(t *testing.T) {
 			checks++
 		}
 	}()
+	// Every writer, the leader's included, goes on past its steps until the
+	// tailer has applied a record (or a deadline passes), so the writes
+	// certainly overlap an applying poll: a fast machine used to finish
+	// them all before the tailer's second poll.
+	deadline := time.Now().Add(10 * time.Second)
+	more := func(step int) bool {
+		return step < steps || tl.Stats().Applied == 0 && time.Now().Before(deadline)
+	}
 	// The leader's records carry more events than the follower's local
 	// writes can reach, so most of them apply.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for step := 1; step <= steps; step++ {
+		for step := 1; more(step - 1); step++ {
 			for i := range ids {
 				rec := Record{ID: PatternID("shop", sql(i)), DB: "shop", SQL: sql(i), Fingerprint: "fp",
 					Confidence: 0.9, Successes: int64(step) * 10, Phrasings: []string{fmt.Sprintf("order %d, leader step %d", i, step)}}
@@ -179,7 +187,7 @@ func TestReplicationLandsUnderConcurrentWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for step := range steps {
+			for step := 0; more(step); step++ {
 				i := rng.Intn(ids)
 				switch rng.Intn(3) {
 				case 0:
