@@ -23,6 +23,9 @@ const (
 	CodeOverCapacity = "over_capacity"
 	// CodeUnprocessable marks served SQL that failed to parse or execute.
 	CodeUnprocessable = "unprocessable"
+	// CodeReadOnly marks generated SQL that is not a SELECT (422): a
+	// served database is only ever read.
+	CodeReadOnly = "read_only"
 	// CodeInternal covers handler panics and generation failures.
 	CodeInternal = "internal"
 	// CodeUpstreamTimeout is an evidence-path deadline expiry (504).

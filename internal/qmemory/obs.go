@@ -32,6 +32,8 @@ func (m *Memory) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		func() float64 { return float64(m.Stats().Demotions) }, labels...)
 	reg.GaugeFunc("qmemory_injected_total", "Patterns landed by fleet replication.",
 		func() float64 { return float64(m.Stats().Injected) }, labels...)
+	reg.GaugeFunc("qmemory_refused_total", "Records refused by admission or replication because their SQL is not a SELECT.",
+		func() float64 { return float64(m.Stats().Refused) }, labels...)
 	reg.GaugeFunc("qmemory_store_errors_total", "Write-through persistence failures.",
 		func() float64 { return float64(m.Stats().StoreErrors) }, labels...)
 }

@@ -209,6 +209,9 @@ type Stats struct {
 	// startup; Injected counts patterns landed by fleet replication.
 	Restored int64 `json:"restored,omitempty"`
 	Injected int64 `json:"injected,omitempty"`
+	// Refused counts records Admit and Inject turned away because their
+	// SQL is not a SELECT: a pattern is only ever a read.
+	Refused int64 `json:"refused,omitempty"`
 	// StoreAppends/StoreErrors count write-through persistence outcomes.
 	StoreAppends int64 `json:"store_appends,omitempty"`
 	StoreErrors  int64 `json:"store_errors,omitempty"`
@@ -385,10 +388,15 @@ func (m *Memory) reindex(di *dbIndex) {
 // Admit records a verified-correct serving outcome: a new pattern (at
 // initialConfidence) or a success + new phrasing on an existing one.
 // Callers must only admit judge-verified generations — admission is the
-// memory's accuracy floor.
+// memory's accuracy floor. SQL that is not a SELECT is refused and
+// counted in Stats.Refused.
 func (m *Memory) Admit(db, question, evidence, sql, fingerprint string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if !sqlengine.IsSelect(sql) {
+		m.stats.Refused++
+		return
+	}
 	id := PatternID(db, sql)
 	if p, ok := m.patterns[id]; ok {
 		p.rec.Successes++

@@ -59,6 +59,31 @@ func TestAdmitLookupParaphrase(t *testing.T) {
 	}
 }
 
+// TestWritesAreRefused: neither admission nor replication takes a record
+// whose SQL is not a SELECT; each refusal is counted, and a read beside it
+// still lands.
+func TestWritesAreRefused(t *testing.T) {
+	m, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const question = "How many orders are there?"
+	m.Admit("shop", question, "", "DELETE FROM orders", "fp")
+	m.Admit("shop", question, "", "  update orders SET status = 'x'", "fp")
+	write := Record{ID: PatternID("shop", "DROP TABLE orders"), DB: "shop", SQL: "DROP TABLE orders",
+		Confidence: 0.9, Successes: 50, Phrasings: []string{question}}
+	if applied, err := m.Inject(write); applied || err != nil {
+		t.Fatalf("Inject of a write = %v, %v; want refused", applied, err)
+	}
+	if _, ok := m.Lookup("shop", question); ok {
+		t.Fatal("a refused write serves")
+	}
+	m.Admit("shop", question, "", "SELECT COUNT(*) FROM orders", "fp")
+	if st := m.Stats(); st.Refused != 3 || st.Patterns != 1 || st.Admitted != 1 {
+		t.Errorf("stats %+v; want 3 refused, 1 pattern admitted", st)
+	}
+}
+
 func TestSuccessTeachesPhrasing(t *testing.T) {
 	m, _ := New(Options{})
 	fp := Fingerprint(testRows())

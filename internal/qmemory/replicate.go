@@ -1,6 +1,9 @@
 package qmemory
 
-import "repro/internal/wal"
+import (
+	"repro/internal/sqlengine"
+	"repro/internal/wal"
+)
 
 // Replication ships learned patterns between fleet replicas exactly the
 // way evidence ships: a replica's Store serves its log's WAL through
@@ -29,12 +32,19 @@ func NewTailer(source string, m *Memory, opts wal.TailerOptions) *wal.Tailer[str
 //   - otherwise: skip (our copy dominates, or the records are equal —
 //     this is what stops A→B→A echo).
 //
+// A record whose SQL is not a SELECT is never applied, whatever its
+// events: it is counted in Stats.Refused and reported as not applied.
+//
 // Injected patterns persist write-through like local mutations, so a
 // replica that learned a pattern over the wire still has it after a
 // restart.
 func (m *Memory) Inject(rec Record) (applied bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if !sqlengine.IsSelect(rec.SQL) {
+		m.stats.Refused++
+		return false, nil
+	}
 	cur, ok := m.patterns[rec.ID]
 	if ok {
 		ce, re := cur.rec.events(), rec.events()

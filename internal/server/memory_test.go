@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -12,10 +13,12 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/dataset"
+	"repro/internal/evstore"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/qmemory"
 	"repro/internal/seed"
+	"repro/internal/wal"
 )
 
 // TestMemoryServesRepeatWithZeroLLMCalls is the tentpole's end-to-end
@@ -405,7 +408,7 @@ func TestMemoryDeclineReasons(t *testing.T) {
 		wrongFP bool   // plant sql with a fingerprint its result does not have
 	}{
 		{decline: "no_candidate"},
-		{decline: "unparsable", sql: "SELEKT nothing FROM"},
+		{decline: "unparsable", sql: "SELECT FROM nothing WHERE"},
 		{decline: "exec_error", sql: "SELECT * FROM no_such_table"},
 		{decline: "fingerprint", sql: e.GoldSQL, wrongFP: true},
 		{decline: "judge", sql: "SELECT NULL"},
@@ -476,5 +479,114 @@ func TestMemoryDeclineReasons(t *testing.T) {
 				t.Errorf("planted pattern decayed %d times, want once", n)
 			}
 		})
+	}
+}
+
+// TestMemoryNeverWrites: a memory record whose SQL is a write never runs
+// against a served database (ROADMAP finding M4). Replication refuses it
+// at Inject, and a record that reaches the memory some other way — here a
+// durable store written before the refusal existed — is declined by the
+// memory tier's read-only check and demoted. Either way the question is
+// answered by the pipeline and district keeps its 10 rows.
+func TestMemoryNeverWrites(t *testing.T) {
+	const del = "DELETE FROM district"
+	i := slices.IndexFunc(testCorpus(t).Dev, func(e dataset.Example) bool { return e.DB == "financial" })
+	if i < 0 {
+		t.Fatal("no financial dev question")
+	}
+	e := testCorpus(t).Dev[i]
+	rec := qmemory.Record{ID: qmemory.PatternID(e.DB, del), DB: e.DB, SQL: del, Fingerprint: "fp",
+		Confidence: 0.99, Successes: 100, Phrasings: []string{e.Question}}
+
+	ask := func(t *testing.T, srv *Server, url string) map[string]any {
+		t.Helper()
+		resp, data := postJSON(t, url+"/v1/query", api.QueryRequest{DB: e.DB, Question: e.Question})
+		if resp.StatusCode != 200 {
+			t.Fatalf("/v1/query = %d: %s", resp.StatusCode, data)
+		}
+		var qr api.QueryResponse
+		if err := json.Unmarshal(data, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if qr.Source == api.SourceMemory || qr.SQL == del {
+			t.Errorf("answered %q from %s", qr.SQL, qr.Source)
+		}
+		sess, _ := srv.reg.Session(e.DB)
+		rows, err := sess.DB.Engine.Query("SELECT COUNT(*) FROM district")
+		if err != nil || rows.Data[0][0].I != 10 {
+			t.Fatalf("district after the question: %v, err %v; want 10 rows", rows, err)
+		}
+		tresp, err := http.Get(url + "/v1/traces/" + resp.Header.Get(obs.TraceIDHeader))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tresp.Body.Close()
+		var tr obs.TraceRecord
+		if err := json.NewDecoder(tresp.Body).Decode(&tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name == "memory.lookup" {
+				return sp.Attrs
+			}
+		}
+		t.Fatal("no memory.lookup span")
+		return nil
+	}
+
+	t.Run("inject", func(t *testing.T) {
+		srv, ts := newTestServer(t, func(cfg *Config) { cfg.Memory = true })
+		mem := srv.memories["bird"]
+		if applied, err := mem.Inject(rec); applied || err != nil {
+			t.Fatalf("Inject(%q) = %v, %v; want refused", del, applied, err)
+		}
+		ask(t, srv, ts.URL)
+		if st := mem.Stats(); st.Refused != 1 || st.Patterns != 0 {
+			t.Errorf("memory stats %+v; want one refusal and no pattern", st)
+		}
+	})
+
+	t.Run("restored", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := qmemory.OpenStore(filepath.Join(dir, "bird"), wal.Options{Manifest: evstore.Manifest("bird", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv, ts := newTestServer(t, func(cfg *Config) { cfg.Memory, cfg.MemoryDir = true, dir })
+		if attrs := ask(t, srv, ts.URL); attrs["decline"] != "not_select" {
+			t.Errorf("memory.lookup attrs %v; want decline=not_select", attrs)
+		}
+		if got := srv.memories["bird"].Patterns(); len(got) != 1 || got[0].Failures != 1 {
+			t.Errorf("restored write pattern %+v; want it demoted once", got)
+		}
+	})
+}
+
+// TestPrepareReadRefusesWrites: both tiers prepare through prepareRead,
+// which refuses every statement kind but SELECT before it is prepared.
+func TestPrepareReadRefusesWrites(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	sess, _ := srv.reg.Session("financial")
+	for _, sql := range []string{
+		"DELETE FROM district",
+		"  update district SET A2 = 'x'",
+		"/* read? */ INSERT INTO district (district_id) VALUES (99)",
+		"CREATE TABLE t (x INTEGER)",
+	} {
+		if _, _, err := prepareRead(sess, sql); err != errNotSelect {
+			t.Errorf("prepareRead(%q) = %v, want errNotSelect", sql, err)
+		}
+	}
+	if _, _, err := prepareRead(sess, "-- a read\nselect COUNT(*) FROM district"); err != nil {
+		t.Errorf("prepareRead of a SELECT: %v", err)
+	}
+	if rows, _ := sess.DB.Engine.Query("SELECT COUNT(*) FROM district"); rows.Data[0][0].I != 10 {
+		t.Errorf("district holds %v rows, want 10", rows.Data[0][0])
 	}
 }

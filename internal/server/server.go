@@ -545,11 +545,14 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 		}
 		tried = append(tried, hit.PatternID)
 
-		stmt, _, err := sess.DB.Engine.PrepareCached(hit.SQL)
+		stmt, _, err := prepareRead(sess, hit.SQL)
 		if err != nil {
-			// A stored pattern that no longer parses is poison: demote it
-			// and rerank.
+			// A stored pattern that would write, or no longer parses, is
+			// poison: demote it and rerank.
 			decline = "unparsable"
+			if err == errNotSelect {
+				decline = "not_select"
+			}
 			mem.Failure(hit.PatternID)
 			continue
 		}
@@ -664,11 +667,15 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 
 	prepStart := time.Now()
 	_, prepSpan := obs.StartSpan(r.Context(), "sqlengine.prepare")
-	stmt, planHit, err := sess.DB.Engine.PrepareCached(sql)
+	stmt, planHit, err := prepareRead(sess, sql)
 	timing.PrepareMicros = time.Since(prepStart).Microseconds()
 	if err != nil {
 		prepSpan.Fail(err)
-		writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not parse: %v", err))
+		if err == errNotSelect {
+			writeError(w, http.StatusUnprocessableEntity, api.CodeReadOnly, "generated SQL is not a SELECT: a served database is only read")
+		} else {
+			writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not parse: %v", err))
+		}
 		return answer{}, false
 	}
 	prepSpan.SetAttr("plan_cache_hit", planHit)
@@ -707,6 +714,20 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 		res:      res,
 		timing:   timing,
 	}, true
+}
+
+// errNotSelect is prepareRead's refusal of SQL that is not a read.
+var errNotSelect = errors.New("server: not a SELECT")
+
+// prepareRead prepares sql on the session's database through the plan
+// cache, reporting a plan-cache hit, and refuses anything but a SELECT
+// before it is prepared: a served database is only ever read, whichever
+// tier's SQL it runs. Both tiers prepare here.
+func prepareRead(sess *Session, sql string) (*sqlengine.Stmt, bool, error) {
+	if !sqlengine.IsSelect(sql) {
+		return nil, false, errNotSelect
+	}
+	return sess.DB.Engine.PrepareCached(sql)
 }
 
 // judgedCorrect scores res against the example's gold result with the

@@ -31,6 +31,16 @@ func Parse(src string) (Statement, error) {
 	return st, nil
 }
 
+// IsSelect reports whether sql is a read: Parse makes a SELECT statement of
+// exactly the text whose first token is the SELECT keyword, and of nothing
+// else. It is the check that keeps writes out of a served database;
+// whether the text parses at all is left to Prepare.
+func IsSelect(sql string) bool {
+	lx := Lexer{src: sql}
+	t, err := lx.Next()
+	return err == nil && t.Type == TokenKeyword && t.Text == "SELECT"
+}
+
 // ParseSelect parses src and requires it to be a SELECT statement.
 func ParseSelect(src string) (*SelectStmt, error) {
 	st, err := Parse(src)
