@@ -85,7 +85,9 @@ type QueryResponse struct {
 	RowCount int `json:"row_count"`
 	// Truncated reports MaxRows truncation.
 	Truncated bool `json:"truncated,omitempty"`
-	// Cost is the engine's logical rows-touched charge.
+	// Cost is the rows the engine's chosen plan touched executing SQL
+	// (sqlengine.Result.Cost) — a hash join's tested pairs, not the naive
+	// nested loop's |L|·|R|.
 	Cost   int64       `json:"cost"`
 	Timing QueryTiming `json:"timing"`
 }

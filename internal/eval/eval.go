@@ -5,8 +5,9 @@
 //
 // EX compares execution results rather than SQL text, so semantically
 // equivalent queries score as correct. VES extends EX by weighting each
-// correct query with R = sqrt(cost_gold / cost_predicted); the engine's
-// deterministic rows-touched cost stands in for wall-clock time.
+// correct query with R = sqrt(cost_gold / cost_predicted), where a cost is
+// the rows the engine's naive reference plan touches — a deterministic
+// stand-in for wall-clock time that no choice of physical plan changes.
 package eval
 
 import (
@@ -64,14 +65,13 @@ func rowKeys(rows *sqlengine.Rows) []string {
 // Outcome is the evaluation of one predicted query.
 type Outcome struct {
 	Correct bool
-	// R is the efficiency ratio sqrt(goldCost/predCost); zero when the
-	// prediction is incorrect or fails to execute.
-	R float64
 	// ExecError records a prediction that failed to parse or execute.
 	ExecError bool
 }
 
-// Judge evaluates one prediction against an example's gold query.
+// Judge evaluates one prediction against an example's gold query by
+// execution accuracy alone. It runs the planned engine only, so the
+// serving path can judge on the request path; VES's costs are the Runner's.
 type Judge struct {
 	mu   sync.Mutex
 	gold map[string]*goldEntry
@@ -79,7 +79,6 @@ type Judge struct {
 
 type goldEntry struct {
 	rows    *sqlengine.Rows
-	cost    int64
 	ordered bool
 	err     error
 }
@@ -108,10 +107,6 @@ func (j *Judge) goldFor(db *schema.DB, e dataset.Example) *goldEntry {
 		entry.err = err
 	} else {
 		entry.rows = res.Rows
-		entry.cost = res.Cost
-		if entry.cost < 1 {
-			entry.cost = 1
-		}
 	}
 	j.mu.Lock()
 	j.gold[e.ID] = entry
@@ -149,14 +144,7 @@ func (j *Judge) ScoreRows(db *schema.DB, e dataset.Example, res *sqlengine.Resul
 	if res == nil || res.Rows == nil {
 		return Outcome{ExecError: true}
 	}
-	if !ResultsEqual(gold.rows, res.Rows, gold.ordered) {
-		return Outcome{}
-	}
-	predCost := res.Cost
-	if predCost < 1 {
-		predCost = 1
-	}
-	return Outcome{Correct: true, R: math.Sqrt(float64(gold.cost) / float64(predCost))}
+	return Outcome{Correct: ResultsEqual(gold.rows, res.Rows, gold.ordered)}
 }
 
 // Metrics aggregates outcomes over a split.
@@ -206,6 +194,50 @@ type Runner struct {
 	Judge  *Judge
 	// Workers caps evaluation concurrency; 0 means GOMAXPROCS.
 	Workers int
+
+	costMu sync.Mutex
+	costs  map[costKey]int64 // refCost's cache
+}
+
+type costKey struct {
+	db  *schema.DB
+	sql string
+}
+
+// refCost returns the Cost of sql on db's naive reference executor, at
+// least 1, cached per (db, SQL); 0 when the reference fails, as a
+// statement whose naive plan exceeds the cost budget does.
+func (r *Runner) refCost(db *schema.DB, sql string) int64 {
+	key := costKey{db, sql}
+	r.costMu.Lock()
+	cost, ok := r.costs[key]
+	r.costMu.Unlock()
+	if ok {
+		return cost
+	}
+	if st, err := db.Engine.Prepare(sql); err == nil {
+		if res, err := st.ExecReference(); err == nil {
+			cost = max(res.Cost, 1)
+		}
+	}
+	r.costMu.Lock()
+	if r.costs == nil {
+		r.costs = make(map[costKey]int64)
+	}
+	r.costs[key] = cost
+	r.costMu.Unlock()
+	return cost
+}
+
+// efficiency is VES's ratio for a correct prediction, sqrt(gold cost /
+// predicted cost), both the naive reference's; a prediction whose
+// reference fails, or whose gold's does, earns nothing.
+func (r *Runner) efficiency(db *schema.DB, gold, pred string) float64 {
+	g, p := r.refCost(db, gold), r.refCost(db, pred)
+	if g == 0 || p == 0 {
+		return 0
+	}
+	return math.Sqrt(float64(g) / float64(p))
 }
 
 // NewRunner builds a runner with a fresh judge.
@@ -221,6 +253,7 @@ func (r *Runner) Evaluate(gen texttosql.Generator, examples []dataset.Example, e
 		workers = runtime.GOMAXPROCS(0)
 	}
 	outcomes := make([]Outcome, len(examples))
+	ratios := make([]float64, len(examples))
 	genErrs := make([]bool, len(examples))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
@@ -242,6 +275,9 @@ func (r *Runner) Evaluate(gen texttosql.Generator, examples []dataset.Example, e
 				return
 			}
 			outcomes[i] = r.Judge.Score(db, e, sql)
+			if outcomes[i].Correct {
+				ratios[i] = r.efficiency(db, e.GoldSQL, sql)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -259,7 +295,7 @@ func (r *Runner) Evaluate(gen texttosql.Generator, examples []dataset.Example, e
 		}
 		if o.Correct {
 			m.Correct++
-			ves += o.R
+			ves += ratios[i]
 		}
 	}
 	if m.N > 0 {

@@ -1,11 +1,14 @@
 package eval
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/llm"
+	"repro/internal/schema"
 	"repro/internal/sqlengine"
 	"repro/internal/texttosql"
 )
@@ -46,17 +49,63 @@ func TestResultsEqual(t *testing.T) {
 
 func TestJudgeScoresGoldAsCorrect(t *testing.T) {
 	c := testCorpus(t)
-	j := NewJudge()
+	r := NewRunner(c)
 	for i := 0; i < len(c.Dev); i += 9 {
 		e := c.Dev[i]
 		db := c.DBs[e.DB]
-		o := j.Score(db, e, e.GoldSQL)
+		o := r.Judge.Score(db, e, e.GoldSQL)
 		if !o.Correct {
 			t.Fatalf("gold SQL must score correct for %s", e.ID)
 		}
-		if o.R < 0.999 || o.R > 1.001 {
-			t.Errorf("gold-vs-gold efficiency ratio = %v, want 1", o.R)
+		if ratio := r.efficiency(db, e.GoldSQL, e.GoldSQL); ratio != 1 {
+			t.Errorf("gold-vs-gold efficiency ratio = %v, want 1", ratio)
 		}
+	}
+}
+
+// TestEfficiencyReadsTheReference: VES's ratio is computed from the naive
+// reference's Cost, not from whatever plan the engine ran. Over two
+// 10-row tables joined on a unique key, the planned Costs of the join and
+// of the join behind an always-true EXISTS are 30 and 40 (scans plus hash
+// probes, plus the body's scan), which would make the ratio sqrt(30/40);
+// the reference's are 20+100 and 20+100+10.
+func TestEfficiencyReadsTheReference(t *testing.T) {
+	eng := sqlengine.NewDatabase("ves")
+	eng.MustExec("CREATE TABLE a (k INTEGER)")
+	eng.MustExec("CREATE TABLE b (k INTEGER)")
+	for i := range 10 {
+		eng.MustExec(fmt.Sprintf("INSERT INTO a VALUES (%d)", i))
+		eng.MustExec(fmt.Sprintf("INSERT INTO b VALUES (%d)", i))
+	}
+	db := &schema.DB{Name: "ves", Engine: eng}
+	const gold = "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k"
+	const slow = gold + " WHERE EXISTS (SELECT 1 FROM a)"
+	for sql, want := range map[string]int64{gold: 30, slow: 40} {
+		if res := eng.MustExec(sql); res.Cost != want {
+			t.Errorf("planned Cost of %q = %d, want %d", sql, res.Cost, want)
+		}
+	}
+	r := NewRunner(&dataset.Corpus{})
+	if got, want := r.efficiency(db, gold, slow), math.Sqrt(120.0/130.0); got != want {
+		t.Errorf("efficiency = %v, want sqrt(120/130) = %v", got, want)
+	}
+
+	// An 8,000-row self equi-join answers on the planned engine, while its
+	// naive nested loop exceeds the cost budget: no efficiency credit.
+	eng.MustExec("CREATE TABLE c (k INTEGER)")
+	big := make([][]sqlengine.Value, 8000)
+	for i := range big {
+		big[i] = []sqlengine.Value{sqlengine.Int(int64(i))}
+	}
+	if _, err := eng.BulkInsert("c", big); err != nil {
+		t.Fatal(err)
+	}
+	const join = "SELECT COUNT(*) FROM c AS x JOIN c AS y ON x.k = y.k"
+	if _, err := eng.Exec(join); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.efficiency(db, join, join); got != 0 {
+		t.Errorf("efficiency of a statement whose reference exceeds the cost budget = %v, want 0", got)
 	}
 }
 

@@ -19,8 +19,8 @@ type Span struct {
 	StartMicros int64 `json:"start_us"`
 	// DurationMicros is the span wall time; 0 while the span is open.
 	DurationMicros int64 `json:"duration_us"`
-	// Attrs carries span attributes (plan-cache hit, row count, logical
-	// cost, batch fill, ...). Values are JSON-friendly scalars.
+	// Attrs carries span attributes (plan-cache hit, row count, cost,
+	// batch fill, ...). Values are JSON-friendly scalars.
 	Attrs map[string]any `json:"attrs,omitempty"`
 	// Err is the span failure, empty on success.
 	Err string `json:"error,omitempty"`

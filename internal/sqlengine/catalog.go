@@ -122,23 +122,13 @@ type Database struct {
 	tables map[string]*Table
 	order  []string
 
-	plans      *planCache
-	plannerOff bool
+	plans *planCache
 }
 
 // NewDatabase returns an empty database with the given name.
 func NewDatabase(name string) *Database {
 	return &Database{Name: name, tables: make(map[string]*Table), plans: newPlanCache()}
 }
-
-// SetPlanner enables or disables the query planner: plan-driven hash joins,
-// predicate pushdown, point-lookup indexes, filter kernels and the
-// late-materialising tail (positions.go). The planner is on by default;
-// turning it off forces the naive executor — full scans into nested loops,
-// the interpreter on every row — which by construction produces identical
-// rows, errors and Cost. It is the reference every equivalence test and the
-// evaluation oracles compare against, which is what the switch exists for.
-func (db *Database) SetPlanner(enabled bool) { db.plannerOff = !enabled }
 
 // Table returns the named table (case-insensitive).
 func (db *Database) Table(name string) (*Table, bool) {

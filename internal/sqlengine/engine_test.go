@@ -10,21 +10,18 @@ import (
 )
 
 // TestVectorizedPlannerMatrix is the engine's core equivalence guarantee:
-// the planned engine must produce byte-identical rows AND byte-identical
-// logical Cost against the naive reference for the full planner battery, on
-// 60-row fixtures — the size of BIRD's tables. The kernels run at every
-// size, so every kernel in kernels.go is exercised against the interpreter
-// on the same queries. The parallel config runs each query from 4
-// goroutines at once against one shared database: lazily built indexes and
-// column vectors and the plan cache under concurrent Exec.
+// the planned engine must produce byte-identical rows, the same error class
+// and a Cost no greater than the naive reference's for the full planner
+// battery, on 60-row fixtures — the size of BIRD's tables. The kernels run
+// at every size, so every kernel in kernels.go is exercised against the
+// interpreter on the same queries. The parallel config runs each query from
+// 4 goroutines at once against one shared database: lazily built indexes
+// and column vectors and the plan cache under concurrent Exec.
 func TestVectorizedPlannerMatrix(t *testing.T) {
 	// The tail queries run after the planner battery so its subtests keep
 	// their numbers.
 	queries := append(append([]string{}, crossCheckQueries...), tailCheckQueries...)
 	for _, seed := range []int64{1, 7, 42} {
-		naive := buildMultiDB(seed, 60)
-		naive.SetPlanner(false)
-
 		shared := buildMultiDB(seed, 60)
 		configs := []struct {
 			name       string
@@ -39,21 +36,25 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 			{"planned row-wise", buildMultiDB(seed, 60), 1},
 			{"planned vectorized serial", shared, 1},
 			{"planned vectorized parallel", shared, 4},
-			{"unplanned with vec flags set", func() *Database {
-				// A second naive database: identical to the reference by
-				// construction, pinned here anyway.
-				db := buildMultiDB(seed, 60)
-				db.SetPlanner(false)
-				return db
-			}(), 1},
+			// The reference on a second database built alike (goroutines 0):
+			// identical to the shared one's by construction, Cost included,
+			// pinned here anyway.
+			{"unplanned with vec flags set", buildMultiDB(seed, 60), 0},
 		}
 		for _, cfg := range configs {
 			for _, q := range queries {
 				t.Run(fmt.Sprintf("seed%d/%s", seed, cfg.name), func(t *testing.T) {
-					if cfg.goroutines > 1 {
-						crossCheckConcurrent(t, cfg.db, naive, q, cfg.goroutines)
-					} else {
-						crossCheck(t, cfg.db, naive, q)
+					switch {
+					case cfg.goroutines == 0:
+						a, aerr := refExec(cfg.db, q)
+						b, berr := refExec(shared, q)
+						if fmt.Sprint(aerr) != fmt.Sprint(berr) || aerr == nil && (a.Cost != b.Cost || !rowsIdentical(a.Rows, b.Rows)) {
+							t.Fatalf("two references built alike disagree on %q: %v %v / %v %v", q, a, aerr, b, berr)
+						}
+					case cfg.goroutines > 1:
+						crossCheckConcurrent(t, cfg.db, q, cfg.goroutines)
+					default:
+						crossCheck(t, cfg.db, q)
 					}
 				})
 			}
@@ -157,11 +158,9 @@ func TestEngineCrossValidationAtScale(t *testing.T) {
 	if testing.Short() {
 		n = 9000 // still > 2 morsels
 	}
-	planned := buildEngineDB(5, n)
-	naive := buildEngineDB(5, n)
-	naive.SetPlanner(false)
+	db := buildEngineDB(5, n)
 	for _, q := range engineQueries {
-		crossCheck(t, planned, naive, q)
+		crossCheck(t, db, q)
 	}
 }
 
@@ -178,9 +177,10 @@ func TestResultReportsPhysicalExecution(t *testing.T) {
 		t.Fatalf("Workers = %d, want 1", res.Workers)
 	}
 
-	naive := buildEngineDB(11, 9000)
-	naive.SetPlanner(false)
-	res = naive.MustExec("SELECT COUNT(*) FROM f WHERE num > 50")
+	res, err := refExec(vec, "SELECT COUNT(*) FROM f WHERE num > 50")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Batches != 0 || res.Workers != 1 {
 		t.Fatalf("naive execution reported batches=%d workers=%d, want 0/1", res.Batches, res.Workers)
 	}
@@ -192,9 +192,7 @@ func TestResultReportsPhysicalExecution(t *testing.T) {
 // — which clause sent it to the interpreter's tail instead, and plain "rows"
 // for what never reaches a consumer: compound arms and the naive reference.
 func TestResultPath(t *testing.T) {
-	planned := buildMultiDB(1, 60)
-	naive := buildMultiDB(1, 60)
-	naive.SetPlanner(false)
+	db := buildMultiDB(1, 60)
 	for _, tc := range []struct{ sql, want string }{
 		{"SELECT id FROM m ORDER BY a DESC, id LIMIT 5", "positions/topk"},
 		{"SELECT id FROM m WHERE a = 2 ORDER BY b LIMIT 3 OFFSET 1", "positions/topk"},
@@ -244,14 +242,11 @@ func TestResultPath(t *testing.T) {
 		if tc.want != "" {
 			naiveWant = "rows"
 		}
-		for _, m := range []struct {
-			name string
-			db   *Database
-			want string
-		}{{"planned", planned, tc.want}, {"naive", naive, naiveWant}} {
-			if got := m.db.MustExec(tc.sql).Path; got != m.want {
-				t.Errorf("%s %q: Path = %q, want %q", m.name, tc.sql, got, m.want)
-			}
+		if got := db.MustExec(tc.sql).Path; got != tc.want {
+			t.Errorf("planned %q: Path = %q, want %q", tc.sql, got, tc.want)
+		}
+		if res, err := refExec(db, tc.sql); err != nil || res.Path != naiveWant {
+			t.Errorf("naive %q: Path = %v (err %v), want %q", tc.sql, res, err, naiveWant)
 		}
 	}
 }
@@ -332,17 +327,22 @@ func TestSubGateAllocations(t *testing.T) {
 // to return a sub-slice of its whole output. Three ways into that tail — the
 // naive reference, an ORDER BY expression, a compound — and the consumers.
 func TestLimitWindowIsExact(t *testing.T) {
-	planned := buildEngineDB(5, 800)
-	naive := buildEngineDB(5, 800)
-	naive.SetPlanner(false)
+	db := buildEngineDB(5, 800)
 	for _, sql := range []string{
 		"SELECT id FROM f ORDER BY num DESC, id LIMIT 8",
 		"SELECT id FROM f ORDER BY num + flag, id LIMIT 3",
 		"SELECT id FROM f WHERE flag = 1 UNION SELECT id FROM f WHERE flag = 0 ORDER BY 1 LIMIT 5 OFFSET 2",
 	} {
-		for name, db := range map[string]*Database{"planned": planned, "naive": naive} {
-			data := db.MustExec(sql).Rows.Data
-			if len(data) == 0 || cap(data) != len(data) {
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, exec := range map[string]func() (*Result, error){"planned": st.Exec, "naive": st.ExecReference} {
+			res, err := exec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data := res.Rows.Data; len(data) == 0 || cap(data) != len(data) {
 				t.Errorf("%s %q: %d rows in a slice of capacity %d, want a window of its own", name, sql, len(data), cap(data))
 			}
 		}
@@ -431,14 +431,13 @@ func TestFilterAllocations(t *testing.T) {
 // naive reference is where the interpreter filters 10k rows.
 func TestInterpreterFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
-	db.SetPlanner(false)
 	st, err := db.Prepare("SELECT COUNT(*) FROM f WHERE NOT (`GRP` = 'a') AND F.NUM >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows int64
 	allocs := testing.AllocsPerRun(5, func() {
-		res, err := st.Exec()
+		res, err := st.ExecReference()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +454,8 @@ func TestInterpreterFilterAllocations(t *testing.T) {
 // Prepare/Exec against ONE shared database. Under -race this guards the
 // shared plan cache and the lazily built point-lookup indexes and column
 // vectors (all built on first use, so the goroutines race to build them).
-// Every result must equal the serially precomputed reference.
+// Every result must hold to the serially precomputed reference: its rows,
+// at no greater Cost.
 func TestEngineConcurrentQueryHammer(t *testing.T) {
 	db := buildEngineDB(23, 10000)
 
@@ -469,12 +469,10 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 		"SELECT id FROM f ORDER BY num DESC, id LIMIT 8",
 		"SELECT AVG(num) FROM f WHERE flag = 1",
 	}
-	// Reference pass on an identical database, serial and unplanned.
-	ref := buildEngineDB(23, 10000)
-	ref.SetPlanner(false)
+	// Reference pass, serial and unplanned.
 	want := make([]*Result, len(queries))
 	for i, q := range queries {
-		r, err := ref.Exec(q)
+		r, err := refExec(db, q)
 		if err != nil {
 			t.Fatalf("reference %q: %v", q, err)
 		}
@@ -507,8 +505,8 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 					errCh <- fmt.Errorf("goroutine %d: rows diverged for %q", g, queries[qi])
 					return
 				}
-				if res.Cost != want[qi].Cost {
-					errCh <- fmt.Errorf("goroutine %d: Cost %d != %d for %q", g, res.Cost, want[qi].Cost, queries[qi])
+				if res.Cost > want[qi].Cost {
+					errCh <- fmt.Errorf("goroutine %d: Cost %d over the reference's %d for %q", g, res.Cost, want[qi].Cost, queries[qi])
 					return
 				}
 			}
@@ -535,8 +533,8 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 // the 60-row level is a BIRD fixture table's size and the 800-row one a
 // larger dev table's, and at both the kernels filter and the probe runs in
 // one range, as at 100k. The statements come from engineQueries, which
-// TestEngineCrossValidationAtScale holds to identical rows and Cost: only
-// ns/op and allocations differ.
+// TestEngineCrossValidationAtScale holds to identical rows: ns/op,
+// allocations and Cost differ.
 func BenchmarkExecModes(b *testing.B) {
 	type query struct{ name, sql string }
 	var (
@@ -587,17 +585,20 @@ func BenchmarkExecModes(b *testing.B) {
 						continue
 					}
 					b.Run(q.name+"/"+m.name, func(b *testing.B) {
-						db.SetPlanner(m.planner)
 						stmt, err := db.Prepare(q.sql)
 						if err != nil {
 							b.Fatal(err)
+						}
+						exec := stmt.Exec
+						if !m.planner {
+							exec = stmt.ExecReference
 						}
 						b.ReportAllocs()
 						// A b.N loop, not b.Loop: testing (go 1.24) applies -cpu only
 						// after a leaf's first run, which is b.Loop's only run.
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							if _, err := stmt.Exec(); err != nil {
+							if _, err := exec(); err != nil {
 								b.Fatal(err)
 							}
 						}

@@ -13,23 +13,16 @@ type Rows struct {
 }
 
 // Result is the outcome of executing any statement. Cost counts the rows
-// the naive executor touches (scans, join pairs, subquery work); it is the
-// deterministic stand-in for execution time used by the VES metric.
-//
-// Cost is a *logical* measure, independent of the physical plan: when the
-// planner substitutes a hash join for a nested loop or pushes a predicate
-// below a join, it still charges exactly the rows the naive plan would
-// have touched. That plan-independence is what keeps VES — and every
-// experiment table derived from it — stable while wall-clock time drops;
-// see the contract notes in planner.go.
+// the chosen plan touched: a scan the rows it read, an index lookup its
+// bucket, a hash join the pairs it tested, a nested loop |L|·|R| of its
+// inputs, a subquery its body's, an UPDATE or DELETE its table. It is a
+// deterministic measure of the work done, and maxCost caps it.
 type Result struct {
 	Rows         *Rows
 	RowsAffected int64
 	Cost         int64
-	// Batches describes the *physical* execution and carries no semantic
-	// weight (unlike Cost it may change across engine versions): the morsels
-	// processed by morsel-driven operators — filters and join probes (0 =
-	// none ran).
+	// Batches counts the morsels processed by morsel-driven operators —
+	// filters and join probes (0 = none ran). Like Path it is telemetry.
 	Batches int64
 	// Workers is always 1: a statement runs on its caller's goroutine. It is
 	// kept for bench/ until ROADMAP 1(i).
@@ -134,8 +127,7 @@ func (ec *execCtx) execStatementInner(st Statement) (*Result, error) {
 }
 
 // execCtx carries per-execution state: the database, the cost counter and
-// the planner's per-SELECT analysis (nil for unplanned execution — the
-// executor then behaves exactly like the pre-planner naive engine).
+// the planner's per-SELECT analysis (nil for the naive reference).
 type execCtx struct {
 	db    *Database
 	cost  int64
@@ -157,8 +149,8 @@ type execCtx struct {
 func (ec *execCtx) planFor(sel *SelectStmt) *selectPlan { return ec.plans[sel] }
 
 // maxCost bounds runaway queries (e.g. accidental cross joins in predicted
-// SQL). Exceeding it aborts execution with an error, which the evaluation
-// harness counts as a failed query.
+// SQL): Cost exceeding it aborts execution with an error, which the
+// evaluation harness counts as a failed query.
 const maxCost = 50_000_000
 
 func (ec *execCtx) charge(n int64) error {
@@ -215,15 +207,10 @@ func (s *scope) resolve(cr *ColumnRef) (Value, error) {
 
 // rowSet is an intermediate relation during FROM evaluation. rows is set
 // only on a join's two inputs (execFrom): what the relation holds is
-// otherwise listed by the selection that travels with it. logical is the
-// cardinality the *naive* executor's relation would have at this point in
-// the pipeline: it differs from the number of rows only when predicate
-// pushdown filtered a scan, and it is what join charges are computed from so
-// that Cost stays plan-independent.
+// otherwise listed by the selection that travels with it.
 type rowSet struct {
-	cols    []scopeCol
-	rows    [][]Value
-	logical int
+	cols []scopeCol
+	rows [][]Value
 }
 
 // --- SELECT execution ---
@@ -376,12 +363,17 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 				preds = append(preds, compilePred(ps, c.expr))
 			}
 		}
+		// The FROM relation, for settleExists: pushdown, which a join under
+		// an EXISTS never gets, filtered a single table's scan.
 		from := s
+		if pushed {
+			from = selection{rows: s.rows, all: true}
+		}
 		if len(preds) > 0 {
 			s, err = ec.filterPositions(src.cols, s, preds, outer)
 		}
 		if err == nil && len(pl.exists) > 0 {
-			s, err = ec.settleExists(sel, outer, pl, src.cols, from, pushed, s)
+			s, err = ec.settleExists(outer, pl, src.cols, from, s)
 		}
 	case sel.Where != nil:
 		s, err = ec.filterInterpreted(src.cols, s, sel.Where, outer)
@@ -799,7 +791,7 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, push 
 	items := sel.From
 	if len(items) == 0 {
 		// SELECT without FROM: a single empty row.
-		return &rowSet{logical: 1}, selection{rows: [][]Value{{}}, all: true}, fp, nil
+		return &rowSet{}, selection{rows: [][]Value{{}}, all: true}, fp, nil
 	}
 	if push {
 		fp = ec.planFrom(pl, sel, outer)
@@ -825,7 +817,7 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, push 
 		}
 		cols := make([]scopeCol, 0, len(acc.cols)+len(right.cols))
 		cols = append(append(cols, acc.cols...), right.cols...)
-		acc = &rowSet{cols: cols, logical: s.len()}
+		acc = &rowSet{cols: cols}
 	}
 	return acc, s, fp, nil
 }
@@ -840,13 +832,11 @@ func scanCols(name string, t *Table) []scopeCol {
 	return cols
 }
 
-// execFromItem evaluates FROM item i: its columns and logical size (the
-// rowSet's rows stay unset), and its rows as a selection — all of a
-// sub-select's result or of an unfiltered table, or the positions the table's
-// pushed conjuncts keep (scanPositions). fp places pl's WHERE conjuncts at
-// the scans (never at a subquery item, never in unplanned execution). The
-// scan is charged at full table size whether or not pushdown filters it —
-// that is the naive executor's charge.
+// execFromItem evaluates FROM item i: its columns (the rowSet's rows stay
+// unset), and its rows as a selection — all of a sub-select's result or of
+// an unfiltered table, or the positions the table's pushed conjuncts keep
+// (scanPositions). fp places pl's WHERE conjuncts at the scans (never at a
+// subquery item, never in the naive reference).
 func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pl *selectPlan, fp *fromPlan, i int) (*rowSet, selection, error) {
 	name := strings.ToLower(item.Name())
 	if item.Sub != nil {
@@ -854,7 +844,7 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pl *selectPlan, fp
 		if err != nil {
 			return nil, selection{}, err
 		}
-		rs := &rowSet{logical: len(sub.Data)}
+		rs := &rowSet{}
 		for _, c := range sub.Columns {
 			rs.cols = append(rs.cols, scopeCol{table: name, name: strings.ToLower(c)})
 		}
@@ -864,37 +854,32 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pl *selectPlan, fp
 	if !ok {
 		return nil, selection{}, fmt.Errorf("sqlengine: no such table: %s", item.Table)
 	}
-	if err := ec.charge(int64(len(t.Rows))); err != nil {
-		return nil, selection{}, err
-	}
-	rs := &rowSet{logical: len(t.Rows)}
+	rs := &rowSet{}
 	if fp.cols != nil {
 		rs.cols = fp.cols[i]
 	} else {
 		rs.cols = scanCols(name, t)
 	}
 	if fp.at == nil {
-		return rs, selection{rows: t.Rows, all: true}, nil
+		return rs, selection{rows: t.Rows, all: true}, ec.charge(int64(len(t.Rows)))
 	}
 	s, err := ec.scanPositions(t, rs.cols, pl.where, fp, i, outer)
 	return rs, s, err
 }
 
-// join combines two relations. The logical pair count |L|·|R| is charged up
-// front — exactly the naive nested loop's total, and computed from the
-// inputs' logical cardinalities so that pushdown-filtered scans do not
-// change the charge. With a usable plan the join runs as a hash join, whose
-// output is position pairs; otherwise the nested loop below builds the
-// joined rows, with one reusable pair buffer and environment (fresh slices
-// are allocated only for emitted rows).
+// join combines two relations. With a usable plan the join runs as a hash
+// join, whose output is position pairs; otherwise the nested loop below,
+// charged its |L|·|R| pairs up front, builds the joined rows, with one
+// reusable pair buffer and environment (fresh slices are allocated only for
+// emitted rows).
 func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope, ja *joinAnalysis) (selection, error) {
-	if err := ec.charge(int64(left.logical) * int64(right.logical)); err != nil {
-		return selection{}, err
-	}
 	if on != nil && ja != nil && ja.safe {
 		if equis, residual, ok := resolveHashJoin(left, right, ja, outer); ok {
 			return ec.hashJoin(left, right, jt, equis, residual, outer)
 		}
+	}
+	if err := ec.charge(int64(len(left.rows)) * int64(len(right.rows))); err != nil {
+		return selection{}, err
 	}
 	cols := make([]scopeCol, 0, len(left.cols)+len(right.cols))
 	cols = append(cols, left.cols...)

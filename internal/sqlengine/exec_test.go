@@ -306,26 +306,43 @@ func TestErrorsAtExecution(t *testing.T) {
 	}
 }
 
+// TestCostAccounting pins what Cost counts: the rows the plan touched. A
+// scan charges the table (6 emp rows, 3 dept rows), an index lookup its
+// bucket (2 ENG rows), a hash join the pairs it tests (4 of the 5 emp rows
+// with a department find one candidate each; HR and NULL find none), a
+// nested loop |L|·|R|, a subquery its body's. The naive reference charges
+// full scans and nested loops throughout.
 func TestCostAccounting(t *testing.T) {
 	db := fixtureDB(t)
-	res1, err := db.Exec("SELECT * FROM emp")
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		sql            string
+		planned, naive int64
+	}{
+		{"SELECT * FROM emp", 6, 6},
+		{"SELECT name FROM emp WHERE salary > 90", 6, 6},
+		{"SELECT name FROM emp WHERE dept = 'ENG'", 2, 6},
+		{"SELECT name FROM emp WHERE dept = 'nope'", 0, 6},
+		{"SELECT * FROM emp e JOIN dept d ON e.dept = d.code", 6 + 3 + 4, 6 + 3 + 18},
+		{"SELECT e.name FROM emp e JOIN dept d ON e.dept = d.code WHERE d.label = 'Operations'", 6 + 1 + 2, 6 + 3 + 18},
+		{"SELECT * FROM emp e JOIN dept d ON e.salary > d.budget", 6 + 3 + 18, 6 + 3 + 18},
+		{"SELECT name FROM emp WHERE id IN (SELECT manager_id FROM emp)", 6 + 6, 6 + 6},
+	} {
+		for i := 0; i < 2; i++ { // identical statements, identical costs
+			pr, err := db.Exec(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nr, err := refExec(db, c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr.Cost != c.planned || nr.Cost != c.naive {
+				t.Errorf("%s: Cost %d planned, %d naive; want %d, %d", c.sql, pr.Cost, nr.Cost, c.planned, c.naive)
+			}
+		}
 	}
-	res2, err := db.Exec("SELECT * FROM emp e JOIN dept d ON e.dept = d.code")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Cost <= 0 || res2.Cost <= res1.Cost {
-		t.Errorf("cost should grow with work: scan=%d join=%d", res1.Cost, res2.Cost)
-	}
-	// Identical statements must report identical costs (determinism).
-	res3, err := db.Exec("SELECT * FROM emp e JOIN dept d ON e.dept = d.code")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Cost != res2.Cost {
-		t.Errorf("cost not deterministic: %d vs %d", res2.Cost, res3.Cost)
+	if res := db.MustExec("UPDATE emp SET salary = salary + 1 WHERE dept = 'HR'"); res.Cost != 6 || res.RowsAffected != 1 {
+		t.Errorf("UPDATE: Cost %d, %d rows affected; want 6, 1", res.Cost, res.RowsAffected)
 	}
 }
 
@@ -369,12 +386,23 @@ func TestMySQLStyleLimit(t *testing.T) {
 // It must return everything after the first row from both tails: the
 // interpreter's (naive, and planned for `id + 0`) and the positions tail.
 func TestLimitOffsetOverflow(t *testing.T) {
-	naive := fixtureDB(t)
-	naive.SetPlanner(false)
-	for _, db := range []*Database{naive, fixtureDB(t)} {
-		expectRows(t, db, "SELECT id FROM emp LIMIT 9223372036854775807 OFFSET 1", []string{"2", "3", "4", "5", "6"})
-		expectRows(t, db, "SELECT id FROM emp ORDER BY id DESC LIMIT 9223372036854775807 OFFSET 1", []string{"5", "4", "3", "2", "1"})
-		expectRows(t, db, "SELECT id + 0 FROM emp ORDER BY 1 LIMIT 9223372036854775807 OFFSET 4", []string{"5", "6"})
-		expectRows(t, db, "SELECT id FROM emp LIMIT 9223372036854775807 OFFSET 9223372036854775807", nil)
+	db := fixtureDB(t)
+	for _, c := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT id FROM emp LIMIT 9223372036854775807 OFFSET 1", []string{"2", "3", "4", "5", "6"}},
+		{"SELECT id FROM emp ORDER BY id DESC LIMIT 9223372036854775807 OFFSET 1", []string{"5", "4", "3", "2", "1"}},
+		{"SELECT id + 0 FROM emp ORDER BY 1 LIMIT 9223372036854775807 OFFSET 4", []string{"5", "6"}},
+		{"SELECT id FROM emp LIMIT 9223372036854775807 OFFSET 9223372036854775807", nil},
+	} {
+		expectRows(t, db, c.sql, c.want)
+		res, err := refExec(db, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := flatten(res.Rows.Data); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("naive %q\n got: %v\nwant: %v", c.sql, got, c.want)
+		}
 	}
 }

@@ -22,10 +22,12 @@ package sqlengine
 //   - Order: pairs are emitted in left-row-major order with right matches
 //     ascending — exactly the nested loop's emission order — regardless of
 //     which side the hash table is built on.
-//   - Cost: the caller (join) has already charged |L|·|R| logical pairs
-//     before this function runs, identical to the naive loop's total.
-//     Residual conjuncts are safe-total by the planner's gate, so probing
-//     them cannot charge cost or raise row-dependent errors.
+//   - Errors: residual conjuncts are safe-total by the planner's gate, so
+//     probing them cannot raise row-dependent errors.
+//
+// The join is charged the pairs it tests — every chained candidate, a
+// spurious collision included — a left row at a time, so the cost budget
+// stops a many-to-many join before its pair list outgrows it.
 
 // equiCond is one resolved hash condition: column positions in the left
 // and right input relations.
@@ -147,8 +149,7 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 
 // hashJoin executes the join with the given resolved conditions and returns
 // its output as a two-sided selection over the inputs' rows: (left, right)
-// position pairs in emission order, no joined row built. The logical |L|·|R|
-// cost has already been charged by the caller.
+// position pairs in emission order, no joined row built.
 //
 // The smaller input's distinct keys become the slots; the right rows are
 // threaded, ascending, into one chain per slot; and the probe walks the left
@@ -211,8 +212,10 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 		}
 		matched := false
 		if slot >= 0 {
+			tested := int64(0)
 		chain:
 			for ri := head[slot]; ri >= 0; ri = next[ri] {
+				tested++
 				rr := right.rows[ri]
 				for i, lc := range lcols {
 					if !sqlEq(lr[lc], rr[rcols[i]]) {
@@ -234,6 +237,9 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 				}
 				matched = true
 				pairs = append(pairs, pair{l: int32(li), r: ri})
+			}
+			if err := ec.charge(tested); err != nil {
+				return selection{}, err
 			}
 		}
 		if jt == JoinLeft && !matched {

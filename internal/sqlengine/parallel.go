@@ -13,10 +13,8 @@ import (
 //
 // Only safe-total expressions (planner.go) ever run as a kernel or a probe's
 // residual: they cannot execute subqueries (the one path by which evaluation
-// charges Cost or fills the execCtx memo) and cannot fail except for
-// row-independent column resolution errors, so a kernel may stand in for the
-// interpreter and the logical Cost — charged before the operator runs — is
-// untouched.
+// touches the execCtx) and cannot fail except for row-independent column
+// resolution errors, so a kernel may stand in for the interpreter.
 
 // morselRows is the unit the batch operators' input is counted in
 // (Result.Batches): a filter or a probe over n rows processes
@@ -55,8 +53,9 @@ type selection struct {
 }
 
 // pair is one row of a join's output. r < 0 is a LEFT JOIN null extension.
-// int32 holds any position: a relation's rows have all been charged to
-// Cost, and maxCost ends the statement far below 2^31.
+// int32 holds any position: every row of a join's input was read, and
+// charged, by a scan or a join, and maxCost ends the statement far below
+// 2^31.
 type pair struct{ l, r int32 }
 
 // rightSide is the right input of a join: its rows, the all-NULL row that
@@ -286,8 +285,8 @@ rows:
 }
 
 // filterInterpreted is the in-order filter for what may not run as kernels —
-// an unsafe WHERE, whose subqueries charge Cost and fill the memo — and the
-// naive reference's: every selected row is visited in order and passes iff
+// an unsafe WHERE, whose subqueries run and fill the memo — and the naive
+// reference's: every selected row is visited in order and passes iff
 // where is true on it. A join's output is evaluated in one reused pair
 // buffer.
 func (ec *execCtx) filterInterpreted(cols []scopeCol, in selection, where Expr, outer *scope) (selection, error) {

@@ -17,15 +17,19 @@ type Stmt struct {
 // SQL returns the statement's source text.
 func (s *Stmt) SQL() string { return s.src }
 
-// Exec runs the prepared statement. The cost model is identical to
-// Database.Exec: whatever physical plan the planner picks, the Result's
-// Cost is the logical rows-touched count the naive executor would charge.
+// Exec runs the prepared statement on the plan the planner chose.
 func (s *Stmt) Exec() (*Result, error) {
-	plans := s.plans
-	if s.db.plannerOff {
-		plans = nil
-	}
-	ec := &execCtx{db: s.db, plans: plans}
+	ec := &execCtx{db: s.db, plans: s.plans}
+	return ec.execStatement(s.ast)
+}
+
+// ExecReference runs the statement on the naive reference executor — full
+// scans into nested loops, the interpreter on every row — which Exec must
+// agree with on rows, order and error class (planner.go). Its Cost is the
+// naive plan's: the yardstick VES measures a prediction's efficiency by,
+// and an upper bound on Exec's.
+func (s *Stmt) ExecReference() (*Result, error) {
+	ec := &execCtx{db: s.db}
 	return ec.execStatement(s.ast)
 }
 

@@ -11,64 +11,47 @@ import (
 // full scans into nested-loop joins — with hash equi-joins, predicate
 // pushdown and point-lookup indexes.
 //
-// The planner's contract is strict plan/naive equivalence:
+// The planner's contract with the naive executor, the reference every
+// equivalence test runs (Stmt.ExecReference):
 //
-//   - identical rows in identical order, and
-//   - identical Result.Cost.
+//   - identical rows in identical order, and the same error class — except
+//     that where the reference exceeds maxCost the plan may answer;
+//   - Result.Cost no greater than the reference's. Cost counts what the
+//     chosen plan touches (exec.go), and no optimisation below touches
+//     more than the naive plan does.
 //
-// Cost is *logical*: it counts the rows the naive executor would have
-// touched, not the rows the chosen plan touches. That is what keeps the
-// VES metric (which weights accuracy by cost ratios) byte-stable across
-// planner changes. Every optimisation below is therefore gated on static
-// guarantees; anything the planner cannot prove falls back to the naive
-// path, which is kept intact as the reference implementation.
-//
-// The guarantees, and how each optimisation preserves them:
+// Every optimisation is gated on static guarantees; anything the planner
+// cannot prove falls back to the naive path.
 //
 //   - Hash equi-join: the ON conjunction is split; conjuncts of shape
 //     `left.col = right.col` become hash conditions, the rest become
 //     residual filters on hash-matched pairs. The output relation equals
 //     the nested-loop output in content *and order* (probe in left-row
 //     order, each key's right rows chained ascending), and is emitted as
-//     (left, right) position pairs, not rows (hashjoin.go). The join still
-//     charges |L|·|R| — the naive pair count — via the rowSet's logical
-//     cardinality. Residual conjuncts are evaluated on fewer pairs than
-//     the naive loop would, so they must be provably pure: subquery-free
-//     (subqueries charge cost) and total (cannot error on any input); see
-//     exprSafeTotal. Any unresolvable or ambiguous column reference in the
-//     ON clause bails to the nested loop, which reproduces the naive
+//     (left, right) position pairs, not rows (hashjoin.go). Residual
+//     conjuncts are evaluated on fewer pairs than the naive loop would, so
+//     they must be safe-total: subquery-free and unable to error on any
+//     input (exprSafeTotal). Any unresolvable or ambiguous column reference
+//     in the ON clause bails to the nested loop, which reproduces the naive
 //     error behaviour exactly.
 //
 //   - Predicate pushdown: the WHERE conjunction is split and single-table
 //     conjuncts are evaluated during the base-table scan, before the join
-//     multiplies rows. Filtering a join input changes the naive
-//     intermediate cardinalities that later join charges depend on, so
-//     pushdown is only applied where every affected charge is statically
-//     known: with no joins anywhere; with exactly one join on either side
-//     (both full table sizes are catalog facts); and with two or more
-//     joins only into the last joined table (earlier intermediates are
-//     unaffected, and the last charge uses the full catalog size). The
-//     right side of a LEFT JOIN is never filtered (NULL-extension
-//     semantics), and pushdown requires every WHERE conjunct — pushed or
-//     residual — to be safe-total, because rows removed early are rows
-//     the naive executor would still have evaluated the remaining
-//     conjuncts on.
+//     multiplies rows. Any FROM item may be filtered but the right side of
+//     a LEFT JOIN (NULL-extension semantics). Pushdown requires every WHERE
+//     and ON conjunct to be safe-total, because rows removed early are rows
+//     the naive executor would still have evaluated the others on.
 //
 //   - The one exception is a top-level `[NOT] EXISTS` conjunct whose body
 //     is uncorrelated (subquery.go): it is a constant of the statement, set
 //     aside at Prepare while the other conjuncts are pushed down, indexed
-//     and filtered as if it were absent. Its only observable effects are
-//     the body's charge and errors, made once (the memo) on the first row
-//     the naive AND chain reaches it on — the first row where no earlier
-//     conjunct is FALSE. A non-empty filtered selection proves such a row
-//     exists; an empty one is settled by testing the earlier conjuncts for
-//     "not FALSE" over the FROM relation without pushdown, read again at no
-//     charge (subquery.go). So the body is charged iff the naive executor
-//     charges it, before anything the tail charges, and Cost holds.
+//     and filtered as if it were absent. The naive AND chain evaluates it,
+//     and raises its errors, on the first row where no earlier conjunct is
+//     FALSE; settleExists evaluates it iff such a row exists.
 //
 //   - Point-lookup index: a pushed conjunct of shape `col = literal` uses
 //     a lazily built per-column hash index (invalidated by any DML)
-//     instead of scanning; the scan is still charged at full table size.
+//     instead of scanning.
 
 // selectPlan is the planner's per-SELECT structural analysis, computed once
 // at Prepare time from the AST alone (no schema access — column resolution
@@ -108,9 +91,9 @@ type conjunct struct {
 	// eqLit is set when expr is `colref = literal` (either order), the
 	// point-lookup index shape.
 	eqLit *eqLitPattern
-	// safe reports expr is safe-total: pure (no subqueries, which charge
-	// cost) and total (cannot error on any row), so evaluating it on more
-	// or fewer rows than the naive executor is unobservable.
+	// safe reports expr is safe-total: pure (no subqueries) and total
+	// (cannot error on any row), so evaluating it on more or fewer rows than
+	// the naive executor is unobservable.
 	safe bool
 }
 
@@ -347,10 +330,9 @@ func collectRefs(e Expr, dst []*ColumnRef) []*ColumnRef {
 }
 
 // exprSafeTotal reports whether e is pure and total: it contains no
-// subquery (subquery execution charges cost, so evaluating e on a
-// different row set than the naive executor would change Cost) and cannot
-// return an evaluation error on any input row (so evaluating it on a
-// different row set cannot change whether the query fails). Column
+// subquery (a subquery's body can fail, and fills the statement's memo) and
+// cannot return an evaluation error on any input row, so evaluating it on a
+// different row set cannot change whether the query fails. Column
 // references are validated separately at execution time, where the scopes
 // are known.
 func exprSafeTotal(e Expr) bool {
@@ -477,21 +459,20 @@ type fromPlan struct {
 func (fp *fromPlan) pushedAt(k, i int) bool { return fp.at != nil && fp.at[k] == i }
 
 // planFrom decides pushdown placement. Nothing is pushed — the FROM
-// relation is filtered whole — unless every placement rule holds:
-// every WHERE conjunct safe-total, every FROM item a base table, every
+// relation is filtered whole — unless every placement rule holds: every
+// WHERE and ON conjunct safe-total, every FROM item a base table, and every
 // column reference resolving uniquely (ambiguity and no-such-column must
-// surface exactly as the naive executor surfaces them), and the target
-// position cost-safe per the rules in the package comment above.
+// surface exactly as the naive executor surfaces them). A join under an
+// uncorrelated EXISTS pushes nothing either: when no row passes, the reach
+// proof (settleExists) reads the FROM relation, which the join then has
+// built whole. A conjunct is pushed into the one item its columns belong
+// to, unless that item is the right side of a LEFT JOIN.
 func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) fromPlan {
-	if pl == nil || len(pl.where) == 0 || !pl.whereSafe {
-		return fromPlan{}
-	}
 	items := sel.From
 	n := len(items)
-	if n == 0 {
+	if pl == nil || len(pl.where) == 0 || !pl.whereSafe || n == 0 || n > 1 && len(pl.exists) > 0 {
 		return fromPlan{}
 	}
-	nJoins := n - 1
 	itemCols := make([][]scopeCol, n)
 	for i := range items {
 		if items[i].Sub != nil {
@@ -504,13 +485,12 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) fromP
 		itemCols[i] = scanCols(strings.ToLower(items[i].Name()), t)
 	}
 	none := fromPlan{cols: itemCols}
-	// Pushdown shrinks join inputs, so the affected ON clauses get
-	// evaluated on fewer pairs than the naive executor evaluates them on.
-	// That is only invisible when every ON conjunct is safe-total (an ON
-	// subquery charges cost per pair) and every ON column reference
-	// resolves cleanly (an unresolvable reference errors naively on the
-	// first pair — pushdown could empty an input and mask it). Anything
-	// less: no pushdown.
+	// Pushdown shrinks join inputs, so the ON clauses get evaluated on
+	// fewer pairs than the naive executor evaluates them on. That is only
+	// invisible when every ON conjunct is safe-total and every ON column
+	// reference resolves cleanly (an unresolvable reference errors naively
+	// on the first pair — pushdown could empty an input and mask it).
+	// Anything less: no pushdown.
 	for i := 1; i < n; i++ {
 		if items[i].On == nil {
 			continue
@@ -520,35 +500,12 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) fromP
 			return none
 		}
 		// The ON of join i sees the columns of items 0..i.
-		visible := itemCols[:i+1]
 		for _, c := range ja.conj {
 			for _, r := range c.refs {
-				_, cnt := resolveItems(visible, r)
-				if cnt > 1 {
-					return none
-				}
-				if cnt == 0 && outerResolveClass(outer, r) != 1 {
+				if _, cnt := resolveItems(itemCols[:i+1], r); cnt > 1 || cnt == 0 && outerResolveClass(outer, r) != 1 {
 					return none
 				}
 			}
-		}
-	}
-	pushable := func(i int) bool {
-		switch {
-		case nJoins == 0:
-			return true
-		case nJoins == 1:
-			if i == 0 {
-				// The left side of any single join, including LEFT JOIN:
-				// left-side predicates commute with NULL extension.
-				return true
-			}
-			return items[1].Join != JoinLeft
-		default:
-			// Filtering any earlier input changes the naive intermediate
-			// cardinalities that later join charges are defined by; only
-			// the last joined table leaves every charge statically known.
-			return i == nJoins && items[i].Join != JoinLeft
 		}
 	}
 	at := make([]int, len(pl.where))
@@ -572,7 +529,7 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) fromP
 				target = -2
 			}
 		}
-		if target >= 0 && pushable(target) {
+		if target >= 0 && (target == 0 || items[target].Join != JoinLeft) {
 			at[k] = target
 			anyPushed = true
 		} else {

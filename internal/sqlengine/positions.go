@@ -27,8 +27,8 @@ import "slices"
 // All three are serial and read the relations' rows directly (selection.row
 // and cell: one row for a one-sided selection, the left or the right row for
 // a join's): no column vector is built for a column that is only sorted,
-// aggregated or joined. Nothing is charged here beyond the scan, exactly as
-// execFromItem charges it.
+// aggregated or joined. They charge nothing: the rows they read were
+// charged when the FROM read them.
 //
 // A consumer applies only where evaluating less than the interpreter does
 // cannot be observed: every expression it skips is a column read that
@@ -70,8 +70,7 @@ func (ec *execCtx) notePath(sel *SelectStmt, path string) {
 // FROM and WHERE left — one relation's rows or a join's pairs: the consumer
 // the select list allows, or projectTail over the materialised selection.
 // anyRow (an EXISTS body, which is asked only whether it has a row) has a
-// consumer return the first row of its result and no more; no consumer
-// charges, so Cost is the whole body's.
+// consumer return the first row of its result and no more.
 func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, outer *scope, anyRow bool) (*Rows, error) {
 	path := func(positions, pairs string) string {
 		if s.right != nil {
@@ -109,7 +108,8 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, oute
 // pushed conjunct — the indexed equality included, re-verified with real `=`
 // semantics — then filters what is left, through kernels: over the column
 // vectors for a full scan, and over the rows themselves for a bucket, which
-// is small and not worth a vector.
+// is small and not worth a vector. The scan is charged the rows it reads:
+// the bucket, or the table.
 func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, where []conjunct, fp *fromPlan, i int, outer *scope) (selection, error) {
 	s := selection{rows: t.Rows, all: true}
 	pushed := false
@@ -129,12 +129,9 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, where []conjunct, fp
 		if !c.eqLit.lit.IsNull() { // `col = NULL` is never true: nothing selected
 			s.pos = t.eqLookup(col, string(coarseKey(nil, c.eqLit.lit)))
 		}
-		if len(s.pos) == 0 {
-			return s, nil
-		}
 	}
-	if !pushed {
-		return s, nil
+	if err := ec.charge(int64(s.len())); err != nil || !pushed || s.len() == 0 {
+		return s, err
 	}
 	ps := predSource{cols: cols}
 	if s.all {

@@ -194,10 +194,9 @@ func TestGroupBySumPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: every generated query produces identical rows (order included)
-// and an identical Cost under the planner and under the naive executor.
-// This is the planner's core invariant — Cost is logical, so VES and every
-// experiment table stay byte-stable however the physical plan changes.
+// Property: every generated query produces identical rows (order included),
+// the same error class and no greater Cost under the planner than under the
+// naive executor — the planner's contract (planner.go).
 func TestPlannerEquivalenceProperty(t *testing.T) {
 	templates := []func(p1, p2 int) string{
 		func(p1, p2 int) string {
@@ -226,21 +225,14 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 		},
 	}
 	f := func(seed int64, a, b uint8) bool {
-		planned, naive := plannerPair(seed, 30)
+		db := buildMultiDB(seed, 30)
 		p1, p2 := int(a)%100, int(b)%20+1
 		for _, tmpl := range templates {
 			q := tmpl(p1, p2)
-			pr, perr := planned.Exec(q)
-			nr, nerr := naive.Exec(q)
-			if (perr == nil) != (nerr == nil) {
-				t.Logf("error mismatch for %q: %v vs %v", q, perr, nerr)
-				return false
-			}
-			if perr != nil {
-				continue
-			}
-			if pr.Cost != nr.Cost || !rowsIdentical(pr.Rows, nr.Rows) {
-				t.Logf("divergence for %q: cost %d vs %d", q, pr.Cost, nr.Cost)
+			pr, perr := db.Exec(q)
+			nr, nerr := refExec(db, q)
+			if msg := divergence(q, pr, perr, nr, nerr); msg != "" {
+				t.Log(msg)
 				return false
 			}
 		}

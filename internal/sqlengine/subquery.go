@@ -2,26 +2,19 @@ package sqlengine
 
 import "strings"
 
-// Subquery memoization. The naive executor re-evaluates EXISTS/IN/scalar
-// subqueries for every outer row. When the subquery is uncorrelated — no
-// column reference escapes into the outer row scope — that repetition is
-// pure waste: the result is identical each time, and at scale it turns a
-// linear scan into a quadratic one (each evaluation also re-charges the
-// subquery's cost, burning the 50M-row budget on work the first evaluation
-// already paid for). execSub runs such subqueries once per statement
-// execution and caches the result in the execCtx.
-//
-// Cost stays plan-independent: the memo lives in expression evaluation,
-// below the planner, so planned and unplanned execution both charge the
-// subquery exactly once.
+// Subquery memoization. Evaluated per outer row, an EXISTS/IN/scalar
+// subquery whose body is uncorrelated — no column reference escapes into
+// the outer row scope — returns the same result each time, and at scale
+// turns a linear scan into a quadratic one. execSub runs such subqueries
+// once per statement execution and caches the result in the execCtx; the
+// memo lives in expression evaluation, so the naive reference has it too.
 //
 // An uncorrelated [NOT] EXISTS conjunct at the top of a WHERE is therefore
 // a constant of the statement, and the planner does not let it switch off
 // pushdown, the index or the kernels: the other conjuncts filter as if it
 // were absent, and settleExists evaluates it — once, through the memo —
 // iff the naive AND chain would have reached it. The body of any EXISTS is
-// planned to return at most one row (selectPlan.anyRow), its Cost still the
-// whole body's.
+// planned to return at most one row (selectPlan.anyRow).
 
 // execSub executes a subquery expression, memoizing the result when the
 // subquery is provably uncorrelated.
@@ -78,25 +71,18 @@ func (ec *execCtx) existsConstant(pl *selectPlan) bool {
 }
 
 // settleExists applies pl's EXISTS conjuncts to kept, the selection the
-// other conjuncts left of from, the FROM relation (pushed: already thinned
-// by pushdown). The naive AND chain evaluates an EXISTS on the first
-// row where no earlier conjunct is FALSE, and with the memo that first
-// evaluation is its only charge. A kept row is TRUE on every other conjunct,
-// so while kept is not empty each EXISTS is reached in turn until one is
-// false. Over an empty kept the result is empty either way, and only the
-// charge is in question: the earlier conjuncts are tested for "not FALSE"
-// over the whole FROM relation, read again if pushdown thinned it.
-func (ec *execCtx) settleExists(sel *SelectStmt, outer *scope, pl *selectPlan, cols []scopeCol, from selection, pushed bool, kept selection) (selection, error) {
+// other conjuncts left of from, the FROM relation. The naive AND chain
+// evaluates an EXISTS — and raises its body's errors — on the first row
+// where no earlier conjunct is FALSE. A kept row is TRUE on every other
+// conjunct, so while kept is not empty each EXISTS is reached in turn until
+// one is false. Over an empty kept the result is empty either way, and
+// only the error is in question: the earlier conjuncts are tested for "not
+// FALSE" over the whole FROM relation. That proof charges nothing; it reads
+// rows the FROM already holds.
+func (ec *execCtx) settleExists(outer *scope, pl *selectPlan, cols []scopeCol, from, kept selection) (selection, error) {
 	env := evalEnv{ec: ec, sc: outer}
 	for _, c := range pl.exists {
 		if kept.len() == 0 {
-			var err error
-			if pushed {
-				if from, err = ec.fromUnpushed(sel, outer, pl); err != nil {
-					return selection{}, err
-				}
-				pushed = false
-			}
 			reached, err := ec.anyNotFalse(cols, from, pl.where[:c.at], outer)
 			if err != nil || !reached {
 				return kept, err
@@ -113,22 +99,9 @@ func (ec *execCtx) settleExists(sel *SelectStmt, outer *scope, pl *selectPlan, c
 	return kept, nil
 }
 
-// fromUnpushed reads sel's FROM again without pushdown. That runs only
-// when pushdown ran, so every item is a base table and every ON clause is
-// safe-total: nothing can fail. Nor is anything charged twice: the
-// charges, the same ones again, are counted from zero and dropped — they
-// stayed within maxCost the first time, so they cannot exceed it now.
-func (ec *execCtx) fromUnpushed(sel *SelectStmt, outer *scope, pl *selectPlan) (selection, error) {
-	cost := ec.cost
-	ec.cost = 0
-	_, s, _, err := ec.execFrom(sel, outer, pl, false)
-	ec.cost = cost
-	return s, err
-}
-
 // anyNotFalse reports whether some row of in makes none of conj FALSE —
 // whether the naive AND chain gets past them. conj is safe-total and its
-// references resolve, so evaluating it charges and raises nothing.
+// references resolve, so evaluating it raises nothing.
 func (ec *execCtx) anyNotFalse(cols []scopeCol, in selection, conj []conjunct, outer *scope) (bool, error) {
 	sc := &scope{cols: cols, parent: outer}
 	env := &evalEnv{ec: ec, sc: sc}

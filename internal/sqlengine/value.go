@@ -8,25 +8,13 @@
 //
 // The engine is deliberately deterministic: repeated execution of the same
 // statement over the same database yields identical rows and an identical
-// Cost (rows-touched count), which makes the valid-efficiency-score metric
-// reproducible without wall-clock timing.
-//
-// # The cost model is logical, so VES is plan-independent
-//
-// Cost counts the rows the *naive* reference plan — full scans feeding
-// nested-loop joins — would touch, not the rows the chosen physical plan
-// touches. The planner (Prepare, plan cache, hash equi-joins, predicate
-// pushdown, point-lookup indexes; see planner.go) may make execution
-// orders of magnitude faster, but it always charges the naive plan's
-// count: a hash join still charges |L|·|R| pairs, a pushdown-filtered or
-// index-narrowed scan still charges the full table. VES weights execution
-// accuracy by sqrt(goldCost/predictedCost), so this is precisely the
-// property that keeps every reproduced experiment table bit-identical
-// while wall-clock time drops. Optimisations apply only where the planner
-// can prove rows, order, errors and cost all match the naive executor;
-// everything else falls back to the naive path, which remains intact as
-// the reference implementation (Database.SetPlanner toggles it for tests
-// and benchmarks).
+// Cost, the rows the plan touched (Result). The planner (Prepare, plan
+// cache, hash equi-joins, predicate pushdown, point-lookup indexes; see
+// planner.go) applies an optimisation only where it can prove rows, order
+// and errors match the naive executor, which stays intact as the reference
+// implementation (Stmt.ExecReference) and touches no fewer rows. The VES
+// metric reads the reference's Cost, so every experiment table is
+// independent of the plan.
 package sqlengine
 
 import (

@@ -4,16 +4,14 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/schema"
 	"repro/internal/sqlengine"
 )
 
 // TestPlannerEquivalenceOnSynthCorpora is the scale extension of the
-// engine's planner-on/off quick-check: randomized synthetic databases plus
-// synthesized workloads are executed naive and planned, and the two must
-// agree on every row AND on the logical Result.Cost (the cost model is
-// defined to be independent of the physical plan — of the planner's rewrites
-// and of the engine's batch execution alike). Each corpus spans the sizes
+// engine's planned/naive quick-check: randomized synthetic databases plus
+// synthesized workloads are executed on the naive reference and planned, and
+// the two must agree on every row and on the error class, at a planned
+// Result.Cost no greater than the reference's. Each corpus spans the sizes
 // served: loan over several morsels (Result.Batches' unit of 4,096 rows),
 // client in one, and the other tables below 1,024 rows — BIRD's sizes, which
 // run through the same kernels — while the naive nested loops stay a few
@@ -28,20 +26,11 @@ func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 	rows["loan"], rows["client"] = 9000, 2000
 	for trial := 0; trial < trials; trial++ {
 		seed := uint64(1000 + trial*17)
-		gen := func() *schema.DB {
-			c, err := Generate(src, Options{Seed: seed, Rows: rows})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
+		db, err := Generate(src, Options{Seed: seed, Rows: rows})
+		if err != nil {
+			t.Fatal(err)
 		}
-		naive, planned := gen(), gen()
-		if Fingerprint(naive) != Fingerprint(planned) {
-			t.Fatalf("trial %d: generations from seed %d differ before execution is even involved", trial, seed)
-		}
-		naive.Engine.SetPlanner(false)
-
-		qs, err := Workload(naive, 25, seed)
+		qs, err := Workload(db, 25, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +41,7 @@ func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 				return false
 			}
 			for _, it := range sel.From {
-				tab, ok := planned.Engine.Table(it.Table)
+				tab, ok := db.Engine.Table(it.Table)
 				if it.Sub != nil || !ok || len(tab.Rows) >= 1024 {
 					return false
 				}
@@ -61,8 +50,12 @@ func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 		}
 		smallKernels := false
 		for _, q := range qs {
-			ref, errRef := naive.Engine.Exec(q.SQL)
-			got, errGot := planned.Engine.Exec(q.SQL)
+			st, err := db.Engine.Prepare(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, errRef := st.ExecReference()
+			got, errGot := st.Exec()
 			if (errRef == nil) != (errGot == nil) {
 				t.Fatalf("trial %d: %q: naive err=%v, planned err=%v", trial, q.SQL, errRef, errGot)
 			}
@@ -73,9 +66,8 @@ func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 				t.Fatalf("trial %d: %q: planned rows differ from naive\nnaive: %v\nplanned: %v",
 					trial, q.SQL, ref.Rows.Data, got.Rows.Data)
 			}
-			if ref.Cost != got.Cost {
-				t.Fatalf("trial %d: %q: logical cost differs: naive %d vs planned %d — Cost must be plan-independent",
-					trial, q.SQL, ref.Cost, got.Cost)
+			if got.Cost > ref.Cost {
+				t.Fatalf("trial %d: %q: planned Cost %d exceeds the naive reference's %d", trial, q.SQL, got.Cost, ref.Cost)
 			}
 			smallKernels = smallKernels || (got.Batches > 0 && small(q.SQL))
 		}

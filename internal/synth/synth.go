@@ -180,9 +180,9 @@ func generateTable(db *sqlengine.Database, t *sqlengine.Table, models []valueMod
 
 // dimensionCap bounds pure dimension tables in ProportionalRows. Two
 // reasons: realism (there are only so many districts no matter how many
-// accounts exist), and the engine's plan-independent cost model, which
-// charges every join its full |L|·|R| pair count against a 50M-row budget —
-// a fact-to-dimension join at a million fact rows only stays executable
+// accounts exist), and the naive reference executor, which charges every
+// join its full |L|·|R| pair count against a 50M-row budget — a
+// fact-to-dimension join at a million fact rows only stays executable there
 // when the dimension side is this small.
 const dimensionCap = 128
 

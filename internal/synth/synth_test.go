@@ -122,8 +122,8 @@ func TestProportionalRowsCapsDimensions(t *testing.T) {
 	src := financialFixture(t)
 	rows := ProportionalRows(src, 1_000_000)
 	// district is a pure dimension table (referenced, references nothing):
-	// it must stay small enough that fact-to-dimension joins fit the
-	// engine's 50M-pair logical cost budget at a million fact rows.
+	// it must stay small enough that fact-to-dimension joins fit the naive
+	// reference's 50M-pair cost budget at a million fact rows.
 	if rows["district"] > 128 {
 		t.Fatalf("dimension table district got %d rows, cap is 128", rows["district"])
 	}

@@ -249,10 +249,11 @@ func rangeCountQuery(db *schema.DB, t *sqlengine.Table, rng *llm.Rand) (Query, b
 	}, true
 }
 
-// joinPairBudget bounds the logical |L|·|R| pair count a synthesized join
-// may charge. The engine's plan-independent cost model bills every join
-// its full pair count against a 50M-row budget, so joins beyond this
-// margin would fail at execution no matter how good the physical plan is.
+// joinPairBudget bounds the naive |L|·|R| pair count of a synthesized
+// join. The naive reference — what the planned engine is held to, and what
+// VES costs a statement on — charges a join its full pair count against a
+// 50M-row budget, so joins beyond this margin would fail there however
+// little the hash join tests.
 const joinPairBudget = 40_000_000
 
 // joinCountQuery counts child rows joined to a parent filtered on one of

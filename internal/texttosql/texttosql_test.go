@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/llm"
+	"repro/internal/schema"
 	"repro/internal/sqlengine"
 )
 
@@ -184,8 +185,17 @@ func TestUnitTestPicksConsistentCandidate(t *testing.T) {
 	}
 }
 
+// TestWrapInefficientPreservesResults: the wrap keeps a query's results and
+// raises the Cost VES reads, the naive reference's.
 func TestWrapInefficientPreservesResults(t *testing.T) {
 	c := testCorpus(t)
+	reference := func(db *schema.DB, sql string) (*sqlengine.Result, error) {
+		st, err := db.Engine.Prepare(sql)
+		if err != nil {
+			return nil, err
+		}
+		return st.ExecReference()
+	}
 	checked := 0
 	for i := 0; i < len(c.Dev) && checked < 25; i += 3 {
 		e := c.Dev[i]
@@ -195,8 +205,8 @@ func TestWrapInefficientPreservesResults(t *testing.T) {
 		}
 		checked++
 		db := c.DBs[e.DB]
-		g, err1 := db.Engine.Exec(e.GoldSQL)
-		s, err2 := db.Engine.Exec(slow)
+		g, err1 := reference(db, e.GoldSQL)
+		s, err2 := reference(db, slow)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("wrap broke execution for %s: %v / %v\n%s", e.ID, err1, err2, slow)
 		}
