@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -579,7 +580,7 @@ func TestPrepareReadRefusesWrites(t *testing.T) {
 		"/* read? */ INSERT INTO district (district_id) VALUES (99)",
 		"CREATE TABLE t (x INTEGER)",
 	} {
-		if _, _, err := prepareRead(sess, sql); err != errNotSelect {
+		if _, _, err := prepareRead(sess, sql); !errors.Is(err, errNotSelect) {
 			t.Errorf("prepareRead(%q) = %v, want errNotSelect", sql, err)
 		}
 	}

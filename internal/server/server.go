@@ -550,7 +550,7 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 			// A stored pattern that would write, or no longer parses, is
 			// poison: demote it and rerank.
 			decline = "unparsable"
-			if err == errNotSelect {
+			if errors.Is(err, errNotSelect) {
 				decline = "not_select"
 			}
 			mem.Failure(hit.PatternID)
@@ -671,7 +671,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 	timing.PrepareMicros = time.Since(prepStart).Microseconds()
 	if err != nil {
 		prepSpan.Fail(err)
-		if err == errNotSelect {
+		if errors.Is(err, errNotSelect) {
 			writeError(w, http.StatusUnprocessableEntity, api.CodeReadOnly, "generated SQL is not a SELECT: a served database is only read")
 		} else {
 			writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not parse: %v", err))
