@@ -19,7 +19,7 @@ func renderPaperTables(e *Env) string {
 
 // TestPaperTablesGolden pins the rendered bytes of Tables IV, V and VII.
 // Every EX and VES figure in them must stay byte-identical across engine
-// and evaluation changes; a deliberate change to a driver or to the
+// and evaluation changes; a deliberate change to a table's code or to the
 // simulator re-records the file with the new rendering, and says why.
 func TestPaperTablesGolden(t *testing.T) {
 	if testing.Short() {
