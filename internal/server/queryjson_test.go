@@ -182,6 +182,28 @@ func TestWriteQueryResponseNonFiniteConfidence(t *testing.T) {
 // from fuzzer bytes (fuzzRows: every cell kind, arbitrary text bytes and
 // float bits, nil and ragged rows), with the same bytes as the evidence
 // string and the fuzzer's max_rows. The seeds cover each escape rule.
+// TestAppendRowsReals pins the body text of the REALs whose every reading
+// sqlengine's TestRealReadings pins (both zeros, NaN, both infinities, the
+// float64 extremes and two inexact values), recorded when a REAL still had
+// a float64 field of its own, and that rowsLen bounds it.
+func TestAppendRowsReals(t *testing.T) {
+	var row []sqlengine.Value
+	for _, f := range []float64{
+		math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 1<<53 + 1, 0.1,
+	} {
+		row = append(row, sqlengine.Float(f))
+	}
+	data := [][]sqlengine.Value{row}
+	const want = `[["-0.0","0.0","NaN","Inf","-Inf","1.7976931348623157e+308","5e-324","9.007199254740992e+15","0.1"]]`
+	if got := appendRows(nil, data); string(got) != want {
+		t.Errorf("appendRows = %s, want %s", got, want)
+	}
+	if n := rowsLen(data); n < len(want) {
+		t.Errorf("rowsLen = %d, below the body's %d bytes", n, len(want))
+	}
+}
+
 func FuzzWriteRows(f *testing.F) {
 	for _, seed := range [][]byte{
 		nil,

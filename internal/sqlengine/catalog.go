@@ -2,6 +2,8 @@ package sqlengine
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -34,11 +36,65 @@ type Table struct {
 }
 
 // colEqIndex is a lazily built point-lookup index over one column: the
-// planner's coarse join key mapped to ascending row positions. Ascending
-// order matters — it makes an index scan emit rows in exactly the order a
-// full scan would, which the plan/naive equivalence guarantee relies on.
+// planner's coarse join key of every non-NULL cell, grouped into buckets.
+// ids maps a key to its bucket b, and bucket b is pos[off[b]:off[b+1]] —
+// the positions of its rows, ascending — so the whole index is one map and
+// two flat arrays, with no slice per bucket. Ascending order matters — it
+// makes an index scan emit rows in exactly the order a full scan would,
+// which the plan/naive equivalence guarantee relies on.
 type colEqIndex struct {
-	buckets map[string][]int
+	ids map[string]int32
+	off []int32
+	pos []int
+	nan bool // a cell is a NaN REAL, which `=` matches to every number
+}
+
+// newColEqIndex indexes column col of rows in two passes: the first numbers
+// each cell's bucket and counts the buckets, the second places each row's
+// position in its bucket.
+func newColEqIndex(rows [][]Value, col int) *colEqIndex {
+	idx := &colEqIndex{ids: make(map[string]int32)}
+	bucket := make([]int32, len(rows)) // row -> bucket; -1 for NULL
+	var counts []int32
+	var buf []byte
+	for ri, row := range rows {
+		v := row[col]
+		if v.IsNull() {
+			bucket[ri] = -1
+			continue
+		}
+		if f := v.Real(); v.Kind == KindFloat && f != f {
+			idx.nan = true
+		}
+		buf = coarseKey(buf[:0], v)
+		b, ok := idx.ids[string(buf)]
+		if !ok {
+			b = int32(len(counts))
+			idx.ids[string(buf)] = b
+			counts = append(counts, 0)
+		}
+		bucket[ri] = b
+		counts[b]++
+	}
+	// off[b] starts as bucket b's first slot and advances as the bucket
+	// fills, ending at bucket b+1's first slot; shifting it one place then
+	// gives the boundaries.
+	idx.off = make([]int32, len(counts)+1)
+	var n int32
+	for b, c := range counts {
+		idx.off[b] = n
+		n += c
+	}
+	idx.pos = make([]int, n)
+	for ri, b := range bucket {
+		if b >= 0 {
+			idx.pos[idx.off[b]] = ri
+			idx.off[b]++
+		}
+	}
+	copy(idx.off[1:], idx.off[:len(counts)])
+	idx.off[0] = 0
+	return idx
 }
 
 func newTable(name string, cols []Column, fks []ForeignKeyDef) *Table {
@@ -53,8 +109,10 @@ func newTable(name string, cols []Column, fks []ForeignKeyDef) *Table {
 // eqLookup returns the positions (ascending) of rows whose column col may
 // equal a value with coarse key key, building the column's index on first
 // use. Callers must re-verify candidates with real SQL equality: the coarse
-// key over-approximates (see coarseKey).
-func (t *Table) eqLookup(col int, key string) []int {
+// key over-approximates (see coarseKey). The slice's capacity is its
+// length, so an append cannot reach the next bucket. ok is false when no
+// bucket can answer: the column holds a NaN, which equals every number.
+func (t *Table) eqLookup(col int, key string) (pos []int, ok bool) {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	if t.eqIdx == nil {
@@ -62,20 +120,18 @@ func (t *Table) eqLookup(col int, key string) []int {
 	}
 	idx, ok := t.eqIdx[col]
 	if !ok {
-		idx = &colEqIndex{buckets: make(map[string][]int)}
-		var buf []byte
-		for ri, row := range t.Rows {
-			v := row[col]
-			if v.IsNull() {
-				continue
-			}
-			buf = coarseKey(buf[:0], v)
-			k := string(buf)
-			idx.buckets[k] = append(idx.buckets[k], ri)
-		}
+		idx = newColEqIndex(t.Rows, col)
 		t.eqIdx[col] = idx
 	}
-	return idx.buckets[key]
+	if idx.nan {
+		return nil, false
+	}
+	b, ok := idx.ids[key]
+	if !ok {
+		return nil, true
+	}
+	lo, hi := idx.off[b], idx.off[b+1]
+	return idx.pos[lo:hi:hi], true
 }
 
 // invalidateIndexes drops all lazily built equality indexes and column
@@ -227,15 +283,20 @@ func coerce(v Value, colType string) Value {
 				return v
 			}
 			if looksInteger(s) {
-				return Int(v.AsInt())
+				// Integer text past int64's range is kept as a REAL, as
+				// SQLite does, not clamped.
+				if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+					return Int(i)
+				}
 			}
 			if looksNumeric(s) {
 				return Float(v.AsFloat())
 			}
 			return v
 		case KindFloat:
-			if v.F == float64(int64(v.F)) {
-				return Int(int64(v.F))
+			// Only an integral REAL inside int64's range is an INTEGER.
+			if f := v.Real(); f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+				return Int(int64(f))
 			}
 			return v
 		default:

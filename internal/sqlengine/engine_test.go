@@ -394,7 +394,8 @@ func TestFilterAllocations(t *testing.T) {
 		}
 		return preds
 	}
-	bucket := selection{rows: tab.Rows, pos: tab.eqLookup(3, string(coarseKey(nil, Int(1))))}
+	pos, _ := tab.eqLookup(3, string(coarseKey(nil, Int(1))))
+	bucket := selection{rows: tab.Rows, pos: pos}
 	for _, tc := range []struct {
 		cond     string
 		in       selection

@@ -875,7 +875,9 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pl *selectPlan, fp
 func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope, ja *joinAnalysis) (selection, error) {
 	if on != nil && ja != nil && ja.safe {
 		if equis, residual, ok := resolveHashJoin(left, right, ja, outer); ok {
-			return ec.hashJoin(left, right, jt, equis, residual, outer)
+			if s, hashed, err := ec.hashJoin(left, right, jt, equis, residual, outer); hashed {
+				return s, err
+			}
 		}
 	}
 	if err := ec.charge(int64(len(left.rows)) * int64(len(right.rows))); err != nil {

@@ -263,12 +263,30 @@ func TestTypeCoercionOnInsert(t *testing.T) {
 	if rows[0][0].Kind != KindInt || rows[0][0].I != 42 {
 		t.Errorf("INTEGER affinity failed: %v", rows[0][0])
 	}
-	if rows[0][1].Kind != KindFloat || rows[0][1].F != 3.5 {
+	if rows[0][1].Kind != KindFloat || rows[0][1].Real() != 3.5 {
 		t.Errorf("REAL affinity failed: %v", rows[0][1])
 	}
 	if rows[0][2].Kind != KindText || rows[0][2].S != "99" {
 		t.Errorf("TEXT affinity failed: %v", rows[0][2])
 	}
+}
+
+// TestOutOfRangeIntegerConversions: integer text past int64's range keeps
+// its value as a REAL in an INTEGER column, and CAST saturates at the int64
+// bounds, as SQLite does — never the platform's out-of-range int64(f).
+func TestOutOfRangeIntegerConversions(t *testing.T) {
+	db := NewDatabase("c")
+	db.MustExec("CREATE TABLE t (a INTEGER)")
+	db.MustExec("INSERT INTO t VALUES ('99999999999999999999'), ('-99999999999999999999'), (1e20), ('9223372036854775807'), (-9223372036854775808.0)")
+	expectRows(t, db, "SELECT a, typeof(a) FROM t", []string{
+		"1e+20|real",
+		"-1e+20|real",
+		"1e+20|real",
+		"9223372036854775807|integer",
+		"-9223372036854775808|integer",
+	})
+	expectRows(t, db, "SELECT CAST(1e20 AS INTEGER), CAST(-1e20 AS INTEGER), CAST('99999999999999999999' AS INTEGER), CAST(2.9 AS INTEGER)",
+		[]string{"9223372036854775807|-9223372036854775808|9223372036854775807|2"})
 }
 
 func TestNumericTextComparison(t *testing.T) {

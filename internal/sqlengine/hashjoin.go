@@ -18,7 +18,8 @@ package sqlengine
 //     columns hold only integers, coarseKey otherwise; every candidate is
 //     re-verified with sqlEq (exact `=` semantics) plus the residual
 //     conjuncts, so a spurious collision costs a comparison, never a wrong
-//     row.
+//     row. A NaN key cell, which `=` matches to every number, leaves the
+//     join to the nested loop.
 //   - Order: pairs are emitted in left-row-major order with right matches
 //     ascending — exactly the nested loop's emission order — regardless of
 //     which side the hash table is built on.
@@ -85,25 +86,44 @@ type joinKeys struct {
 }
 
 // newJoinKeys sizes the map for the most slots there can be: one per row of
-// the smaller input.
+// the smaller input. It returns nil when a key cell on either side is a NaN
+// REAL: Compare holds NaN equal to every number, which no key can bucket,
+// so the nested loop must run.
 func newJoinKeys(left, right [][]Value, lcols, rcols []int) *joinKeys {
+	ints := len(lcols) == 1
+	for i := range lcols {
+		lInts, lNaN := keyCells(left, lcols[i])
+		rInts, rNaN := keyCells(right, rcols[i])
+		if lNaN || rNaN {
+			return nil
+		}
+		ints = ints && lInts && rInts
+	}
 	hint := min(len(left), len(right))
-	if len(lcols) == 1 && intKeyed(left, lcols[0]) && intKeyed(right, rcols[0]) {
+	if ints {
 		return &joinKeys{ints: make(map[int64]int32, hint)}
 	}
 	return &joinKeys{strs: make(map[string]int32, hint)}
 }
 
-// intKeyed reports whether column col of rows holds only INTEGER and NULL
-// cells. It reads the rows: a column vector built to answer it would stay
-// resident.
-func intKeyed(rows [][]Value, col int) bool {
+// keyCells reports whether column col of rows holds only INTEGER and NULL
+// cells, and whether it holds a NaN. It reads the rows: a column vector
+// built to answer it would stay resident.
+func keyCells(rows [][]Value, col int) (ints, nan bool) {
+	ints = true
 	for _, row := range rows {
-		if k := row[col].Kind; k != KindInt && k != KindNull {
-			return false
+		switch v := row[col]; v.Kind {
+		case KindInt, KindNull:
+		case KindFloat:
+			ints = false
+			if f := v.Real(); f != f {
+				return false, true
+			}
+		default:
+			ints = false
 		}
 	}
-	return true
+	return ints, false
 }
 
 // slot returns the slot of row's key, read from columns cols; a key not seen
@@ -149,7 +169,8 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 
 // hashJoin executes the join with the given resolved conditions and returns
 // its output as a two-sided selection over the inputs' rows: (left, right)
-// position pairs in emission order, no joined row built.
+// position pairs in emission order, no joined row built. hashed is false,
+// and nothing charged, when newJoinKeys refuses the inputs.
 //
 // The smaller input's distinct keys become the slots; the right rows are
 // threaded, ascending, into one chain per slot; and the probe walks the left
@@ -158,12 +179,15 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 // With the right side smaller the left rows find their slot during the
 // probe; with the left side smaller they are given it up front and it is
 // the right rows that look theirs up.
-func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, residual []Expr, outer *scope) (selection, error) {
+func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, residual []Expr, outer *scope) (s selection, hashed bool, err error) {
 	lcols, rcols := make([]int, len(equis)), make([]int, len(equis))
 	for i, eq := range equis {
 		lcols[i], rcols[i] = eq.li, eq.ri
 	}
 	keys := newJoinKeys(left.rows, right.rows, lcols, rcols)
+	if keys == nil {
+		return selection{}, false, nil
+	}
 	var keyBuf []byte
 	var leftSlot []int32 // per left row, when the left side is the smaller
 	if len(left.rows) < len(right.rows) {
@@ -228,7 +252,7 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 					for _, e := range residual {
 						v, err := env.eval(e)
 						if err != nil {
-							return selection{}, err
+							return selection{}, true, err
 						}
 						if t, known := v.Truth(); !t || !known {
 							continue chain
@@ -239,7 +263,7 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 				pairs = append(pairs, pair{l: int32(li), r: ri})
 			}
 			if err := ec.charge(tested); err != nil {
-				return selection{}, err
+				return selection{}, true, err
 			}
 		}
 		if jt == JoinLeft && !matched {
@@ -250,5 +274,5 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 		rows:  left.rows,
 		right: &rightSide{rows: right.rows, null: make([]Value, len(right.cols)), left: nl},
 		pairs: pairs,
-	}, nil
+	}, true, nil
 }

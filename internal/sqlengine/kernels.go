@@ -257,7 +257,7 @@ func cmpVecKernel(vec *colVec, lit Value, mask uint8) func(i int) bool {
 	case KindInt:
 		litF, litNum = float64(lit.I), true
 	case KindFloat:
-		litF, litNum = lit.F, true
+		litF, litNum = lit.Real(), true
 	case KindText:
 		litF, litNum = numericText(lit.S)
 	}

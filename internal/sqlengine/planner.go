@@ -631,7 +631,7 @@ func coarseKey(dst []byte, v Value) []byte {
 	case KindInt:
 		return appendNumKey(dst, float64(v.I))
 	case KindFloat:
-		return appendNumKey(dst, v.F)
+		return appendNumKey(dst, v.Real())
 	default:
 		if f, ok := numericText(v.S); ok {
 			// harmonise would coerce this text when compared to a number.

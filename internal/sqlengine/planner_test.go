@@ -548,6 +548,36 @@ func TestNegativeZeroBucketing(t *testing.T) {
 	if rows.Data[0][0].I != 1 {
 		t.Fatalf("-0.0 = 0 join matched %d rows, want 1", rows.Data[0][0].I)
 	}
+
+	// Every pinned REAL (value_test.go) through the index, the hash join,
+	// the sort words, grouping and DISTINCT: +0.0 joins -0.0's bucket, and
+	// the plan answers as the reference does. Compare holds NaN equal to
+	// every number, so a NaN cell leaves both the index and the hash join
+	// to a full scan and the nested loop.
+	rest := make([][]Value, 0, len(pinReals))
+	for _, f := range pinReals {
+		rest = append(rest, []Value{Float(f)})
+	}
+	if _, err := db.BulkInsert("a", rest); err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec("INSERT INTO b VALUES (9007199254740992)")
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM a JOIN b ON a.x = b.y",
+		"SELECT x, y FROM a JOIN b ON a.x = b.y",
+		"SELECT y, x FROM b LEFT JOIN a ON a.x = b.y",
+		"SELECT x FROM a WHERE x = 0",
+		"SELECT x FROM a WHERE x = -0.0",
+		"SELECT x FROM a WHERE x = 0.1",
+		"SELECT x FROM a WHERE x = 9007199254740993",
+		"SELECT x FROM a WHERE x > 0 ORDER BY x",
+		"SELECT x FROM a ORDER BY x DESC",
+		"SELECT x, COUNT(*) FROM a GROUP BY x",
+		"SELECT DISTINCT x FROM a",
+	} {
+		crossCheck(t, db, q)
+	}
+	expectRows(t, db, "SELECT x FROM a WHERE x = 0", []string{"-0.0", "-0.0", "0.0", "NaN"})
 }
 
 // TestResolveHashJoinClassification white-box checks which ON clauses the

@@ -125,9 +125,10 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, where []conjunct, fp
 		if cnt != 1 {
 			continue
 		}
-		s.all = false
-		if !c.eqLit.lit.IsNull() { // `col = NULL` is never true: nothing selected
-			s.pos = t.eqLookup(col, string(coarseKey(nil, c.eqLit.lit)))
+		if c.eqLit.lit.IsNull() { // `col = NULL` is never true: nothing selected
+			s.all = false
+		} else if pos, ok := t.eqLookup(col, string(coarseKey(nil, c.eqLit.lit))); ok {
+			s.all, s.pos = false, pos
 		}
 	}
 	if err := ec.charge(int64(s.len())); err != nil || !pushed || s.len() == 0 {
@@ -364,7 +365,7 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 			case v.Kind == KindInt && root.Kind == KindInt:
 				m = cmpMaskInt(v.I, root.I)
 			case v.Kind == KindFloat && root.Kind == KindFloat:
-				m = cmpMaskFloat(v.F, root.F)
+				m = cmpMaskFloat(v.Real(), root.Real())
 			}
 			admit := (m == 1) != desc0
 			if m == 2 {

@@ -36,13 +36,14 @@ func sortWord(v Value) (uint64, bool) {
 	case KindInt:
 		return uint64(v.I) ^ 1<<63, true
 	case KindFloat:
+		f := v.Real()
 		switch {
-		case v.F != v.F:
+		case f != f:
 			return 0, false
-		case v.F == 0:
+		case f == 0:
 			return 1 << 63, true
 		}
-		b := math.Float64bits(v.F)
+		b := math.Float64bits(f)
 		if b>>63 != 0 {
 			return ^b, true
 		}

@@ -77,7 +77,7 @@ func TestWordSortProperty(t *testing.T) {
 			ks[i] = sortKey{at: s.colAt(k.col), desc: k.desc}
 			for _, row := range tab.Rows {
 				v := row[k.col]
-				nan = nan || (v.Kind == KindFloat && math.IsNaN(v.F))
+				nan = nan || (v.Kind == KindFloat && math.IsNaN(v.Real()))
 				wordable = wordable && (v.Kind == KindInt || v.Kind == KindFloat) && v.Kind == tab.Rows[0][k.col].Kind
 			}
 		}

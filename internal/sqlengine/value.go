@@ -54,12 +54,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed SQL value.
+// Value is a dynamically typed SQL value. It is four machine words — Kind,
+// one 64-bit word I and the string header S — so a table cell, a gathered
+// result row and a materialised join row cost 32 bytes a column.
 // The zero Value is NULL, so uninitialised cells behave like SQL NULLs.
+//
+// The word I means what Kind says: an INTEGER's value, or a REAL's IEEE-754
+// bits, which Real reads back. Because a REAL is stored as its bits, two
+// REALs that are equal as numbers need not be == as structs: -0.0 and 0.0
+// differ, and a NaN is == to itself. Compare values with Compare or
+// DistinctEqual, never with ==.
 type Value struct {
 	Kind Kind
-	I    int64
-	F    float64
+	I    int64 // INTEGER value, or a REAL's bits (see Real)
 	S    string
 }
 
@@ -70,7 +77,7 @@ func Null() Value { return Value{Kind: KindNull} }
 func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
 
 // Float returns a REAL value.
-func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(f))} }
 
 // Text returns a TEXT value.
 func Text(s string) Value { return Value{Kind: KindText, S: s} }
@@ -82,6 +89,27 @@ func Bool(b bool) Value {
 		return Int(1)
 	}
 	return Int(0)
+}
+
+// Real returns the REAL a KindFloat value holds. On any other kind it
+// returns I's bits read as a float64, which mean nothing; AsFloat converts.
+func (v Value) Real() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// floatToInt converts f to int64 as SQLite's CAST does: toward zero, NaN to
+// 0, and saturating at the int64 bounds. Go leaves int64(f) undefined out of
+// range, and platforms differ there (amd64 yields MinInt64, arm64
+// saturates), so every conversion of a float that may be out of range goes
+// through here.
+func floatToInt(f float64) int64 {
+	switch {
+	case f != f:
+		return 0
+	case f >= 0x1p63:
+		return math.MaxInt64
+	case f < -0x1p63:
+		return math.MinInt64
+	}
+	return int64(f)
 }
 
 // IsNull reports whether v is SQL NULL.
@@ -97,7 +125,7 @@ func (v Value) AsFloat() float64 {
 	case KindInt:
 		return float64(v.I)
 	case KindFloat:
-		return v.F
+		return v.Real()
 	case KindText:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
 		if err != nil {
@@ -109,17 +137,19 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// AsInt converts a value to int64 using SQLite-like coercion.
+// AsInt converts a value to int64 using SQLite-like coercion: a REAL, or
+// text that is not an in-range integer, truncates toward zero and saturates
+// at the int64 bounds (floatToInt).
 func (v Value) AsInt() int64 {
 	switch v.Kind {
 	case KindInt:
 		return v.I
 	case KindFloat:
-		return int64(v.F)
+		return floatToInt(v.Real())
 	case KindText:
 		i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 		if err != nil {
-			return int64(v.AsFloat())
+			return floatToInt(v.AsFloat())
 		}
 		return i
 	default:
@@ -153,7 +183,7 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		switch f := v.F; {
+		switch f := v.Real(); {
 		case math.IsInf(f, 1):
 			return append(dst, "Inf"...)
 		case math.IsInf(f, -1):
@@ -180,7 +210,7 @@ func (v Value) Truth() (truth, known bool) {
 	case KindInt:
 		return v.I != 0, true
 	case KindFloat:
-		return v.F != 0, true
+		return v.Real() != 0, true
 	case KindText:
 		return v.AsFloat() != 0, true
 	default:
@@ -314,10 +344,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
 	case KindFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.AppendInt(append(dst, 'i'), int64(v.F), 10)
+		f := v.Real()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.AppendInt(append(dst, 'i'), int64(f), 10)
 		}
-		return strconv.AppendFloat(append(dst, 'f'), v.F, 'b', -1, 64)
+		return strconv.AppendFloat(append(dst, 'f'), f, 'b', -1, 64)
 	default:
 		return append(append(dst, 't'), v.S...)
 	}

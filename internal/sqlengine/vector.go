@@ -4,7 +4,7 @@ package sqlengine
 // truth (DML, BulkInsert and the naive executor all operate on rows), but
 // scan-heavy execution wants column-major data: a typed vector per column
 // lets the filter kernels in kernels.go run tight int64/float64/string
-// loops with a null bitmap instead of loading 4-word Value structs and
+// loops with a null bitmap instead of loading 32-byte Value structs and
 // switching on Kind per cell.
 //
 // Vectors are built lazily per column, under the same lock and with the
@@ -108,7 +108,7 @@ func (v *colVec) appendCell(c Value) {
 	case KindInt:
 		v.ints = append(v.ints, c.I)
 	case KindFloat:
-		v.floats = append(v.floats, c.F)
+		v.floats = append(v.floats, c.Real())
 	case KindText:
 		v.strs = append(v.strs, c.S)
 	}

@@ -198,11 +198,12 @@ func buildModel(t *sqlengine.Table, colIdx int, doc *schema.TableDoc, fkPool []s
 			}
 		case sqlengine.KindFloat:
 			nFloat++
-			if nFloat == 1 || v.F < loF {
-				loF = v.F
+			f := v.Real()
+			if nFloat == 1 || f < loF {
+				loF = f
 			}
-			if nFloat == 1 || v.F > hiF {
-				hiF = v.F
+			if nFloat == 1 || f > hiF {
+				hiF = f
 			}
 		case sqlengine.KindText:
 			if _, ok := seenText[v.S]; !ok {

@@ -330,8 +330,8 @@ func valueKey(v sqlengine.Value) string {
 	case sqlengine.KindInt:
 		return "n:" + fmt.Sprint(v.I)
 	case sqlengine.KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return "n:" + fmt.Sprint(int64(v.F))
+		if i := v.AsInt(); float64(i) == v.Real() {
+			return "n:" + fmt.Sprint(i)
 		}
 		return "n:" + v.AsText()
 	default:

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -175,4 +177,54 @@ func TestVerifyFKCatchesViolation(t *testing.T) {
 	if err := VerifyFK(db); err == nil {
 		t.Fatal("VerifyFK missed a dangling loan.account_id")
 	}
+}
+
+// TestValueKeyMatchesSQLEquality: an INTEGER and a REAL share an FK key iff
+// Compare holds them equal, out-of-range REALs included (no platform's
+// int64(f) decides it).
+func TestValueKeyMatchesSQLEquality(t *testing.T) {
+	cases := []struct {
+		a, b sqlengine.Value
+	}{
+		{sqlengine.Int(3), sqlengine.Float(3)},
+		{sqlengine.Int(3), sqlengine.Float(3.5)},
+		{sqlengine.Int(0), sqlengine.Float(math.Copysign(0, -1))},
+		{sqlengine.Int(math.MinInt64), sqlengine.Float(-0x1p63)},
+		{sqlengine.Int(math.MaxInt64), sqlengine.Float(0x1p63)},
+		{sqlengine.Int(math.MaxInt64), sqlengine.Float(1e20)},
+		{sqlengine.Int(math.MinInt64), sqlengine.Float(-1e20)},
+		{sqlengine.Int(0), sqlengine.Float(math.NaN())},
+	}
+	for _, c := range cases {
+		want := sqlengine.Compare(c.a, c.b) == 0 && !math.IsNaN(c.b.Real())
+		if got := valueKey(c.a) == valueKey(c.b); got != want {
+			t.Errorf("valueKey(%v) == valueKey(%v) is %v, want %v", c.a, c.b, got, want)
+		}
+	}
+}
+
+// BenchmarkGenerate100k builds financial at 100k rows — the corpus the
+// scan100k_warm workload serves — and reports the heap the generated
+// database retains.
+func BenchmarkGenerate100k(b *testing.B) {
+	src := financialFixture(b)
+	rows := ProportionalRows(src, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var retained uint64
+	var ms runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		db, err := Generate(src, Options{Seed: 7, Rows: rows})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		retained += ms.HeapAlloc - before
+		runtime.KeepAlive(db)
+	}
+	b.ReportMetric(float64(retained)/float64(b.N)/(1<<20), "retained_MiB")
 }
