@@ -209,8 +209,8 @@ type Stats struct {
 	// startup; Injected counts patterns landed by fleet replication.
 	Restored int64 `json:"restored,omitempty"`
 	Injected int64 `json:"injected,omitempty"`
-	// Refused counts records Admit and Inject turned away because their
-	// SQL is not a SELECT: a pattern is only ever a read.
+	// Refused counts records Admit, Inject and the store's replay turned
+	// away because their SQL is not a SELECT: a pattern is only ever a read.
 	Refused int64 `json:"refused,omitempty"`
 	// StoreAppends/StoreErrors count write-through persistence outcomes.
 	StoreAppends int64 `json:"store_appends,omitempty"`
@@ -236,7 +236,8 @@ type Memory struct {
 
 // New builds a Memory. With Options.Store set, the store's live set is
 // replayed into the index (warm restart: the memory a crashed replica
-// paid for survives).
+// paid for survives), less any record that is not a SELECT, which is
+// refused as Admit and Inject refuse it.
 func New(opts Options) (*Memory, error) {
 	m := &Memory{
 		opts:     opts,
@@ -248,6 +249,10 @@ func New(opts Options) (*Memory, error) {
 		var restoreErr error
 		opts.Store.Load(func(rec Record) {
 			if restoreErr != nil {
+				return
+			}
+			if !sqlengine.IsSelect(rec.SQL) {
+				m.stats.Refused++
 				return
 			}
 			if err := m.applyLocked(rec, false); err != nil {

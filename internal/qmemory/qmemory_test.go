@@ -191,6 +191,37 @@ func TestStoreRestartRestoresPatterns(t *testing.T) {
 	}
 }
 
+// TestStoreReplayRefusesWrites: a store record whose SQL is not a SELECT —
+// written by a build that admitted one, or by hand — is refused on replay
+// and counted, as Admit and Inject refuse it, and never becomes a pattern.
+func TestStoreReplayRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const del = "DELETE FROM t"
+	write := Record{ID: PatternID("d", del), DB: "d", SQL: del, Confidence: 0.99, Successes: 100, Phrasings: []string{"q"}}
+	if err := st.Append(write); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenStore(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Options{Store: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if s := m.Stats(); s.Refused != 1 || s.Restored != 0 || s.Patterns != 0 || len(m.Patterns()) != 0 {
+		t.Errorf("stats %+v, patterns %v; want the write refused and no pattern", s, m.Patterns())
+	}
+}
+
 func TestStoreManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, wal.Options{Manifest: "corpus=a seed=1"})

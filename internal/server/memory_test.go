@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"io"
@@ -404,17 +405,20 @@ func TestMemoryDeclineReasons(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
+		name    string // the subtest, when not decline
 		decline string
 		sql     string // "" plants nothing
 		wrongFP bool   // plant sql with a fingerprint its result does not have
 	}{
 		{decline: "no_candidate"},
 		{decline: "unparsable", sql: "SELECT FROM nothing WHERE"},
-		{decline: "exec_error", sql: "SELECT * FROM no_such_table"},
+		// A name that does not bind fails at Prepare, as a parse error does.
+		{name: "unbound", decline: "unparsable", sql: "SELECT * FROM no_such_table"},
+		{decline: "exec_error", sql: "SELECT NOSUCH()"},
 		{decline: "fingerprint", sql: e.GoldSQL, wrongFP: true},
 		{decline: "judge", sql: "SELECT NULL"},
 	} {
-		t.Run(tc.decline, func(t *testing.T) {
+		t.Run(cmp.Or(tc.name, tc.decline), func(t *testing.T) {
 			srv, ts := newTestServer(t, func(cfg *Config) { cfg.Memory = true })
 			sess, _ := srv.reg.Session(e.DB)
 			mem := srv.memories["bird"]
@@ -560,11 +564,12 @@ func TestMemoryNeverWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, ts := newTestServer(t, func(cfg *Config) { cfg.Memory, cfg.MemoryDir = true, dir })
-		if attrs := ask(t, srv, ts.URL); attrs["decline"] != "not_select" {
-			t.Errorf("memory.lookup attrs %v; want decline=not_select", attrs)
+		if attrs := ask(t, srv, ts.URL); attrs["decline"] != "no_candidate" {
+			t.Errorf("memory.lookup attrs %v; want decline=no_candidate", attrs)
 		}
-		if got := srv.memories["bird"].Patterns(); len(got) != 1 || got[0].Failures != 1 {
-			t.Errorf("restored write pattern %+v; want it demoted once", got)
+		mem := srv.memories["bird"]
+		if st := mem.Stats(); st.Refused != 1 || len(mem.Patterns()) != 0 {
+			t.Errorf("memory stats %+v; want the stored write refused on replay and no pattern", st)
 		}
 	})
 }

@@ -547,8 +547,8 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 
 		stmt, _, err := prepareRead(sess, hit.SQL)
 		if err != nil {
-			// A stored pattern that would write, or no longer parses, is
-			// poison: demote it and rerank.
+			// A stored pattern that would write, or no longer parses or
+			// binds, is poison: demote it and rerank.
 			decline = "unparsable"
 			if errors.Is(err, errNotSelect) {
 				decline = "not_select"
@@ -674,7 +674,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 		if errors.Is(err, errNotSelect) {
 			writeError(w, http.StatusUnprocessableEntity, api.CodeReadOnly, "generated SQL is not a SELECT: a served database is only read")
 		} else {
-			writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not parse: %v", err))
+			writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not prepare: %v", err))
 		}
 		return answer{}, false
 	}

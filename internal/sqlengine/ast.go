@@ -97,6 +97,8 @@ type SelectStmt struct {
 	Offset   Expr
 	Compound CompoundOp
 	Next     *SelectStmt
+
+	bound *boundSelect // set by Prepare (bind.go)
 }
 
 func (*SelectStmt) stmt() {}
@@ -133,6 +135,8 @@ type InsertStmt struct {
 	Table   string
 	Columns []string
 	Rows    [][]Expr
+
+	table *Table // bound at Prepare
 }
 
 func (*InsertStmt) stmt() {}
@@ -145,6 +149,9 @@ type UpdateStmt struct {
 		Value  Expr
 	}
 	Where Expr
+
+	table *Table // bound at Prepare, with each Set column's position
+	cols  []int
 }
 
 func (*UpdateStmt) stmt() {}
@@ -153,6 +160,8 @@ func (*UpdateStmt) stmt() {}
 type DeleteStmt struct {
 	Table string
 	Where Expr
+
+	table *Table // bound at Prepare
 }
 
 func (*DeleteStmt) stmt() {}
@@ -161,26 +170,14 @@ func (*DeleteStmt) stmt() {}
 
 // ColumnRef references a column, optionally qualified by table or alias.
 // Table and Name keep the statement's spelling (SQL and output column names
-// print them); resolution is case-insensitive and compares the lower-cased
-// forms, which the parser folds once so that no evaluation does.
+// print them). Prepare binds the reference, case-insensitively, to the row
+// depth scope levels out from where it is evaluated, and to column slot of
+// that level's FROM row (bind.go).
 type ColumnRef struct {
 	Table string
 	Name  string
 
-	lowerTable, lowerName string
-}
-
-func newColumnRef(table, name string) *ColumnRef {
-	return &ColumnRef{Table: table, Name: name, lowerTable: strings.ToLower(table), lowerName: strings.ToLower(name)}
-}
-
-// folded returns the lower-cased table and column name. A reference built
-// outside the parser has none stored and folds on every call.
-func (c *ColumnRef) folded() (table, name string) {
-	if c.lowerName == "" {
-		return strings.ToLower(c.Table), strings.ToLower(c.Name)
-	}
-	return c.lowerTable, c.lowerName
+	depth, slot int
 }
 
 func (*ColumnRef) expr() {}

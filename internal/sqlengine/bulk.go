@@ -20,9 +20,9 @@ import "fmt"
 // Like all DML, BulkInsert must not run concurrently with queries or other
 // mutations on the same database.
 func (db *Database) BulkInsert(table string, rows [][]Value) (int, error) {
-	t, ok := db.Table(table)
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: no such table %q", table)
+	t, err := db.lookupTable(table)
+	if err != nil {
+		return 0, err
 	}
 	staged := make([][]Value, len(rows))
 	for ri, row := range rows {

@@ -221,7 +221,7 @@ func TestResultPath(t *testing.T) {
 		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp WHERE g.label = 'L1' AND EXISTS (SELECT 1 FROM t)", "pairs/agg"},
 		{"SELECT COUNT(*) FROM t JOIN g ON t.grp = g.grp JOIN acc ON acc.t_id = t.id", "pairs/agg"},
 		{"SELECT g.label, SUM(t.num) FROM t JOIN g ON t.grp = g.grp GROUP BY g.label", "pairs/agg"},
-		{"SELECT grp FROM t JOIN g ON t.grp = g.grp WHERE t.id = 99999", "rows(projection)"},
+		{"SELECT UPPER(g.label) FROM t JOIN g ON t.grp = g.grp WHERE t.id = 99999", "rows(projection)"},
 		{"SELECT t.id + 1 FROM t JOIN g ON t.grp = g.grp", "rows(projection)"},
 		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight", "rows(order-by)"},
 		{"SELECT COUNT(DISTINCT g.label) FROM t JOIN g ON t.grp = g.grp", "rows(aggregate)"},
@@ -382,15 +382,10 @@ func TestFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
 	tab, _ := db.Table("f")
 	ec := &execCtx{db: db}
-	cols := scanCols("f", tab)
 	preds := func(cond string) []rowPred {
-		sel, err := ParseSelect("SELECT 1 FROM f WHERE " + cond)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var preds []rowPred
-		for _, e := range flattenAnd(sel.Where, nil) {
-			preds = append(preds, compilePred(predSource{t: tab, cols: cols}, e))
+		for _, e := range flattenAnd(preparedSelect(t, db, "SELECT 1 FROM f WHERE "+cond).Where, nil) {
+			preds = append(preds, compilePred(predSource{t: tab}, e))
 		}
 		return preds
 	}
@@ -409,7 +404,7 @@ func TestFilterAllocations(t *testing.T) {
 		var out selection
 		allocs := testing.AllocsPerRun(10, func() {
 			var err error
-			if out, err = ec.filterPositions(cols, tc.in, p, nil); err != nil {
+			if out, err = ec.filterPositions(tc.in, p, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -426,10 +421,10 @@ func TestFilterAllocations(t *testing.T) {
 }
 
 // TestInterpreterFilterAllocations pins case folding: an interpreted filter
-// over a column the statement spells in upper case resolves it against the
-// lower-cased scope without allocating per row — the name was folded when it
-// was parsed. (It used to cost one strings.ToLower allocation per row.) The
-// naive reference is where the interpreter filters 10k rows.
+// over a column the statement spells in upper case reads it without
+// allocating per row — the name was bound, case-insensitively, when the
+// statement was prepared. The naive reference is where the interpreter
+// filters 10k rows.
 func TestInterpreterFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
 	st, err := db.Prepare("SELECT COUNT(*) FROM f WHERE NOT (`GRP` = 'a') AND F.NUM >= 0")

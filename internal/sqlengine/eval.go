@@ -23,7 +23,7 @@ func (env *evalEnv) eval(e Expr) (Value, error) {
 		if x.Name == "*" {
 			return Value{}, fmt.Errorf("sqlengine: %s.* is only valid inside COUNT()", x.Table)
 		}
-		return env.sc.resolve(x)
+		return env.sc.value(x), nil
 	case *Unary:
 		return env.evalUnary(x)
 	case *Binary:

@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Rows is a materialised query result.
@@ -126,12 +125,12 @@ func (ec *execCtx) execStatementInner(st Statement) (*Result, error) {
 	}
 }
 
-// execCtx carries per-execution state: the database, the cost counter and
-// the planner's per-SELECT analysis (nil for the naive reference).
+// execCtx carries per-execution state: the database, the cost counter, and
+// whether the statement runs on the naive reference, which reads no plan.
 type execCtx struct {
 	db    *Database
 	cost  int64
-	plans map[*SelectStmt]*selectPlan
+	naive bool
 	// Morsels processed (countBatches), the physical execution stat.
 	batches int64
 	// top is the statement's top-level SELECT and path the physical path
@@ -139,14 +138,17 @@ type execCtx struct {
 	top  *SelectStmt
 	path string
 	// Uncorrelated-subquery memo, per statement execution: results keyed
-	// by subquery node, plus the cached correlation verdict (see
-	// subquery.go).
+	// by subquery node (see subquery.go).
 	subMemo map[*SelectStmt]*Rows
-	subCorr map[*SelectStmt]bool
 }
 
 // planFor returns the plan for sel, nil when executing unplanned.
-func (ec *execCtx) planFor(sel *SelectStmt) *selectPlan { return ec.plans[sel] }
+func (ec *execCtx) planFor(sel *SelectStmt) *selectPlan {
+	if ec.naive {
+		return nil
+	}
+	return &sel.bound.plan
+}
 
 // maxCost bounds runaway queries (e.g. accidental cross joins in predicted
 // SQL): Cost exceeding it aborts execution with an error, which the
@@ -161,56 +163,28 @@ func (ec *execCtx) charge(n int64) error {
 	return nil
 }
 
-// scopeCol names one column visible in a row scope; both fields are
-// lower-cased for case-insensitive resolution.
-type scopeCol struct {
-	table string
-	name  string
-}
-
-// scope binds a set of visible columns to one row of values, with a parent
-// link for correlated subqueries.
+// scope is one level of rows a bound column reference reads (bind.go): a
+// FROM row, with a parent link for correlated subqueries. off is the slot
+// of row's first column in its SELECT's FROM row — non-zero only where a
+// scan of one FROM item evaluates a pushed conjunct over that item's rows.
 type scope struct {
-	cols   []scopeCol
 	row    []Value
+	off    int
 	parent *scope
 }
 
-// resolve finds a column by (optionally qualified) name, walking outward
-// through parent scopes. Ambiguous unqualified references within one scope
-// level are an error, as in SQLite.
-func (s *scope) resolve(cr *ColumnRef) (Value, error) {
-	lt, ln := cr.folded()
-	for cur := s; cur != nil; cur = cur.parent {
-		found := -1
-		for i, c := range cur.cols {
-			if c.name != ln {
-				continue
-			}
-			if lt != "" && c.table != lt {
-				continue
-			}
-			if found >= 0 {
-				return Value{}, fmt.Errorf("sqlengine: ambiguous column name %q", cr.Name)
-			}
-			found = i
-		}
-		if found >= 0 {
-			return cur.row[found], nil
-		}
+// value reads the column cr is bound to: depth levels out, at its slot.
+func (s *scope) value(cr *ColumnRef) Value {
+	for d := cr.depth; d > 0; d-- {
+		s = s.parent
 	}
-	if cr.Table != "" {
-		return Value{}, fmt.Errorf("sqlengine: no such column: %s.%s", cr.Table, cr.Name)
-	}
-	return Value{}, fmt.Errorf("sqlengine: no such column: %s", cr.Name)
+	return s.row[cr.slot-s.off]
 }
 
-// rowSet is an intermediate relation during FROM evaluation. rows is set
-// only on a join's two inputs (execFrom): what the relation holds is
-// otherwise listed by the selection that travels with it.
+// rowSet is one input of a join: its rows, each width cells wide.
 type rowSet struct {
-	cols []scopeCol
-	rows [][]Value
+	rows  [][]Value
+	width int
 }
 
 // --- SELECT execution ---
@@ -240,7 +214,7 @@ func (ec *execCtx) execSelect(sel *SelectStmt, outer *scope) (*Rows, error) {
 	for _, r := range combined.Data {
 		out.add(r, nil)
 	}
-	if err := ec.finishSelect(sel, out, outer, nil); err != nil {
+	if err := ec.finishSelect(sel, out, outer); err != nil {
 		return nil, err
 	}
 	return out.rows(), nil
@@ -248,8 +222,7 @@ func (ec *execCtx) execSelect(sel *SelectStmt, outer *scope) (*Rows, error) {
 
 // execSelectCoreOnly executes one arm of a compound select, ignoring the
 // ORDER BY/LIMIT tail which belongs to the whole compound. The clone shares
-// the arm's FROM/WHERE, so the arm's plan (keyed by the original pointer)
-// still applies.
+// the arm's binding and plan, which planned the arm without that tail.
 func (ec *execCtx) execSelectCoreOnly(sel *SelectStmt, outer *scope) (*Rows, error) {
 	clone := *sel
 	clone.Compound = CompoundNone
@@ -334,77 +307,71 @@ func (o *selOutput) rows() *Rows { return &Rows{Columns: o.columns, Data: o.data
 // unplanned execution, which then is the naive reference: full scans, nested
 // loops, the interpreter on every row.
 func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPlan) (*Rows, error) {
-	// A planned WHERE is filtered in batch when every conjunct but its
-	// uncorrelated EXISTS ones is safe-total: the AND chain passes a row iff
-	// every conjunct is true on it, and short-circuit differences are
-	// unobservable on pure total expressions. Anything else runs through the
-	// interpreter, every row in order.
-	batch := pl != nil && pl.whereSafe && ec.existsConstant(pl)
-	// 1. FROM (with pushdown placement when the plan allows it). What comes
+	// 1. FROM (with pushdown placement when the plan has one). What comes
 	// back is a selection: positions into a scanned table, every row of a
 	// sub-select or a nested-loop join, or a hash join's position pairs.
-	src, s, fp, err := ec.execFrom(sel, outer, pl, batch)
+	s, err := ec.execFrom(sel, outer, pl)
 	if err != nil {
 		return nil, err
 	}
-	// Pushdown resolved every reference already; without it the batch
-	// filter needs the same proof (resolves).
-	pushed := fp.at != nil
-	batch = batch && (pushed || resolves(pl.where, src.cols, outer))
-	// 2. WHERE thins the selection: the kernels — over what no scan
-	// evaluated — and then the EXISTS conjuncts, or the interpreter.
+	// 2. WHERE thins the selection. A planned WHERE is filtered in batch when
+	// every conjunct but its uncorrelated EXISTS ones is safe-total: the AND
+	// chain passes a row iff every conjunct is true on it, and short-circuit
+	// differences are unobservable on pure total expressions. The kernels
+	// filter what no scan evaluated, and then the EXISTS conjuncts are
+	// settled. Anything else runs through the interpreter, every row in
+	// order.
 	switch {
-	case batch:
+	case pl != nil && pl.whereSafe:
 		// A short conjunction's predicates stay on the stack.
 		preds := make([]rowPred, 0, 4)
-		ps := predSource{cols: src.cols, left: s.leftWidth()}
+		ps := predSource{left: s.leftWidth()}
 		for k, c := range pl.where {
-			if !pushed || fp.at[k] < 0 {
+			if pl.pushAt == nil || pl.pushAt[k] < 0 {
 				preds = append(preds, compilePred(ps, c.expr))
 			}
 		}
 		// The FROM relation, for settleExists: pushdown, which a join under
 		// an EXISTS never gets, filtered a single table's scan.
 		from := s
-		if pushed {
+		if pl.pushAt != nil {
 			from = selection{rows: s.rows, all: true}
 		}
 		if len(preds) > 0 {
-			s, err = ec.filterPositions(src.cols, s, preds, outer)
+			s, err = ec.filterPositions(s, preds, 0, outer)
 		}
 		if err == nil && len(pl.exists) > 0 {
-			s, err = ec.settleExists(outer, pl, src.cols, from, s)
+			s, err = ec.settleExists(outer, pl, from, s)
 		}
 	case sel.Where != nil:
-		s, err = ec.filterInterpreted(src.cols, s, sel.Where, outer)
+		s, err = ec.filterInterpreted(s, sel.Where, outer)
 	}
 	if err != nil {
 		return nil, err
 	}
 	// 3. The tail: planned, on the selection; unplanned, on its rows.
 	if pl != nil {
-		return ec.tailPositions(sel, src, s, outer, pl.anyRow)
+		return ec.tailPositions(sel, s, outer, pl)
 	}
-	return ec.projectTail(sel, src, s.materialise(), outer)
+	return ec.projectTail(sel, s.materialise(), outer)
 }
 
 // projectTail runs everything after the WHERE filter on materialised rows,
 // through the interpreter: grouping or projection, DISTINCT, ORDER BY and
 // LIMIT. It is the naive reference's tail, and where a planned selection
 // lands when no consumer of positions.go applies.
-func (ec *execCtx) projectTail(sel *SelectStmt, src *rowSet, filtered [][]Value, outer *scope) (*Rows, error) {
+func (ec *execCtx) projectTail(sel *SelectStmt, filtered [][]Value, outer *scope) (*Rows, error) {
 	grouped := len(sel.GroupBy) > 0 || anyAggregate(sel)
-	out := &selOutput{columns: projectionNames(sel, src)}
+	out := &selOutput{columns: sel.bound.columns}
 
 	if grouped {
-		if err := ec.projectGrouped(sel, src, filtered, outer, out); err != nil {
+		if err := ec.projectGrouped(sel, filtered, outer, out); err != nil {
 			return nil, err
 		}
 	} else {
 		for _, row := range filtered {
-			sc := &scope{cols: src.cols, row: row, parent: outer}
-			env := &evalEnv{ec: ec, sc: sc}
-			vals, err := ec.projectRow(sel, src, env)
+			env := &evalEnv{ec: ec, sc: &scope{row: row, parent: outer}}
+			vals, err := ec.projectRow(sel, env)
 			if err != nil {
 				return nil, err
 			}
@@ -415,14 +382,14 @@ func (ec *execCtx) projectTail(sel *SelectStmt, src *rowSet, filtered [][]Value,
 	if sel.Distinct {
 		dedupeOutput(out)
 	}
-	if err := ec.finishSelect(sel, out, outer, src); err != nil {
+	if err := ec.finishSelect(sel, out, outer); err != nil {
 		return nil, err
 	}
 	return out.rows(), nil
 }
 
 // finishSelect applies ORDER BY, LIMIT and OFFSET to an accumulated output.
-func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope, src *rowSet) error {
+func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope) error {
 	if len(sel.OrderBy) > 0 {
 		if err := ec.orderOutput(sel, out); err != nil {
 			return err
@@ -484,9 +451,9 @@ func limitWindow(n int, limit, offset int64) (lo, hi int) {
 	return lo, hi
 }
 
-// orderOutput sorts the output rows by the ORDER BY terms. Each term can be
-// an ordinal, an output-column alias/name, or an arbitrary expression
-// (evaluated in the row's saved environment).
+// orderOutput sorts the output rows by the ORDER BY terms. Each term is an
+// output column (an ordinal or an output column's name, as bound) or an
+// arbitrary expression, evaluated in the row's saved environment.
 func (ec *execCtx) orderOutput(sel *SelectStmt, out *selOutput) error {
 	type keyed struct {
 		vals []Value
@@ -497,8 +464,8 @@ func (ec *execCtx) orderOutput(sel *SelectStmt, out *selOutput) error {
 	for i := range out.data {
 		items[i] = keyed{vals: out.data[i], env: out.envs[i]}
 		items[i].keys = make([]Value, len(sel.OrderBy))
-		for j, ob := range sel.OrderBy {
-			v, err := ec.evalOrderTerm(ob.Expr, out, i)
+		for j := range sel.OrderBy {
+			v, err := ec.evalOrderTerm(sel, j, out, i)
 			if err != nil {
 				return err
 			}
@@ -525,22 +492,13 @@ func (ec *execCtx) orderOutput(sel *SelectStmt, out *selOutput) error {
 	return nil
 }
 
-func (ec *execCtx) evalOrderTerm(e Expr, out *selOutput, rowIdx int) (Value, error) {
-	// Ordinal: ORDER BY 2
-	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
-		idx := int(lit.Val.I) - 1
-		if idx < 0 || idx >= len(out.columns) {
-			return Value{}, fmt.Errorf("sqlengine: ORDER BY ordinal %d out of range", lit.Val.I)
-		}
-		return out.data[rowIdx][idx], nil
+func (ec *execCtx) evalOrderTerm(sel *SelectStmt, j int, out *selOutput, rowIdx int) (Value, error) {
+	if o := sel.bound.order[j]; o >= 0 {
+		return out.data[rowIdx][o], nil
 	}
-	// Output column name or alias.
-	if cr, ok := e.(*ColumnRef); ok && cr.Table == "" {
-		for i, c := range out.columns {
-			if strings.EqualFold(c, cr.Name) {
-				return out.data[rowIdx][i], nil
-			}
-		}
+	e := sel.OrderBy[j].Expr
+	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
+		return Value{}, fmt.Errorf("sqlengine: ORDER BY ordinal %d out of range", lit.Val.I)
 	}
 	env := out.envs[rowIdx]
 	if env == nil {
@@ -570,61 +528,21 @@ func dedupeOutput(out *selOutput) {
 	out.data, out.envs = data, envs
 }
 
-// projectionNames computes output column names for the select list.
-func projectionNames(sel *SelectStmt, src *rowSet) []string {
-	var names []string
-	for _, item := range sel.Columns {
-		switch {
-		case item.Star && item.StarTable == "":
-			for _, c := range src.cols {
-				names = append(names, c.name)
-			}
-		case item.Star:
-			lt := strings.ToLower(item.StarTable)
-			for _, c := range src.cols {
-				if c.table == lt {
-					names = append(names, c.name)
-				}
-			}
-		case item.Alias != "":
-			names = append(names, item.Alias)
-		default:
-			if cr, ok := item.Expr.(*ColumnRef); ok {
-				names = append(names, cr.Name)
-			} else {
-				names = append(names, item.Expr.SQL())
-			}
-		}
-	}
-	return names
-}
-
 // projectRow evaluates the select list for one (non-grouped) row.
-func (ec *execCtx) projectRow(sel *SelectStmt, src *rowSet, env *evalEnv) ([]Value, error) {
+func (ec *execCtx) projectRow(sel *SelectStmt, env *evalEnv) ([]Value, error) {
 	var vals []Value
-	for _, item := range sel.Columns {
-		switch {
-		case item.Star && item.StarTable == "":
-			vals = append(vals, env.sc.row...)
-		case item.Star:
-			lt := strings.ToLower(item.StarTable)
-			matched := false
-			for i, c := range src.cols {
-				if c.table == lt {
-					vals = append(vals, env.sc.row[i])
-					matched = true
-				}
+	for k, item := range sel.Columns {
+		if item.Star {
+			for _, slot := range sel.bound.stars[k] {
+				vals = append(vals, env.sc.row[slot])
 			}
-			if !matched {
-				return nil, fmt.Errorf("sqlengine: no such table: %s", item.StarTable)
-			}
-		default:
-			v, err := env.eval(item.Expr)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
+			continue
 		}
+		v, err := env.eval(item.Expr)
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, v)
 	}
 	return vals, nil
 }
@@ -639,7 +557,7 @@ type rowGroup struct {
 // projectGrouped partitions rows into groups in first-seen order, applies
 // HAVING, and projects the select list with aggregate support, each group
 // computed over its rows in input order.
-func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, outer *scope, out *selOutput) error {
+func (ec *execCtx) projectGrouped(sel *SelectStmt, rows [][]Value, outer *scope, out *selOutput) error {
 	var groups []*rowGroup
 	if len(sel.GroupBy) == 0 {
 		// Single implicit group (possibly empty: COUNT over no rows). The
@@ -647,14 +565,14 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, 
 		// grouped context even for the empty group.
 		g := &rowGroup{rows: make([]*scope, 0, len(rows))}
 		for _, row := range rows {
-			sc := &scope{cols: src.cols, row: row, parent: outer}
+			sc := &scope{row: row, parent: outer}
 			if g.rep == nil {
 				g.rep = sc
 			}
 			g.rows = append(g.rows, sc)
 		}
 		if g.rep == nil {
-			g.rep = &scope{cols: src.cols, row: make([]Value, len(src.cols)), parent: outer}
+			g.rep = &scope{row: make([]Value, sel.bound.width()), parent: outer}
 		}
 		groups = append(groups, g)
 	} else {
@@ -662,7 +580,7 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, 
 		var order []string
 		var kb []byte
 		for _, row := range rows {
-			sc := &scope{cols: src.cols, row: row, parent: outer}
+			sc := &scope{row: row, parent: outer}
 			env := &evalEnv{ec: ec, sc: sc}
 			kb = kb[:0]
 			for _, ge := range sel.GroupBy {
@@ -698,7 +616,7 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, 
 				continue
 			}
 		}
-		vals, err := ec.projectRow(sel, src, env)
+		vals, err := ec.projectRow(sel, env)
 		if err != nil {
 			return err
 		}
@@ -707,103 +625,60 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, src *rowSet, rows [][]Value, 
 	return nil
 }
 
-// projectionCols maps a select list made only of stars, uniquely resolving
-// column references and literals (`SELECT 1 FROM t`, the body of most
-// EXISTS) to source column positions, one per output column; a literal's
-// entry is negative, ^ix indexing consts. ok is false for any other select
-// list.
-func projectionCols(sel *SelectStmt, cols []scopeCol) (ixs []int, consts []Value, ok bool) {
-	for _, item := range sel.Columns {
+// projectionCols maps a select list made only of stars, column references
+// to the FROM row and literals (`SELECT 1 FROM t`, the body of most EXISTS)
+// to FROM row slots, one per output column; a literal's entry is negative,
+// ^ix indexing consts. ok is false for any other select list.
+func projectionCols(sel *SelectStmt) (ixs []int, consts []Value, ok bool) {
+	for k, item := range sel.Columns {
 		switch {
-		case item.Star && item.StarTable == "":
-			for i := range cols {
-				ixs = append(ixs, i)
-			}
 		case item.Star:
-			lt := strings.ToLower(item.StarTable)
-			matched := false
-			for i, c := range cols {
-				if c.table == lt {
-					ixs = append(ixs, i)
-					matched = true
-				}
-			}
-			if !matched {
-				return nil, nil, false
-			}
+			ixs = append(ixs, sel.bound.stars[k]...)
 		default:
 			if lit, isLit := item.Expr.(*Literal); isLit {
 				ixs = append(ixs, ^len(consts))
 				consts = append(consts, lit.Val)
 				continue
 			}
-			idx, ok := bareColumn(item.Expr, cols)
+			slot, ok := localCol(item.Expr)
 			if !ok {
 				return nil, nil, false
 			}
-			ixs = append(ixs, idx)
+			ixs = append(ixs, slot)
 		}
 	}
 	return ixs, consts, true
 }
 
-// bareColumn resolves e as a plain column reference within cols. ok is
-// false unless e is one and resolves uniquely, so an absent or ambiguous
-// reference keeps the interpreter's error.
-func bareColumn(e Expr, cols []scopeCol) (idx int, ok bool) {
+// localCol returns the slot of the FROM row column e reads, when e is a
+// plain column reference bound to its own SELECT's FROM row.
+func localCol(e Expr) (slot int, ok bool) {
 	cr, isRef := e.(*ColumnRef)
-	if !isRef || cr.Name == "*" {
+	if !isRef || cr.Name == "*" || cr.depth > 0 {
 		return -1, false
 	}
-	idx, n := resolveCols(cols, cr)
-	return idx, n == 1
-}
-
-// outputOrderTerm returns the output column an ORDER BY term names without
-// needing an evaluation environment — an in-range ordinal or an
-// unqualified output column name or alias, the first two rules of
-// evalOrderTerm — or -1.
-func outputOrderTerm(e Expr, columns []string) int {
-	if lit, ok := e.(*Literal); ok && lit.Val.Kind == KindInt {
-		if idx := int(lit.Val.I) - 1; idx >= 0 && idx < len(columns) {
-			return idx
-		}
-		return -1
-	}
-	if cr, ok := e.(*ColumnRef); ok && cr.Table == "" {
-		for i, c := range columns {
-			if strings.EqualFold(c, cr.Name) {
-				return i
-			}
-		}
-	}
-	return -1
+	return cr.slot, true
 }
 
 // --- FROM evaluation ---
 
-// execFrom evaluates the FROM clause, pushing WHERE conjuncts into its scans
-// when push is set and planFrom places some. The relation it returns is
-// described by src (its columns) and listed by the selection: a scan's
-// positions, every row of a subquery or a nested-loop join, or the position
-// pairs of a hash join. Rows are built only for what a join reads as input.
-func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, push bool) (src *rowSet, s selection, fp fromPlan, err error) {
-	items := sel.From
-	if len(items) == 0 {
+// execFrom evaluates the FROM clause, pushing WHERE conjuncts into its
+// scans where pl places them (planPush). The relation it returns is listed
+// by a selection — a scan's positions, every row of a subquery or a
+// nested-loop join, or the position pairs of a hash join — whose rows are
+// laid out as the FROM row (bind.go). Rows are built only for what a join
+// reads as input.
+func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (selection, error) {
+	if len(sel.From) == 0 {
 		// SELECT without FROM: a single empty row.
-		return &rowSet{}, selection{rows: [][]Value{{}}, all: true}, fp, nil
+		return selection{rows: [][]Value{{}}, all: true}, nil
 	}
-	if push {
-		fp = ec.planFrom(pl, sel, outer)
-	}
-	acc, s, err := ec.execFromItem(&items[0], outer, pl, &fp, 0)
-	if err != nil {
-		return nil, selection{}, fp, err
-	}
-	for i := 1; i < len(items); i++ {
-		right, rs, err := ec.execFromItem(&items[i], outer, pl, &fp, i)
-		if err != nil {
-			return nil, selection{}, fp, err
+	from := sel.bound.from
+	s, err := ec.execFromItem(sel, 0, outer, pl)
+	for i := 1; i < len(sel.From) && err == nil; i++ {
+		var rs selection
+		if rs, err = ec.execFromItem(sel, i, outer, pl); err != nil {
+			break
 		}
 		var ja *joinAnalysis
 		if pl != nil && pl.joins != nil {
@@ -811,60 +686,30 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, push 
 		}
 		// A join reads both inputs as rows: a filtered scan's positions and
 		// an earlier hash join's pairs are materialised for it.
-		acc.rows, right.rows = s.materialise(), rs.materialise()
-		if s, err = ec.join(acc, right, items[i].Join, items[i].On, outer, ja); err != nil {
-			return nil, selection{}, fp, err
-		}
-		cols := make([]scopeCol, 0, len(acc.cols)+len(right.cols))
-		cols = append(append(cols, acc.cols...), right.cols...)
-		acc = &rowSet{cols: cols}
+		left := &rowSet{rows: s.materialise(), width: from[i].off}
+		right := &rowSet{rows: rs.materialise(), width: len(from[i].cols)}
+		s, err = ec.join(left, right, sel.From[i].Join, sel.From[i].On, outer, ja)
 	}
-	return acc, s, fp, nil
+	return s, err
 }
 
-// scanCols returns t's columns as a scan exposes them under the
-// (lower-cased) FROM name.
-func scanCols(name string, t *Table) []scopeCol {
-	cols := make([]scopeCol, len(t.lowerCols))
-	for i, c := range t.lowerCols {
-		cols[i] = scopeCol{table: name, name: c}
-	}
-	return cols
-}
-
-// execFromItem evaluates FROM item i: its columns (the rowSet's rows stay
-// unset), and its rows as a selection — all of a sub-select's result or of
-// an unfiltered table, or the positions the table's pushed conjuncts keep
-// (scanPositions). fp places pl's WHERE conjuncts at the scans (never at a
-// subquery item, never in the naive reference).
-func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pl *selectPlan, fp *fromPlan, i int) (*rowSet, selection, error) {
-	name := strings.ToLower(item.Name())
-	if item.Sub != nil {
-		sub, err := ec.execSelect(item.Sub, outer)
+// execFromItem evaluates FROM item i as a selection: all of a sub-select's
+// result or of an unfiltered table, or the positions the table's pushed
+// conjuncts keep (scanPositions). Only a plan pushes conjuncts, and never
+// into a subquery item.
+func (ec *execCtx) execFromItem(sel *SelectStmt, i int, outer *scope, pl *selectPlan) (selection, error) {
+	if sub := sel.From[i].Sub; sub != nil {
+		rows, err := ec.execSelect(sub, outer)
 		if err != nil {
-			return nil, selection{}, err
+			return selection{}, err
 		}
-		rs := &rowSet{}
-		for _, c := range sub.Columns {
-			rs.cols = append(rs.cols, scopeCol{table: name, name: strings.ToLower(c)})
-		}
-		return rs, selection{rows: sub.Data, all: true}, nil
+		return selection{rows: rows.Data, all: true}, nil
 	}
-	t, ok := ec.db.Table(item.Table)
-	if !ok {
-		return nil, selection{}, fmt.Errorf("sqlengine: no such table: %s", item.Table)
+	it := &sel.bound.from[i]
+	if pl == nil || pl.pushAt == nil {
+		return selection{rows: it.t.Rows, all: true}, ec.charge(int64(len(it.t.Rows)))
 	}
-	rs := &rowSet{}
-	if fp.cols != nil {
-		rs.cols = fp.cols[i]
-	} else {
-		rs.cols = scanCols(name, t)
-	}
-	if fp.at == nil {
-		return rs, selection{rows: t.Rows, all: true}, ec.charge(int64(len(t.Rows)))
-	}
-	s, err := ec.scanPositions(t, rs.cols, pl.where, fp, i, outer)
-	return rs, s, err
+	return ec.scanPositions(it.t, pl, it.off, i, outer)
 }
 
 // join combines two relations. With a usable plan the join runs as a hash
@@ -873,29 +718,24 @@ func (ec *execCtx) execFromItem(item *FromItem, outer *scope, pl *selectPlan, fp
 // reusable pair buffer and environment (fresh slices are allocated only for
 // emitted rows).
 func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope, ja *joinAnalysis) (selection, error) {
-	if on != nil && ja != nil && ja.safe {
-		if equis, residual, ok := resolveHashJoin(left, right, ja, outer); ok {
-			if s, hashed, err := ec.hashJoin(left, right, jt, equis, residual, outer); hashed {
-				return s, err
-			}
+	if ja != nil && ja.lcols != nil {
+		if s, hashed, err := ec.hashJoin(left, right, jt, ja, outer); hashed {
+			return s, err
 		}
 	}
 	if err := ec.charge(int64(len(left.rows)) * int64(len(right.rows))); err != nil {
 		return selection{}, err
 	}
-	cols := make([]scopeCol, 0, len(left.cols)+len(right.cols))
-	cols = append(cols, left.cols...)
-	cols = append(cols, right.cols...)
+	width := left.width + right.width
 	var out [][]Value
-	nullRight := make([]Value, len(right.cols))
-	buf := make([]Value, len(cols))
-	sc := &scope{cols: cols, row: buf, parent: outer}
-	env := &evalEnv{ec: ec, sc: sc}
+	nullRight := make([]Value, right.width)
+	buf := make([]Value, width)
+	env := &evalEnv{ec: ec, sc: &scope{row: buf, parent: outer}}
 	for _, lr := range left.rows {
 		matched := false
 		copy(buf, lr)
 		for _, rr := range right.rows {
-			copy(buf[len(left.cols):], rr)
+			copy(buf[left.width:], rr)
 			if on != nil {
 				v, err := env.eval(on)
 				if err != nil {
@@ -906,12 +746,12 @@ func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope,
 				}
 			}
 			matched = true
-			row := make([]Value, len(cols))
+			row := make([]Value, width)
 			copy(row, buf)
 			out = append(out, row)
 		}
 		if jt == JoinLeft && !matched {
-			row := make([]Value, 0, len(cols))
+			row := make([]Value, 0, width)
 			row = append(row, lr...)
 			row = append(row, nullRight...)
 			out = append(out, row)
@@ -923,10 +763,7 @@ func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope,
 // --- DML execution ---
 
 func (ec *execCtx) execInsert(ins *InsertStmt) (int64, error) {
-	t, ok := ec.db.Table(ins.Table)
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: no such table: %s", ins.Table)
-	}
+	t := ins.table
 	env := &evalEnv{ec: ec, sc: &scope{}}
 	var n int64
 	for _, rowExprs := range ins.Rows {
@@ -947,12 +784,9 @@ func (ec *execCtx) execInsert(ins *InsertStmt) (int64, error) {
 }
 
 func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
-	t, ok := ec.db.Table(up.Table)
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: no such table: %s", up.Table)
-	}
+	t := up.table
 	var n int64
-	sc := &scope{cols: scanCols(strings.ToLower(t.Name), t)}
+	sc := &scope{}
 	env := &evalEnv{ec: ec, sc: sc}
 	for ri, row := range t.Rows {
 		if err := ec.charge(1); err != nil {
@@ -970,15 +804,12 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 		}
 		newRow := make([]Value, len(row))
 		copy(newRow, row)
-		for _, set := range up.Set {
-			idx := t.ColumnIndex(set.Column)
-			if idx < 0 {
-				return n, fmt.Errorf("sqlengine: no such column: %s", set.Column)
-			}
+		for i, set := range up.Set {
 			v, err := env.eval(set.Value)
 			if err != nil {
 				return n, err
 			}
+			idx := up.cols[i]
 			newRow[idx] = coerce(v, t.Columns[idx].Type)
 		}
 		t.Rows[ri] = newRow
@@ -991,13 +822,10 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 }
 
 func (ec *execCtx) execDelete(del *DeleteStmt) (int64, error) {
-	t, ok := ec.db.Table(del.Table)
-	if !ok {
-		return 0, fmt.Errorf("sqlengine: no such table: %s", del.Table)
-	}
+	t := del.table
 	var kept [][]Value
 	var n int64
-	sc := &scope{cols: scanCols(strings.ToLower(t.Name), t)}
+	sc := &scope{}
 	env := &evalEnv{ec: ec, sc: sc}
 	for _, row := range t.Rows {
 		if err := ec.charge(1); err != nil {

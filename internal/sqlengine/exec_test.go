@@ -297,19 +297,31 @@ func TestNumericTextComparison(t *testing.T) {
 	expectRows(t, db, "SELECT v FROM t WHERE v > 600", []string{"1500"})
 }
 
+// TestErrorsAtExecution: a name that does not bind fails the statement at
+// Prepare; every other error is raised when the statement runs.
 func TestErrorsAtExecution(t *testing.T) {
 	db := fixtureDB(t)
-	bad := []string{
+	for _, s := range []string{
 		"SELECT nosuch FROM emp",
 		"SELECT * FROM nosuch",
 		"SELECT emp.nosuch FROM emp",
-		"SELECT name FROM emp WHERE NOSUCHFN(1) = 1",
 		"INSERT INTO nosuch VALUES (1)",
+	} {
+		if _, err := db.Prepare(s); err == nil {
+			t.Errorf("Prepare(%q) should fail", s)
+		}
+	}
+	for _, s := range []string{
+		"SELECT name FROM emp WHERE NOSUCHFN(1) = 1",
 		"INSERT INTO dept VALUES (1)", // arity
 		"SELECT SUM(salary, 2) FROM emp",
-	}
-	for _, s := range bad {
-		if _, err := db.Exec(s); err == nil {
+	} {
+		st, err := db.Prepare(s)
+		if err != nil {
+			t.Errorf("Prepare(%q): %v", s, err)
+			continue
+		}
+		if _, err := st.Exec(); err == nil {
 			t.Errorf("Exec(%q) should fail", s)
 		}
 	}
@@ -317,9 +329,7 @@ func TestErrorsAtExecution(t *testing.T) {
 	db2 := NewDatabase("amb")
 	db2.MustExec("CREATE TABLE a (x INTEGER)")
 	db2.MustExec("CREATE TABLE b (x INTEGER)")
-	db2.MustExec("INSERT INTO a VALUES (1)")
-	db2.MustExec("INSERT INTO b VALUES (1)")
-	if _, err := db2.Exec("SELECT x FROM a JOIN b ON a.x = b.x"); err == nil {
+	if _, err := db2.Prepare("SELECT x FROM a JOIN b ON a.x = b.x"); err == nil {
 		t.Errorf("ambiguous column should fail")
 	}
 }

@@ -1,9 +1,9 @@
 package sqlengine
 
-// Hash equi-join execution. The planner hands the executor the flattened
-// ON conjunction (joinAnalysis); this file resolves the equi conditions
-// against the actual input relations and, when at least one resolves
-// cleanly, replaces the O(|L|·|R|) nested loop with an O(|L|+|R|+matches)
+// Hash equi-join execution. The planner hands the executor the ON
+// conjunction split at Prepare (joinAnalysis): its cross-side column
+// equalities and the residual rest. With at least one equality, this file
+// replaces the O(|L|·|R|) nested loop with an O(|L|+|R|+matches)
 // build/probe join that emits (left, right) row-position pairs — a
 // two-sided selection (parallel.go) — instead of joined rows: filters thin
 // the pair list, the tail consumers of positions.go read cells through it,
@@ -29,51 +29,6 @@ package sqlengine
 // The join is charged the pairs it tests — every chained candidate, a
 // spurious collision included — a left row at a time, so the cost budget
 // stops a many-to-many join before its pair list outgrows it.
-
-// equiCond is one resolved hash condition: column positions in the left
-// and right input relations.
-type equiCond struct{ li, ri int }
-
-// resolveHashJoin classifies ja's conjuncts into hash conditions and
-// residual filters. ok is false when the nested loop must run instead:
-// no cross-side equi condition, or any column reference that does not
-// resolve cleanly (the nested loop then reproduces the naive executor's
-// error — or its silence, when an empty input means the ON clause is
-// never evaluated).
-func resolveHashJoin(left, right *rowSet, ja *joinAnalysis, outer *scope) (equis []equiCond, residual []Expr, ok bool) {
-	for _, c := range ja.conj {
-		for _, r := range c.refs {
-			_, nl := resolveCols(left.cols, r)
-			_, nr := resolveCols(right.cols, r)
-			if nl+nr > 1 {
-				return nil, nil, false // ambiguous in the join scope
-			}
-			if nl+nr == 0 && outerResolveClass(outer, r) != 1 {
-				return nil, nil, false // would be "no such column" (or outer ambiguity)
-			}
-		}
-		if c.eq != nil {
-			ali, anl := resolveCols(left.cols, c.eq.a)
-			ari, anr := resolveCols(right.cols, c.eq.a)
-			bli, bnl := resolveCols(left.cols, c.eq.b)
-			bri, bnr := resolveCols(right.cols, c.eq.b)
-			switch {
-			case anl == 1 && anr == 0 && bnl == 0 && bnr == 1:
-				equis = append(equis, equiCond{li: ali, ri: bri})
-				continue
-			case anl == 0 && anr == 1 && bnl == 1 && bnr == 0:
-				equis = append(equis, equiCond{li: bli, ri: ari})
-				continue
-			}
-			// Same-side or correlated equality: plain residual filter.
-		}
-		residual = append(residual, c.expr)
-	}
-	if len(equis) == 0 {
-		return nil, nil, false
-	}
-	return equis, residual, true
-}
 
 // joinKeys maps an equi-key to its slot, the number of the chain of right
 // rows carrying it. When the join has one condition and every key cell on
@@ -167,7 +122,7 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 	return buf, s
 }
 
-// hashJoin executes the join with the given resolved conditions and returns
+// hashJoin executes the join on ja's equalities and residual and returns
 // its output as a two-sided selection over the inputs' rows: (left, right)
 // position pairs in emission order, no joined row built. hashed is false,
 // and nothing charged, when newJoinKeys refuses the inputs.
@@ -179,11 +134,8 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 // With the right side smaller the left rows find their slot during the
 // probe; with the left side smaller they are given it up front and it is
 // the right rows that look theirs up.
-func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, residual []Expr, outer *scope) (s selection, hashed bool, err error) {
-	lcols, rcols := make([]int, len(equis)), make([]int, len(equis))
-	for i, eq := range equis {
-		lcols[i], rcols[i] = eq.li, eq.ri
-	}
+func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, ja *joinAnalysis, outer *scope) (s selection, hashed bool, err error) {
+	lcols, rcols := ja.lcols, ja.rcols
 	keys := newJoinKeys(left.rows, right.rows, lcols, rcols)
 	if keys == nil {
 		return selection{}, false, nil
@@ -214,13 +166,12 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 
 	// Residual conjuncts are evaluated on the candidate pair copied into one
 	// reused buffer; a join without any needs neither buffer nor scope.
-	nl := len(left.cols)
+	nl := left.width
 	var buf []Value
 	var env *evalEnv
-	if len(residual) > 0 {
-		cols := append(append(make([]scopeCol, 0, nl+len(right.cols)), left.cols...), right.cols...)
-		buf = make([]Value, len(cols))
-		env = &evalEnv{ec: ec, sc: &scope{cols: cols, row: buf, parent: outer}}
+	if len(ja.residual) > 0 {
+		buf = make([]Value, nl+right.width)
+		env = &evalEnv{ec: ec, sc: &scope{row: buf, parent: outer}}
 	}
 
 	// The probe: every left row in order, each following its slot's chain,
@@ -249,7 +200,7 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 				if env != nil {
 					copy(buf, lr)
 					copy(buf[nl:], rr)
-					for _, e := range residual {
+					for _, e := range ja.residual {
 						v, err := env.eval(e)
 						if err != nil {
 							return selection{}, true, err
@@ -272,7 +223,7 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, equis []equiCond, 
 	}
 	return selection{
 		rows:  left.rows,
-		right: &rightSide{rows: right.rows, null: make([]Value, len(right.cols)), left: nl},
+		right: &rightSide{rows: right.rows, null: make([]Value, right.width), left: nl},
 		pairs: pairs,
 	}, true, nil
 }

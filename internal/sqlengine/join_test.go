@@ -18,9 +18,8 @@ import (
 // WHERE is absent, pushed to either side, negated, an uncorrelated EXISTS
 // (alone, behind a pushed filter, behind a residual one that may be NULL,
 // or false in front of one), the right side's IS NULL or a cross-side
-// comparison; and selectAround puts
-// XX, which is
-// ambiguous between the two sides and must fail exactly as it does naively.
+// comparison; and selectAround puts every tail around it, over columns of
+// both sides (the right side's under a null extension too).
 func joinCase(p *picker) (inserts []string, query string) {
 	// The query is chosen before the rows, so that a short byte string — an
 	// exhausted picker answers 0 from then on — still reaches every clause.
@@ -32,7 +31,7 @@ func joinCase(p *picker) (inserts []string, query string) {
 		" WHERE EXISTS (SELECT 1 FROM r)", " WHERE l.id > 0 AND NOT EXISTS (SELECT 1 FROM l WHERE v = 7)",
 		" WHERE w IS NULL", " WHERE l.ki > w", " WHERE NOT (tag BETWEEN 1 AND 3) AND l.v IN (0, 1, NULL)",
 		" WHERE w > 5 AND EXISTS (SELECT 1 FROM l)", " WHERE EXISTS (SELECT 1 FROM r WHERE w > 100) AND l.ki = 1")
-	query = selectAround(p, tailCols{id: "id", a: "l.ki", b: "tag", c: "kt", qa: "r.kr"}, from)
+	query = selectAround(p, tailCols{id: "id", a: "l.ki", b: "tag", c: "r.kt", qa: "r.kr"}, from)
 
 	keys := []string{"1", "NULL", "0", "2", "1.5", "-0.0", "'1'", "'01'", "'1.0'", "'x'", "''"}
 	vals := []string{"1", "NULL", "0", "2", "1.5", "'x'"}

@@ -16,8 +16,8 @@ import "strings"
 // rows to the naive loop. A conjunct with no kernelizable shape keeps its
 // expression and is evaluated per row in the filter's own environment;
 // safe-total conjuncts cannot touch the execCtx (no subqueries, no cost
-// charges) and can only fail with row-independent resolution errors, which
-// is what makes both forms legal in a batch filter.
+// charges) and cannot fail — every name was bound at Prepare — which is
+// what makes both forms legal in a batch filter.
 
 // rowPred is one compiled conjunct. Exactly one evaluation form applies:
 // byIdx (kernel over a full scan's position, reading a column vector); a
@@ -104,21 +104,18 @@ func flipOp(op string) string {
 }
 
 // predSource is what a kernel reads its cells from: the selected rows of a
-// relation whose columns are cols, and for a full scan of a base table (t
-// non-nil) that table's column vectors.
+// relation whose first column is slot off of the FROM row, and for a full
+// scan of a base table (t non-nil) that table's column vectors.
 type predSource struct {
 	t    *Table // non-nil: a full scan of t, kernels may read its vectors
-	cols []scopeCol
-	left int // a join's output: the left input's width (selection.leftWidth)
+	off  int    // a scan of one FROM item: the item's first slot
+	left int    // a join's output: the left input's width (selection.leftWidth)
 }
 
-// resolveLocal resolves a column reference strictly within the source's
-// scope level. ok is false unless the reference resolves uniquely — an
-// ambiguous or absent reference must keep its expression form so the
-// interpreter raises exactly the naive error.
-func (ps predSource) resolveLocal(cr *ColumnRef) (int, bool) {
-	idx, n := resolveCols(ps.cols, cr)
-	return idx, n == 1
+// col returns the column of the source's rows cr is bound to. ok is false
+// for a reference to an enclosing row, which keeps its expression form.
+func (ps predSource) col(cr *ColumnRef) (int, bool) {
+	return cr.slot - ps.off, cr.depth == 0
 }
 
 func compilePred(ps predSource, e Expr) rowPred {
@@ -234,7 +231,7 @@ func (ps predSource) vec(col int) *colVec {
 // operands harmonise, then Compare orders across kinds. A typed vector is
 // compared in its own kind; where cells are read from rows, cmpCell.
 func cmpKernel(ps predSource, cr *ColumnRef, lit *Value, mask uint8) rowPred {
-	col, ok := ps.resolveLocal(cr)
+	col, ok := ps.col(cr)
 	if !ok {
 		return rowPred{}
 	}
@@ -332,7 +329,7 @@ func cmpCell(v, lit Value, mask uint8) bool {
 }
 
 func isNullKernel(ps predSource, cr *ColumnRef, not bool) rowPred {
-	col, ok := ps.resolveLocal(cr)
+	col, ok := ps.col(cr)
 	if !ok {
 		return rowPred{}
 	}
@@ -349,7 +346,7 @@ func isNullKernel(ps predSource, cr *ColumnRef, not bool) rowPred {
 func isNotNull(v Value) bool { return !v.IsNull() }
 
 func betweenKernel(ps predSource, cr *ColumnRef, lo, hi Value, not bool) rowPred {
-	col, ok := ps.resolveLocal(cr)
+	col, ok := ps.col(cr)
 	if !ok {
 		return rowPred{}
 	}
@@ -379,7 +376,7 @@ func betweenKernel(ps predSource, cr *ColumnRef, lo, hi Value, not bool) rowPred
 }
 
 func inKernel(ps predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
-	col, ok := ps.resolveLocal(cr)
+	col, ok := ps.col(cr)
 	if !ok {
 		return rowPred{}
 	}
@@ -410,7 +407,7 @@ func inKernel(ps predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
 }
 
 func likeKernel(ps predSource, cr *ColumnRef, pattern Value, not bool) rowPred {
-	col, ok := ps.resolveLocal(cr)
+	col, ok := ps.col(cr)
 	if !ok {
 		return rowPred{}
 	}

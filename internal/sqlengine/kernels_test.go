@@ -20,7 +20,6 @@ func TestNegationKernelTruthTable(t *testing.T) {
 	for _, v := range []Value{Null(), Int(1), Int(2), Int(-3), Float(1), Float(1.5), Text("1"), Text("01"), Text("1.5"), Text("x"), Text("")} {
 		tab.Rows = append(tab.Rows, []Value{v, Int(7)})
 	}
-	cols := scanCols("n", tab)
 	lits := []string{"NULL", "1", "2", "1.5", "'1'", "'1.5'", "'x'", "''"}
 	var conds []string
 	for _, lit := range lits {
@@ -38,15 +37,12 @@ func TestNegationKernelTruthTable(t *testing.T) {
 	conds = append(conds, "c IS NULL", "c IS NOT NULL", "c LIKE '1%'", "c IN (NULL)", "NOT (c = 1)", "NOT NOT (c >= '1')")
 
 	ec := &execCtx{db: db}
-	env := &evalEnv{ec: ec, sc: &scope{cols: cols}}
+	env := &evalEnv{ec: ec, sc: &scope{}}
 	for _, cond := range conds {
-		sel, err := ParseSelect("SELECT 1 FROM n WHERE NOT (" + cond + ")")
-		if err != nil {
-			t.Fatalf("parse %q: %v", cond, err)
-		}
+		sel := preparedSelect(t, db, "SELECT 1 FROM n WHERE NOT ("+cond+")")
 		sources := map[string]predSource{
-			"row":       {cols: cols},
-			"full scan": {t: tab, cols: cols},
+			"row":       {},
+			"full scan": {t: tab},
 		}
 		for name, ps := range sources {
 			p := compilePred(ps, sel.Where)
@@ -80,11 +76,8 @@ func TestNegationKernelTruthTable(t *testing.T) {
 
 	// What has no kernel shape keeps its expression, negated or not.
 	for _, cond := range []string{"NOT (c = d)", "NOT (c + 1 = 2)", "NOT (c = 1 OR d = 7)", "NOT c"} {
-		sel, err := ParseSelect("SELECT 1 FROM n WHERE " + cond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p := compilePred(predSource{t: tab, cols: cols}, sel.Where); p.usable() || p.expr != sel.Where {
+		sel := preparedSelect(t, db, "SELECT 1 FROM n WHERE "+cond)
+		if p := compilePred(predSource{t: tab}, sel.Where); p.usable() || p.expr != sel.Where {
 			t.Errorf("%s compiled to a kernel, want its expression kept", cond)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 //
 // Only safe-total expressions (planner.go) ever run as a kernel or a probe's
 // residual: they cannot execute subqueries (the one path by which evaluation
-// touches the execCtx) and cannot fail except for row-independent column
-// resolution errors, so a kernel may stand in for the interpreter.
+// touches the execCtx) and cannot fail — their names were bound at Prepare —
+// so a kernel may stand in for the interpreter.
 
 // morselRows is the unit the batch operators' input is counted in
 // (Result.Batches): a filter or a probe over n rows processes
@@ -101,6 +101,15 @@ func scopeRow(l, r, buf []Value) []Value {
 	}
 	copy(buf[copy(buf, l):], r)
 	return buf
+}
+
+// rowBuf returns the buffer scopeRow joins a pair of s's rows into: nil
+// unless s is a join's output.
+func (s *selection) rowBuf() []Value {
+	if s.right == nil {
+		return nil
+	}
+	return make([]Value, s.right.left+len(s.right.null))
 }
 
 // leftWidth is splitCol's left for s's rows.
@@ -233,14 +242,15 @@ func (s selection) keep(mask []uint64, n int) selection {
 	return out
 }
 
-// filterPositions applies compiled predicates to the selected rows and
-// returns the selection of the survivors, in input order. Index-form kernels
-// (byIdx) require in to be a selection of the base table the predicates were
-// compiled against; expression fallbacks evaluate in one environment (and,
-// over a join's output, one pair buffer) built on first use. Survivors are
+// filterPositions applies compiled predicates to the selected rows, whose
+// first column is slot off of the FROM row, and returns the selection of the
+// survivors, in input order. Index-form kernels (byIdx) require in to be a
+// selection of the base table the predicates were compiled against;
+// expression fallbacks evaluate in one environment (and, over a join's
+// output, one pair buffer) built on first use. Survivors are
 // marked in a bitmask and the output is allocated once, at its exact size, or
 // not at all when everything passes.
-func (ec *execCtx) filterPositions(cols []scopeCol, in selection, preds []rowPred, outer *scope) (selection, error) {
+func (ec *execCtx) filterPositions(in selection, preds []rowPred, off int, outer *scope) (selection, error) {
 	n := in.len()
 	ec.countBatches(n)
 	mask := make([]uint64, (n+63)/64)
@@ -260,10 +270,8 @@ rows:
 				ok = p.pass(cell(l, r, p.at))
 			default:
 				if env == nil {
-					env = &evalEnv{ec: ec, sc: &scope{cols: cols, parent: outer}}
-					if in.right != nil {
-						buf = make([]Value, len(cols))
-					}
+					env = &evalEnv{ec: ec, sc: &scope{off: off, parent: outer}}
+					buf = in.rowBuf()
 				}
 				l, r := in.row(i)
 				env.sc.row = scopeRow(l, r, buf)
@@ -289,15 +297,12 @@ rows:
 // reference's: every selected row is visited in order and passes iff
 // where is true on it. A join's output is evaluated in one reused pair
 // buffer.
-func (ec *execCtx) filterInterpreted(cols []scopeCol, in selection, where Expr, outer *scope) (selection, error) {
+func (ec *execCtx) filterInterpreted(in selection, where Expr, outer *scope) (selection, error) {
 	n := in.len()
 	mask := make([]uint64, (n+63)/64)
-	sc := &scope{cols: cols, parent: outer}
+	sc := &scope{parent: outer}
 	env := &evalEnv{ec: ec, sc: sc}
-	var buf []Value
-	if in.right != nil {
-		buf = make([]Value, len(cols))
-	}
+	buf := in.rowBuf()
 	total := 0
 	for i := 0; i < n; i++ {
 		l, r := in.row(i)

@@ -1045,15 +1045,15 @@ func (p *Parser) parseIdentExpr() (Expr, error) {
 			// table.* in expression position is only valid inside COUNT();
 			// represent as a column ref with Name "*", the evaluator rejects
 			// it outside aggregate contexts.
-			return newColumnRef(name, "*"), nil
+			return &ColumnRef{Table: name, Name: "*"}, nil
 		}
 		col, err := p.expectIdentLike()
 		if err != nil {
 			return nil, err
 		}
-		return newColumnRef(name, col), nil
+		return &ColumnRef{Table: name, Name: col}, nil
 	}
-	return newColumnRef("", name), nil
+	return &ColumnRef{Name: name}, nil
 }
 
 func (p *Parser) parseFuncArgs(name string) (Expr, error) {

@@ -2,16 +2,15 @@ package sqlengine
 
 import "repro/internal/lru"
 
-// Stmt is a prepared statement: a parsed AST plus the planner's structural
-// analysis of every SELECT it contains. A Stmt is bound to the Database that
-// prepared it and is safe for concurrent Exec calls (execution state lives
-// in a per-call context, and both the AST and the plan are immutable after
-// Prepare, but for one atomic verdict cache, selectPlan.uncorrelated).
+// Stmt is a prepared statement: a parsed AST whose names are bound against
+// the Database that prepared it and every SELECT of which is planned
+// (bind.go). It is safe for concurrent Exec calls: execution state lives in
+// a per-call context, and the bound, planned AST is immutable after
+// Prepare.
 type Stmt struct {
-	db    *Database
-	src   string
-	ast   Statement
-	plans map[*SelectStmt]*selectPlan
+	db  *Database
+	src string
+	ast Statement
 }
 
 // SQL returns the statement's source text.
@@ -19,7 +18,7 @@ func (s *Stmt) SQL() string { return s.src }
 
 // Exec runs the prepared statement on the plan the planner chose.
 func (s *Stmt) Exec() (*Result, error) {
-	ec := &execCtx{db: s.db, plans: s.plans}
+	ec := &execCtx{db: s.db}
 	return ec.execStatement(s.ast)
 }
 
@@ -29,7 +28,7 @@ func (s *Stmt) Exec() (*Result, error) {
 // naive plan's: the yardstick VES measures a prediction's efficiency by,
 // and an upper bound on Exec's.
 func (s *Stmt) ExecReference() (*Result, error) {
-	ec := &execCtx{db: s.db}
+	ec := &execCtx{db: s.db, naive: true}
 	return ec.execStatement(s.ast)
 }
 
@@ -62,7 +61,10 @@ func (db *Database) PrepareCached(sql string) (*Stmt, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	st := &Stmt{db: db, src: sql, ast: ast, plans: planStatement(ast)}
+	if err := planStatement(db, ast); err != nil {
+		return nil, false, err
+	}
+	st := &Stmt{db: db, src: sql, ast: ast}
 	if _, read := ast.(*SelectStmt); read {
 		db.plans.Put(sql, st)
 	}

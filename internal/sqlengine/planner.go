@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // This file is the query planner. It analyses parsed SELECTs once (at
@@ -31,9 +30,8 @@ import (
 //     (left, right) position pairs, not rows (hashjoin.go). Residual
 //     conjuncts are evaluated on fewer pairs than the naive loop would, so
 //     they must be safe-total: subquery-free and unable to error on any
-//     input (exprSafeTotal). Any unresolvable or ambiguous column reference
-//     in the ON clause bails to the nested loop, which reproduces the naive
-//     error behaviour exactly.
+//     input (exprSafeTotal). Every name is bound at Prepare (bind.go), so
+//     which side each column lies on is known before anything runs.
 //
 //   - Predicate pushdown: the WHERE conjunction is split and single-table
 //     conjuncts are evaluated during the base-table scan, before the join
@@ -53,38 +51,40 @@ import (
 //     a lazily built per-column hash index (invalidated by any DML)
 //     instead of scanning.
 
-// selectPlan is the planner's per-SELECT structural analysis, computed once
-// at Prepare time from the AST alone (no schema access — column resolution
-// is deferred to execution, where the scopes are known).
+// selectPlan is the planner's per-SELECT analysis, computed once at Prepare
+// time from the bound AST (bind.go), kept in boundSelect.plan and never
+// written after.
 type selectPlan struct {
 	// where is the flattened WHERE conjunction in evaluation order, less its
 	// top-level EXISTS conjuncts; empty when there is nothing else.
 	where []conjunct
 	// exists holds the top-level [NOT] EXISTS conjuncts in evaluation order.
 	exists []existsConjunct
-	// whereSafe reports that every conjunct in where is safe-total — the
-	// precondition for pushdown and the batch filter, which also need every
-	// EXISTS in exists to be uncorrelated (subquery.go).
+	// whereSafe reports that every conjunct in where is safe-total and every
+	// EXISTS in exists uncorrelated — the precondition for pushdown and the
+	// batch filter.
 	whereSafe bool
+	// pushAt holds, per conjunct in where, the FROM item whose scan
+	// evaluates it, or -1: the filter after the FROM's. Because pushdown
+	// requires whereSafe, a row passes the rest of the WHERE iff every
+	// conjunct at -1 is true on it. nil when nothing is pushed (planPush).
+	pushAt []int
 	// anyRow marks the body of an EXISTS: only whether it has a row is
 	// read, so a positions tail returns at most one (positions.go).
 	anyRow bool
-	// uncorrelated caches, once an execution has proved it, that this SELECT
-	// as a subquery reads nothing of an enclosing row (subquery.go). It is
-	// the one field written after Prepare, and only ever from false to true.
-	uncorrelated atomic.Bool
 	// joins holds the ON-clause analysis per FROM item (index aligned with
 	// SelectStmt.From; entry 0 and ON-less items are nil).
 	joins []*joinAnalysis
+	// The tail: a row tail or an aggregate tail on positions, or the
+	// clause that sends the selection to the interpreter's (positions.go).
+	rowTail *rowTailPlan
+	aggTail *aggPlan
+	reason  string
 }
 
 // conjunct is one AND-term of a WHERE or ON clause.
 type conjunct struct {
 	expr Expr
-	// refs lists every column reference in expr (subquery bodies excluded —
-	// a conjunct containing a subquery is never safe, so its refs are
-	// never consulted).
-	refs []*ColumnRef
 	// eq is set when expr is `colref = colref`, the hash-join candidate
 	// shape.
 	eq *eqPattern
@@ -112,121 +112,32 @@ type eqLitPattern struct {
 	lit Value
 }
 
-// joinAnalysis is the flattened ON conjunction of one join.
+// joinAnalysis is the planner's reading of one join's ON conjunction.
 type joinAnalysis struct {
-	conj []conjunct
 	// safe reports every conjunct is safe-total — the hash-join
 	// precondition (residuals run on hash-matched pairs only).
 	safe bool
+	// lcols, rcols and residual split a safe ON clause for the hash join:
+	// its cross-side column equalities, lcols[i] of the left input's rows
+	// equal to rcols[i] of the right's, and the rest. All are nil when there
+	// is no equality, and the nested loop runs.
+	lcols, rcols []int
+	residual     []Expr
 }
 
-// planStatement walks every SELECT nested anywhere in st (FROM subqueries,
-// IN/EXISTS/scalar subqueries, compound arms, DML expressions) and analyses
-// each one. Returns nil when the statement contains no SELECT.
-func planStatement(st Statement) map[*SelectStmt]*selectPlan {
-	m := make(map[*SelectStmt]*selectPlan)
-	switch s := st.(type) {
-	case *SelectStmt:
-		walkSelect(s, m)
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				walkExprSelects(e, m)
-			}
-		}
-	case *UpdateStmt:
-		for _, set := range s.Set {
-			walkExprSelects(set.Value, m)
-		}
-		walkExprSelects(s.Where, m)
-	case *DeleteStmt:
-		walkExprSelects(s.Where, m)
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	return m
-}
-
-func walkSelect(sel *SelectStmt, m map[*SelectStmt]*selectPlan) {
-	if sel == nil {
-		return
-	}
-	if _, done := m[sel]; done {
-		return
-	}
-	m[sel] = planSelect(sel)
-	for i := range sel.From {
-		walkSelect(sel.From[i].Sub, m)
-		walkExprSelects(sel.From[i].On, m)
-	}
-	for _, item := range sel.Columns {
-		walkExprSelects(item.Expr, m)
-	}
-	walkExprSelects(sel.Where, m)
-	for _, e := range sel.GroupBy {
-		walkExprSelects(e, m)
-	}
-	walkExprSelects(sel.Having, m)
-	for _, ob := range sel.OrderBy {
-		walkExprSelects(ob.Expr, m)
-	}
-	walkExprSelects(sel.Limit, m)
-	walkExprSelects(sel.Offset, m)
-	walkSelect(sel.Next, m)
-}
-
-func walkExprSelects(e Expr, m map[*SelectStmt]*selectPlan) {
-	switch x := e.(type) {
-	case nil:
-	case *Unary:
-		walkExprSelects(x.X, m)
-	case *Binary:
-		walkExprSelects(x.L, m)
-		walkExprSelects(x.R, m)
-	case *FuncCall:
-		for _, a := range x.Args {
-			walkExprSelects(a, m)
-		}
-	case *CaseExpr:
-		walkExprSelects(x.Operand, m)
-		for _, w := range x.Whens {
-			walkExprSelects(w.When, m)
-			walkExprSelects(w.Then, m)
-		}
-		walkExprSelects(x.Else, m)
-	case *BetweenExpr:
-		walkExprSelects(x.X, m)
-		walkExprSelects(x.Lo, m)
-		walkExprSelects(x.Hi, m)
-	case *LikeExpr:
-		walkExprSelects(x.X, m)
-		walkExprSelects(x.Pattern, m)
-	case *IsNullExpr:
-		walkExprSelects(x.X, m)
-	case *InExpr:
-		walkExprSelects(x.X, m)
-		for _, le := range x.List {
-			walkExprSelects(le, m)
-		}
-		walkSelect(x.Sub, m)
-	case *ExistsExpr:
-		walkSelect(x.Sub, m)
-		// Not a compound body: UNION and the rest combine whole arms.
-		m[x.Sub].anyRow = x.Sub.Compound == CompoundNone
-	case *SubqueryExpr:
-		walkSelect(x.Sub, m)
-	case *CastExpr:
-		walkExprSelects(x.X, m)
-	}
-}
-
-func planSelect(sel *SelectStmt) *selectPlan {
-	pl := &selectPlan{whereSafe: true}
+// planSelect analyses one bound SELECT core into its boundSelect.plan. A
+// compound arm's tail is planned without the compound's ORDER BY and LIMIT,
+// which its arms never run.
+func planSelect(sel *SelectStmt) {
+	pl := &sel.bound.plan
+	pl.whereSafe = true
 	if sel.Where != nil {
-		for _, e := range flattenAnd(sel.Where, nil) {
+		conj := flattenAnd(sel.Where, nil)
+		pl.where = make([]conjunct, 0, len(conj))
+		for _, e := range conj {
 			if x, ok := e.(*ExistsExpr); ok {
 				pl.exists = append(pl.exists, existsConjunct{x: x, at: len(pl.where)})
+				pl.whereSafe = pl.whereSafe && !x.Sub.bound.correlated
 				continue
 			}
 			c := analyzeConjunct(e)
@@ -239,21 +150,54 @@ func planSelect(sel *SelectStmt) *selectPlan {
 	if len(sel.From) > 1 {
 		pl.joins = make([]*joinAnalysis, len(sel.From))
 		for i := 1; i < len(sel.From); i++ {
-			if sel.From[i].On == nil {
-				continue
+			if sel.From[i].On != nil {
+				pl.joins[i] = planJoin(sel.From[i].On, sel.bound.from[i].off)
 			}
-			ja := &joinAnalysis{safe: true}
-			for _, e := range flattenAnd(sel.From[i].On, nil) {
-				c := analyzeConjunct(e)
-				if !c.safe {
-					ja.safe = false
-				}
-				ja.conj = append(ja.conj, c)
-			}
-			pl.joins[i] = ja
 		}
 	}
-	return pl
+	pl.pushAt = planPush(sel, pl)
+	core := *sel
+	if sel.Compound != CompoundNone {
+		core.OrderBy, core.Limit, core.Offset = nil, nil, nil
+	}
+	if len(sel.GroupBy) > 0 || anyAggregate(&core) {
+		pl.aggTail, pl.reason = planAggTail(&core)
+	} else {
+		pl.rowTail, pl.reason = planRowTail(&core)
+	}
+}
+
+// planJoin analyses the ON clause of the join whose right input starts at
+// slot right of the FROM row: a column of the left input lies before it.
+func planJoin(on Expr, right int) *joinAnalysis {
+	ja := &joinAnalysis{safe: true}
+	var conj []conjunct
+	for _, e := range flattenAnd(on, nil) {
+		c := analyzeConjunct(e)
+		ja.safe = ja.safe && c.safe
+		conj = append(conj, c)
+	}
+	if !ja.safe {
+		return ja
+	}
+	for _, c := range conj {
+		if c.eq != nil && c.eq.a.depth == 0 && c.eq.b.depth == 0 {
+			a, b := c.eq.a.slot, c.eq.b.slot
+			if b < a {
+				a, b = b, a
+			}
+			if a < right && b >= right {
+				ja.lcols, ja.rcols = append(ja.lcols, a), append(ja.rcols, b-right)
+				continue
+			}
+		}
+		// Same-side or correlated equality: plain residual filter.
+		ja.residual = append(ja.residual, c.expr)
+	}
+	if ja.lcols == nil {
+		ja.residual = nil
+	}
+	return ja
 }
 
 // flattenAnd appends the AND-tree leaves of e to dst in evaluation order.
@@ -266,7 +210,6 @@ func flattenAnd(e Expr, dst []Expr) []Expr {
 
 func analyzeConjunct(e Expr) conjunct {
 	c := conjunct{expr: e, safe: exprSafeTotal(e)}
-	c.refs = collectRefs(e, nil)
 	if b, ok := e.(*Binary); ok && b.Op == "=" {
 		lref, lok := b.L.(*ColumnRef)
 		rref, rok := b.R.(*ColumnRef)
@@ -332,9 +275,8 @@ func collectRefs(e Expr, dst []*ColumnRef) []*ColumnRef {
 // exprSafeTotal reports whether e is pure and total: it contains no
 // subquery (a subquery's body can fail, and fills the statement's memo) and
 // cannot return an evaluation error on any input row, so evaluating it on a
-// different row set cannot change whether the query fails. Column
-// references are validated separately at execution time, where the scopes
-// are known.
+// different row set cannot change whether the query fails. Every column
+// reference is bound at Prepare, so reading one cannot fail.
 func exprSafeTotal(e Expr) bool {
 	switch x := e.(type) {
 	case *Literal:
@@ -438,90 +380,39 @@ func scalarCallSafe(fc *FuncCall) bool {
 	return false
 }
 
-// --- Execution-time planning helpers ---
-
-// fromPlan is the pushdown placement for one FROM chain, computed per
-// execution (placement depends on the catalog and the outer scope, which
-// are not known at Prepare time). The zero fromPlan pushes nothing.
-type fromPlan struct {
-	// cols holds each FROM item's columns as its scan exposes them, when
-	// every item is a base table; the scans reuse them.
-	cols [][]scopeCol
-	// at holds, per WHERE conjunct (selectPlan.where), the FROM item whose
-	// scan evaluates it, or -1: the post-join filter's. Because pushdown
-	// requires every conjunct but the EXISTS ones (settled apart) to be
-	// safe-total, a row passes the rest of the WHERE iff every conjunct at
-	// -1 is true on it. nil when nothing is pushed.
-	at []int
-}
-
-// pushedAt reports whether where[k] is pushed into the scan of item i.
-func (fp *fromPlan) pushedAt(k, i int) bool { return fp.at != nil && fp.at[k] == i }
-
-// planFrom decides pushdown placement. Nothing is pushed — the FROM
-// relation is filtered whole — unless every placement rule holds: every
-// WHERE and ON conjunct safe-total, every FROM item a base table, and every
-// column reference resolving uniquely (ambiguity and no-such-column must
-// surface exactly as the naive executor surfaces them). A join under an
-// uncorrelated EXISTS pushes nothing either: when no row passes, the reach
-// proof (settleExists) reads the FROM relation, which the join then has
-// built whole. A conjunct is pushed into the one item its columns belong
-// to, unless that item is the right side of a LEFT JOIN.
-func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) fromPlan {
-	items := sel.From
+// planPush decides pushdown placement. Nothing is pushed — the FROM
+// relation is filtered whole — unless every placement rule holds: the
+// WHERE is safe (whereSafe), every ON conjunct is safe-total and every FROM
+// item a base table. A join under an uncorrelated EXISTS pushes nothing
+// either: when no row passes, the reach proof (settleExists) reads the FROM
+// relation, which the join then has built whole. A conjunct is pushed into
+// the one item its columns belong to, unless that item is the right side of
+// a LEFT JOIN; a reference to an enclosing row is read through the scan's
+// scope as anywhere else.
+func planPush(sel *SelectStmt, pl *selectPlan) []int {
+	items, from := sel.From, sel.bound.from
 	n := len(items)
-	if pl == nil || len(pl.where) == 0 || !pl.whereSafe || n == 0 || n > 1 && len(pl.exists) > 0 {
-		return fromPlan{}
+	if len(pl.where) == 0 || !pl.whereSafe || n == 0 || n > 1 && len(pl.exists) > 0 {
+		return nil
 	}
-	itemCols := make([][]scopeCol, n)
 	for i := range items {
-		if items[i].Sub != nil {
-			return fromPlan{}
-		}
-		t, ok := ec.db.Table(items[i].Table)
-		if !ok {
-			return fromPlan{} // let the naive scan raise "no such table"
-		}
-		itemCols[i] = scanCols(strings.ToLower(items[i].Name()), t)
-	}
-	none := fromPlan{cols: itemCols}
-	// Pushdown shrinks join inputs, so the ON clauses get evaluated on
-	// fewer pairs than the naive executor evaluates them on. That is only
-	// invisible when every ON conjunct is safe-total and every ON column
-	// reference resolves cleanly (an unresolvable reference errors naively
-	// on the first pair — pushdown could empty an input and mask it).
-	// Anything less: no pushdown.
-	for i := 1; i < n; i++ {
-		if items[i].On == nil {
-			continue
-		}
-		ja := pl.joins[i]
-		if ja == nil || !ja.safe {
-			return none
-		}
-		// The ON of join i sees the columns of items 0..i.
-		for _, c := range ja.conj {
-			for _, r := range c.refs {
-				if _, cnt := resolveItems(itemCols[:i+1], r); cnt > 1 || cnt == 0 && outerResolveClass(outer, r) != 1 {
-					return none
-				}
-			}
+		if items[i].Sub != nil || pl.joins != nil && pl.joins[i] != nil && !pl.joins[i].safe {
+			return nil
 		}
 	}
 	at := make([]int, len(pl.where))
 	anyPushed := false
 	for k, c := range pl.where {
 		target := -1 // item index; -1 undecided, -2 multi-item
-		for _, r := range c.refs {
-			item, cnt := resolveItems(itemCols, r)
-			if cnt > 1 {
-				return none // naive evaluation raises "ambiguous column name"
+		// A conjunct containing a subquery is never safe, so no reference
+		// in a subquery body is missed here.
+		for _, r := range collectRefs(c.expr, nil) {
+			if r.depth > 0 {
+				continue
 			}
-			if cnt == 0 {
-				if outerResolveClass(outer, r) != 1 {
-					return none // "no such column" (or outer ambiguity) must surface naively
-				}
-				continue // correlated reference: fine, scan scopes chain to outer
+			item := 0
+			for item+1 < n && from[item+1].off <= r.slot {
+				item++
 			}
 			if target == -1 {
 				target = item
@@ -537,85 +428,9 @@ func (ec *execCtx) planFrom(pl *selectPlan, sel *SelectStmt, outer *scope) fromP
 		}
 	}
 	if !anyPushed {
-		return none
+		return nil
 	}
-	return fromPlan{cols: itemCols, at: at}
-}
-
-// resolves reports whether every column reference in conj resolves
-// uniquely in cols or, absent there, in the outer scopes. Otherwise the
-// interpreter must filter: it raises "no such column" or "ambiguous column
-// name" on the first row its AND chain reaches the reference on, and a
-// kernel earlier in the batch filter may have rejected that row.
-func resolves(conj []conjunct, cols []scopeCol, outer *scope) bool {
-	for _, c := range conj {
-		for _, r := range c.refs {
-			switch _, n := resolveCols(cols, r); {
-			case n > 1, n == 0 && outerResolveClass(outer, r) != 1:
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// resolveItems resolves a column reference against the FROM items' columns
-// as one scope level (the executor's join scope), returning the owning item
-// and the total number of matches across all items.
-func resolveItems(itemCols [][]scopeCol, cr *ColumnRef) (item, count int) {
-	lt, ln := cr.folded()
-	item = -1
-	for i, cols := range itemCols {
-		for _, c := range cols {
-			if c.name != ln {
-				continue
-			}
-			if lt != "" && c.table != lt {
-				continue
-			}
-			count++
-			if item == -1 {
-				item = i
-			}
-		}
-	}
-	return item, count
-}
-
-// resolveCols counts matches for a reference within one column list,
-// returning the first matching position.
-func resolveCols(cols []scopeCol, cr *ColumnRef) (idx, count int) {
-	lt, ln := cr.folded()
-	idx = -1
-	for i, c := range cols {
-		if c.name != ln {
-			continue
-		}
-		if lt != "" && c.table != lt {
-			continue
-		}
-		count++
-		if idx == -1 {
-			idx = i
-		}
-	}
-	return idx, count
-}
-
-// outerResolveClass classifies how a reference resolves in the outer scope
-// chain: 1 = uniquely at some level, 2 = ambiguous at the first level that
-// matches, 0 = nowhere.
-func outerResolveClass(outer *scope, cr *ColumnRef) int {
-	for cur := outer; cur != nil; cur = cur.parent {
-		_, n := resolveCols(cur.cols, cr)
-		if n == 1 {
-			return 1
-		}
-		if n > 1 {
-			return 2
-		}
-	}
-	return 0
+	return at
 }
 
 // coarseKey appends an equality bucket key for v: values that compare equal

@@ -67,13 +67,21 @@ func BenchmarkPointLookup(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) { benchQuery(b, true, q) })
 }
 
-// BenchmarkPrepare contrasts a cold parse+plan per execution with the
-// prepared-plan cache hit path that Database.Exec rides.
+// BenchmarkPrepare contrasts a cold parse, and a cold parse, bind and plan
+// (what a statement's first Prepare costs), with the prepared-plan cache
+// hit path that Database.Exec rides.
 func BenchmarkPrepare(b *testing.B) {
 	eng := financialEngine(b)
 	b.Run("cold-parse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sqlengine.Parse(join3Query); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold-prepare", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := sqlengine.PrepareUncached(eng, join3Query); err != nil {
 				b.Fatal(err)
 			}
 		}

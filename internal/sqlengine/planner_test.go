@@ -218,17 +218,19 @@ var crossCheckQueries = []string{
 	// Aliases and qualified stars.
 	"SELECT a.id, b.label FROM t AS a JOIN g AS b ON a.grp = b.grp WHERE a.flag = 1",
 	"SELECT b.* FROM t AS a JOIN g AS b ON a.grp = b.grp LIMIT 5",
-	// Error shapes must error identically.
-	"SELECT id FROM t JOIN g ON t.grp = g.grp WHERE nonexistent = 1",
-	"SELECT t.id FROM t JOIN acc ON t.id = acc.id WHERE id = 1",
+	// Error shapes must error identically: a function nothing defines, and
+	// one called with the wrong number of arguments. (A name that does not
+	// bind fails at Prepare, in both.)
+	"SELECT id FROM t JOIN g ON t.grp = g.grp WHERE NOSUCH(t.id) = 1",
+	"SELECT t.id FROM t JOIN acc ON t.id = acc.id WHERE SUBSTR(acc.kind) = 'a'",
 	// Unsafe ON clauses must disable pushdown: an ON subquery runs per
 	// evaluated pair, so the pairs must stay naive.
 	"SELECT t.id FROM t JOIN g ON t.grp = g.grp AND (SELECT COUNT(*) FROM g) > 0 WHERE t.id = 2",
-	// An unresolvable ON reference must error exactly when the naive
-	// executor errors — even when a pushable WHERE would empty a scan
+	// An ON clause that fails on every pair must error exactly when the
+	// naive executor errors — even when a pushable WHERE would empty a scan
 	// and the ON would never be evaluated.
-	"SELECT t.id FROM t JOIN g ON t.grp = g.nosuch WHERE t.id = 2",
-	"SELECT t.id FROM t JOIN g ON t.grp = g.nosuch WHERE t.id = 99999",
+	"SELECT t.id FROM t JOIN g ON t.grp = NOSUCH(g.grp) WHERE t.id = 2",
+	"SELECT t.id FROM t JOIN g ON t.grp = NOSUCH(g.grp) WHERE t.id = 99999",
 }
 
 // tailCheckQueries cover what happens after the scan of one table — ORDER
@@ -291,9 +293,9 @@ var tailCheckQueries = []string{
 	"SELECT id FROM m ORDER BY a, id LIMIT 1 + 2",
 	"SELECT id FROM m ORDER BY a, id LIMIT 2 OFFSET (SELECT 1)",
 	"SELECT id FROM m ORDER BY 9 LIMIT 2",
-	"SELECT id FROM m ORDER BY nosuch LIMIT 2",
+	"SELECT id FROM m ORDER BY NOSUCH(a) LIMIT 2",
 	"SELECT id FROM m WHERE a > (SELECT 1) ORDER BY a, id LIMIT 2",
-	"SELECT id FROM m WHERE a > 0 AND nosuch = 1 ORDER BY a LIMIT 2",
+	"SELECT id FROM m WHERE a > 0 AND NOSUCH(a) = 1 ORDER BY a LIMIT 2",
 	// Aggregates: every accumulator, over everything, over an empty
 	// selection (index miss, kernel miss), over an all-NULL column, over
 	// mixed INTEGER/REAL and mixed-kind cells.
@@ -373,15 +375,16 @@ var tailCheckQueries = []string{
 	"SELECT acc.kind, COUNT(*) FROM t JOIN g ON t.grp = g.grp JOIN acc ON acc.t_id = t.id GROUP BY acc.kind ORDER BY 1",
 	"SELECT t.id FROM t JOIN acc ON t.id = acc.t_id WHERE t.id = 99999 ORDER BY acc.id LIMIT 2",
 	"SELECT g.label FROM t JOIN g ON t.grp = g.grp WHERE t.flag = 1 EXCEPT SELECT g.label FROM t JOIN g ON t.grp = g.grp WHERE t.num > 90",
-	// Pair-tail fallbacks and errors: a column both sides have, by name and
-	// over no rows (where nothing may be raised), expressions, HAVING.
-	"SELECT grp FROM t JOIN g ON t.grp = g.grp",
-	"SELECT grp FROM t JOIN g ON t.grp = g.grp WHERE t.id = 99999",
-	"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY grp LIMIT 3",
-	"SELECT COUNT(grp) FROM t JOIN g ON t.grp = g.grp",
+	// Pair-tail fallbacks and errors: a function nothing defines, in the
+	// select list, over no rows (where nothing may be raised), in ORDER BY
+	// and in an aggregate; expressions, HAVING.
+	"SELECT NOSUCH(g.grp) FROM t JOIN g ON t.grp = g.grp",
+	"SELECT NOSUCH(g.grp) FROM t JOIN g ON t.grp = g.grp WHERE t.id = 99999",
+	"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY NOSUCH(t.grp) LIMIT 3",
+	"SELECT COUNT(NOSUCH(t.grp)) FROM t JOIN g ON t.grp = g.grp",
 	"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight, t.id LIMIT 3",
 	"SELECT g.label, COUNT(*) FROM t JOIN g ON t.grp = g.grp GROUP BY g.label HAVING COUNT(*) > 3",
-	"SELECT t.id FROM t JOIN g ON t.grp = g.grp WHERE NOT (nosuch = 1)",
+	"SELECT t.id FROM t JOIN g ON t.grp = g.grp WHERE NOT (NOSUCH(t.id) = 1)",
 	// The row-reading comparison kernels over a column of every kind (mixed:
 	// INTEGER, REAL, TEXT, NULL): a TEXT or INTEGER literal, which compares a
 	// cell of its own kind directly, and numeric-looking TEXT ('01'), which
@@ -581,47 +584,47 @@ func TestNegativeZeroBucketing(t *testing.T) {
 }
 
 // TestResolveHashJoinClassification white-box checks which ON clauses the
-// planner hashes and which fall back.
+// planner hashes and which fall back, and that an ON reference that does
+// not bind fails the statement at Prepare.
 func TestResolveHashJoinClassification(t *testing.T) {
 	db := buildMultiDB(5, 20)
-	left := &rowSet{cols: []scopeCol{{"t", "id"}, {"t", "grp"}}}
-	right := &rowSet{cols: []scopeCol{{"g", "grp"}, {"g", "weight"}}}
-
 	cases := []struct {
 		on        string
 		wantHash  bool
 		wantEquis int
 		wantResid int
+		wantErr   string
 	}{
-		{"t.grp = g.grp", true, 1, 0},
-		{"g.grp = t.grp", true, 1, 0},
-		{"t.grp = g.grp AND t.id > g.weight", true, 1, 1},
-		{"t.id > g.weight", false, 0, 0},                      // no equi
-		{"t.id = t.id", false, 0, 0},                          // same-side only
-		{"t.grp = g.grp AND t.id = missing_col", false, 0, 0}, // unresolvable ref
-		{"grp = g.weight", false, 0, 0},                       // ambiguous "grp"... resolves twice
+		{on: "t.grp = g.grp", wantHash: true, wantEquis: 1},
+		{on: "g.grp = t.grp", wantHash: true, wantEquis: 1},
+		{on: "t.grp = g.grp AND t.id > g.weight", wantHash: true, wantEquis: 1, wantResid: 1},
+		{on: "t.id > g.weight"}, // no equi
+		{on: "t.id = t.id"},     // same-side only
+		{on: "t.grp = g.grp AND t.id = missing_col", wantErr: "no such column: missing_col"},
+		{on: "grp = g.weight", wantErr: `ambiguous column name "grp"`},
 	}
-	_ = db
 	for _, tc := range cases {
-		sel, err := ParseSelect("SELECT 1 FROM t JOIN g ON " + tc.on)
-		if err != nil {
-			t.Fatalf("parse ON %q: %v", tc.on, err)
+		sql := "SELECT 1 FROM t JOIN g ON " + tc.on
+		st, err := db.Prepare(sql)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("ON %q: Prepare error %v, want one containing %q", tc.on, err, tc.wantErr)
+			}
+			continue
 		}
-		pl := planSelect(sel)
-		ja := pl.joins[1]
+		if err != nil {
+			t.Fatalf("prepare ON %q: %v", tc.on, err)
+		}
+		ja := st.ast.(*SelectStmt).bound.plan.joins[1]
 		if ja == nil {
 			t.Fatalf("no join analysis for %q", tc.on)
 		}
-		equis, resid, ok := resolveHashJoin(left, right, ja, nil)
-		if ok != tc.wantHash {
-			t.Errorf("ON %q: hashable = %v, want %v", tc.on, ok, tc.wantHash)
+		if hashed := ja.lcols != nil; hashed != tc.wantHash {
+			t.Errorf("ON %q: hashable = %v, want %v", tc.on, hashed, tc.wantHash)
 			continue
 		}
-		if !ok {
-			continue
-		}
-		if len(equis) != tc.wantEquis || len(resid) != tc.wantResid {
-			t.Errorf("ON %q: equis=%d resid=%d, want %d/%d", tc.on, len(equis), len(resid), tc.wantEquis, tc.wantResid)
+		if len(ja.lcols) != tc.wantEquis || len(ja.residual) != tc.wantResid {
+			t.Errorf("ON %q: equis=%d resid=%d, want %d/%d", tc.on, len(ja.lcols), len(ja.residual), tc.wantEquis, tc.wantResid)
 		}
 	}
 }

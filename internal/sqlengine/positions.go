@@ -34,10 +34,11 @@ import "slices"
 // cannot be observed: every expression it skips is a column read that
 // cannot fail, and LIMIT/OFFSET are constants. Everything else — expression
 // keys or projections, DISTINCT aggregates, HAVING, an ORDER BY that needs
-// the row's environment, a computed LIMIT, a column name the two sides of a
-// join share — materialises the selection once (for a join: builds the
-// joined rows it kept) and continues on projectTail, the interpreter's tail,
-// which is the naive executor's and stays the reference implementation.
+// the row's environment, a computed LIMIT — materialises the selection once
+// (for a join: builds the joined rows it kept) and continues on
+// projectTail, the interpreter's tail, which is the naive executor's and
+// stays the reference implementation. Which consumer runs is decided at
+// Prepare, from the bound select list (planSelect).
 
 // Result.Path values: the consumer, prefixed by what it consumed — one
 // relation's positions or a join's pairs — or rows with the clause that sent
@@ -68,61 +69,55 @@ func (ec *execCtx) notePath(sel *SelectStmt, path string) {
 
 // tailPositions produces a planned SELECT's result from the selection its
 // FROM and WHERE left — one relation's rows or a join's pairs: the consumer
-// the select list allows, or projectTail over the materialised selection.
-// anyRow (an EXISTS body, which is asked only whether it has a row) has a
-// consumer return the first row of its result and no more.
-func (ec *execCtx) tailPositions(sel *SelectStmt, src *rowSet, s selection, outer *scope, anyRow bool) (*Rows, error) {
+// the plan chose, or projectTail over the materialised selection. anyRow
+// (an EXISTS body, which is asked only whether it has a row) has a consumer
+// return the first row of its result and no more.
+func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl *selectPlan) (*Rows, error) {
 	path := func(positions, pairs string) string {
 		if s.right != nil {
 			return pairs
 		}
 		return positions
 	}
-	columns := projectionNames(sel, src)
-	var reason string
-	if len(sel.GroupBy) > 0 || anyAggregate(sel) {
-		var ap *aggPlan
-		if ap, reason = planAggTail(sel, src.cols, columns); ap != nil {
-			ec.notePath(sel, path(pathAgg, pathPairsAgg))
-			return ec.aggregatePositions(sel, s, ap, columns, outer, anyRow)
+	switch {
+	case pl.aggTail != nil:
+		ec.notePath(sel, path(pathAgg, pathPairsAgg))
+		return ec.aggregatePositions(sel, s, pl.aggTail, outer, pl.anyRow)
+	case pl.rowTail != nil:
+		if len(pl.rowTail.keys) > 0 {
+			ec.notePath(sel, path(pathTopK, pathPairsTopK))
+		} else {
+			ec.notePath(sel, path(pathGather, pathPairsGather))
 		}
-	} else {
-		var rp *rowTailPlan
-		if rp, reason = planRowTail(sel, src.cols, columns); rp != nil {
-			if len(rp.keys) > 0 {
-				ec.notePath(sel, path(pathTopK, pathPairsTopK))
-			} else {
-				ec.notePath(sel, path(pathGather, pathPairsGather))
-			}
-			return ec.rowTailPositions(sel, s, rp, columns, outer, anyRow)
-		}
+		return ec.rowTailPositions(sel, s, pl.rowTail, outer, pl.anyRow)
 	}
-	ec.notePath(sel, reason)
-	return ec.projectTail(sel, src, s.materialise(), outer)
+	ec.notePath(sel, pl.reason)
+	return ec.projectTail(sel, s.materialise(), outer)
 }
 
-// scanPositions is the scan of base table i under the conjuncts of where fp
-// pushes into it (none: every row): the first usable `col = literal`
-// conjunct narrows the scan to the column's equality-index bucket (already a
-// selection, ascending, so emission order is a full scan's), and every
-// pushed conjunct — the indexed equality included, re-verified with real `=`
-// semantics — then filters what is left, through kernels: over the column
-// vectors for a full scan, and over the rows themselves for a bucket, which
-// is small and not worth a vector. The scan is charged the rows it reads:
-// the bucket, or the table.
-func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, where []conjunct, fp *fromPlan, i int, outer *scope) (selection, error) {
+// scanPositions is the scan of base table i, whose first column is slot off
+// of the FROM row, under the conjuncts pl pushes into it (none: every row):
+// the first `col = literal` conjunct narrows the scan to the column's
+// equality-index bucket (already a selection, ascending, so emission order
+// is a full scan's), and every pushed conjunct — the indexed equality
+// included, re-verified with real `=` semantics — then filters what is
+// left, through kernels: over the column vectors for a full scan, and over
+// the rows themselves for a bucket, which is small and not worth a vector.
+// The scan is charged the rows it reads: the bucket, or the table.
+func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope) (selection, error) {
 	s := selection{rows: t.Rows, all: true}
 	pushed := false
-	for k, c := range where {
-		if !fp.pushedAt(k, i) {
+	ps := predSource{off: off}
+	for k, c := range pl.where {
+		if pl.pushAt[k] != i {
 			continue
 		}
 		pushed = true
 		if c.eqLit == nil || !s.all {
 			continue
 		}
-		col, cnt := resolveCols(cols, c.eqLit.col)
-		if cnt != 1 {
+		col, ok := ps.col(c.eqLit.col)
+		if !ok {
 			continue
 		}
 		if c.eqLit.lit.IsNull() { // `col = NULL` is never true: nothing selected
@@ -134,17 +129,16 @@ func (ec *execCtx) scanPositions(t *Table, cols []scopeCol, where []conjunct, fp
 	if err := ec.charge(int64(s.len())); err != nil || !pushed || s.len() == 0 {
 		return s, err
 	}
-	ps := predSource{cols: cols}
 	if s.all {
 		ps.t = t
 	}
 	preds := make([]rowPred, 0, 4)
-	for k, c := range where {
-		if fp.pushedAt(k, i) {
+	for k, c := range pl.where {
+		if pl.pushAt[k] == i {
 			preds = append(preds, compilePred(ps, c.expr))
 		}
 	}
-	return ec.filterPositions(cols, s, preds, outer)
+	return ec.filterPositions(s, preds, off, outer)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---
@@ -168,20 +162,21 @@ type rowTailPlan struct {
 // planRowTail proves a non-grouped select list runs on positions, or names
 // the clause that prevents it. The select list must be stars, bare columns
 // and literals; every ORDER BY term must be one evalOrderTerm answers with a
-// column read — an in-range ordinal, an output column name (both read the
-// projected column), or a column reference resolving uniquely in the scan
-// — because those cannot fail on any row, which makes sorting fewer rows
-// than the interpreter unobservable; and LIMIT/OFFSET must be constants for
-// the same reason, since they are read before the sort instead of after.
-func planRowTail(sel *SelectStmt, cols []scopeCol, columns []string) (*rowTailPlan, string) {
-	ixs, consts, ok := projectionCols(sel, cols)
+// column read — an output column (an in-range ordinal or an output
+// column's name, both read the projected column) or a column of the FROM
+// row — because those cannot fail on any row, which makes sorting fewer
+// rows than the interpreter unobservable; and LIMIT/OFFSET must be
+// constants for the same reason, since they are read before the sort
+// instead of after.
+func planRowTail(sel *SelectStmt) (*rowTailPlan, string) {
+	ixs, consts, ok := projectionCols(sel)
 	if !ok {
 		return nil, pathRowsProjection
 	}
 	rp := &rowTailPlan{ixs: ixs, consts: consts}
-	for _, ob := range sel.OrderBy {
-		col, ok := bareColumn(ob.Expr, cols)
-		if oi := outputOrderTerm(ob.Expr, columns); oi >= 0 {
+	for j, ob := range sel.OrderBy {
+		col, ok := localCol(ob.Expr)
+		if oi := sel.bound.order[j]; oi >= 0 {
 			col, ok = ixs[oi], true
 		}
 		if !ok {
@@ -212,11 +207,11 @@ func constLimit(e Expr) bool {
 // thins the selection to first occurrences, ORDER BY picks the window's
 // positions through the heap (without it the window is a slice of the
 // selection), and only the window — for anyRow its first row — is gathered.
-func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPlan, columns []string, outer *scope, anyRow bool) (*Rows, error) {
+func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPlan, outer *scope, anyRow bool) (*Rows, error) {
 	if sel.Distinct {
 		s = distinctPositions(s, rp.ixs)
 	}
-	out := &Rows{Columns: columns}
+	out := &Rows{Columns: sel.bound.columns}
 	n := s.len()
 	if n == 0 {
 		return out, nil // no rows at all: Data stays nil, as from projectTail
@@ -421,12 +416,12 @@ type aggPlan struct {
 // select item a bare column or one of COUNT(*), COUNT/SUM/TOTAL/AVG/MIN/
 // MAX(bare column) without DISTINCT; no HAVING; ORDER BY by ordinal or
 // output column name only, because finishSelect sorts the group rows
-// without an environment to evaluate anything else in. Every reference
-// must resolve uniquely in the scan, so no item can fail.
-func planAggTail(sel *SelectStmt, cols []scopeCol, columns []string) (*aggPlan, string) {
+// without an environment to evaluate anything else in. Every column must be
+// the FROM row's, so no item can fail.
+func planAggTail(sel *SelectStmt) (*aggPlan, string) {
 	ap := &aggPlan{}
 	for _, ge := range sel.GroupBy {
-		col, ok := bareColumn(ge, cols)
+		col, ok := localCol(ge)
 		if !ok {
 			return nil, pathRowsGroupBy
 		}
@@ -436,7 +431,7 @@ func planAggTail(sel *SelectStmt, cols []scopeCol, columns []string) (*aggPlan, 
 		if item.Star {
 			return nil, pathRowsProjection
 		}
-		if col, ok := bareColumn(item.Expr, cols); ok {
+		if col, ok := localCol(item.Expr); ok {
 			ap.items = append(ap.items, aggItem{fn: aggGroupCol, col: col})
 			continue
 		}
@@ -444,7 +439,7 @@ func planAggTail(sel *SelectStmt, cols []scopeCol, columns []string) (*aggPlan, 
 		if !ok || !isAggregateCall(fc) {
 			return nil, pathRowsProjection
 		}
-		it, ok := aggItemOf(fc, cols)
+		it, ok := aggItemOf(fc)
 		if !ok {
 			return nil, pathRowsAggregate
 		}
@@ -453,15 +448,15 @@ func planAggTail(sel *SelectStmt, cols []scopeCol, columns []string) (*aggPlan, 
 	if sel.Having != nil {
 		return nil, pathRowsHaving
 	}
-	for _, ob := range sel.OrderBy {
-		if outputOrderTerm(ob.Expr, columns) < 0 {
+	for j := range sel.OrderBy {
+		if sel.bound.order[j] < 0 {
 			return nil, pathRowsOrderBy
 		}
 	}
 	return ap, ""
 }
 
-func aggItemOf(fc *FuncCall, cols []scopeCol) (aggItem, bool) {
+func aggItemOf(fc *FuncCall) (aggItem, bool) {
 	if fc.Distinct {
 		return aggItem{}, false
 	}
@@ -471,7 +466,7 @@ func aggItemOf(fc *FuncCall, cols []scopeCol) (aggItem, bool) {
 	if len(fc.Args) != 1 {
 		return aggItem{}, false
 	}
-	col, ok := bareColumn(fc.Args[0], cols)
+	col, ok := localCol(fc.Args[0])
 	if !ok {
 		return aggItem{}, false
 	}
@@ -564,7 +559,7 @@ func (st *aggState) result(fn aggFn) Value {
 // accumulators; then one output row per group, and the interpreter's own
 // DISTINCT/ORDER BY/LIMIT over those few rows, of which anyRow keeps the
 // first.
-func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan, columns []string, outer *scope, anyRow bool) (*Rows, error) {
+func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan, outer *scope, anyRow bool) (*Rows, error) {
 	w := len(ap.items)
 	var (
 		states []aggState // w per group, group-major
@@ -628,7 +623,7 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		}
 	}
 
-	out := &selOutput{columns: columns}
+	out := &selOutput{columns: sel.bound.columns}
 	backing := make([]Value, len(reps)*w)
 	for g, rep := range reps {
 		vals := backing[g*w : (g+1)*w : (g+1)*w]
@@ -646,7 +641,7 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 	if sel.Distinct {
 		dedupeOutput(out)
 	}
-	if err := ec.finishSelect(sel, out, outer, nil); err != nil {
+	if err := ec.finishSelect(sel, out, outer); err != nil {
 		return nil, err
 	}
 	if anyRow && len(out.data) > 1 {

@@ -55,12 +55,14 @@ func TestUncorrelatedSubqueryMemoized(t *testing.T) {
 // TestUncorrelatedMemoInBothExecutors checks that memoization is not the
 // planner's: the naive reference, too, runs an uncorrelated subquery once
 // per statement, so it charges one scan of each table (400), and the
-// planned engine agrees with it.
+// planned engine agrees with it. A derived table in the body is bound like
+// any other source, so it does not make the body correlated.
 func TestUncorrelatedMemoInBothExecutors(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(*) FROM outer_t WHERE EXISTS (SELECT 1 FROM inner_t)`,
 		`SELECT COUNT(*) FROM outer_t WHERE grp IN (SELECT grp FROM inner_t WHERE id < 3)`,
 		`SELECT COUNT(*) FROM outer_t WHERE id > (SELECT MIN(id) FROM inner_t)`,
+		`SELECT COUNT(*) FROM outer_t WHERE grp IN (SELECT s.grp FROM (SELECT grp FROM inner_t WHERE id < 3) AS s)`,
 	}
 	db := subqueryFixture(t, 200)
 	for _, q := range queries {
@@ -102,39 +104,50 @@ func TestCorrelatedSubqueryStillPerRow(t *testing.T) {
 	}
 }
 
-// TestSubqueryCorrelationCheck unit-tests the static walker on shapes the
-// executor will meet, including the conservative fallbacks.
+// TestSubqueryCorrelationCheck checks the bind pass's correlation verdict
+// for a subquery evaluated on outer_t's rows: it is correlated iff a
+// reference in it binds to outer_t's level. A name that binds nowhere, or a
+// missing table, fails the statement at Prepare.
 func TestSubqueryCorrelationCheck(t *testing.T) {
 	db := subqueryFixture(t, 10)
 	cases := []struct {
-		sub  string
-		want bool
+		sub     string
+		want    bool
+		wantErr string
 	}{
-		{`SELECT 1 FROM inner_t`, false},
-		{`SELECT grp FROM inner_t WHERE id < 5`, false},
-		{`SELECT 1 FROM inner_t WHERE inner_t.grp = outer_t.grp`, true},
-		// Unqualified name that only an outer table can supply.
-		{`SELECT 1 FROM inner_t WHERE missing_col = 1`, true},
+		{sub: `SELECT 1 FROM inner_t`},
+		{sub: `SELECT grp FROM inner_t WHERE id < 5`},
+		{sub: `SELECT 1 FROM inner_t WHERE inner_t.grp = outer_t.grp`, want: true},
+		// Unqualified names: the inner level wins, and one that only the
+		// outer table supplies is correlation.
+		{sub: `SELECT 1 FROM inner_t AS i WHERE i.id = grp`},
+		{sub: `SELECT 1 FROM (SELECT id AS k FROM inner_t) AS s WHERE k = grp`, want: true},
 		// Nested subquery referencing the middle level stays uncorrelated
-		// as a whole.
-		{`SELECT 1 FROM inner_t WHERE grp IN (SELECT grp FROM inner_t WHERE id < 2)`, false},
-		// Unknown table: conservative — treated as correlated.
-		{`SELECT 1 FROM no_such_table`, true},
+		// as a whole; one that reaches the outer row does not.
+		{sub: `SELECT 1 FROM inner_t WHERE grp IN (SELECT grp FROM inner_t WHERE id < 2)`},
+		{sub: `SELECT 1 FROM inner_t WHERE grp IN (SELECT grp FROM inner_t AS i WHERE i.id < outer_t.id)`, want: true},
+		// A derived table is bound like any other source.
+		{sub: `SELECT 1 FROM (SELECT grp FROM inner_t) AS s WHERE s.grp = 1`},
+		{sub: `SELECT 1 FROM (SELECT grp FROM inner_t WHERE id = outer_t.id) AS s`, want: true},
+		// LIMIT is evaluated outside the subquery's own FROM.
+		{sub: `SELECT 1 FROM inner_t LIMIT outer_t.id`, want: true},
+		{sub: `SELECT 1 FROM inner_t WHERE missing_col = 1`, wantErr: "no such column: missing_col"},
+		{sub: `SELECT 1 FROM no_such_table`, wantErr: "no such table: no_such_table"},
 	}
 	for _, c := range cases {
-		st, err := Parse(c.sub)
-		if err != nil {
-			if c.want {
-				continue // unparseable shapes can't be memoized either way
+		st, err := db.Prepare(`SELECT id FROM outer_t WHERE EXISTS (` + c.sub + `)`)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%q: Prepare error %v, want one containing %q", c.sub, err, c.wantErr)
 			}
-			t.Fatalf("parse %q: %v", c.sub, err)
+			continue
 		}
-		sel, ok := st.(*SelectStmt)
-		if !ok {
-			t.Fatalf("%q parsed to %T", c.sub, st)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sub, err)
 		}
-		if got := subqueryCorrelated(db, sel, nil); got != c.want {
-			t.Errorf("subqueryCorrelated(%q) = %v, want %v", c.sub, got, c.want)
+		sub := st.ast.(*SelectStmt).Where.(*ExistsExpr).Sub
+		if got := sub.bound.correlated; got != c.want {
+			t.Errorf("%q: correlated = %v, want %v", c.sub, got, c.want)
 		}
 	}
 }
@@ -225,11 +238,12 @@ func TestExistsConjunctReach(t *testing.T) {
 		{"body last row", "SELECT id FROM t WHERE flag = 1 AND EXISTS (SELECT id FROM acc LIMIT 5 OFFSET 29)", 90, "", true},
 		{"body past the end", "SELECT id FROM t WHERE flag = 1 AND EXISTS (SELECT id FROM acc LIMIT 5 OFFSET 30)", 90, "", true},
 		{"body distinct", "SELECT id FROM t WHERE flag = 1 AND EXISTS (SELECT DISTINCT kind FROM acc LIMIT 1 OFFSET 4)", 90, "", true},
-		// A column nothing resolves is raised where the AND chain reaches it:
-		// never behind a false EXISTS, and before a later one is charged.
-		{"unresolved behind a false exists", "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM e) AND nosuch = 1", 60, "", false},
-		{"unresolved before", "SELECT id FROM t WHERE nosuch = 1 AND " + overBudget, 0, "no such column", false},
-		{"unresolved behind a NULL", "SELECT id FROM m WHERE a > 1000 AND nosuch = 1", 0, "no such column", false},
+		// A function nothing defines is raised where the AND chain reaches it:
+		// never behind a false EXISTS, and before a later one is charged. (A
+		// name that does not bind fails at Prepare, reached or not.)
+		{"unknown function behind a false exists", "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM e) AND NOSUCH(id) = 1", 60, "", false},
+		{"unknown function before", "SELECT id FROM t WHERE NOSUCH(id) = 1 AND " + overBudget, 0, "no such function", false},
+		{"unknown function behind a NULL", "SELECT id FROM m WHERE a > 1000 AND NOSUCH(id) = 1", 0, "no such function", false},
 		// A correlated EXISTS is still interpreted, every row in order.
 		{"correlated", "SELECT id FROM t WHERE flag = 1 AND EXISTS (SELECT 1 FROM acc WHERE acc.t_id = t.id)", 0, "", true},
 	}

@@ -31,7 +31,8 @@ func (p *picker) of(choices ...string) string { return choices[p.pick(len(choice
 // and TEXT values (its columns are INTEGER, which keeps fractional reals
 // and non-numeric text as they are, except that c may be REAL, which keeps
 // -0.0), the query is either a row tail — DISTINCT, up to two ORDER BY
-// terms of every kind evalOrderTerm knows, LIMIT/OFFSET including negative,
+// terms of every kind evalOrderTerm knows (one that fails on every row it
+// is evaluated on among them), LIMIT/OFFSET including negative,
 // MaxInt64 and computed ones — or an aggregate tail, with or without GROUP
 // BY, behind an optional filter that may hit the equality index, a kernel,
 // or nothing, and may carry an uncorrelated EXISTS. The set-up statements come first, the CREATE TABLE among
@@ -88,7 +89,7 @@ func selectAround(p *picker, n tailCols, from string) string {
 	list := p.of(n.id, n.id+", "+n.a, "*", n.a+", "+n.b, n.b+" AS a, "+n.id, n.c, n.id+" + 1")
 	order := ""
 	if p.pick(4) > 0 {
-		terms := []string{n.a, n.b, n.c, n.id, "1", n.qa, n.a + " + " + n.b, "9", "nosuch"}
+		terms := []string{n.a, n.b, n.c, n.id, "1", n.qa, n.a + " + " + n.b, "9", "NOSUCH(" + n.a + ")"}
 		dirs := []string{"", " DESC", " ASC"}
 		order = " ORDER BY " + p.of(terms...) + p.of(dirs...)
 		if p.pick(2) == 0 {
