@@ -371,27 +371,23 @@ func (env *evalEnv) evalLike(l *LikeExpr) (Value, error) {
 	return Bool(m != l.Not), nil
 }
 
-// likeMatch implements SQL LIKE: '%' matches any run, '_' one character.
-// Matching is ASCII-case-insensitive, as in SQLite's default LIKE.
-func likeMatch(pattern, s string) bool {
-	p := strings.ToLower(pattern)
-	t := strings.ToLower(s)
-	return likeRec(p, t)
-}
-
-func likeRec(p, s string) bool {
+// likeMatch implements SQLite's LIKE: '%' matches any run of characters,
+// '_' one character, and any other character itself, an ASCII letter in
+// either case; no other character folds. A character is what SQLite reads
+// as one: a byte, and after a lead byte (0xC0 and up) the continuation
+// bytes that follow it. Case is folded here, never by copying the text.
+func likeMatch(p, s string) bool {
 	for len(p) > 0 {
 		switch p[0] {
 		case '%':
-			// Collapse consecutive %.
 			for len(p) > 0 && p[0] == '%' {
 				p = p[1:]
 			}
 			if len(p) == 0 {
 				return true
 			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(p, s[i:]) {
+			for ; len(s) > 0; s = s[likeChar(s):] {
+				if likeMatch(p, s) {
 					return true
 				}
 			}
@@ -400,15 +396,35 @@ func likeRec(p, s string) bool {
 			if len(s) == 0 {
 				return false
 			}
-			p, s = p[1:], s[1:]
+			p, s = p[1:], s[likeChar(s):]
 		default:
-			if len(s) == 0 || p[0] != s[0] {
+			n := likeChar(p)
+			if len(s) == 0 || likeChar(s) != n || p[:n] != s[:n] && (n > 1 || lowerASCII(p[0]) != lowerASCII(s[0])) {
 				return false
 			}
-			p, s = p[1:], s[1:]
+			p, s = p[n:], s[n:]
 		}
 	}
 	return len(s) == 0
+}
+
+// likeChar is the length in bytes of the character s starts with.
+func likeChar(s string) int {
+	n := 1
+	if s[0] >= 0xC0 {
+		for n < len(s) && s[n]&0xC0 == 0x80 {
+			n++
+		}
+	}
+	return n
+}
+
+// lowerASCII folds an ASCII capital to its small letter.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 func evalCast(v Value, typ string) Value {

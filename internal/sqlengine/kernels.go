@@ -414,18 +414,18 @@ func likeKernel(ps predSource, cr *ColumnRef, pattern Value, not bool) rowPred {
 	if pattern.IsNull() {
 		return ps.cellKernel(col, never)
 	}
-	p := strings.ToLower(pattern.AsText())
+	p := pattern.AsText()
 	if vec := ps.vec(col); vec != nil && vec.kind == KindText {
 		strs := vec.strs
 		return rowPred{byIdx: func(i int) bool {
-			return !vec.null(i) && likeRec(p, strings.ToLower(strs[i])) != not
+			return !vec.null(i) && likeMatch(p, strs[i]) != not
 		}}
 	}
 	return ps.cellKernel(col, func(v Value) bool {
 		if v.IsNull() {
 			return false
 		}
-		return likeRec(p, strings.ToLower(v.AsText())) != not
+		return likeMatch(p, v.AsText()) != not
 	})
 }
 

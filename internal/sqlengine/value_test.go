@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -309,10 +310,57 @@ func TestLikeMatch(t *testing.T) {
 		{"%%", "x", true},
 		{"x_", "x", false},
 		{"POPLATEK%", "POPLATEK TYDNE", true},
+		{"_", "é", true}, // one character, not one byte
+		{"__", "é", false},
+		{"a_%b", "aé€b", true},
+		{"é", "É", false}, // only ASCII folds
+		{"%\xa9", "é", false},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.pattern, c.s); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pattern, c.s, got, c.want)
+		}
+	}
+}
+
+// TestLikeMatchesSQLite pins LIKE to SQLite 3.51.2's answers for
+// `SELECT 'é' LIKE '_', 'É' LIKE 'é', 'ABC' LIKE 'abc', 'straße' LIKE
+// 'STRASSE', 'İ' LIKE 'i', 'K' LIKE 'k', '€' LIKE '_'` (1|0|1|0|0|1|1):
+// '_' is one UTF-8 character and only ASCII letters fold. Each pair is
+// asked as an expression on both executors, and as a pushed filter over a
+// TEXT column, which a full scan filters through the column's vector.
+func TestLikeMatchesSQLite(t *testing.T) {
+	for _, c := range []struct {
+		s, p string
+		want int64
+	}{
+		{"é", "_", 1}, {"É", "é", 0}, {"ABC", "abc", 1}, {"straße", "STRASSE", 0},
+		{"İ", "i", 0}, {"K", "k", 1}, {"€", "_", 1},
+	} {
+		db := NewDatabase("like")
+		db.MustExec("CREATE TABLE w (s TEXT)")
+		db.MustExec(fmt.Sprintf("INSERT INTO w VALUES ('%s')", c.s))
+		for _, sql := range []string{
+			fmt.Sprintf("SELECT '%s' LIKE '%s'", c.s, c.p),
+			fmt.Sprintf("SELECT COUNT(*) FROM w WHERE s LIKE '%s'", c.p),
+			fmt.Sprintf("SELECT 1 - COUNT(*) FROM w WHERE s NOT LIKE '%s'", c.p),
+		} {
+			st, err := db.Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, exec := range map[string]func() (*Result, error){"planned": st.Exec, "naive": st.ExecReference} {
+				res, err := exec()
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, sql, err)
+				}
+				if got := res.Rows.Data[0][0]; got != Int(c.want) {
+					t.Errorf("%s %s = %v, SQLite answers %d", name, sql, got, c.want)
+				}
+			}
+		}
+		if tab, _ := db.Table("w"); len(tab.colVecs) == 0 {
+			t.Errorf("'%s' LIKE '%s' filtered no column vector", c.s, c.p)
 		}
 	}
 }
