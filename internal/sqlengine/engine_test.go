@@ -116,6 +116,11 @@ var engineQueries = []string{
 	// The served single-table filter beside an uncorrelated EXISTS, settled
 	// apart from the kernels.
 	"SELECT COUNT(*) FROM f WHERE ((num > 50) AND EXISTS (SELECT 1 FROM f))",
+	// LIKE and BETWEEN over a full scan's typed vectors, and an IN list
+	// holding a NULL, which reads the rows.
+	"SELECT COUNT(*) FROM f WHERE txt LIKE '%5_'",
+	"SELECT COUNT(*) FROM f WHERE grp IN ('a', 'c', NULL)",
+	"SELECT SUM(flag) FROM f WHERE id BETWEEN 1000 AND 50000",
 }
 
 // buildEngineDB bulk-loads a database of n rows in f (and five in d): large
@@ -521,7 +526,8 @@ func TestEngineConcurrentQueryHammer(t *testing.T) {
 // aggregate consumer, a bounded top-k heap on a column that is not projected,
 // ungrouped accumulators, a full sort through packed words, a negated TEXT
 // comparison read from the rows, the served filter and join each beside an
-// uncorrelated EXISTS (settled once, its body asked for one row) — and the
+// uncorrelated EXISTS (settled once, its body asked for one row), LIKE and
+// BETWEEN over a full scan's vectors, an IN list read from the rows — and the
 // two grouped shapes no consumer takes, HAVING and an expression key, which
 // the interpreter's tail groups.
 // Modes: the naive executor (to 100k only: its nested-loop join takes minutes
@@ -540,7 +546,10 @@ func BenchmarkExecModes(b *testing.B) {
 		notText = query{"not_text", "SELECT SUM(flag) FROM f WHERE NOT (grp = 'a')"}
 		exists  = query{"exists", "SELECT COUNT(*) FROM f WHERE ((num > 50) AND EXISTS (SELECT 1 FROM f))"}
 		existsJ = query{"exists_join", "SELECT COUNT(*) FROM f JOIN d ON (f.grp = d.grp) WHERE ((d.label = 'L2') AND EXISTS (SELECT 1 FROM f))"}
-		tiny    = []query{filter, notText, join, topk, exists, existsJ}
+		like    = query{"like", "SELECT COUNT(*) FROM f WHERE txt LIKE '%5_'"}
+		inList  = query{"in_list", "SELECT COUNT(*) FROM f WHERE grp IN ('a', 'c', NULL)"}
+		between = query{"between", "SELECT SUM(flag) FROM f WHERE id BETWEEN 1000 AND 50000"}
+		tiny    = []query{filter, notText, join, topk, exists, existsJ, like, inList, between}
 		small   = []query{filter, topk, {"scalar_agg", "SELECT AVG(num), SUM(flag), COUNT(grp), MIN(txt), MAX(num_text) FROM f"}, exists, existsJ}
 		large   = append([]query{
 			join,
@@ -549,7 +558,7 @@ func BenchmarkExecModes(b *testing.B) {
 			{"having", "SELECT grp, COUNT(*) FROM f GROUP BY grp HAVING COUNT(*) > 100 ORDER BY 2 DESC, 1"},
 			{"group_expr", "SELECT num % 10, COUNT(*), SUM(num) FROM f GROUP BY num % 10"},
 			{"order_all", "SELECT id FROM f ORDER BY num DESC, id"},
-			notText,
+			notText, like, inList, between,
 		}, small...)
 	)
 	modes := []struct {
