@@ -198,10 +198,13 @@ func (*Literal) expr() {}
 // SQL implements Expr.
 func (l *Literal) SQL() string { return l.Val.String() }
 
-// Unary is a prefix operator: "-", "+" or "NOT".
+// Unary is a prefix operator: "-", "+" or "NOT". Prepare resolves Op to
+// its opcode (eval.go).
 type Unary struct {
 	Op string
 	X  Expr
+
+	op opcode
 }
 
 func (*Unary) expr() {}
@@ -210,9 +213,12 @@ func (*Unary) expr() {}
 func (u *Unary) SQL() string { return u.Op + " " + u.X.SQL() }
 
 // Binary is an infix operator: arithmetic, comparison, AND/OR, or "||".
+// Prepare resolves Op to its opcode (eval.go).
 type Binary struct {
 	Op   string
 	L, R Expr
+
+	op opcode
 }
 
 func (*Binary) expr() {}
@@ -221,12 +227,16 @@ func (*Binary) expr() {}
 func (b *Binary) SQL() string { return "(" + b.L.SQL() + " " + b.Op + " " + b.R.SQL() + ")" }
 
 // FuncCall is a function invocation. Star marks COUNT(*); Distinct marks
-// COUNT(DISTINCT x) and friends.
+// COUNT(DISTINCT x) and friends. Prepare resolves the call to the aggregate
+// it computes or, for any other call, to its scalar function (resolveCall).
 type FuncCall struct {
 	Name     string // upper-case
 	Args     []Expr
 	Star     bool
 	Distinct bool
+
+	agg aggFn
+	fn  scalarFn
 }
 
 func (*FuncCall) expr() {}
@@ -379,10 +389,13 @@ func (*SubqueryExpr) expr() {}
 // SQL implements Expr.
 func (s *SubqueryExpr) SQL() string { return "(" + s.Sub.SQL() + ")" }
 
-// CastExpr is CAST(x AS type).
+// CastExpr is CAST(x AS type). Prepare resolves Type to the storage class
+// to.
 type CastExpr struct {
 	X    Expr
 	Type string // normalised INTEGER/REAL/TEXT
+
+	to Kind
 }
 
 func (*CastExpr) expr() {}

@@ -50,6 +50,10 @@ type boundSelect struct {
 	// correlated reports that, as a subquery, this SELECT reads its
 	// enclosing row: a reference in it binds outside its own levels.
 	correlated bool
+	// grouped reports that the core aggregates: it has a GROUP BY, or an
+	// aggregate call in its select list, HAVING or (but a compound arm's)
+	// ORDER BY.
+	grouped bool
 	// plan is the planner's analysis, which only Stmt.Exec reads.
 	plan selectPlan
 }
@@ -314,16 +318,20 @@ func (bd *binder) bindExprs(lv *level, es ...Expr) error {
 }
 
 // bindExpr binds every reference in e, evaluated on level lv, and every
-// subquery in it.
+// subquery in it, and compiles e for the evaluator: operators to opcodes,
+// calls to what they compute, CASTs to a storage class (eval.go).
 func (bd *binder) bindExpr(e Expr, lv *level) error {
 	switch x := e.(type) {
 	case *ColumnRef:
 		return bd.bindRef(x, lv)
 	case *Unary:
+		x.op = unaryOps[x.Op]
 		return bd.bindExpr(x.X, lv)
 	case *Binary:
+		x.op = binaryOps[x.Op]
 		return bd.bindExprs(lv, x.L, x.R)
 	case *FuncCall:
+		resolveCall(x)
 		return bd.bindExprs(lv, x.Args...)
 	case *CaseExpr:
 		if err := bd.bindExpr(x.Operand, lv); err != nil {
@@ -358,6 +366,12 @@ func (bd *binder) bindExpr(e Expr, lv *level) error {
 	case *SubqueryExpr:
 		return bd.bindSub(x.Sub, lv)
 	case *CastExpr:
+		switch x.to = KindText; x.Type {
+		case "INTEGER":
+			x.to = KindInt
+		case "REAL":
+			x.to = KindFloat
+		}
 		return bd.bindExpr(x.X, lv)
 	}
 	return nil
@@ -373,9 +387,10 @@ func (bd *binder) bindSub(sel *SelectStmt, lv *level) error {
 
 // bindRef binds a column reference evaluated on level lv to the innermost
 // level that has its name, and marks every open subquery it reaches out of
-// correlated. `t.*` outside COUNT() binds nothing: evaluating it fails.
+// correlated. `t.*` outside COUNT() binds to depth -1: evaluating it fails.
 func (bd *binder) bindRef(cr *ColumnRef, lv *level) error {
 	if cr.Name == "*" {
+		cr.depth = -1
 		return nil
 	}
 	lt, ln := strings.ToLower(cr.Table), strings.ToLower(cr.Name)

@@ -379,20 +379,17 @@ func TestJoinCountAllocations(t *testing.T) {
 	}
 }
 
-// TestFilterAllocations pins filterPositions' output: a filter every selected
+// TestFilterAllocations pins the filter's output: a filter every selected
 // row passes returns its input — here a 4k-position index bucket re-verified
 // whole — and a filter that thins it allocates the survivors once, at their
-// exact size.
+// exact size. The conjuncts are the plan's, compiled at Prepare and pushed
+// into the scan of f.
 func TestFilterAllocations(t *testing.T) {
 	db := buildEngineDB(3, 10000)
 	tab, _ := db.Table("f")
 	ec := &execCtx{db: db}
-	preds := func(cond string) []rowPred {
-		var preds []rowPred
-		for _, e := range flattenAnd(preparedSelect(t, db, "SELECT 1 FROM f WHERE "+cond).Where, nil) {
-			preds = append(preds, compilePred(predSource{t: tab}, e))
-		}
-		return preds
+	conj := func(cond string) []conjunct {
+		return preparedSelect(t, db, "SELECT 1 FROM f WHERE "+cond).bound.plan.where
 	}
 	pos, _ := tab.eqLookup(3, string(coarseKey(nil, Int(1))))
 	bucket := selection{rows: tab.Rows, pos: pos}
@@ -405,11 +402,11 @@ func TestFilterAllocations(t *testing.T) {
 		{"num >= 0", selection{rows: tab.Rows, all: true}, 0},
 		{"flag = 1 AND num > 50", bucket, 8 * bucket.len()},
 	} {
-		p := preds(tc.cond)
+		p := conj(tc.cond)
 		var out selection
 		allocs := testing.AllocsPerRun(10, func() {
 			var err error
-			if out, err = ec.filterPositions(tc.in, p, 0, nil); err != nil {
+			if out, err = ec.filter(tc.in, p, 0, tab, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

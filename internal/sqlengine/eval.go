@@ -4,7 +4,17 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
+
+// The evaluator. Prepare compiles each expression as it binds it (bind.go):
+// a column reference to its depth and slot, an operator to its opcode, a
+// call to its aggregate or its scalar function, a CAST to its storage
+// class. Evaluating a row dispatches on those and never on a name. Both
+// executors run this one evaluator over the same compiled nodes, so they
+// differ in plan only. A conjunct a plan pushes into a table scan has a
+// second form besides this one, a filter over its column's typed vector
+// (kernels.go).
 
 // evalEnv is the environment for expression evaluation: an execution
 // context (for subqueries and cost), the current row scope, and — when
@@ -15,21 +25,69 @@ type evalEnv struct {
 	group []*scope
 }
 
+// opcode is an operator, resolved from its text at Prepare. opUnknown, an
+// operator the engine does not implement, fails when it is evaluated.
+type opcode uint8
+
+const (
+	opUnknown opcode = iota
+	// The comparisons, in opMasks' order.
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAnd
+	opOr
+	opConcat
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opNeg
+	opNot
+)
+
+var (
+	binaryOps = map[string]opcode{
+		"=": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe,
+		"AND": opAnd, "OR": opOr, "||": opConcat,
+		"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
+	}
+	unaryOps = map[string]opcode{"-": opNeg, "NOT": opNot}
+	// opMasks holds each comparison's accepting outcomes, as cmpMask3's
+	// bits: 1 less, 2 equal, 4 greater.
+	opMasks = [8]uint8{opEq: 2, opNe: 1 | 4, opLt: 1, opLe: 1 | 2, opGt: 4, opGe: 4 | 2}
+	// flipped mirrors a comparison: `lit op col` is `col flipped[op] lit`.
+	flipped = [...]opcode{opEq: opEq, opNe: opNe, opLt: opGt, opLe: opGe, opGt: opLt, opGe: opLe}
+)
+
+// isComparison reports whether op is one of = != < <= > >=.
+func isComparison(op opcode) bool { return op >= opEq && op <= opGe }
+
 func (env *evalEnv) eval(e Expr) (Value, error) {
 	switch x := e.(type) {
 	case *Literal:
 		return x.Val, nil
 	case *ColumnRef:
-		if x.Name == "*" {
+		if x.depth < 0 {
 			return Value{}, fmt.Errorf("sqlengine: %s.* is only valid inside COUNT()", x.Table)
 		}
 		return env.sc.value(x), nil
 	case *Unary:
+		if x.op == opNot {
+			return env.boxTruth(x)
+		}
 		return env.evalUnary(x)
 	case *Binary:
+		if x.op == opAnd || x.op == opOr || isComparison(x.op) {
+			return env.boxTruth(x)
+		}
 		return env.evalBinary(x)
 	case *FuncCall:
-		if isAggregateCall(x) {
+		if x.agg != aggNone {
 			return env.evalAggregate(x)
 		}
 		return env.evalScalarFunc(x)
@@ -64,13 +122,143 @@ func (env *evalEnv) eval(e Expr) (Value, error) {
 		return rows.Data[0][0], nil
 	case *CastExpr:
 		v, err := env.eval(x.X)
-		if err != nil {
-			return Value{}, err
+		if err != nil || v.IsNull() {
+			return Null(), err
 		}
-		return evalCast(v, x.Type), nil
+		switch x.to {
+		case KindInt:
+			return Int(v.AsInt()), nil
+		case KindFloat:
+			return Float(v.AsFloat()), nil
+		}
+		return Text(v.AsText()), nil
 	default:
 		return Value{}, fmt.Errorf("sqlengine: cannot evaluate expression %T", e)
 	}
+}
+
+// holds reports whether e is TRUE on the current row: FALSE and NULL fail a
+// filter alike.
+func (env *evalEnv) holds(e Expr) (bool, error) {
+	t, known, err := env.truth(e)
+	return t && known, err
+}
+
+// truth evaluates e as a predicate: its three-valued truth, known false for
+// NULL, without boxing it in a Value. NOT, AND, OR and the comparisons are
+// evaluated here, and eval boxes their truth (boxTruth); any other
+// expression is evaluated and read as a truth.
+func (env *evalEnv) truth(e Expr) (t, known bool, err error) {
+	neg := false // NOT NULL is NULL: negations apply to a known truth
+	for u, ok := e.(*Unary); ok && u.op == opNot; u, ok = e.(*Unary) {
+		neg, e = !neg, u.X
+	}
+	switch x := e.(type) {
+	case *Binary:
+		switch {
+		case x.op == opAnd || x.op == opOr:
+			// SQL's three-valued short circuit: the right operand is not
+			// evaluated when the left one decides.
+			decides := x.op == opOr // the operand truth that decides the result
+			lt, lknown, err := env.truth(x.L)
+			if err != nil || lknown && lt == decides {
+				return decides != neg, err == nil, err
+			}
+			rt, rknown, err := env.truth(x.R)
+			if err != nil || rknown && rt == decides {
+				return decides != neg, err == nil, err
+			}
+			known = lknown && rknown
+			return !decides != neg && known, known, nil
+		case isComparison(x.op):
+			// A column or a literal operand is read in place.
+			var l, r Value
+			if cr, ok := x.L.(*ColumnRef); ok && cr.depth >= 0 {
+				l = env.sc.value(cr)
+			} else if l, err = env.eval(x.L); err != nil {
+				return false, false, err
+			}
+			if lit, ok := x.R.(*Literal); ok {
+				r = lit.Val
+			} else if r, err = env.eval(x.R); err != nil {
+				return false, false, err
+			}
+			t, known = compare(x.op, l, r)
+			return t != neg && known, known, nil
+		}
+	}
+	v, err := env.eval(e)
+	t, known = v.Truth()
+	return t != neg && known, known, err
+}
+
+// boxTruth is eval of a predicate truth evaluates.
+func (env *evalEnv) boxTruth(e Expr) (Value, error) {
+	t, known, err := env.truth(e)
+	return truthValue(t, known), err
+}
+
+// truthValue is a three-valued truth as a Value: 1, 0 or NULL.
+func truthValue(t, known bool) Value {
+	if !known {
+		return Null()
+	}
+	return Bool(t)
+}
+
+// The predicate rules. Each is a truth over evaluated operands, shared by
+// the evaluator and by a compiled conjunct's row form (kernels.go), so each
+// rule is written once.
+
+// compare is the truth of `l op r` for a comparison op: unknown when
+// either side is NULL.
+func compare(op opcode, l, r Value) (t, known bool) {
+	if l.Kind == KindNull || r.Kind == KindNull {
+		return false, false
+	}
+	return opMasks[op&7]&cmpMask3(compareSQL(l, r)) != 0, true
+}
+
+// between is the truth of `x BETWEEN lo AND hi`.
+func between(x, lo, hi Value) (t, known bool) {
+	if x.IsNull() || lo.IsNull() || hi.IsNull() {
+		return false, false
+	}
+	return compareSQL(x, lo) >= 0 && compareSQL(x, hi) <= 0, true
+}
+
+// like is the truth of `x LIKE p`.
+func like(x, p Value) (t, known bool) {
+	if x.IsNull() || p.IsNull() {
+		return false, false
+	}
+	return likeMatch(p.AsText(), x.AsText()), true
+}
+
+// inList is the truth of `x IN (…)` over the candidates list, then the first
+// column of rows (a subquery's result, read in place): true on a match,
+// else unknown if x or a candidate is NULL.
+func inList(x Value, list []Value, rows [][]Value) (t, known bool) {
+	if x.IsNull() {
+		return false, false
+	}
+	sawNull := false
+	for i, n := 0, len(list)+len(rows); i < n; i++ {
+		var c Value
+		if i < len(list) {
+			c = list[i]
+		} else if r := rows[i-len(list)]; len(r) > 0 {
+			c = r[0]
+		} else {
+			continue
+		}
+		if c.IsNull() {
+			sawNull = true
+		} else if compareSQL(x, c) == 0 {
+			return true, true
+		}
+	}
+	return false, !sawNull
 }
 
 func (env *evalEnv) evalUnary(u *Unary) (Value, error) {
@@ -78,73 +266,18 @@ func (env *evalEnv) evalUnary(u *Unary) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch u.Op {
-	case "-":
-		if v.IsNull() {
-			return Null(), nil
-		}
-		if v.Kind == KindInt {
-			return Int(-v.I), nil
-		}
-		return Float(-v.AsFloat()), nil
-	case "NOT":
-		t, known := v.Truth()
-		if !known {
-			return Null(), nil
-		}
-		return Bool(!t), nil
-	default:
+	switch {
+	case u.op != opNeg:
 		return Value{}, fmt.Errorf("sqlengine: unknown unary operator %q", u.Op)
+	case v.IsNull():
+		return Null(), nil
+	case v.Kind == KindInt:
+		return Int(-v.I), nil
 	}
+	return Float(-v.AsFloat()), nil
 }
 
 func (env *evalEnv) evalBinary(b *Binary) (Value, error) {
-	// AND/OR need three-valued short-circuit logic.
-	switch b.Op {
-	case "AND":
-		lv, err := env.eval(b.L)
-		if err != nil {
-			return Value{}, err
-		}
-		lt, lknown := lv.Truth()
-		if lknown && !lt {
-			return Bool(false), nil
-		}
-		rv, err := env.eval(b.R)
-		if err != nil {
-			return Value{}, err
-		}
-		rt, rknown := rv.Truth()
-		if rknown && !rt {
-			return Bool(false), nil
-		}
-		if !lknown || !rknown {
-			return Null(), nil
-		}
-		return Bool(true), nil
-	case "OR":
-		lv, err := env.eval(b.L)
-		if err != nil {
-			return Value{}, err
-		}
-		lt, lknown := lv.Truth()
-		if lknown && lt {
-			return Bool(true), nil
-		}
-		rv, err := env.eval(b.R)
-		if err != nil {
-			return Value{}, err
-		}
-		rt, rknown := rv.Truth()
-		if rknown && rt {
-			return Bool(true), nil
-		}
-		if !lknown || !rknown {
-			return Null(), nil
-		}
-		return Bool(false), nil
-	}
-
 	lv, err := env.eval(b.L)
 	if err != nil {
 		return Value{}, err
@@ -153,44 +286,29 @@ func (env *evalEnv) evalBinary(b *Binary) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-
-	switch b.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		if lv.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		// Numeric/text affinity: comparing number with numeric-looking text
-		// coerces the text side, mirroring SQLite column affinity in the
-		// common predicate shapes our workloads use.
-		lv, rv = harmonise(lv, rv)
-		c := Compare(lv, rv)
-		switch b.Op {
-		case "=":
-			return Bool(c == 0), nil
-		case "!=":
-			return Bool(c != 0), nil
-		case "<":
-			return Bool(c < 0), nil
-		case "<=":
-			return Bool(c <= 0), nil
-		case ">":
-			return Bool(c > 0), nil
-		default:
-			return Bool(c >= 0), nil
-		}
-	case "||":
-		if lv.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		return Text(lv.AsText() + rv.AsText()), nil
-	case "+", "-", "*", "/", "%":
-		if lv.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		return evalArith(b.Op, lv, rv)
-	default:
+	switch {
+	case b.op == opUnknown:
 		return Value{}, fmt.Errorf("sqlengine: unknown binary operator %q", b.Op)
+	case lv.IsNull() || rv.IsNull():
+		return Null(), nil
+	case b.op == opConcat:
+		return Text(lv.AsText() + rv.AsText()), nil
 	}
+	return evalArith(b.op, lv, rv), nil
+}
+
+// compareSQL orders two non-NULL operands as the comparison operators, IN
+// and BETWEEN do: numeric-looking text beside a number is coerced
+// (harmonise, mirroring SQLite's column affinity in the common predicate
+// shapes), then Compare orders them.
+func compareSQL(a, b Value) int {
+	switch {
+	case a.Kind == KindText && b.Kind == KindText:
+		return strings.Compare(a.S, b.S)
+	case a.Kind != b.Kind:
+		a, b = harmonise(a, b)
+	}
+	return Compare(a, b)
 }
 
 // harmonise applies cross-kind coercion before comparison: when one side is
@@ -209,70 +327,69 @@ func harmonise(a, b Value) (Value, Value) {
 	return a, b
 }
 
-func evalArith(op string, l, r Value) (Value, error) {
+// evalArith applies an arithmetic operator to two non-NULL operands.
+func evalArith(op opcode, l, r Value) Value {
 	bothInt := l.Kind == KindInt && r.Kind == KindInt
 	switch op {
-	case "+":
+	case opAdd:
 		if bothInt {
-			return Int(l.I + r.I), nil
+			return Int(l.I + r.I)
 		}
-		return Float(l.AsFloat() + r.AsFloat()), nil
-	case "-":
+		return Float(l.AsFloat() + r.AsFloat())
+	case opSub:
 		if bothInt {
-			return Int(l.I - r.I), nil
+			return Int(l.I - r.I)
 		}
-		return Float(l.AsFloat() - r.AsFloat()), nil
-	case "*":
+		return Float(l.AsFloat() - r.AsFloat())
+	case opMul:
 		if bothInt {
-			return Int(l.I * r.I), nil
+			return Int(l.I * r.I)
 		}
-		return Float(l.AsFloat() * r.AsFloat()), nil
-	case "/":
+		return Float(l.AsFloat() * r.AsFloat())
+	case opDiv:
 		if bothInt {
 			if r.I == 0 {
-				return Null(), nil
+				return Null()
 			}
-			return Int(l.I / r.I), nil
+			return Int(l.I / r.I)
 		}
 		rf := r.AsFloat()
 		if rf == 0 {
-			return Null(), nil
+			return Null()
 		}
-		return Float(l.AsFloat() / rf), nil
-	case "%":
-		ri := r.AsInt()
-		if ri == 0 {
-			return Null(), nil
-		}
-		return Int(l.AsInt() % ri), nil
+		return Float(l.AsFloat() / rf)
 	}
-	return Value{}, fmt.Errorf("sqlengine: unknown arithmetic operator %q", op)
+	ri := r.AsInt() // opMod
+	if ri == 0 {
+		return Null()
+	}
+	return Int(l.AsInt() % ri)
 }
 
 func (env *evalEnv) evalCase(c *CaseExpr) (Value, error) {
+	var op Value
 	if c.Operand != nil {
-		op, err := env.eval(c.Operand)
-		if err != nil {
+		var err error
+		if op, err = env.eval(c.Operand); err != nil {
 			return Value{}, err
 		}
-		for _, w := range c.Whens {
+	}
+	for _, w := range c.Whens {
+		var hit bool
+		if c.Operand == nil {
+			var err error
+			if hit, err = env.holds(w.When); err != nil {
+				return Value{}, err
+			}
+		} else {
 			wv, err := env.eval(w.When)
 			if err != nil {
 				return Value{}, err
 			}
-			if eq, known := Equal(op, wv); known && eq {
-				return env.eval(w.Then)
-			}
+			hit, _ = Equal(op, wv)
 		}
-	} else {
-		for _, w := range c.Whens {
-			wv, err := env.eval(w.When)
-			if err != nil {
-				return Value{}, err
-			}
-			if t, known := wv.Truth(); known && t {
-				return env.eval(w.Then)
-			}
+		if hit {
+			return env.eval(w.Then)
 		}
 	}
 	if c.Else != nil {
@@ -281,56 +398,33 @@ func (env *evalEnv) evalCase(c *CaseExpr) (Value, error) {
 	return Null(), nil
 }
 
-func (env *evalEnv) evalIn(in *InExpr) (Value, error) {
-	xv, err := env.eval(in.X)
-	if err != nil {
-		return Value{}, err
-	}
-	if xv.IsNull() {
-		return Null(), nil
+func (env *evalEnv) evalIn(x *InExpr) (Value, error) {
+	xv, err := env.eval(x.X)
+	if err != nil || xv.IsNull() {
+		return Null(), err
 	}
 	// Every candidate is known before any is compared: a list's items are
 	// all evaluated first (the first failing one raises), and a subquery's
 	// rows are read in place — its first column — from the memoised result.
-	var list []Value
+	var buf [8]Value
+	list := buf[:0]
 	var rows [][]Value
-	if in.Sub != nil {
-		res, err := env.execSub(in.Sub)
+	if x.Sub != nil {
+		res, err := env.execSub(x.Sub)
 		if err != nil {
 			return Value{}, err
 		}
 		rows = res.Data
-	} else {
-		list = make([]Value, len(in.List))
-		for i, e := range in.List {
-			if list[i], err = env.eval(e); err != nil {
-				return Value{}, err
-			}
+	}
+	for _, e := range x.List {
+		v, err := env.eval(e)
+		if err != nil {
+			return Value{}, err
 		}
+		list = append(list, v)
 	}
-	sawNull := false
-	match := func(c Value) bool {
-		if c.IsNull() {
-			sawNull = true
-			return false
-		}
-		a, b := harmonise(xv, c)
-		return Compare(a, b) == 0
-	}
-	for _, r := range rows {
-		if len(r) > 0 && match(r[0]) {
-			return Bool(!in.Not), nil
-		}
-	}
-	for _, c := range list {
-		if match(c) {
-			return Bool(!in.Not), nil
-		}
-	}
-	if sawNull {
-		return Null(), nil
-	}
-	return Bool(in.Not), nil
+	t, known := inList(xv, list, rows)
+	return truthValue(t != x.Not, known), nil
 }
 
 func (env *evalEnv) evalBetween(b *BetweenExpr) (Value, error) {
@@ -346,13 +440,8 @@ func (env *evalEnv) evalBetween(b *BetweenExpr) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if xv.IsNull() || lo.IsNull() || hi.IsNull() {
-		return Null(), nil
-	}
-	a1, b1 := harmonise(xv, lo)
-	a2, b2 := harmonise(xv, hi)
-	in := Compare(a1, b1) >= 0 && Compare(a2, b2) <= 0
-	return Bool(in != b.Not), nil
+	t, known := between(xv, lo, hi)
+	return truthValue(t != b.Not, known), nil
 }
 
 func (env *evalEnv) evalLike(l *LikeExpr) (Value, error) {
@@ -364,11 +453,8 @@ func (env *evalEnv) evalLike(l *LikeExpr) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if xv.IsNull() || pv.IsNull() {
-		return Null(), nil
-	}
-	m := likeMatch(pv.AsText(), xv.AsText())
-	return Bool(m != l.Not), nil
+	t, known := like(xv, pv)
+	return truthValue(t != l.Not, known), nil
 }
 
 // likeMatch implements SQLite's LIKE: '%' matches any run of characters,
@@ -399,7 +485,7 @@ func likeMatch(p, s string) bool {
 			p, s = p[1:], s[likeChar(s):]
 		default:
 			n := likeChar(p)
-			if len(s) == 0 || likeChar(s) != n || p[:n] != s[:n] && (n > 1 || lowerASCII(p[0]) != lowerASCII(s[0])) {
+			if len(s) == 0 || likeChar(s) != n || n == 1 && lowerASCII(p[0]) != lowerASCII(s[0]) || n > 1 && p[:n] != s[:n] {
 				return false
 			}
 			p, s = p[n:], s[n:]
@@ -427,21 +513,24 @@ func lowerASCII(c byte) byte {
 	return c
 }
 
-func evalCast(v Value, typ string) Value {
-	if v.IsNull() {
-		return Null()
-	}
-	switch typ {
-	case "INTEGER":
-		return Int(v.AsInt())
-	case "REAL":
-		return Float(v.AsFloat())
-	default:
-		return Text(v.AsText())
-	}
+// --- Calls ---
+
+// aggFns resolves an aggregate call's name (isAggregateCall).
+var aggFns = map[string]aggFn{
+	"COUNT": aggCount, "SUM": aggSum, "TOTAL": aggTotal, "AVG": aggAvg,
+	"MIN": aggMin, "MAX": aggMax, "GROUP_CONCAT": aggGroupConcat,
 }
 
-// --- Aggregates ---
+// resolveCall compiles a call at Prepare: an aggregate to what it computes,
+// anything else to its scalar function, which stays nil for a name no
+// function has — an error when the call is evaluated, as before binding.
+func resolveCall(fc *FuncCall) {
+	if isAggregateCall(fc) {
+		fc.agg = aggFns[fc.Name]
+		return
+	}
+	fc.fn = scalarFns[fc.Name]
+}
 
 func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 	if env.group == nil {
@@ -475,8 +564,8 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 		}
 	}
 
-	switch fc.Name {
-	case "COUNT":
+	switch fc.agg {
+	case aggCount:
 		if fc.Star {
 			return Int(int64(len(env.group))), nil
 		}
@@ -487,7 +576,7 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 			}
 		}
 		return Int(n), nil
-	case "SUM", "TOTAL":
+	case aggSum, aggTotal:
 		anyVal := false
 		allInt := true
 		var fi int64
@@ -504,20 +593,16 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 			}
 			ff += v.AsFloat()
 		}
-		if !anyVal {
-			if fc.Name == "TOTAL" {
-				return Float(0), nil
-			}
-			return Null(), nil
-		}
-		if fc.Name == "TOTAL" {
+		switch {
+		case fc.agg == aggTotal:
 			return Float(ff), nil
-		}
-		if allInt {
+		case !anyVal:
+			return Null(), nil
+		case allInt:
 			return Int(fi), nil
 		}
 		return Float(ff), nil
-	case "AVG":
+	case aggAvg:
 		var sum float64
 		var n int64
 		for _, v := range vals {
@@ -531,7 +616,7 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 			return Null(), nil
 		}
 		return Float(sum / float64(n)), nil
-	case "MIN", "MAX":
+	case aggMin, aggMax:
 		var best Value
 		have := false
 		for _, v := range vals {
@@ -544,7 +629,7 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 				continue
 			}
 			c := Compare(v, best)
-			if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
+			if (fc.agg == aggMin && c < 0) || (fc.agg == aggMax && c > 0) {
 				best = v
 			}
 		}
@@ -552,23 +637,20 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 			return Null(), nil
 		}
 		return best, nil
-	case "GROUP_CONCAT":
-		var parts []string
-		for _, v := range vals {
-			if v.IsNull() {
-				continue
-			}
-			parts = append(parts, v.AsText())
-		}
-		if len(parts) == 0 {
-			return Null(), nil
-		}
-		return Text(strings.Join(parts, ",")), nil
 	}
-	return Value{}, fmt.Errorf("sqlengine: unknown aggregate %s", fc.Name)
+	// aggGroupConcat
+	var parts []string
+	for _, v := range vals {
+		if v.IsNull() {
+			continue
+		}
+		parts = append(parts, v.AsText())
+	}
+	if len(parts) == 0 {
+		return Null(), nil
+	}
+	return Text(strings.Join(parts, ",")), nil
 }
-
-// --- Scalar functions ---
 
 func (env *evalEnv) evalScalarFunc(fc *FuncCall) (Value, error) {
 	args := make([]Value, len(fc.Args))
@@ -579,33 +661,70 @@ func (env *evalEnv) evalScalarFunc(fc *FuncCall) (Value, error) {
 		}
 		args[i] = v
 	}
-	return callScalar(fc.Name, args)
+	if fc.fn == nil {
+		return Value{}, fmt.Errorf("sqlengine: no such function: %s", fc.Name)
+	}
+	return fc.fn(fc.Name, args)
 }
 
-func callScalar(name string, args []Value) (Value, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("sqlengine: function %s expects %d arguments, got %d", name, n, len(args))
-		}
-		return nil
+// scalarFn is a scalar function: it checks its arity, then computes its
+// value from the evaluated arguments. name is the call's, for its errors.
+type scalarFn func(name string, args []Value) (Value, error)
+
+// arity is the error of a call to name that does not pass n arguments.
+func arity(name string, args []Value, n int) error {
+	if len(args) != n {
+		return fmt.Errorf("sqlengine: function %s expects %d arguments, got %d", name, n, len(args))
 	}
-	switch name {
-	case "ABS":
-		if err := need(1); err != nil {
-			return Value{}, err
+	return nil
+}
+
+// strict is a function of one argument that maps NULL to NULL.
+func strict(f func(Value) Value) scalarFn {
+	return func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 1); err != nil || args[0].IsNull() {
+			return Null(), err
 		}
-		v := args[0]
-		if v.IsNull() {
-			return Null(), nil
+		return f(args[0]), nil
+	}
+}
+
+// extreme is the scalar MIN (sign -1) or MAX (sign 1) of two or more
+// arguments, NULL if any is.
+func extreme(sign int) scalarFn {
+	return func(name string, args []Value) (Value, error) {
+		if len(args) < 2 {
+			return Value{}, fmt.Errorf("sqlengine: scalar %s needs at least 2 arguments", name)
 		}
+		best := args[0]
+		for _, v := range args[1:] {
+			if v.IsNull() || best.IsNull() {
+				return Null(), nil
+			}
+			if Compare(v, best) == sign {
+				best = v
+			}
+		}
+		return best, nil
+	}
+}
+
+// typeNames holds TYPEOF's answer per storage class.
+var typeNames = [...]Value{KindNull: Text("null"), KindInt: Text("integer"), KindFloat: Text("real"), KindText: Text("text")}
+
+// scalarFns holds every scalar function by its upper-case name, for
+// resolveCall.
+var scalarFns = map[string]scalarFn{
+	"ABS": strict(func(v Value) Value {
 		if v.Kind == KindInt {
 			if v.I < 0 {
-				return Int(-v.I), nil
+				return Int(-v.I)
 			}
-			return v, nil
+			return v
 		}
-		return Float(math.Abs(v.AsFloat())), nil
-	case "ROUND":
+		return Float(math.Abs(v.AsFloat()))
+	}),
+	"ROUND": func(_ string, args []Value) (Value, error) {
 		if len(args) < 1 || len(args) > 2 {
 			return Value{}, fmt.Errorf("sqlengine: ROUND expects 1 or 2 arguments")
 		}
@@ -618,171 +737,130 @@ func callScalar(name string, args []Value) (Value, error) {
 		}
 		mult := math.Pow(10, float64(digits))
 		return Float(math.Round(args[0].AsFloat()*mult) / mult), nil
-	case "LENGTH":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Int(int64(len([]rune(args[0].AsText())))), nil
-	case "UPPER":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Text(strings.ToUpper(args[0].AsText())), nil
-	case "LOWER":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Text(strings.ToLower(args[0].AsText())), nil
-	case "TRIM":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Text(strings.TrimSpace(args[0].AsText())), nil
-	case "LTRIM":
-		if err := need(1); err != nil {
+	},
+	"LENGTH": strict(func(v Value) Value { return Int(int64(utf8.RuneCountInString(v.AsText()))) }),
+	"UPPER":  strict(func(v Value) Value { return Text(strings.ToUpper(v.AsText())) }),
+	"LOWER":  strict(func(v Value) Value { return Text(strings.ToLower(v.AsText())) }),
+	"TRIM":   strict(func(v Value) Value { return Text(strings.TrimSpace(v.AsText())) }),
+	"LTRIM": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 1); err != nil {
 			return Value{}, err
 		}
 		return Text(strings.TrimLeft(args[0].AsText(), " \t\r\n")), nil
-	case "RTRIM":
-		if err := need(1); err != nil {
+	},
+	"RTRIM": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 1); err != nil {
 			return Value{}, err
 		}
 		return Text(strings.TrimRight(args[0].AsText(), " \t\r\n")), nil
-	case "SUBSTR", "SUBSTRING":
-		if len(args) < 2 || len(args) > 3 {
-			return Value{}, fmt.Errorf("sqlengine: SUBSTR expects 2 or 3 arguments")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		s := []rune(args[0].AsText())
-		start := args[1].AsInt()
-		// SQLite 1-based indexing; negative counts from the end.
-		if start < 0 {
-			start = int64(len(s)) + start + 1
-			if start < 1 {
-				start = 1
-			}
-		}
-		if start < 1 {
-			start = 1
-		}
-		idx := int(start - 1)
-		if idx >= len(s) {
-			return Text(""), nil
-		}
-		end := len(s)
-		if len(args) == 3 {
-			n := int(args[2].AsInt())
-			if n < 0 {
-				n = 0
-			}
-			if idx+n < end {
-				end = idx + n
-			}
-		}
-		return Text(string(s[idx:end])), nil
-	case "INSTR":
-		if err := need(2); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null(), nil
+	},
+	"SUBSTR":    substr,
+	"SUBSTRING": substr,
+	"INSTR": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 2); err != nil || args[0].IsNull() || args[1].IsNull() {
+			return Null(), err
 		}
 		return Int(int64(strings.Index(args[0].AsText(), args[1].AsText()) + 1)), nil
-	case "REPLACE":
-		if err := need(3); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
+	},
+	"REPLACE": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 3); err != nil || args[0].IsNull() {
+			return Null(), err
 		}
 		return Text(strings.ReplaceAll(args[0].AsText(), args[1].AsText(), args[2].AsText())), nil
-	case "COALESCE":
+	},
+	"COALESCE": func(_ string, args []Value) (Value, error) {
 		for _, v := range args {
 			if !v.IsNull() {
 				return v, nil
 			}
 		}
 		return Null(), nil
-	case "IFNULL":
-		if err := need(2); err != nil {
+	},
+	"IFNULL": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 2); err != nil {
 			return Value{}, err
 		}
 		if !args[0].IsNull() {
 			return args[0], nil
 		}
 		return args[1], nil
-	case "NULLIF":
-		if err := need(2); err != nil {
+	},
+	"NULLIF": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 2); err != nil {
 			return Value{}, err
 		}
 		if eq, known := Equal(args[0], args[1]); known && eq {
 			return Null(), nil
 		}
 		return args[0], nil
-	case "IIF":
-		if err := need(3); err != nil {
+	},
+	"IIF": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 3); err != nil {
 			return Value{}, err
 		}
 		if t, known := args[0].Truth(); known && t {
 			return args[1], nil
 		}
 		return args[2], nil
-	case "MIN", "MAX":
-		// Scalar multi-argument form.
-		if len(args) < 2 {
-			return Value{}, fmt.Errorf("sqlengine: scalar %s needs at least 2 arguments", name)
-		}
-		best := args[0]
-		for _, v := range args[1:] {
-			if v.IsNull() || best.IsNull() {
-				return Null(), nil
-			}
-			c := Compare(v, best)
-			if (name == "MIN" && c < 0) || (name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	case "TYPEOF":
-		if err := need(1); err != nil {
+	},
+	"MIN": extreme(-1),
+	"MAX": extreme(1),
+	"TYPEOF": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 1); err != nil {
 			return Value{}, err
 		}
-		return Text(strings.ToLower(args[0].Kind.String())), nil
-	case "STRFTIME":
-		if err := need(2); err != nil {
+		return typeNames[args[0].Kind], nil
+	},
+	"STRFTIME": func(name string, args []Value) (Value, error) {
+		if err := arity(name, args, 2); err != nil {
 			return Value{}, err
 		}
 		return evalStrftime(args[0].AsText(), args[1])
-	case "DATE":
-		if err := need(1); err != nil {
-			return Value{}, err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		d := args[0].AsText()
+	},
+	"DATE": strict(func(v Value) Value {
+		d := v.AsText()
 		if len(d) >= 10 {
-			return Text(d[:10]), nil
+			return Text(d[:10])
 		}
-		return Text(d), nil
-	case "CAST":
+		return Text(d)
+	}),
+	"CAST": func(string, []Value) (Value, error) {
 		return Value{}, fmt.Errorf("sqlengine: CAST requires AS syntax")
+	},
+}
+
+// substr is SQLite's SUBSTR (SUBSTRING): 1-based, a negative start counts
+// from the end.
+func substr(_ string, args []Value) (Value, error) {
+	if len(args) < 2 || len(args) > 3 {
+		return Value{}, fmt.Errorf("sqlengine: SUBSTR expects 2 or 3 arguments")
 	}
-	return Value{}, fmt.Errorf("sqlengine: no such function: %s", name)
+	if args[0].IsNull() {
+		return Null(), nil
+	}
+	s := []rune(args[0].AsText())
+	start := args[1].AsInt()
+	if start < 0 {
+		start = int64(len(s)) + start + 1
+	}
+	if start < 1 {
+		start = 1
+	}
+	idx := int(start - 1)
+	if idx >= len(s) {
+		return Text(""), nil
+	}
+	end := len(s)
+	if len(args) == 3 {
+		n := int(args[2].AsInt())
+		if n < 0 {
+			n = 0
+		}
+		if idx+n < end {
+			end = idx + n
+		}
+	}
+	return Text(string(s[idx:end])), nil
 }
 
 // evalStrftime supports the %Y / %m / %d / %Y-%m fragments over ISO-8601

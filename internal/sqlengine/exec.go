@@ -317,34 +317,27 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 	// 2. WHERE thins the selection. A planned WHERE is filtered in batch when
 	// every conjunct but its uncorrelated EXISTS ones is safe-total: the AND
 	// chain passes a row iff every conjunct is true on it, and short-circuit
-	// differences are unobservable on pure total expressions. The kernels
-	// filter what no scan evaluated, and then the EXISTS conjuncts are
-	// settled. Anything else runs through the interpreter, every row in
+	// differences are unobservable on pure total expressions. The conjuncts
+	// no scan evaluated are filtered here, and then the EXISTS conjuncts are
+	// settled. Any other WHERE is one conjunct, evaluated on every row in
 	// order.
 	switch {
 	case pl != nil && pl.whereSafe:
-		// A short conjunction's predicates stay on the stack.
-		preds := make([]rowPred, 0, 4)
-		ps := predSource{left: s.leftWidth()}
-		for k, c := range pl.where {
-			if pl.pushAt == nil || pl.pushAt[k] < 0 {
-				preds = append(preds, compilePred(ps, c.expr))
-			}
-		}
 		// The FROM relation, for settleExists: pushdown, which a join under
 		// an EXISTS never gets, filtered a single table's scan.
 		from := s
-		if pl.pushAt != nil {
+		if pl.pushed {
 			from = selection{rows: s.rows, all: true}
 		}
-		if len(preds) > 0 {
-			s, err = ec.filterPositions(s, preds, 0, outer)
+		if pl.residual {
+			ec.countBatches(s.len())
+			s, err = ec.filter(s, pl.where, -1, nil, 0, outer)
 		}
 		if err == nil && len(pl.exists) > 0 {
 			s, err = ec.settleExists(outer, pl, from, s)
 		}
 	case sel.Where != nil:
-		s, err = ec.filterInterpreted(s, sel.Where, outer)
+		s, err = ec.filter(s, []conjunct{{expr: sel.Where, scan: -1}}, -1, nil, 0, outer)
 	}
 	if err != nil {
 		return nil, err
@@ -361,10 +354,8 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 // LIMIT. It is the naive reference's tail, and where a planned selection
 // lands when no consumer of positions.go applies.
 func (ec *execCtx) projectTail(sel *SelectStmt, filtered [][]Value, outer *scope) (*Rows, error) {
-	grouped := len(sel.GroupBy) > 0 || anyAggregate(sel)
 	out := &selOutput{columns: sel.bound.columns}
-
-	if grouped {
+	if sel.bound.grouped {
 		if err := ec.projectGrouped(sel, filtered, outer, out); err != nil {
 			return nil, err
 		}
@@ -608,11 +599,9 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, rows [][]Value, outer *scope,
 	for _, g := range groups {
 		env := &evalEnv{ec: ec, sc: g.rep, group: g.rows}
 		if sel.Having != nil {
-			hv, err := env.eval(sel.Having)
-			if err != nil {
+			if ok, err := env.holds(sel.Having); err != nil {
 				return err
-			}
-			if t, known := hv.Truth(); !t || !known {
+			} else if !ok {
 				continue
 			}
 		}
@@ -706,7 +695,7 @@ func (ec *execCtx) execFromItem(sel *SelectStmt, i int, outer *scope, pl *select
 		return selection{rows: rows.Data, all: true}, nil
 	}
 	it := &sel.bound.from[i]
-	if pl == nil || pl.pushAt == nil {
+	if pl == nil || !pl.pushed {
 		return selection{rows: it.t.Rows, all: true}, ec.charge(int64(len(it.t.Rows)))
 	}
 	return ec.scanPositions(it.t, pl, it.off, i, outer)
@@ -737,11 +726,9 @@ func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope,
 		for _, rr := range right.rows {
 			copy(buf[left.width:], rr)
 			if on != nil {
-				v, err := env.eval(on)
-				if err != nil {
+				if ok, err := env.holds(on); err != nil {
 					return selection{}, err
-				}
-				if t, known := v.Truth(); !t || !known {
+				} else if !ok {
 					continue
 				}
 			}
@@ -794,11 +781,9 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 		}
 		sc.row = row
 		if up.Where != nil {
-			v, err := env.eval(up.Where)
-			if err != nil {
+			if ok, err := env.holds(up.Where); err != nil {
 				return n, err
-			}
-			if truth, known := v.Truth(); !truth || !known {
+			} else if !ok {
 				continue
 			}
 		}
@@ -834,12 +819,10 @@ func (ec *execCtx) execDelete(del *DeleteStmt) (int64, error) {
 		remove := true
 		if del.Where != nil {
 			sc.row = row
-			v, err := env.eval(del.Where)
-			if err != nil {
+			var err error
+			if remove, err = env.holds(del.Where); err != nil {
 				return n, err
 			}
-			truth, known := v.Truth()
-			remove = truth && known
 		}
 		if remove {
 			n++

@@ -201,11 +201,9 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, ja *joinAnalysis, 
 					copy(buf, lr)
 					copy(buf[nl:], rr)
 					for _, e := range ja.residual {
-						v, err := env.eval(e)
-						if err != nil {
+						if ok, err := env.holds(e); err != nil {
 							return selection{}, true, err
-						}
-						if t, known := v.Truth(); !t || !known {
+						} else if !ok {
 							continue chain
 						}
 					}

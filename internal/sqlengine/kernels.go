@@ -2,40 +2,172 @@ package sqlengine
 
 import "strings"
 
-// Vectorized predicate kernels. A kernel is a compiled per-row predicate
-// for one safe-total WHERE/ON conjunct: instead of walking the expression
-// tree and resolving column names per row, the shapes the planner already
-// recognises (col <op> literal, BETWEEN, IN, LIKE, IS NULL, and NOT over
-// any of them) compile once into a closure over a column vector (vector.go)
-// or a test of one cell of the selected row, and the filter loop in
-// parallel.go applies them.
+// Compiled conjuncts. A conjunct of a planned WHERE whose shape tests one
+// column of the rows it filters against literals — `col <op> literal` in
+// either order, BETWEEN, LIKE, an IN list, IS NULL, each under any number
+// of NOTs — is compiled at Prepare to that shape (kernelOf), with the column
+// it reads and its literals resolved. It then has two forms besides the
+// evaluator's walk of its expression (eval.go):
 //
-// Every kernel replicates the row interpreter's semantics exactly — the
-// same NULL propagation, the same harmonise text/numeric coercion, the
-// same Compare ordering — so a kernel-filtered scan emits byte-identical
-// rows to the naive loop. A conjunct with no kernelizable shape keeps its
-// expression and is evaluated per row in the filter's own environment;
-// safe-total conjuncts cannot touch the execCtx (no subqueries, no cost
-// charges) and cannot fail — every name was bound at Prepare — which is
-// what makes both forms legal in a batch filter.
+//   - a row form, which reads its cell of the selected row in place and
+//     applies the evaluator's own rule for the shape (compare, between,
+//     like, inList; IS NULL), so no rule is written twice;
+//   - for a conjunct pushed into a whole-table scan, without a NOT around
+//     it and with non-NULL literals, a vector form: a typed loop over the
+//     column's vector (vector.go), which keeps the evaluator's semantics —
+//     NULL fails, harmonise's numeric/text coercion, Compare's order — in
+//     the vector's own kind. A negation has none: it passes most rows, and a
+//     vector built for it would stay resident for no gain a selective filter
+//     could repay.
+//
+// Which form filters a row cannot be observed: each is the same truth.
 
-// rowPred is one compiled conjunct. Exactly one evaluation form applies:
-// byIdx (kernel over a full scan's position, reading a column vector); a
-// cell kernel over the cell at of the selected row (see selection.row) —
-// `cell <op> *lit` when mask is set, which needs no closure (lit is the
-// plan's own literal), else test; or expr (interpreter fallback).
-type rowPred struct {
-	byIdx func(i int) bool
-	at    colAt
-	test  func(Value) bool
-	lit   *Value
-	mask  uint8
-	expr  Expr
+// kernelShape names a compiled conjunct's shape.
+type kernelShape uint8
+
+const (
+	noKernel kernelShape = iota
+	kernelCmp
+	kernelIsNull
+	kernelBetween
+	kernelLike
+	kernelIn
+)
+
+// kernel is a compiled conjunct: its shape, the column of the filtered
+// rows it reads, and its operands — a comparison's operator, with the
+// column on its left, and literal; BETWEEN's bounds, lit and hi; LIKE's
+// pattern, lit; an IN list's items — whether its truth is negated (NOT
+// BETWEEN, NOT LIKE, NOT IN, IS NOT NULL, or a NOT around the shape), and
+// whether it has a vector form.
+type kernel struct {
+	shape   kernelShape
+	col     int
+	op      opcode
+	not     bool
+	vec     bool
+	lit, hi Value
+	list    []Value
+}
+
+// kernelOf compiles conjunct e over rows whose first column is slot off of
+// the FROM row; the zero kernel when e has no compiled shape.
+func kernelOf(e Expr, off int) kernel {
+	k := kernel{vec: true}
+	for u, ok := e.(*Unary); ok && u.op == opNot; u, ok = e.(*Unary) {
+		k.not, k.vec, e = !k.not, false, u.X
+	}
+	var x Expr
+	switch c := e.(type) {
+	case *Binary:
+		if !isComparison(c.op) {
+			return kernel{}
+		}
+		k.shape, k.op, x = kernelCmp, c.op, c.L
+		if lit, ok := c.R.(*Literal); ok {
+			k.lit = lit.Val
+		} else if lit, ok := c.L.(*Literal); ok {
+			k.op, k.lit, x = flipped[c.op], lit.Val, c.R
+		} else {
+			return kernel{}
+		}
+		k.vec = k.vec && !k.lit.IsNull()
+	case *IsNullExpr:
+		k.shape, k.not, x = kernelIsNull, k.not != c.Not, c.X
+	case *BetweenExpr:
+		lo, lok := c.Lo.(*Literal)
+		hi, hok := c.Hi.(*Literal)
+		if !lok || !hok {
+			return kernel{}
+		}
+		k.shape, k.not, k.lit, k.hi, x = kernelBetween, k.not != c.Not, lo.Val, hi.Val, c.X
+		k.vec = k.vec && !lo.Val.IsNull() && !hi.Val.IsNull()
+	case *LikeExpr:
+		p, ok := c.Pattern.(*Literal)
+		if !ok {
+			return kernel{}
+		}
+		k.shape, k.not, k.lit, x = kernelLike, k.not != c.Not, p.Val, c.X
+		k.vec = k.vec && !p.Val.IsNull()
+	case *InExpr:
+		for _, item := range c.List {
+			if _, ok := item.(*Literal); !ok {
+				return kernel{}
+			}
+		}
+		if c.Sub != nil {
+			return kernel{}
+		}
+		k.shape, k.not, k.vec, x = kernelIn, k.not != c.Not, false, c.X
+		k.list = make([]Value, len(c.List))
+		for i, item := range c.List {
+			k.list[i] = item.(*Literal).Val
+		}
+	default:
+		return kernel{}
+	}
+	cr, ok := x.(*ColumnRef)
+	if !ok || cr.Name == "*" || cr.depth != 0 {
+		return kernel{}
+	}
+	k.col = cr.slot - off
+	return k
+}
+
+// holds is the row form: whether the conjunct is TRUE on a row whose cell
+// in its column is v.
+func (k *kernel) holds(v Value) bool {
+	var t, known bool
+	switch k.shape {
+	case kernelCmp:
+		t, known = compare(k.op, v, k.lit)
+	case kernelIsNull:
+		t, known = v.IsNull(), true
+	case kernelBetween:
+		t, known = between(v, k.lit, k.hi)
+	case kernelLike:
+		t, known = like(v, k.lit)
+	default: // kernelIn
+		t, known = inList(v, k.list, nil)
+	}
+	return t != k.not && known
+}
+
+// test returns the vector form over vec, the column's typed vector: whether
+// the row at a table position passes; nil where vec does not fit the shape
+// and the row form filters.
+func (k *kernel) test(vec *colVec) func(i int) bool {
+	switch k.shape {
+	case kernelCmp:
+		return cmpVecKernel(vec, k.lit, opMasks[k.op])
+	case kernelIsNull:
+		not := k.not
+		return func(i int) bool { return vec.null(i) != not }
+	case kernelBetween:
+		if vec.kind == KindInt && k.lit.Kind == KindInt && k.hi.Kind == KindInt {
+			ints, lo, hi, not := vec.ints, k.lit.I, k.hi.I, k.not
+			return func(i int) bool {
+				if vec.null(i) {
+					return false
+				}
+				x := ints[i]
+				return (x >= lo && x <= hi) != not
+			}
+		}
+	case kernelLike:
+		if vec.kind == KindText {
+			strs, p, not := vec.strs, k.lit.AsText(), k.not
+			return func(i int) bool {
+				return !vec.null(i) && likeMatch(p, strs[i]) != not
+			}
+		}
+	}
+	return nil
 }
 
 // cmpMask3 encodes a three-way comparison outcome as a bit: 1 = less,
 // 2 = equal, 4 = greater. Comparison operators become a constant mask
-// tested against it, so one kernel body serves all six operators.
+// tested against it (opMasks), so one kernel body serves all six.
 func cmpMask3(c int) uint8 {
 	if c < 0 {
 		return 1
@@ -66,188 +198,8 @@ func cmpMaskFloat(a, b float64) uint8 {
 	return 2
 }
 
-// opMask returns the accepting mask for a comparison operator, or 0 for
-// a non-comparison operator.
-func opMask(op string) uint8 {
-	switch op {
-	case "=":
-		return 2
-	case "!=":
-		return 1 | 4
-	case "<":
-		return 1
-	case "<=":
-		return 1 | 2
-	case ">":
-		return 4
-	case ">=":
-		return 4 | 2
-	default:
-		return 0
-	}
-}
-
-// flipOp mirrors a comparison so `lit op col` becomes `col flip(op) lit`.
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default: // = and != are symmetric
-		return op
-	}
-}
-
-// predSource is what a kernel reads its cells from: the selected rows of a
-// relation whose first column is slot off of the FROM row, and for a full
-// scan of a base table (t non-nil) that table's column vectors.
-type predSource struct {
-	t    *Table // non-nil: a full scan of t, kernels may read its vectors
-	off  int    // a scan of one FROM item: the item's first slot
-	left int    // a join's output: the left input's width (selection.leftWidth)
-}
-
-// col returns the column of the source's rows cr is bound to. ok is false
-// for a reference to an enclosing row, which keeps its expression form.
-func (ps predSource) col(cr *ColumnRef) (int, bool) {
-	return cr.slot - ps.off, cr.depth == 0
-}
-
-func compilePred(ps predSource, e Expr) rowPred {
-	if p := compileKernel(ps, e, false); p.usable() {
-		return p
-	}
-	return rowPred{expr: e}
-}
-
-// compileKernel returns the kernel for e — for NOT e when neg — or an
-// unusable rowPred when e has no kernel shape. NOT distributes into the
-// shapes' own negation: a comparison takes the complementary mask (a NULL
-// cell or literal still fails, as NOT NULL does) and the others flip the
-// not flag their kernels already take. A negated column is read from the
-// rows: negation passes most of them, and a vector built for it would stay
-// resident for no gain a selective filter could repay. What a comparison
-// reads from rows — a negated column, an index bucket, a join's output —
-// still compares a TEXT or INTEGER cell against a literal of its own kind
-// without the general path (cmpCell).
-func compileKernel(ps predSource, e Expr, neg bool) rowPred {
-	switch x := e.(type) {
-	case *Unary:
-		if x.Op == "NOT" {
-			ps.t = nil
-			return compileKernel(ps, x.X, !neg)
-		}
-	case *Binary:
-		if opMask(x.Op) != 0 {
-			maskFor := func(op string) uint8 {
-				if neg {
-					return opMask(op) ^ 7
-				}
-				return opMask(op)
-			}
-			if cr, ok := x.L.(*ColumnRef); ok && cr.Name != "*" {
-				if lit, ok := x.R.(*Literal); ok {
-					if p := cmpKernel(ps, cr, &lit.Val, maskFor(x.Op)); p.usable() {
-						return p
-					}
-				}
-			}
-			if cr, ok := x.R.(*ColumnRef); ok && cr.Name != "*" {
-				if lit, ok := x.L.(*Literal); ok {
-					return cmpKernel(ps, cr, &lit.Val, maskFor(flipOp(x.Op)))
-				}
-			}
-		}
-	case *IsNullExpr:
-		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" {
-			return isNullKernel(ps, cr, x.Not != neg)
-		}
-	case *BetweenExpr:
-		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" {
-			lo, lok := x.Lo.(*Literal)
-			hi, hok := x.Hi.(*Literal)
-			if lok && hok {
-				return betweenKernel(ps, cr, lo.Val, hi.Val, x.Not != neg)
-			}
-		}
-	case *InExpr:
-		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" && x.Sub == nil {
-			lits := make([]Value, 0, len(x.List))
-			for _, le := range x.List {
-				lit, ok := le.(*Literal)
-				if !ok {
-					return rowPred{}
-				}
-				lits = append(lits, lit.Val)
-			}
-			return inKernel(ps, cr, lits, x.Not != neg)
-		}
-	case *LikeExpr:
-		if cr, ok := x.X.(*ColumnRef); ok && cr.Name != "*" {
-			if lit, ok := x.Pattern.(*Literal); ok {
-				return likeKernel(ps, cr, lit.Val, x.Not != neg)
-			}
-		}
-	}
-	return rowPred{}
-}
-
-func (p *rowPred) usable() bool { return p.byIdx != nil || p.test != nil || p.mask != 0 }
-
-// pass applies a cell kernel to the cell it reads.
-func (p *rowPred) pass(v Value) bool {
-	if p.mask != 0 {
-		return cmpCell(v, *p.lit, p.mask)
-	}
-	return p.test(v)
-}
-
-// cellKernel is the row-reading form of a kernel: test applied to column col
-// of the selected row. It serves what no typed vector does — a negated
-// column, an index bucket, a join's output, a column of mixed kinds.
-func (ps predSource) cellKernel(col int, test func(Value) bool) rowPred {
-	return rowPred{test: test, at: splitCol(ps.left, col)}
-}
-
-// vec returns the typed vector of column col for a full scan, or nil where
-// kernels read the rows.
-func (ps predSource) vec(col int) *colVec {
-	if ps.t == nil {
-		return nil
-	}
-	if v := ps.t.columnVec(col); v.typed {
-		return v
-	}
-	return nil
-}
-
-// cmpKernel compiles `col <op> lit` with the interpreter's exact
-// semantics: NULL on either side fails the filter, mixed numeric/text
-// operands harmonise, then Compare orders across kinds. A typed vector is
-// compared in its own kind; where cells are read from rows, cmpCell.
-func cmpKernel(ps predSource, cr *ColumnRef, lit *Value, mask uint8) rowPred {
-	col, ok := ps.col(cr)
-	if !ok {
-		return rowPred{}
-	}
-	if lit.IsNull() {
-		return ps.cellKernel(col, never)
-	}
-	if vec := ps.vec(col); vec != nil {
-		if f := cmpVecKernel(vec, *lit, mask); f != nil {
-			return rowPred{byIdx: f}
-		}
-	}
-	return rowPred{at: splitCol(ps.left, col), lit: lit, mask: mask}
-}
-
-// cmpVecKernel is `col <op> lit` over a typed vector, or nil for an
-// all-NULL one.
+// cmpVecKernel is `col <op> lit` over a typed vector, compared in the
+// vector's own kind, or nil for an all-NULL one.
 func cmpVecKernel(vec *colVec, lit Value, mask uint8) func(i int) bool {
 	litF, litNum := 0.0, false
 	switch lit.Kind {
@@ -310,125 +262,3 @@ func cmpVecKernel(vec *colVec, lit Value, mask uint8) func(i int) bool {
 	}
 	return nil
 }
-
-// cmpCell is `cell <op> lit` for a cell read from a row (every comparison
-// mask is non-zero). A TEXT cell against a TEXT literal and an INTEGER cell
-// against an INTEGER literal — where harmonise changes nothing — compare
-// directly; NULL fails, and every other cell harmonises and Compares.
-func cmpCell(v, lit Value, mask uint8) bool {
-	switch {
-	case v.Kind == KindText && lit.Kind == KindText:
-		return mask&cmpMask3(strings.Compare(v.S, lit.S)) != 0
-	case v.Kind == KindInt && lit.Kind == KindInt:
-		return mask&cmpMaskInt(v.I, lit.I) != 0
-	case v.IsNull():
-		return false
-	}
-	a, b := harmonise(v, lit)
-	return mask&cmpMask3(Compare(a, b)) != 0
-}
-
-func isNullKernel(ps predSource, cr *ColumnRef, not bool) rowPred {
-	col, ok := ps.col(cr)
-	if !ok {
-		return rowPred{}
-	}
-	// Only typed vectors carry an authoritative null bitmap.
-	if vec := ps.vec(col); vec != nil {
-		return rowPred{byIdx: func(i int) bool { return vec.null(i) != not }}
-	}
-	if not {
-		return ps.cellKernel(col, isNotNull)
-	}
-	return ps.cellKernel(col, Value.IsNull)
-}
-
-func isNotNull(v Value) bool { return !v.IsNull() }
-
-func betweenKernel(ps predSource, cr *ColumnRef, lo, hi Value, not bool) rowPred {
-	col, ok := ps.col(cr)
-	if !ok {
-		return rowPred{}
-	}
-	if lo.IsNull() || hi.IsNull() {
-		// Any NULL bound makes the BETWEEN NULL for every row: never true.
-		return ps.cellKernel(col, never)
-	}
-	if vec := ps.vec(col); vec != nil && vec.kind == KindInt && lo.Kind == KindInt && hi.Kind == KindInt {
-		ints, li, hv := vec.ints, lo.I, hi.I
-		return rowPred{byIdx: func(i int) bool {
-			if vec.null(i) {
-				return false
-			}
-			x := ints[i]
-			return (x >= li && x <= hv) != not
-		}}
-	}
-	return ps.cellKernel(col, func(v Value) bool {
-		if v.IsNull() {
-			return false
-		}
-		a1, b1 := harmonise(v, lo)
-		a2, b2 := harmonise(v, hi)
-		in := Compare(a1, b1) >= 0 && Compare(a2, b2) <= 0
-		return in != not
-	})
-}
-
-func inKernel(ps predSource, cr *ColumnRef, lits []Value, not bool) rowPred {
-	col, ok := ps.col(cr)
-	if !ok {
-		return rowPred{}
-	}
-	sawNull := false
-	cands := lits[:0]
-	for _, c := range lits {
-		if c.IsNull() {
-			sawNull = true
-			continue
-		}
-		cands = append(cands, c)
-	}
-	return ps.cellKernel(col, func(v Value) bool {
-		if v.IsNull() {
-			return false // NULL IN (...) is NULL: filtered out
-		}
-		for _, c := range cands {
-			a, b := harmonise(v, c)
-			if Compare(a, b) == 0 {
-				return !not
-			}
-		}
-		if sawNull {
-			return false // unknown: filtered out
-		}
-		return not
-	})
-}
-
-func likeKernel(ps predSource, cr *ColumnRef, pattern Value, not bool) rowPred {
-	col, ok := ps.col(cr)
-	if !ok {
-		return rowPred{}
-	}
-	if pattern.IsNull() {
-		return ps.cellKernel(col, never)
-	}
-	p := pattern.AsText()
-	if vec := ps.vec(col); vec != nil && vec.kind == KindText {
-		strs := vec.strs
-		return rowPred{byIdx: func(i int) bool {
-			return !vec.null(i) && likeMatch(p, strs[i]) != not
-		}}
-	}
-	return ps.cellKernel(col, func(v Value) bool {
-		if v.IsNull() {
-			return false
-		}
-		return likeMatch(p, v.AsText()) != not
-	})
-}
-
-// never is the test of a kernel with a row-independent false verdict (e.g.
-// `col = NULL`).
-func never(Value) bool { return false }

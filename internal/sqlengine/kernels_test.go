@@ -2,83 +2,131 @@ package sqlengine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// TestNegationKernelTruthTable pins NOT (…) kernels against the interpreter
-// over the three-valued truth table: every kind of cell (NULL, INTEGER,
-// REAL, numeric-looking and plain TEXT) against every kind of literal, NULL
+// TestNegationKernelTruthTable pins the filter against the evaluator over
+// the three-valued truth table: every kind of cell (NULL, INTEGER, REAL,
+// numeric-looking and plain TEXT) against every kind of literal, NULL
 // included, under every comparison in both orientations and under the
-// shapes that carry their own negation. Each predicate is compiled for a
-// selected row (an index bucket, an intermediate relation) and for a full
-// scan, whose column vectors a negation must not take up: it builds none.
+// shapes that carry their own negation, each plain and under NOT. The
+// cells sit in a column of mixed kinds, whose vector is untyped, and again
+// split by kind into typed INTEGER, REAL and TEXT columns with NULLs, whose
+// vectors the shapes' kernels read. Each predicate is compiled at Prepare,
+// pushed into the scan, and filtered as a whole-table scan (vectors where
+// typed) and as a selection of positions (an index bucket, read from the
+// rows); both must keep exactly the rows the evaluator finds TRUE. A
+// negation has no vector form — it passes most rows, and a vector built for
+// it would stay resident — so filtering every NOT (…) builds no vector,
+// and every shape with non-NULL literals has one.
 func TestNegationKernelTruthTable(t *testing.T) {
 	db := NewDatabase("neg")
-	db.MustExec("CREATE TABLE n (c INTEGER, d INTEGER)")
+	db.MustExec("CREATE TABLE n (c INTEGER, d INTEGER, ci INTEGER, cr REAL, ct TEXT)")
 	tab, _ := db.Table("n")
 	// Cells are set directly: no column affinity would keep all of these.
 	for _, v := range []Value{Null(), Int(1), Int(2), Int(-3), Float(1), Float(1.5), Text("1"), Text("01"), Text("1.5"), Text("x"), Text("")} {
-		tab.Rows = append(tab.Rows, []Value{v, Int(7)})
+		row := []Value{v, Int(7), Null(), Null(), Null()}
+		row[map[Kind]int{KindNull: 2, KindInt: 2, KindFloat: 3, KindText: 4}[v.Kind]] = v
+		tab.Rows = append(tab.Rows, row)
 	}
 	lits := []string{"NULL", "1", "2", "1.5", "'1'", "'1.5'", "'x'", "''"}
-	var conds []string
+	shapes := []string{"%s IS NULL", "%s IS NOT NULL", "%s LIKE '1%%'", "%s IN (NULL)"}
 	for _, lit := range lits {
 		for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
-			conds = append(conds, fmt.Sprintf("c %s %s", op, lit), fmt.Sprintf("%s %s c", lit, op))
+			shapes = append(shapes, "%s "+op+" "+lit, lit+" "+op+" %s")
 		}
 		for _, not := range []string{"", "NOT "} {
-			conds = append(conds,
-				fmt.Sprintf("c %sBETWEEN %s AND 2", not, lit),
-				fmt.Sprintf("c %sBETWEEN 1 AND %s", not, lit),
-				fmt.Sprintf("c %sIN (%s, 2)", not, lit),
-				fmt.Sprintf("c %sLIKE %s", not, lit))
+			shapes = append(shapes,
+				"%s "+not+"BETWEEN "+lit+" AND 2",
+				"%s "+not+"BETWEEN 1 AND "+lit,
+				"%s "+not+"IN ("+lit+", 2)",
+				"%s "+not+"LIKE "+lit)
 		}
 	}
-	conds = append(conds, "c IS NULL", "c IS NOT NULL", "c LIKE '1%'", "c IN (NULL)", "NOT (c = 1)", "NOT NOT (c >= '1')")
 
+	// What has no compiled shape keeps to the evaluator, negated or not.
+	noShape := map[string]bool{"NOT (c = d)": true, "NOT (c + 1 = 2)": true, "NOT (c = 1 OR d = 7)": true, "NOT c": true, "c = d": true, "c + 1 = 2": true}
 	ec := &execCtx{db: db}
 	env := &evalEnv{ec: ec, sc: &scope{}}
-	for _, cond := range conds {
-		sel := preparedSelect(t, db, "SELECT 1 FROM n WHERE NOT ("+cond+")")
-		sources := map[string]predSource{
-			"row":       {},
-			"full scan": {t: tab},
+	every := make([]int, len(tab.Rows))
+	for i := range every {
+		every[i] = i
+	}
+	check := func(cond string) (vec bool) {
+		t.Helper()
+		sel := preparedSelect(t, db, "SELECT 1 FROM n WHERE "+cond)
+		conj := sel.bound.plan.where
+		if len(conj) != 1 || conj[0].scan != 0 {
+			t.Fatalf("%s: not one conjunct pushed into the scan", cond)
 		}
-		for name, ps := range sources {
-			p := compilePred(ps, sel.Where)
-			if !p.usable() {
-				t.Errorf("NOT (%s) over a %s source compiled to no kernel", cond, name)
-				continue
+		var want []int
+		for pos, row := range tab.Rows {
+			env.sc.row = row
+			if ok, err := env.holds(sel.Where); err != nil {
+				t.Fatal(err)
+			} else if ok {
+				want = append(want, pos)
 			}
-			for pos, row := range tab.Rows {
-				env.sc.row = row
-				v, err := env.eval(sel.Where)
-				if err != nil {
-					t.Fatal(err)
-				}
-				truth, known := v.Truth()
-				want := truth && known
-				var got bool
-				if p.byIdx != nil {
-					got = p.byIdx(pos)
-				} else {
-					got = p.pass(cell(row, nil, p.at))
-				}
-				if got != want {
-					t.Errorf("NOT (%s) on cell %v over a %s source: kernel %v, interpreter %v (value %v)", cond, row[0], name, got, want, v)
-				}
+		}
+		for name, in := range map[string]struct {
+			s selection
+			t *Table
+		}{
+			"full scan": {selection{rows: tab.Rows, all: true}, tab},
+			"positions": {selection{rows: tab.Rows, pos: every}, nil},
+		} {
+			out, err := ec.filter(in.s, conj, 0, in.t, 0, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			var got []int
+			for i := 0; i < out.len(); i++ {
+				got = append(got, out.at(i))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s over %s keeps positions %v, the evaluator %v", cond, name, got, want)
+			}
+		}
+		if conj[0].kern.shape == noKernel && !noShape[cond] {
+			t.Errorf("%s did not compile to its shape", cond)
+		}
+		return conj[0].kern.vec
+	}
+	for _, col := range []string{"c", "ci", "cr", "ct"} {
+		for _, shape := range shapes {
+			if check("NOT (" + fmt.Sprintf(shape, col) + ")") {
+				t.Errorf("NOT (%s) has a vector form", fmt.Sprintf(shape, col))
+			}
+		}
+	}
+	for _, cond := range []string{"NOT (c = 1)", "NOT NOT (c >= '1')", "NOT (ci = 1)", "NOT (ct >= '1')"} {
+		if check(cond) {
+			t.Errorf("%s has a vector form", cond)
 		}
 	}
 	if len(tab.colVecs) != 0 {
-		t.Errorf("negation kernels built %d column vectors, want none", len(tab.colVecs))
+		t.Errorf("negations built %d column vectors, want none", len(tab.colVecs))
+	}
+	for _, col := range []string{"c", "ci", "cr", "ct"} {
+		for _, shape := range shapes {
+			cond := fmt.Sprintf(shape, col)
+			_, inList := preparedSelect(t, db, "SELECT 1 FROM n WHERE "+cond).Where.(*InExpr)
+			if vec := check(cond); vec == (inList || strings.Contains(cond, "NULL") && !strings.Contains(cond, " IS ")) {
+				t.Errorf("%s: vector form %v", cond, vec)
+			}
+		}
+	}
+	for _, col := range []string{"ci", "cr", "ct"} {
+		if v := tab.colVecs[tab.ColumnIndex(col)]; v == nil || !v.typed {
+			t.Errorf("column %s was filtered through no typed vector", col)
+		}
 	}
 
-	// What has no kernel shape keeps its expression, negated or not.
-	for _, cond := range []string{"NOT (c = d)", "NOT (c + 1 = 2)", "NOT (c = 1 OR d = 7)", "NOT c"} {
-		sel := preparedSelect(t, db, "SELECT 1 FROM n WHERE "+cond)
-		if p := compilePred(predSource{t: tab}, sel.Where); p.usable() || p.expr != sel.Where {
-			t.Errorf("%s compiled to a kernel, want its expression kept", cond)
+	for cond := range noShape {
+		if sel := preparedSelect(t, db, "SELECT 1 FROM n WHERE "+cond); sel.bound.plan.where[0].kern.shape != noKernel {
+			t.Errorf("%s compiled to a shape, want the evaluator", cond)
 		}
+		check(cond)
 	}
 }

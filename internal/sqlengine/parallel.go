@@ -5,16 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// Batch execution. A planned filter runs compiled kernels (kernels.go) over
-// its whole input in one pass, marking survivors in one bitmask, and a hash
-// join probes its whole left input in one range (hashjoin.go); both run on
-// the statement's own goroutine, whatever the size of the input, and emit
-// the same rows in the same order as the interpreter's loop.
+// Selections and the filter. A FROM hands on a selection — positions into
+// one relation's rows, or a hash join's position pairs — and one filter loop
+// thins it for every WHERE and pushed conjunct, planned or naive: each
+// conjunct is compiled at Prepare into the evaluator's nodes (eval.go) and,
+// for a whole-table scan, may read a typed column vector instead
+// (kernels.go). A hash join probes its whole left input in one range
+// (hashjoin.go). Everything runs on the statement's own goroutine, whatever
+// the size of the input, and emits the same rows in the same order as the
+// naive reference.
 //
-// Only safe-total expressions (planner.go) ever run as a kernel or a probe's
-// residual: they cannot execute subqueries (the one path by which evaluation
-// touches the execCtx) and cannot fail — their names were bound at Prepare —
-// so a kernel may stand in for the interpreter.
+// Only safe-total expressions (planner.go) are ever split into conjuncts,
+// pushed into a scan or run as a probe's residual: they cannot execute
+// subqueries (the one path by which evaluation touches the execCtx) and
+// cannot fail — their names were bound at Prepare — so evaluating them on
+// fewer rows, or through a vector, cannot be observed.
 
 // morselRows is the unit the batch operators' input is counted in
 // (Result.Batches): a filter or a probe over n rows processes
@@ -242,79 +247,75 @@ func (s selection) keep(mask []uint64, n int) selection {
 	return out
 }
 
-// filterPositions applies compiled predicates to the selected rows, whose
-// first column is slot off of the FROM row, and returns the selection of the
-// survivors, in input order. Index-form kernels (byIdx) require in to be a
-// selection of the base table the predicates were compiled against;
-// expression fallbacks evaluate in one environment (and, over a join's
-// output, one pair buffer) built on first use. Survivors are
-// marked in a bitmask and the output is allocated once, at its exact size, or
-// not at all when everything passes.
-func (ec *execCtx) filterPositions(in selection, preds []rowPred, off int, outer *scope) (selection, error) {
-	n := in.len()
-	ec.countBatches(n)
-	mask := make([]uint64, (n+63)/64)
-	total := 0
+// filter returns the selection of in's rows on which every conjunct of conj
+// that the scan of FROM item item evaluates (conjunct.scan; -1: the filter
+// after the FROM) is TRUE, in input order. The rows' first column is slot off
+// of the FROM row. A row fails at its first conjunct that is not TRUE — the
+// naive AND chain's reach; a WHERE that may not be split is one conjunct,
+// evaluated on every row in order. A compiled conjunct (kernels.go) reads
+// its column's vector through its vector form where t is non-nil — in holds
+// positions into t.Rows — and the vector is typed, and its cell of each row
+// through its row form otherwise; any other conjunct is the evaluator's, in
+// one environment (and, over a join's output, one pair buffer) built on
+// first use. Survivors are marked in a bitmask and the output is allocated
+// once, at its exact size, or not at all when everything passes.
+func (ec *execCtx) filter(in selection, conj []conjunct, item int, t *Table, off int, outer *scope) (selection, error) {
+	// How each conjunct reads a row; a short conjunction's stay on the stack.
+	type form struct {
+		test func(i int) bool
+		at   colAt
+	}
+	forms := make([]form, 0, 4)
 	var env *evalEnv
 	var buf []Value
+	for k := range conj {
+		c := &conj[k]
+		var f form
+		switch {
+		case c.scan != item:
+		case t != nil && c.kern.vec:
+			if vec := t.columnVec(c.kern.col); vec.typed {
+				f.test = c.kern.test(vec)
+			}
+			fallthrough
+		case c.kern.shape != noKernel:
+			f.at = in.colAt(c.kern.col)
+		case env == nil:
+			env = &evalEnv{ec: ec, sc: &scope{off: off, parent: outer}}
+			buf = in.rowBuf()
+		}
+		forms = append(forms, f)
+	}
+	n := in.len()
+	mask := make([]uint64, (n+63)/64)
+	total := 0
 rows:
 	for i := 0; i < n; i++ {
-		for k := range preds {
-			p := &preds[k]
-			var ok bool
+		for k := range conj {
+			c, f := &conj[k], &forms[k]
 			switch {
-			case p.byIdx != nil:
-				ok = p.byIdx(in.at(i))
-			case p.expr == nil:
-				l, r := in.row(i)
-				ok = p.pass(cell(l, r, p.at))
-			default:
-				if env == nil {
-					env = &evalEnv{ec: ec, sc: &scope{off: off, parent: outer}}
-					buf = in.rowBuf()
+			case c.scan != item:
+				continue
+			case f.test != nil:
+				if !f.test(in.at(i)) {
+					continue rows
 				}
+			case c.kern.shape != noKernel:
+				if l, r := in.row(i); !c.kern.holds(cell(l, r, f.at)) {
+					continue rows
+				}
+			default:
 				l, r := in.row(i)
 				env.sc.row = scopeRow(l, r, buf)
-				v, err := env.eval(p.expr)
-				if err != nil {
+				if ok, err := env.holds(c.expr); err != nil {
 					return selection{}, err
+				} else if !ok {
+					continue rows
 				}
-				t, known := v.Truth()
-				ok = t && known
-			}
-			if !ok {
-				continue rows
 			}
 		}
 		mask[i/64] |= 1 << (i % 64)
 		total++
-	}
-	return in.keep(mask, total), nil
-}
-
-// filterInterpreted is the in-order filter for what may not run as kernels —
-// an unsafe WHERE, whose subqueries run and fill the memo — and the naive
-// reference's: every selected row is visited in order and passes iff
-// where is true on it. A join's output is evaluated in one reused pair
-// buffer.
-func (ec *execCtx) filterInterpreted(in selection, where Expr, outer *scope) (selection, error) {
-	n := in.len()
-	mask := make([]uint64, (n+63)/64)
-	sc := &scope{parent: outer}
-	env := &evalEnv{ec: ec, sc: sc}
-	buf := in.rowBuf()
-	total := 0
-	for i := 0; i < n; i++ {
-		l, r := in.row(i)
-		sc.row = scopeRow(l, r, buf)
-		v, err := env.eval(where)
-		if err != nil {
-			return selection{}, err
-		}
-		if t, known := v.Truth(); t && known {
-			mask[i/64] |= 1 << (i % 64)
-			total++
-		}
 	}
 	return in.keep(mask, total), nil
 }

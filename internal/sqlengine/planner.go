@@ -64,11 +64,12 @@ type selectPlan struct {
 	// EXISTS in exists uncorrelated — the precondition for pushdown and the
 	// batch filter.
 	whereSafe bool
-	// pushAt holds, per conjunct in where, the FROM item whose scan
-	// evaluates it, or -1: the filter after the FROM's. Because pushdown
-	// requires whereSafe, a row passes the rest of the WHERE iff every
-	// conjunct at -1 is true on it. nil when nothing is pushed (planPush).
-	pushAt []int
+	// pushed reports that some conjunct in where is evaluated by the scan of
+	// a FROM item (conjunct.scan, planPush), and residual that some is not:
+	// the filter after the FROM evaluates it. Because pushdown requires
+	// whereSafe, a row passes the rest of the WHERE iff every residual
+	// conjunct is true on it.
+	pushed, residual bool
 	// anyRow marks the body of an EXISTS: only whether it has a row is
 	// read, so a positions tail returns at most one (positions.go).
 	anyRow bool
@@ -85,16 +86,20 @@ type selectPlan struct {
 // conjunct is one AND-term of a WHERE or ON clause.
 type conjunct struct {
 	expr Expr
-	// eq is set when expr is `colref = colref`, the hash-join candidate
-	// shape.
-	eq *eqPattern
-	// eqLit is set when expr is `colref = literal` (either order), the
-	// point-lookup index shape.
-	eqLit *eqLitPattern
+	// eq is set (a non-nil) when expr is `colref = colref`, the hash-join
+	// candidate shape, and point reports that expr is `colref = literal`
+	// (either order), the point-lookup index shape.
+	eq    eqPattern
+	point bool
 	// safe reports expr is safe-total: pure (no subqueries) and total
 	// (cannot error on any row), so evaluating it on more or fewer rows than
 	// the naive executor is unobservable.
 	safe bool
+	// scan is the FROM item whose scan evaluates expr, or -1: the filter
+	// after the FROM (planPush). kern is expr compiled over the rows it
+	// filters there, if its shape compiles (kernels.go).
+	scan int
+	kern kernel
 }
 
 // existsConjunct is a top-level [NOT] EXISTS term of a WHERE; at counts
@@ -106,11 +111,6 @@ type existsConjunct struct {
 }
 
 type eqPattern struct{ a, b *ColumnRef }
-
-type eqLitPattern struct {
-	col *ColumnRef
-	lit Value
-}
 
 // joinAnalysis is the planner's reading of one join's ON conjunction.
 type joinAnalysis struct {
@@ -155,12 +155,22 @@ func planSelect(sel *SelectStmt) {
 			}
 		}
 	}
-	pl.pushAt = planPush(sel, pl)
+	planPush(sel, pl)
+	for k := range pl.where {
+		c := &pl.where[k]
+		off := 0
+		if c.scan >= 0 {
+			off = sel.bound.from[c.scan].off
+		}
+		c.kern = kernelOf(c.expr, off)
+		pl.residual = pl.residual || c.scan < 0
+	}
 	core := *sel
 	if sel.Compound != CompoundNone {
 		core.OrderBy, core.Limit, core.Offset = nil, nil, nil
 	}
-	if len(sel.GroupBy) > 0 || anyAggregate(&core) {
+	sel.bound.grouped = len(sel.GroupBy) > 0 || anyAggregate(&core)
+	if sel.bound.grouped {
 		pl.aggTail, pl.reason = planAggTail(&core)
 	} else {
 		pl.rowTail, pl.reason = planRowTail(&core)
@@ -181,7 +191,7 @@ func planJoin(on Expr, right int) *joinAnalysis {
 		return ja
 	}
 	for _, c := range conj {
-		if c.eq != nil && c.eq.a.depth == 0 && c.eq.b.depth == 0 {
+		if c.eq.a != nil && c.eq.a.depth == 0 && c.eq.b.depth == 0 {
 			a, b := c.eq.a.slot, c.eq.b.slot
 			if b < a {
 				a, b = b, a
@@ -209,22 +219,16 @@ func flattenAnd(e Expr, dst []Expr) []Expr {
 }
 
 func analyzeConjunct(e Expr) conjunct {
-	c := conjunct{expr: e, safe: exprSafeTotal(e)}
-	if b, ok := e.(*Binary); ok && b.Op == "=" {
+	c := conjunct{expr: e, safe: exprSafeTotal(e), scan: -1}
+	if b, ok := e.(*Binary); ok && b.op == opEq {
 		lref, lok := b.L.(*ColumnRef)
 		rref, rok := b.R.(*ColumnRef)
-		switch {
-		case lok && rok:
-			c.eq = &eqPattern{a: lref, b: rref}
-		case lok:
-			if lit, ok := b.R.(*Literal); ok {
-				c.eqLit = &eqLitPattern{col: lref, lit: lit.Val}
-			}
-		case rok:
-			if lit, ok := b.L.(*Literal); ok {
-				c.eqLit = &eqLitPattern{col: rref, lit: lit.Val}
-			}
+		_, llit := b.L.(*Literal)
+		_, rlit := b.R.(*Literal)
+		if lok && rok {
+			c.eq = eqPattern{a: lref, b: rref}
 		}
+		c.point = lok && rlit || rok && llit
 	}
 	return c
 }
@@ -389,20 +393,19 @@ func scalarCallSafe(fc *FuncCall) bool {
 // the one item its columns belong to, unless that item is the right side of
 // a LEFT JOIN; a reference to an enclosing row is read through the scan's
 // scope as anywhere else.
-func planPush(sel *SelectStmt, pl *selectPlan) []int {
+func planPush(sel *SelectStmt, pl *selectPlan) {
 	items, from := sel.From, sel.bound.from
 	n := len(items)
 	if len(pl.where) == 0 || !pl.whereSafe || n == 0 || n > 1 && len(pl.exists) > 0 {
-		return nil
+		return
 	}
 	for i := range items {
 		if items[i].Sub != nil || pl.joins != nil && pl.joins[i] != nil && !pl.joins[i].safe {
-			return nil
+			return
 		}
 	}
-	at := make([]int, len(pl.where))
-	anyPushed := false
-	for k, c := range pl.where {
+	for k := range pl.where {
+		c := &pl.where[k]
 		target := -1 // item index; -1 undecided, -2 multi-item
 		// A conjunct containing a subquery is never safe, so no reference
 		// in a subquery body is missed here.
@@ -421,16 +424,10 @@ func planPush(sel *SelectStmt, pl *selectPlan) []int {
 			}
 		}
 		if target >= 0 && (target == 0 || items[target].Join != JoinLeft) {
-			at[k] = target
-			anyPushed = true
-		} else {
-			at[k] = -1
+			c.scan = target
+			pl.pushed = true
 		}
 	}
-	if !anyPushed {
-		return nil
-	}
-	return at
 }
 
 // coarseKey appends an equality bucket key for v: values that compare equal
@@ -466,13 +463,8 @@ func appendNumKey(dst []byte, f float64) []byte {
 	return strconv.AppendFloat(append(dst, 'N'), f, 'b', -1, 64)
 }
 
-// sqlEq replicates the truth of the executor's `=` operator: NULL never
-// matches, and mixed numeric/text operands go through the same harmonise
-// coercion evalBinary applies.
+// sqlEq is the truth of the evaluator's `=`: NULL never matches, and
+// other operands compare as compareSQL orders them.
 func sqlEq(a, b Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return false
-	}
-	a, b = harmonise(a, b)
-	return Compare(a, b) == 0
+	return !a.IsNull() && !b.IsNull() && compareSQL(a, b) == 0
 }

@@ -101,44 +101,36 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 // equality-index bucket (already a selection, ascending, so emission order
 // is a full scan's), and every pushed conjunct — the indexed equality
 // included, re-verified with real `=` semantics — then filters what is
-// left, through kernels: over the column vectors for a full scan, and over
-// the rows themselves for a bucket, which is small and not worth a vector.
+// left: for a full scan through the column vectors where a conjunct has a
+// vector form, and otherwise — a bucket is small and not worth a vector —
+// over the rows (kernels.go).
 // The scan is charged the rows it reads: the bucket, or the table.
 func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope) (selection, error) {
 	s := selection{rows: t.Rows, all: true}
 	pushed := false
-	ps := predSource{off: off}
-	for k, c := range pl.where {
-		if pl.pushAt[k] != i {
+	for k := range pl.where {
+		c := &pl.where[k]
+		if c.scan != i {
 			continue
 		}
 		pushed = true
-		if c.eqLit == nil || !s.all {
+		if k := &c.kern; !c.point || !s.all || k.shape == noKernel {
 			continue
-		}
-		col, ok := ps.col(c.eqLit.col)
-		if !ok {
-			continue
-		}
-		if c.eqLit.lit.IsNull() { // `col = NULL` is never true: nothing selected
+		} else if k.lit.IsNull() { // `col = NULL` is never true: nothing selected
 			s.all = false
-		} else if pos, ok := t.eqLookup(col, string(coarseKey(nil, c.eqLit.lit))); ok {
+		} else if pos, ok := t.eqLookup(k.col, string(coarseKey(nil, k.lit))); ok {
 			s.all, s.pos = false, pos
 		}
 	}
 	if err := ec.charge(int64(s.len())); err != nil || !pushed || s.len() == 0 {
 		return s, err
 	}
-	if s.all {
-		ps.t = t
+	vecs := t
+	if !s.all {
+		vecs = nil
 	}
-	preds := make([]rowPred, 0, 4)
-	for k, c := range pl.where {
-		if pl.pushAt[k] == i {
-			preds = append(preds, compilePred(ps, c.expr))
-		}
-	}
-	return ec.filterPositions(s, preds, off, outer)
+	ec.countBatches(s.len())
+	return ec.filter(s, pl.where, i, vecs, off, outer)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---
@@ -388,14 +380,17 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 type aggFn uint8
 
 const (
-	aggGroupCol  aggFn = iota // a bare column, read from the group's first row
-	aggCountStar              // COUNT(*)
+	// aggNone is no aggregate: a scalar call; in an aggregate tail, a bare
+	// column, read from the group's first row.
+	aggNone      aggFn = iota
+	aggCountStar       // COUNT(*), in an aggregate tail
 	aggCount
 	aggSum
 	aggTotal
 	aggAvg
 	aggMin
 	aggMax
+	aggGroupConcat
 )
 
 type aggItem struct {
@@ -432,11 +427,11 @@ func planAggTail(sel *SelectStmt) (*aggPlan, string) {
 			return nil, pathRowsProjection
 		}
 		if col, ok := localCol(item.Expr); ok {
-			ap.items = append(ap.items, aggItem{fn: aggGroupCol, col: col})
+			ap.items = append(ap.items, aggItem{fn: aggNone, col: col})
 			continue
 		}
 		fc, ok := item.Expr.(*FuncCall)
-		if !ok || !isAggregateCall(fc) {
+		if !ok || fc.agg == aggNone {
 			return nil, pathRowsProjection
 		}
 		it, ok := aggItemOf(fc)
@@ -457,37 +452,17 @@ func planAggTail(sel *SelectStmt) (*aggPlan, string) {
 }
 
 func aggItemOf(fc *FuncCall) (aggItem, bool) {
-	if fc.Distinct {
+	if fc.Distinct || fc.agg == aggGroupConcat {
 		return aggItem{}, false
 	}
 	if fc.Star {
-		return aggItem{fn: aggCountStar}, fc.Name == "COUNT"
+		return aggItem{fn: aggCountStar}, fc.agg == aggCount
 	}
 	if len(fc.Args) != 1 {
 		return aggItem{}, false
 	}
 	col, ok := localCol(fc.Args[0])
-	if !ok {
-		return aggItem{}, false
-	}
-	it := aggItem{col: col}
-	switch fc.Name {
-	case "COUNT":
-		it.fn = aggCount
-	case "SUM":
-		it.fn = aggSum
-	case "TOTAL":
-		it.fn = aggTotal
-	case "AVG":
-		it.fn = aggAvg
-	case "MIN":
-		it.fn = aggMin
-	case "MAX":
-		it.fn = aggMax
-	default: // GROUP_CONCAT
-		return aggItem{}, false
-	}
-	return it, true
+	return aggItem{fn: fc.agg, col: col}, ok
 }
 
 // aggState accumulates one aggregate over one group. n counts what the
@@ -614,7 +589,7 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		st := states[g*w : (g+1)*w]
 		for k, it := range ap.items {
 			switch it.fn {
-			case aggGroupCol:
+			case aggNone:
 			case aggCountStar:
 				st[k].n++
 			default:
@@ -629,7 +604,7 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		vals := backing[g*w : (g+1)*w : (g+1)*w]
 		for k, it := range ap.items {
 			switch {
-			case it.fn != aggGroupCol:
+			case it.fn != aggNone:
 				vals[k] = states[g*w+k].result(it.fn)
 			case rep >= 0:
 				l, r := s.row(rep)

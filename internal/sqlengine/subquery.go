@@ -51,11 +51,9 @@ func (ec *execCtx) settleExists(outer *scope, pl *selectPlan, from, kept selecti
 				return kept, err
 			}
 		}
-		v, err := env.eval(c.x)
-		if err != nil {
+		if ok, err := env.holds(c.x); err != nil {
 			return selection{}, err
-		}
-		if t, _ := v.Truth(); !t {
+		} else if !ok {
 			return kept.keep(nil, 0), nil
 		}
 	}
@@ -74,11 +72,9 @@ rows:
 		l, r := in.row(i)
 		sc.row = scopeRow(l, r, buf)
 		for _, c := range conj {
-			v, err := env.eval(c.expr)
-			if err != nil {
+			if t, known, err := env.truth(c.expr); err != nil {
 				return false, err
-			}
-			if t, known := v.Truth(); known && !t {
+			} else if known && !t {
 				continue rows
 			}
 		}
