@@ -125,14 +125,14 @@ func TestReferencedColumnsAndTables(t *testing.T) {
 	}
 }
 
-// Property: Tokenize never panics and always terminates on arbitrary
+// Property: tokenize never panics and always terminates on arbitrary
 // input (it either errors or yields tokens).
 func TestTokenizeTotal(t *testing.T) {
 	f := func(s string) bool {
 		if len(s) > 200 {
 			s = s[:200]
 		}
-		toks, err := Tokenize(s)
+		toks, err := tokenize(s)
 		return err != nil || toks != nil || s == "" || allSpaceOrComment(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -141,6 +141,6 @@ func TestTokenizeTotal(t *testing.T) {
 }
 
 func allSpaceOrComment(s string) bool {
-	toks, err := Tokenize(s)
+	toks, err := tokenize(s)
 	return err == nil && len(toks) == 0
 }

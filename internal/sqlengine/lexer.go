@@ -5,40 +5,40 @@ import (
 	"strings"
 )
 
-// Lexer splits a SQL statement into tokens. It handles single-quoted
+// lexer splits a SQL statement into tokens. It handles single-quoted
 // strings with ” escapes, double-quoted and backquoted identifiers
 // (SQLite/MySQL style), square-bracket identifiers, line comments (--) and
 // block comments (/* */).
-type Lexer struct {
+type lexer struct {
 	src string
 	pos int
 }
 
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer { return &Lexer{src: src} }
+// newLexer returns a lexer over src.
+func newLexer(src string) *lexer { return &lexer{src: src} }
 
-// Tokenize runs the lexer to completion, returning all tokens excluding the
+// tokenize runs the lexer to completion, returning all tokens excluding the
 // trailing EOF. It is the convenience entry point used by the parser.
-func Tokenize(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
+func tokenize(src string) ([]token, error) {
+	lx := newLexer(src)
+	var toks []token
 	for {
 		t, err := lx.Next()
 		if err != nil {
 			return nil, err
 		}
-		if t.Type == TokenEOF {
+		if t.Type == tokEOF {
 			return toks, nil
 		}
 		toks = append(toks, t)
 	}
 }
 
-// Next returns the next token, or a TokenEOF token at end of input.
-func (lx *Lexer) Next() (Token, error) {
+// Next returns the next token, or a tokEOF token at end of input.
+func (lx *lexer) Next() (token, error) {
 	lx.skipSpaceAndComments()
 	if lx.pos >= len(lx.src) {
-		return Token{Type: TokenEOF, Pos: lx.pos}, nil
+		return token{Type: tokEOF, Pos: lx.pos}, nil
 	}
 	start := lx.pos
 	c := lx.src[lx.pos]
@@ -46,29 +46,29 @@ func (lx *Lexer) Next() (Token, error) {
 	case c == '\'':
 		s, err := lx.readString('\'')
 		if err != nil {
-			return Token{}, err
+			return token{}, err
 		}
-		return Token{Type: TokenString, Text: s, Pos: start}, nil
+		return token{Type: tokString, Text: s, Pos: start}, nil
 	case c == '"':
 		s, err := lx.readString('"')
 		if err != nil {
-			return Token{}, err
+			return token{}, err
 		}
-		return Token{Type: TokenIdent, Text: s, Pos: start}, nil
+		return token{Type: tokIdent, Text: s, Pos: start}, nil
 	case c == '`':
 		s, err := lx.readString('`')
 		if err != nil {
-			return Token{}, err
+			return token{}, err
 		}
-		return Token{Type: TokenIdent, Text: s, Pos: start}, nil
+		return token{Type: tokIdent, Text: s, Pos: start}, nil
 	case c == '[':
 		end := strings.IndexByte(lx.src[lx.pos:], ']')
 		if end < 0 {
-			return Token{}, fmt.Errorf("sqlengine: unterminated [identifier] at offset %d", start)
+			return token{}, fmt.Errorf("sqlengine: unterminated [identifier] at offset %d", start)
 		}
 		text := lx.src[lx.pos+1 : lx.pos+end]
 		lx.pos += end + 1
-		return Token{Type: TokenIdent, Text: text, Pos: start}, nil
+		return token{Type: tokIdent, Text: text, Pos: start}, nil
 	case isDigit(c) || (c == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1])):
 		return lx.readNumber(), nil
 	case isIdentStart(c):
@@ -82,53 +82,53 @@ func (lx *Lexer) Next() (Token, error) {
 	switch two {
 	case "<=":
 		lx.pos += 2
-		return Token{Type: TokenLte, Text: "<=", Pos: start}, nil
+		return token{Type: tokLte, Text: "<=", Pos: start}, nil
 	case ">=":
 		lx.pos += 2
-		return Token{Type: TokenGte, Text: ">=", Pos: start}, nil
+		return token{Type: tokGte, Text: ">=", Pos: start}, nil
 	case "<>", "!=":
 		lx.pos += 2
-		return Token{Type: TokenNeq, Text: "!=", Pos: start}, nil
+		return token{Type: tokNeq, Text: "!=", Pos: start}, nil
 	case "||":
 		lx.pos += 2
-		return Token{Type: TokenConcat, Text: "||", Pos: start}, nil
+		return token{Type: tokConcat, Text: "||", Pos: start}, nil
 	case "==":
 		lx.pos += 2
-		return Token{Type: TokenEq, Text: "=", Pos: start}, nil
+		return token{Type: tokEq, Text: "=", Pos: start}, nil
 	}
 	lx.pos++
 	switch c {
 	case ',':
-		return Token{Type: TokenComma, Text: ",", Pos: start}, nil
+		return token{Type: tokComma, Text: ",", Pos: start}, nil
 	case '.':
-		return Token{Type: TokenDot, Text: ".", Pos: start}, nil
+		return token{Type: tokDot, Text: ".", Pos: start}, nil
 	case ';':
-		return Token{Type: TokenSemicolon, Text: ";", Pos: start}, nil
+		return token{Type: tokSemicolon, Text: ";", Pos: start}, nil
 	case '(':
-		return Token{Type: TokenLParen, Text: "(", Pos: start}, nil
+		return token{Type: tokLParen, Text: "(", Pos: start}, nil
 	case ')':
-		return Token{Type: TokenRParen, Text: ")", Pos: start}, nil
+		return token{Type: tokRParen, Text: ")", Pos: start}, nil
 	case '*':
-		return Token{Type: TokenStar, Text: "*", Pos: start}, nil
+		return token{Type: tokStar, Text: "*", Pos: start}, nil
 	case '+':
-		return Token{Type: TokenPlus, Text: "+", Pos: start}, nil
+		return token{Type: tokPlus, Text: "+", Pos: start}, nil
 	case '-':
-		return Token{Type: TokenMinus, Text: "-", Pos: start}, nil
+		return token{Type: tokMinus, Text: "-", Pos: start}, nil
 	case '/':
-		return Token{Type: TokenSlash, Text: "/", Pos: start}, nil
+		return token{Type: tokSlash, Text: "/", Pos: start}, nil
 	case '%':
-		return Token{Type: TokenPercent, Text: "%", Pos: start}, nil
+		return token{Type: tokPercent, Text: "%", Pos: start}, nil
 	case '=':
-		return Token{Type: TokenEq, Text: "=", Pos: start}, nil
+		return token{Type: tokEq, Text: "=", Pos: start}, nil
 	case '<':
-		return Token{Type: TokenLt, Text: "<", Pos: start}, nil
+		return token{Type: tokLt, Text: "<", Pos: start}, nil
 	case '>':
-		return Token{Type: TokenGt, Text: ">", Pos: start}, nil
+		return token{Type: tokGt, Text: ">", Pos: start}, nil
 	}
-	return Token{}, fmt.Errorf("sqlengine: unexpected character %q at offset %d", c, start)
+	return token{}, fmt.Errorf("sqlengine: unexpected character %q at offset %d", c, start)
 }
 
-func (lx *Lexer) skipSpaceAndComments() {
+func (lx *lexer) skipSpaceAndComments() {
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch {
@@ -156,7 +156,7 @@ func (lx *Lexer) skipSpaceAndComments() {
 
 // readString consumes a quoted literal delimited by quote, handling doubled
 // quotes as escapes (” -> ').
-func (lx *Lexer) readString(quote byte) (string, error) {
+func (lx *lexer) readString(quote byte) (string, error) {
 	start := lx.pos
 	lx.pos++ // opening quote
 	var b strings.Builder
@@ -177,7 +177,7 @@ func (lx *Lexer) readString(quote byte) (string, error) {
 	return "", fmt.Errorf("sqlengine: unterminated string starting at offset %d", start)
 }
 
-func (lx *Lexer) readNumber() Token {
+func (lx *lexer) readNumber() token {
 	start := lx.pos
 	seenDot, seenExp := false, false
 	for lx.pos < len(lx.src) {
@@ -195,13 +195,13 @@ func (lx *Lexer) readNumber() Token {
 				lx.pos++
 			}
 		default:
-			return Token{Type: TokenNumber, Text: lx.src[start:lx.pos], Pos: start}
+			return token{Type: tokNumber, Text: lx.src[start:lx.pos], Pos: start}
 		}
 	}
-	return Token{Type: TokenNumber, Text: lx.src[start:lx.pos], Pos: start}
+	return token{Type: tokNumber, Text: lx.src[start:lx.pos], Pos: start}
 }
 
-func (lx *Lexer) readWord() Token {
+func (lx *lexer) readWord() token {
 	start := lx.pos
 	for lx.pos < len(lx.src) && isIdentPart(lx.src[lx.pos]) {
 		lx.pos++
@@ -209,9 +209,9 @@ func (lx *Lexer) readWord() Token {
 	word := lx.src[start:lx.pos]
 	upper := strings.ToUpper(word)
 	if keywords[upper] {
-		return Token{Type: TokenKeyword, Text: upper, Pos: start}
+		return token{Type: tokKeyword, Text: upper, Pos: start}
 	}
-	return Token{Type: TokenIdent, Text: word, Pos: start}
+	return token{Type: tokIdent, Text: word, Pos: start}
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -6,11 +6,11 @@ import (
 )
 
 func TestTokenizeBasics(t *testing.T) {
-	toks, err := Tokenize("SELECT a, b FROM t WHERE x = 'it''s' AND y >= 3.5 -- comment\n LIMIT 10")
+	toks, err := tokenize("SELECT a, b FROM t WHERE x = 'it''s' AND y >= 3.5 -- comment\n LIMIT 10")
 	if err != nil {
-		t.Fatalf("Tokenize: %v", err)
+		t.Fatalf("tokenize: %v", err)
 	}
-	var kinds []TokenType
+	var kinds []tokenType
 	var texts []string
 	for _, tok := range toks {
 		kinds = append(kinds, tok.Type)
@@ -25,33 +25,33 @@ func TestTokenizeBasics(t *testing.T) {
 			t.Errorf("token %d = %q, want %q", i, texts[i], want[i])
 		}
 	}
-	if kinds[0] != TokenKeyword {
+	if kinds[0] != tokKeyword {
 		t.Errorf("SELECT should lex as keyword")
 	}
-	if kinds[9] != TokenString {
+	if kinds[9] != tokString {
 		t.Errorf("'it''s' should lex as string, got %v", kinds[9])
 	}
 }
 
 func TestTokenizeQuotedIdentifiers(t *testing.T) {
 	for _, src := range []string{"`Free Meal Count`", `"Free Meal Count"`, "[Free Meal Count]"} {
-		toks, err := Tokenize(src)
+		toks, err := tokenize(src)
 		if err != nil {
-			t.Fatalf("Tokenize(%q): %v", src, err)
+			t.Fatalf("tokenize(%q): %v", src, err)
 		}
-		if len(toks) != 1 || toks[0].Type != TokenIdent || toks[0].Text != "Free Meal Count" {
-			t.Errorf("Tokenize(%q) = %v, want single ident 'Free Meal Count'", src, toks)
+		if len(toks) != 1 || toks[0].Type != tokIdent || toks[0].Text != "Free Meal Count" {
+			t.Errorf("tokenize(%q) = %v, want single ident 'Free Meal Count'", src, toks)
 		}
 	}
 }
 
 func TestTokenizeOperators(t *testing.T) {
-	toks, err := Tokenize("a <> b != c <= d >= e || f == g")
+	toks, err := tokenize("a <> b != c <= d >= e || f == g")
 	if err != nil {
-		t.Fatalf("Tokenize: %v", err)
+		t.Fatalf("tokenize: %v", err)
 	}
-	wantTypes := []TokenType{TokenIdent, TokenNeq, TokenIdent, TokenNeq, TokenIdent,
-		TokenLte, TokenIdent, TokenGte, TokenIdent, TokenConcat, TokenIdent, TokenEq, TokenIdent}
+	wantTypes := []tokenType{tokIdent, tokNeq, tokIdent, tokNeq, tokIdent,
+		tokLte, tokIdent, tokGte, tokIdent, tokConcat, tokIdent, tokEq, tokIdent}
 	if len(toks) != len(wantTypes) {
 		t.Fatalf("got %d tokens, want %d", len(toks), len(wantTypes))
 	}
@@ -63,9 +63,9 @@ func TestTokenizeOperators(t *testing.T) {
 }
 
 func TestTokenizeComments(t *testing.T) {
-	toks, err := Tokenize("SELECT /* block\ncomment */ 1 -- line\n+2")
+	toks, err := tokenize("SELECT /* block\ncomment */ 1 -- line\n+2")
 	if err != nil {
-		t.Fatalf("Tokenize: %v", err)
+		t.Fatalf("tokenize: %v", err)
 	}
 	var texts []string
 	for _, tok := range toks {
@@ -85,20 +85,20 @@ func TestTokenizeNumbers(t *testing.T) {
 		"2.5E-3": "2.5E-3",
 	}
 	for src, want := range cases {
-		toks, err := Tokenize(src)
+		toks, err := tokenize(src)
 		if err != nil {
-			t.Fatalf("Tokenize(%q): %v", src, err)
+			t.Fatalf("tokenize(%q): %v", src, err)
 		}
-		if len(toks) != 1 || toks[0].Type != TokenNumber || toks[0].Text != want {
-			t.Errorf("Tokenize(%q) = %v, want number %q", src, toks, want)
+		if len(toks) != 1 || toks[0].Type != tokNumber || toks[0].Text != want {
+			t.Errorf("tokenize(%q) = %v, want number %q", src, toks, want)
 		}
 	}
 }
 
 func TestTokenizeErrors(t *testing.T) {
 	for _, src := range []string{"'unterminated", "`unterminated", "[unterminated", "SELECT @"} {
-		if _, err := Tokenize(src); err == nil {
-			t.Errorf("Tokenize(%q) should fail", src)
+		if _, err := tokenize(src); err == nil {
+			t.Errorf("tokenize(%q) should fail", src)
 		}
 	}
 }

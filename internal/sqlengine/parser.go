@@ -6,25 +6,25 @@ import (
 	"strings"
 )
 
-// Parser is a recursive-descent parser over a token slice.
-type Parser struct {
-	toks []Token
+// parser is a recursive-descent parser over a token slice.
+type parser struct {
+	toks []token
 	pos  int
 	src  string
 }
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, src: src}
+	p := &parser{toks: toks, src: src}
 	st, err := p.parseStatement()
 	if err != nil {
 		return nil, err
 	}
-	p.accept(TokenSemicolon, "")
+	p.accept(tokSemicolon, "")
 	if !p.atEOF() {
 		return nil, p.errorf("unexpected trailing input near %q", p.peek().Text)
 	}
@@ -36,9 +36,9 @@ func Parse(src string) (Statement, error) {
 // else. It is the check that keeps writes out of a served database;
 // whether the text parses at all is left to Prepare.
 func IsSelect(sql string) bool {
-	lx := Lexer{src: sql}
+	lx := lexer{src: sql}
 	t, err := lx.Next()
-	return err == nil && t.Type == TokenKeyword && t.Text == "SELECT"
+	return err == nil && t.Type == tokKeyword && t.Text == "SELECT"
 }
 
 // ParseSelect parses src and requires it to be a SELECT statement.
@@ -54,7 +54,7 @@ func ParseSelect(src string) (*SelectStmt, error) {
 	return sel, nil
 }
 
-func (p *Parser) parseStatement() (Statement, error) {
+func (p *parser) parseStatement() (Statement, error) {
 	switch {
 	case p.peekKeyword("SELECT"):
 		return p.parseSelect()
@@ -72,7 +72,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 
 // --- SELECT ---
 
-func (p *Parser) parseSelect() (*SelectStmt, error) {
+func (p *parser) parseSelect() (*SelectStmt, error) {
 	sel, err := p.parseSelectCore()
 	if err != nil {
 		return nil, err
@@ -113,7 +113,7 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 	return sel, nil
 }
 
-func (p *Parser) parseSelectCore() (*SelectStmt, error) {
+func (p *parser) parseSelectCore() (*SelectStmt, error) {
 	if !p.acceptKeyword("SELECT") {
 		return nil, p.errorf("expected SELECT, got %q", p.peek().Text)
 	}
@@ -129,7 +129,7 @@ func (p *Parser) parseSelectCore() (*SelectStmt, error) {
 			return nil, err
 		}
 		sel.Columns = append(sel.Columns, item)
-		if !p.accept(TokenComma, "") {
+		if !p.accept(tokComma, "") {
 			break
 		}
 	}
@@ -157,7 +157,7 @@ func (p *Parser) parseSelectCore() (*SelectStmt, error) {
 				return nil, err
 			}
 			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.accept(TokenComma, "") {
+			if !p.accept(tokComma, "") {
 				break
 			}
 		}
@@ -174,7 +174,7 @@ func (p *Parser) parseSelectCore() (*SelectStmt, error) {
 
 // parseSelectTail parses ORDER BY / LIMIT / OFFSET, which follow any
 // compound chain.
-func (p *Parser) parseSelectTail(sel *SelectStmt) error {
+func (p *parser) parseSelectTail(sel *SelectStmt) error {
 	if p.acceptKeyword("ORDER") {
 		if !p.acceptKeyword("BY") {
 			return p.errorf("expected BY after ORDER")
@@ -191,7 +191,7 @@ func (p *Parser) parseSelectTail(sel *SelectStmt) error {
 				p.acceptKeyword("ASC")
 			}
 			sel.OrderBy = append(sel.OrderBy, item)
-			if !p.accept(TokenComma, "") {
+			if !p.accept(tokComma, "") {
 				break
 			}
 		}
@@ -208,7 +208,7 @@ func (p *Parser) parseSelectTail(sel *SelectStmt) error {
 				return err
 			}
 			sel.Offset = o
-		} else if p.accept(TokenComma, "") {
+		} else if p.accept(tokComma, "") {
 			// LIMIT offset, count (MySQL style): first expr was the offset.
 			c, err := p.parseExpr()
 			if err != nil {
@@ -221,13 +221,13 @@ func (p *Parser) parseSelectTail(sel *SelectStmt) error {
 	return nil
 }
 
-func (p *Parser) parseSelectItem() (SelectItem, error) {
+func (p *parser) parseSelectItem() (SelectItem, error) {
 	// Bare star.
-	if p.accept(TokenStar, "") {
+	if p.accept(tokStar, "") {
 		return SelectItem{Star: true}, nil
 	}
 	// Qualified star: ident '.' '*'
-	if p.peek().Type == TokenIdent && p.peekAt(1).Type == TokenDot && p.peekAt(2).Type == TokenStar {
+	if p.peek().Type == tokIdent && p.peekAt(1).Type == tokDot && p.peekAt(2).Type == tokStar {
 		table := p.next().Text
 		p.next() // dot
 		p.next() // star
@@ -244,13 +244,13 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 			return SelectItem{}, err
 		}
 		item.Alias = alias
-	} else if p.peek().Type == TokenIdent {
+	} else if p.peek().Type == tokIdent {
 		item.Alias = p.next().Text
 	}
 	return item, nil
 }
 
-func (p *Parser) parseFrom() ([]FromItem, error) {
+func (p *parser) parseFrom() ([]FromItem, error) {
 	var items []FromItem
 	first, err := p.parseFromItem()
 	if err != nil {
@@ -278,7 +278,7 @@ func (p *Parser) parseFrom() ([]FromItem, error) {
 			jt = JoinCross
 		case p.acceptKeyword("JOIN"):
 			jt = JoinInner
-		case p.accept(TokenComma, ""):
+		case p.accept(tokComma, ""):
 			jt = JoinCross
 		default:
 			return items, nil
@@ -299,14 +299,14 @@ func (p *Parser) parseFrom() ([]FromItem, error) {
 	}
 }
 
-func (p *Parser) parseFromItem() (FromItem, error) {
+func (p *parser) parseFromItem() (FromItem, error) {
 	var item FromItem
-	if p.accept(TokenLParen, "") {
+	if p.accept(tokLParen, "") {
 		sub, err := p.parseSelect()
 		if err != nil {
 			return item, err
 		}
-		if !p.accept(TokenRParen, "") {
+		if !p.accept(tokRParen, "") {
 			return item, p.errorf("expected ) after subquery")
 		}
 		item.Sub = sub
@@ -323,7 +323,7 @@ func (p *Parser) parseFromItem() (FromItem, error) {
 			return item, err
 		}
 		item.Alias = alias
-	} else if p.peek().Type == TokenIdent {
+	} else if p.peek().Type == tokIdent {
 		item.Alias = p.next().Text
 	}
 	if item.Sub != nil && item.Alias == "" {
@@ -334,7 +334,7 @@ func (p *Parser) parseFromItem() (FromItem, error) {
 
 // --- DDL / DML ---
 
-func (p *Parser) parseCreateTable() (Statement, error) {
+func (p *parser) parseCreateTable() (Statement, error) {
 	p.next() // CREATE
 	if !p.acceptKeyword("TABLE") {
 		return nil, p.errorf("expected TABLE after CREATE")
@@ -347,7 +347,7 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.accept(TokenLParen, "") {
+	if !p.accept(tokLParen, "") {
 		return nil, p.errorf("expected ( in CREATE TABLE")
 	}
 	ct := &CreateTableStmt{Name: name}
@@ -401,17 +401,17 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 			}
 			ct.Columns = append(ct.Columns, col)
 		}
-		if !p.accept(TokenComma, "") {
+		if !p.accept(tokComma, "") {
 			break
 		}
 	}
-	if !p.accept(TokenRParen, "") {
+	if !p.accept(tokRParen, "") {
 		return nil, p.errorf("expected ) closing CREATE TABLE")
 	}
 	return ct, nil
 }
 
-func (p *Parser) markPrimary(ct *CreateTableStmt, col string) {
+func (p *parser) markPrimary(ct *CreateTableStmt, col string) {
 	for i := range ct.Columns {
 		if strings.EqualFold(ct.Columns[i].Name, col) {
 			ct.Columns[i].PrimaryKey = true
@@ -419,8 +419,8 @@ func (p *Parser) markPrimary(ct *CreateTableStmt, col string) {
 	}
 }
 
-func (p *Parser) parseParenIdentList() ([]string, error) {
-	if !p.accept(TokenLParen, "") {
+func (p *parser) parseParenIdentList() ([]string, error) {
+	if !p.accept(tokLParen, "") {
 		return nil, p.errorf("expected (")
 	}
 	var out []string
@@ -430,17 +430,17 @@ func (p *Parser) parseParenIdentList() ([]string, error) {
 			return nil, err
 		}
 		out = append(out, id)
-		if !p.accept(TokenComma, "") {
+		if !p.accept(tokComma, "") {
 			break
 		}
 	}
-	if !p.accept(TokenRParen, "") {
+	if !p.accept(tokRParen, "") {
 		return nil, p.errorf("expected )")
 	}
 	return out, nil
 }
 
-func (p *Parser) parseColumnDef() (ColumnDef, error) {
+func (p *parser) parseColumnDef() (ColumnDef, error) {
 	var col ColumnDef
 	name, err := p.expectIdentLike()
 	if err != nil {
@@ -448,11 +448,11 @@ func (p *Parser) parseColumnDef() (ColumnDef, error) {
 	}
 	col.Name = name
 	col.Type = "TEXT"
-	if p.peek().Type == TokenKeyword && isTypeKeyword(p.peek().Text) {
+	if p.peek().Type == tokKeyword && isTypeKeyword(p.peek().Text) {
 		col.Type = normaliseType(p.next().Text)
 		// Optional (n) or (p, s) size suffix.
-		if p.accept(TokenLParen, "") {
-			for !p.accept(TokenRParen, "") {
+		if p.accept(tokLParen, "") {
+			for !p.accept(tokRParen, "") {
 				if p.atEOF() {
 					return col, p.errorf("unterminated type size")
 				}
@@ -483,7 +483,7 @@ func (p *Parser) parseColumnDef() (ColumnDef, error) {
 			if _, err := p.expectIdentLike(); err != nil {
 				return col, err
 			}
-			if p.peek().Type == TokenLParen {
+			if p.peek().Type == tokLParen {
 				if _, err := p.parseParenIdentList(); err != nil {
 					return col, err
 				}
@@ -505,7 +505,7 @@ func normaliseType(t string) string {
 	}
 }
 
-func (p *Parser) parseInsert() (Statement, error) {
+func (p *parser) parseInsert() (Statement, error) {
 	p.next() // INSERT
 	if !p.acceptKeyword("INTO") {
 		return nil, p.errorf("expected INTO after INSERT")
@@ -515,7 +515,7 @@ func (p *Parser) parseInsert() (Statement, error) {
 		return nil, err
 	}
 	ins := &InsertStmt{Table: table}
-	if p.peek().Type == TokenLParen {
+	if p.peek().Type == tokLParen {
 		cols, err := p.parseParenIdentList()
 		if err != nil {
 			return nil, err
@@ -526,7 +526,7 @@ func (p *Parser) parseInsert() (Statement, error) {
 		return nil, p.errorf("expected VALUES")
 	}
 	for {
-		if !p.accept(TokenLParen, "") {
+		if !p.accept(tokLParen, "") {
 			return nil, p.errorf("expected ( starting VALUES row")
 		}
 		var row []Expr
@@ -536,22 +536,22 @@ func (p *Parser) parseInsert() (Statement, error) {
 				return nil, err
 			}
 			row = append(row, e)
-			if !p.accept(TokenComma, "") {
+			if !p.accept(tokComma, "") {
 				break
 			}
 		}
-		if !p.accept(TokenRParen, "") {
+		if !p.accept(tokRParen, "") {
 			return nil, p.errorf("expected ) closing VALUES row")
 		}
 		ins.Rows = append(ins.Rows, row)
-		if !p.accept(TokenComma, "") {
+		if !p.accept(tokComma, "") {
 			break
 		}
 	}
 	return ins, nil
 }
 
-func (p *Parser) parseUpdate() (Statement, error) {
+func (p *parser) parseUpdate() (Statement, error) {
 	p.next() // UPDATE
 	table, err := p.expectIdentLike()
 	if err != nil {
@@ -566,7 +566,7 @@ func (p *Parser) parseUpdate() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !p.accept(TokenEq, "") {
+		if !p.accept(tokEq, "") {
 			return nil, p.errorf("expected = in SET")
 		}
 		val, err := p.parseExpr()
@@ -577,7 +577,7 @@ func (p *Parser) parseUpdate() (Statement, error) {
 			Column string
 			Value  Expr
 		}{col, val})
-		if !p.accept(TokenComma, "") {
+		if !p.accept(tokComma, "") {
 			break
 		}
 	}
@@ -591,7 +591,7 @@ func (p *Parser) parseUpdate() (Statement, error) {
 	return up, nil
 }
 
-func (p *Parser) parseDelete() (Statement, error) {
+func (p *parser) parseDelete() (Statement, error) {
 	p.next() // DELETE
 	if !p.acceptKeyword("FROM") {
 		return nil, p.errorf("expected FROM after DELETE")
@@ -613,9 +613,9 @@ func (p *Parser) parseDelete() (Statement, error) {
 
 // --- Expressions (precedence climbing) ---
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
-func (p *Parser) parseOr() (Expr, error) {
+func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -630,7 +630,7 @@ func (p *Parser) parseOr() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) parseAnd() (Expr, error) {
+func (p *parser) parseAnd() (Expr, error) {
 	l, err := p.parseNot()
 	if err != nil {
 		return nil, err
@@ -649,7 +649,7 @@ func (p *Parser) parseAnd() (Expr, error) {
 	}
 }
 
-func (p *Parser) parseNot() (Expr, error) {
+func (p *parser) parseNot() (Expr, error) {
 	if p.peekKeyword("NOT") && !p.peekAtKeyword(1, "EXISTS") {
 		p.next()
 		x, err := p.parseNot()
@@ -661,7 +661,7 @@ func (p *Parser) parseNot() (Expr, error) {
 	return p.parseComparison()
 }
 
-func (p *Parser) parseComparison() (Expr, error) {
+func (p *parser) parseComparison() (Expr, error) {
 	l, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
@@ -673,37 +673,37 @@ func (p *Parser) parseComparison() (Expr, error) {
 			not = true
 		}
 		switch {
-		case p.accept(TokenEq, ""):
+		case p.accept(tokEq, ""):
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "=", L: l, R: r}
-		case p.accept(TokenNeq, ""):
+		case p.accept(tokNeq, ""):
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "!=", L: l, R: r}
-		case p.accept(TokenLt, ""):
+		case p.accept(tokLt, ""):
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "<", L: l, R: r}
-		case p.accept(TokenLte, ""):
+		case p.accept(tokLte, ""):
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "<=", L: l, R: r}
-		case p.accept(TokenGt, ""):
+		case p.accept(tokGt, ""):
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: ">", L: l, R: r}
-		case p.accept(TokenGte, ""):
+		case p.accept(tokGte, ""):
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
@@ -754,8 +754,8 @@ func (p *Parser) parseComparison() (Expr, error) {
 	}
 }
 
-func (p *Parser) parseInTail(x Expr, not bool) (Expr, error) {
-	if !p.accept(TokenLParen, "") {
+func (p *parser) parseInTail(x Expr, not bool) (Expr, error) {
+	if !p.accept(tokLParen, "") {
 		return nil, p.errorf("expected ( after IN")
 	}
 	if p.peekKeyword("SELECT") {
@@ -763,7 +763,7 @@ func (p *Parser) parseInTail(x Expr, not bool) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !p.accept(TokenRParen, "") {
+		if !p.accept(tokRParen, "") {
 			return nil, p.errorf("expected ) after IN subquery")
 		}
 		return &InExpr{X: x, Sub: sub, Not: not}, nil
@@ -775,36 +775,36 @@ func (p *Parser) parseInTail(x Expr, not bool) (Expr, error) {
 			return nil, err
 		}
 		list = append(list, e)
-		if !p.accept(TokenComma, "") {
+		if !p.accept(tokComma, "") {
 			break
 		}
 	}
-	if !p.accept(TokenRParen, "") {
+	if !p.accept(tokRParen, "") {
 		return nil, p.errorf("expected ) closing IN list")
 	}
 	return &InExpr{X: x, List: list, Not: not}, nil
 }
 
-func (p *Parser) parseAdditive() (Expr, error) {
+func (p *parser) parseAdditive() (Expr, error) {
 	l, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		switch {
-		case p.accept(TokenPlus, ""):
+		case p.accept(tokPlus, ""):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "+", L: l, R: r}
-		case p.accept(TokenMinus, ""):
+		case p.accept(tokMinus, ""):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "-", L: l, R: r}
-		case p.accept(TokenConcat, ""):
+		case p.accept(tokConcat, ""):
 			r, err := p.parseMultiplicative()
 			if err != nil {
 				return nil, err
@@ -816,26 +816,26 @@ func (p *Parser) parseAdditive() (Expr, error) {
 	}
 }
 
-func (p *Parser) parseMultiplicative() (Expr, error) {
+func (p *parser) parseMultiplicative() (Expr, error) {
 	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		switch {
-		case p.accept(TokenStar, ""):
+		case p.accept(tokStar, ""):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "*", L: l, R: r}
-		case p.accept(TokenSlash, ""):
+		case p.accept(tokSlash, ""):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: "/", L: l, R: r}
-		case p.accept(TokenPercent, ""):
+		case p.accept(tokPercent, ""):
 			r, err := p.parseUnary()
 			if err != nil {
 				return nil, err
@@ -847,24 +847,24 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 	}
 }
 
-func (p *Parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() (Expr, error) {
 	switch {
-	case p.accept(TokenMinus, ""):
+	case p.accept(tokMinus, ""):
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{Op: "-", X: x}, nil
-	case p.accept(TokenPlus, ""):
+	case p.accept(tokPlus, ""):
 		return p.parseUnary()
 	}
 	return p.parsePrimary()
 }
 
-func (p *Parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() (Expr, error) {
 	tok := p.peek()
 	switch tok.Type {
-	case TokenNumber:
+	case tokNumber:
 		p.next()
 		if strings.ContainsAny(tok.Text, ".eE") {
 			f, err := strconv.ParseFloat(tok.Text, 64)
@@ -882,17 +882,17 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			return &Literal{Val: Float(f)}, nil
 		}
 		return &Literal{Val: Int(i)}, nil
-	case TokenString:
+	case tokString:
 		p.next()
 		return &Literal{Val: Text(tok.Text)}, nil
-	case TokenLParen:
+	case tokLParen:
 		p.next()
 		if p.peekKeyword("SELECT") {
 			sub, err := p.parseSelect()
 			if err != nil {
 				return nil, err
 			}
-			if !p.accept(TokenRParen, "") {
+			if !p.accept(tokRParen, "") {
 				return nil, p.errorf("expected ) after subquery")
 			}
 			return &SubqueryExpr{Sub: sub}, nil
@@ -901,11 +901,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !p.accept(TokenRParen, "") {
+		if !p.accept(tokRParen, "") {
 			return nil, p.errorf("expected )")
 		}
 		return e, nil
-	case TokenKeyword:
+	case tokKeyword:
 		switch tok.Text {
 		case "NULL":
 			p.next()
@@ -937,29 +937,29 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			return p.parseIdentExpr()
 		}
 		return nil, p.errorf("unexpected keyword %q in expression", tok.Text)
-	case TokenIdent:
+	case tokIdent:
 		return p.parseIdentExpr()
-	case TokenStar:
+	case tokStar:
 		return nil, p.errorf("unexpected *")
 	}
 	return nil, p.errorf("unexpected token %q in expression", tok.Text)
 }
 
-func (p *Parser) parseExistsTail(not bool) (Expr, error) {
-	if !p.accept(TokenLParen, "") {
+func (p *parser) parseExistsTail(not bool) (Expr, error) {
+	if !p.accept(tokLParen, "") {
 		return nil, p.errorf("expected ( after EXISTS")
 	}
 	sub, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
-	if !p.accept(TokenRParen, "") {
+	if !p.accept(tokRParen, "") {
 		return nil, p.errorf("expected ) after EXISTS subquery")
 	}
 	return &ExistsExpr{Sub: sub, Not: not}, nil
 }
 
-func (p *Parser) parseCase() (Expr, error) {
+func (p *parser) parseCase() (Expr, error) {
 	p.next() // CASE
 	ce := &CaseExpr{}
 	if !p.peekKeyword("WHEN") {
@@ -999,9 +999,9 @@ func (p *Parser) parseCase() (Expr, error) {
 	return ce, nil
 }
 
-func (p *Parser) parseCast() (Expr, error) {
+func (p *parser) parseCast() (Expr, error) {
 	p.next() // CAST
-	if !p.accept(TokenLParen, "") {
+	if !p.accept(tokLParen, "") {
 		return nil, p.errorf("expected ( after CAST")
 	}
 	x, err := p.parseExpr()
@@ -1012,20 +1012,20 @@ func (p *Parser) parseCast() (Expr, error) {
 		return nil, p.errorf("expected AS in CAST")
 	}
 	t := p.peek()
-	if t.Type != TokenKeyword || !isTypeKeyword(t.Text) {
+	if t.Type != tokKeyword || !isTypeKeyword(t.Text) {
 		return nil, p.errorf("expected type name in CAST, got %q", t.Text)
 	}
 	p.next()
 	// Optional size suffix.
-	if p.accept(TokenLParen, "") {
-		for !p.accept(TokenRParen, "") {
+	if p.accept(tokLParen, "") {
+		for !p.accept(tokRParen, "") {
 			if p.atEOF() {
 				return nil, p.errorf("unterminated CAST type")
 			}
 			p.next()
 		}
 	}
-	if !p.accept(TokenRParen, "") {
+	if !p.accept(tokRParen, "") {
 		return nil, p.errorf("expected ) closing CAST")
 	}
 	return &CastExpr{X: x, Type: normaliseType(t.Text)}, nil
@@ -1033,15 +1033,15 @@ func (p *Parser) parseCast() (Expr, error) {
 
 // parseIdentExpr handles column references (possibly qualified) and
 // function calls.
-func (p *Parser) parseIdentExpr() (Expr, error) {
+func (p *parser) parseIdentExpr() (Expr, error) {
 	name := p.next().Text
 	// Function call.
-	if p.peek().Type == TokenLParen {
+	if p.peek().Type == tokLParen {
 		return p.parseFuncArgs(strings.ToUpper(name))
 	}
 	// Qualified reference: table.column or table.*
-	if p.accept(TokenDot, "") {
-		if p.accept(TokenStar, "") {
+	if p.accept(tokDot, "") {
+		if p.accept(tokStar, "") {
 			// table.* in expression position is only valid inside COUNT();
 			// represent as a column ref with Name "*", the evaluator rejects
 			// it outside aggregate contexts.
@@ -1056,19 +1056,19 @@ func (p *Parser) parseIdentExpr() (Expr, error) {
 	return &ColumnRef{Name: name}, nil
 }
 
-func (p *Parser) parseFuncArgs(name string) (Expr, error) {
-	if !p.accept(TokenLParen, "") {
+func (p *parser) parseFuncArgs(name string) (Expr, error) {
+	if !p.accept(tokLParen, "") {
 		return nil, p.errorf("expected ( after function name %s", name)
 	}
 	fc := &FuncCall{Name: name}
-	if p.accept(TokenStar, "") {
+	if p.accept(tokStar, "") {
 		fc.Star = true
-		if !p.accept(TokenRParen, "") {
+		if !p.accept(tokRParen, "") {
 			return nil, p.errorf("expected ) after %s(*)", name)
 		}
 		return fc, nil
 	}
-	if p.accept(TokenRParen, "") {
+	if p.accept(tokRParen, "") {
 		return fc, nil
 	}
 	if p.acceptKeyword("DISTINCT") {
@@ -1080,28 +1080,28 @@ func (p *Parser) parseFuncArgs(name string) (Expr, error) {
 			return nil, err
 		}
 		fc.Args = append(fc.Args, e)
-		if !p.accept(TokenComma, "") {
+		if !p.accept(tokComma, "") {
 			break
 		}
 	}
-	if !p.accept(TokenRParen, "") {
+	if !p.accept(tokRParen, "") {
 		return nil, p.errorf("expected ) closing %s(...)", name)
 	}
 	return fc, nil
 }
 
-// --- Token plumbing ---
+// --- token plumbing ---
 
-func (p *Parser) peek() Token { return p.peekAt(0) }
+func (p *parser) peek() token { return p.peekAt(0) }
 
-func (p *Parser) peekAt(n int) Token {
+func (p *parser) peekAt(n int) token {
 	if p.pos+n >= len(p.toks) {
-		return Token{Type: TokenEOF, Pos: len(p.src)}
+		return token{Type: tokEOF, Pos: len(p.src)}
 	}
 	return p.toks[p.pos+n]
 }
 
-func (p *Parser) next() Token {
+func (p *parser) next() token {
 	t := p.peek()
 	if p.pos < len(p.toks) {
 		p.pos++
@@ -1109,11 +1109,11 @@ func (p *Parser) next() Token {
 	return t
 }
 
-func (p *Parser) atEOF() bool { return p.peek().Type == TokenEOF }
+func (p *parser) atEOF() bool { return p.peek().Type == tokEOF }
 
 // accept consumes the next token when it matches typ (and, when text is
 // non-empty, the exact text).
-func (p *Parser) accept(typ TokenType, text string) bool {
+func (p *parser) accept(typ tokenType, text string) bool {
 	t := p.peek()
 	if t.Type != typ {
 		return false
@@ -1125,35 +1125,35 @@ func (p *Parser) accept(typ TokenType, text string) bool {
 	return true
 }
 
-func (p *Parser) acceptKeyword(kw string) bool {
+func (p *parser) acceptKeyword(kw string) bool {
 	t := p.peek()
-	if t.Type == TokenKeyword && t.Text == kw {
+	if t.Type == tokKeyword && t.Text == kw {
 		p.next()
 		return true
 	}
 	return false
 }
 
-func (p *Parser) peekKeyword(kw string) bool {
+func (p *parser) peekKeyword(kw string) bool {
 	t := p.peek()
-	return t.Type == TokenKeyword && t.Text == kw
+	return t.Type == tokKeyword && t.Text == kw
 }
 
-func (p *Parser) peekAtKeyword(n int, kw string) bool {
+func (p *parser) peekAtKeyword(n int, kw string) bool {
 	t := p.peekAt(n)
-	return t.Type == TokenKeyword && t.Text == kw
+	return t.Type == tokKeyword && t.Text == kw
 }
 
 // expectIdentLike consumes an identifier, also tolerating keywords used as
 // names (common in real schemas: Date, Key, ...).
-func (p *Parser) expectIdentLike() (string, error) {
+func (p *parser) expectIdentLike() (string, error) {
 	t := p.peek()
-	if t.Type == TokenIdent {
+	if t.Type == tokIdent {
 		p.next()
 		return t.Text, nil
 	}
 	// Allow non-reserved keywords as identifiers.
-	if t.Type == TokenKeyword && isNameKeyword(t.Text) {
+	if t.Type == tokKeyword && isNameKeyword(t.Text) {
 		p.next()
 		return t.Text, nil
 	}
@@ -1171,7 +1171,7 @@ func isNameKeyword(kw string) bool {
 	return false
 }
 
-func (p *Parser) errorf(format string, args ...any) error {
+func (p *parser) errorf(format string, args ...any) error {
 	pos := p.peek().Pos
 	ctx := p.src
 	if len(ctx) > 60 {

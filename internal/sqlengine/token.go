@@ -2,51 +2,51 @@ package sqlengine
 
 import "fmt"
 
-// TokenType classifies lexical tokens produced by the Lexer.
-type TokenType int
+// tokenType classifies lexical tokens produced by the lexer.
+type tokenType int
 
-// Token types. Keywords are folded into TokenKeyword with the upper-cased
-// keyword text in Token.Text; operators get dedicated types so the parser
+// Token types. Keywords are folded into tokKeyword with the upper-cased
+// keyword text in token.Text; operators get dedicated types so the parser
 // can switch on them cheaply.
 const (
-	TokenEOF TokenType = iota
-	TokenIdent
-	TokenKeyword
-	TokenString
-	TokenNumber
-	TokenComma
-	TokenDot
-	TokenSemicolon
-	TokenLParen
-	TokenRParen
-	TokenStar
-	TokenPlus
-	TokenMinus
-	TokenSlash
-	TokenPercent
-	TokenConcat // ||
-	TokenEq
-	TokenNeq
-	TokenLt
-	TokenLte
-	TokenGt
-	TokenGte
+	tokEOF tokenType = iota
+	tokIdent
+	tokKeyword
+	tokString
+	tokNumber
+	tokComma
+	tokDot
+	tokSemicolon
+	tokLParen
+	tokRParen
+	tokStar
+	tokPlus
+	tokMinus
+	tokSlash
+	tokPercent
+	tokConcat // ||
+	tokEq
+	tokNeq
+	tokLt
+	tokLte
+	tokGt
+	tokGte
 )
 
-// Token is one lexical unit of a SQL statement. Pos is the byte offset of
+// token is one lexical unit of a SQL statement. Pos is the byte offset of
 // the token's first character in the input, used for error messages.
-type Token struct {
-	Type TokenType
+type token struct {
+	Type tokenType
 	Text string
 	Pos  int
 }
 
-func (t Token) String() string {
+func (t token) String() string {
 	return fmt.Sprintf("%v(%q)", t.Type, t.Text)
 }
 
 // keywords is the set of reserved words recognised by the lexer. Identifiers
-// matching these (case-insensitively) become TokenKeyword tokens with
+// matching these (case-insensitively) become tokKeyword tokens with
 // upper-cased text.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
