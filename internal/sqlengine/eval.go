@@ -59,7 +59,7 @@ var (
 	unaryOps = map[string]opcode{"-": opNeg, "NOT": opNot}
 	// opMasks holds each comparison's accepting outcomes, as cmpMask3's
 	// bits: 1 less, 2 equal, 4 greater.
-	opMasks = [8]uint8{opEq: 2, opNe: 1 | 4, opLt: 1, opLe: 1 | 2, opGt: 4, opGe: 4 | 2}
+	opMasks = [...]uint8{opEq: 2, opNe: 1 | 4, opLt: 1, opLe: 1 | 2, opGt: 4, opGe: 4 | 2}
 	// flipped mirrors a comparison: `lit op col` is `col flipped[op] lit`.
 	flipped = [...]opcode{opEq: opEq, opNe: opNe, opLt: opGt, opLe: opGe, opGt: opLt, opGe: opLe}
 )
@@ -161,12 +161,18 @@ func (env *evalEnv) truth(e Expr) (t, known bool, err error) {
 			// evaluated when the left one decides.
 			decides := x.op == opOr // the operand truth that decides the result
 			lt, lknown, err := env.truth(x.L)
-			if err != nil || lknown && lt == decides {
-				return decides != neg, err == nil, err
+			if err != nil {
+				return false, false, err
+			}
+			if lknown && lt == decides {
+				return decides != neg, true, nil
 			}
 			rt, rknown, err := env.truth(x.R)
-			if err != nil || rknown && rt == decides {
-				return decides != neg, err == nil, err
+			if err != nil {
+				return false, false, err
+			}
+			if rknown && rt == decides {
+				return decides != neg, true, nil
 			}
 			known = lknown && rknown
 			return !decides != neg && known, known, nil
@@ -213,10 +219,10 @@ func truthValue(t, known bool) Value {
 // compare is the truth of `l op r` for a comparison op: unknown when
 // either side is NULL.
 func compare(op opcode, l, r Value) (t, known bool) {
-	if l.Kind == KindNull || r.Kind == KindNull {
+	if l.IsNull() || r.IsNull() {
 		return false, false
 	}
-	return opMasks[op&7]&cmpMask3(compareSQL(l, r)) != 0, true
+	return opMasks[op]&cmpMask3(compareSQL(l, r)) != 0, true
 }
 
 // between is the truth of `x BETWEEN lo AND hi`.
@@ -523,7 +529,8 @@ var aggFns = map[string]aggFn{
 
 // resolveCall compiles a call at Prepare: an aggregate to what it computes,
 // anything else to its scalar function, which stays nil for a name no
-// function has — an error when the call is evaluated, as before binding.
+// function has. That is an error when the call is evaluated: a call no row
+// reaches does not fail the statement.
 func resolveCall(fc *FuncCall) {
 	if isAggregateCall(fc) {
 		fc.agg = aggFns[fc.Name]

@@ -13,13 +13,14 @@ import (
 // shapes that carry their own negation, each plain and under NOT. The
 // cells sit in a column of mixed kinds, whose vector is untyped, and again
 // split by kind into typed INTEGER, REAL and TEXT columns with NULLs, whose
-// vectors the shapes' kernels read. Each predicate is compiled at Prepare,
-// pushed into the scan, and filtered as a whole-table scan (vectors where
-// typed) and as a selection of positions (an index bucket, read from the
-// rows); both must keep exactly the rows the evaluator finds TRUE. A
-// negation has no vector form — it passes most rows, and a vector built for
-// it would stay resident — so filtering every NOT (…) builds no vector,
-// and every shape with non-NULL literals has one.
+// vectors the vector forms read. Each predicate is compiled at Prepare to
+// its shape, pushed into the scan, and filtered as a whole-table scan
+// (vector forms where typed) and as a selection of positions (an index
+// bucket, the row forms); both must keep exactly the rows the evaluator
+// finds TRUE. A negation has no vector form — it passes most rows, and a
+// vector built for it would stay resident — so filtering every NOT (…)
+// builds no vector; every other shape with non-NULL literals but an IN
+// list has one; and what has no compiled shape keeps to the evaluator.
 func TestNegationKernelTruthTable(t *testing.T) {
 	db := NewDatabase("neg")
 	db.MustExec("CREATE TABLE n (c INTEGER, d INTEGER, ci INTEGER, cr REAL, ct TEXT)")

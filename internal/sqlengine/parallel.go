@@ -87,15 +87,6 @@ func cell(l, r []Value, c colAt) Value {
 	return l[c.col]
 }
 
-// splitCol addresses column col of a row whose first left columns are the
-// left relation's (left 0: a one-sided row, everything in the only relation).
-func splitCol(left, col int) colAt {
-	if left > 0 && col >= left {
-		return colAt{side: 1, col: col - left}
-	}
-	return colAt{col: col}
-}
-
 // scopeRow returns the selected row (l, r) as one row slice for the
 // interpreter: l itself, or for a join's output both rows copied into buf
 // (one reused buffer per evaluating goroutine — nothing retains a scope's
@@ -117,16 +108,14 @@ func (s *selection) rowBuf() []Value {
 	return make([]Value, s.right.left+len(s.right.null))
 }
 
-// leftWidth is splitCol's left for s's rows.
-func (s *selection) leftWidth() int {
-	if s.right == nil {
-		return 0
+// colAt addresses column col of s's rows: for a join's output, a column
+// past the left input's is the right row's.
+func (s *selection) colAt(col int) colAt {
+	if s.right != nil && col >= s.right.left {
+		return colAt{side: 1, col: col - s.right.left}
 	}
-	return s.right.left
+	return colAt{col: col}
 }
-
-// colAt addresses column col of s's rows.
-func (s *selection) colAt(col int) colAt { return splitCol(s.leftWidth(), col) }
 
 // colsAt addresses columns cols of s's rows.
 func (s *selection) colsAt(cols []int) []colAt {
