@@ -90,24 +90,23 @@ func kernelOf(e Expr, off int) kernel {
 		k.shape, k.not, k.lit, x = kernelLike, k.not != c.Not, p.Val, c.X
 		k.vec = k.vec && !p.Val.IsNull()
 	case *InExpr:
-		for _, item := range c.List {
-			if _, ok := item.(*Literal); !ok {
-				return kernel{}
-			}
-		}
 		if c.Sub != nil {
 			return kernel{}
 		}
-		k.shape, k.not, k.vec, x = kernelIn, k.not != c.Not, false, c.X
 		k.list = make([]Value, len(c.List))
 		for i, item := range c.List {
-			k.list[i] = item.(*Literal).Val
+			lit, ok := item.(*Literal)
+			if !ok {
+				return kernel{}
+			}
+			k.list[i] = lit.Val
 		}
+		k.shape, k.not, k.vec, x = kernelIn, k.not != c.Not, false, c.X
 	default:
 		return kernel{}
 	}
 	cr, ok := x.(*ColumnRef)
-	if !ok || cr.Name == "*" || cr.depth != 0 {
+	if !ok || cr.depth != 0 {
 		return kernel{}
 	}
 	k.col = cr.slot - off

@@ -86,9 +86,9 @@ type selectPlan struct {
 // conjunct is one AND-term of a WHERE or ON clause.
 type conjunct struct {
 	expr Expr
-	// eq is set (a non-nil) when expr is `colref = colref`, the hash-join
-	// candidate shape, and point reports that expr is `colref = literal`
-	// (either order), the point-lookup index shape.
+	// eq holds the two references when expr is `colref = colref`, the
+	// hash-join candidate shape; point reports that expr is
+	// `colref = literal` (either order), the point-lookup index shape.
 	eq    eqPattern
 	point bool
 	// safe reports expr is safe-total: pure (no subqueries) and total
