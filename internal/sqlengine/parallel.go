@@ -249,8 +249,10 @@ func (s selection) keep(mask []uint64, n int) selection {
 // first use. Survivors are marked in a bitmask and the output is allocated
 // once, at its exact size, or not at all when everything passes.
 func (ec *execCtx) filter(in selection, conj []conjunct, item int, t *Table, off int, outer *scope) (selection, error) {
-	// How each conjunct reads a row; a short conjunction's stay on the stack.
+	// How each of item's conjuncts reads a row; a short conjunction's stay
+	// on the stack.
 	type form struct {
+		c    *conjunct
 		test func(i int) bool
 		at   colAt
 	}
@@ -258,17 +260,17 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item int, t *Table, off
 	var env *evalEnv
 	var buf []Value
 	for k := range conj {
-		c := &conj[k]
-		var f form
-		switch {
-		case c.scan != item:
-		case t != nil && c.kern.vec:
-			if vec := t.columnVec(c.kern.col); vec.typed {
-				f.test = c.kern.test(vec)
+		f := form{c: &conj[k]}
+		switch kern := &f.c.kern; {
+		case f.c.scan != item:
+			continue
+		case t != nil && kern.vec:
+			if vec := t.columnVec(kern.col); vec.typed {
+				f.test = kern.test(vec)
 			}
 			fallthrough
-		case c.kern.shape != noKernel:
-			f.at = in.colAt(c.kern.col)
+		case kern.shape != noKernel:
+			f.at = in.colAt(kern.col)
 		case env == nil:
 			env = &evalEnv{ec: ec, sc: &scope{off: off, parent: outer}}
 			buf = in.rowBuf()
@@ -280,23 +282,21 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item int, t *Table, off
 	total := 0
 rows:
 	for i := 0; i < n; i++ {
-		for k := range conj {
-			c, f := &conj[k], &forms[k]
+		for k := range forms {
+			f := &forms[k]
 			switch {
-			case c.scan != item:
-				continue
 			case f.test != nil:
 				if !f.test(in.at(i)) {
 					continue rows
 				}
-			case c.kern.shape != noKernel:
-				if l, r := in.row(i); !c.kern.holds(cell(l, r, f.at)) {
+			case f.c.kern.shape != noKernel:
+				if l, r := in.row(i); !f.c.kern.holds(cell(l, r, f.at)) {
 					continue rows
 				}
 			default:
 				l, r := in.row(i)
 				env.sc.row = scopeRow(l, r, buf)
-				if ok, err := env.holds(c.expr); err != nil {
+				if ok, err := env.holds(f.c.expr); err != nil {
 					return selection{}, err
 				} else if !ok {
 					continue rows
