@@ -7,10 +7,11 @@ import (
 
 // Selections and the filter. A FROM hands on a selection — positions into
 // one relation's rows, or a hash join's position pairs — and one filter loop
-// thins it for every WHERE and pushed conjunct, planned or naive: each
-// conjunct is compiled at Prepare into the evaluator's nodes (eval.go) and,
-// for a whole-table scan, may read a typed column vector instead
-// (kernels.go). A hash join probes its whole left input in one range
+// thins it for every WHERE and pushed conjunct, planned or naive. Every
+// conjunct is compiled at Prepare for the one evaluator (eval.go); one of a
+// column-against-literals shape reads its cell in place and, in a
+// whole-table scan, may read a typed column vector instead (kernels.go).
+// A hash join probes its whole left input in one range
 // (hashjoin.go). Everything runs on the statement's own goroutine, whatever
 // the size of the input, and emits the same rows in the same order as the
 // naive reference.
