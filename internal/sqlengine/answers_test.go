@@ -71,8 +71,9 @@ func answerLine(key string, db *Database, sql string) string {
 // engineAnswers runs every statement of the engine's batteries on its
 // fixture: crossCheckQueries and tailCheckQueries on the 60-row planner
 // fixture at three seeds, engineQueries on a 9,000-row database (several
-// morsels), and each TestNameResolutionPin case on a fresh name fixture per
-// executor, with the check query of a DML case after it.
+// morsels), each TestNameResolutionPin case on a fresh name fixture per
+// executor, with the check query of a DML case after it, and every step of
+// the DML-on-storage battery (storage_test.go).
 func engineAnswers(t *testing.T) []string {
 	var lines []string
 	for _, seed := range []int64{1, 7, 42} {
@@ -105,7 +106,7 @@ func engineAnswers(t *testing.T) []string {
 		}
 		lines = append(lines, line)
 	}
-	return lines
+	return append(lines, storageAnswers()...)
 }
 
 // TestEngineAnswersGolden pins what the engine answers for every statement
