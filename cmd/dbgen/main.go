@@ -70,8 +70,8 @@ func main() {
 
 	rows := 0
 	for _, t := range db.Engine.Tables() {
-		fmt.Printf("%-12s %8d rows\n", t.Name, len(t.Rows))
-		rows += len(t.Rows)
+		fmt.Printf("%-12s %8d rows\n", t.Name, t.Len())
+		rows += t.Len()
 	}
 	fmt.Printf("total        %8d rows in %.2fs (%.0f rows/s)\n", rows, genDur.Seconds(), float64(rows)/genDur.Seconds())
 	fmt.Printf("fingerprint  %#016x\n", synth.Fingerprint(db))
@@ -117,9 +117,9 @@ func dumpCSV(db *schema.DB, dir string) error {
 			return err
 		}
 		rec := make([]string, len(t.Columns))
-		for _, row := range t.Rows {
-			for i, v := range row {
-				if v.IsNull() {
+		for ri := 0; ri < t.Len(); ri++ {
+			for i := range rec {
+				if v := t.Cell(ri, i); v.IsNull() {
 					rec[i] = ""
 				} else {
 					rec[i] = v.AsText()

@@ -236,7 +236,7 @@ type FuncCall struct {
 	Distinct bool
 
 	agg aggFn
-	fn  scalarFn
+	fn  *scalarFunc
 }
 
 func (*FuncCall) expr() {}
@@ -415,4 +415,47 @@ func quoteIdent(s string) string {
 		return "`" + s + "`"
 	}
 	return s
+}
+
+// eachOperand calls f on each operand of e, in the order the evaluator
+// reads them, and not into a subquery's body, a statement of its own.
+func eachOperand(e Expr, f func(Expr)) {
+	switch x := e.(type) {
+	case *Unary:
+		f(x.X)
+	case *Binary:
+		f(x.L)
+		f(x.R)
+	case *FuncCall:
+		for _, a := range x.Args {
+			f(a)
+		}
+	case *CaseExpr:
+		if x.Operand != nil {
+			f(x.Operand)
+		}
+		for _, w := range x.Whens {
+			f(w.When)
+			f(w.Then)
+		}
+		if x.Else != nil {
+			f(x.Else)
+		}
+	case *BetweenExpr:
+		f(x.X)
+		f(x.Lo)
+		f(x.Hi)
+	case *LikeExpr:
+		f(x.X)
+		f(x.Pattern)
+	case *IsNullExpr:
+		f(x.X)
+	case *InExpr:
+		f(x.X)
+		for _, le := range x.List {
+			f(le)
+		}
+	case *CastExpr:
+		f(x.X)
+	}
 }

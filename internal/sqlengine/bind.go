@@ -320,43 +320,16 @@ func (bd *binder) bindExprs(lv *level, es ...Expr) error {
 // bindExpr binds every reference in e, evaluated on level lv, and every
 // subquery in it, and compiles e for the evaluator: operators to opcodes,
 // calls to what they compute, CASTs to a storage class (eval.go).
-func (bd *binder) bindExpr(e Expr, lv *level) error {
+func (bd *binder) bindExpr(e Expr, lv *level) (err error) {
 	switch x := e.(type) {
 	case *ColumnRef:
 		return bd.bindRef(x, lv)
 	case *Unary:
 		x.op = unaryOps[x.Op]
-		return bd.bindExpr(x.X, lv)
 	case *Binary:
 		x.op = binaryOps[x.Op]
-		return bd.bindExprs(lv, x.L, x.R)
 	case *FuncCall:
 		resolveCall(x)
-		return bd.bindExprs(lv, x.Args...)
-	case *CaseExpr:
-		if err := bd.bindExpr(x.Operand, lv); err != nil {
-			return err
-		}
-		for _, w := range x.Whens {
-			if err := bd.bindExprs(lv, w.When, w.Then); err != nil {
-				return err
-			}
-		}
-		return bd.bindExpr(x.Else, lv)
-	case *BetweenExpr:
-		return bd.bindExprs(lv, x.X, x.Lo, x.Hi)
-	case *LikeExpr:
-		return bd.bindExprs(lv, x.X, x.Pattern)
-	case *IsNullExpr:
-		return bd.bindExpr(x.X, lv)
-	case *InExpr:
-		if err := bd.bindExprs(lv, x.X); err != nil {
-			return err
-		}
-		if err := bd.bindExprs(lv, x.List...); err != nil || x.Sub == nil {
-			return err
-		}
-		return bd.bindSub(x.Sub, lv)
 	case *ExistsExpr:
 		if err := bd.bindSub(x.Sub, lv); err != nil {
 			return err
@@ -372,9 +345,16 @@ func (bd *binder) bindExpr(e Expr, lv *level) error {
 		case "REAL":
 			x.to = KindFloat
 		}
-		return bd.bindExpr(x.X, lv)
 	}
-	return nil
+	eachOperand(e, func(o Expr) {
+		if err == nil {
+			err = bd.bindExpr(o, lv)
+		}
+	})
+	if in, ok := e.(*InExpr); ok && err == nil && in.Sub != nil {
+		err = bd.bindSub(in.Sub, lv)
+	}
+	return err
 }
 
 // bindSub binds the body of a subquery evaluated on level lv.

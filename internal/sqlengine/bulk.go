@@ -10,9 +10,10 @@ import "fmt"
 // statements — the property the synthetic-corpus generator relies on.
 //
 // Every row must supply one value per table column, in declaration order.
-// The call is atomic: rows are validated and coerced into a staging slice
-// first, and only appended once every row has passed, so a constraint
-// violation in row k leaves the table untouched. Lazily built point-lookup
+// The call is atomic: every row is checked — its width, and NOT NULL, which
+// coercion cannot change — before any cell is appended, so a constraint
+// violation in row k leaves every column and index untouched. Each column
+// then grows once, to its exact new length, and lazily built point-lookup
 // indexes are invalidated once per call rather than once per row, which
 // together with the skipped parse work is what makes million-row loads
 // practical (see BenchmarkBulkInsertVsInsert).
@@ -24,28 +25,26 @@ func (db *Database) BulkInsert(table string, rows [][]Value) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	staged := make([][]Value, len(rows))
 	for ri, row := range rows {
 		if len(row) != len(t.Columns) {
 			return 0, fmt.Errorf("sqlengine: bulk row %d has %d values but table %s has %d columns",
 				ri, len(row), t.Name, len(t.Columns))
 		}
-		out := make([]Value, len(row))
-		for i := range row {
-			out[i] = coerce(row[i], t.Columns[i].Type)
-			if out[i].IsNull() && t.Columns[i].NotNull {
+		for i, v := range row {
+			if v.IsNull() && t.Columns[i].NotNull {
 				return 0, fmt.Errorf("sqlengine: bulk row %d: NOT NULL constraint failed: %s.%s",
 					ri, t.Name, t.Columns[i].Name)
 			}
 		}
-		staged[ri] = out
 	}
-	if cap(t.Rows)-len(t.Rows) < len(staged) {
-		grown := make([][]Value, len(t.Rows), len(t.Rows)+len(staged))
-		copy(grown, t.Rows)
-		t.Rows = grown
+	for i := range t.cols {
+		c, typ := &t.cols[i], t.Columns[i].Type
+		c.reserve(t.n, len(rows))
+		for ri, row := range rows {
+			c.add(t.n+ri, coerce(row[i], typ))
+		}
 	}
-	t.Rows = append(t.Rows, staged...)
+	t.n += len(rows)
 	t.invalidateIndexes()
-	return len(staged), nil
+	return len(rows), nil
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -113,6 +114,42 @@ func TestBulkInsertInvalidatesIndexes(t *testing.T) {
 	}
 	if len(rows.Data) != 1 || rows.Data[0][0].S != "b" {
 		t.Fatalf("bulk-inserted row invisible to indexed lookup: %v", rows.Data)
+	}
+}
+
+// TestTableStorageBytes pins what a loaded table costs the heap: 8 bytes a
+// cell for an INTEGER or a REAL column and 16 — a string header — for a
+// TEXT one, measured as BenchmarkGenerate100k measures a corpus: the heap
+// retained after GC. The strings are shared, and the rows handed to
+// BulkInsert live through both readings, so only the table is counted.
+func TestTableStorageBytes(t *testing.T) {
+	const n, slack = 100_000, 64 << 10
+	words := make([]string, 64)
+	for i := range words {
+		words[i] = fmt.Sprintf("word-%d", i)
+	}
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(i)), Float(float64(i) / 4), Text(words[i%len(words)])}
+	}
+	db := NewDatabase("bytes")
+	db.MustExec("CREATE TABLE t (i INTEGER, r REAL, s TEXT)")
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	if _, err := db.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	retained := int64(ms.HeapAlloc) - int64(before)
+	runtime.KeepAlive(rows)
+	runtime.KeepAlive(db)
+	t.Logf("%d rows retain %d bytes, %.1f a row", n, retained, float64(retained)/n)
+	if limit := int64(n*(8+8+16) + slack); retained > limit {
+		t.Errorf("a %d-row INTEGER, REAL, TEXT table retains %d bytes, %.1f a row; want at most %d (8+8+16 a row)",
+			n, retained, float64(retained)/n, limit)
 	}
 }
 

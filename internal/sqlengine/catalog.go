@@ -17,22 +17,39 @@ type Column struct {
 	Unique     bool
 }
 
-// Table is an in-memory table: a schema plus materialised rows.
+// Table is an in-memory table: a schema, and its rows stored as one typed
+// column per table column (vector.go). Len and Cell read them.
 type Table struct {
 	Name        string
 	Columns     []Column
 	ForeignKeys []ForeignKeyDef
-	Rows        [][]Value
+
+	cols []column // one per Columns entry, each n cells long
+	n    int
 
 	colIndex  map[string]int // lower-case column name -> position
 	lowerCols []string       // lower-case column names; Columns never change after creation
 
-	// idxMu guards eqIdx and colVecs. Indexes and column vectors are built
-	// lazily by concurrent read-only queries; any DML drops them (the
-	// Database contract already forbids mutation concurrent with queries).
-	idxMu   sync.Mutex
-	eqIdx   map[int]*colEqIndex // column position -> equality index
-	colVecs map[int]*colVec     // column position -> columnar shadow (vector.go)
+	// idxMu guards eqIdx. Indexes are built lazily by concurrent read-only
+	// queries; any DML drops them (the Database contract already forbids
+	// mutation concurrent with queries).
+	idxMu sync.Mutex
+	eqIdx map[int]*colEqIndex // column position -> equality index
+}
+
+// Len returns the number of rows.
+func (t *Table) Len() int { return t.n }
+
+// Cell returns the value of column col in row i.
+func (t *Table) Cell(i, col int) Value { return t.cols[col].value(i) }
+
+// appendRow appends one row of cells, already coerced and checked, to
+// every column.
+func (t *Table) appendRow(row []Value) {
+	for i, v := range row {
+		t.cols[i].add(t.n, v)
+	}
+	t.n++
 }
 
 // colEqIndex is a lazily built point-lookup index over one column: the
@@ -49,16 +66,16 @@ type colEqIndex struct {
 	nan bool // a cell is a NaN REAL, which `=` matches to every number
 }
 
-// newColEqIndex indexes column col of rows in two passes: the first numbers
-// each cell's bucket and counts the buckets, the second places each row's
-// position in its bucket.
-func newColEqIndex(rows [][]Value, col int) *colEqIndex {
+// newColEqIndex indexes the n cells of column c in two passes: the first
+// numbers each cell's bucket and counts the buckets, the second places each
+// row's position in its bucket.
+func newColEqIndex(c *column, n int) *colEqIndex {
 	idx := &colEqIndex{ids: make(map[string]int32)}
-	bucket := make([]int32, len(rows)) // row -> bucket; -1 for NULL
+	bucket := make([]int32, n) // row -> bucket; -1 for NULL
 	var counts []int32
 	var buf []byte
-	for ri, row := range rows {
-		v := row[col]
+	for ri := range bucket {
+		v := c.value(ri)
 		if v.IsNull() {
 			bucket[ri] = -1
 			continue
@@ -80,12 +97,12 @@ func newColEqIndex(rows [][]Value, col int) *colEqIndex {
 	// fills, ending at bucket b+1's first slot; shifting it one place then
 	// gives the boundaries.
 	idx.off = make([]int32, len(counts)+1)
-	var n int32
+	var m int32
 	for b, c := range counts {
-		idx.off[b] = n
-		n += c
+		idx.off[b] = m
+		m += c
 	}
-	idx.pos = make([]int, n)
+	idx.pos = make([]int, m)
 	for ri, b := range bucket {
 		if b >= 0 {
 			idx.pos[idx.off[b]] = ri
@@ -98,7 +115,8 @@ func newColEqIndex(rows [][]Value, col int) *colEqIndex {
 }
 
 func newTable(name string, cols []Column, fks []ForeignKeyDef) *Table {
-	t := &Table{Name: name, Columns: cols, ForeignKeys: fks, colIndex: make(map[string]int, len(cols)), lowerCols: make([]string, len(cols))}
+	t := &Table{Name: name, Columns: cols, ForeignKeys: fks, cols: make([]column, len(cols)),
+		colIndex: make(map[string]int, len(cols)), lowerCols: make([]string, len(cols))}
 	for i, c := range cols {
 		t.lowerCols[i] = strings.ToLower(c.Name)
 		t.colIndex[t.lowerCols[i]] = i
@@ -120,7 +138,7 @@ func (t *Table) eqLookup(col int, key string) (pos []int, ok bool) {
 	}
 	idx, ok := t.eqIdx[col]
 	if !ok {
-		idx = newColEqIndex(t.Rows, col)
+		idx = newColEqIndex(&t.cols[col], t.n)
 		t.eqIdx[col] = idx
 	}
 	if idx.nan {
@@ -134,13 +152,12 @@ func (t *Table) eqLookup(col int, key string) (pos []int, ok bool) {
 	return idx.pos[lo:hi:hi], true
 }
 
-// invalidateIndexes drops all lazily built equality indexes and column
-// vectors. Every DML path (INSERT/UPDATE/DELETE and BulkInsert) calls it
-// so index and vector reads never see stale rows.
+// invalidateIndexes drops all lazily built equality indexes. Every DML
+// path (INSERT/UPDATE/DELETE and BulkInsert) calls it so index reads never
+// see stale rows.
 func (t *Table) invalidateIndexes() {
 	t.idxMu.Lock()
 	t.eqIdx = nil
-	t.colVecs = nil
 	t.idxMu.Unlock()
 }
 
@@ -266,7 +283,7 @@ func (t *Table) insertRow(cols []string, vals []Value) error {
 			return fmt.Errorf("sqlengine: NOT NULL constraint failed: %s.%s", t.Name, t.Columns[i].Name)
 		}
 	}
-	t.Rows = append(t.Rows, row)
+	t.appendRow(row)
 	t.invalidateIndexes()
 	return nil
 }

@@ -31,23 +31,24 @@ func TestEqIndexBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab, _ := db.Table("t")
-	// No affinity mixes kinds in one column, but Table.Rows may: the last
+	// No affinity mixes kinds in one column, but the storage may: the last
 	// column holds one cell of each kind, -0.0 and 0 and numeric text among
 	// them.
 	for i, v := range []Value{Int(5), negZero, Text("05"), Null(), Float(0), Text("abc"), Float(5)} {
-		tab.Rows[i][5] = v
+		tab.cols[5].set(tab.Len(), i, v)
 	}
 
 	check := func(label string, col int) {
 		t.Helper()
 		want := map[string][]int{}
 		nonNull := 0
-		for ri, row := range tab.Rows {
-			if row[col].IsNull() {
+		for ri := 0; ri < tab.Len(); ri++ {
+			v := tab.Cell(ri, col)
+			if v.IsNull() {
 				continue
 			}
 			nonNull++
-			k := string(coarseKey(nil, row[col]))
+			k := string(coarseKey(nil, v))
 			want[k] = append(want[k], ri)
 		}
 		for k, w := range want {

@@ -392,21 +392,21 @@ func TestFilterAllocations(t *testing.T) {
 		return preparedSelect(t, db, "SELECT 1 FROM f WHERE "+cond).bound.plan.where
 	}
 	pos, _ := tab.eqLookup(3, string(coarseKey(nil, Int(1))))
-	bucket := selection{rows: tab.Rows, pos: pos}
+	bucket := selection{src: rel{t: tab}, pos: pos}
 	for _, tc := range []struct {
 		cond     string
 		in       selection
 		maxBytes int // beyond the bitmask
 	}{
 		{"flag = 1", bucket, 0},
-		{"num >= 0", selection{rows: tab.Rows, all: true}, 0},
+		{"num >= 0", selection{src: rel{t: tab}, all: true}, 0},
 		{"flag = 1 AND num > 50", bucket, 8 * bucket.len()},
 	} {
 		p := conj(tc.cond)
 		var out selection
 		allocs := testing.AllocsPerRun(10, func() {
 			var err error
-			if out, err = ec.filter(tc.in, p, 0, tab, 0, nil); err != nil {
+			if out, err = ec.filter(tc.in, p, 0, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

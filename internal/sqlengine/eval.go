@@ -13,7 +13,7 @@ import (
 // class. Evaluating a row dispatches on those and never on a name. Both
 // executors run this one evaluator over the same compiled nodes, so they
 // differ in plan only. A conjunct a plan pushes into a table scan has a
-// second form besides this one, a filter over its column's typed vector
+// second form besides this one, a filter over its column's typed array
 // (kernels.go).
 
 // evalEnv is the environment for expression evaluation: an execution
@@ -22,7 +22,7 @@ import (
 type evalEnv struct {
 	ec    *execCtx
 	sc    *scope
-	group []*scope
+	group *group
 }
 
 // opcode is an operator, resolved from its text at Prepare. opUnknown, an
@@ -57,7 +57,7 @@ var (
 		"+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
 	}
 	unaryOps = map[string]opcode{"-": opNeg, "NOT": opNot}
-	// opMasks holds each comparison's accepting outcomes, as cmpMask3's
+	// opMasks holds each comparison's accepting outcomes, as cmpMask's
 	// bits: 1 less, 2 equal, 4 greater.
 	opMasks = [...]uint8{opEq: 2, opNe: 1 | 4, opLt: 1, opLe: 1 | 2, opGt: 4, opGe: 4 | 2}
 	// flipped mirrors a comparison: `lit op col` is `col flipped[op] lit`.
@@ -222,7 +222,7 @@ func compare(op opcode, l, r Value) (t, known bool) {
 	if l.IsNull() || r.IsNull() {
 		return false, false
 	}
-	return opMasks[op]&cmpMask3(compareSQL(l, r)) != 0, true
+	return opMasks[op]&cmpMask(compareSQL(l, r), 0) != 0, true
 }
 
 // between is the truth of `x BETWEEN lo AND hi`.
@@ -521,7 +521,7 @@ func lowerASCII(c byte) byte {
 
 // --- Calls ---
 
-// aggFns resolves an aggregate call's name (isAggregateCall).
+// aggFns resolves an aggregate call's name.
 var aggFns = map[string]aggFn{
 	"COUNT": aggCount, "SUM": aggSum, "TOTAL": aggTotal, "AVG": aggAvg,
 	"MIN": aggMin, "MAX": aggMax, "GROUP_CONCAT": aggGroupConcat,
@@ -530,17 +530,18 @@ var aggFns = map[string]aggFn{
 // resolveCall compiles a call at Prepare: an aggregate to what it computes,
 // anything else to its scalar function, which stays nil for a name no
 // function has. That is an error when the call is evaluated: a call no row
-// reaches does not fail the statement.
+// reaches does not fail the statement. A name that is both — MIN, MAX — is
+// the aggregate over one argument (or *), SQLite's scalar over more.
 func resolveCall(fc *FuncCall) {
-	if isAggregateCall(fc) {
-		fc.agg = aggFns[fc.Name]
-		return
-	}
 	fc.fn = scalarFns[fc.Name]
+	if agg, ok := aggFns[fc.Name]; ok && (fc.fn == nil || fc.Star || len(fc.Args) == 1) {
+		fc.agg, fc.fn = agg, nil
+	}
 }
 
 func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
-	if env.group == nil {
+	g := env.group
+	if g == nil {
 		return Value{}, fmt.Errorf("sqlengine: misuse of aggregate function %s", fc.Name)
 	}
 	// Gather argument values over the group.
@@ -549,8 +550,9 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 		if len(fc.Args) != 1 {
 			return Value{}, fmt.Errorf("sqlengine: aggregate %s takes exactly one argument", fc.Name)
 		}
-		for _, rowScope := range env.group {
-			child := &evalEnv{ec: env.ec, sc: rowScope}
+		child := &evalEnv{ec: env.ec, sc: g.sc}
+		for j := 0; j < g.n; j++ {
+			g.member(j)
 			v, err := child.eval(fc.Args[0])
 			if err != nil {
 				return Value{}, err
@@ -574,7 +576,7 @@ func (env *evalEnv) evalAggregate(fc *FuncCall) (Value, error) {
 	switch fc.agg {
 	case aggCount:
 		if fc.Star {
-			return Int(int64(len(env.group))), nil
+			return Int(int64(g.n)), nil
 		}
 		var n int64
 		for _, v := range vals {
@@ -671,12 +673,22 @@ func (env *evalEnv) evalScalarFunc(fc *FuncCall) (Value, error) {
 	if fc.fn == nil {
 		return Value{}, fmt.Errorf("sqlengine: no such function: %s", fc.Name)
 	}
-	return fc.fn(fc.Name, args)
+	return fc.fn.call(fc.Name, args)
 }
 
-// scalarFn is a scalar function: it checks its arity, then computes its
-// value from the evaluated arguments. name is the call's, for its errors.
+// scalarFn computes a scalar function: it checks its arity, then computes
+// its value from the evaluated arguments. name is the call's, for its errors.
 type scalarFn func(name string, args []Value) (Value, error)
+
+// scalarFunc is a scalar function as a call resolves to it: what it
+// computes, and the calls on which it cannot fail (exprSafeTotal) — those
+// with min to max arguments (max -1: any number), and where total is set,
+// whose arguments it holds.
+type scalarFunc struct {
+	call     scalarFn
+	min, max int
+	total    func(args []Expr) bool
+}
 
 // arity is the error of a call to name that does not pass n arguments.
 func arity(name string, args []Value, n int) error {
@@ -721,8 +733,8 @@ var typeNames = [...]Value{KindNull: Text("null"), KindInt: Text("integer"), Kin
 
 // scalarFns holds every scalar function by its upper-case name, for
 // resolveCall.
-var scalarFns = map[string]scalarFn{
-	"ABS": strict(func(v Value) Value {
+var scalarFns = map[string]*scalarFunc{
+	"ABS": {min: 1, max: 1, call: strict(func(v Value) Value {
 		if v.Kind == KindInt {
 			if v.I < 0 {
 				return Int(-v.I)
@@ -730,8 +742,8 @@ var scalarFns = map[string]scalarFn{
 			return v
 		}
 		return Float(math.Abs(v.AsFloat()))
-	}),
-	"ROUND": func(_ string, args []Value) (Value, error) {
+	})},
+	"ROUND": {min: 1, max: 2, call: func(_ string, args []Value) (Value, error) {
 		if len(args) < 1 || len(args) > 2 {
 			return Value{}, fmt.Errorf("sqlengine: ROUND expects 1 or 2 arguments")
 		}
@@ -744,46 +756,46 @@ var scalarFns = map[string]scalarFn{
 		}
 		mult := math.Pow(10, float64(digits))
 		return Float(math.Round(args[0].AsFloat()*mult) / mult), nil
-	},
-	"LENGTH": strict(func(v Value) Value { return Int(int64(utf8.RuneCountInString(v.AsText()))) }),
-	"UPPER":  strict(func(v Value) Value { return Text(strings.ToUpper(v.AsText())) }),
-	"LOWER":  strict(func(v Value) Value { return Text(strings.ToLower(v.AsText())) }),
-	"TRIM":   strict(func(v Value) Value { return Text(strings.TrimSpace(v.AsText())) }),
-	"LTRIM": func(name string, args []Value) (Value, error) {
+	}},
+	"LENGTH": {min: 1, max: 1, call: strict(func(v Value) Value { return Int(int64(utf8.RuneCountInString(v.AsText()))) })},
+	"UPPER":  {min: 1, max: 1, call: strict(func(v Value) Value { return Text(strings.ToUpper(v.AsText())) })},
+	"LOWER":  {min: 1, max: 1, call: strict(func(v Value) Value { return Text(strings.ToLower(v.AsText())) })},
+	"TRIM":   {min: 1, max: 1, call: strict(func(v Value) Value { return Text(strings.TrimSpace(v.AsText())) })},
+	"LTRIM": {min: 1, max: 1, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 1); err != nil {
 			return Value{}, err
 		}
 		return Text(strings.TrimLeft(args[0].AsText(), " \t\r\n")), nil
-	},
-	"RTRIM": func(name string, args []Value) (Value, error) {
+	}},
+	"RTRIM": {min: 1, max: 1, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 1); err != nil {
 			return Value{}, err
 		}
 		return Text(strings.TrimRight(args[0].AsText(), " \t\r\n")), nil
-	},
-	"SUBSTR":    substr,
-	"SUBSTRING": substr,
-	"INSTR": func(name string, args []Value) (Value, error) {
+	}},
+	"SUBSTR":    {min: 2, max: 3, call: substr},
+	"SUBSTRING": {min: 2, max: 3, call: substr},
+	"INSTR": {min: 2, max: 2, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 2); err != nil || args[0].IsNull() || args[1].IsNull() {
 			return Null(), err
 		}
 		return Int(int64(strings.Index(args[0].AsText(), args[1].AsText()) + 1)), nil
-	},
-	"REPLACE": func(name string, args []Value) (Value, error) {
+	}},
+	"REPLACE": {min: 3, max: 3, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 3); err != nil || args[0].IsNull() {
 			return Null(), err
 		}
 		return Text(strings.ReplaceAll(args[0].AsText(), args[1].AsText(), args[2].AsText())), nil
-	},
-	"COALESCE": func(_ string, args []Value) (Value, error) {
+	}},
+	"COALESCE": {min: 0, max: -1, call: func(_ string, args []Value) (Value, error) {
 		for _, v := range args {
 			if !v.IsNull() {
 				return v, nil
 			}
 		}
 		return Null(), nil
-	},
-	"IFNULL": func(name string, args []Value) (Value, error) {
+	}},
+	"IFNULL": {min: 2, max: 2, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 2); err != nil {
 			return Value{}, err
 		}
@@ -791,8 +803,8 @@ var scalarFns = map[string]scalarFn{
 			return args[0], nil
 		}
 		return args[1], nil
-	},
-	"NULLIF": func(name string, args []Value) (Value, error) {
+	}},
+	"NULLIF": {min: 2, max: 2, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 2); err != nil {
 			return Value{}, err
 		}
@@ -800,8 +812,8 @@ var scalarFns = map[string]scalarFn{
 			return Null(), nil
 		}
 		return args[0], nil
-	},
-	"IIF": func(name string, args []Value) (Value, error) {
+	}},
+	"IIF": {min: 3, max: 3, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 3); err != nil {
 			return Value{}, err
 		}
@@ -809,31 +821,32 @@ var scalarFns = map[string]scalarFn{
 			return args[1], nil
 		}
 		return args[2], nil
-	},
-	"MIN": extreme(-1),
-	"MAX": extreme(1),
-	"TYPEOF": func(name string, args []Value) (Value, error) {
+	}},
+	"MIN": {min: 2, max: -1, call: extreme(-1)},
+	"MAX": {min: 2, max: -1, call: extreme(1)},
+	"TYPEOF": {min: 1, max: 1, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 1); err != nil {
 			return Value{}, err
 		}
 		return typeNames[args[0].Kind], nil
-	},
-	"STRFTIME": func(name string, args []Value) (Value, error) {
+	}},
+	"STRFTIME": {min: 2, max: 2, total: literalDateFormat, call: func(name string, args []Value) (Value, error) {
 		if err := arity(name, args, 2); err != nil {
 			return Value{}, err
 		}
 		return evalStrftime(args[0].AsText(), args[1])
-	},
-	"DATE": strict(func(v Value) Value {
+	}},
+	"DATE": {min: 1, max: 1, call: strict(func(v Value) Value {
 		d := v.AsText()
 		if len(d) >= 10 {
 			return Text(d[:10])
 		}
 		return Text(d)
-	}),
-	"CAST": func(string, []Value) (Value, error) {
+	})},
+	// CAST( … ) as a call is never total: it always fails.
+	"CAST": {min: 1, max: 0, call: func(string, []Value) (Value, error) {
 		return Value{}, fmt.Errorf("sqlengine: CAST requires AS syntax")
-	},
+	}},
 }
 
 // substr is SQLite's SUBSTR (SUBSTRING): 1-based, a negative start counts

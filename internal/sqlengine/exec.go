@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -164,11 +165,15 @@ func (ec *execCtx) charge(n int64) error {
 }
 
 // scope is one level of rows a bound column reference reads (bind.go): a
-// FROM row, with a parent link for correlated subqueries. off is the slot
-// of row's first column in its SELECT's FROM row — non-zero only where a
-// scan of one FROM item evaluates a pushed conjunct over that item's rows.
+// FROM row, with a parent link for correlated subqueries. The row is row,
+// or where t is set, t's row at position pos, read in place. off is the
+// slot of the row's first column in its SELECT's FROM row — non-zero only
+// where a scan of one FROM item evaluates a pushed conjunct over that
+// item's rows.
 type scope struct {
 	row    []Value
+	t      *Table
+	pos    int
 	off    int
 	parent *scope
 }
@@ -178,13 +183,15 @@ func (s *scope) value(cr *ColumnRef) Value {
 	for d := cr.depth; d > 0; d-- {
 		s = s.parent
 	}
-	return s.row[cr.slot-s.off]
+	return s.cell(cr.slot)
 }
 
-// rowSet is one input of a join: its rows, each width cells wide.
-type rowSet struct {
-	rows  [][]Value
-	width int
+// cell reads the column at slot of the scope's row.
+func (s *scope) cell(slot int) Value {
+	if s.t != nil {
+		return s.t.cols[slot-s.off].value(s.pos)
+	}
+	return s.row[slot-s.off]
 }
 
 // --- SELECT execution ---
@@ -327,46 +334,60 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 		// an EXISTS never gets, filtered a single table's scan.
 		from := s
 		if pl.pushed {
-			from = selection{rows: s.rows, all: true}
+			from = selection{src: s.src, all: true}
 		}
 		if pl.residual {
 			ec.countBatches(s.len())
-			s, err = ec.filter(s, pl.where, -1, nil, 0, outer)
+			s, err = ec.filter(s, pl.where, -1, 0, outer)
 		}
 		if err == nil && len(pl.exists) > 0 {
 			s, err = ec.settleExists(outer, pl, from, s)
 		}
 	case sel.Where != nil:
-		s, err = ec.filter(s, []conjunct{{expr: sel.Where, scan: -1}}, -1, nil, 0, outer)
+		s, err = ec.filter(s, []conjunct{{expr: sel.Where, scan: -1}}, -1, 0, outer)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// 3. The tail: planned, on the selection; unplanned, on its rows.
+	// 3. The tail: planned, on the selection's consumers; unplanned, the
+	// interpreter's.
 	if pl != nil {
 		return ec.tailPositions(sel, s, outer, pl)
 	}
-	return ec.projectTail(sel, s.materialise(), outer)
+	return ec.projectTail(sel, s, outer)
 }
 
-// projectTail runs everything after the WHERE filter on materialised rows,
+// projectTail runs everything after the WHERE filter on the selected rows,
 // through the interpreter: grouping or projection, DISTINCT, ORDER BY and
 // LIMIT. It is the naive reference's tail, and where a planned selection
-// lands when no consumer of positions.go applies.
-func (ec *execCtx) projectTail(sel *SelectStmt, filtered [][]Value, outer *scope) (*Rows, error) {
+// lands when no consumer of positions.go applies. Each row is read in place
+// through one scope; a row whose environment ORDER BY evaluates later
+// keeps a scope of its own.
+func (ec *execCtx) projectTail(sel *SelectStmt, s selection, outer *scope) (*Rows, error) {
 	out := &selOutput{columns: sel.bound.columns}
 	if sel.bound.grouped {
-		if err := ec.projectGrouped(sel, filtered, outer, out); err != nil {
+		if err := ec.projectGrouped(sel, s, outer, out); err != nil {
 			return nil, err
 		}
 	} else {
-		for _, row := range filtered {
-			env := &evalEnv{ec: ec, sc: &scope{row: row, parent: outer}}
+		keep := len(sel.OrderBy) > 0 && slices.Contains(sel.bound.order, -1)
+		env, buf := &evalEnv{ec: ec, sc: &scope{parent: outer}}, s.rowBuf()
+		for i, n := 0, s.len(); i < n; i++ {
+			l, r := s.row(i)
+			if keep {
+				env = &evalEnv{ec: ec, sc: s.keepScope(l, r, outer)}
+			} else {
+				s.scopeAt(env.sc, l, r, buf)
+			}
 			vals, err := ec.projectRow(sel, env)
 			if err != nil {
 				return nil, err
 			}
-			out.add(vals, env)
+			if keep {
+				out.add(vals, env)
+			} else {
+				out.add(vals, nil)
+			}
 		}
 	}
 
@@ -525,7 +546,7 @@ func (ec *execCtx) projectRow(sel *SelectStmt, env *evalEnv) ([]Value, error) {
 	for k, item := range sel.Columns {
 		if item.Star {
 			for _, slot := range sel.bound.stars[k] {
-				vals = append(vals, env.sc.row[slot])
+				vals = append(vals, env.sc.cell(slot))
 			}
 			continue
 		}
@@ -538,41 +559,55 @@ func (ec *execCtx) projectRow(sel *SelectStmt, env *evalEnv) ([]Value, error) {
 	return vals, nil
 }
 
-// rowGroup is one GROUP BY partition: the representative scope (first row
-// in input order) and every member row's scope.
-type rowGroup struct {
-	rep  *scope
-	rows []*scope
+// group is one GROUP BY partition: the rows of s at indexes idx, in input
+// order — all n of s where idx is nil — read one at a time through the scope
+// sc (and, over a join's output, the pair buffer buf), which the groups of
+// one SELECT share.
+type group struct {
+	s   *selection
+	idx []int
+	n   int
+	sc  *scope
+	buf []Value
 }
 
-// projectGrouped partitions rows into groups in first-seen order, applies
-// HAVING, and projects the select list with aggregate support, each group
-// computed over its rows in input order.
-func (ec *execCtx) projectGrouped(sel *SelectStmt, rows [][]Value, outer *scope, out *selOutput) error {
-	var groups []*rowGroup
+// member points the group's scope at its j'th row.
+func (g *group) member(j int) {
+	if g.idx != nil {
+		j = g.idx[j]
+	}
+	l, r := g.s.row(j)
+	g.s.scopeAt(g.sc, l, r, g.buf)
+}
+
+// projectGrouped partitions the selected rows into groups in first-seen
+// order, applies HAVING, and projects the select list with aggregate
+// support, each group computed over its rows in input order. A group's
+// first row is its representative, kept in a scope of its own.
+func (ec *execCtx) projectGrouped(sel *SelectStmt, s selection, outer *scope, out *selOutput) error {
+	n := s.len()
+	sc := &scope{parent: outer}
+	buf := s.rowBuf()
+	var groups []*group
+	var reps []*scope
 	if len(sel.GroupBy) == 0 {
-		// Single implicit group (possibly empty: COUNT over no rows). The
-		// rows slice stays non-nil so aggregate evaluation recognises the
-		// grouped context even for the empty group.
-		g := &rowGroup{rows: make([]*scope, 0, len(rows))}
-		for _, row := range rows {
-			sc := &scope{row: row, parent: outer}
-			if g.rep == nil {
-				g.rep = sc
-			}
-			g.rows = append(g.rows, sc)
+		// Single implicit group (possibly empty: COUNT over no rows): a
+		// non-nil group, so aggregate evaluation recognises the grouped
+		// context even for the empty group.
+		groups = append(groups, &group{s: &s, n: n, sc: sc, buf: buf})
+		if n > 0 {
+			l, r := s.row(0)
+			reps = append(reps, s.keepScope(l, r, outer))
+		} else {
+			reps = append(reps, &scope{row: make([]Value, sel.bound.width()), parent: outer})
 		}
-		if g.rep == nil {
-			g.rep = &scope{row: make([]Value, sel.bound.width()), parent: outer}
-		}
-		groups = append(groups, g)
 	} else {
-		idx := make(map[string]*rowGroup)
-		var order []string
+		idx := make(map[string]int)
+		env := &evalEnv{ec: ec, sc: sc}
 		var kb []byte
-		for _, row := range rows {
-			sc := &scope{row: row, parent: outer}
-			env := &evalEnv{ec: ec, sc: sc}
+		for i := 0; i < n; i++ {
+			l, r := s.row(i)
+			s.scopeAt(sc, l, r, buf)
 			kb = kb[:0]
 			for _, ge := range sel.GroupBy {
 				v, err := env.eval(ge)
@@ -582,22 +617,21 @@ func (ec *execCtx) projectGrouped(sel *SelectStmt, rows [][]Value, outer *scope,
 				kb = v.AppendKey(kb)
 				kb = append(kb, '\x00')
 			}
-			k := string(kb)
-			g, ok := idx[k]
+			gi, ok := idx[string(kb)]
 			if !ok {
-				g = &rowGroup{rep: sc}
-				idx[k] = g
-				order = append(order, k)
+				gi = len(groups)
+				idx[string(kb)] = gi
+				groups = append(groups, &group{s: &s, idx: []int{}, sc: sc, buf: buf})
+				reps = append(reps, s.keepScope(l, r, outer))
 			}
-			g.rows = append(g.rows, sc)
-		}
-		for _, k := range order {
-			groups = append(groups, idx[k])
+			g := groups[gi]
+			g.idx = append(g.idx, i)
+			g.n++
 		}
 	}
 
-	for _, g := range groups {
-		env := &evalEnv{ec: ec, sc: g.rep, group: g.rows}
+	for gi, g := range groups {
+		env := &evalEnv{ec: ec, sc: reps[gi], group: g}
 		if sel.Having != nil {
 			if ok, err := env.holds(sel.Having); err != nil {
 				return err
@@ -660,7 +694,7 @@ func localCol(e Expr) (slot int, ok bool) {
 func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (selection, error) {
 	if len(sel.From) == 0 {
 		// SELECT without FROM: a single empty row.
-		return selection{rows: [][]Value{{}}, all: true}, nil
+		return selection{src: rel{rows: [][]Value{{}}}, all: true}, nil
 	}
 	from := sel.bound.from
 	s, err := ec.execFromItem(sel, 0, outer, pl)
@@ -673,11 +707,12 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan) (sele
 		if pl != nil && pl.joins != nil {
 			ja = pl.joins[i]
 		}
-		// A join reads both inputs as rows: a filtered scan's positions and
-		// an earlier hash join's pairs are materialised for it.
-		left := &rowSet{rows: s.materialise(), width: from[i].off}
-		right := &rowSet{rows: rs.materialise(), width: len(from[i].cols)}
-		s, err = ec.join(left, right, sel.From[i].Join, sel.From[i].On, outer, ja)
+		// A join reads its inputs at their positions; an earlier hash
+		// join's pairs are materialised for it.
+		if s.right != nil {
+			s = selection{src: rel{rows: s.materialise()}, all: true}
+		}
+		s, err = ec.join(&s, &rs, from[i].off, len(from[i].cols), sel.From[i].Join, sel.From[i].On, outer, ja)
 	}
 	return s, err
 }
@@ -692,39 +727,39 @@ func (ec *execCtx) execFromItem(sel *SelectStmt, i int, outer *scope, pl *select
 		if err != nil {
 			return selection{}, err
 		}
-		return selection{rows: rows.Data, all: true}, nil
+		return selection{src: rel{rows: rows.Data}, all: true}, nil
 	}
 	it := &sel.bound.from[i]
 	if pl == nil || !pl.pushed {
-		return selection{rows: it.t.Rows, all: true}, ec.charge(int64(len(it.t.Rows)))
+		return selection{src: rel{t: it.t}, all: true}, ec.charge(int64(it.t.n))
 	}
 	return ec.scanPositions(it.t, pl, it.off, i, outer)
 }
 
-// join combines two relations. With a usable plan the join runs as a hash
-// join, whose output is position pairs; otherwise the nested loop below,
-// charged its |L|·|R| pairs up front, builds the joined rows, with one
-// reusable pair buffer and environment (fresh slices are allocated only for
-// emitted rows).
-func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope, ja *joinAnalysis) (selection, error) {
+// join combines two relations, whose rows are nl and nr cells wide. With a
+// usable plan the join runs as a hash join, whose output is position pairs;
+// otherwise the nested loop below, charged its |L|·|R| pairs up front,
+// builds the joined rows, with one reusable pair buffer and environment
+// (fresh slices are allocated only for emitted rows).
+func (ec *execCtx) join(left, right *selection, nl, nr int, jt JoinType, on Expr, outer *scope, ja *joinAnalysis) (selection, error) {
 	if ja != nil && ja.lcols != nil {
-		if s, hashed, err := ec.hashJoin(left, right, jt, ja, outer); hashed {
+		if s, hashed, err := ec.hashJoin(left, right, nl, nr, jt, ja, outer); hashed {
 			return s, err
 		}
 	}
-	if err := ec.charge(int64(len(left.rows)) * int64(len(right.rows))); err != nil {
+	ln, rn := left.len(), right.len()
+	if err := ec.charge(int64(ln) * int64(rn)); err != nil {
 		return selection{}, err
 	}
-	width := left.width + right.width
+	width := nl + nr
 	var out [][]Value
-	nullRight := make([]Value, right.width)
 	buf := make([]Value, width)
 	env := &evalEnv{ec: ec, sc: &scope{row: buf, parent: outer}}
-	for _, lr := range left.rows {
+	for li := 0; li < ln; li++ {
 		matched := false
-		copy(buf, lr)
-		for _, rr := range right.rows {
-			copy(buf[left.width:], rr)
+		left.src.fill(buf, left.at(li))
+		for ri := 0; ri < rn; ri++ {
+			right.src.fill(buf[nl:], right.at(ri))
 			if on != nil {
 				if ok, err := env.holds(on); err != nil {
 					return selection{}, err
@@ -738,13 +773,12 @@ func (ec *execCtx) join(left, right *rowSet, jt JoinType, on Expr, outer *scope,
 			out = append(out, row)
 		}
 		if jt == JoinLeft && !matched {
-			row := make([]Value, 0, width)
-			row = append(row, lr...)
-			row = append(row, nullRight...)
+			row := make([]Value, width)
+			copy(row, buf[:nl])
 			out = append(out, row)
 		}
 	}
-	return selection{rows: out, all: true}, nil
+	return selection{src: rel{rows: out}, all: true}, nil
 }
 
 // --- DML execution ---
@@ -770,16 +804,23 @@ func (ec *execCtx) execInsert(ins *InsertStmt) (int64, error) {
 	return n, nil
 }
 
+// execUpdate rewrites the cells of the rows its WHERE holds on, in table
+// order. Every SET of a row is evaluated before any of its cells changes.
 func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 	t := up.table
 	var n int64
-	sc := &scope{}
+	defer func() {
+		if n > 0 {
+			t.invalidateIndexes()
+		}
+	}()
+	sc := &scope{t: t}
 	env := &evalEnv{ec: ec, sc: sc}
-	for ri, row := range t.Rows {
+	vals := make([]Value, len(up.Set))
+	for sc.pos = 0; sc.pos < t.n; sc.pos++ {
 		if err := ec.charge(1); err != nil {
 			return n, err
 		}
-		sc.row = row
 		if up.Where != nil {
 			if ok, err := env.holds(up.Where); err != nil {
 				return n, err
@@ -787,50 +828,55 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 				continue
 			}
 		}
-		newRow := make([]Value, len(row))
-		copy(newRow, row)
 		for i, set := range up.Set {
 			v, err := env.eval(set.Value)
 			if err != nil {
 				return n, err
 			}
-			idx := up.cols[i]
-			newRow[idx] = coerce(v, t.Columns[idx].Type)
+			vals[i] = coerce(v, t.Columns[up.cols[i]].Type)
 		}
-		t.Rows[ri] = newRow
+		for i, col := range up.cols {
+			t.cols[col].set(t.n, sc.pos, vals[i])
+		}
 		n++
-	}
-	if n > 0 {
-		t.invalidateIndexes()
 	}
 	return n, nil
 }
 
+// execDelete removes the rows its WHERE holds on: the columns are rebuilt
+// from the rows that stay, once every row has been tested.
 func (ec *execCtx) execDelete(del *DeleteStmt) (int64, error) {
 	t := del.table
-	var kept [][]Value
 	var n int64
-	sc := &scope{}
+	sc := &scope{t: t}
 	env := &evalEnv{ec: ec, sc: sc}
-	for _, row := range t.Rows {
+	remove := make([]bool, t.n)
+	for sc.pos = 0; sc.pos < t.n; sc.pos++ {
 		if err := ec.charge(1); err != nil {
 			return n, err
 		}
-		remove := true
+		remove[sc.pos] = true
 		if del.Where != nil {
-			sc.row = row
 			var err error
-			if remove, err = env.holds(del.Where); err != nil {
+			if remove[sc.pos], err = env.holds(del.Where); err != nil {
 				return n, err
 			}
 		}
-		if remove {
+		if remove[sc.pos] {
 			n++
-		} else {
-			kept = append(kept, row)
 		}
 	}
-	t.Rows = kept
+	cols, kept := make([]column, len(t.cols)), 0
+	for p, gone := range remove {
+		if gone {
+			continue
+		}
+		for c := range cols {
+			cols[c].add(kept, t.cols[c].value(p))
+		}
+		kept++
+	}
+	t.cols, t.n = cols, kept
 	t.invalidateIndexes()
 	return n, nil
 }
@@ -855,61 +901,10 @@ func anyAggregate(sel *SelectStmt) bool {
 }
 
 func exprHasAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *FuncCall:
-		if isAggregateCall(x) {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *Binary:
-		return exprHasAggregate(x.L) || exprHasAggregate(x.R)
-	case *Unary:
-		return exprHasAggregate(x.X)
-	case *CaseExpr:
-		if x.Operand != nil && exprHasAggregate(x.Operand) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if exprHasAggregate(w.When) || exprHasAggregate(w.Then) {
-				return true
-			}
-		}
-		if x.Else != nil && exprHasAggregate(x.Else) {
-			return true
-		}
-	case *BetweenExpr:
-		return exprHasAggregate(x.X) || exprHasAggregate(x.Lo) || exprHasAggregate(x.Hi)
-	case *LikeExpr:
-		return exprHasAggregate(x.X) || exprHasAggregate(x.Pattern)
-	case *IsNullExpr:
-		return exprHasAggregate(x.X)
-	case *InExpr:
-		if exprHasAggregate(x.X) {
-			return true
-		}
-		for _, e := range x.List {
-			if exprHasAggregate(e) {
-				return true
-			}
-		}
-	case *CastExpr:
-		return exprHasAggregate(x.X)
-	}
-	return false
-}
-
-// isAggregateCall reports whether fc is an aggregate invocation. MIN/MAX
-// with more than one argument are SQLite's scalar variants.
-func isAggregateCall(fc *FuncCall) bool {
-	switch fc.Name {
-	case "COUNT", "SUM", "AVG", "TOTAL", "GROUP_CONCAT":
+	if fc, ok := e.(*FuncCall); ok && fc.agg != aggNone {
 		return true
-	case "MIN", "MAX":
-		return fc.Star || len(fc.Args) == 1
 	}
-	return false
+	has := false
+	eachOperand(e, func(x Expr) { has = has || exprHasAggregate(x) })
+	return has
 }

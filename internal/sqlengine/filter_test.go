@@ -31,13 +31,13 @@ var filterDB = sync.OnceValue(func() *Database {
 		if id%11 == 0 {
 			row[2] = Null()
 		}
-		p.Rows = append(p.Rows, row)
+		p.appendRow(row)
 	}
 	q, _ := db.Table("q")
 	for k, w := range []Value{Int(10), Null(), Int(-1), Int(3)} {
-		q.Rows = append(q.Rows, []Value{Int(int64(k + 2)), w, Text(texts[k])})
+		q.appendRow([]Value{Int(int64(k + 2)), w, Text(texts[k])})
 	}
-	q.Rows = append(q.Rows, []Value{Null(), Int(0), Null()})
+	q.appendRow([]Value{Null(), Int(0), Null()})
 	return db
 })
 

@@ -44,30 +44,33 @@ type joinKeys struct {
 // the smaller input. It returns nil when a key cell on either side is a NaN
 // REAL: Compare holds NaN equal to every number, which no key can bucket,
 // so the nested loop must run.
-func newJoinKeys(left, right [][]Value, lcols, rcols []int) *joinKeys {
-	ints := len(lcols) == 1
-	for i := range lcols {
-		lInts, lNaN := keyCells(left, lcols[i])
-		rInts, rNaN := keyCells(right, rcols[i])
+func newJoinKeys(left, right *selection, lat, rat []colAt) *joinKeys {
+	ints := len(lat) == 1
+	for i := range lat {
+		lInts, lNaN := keyCells(left, &lat[i])
+		rInts, rNaN := keyCells(right, &rat[i])
 		if lNaN || rNaN {
 			return nil
 		}
 		ints = ints && lInts && rInts
 	}
-	hint := min(len(left), len(right))
+	hint := min(left.len(), right.len())
 	if ints {
 		return &joinKeys{ints: make(map[int64]int32, hint)}
 	}
 	return &joinKeys{strs: make(map[string]int32, hint)}
 }
 
-// keyCells reports whether column col of rows holds only INTEGER and NULL
-// cells, and whether it holds a NaN. It reads the rows: a column vector
-// built to answer it would stay resident.
-func keyCells(rows [][]Value, col int) (ints, nan bool) {
+// keyCells reports whether the cells of column at that s selects are only
+// INTEGER and NULL, and whether one is a NaN. A table's INTEGER column
+// answers without a read.
+func keyCells(s *selection, at *colAt) (ints, nan bool) {
+	if at.c != nil && at.c.vals == nil && (at.c.kind == KindInt || at.c.kind == KindNull) {
+		return true, false
+	}
 	ints = true
-	for _, row := range rows {
-		switch v := row[col]; v.Kind {
+	for i, n := 0, s.len(); i < n; i++ {
+		switch v := at.read(s.at(i), -1); v.Kind {
 		case KindInt, KindNull:
 		case KindFloat:
 			ints = false
@@ -81,14 +84,14 @@ func keyCells(rows [][]Value, col int) (ints, nan bool) {
 	return ints, false
 }
 
-// slot returns the slot of row's key, read from columns cols; a key not seen
-// before gets the next slot when insert is set. -1 means no slot: a NULL key
-// cell — NULL never equi-matches, the row can only surface through LEFT JOIN
-// null extension — or an absent key. buf is the caller's reusable key
-// buffer.
-func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byte, int32) {
+// slot returns the slot of the key of the row at position p, read from
+// columns at; a key not seen before gets the next slot when insert is set.
+// -1 means no slot: a NULL key cell — NULL never equi-matches, the row can
+// only surface through LEFT JOIN null extension — or an absent key. buf is
+// the caller's reusable key buffer.
+func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int32) {
 	if k.ints != nil {
-		v := row[cols[0]]
+		v := at[0].read(p, -1)
 		if v.IsNull() {
 			return buf, -1
 		}
@@ -103,8 +106,8 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 		return buf, s
 	}
 	buf = buf[:0]
-	for _, col := range cols {
-		v := row[col]
+	for i := range at {
+		v := at[i].read(p, -1)
 		if v.IsNull() {
 			return buf, -1
 		}
@@ -123,9 +126,10 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 }
 
 // hashJoin executes the join on ja's equalities and residual and returns
-// its output as a two-sided selection over the inputs' rows: (left, right)
-// position pairs in emission order, no joined row built. hashed is false,
-// and nothing charged, when newJoinKeys refuses the inputs.
+// its output as a two-sided selection over the inputs' relations: (left,
+// right) position pairs in emission order, no joined row built. The left
+// input's rows are nl cells wide, the right's nr. hashed is false, and
+// nothing charged, when newJoinKeys refuses the inputs.
 //
 // The smaller input's distinct keys become the slots; the right rows are
 // threaded, ascending, into one chain per slot; and the probe walks the left
@@ -134,31 +138,35 @@ func (k *joinKeys) slot(buf []byte, row []Value, cols []int, insert bool) ([]byt
 // With the right side smaller the left rows find their slot during the
 // probe; with the left side smaller they are given it up front and it is
 // the right rows that look theirs up.
-func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, ja *joinAnalysis, outer *scope) (s selection, hashed bool, err error) {
-	lcols, rcols := ja.lcols, ja.rcols
-	keys := newJoinKeys(left.rows, right.rows, lcols, rcols)
+func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja *joinAnalysis, outer *scope) (s selection, hashed bool, err error) {
+	// A join on one or two conditions addresses its key columns on the
+	// stack.
+	var lbuf, rbuf [2]colAt
+	lat, rat := left.colsAt(lbuf[:0], ja.lcols), right.colsAt(rbuf[:0], ja.rcols)
+	keys := newJoinKeys(left, right, lat, rat)
 	if keys == nil {
 		return selection{}, false, nil
 	}
+	ln, rn := left.len(), right.len()
 	var keyBuf []byte
 	var leftSlot []int32 // per left row, when the left side is the smaller
-	if len(left.rows) < len(right.rows) {
-		leftSlot = make([]int32, len(left.rows))
-		for li, lr := range left.rows {
-			keyBuf, leftSlot[li] = keys.slot(keyBuf, lr, lcols, true)
+	if ln < rn {
+		leftSlot = make([]int32, ln)
+		for li := range leftSlot {
+			keyBuf, leftSlot[li] = keys.slot(keyBuf, lat, left.at(li), true)
 		}
 	}
 	// head[slot] is the first right row of the slot's chain and next[ri] the
 	// one after ri, -1 ending it. Threading from the last right row down
 	// leaves every chain ascending.
-	head := make([]int32, min(len(left.rows), len(right.rows)))
+	head := make([]int32, min(ln, rn))
 	for i := range head {
 		head[i] = -1
 	}
-	next := make([]int32, len(right.rows))
-	for ri := len(right.rows) - 1; ri >= 0; ri-- {
+	next := make([]int32, rn)
+	for ri := rn - 1; ri >= 0; ri-- {
 		var slot int32
-		keyBuf, slot = keys.slot(keyBuf, right.rows[ri], rcols, leftSlot == nil)
+		keyBuf, slot = keys.slot(keyBuf, rat, right.at(ri), leftSlot == nil)
 		if slot >= 0 {
 			next[ri], head[slot] = head[slot], int32(ri)
 		}
@@ -166,40 +174,42 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, ja *joinAnalysis, 
 
 	// Residual conjuncts are evaluated on the candidate pair copied into one
 	// reused buffer; a join without any needs neither buffer nor scope.
-	nl := left.width
 	var buf []Value
 	var env *evalEnv
 	if len(ja.residual) > 0 {
-		buf = make([]Value, nl+right.width)
+		buf = make([]Value, nl+nr)
 		env = &evalEnv{ec: ec, sc: &scope{row: buf, parent: outer}}
 	}
 
 	// The probe: every left row in order, each following its slot's chain,
 	// into one pair list sized for one pair per left row.
-	ec.countBatches(len(left.rows))
-	pairs := make([]pair, 0, len(left.rows))
-	for li, lr := range left.rows {
+	ec.countBatches(ln)
+	pairs := make([]pair, 0, ln)
+	for li := 0; li < ln; li++ {
+		lp := left.at(li)
 		var slot int32
 		if leftSlot != nil {
 			slot = leftSlot[li]
 		} else {
-			keyBuf, slot = keys.slot(keyBuf, lr, lcols, false)
+			keyBuf, slot = keys.slot(keyBuf, lat, lp, false)
 		}
 		matched := false
 		if slot >= 0 {
 			tested := int64(0)
+			if env != nil {
+				left.src.fill(buf, lp)
+			}
 		chain:
 			for ri := head[slot]; ri >= 0; ri = next[ri] {
 				tested++
-				rr := right.rows[ri]
-				for i, lc := range lcols {
-					if !sqlEq(lr[lc], rr[rcols[i]]) {
+				rp := right.at(int(ri))
+				for i := range lat {
+					if !sqlEq(lat[i].read(lp, -1), rat[i].read(rp, -1)) {
 						continue chain
 					}
 				}
 				if env != nil {
-					copy(buf, lr)
-					copy(buf[nl:], rr)
+					right.src.fill(buf[nl:], rp)
 					for _, e := range ja.residual {
 						if ok, err := env.holds(e); err != nil {
 							return selection{}, true, err
@@ -209,19 +219,15 @@ func (ec *execCtx) hashJoin(left, right *rowSet, jt JoinType, ja *joinAnalysis, 
 					}
 				}
 				matched = true
-				pairs = append(pairs, pair{l: int32(li), r: ri})
+				pairs = append(pairs, pair{l: int32(lp), r: int32(rp)})
 			}
 			if err := ec.charge(tested); err != nil {
 				return selection{}, true, err
 			}
 		}
 		if jt == JoinLeft && !matched {
-			pairs = append(pairs, pair{l: int32(li), r: -1})
+			pairs = append(pairs, pair{l: int32(lp), r: -1})
 		}
 	}
-	return selection{
-		rows:  left.rows,
-		right: &rightSide{rows: right.rows, null: make([]Value, right.width), left: nl},
-		pairs: pairs,
-	}, true, nil
+	return selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, pairs: pairs}, true, nil
 }

@@ -108,7 +108,8 @@ func TestJoinKeyPaths(t *testing.T) {
 		{ints, ints, 2, false},
 	} {
 		cols := make([]int, tc.conds)
-		if got := newJoinKeys(tc.left, tc.right, cols, cols).ints != nil; got != tc.wantInts {
+		l, r := selection{src: rel{rows: tc.left}, all: true}, selection{src: rel{rows: tc.right}, all: true}
+		if got := newJoinKeys(&l, &r, l.colsAt(nil, cols), r.colsAt(nil, cols)).ints != nil; got != tc.wantInts {
 			t.Errorf("newJoinKeys(%v, %v, %d conditions): keyed on the cell = %v, want %v", tc.left, tc.right, tc.conds, got, tc.wantInts)
 		}
 	}

@@ -1,6 +1,9 @@
 package sqlengine
 
-import "strings"
+import (
+	"math"
+	"strings"
+)
 
 // Compiled conjuncts. A conjunct of a planned WHERE whose shape tests one
 // column of the rows it filters against literals — `col <op> literal` in
@@ -9,16 +12,17 @@ import "strings"
 // it reads and its literals resolved. It then has two forms besides the
 // evaluator's walk of its expression (eval.go):
 //
-//   - a row form, which reads its cell of the selected row in place and
-//     applies the evaluator's own rule for the shape (compare, between,
-//     like, inList; IS NULL), so no rule is written twice;
+//   - a row form, which reads its cell of the selected row in place — from
+//     the table's column, over an index bucket — and applies the
+//     evaluator's own rule for the shape (compare, between, like, inList;
+//     IS NULL), chosen at Prepare, so no rule is written twice and a cell
+//     costs its rule alone;
 //   - for a conjunct pushed into a whole-table scan, without a NOT around
 //     it and with non-NULL literals, a vector form: a typed loop over the
-//     column's vector (vector.go), which keeps the evaluator's semantics —
+//     column's array (vector.go), which keeps the evaluator's semantics —
 //     NULL fails, harmonise's numeric/text coercion, Compare's order — in
-//     the vector's own kind. A negation has none: it passes most rows, and a
-//     vector built for it would stay resident for no gain a selective filter
-//     could repay.
+//     the column's own kind. A negation has none: it passes most rows, so
+//     its filter is the cost of its output either way.
 //
 // Which form filters a row cannot be observed: each is the same truth.
 
@@ -38,8 +42,9 @@ const (
 // rows it reads, and its operands — a comparison's operator, with the
 // column on its left, and literal; BETWEEN's bounds, lit and hi; LIKE's
 // pattern, lit; an IN list's items — whether its truth is negated (NOT
-// BETWEEN, NOT LIKE, NOT IN, IS NOT NULL, or a NOT around the shape), and
-// whether it has a vector form.
+// BETWEEN, NOT LIKE, NOT IN, IS NOT NULL, or a NOT around the shape),
+// whether it has a vector form, and its row form, rule: the shape's truth,
+// not yet negated, on a row whose cell in its column is v.
 type kernel struct {
 	shape   kernelShape
 	col     int
@@ -48,6 +53,7 @@ type kernel struct {
 	vec     bool
 	lit, hi Value
 	list    []Value
+	rule    func(v Value) (t, known bool)
 }
 
 // kernelOf compiles conjunct e over rows whose first column is slot off of
@@ -110,43 +116,45 @@ func kernelOf(e Expr, off int) kernel {
 		return kernel{}
 	}
 	k.col = cr.slot - off
+	k.rule = k.rowForm()
 	return k
 }
 
-// holds is the row form: whether the conjunct is TRUE on a row whose cell
-// in its column is v.
-func (k *kernel) holds(v Value) bool {
-	var t, known bool
+// rowForm returns the row form: the evaluator's rule for the shape over
+// its literals.
+func (k *kernel) rowForm() func(v Value) (t, known bool) {
+	op, lit, hi, list := k.op, k.lit, k.hi, k.list
 	switch k.shape {
 	case kernelCmp:
-		t, known = compare(k.op, v, k.lit)
+		return func(v Value) (bool, bool) { return compare(op, v, lit) }
 	case kernelIsNull:
-		t, known = v.IsNull(), true
+		return func(v Value) (bool, bool) { return v.IsNull(), true }
 	case kernelBetween:
-		t, known = between(v, k.lit, k.hi)
+		return func(v Value) (bool, bool) { return between(v, lit, hi) }
 	case kernelLike:
-		t, known = like(v, k.lit)
-	default: // kernelIn
-		t, known = inList(v, k.list, nil)
+		return func(v Value) (bool, bool) { return like(v, lit) }
 	}
-	return t != k.not && known
+	return func(v Value) (bool, bool) { return inList(v, list, nil) }
 }
 
-// test returns the vector form over vec, the column's typed vector: whether
-// the row at a table position passes; nil where vec does not fit the shape
-// and the row form filters.
-func (k *kernel) test(vec *colVec) func(i int) bool {
+// test returns the vector form over c, the column's storage: whether the
+// row at a table position passes; nil where c does not fit the shape — it
+// is mixed, say — and the row form filters.
+func (k *kernel) test(c *column) func(i int) bool {
+	if c.vals != nil {
+		return nil
+	}
 	switch k.shape {
 	case kernelCmp:
-		return cmpVecKernel(vec, k.lit, opMasks[k.op])
+		return cmpVecKernel(c, k.lit, opMasks[k.op])
 	case kernelIsNull:
 		not := k.not
-		return func(i int) bool { return vec.null(i) != not }
+		return func(i int) bool { return c.null(i) != not }
 	case kernelBetween:
-		if vec.kind == KindInt && k.lit.Kind == KindInt && k.hi.Kind == KindInt {
-			ints, lo, hi, not := vec.ints, k.lit.I, k.hi.I, k.not
+		if c.kind == KindInt && k.lit.Kind == KindInt && k.hi.Kind == KindInt {
+			ints, lo, hi, not := c.nums, k.lit.I, k.hi.I, k.not
 			return func(i int) bool {
-				if vec.null(i) {
+				if c.null(i) {
 					return false
 				}
 				x := ints[i]
@@ -154,30 +162,21 @@ func (k *kernel) test(vec *colVec) func(i int) bool {
 			}
 		}
 	case kernelLike:
-		if vec.kind == KindText {
-			strs, p, not := vec.strs, k.lit.AsText(), k.not
+		if c.kind == KindText {
+			strs, p, not := c.strs, k.lit.AsText(), k.not
 			return func(i int) bool {
-				return !vec.null(i) && likeMatch(p, strs[i]) != not
+				return !c.null(i) && likeMatch(p, strs[i]) != not
 			}
 		}
 	}
 	return nil
 }
 
-// cmpMask3 encodes a three-way comparison outcome as a bit: 1 = less,
-// 2 = equal, 4 = greater. Comparison operators become a constant mask
-// tested against it (opMasks), so one kernel body serves all six.
-func cmpMask3(c int) uint8 {
-	if c < 0 {
-		return 1
-	}
-	if c > 0 {
-		return 4
-	}
-	return 2
-}
-
-func cmpMaskInt(a, b int64) uint8 {
+// cmpMask encodes the outcome of comparing a with b as a bit: 1 = less,
+// 2 = equal, 4 = greater (and for a NaN, equal). Comparison operators
+// become a constant mask tested against it (opMasks), so one kernel body
+// serves all six.
+func cmpMask[T int | int64 | float64](a, b T) uint8 {
 	if a < b {
 		return 1
 	}
@@ -187,19 +186,9 @@ func cmpMaskInt(a, b int64) uint8 {
 	return 2
 }
 
-func cmpMaskFloat(a, b float64) uint8 {
-	if a < b {
-		return 1
-	}
-	if a > b {
-		return 4
-	}
-	return 2
-}
-
-// cmpVecKernel is `col <op> lit` over a typed vector, compared in the
-// vector's own kind, or nil for an all-NULL one.
-func cmpVecKernel(vec *colVec, lit Value, mask uint8) func(i int) bool {
+// cmpVecKernel is `col <op> lit` over a typed column, compared in the
+// column's own kind, or nil for one of NULLs alone.
+func cmpVecKernel(c *column, lit Value, mask uint8) func(i int) bool {
 	litF, litNum := 0.0, false
 	switch lit.Kind {
 	case KindInt:
@@ -209,52 +198,52 @@ func cmpVecKernel(vec *colVec, lit Value, mask uint8) func(i int) bool {
 	case KindText:
 		litF, litNum = numericText(lit.S)
 	}
-	switch vec.kind {
+	switch c.kind {
 	case KindInt:
-		ints := vec.ints
+		ints := c.nums
 		if lit.Kind == KindInt {
 			li := lit.I
 			return func(i int) bool {
-				return !vec.null(i) && mask&cmpMaskInt(ints[i], li) != 0
+				return !c.null(i) && mask&cmpMask(ints[i], li) != 0
 			}
 		}
 		if litNum {
 			// Int column vs REAL literal, or vs numeric-looking text that
 			// harmonise coerces to REAL: numeric comparison as float.
 			return func(i int) bool {
-				return !vec.null(i) && mask&cmpMaskFloat(float64(ints[i]), litF) != 0
+				return !c.null(i) && mask&cmpMask(float64(ints[i]), litF) != 0
 			}
 		}
 		// Numeric column vs non-numeric text: numbers order before text.
 		res := mask&1 != 0
-		return func(i int) bool { return !vec.null(i) && res }
+		return func(i int) bool { return !c.null(i) && res }
 	case KindFloat:
-		floats := vec.floats
+		bits := c.nums
 		if litNum {
 			return func(i int) bool {
-				return !vec.null(i) && mask&cmpMaskFloat(floats[i], litF) != 0
+				return !c.null(i) && mask&cmpMask(math.Float64frombits(uint64(bits[i])), litF) != 0
 			}
 		}
 		res := mask&1 != 0
-		return func(i int) bool { return !vec.null(i) && res }
+		return func(i int) bool { return !c.null(i) && res }
 	case KindText:
-		strs := vec.strs
+		strs := c.strs
 		if lit.Kind == KindText {
 			// Text vs text: no harmonise coercion, byte-wise Compare.
 			ls := lit.S
 			return func(i int) bool {
-				return !vec.null(i) && mask&cmpMask3(strings.Compare(strs[i], ls)) != 0
+				return !c.null(i) && mask&cmpMask(strings.Compare(strs[i], ls), 0) != 0
 			}
 		}
 		// Text column vs numeric literal: numeric-looking cells harmonise
 		// to REAL and compare numerically; the rest order after numbers.
 		textRes := mask&4 != 0
 		return func(i int) bool {
-			if vec.null(i) {
+			if c.null(i) {
 				return false
 			}
 			if f, ok := numericText(strs[i]); ok {
-				return mask&cmpMaskFloat(f, litF) != 0
+				return mask&cmpMask(f, litF) != 0
 			}
 			return textRes
 		}

@@ -11,16 +11,16 @@ import (
 // numeric-looking and plain TEXT) against every kind of literal, NULL
 // included, under every comparison in both orientations and under the
 // shapes that carry their own negation, each plain and under NOT. The
-// cells sit in a column of mixed kinds, whose vector is untyped, and again
-// split by kind into typed INTEGER, REAL and TEXT columns with NULLs, whose
-// vectors the vector forms read. Each predicate is compiled at Prepare to
+// cells sit in a column of mixed kinds, stored as Values, and again split
+// by kind into typed INTEGER, REAL and TEXT columns with NULLs, whose
+// arrays the vector forms read. Each predicate is compiled at Prepare to
 // its shape, pushed into the scan, and filtered as a whole-table scan
 // (vector forms where typed) and as a selection of positions (an index
 // bucket, the row forms); both must keep exactly the rows the evaluator
-// finds TRUE. A negation has no vector form — it passes most rows, and a
-// vector built for it would stay resident — so filtering every NOT (…)
-// builds no vector; every other shape with non-NULL literals but an IN
-// list has one; and what has no compiled shape keeps to the evaluator.
+// finds TRUE. A negation has no vector form — it passes most rows — so
+// every NOT (…) filters through its row form; every other shape with
+// non-NULL literals but an IN list has one; and what has no compiled shape
+// keeps to the evaluator.
 func TestNegationKernelTruthTable(t *testing.T) {
 	db := NewDatabase("neg")
 	db.MustExec("CREATE TABLE n (c INTEGER, d INTEGER, ci INTEGER, cr REAL, ct TEXT)")
@@ -29,7 +29,7 @@ func TestNegationKernelTruthTable(t *testing.T) {
 	for _, v := range []Value{Null(), Int(1), Int(2), Int(-3), Float(1), Float(1.5), Text("1"), Text("01"), Text("1.5"), Text("x"), Text("")} {
 		row := []Value{v, Int(7), Null(), Null(), Null()}
 		row[map[Kind]int{KindNull: 2, KindInt: 2, KindFloat: 3, KindText: 4}[v.Kind]] = v
-		tab.Rows = append(tab.Rows, row)
+		tab.appendRow(row)
 	}
 	lits := []string{"NULL", "1", "2", "1.5", "'1'", "'1.5'", "'x'", "''"}
 	shapes := []string{"%s IS NULL", "%s IS NOT NULL", "%s LIKE '1%%'", "%s IN (NULL)"}
@@ -50,7 +50,7 @@ func TestNegationKernelTruthTable(t *testing.T) {
 	noShape := map[string]bool{"NOT (c = d)": true, "NOT (c + 1 = 2)": true, "NOT (c = 1 OR d = 7)": true, "NOT c": true, "c = d": true, "c + 1 = 2": true}
 	ec := &execCtx{db: db}
 	env := &evalEnv{ec: ec, sc: &scope{}}
-	every := make([]int, len(tab.Rows))
+	every := make([]int, tab.Len())
 	for i := range every {
 		every[i] = i
 	}
@@ -62,22 +62,19 @@ func TestNegationKernelTruthTable(t *testing.T) {
 			t.Fatalf("%s: not one conjunct pushed into the scan", cond)
 		}
 		var want []int
-		for pos, row := range tab.Rows {
-			env.sc.row = row
+		for pos := range every {
+			env.sc.t, env.sc.pos = tab, pos
 			if ok, err := env.holds(sel.Where); err != nil {
 				t.Fatal(err)
 			} else if ok {
 				want = append(want, pos)
 			}
 		}
-		for name, in := range map[string]struct {
-			s selection
-			t *Table
-		}{
-			"full scan": {selection{rows: tab.Rows, all: true}, tab},
-			"positions": {selection{rows: tab.Rows, pos: every}, nil},
+		for name, in := range map[string]selection{
+			"full scan": {src: rel{t: tab}, all: true},
+			"positions": {src: rel{t: tab}, pos: every},
 		} {
-			out, err := ec.filter(in.s, conj, 0, in.t, 0, nil)
+			out, err := ec.filter(in, conj, 0, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,9 +103,6 @@ func TestNegationKernelTruthTable(t *testing.T) {
 			t.Errorf("%s has a vector form", cond)
 		}
 	}
-	if len(tab.colVecs) != 0 {
-		t.Errorf("negations built %d column vectors, want none", len(tab.colVecs))
-	}
 	for _, col := range []string{"c", "ci", "cr", "ct"} {
 		for _, shape := range shapes {
 			cond := fmt.Sprintf(shape, col)
@@ -119,9 +113,12 @@ func TestNegationKernelTruthTable(t *testing.T) {
 		}
 	}
 	for _, col := range []string{"ci", "cr", "ct"} {
-		if v := tab.colVecs[tab.ColumnIndex(col)]; v == nil || !v.typed {
-			t.Errorf("column %s was filtered through no typed vector", col)
+		if !tab.cols[tab.ColumnIndex(col)].typed() {
+			t.Errorf("column %s is not stored typed, so no vector form read it", col)
 		}
+	}
+	if tab.cols[tab.ColumnIndex("c")].typed() {
+		t.Error("the mixed column c is stored typed")
 	}
 
 	for cond := range noShape {

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -10,7 +11,7 @@ import (
 // thins it for every WHERE and pushed conjunct, planned or naive. Every
 // conjunct is compiled at Prepare for the one evaluator (eval.go); one of a
 // column-against-literals shape reads its cell in place and, in a
-// whole-table scan, may read a typed column vector instead (kernels.go).
+// whole-table scan, may loop over the column's typed array (kernels.go).
 // A hash join probes its whole left input in one range
 // (hashjoin.go). Everything runs on the statement's own goroutine, whatever
 // the size of the input, and emits the same rows in the same order as the
@@ -41,96 +42,170 @@ func (ec *execCtx) countBatches(nRows int) {
 }
 
 // selection is a set of rows of one relation, held as ascending positions
-// into rows. all stands for every position without listing them, so an
+// into src. all stands for every position without listing them, so an
 // unfiltered scan costs nothing to describe; pos is never written through
 // (it may be an equality-index bucket).
 //
 // A hash join's output is a two-sided selection (right != nil): row i is
-// pairs[i], a position into rows — the join's left input — and one into the
-// right input, in the nested loop's emission order. The joined rows exist
+// pairs[i], a position into src — the join's left input — and one into the
+// right input's, in the nested loop's emission order. The joined rows exist
 // only if materialise is called; filters thin the pair list and the tail
 // consumers of positions.go read cells through it.
 type selection struct {
-	rows  [][]Value
+	src   rel
 	pos   []int
 	all   bool
 	right *rightSide
 	pairs []pair
 }
 
-// pair is one row of a join's output. r < 0 is a LEFT JOIN null extension.
-// int32 holds any position: every row of a join's input was read, and
-// charged, by a scan or a join, and maxCost ends the statement far below
-// 2^31.
+// rel is a relation a selection's positions index: a base table, whose
+// cells are read in place from its columns, or the rows a sub-select, a
+// nested loop or a materialised join built.
+type rel struct {
+	t    *Table
+	rows [][]Value
+}
+
+func (r *rel) len() int {
+	if r.t != nil {
+		return r.t.n
+	}
+	return len(r.rows)
+}
+
+// fill copies row p into dst, which has room for it.
+func (r *rel) fill(dst []Value, p int) {
+	if r.t == nil {
+		copy(dst, r.rows[p])
+		return
+	}
+	for c := range r.t.cols {
+		dst[c] = r.t.cols[c].value(p)
+	}
+}
+
+// pair is one row of a join's output: a position into each input's
+// relation; r < 0 is a LEFT JOIN null extension. int32 holds any position:
+// every row of a join's input was read, and charged, by a scan or a join,
+// and maxCost ends the statement far below 2^31.
 type pair struct{ l, r int32 }
 
-// rightSide is the right input of a join: its rows, the all-NULL row that
-// stands in for them under a null extension, and the width of the left
-// input's rows — where the right row's columns start in the joined row.
+// rightSide is the right input of a join: its relation, the width of its
+// rows and the width of the left input's — where the right row's columns
+// start in the joined row.
 type rightSide struct {
-	rows [][]Value
-	null []Value
-	left int
+	src         rel
+	width, left int
 }
 
-// colAt addresses one column of a selected row (selection.row): which of
-// its two rows holds it — the only or left relation's, or for a join's
-// output the right relation's — and where. Consumers split their column
-// numbers once, so reading a cell costs the same whichever kind of
-// selection it is read from.
-type colAt struct{ side, col int }
+// colAt addresses one column of a selected row: which of its two rows
+// holds it — the only or left relation's, or for a join's output the right
+// relation's — and where: a table's column, or a column of rows. Consumers
+// split their column numbers once, so reading a cell costs the same
+// whichever kind of selection it is read from. A negative col addresses
+// nothing (a literal output column, positions.go).
+type colAt struct {
+	side, col int
+	c         *column
+	rows      [][]Value
+}
 
-// cell reads column c of the selected row (l, r).
-func cell(l, r []Value, c colAt) Value {
-	if c.side != 0 {
-		l = r
+// read returns the cell of the selected row at positions (l, r).
+func (c *colAt) read(l, r int) Value {
+	if c.side == 0 {
+		return c.at(l)
 	}
-	return l[c.col]
-}
-
-// scopeRow returns the selected row (l, r) as one row slice for the
-// interpreter: l itself, or for a join's output both rows copied into buf
-// (one reused buffer per evaluating goroutine — nothing retains a scope's
-// row past the evaluation).
-func scopeRow(l, r, buf []Value) []Value {
-	if r == nil {
-		return l
+	if r < 0 {
+		return Value{}
 	}
-	copy(buf[copy(buf, l):], r)
-	return buf
+	return c.at(r)
 }
 
-// rowBuf returns the buffer scopeRow joins a pair of s's rows into: nil
+// at returns the cell at position p of the relation on the column's side:
+// read's body, which inlines where a loop over a one-sided selection calls
+// it.
+func (c *colAt) at(p int) Value {
+	if c.c != nil {
+		return c.c.value(p)
+	}
+	return c.rows[p][c.col]
+}
+
+// scopeAt points sc at the selected row (l, r): a table's row in place, a
+// row of rows itself, or for a join's output both rows copied into buf
+// (rowBuf; one reused buffer per evaluating loop — nothing retains a
+// scope's row past the evaluation).
+func (s *selection) scopeAt(sc *scope, l, r int, buf []Value) {
+	switch {
+	case s.right != nil:
+		s.fill(buf, l, r)
+		sc.row, sc.t = buf, nil
+	case s.src.t != nil:
+		sc.t, sc.pos = s.src.t, l
+	default:
+		sc.row = s.src.rows[l]
+	}
+}
+
+// fill copies the joined row (l, r) of a join's output into buf.
+func (s *selection) fill(buf []Value, l, r int) {
+	s.src.fill(buf, l)
+	if r < 0 {
+		clear(buf[s.right.left:])
+	} else {
+		s.right.src.fill(buf[s.right.left:], r)
+	}
+}
+
+// rowBuf returns the buffer scopeAt joins a pair of s's rows into: nil
 // unless s is a join's output.
 func (s *selection) rowBuf() []Value {
 	if s.right == nil {
 		return nil
 	}
-	return make([]Value, s.right.left+len(s.right.null))
+	return make([]Value, s.right.left+s.right.width)
+}
+
+// keepScope returns a scope of its own for the selected row (l, r), whose
+// row stays valid after the loop that reads s moves on: a position in a
+// table or a row of rows, or a join's row copied.
+func (s *selection) keepScope(l, r int, outer *scope) *scope {
+	sc := &scope{parent: outer}
+	s.scopeAt(sc, l, r, s.rowBuf())
+	return sc
 }
 
 // colAt addresses column col of s's rows: for a join's output, a column
 // past the left input's is the right row's.
 func (s *selection) colAt(col int) colAt {
+	src, at := &s.src, colAt{col: col}
 	if s.right != nil && col >= s.right.left {
-		return colAt{side: 1, col: col - s.right.left}
+		src, at = &s.right.src, colAt{side: 1, col: col - s.right.left}
 	}
-	return colAt{col: col}
+	switch {
+	case col < 0:
+	case src.t != nil:
+		at.c = &src.t.cols[at.col]
+	default:
+		at.rows = src.rows
+	}
+	return at
 }
 
-// colsAt addresses columns cols of s's rows.
-func (s *selection) colsAt(cols []int) []colAt {
-	out := make([]colAt, len(cols))
-	for i, col := range cols {
-		out[i] = s.colAt(col)
+// colsAt appends the addresses of columns cols of s's rows to dst.
+func (s *selection) colsAt(dst []colAt, cols []int) []colAt {
+	dst = slices.Grow(dst, len(cols))
+	for _, col := range cols {
+		dst = append(dst, s.colAt(col))
 	}
-	return out
+	return dst
 }
 
 func (s *selection) len() int {
 	switch {
 	case s.all:
-		return len(s.rows)
+		return s.src.len()
 	case s.right != nil:
 		return len(s.pairs)
 	default:
@@ -147,44 +222,32 @@ func (s *selection) at(i int) int {
 	return s.pos[i]
 }
 
-// row returns the i'th selected row: the row of the only (or left) relation
-// and, for a join's output, the right relation's row (nil otherwise). Two
-// slices, not a struct of two: the compiler keeps a composite wider than
-// four words in memory, which cost the single-table consumers 20-50%.
-func (s *selection) row(i int) (l, r []Value) {
+// row returns the positions of the i'th selected row: in the only (or
+// left) relation and, for a join's output, in the right relation (-1
+// otherwise, and for a null extension).
+func (s *selection) row(i int) (l, r int) {
 	if s.right == nil {
-		return s.rows[s.at(i)], nil
+		return s.at(i), -1
 	}
 	p := s.pairs[i]
-	if p.r < 0 {
-		return s.rows[p.l], s.right.null
-	}
-	return s.rows[p.l], s.right.rows[p.r]
+	return int(p.l), int(p.r)
 }
 
-// materialise returns the selected rows as row slices, in order. A join's
-// rows are built here, in one backing array (one full-capacity sub-slice per
-// row, so appending to one cannot reach its neighbour).
+// materialise returns a join's output as rows, in order, built in one
+// backing array (one full-capacity sub-slice per row, so appending to one
+// cannot reach its neighbour). Only a further join reads a join's output
+// as rows; a table is never materialised.
 func (s selection) materialise() [][]Value {
-	if s.all {
-		return s.rows
-	}
-	if s.right == nil {
-		out := make([][]Value, len(s.pos))
-		for i, p := range s.pos {
-			out[i] = s.rows[p]
-		}
-		return out
-	}
 	if len(s.pairs) == 0 {
 		return nil
 	}
-	w := s.right.left + len(s.right.null)
+	w := s.right.left + s.right.width
 	backing := make([]Value, len(s.pairs)*w)
 	out := make([][]Value, len(s.pairs))
 	for i := range out {
 		l, r := s.row(i)
-		out[i] = scopeRow(l, r, backing[i*w:(i+1)*w:(i+1)*w])
+		out[i] = backing[i*w : (i+1)*w : (i+1)*w]
+		s.fill(out[i], l, r)
 	}
 	return out
 }
@@ -192,7 +255,7 @@ func (s selection) materialise() [][]Value {
 // pick returns the selection of s's rows idx, in idx's order (idx is
 // consumed). Only gathering may follow an idx that is not ascending.
 func (s selection) pick(idx []int) selection {
-	out := selection{rows: s.rows, right: s.right}
+	out := selection{src: s.src, right: s.right}
 	if s.right != nil {
 		out.pairs = make([]pair, len(idx))
 		for j, i := range idx {
@@ -216,7 +279,7 @@ func (s selection) keep(mask []uint64, n int) selection {
 	if n == s.len() {
 		return s
 	}
-	out := selection{rows: s.rows, right: s.right}
+	out := selection{src: s.src, right: s.right}
 	if s.right != nil {
 		out.pairs = make([]pair, n)
 	} else {
@@ -243,18 +306,18 @@ func (s selection) keep(mask []uint64, n int) selection {
 // of the FROM row. A row fails at its first conjunct that is not TRUE — the
 // naive AND chain's reach; a WHERE that may not be split is one conjunct,
 // evaluated on every row in order. A compiled conjunct (kernels.go) reads
-// its column's vector through its vector form where t is non-nil — in holds
-// positions into t.Rows — and the vector is typed, and its cell of each row
-// through its row form otherwise; any other conjunct is the evaluator's, in
-// one environment (and, over a join's output, one pair buffer) built on
-// first use. Survivors are marked in a bitmask and the output is allocated
-// once, at its exact size, or not at all when everything passes.
-func (ec *execCtx) filter(in selection, conj []conjunct, item int, t *Table, off int, outer *scope) (selection, error) {
+// its column's typed array through its vector form where in is a whole
+// table, and its cell of each row through its row form otherwise; any
+// other conjunct is the evaluator's, in one environment (and, over a join's
+// output, one pair buffer) built on first use. Survivors are marked in a
+// bitmask and the output is allocated once, at its exact size, or not at
+// all when everything passes.
+func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *scope) (selection, error) {
 	// How each of item's conjuncts reads a row; a short conjunction's stay
 	// on the stack.
 	type form struct {
 		c    *conjunct
-		test func(i int) bool
+		test func(p int) bool
 		at   colAt
 	}
 	forms := make([]form, 0, 4)
@@ -265,10 +328,8 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item int, t *Table, off
 		switch kern := &f.c.kern; {
 		case f.c.scan != item:
 			continue
-		case t != nil && kern.vec:
-			if vec := t.columnVec(kern.col); vec.typed {
-				f.test = kern.test(vec)
-			}
+		case in.all && in.src.t != nil && kern.vec:
+			f.test = kern.test(&in.src.t.cols[kern.col])
 			fallthrough
 		case kern.shape != noKernel:
 			f.at = in.colAt(kern.col)
@@ -283,20 +344,20 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item int, t *Table, off
 	total := 0
 rows:
 	for i := 0; i < n; i++ {
+		l, r := in.row(i)
 		for k := range forms {
 			f := &forms[k]
 			switch {
 			case f.test != nil:
-				if !f.test(in.at(i)) {
+				if !f.test(l) {
 					continue rows
 				}
 			case f.c.kern.shape != noKernel:
-				if l, r := in.row(i); !f.c.kern.holds(cell(l, r, f.at)) {
+				if t, known := f.c.kern.rule(f.at.read(l, r)); t == f.c.kern.not || !known {
 					continue rows
 				}
 			default:
-				l, r := in.row(i)
-				env.sc.row = scopeRow(l, r, buf)
+				in.scopeAt(env.sc, l, r, buf)
 				if ok, err := env.holds(f.c.expr); err != nil {
 					return selection{}, err
 				} else if !ok {

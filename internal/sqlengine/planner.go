@@ -212,7 +212,7 @@ func planJoin(on Expr, right int) *joinAnalysis {
 
 // flattenAnd appends the AND-tree leaves of e to dst in evaluation order.
 func flattenAnd(e Expr, dst []Expr) []Expr {
-	if b, ok := e.(*Binary); ok && b.Op == "AND" {
+	if b, ok := e.(*Binary); ok && b.op == opAnd {
 		return flattenAnd(b.R, flattenAnd(b.L, dst))
 	}
 	return append(dst, e)
@@ -236,152 +236,67 @@ func analyzeConjunct(e Expr) conjunct {
 // collectRefs appends every column reference in e (outside subquery bodies)
 // to dst.
 func collectRefs(e Expr, dst []*ColumnRef) []*ColumnRef {
-	switch x := e.(type) {
-	case nil:
-	case *ColumnRef:
-		dst = append(dst, x)
-	case *Unary:
-		dst = collectRefs(x.X, dst)
-	case *Binary:
-		dst = collectRefs(x.L, dst)
-		dst = collectRefs(x.R, dst)
-	case *FuncCall:
-		for _, a := range x.Args {
-			dst = collectRefs(a, dst)
-		}
-	case *CaseExpr:
-		dst = collectRefs(x.Operand, dst)
-		for _, w := range x.Whens {
-			dst = collectRefs(w.When, dst)
-			dst = collectRefs(w.Then, dst)
-		}
-		dst = collectRefs(x.Else, dst)
-	case *BetweenExpr:
-		dst = collectRefs(x.X, dst)
-		dst = collectRefs(x.Lo, dst)
-		dst = collectRefs(x.Hi, dst)
-	case *LikeExpr:
-		dst = collectRefs(x.X, dst)
-		dst = collectRefs(x.Pattern, dst)
-	case *IsNullExpr:
-		dst = collectRefs(x.X, dst)
-	case *InExpr:
-		dst = collectRefs(x.X, dst)
-		for _, le := range x.List {
-			dst = collectRefs(le, dst)
-		}
-	case *CastExpr:
-		dst = collectRefs(x.X, dst)
+	if cr, ok := e.(*ColumnRef); ok {
+		return append(dst, cr)
 	}
+	eachOperand(e, func(x Expr) { dst = collectRefs(x, dst) })
 	return dst
 }
 
 // exprSafeTotal reports whether e is pure and total: it contains no
 // subquery (a subquery's body can fail, and fills the statement's memo) and
 // cannot return an evaluation error on any input row, so evaluating it on a
-// different row set cannot change whether the query fails. Every column
-// reference is bound at Prepare, so reading one cannot fail.
+// different row set cannot change whether the query fails. It reads e as
+// Prepare compiled it: every column reference is bound, so reading one cannot
+// fail, every operator is an opcode and every call resolved (resolveCall).
 func exprSafeTotal(e Expr) bool {
 	switch x := e.(type) {
-	case *Literal:
-		return true
 	case *ColumnRef:
 		// A bare `t.*` outside COUNT() is an evaluation error.
-		return x.Name != "*"
+		return x.depth >= 0
 	case *Unary:
-		return (x.Op == "-" || x.Op == "NOT") && exprSafeTotal(x.X)
-	case *Binary:
-		switch x.Op {
-		case "AND", "OR", "=", "!=", "<", "<=", ">", ">=", "||", "+", "-", "*", "/", "%":
-			return exprSafeTotal(x.L) && exprSafeTotal(x.R)
-		}
-		return false
-	case *CaseExpr:
-		if x.Operand != nil && !exprSafeTotal(x.Operand) {
+		if x.op == opUnknown {
 			return false
 		}
-		for _, w := range x.Whens {
-			if !exprSafeTotal(w.When) || !exprSafeTotal(w.Then) {
-				return false
-			}
+	case *Binary:
+		if x.op == opUnknown {
+			return false
 		}
-		return x.Else == nil || exprSafeTotal(x.Else)
-	case *BetweenExpr:
-		return exprSafeTotal(x.X) && exprSafeTotal(x.Lo) && exprSafeTotal(x.Hi)
-	case *LikeExpr:
-		return exprSafeTotal(x.X) && exprSafeTotal(x.Pattern)
-	case *IsNullExpr:
-		return exprSafeTotal(x.X)
 	case *InExpr:
 		if x.Sub != nil {
 			return false
 		}
-		if !exprSafeTotal(x.X) {
+	case *FuncCall:
+		// A scalar function passed an argument count it accepts, and
+		// arguments its total test, if any, holds. An aggregate raises
+		// "misuse of aggregate function" outside a grouped projection; it,
+		// and a name no function has, resolve to no scalar function.
+		f, n := x.fn, len(x.Args)
+		if f == nil || x.Star || n < f.min || f.max >= 0 && n > f.max || f.total != nil && !f.total(x.Args) {
 			return false
 		}
-		for _, le := range x.List {
-			if !exprSafeTotal(le) {
-				return false
-			}
-		}
-		return true
-	case *CastExpr:
-		return exprSafeTotal(x.X)
-	case *FuncCall:
-		return scalarCallSafe(x)
+	case *Literal, *CaseExpr, *BetweenExpr, *LikeExpr, *IsNullExpr, *CastExpr:
 	default:
 		// ExistsExpr, SubqueryExpr, anything unknown.
 		return false
 	}
+	safe := true
+	eachOperand(e, func(x Expr) { safe = safe && exprSafeTotal(x) })
+	return safe
 }
 
-// scalarCallSafe reports whether a function call is a known scalar with a
-// statically valid arity that cannot error at runtime. Aggregates are
-// unsafe here: outside a grouped projection they raise "misuse of
-// aggregate function".
-func scalarCallSafe(fc *FuncCall) bool {
-	if fc.Star || isAggregateCall(fc) {
+// literalDateFormat is STRFTIME's total test: its format is a literal that
+// the engine's strftime subset fully substitutes (no '%' left over).
+func literalDateFormat(args []Expr) bool {
+	lit, ok := args[0].(*Literal)
+	if !ok {
 		return false
 	}
-	for _, a := range fc.Args {
-		if !exprSafeTotal(a) {
-			return false
-		}
-	}
-	n := len(fc.Args)
-	switch fc.Name {
-	case "ABS", "LENGTH", "UPPER", "LOWER", "TRIM", "LTRIM", "RTRIM", "TYPEOF", "DATE":
-		return n == 1
-	case "ROUND":
-		return n == 1 || n == 2
-	case "SUBSTR", "SUBSTRING":
-		return n == 2 || n == 3
-	case "INSTR", "IFNULL", "NULLIF":
-		return n == 2
-	case "REPLACE", "IIF":
-		return n == 3
-	case "COALESCE":
-		return true
-	case "MIN", "MAX":
-		// The scalar multi-argument variant; 0/1 args are aggregate or error.
-		return n >= 2
-	case "STRFTIME":
-		// Total only when the format is a literal that the engine's
-		// strftime subset fully substitutes (no '%' left over).
-		if n != 2 {
-			return false
-		}
-		lit, ok := fc.Args[0].(*Literal)
-		if !ok {
-			return false
-		}
-		format := lit.Val.AsText()
-		format = strings.ReplaceAll(format, "%Y", "")
-		format = strings.ReplaceAll(format, "%m", "")
-		format = strings.ReplaceAll(format, "%d", "")
-		return !strings.Contains(format, "%")
-	}
-	return false
+	format := lit.Val.AsText()
+	format = strings.ReplaceAll(format, "%Y", "")
+	format = strings.ReplaceAll(format, "%m", "")
+	format = strings.ReplaceAll(format, "%d", "")
+	return !strings.Contains(format, "%")
 }
 
 // planPush decides pushdown placement. Nothing is pushed — the FROM

@@ -649,27 +649,20 @@ func TestExprSafeTotal(t *testing.T) {
 		"STRFTIME('%H', d) = '12'",   // unsupported format errors
 		"STRFTIME(fmt, d) = '1999'",  // non-literal format
 	}
+	// Each expression is read as Prepare compiled it, over a table with
+	// every column the cases name.
+	db := NewDatabase("safe")
+	db.MustExec("CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER, d TEXT, x TEXT, fmt TEXT)")
 	for _, s := range safe {
-		e := mustParseExpr(t, s)
-		if !exprSafeTotal(e) {
+		if e := preparedSelect(t, db, "SELECT 1 FROM t WHERE "+s).Where; !exprSafeTotal(e) {
 			t.Errorf("exprSafeTotal(%q) = false, want true", s)
 		}
 	}
 	for _, s := range unsafe {
-		e := mustParseExpr(t, s)
-		if exprSafeTotal(e) {
+		if e := preparedSelect(t, db, "SELECT 1 FROM t WHERE "+s).Where; exprSafeTotal(e) {
 			t.Errorf("exprSafeTotal(%q) = true, want false", s)
 		}
 	}
-}
-
-func mustParseExpr(t *testing.T, cond string) Expr {
-	t.Helper()
-	sel, err := ParseSelect("SELECT 1 FROM t WHERE " + cond)
-	if err != nil {
-		t.Fatalf("parse %q: %v", cond, err)
-	}
-	return sel.Where
 }
 
 // TestPlanCache pins cache hits, misses and LRU eviction.

@@ -4,7 +4,7 @@ import "slices"
 
 // Late materialisation. A planned SELECT does not turn its FROM into rows:
 // the scan, the index bucket and the filters hand on a selection
-// (parallel.go) — ascending positions into t.Rows, or every row of a
+// (parallel.go) — ascending positions into a table, or every row of a
 // sub-select or a nested loop — and a hash join does not build joined rows: it
 // hands on a two-sided selection, (left, right) position pairs in emission
 // order. One of three consumers then builds []Value rows only for what the
@@ -24,20 +24,18 @@ import "slices"
 //   - gather: a projection of bare columns copies the returned window into
 //     one backing array.
 //
-// All three are serial and read the relations' rows directly (selection.row
-// and cell: one row for a one-sided selection, the left or the right row for
-// a join's): no column vector is built for a column that is only sorted,
-// aggregated or joined. They charge nothing: the rows they read were
-// charged when the FROM read them.
+// All three are serial and read cells at positions (selection.row and
+// colAt.read: a table's column or a row of rows, on the left or the right of
+// a join's pair). They charge nothing: the rows they read were charged when
+// the FROM read them.
 //
 // A consumer applies only where evaluating less than the interpreter does
 // cannot be observed: every expression it skips is a column read that
 // cannot fail, and LIMIT/OFFSET are constants. Everything else — expression
 // keys or projections, DISTINCT aggregates, HAVING, an ORDER BY that needs
-// the row's environment, a computed LIMIT — materialises the selection once
-// (for a join: builds the joined rows it kept) and continues on
-// projectTail, the interpreter's tail, which is the naive executor's and
-// stays the reference implementation. Which consumer runs is decided at
+// the row's environment, a computed LIMIT — continues on projectTail, the
+// interpreter's tail, which reads the selected rows in place, is the naive
+// executor's and stays the reference implementation. Which consumer runs is decided at
 // Prepare, from the bound select list (planSelect).
 
 // Result.Path values: the consumer, prefixed by what it consumed — one
@@ -92,7 +90,7 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 		return ec.rowTailPositions(sel, s, pl.rowTail, outer, pl.anyRow)
 	}
 	ec.notePath(sel, pl.reason)
-	return ec.projectTail(sel, s.materialise(), outer)
+	return ec.projectTail(sel, s, outer)
 }
 
 // scanPositions is the scan of base table i, whose first column is slot off
@@ -101,12 +99,12 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 // equality-index bucket (already a selection, ascending, so emission order
 // is a full scan's), and every pushed conjunct — the indexed equality
 // included, re-verified with real `=` semantics — then filters what is
-// left: for a full scan through the column vectors where a conjunct has a
-// vector form, and otherwise — a bucket is small and not worth a vector —
-// over the rows (kernels.go).
+// left: for a full scan through the typed columns where a conjunct has a
+// vector form, and otherwise — over a bucket — reading each cell of the
+// bucket (kernels.go).
 // The scan is charged the rows it reads: the bucket, or the table.
 func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope) (selection, error) {
-	s := selection{rows: t.Rows, all: true}
+	s := selection{src: rel{t: t}, all: true}
 	pushed := false
 	for k := range pl.where {
 		c := &pl.where[k]
@@ -125,12 +123,8 @@ func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *sc
 	if err := ec.charge(int64(s.len())); err != nil || !pushed || s.len() == 0 {
 		return s, err
 	}
-	vecs := t
-	if !s.all {
-		vecs = nil
-	}
 	ec.countBatches(s.len())
-	return ec.filter(s, pl.where, i, vecs, off, outer)
+	return ec.filter(s, pl.where, i, off, outer)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---
@@ -188,7 +182,7 @@ func planRowTail(sel *SelectStmt) (*rowTailPlan, string) {
 // literal or a negated literal: evaluating it needs no scope and cannot
 // fail.
 func constLimit(e Expr) bool {
-	if u, ok := e.(*Unary); ok && u.Op == "-" {
+	if u, ok := e.(*Unary); ok && u.op == opNeg {
 		e = u.X
 	}
 	_, isLit := e.(*Literal)
@@ -233,17 +227,18 @@ func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPla
 // its neighbour.
 func gatherRows(s *selection, lo, hi int, rp *rowTailPlan) [][]Value {
 	w := len(rp.ixs)
-	cols := s.colsAt(rp.ixs)
+	var at [8]colAt // a narrow projection's addresses stay on the stack
+	cols := s.colsAt(at[:0], rp.ixs)
 	backing := make([]Value, (hi-lo)*w)
 	data := make([][]Value, hi-lo)
 	for i := range data {
 		vals := backing[i*w : (i+1)*w : (i+1)*w]
 		l, r := s.row(lo + i)
-		for k, c := range cols {
-			if c.col < 0 {
+		for k := range cols {
+			if c := &cols[k]; c.col < 0 {
 				vals[k] = rp.consts[^c.col]
 			} else {
-				vals[k] = cell(l, r, c)
+				vals[k] = c.read(l, r)
 			}
 		}
 		data[i] = vals
@@ -256,17 +251,18 @@ func gatherRows(s *selection, lo, hi int, rp *rowTailPlan) [][]Value {
 // columns (negative ixs) are the same in every row and tell none apart.
 func distinctPositions(s selection, ixs []int) selection {
 	seen := make(map[string]struct{})
-	cols := s.colsAt(ixs)
+	var at [8]colAt
+	cols := s.colsAt(at[:0], ixs)
 	var kept []int
 	var buf []byte
 	for i, n := 0, s.len(); i < n; i++ {
 		l, r := s.row(i)
 		buf = buf[:0]
-		for _, c := range cols {
-			if c.col < 0 {
+		for k := range cols {
+			if cols[k].col < 0 {
 				continue
 			}
-			buf = cell(l, r, c).AppendKey(buf)
+			buf = cols[k].read(l, r).AppendKey(buf)
 			buf = append(buf, '\x00')
 		}
 		if _, dup := seen[string(buf)]; !dup {
@@ -293,15 +289,16 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	ks := make([]sortKey, len(keys))
-	for i, key := range keys {
-		ks[i] = sortKey{at: s.colAt(key.col), desc: key.desc}
+	var kbuf [4]sortKey
+	ks := kbuf[:0]
+	for _, key := range keys {
+		ks = append(ks, sortKey{at: s.colAt(key.col), desc: key.desc})
 	}
 	before := func(a, b int) bool {
 		la, ra := s.row(a)
 		lb, rb := s.row(b)
 		for i := range ks {
-			if c := Compare(cell(la, ra, ks[i].at), cell(lb, rb, ks[i].at)); c != 0 {
+			if c := Compare(ks[i].at.read(la, ra), ks[i].at.read(lb, rb)); c != 0 {
 				return (c < 0) != ks[i].desc
 			}
 		}
@@ -343,16 +340,19 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 		at0, desc0 := ks[0].at, ks[0].desc
 		first := func(i int) Value {
 			l, r := s.row(i)
-			return cell(l, r, at0)
+			if at0.side != 0 {
+				return at0.read(l, r)
+			}
+			return at0.at(l)
 		}
 		root := first(h[0])
 		for i := k; i < n; i++ {
-			v, m := first(i), uint8(2) // cmpMask3's bits: 1 less, 2 equal, 4 greater
+			v, m := first(i), uint8(2) // cmpMask's bits: 1 less, 2 equal, 4 greater
 			switch {
 			case v.Kind == KindInt && root.Kind == KindInt:
-				m = cmpMaskInt(v.I, root.I)
+				m = cmpMask(v.I, root.I)
 			case v.Kind == KindFloat && root.Kind == KindFloat:
-				m = cmpMaskFloat(v.Real(), root.Real())
+				m = cmpMask(v.Real(), root.Real())
 			}
 			admit := (m == 1) != desc0
 			if m == 2 {
@@ -542,9 +542,10 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		groups map[string]int
 		kb     []byte
 	)
-	groupAt, itemAt := s.colsAt(ap.groupCols), make([]colAt, w)
-	for k, it := range ap.items {
-		itemAt[k] = s.colAt(it.col)
+	var gbuf, ibuf [8]colAt
+	groupAt, itemAt := s.colsAt(gbuf[:0], ap.groupCols), ibuf[:0]
+	for _, it := range ap.items {
+		itemAt = append(itemAt, s.colAt(it.col))
 	}
 	if len(ap.groupCols) == 0 {
 		// One implicit group, present even over no rows; its
@@ -572,8 +573,8 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		g := 0
 		if groups != nil {
 			kb = kb[:0]
-			for _, c := range groupAt {
-				kb = cell(l, r, c).AppendKey(kb)
+			for k := range groupAt {
+				kb = groupAt[k].read(l, r).AppendKey(kb)
 				kb = append(kb, '\x00')
 			}
 			var seen bool
@@ -588,12 +589,14 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		}
 		st := states[g*w : (g+1)*w]
 		for k, it := range ap.items {
-			switch it.fn {
-			case aggNone:
-			case aggCountStar:
+			switch {
+			case it.fn == aggNone:
+			case it.fn == aggCountStar:
 				st[k].n++
+			case itemAt[k].side == 0:
+				st[k].add(it.fn, itemAt[k].at(l))
 			default:
-				st[k].add(it.fn, cell(l, r, itemAt[k]))
+				st[k].add(it.fn, itemAt[k].read(l, r))
 			}
 		}
 	}
@@ -608,7 +611,7 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 				vals[k] = states[g*w+k].result(it.fn)
 			case rep >= 0:
 				l, r := s.row(rep)
-				vals[k] = cell(l, r, itemAt[k])
+				vals[k] = itemAt[k].read(l, r)
 			}
 		}
 		out.add(vals, nil)

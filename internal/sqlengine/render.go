@@ -117,49 +117,14 @@ func ReferencedColumns(s *SelectStmt) []ColumnRef {
 		switch x := e.(type) {
 		case *ColumnRef:
 			out = append(out, *x)
-		case *Binary:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *Unary:
-			walkExpr(x.X)
-		case *FuncCall:
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		case *CaseExpr:
-			if x.Operand != nil {
-				walkExpr(x.Operand)
-			}
-			for _, w := range x.Whens {
-				walkExpr(w.When)
-				walkExpr(w.Then)
-			}
-			if x.Else != nil {
-				walkExpr(x.Else)
-			}
-		case *InExpr:
-			walkExpr(x.X)
-			for _, el := range x.List {
-				walkExpr(el)
-			}
-			if x.Sub != nil {
-				walkSel(x.Sub)
-			}
-		case *BetweenExpr:
-			walkExpr(x.X)
-			walkExpr(x.Lo)
-			walkExpr(x.Hi)
-		case *LikeExpr:
-			walkExpr(x.X)
-			walkExpr(x.Pattern)
-		case *IsNullExpr:
-			walkExpr(x.X)
 		case *ExistsExpr:
 			walkSel(x.Sub)
 		case *SubqueryExpr:
 			walkSel(x.Sub)
-		case *CastExpr:
-			walkExpr(x.X)
+		}
+		eachOperand(e, walkExpr)
+		if in, ok := e.(*InExpr); ok && in.Sub != nil {
+			walkSel(in.Sub)
 		}
 	}
 	walkSel = func(sel *SelectStmt) {

@@ -82,7 +82,7 @@ func sortByWords(s *selection, ks []sortKey, h []int) bool {
 		l, r := s.row(i)
 		for j := range ks {
 			k := &ks[j]
-			v := cell(l, r, k.at)
+			v := k.at.read(l, r)
 			w, ok := k.word(v)
 			switch {
 			case !ok:
@@ -141,14 +141,14 @@ func sortChunks(s *selection, ks []sortKey, h []int, from, keyBits, idxBits int)
 
 // keyChunk returns bits from..from+size of the key of row (l, r), counted
 // from the key's most significant bit; bits past its end read as zeros.
-func keyChunk(ks []sortKey, l, r []Value, from, size int) uint64 {
+func keyChunk(ks []sortKey, l, r, from, size int) uint64 {
 	var c uint64
 	pos := 0 // where key k starts
 	for j := range ks {
 		k := &ks[j]
 		lo, hi := max(from, pos), min(from+size, pos+k.width)
 		if lo < hi {
-			w, _ := k.word(cell(l, r, k.at))
+			w, _ := k.word(k.at.read(l, r))
 			c |= ((w - k.lo) >> (pos + k.width - hi) & (1<<(hi-lo) - 1)) << (from + size - hi)
 		}
 		if pos += k.width; pos >= from+size {

@@ -70,21 +70,21 @@ func TestWordSortProperty(t *testing.T) {
 
 		// The word path's decision and order, against the comparator's.
 		tab, _ := planned.Table("z")
-		s := selection{rows: tab.Rows, all: true}
+		s := selection{src: rel{t: tab}, all: true}
 		ks := make([]sortKey, len(keys))
 		wordable, nan := true, false
 		for i, k := range keys {
 			ks[i] = sortKey{at: s.colAt(k.col), desc: k.desc}
-			for _, row := range tab.Rows {
-				v := row[k.col]
+			for ri := range n {
+				v := tab.Cell(ri, k.col)
 				nan = nan || (v.Kind == KindFloat && math.IsNaN(v.Real()))
-				wordable = wordable && (v.Kind == KindInt || v.Kind == KindFloat) && v.Kind == tab.Rows[0][k.col].Kind
+				wordable = wordable && (v.Kind == KindInt || v.Kind == KindFloat) && v.Kind == tab.Cell(0, k.col).Kind
 			}
 		}
 		wordable = wordable && !nan
 		h := make([]int, n)
 		if got := sortByWords(&s, ks, h); got != wordable {
-			t.Fatalf("%s over %v: words took the sort = %v, want %v", sql, tab.Rows, got, wordable)
+			t.Fatalf("%s over %v: words took the sort = %v, want %v", sql, rows, got, wordable)
 		}
 		if wordable {
 			want := make([]int, n)
@@ -93,7 +93,7 @@ func TestWordSortProperty(t *testing.T) {
 			}
 			slices.SortStableFunc(want, func(x, y int) int {
 				for _, k := range keys {
-					if c := Compare(tab.Rows[x][k.col], tab.Rows[y][k.col]); c != 0 {
+					if c := Compare(tab.Cell(x, k.col), tab.Cell(y, k.col)); c != 0 {
 						if k.desc {
 							return -c
 						}
@@ -103,7 +103,7 @@ func TestWordSortProperty(t *testing.T) {
 				return 0
 			})
 			if !slices.Equal(h, want) {
-				t.Fatalf("%s over %v: words sorted %v, Compare %v", sql, tab.Rows, h, want)
+				t.Fatalf("%s over %v: words sorted %v, Compare %v", sql, rows, h, want)
 			}
 		}
 		if !nan {

@@ -70,7 +70,7 @@ func (ec *execCtx) anyNotFalse(in selection, conj []conjunct, outer *scope) (boo
 rows:
 	for i, n := 0, in.len(); i < n; i++ {
 		l, r := in.row(i)
-		sc.row = scopeRow(l, r, buf)
+		in.scopeAt(sc, l, r, buf)
 		for _, c := range conj {
 			if t, known, err := env.truth(c.expr); err != nil {
 				return false, err

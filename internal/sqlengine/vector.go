@@ -1,152 +1,150 @@
 package sqlengine
 
-// Columnar storage shadow. Base tables keep [][]Value as the source of
-// truth (DML, BulkInsert and the naive executor all operate on rows), but
-// scan-heavy execution wants column-major data: a typed vector per column
-// lets the filter kernels in kernels.go run tight int64/float64/string
-// loops with a null bitmap instead of loading 32-byte Value structs and
-// switching on Kind per cell.
-//
-// Vectors are built lazily per column, under the same lock and with the
-// same invalidation discipline as the point-lookup indexes: any DML,
-// BulkInsert included, drops them (invalidateIndexes). A vector is always positionally aligned with t.Rows —
-// vec position i is row t.Rows[i] — so kernels address it by row position;
-// only full-table scans consult (and so build) vectors, an index-narrowed
-// bucket being too small to be worth one.
+// Column storage. A table holds each of its columns once, typed: the cells
+// of a column whose non-NULL cells share one storage class sit in one array
+// beside a NULL bitmap — nums for INTEGER and REAL, 8 bytes a cell holding
+// what a Value's word I holds (an INTEGER, or a REAL's bits), strs for
+// TEXT, a 16-byte string header a cell — and only a column that holds cells
+// of two classes keeps them as Values, in vals. Everything that reads a
+// table reads it here, by (position, column): the filter kernels run typed
+// loops over the arrays (kernels.go), the equality index and the hash join
+// key on the cells, and the tail consumers, the interpreter and DML read
+// cells at positions (Table.Cell, column.value). DML changes the arrays in place: INSERT and
+// BulkInsert append to every column, UPDATE rewrites cells, DELETE
+// rebuilds them; a cell of another class turns its column mixed.
 
-// colVec is the columnar shadow of one table column. When every non-NULL
-// cell of the column has the same storage kind, typed reports that kind
-// and exactly one of ints/floats/strs is populated (len == row count);
-// mixed-kind columns get typed == false and no arrays, and the kernels
-// fall back to reading t.Rows directly. nulls is nil when the column has
-// no NULLs, else a per-row bitmap (true = NULL; the typed array holds a
-// zero value at those positions).
-type colVec struct {
-	typed  bool
-	kind   Kind // meaningful only when typed; KindNull = all cells NULL
-	nulls  []bool
-	ints   []int64
-	floats []float64
-	strs   []string
+// column is one table column's cells. kind is the storage class of every
+// non-NULL cell, KindNull while there is none; exactly the array of that
+// class is live, nums or strs, one cell per row, a NULL row holding its
+// zero. A mixed column has vals, holding every cell, and no other array.
+// nulls is the NULL bitmap of an unmixed column — bit i of word i/64 set
+// for a NULL row — nil while no cell is NULL. room is the capacity a reserve asked for,
+// which an array started within that call is made with.
+type column struct {
+	kind  Kind
+	nulls []uint64
+	nums  []int64
+	strs  []string
+	vals  []Value
+	room  int
 }
 
-// null reports whether position i holds SQL NULL.
-func (v *colVec) null(i int) bool { return v.nulls != nil && v.nulls[i] }
-
-// buildColVec scans one column of rows into a vector. Single pass: the
-// first non-NULL cell fixes the kind; any deviating cell downgrades the
-// vector to untyped (the arrays are dropped, only the null bitmap — if any
-// — survives, since IS NULL kernels remain valid on mixed columns).
-func buildColVec(rows [][]Value, col int) *colVec {
-	v := &colVec{typed: true, kind: KindNull}
-	for i, row := range rows {
-		c := row[col]
-		if c.IsNull() {
-			if v.nulls == nil {
-				v.nulls = make([]bool, len(rows))
-			}
-			v.nulls[i] = true
-			v.pad(1)
-			continue
-		}
-		if v.kind == KindNull {
-			v.kind = c.Kind
-			v.alloc(len(rows), i)
-		}
-		if c.Kind != v.kind {
-			v.typed = false
-			v.ints, v.floats, v.strs = nil, nil, nil
-			// Finish the null bitmap over the remaining rows.
-			for j := i + 1; j < len(rows); j++ {
-				if rows[j][col].IsNull() {
-					if v.nulls == nil {
-						v.nulls = make([]bool, len(rows))
-					}
-					v.nulls[j] = true
-				}
-			}
-			return v
-		}
-		v.appendCell(c)
-	}
-	return v
+// null reports whether row i of an unmixed column is NULL.
+func (c *column) null(i int) bool {
+	return c.nulls != nil && c.nulls[i>>6]&(1<<(i&63)) != 0
 }
 
-// alloc reserves the typed array for n rows with the first filled leading
-// zero cells (rows seen before the kind was known are all NULL).
-func (v *colVec) alloc(n, filled int) {
-	switch v.kind {
-	case KindInt:
-		v.ints = make([]int64, filled, n)
-	case KindFloat:
-		v.floats = make([]float64, filled, n)
-	case KindText:
-		v.strs = make([]string, filled, n)
+// typed reports whether the column's cells sit in one typed array: it is
+// not mixed and holds a non-NULL cell.
+func (c *column) typed() bool { return c.vals == nil && c.kind != KindNull }
+
+// value returns the cell at row i.
+func (c *column) value(i int) Value {
+	switch {
+	case c.vals != nil:
+		return c.vals[i]
+	case c.null(i):
+		return Value{}
+	case c.kind == KindText:
+		return Value{Kind: KindText, S: c.strs[i]}
 	}
+	return Value{Kind: c.kind, I: c.nums[i]}
 }
 
-// pad appends n zero cells to whichever typed array is live (NULL rows).
-func (v *colVec) pad(n int) {
-	switch v.kind {
-	case KindInt:
-		for i := 0; i < n; i++ {
-			v.ints = append(v.ints, 0)
+// reserve makes room for extra cells after the n the column holds: every
+// array it has, or starts before they are added, holds them without
+// growing.
+func (c *column) reserve(n, extra int) {
+	c.room = n + extra
+	c.nums = grown(c.nums, c.room)
+	c.strs = grown(c.strs, c.room)
+	c.vals = grown(c.vals, c.room)
+	c.nulls = grown(c.nulls, (c.room+63)>>6)
+}
+
+// grown returns s with capacity for n elements, reallocated at exactly that
+// capacity when it has less; a nil s stays nil.
+func grown[T any](s []T, n int) []T {
+	if s == nil || cap(s) >= n {
+		return s
+	}
+	out := make([]T, len(s), n)
+	copy(out, s)
+	return out
+}
+
+// started returns an array of n zero cells, with room for the cells a
+// reserve announced.
+func started[T any](c *column, n int) []T {
+	return make([]T, n, max(n+1, c.room))
+}
+
+// add appends v as row n, the column's last: a zero cell, then set.
+func (c *column) add(n int, v Value) {
+	switch {
+	case c.vals != nil:
+		c.vals = append(c.vals, Value{})
+	case c.kind == KindText:
+		c.strs = append(c.strs, "")
+	case c.kind != KindNull:
+		c.nums = append(c.nums, 0)
+	}
+	if c.nulls != nil && n&63 == 0 {
+		c.nulls = append(c.nulls, 0)
+	}
+	c.set(n+1, n, v)
+}
+
+// set overwrites row i of the n the column holds with v.
+func (c *column) set(n, i int, v Value) {
+	if c.vals == nil && v.Kind != KindNull && v.Kind != c.kind {
+		c.retype(n, v.Kind)
+	}
+	if c.vals != nil {
+		c.vals[i] = v
+		return
+	}
+	if c.kind == KindText {
+		c.strs[i] = v.S
+	} else if c.kind != KindNull {
+		c.nums[i] = v.I
+	}
+	c.setNull(n, i, v.Kind == KindNull)
+}
+
+// retype makes the n-row column ready for a non-NULL cell of kind k, which
+// it holds none of: a column of NULLs starts k's array, any other turns
+// mixed, its cells moved into vals.
+func (c *column) retype(n int, k Kind) {
+	switch {
+	case c.kind == KindNull && k == KindText:
+		c.strs = started[string](c, n)
+	case c.kind == KindNull:
+		c.nums = started[int64](c, n)
+	default:
+		vals := started[Value](c, n)
+		for i := range vals {
+			vals[i] = c.value(i)
 		}
-	case KindFloat:
-		for i := 0; i < n; i++ {
-			v.floats = append(v.floats, 0)
+		*c = column{vals: vals, room: c.room}
+		return
+	}
+	c.kind = k
+}
+
+// setNull sets or clears the NULL bit of row i of an n-row unmixed column,
+// starting the bitmap at the first NULL.
+func (c *column) setNull(n, i int, null bool) {
+	if c.nulls == nil {
+		if !null {
+			return
 		}
-	case KindText:
-		for i := 0; i < n; i++ {
-			v.strs = append(v.strs, "")
-		}
+		w := (n + 63) >> 6
+		c.nulls = make([]uint64, w, max(w, (c.room+63)>>6))
 	}
-}
-
-func (v *colVec) appendCell(c Value) {
-	switch v.kind {
-	case KindInt:
-		v.ints = append(v.ints, c.I)
-	case KindFloat:
-		v.floats = append(v.floats, c.Real())
-	case KindText:
-		v.strs = append(v.strs, c.S)
+	if null {
+		c.nulls[i>>6] |= 1 << (i & 63)
+	} else {
+		c.nulls[i>>6] &^= 1 << (i & 63)
 	}
-}
-
-// length returns the row count the vector currently covers.
-func (v *colVec) length() int {
-	if !v.typed {
-		return len(v.nulls)
-	}
-	switch v.kind {
-	case KindInt:
-		return len(v.ints)
-	case KindFloat:
-		return len(v.floats)
-	case KindText:
-		return len(v.strs)
-	default: // all NULL
-		return len(v.nulls)
-	}
-}
-
-// columnVec returns the columnar shadow of column col, building it on
-// first use. Safe for concurrent readers (same discipline as eqLookup).
-// A vector whose length no longer matches the table is rebuilt — that
-// cannot happen under the documented DML/query exclusion contract, but it
-// is a one-comparison guard against a stale shadow producing wrong rows.
-func (t *Table) columnVec(col int) *colVec {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if t.colVecs == nil {
-		t.colVecs = make(map[int]*colVec)
-	}
-	v, ok := t.colVecs[col]
-	if !ok || (v.typed && v.kind != KindNull && v.length() != len(t.Rows)) ||
-		((!v.typed || v.kind == KindNull) && v.nulls != nil && len(v.nulls) != len(t.Rows)) {
-		v = buildColVec(t.Rows, col)
-		t.colVecs[col] = v
-	}
-	return v
 }

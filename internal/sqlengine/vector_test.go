@@ -20,101 +20,107 @@ func buildVecTable(t *testing.T) (*Database, *Table) {
 }
 
 func TestColumnVecBuild(t *testing.T) {
-	_, tab := buildVecTable(t)
+	db, tab := buildVecTable(t)
 
-	a := tab.columnVec(0)
-	if !a.typed || a.kind != KindInt || a.nulls != nil {
-		t.Fatalf("col a: typed=%v kind=%v nulls=%v; want typed INTEGER, no null bitmap", a.typed, a.kind, a.nulls)
+	a := &tab.cols[0]
+	if !a.typed() || a.kind != KindInt || a.nulls != nil {
+		t.Fatalf("col a: typed=%v kind=%v nulls=%v; want typed INTEGER, no null bitmap", a.typed(), a.kind, a.nulls)
 	}
-	if a.ints[0] != 1 || a.ints[2] != 3 {
-		t.Fatalf("col a ints = %v", a.ints)
+	if a.nums[0] != 1 || a.nums[2] != 3 {
+		t.Fatalf("col a cells = %v", a.nums)
 	}
 
-	b := tab.columnVec(1)
-	if !b.typed || b.kind != KindFloat {
-		t.Fatalf("col b: typed=%v kind=%v; want typed REAL", b.typed, b.kind)
+	b := &tab.cols[1]
+	if !b.typed() || b.kind != KindFloat {
+		t.Fatalf("col b: typed=%v kind=%v; want typed REAL", b.typed(), b.kind)
 	}
 	if b.nulls == nil || !b.null(1) || b.null(0) || b.null(2) {
 		t.Fatalf("col b null bitmap wrong: %v", b.nulls)
 	}
 
-	c := tab.columnVec(2)
-	if !c.typed || c.kind != KindText || !c.null(2) || c.strs[0] != "x" {
-		t.Fatalf("col c: typed=%v kind=%v nulls=%v strs=%v", c.typed, c.kind, c.nulls, c.strs)
+	c := &tab.cols[2]
+	if !c.typed() || c.kind != KindText || !c.null(2) || c.strs[0] != "x" {
+		t.Fatalf("col c: typed=%v kind=%v nulls=%v strs=%v", c.typed(), c.kind, c.nulls, c.strs)
 	}
 
-	d := tab.columnVec(3)
-	if d.typed {
-		t.Fatalf("col d holds mixed kinds but vector is typed (%v)", d.kind)
+	d := &tab.cols[3]
+	if d.typed() {
+		t.Fatalf("col d holds mixed kinds but is stored typed (%v)", d.kind)
 	}
 
-	// The lazy build must be cached: same pointer on re-request.
-	if tab.columnVec(0) != a {
-		t.Fatal("columnVec rebuilt a cached vector")
+	// Reading the columns builds nothing: a scan filters the storage itself.
+	ints := &a.nums[0]
+	db.MustExec("SELECT COUNT(*) FROM v WHERE a > 0 AND b > 0 AND c = 'x' AND d = 10")
+	if &tab.cols[0].nums[0] != ints {
+		t.Fatal("a scan rebuilt the column it read")
 	}
 }
 
 func TestColumnVecInvalidationOnDML(t *testing.T) {
 	db, tab := buildVecTable(t)
-	a := tab.columnVec(0)
+	db.MustExec("SELECT COUNT(*) FROM v WHERE a = 1")
+	if tab.eqIdx == nil {
+		t.Fatal("point lookup built no index")
+	}
 	db.MustExec("UPDATE v SET a = 99 WHERE a = 1")
-	if got := tab.columnVec(0); got == a {
-		t.Fatal("UPDATE did not invalidate the columnar shadow")
-	} else if got.ints[0] != 99 {
-		t.Fatalf("rebuilt vector stale: %v", got.ints)
+	if tab.eqIdx != nil {
+		t.Fatal("UPDATE did not invalidate the index over the column")
+	} else if got := tab.cols[0].nums; got[0] != 99 {
+		t.Fatalf("column stale after UPDATE: %v", got)
 	}
 }
 
-// TestColumnVecInvalidationOnBulkInsert: BulkInsert drops built vectors
-// like every other DML, and the rebuilt ones cover the appended rows, a
-// NULL cell included.
+// TestColumnVecInvalidationOnBulkInsert: BulkInsert appends to the columns
+// and drops built indexes like every other DML, and the columns cover the
+// appended rows, a NULL cell included.
 func TestColumnVecInvalidationOnBulkInsert(t *testing.T) {
 	db, tab := buildVecTable(t)
-	a, b := tab.columnVec(0), tab.columnVec(1)
-	if _, err := db.BulkInsert("v", [][]Value{
+	db.MustExec("SELECT COUNT(*) FROM v WHERE b = 1.5")
+	rows := [][]Value{
 		{Int(4), Null(), Text("z"), Int(40)},
 		{Int(5), Float(5.5), Text("w"), Int(50)},
-	}); err != nil {
+	}
+	if _, err := db.BulkInsert("v", rows); err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.columnVec(0); got == a {
-		t.Fatal("BulkInsert did not invalidate the int vector")
-	} else if got.length() != 5 || got.ints[3] != 4 || got.ints[4] != 5 {
-		t.Fatalf("int vector after BulkInsert: len=%d ints=%v", got.length(), got.ints)
+	if tab.eqIdx != nil {
+		t.Fatal("BulkInsert did not invalidate the index")
 	}
-	if got := tab.columnVec(1); got == b {
-		t.Fatal("BulkInsert did not invalidate the float vector")
-	} else if !got.null(3) || got.null(4) || got.floats[4] != 5.5 {
-		t.Fatalf("float vector nulls/values after BulkInsert: nulls=%v floats=%v", got.nulls, got.floats)
+	if got := &tab.cols[0]; tab.Len() != 5 || len(got.nums) != 5 || got.nums[3] != 4 || got.nums[4] != 5 {
+		t.Fatalf("int column after BulkInsert: len=%d cells=%v", tab.Len(), got.nums)
+	}
+	if got := &tab.cols[1]; !got.null(3) || got.null(4) || got.nums[4] != Float(5.5).I {
+		t.Fatalf("float column nulls/values after BulkInsert: nulls=%v cells=%v", got.nulls, got.nums)
 	}
 	for col := range tab.Columns {
-		vec := tab.columnVec(col)
-		if !vec.typed {
-			continue
-		}
-		for i := range tab.Rows {
-			if got, want := vecCell(vec, i), tab.Rows[i][col]; got != want {
-				t.Fatalf("col %d row %d after BulkInsert: vector %v vs row %v", col, i, got, want)
+		for i, row := range rows {
+			if got, want := tab.Cell(3+i, col), row[col]; got != want {
+				t.Fatalf("col %d row %d after BulkInsert: stored %v, inserted %v", col, 3+i, got, want)
 			}
 		}
 	}
 
-	// A kind-breaking row leaves the rebuilt vector untyped.
+	// A kind-breaking row leaves the column mixed.
 	if _, err := db.BulkInsert("v", [][]Value{
 		{Text("oops"), Float(6.5), Text("q"), Int(60)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if tab.columnVec(0).typed {
-		t.Fatal("rebuilt vector over mixed kinds claims to be typed")
+	if tab.cols[0].typed() {
+		t.Fatal("a column over mixed kinds claims to be typed")
 	}
 }
 
-// TestColumnVecAlignedWithRows pins the positional-alignment invariant the
-// scan kernels depend on: cell i of the vector is row i of t.Rows, for
-// every column, across INSERT and BulkInsert loading.
+// TestColumnVecAlignedWithRows pins the positional alignment the scan
+// kernels depend on: every column holds one cell per row, and cell i is
+// row i as loaded, across INSERT and BulkInsert loading.
 func TestColumnVecAlignedWithRows(t *testing.T) {
 	db, tab := buildVecTable(t)
+	want := [][]Value{
+		{Int(1), Float(1.5), Text("x"), Int(10)},
+		{Int(2), Null(), Text("y"), Text("stray")},
+		{Int(3), Float(3.5), Null(), Int(30)},
+	}
 	rows := make([][]Value, 0, 40)
 	for i := 0; i < 40; i++ {
 		rows = append(rows, []Value{Int(int64(i)), Float(float64(i) / 2), Text("r"), Int(int64(i * 10))})
@@ -122,36 +128,16 @@ func TestColumnVecAlignedWithRows(t *testing.T) {
 	if _, err := db.BulkInsert("v", rows); err != nil {
 		t.Fatal(err)
 	}
+	want = append(want, rows...)
 	for col := range tab.Columns {
-		vec := tab.columnVec(col)
-		if !vec.typed {
-			continue // mixed-kind columns carry no arrays to align
+		c := &tab.cols[col]
+		if n := max(len(c.nums), len(c.strs), len(c.vals)); n != tab.Len() || tab.Len() != len(want) {
+			t.Fatalf("col %d: %d cells vs %d rows, %d loaded", col, n, tab.Len(), len(want))
 		}
-		if vec.length() != len(tab.Rows) {
-			t.Fatalf("col %d: vector length %d vs %d rows", col, vec.length(), len(tab.Rows))
-		}
-		for i := range tab.Rows {
-			want := tab.Rows[i][col]
-			if got := vecCell(vec, i); got != want {
-				t.Fatalf("col %d row %d: vector %v vs row %v", col, i, got, want)
+		for i := range want {
+			if got := tab.Cell(i, col); got != want[i][col] {
+				t.Fatalf("col %d row %d: stored %v vs loaded %v", col, i, got, want[i][col])
 			}
 		}
-	}
-}
-
-// vecCell materialises typed-vector position i back into a Value.
-func vecCell(v *colVec, i int) Value {
-	if v.null(i) {
-		return Null()
-	}
-	switch v.kind {
-	case KindInt:
-		return Int(v.ints[i])
-	case KindFloat:
-		return Float(v.floats[i])
-	case KindText:
-		return Text(v.strs[i])
-	default:
-		return Null()
 	}
 }

@@ -179,10 +179,10 @@ func buildModel(t *sqlengine.Table, colIdx int, doc *schema.TableDoc, fkPool []s
 	var texts []string
 	var loI, hiI int64
 	var loF, hiF float64
-	allDates := len(t.Rows) > 0
+	allDates := t.Len() > 0
 	seenText := make(map[string]int)
-	for _, row := range t.Rows {
-		v := row[colIdx]
+	for ri := 0; ri < t.Len(); ri++ {
+		v := t.Cell(ri, colIdx)
 		if v.IsNull() {
 			continue
 		}
@@ -216,8 +216,8 @@ func buildModel(t *sqlengine.Table, colIdx int, doc *schema.TableDoc, fkPool []s
 		}
 	}
 	nullRate := 0.0
-	if !col.NotNull && len(t.Rows) > 0 {
-		nullRate = float64(len(t.Rows)-nonNull) / float64(len(t.Rows))
+	if !col.NotNull && t.Len() > 0 {
+		nullRate = float64(t.Len()-nonNull) / float64(t.Len())
 	}
 
 	if selfN > 0 {

@@ -42,7 +42,7 @@ func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 			}
 			for _, it := range sel.From {
 				tab, ok := db.Engine.Table(it.Table)
-				if it.Sub != nil || !ok || len(tab.Rows) >= 1024 {
+				if it.Sub != nil || !ok || tab.Len() >= 1024 {
 					return false
 				}
 			}

@@ -81,7 +81,7 @@ func Generate(src *schema.DB, opts Options) (*schema.DB, error) {
 		name := strings.ToLower(srcT.Name)
 		n, ok := opts.Rows[name]
 		if !ok {
-			n = len(srcT.Rows)
+			n = srcT.Len()
 		}
 		if n <= 0 {
 			continue
@@ -112,9 +112,9 @@ func Generate(src *schema.DB, opts Options) (*schema.DB, error) {
 					return nil, fmt.Errorf("synth: %s.%s references missing column %s.%s",
 						srcT.Name, col.Name, fk.ParentTable, fk.ParentColumn)
 				}
-				for _, prow := range parent.Rows {
-					if !prow[pc].IsNull() {
-						fkPool = append(fkPool, prow[pc])
+				for ri := 0; ri < parent.Len(); ri++ {
+					if v := parent.Cell(ri, pc); !v.IsNull() {
+						fkPool = append(fkPool, v)
 					}
 				}
 				if len(fkPool) == 0 {
@@ -209,7 +209,7 @@ func ProportionalRows(src *schema.DB, total int) map[string]int {
 	fixtureTotal := 0
 	for _, t := range src.Engine.Tables() {
 		name := strings.ToLower(t.Name)
-		fix := len(t.Rows)
+		fix := t.Len()
 		if fix == 0 {
 			fix = 1
 		}
@@ -277,14 +277,14 @@ func VerifyFK(db *schema.DB) error {
 				return fmt.Errorf("synth: dangling FK definition %s.%s -> %s.%s",
 					t.Name, fk.Column, fk.ParentTable, fk.ParentColumn)
 			}
-			keys := make(map[string]struct{}, len(parent.Rows))
-			for _, prow := range parent.Rows {
-				if !prow[pc].IsNull() {
-					keys[valueKey(prow[pc])] = struct{}{}
+			keys := make(map[string]struct{}, parent.Len())
+			for ri := 0; ri < parent.Len(); ri++ {
+				if v := parent.Cell(ri, pc); !v.IsNull() {
+					keys[valueKey(v)] = struct{}{}
 				}
 			}
-			for ri, row := range t.Rows {
-				v := row[cc]
+			for ri := 0; ri < t.Len(); ri++ {
+				v := t.Cell(ri, cc)
 				if v.IsNull() {
 					continue
 				}
@@ -312,8 +312,9 @@ func Fingerprint(db *schema.DB) uint64 {
 		for _, c := range t.Columns {
 			fmt.Fprintf(h, "C:%s:%s\n", strings.ToLower(c.Name), strings.ToUpper(c.Type))
 		}
-		for _, row := range t.Rows {
-			for _, v := range row {
+		for ri := 0; ri < t.Len(); ri++ {
+			for ci := range t.Columns {
+				v := t.Cell(ri, ci)
 				fmt.Fprintf(h, "%d:%s|", int(v.Kind), v.AsText())
 			}
 			h.Write([]byte{'\n'})

@@ -114,8 +114,8 @@ func TestGenerateMillionRowsFKConsistent(t *testing.T) {
 		if !ok {
 			t.Fatalf("generated database lost table %s", name)
 		}
-		if len(tab.Rows) != want {
-			t.Fatalf("table %s has %d rows, want %d", name, len(tab.Rows), want)
+		if tab.Len() != want {
+			t.Fatalf("table %s has %d rows, want %d", name, tab.Len(), want)
 		}
 	}
 }
@@ -172,8 +172,8 @@ func TestVerifyFKCatchesViolation(t *testing.T) {
 	}
 	// Corrupt one child key to a value no parent has.
 	tab, _ := db.Engine.Table("loan")
-	ci := tab.ColumnIndex("account_id")
-	tab.Rows[0][ci] = sqlengine.Int(999999)
+	id := tab.Cell(0, tab.ColumnIndex("loan_id"))
+	db.Engine.MustExec("UPDATE loan SET account_id = 999999 WHERE loan_id = " + id.AsText())
 	if err := VerifyFK(db); err == nil {
 		t.Fatal("VerifyFK missed a dangling loan.account_id")
 	}

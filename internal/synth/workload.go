@@ -38,7 +38,7 @@ func Workload(db *schema.DB, n int, seed uint64) ([]Query, error) {
 	// Bounded attempts so a degenerate schema terminates rather than spins.
 	for attempts := 0; len(out) < n && attempts < n*40; attempts++ {
 		t := tables[rng.Intn(len(tables))]
-		if len(t.Rows) == 0 {
+		if t.Len() == 0 {
 			continue
 		}
 		var q Query
@@ -132,7 +132,7 @@ func fullName(db *schema.DB, table, col string) string {
 // sampleValue picks a non-NULL value of one column from the generated rows.
 func sampleValue(t *sqlengine.Table, colIdx int, rng *llm.Rand) (sqlengine.Value, bool) {
 	for tries := 0; tries < 8; tries++ {
-		v := t.Rows[rng.Intn(len(t.Rows))][colIdx]
+		v := t.Cell(rng.Intn(t.Len()), colIdx)
 		if !v.IsNull() {
 			return v, true
 		}
@@ -268,10 +268,10 @@ func joinCountQuery(db *schema.DB, t *sqlengine.Table, rng *llm.Rand) (Query, bo
 		return Query{}, false
 	}
 	parent, ok := db.Engine.Table(fk.ParentTable)
-	if !ok || len(parent.Rows) == 0 {
+	if !ok || parent.Len() == 0 {
 		return Query{}, false
 	}
-	if len(t.Rows)*len(parent.Rows) > joinPairBudget {
+	if t.Len()*parent.Len() > joinPairBudget {
 		return Query{}, false
 	}
 	pi := pickColumn(parent, rng, func(c sqlengine.Column) bool { return isText(c) && !c.PrimaryKey })
