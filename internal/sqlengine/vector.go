@@ -17,12 +17,12 @@ package sqlengine
 // non-NULL cell, KindNull while there is none; exactly the array of that
 // class is live, nums or strs, one cell per row, a NULL row holding its
 // zero. A mixed column has vals, holding every cell, and no other array.
-// nulls is the NULL bitmap of an unmixed column — bit i of word i/64 set
-// for a NULL row — nil while no cell is NULL. room is the capacity a reserve asked for,
+// nulls is the NULL bitmap of an unmixed column, true for a NULL row, nil
+// while no cell is NULL. room is the capacity a reserve asked for,
 // which an array started within that call is made with.
 type column struct {
 	kind  Kind
-	nulls []uint64
+	nulls []bool
 	nums  []int64
 	strs  []string
 	vals  []Value
@@ -31,7 +31,7 @@ type column struct {
 
 // null reports whether row i of an unmixed column is NULL.
 func (c *column) null(i int) bool {
-	return c.nulls != nil && c.nulls[i>>6]&(1<<(i&63)) != 0
+	return c.nulls != nil && c.nulls[i]
 }
 
 // typed reports whether the column's cells sit in one typed array: it is
@@ -59,7 +59,7 @@ func (c *column) reserve(n, extra int) {
 	c.nums = grown(c.nums, c.room)
 	c.strs = grown(c.strs, c.room)
 	c.vals = grown(c.vals, c.room)
-	c.nulls = grown(c.nulls, (c.room+63)>>6)
+	c.nulls = grown(c.nulls, c.room)
 }
 
 // grown returns s with capacity for n elements, reallocated at exactly that
@@ -89,8 +89,8 @@ func (c *column) add(n int, v Value) {
 	case c.kind != KindNull:
 		c.nums = append(c.nums, 0)
 	}
-	if c.nulls != nil && n&63 == 0 {
-		c.nulls = append(c.nulls, 0)
+	if c.nulls != nil {
+		c.nulls = append(c.nulls, false)
 	}
 	c.set(n+1, n, v)
 }
@@ -139,12 +139,7 @@ func (c *column) setNull(n, i int, null bool) {
 		if !null {
 			return
 		}
-		w := (n + 63) >> 6
-		c.nulls = make([]uint64, w, max(w, (c.room+63)>>6))
+		c.nulls = started[bool](c, n)
 	}
-	if null {
-		c.nulls[i>>6] |= 1 << (i & 63)
-	} else {
-		c.nulls[i>>6] &^= 1 << (i & 63)
-	}
+	c.nulls[i] = null
 }
