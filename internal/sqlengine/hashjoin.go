@@ -70,7 +70,7 @@ func keyCells(s *selection, at *colAt) (ints, nan bool) {
 	}
 	ints = true
 	for i, n := 0, s.len(); i < n; i++ {
-		switch v := at.read(s.at(i), -1); v.Kind {
+		switch v := at.at(s.at(i)); v.Kind {
 		case KindInt, KindNull:
 		case KindFloat:
 			ints = false
@@ -91,7 +91,7 @@ func keyCells(s *selection, at *colAt) (ints, nan bool) {
 // the caller's reusable key buffer.
 func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int32) {
 	if k.ints != nil {
-		v := at[0].read(p, -1)
+		v := at[0].at(p)
 		if v.IsNull() {
 			return buf, -1
 		}
@@ -107,7 +107,7 @@ func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int
 	}
 	buf = buf[:0]
 	for i := range at {
-		v := at[i].read(p, -1)
+		v := at[i].at(p)
 		if v.IsNull() {
 			return buf, -1
 		}
@@ -204,7 +204,7 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 				tested++
 				rp := right.at(int(ri))
 				for i := range lat {
-					if !sqlEq(lat[i].read(lp, -1), rat[i].read(rp, -1)) {
+					if !sqlEq(lat[i].at(lp), rat[i].at(rp)) {
 						continue chain
 					}
 				}

@@ -123,8 +123,8 @@ func (c *colAt) read(l, r int) Value {
 }
 
 // at returns the cell at position p of the relation on the column's side:
-// read's body, which inlines where a loop over a one-sided selection calls
-// it.
+// read's body, which inlines where a loop over a one-sided selection — a
+// hash join's input, an aggregate's — calls it.
 func (c *colAt) at(p int) Value {
 	if c.c != nil {
 		return c.c.value(p)
