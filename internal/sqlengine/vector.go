@@ -34,10 +34,6 @@ func (c *column) null(i int) bool {
 	return c.nulls != nil && c.nulls[i]
 }
 
-// typed reports whether the column's cells sit in one typed array: it is
-// not mixed and holds a non-NULL cell.
-func (c *column) typed() bool { return c.vals == nil && c.kind != KindNull }
-
 // value returns the cell at row i.
 func (c *column) value(i int) Value {
 	switch {

@@ -2,6 +2,10 @@ package sqlengine
 
 import "testing"
 
+// typed reports whether the column's cells sit in one typed array: it is
+// not mixed and holds a non-NULL cell.
+func (c *column) typed() bool { return c.vals == nil && c.kind != KindNull }
+
 // buildVecTable returns a table with one column of each behaviour class:
 // a clean INTEGER column, a REAL column with NULLs, a TEXT column, and an
 // INTEGER-declared column polluted with non-numeric text (mixed kinds).
