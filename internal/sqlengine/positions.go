@@ -557,18 +557,26 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 	} else {
 		groups = make(map[string]int)
 	}
-	// COUNT(*) reads no cell; over one implicit group with nothing else to
-	// fold, each count is the selection's length and no row is visited.
-	countOnly := groups == nil
+	// One implicit group folds item by item, each column's cells in position
+	// order in a loop of their own: COUNT(*) reads no cell, its count is the
+	// selection's length, and over a join's pairs nothing else may be
+	// folded so.
+	columnwise := groups == nil
 	for _, it := range ap.items {
-		countOnly = countOnly && it.fn == aggCountStar
+		columnwise = columnwise && (s.right == nil || it.fn == aggCountStar)
 	}
-	if countOnly {
-		for k := range states {
+	for k, it := range ap.items {
+		switch {
+		case !columnwise || it.fn == aggNone:
+		case it.fn == aggCountStar:
 			states[k].n = int64(s.len())
+		default:
+			for i, n := 0, s.len(); i < n; i++ {
+				states[k].add(it.fn, itemAt[k].at(s.at(i)))
+			}
 		}
 	}
-	for i, n := 0, s.len(); i < n && !countOnly; i++ {
+	for i, n := 0, s.len(); i < n && !columnwise; i++ {
 		l, r := s.row(i)
 		g := 0
 		if groups != nil {
