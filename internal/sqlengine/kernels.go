@@ -53,7 +53,7 @@ type kernel struct {
 	vec     bool
 	lit, hi Value
 	list    []Value
-	rule    func(v Value) (t, known bool)
+	rule    func(k *kernel, v Value) (t, known bool)
 }
 
 // kernelOf compiles conjunct e over rows whose first column is slot off of
@@ -116,25 +116,18 @@ func kernelOf(e Expr, off int) kernel {
 		return kernel{}
 	}
 	k.col = cr.slot - off
-	k.rule = k.rowForm()
+	k.rule = rowRules[k.shape]
 	return k
 }
 
-// rowForm returns the row form: the evaluator's rule for the shape over
-// its literals.
-func (k *kernel) rowForm() func(v Value) (t, known bool) {
-	op, lit, hi, list := k.op, k.lit, k.hi, k.list
-	switch k.shape {
-	case kernelCmp:
-		return func(v Value) (bool, bool) { return compare(op, v, lit) }
-	case kernelIsNull:
-		return func(v Value) (bool, bool) { return v.IsNull(), true }
-	case kernelBetween:
-		return func(v Value) (bool, bool) { return between(v, lit, hi) }
-	case kernelLike:
-		return func(v Value) (bool, bool) { return like(v, lit) }
-	}
-	return func(v Value) (bool, bool) { return inList(v, list, nil) }
+// rowRules holds each shape's row form: the evaluator's rule for the
+// shape, over a kernel's literals.
+var rowRules = [...]func(k *kernel, v Value) (t, known bool){
+	kernelCmp:     func(k *kernel, v Value) (bool, bool) { return compare(k.op, v, k.lit) },
+	kernelIsNull:  func(_ *kernel, v Value) (bool, bool) { return v.IsNull(), true },
+	kernelBetween: func(k *kernel, v Value) (bool, bool) { return between(v, k.lit, k.hi) },
+	kernelLike:    func(k *kernel, v Value) (bool, bool) { return like(v, k.lit) },
+	kernelIn:      func(k *kernel, v Value) (bool, bool) { return inList(v, k.list, nil) },
 }
 
 // test returns the vector form over c, the column's storage: whether the

@@ -353,7 +353,7 @@ rows:
 					continue rows
 				}
 			case f.c.kern.shape != noKernel:
-				if t, known := f.c.kern.rule(f.at.read(l, r)); t == f.c.kern.not || !known {
+				if t, known := f.c.kern.rule(&f.c.kern, f.at.read(l, r)); t == f.c.kern.not || !known {
 					continue rows
 				}
 			default:
