@@ -71,9 +71,10 @@ func answerLine(key string, db *Database, sql string) string {
 // engineAnswers runs every statement of the engine's batteries on its
 // fixture: crossCheckQueries and tailCheckQueries on the 60-row planner
 // fixture at three seeds, engineQueries on a 9,000-row database (several
-// morsels), each TestNameResolutionPin case on a fresh name fixture per
-// executor, with the check query of a DML case after it, and every step of
-// the DML-on-storage battery (storage_test.go).
+// morsels) and the physical path of the COUNT(*) battery's there, each
+// TestNameResolutionPin case on a fresh name fixture per executor, with the
+// check query of a DML case after it, and every step of the DML-on-storage
+// battery (storage_test.go).
 func engineAnswers(t *testing.T) []string {
 	var lines []string
 	for _, seed := range []int64{1, 7, 42} {
@@ -86,6 +87,7 @@ func engineAnswers(t *testing.T) []string {
 	for _, q := range engineQueries {
 		lines = append(lines, answerLine("engine9000\t"+q, db, q))
 	}
+	lines = append(lines, countPathLines(db)...)
 	for _, c := range nameResolutionCases {
 		// Each executor on a fresh fixture, which a DML case changes.
 		line := "names\t" + c.sql

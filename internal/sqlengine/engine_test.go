@@ -66,8 +66,8 @@ func TestVectorizedPlannerMatrix(t *testing.T) {
 // kernels, hash-join probes over thousands of left rows, LEFT JOIN null extension, grouped
 // aggregation, gathered projection with ORDER BY/LIMIT. Subquery-free but
 // for one uncorrelated EXISTS (evaluated once), so the big-input cross-check
-// stays O(n).
-var engineQueries = []string{
+// stays O(n). The COUNT(*) battery (countQueries) closes the list.
+var engineQueries = append([]string{
 	"SELECT id FROM f WHERE num > 50 AND flag = 1",
 	"SELECT id FROM f WHERE grp IN ('a', 'b') AND num BETWEEN 10 AND 70",
 	"SELECT id FROM f WHERE txt LIKE 'x%' AND flag = 0",
@@ -121,6 +121,74 @@ var engineQueries = []string{
 	"SELECT COUNT(*) FROM f WHERE txt LIKE '%5_'",
 	"SELECT COUNT(*) FROM f WHERE grp IN ('a', 'c', NULL)",
 	"SELECT SUM(flag) FROM f WHERE id BETWEEN 1000 AND 50000",
+}, countQueries...)
+
+// countQueries is the COUNT(*) battery (TestCountOnlyBattery): every
+// operator that can hand a COUNT(*)-only tail its input, and the shapes
+// around it that must go on listing rows.
+var countQueries = []string{
+	// The filter: vector forms over a full scan, a row form over an index
+	// bucket, a WHERE that is not safe (interpreted on every row in order,
+	// erring where a row reaches the unknown function).
+	"SELECT COUNT(*) FROM f WHERE NOT (grp = 'a')",
+	"SELECT COUNT(*) FROM f WHERE num > 50",
+	"SELECT COUNT(*) FROM f WHERE flag = 1 AND num > 50",
+	"SELECT COUNT(*) FROM f WHERE grp = 'nope'",
+	"SELECT COUNT(*) FROM f WHERE num > (SELECT AVG(num) FROM f)",
+	"SELECT COUNT(*) FROM d WHERE EXISTS (SELECT 1 FROM f WHERE f.grp = d.grp AND f.flag = 1)",
+	"SELECT COUNT(*) FROM f WHERE num > 1000 AND NOSUCH(id) = 1",
+	"SELECT COUNT(*) FROM f WHERE grp = 'zz' AND NOSUCH(id) = 1",
+	// A hash join's probe as the last operator: INNER and LEFT (null
+	// extensions are rows), a residual ON conjunct, NULL keys on both
+	// sides, the left side the smaller, an empty right side, a join of
+	// three, a pushed filter under each side.
+	"SELECT COUNT(*) FROM f LEFT JOIN d ON f.grp = d.grp",
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp AND f.num > d.weight",
+	"SELECT COUNT(*) FROM f LEFT JOIN d ON f.grp = d.grp AND f.num > d.weight",
+	"SELECT COUNT(*) FROM d JOIN f ON d.grp = f.grp",
+	"SELECT COUNT(*) FROM d LEFT JOIN f ON d.grp = f.grp WHERE d.grp IS NULL",
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE d.weight > 1000",
+	"SELECT COUNT(*) FROM f LEFT JOIN (SELECT grp FROM d WHERE weight > 1000) AS e ON f.grp = e.grp",
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE d.label = 'L2' AND f.flag = 1",
+	"SELECT COUNT(*) FROM d JOIN f ON d.grp = f.grp JOIN d AS d2 ON f.grp = d2.grp",
+	// A NaN key, which `=` matches to every number: the nested loop.
+	"SELECT COUNT(*) FROM f JOIN (SELECT 1e308 * 10 - 1e308 * 10 AS k) AS z ON f.num = z.k",
+	// The filter after a join, over its pairs.
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE f.num > d.weight",
+	"SELECT COUNT(*) FROM f LEFT JOIN d ON f.grp = d.grp WHERE d.label IS NULL",
+	// Uncorrelated EXISTS: true, false, and reached over an empty kept set
+	// (a NULL on the way), over budget where it is reached; beside a join's
+	// residual and alone with a join, which then keeps its pairs.
+	"SELECT COUNT(*) FROM f WHERE num > 50 AND EXISTS (SELECT 1 FROM d)",
+	"SELECT COUNT(*) FROM f WHERE num > 50 AND EXISTS (SELECT 1 FROM d WHERE weight > 1000)",
+	"SELECT COUNT(*) FROM f WHERE grp = 'nope' AND EXISTS (SELECT 1 FROM d)",
+	"SELECT COUNT(*) FROM f WHERE grp = 'nope' AND EXISTS (SELECT 1 FROM f AS a, f AS b)",
+	"SELECT COUNT(*) FROM f WHERE num > 1000 AND EXISTS (SELECT 1 FROM f AS a, f AS b)",
+	"SELECT COUNT(*) FROM f WHERE num > 50 AND NOT EXISTS (SELECT 1 FROM d)",
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE EXISTS (SELECT 1 FROM f)",
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE EXISTS (SELECT 1 FROM d WHERE weight > 1000)",
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE d.label = 'nope' AND EXISTS (SELECT 1 FROM f)",
+	"SELECT COUNT(*) FROM f LEFT JOIN d ON f.grp = d.grp WHERE d.label = 'nope' AND EXISTS (SELECT 1 FROM d)",
+	// Sub-selects: in FROM, filtered and not; COUNT(*) as a scalar
+	// subquery, correlated and not, and as an EXISTS body.
+	"SELECT COUNT(*) FROM (SELECT grp FROM f WHERE flag = 1) AS s WHERE s.grp = 'b'",
+	"SELECT COUNT(*) FROM (SELECT grp FROM f WHERE flag = 1) AS s",
+	"SELECT (SELECT COUNT(*) FROM f WHERE num > 50)",
+	"SELECT label, (SELECT COUNT(*) FROM f WHERE f.grp = d.grp AND f.num > 50) FROM d",
+	"SELECT COUNT(*) FROM d WHERE EXISTS (SELECT COUNT(*) FROM f WHERE num > 1000)",
+	// More than one COUNT(*), and DISTINCT, ORDER BY and LIMIT over the
+	// one output row.
+	"SELECT COUNT(*), COUNT(*) FROM f WHERE num > 50",
+	"SELECT DISTINCT COUNT(*) FROM f WHERE num > 50",
+	"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp WHERE d.label = 'L1' ORDER BY 1",
+	"SELECT COUNT(*) FROM f WHERE num > 50 LIMIT 1 OFFSET 1",
+	"SELECT COUNT(*) FROM f WHERE num > 50 UNION ALL SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp",
+	// Tails that read more than the count, and so list: GROUP BY, an
+	// expression over COUNT(*), HAVING, COUNT of a column.
+	"SELECT COUNT(*) FROM f WHERE num > 50 GROUP BY flag",
+	"SELECT COUNT(*) + 0 FROM f WHERE num > 50",
+	"SELECT COUNT(*) FROM f WHERE num > 50 HAVING COUNT(*) > 1",
+	"SELECT COUNT(*), COUNT(d.label) FROM f JOIN d ON f.grp = d.grp",
 }
 
 // buildEngineDB bulk-loads a database of n rows in f (and five in d): large
