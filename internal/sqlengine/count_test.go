@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -57,5 +58,86 @@ func TestCountOnlyBattery(t *testing.T) {
 		if w := want[kind+"\t"+sql]; line != w {
 			t.Errorf("%s moved:\n got  %s\n want %s", sql, line, w)
 		}
+	}
+}
+
+// TestCountAllocations pins what counting is for: a COUNT(*) whose last
+// operator is a filter or a hash join's probe tallies what it keeps and
+// lists nothing, so an execution allocates the same bytes (within 1 KiB)
+// over 10k rows and over 100k. Listing cost 8 bytes a kept row or a left
+// row: 720 KiB more at 100k.
+func TestCountAllocations(t *testing.T) {
+	queries := []struct{ sql, path string }{
+		{"SELECT COUNT(*) FROM f WHERE NOT (grp = 'a')", "positions/agg"},
+		{"SELECT COUNT(*) FROM f JOIN d ON f.grp = d.grp", "pairs/agg"},
+		{"SELECT COUNT(*) FROM f LEFT JOIN d ON f.grp = d.grp", "pairs/agg"},
+	}
+	bytesAt := func(n int) []float64 {
+		db := buildEngineDB(3, n)
+		out := make([]float64, len(queries))
+		for i, q := range queries {
+			st, err := db.Prepare(q.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = bytesPerRun(5, func() {
+				if res, err := st.Exec(); err != nil || res.Path != q.path || res.Rows.Data[0][0].I == 0 {
+					t.Fatalf("%q over %d rows: %v, err %v, want a non-zero count on %s", q.sql, n, res, err, q.path)
+				}
+			})
+		}
+		return out
+	}
+	at10k, at100k := bytesAt(10_000), bytesAt(100_000)
+	for i, q := range queries {
+		if d := at100k[i] - at10k[i]; d > 1024 || d < -1024 {
+			t.Errorf("%q allocates %.0f B over 10k rows and %.0f B over 100k, want the same within 1 KiB", q.sql, at10k[i], at100k[i])
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestCountedSelectionHasNoRows pins the counted selection's contract: a
+// length and nothing to read. Every reader of a position panics, and
+// keep(nil, 0) — a false EXISTS — empties it.
+func TestCountedSelectionHasNoRows(t *testing.T) {
+	db := buildEngineDB(3, 10)
+	tab, _ := db.Table("f")
+	s := selection{src: rel{t: tab}, n: 4, counted: true}
+	if s.len() != 4 {
+		t.Fatalf("len = %d, want 4", s.len())
+	}
+	if e := s.keep(nil, 0); e.len() != 0 {
+		t.Errorf("keep(nil, 0) has %d rows, want 0", e.len())
+	}
+	for name, read := range map[string]func(){
+		"at":          func() { s.at(0) },
+		"row":         func() { s.row(0) },
+		"colAt":       func() { s.colAt(1) },
+		"materialise": func() { s.materialise() },
+		"pick":        func() { s.pick([]int{0}) },
+		"keep":        func() { s.keep([]uint64{1}, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a counted selection did not panic", name)
+				}
+			}()
+			read()
+		}()
 	}
 }

@@ -474,7 +474,7 @@ func TestFilterAllocations(t *testing.T) {
 		var out selection
 		allocs := testing.AllocsPerRun(10, func() {
 			var err error
-			if out, err = ec.filter(tc.in, p, 0, 0, nil); err != nil {
+			if out, err = ec.filter(tc.in, p, 0, 0, nil, false); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -127,7 +127,8 @@ func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int
 
 // hashJoin executes the join on ja's equalities and residual and returns
 // its output as a two-sided selection over the inputs' relations: (left,
-// right) position pairs in emission order, no joined row built. The left
+// right) position pairs in emission order, no joined row built — or, with
+// count set, a counted selection of as many pairs, none listed. The left
 // input's rows are nl cells wide, the right's nr. hashed is false, and
 // nothing charged, when newJoinKeys refuses the inputs.
 //
@@ -138,7 +139,7 @@ func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int
 // With the right side smaller the left rows find their slot during the
 // probe; with the left side smaller they are given it up front and it is
 // the right rows that look theirs up.
-func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja *joinAnalysis, outer *scope) (s selection, hashed bool, err error) {
+func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja *joinAnalysis, outer *scope, count bool) (s selection, hashed bool, err error) {
 	// A join on one or two conditions addresses its key columns on the
 	// stack.
 	var lbuf, rbuf [2]colAt
@@ -182,9 +183,12 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 	}
 
 	// The probe: every left row in order, each following its slot's chain,
-	// into one pair list sized for one pair per left row.
+	// into one pair list sized for one pair per left row, or into a tally.
 	ec.countBatches(ln)
-	pairs := make([]pair, 0, ln)
+	out := selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, counted: count}
+	if !count {
+		out.pairs = make([]pair, 0, ln)
+	}
 	for li := 0; li < ln; li++ {
 		lp := left.at(li)
 		var slot int32
@@ -219,15 +223,25 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 					}
 				}
 				matched = true
-				pairs = append(pairs, pair{l: int32(lp), r: int32(rp)})
+				out.emit(lp, int(rp))
 			}
 			if err := ec.charge(tested); err != nil {
 				return selection{}, true, err
 			}
 		}
 		if jt == JoinLeft && !matched {
-			pairs = append(pairs, pair{l: int32(lp), r: -1})
+			out.emit(lp, -1)
 		}
 	}
-	return selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, pairs: pairs}, true, nil
+	return out, true, nil
+}
+
+// emit adds the pair (l, r) to a join's output: to its list, or to its
+// tally when it is counted.
+func (s *selection) emit(l, r int) {
+	if s.counted {
+		s.n++
+		return
+	}
+	s.pairs = append(s.pairs, pair{l: int32(l), r: int32(r)})
 }

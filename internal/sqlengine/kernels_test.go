@@ -74,7 +74,7 @@ func TestNegationKernelTruthTable(t *testing.T) {
 			"full scan": {src: rel{t: tab}, all: true},
 			"positions": {src: rel{t: tab}, pos: every},
 		} {
-			out, err := ec.filter(in, conj, 0, 0, nil)
+			out, err := ec.filter(in, conj, 0, 0, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}

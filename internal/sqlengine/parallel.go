@@ -51,12 +51,22 @@ func (ec *execCtx) countBatches(nRows int) {
 // right input's, in the nested loop's emission order. The joined rows exist
 // only if materialise is called; filters thin the pair list and the tail
 // consumers of positions.go read cells through it.
+//
+// A counted selection (counted set) is n rows that the operator which made
+// them tallied and never listed: what a COUNT(*)-only tail is handed
+// (selectPlan.count), by the last filter or hash-join probe before it. It
+// has a length and no positions, so every reader of one panics: at, row,
+// colAt of a column, materialise, pick, keep with a mask. Only that tail,
+// aggregatePositions, and settleExists, which reads its length and may
+// empty it (keep(nil, 0)), ever hold one.
 type selection struct {
-	src   rel
-	pos   []int
-	all   bool
-	right *rightSide
-	pairs []pair
+	src     rel
+	pos     []int
+	all     bool
+	right   *rightSide
+	pairs   []pair
+	n       int
+	counted bool
 }
 
 // rel is a relation a selection's positions index: a base table, whose
@@ -185,6 +195,8 @@ func (s *selection) colAt(col int) colAt {
 	}
 	switch {
 	case col < 0:
+	case s.counted:
+		panic("sqlengine: a column of a counted selection")
 	case src.t != nil:
 		at.c = &src.t.cols[at.col]
 	default:
@@ -204,6 +216,8 @@ func (s *selection) colsAt(dst []colAt, cols []int) []colAt {
 
 func (s *selection) len() int {
 	switch {
+	case s.counted:
+		return s.n
 	case s.all:
 		return s.src.len()
 	case s.right != nil:
@@ -238,12 +252,13 @@ func (s *selection) row(i int) (l, r int) {
 // cannot reach its neighbour). Only a further join reads a join's output
 // as rows; a table is never materialised.
 func (s selection) materialise() [][]Value {
-	if len(s.pairs) == 0 {
+	n := s.len()
+	if n == 0 {
 		return nil
 	}
 	w := s.right.left + s.right.width
-	backing := make([]Value, len(s.pairs)*w)
-	out := make([][]Value, len(s.pairs))
+	backing := make([]Value, n*w)
+	out := make([][]Value, n)
 	for i := range out {
 		l, r := s.row(i)
 		out[i] = backing[i*w : (i+1)*w : (i+1)*w]
@@ -274,7 +289,7 @@ func (s selection) pick(idx []int) selection {
 
 // keep returns the selection of the n rows of s whose bit is set in mask.
 // When that is all of them it is s itself: pos may go on aliasing an index
-// bucket, all stays all.
+// bucket, all stays all. keep(nil, 0) is no rows of any selection.
 func (s selection) keep(mask []uint64, n int) selection {
 	if n == s.len() {
 		return s
@@ -311,8 +326,9 @@ func (s selection) keep(mask []uint64, n int) selection {
 // other conjunct is the evaluator's, in one environment (and, over a join's
 // output, one pair buffer) built on first use. Survivors are marked in a
 // bitmask and the output is allocated once, at its exact size, or not at
-// all when everything passes.
-func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *scope) (selection, error) {
+// all when everything passes; with count set they are only tallied, into a
+// counted selection.
+func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *scope, count bool) (selection, error) {
 	// How each of item's conjuncts reads a row; a short conjunction's stay
 	// on the stack.
 	type form struct {
@@ -340,7 +356,10 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 		forms = append(forms, f)
 	}
 	n := in.len()
-	mask := make([]uint64, (n+63)/64)
+	var mask []uint64
+	if !count {
+		mask = make([]uint64, (n+63)/64)
+	}
 	total := 0
 rows:
 	for i := 0; i < n; i++ {
@@ -365,8 +384,13 @@ rows:
 				}
 			}
 		}
-		mask[i/64] |= 1 << (i % 64)
+		if mask != nil {
+			mask[i/64] |= 1 << (i % 64)
+		}
 		total++
+	}
+	if count {
+		return selection{src: in.src, right: in.right, n: total, counted: true}, nil
 	}
 	return in.keep(mask, total), nil
 }

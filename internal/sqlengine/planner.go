@@ -81,6 +81,10 @@ type selectPlan struct {
 	rowTail *rowTailPlan
 	aggTail *aggPlan
 	reason  string
+	// count marks an ungrouped aggregate tail whose every item is COUNT(*):
+	// it reads only how many rows reach it, so the operator before it
+	// tallies them instead of listing them (execSelectPlanned).
+	count bool
 }
 
 // conjunct is one AND-term of a WHERE or ON clause.
@@ -172,6 +176,10 @@ func planSelect(sel *SelectStmt) {
 	sel.bound.grouped = len(sel.GroupBy) > 0 || anyAggregate(&core)
 	if sel.bound.grouped {
 		pl.aggTail, pl.reason = planAggTail(&core)
+		pl.count = pl.aggTail != nil && len(pl.aggTail.groupCols) == 0
+		for i := 0; pl.count && i < len(pl.aggTail.items); i++ {
+			pl.count = pl.aggTail.items[i].fn == aggCountStar
+		}
 	} else {
 		pl.rowTail, pl.reason = planRowTail(&core)
 	}

@@ -20,7 +20,9 @@ import "slices"
 //   - aggregates: COUNT/SUM/TOTAL/AVG/MIN/MAX over a bare column, ungrouped
 //     or grouped by bare columns, fold each selected cell into a typed
 //     accumulator in position order — the order evalAggregate adds floats
-//     in and the order groups are first seen in.
+//     in and the order groups are first seen in. A COUNT(*) tail reads only
+//     the count: where it is all the tail reads (selectPlan.count), it is
+//     handed a counted selection, which lists no row (parallel.go).
 //   - gather: a projection of bare columns copies the returned window into
 //     one backing array.
 //
@@ -102,8 +104,9 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 // left: for a full scan through the typed columns where a conjunct has a
 // vector form, and otherwise — over a bucket — reading each cell of the
 // bucket (kernels.go).
-// The scan is charged the rows it reads: the bucket, or the table.
-func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope) (selection, error) {
+// The scan is charged the rows it reads: the bucket, or the table. With
+// count set its filter hands on a counted selection.
+func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope, count bool) (selection, error) {
 	s := selection{src: rel{t: t}, all: true}
 	pushed := false
 	for k := range pl.where {
@@ -124,7 +127,7 @@ func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *sc
 		return s, err
 	}
 	ec.countBatches(s.len())
-	return ec.filter(s, pl.where, i, off, outer)
+	return ec.filter(s, pl.where, i, off, outer, count)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---
@@ -395,7 +398,7 @@ const (
 
 type aggItem struct {
 	fn  aggFn
-	col int // source column; unused by COUNT(*)
+	col int // source column; -1 (none) for COUNT(*)
 }
 
 // aggPlan is a grouped SELECT whose tail runs on positions: groups keyed
@@ -456,7 +459,7 @@ func aggItemOf(fc *FuncCall) (aggItem, bool) {
 		return aggItem{}, false
 	}
 	if fc.Star {
-		return aggItem{fn: aggCountStar}, fc.agg == aggCount
+		return aggItem{fn: aggCountStar, col: -1}, fc.agg == aggCount
 	}
 	if len(fc.Args) != 1 {
 		return aggItem{}, false
