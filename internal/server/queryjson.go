@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -23,8 +24,8 @@ import (
 // formatting, and a trailing newline.
 
 // A pooled body buffer starts at 4 KiB, enough for an answer of a few
-// rows, and keeps at most 64 KiB: a larger answer's buffer is left to the
-// collector, so the pool never pins it.
+// rows, and keeps at most 64 KiB: a larger answer is written out through it
+// in pieces of at most that, so the pool never pins more.
 const maxPooledBody = 64 << 10
 
 var bodyPool = sync.Pool{New: func() any {
@@ -37,25 +38,29 @@ var bodyPool = sync.Pool{New: func() any {
 // maxRows is positive (row_count stays the full count and truncated is
 // set), nothing when rows is nil (a statement with no result set). resp's
 // own Columns, Rows, RowCount and Truncated are not read. A body that
-// cannot be encoded — a non-finite memory_confidence — answers 500.
+// cannot be encoded — a non-finite memory_confidence — answers 500, decided
+// before any byte is written.
 func writeQueryResponse(w http.ResponseWriter, resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) {
-	bp := bodyPool.Get().(*[]byte)
-	b, err := appendQueryResponse((*bp)[:0], resp, rows, maxRows)
-	if err != nil {
+	if c := resp.MemoryConfidence; math.IsNaN(c) || math.IsInf(c, 0) {
+		err := &json.UnsupportedValueError{Str: strconv.FormatFloat(c, 'g', -1, 64)}
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, "encoding response: "+err.Error())
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(b)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bp := bodyPool.Get().(*[]byte)
+	b := appendQueryResponse(w, (*bp)[:0], resp, rows, maxRows)
+	_, _ = w.Write(b)
 	if cap(b) <= maxPooledBody {
 		*bp = b
 	}
 	bodyPool.Put(bp)
 }
 
-// appendQueryResponse appends the body writeQueryResponse sends.
-func appendQueryResponse(b []byte, resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) ([]byte, error) {
+// appendQueryResponse appends the body writeQueryResponse sends to b, and
+// returns what is left of it once the rows have written their pieces to w
+// (appendRows). Its memory_confidence is finite.
+func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) []byte {
 	b = append(b, `{"db":`...)
 	b = appendString(b, resp.DB)
 	b = append(b, `,"example_id":`...)
@@ -65,9 +70,6 @@ func appendQueryResponse(b []byte, resp *api.QueryResponse, rows *sqlengine.Rows
 	b = append(b, `,"source":`...)
 	b = appendString(b, resp.Source)
 	if c := resp.MemoryConfidence; c != 0 {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(c, 'g', -1, 64)}
-		}
 		b = append(b, `,"memory_confidence":`...)
 		b = appendFloat(b, c)
 	}
@@ -100,8 +102,10 @@ func appendQueryResponse(b []byte, resp *api.QueryResponse, rows *sqlengine.Rows
 	if rows == nil {
 		b = append(b, "null"...)
 	} else {
-		// One allocation for a large answer, not a chain of regrowths.
-		b = appendRows(slices.Grow(b, rowsLen(data)+maxTailLen), data)
+		// One allocation for a large answer, not a chain of regrowths, and
+		// none past what the pool keeps.
+		b = slices.Grow(b, min(rowsLen(data)+maxTailLen, max(maxPooledBody-len(b), 0)))
+		b = appendRows(w, b, data)
 	}
 	b = append(b, `,"row_count":`...)
 	b = strconv.AppendInt(b, int64(n), 10)
@@ -126,7 +130,7 @@ func appendQueryResponse(b []byte, resp *api.QueryResponse, rows *sqlengine.Rows
 	b = strconv.AppendInt(b, t.PrepareMicros, 10)
 	b = append(b, `,"execute_us":`...)
 	b = strconv.AppendInt(b, t.ExecuteMicros, 10)
-	return append(b, "}}\n"...), nil
+	return append(b, "}}\n"...)
 }
 
 // maxTailLen bounds what follows the rows: row_count, truncated, cost and
@@ -138,18 +142,24 @@ const maxTailLen = 320
 func rowsLen(data [][]sqlengine.Value) int {
 	n := 2
 	for _, r := range data {
-		n += 3 + len(r) // brackets and commas
-		for _, v := range r {
-			switch v.Kind {
-			case sqlengine.KindNull:
-				n += 4
-			case sqlengine.KindInt:
-				n += 2 + intLen(v.I)
-			case sqlengine.KindFloat:
-				n += 2 + 24
-			default:
-				n += 2 + len(v.S)
-			}
+		n += rowLen(r)
+	}
+	return n
+}
+
+// rowLen is rowsLen's share of one row, its comma included.
+func rowLen(r []sqlengine.Value) int {
+	n := 3 + len(r) // brackets and commas
+	for _, v := range r {
+		switch v.Kind {
+		case sqlengine.KindNull:
+			n += 4
+		case sqlengine.KindInt:
+			n += 2 + intLen(v.I)
+		case sqlengine.KindFloat:
+			n += 2 + 24
+		default:
+			n += 2 + len(v.S)
 		}
 	}
 	return n
@@ -168,10 +178,18 @@ func intLen(i int64) int {
 }
 
 // appendRows appends engine rows as a JSON array of arrays: NULL as null,
-// every other cell as its text (Value.AppendText) in a string.
-func appendRows(b []byte, data [][]sqlengine.Value) []byte {
+// every other cell as its text (Value.AppendText) in a string. With w set,
+// b is written to w and emptied before a row that would leave it no room
+// for the body's tail within maxPooledBody, so w is sent the body in pieces
+// of at most that (a row whose text needs escaping may overrun it) and b
+// does not outgrow the pool.
+func appendRows(w io.Writer, b []byte, data [][]sqlengine.Value) []byte {
 	b = append(b, '[')
 	for i, r := range data {
+		if w != nil && len(b) > 0 && len(b)+rowLen(r)+maxTailLen > maxPooledBody {
+			_, _ = w.Write(b)
+			b = b[:0]
+		}
 		if i > 0 {
 			b = append(b, ',')
 		}

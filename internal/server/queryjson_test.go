@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/api"
@@ -98,6 +99,16 @@ func TestWriteQueryResponseMatchesEncodingJSON(t *testing.T) {
 		}
 	})
 
+	t.Run("large", func(t *testing.T) {
+		// Written out through the pooled buffer in pieces.
+		rows := wideRows(20_000)
+		rows.Data[7][1] = sqlengine.Text("quote\" and \u2028 \x00")
+		resp := api.QueryResponse{DB: "financial", Source: api.SourceCache, MemoryConfidence: 0.5, SQL: "SELECT account_id, frequency FROM account"}
+		for _, maxRows := range []int{0, 1, 19_999} {
+			checkWriter(t, fmt.Sprintf("20,000 rows max_rows %d", maxRows), resp, rows, maxRows)
+		}
+	})
+
 	t.Run("bird_gold", func(t *testing.T) {
 		corpus := testCorpus(t)
 		checked := 0
@@ -178,6 +189,38 @@ func TestWriteQueryResponseNonFiniteConfidence(t *testing.T) {
 	}
 }
 
+// TestWriteQueryResponseLargeAllocations pins the streamed body: a
+// 100k-row answer (~3 MB) is written out through the pooled buffer, so
+// writing it allocates less than two pooled buffers' worth, not a buffer
+// the size of the body.
+func TestWriteQueryResponseLargeAllocations(t *testing.T) {
+	rows := wideRows(100_000)
+	resp := api.QueryResponse{DB: "financial", Source: api.SourceCache, SQL: "SELECT account_id, frequency FROM account"}
+	w := discardWriter{h: http.Header{}}
+	writeQueryResponse(w, &resp, rows, 0) // the pool's buffer grows once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for range runs {
+		writeQueryResponse(w, &resp, rows, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b >= 2*maxPooledBody {
+		t.Errorf("writing a 100k-row answer allocates %d B, want under %d", b, 2*maxPooledBody)
+	}
+}
+
+// wideRows is n rows of an INTEGER and a TEXT column, as the served ORDER
+// BY statements answer them.
+func wideRows(n int) *sqlengine.Rows {
+	freqs := []string{"POPLATEK MESICNE", "POPLATEK TYDNE", "POPLATEK PO OBRATU"}
+	rows := &sqlengine.Rows{Columns: []string{"account_id", "frequency"}, Data: make([][]sqlengine.Value, n)}
+	for i := range rows.Data {
+		rows.Data[i] = []sqlengine.Value{sqlengine.Int(int64(i * 7)), sqlengine.Text(freqs[i%3])}
+	}
+	return rows
+}
+
 // FuzzWriteRows holds the writer to encoding/json over engine rows read
 // from fuzzer bytes (fuzzRows: every cell kind, arbitrary text bytes and
 // float bits, nil and ragged rows), with the same bytes as the evidence
@@ -196,7 +239,7 @@ func TestAppendRowsReals(t *testing.T) {
 	}
 	data := [][]sqlengine.Value{row}
 	const want = `[["-0.0","0.0","NaN","Inf","-Inf","1.7976931348623157e+308","5e-324","9.007199254740992e+15","0.1"]]`
-	if got := appendRows(nil, data); string(got) != want {
+	if got := appendRows(nil, nil, data); string(got) != want {
 		t.Errorf("appendRows = %s, want %s", got, want)
 	}
 	if n := rowsLen(data); n < len(want) {
@@ -454,12 +497,8 @@ func BenchmarkWriteQueryResponse(b *testing.B) {
 		SQL: "SELECT account_id, frequency FROM account ORDER BY date DESC", Cost: 100_000,
 		Timing: api.QueryTiming{EvidenceMicros: 3, GenerateMicros: 40, PrepareMicros: 2, ExecuteMicros: 9000},
 	}
-	freqs := []string{"POPLATEK MESICNE", "POPLATEK TYDNE", "POPLATEK PO OBRATU"}
 	for _, n := range []int{0, 5, 20_000} {
-		rows := &sqlengine.Rows{Columns: []string{"account_id", "frequency"}, Data: make([][]sqlengine.Value, n)}
-		for i := range rows.Data {
-			rows.Data[i] = []sqlengine.Value{sqlengine.Int(int64(i * 7)), sqlengine.Text(freqs[i%3])}
-		}
+		rows := wideRows(n)
 		w := discardWriter{h: http.Header{}}
 		b.Run(fmt.Sprintf("rows=%d/append", n), func(b *testing.B) {
 			b.ReportAllocs()
