@@ -178,15 +178,15 @@ func intLen(i int64) int {
 }
 
 // appendRows appends engine rows as a JSON array of arrays: NULL as null,
-// every other cell as its text (Value.AppendText) in a string. With w set,
-// b is written to w and emptied before a row that would leave it no room
-// for the body's tail within maxPooledBody, so w is sent the body in pieces
-// of at most that (a row whose text needs escaping may overrun it) and b
-// does not outgrow the pool.
+// every other cell as its text (Value.AppendText) in a string. b is
+// written to w and emptied before a row that would leave it no room for the
+// body's tail within maxPooledBody, so w is sent the body in pieces of at
+// most that (a row whose text needs escaping may overrun it) and b does not
+// outgrow the pool.
 func appendRows(w io.Writer, b []byte, data [][]sqlengine.Value) []byte {
 	b = append(b, '[')
 	for i, r := range data {
-		if w != nil && len(b) > 0 && len(b)+rowLen(r)+maxTailLen > maxPooledBody {
+		if len(b) > 0 && len(b)+rowLen(r)+maxTailLen > maxPooledBody {
 			_, _ = w.Write(b)
 			b = b[:0]
 		}

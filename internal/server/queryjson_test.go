@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -239,7 +240,7 @@ func TestAppendRowsReals(t *testing.T) {
 	}
 	data := [][]sqlengine.Value{row}
 	const want = `[["-0.0","0.0","NaN","Inf","-Inf","1.7976931348623157e+308","5e-324","9.007199254740992e+15","0.1"]]`
-	if got := appendRows(nil, nil, data); string(got) != want {
+	if got := appendRows(io.Discard, nil, data); string(got) != want {
 		t.Errorf("appendRows = %s, want %s", got, want)
 	}
 	if n := rowsLen(data); n < len(want) {
