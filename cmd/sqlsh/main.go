@@ -144,7 +144,7 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 				esp.Fail(err)
 			} else {
 				if res.Rows != nil {
-					esp.SetAttr("rows", len(res.Rows.Data))
+					esp.SetAttr("rows", res.Rows.Len())
 				}
 				esp.SetAttr("cost", res.Cost)
 				esp.SetAttr("batches", res.Batches)
@@ -200,16 +200,17 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 		return
 	}
 	fmt.Println(strings.Join(res.Rows.Columns, " | "))
-	for _, row := range res.Rows.Data {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			if v.IsNull() {
-				parts[i] = "NULL"
+	rows := res.Rows
+	parts := make([]string, len(rows.Columns))
+	for i := 0; i < rows.Len(); i++ {
+		for k := range parts {
+			if v := rows.Cell(i, k); v.IsNull() {
+				parts[k] = "NULL"
 			} else {
-				parts[i] = v.AsText()
+				parts[k] = v.AsText()
 			}
 		}
 		fmt.Println(strings.Join(parts, " | "))
 	}
-	fmt.Printf("(%d rows, cost %d)\n", len(res.Rows.Data), res.Cost)
+	fmt.Printf("(%d rows, cost %d)\n", rows.Len(), res.Cost)
 }

@@ -77,18 +77,18 @@ func run(db *schema.DB, sql string) string {
 		return "error: " + err.Error()
 	}
 	var parts []string
-	for i, r := range rows.Data {
+	for i := 0; i < rows.Len(); i++ {
 		if i >= 3 {
 			parts = append(parts, "...")
 			break
 		}
 		var cells []string
-		for _, v := range r {
-			cells = append(cells, v.AsText())
+		for k := range rows.Columns {
+			cells = append(cells, rows.Cell(i, k).AsText())
 		}
 		parts = append(parts, strings.Join(cells, "|"))
 	}
-	return fmt.Sprintf("%d row(s): %s", len(rows.Data), strings.Join(parts, "; "))
+	return fmt.Sprintf("%d row(s): %s", rows.Len(), strings.Join(parts, "; "))
 }
 
 func must(err error) {

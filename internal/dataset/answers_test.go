@@ -19,18 +19,19 @@ import (
 var recordAnswers = flag.Bool("record-answers", false, "re-record testdata/answers.golden")
 
 // rowsDigest renders a result's rows as their count and a digest of the
-// column names and every cell with its storage class, in order (nil and
-// empty Data told apart).
+// column names and every cell with its storage class, in order. A result
+// with no rows digests as the engine's nil Data did.
 func rowsDigest(rows *sqlengine.Rows) string {
 	h := sha256.New()
 	for _, c := range rows.Columns {
 		fmt.Fprintf(h, "%q,", c)
 	}
-	fmt.Fprintf(h, "|nil=%v|", rows.Data == nil)
+	fmt.Fprintf(h, "|nil=%v|", rows.Len() == 0)
 	var buf []byte
-	for _, r := range rows.Data {
-		buf = binary.AppendUvarint(buf[:0], uint64(len(r)))
-		for _, v := range r {
+	for i := 0; i < rows.Len(); i++ {
+		buf = binary.AppendUvarint(buf[:0], uint64(len(rows.Columns)))
+		for k := range rows.Columns {
+			v := rows.Cell(i, k)
 			buf = append(buf, byte(v.Kind))
 			switch v.Kind {
 			case sqlengine.KindInt, sqlengine.KindFloat:
@@ -42,7 +43,7 @@ func rowsDigest(rows *sqlengine.Rows) string {
 		}
 		h.Write(buf)
 	}
-	return fmt.Sprintf("%d rows %s", len(rows.Data), hex.EncodeToString(h.Sum(nil))[:16])
+	return fmt.Sprintf("%d rows %s", rows.Len(), hex.EncodeToString(h.Sum(nil))[:16])
 }
 
 // answer renders one execution: its rows' digest and Cost, or its error.

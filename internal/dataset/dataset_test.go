@@ -149,23 +149,23 @@ func TestWrongFragsChangeResults(t *testing.T) {
 }
 
 func sameRows(a, b *sqlengine.Rows) bool {
-	if len(a.Data) != len(b.Data) {
+	if a.Len() != b.Len() {
 		return false
 	}
 	counts := make(map[string]int)
-	key := func(r []sqlengine.Value) string {
+	key := func(rows *sqlengine.Rows, i int) string {
 		var sb strings.Builder
-		for _, v := range r {
-			sb.WriteString(v.Key())
+		for k := range rows.Columns {
+			sb.WriteString(rows.Cell(i, k).Key())
 			sb.WriteByte(0)
 		}
 		return sb.String()
 	}
-	for _, r := range a.Data {
-		counts[key(r)]++
+	for i := 0; i < a.Len(); i++ {
+		counts[key(a, i)]++
 	}
-	for _, r := range b.Data {
-		counts[key(r)]--
+	for i := 0; i < b.Len(); i++ {
+		counts[key(b, i)]--
 	}
 	for _, n := range counts {
 		if n != 0 {

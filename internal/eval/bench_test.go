@@ -36,10 +36,11 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 func benchRows(n, w int) *sqlengine.Rows {
-	rows := &sqlengine.Rows{}
+	var cols []string
 	for c := 0; c < w; c++ {
-		rows.Columns = append(rows.Columns, fmt.Sprintf("c%d", c))
+		cols = append(cols, fmt.Sprintf("c%d", c))
 	}
+	data := make([][]sqlengine.Value, 0, n)
 	for i := 0; i < n; i++ {
 		row := make([]sqlengine.Value, w)
 		for c := 0; c < w; c++ {
@@ -52,9 +53,9 @@ func benchRows(n, w int) *sqlengine.Rows {
 				row[c] = sqlengine.Text(fmt.Sprintf("value-%d-%d", i, c))
 			}
 		}
-		rows.Data = append(rows.Data, row)
+		data = append(data, row)
 	}
-	return rows
+	return sqlengine.NewRows(cols, data)
 }
 
 func BenchmarkResultsEqual(b *testing.B) {

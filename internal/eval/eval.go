@@ -28,10 +28,10 @@ import (
 // matters (the gold query has ORDER BY); otherwise rows compare as
 // multisets, the BIRD convention.
 func ResultsEqual(gold, pred *sqlengine.Rows, ordered bool) bool {
-	if len(gold.Data) != len(pred.Data) {
+	if gold.Len() != pred.Len() {
 		return false
 	}
-	if len(gold.Data) > 0 && len(gold.Data[0]) != len(pred.Data[0]) {
+	if gold.Len() > 0 && len(gold.Columns) != len(pred.Columns) {
 		return false
 	}
 	gk := rowKeys(gold)
@@ -49,12 +49,12 @@ func ResultsEqual(gold, pred *sqlengine.Rows, ordered bool) bool {
 }
 
 func rowKeys(rows *sqlengine.Rows) []string {
-	out := make([]string, len(rows.Data))
+	out := make([]string, rows.Len())
 	var buf []byte
-	for i, r := range rows.Data {
+	for i := range out {
 		buf = buf[:0]
-		for _, v := range r {
-			buf = v.AppendKey(buf)
+		for k := range rows.Columns {
+			buf = rows.Cell(i, k).AppendKey(buf)
 			buf = append(buf, 0)
 		}
 		out[i] = string(buf)

@@ -25,7 +25,7 @@ func testCorpus(t *testing.T) *dataset.Corpus {
 }
 
 func rows(cols []string, data ...[]sqlengine.Value) *sqlengine.Rows {
-	return &sqlengine.Rows{Columns: cols, Data: data}
+	return sqlengine.NewRows(cols, data)
 }
 
 func TestResultsEqual(t *testing.T) {

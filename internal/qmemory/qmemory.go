@@ -131,9 +131,9 @@ func Fingerprint(rows *sqlengine.Rows) string {
 		_, _ = h.Write([]byte{1})
 	}
 	var buf []byte
-	for _, row := range rows.Data {
-		for _, v := range row {
-			buf = v.AppendKey(buf[:0])
+	for i := 0; i < rows.Len(); i++ {
+		for k := range rows.Columns {
+			buf = rows.Cell(i, k).AppendKey(buf[:0])
 			_, _ = h.Write(buf)
 			_, _ = h.Write([]byte{2})
 		}

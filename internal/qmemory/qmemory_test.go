@@ -10,10 +10,7 @@ import (
 )
 
 func testRows() *sqlengine.Rows {
-	return &sqlengine.Rows{
-		Columns: []string{"n"},
-		Data:    [][]sqlengine.Value{{sqlengine.Int(42)}},
-	}
+	return sqlengine.NewRows([]string{"n"}, [][]sqlengine.Value{{sqlengine.Int(42)}})
 }
 
 func TestAdmitLookupParaphrase(t *testing.T) {

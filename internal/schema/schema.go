@@ -214,11 +214,11 @@ func (d *DB) pullValues(t *sqlengine.Table, col string) columnValues {
 	if err != nil {
 		return cv // the statement is built from t's own schema: a column it cannot read has no values
 	}
-	for _, r := range rows.Data {
-		if r[0].IsNull() {
+	for i := 0; i < rows.Len(); i++ {
+		if v := rows.Cell(i, 0); v.IsNull() {
 			cv.nulls++
 		} else {
-			cv.vals = append(cv.vals, NewValue(r[0].AsText()))
+			cv.vals = append(cv.vals, NewValue(v.AsText()))
 		}
 	}
 	return cv

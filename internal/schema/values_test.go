@@ -21,9 +21,9 @@ func distinctTexts(t *testing.T, db *schema.DB, table, col string, limit int) []
 		t.Fatalf("%s.%s: %v", table, col, err)
 	}
 	var out []string
-	for _, r := range rows.Data {
-		if !r[0].IsNull() {
-			out = append(out, r[0].AsText())
+	for i := 0; i < rows.Len(); i++ {
+		if v := rows.Cell(i, 0); !v.IsNull() {
+			out = append(out, v.AsText())
 		}
 	}
 	return out

@@ -518,7 +518,7 @@ func TestMemoryNeverWrites(t *testing.T) {
 		}
 		sess, _ := srv.reg.Session(e.DB)
 		rows, err := sess.DB.Engine.Query("SELECT COUNT(*) FROM district")
-		if err != nil || rows.Data[0][0].I != 10 {
+		if err != nil || rows.Cell(0, 0).I != 10 {
 			t.Fatalf("district after the question: %v, err %v; want 10 rows", rows, err)
 		}
 		tresp, err := http.Get(url + "/v1/traces/" + resp.Header.Get(obs.TraceIDHeader))
@@ -592,7 +592,7 @@ func TestPrepareReadRefusesWrites(t *testing.T) {
 	if _, _, err := prepareRead(sess, "-- a read\nselect COUNT(*) FROM district"); err != nil {
 		t.Errorf("prepareRead of a SELECT: %v", err)
 	}
-	if rows, _ := sess.DB.Engine.Query("SELECT COUNT(*) FROM district"); rows.Data[0][0].I != 10 {
-		t.Errorf("district holds %v rows, want 10", rows.Data[0][0])
+	if rows, _ := sess.DB.Engine.Query("SELECT COUNT(*) FROM district"); rows.Cell(0, 0).I != 10 {
+		t.Errorf("district holds %v rows, want 10", rows.Cell(0, 0))
 	}
 }

@@ -15,8 +15,9 @@ import (
 	"repro/internal/sqlengine"
 )
 
-// The /v1/query body is appended straight from the engine's rows: no cell
-// is boxed into an any and nothing walks the response by reflection. The
+// The /v1/query body is appended straight from the engine's result, each
+// cell read in place from its typed column: no row is built, no cell is
+// boxed into an any and nothing walks the response by reflection. The
 // bytes are exactly those api.WriteJSON writes for the api.QueryResponse
 // the rows would fill (TestWriteQueryResponseMatchesEncodingJSON and
 // FuzzWriteRows hold the two to it): the same field order and omitempty
@@ -86,15 +87,15 @@ func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *s
 
 	var (
 		columns []string
-		data    [][]sqlengine.Value
 		n       int
 	)
 	if rows != nil {
-		columns, data, n = rows.Columns, rows.Data, len(rows.Data)
+		columns, n = rows.Columns, rows.Len()
 	}
+	shown := n
 	truncated := maxRows > 0 && maxRows < n
 	if truncated {
-		data = data[:maxRows]
+		shown = maxRows
 	}
 	b = append(b, `,"columns":`...)
 	b = appendStrings(b, columns)
@@ -104,8 +105,9 @@ func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *s
 	} else {
 		// One allocation for a large answer, not a chain of regrowths, and
 		// none past what the pool keeps.
-		b = slices.Grow(b, min(rowsLen(data)+maxTailLen, max(maxPooledBody-len(b), 0)))
-		b = appendRows(w, b, data)
+		room := max(maxPooledBody-len(b), 0)
+		b = slices.Grow(b, min(rowsLen(rows, shown, room)+maxTailLen, room))
+		b = appendRows(w, b, rows, shown)
 	}
 	b = append(b, `,"row_count":`...)
 	b = strconv.AppendInt(b, int64(n), 10)
@@ -137,21 +139,22 @@ func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *s
 // timing at their widest.
 const maxTailLen = 320
 
-// rowsLen is the length appendRows writes for data when no text needs
-// escaping (a REAL counted at its widest).
-func rowsLen(data [][]sqlengine.Value) int {
-	n := 2
-	for _, r := range data {
-		n += rowLen(r)
+// rowsLen is the length appendRows writes for the first n rows when no
+// text needs escaping (a REAL counted at its widest), counted only until it
+// passes limit.
+func rowsLen(rows *sqlengine.Rows, n, limit int) int {
+	l := 2
+	for i := 0; i < n && l <= limit; i++ {
+		l += rowLen(rows, i)
 	}
-	return n
+	return l
 }
 
-// rowLen is rowsLen's share of one row, its comma included.
-func rowLen(r []sqlengine.Value) int {
-	n := 3 + len(r) // brackets and commas
-	for _, v := range r {
-		switch v.Kind {
+// rowLen is rowsLen's share of row i, its comma included.
+func rowLen(rows *sqlengine.Rows, i int) int {
+	n := 3 + len(rows.Columns) // brackets and commas
+	for k := range rows.Columns {
+		switch v := rows.Cell(i, k); v.Kind {
 		case sqlengine.KindNull:
 			n += 4
 		case sqlengine.KindInt:
@@ -177,16 +180,17 @@ func intLen(i int64) int {
 	return n
 }
 
-// appendRows appends engine rows as a JSON array of arrays: NULL as null,
-// every other cell as its text (Value.AppendText) in a string. b is
-// written to w and emptied before a row that would leave it no room for the
-// body's tail within maxPooledBody, so w is sent the body in pieces of at
-// most that (a row whose text needs escaping may overrun it) and b does not
-// outgrow the pool.
-func appendRows(w io.Writer, b []byte, data [][]sqlengine.Value) []byte {
+// appendRows appends the first n rows of a result as a JSON array of
+// arrays, each cell read in place from its column: NULL as null, every
+// other cell as its text (Value.AppendText) in a string. b is written to w
+// and emptied before a row that would leave it no room for the body's tail
+// within maxPooledBody, so w is sent the body in pieces of at most that (a
+// row whose text needs escaping may overrun it) and b does not outgrow the
+// pool.
+func appendRows(w io.Writer, b []byte, rows *sqlengine.Rows, n int) []byte {
 	b = append(b, '[')
-	for i, r := range data {
-		if len(b) > 0 && len(b)+rowLen(r)+maxTailLen > maxPooledBody {
+	for i := 0; i < n; i++ {
+		if len(b) > 0 && len(b)+rowLen(rows, i)+maxTailLen > maxPooledBody {
 			_, _ = w.Write(b)
 			b = b[:0]
 		}
@@ -194,11 +198,11 @@ func appendRows(w io.Writer, b []byte, data [][]sqlengine.Value) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, '[')
-		for j, v := range r {
-			if j > 0 {
+		for k := range rows.Columns {
+			if k > 0 {
 				b = append(b, ',')
 			}
-			switch v.Kind {
+			switch v := rows.Cell(i, k); v.Kind {
 			case sqlengine.KindNull:
 				b = append(b, "null"...)
 			case sqlengine.KindText:

@@ -19,23 +19,18 @@ import (
 )
 
 // renderRows is the renderer writeQueryResponse replaced, kept as its
-// reference: engine rows to JSON-shaped values, NULL as nil and every other
-// cell its text, for encoding/json to write. The rows share one backing
-// array sized to their total cell count (rows of different widths
-// included), one full-capacity sub-slice per row.
+// reference: the first n rows of a result to JSON-shaped values, NULL as nil
+// and every other cell its text, for encoding/json to write. The rows share
+// one backing array, one full-capacity sub-slice per row.
 func renderRows(rows *sqlengine.Rows, n int) [][]any {
-	cells := 0
-	for _, r := range rows.Data[:n] {
-		cells += len(r)
-	}
-	backing := make([]any, cells)
+	w := len(rows.Columns)
+	backing := make([]any, n*w)
 	out := make([][]any, n)
-	for i, r := range rows.Data[:n] {
-		row := backing[:len(r):len(r)]
-		backing = backing[len(r):]
-		for j, v := range r {
-			if !v.IsNull() { // NULL stays the nil the backing holds
-				row[j] = v.AsText()
+	for i := range out {
+		row := backing[i*w : (i+1)*w : (i+1)*w]
+		for k := range row {
+			if v := rows.Cell(i, k); !v.IsNull() { // NULL stays the nil the backing holds
+				row[k] = v.AsText()
 			}
 		}
 		out[i] = row
@@ -49,7 +44,7 @@ func renderRows(rows *sqlengine.Rows, n int) [][]any {
 func referenceWrite(w http.ResponseWriter, resp api.QueryResponse, rows *sqlengine.Rows, maxRows int) {
 	if rows != nil {
 		resp.Columns = rows.Columns
-		resp.RowCount = len(rows.Data)
+		resp.RowCount = rows.Len()
 		n := resp.RowCount
 		if maxRows > 0 && maxRows < n {
 			n = maxRows
@@ -93,7 +88,7 @@ func TestWriteQueryResponseMatchesEncodingJSON(t *testing.T) {
 			rows := randRows(rng)
 			n := 0
 			if rows != nil {
-				n = len(rows.Data)
+				n = rows.Len()
 			}
 			maxRows := []int{0, 1, n, n + 1, -1, rng.IntN(8)}[rng.IntN(6)]
 			checkWriter(t, fmt.Sprintf("response %d", i), randEnvelope(rng), rows, maxRows)
@@ -102,8 +97,9 @@ func TestWriteQueryResponseMatchesEncodingJSON(t *testing.T) {
 
 	t.Run("large", func(t *testing.T) {
 		// Written out through the pooled buffer in pieces.
-		rows := wideRows(20_000)
-		rows.Data[7][1] = sqlengine.Text("quote\" and \u2028 \x00")
+		data := wideData(20_000)
+		data[7][1] = sqlengine.Text("quote\" and \u2028 \x00")
+		rows := sqlengine.NewRows(wideColumns, data)
 		resp := api.QueryResponse{DB: "financial", Source: api.SourceCache, MemoryConfidence: 0.5, SQL: "SELECT account_id, frequency FROM account"}
 		for _, maxRows := range []int{0, 1, 19_999} {
 			checkWriter(t, fmt.Sprintf("20,000 rows max_rows %d", maxRows), resp, rows, maxRows)
@@ -121,7 +117,7 @@ func TestWriteQueryResponseMatchesEncodingJSON(t *testing.T) {
 			}
 			n := 0
 			if res.Rows != nil {
-				n = len(res.Rows.Data)
+				n = res.Rows.Len()
 			}
 			resp := api.QueryResponse{DB: e.DB, ExampleID: e.ID, Question: e.Question, Source: api.SourceGenerated, SQL: e.GoldSQL, Cost: res.Cost}
 			if i%2 == 1 {
@@ -174,7 +170,7 @@ func TestWriteQueryResponseMatchesEncodingJSON(t *testing.T) {
 // non-finite memory_confidence, so neither does the writer — it answers 500
 // with the error envelope, as api.WriteJSON now does too.
 func TestWriteQueryResponseNonFiniteConfidence(t *testing.T) {
-	rows := &sqlengine.Rows{Columns: []string{"n"}, Data: [][]sqlengine.Value{{sqlengine.Int(1)}}}
+	rows := sqlengine.NewRows([]string{"n"}, [][]sqlengine.Value{{sqlengine.Int(1)}})
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		resp := api.QueryResponse{DB: "d", Source: api.SourceMemory, MemoryConfidence: f}
 		rec := httptest.NewRecorder()
@@ -212,14 +208,18 @@ func TestWriteQueryResponseLargeAllocations(t *testing.T) {
 }
 
 // wideRows is n rows of an INTEGER and a TEXT column, as the served ORDER
-// BY statements answer them.
-func wideRows(n int) *sqlengine.Rows {
+// BY statements answer them: wideData's cells under wideColumns.
+func wideRows(n int) *sqlengine.Rows { return sqlengine.NewRows(wideColumns, wideData(n)) }
+
+var wideColumns = []string{"account_id", "frequency"}
+
+func wideData(n int) [][]sqlengine.Value {
 	freqs := []string{"POPLATEK MESICNE", "POPLATEK TYDNE", "POPLATEK PO OBRATU"}
-	rows := &sqlengine.Rows{Columns: []string{"account_id", "frequency"}, Data: make([][]sqlengine.Value, n)}
-	for i := range rows.Data {
-		rows.Data[i] = []sqlengine.Value{sqlengine.Int(int64(i * 7)), sqlengine.Text(freqs[i%3])}
+	data := make([][]sqlengine.Value, n)
+	for i := range data {
+		data[i] = []sqlengine.Value{sqlengine.Int(int64(i * 7)), sqlengine.Text(freqs[i%3])}
 	}
-	return rows
+	return data
 }
 
 // FuzzWriteRows holds the writer to encoding/json over engine rows read
@@ -238,12 +238,12 @@ func TestAppendRowsReals(t *testing.T) {
 	} {
 		row = append(row, sqlengine.Float(f))
 	}
-	data := [][]sqlengine.Value{row}
+	rows := sqlengine.NewRows(make([]string, len(row)), [][]sqlengine.Value{row})
 	const want = `[["-0.0","0.0","NaN","Inf","-Inf","1.7976931348623157e+308","5e-324","9.007199254740992e+15","0.1"]]`
-	if got := appendRows(io.Discard, nil, data); string(got) != want {
+	if got := appendRows(io.Discard, nil, rows, 1); string(got) != want {
 		t.Errorf("appendRows = %s, want %s", got, want)
 	}
-	if n := rowsLen(data); n < len(want) {
+	if n := rowsLen(rows, 1, math.MaxInt); n < len(want) {
 		t.Errorf("rowsLen = %d, below the body's %d bytes", n, len(want))
 	}
 }
@@ -273,22 +273,25 @@ func FuzzWriteRows(f *testing.F) {
 	})
 }
 
-// fuzzRows reads engine rows from bytes. The first byte is the column
-// count (its low two bits; none when its top bit is set, so columns are
-// nil). Then each op byte's low three bits say what comes next: 0 NULL, 1
-// an INTEGER from the next 8 bytes, 2 a REAL from the next 8 bytes' bits,
-// 3 TEXT of the next op>>3 bytes, 4 the end of a row (a nil row when it
-// has no cell), 5 an empty non-nil row, 6 a cell of a kind the engine has
-// no name for, 7 the INTEGER op>>3. No bytes: no result set.
+// fuzzRows reads a result from bytes. The first byte is the column count
+// (its low two bits; none when its top bit is set, so columns are nil).
+// Then each op byte's low three bits say what comes next: 0 NULL, 1 an
+// INTEGER from the next 8 bytes, 2 a REAL from the next 8 bytes' bits, 3
+// TEXT of the next op>>3 bytes, 4 the end of a row (its cells not given
+// NULL; a row of no column), 5 a row of NULLs, 6 the REAL op>>3, 7 the
+// INTEGER op>>3. The cells fill the rows a column at a time, each row
+// ending when it has a cell per column, and cells past a result of no
+// column are dropped; so any column may come out of one class, of NULLs or
+// of several classes. No bytes: no result set.
 func fuzzRows(data []byte) *sqlengine.Rows {
 	if len(data) == 0 {
 		return nil
 	}
-	rows := &sqlengine.Rows{}
+	var cols []string
 	if data[0]&0x80 == 0 {
-		rows.Columns = []string{}
+		cols = []string{}
 		for c := range int(data[0] & 3) {
-			rows.Columns = append(rows.Columns, fmt.Sprintf("c%d", c))
+			cols = append(cols, fmt.Sprintf("c%d", c))
 		}
 	}
 	data = data[1:]
@@ -303,33 +306,46 @@ func fuzzRows(data []byte) *sqlengine.Rows {
 		copy(b[:], take(8))
 		return binary.LittleEndian.Uint64(b[:])
 	}
+	var rows [][]sqlengine.Value
 	var row []sqlengine.Value
+	end := func() {
+		rows = append(rows, append(row, make([]sqlengine.Value, len(cols)-len(row))...))
+		row = nil
+	}
 	for len(data) > 0 {
-		op := take(1)[0]
-		switch op & 7 {
+		var v sqlengine.Value
+		switch op := take(1)[0]; op & 7 {
 		case 0:
-			row = append(row, sqlengine.Null())
 		case 1:
-			row = append(row, sqlengine.Int(int64(word())))
+			v = sqlengine.Int(int64(word()))
 		case 2:
-			row = append(row, sqlengine.Float(math.Float64frombits(word())))
+			v = sqlengine.Float(math.Float64frombits(word()))
 		case 3:
-			row = append(row, sqlengine.Text(string(take(int(op>>3)))))
+			v = sqlengine.Text(string(take(int(op >> 3))))
 		case 4:
-			rows.Data = append(rows.Data, row)
-			row = nil
+			end()
+			continue
 		case 5:
-			rows.Data = append(rows.Data, []sqlengine.Value{})
+			if row != nil {
+				end()
+			}
+			end()
+			continue
 		case 6:
-			row = append(row, sqlengine.Value{Kind: sqlengine.Kind(4 + op>>3), I: 1, S: "?"})
+			v = sqlengine.Float(float64(op >> 3))
 		case 7:
-			row = append(row, sqlengine.Int(int64(op>>3)))
+			v = sqlengine.Int(int64(op >> 3))
+		}
+		if len(cols) > 0 {
+			if row = append(row, v); len(row) == len(cols) {
+				end()
+			}
 		}
 	}
 	if row != nil {
-		rows.Data = append(rows.Data, row)
+		end()
 	}
-	return rows
+	return sqlengine.NewRows(cols, rows)
 }
 
 // fuzzText is fuzzRows' bytes for one row of one TEXT cell (s under 32 bytes).
@@ -367,60 +383,62 @@ var (
 	}
 )
 
-func randValue(rng *rand.Rand) sqlengine.Value {
-	switch rng.IntN(9) {
+// randValue draws a cell of the storage class class: 0 NULL, 1 INTEGER, 2
+// REAL, 3 TEXT, 4 a kind the engine has no name for; any other class is
+// any of them.
+func randValue(rng *rand.Rand, class int) sqlengine.Value {
+	if class > 4 {
+		class = [...]int{0, 1, 1, 2, 2, 2, 4, 3, 3}[rng.IntN(9)]
+	}
+	switch class {
 	case 0:
 		return sqlengine.Null()
 	case 1:
-		return sqlengine.Int(specialInts[rng.IntN(len(specialInts))])
-	case 2:
+		if rng.IntN(2) == 0 {
+			return sqlengine.Int(specialInts[rng.IntN(len(specialInts))])
+		}
 		return sqlengine.Int(rng.Int64() - rng.Int64())
-	case 3:
-		return sqlengine.Float(specialFloats[rng.IntN(len(specialFloats))])
-	case 4:
-		return sqlengine.Float(rng.NormFloat64() * math.Pow(10, float64(rng.IntN(40)-20)))
-	case 5:
+	case 2:
+		switch rng.IntN(3) {
+		case 0:
+			return sqlengine.Float(specialFloats[rng.IntN(len(specialFloats))])
+		case 1:
+			return sqlengine.Float(rng.NormFloat64() * math.Pow(10, float64(rng.IntN(40)-20)))
+		}
 		return sqlengine.Float(math.Float64frombits(rng.Uint64()))
-	case 6:
+	case 4:
 		return sqlengine.Value{Kind: sqlengine.Kind(4 + rng.IntN(3)), I: 7, S: "x"}
-	default:
-		return sqlengine.Text(randText(rng))
 	}
+	return sqlengine.Text(randText(rng))
 }
 
+// randRows draws a result of up to three columns and six rows, each column
+// of one storage class, NULL-bearing or not, or of several classes.
 func randRows(rng *rand.Rand) *sqlengine.Rows {
 	if rng.IntN(10) == 0 {
 		return nil
 	}
-	rows := &sqlengine.Rows{}
-	width := rng.IntN(4)
+	var cols []string // nil: a result of no column with a null columns list
 	if rng.IntN(8) > 0 {
-		rows.Columns = make([]string, width)
-		for i := range rows.Columns {
-			rows.Columns[i] = randText(rng)
+		cols = make([]string, rng.IntN(4))
+		for i := range cols {
+			cols[i] = randText(rng)
 		}
 	}
-	n := rng.IntN(7)
-	if n == 0 && rng.IntN(2) == 0 {
-		return rows // Data nil
+	data := make([][]sqlengine.Value, rng.IntN(7))
+	for i := range data {
+		data[i] = make([]sqlengine.Value, len(cols))
 	}
-	rows.Data = make([][]sqlengine.Value, n)
-	for i := range rows.Data {
-		w := width
-		switch rng.IntN(10) {
-		case 0:
-			continue // a nil row
-		case 1:
-			w = 0 // an empty one
-		case 2:
-			w = rng.IntN(5) // a ragged one
-		}
-		rows.Data[i] = make([]sqlengine.Value, w)
-		for j := range w {
-			rows.Data[i][j] = randValue(rng)
+	for k := range cols {
+		class, nulls := rng.IntN(7), rng.IntN(3) == 0
+		for i := range data {
+			if nulls && rng.IntN(2) == 0 {
+				continue
+			}
+			data[i][k] = randValue(rng, class)
 		}
 	}
-	return rows
+	return sqlengine.NewRows(cols, data)
 }
 
 func randEnvelope(rng *rand.Rand) api.QueryResponse {

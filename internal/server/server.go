@@ -694,7 +694,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 	execSpan.SetAttr("batches", res.Batches)
 	execSpan.SetAttr("path", res.Path)
 	if res.Rows != nil {
-		execSpan.SetAttr("rows", len(res.Rows.Data))
+		execSpan.SetAttr("rows", res.Rows.Len())
 	}
 	execSpan.End()
 

@@ -408,7 +408,7 @@ func TestQueryGoldenEquivalence(t *testing.T) {
 		if qr.SQL != offlineSQL {
 			t.Errorf("%s: SQL diverged\n  online:  %q\n  offline: %q", e.ID, qr.SQL, offlineSQL)
 		}
-		offlineRows := renderRows(offlineRes.Rows, len(offlineRes.Rows.Data))
+		offlineRows := renderRows(offlineRes.Rows, offlineRes.Rows.Len())
 		onlineRows := qr.Rows
 		if onlineRows == nil {
 			onlineRows = [][]any{}
@@ -416,8 +416,8 @@ func TestQueryGoldenEquivalence(t *testing.T) {
 		if offlineRows == nil {
 			offlineRows = [][]any{}
 		}
-		if qr.RowCount != len(offlineRes.Rows.Data) || !reflect.DeepEqual(onlineRows, offlineRows) {
-			t.Errorf("%s: rows diverged (online %d, offline %d)", e.ID, qr.RowCount, len(offlineRes.Rows.Data))
+		if qr.RowCount != offlineRes.Rows.Len() || !reflect.DeepEqual(onlineRows, offlineRows) {
+			t.Errorf("%s: rows diverged (online %d, offline %d)", e.ID, qr.RowCount, offlineRes.Rows.Len())
 		}
 		if qr.Cost != offlineRes.Cost {
 			t.Errorf("%s: cost diverged (online %d, offline %d)", e.ID, qr.Cost, offlineRes.Cost)
@@ -689,9 +689,9 @@ func TestSetRowsCapsRendering(t *testing.T) {
 		}
 		return resp
 	}
-	rows := &sqlengine.Rows{Columns: []string{"n"}, Data: [][]sqlengine.Value{
+	rows := sqlengine.NewRows([]string{"n"}, [][]sqlengine.Value{
 		{sqlengine.Int(1)}, {sqlengine.Null()}, {sqlengine.Text("x")},
-	}}
+	})
 	for _, tc := range []struct {
 		maxRows, want int
 		truncated     bool

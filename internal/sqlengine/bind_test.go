@@ -45,7 +45,7 @@ func outcome(res *Result, err error) string {
 	case res.Rows == nil:
 		return fmt.Sprintf("affected %d", res.RowsAffected)
 	}
-	return strings.Join(res.Rows.Columns, ",") + ": " + strings.Join(flatten(res.Rows.Data), " / ")
+	return strings.Join(res.Rows.Columns, ",") + ": " + strings.Join(flatten(res.Rows.rowData()), " / ")
 }
 
 // TestNameResolutionPin pins what every name in a statement means, on the

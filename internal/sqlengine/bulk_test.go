@@ -53,12 +53,12 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Data) != len(b.Data) {
-		t.Fatalf("row counts differ: insert %d vs bulk %d", len(a.Data), len(b.Data))
+	if a.Len() != b.Len() {
+		t.Fatalf("row counts differ: insert %d vs bulk %d", a.Len(), b.Len())
 	}
-	for i := range a.Data {
-		for j := range a.Data[i] {
-			av, bv := a.Data[i][j], b.Data[i][j]
+	for i := range a.rowData() {
+		for j := range a.rowData()[i] {
+			av, bv := a.Cell(i, j), b.Cell(i, j)
 			if av.Kind != bv.Kind || !DistinctEqual(av, bv) {
 				t.Fatalf("row %d col %d: insert %v (%v) vs bulk %v (%v)",
 					i, j, av, av.Kind, bv, bv.Kind)
@@ -81,7 +81,7 @@ func TestBulkInsertAtomicOnConstraintViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rows.Data[0][0].I; got != 0 {
+	if got := rows.Cell(0, 0).I; got != 0 {
 		t.Fatalf("failed bulk insert left %d rows behind", got)
 	}
 }
@@ -102,8 +102,8 @@ func TestBulkInsertInvalidatesIndexes(t *testing.T) {
 	db := bulkTestDB(t)
 	db.MustExec("INSERT INTO items VALUES (1, 'a', 1, 1.0)")
 	// Build the lazy index on id.
-	if rows, err := db.Query("SELECT name FROM items WHERE id = 1"); err != nil || len(rows.Data) != 1 {
-		t.Fatalf("warm-up lookup: %v (%d rows)", err, len(rows.Data))
+	if rows, err := db.Query("SELECT name FROM items WHERE id = 1"); err != nil || rows.Len() != 1 {
+		t.Fatalf("warm-up lookup: %v (%d rows)", err, rows.Len())
 	}
 	if _, err := db.BulkInsert("items", [][]Value{{Int(2), Text("b"), Int(2), Float(2)}}); err != nil {
 		t.Fatal(err)
@@ -112,8 +112,8 @@ func TestBulkInsertInvalidatesIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) != 1 || rows.Data[0][0].S != "b" {
-		t.Fatalf("bulk-inserted row invisible to indexed lookup: %v", rows.Data)
+	if rows.Len() != 1 || rows.Cell(0, 0).S != "b" {
+		t.Fatalf("bulk-inserted row invisible to indexed lookup: %v", rows.rowData())
 	}
 }
 
@@ -150,6 +150,61 @@ func TestTableStorageBytes(t *testing.T) {
 	if limit := int64(n*(8+8+16) + slack); retained > limit {
 		t.Errorf("a %d-row INTEGER, REAL, TEXT table retains %d bytes, %.1f a row; want at most %d (8+8+16 a row)",
 			n, retained, float64(retained)/n, limit)
+	}
+}
+
+// TestResultStorageBytes pins what a result costs the heap, measured as
+// TestTableStorageBytes measures a table: a 100k-row answer sorted without
+// a LIMIT retains 8 bytes a row for an INTEGER column and 16 — a string
+// header, the strings shared with the table — for a TEXT one, with 64 KiB
+// to spare. Rows of Values cost 56 bytes a row: a 32-byte cell and a
+// 24-byte slice header.
+func TestResultStorageBytes(t *testing.T) {
+	const n, slack = 100_000, 64 << 10
+	words := make([]string, 64)
+	for i := range words {
+		words[i] = fmt.Sprintf("word-%d", i)
+	}
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{Int(int64(i)), Float(float64(i%1000) / 4), Text(words[i%len(words)])}
+	}
+	db := NewDatabase("bytes")
+	db.MustExec("CREATE TABLE t (id INTEGER, v REAL, s TEXT)")
+	if _, err := db.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql   string
+		bytes int64 // a row
+	}{
+		{"SELECT id FROM t ORDER BY v DESC, id", 8},
+		{"SELECT s FROM t ORDER BY v DESC, id", 16},
+	} {
+		st, err := db.Prepare(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		retained := int64(ms.HeapAlloc) - int64(before)
+		if res.Rows.Len() != n || res.Path != "positions/topk" {
+			t.Fatalf("%q: %d rows on %s, want %d on positions/topk", c.sql, res.Rows.Len(), res.Path, n)
+		}
+		runtime.KeepAlive(res)
+		t.Logf("%q: %d rows retain %d bytes, %.1f a row", c.sql, n, retained, float64(retained)/n)
+		if limit := n*c.bytes + slack; retained > limit {
+			t.Errorf("%q: a %d-row result retains %d bytes, %.1f a row; want at most %d (%d a row)",
+				c.sql, n, retained, float64(retained)/n, limit, c.bytes)
+		}
 	}
 }
 

@@ -43,6 +43,10 @@ func (t *Table) Len() int { return t.n }
 // Cell returns the value of column col in row i.
 func (t *Table) Cell(i, col int) Value { return t.cols[col].value(i) }
 
+// rel returns the table as a relation a selection indexes, its cells read
+// in place.
+func (t *Table) rel() rel { return rel{cols: t.cols, n: t.n} }
+
 // appendRow appends one row of cells, already coerced and checked, to
 // every column.
 func (t *Table) appendRow(row []Value) {

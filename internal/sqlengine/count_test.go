@@ -81,7 +81,7 @@ func TestCountAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			out[i] = bytesPerRun(5, func() {
-				if res, err := st.Exec(); err != nil || res.Path != q.path || res.Rows.Data[0][0].I == 0 {
+				if res, err := st.Exec(); err != nil || res.Path != q.path || res.Rows.Cell(0, 0).I == 0 {
 					t.Fatalf("%q over %d rows: %v, err %v, want a non-zero count on %s", q.sql, n, res, err, q.path)
 				}
 			})
@@ -116,7 +116,7 @@ func bytesPerRun(runs int, f func()) float64 {
 func TestCountedSelectionHasNoRows(t *testing.T) {
 	db := buildEngineDB(3, 10)
 	tab, _ := db.Table("f")
-	s := selection{src: rel{t: tab}, n: 4, counted: true}
+	s := selection{src: tab.rel(), n: 4, counted: true}
 	if s.len() != 4 {
 		t.Fatalf("len = %d, want 4", s.len())
 	}

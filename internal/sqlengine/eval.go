@@ -110,16 +110,16 @@ func (env *evalEnv) eval(e Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return Bool((len(rows.Data) > 0) != x.Not), nil
+		return Bool((rows.Len() > 0) != x.Not), nil
 	case *SubqueryExpr:
 		rows, err := env.execSub(x.Sub)
 		if err != nil {
 			return Value{}, err
 		}
-		if len(rows.Data) == 0 || len(rows.Data[0]) == 0 {
+		if rows.Len() == 0 || len(rows.cols) == 0 {
 			return Null(), nil
 		}
-		return rows.Data[0][0], nil
+		return rows.Cell(0, 0), nil
 	case *CastExpr:
 		v, err := env.eval(x.X)
 		if err != nil || v.IsNull() {
@@ -242,21 +242,23 @@ func like(x, p Value) (t, known bool) {
 }
 
 // inList is the truth of `x IN (…)` over the candidates list, then the first
-// column of rows (a subquery's result, read in place): true on a match,
-// else unknown if x or a candidate is NULL.
-func inList(x Value, list []Value, rows [][]Value) (t, known bool) {
+// column of sub (a subquery's result, read in place; nil for none): true on a
+// match, else unknown if x or a candidate is NULL.
+func inList(x Value, list []Value, sub *Rows) (t, known bool) {
 	if x.IsNull() {
 		return false, false
 	}
+	n := len(list)
+	if sub != nil && len(sub.cols) > 0 {
+		n += sub.n
+	}
 	sawNull := false
-	for i, n := 0, len(list)+len(rows); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var c Value
 		if i < len(list) {
 			c = list[i]
-		} else if r := rows[i-len(list)]; len(r) > 0 {
-			c = r[0]
 		} else {
-			continue
+			c = sub.Cell(i-len(list), 0)
 		}
 		if c.IsNull() {
 			sawNull = true
@@ -414,13 +416,12 @@ func (env *evalEnv) evalIn(x *InExpr) (Value, error) {
 	// rows are read in place — its first column — from the memoised result.
 	var buf [8]Value
 	list := buf[:0]
-	var rows [][]Value
+	var sub *Rows
 	if x.Sub != nil {
-		res, err := env.execSub(x.Sub)
-		if err != nil {
+		var err error
+		if sub, err = env.execSub(x.Sub); err != nil {
 			return Value{}, err
 		}
-		rows = res.Data
 	}
 	for _, e := range x.List {
 		v, err := env.eval(e)
@@ -429,7 +430,7 @@ func (env *evalEnv) evalIn(x *InExpr) (Value, error) {
 		}
 		list = append(list, v)
 	}
-	t, known := inList(xv, list, rows)
+	t, known := inList(xv, list, sub)
 	return truthValue(t != x.Not, known), nil
 }
 

@@ -6,11 +6,60 @@ import (
 	"sort"
 )
 
-// Rows is a materialised query result.
+// Rows is a query result, stored as a table stores its rows: one typed
+// column (vector.go) per output column, n cells each — 8 bytes a cell of an
+// INTEGER or REAL column, a 16-byte string header a TEXT one, a NULL bitmap
+// only in a column that holds a NULL, Values only in a column of several
+// storage classes. It is read by (row, column) through Len and Cell, the
+// accessors Table has. A result is a copy: no cell of it is read from a
+// table later, so DML after the statement cannot reach it. The consumers of
+// positions.go write the cells they gather straight into its columns;
+// everything that builds rows as rows — the interpreter's tail, compounds,
+// tests — goes through NewRows.
 type Rows struct {
 	Columns []string
-	Data    [][]Value
+	cols    []column
+	n       int
 }
+
+// NewRows returns the result whose row i is data[i], one cell per column
+// of columns.
+func NewRows(columns []string, data [][]Value) *Rows {
+	r := &Rows{Columns: columns, cols: make([]column, len(columns)), n: len(data)}
+	for k := range r.cols {
+		c := &r.cols[k]
+		c.reserve(0, r.n)
+		for i, row := range data {
+			c.add(i, row[k])
+		}
+	}
+	return r
+}
+
+// Len returns the number of rows.
+func (r *Rows) Len() int { return r.n }
+
+// Cell returns the value of column col in row i.
+func (r *Rows) Cell(i, col int) Value { return r.cols[col].value(i) }
+
+// rowData copies the result out as rows, for the interpreter, which
+// combines and sorts rows as rows.
+func (r *Rows) rowData() [][]Value {
+	w := len(r.cols)
+	backing := make([]Value, r.n*w)
+	data := make([][]Value, r.n)
+	for i := range data {
+		data[i] = backing[i*w : (i+1)*w : (i+1)*w]
+		for k := range r.cols {
+			data[i][k] = r.cols[k].value(i)
+		}
+	}
+	return data
+}
+
+// rel returns the result as a relation a selection indexes: a FROM
+// sub-select's rows, read in place.
+func (r *Rows) rel() rel { return rel{cols: r.cols, n: r.n} }
 
 // Result is the outcome of executing any statement. Cost counts the rows
 // the chosen plan touched: a scan the rows it read, an index lookup its
@@ -166,13 +215,13 @@ func (ec *execCtx) charge(n int64) error {
 
 // scope is one level of rows a bound column reference reads (bind.go): a
 // FROM row, with a parent link for correlated subqueries. The row is row,
-// or where t is set, t's row at position pos, read in place. off is the
-// slot of the row's first column in its SELECT's FROM row — non-zero only
-// where a scan of one FROM item evaluates a pushed conjunct over that
-// item's rows.
+// or where cols is set, the row at position pos of those columns — a
+// table's or a sub-select's result's — read in place. off is the slot of
+// the row's first column in its SELECT's FROM row — non-zero only where a
+// scan of one FROM item evaluates a pushed conjunct over that item's rows.
 type scope struct {
 	row    []Value
-	t      *Table
+	cols   []column
 	pos    int
 	off    int
 	parent *scope
@@ -188,8 +237,8 @@ func (s *scope) value(cr *ColumnRef) Value {
 
 // cell reads the column at slot of the scope's row.
 func (s *scope) cell(slot int) Value {
-	if s.t != nil {
-		return s.t.cols[slot-s.off].value(s.pos)
+	if s.cols != nil {
+		return s.cols[slot-s.off].value(s.pos)
 	}
 	return s.row[slot-s.off]
 }
@@ -200,25 +249,26 @@ func (ec *execCtx) execSelect(sel *SelectStmt, outer *scope) (*Rows, error) {
 	if sel.Compound == CompoundNone {
 		return ec.execSelectPlanned(sel, outer, ec.planFor(sel))
 	}
-	// Compound: evaluate each core without the shared tail, then combine.
+	// Compound: evaluate each core without the shared tail, then combine
+	// the arms' rows as rows.
 	head, err := ec.execSelectCoreOnly(sel, outer)
 	if err != nil {
 		return nil, err
 	}
-	combined := head
+	data := head.rowData()
 	for cur := sel; cur.Compound != CompoundNone; cur = cur.Next {
 		next, err := ec.execSelectCoreOnly(cur.Next, outer)
 		if err != nil {
 			return nil, err
 		}
-		if len(next.Columns) != len(combined.Columns) {
-			return nil, fmt.Errorf("sqlengine: compound SELECT column count mismatch (%d vs %d)", len(combined.Columns), len(next.Columns))
+		if len(next.Columns) != len(head.Columns) {
+			return nil, fmt.Errorf("sqlengine: compound SELECT column count mismatch (%d vs %d)", len(head.Columns), len(next.Columns))
 		}
-		combined = combineRows(combined, next, cur.Compound)
+		data = combineRows(data, next.rowData(), cur.Compound)
 	}
 	// Apply the tail (ORDER BY / LIMIT) over the combined output.
-	out := &selOutput{columns: combined.Columns}
-	for _, r := range combined.Data {
+	out := &selOutput{columns: head.Columns}
+	for _, r := range data {
 		out.add(r, nil)
 	}
 	if err := ec.finishSelect(sel, out, outer); err != nil {
@@ -240,7 +290,10 @@ func (ec *execCtx) execSelectCoreOnly(sel *SelectStmt, outer *scope) (*Rows, err
 	return ec.execSelectPlanned(&clone, outer, ec.planFor(sel))
 }
 
-func combineRows(a, b *Rows, op CompoundOp) *Rows {
+// combineRows combines two arms' rows by the compound operator: UNION ALL
+// concatenates, the others keep the first of each distinct row that the
+// operator admits, in order.
+func combineRows(a, b [][]Value, op CompoundOp) [][]Value {
 	var buf []byte
 	keyOf := func(r []Value) string {
 		buf = buf[:0]
@@ -250,43 +303,33 @@ func combineRows(a, b *Rows, op CompoundOp) *Rows {
 		}
 		return string(buf)
 	}
-	out := &Rows{Columns: a.Columns}
+	if op == CompoundUnionAll {
+		return append(a, b...)
+	}
+	var out [][]Value
+	seen := make(map[string]bool)
+	admit := func(r []Value) {
+		if k := keyOf(r); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
+		}
+	}
 	switch op {
-	case CompoundUnionAll:
-		out.Data = append(append(out.Data, a.Data...), b.Data...)
 	case CompoundUnion:
-		seen := make(map[string]bool)
-		for _, r := range append(append([][]Value{}, a.Data...), b.Data...) {
-			k := keyOf(r)
-			if !seen[k] {
-				seen[k] = true
-				out.Data = append(out.Data, r)
-			}
+		for _, r := range a {
+			admit(r)
 		}
-	case CompoundExcept:
-		drop := make(map[string]bool)
-		for _, r := range b.Data {
-			drop[keyOf(r)] = true
+		for _, r := range b {
+			admit(r)
 		}
-		seen := make(map[string]bool)
-		for _, r := range a.Data {
-			k := keyOf(r)
-			if !drop[k] && !seen[k] {
-				seen[k] = true
-				out.Data = append(out.Data, r)
-			}
+	case CompoundExcept, CompoundIntersect:
+		other := make(map[string]bool)
+		for _, r := range b {
+			other[keyOf(r)] = true
 		}
-	case CompoundIntersect:
-		keep := make(map[string]bool)
-		for _, r := range b.Data {
-			keep[keyOf(r)] = true
-		}
-		seen := make(map[string]bool)
-		for _, r := range a.Data {
-			k := keyOf(r)
-			if keep[k] && !seen[k] {
-				seen[k] = true
-				out.Data = append(out.Data, r)
+		for _, r := range a {
+			if other[keyOf(r)] == (op == CompoundIntersect) {
+				admit(r)
 			}
 		}
 	}
@@ -307,7 +350,7 @@ func (o *selOutput) add(vals []Value, env *evalEnv) {
 	o.envs = append(o.envs, env)
 }
 
-func (o *selOutput) rows() *Rows { return &Rows{Columns: o.columns, Data: o.data} }
+func (o *selOutput) rows() *Rows { return NewRows(o.columns, o.data) }
 
 // execSelectPlanned is the one SELECT pipeline: FROM hands on a selection,
 // WHERE thins it, and the tail turns it into the result. pl is nil for
@@ -420,15 +463,7 @@ func (ec *execCtx) finishSelect(sel *SelectStmt, out *selOutput, outer *scope) e
 			return err
 		}
 		lo, hi := limitWindow(len(out.data), limit, offset)
-		if hi-lo < len(out.data) {
-			// A copy at its exact size, not a sub-slice: whoever retains the
-			// result must not keep every row the window dropped alive with it.
-			// (envs go no further than this statement.)
-			data := make([][]Value, hi-lo)
-			copy(data, out.data[lo:hi])
-			out.data = data
-		}
-		out.envs = out.envs[lo:hi]
+		out.data, out.envs = out.data[lo:hi], out.envs[lo:hi]
 	}
 	return nil
 }
@@ -735,11 +770,11 @@ func (ec *execCtx) execFromItem(sel *SelectStmt, i int, outer *scope, pl *select
 		if err != nil {
 			return selection{}, err
 		}
-		return selection{src: rel{rows: rows.Data}, all: true}, nil
+		return selection{src: rows.rel(), all: true}, nil
 	}
 	it := &sel.bound.from[i]
 	if pl == nil || !pl.pushed {
-		return selection{src: rel{t: it.t}, all: true}, ec.charge(int64(it.t.n))
+		return selection{src: it.t.rel(), all: true}, ec.charge(int64(it.t.n))
 	}
 	return ec.scanPositions(it.t, pl, it.off, i, outer, count)
 }
@@ -822,7 +857,7 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 			t.invalidateIndexes()
 		}
 	}()
-	sc := &scope{t: t}
+	sc := &scope{cols: t.cols}
 	env := &evalEnv{ec: ec, sc: sc}
 	vals := make([]Value, len(up.Set))
 	for sc.pos = 0; sc.pos < t.n; sc.pos++ {
@@ -856,7 +891,7 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 func (ec *execCtx) execDelete(del *DeleteStmt) (int64, error) {
 	t := del.table
 	var n int64
-	sc := &scope{t: t}
+	sc := &scope{cols: t.cols}
 	env := &evalEnv{ec: ec, sc: sc}
 	remove := make([]bool, t.n)
 	for sc.pos = 0; sc.pos < t.n; sc.pos++ {

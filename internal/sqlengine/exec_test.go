@@ -36,7 +36,7 @@ func queryVals(t *testing.T, db *Database, sql string) [][]Value {
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
-	return rows.Data
+	return rows.rowData()
 }
 
 func flatten(rows [][]Value) []string {
@@ -92,8 +92,8 @@ func TestProjectionAndAliases(t *testing.T) {
 	if !reflect.DeepEqual(rows.Columns, []string{"who", "double_pay"}) {
 		t.Errorf("columns = %v", rows.Columns)
 	}
-	if rows.Data[0][1].AsFloat() != 241.0 {
-		t.Errorf("double_pay = %v", rows.Data[0][1])
+	if rows.Cell(0, 1).AsFloat() != 241.0 {
+		t.Errorf("double_pay = %v", rows.Cell(0, 1))
 	}
 }
 
@@ -103,8 +103,8 @@ func TestStarExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Columns) != 3 || len(rows.Data) != 3 {
-		t.Fatalf("star expansion: %v, %d rows", rows.Columns, len(rows.Data))
+	if len(rows.Columns) != 3 || rows.Len() != 3 {
+		t.Fatalf("star expansion: %v, %d rows", rows.Columns, rows.Len())
 	}
 	rows, err = db.Query("SELECT e.* FROM emp e WHERE e.id = 1")
 	if err != nil {
@@ -429,7 +429,7 @@ func TestLimitOffsetOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := flatten(res.Rows.Data); !reflect.DeepEqual(got, c.want) {
+		if got := flatten(res.Rows.rowData()); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("naive %q\n got: %v\nwant: %v", c.sql, got, c.want)
 		}
 	}

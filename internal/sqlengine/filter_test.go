@@ -127,7 +127,7 @@ func checkFilterCase(t *testing.T, data []byte) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		return res.Rows.Data[0][0].I // SUM over no row is NULL: 0
+		return res.Rows.Cell(0, 0).I // SUM over no row is NULL: 0
 	}
 	n := count("SELECT COUNT(*) FROM " + from + " WHERE " + w)
 	parts := n + count("SELECT COUNT(*) FROM "+from+" WHERE NOT ("+w+")") + count("SELECT COUNT(*) FROM "+from+" WHERE ("+w+") IS NULL")

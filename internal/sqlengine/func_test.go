@@ -23,7 +23,7 @@ func TestStrftimeSubset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
-		if got := rows.Data[0][0].AsText(); got != c.want {
+		if got := rows.Cell(0, 0).AsText(); got != c.want {
 			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
 		}
 	}
@@ -32,7 +32,7 @@ func TestStrftimeSubset(t *testing.T) {
 		t.Error("unsupported STRFTIME verb should error")
 	}
 	rows, err := db.Query("SELECT STRFTIME('%Y', 'not-a-date')")
-	if err != nil || !rows.Data[0][0].IsNull() {
+	if err != nil || !rows.Cell(0, 0).IsNull() {
 		t.Errorf("malformed date should yield NULL: %v %v", rows, err)
 	}
 }
@@ -53,7 +53,7 @@ func TestSubstrEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
-		if got := rows.Data[0][0].AsText(); got != c.want {
+		if got := rows.Cell(0, 0).AsText(); got != c.want {
 			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
 		}
 	}
@@ -66,8 +66,8 @@ func TestDivisionByZeroIsNull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		if !rows.Data[0][0].IsNull() {
-			t.Errorf("%s should be NULL (SQLite semantics), got %v", sql, rows.Data[0][0])
+		if !rows.Cell(0, 0).IsNull() {
+			t.Errorf("%s should be NULL (SQLite semantics), got %v", sql, rows.Cell(0, 0))
 		}
 	}
 }
@@ -97,7 +97,7 @@ func TestRenderedSelectRoundTripsThroughEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exec rendered %s: %v", rendered, err)
 		}
-		if len(r1.Data) != len(r2.Data) {
+		if r1.Len() != r2.Len() {
 			t.Errorf("render changed results for %s -> %s", q, rendered)
 		}
 	}

@@ -183,13 +183,19 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 	}
 
 	// The probe: every left row in order, each following its slot's chain,
-	// into one pair list sized for one pair per left row, or into a tally.
+	// into a tally, or into one pair list sized by what the probe finds: room
+	// for a pair per left row of the first morsel, then for as many pairs
+	// again as that morsel's rate predicts for the rest of the input, and an
+	// eighth more; emit doubles the list whenever it fills.
 	ec.countBatches(ln)
 	out := selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, counted: count}
 	if !count {
-		out.pairs = make([]pair, 0, ln)
+		out.pairs = make([]pair, 0, min(ln, morselRows))
 	}
 	for li := 0; li < ln; li++ {
+		if li == morselRows && !count {
+			out.pairs = grown(out.pairs, len(out.pairs)*ln/li*9/8)
+		}
 		lp := left.at(li)
 		var slot int32
 		if leftSlot != nil {
@@ -236,12 +242,15 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 	return out, true, nil
 }
 
-// emit adds the pair (l, r) to a join's output: to its list, or to its
-// tally when it is counted.
+// emit adds the pair (l, r) to a join's output: to its list, doubled when
+// full, or to its tally when it is counted.
 func (s *selection) emit(l, r int) {
 	if s.counted {
 		s.n++
 		return
+	}
+	if len(s.pairs) == cap(s.pairs) {
+		s.pairs = grown(s.pairs, max(2*cap(s.pairs), 8))
 	}
 	s.pairs = append(s.pairs, pair{l: int32(l), r: int32(r)})
 }

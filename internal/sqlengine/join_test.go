@@ -132,8 +132,8 @@ func TestJoinKeyPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(rows.Data, tc.want) {
-			t.Errorf("%s = %v, want %v", tc.sql, rows.Data, tc.want)
+		if !reflect.DeepEqual(rows.rowData(), tc.want) {
+			t.Errorf("%s = %v, want %v", tc.sql, rows.rowData(), tc.want)
 		}
 	}
 }
@@ -165,8 +165,8 @@ func TestLargeEquiJoinAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%s: %v", join, err)
 	}
-	if want := []Value{Int(n), Int(sum)}; !reflect.DeepEqual(res.Rows.Data, [][]Value{want}) {
-		t.Errorf("%s = %v, want %v", join, res.Rows.Data, want)
+	if want := []Value{Int(n), Int(sum)}; !reflect.DeepEqual(res.Rows.rowData(), [][]Value{want}) {
+		t.Errorf("%s = %v, want %v", join, res.Rows.rowData(), want)
 	}
 	if res.Cost != 3*n {
 		t.Errorf("%s: Cost %d, want %d", join, res.Cost, 3*n)

@@ -63,7 +63,7 @@ func TestNegationKernelTruthTable(t *testing.T) {
 		}
 		var want []int
 		for pos := range every {
-			env.sc.t, env.sc.pos = tab, pos
+			env.sc.cols, env.sc.pos = tab.cols, pos
 			if ok, err := env.holds(sel.Where); err != nil {
 				t.Fatal(err)
 			} else if ok {
@@ -71,8 +71,8 @@ func TestNegationKernelTruthTable(t *testing.T) {
 			}
 		}
 		for name, in := range map[string]selection{
-			"full scan": {src: rel{t: tab}, all: true},
-			"positions": {src: rel{t: tab}, pos: every},
+			"full scan": {src: tab.rel(), all: true},
+			"positions": {src: tab.rel(), pos: every},
 		} {
 			out, err := ec.filter(in, conj, 0, 0, nil, false)
 			if err != nil {

@@ -69,29 +69,31 @@ type selection struct {
 	counted bool
 }
 
-// rel is a relation a selection's positions index: a base table, whose
-// cells are read in place from its columns, or the rows a sub-select, a
-// nested loop or a materialised join built.
+// rel is a relation a selection's positions index: n rows of typed
+// columns, read in place — a base table's, or a sub-select's result's — or
+// the rows a nested loop or a materialised join built, or the one empty row
+// of a SELECT without FROM.
 type rel struct {
-	t    *Table
+	cols []column
+	n    int
 	rows [][]Value
 }
 
 func (r *rel) len() int {
-	if r.t != nil {
-		return r.t.n
+	if r.cols != nil {
+		return r.n
 	}
 	return len(r.rows)
 }
 
 // fill copies row p into dst, which has room for it.
 func (r *rel) fill(dst []Value, p int) {
-	if r.t == nil {
+	if r.cols == nil {
 		copy(dst, r.rows[p])
 		return
 	}
-	for c := range r.t.cols {
-		dst[c] = r.t.cols[c].value(p)
+	for c := range r.cols {
+		dst[c] = r.cols[c].value(p)
 	}
 }
 
@@ -111,10 +113,10 @@ type rightSide struct {
 
 // colAt addresses one column of a selected row: which of its two rows
 // holds it — the only or left relation's, or for a join's output the right
-// relation's — and where: a table's column, or a column of rows. Consumers
-// split their column numbers once, so reading a cell costs the same
-// whichever kind of selection it is read from. A negative col addresses
-// nothing (a literal output column, positions.go).
+// relation's — and where: a typed column, a table's or a result's, or a
+// column of rows. Consumers split their column numbers once, so reading a
+// cell costs the same whichever kind of selection it is read from. A
+// negative col addresses nothing (a literal output column, positions.go).
 type colAt struct {
 	side, col int
 	c         *column
@@ -150,9 +152,9 @@ func (s *selection) scopeAt(sc *scope, l, r int, buf []Value) {
 	switch {
 	case s.right != nil:
 		s.fill(buf, l, r)
-		sc.row, sc.t = buf, nil
-	case s.src.t != nil:
-		sc.t, sc.pos = s.src.t, l
+		sc.row, sc.cols = buf, nil
+	case s.src.cols != nil:
+		sc.cols, sc.pos = s.src.cols, l
 	default:
 		sc.row = s.src.rows[l]
 	}
@@ -197,8 +199,8 @@ func (s *selection) colAt(col int) colAt {
 	case col < 0:
 	case s.counted:
 		panic("sqlengine: a column of a counted selection")
-	case src.t != nil:
-		at.c = &src.t.cols[at.col]
+	case src.cols != nil:
+		at.c = &src.cols[at.col]
 	default:
 		at.rows = src.rows
 	}
@@ -344,8 +346,8 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 		switch kern := &f.c.kern; {
 		case f.c.scan != item:
 			continue
-		case in.all && in.src.t != nil && kern.vec:
-			f.test = kern.test(&in.src.t.cols[kern.col])
+		case in.all && in.src.cols != nil && kern.vec:
+			f.test = kern.test(&in.src.cols[kern.col])
 			fallthrough
 		case kern.shape != noKernel:
 			f.at = in.colAt(kern.col)

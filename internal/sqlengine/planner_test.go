@@ -88,14 +88,14 @@ func rowsIdentical(a, b *Rows) bool {
 	if !reflect.DeepEqual(a.Columns, b.Columns) {
 		return false
 	}
-	// nil and empty Data are different answers: no rows at all, against
-	// rows that LIMIT/OFFSET windowed away.
-	if len(a.Data) != len(b.Data) || (a.Data == nil) != (b.Data == nil) {
+	if a.Len() != b.Len() {
 		return false
 	}
-	for i := range a.Data {
-		if !reflect.DeepEqual(a.Data[i], b.Data[i]) {
-			return false
+	for i := 0; i < a.Len(); i++ {
+		for k := range a.Columns {
+			if a.Cell(i, k) != b.Cell(i, k) {
+				return false
+			}
 		}
 	}
 	return true
@@ -457,7 +457,7 @@ func TestIndexInvalidationAfterDML(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows.Data[0][0].I
+		return rows.Cell(0, 0).I
 	}
 	if got := count(); got != 2 {
 		t.Fatalf("initial count = %d, want 2", got)
@@ -505,8 +505,8 @@ func TestHashJoinLeftJoinNullRows(t *testing.T) {
 		{Int(3), Null()},
 		{Int(4), Text("vb")},
 	}
-	if !reflect.DeepEqual(rows.Data, want) {
-		t.Fatalf("LEFT JOIN rows = %v, want %v", rows.Data, want)
+	if !reflect.DeepEqual(rows.rowData(), want) {
+		t.Fatalf("LEFT JOIN rows = %v, want %v", rows.rowData(), want)
 	}
 
 	// The same through each consumer of the join's pairs: the extension's
@@ -523,8 +523,8 @@ func TestHashJoinLeftJoinNullRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Path != tc.path || !reflect.DeepEqual(res.Rows.Data, tc.want) {
-			t.Errorf("%s: path %q rows %v, want %q %v", tc.sql, res.Path, res.Rows.Data, tc.path, tc.want)
+		if res.Path != tc.path || !reflect.DeepEqual(res.Rows.rowData(), tc.want) {
+			t.Errorf("%s: path %q rows %v, want %q %v", tc.sql, res.Path, res.Rows.rowData(), tc.path, tc.want)
 		}
 	}
 }
@@ -548,8 +548,8 @@ func TestNegativeZeroBucketing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Data[0][0].I != 1 {
-		t.Fatalf("-0.0 = 0 join matched %d rows, want 1", rows.Data[0][0].I)
+	if rows.Cell(0, 0).I != 1 {
+		t.Fatalf("-0.0 = 0 join matched %d rows, want 1", rows.Cell(0, 0).I)
 	}
 
 	// Every pinned REAL (value_test.go) through the index, the hash join,
@@ -725,7 +725,7 @@ func TestPlanCacheKeepsOnlyReads(t *testing.T) {
 		}
 		db.MustExec(ins)
 	}
-	if got := db.MustExec("SELECT COUNT(*) FROM t WHERE id = 500").Rows.Data[0][0]; got != Int(3) {
+	if got := db.MustExec("SELECT COUNT(*) FROM t WHERE id = 500").Rows.Cell(0, 0); got != Int(3) {
 		t.Errorf("rows from three identical INSERTs = %v, want 3", got)
 	}
 

@@ -7,8 +7,8 @@ import "slices"
 // (parallel.go) — ascending positions into a table, or every row of a
 // sub-select or a nested loop — and a hash join does not build joined rows: it
 // hands on a two-sided selection, (left, right) position pairs in emission
-// order. One of three consumers then builds []Value rows only for what the
-// query returns, whatever the size of the input:
+// order. One of three consumers then writes only what the query returns
+// into the result's typed columns (Rows), whatever the size of the input:
 //
 //   - top-k: ORDER BY over source columns keeps the best LIMIT+OFFSET
 //     positions in a bounded heap ordered by (keys, position) and sorts
@@ -22,13 +22,15 @@ import "slices"
 //     accumulator in position order — the order evalAggregate adds floats
 //     in and the order groups are first seen in. A COUNT(*) tail reads only
 //     the count: where it is all the tail reads (selectPlan.count), it is
-//     handed a counted selection, which lists no row (parallel.go).
+//     handed a counted selection, which lists no row (parallel.go). Each
+//     group's row is written into the result's columns; DISTINCT, ORDER BY
+//     and LIMIT over those few rows are the interpreter's.
 //   - gather: a projection of bare columns copies the returned window into
-//     one backing array.
+//     the result, a column at a time.
 //
 // All three are serial and read cells at positions (selection.row and
-// colAt.read: a table's column or a row of rows, on the left or the right of
-// a join's pair). They charge nothing: the rows they read were charged when
+// colAt.read: a table's or a sub-select's column, or a row of rows, on the
+// left or the right of a join's pair). They charge nothing: the rows they read were charged when
 // the FROM read them.
 //
 // A consumer applies only where evaluating less than the interpreter does
@@ -107,7 +109,7 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 // The scan is charged the rows it reads: the bucket, or the table. With
 // count set its filter hands on a counted selection.
 func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope, count bool) (selection, error) {
-	s := selection{src: rel{t: t}, all: true}
+	s := selection{src: t.rel(), all: true}
 	pushed := false
 	for k := range pl.where {
 		c := &pl.where[k]
@@ -200,11 +202,7 @@ func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPla
 	if sel.Distinct {
 		s = distinctPositions(s, rp.ixs)
 	}
-	out := &Rows{Columns: sel.bound.columns}
 	n := s.len()
-	if n == 0 {
-		return out, nil // no rows at all: Data stays nil, as from projectTail
-	}
 	lo, hi := 0, n
 	if sel.Limit != nil {
 		limit, offset, err := ec.evalLimit(sel, outer)
@@ -216,37 +214,33 @@ func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPla
 	if anyRow && hi > lo+1 {
 		hi = lo + 1
 	}
-	if len(rp.keys) > 0 {
+	if len(rp.keys) > 0 && hi > lo {
 		// The one selection not in ascending order: it is only ever
 		// gathered.
 		s = s.pick(topPositions(&s, rp.keys, hi))
 	}
-	out.Data = gatherRows(&s, lo, hi, rp)
-	return out, nil
+	return gatherRows(&s, lo, hi, rp, sel.bound.columns), nil
 }
 
-// gatherRows projects selected rows lo..hi into one backing array, one
-// full-capacity sub-slice per row so appending to a result row cannot reach
-// its neighbour.
-func gatherRows(s *selection, lo, hi int, rp *rowTailPlan) [][]Value {
-	w := len(rp.ixs)
+// gatherRows projects selected rows lo..hi into a result, a column at a
+// time: each cell goes straight into its output column, which is allocated
+// at its exact size for the class its cells turn out to have.
+func gatherRows(s *selection, lo, hi int, rp *rowTailPlan, columns []string) *Rows {
 	var at [8]colAt // a narrow projection's addresses stay on the stack
-	cols := s.colsAt(at[:0], rp.ixs)
-	backing := make([]Value, (hi-lo)*w)
-	data := make([][]Value, hi-lo)
-	for i := range data {
-		vals := backing[i*w : (i+1)*w : (i+1)*w]
-		l, r := s.row(lo + i)
-		for k := range cols {
-			if c := &cols[k]; c.col < 0 {
-				vals[k] = rp.consts[^c.col]
+	src := s.colsAt(at[:0], rp.ixs)
+	out := &Rows{Columns: columns, cols: make([]column, len(src)), n: hi - lo}
+	for k := range src {
+		a, c := &src[k], &out.cols[k]
+		c.reserve(0, out.n)
+		for i := range out.n {
+			if a.col < 0 {
+				c.add(i, rp.consts[^a.col])
 			} else {
-				vals[k] = c.read(l, r)
+				c.add(i, a.read(s.row(lo+i)))
 			}
 		}
-		data[i] = vals
 	}
-	return data
+	return out
 }
 
 // distinctPositions keeps the first of every distinct projected row —
@@ -612,29 +606,38 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		}
 	}
 
-	out := &selOutput{columns: sel.bound.columns}
-	backing := make([]Value, len(reps)*w)
-	for g, rep := range reps {
-		vals := backing[g*w : (g+1)*w : (g+1)*w]
-		for k, it := range ap.items {
+	// One output row per group, written a column at a time.
+	out := &Rows{Columns: sel.bound.columns, cols: make([]column, w), n: len(reps)}
+	for k, it := range ap.items {
+		c := &out.cols[k]
+		c.reserve(0, out.n)
+		for g, rep := range reps {
+			var v Value
 			switch {
 			case it.fn != aggNone:
-				vals[k] = states[g*w+k].result(it.fn)
+				v = states[g*w+k].result(it.fn)
 			case rep >= 0:
-				l, r := s.row(rep)
-				vals[k] = itemAt[k].read(l, r)
+				v = itemAt[k].read(s.row(rep))
 			}
+			c.add(g, v)
 		}
-		out.add(vals, nil)
 	}
-	if sel.Distinct {
-		dedupeOutput(out)
+	if sel.Distinct || len(sel.OrderBy) > 0 || sel.Limit != nil {
+		// The interpreter's own tail, over the group rows.
+		o := &selOutput{columns: out.Columns}
+		for _, r := range out.rowData() {
+			o.add(r, nil)
+		}
+		if sel.Distinct {
+			dedupeOutput(o)
+		}
+		if err := ec.finishSelect(sel, o, outer); err != nil {
+			return nil, err
+		}
+		out = o.rows()
 	}
-	if err := ec.finishSelect(sel, out, outer); err != nil {
-		return nil, err
+	if anyRow && out.n > 1 {
+		out.n = 1
 	}
-	if anyRow && len(out.data) > 1 {
-		out.data = out.data[:1:1]
-	}
-	return out.rows(), nil
+	return out, nil
 }

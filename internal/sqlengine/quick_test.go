@@ -41,15 +41,15 @@ func TestWhereSubsetProperty(t *testing.T) {
 			return false
 		}
 		ids := make(map[int64]bool)
-		for _, r := range all.Data {
+		for _, r := range all.rowData() {
 			ids[r[0].I] = true
 		}
-		for _, r := range filtered.Data {
+		for _, r := range filtered.rowData() {
 			if !ids[r[0].I] {
 				return false
 			}
 		}
-		return len(narrower.Data) <= len(filtered.Data) && len(filtered.Data) <= len(all.Data)
+		return narrower.Len() <= filtered.Len() && filtered.Len() <= all.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -69,7 +69,7 @@ func TestCountMatchesRowsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return cnt.Data[0][0].I == int64(len(rows.Data))
+		return cnt.Cell(0, 0).I == int64(rows.Len())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -88,8 +88,8 @@ func TestOrderBySortedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := 1; i < len(rows.Data); i++ {
-			c := Compare(rows.Data[i-1][0], rows.Data[i][0])
+		for i := 1; i < rows.Len(); i++ {
+			c := Compare(rows.Cell(i-1, 0), rows.Cell(i, 0))
 			if desc && c < 0 {
 				return false
 			}
@@ -118,14 +118,14 @@ func TestDistinctProperty(t *testing.T) {
 			return false
 		}
 		seen := make(map[string]bool)
-		for _, r := range distinct.Data {
+		for _, r := range distinct.rowData() {
 			k := r[0].Key()
 			if seen[k] {
 				return false
 			}
 			seen[k] = true
 		}
-		for _, r := range raw.Data {
+		for _, r := range raw.rowData() {
 			if !seen[r[0].Key()] {
 				return false
 			}
@@ -152,14 +152,14 @@ func TestLimitPrefixProperty(t *testing.T) {
 			return false
 		}
 		want := n
-		if len(full.Data) < n {
-			want = len(full.Data)
+		if full.Len() < n {
+			want = full.Len()
 		}
-		if len(lim.Data) != want {
+		if lim.Len() != want {
 			return false
 		}
-		for i := range lim.Data {
-			if Compare(lim.Data[i][0], full.Data[i][0]) != 0 {
+		for i := range lim.rowData() {
+			if Compare(lim.Cell(i, 0), full.Cell(i, 0)) != 0 {
 				return false
 			}
 		}
@@ -183,10 +183,10 @@ func TestGroupBySumPartitionProperty(t *testing.T) {
 			return false
 		}
 		var sum float64
-		for _, r := range parts.Data {
+		for _, r := range parts.rowData() {
 			sum += r[1].AsFloat()
 		}
-		diff := sum - total.Data[0][0].AsFloat()
+		diff := sum - total.Cell(0, 0).AsFloat()
 		return diff < 1e-6 && diff > -1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -262,7 +262,7 @@ func TestJoinCardinalityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return len(left.Data) >= len(base.Data) && len(inner.Data) <= len(left.Data)
+		return left.Len() >= base.Len() && inner.Len() <= left.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

@@ -218,5 +218,13 @@ func TestResultsEqualRules(t *testing.T) {
 	}
 }
 
-// rowsOf returns a result's rows.
-func rowsOf(rows *sqlengine.Rows) [][]sqlengine.Value { return rows.Data }
+// rowsOf returns a result's rows, read through Len and Cell.
+func rowsOf(rows *sqlengine.Rows) [][]sqlengine.Value {
+	out := make([][]sqlengine.Value, rows.Len())
+	for i := range out {
+		for k := range rows.Columns {
+			out[i] = append(out[i], rows.Cell(i, k))
+		}
+	}
+	return out
+}

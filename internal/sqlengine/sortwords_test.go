@@ -70,7 +70,7 @@ func TestWordSortProperty(t *testing.T) {
 
 		// The word path's decision and order, against the comparator's.
 		tab, _ := planned.Table("z")
-		s := selection{src: rel{t: tab}, all: true}
+		s := selection{src: tab.rel(), all: true}
 		ks := make([]sortKey, len(keys))
 		wordable, nan := true, false
 		for i, k := range keys {

@@ -42,7 +42,7 @@ func TestUncorrelatedSubqueryMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows.Data[0][0].I; got != rows {
+	if got := res.Rows.Cell(0, 0).I; got != rows {
 		t.Fatalf("COUNT(*) = %d, want %d", got, rows)
 	}
 	// One outer scan + one inner scan + slack: far below the rows² a
@@ -90,7 +90,7 @@ func TestCorrelatedSubqueryStillPerRow(t *testing.T) {
 	}
 	// The largest id in every group has no strictly greater partner: 7
 	// groups, so 50-7 outer rows qualify.
-	if got := rows.Data[0][0].I; got != 43 {
+	if got := rows.Cell(0, 0).I; got != 43 {
 		t.Fatalf("correlated EXISTS count = %d, want 43", got)
 	}
 
@@ -99,7 +99,7 @@ func TestCorrelatedSubqueryStillPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rows.Data[0][0].I; got != 50 {
+	if got := rows.Cell(0, 0).I; got != 50 {
 		t.Fatalf("correlated scalar subquery count = %d, want 50", got)
 	}
 }
@@ -267,7 +267,7 @@ func TestExistsConjunctReach(t *testing.T) {
 		}
 		if c.name == "correlated" {
 			// No memo: the body is charged on every row that reaches it.
-			c.cost = 60 + 30*db.MustExec("SELECT COUNT(*) FROM t WHERE flag = 1").Rows.Data[0][0].I
+			c.cost = 60 + 30*db.MustExec("SELECT COUNT(*) FROM t WHERE flag = 1").Rows.Cell(0, 0).I
 		}
 		if nr.Cost != c.cost {
 			t.Errorf("%s: naive Cost %d, want %d", c.name, nr.Cost, c.cost)
@@ -291,7 +291,7 @@ func TestInSubqueryAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		res, err := st.Exec()
 		// grp is id % 7: 143 outer rows in each of groups 0, 1 and 2.
-		if err != nil || res.Rows.Data[0][0].I != 3*143 {
+		if err != nil || res.Rows.Cell(0, 0).I != 3*143 {
 			t.Fatalf("IN over 1,000 rows: %v, err %v", res, err)
 		}
 	})

@@ -59,7 +59,7 @@ func TestFilterTLPNoREC(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			return res.Rows.Data[0][0].I // SUM over no row is NULL: 0
+			return res.Rows.Cell(0, 0).I // SUM over no row is NULL: 0
 		}
 		for _, f := range frames {
 			and := func(p string) string {
@@ -93,7 +93,7 @@ func TestFilterTLPNoREC(t *testing.T) {
 						}
 						// Only an equality whose index bucket is empty leaves
 						// nothing to filter.
-						n := res.Rows.Data[0][0].I
+						n := res.Rows.Cell(0, 0).I
 						if n > 0 && res.Batches < 1 {
 							t.Errorf("%s: counts %d rows but ran no kernel (Batches 0)", where, n)
 						}

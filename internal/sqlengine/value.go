@@ -55,8 +55,8 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed SQL value. It is four machine words — Kind,
-// one 64-bit word I and the string header S — so a result row and a
-// materialised join row cost 32 bytes a column; a table stores its cells in
+// one 64-bit word I and the string header S — so a materialised join row
+// costs 32 bytes a column; a table and a query result store their cells in
 // typed columns instead (vector.go).
 // The zero Value is NULL, so uninitialised cells behave like SQL NULLs.
 //

@@ -354,7 +354,7 @@ func TestLikeMatchesSQLite(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: %v", name, sql, err)
 				}
-				if got := res.Rows.Data[0][0]; got != Int(c.want) {
+				if got := res.Rows.Cell(0, 0); got != Int(c.want) {
 					t.Errorf("%s %s = %v, SQLite answers %d", name, sql, got, c.want)
 				}
 			}

@@ -1,25 +1,28 @@
 package sqlengine
 
-// Column storage. A table holds each of its columns once, typed: the cells
-// of a column whose non-NULL cells share one storage class sit in one array
-// beside a NULL bitmap — nums for INTEGER and REAL, 8 bytes a cell holding
-// what a Value's word I holds (an INTEGER, or a REAL's bits), strs for
-// TEXT, a 16-byte string header a cell — and only a column that holds cells
-// of two classes keeps them as Values, in vals. Everything that reads a
-// table reads it here, by (position, column): the filter kernels run typed
-// loops over the arrays (kernels.go), the equality index and the hash join
-// key on the cells, and the tail consumers, the interpreter and DML read
-// cells at positions (Table.Cell, column.value). DML changes the arrays in place: INSERT and
-// BulkInsert append to every column, UPDATE rewrites cells, DELETE
-// rebuilds them; a cell of another class turns its column mixed.
+// Column storage. A table holds each of its columns once, typed, and so
+// does a query result (Rows): the cells of a column whose non-NULL cells
+// share one storage class sit in one array beside a NULL bitmap — nums for
+// INTEGER and REAL, 8 bytes a cell holding what a Value's word I holds (an
+// INTEGER, or a REAL's bits), strs for TEXT, a 16-byte string header a cell
+// — and only a column that holds cells of two classes keeps them as Values,
+// in vals. Everything that reads a table reads it here, by (position,
+// column): the filter kernels run typed loops over the arrays (kernels.go),
+// the equality index and the hash join key on the cells, and the tail
+// consumers, the interpreter and DML read cells at positions (Table.Cell,
+// column.value). DML changes the arrays in place: INSERT and BulkInsert
+// append to every column, UPDATE rewrites cells, DELETE rebuilds them; a
+// cell of another class turns its column mixed. A result's columns are
+// written once, a cell at a time (add), by the consumers of positions.go or
+// from rows (NewRows), and read the same way (Rows.Cell).
 
-// column is one table column's cells. kind is the storage class of every
-// non-NULL cell, KindNull while there is none; exactly the array of that
-// class is live, nums or strs, one cell per row, a NULL row holding its
-// zero. A mixed column has vals, holding every cell, and no other array.
-// nulls is the NULL bitmap of an unmixed column, true for a NULL row, nil
-// while no cell is NULL. room is the capacity a reserve asked for,
-// which an array started within that call is made with.
+// column is one column of a table's or a result's cells. kind is the
+// storage class of every non-NULL cell, KindNull while there is none;
+// exactly the array of that class is live, nums or strs, one cell per row,
+// a NULL row holding its zero. A mixed column has vals, holding every cell,
+// and no other array. nulls is the NULL bitmap of an unmixed column, true
+// for a NULL row, nil while no cell is NULL. room is the capacity a reserve
+// asked for, which an array started within that call is made with.
 type column struct {
 	kind  Kind
 	nulls []bool
@@ -70,9 +73,12 @@ func grown[T any](s []T, n int) []T {
 }
 
 // started returns an array of n zero cells, with room for the cells a
-// reserve announced.
+// reserve announced, or else for one more.
 func started[T any](c *column, n int) []T {
-	return make([]T, n, max(n+1, c.room))
+	if c.room >= n {
+		return make([]T, n, c.room)
+	}
+	return make([]T, n, n+1)
 }
 
 // add appends v as row n, the column's last: a zero cell, then set.

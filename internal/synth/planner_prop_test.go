@@ -64,7 +64,7 @@ func TestPlannerEquivalenceOnSynthCorpora(t *testing.T) {
 			}
 			if !resultRowsIdentical(ref.Rows, got.Rows) {
 				t.Fatalf("trial %d: %q: planned rows differ from naive\nnaive: %v\nplanned: %v",
-					trial, q.SQL, ref.Rows.Data, got.Rows.Data)
+					trial, q.SQL, rowsOf(ref.Rows), rowsOf(got.Rows))
 			}
 			if got.Cost > ref.Cost {
 				t.Fatalf("trial %d: %q: planned Cost %d exceeds the naive reference's %d", trial, q.SQL, got.Cost, ref.Cost)
@@ -87,13 +87,16 @@ func resultRowsIdentical(a, b *sqlengine.Rows) bool {
 	if !reflect.DeepEqual(a.Columns, b.Columns) {
 		return false
 	}
-	if len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if !reflect.DeepEqual(a.Data[i], b.Data[i]) {
-			return false
+	return reflect.DeepEqual(rowsOf(a), rowsOf(b))
+}
+
+// rowsOf returns a result's rows, read through Len and Cell.
+func rowsOf(rows *sqlengine.Rows) [][]sqlengine.Value {
+	out := make([][]sqlengine.Value, rows.Len())
+	for i := range out {
+		for k := range rows.Columns {
+			out[i] = append(out[i], rows.Cell(i, k))
 		}
 	}
-	return true
+	return out
 }

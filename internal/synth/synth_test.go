@@ -157,9 +157,9 @@ func TestGeneratePreservesSchemaAndDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := map[string]bool{"POPLATEK MESICNE": true, "POPLATEK PO OBRATU": true, "POPLATEK TYDNE": true}
-	for _, r := range rows.Data {
-		if !r[0].IsNull() && !valid[r[0].S] {
-			t.Fatalf("account.frequency emitted undocumented code %q", r[0].S)
+	for i := 0; i < rows.Len(); i++ {
+		if v := rows.Cell(i, 0); !v.IsNull() && !valid[v.S] {
+			t.Fatalf("account.frequency emitted undocumented code %q", v.S)
 		}
 	}
 }

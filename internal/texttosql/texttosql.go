@@ -508,11 +508,11 @@ func (p *pipeline) pickConsistent(task Task, candidates []string) string {
 
 // fingerprint canonically hashes a result set (order-insensitive).
 func fingerprint(rows *sqlengine.Rows) string {
-	lines := make([]string, 0, len(rows.Data))
-	for _, r := range rows.Data {
+	lines := make([]string, 0, rows.Len())
+	for i := 0; i < rows.Len(); i++ {
 		var sb strings.Builder
-		for _, v := range r {
-			sb.WriteString(v.Key())
+		for k := range rows.Columns {
+			sb.WriteString(rows.Cell(i, k).Key())
 			sb.WriteByte(0)
 		}
 		lines = append(lines, sb.String())

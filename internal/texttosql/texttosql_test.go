@@ -347,7 +347,7 @@ func TestValueIndexBuiltOncePerDB(t *testing.T) {
 // fingerprintRows builds an n-row result in a fixed shuffled order, with
 // duplicate rows, NULLs and every kind of value.
 func fingerprintRows(n int) *sqlengine.Rows {
-	rows := &sqlengine.Rows{Columns: []string{"a", "b"}}
+	var data [][]sqlengine.Value
 	x := uint64(12345)
 	for i := 0; i < n; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -362,9 +362,9 @@ func fingerprintRows(n int) *sqlengine.Rows {
 		default:
 			b = sqlengine.Int(int64(x >> 52))
 		}
-		rows.Data = append(rows.Data, []sqlengine.Value{sqlengine.Int(int64(x>>33) % int64(n/2+1)), b})
+		data = append(data, []sqlengine.Value{sqlengine.Int(int64(x>>33) % int64(n/2+1)), b})
 	}
-	return rows
+	return sqlengine.NewRows([]string{"a", "b"}, data)
 }
 
 // TestFingerprintMatchesInsertionSort pins fingerprint's bytes to those of
@@ -373,11 +373,11 @@ func fingerprintRows(n int) *sqlengine.Rows {
 // eight times the rows must not cost sixty-four times the time.
 func TestFingerprintMatchesInsertionSort(t *testing.T) {
 	rows := fingerprintRows(3000)
-	lines := make([]string, 0, len(rows.Data))
-	for _, r := range rows.Data {
+	lines := make([]string, 0, rows.Len())
+	for i := 0; i < rows.Len(); i++ {
 		var sb strings.Builder
-		for _, v := range r {
-			sb.WriteString(v.Key())
+		for k := range rows.Columns {
+			sb.WriteString(rows.Cell(i, k).Key())
 			sb.WriteByte(0)
 		}
 		lines = append(lines, sb.String())
@@ -388,7 +388,7 @@ func TestFingerprintMatchesInsertionSort(t *testing.T) {
 		}
 	}
 	if got, want := fingerprint(rows), strings.Join(lines, "\x01"); got != want {
-		t.Fatalf("fingerprint of %d shuffled rows differs from the insertion-sorted reference", len(rows.Data))
+		t.Fatalf("fingerprint of %d shuffled rows differs from the insertion-sorted reference", rows.Len())
 	}
 
 	best := func(rows *sqlengine.Rows) time.Duration {
@@ -403,7 +403,7 @@ func TestFingerprintMatchesInsertionSort(t *testing.T) {
 		return min
 	}
 	small, large := best(rows), best(fingerprintRows(24000))
-	t.Logf("fingerprint: %d rows %v, 24000 rows %v", len(rows.Data), small, large)
+	t.Logf("fingerprint: %d rows %v, 24000 rows %v", rows.Len(), small, large)
 	if large > 32*small {
 		t.Errorf("fingerprint of 8x the rows took %.0fx the time (%v vs %v): quadratic again?", float64(large)/float64(small), large, small)
 	}
