@@ -183,26 +183,23 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 	}
 
 	// The probe: every left row in order, each following its slot's chain,
-	// into a tally, or into one pair list sized by what the probe finds: room
-	// for a pair per left row of the first morsel, then for as many pairs
-	// again as that morsel's rate predicts for the rest of the input, and an
-	// eighth more; emit doubles the list whenever it fills.
+	// into a tally, or into one pair list, sized by pairsGuess and doubled by
+	// emit whenever it fills.
+	slotOf := func(li int) int32 {
+		if leftSlot != nil {
+			return leftSlot[li]
+		}
+		var slot int32
+		keyBuf, slot = keys.slot(keyBuf, lat, left.at(li), false)
+		return slot
+	}
 	ec.countBatches(ln)
 	out := selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, counted: count}
 	if !count {
-		out.pairs = make([]pair, 0, min(ln, morselRows))
+		out.pairs = make([]pair, 0, pairsGuess(ln, jt == JoinLeft, head, next, slotOf))
 	}
 	for li := 0; li < ln; li++ {
-		if li == morselRows && !count {
-			out.pairs = grown(out.pairs, len(out.pairs)*ln/li*9/8)
-		}
-		lp := left.at(li)
-		var slot int32
-		if leftSlot != nil {
-			slot = leftSlot[li]
-		} else {
-			keyBuf, slot = keys.slot(keyBuf, lat, lp, false)
-		}
+		lp, slot := left.at(li), slotOf(li)
 		matched := false
 		if slot >= 0 {
 			tested := int64(0)
@@ -240,6 +237,32 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 		}
 	}
 	return out, true, nil
+}
+
+// pairsGuess is the first capacity of a join's pair list, ln left rows
+// long: a pair per left row for a left input of at most a morsel, and past
+// that what the chains of the first morsel's rows hold — the candidates the
+// probe will test there, and under LEFT JOIN (left) a null extension for a
+// row without any — scaled to the whole input with an eighth to spare, but
+// never more than a pair per left row. slot is the slot of left row li.
+func pairsGuess(ln int, left bool, head, next []int32, slot func(li int) int32) int {
+	if ln <= morselRows {
+		return ln
+	}
+	found := 0
+	for li := 0; li < morselRows && found < morselRows; li++ {
+		n := 0
+		if s := slot(li); s >= 0 {
+			for ri := head[s]; ri >= 0 && n < morselRows; ri = next[ri] {
+				n++
+			}
+		}
+		if n == 0 && left {
+			n = 1
+		}
+		found += n
+	}
+	return min(ln, found*ln/morselRows*9/8)
 }
 
 // emit adds the pair (l, r) to a join's output: to its list, doubled when

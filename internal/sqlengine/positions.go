@@ -622,7 +622,8 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 			c.add(g, v)
 		}
 	}
-	if sel.Distinct || len(sel.OrderBy) > 0 || sel.Limit != nil {
+	switch {
+	case sel.Distinct || len(sel.OrderBy) > 0:
 		// The interpreter's own tail, over the group rows.
 		o := &selOutput{columns: out.Columns}
 		for _, r := range out.rowData() {
@@ -635,6 +636,15 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 			return nil, err
 		}
 		out = o.rows()
+	case sel.Limit != nil:
+		// finishSelect's window, built only where it drops a row.
+		limit, offset, err := ec.evalLimit(sel, outer)
+		if err != nil {
+			return nil, err
+		}
+		if lo, hi := limitWindow(out.n, limit, offset); hi-lo < out.n {
+			out = NewRows(out.Columns, out.rowData()[lo:hi])
+		}
 	}
 	if anyRow && out.n > 1 {
 		out.n = 1
