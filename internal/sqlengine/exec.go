@@ -25,12 +25,19 @@ type Rows struct {
 // NewRows returns the result whose row i is data[i], one cell per column
 // of columns.
 func NewRows(columns []string, data [][]Value) *Rows {
-	r := &Rows{Columns: columns, cols: make([]column, len(columns)), n: len(data)}
+	return newRows(columns, len(data), func(i, k int) Value { return data[i][k] })
+}
+
+// newRows returns the n-row result whose cell (i, k) is cell(i, k), written
+// a column at a time: each column's array is allocated once, at its exact
+// size, for the class its cells turn out to have.
+func newRows(columns []string, n int, cell func(i, k int) Value) *Rows {
+	r := &Rows{Columns: columns, cols: make([]column, len(columns)), n: n}
 	for k := range r.cols {
 		c := &r.cols[k]
-		c.reserve(0, r.n)
-		for i, row := range data {
-			c.add(i, row[k])
+		c.reserve(0, n)
+		for i := range n {
+			c.add(i, cell(i, k))
 		}
 	}
 	return r

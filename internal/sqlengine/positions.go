@@ -222,25 +222,18 @@ func (ec *execCtx) rowTailPositions(sel *SelectStmt, s selection, rp *rowTailPla
 	return gatherRows(&s, lo, hi, rp, sel.bound.columns), nil
 }
 
-// gatherRows projects selected rows lo..hi into a result, a column at a
-// time: each cell goes straight into its output column, which is allocated
-// at its exact size for the class its cells turn out to have.
+// gatherRows projects selected rows lo..hi into a result, each cell read
+// at its position and written straight into its output column.
 func gatherRows(s *selection, lo, hi int, rp *rowTailPlan, columns []string) *Rows {
 	var at [8]colAt // a narrow projection's addresses stay on the stack
 	src := s.colsAt(at[:0], rp.ixs)
-	out := &Rows{Columns: columns, cols: make([]column, len(src)), n: hi - lo}
-	for k := range src {
-		a, c := &src[k], &out.cols[k]
-		c.reserve(0, out.n)
-		for i := range out.n {
-			if a.col < 0 {
-				c.add(i, rp.consts[^a.col])
-			} else {
-				c.add(i, a.read(s.row(lo+i)))
-			}
+	return newRows(columns, hi-lo, func(i, k int) Value {
+		a := &src[k]
+		if a.col < 0 {
+			return rp.consts[^a.col]
 		}
-	}
-	return out
+		return a.read(s.row(lo + i))
+	})
 }
 
 // distinctPositions keeps the first of every distinct projected row —
@@ -606,22 +599,16 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		}
 	}
 
-	// One output row per group, written a column at a time.
-	out := &Rows{Columns: sel.bound.columns, cols: make([]column, w), n: len(reps)}
-	for k, it := range ap.items {
-		c := &out.cols[k]
-		c.reserve(0, out.n)
-		for g, rep := range reps {
-			var v Value
-			switch {
-			case it.fn != aggNone:
-				v = states[g*w+k].result(it.fn)
-			case rep >= 0:
-				v = itemAt[k].read(s.row(rep))
-			}
-			c.add(g, v)
+	// One output row per group, written straight into the result.
+	out := newRows(sel.bound.columns, len(reps), func(g, k int) Value {
+		switch {
+		case ap.items[k].fn != aggNone:
+			return states[g*w+k].result(ap.items[k].fn)
+		case reps[g] >= 0:
+			return itemAt[k].read(s.row(reps[g]))
 		}
-	}
+		return Value{}
+	})
 	switch {
 	case sel.Distinct || len(sel.OrderBy) > 0:
 		// The interpreter's own tail, over the group rows.
