@@ -599,8 +599,8 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 		}
 	}
 
-	// One output row per group, written straight into the result.
-	out := newRows(sel.bound.columns, len(reps), func(g, k int) Value {
+	// One output row per group; cell is its k'th cell.
+	cell := func(g, k int) Value {
 		switch {
 		case ap.items[k].fn != aggNone:
 			return states[g*w+k].result(ap.items[k].fn)
@@ -608,13 +608,18 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 			return itemAt[k].read(s.row(reps[g]))
 		}
 		return Value{}
-	})
-	switch {
-	case sel.Distinct || len(sel.OrderBy) > 0:
+	}
+	var out *Rows
+	if sel.Distinct || len(sel.OrderBy) > 0 {
 		// The interpreter's own tail, over the group rows.
-		o := &selOutput{columns: out.Columns}
-		for _, r := range out.rowData() {
-			o.add(r, nil)
+		o := &selOutput{columns: sel.bound.columns}
+		backing := make([]Value, len(reps)*w)
+		for g := range reps {
+			vals := backing[g*w : (g+1)*w : (g+1)*w]
+			for k := range vals {
+				vals[k] = cell(g, k)
+			}
+			o.add(vals, nil)
 		}
 		if sel.Distinct {
 			dedupeOutput(o)
@@ -623,14 +628,17 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan,
 			return nil, err
 		}
 		out = o.rows()
-	case sel.Limit != nil:
-		// finishSelect's window, built only where it drops a row.
-		limit, offset, err := ec.evalLimit(sel, outer)
-		if err != nil {
-			return nil, err
-		}
-		if lo, hi := limitWindow(out.n, limit, offset); hi-lo < out.n {
-			out = NewRows(out.Columns, out.rowData()[lo:hi])
+	} else {
+		out = newRows(sel.bound.columns, len(reps), cell)
+		if sel.Limit != nil {
+			// finishSelect's window, built only where it drops a row.
+			limit, offset, err := ec.evalLimit(sel, outer)
+			if err != nil {
+				return nil, err
+			}
+			if lo, hi := limitWindow(out.n, limit, offset); hi-lo < out.n {
+				out = NewRows(out.Columns, out.rowData()[lo:hi])
+			}
 		}
 	}
 	if anyRow && out.n > 1 {
