@@ -18,10 +18,13 @@ import "fmt"
 // together with the skipped parse work is what makes million-row loads
 // practical (see BenchmarkBulkInsertVsInsert).
 //
-// Like all DML, BulkInsert must not run concurrently with queries or other
-// mutations on the same database.
+// Like all DML, BulkInsert fails on a frozen table, and must not run
+// concurrently with queries or other mutations on the same database.
 func (db *Database) BulkInsert(table string, rows [][]Value) (int, error) {
 	t, err := db.lookupTable(table)
+	if err == nil {
+		err = t.writable()
+	}
 	if err != nil {
 		return 0, err
 	}

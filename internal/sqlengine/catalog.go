@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,11 +31,18 @@ type Table struct {
 	colIndex  map[string]int // lower-case column name -> position
 	lowerCols []string       // lower-case column names; Columns never change after creation
 
-	// idxMu guards eqIdx. Indexes are built lazily by concurrent read-only
-	// queries; any DML drops them (the Database contract already forbids
-	// mutation concurrent with queries).
-	idxMu sync.Mutex
-	eqIdx map[int]*colEqIndex // column position -> equality index
+	// eqIdx holds each column's equality index, built by the first point
+	// lookup that reads it; concurrent read-only queries share the build.
+	// DML drops them (the Database contract forbids mutation concurrent
+	// with queries); a frozen table, which refuses DML, builds each once.
+	eqIdx  []eqSlot
+	frozen bool
+}
+
+// eqSlot is one column's equality index, built once.
+type eqSlot struct {
+	once sync.Once
+	idx  *colEqIndex
 }
 
 // Len returns the number of rows.
@@ -57,26 +65,32 @@ func (t *Table) appendRow(row []Value) {
 }
 
 // colEqIndex is a lazily built point-lookup index over one column: the
-// planner's coarse join key of every non-NULL cell, grouped into buckets.
-// ids maps a key to its bucket b, and bucket b is pos[off[b]:off[b+1]] —
-// the positions of its rows, ascending — so the whole index is one map and
-// two flat arrays, with no slice per bucket. Ascending order matters — it
-// makes an index scan emit rows in exactly the order a full scan would,
-// which the plan/naive equivalence guarantee relies on.
+// planner's coarse join key of every non-NULL cell, grouped into buckets,
+// bucket b being pos[off[b]:off[b+1]] — the positions of its rows,
+// ascending — so the whole index is two flat arrays, with no slice per
+// bucket. Ascending order matters — it makes an index scan emit rows in
+// exactly the order a full scan would, which the plan/naive equivalence
+// guarantee relies on. A plain column's ids maps each key to its bucket. A
+// coded column's buckets are its codes' posting lists, found by a binary
+// search of its dictionary, dict: no key map, except for its numeric-looking
+// words, whose keys ids maps — to a code's list, or, where words such as
+// '05' and '5' share a key, to a bucket after the codes' that merges
+// theirs.
 type colEqIndex struct {
-	ids map[string]int32
-	off []int32
-	pos []int
-	nan bool // a cell is a NaN REAL, which `=` matches to every number
+	ids  map[string]int32
+	off  []int32
+	pos  []int
+	dict *textDict
+	nan  bool // a cell is a NaN REAL, which `=` matches to every number
 }
 
-// newColEqIndex indexes the n cells of column c in two passes: the first
-// numbers each cell's bucket and counts the buckets, the second places each
-// row's position in its bucket.
+// newColEqIndex indexes the n cells of column c.
 func newColEqIndex(c *column, n int) *colEqIndex {
+	if c.dict != nil {
+		return newCodedEqIndex(c, n)
+	}
 	idx := &colEqIndex{ids: make(map[string]int32)}
 	bucket := make([]int32, n) // row -> bucket; -1 for NULL
-	var counts []int32
 	var buf []byte
 	for ri := range bucket {
 		v := c.value(ri)
@@ -90,37 +104,119 @@ func newColEqIndex(c *column, n int) *colEqIndex {
 		buf = coarseKey(buf[:0], v)
 		b, ok := idx.ids[string(buf)]
 		if !ok {
-			b = int32(len(counts))
+			b = int32(len(idx.ids))
 			idx.ids[string(buf)] = b
-			counts = append(counts, 0)
 		}
 		bucket[ri] = b
-		counts[b]++
 	}
+	idx.postings(n, len(idx.ids), func(ri int) int32 { return bucket[ri] })
+	return idx
+}
+
+// newCodedEqIndex indexes the n cells of coded column c by code, and adds
+// a merged bucket for each key that numeric-looking words share.
+func newCodedEqIndex(c *column, n int) *colEqIndex {
+	d := c.dict
+	idx := &colEqIndex{dict: d}
+	idx.postings(n, len(d.words), func(ri int) int32 {
+		if c.null(ri) {
+			return -1
+		}
+		return int32(d.codes[ri])
+	})
+	var keys []string
+	shared := map[string][]int32{}
+	for w, s := range d.words {
+		if _, ok := numericText(s); ok {
+			k := string(coarseKey(nil, Text(s)))
+			if shared[k] == nil {
+				keys = append(keys, k)
+			}
+			shared[k] = append(shared[k], int32(w))
+		}
+	}
+	if len(keys) > 0 {
+		idx.ids = make(map[string]int32, len(keys))
+	}
+	for _, k := range keys {
+		ws := shared[k]
+		if len(ws) == 1 {
+			idx.ids[k] = ws[0]
+			continue
+		}
+		start := len(idx.pos)
+		for _, w := range ws {
+			idx.pos = append(idx.pos, idx.pos[idx.off[w]:idx.off[w+1]]...)
+		}
+		slices.Sort(idx.pos[start:])
+		idx.ids[k] = int32(len(idx.off) - 1)
+		idx.off = append(idx.off, int32(len(idx.pos)))
+	}
+	return idx
+}
+
+// postings lays out the positions of the n rows by bucket, nb of them,
+// row ri's being bucket(ri), -1 for none, in two passes: the first counts
+// each bucket's rows, the second places each row's position in its bucket.
+func (idx *colEqIndex) postings(n, nb int, bucket func(ri int) int32) {
 	// off[b] starts as bucket b's first slot and advances as the bucket
 	// fills, ending at bucket b+1's first slot; shifting it one place then
 	// gives the boundaries.
-	idx.off = make([]int32, len(counts)+1)
+	idx.off = make([]int32, nb+1)
+	for ri := 0; ri < n; ri++ {
+		if b := bucket(ri); b >= 0 {
+			idx.off[b]++
+		}
+	}
 	var m int32
-	for b, c := range counts {
+	for b, c := range idx.off[:nb] {
 		idx.off[b] = m
 		m += c
 	}
 	idx.pos = make([]int, m)
-	for ri, b := range bucket {
-		if b >= 0 {
+	for ri := 0; ri < n; ri++ {
+		if b := bucket(ri); b >= 0 {
 			idx.pos[idx.off[b]] = ri
 			idx.off[b]++
 		}
 	}
-	copy(idx.off[1:], idx.off[:len(counts)])
+	copy(idx.off[1:], idx.off[:nb])
 	idx.off[0] = 0
-	return idx
+}
+
+// lookup returns the bucket of the cells that may equal v, a non-NULL
+// value: a coded column finds a text that does not look numeric by a
+// binary search of its words, and every other value by its coarse key.
+func (idx *colEqIndex) lookup(v Value) (pos []int, ok bool) {
+	if idx.nan {
+		return nil, false
+	}
+	word := idx.dict != nil && v.Kind == KindText
+	if word {
+		_, num := numericText(v.S)
+		word = !num
+	}
+	var b int32
+	var found bool
+	if word {
+		var w int
+		w, found = slices.BinarySearch(idx.dict.words, v.S)
+		b = int32(w)
+	} else {
+		var buf [64]byte
+		b, found = idx.ids[string(coarseKey(buf[:0], v))]
+	}
+	if !found {
+		return nil, true
+	}
+	lo, hi := idx.off[b], idx.off[b+1]
+	return idx.pos[lo:hi:hi], true
 }
 
 func newTable(name string, cols []Column, fks []ForeignKeyDef) *Table {
 	t := &Table{Name: name, Columns: cols, ForeignKeys: fks, cols: make([]column, len(cols)),
-		colIndex: make(map[string]int, len(cols)), lowerCols: make([]string, len(cols))}
+		colIndex: make(map[string]int, len(cols)), lowerCols: make([]string, len(cols)),
+		eqIdx: make([]eqSlot, len(cols))}
 	for i, c := range cols {
 		t.lowerCols[i] = strings.ToLower(c.Name)
 		t.colIndex[t.lowerCols[i]] = i
@@ -129,40 +225,49 @@ func newTable(name string, cols []Column, fks []ForeignKeyDef) *Table {
 }
 
 // eqLookup returns the positions (ascending) of rows whose column col may
-// equal a value with coarse key key, building the column's index on first
-// use. Callers must re-verify candidates with real SQL equality: the coarse
-// key over-approximates (see coarseKey). The slice's capacity is its
-// length, so an append cannot reach the next bucket. ok is false when no
-// bucket can answer: the column holds a NaN, which equals every number.
-func (t *Table) eqLookup(col int, key string) (pos []int, ok bool) {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if t.eqIdx == nil {
-		t.eqIdx = make(map[int]*colEqIndex)
-	}
-	idx, ok := t.eqIdx[col]
-	if !ok {
-		idx = newColEqIndex(&t.cols[col], t.n)
-		t.eqIdx[col] = idx
-	}
-	if idx.nan {
-		return nil, false
-	}
-	b, ok := idx.ids[key]
-	if !ok {
-		return nil, true
-	}
-	lo, hi := idx.off[b], idx.off[b+1]
-	return idx.pos[lo:hi:hi], true
+// equal v, a non-NULL value, building the column's index on first use.
+// Callers must re-verify candidates with real SQL equality: the index
+// buckets cells by coarse key, which over-approximates (see coarseKey). The
+// slice's capacity is its length, so an append cannot reach the next
+// bucket. ok is false when no bucket can answer: the column holds a NaN,
+// which equals every number.
+func (t *Table) eqLookup(col int, v Value) (pos []int, ok bool) {
+	s := &t.eqIdx[col]
+	s.once.Do(func() { s.idx = newColEqIndex(&t.cols[col], t.n) })
+	return s.idx.lookup(v)
 }
 
-// invalidateIndexes drops all lazily built equality indexes. Every DML
-// path (INSERT/UPDATE/DELETE and BulkInsert) calls it so index reads never
-// see stale rows.
+// invalidateIndexes drops every equality index built. Every DML path
+// (INSERT/UPDATE/DELETE and BulkInsert) calls it so index reads never see
+// stale rows.
 func (t *Table) invalidateIndexes() {
-	t.idxMu.Lock()
-	t.eqIdx = nil
-	t.idxMu.Unlock()
+	for i := range t.eqIdx {
+		if t.eqIdx[i].idx != nil {
+			clear(t.eqIdx)
+			return
+		}
+	}
+}
+
+// freeze makes the table read-only for good: each TEXT column worth coding
+// is coded (column.code), every array drops its spare room, and the
+// indexes built so far, over the old storage, are dropped.
+func (t *Table) freeze() {
+	for i := range t.cols {
+		t.cols[i].code(t.n)
+		t.cols[i].compact(t.n)
+	}
+	clear(t.eqIdx)
+	t.frozen = true
+}
+
+// writable is the error DML on a frozen table fails with, before it changes
+// anything; nil for an unfrozen table.
+func (t *Table) writable() error {
+	if t.frozen {
+		return fmt.Errorf("sqlengine: table %s is frozen: it is read-only", t.Name)
+	}
+	return nil
 }
 
 // ColumnIndex returns the position of the named column (case-insensitive),
@@ -200,6 +305,18 @@ type Database struct {
 	order  []string
 
 	plans *planCache
+}
+
+// Freeze makes every table of the database read-only, for good: INSERT,
+// UPDATE, DELETE and BulkInsert on them fail, and each TEXT column whose
+// distinct strings are few enough is stored as codes over a dictionary
+// (vector.go). A corpus builder freezes what it serves once it is loaded.
+// Like DML, Freeze must not run concurrently with queries; a table created
+// after it is not frozen.
+func (db *Database) Freeze() {
+	for _, t := range db.tables {
+		t.freeze()
+	}
 }
 
 // NewDatabase returns an empty database with the given name.

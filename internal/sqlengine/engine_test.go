@@ -513,7 +513,7 @@ func TestFilterAllocations(t *testing.T) {
 	conj := func(cond string) []conjunct {
 		return preparedSelect(t, db, "SELECT 1 FROM f WHERE "+cond).bound.plan.where
 	}
-	pos, _ := tab.eqLookup(3, string(coarseKey(nil, Int(1))))
+	pos, _ := tab.eqLookup(3, Int(1))
 	bucket := selection{src: tab.rel(), pos: pos}
 	for _, tc := range []struct {
 		cond     string

@@ -835,6 +835,9 @@ func (ec *execCtx) join(left, right *selection, nl, nr int, jt JoinType, on Expr
 
 func (ec *execCtx) execInsert(ins *InsertStmt) (int64, error) {
 	t := ins.table
+	if err := t.writable(); err != nil {
+		return 0, err
+	}
 	env := &evalEnv{ec: ec, sc: &scope{}}
 	var n int64
 	for _, rowExprs := range ins.Rows {
@@ -858,6 +861,9 @@ func (ec *execCtx) execInsert(ins *InsertStmt) (int64, error) {
 // order. Every SET of a row is evaluated before any of its cells changes.
 func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 	t := up.table
+	if err := t.writable(); err != nil {
+		return 0, err
+	}
 	var n int64
 	defer func() {
 		if n > 0 {
@@ -897,6 +903,9 @@ func (ec *execCtx) execUpdate(up *UpdateStmt) (int64, error) {
 // from the rows that stay, once every row has been tested.
 func (ec *execCtx) execDelete(del *DeleteStmt) (int64, error) {
 	t := del.table
+	if err := t.writable(); err != nil {
+		return 0, err
+	}
 	var n int64
 	sc := &scope{cols: t.cols}
 	env := &evalEnv{ec: ec, sc: sc}

@@ -8,18 +8,20 @@ import (
 	"testing/quick"
 )
 
-// filterDB is the database FuzzFilter's predicates run on, built once per
-// process (the statements only read it): p has a column of each storage
-// class with NULLs — i INTEGER, r REAL, s TEXT, each typed, so a full
-// scan's kernels read their vectors — m of mixed kinds, numeric-looking
-// text included, whose vector is untyped, n all NULL, and k, a small-range
-// INTEGER whose `k = literal` reads an equality-index bucket. q is a small
-// table p joins on k, with unmatched keys on both sides.
-var filterDB = sync.OnceValue(func() *Database {
+// buildFilterDB builds the database FuzzFilter's predicates run on: p has a
+// column of each storage class with NULLs — i INTEGER, r REAL, s TEXT, each
+// typed, so a full scan's kernels read their vectors, and s with
+// numeric-looking words that `=` matches to each other ('5', '05', ' 5 ')
+// and the empty string — m of mixed kinds, numeric-looking text included,
+// whose vector is untyped, n all NULL, and k, a small-range INTEGER whose
+// `k = literal` reads an equality-index bucket. q is a small table p joins
+// on k, with unmatched keys on both sides; its t has a distinct string a
+// row but one, too many to be coded.
+func buildFilterDB() *Database {
 	db := NewDatabase("filter")
 	db.MustExec("CREATE TABLE p (id INTEGER, i INTEGER, r REAL, s TEXT, m INTEGER, n INTEGER, k INTEGER)")
 	db.MustExec("CREATE TABLE q (k INTEGER, w INTEGER, t TEXT)")
-	texts := []string{"a", "ab", "B", "é", "10", "5", "", "x_y", "%", "A"}
+	texts := []string{"a", "ab", "B", "é", "10", "5", "", "x_y", "%", "A", "05", " 5 "}
 	mixed := []Value{Int(1), Int(-2), Float(1.5), Float(1), Text("1"), Text("01"), Text("a"), Text(""), Null()}
 	p, _ := db.Table("p")
 	for id := 0; id < 600; id++ {
@@ -39,6 +41,15 @@ var filterDB = sync.OnceValue(func() *Database {
 	}
 	q.appendRow([]Value{Null(), Int(0), Null()})
 	return db
+}
+
+// filterDBs are the databases each generated WHERE runs on, built once per
+// process (the statements only read them): buildFilterDB's, and a frozen
+// build of it, whose p.s is coded (q.t, m and the numbers are not).
+var filterDBs = sync.OnceValue(func() []*Database {
+	frozen := buildFilterDB()
+	frozen.Freeze()
+	return []*Database{buildFilterDB(), frozen}
 })
 
 // filterPred generates one predicate over cols from every compiled shape —
@@ -46,7 +57,7 @@ var filterDB = sync.OnceValue(func() *Database {
 // NULL, LIKE, IS NULL, each maybe negated — and, while depth allows, NOT,
 // AND and OR over smaller ones and comparisons of arithmetic.
 func filterPred(p *picker, cols []string, depth int) string {
-	lits := []string{"NULL", "0", "1", "2", "-3", "1.5", "10", "'1'", "'01'", "'10'", "'a'", "'B'", "'é'", "''"}
+	lits := []string{"NULL", "0", "1", "2", "-3", "1.5", "10", "'1'", "'01'", "'10'", "'a'", "'B'", "'é'", "''", "5", "'5'", "'05'", "' 5 '"}
 	ops := []string{"=", "!=", "<", "<=", ">", ">="}
 	not := func() string { return p.of("", "NOT ") }
 	shapes := 7
@@ -101,7 +112,8 @@ func filterCase(p *picker) (from, cols, where string) {
 	return from, cols, strings.Join(conj, " AND ")
 }
 
-// checkFilterCase holds one generated WHERE to three relations:
+// checkFilterCase holds one generated WHERE, on each of filterDBs, to three
+// relations:
 //
 //   - the planned engine answers it with the naive reference's rows, order
 //     and error class, at a Cost no greater (divergence);
@@ -113,7 +125,13 @@ func filterCase(p *picker) (from, cols, where string) {
 //     projection, where no filter runs.
 func checkFilterCase(t *testing.T, data []byte) {
 	t.Helper()
-	db := filterDB()
+	for _, db := range filterDBs() {
+		checkFilterCaseOn(t, db, data)
+	}
+}
+
+func checkFilterCaseOn(t *testing.T, db *Database, data []byte) {
+	t.Helper()
 	from, cols, w := filterCase(&picker{data: data})
 	sql := "SELECT " + cols + " FROM " + from + " WHERE " + w
 	pr, perr := db.Exec(sql)

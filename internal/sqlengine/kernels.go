@@ -2,7 +2,9 @@ package sqlengine
 
 import (
 	"math"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Compiled conjuncts. A conjunct of a planned WHERE whose shape tests one
@@ -17,12 +19,18 @@ import (
 //     evaluator's own rule for the shape (compare, between, like, inList;
 //     IS NULL), chosen at Prepare, so no rule is written twice and a cell
 //     costs its rule alone;
-//   - for a conjunct pushed into a whole-table scan, without a NOT around
-//     it and with non-NULL literals, a vector form: a typed loop over the
-//     column's array (vector.go), which keeps the evaluator's semantics —
-//     NULL fails, harmonise's numeric/text coercion, Compare's order — in
-//     the column's own kind. A negation has none: it passes most rows, so
-//     its filter is the cost of its output either way.
+//   - for a conjunct pushed into a whole-table scan, a vector form: over a
+//     plain column, where there is no NOT around it and its literals are
+//     not NULL, a typed loop over the column's array (vector.go), which
+//     keeps the evaluator's semantics — NULL fails, harmonise's
+//     numeric/text coercion, Compare's order — in the column's own kind
+//     (a negation has none there: it passes most rows, so its filter is
+//     the cost of its output either way); over a coded column, every
+//     shape but a negated IS NULL, read from the codes — a comparison or
+//     BETWEEN against TEXT literals as the codes' range, found by a binary
+//     search of the dictionary (TEXT compares byte-wise, and the words are
+//     in byte order), and any other shape by the row form's rule evaluated
+//     once per word, remembered per dictionary.
 //
 // Which form filters a row cannot be observed: each is the same truth.
 
@@ -43,8 +51,10 @@ const (
 // column on its left, and literal; BETWEEN's bounds, lit and hi; LIKE's
 // pattern, lit; an IN list's items — whether its truth is negated (NOT
 // BETWEEN, NOT LIKE, NOT IN, IS NOT NULL, or a NOT around the shape),
-// whether it has a vector form, and its row form, rule: the shape's truth,
-// not yet negated, on a row whose cell in its column is v.
+// whether it has a vector form over a plain column, and its row form, rule:
+// the shape's truth, not yet negated, on a row whose cell in its column is
+// v. words is where LIKE and IN, whose coded form is their truth on each
+// word, keep the last such truth they computed.
 type kernel struct {
 	shape   kernelShape
 	col     int
@@ -54,6 +64,14 @@ type kernel struct {
 	lit, hi Value
 	list    []Value
 	rule    func(k *kernel, v Value) (t, known bool)
+	words   *atomic.Pointer[wordTruth]
+}
+
+// wordTruth is a kernel's truth, negated as the kernel is, on each word of
+// one dictionary: bit w of pass for word w.
+type wordTruth struct {
+	dict *textDict
+	pass []uint64
 }
 
 // kernelOf compiles conjunct e over rows whose first column is slot off of
@@ -117,6 +135,9 @@ func kernelOf(e Expr, off int) kernel {
 	}
 	k.col = cr.slot - off
 	k.rule = rowRules[k.shape]
+	if k.shape == kernelLike || k.shape == kernelIn {
+		k.words = new(atomic.Pointer[wordTruth])
+	}
 	return k
 }
 
@@ -130,11 +151,11 @@ var rowRules = [...]func(k *kernel, v Value) (t, known bool){
 	kernelIn:      func(k *kernel, v Value) (bool, bool) { return inList(v, k.list, nil) },
 }
 
-// test returns the vector form over c, the column's storage: whether the
-// row at a table position passes; nil where c does not fit the shape — it
-// is mixed, say — and the row form filters.
+// test returns the vector form over plain column c, the column's storage:
+// whether the row at a table position passes; nil where c does not fit the
+// shape — it is mixed, say — and the row form filters.
 func (k *kernel) test(c *column) func(i int) bool {
-	if c.vals != nil {
+	if c.vals != nil || !k.vec {
 		return nil
 	}
 	switch k.shape {
@@ -163,6 +184,104 @@ func (k *kernel) test(c *column) func(i int) bool {
 		}
 	}
 	return nil
+}
+
+// textRange reports whether the shape's truth on a TEXT cell is a range of
+// byte order: a comparison with a TEXT literal, or BETWEEN TEXT bounds.
+func (k *kernel) textRange() bool {
+	return k.shape == kernelCmp && k.lit.Kind == KindText ||
+		k.shape == kernelBetween && k.lit.Kind == KindText && k.hi.Kind == KindText
+}
+
+// codedForm is the vector form over a coded column, held by value so that
+// a filter builds it without allocating. A row passes when its cell is not
+// NULL and, with pass nil, its code's class — below lo, from lo up to hi,
+// from hi on: 1, 2 or 4, cmpMask's classes — is in mask; with pass set,
+// when its code's bit is.
+type codedForm struct {
+	codes  []uint32
+	nulls  []bool
+	lo, hi uint32
+	mask   uint8
+	pass   []uint64
+}
+
+// coded returns the vector form over c, when it is a coded column and the
+// shape is not IS NULL; a NULL cell fails every other shape, negated or
+// not. Where the shape is a range of byte order its bounds are found among
+// the words: a comparison passes the classes of its operator, BETWEEN the
+// codes inside its bounds. Every other shape reads the rule's truth on each
+// word (truth).
+func (k *kernel) coded(c *column) (f codedForm, ok bool) {
+	if c.dict == nil || k.shape == kernelIsNull {
+		return f, false
+	}
+	f.codes, f.nulls = c.dict.codes, c.nulls
+	words := c.dict.words
+	// bounds returns where the words equal to s start and end.
+	bounds := func(s string) (uint32, uint32) {
+		i, found := slices.BinarySearch(words, s)
+		if found {
+			return uint32(i), uint32(i + 1)
+		}
+		return uint32(i), uint32(i)
+	}
+	switch {
+	case !k.textRange():
+		f.pass = k.truth(c.dict)
+		return f, true
+	case k.shape == kernelCmp:
+		f.lo, f.hi = bounds(k.lit.S)
+		f.mask = opMasks[k.op]
+	default:
+		f.lo, _ = bounds(k.lit.S)
+		_, f.hi = bounds(k.hi.S)
+		f.hi = max(f.hi, f.lo)
+		f.mask = 2
+	}
+	if k.not {
+		f.mask ^= 7
+	}
+	return f, true
+}
+
+// holds reports whether the row at position i passes.
+func (f *codedForm) holds(i int) bool {
+	if f.nulls != nil && f.nulls[i] {
+		return false
+	}
+	x := f.codes[i]
+	if f.pass != nil {
+		return f.pass[x/64]&(1<<(x%64)) != 0
+	}
+	class := uint8(4)
+	if x < f.lo {
+		class = 1
+	} else if x < f.hi {
+		class = 2
+	}
+	return f.mask&class != 0
+}
+
+// truth returns the kernel's truth, negated as the kernel is, on each word
+// of d: the row form's rule, evaluated once a word — kept for the next
+// execution over the same dictionary where the kernel has words.
+func (k *kernel) truth(d *textDict) []uint64 {
+	if k.words != nil {
+		if t := k.words.Load(); t != nil && t.dict == d {
+			return t.pass
+		}
+	}
+	pass := make([]uint64, (len(d.words)+63)/64)
+	for w, s := range d.words {
+		if t, known := k.rule(k, Value{Kind: KindText, S: s}); known && t != k.not {
+			pass[w/64] |= 1 << (w % 64)
+		}
+	}
+	if k.words != nil {
+		k.words.Store(&wordTruth{dict: d, pass: pass})
+	}
+	return pass
 }
 
 // cmpMask encodes the outcome of comparing a with b as a bit: 1 = less,

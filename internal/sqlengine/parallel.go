@@ -334,9 +334,10 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 	// How each of item's conjuncts reads a row; a short conjunction's stay
 	// on the stack.
 	type form struct {
-		c    *conjunct
-		test func(p int) bool
-		at   colAt
+		c     *conjunct
+		test  func(p int) bool
+		coded codedForm
+		at    colAt
 	}
 	forms := make([]form, 0, 4)
 	var env *evalEnv
@@ -346,8 +347,12 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 		switch kern := &f.c.kern; {
 		case f.c.scan != item:
 			continue
-		case in.all && in.src.cols != nil && kern.vec:
-			f.test = kern.test(&in.src.cols[kern.col])
+		case in.all && in.src.cols != nil && kern.shape != noKernel:
+			col := &in.src.cols[kern.col]
+			var coded bool
+			if f.coded, coded = kern.coded(col); !coded {
+				f.test = kern.test(col)
+			}
 			fallthrough
 		case kern.shape != noKernel:
 			f.at = in.colAt(kern.col)
@@ -369,6 +374,10 @@ rows:
 		for k := range forms {
 			f := &forms[k]
 			switch {
+			case f.coded.codes != nil:
+				if !f.coded.holds(l) {
+					continue rows
+				}
 			case f.test != nil:
 				if !f.test(l) {
 					continue rows

@@ -463,10 +463,7 @@ func TestIndexInvalidationAfterDML(t *testing.T) {
 		t.Fatalf("initial count = %d, want 2", got)
 	}
 	tab, _ := db.Table("p")
-	tab.idxMu.Lock()
-	built := tab.eqIdx != nil
-	tab.idxMu.Unlock()
-	if !built {
+	if !tab.indexed() {
 		t.Fatal("point lookup did not build the equality index")
 	}
 

@@ -121,7 +121,7 @@ func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *sc
 			continue
 		} else if k.lit.IsNull() { // `col = NULL` is never true: nothing selected
 			s.all = false
-		} else if pos, ok := t.eqLookup(k.col, string(coarseKey(nil, k.lit))); ok {
+		} else if pos, ok := t.eqLookup(k.col, k.lit); ok {
 			s.all, s.pos = false, pos
 		}
 	}

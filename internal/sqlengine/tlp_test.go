@@ -26,7 +26,9 @@ import (
 // where the EXISTS is nested, stay interpreted. The frames reach each
 // kernel form: a full scan (column vectors), an index bucket (cells read
 // from the rows) and a LEFT JOIN's null-extended pairs (the right side's
-// cells, filtered after the join).
+// cells, filtered after the join) — each on the fixture and on a frozen
+// build of it, whose low-cardinality TEXT columns (t.grp, g's, acc.kind)
+// the coded forms read.
 func TestFilterTLPNoREC(t *testing.T) {
 	frames := []struct {
 		from, where string // where: a conjunct ANDed in front of p, or ""
@@ -52,62 +54,69 @@ func TestFilterTLPNoREC(t *testing.T) {
 		}
 	}
 	for _, seed := range []int64{1, 7, 42} {
-		db := buildMultiDB(seed, 60)
-		count := func(sql string) int64 {
-			t.Helper()
-			res, err := db.Exec(sql)
-			if err != nil {
-				t.Fatalf("%s: %v", sql, err)
+		for _, frozen := range []bool{false, true} {
+			label := fmt.Sprintf("seed %d", seed)
+			db := buildMultiDB(seed, 60)
+			if frozen {
+				label += ", frozen"
+				db.Freeze()
 			}
-			return res.Rows.Cell(0, 0).I // SUM over no row is NULL: 0
-		}
-		for _, f := range frames {
-			and := func(p string) string {
-				if f.where == "" {
-					return p
+			count := func(sql string) int64 {
+				t.Helper()
+				res, err := db.Exec(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
 				}
-				return f.where + " AND " + p
+				return res.Rows.Cell(0, 0).I // SUM over no row is NULL: 0
 			}
-			from := " FROM " + f.from
-			all := "SELECT COUNT(*)" + from
-			if f.where != "" {
-				all += " WHERE " + f.where
-			}
-			total := count(all)
-			for _, col := range f.cols {
-				for _, shape := range shapes {
-					p := fmt.Sprintf(shape, col)
-					for _, p := range []string{
-						p, "NOT (" + p + ")",
-						// The uncorrelated EXISTS conjuncts the planner
-						// settles apart from p's kernels: constant true,
-						// true by an empty body, and false.
-						p + " AND EXISTS (SELECT 1 FROM t)",
-						p + " AND NOT EXISTS (SELECT 1 FROM g WHERE weight > 1000)",
-						"EXISTS (SELECT 1 FROM g WHERE weight > 1000) AND " + p,
-					} {
-						where := "SELECT COUNT(*)" + from + " WHERE " + and(p)
-						res, err := db.Exec(where)
-						if err != nil {
-							t.Fatalf("%s: %v", where, err)
-						}
-						// Only an equality whose index bucket is empty leaves
-						// nothing to filter.
-						n := res.Rows.Cell(0, 0).I
-						if n > 0 && res.Batches < 1 {
-							t.Errorf("%s: counts %d rows but ran no kernel (Batches 0)", where, n)
-						}
-						parts := n + count("SELECT COUNT(*)"+from+" WHERE "+and("NOT ("+p+")")) +
-							count("SELECT COUNT(*)"+from+" WHERE "+and("("+p+") IS NULL"))
-						if parts != total {
-							t.Errorf("seed %d: TLP: %s counts %d, but p, NOT (p) and (p) IS NULL count %d for p = %s", seed, all, total, parts, p)
-						}
-						norec := "SELECT SUM(CASE WHEN " + p + " THEN 1 ELSE 0 END)" + from
-						if f.where != "" {
-							norec += " WHERE " + f.where
-						}
-						if got := count(norec); got != n {
-							t.Errorf("seed %d: NoREC: %s counts %d, %s sums %d", seed, where, n, norec, got)
+			for _, f := range frames {
+				and := func(p string) string {
+					if f.where == "" {
+						return p
+					}
+					return f.where + " AND " + p
+				}
+				from := " FROM " + f.from
+				all := "SELECT COUNT(*)" + from
+				if f.where != "" {
+					all += " WHERE " + f.where
+				}
+				total := count(all)
+				for _, col := range f.cols {
+					for _, shape := range shapes {
+						p := fmt.Sprintf(shape, col)
+						for _, p := range []string{
+							p, "NOT (" + p + ")",
+							// The uncorrelated EXISTS conjuncts the planner
+							// settles apart from p's kernels: constant true,
+							// true by an empty body, and false.
+							p + " AND EXISTS (SELECT 1 FROM t)",
+							p + " AND NOT EXISTS (SELECT 1 FROM g WHERE weight > 1000)",
+							"EXISTS (SELECT 1 FROM g WHERE weight > 1000) AND " + p,
+						} {
+							where := "SELECT COUNT(*)" + from + " WHERE " + and(p)
+							res, err := db.Exec(where)
+							if err != nil {
+								t.Fatalf("%s: %v", where, err)
+							}
+							// Only an equality whose index bucket is empty leaves
+							// nothing to filter.
+							n := res.Rows.Cell(0, 0).I
+							if n > 0 && res.Batches < 1 {
+								t.Errorf("%s: counts %d rows but ran no kernel (Batches 0)", where, n)
+							}
+							parts := n + count("SELECT COUNT(*)"+from+" WHERE "+and("NOT ("+p+")")) +
+								count("SELECT COUNT(*)"+from+" WHERE "+and("("+p+") IS NULL"))
+							if parts != total {
+								t.Errorf("%s: TLP: %s counts %d, but p, NOT (p) and (p) IS NULL count %d for p = %s", label, all, total, parts, p)
+							}
+							norec := "SELECT SUM(CASE WHEN " + p + " THEN 1 ELSE 0 END)" + from
+							if f.where != "" {
+								norec += " WHERE " + f.where
+							}
+							if got := count(norec); got != n {
+								t.Errorf("%s: NoREC: %s counts %d, %s sums %d", label, where, n, norec, got)
+							}
 						}
 					}
 				}

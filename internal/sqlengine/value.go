@@ -27,7 +27,7 @@ import (
 // Kind enumerates the dynamic type of a Value. The engine follows SQLite's
 // storage-class model: NULL, INTEGER, REAL and TEXT. (BLOB is not needed by
 // any workload in this repository.)
-type Kind int
+type Kind uint8
 
 // Value kinds, ordered so that the inter-kind ORDER BY precedence
 // (NULL < numbers < text) matches SQLite's.

@@ -40,6 +40,15 @@ func TestValueLayout(t *testing.T) {
 	}
 }
 
+// TestColumnLayout pins a column's header at 112 bytes: every column of a
+// result pays for it, a one-row aggregate's included, so a coded column's
+// codes and dictionary sit behind one pointer and do not widen it.
+func TestColumnLayout(t *testing.T) {
+	if got := unsafe.Sizeof(column{}); got > 112 {
+		t.Fatalf("column is %d bytes, want at most 112", got)
+	}
+}
+
 // pinReals are the REALs whose readings TestRealReadings pins: both zeros,
 // NaN, both infinities, the extremes of float64 and two inexact values.
 var pinReals = []float64{

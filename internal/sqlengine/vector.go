@@ -1,35 +1,58 @@
 package sqlengine
 
+import (
+	"slices"
+	"strings"
+)
+
 // Column storage. A table holds each of its columns once, typed, and so
 // does a query result (Rows): the cells of a column whose non-NULL cells
 // share one storage class sit in one array beside a NULL bitmap — nums for
 // INTEGER and REAL, 8 bytes a cell holding what a Value's word I holds (an
 // INTEGER, or a REAL's bits), strs for TEXT, a 16-byte string header a cell
 // — and only a column that holds cells of two classes keeps them as Values,
-// in vals. Everything that reads a table reads it here, by (position,
-// column): the filter kernels run typed loops over the arrays (kernels.go),
-// the equality index and the hash join key on the cells, and the tail
-// consumers, the interpreter and DML read cells at positions (Table.Cell,
-// column.value). DML changes the arrays in place: INSERT and BulkInsert
-// append to every column, UPDATE rewrites cells, DELETE rebuilds them; a
-// cell of another class turns its column mixed. A result's columns are
-// written once, a cell at a time (add), by the consumers of positions.go or
-// from rows (NewRows), and read the same way (Rows.Cell).
+// in vals. A frozen table's TEXT column whose distinct strings are few
+// enough (worthCoding) is coded instead: a 4-byte code a cell, indexing a
+// dictionary of its distinct strings in ascending byte order, each held
+// once (textDict). Everything that reads a table reads it here, by
+// (position, column): the filter kernels run typed loops over the arrays,
+// and over a coded column over its codes (kernels.go), the equality index
+// and the hash join key on the cells — a coded column's index is its codes'
+// posting lists (catalog.go) — and the tail consumers, the interpreter and
+// DML read cells at positions (Table.Cell, column.value), a coded cell
+// without allocating. DML changes an unfrozen table's arrays in place:
+// INSERT and BulkInsert append to every column, UPDATE rewrites cells,
+// DELETE rebuilds them; a cell of another class turns its column mixed. A
+// frozen table refuses DML, so a coded column is never written. A result's
+// columns are written once, a cell at a time (add), by the consumers of
+// positions.go or from rows (NewRows), and read the same way (Rows.Cell).
 
 // column is one column of a table's or a result's cells. kind is the
 // storage class of every non-NULL cell, KindNull while there is none;
 // exactly the array of that class is live, nums or strs, one cell per row,
-// a NULL row holding its zero. A mixed column has vals, holding every cell,
-// and no other array. nulls is the NULL bitmap of an unmixed column, true
-// for a NULL row, nil while no cell is NULL. room is the capacity a reserve
-// asked for, which an array started within that call is made with.
+// a NULL row holding its zero — or, for a coded TEXT column, dict instead
+// of strs. A mixed column has vals, holding every cell, and no other array.
+// nulls is the NULL bitmap of an unmixed column, true for a NULL row, nil
+// while no cell is NULL. room is the capacity a reserve asked for, which an
+// array started within that call is made with. Every result cell pays for
+// this header, so it is kept at 112 bytes (TestColumnLayout).
 type column struct {
 	kind  Kind
+	room  int32
 	nulls []bool
 	nums  []int64
 	strs  []string
 	vals  []Value
-	room  int
+	dict  *textDict
+}
+
+// textDict is a coded TEXT column's cells: codes[i] is row i's code, the
+// index of its string in words, which holds each distinct string of the
+// column once, in ascending byte order (strings.Compare's), so that a range
+// of strings is a range of codes. A NULL row holds code 0.
+type textDict struct {
+	codes []uint32
+	words []string
 }
 
 // null reports whether row i of an unmixed column is NULL.
@@ -44,21 +67,23 @@ func (c *column) value(i int) Value {
 		return c.vals[i]
 	case c.null(i):
 		return Value{}
-	case c.kind == KindText:
-		return Value{Kind: KindText, S: c.strs[i]}
+	case c.kind != KindText:
+		return Value{Kind: c.kind, I: c.nums[i]}
+	case c.dict != nil:
+		return Value{Kind: KindText, S: c.dict.words[c.dict.codes[i]]}
 	}
-	return Value{Kind: c.kind, I: c.nums[i]}
+	return Value{Kind: KindText, S: c.strs[i]}
 }
 
 // reserve makes room for extra cells after the n the column holds: every
 // array it has, or starts before they are added, holds them without
 // growing.
 func (c *column) reserve(n, extra int) {
-	c.room = n + extra
-	c.nums = grown(c.nums, c.room)
-	c.strs = grown(c.strs, c.room)
-	c.vals = grown(c.vals, c.room)
-	c.nulls = grown(c.nulls, c.room)
+	c.room = int32(n + extra)
+	c.nums = grown(c.nums, n+extra)
+	c.strs = grown(c.strs, n+extra)
+	c.vals = grown(c.vals, n+extra)
+	c.nulls = grown(c.nulls, n+extra)
 }
 
 // grown returns s with capacity for n elements, reallocated at exactly that
@@ -75,7 +100,7 @@ func grown[T any](s []T, n int) []T {
 // started returns an array of n zero cells, with room for the cells a
 // reserve announced, or else for one more.
 func started[T any](c *column, n int) []T {
-	if c.room >= n {
+	if int(c.room) >= n {
 		return make([]T, n, c.room)
 	}
 	return make([]T, n, n+1)
@@ -144,4 +169,78 @@ func (c *column) setNull(n, i int, null bool) {
 		c.nulls = started[bool](c, n)
 	}
 	c.nulls[i] = null
+}
+
+// worthCoding is the one rule that decides whether a TEXT column of n rows,
+// d distinct strings among them, is coded at freeze: when its codes and
+// the dictionary's string headers take fewer bytes than a header a row.
+// The strings' own bytes are held either way — a plain column holds at
+// least one copy of each distinct string, a coded one exactly one — so
+// they are on both sides and drop out.
+func worthCoding(n, d int) bool {
+	const codeBytes, headerBytes = 4, 16
+	return codeBytes*n+headerBytes*d < headerBytes*n
+}
+
+// code turns an n-row typed TEXT column into a coded one when worthCoding
+// says so: its distinct strings, copied into one block, sorted, become the
+// dictionary, and each row's string its code. Any other column is left as
+// it is.
+func (c *column) code(n int) {
+	if c.kind != KindText || c.vals != nil || c.dict != nil {
+		return
+	}
+	ids := make(map[string]uint32)
+	for i, s := range c.strs {
+		if !c.null(i) {
+			ids[s] = 0
+		}
+	}
+	if !worthCoding(n, len(ids)) {
+		return
+	}
+	words := make([]string, 0, len(ids))
+	size := 0
+	for s := range ids {
+		words = append(words, s)
+		size += len(s)
+	}
+	slices.Sort(words)
+	var b strings.Builder
+	b.Grow(size)
+	for _, s := range words {
+		b.WriteString(s)
+	}
+	block, at := b.String(), 0
+	for i, s := range words {
+		words[i] = block[at : at+len(s)]
+		at += len(s)
+		ids[s] = uint32(i)
+	}
+	codes := make([]uint32, n)
+	for i, s := range c.strs {
+		if !c.null(i) {
+			codes[i] = ids[s]
+		}
+	}
+	c.strs, c.dict = nil, &textDict{codes: codes, words: words}
+}
+
+// compact drops the room the column's arrays have past its n cells: a
+// frozen table never grows.
+func (c *column) compact(n int) {
+	c.nulls = exactly(c.nulls, n)
+	c.nums = exactly(c.nums, n)
+	c.strs = exactly(c.strs, n)
+	c.vals = exactly(c.vals, n)
+	c.room = 0
+}
+
+// exactly returns s reallocated at capacity n when it has more; nil stays
+// nil.
+func exactly[T any](s []T, n int) []T {
+	if cap(s) <= n {
+		return s
+	}
+	return append(make([]T, 0, n), s[:n]...)
 }

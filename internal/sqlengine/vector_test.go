@@ -6,6 +6,16 @@ import "testing"
 // not mixed and holds a non-NULL cell.
 func (c *column) typed() bool { return c.vals == nil && c.kind != KindNull }
 
+// indexed reports whether an equality index of the table is built.
+func (t *Table) indexed() bool {
+	for i := range t.eqIdx {
+		if t.eqIdx[i].idx != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // buildVecTable returns a table with one column of each behaviour class:
 // a clean INTEGER column, a REAL column with NULLs, a TEXT column, and an
 // INTEGER-declared column polluted with non-numeric text (mixed kinds).
@@ -63,11 +73,11 @@ func TestColumnVecBuild(t *testing.T) {
 func TestColumnVecInvalidationOnDML(t *testing.T) {
 	db, tab := buildVecTable(t)
 	db.MustExec("SELECT COUNT(*) FROM v WHERE a = 1")
-	if tab.eqIdx == nil {
+	if !tab.indexed() {
 		t.Fatal("point lookup built no index")
 	}
 	db.MustExec("UPDATE v SET a = 99 WHERE a = 1")
-	if tab.eqIdx != nil {
+	if tab.indexed() {
 		t.Fatal("UPDATE did not invalidate the index over the column")
 	} else if got := tab.cols[0].nums; got[0] != 99 {
 		t.Fatalf("column stale after UPDATE: %v", got)
@@ -87,7 +97,7 @@ func TestColumnVecInvalidationOnBulkInsert(t *testing.T) {
 	if _, err := db.BulkInsert("v", rows); err != nil {
 		t.Fatal(err)
 	}
-	if tab.eqIdx != nil {
+	if tab.indexed() {
 		t.Fatal("BulkInsert did not invalidate the index")
 	}
 	if got := &tab.cols[0]; tab.Len() != 5 || len(got.nums) != 5 || got.nums[3] != 4 || got.nums[4] != 5 {
