@@ -42,6 +42,11 @@ func main() {
 			i, 1+i%9, statuses[i%3], priorities[(i/3)%3], 1+i%12, 1+i%28))
 	}
 
+	// Loaded: from here on it is only read. Freezing it refuses any
+	// further write and stores its TEXT columns as codes where that is
+	// smaller.
+	eng.Freeze()
+
 	// 2. Wrap it with a description file documenting the codes — the
 	// kind of metadata a real deployment exports from its data catalog.
 	db := schema.NewDB(eng)

@@ -17,7 +17,9 @@ type BIRDOptions struct {
 // BuildBIRD generates the full synthetic BIRD corpus: eight databases
 // with description files, a train split with clean evidence, and a dev
 // split whose evidence carries the paper-measured defect rates (Fig. 2)
-// unless CleanDev is set.
+// unless CleanDev is set. Each database is frozen once loaded: it is only
+// ever read, and its TEXT columns are stored as codes where that is smaller
+// (sqlengine.Database.Freeze).
 func BuildBIRD(opt BIRDOptions) *Corpus {
 	c := &Corpus{Name: "bird", DBs: make(map[string]*schema.DB)}
 	type buildFunc func(seed uint64) (*schema.DB, []Example, []Example)
@@ -33,6 +35,7 @@ func BuildBIRD(opt BIRDOptions) *Corpus {
 	}
 	for i, build := range builders {
 		db, train, dev := build(opt.Seed + uint64(i)*1000)
+		db.Engine.Freeze()
 		c.DBs[db.Name] = db
 		c.Train = append(c.Train, train...)
 		c.Dev = append(c.Dev, dev...)

@@ -26,6 +26,7 @@ func BuildSpider(seed uint64) *Corpus {
 	}
 	for i, build := range builders {
 		db, train, dev, test := build(seed + uint64(i)*1000)
+		db.Engine.Freeze()
 		c.DBs[db.Name] = db
 		c.Train = append(c.Train, train...)
 		c.Dev = append(c.Dev, dev...)

@@ -53,8 +53,19 @@ func mix64(x uint64) uint64 {
 // Generate builds a fresh database with the same schema and docs as src
 // and fills it with synthetic rows. Tables are generated in foreign-key
 // dependency order so that child columns can sample keys that actually
-// exist in their generated parents.
+// exist in their generated parents. The database is frozen once filled
+// (sqlengine.Database.Freeze): it is only ever read.
 func Generate(src *schema.DB, opts Options) (*schema.DB, error) {
+	db, err := generate(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	db.Engine.Freeze()
+	return db, nil
+}
+
+// generate is Generate without the freeze.
+func generate(src *schema.DB, opts Options) (*schema.DB, error) {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 8192
 	}

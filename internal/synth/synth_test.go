@@ -164,11 +164,18 @@ func TestGeneratePreservesSchemaAndDocs(t *testing.T) {
 	}
 }
 
+// TestVerifyFKCatchesViolation corrupts one child key of a generated
+// database to a value no parent has, and VerifyFK must see it. Generate's
+// database is frozen, so the corruption goes into an unfrozen build of
+// the same options.
 func TestVerifyFKCatchesViolation(t *testing.T) {
 	src := financialFixture(t)
-	db, err := Generate(src, Options{Seed: 2, Rows: map[string]int{"district": 5, "account": 10, "client": 10, "disp": 10, "loan": 5}})
+	db, err := generate(src, Options{Seed: 2, Rows: map[string]int{"district": 5, "account": 10, "client": 10, "disp": 10, "loan": 5}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := VerifyFK(db); err != nil {
+		t.Fatalf("the unfrozen build already violates a key: %v", err)
 	}
 	// Corrupt one child key to a value no parent has.
 	tab, _ := db.Engine.Table("loan")
