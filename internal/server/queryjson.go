@@ -150,6 +150,69 @@ func rowsLen(rows *sqlengine.Rows, n, limit int) int {
 	return l
 }
 
+// rowBound is an upper bound of rowLen for rows, read without measuring
+// a row: fixed bounds the brackets, commas and the cells of the typed
+// numeric and all-NULL columns, an INTEGER at its widest; the cells of the
+// other columns, TEXT or mixed, are read (read is set when there are any).
+type rowBound struct {
+	fixed int
+	read  bool
+}
+
+func boundRows(rows *sqlengine.Rows) rowBound {
+	rb := rowBound{fixed: 3 + len(rows.Columns)}
+	for k := range rows.Columns {
+		if w := fixedWidth(rows, k); w >= 0 {
+			rb.fixed += w
+		} else {
+			rb.read = true
+		}
+	}
+	return rb
+}
+
+// fixedWidth is the most a cell of column k takes, or -1 when the column
+// is TEXT or mixed and its cells must be read.
+func fixedWidth(rows *sqlengine.Rows, k int) int {
+	switch kind, typed := rows.ColumnKind(k); {
+	case !typed || kind == sqlengine.KindText:
+		return -1
+	case kind == sqlengine.KindInt:
+		return 2 + maxIntLen
+	case kind == sqlengine.KindFloat:
+		return 2 + 24
+	}
+	return 4
+}
+
+// row is the bound of row i: rowLen, with each INTEGER counted at its
+// widest.
+func (rb rowBound) row(rows *sqlengine.Rows, i int) int {
+	n := rb.fixed
+	if !rb.read {
+		return n
+	}
+	for k := range rows.Columns {
+		if fixedWidth(rows, k) >= 0 {
+			continue
+		}
+		switch v := rows.Cell(i, k); v.Kind {
+		case sqlengine.KindNull:
+			n += 4
+		case sqlengine.KindInt:
+			n += 2 + maxIntLen
+		case sqlengine.KindFloat:
+			n += 2 + 24
+		default:
+			n += 2 + len(v.S)
+		}
+	}
+	return n
+}
+
+// maxIntLen is the length of the widest INTEGER in decimal.
+const maxIntLen = len("-9223372036854775808")
+
 // rowLen is rowsLen's share of row i, its comma included.
 func rowLen(rows *sqlengine.Rows, i int) int {
 	n := 3 + len(rows.Columns) // brackets and commas
@@ -186,11 +249,14 @@ func intLen(i int64) int {
 // and emptied before a row that would leave it no room for the body's tail
 // within maxPooledBody, so w is sent the body in pieces of at most that (a
 // row whose text needs escaping may overrun it) and b does not outgrow the
-// pool.
+// pool. A row is measured (rowLen) only when its bound says it may cross
+// that room: a result of typed numeric columns is measured only near the
+// end of each piece.
 func appendRows(w io.Writer, b []byte, rows *sqlengine.Rows, n int) []byte {
 	b = append(b, '[')
+	rb := boundRows(rows)
 	for i := 0; i < n; i++ {
-		if len(b) > 0 && len(b)+rowLen(rows, i)+maxTailLen > maxPooledBody {
+		if len(b) > 0 && len(b)+rb.row(rows, i)+maxTailLen > maxPooledBody && len(b)+rowLen(rows, i)+maxTailLen > maxPooledBody {
 			_, _ = w.Write(b)
 			b = b[:0]
 		}
