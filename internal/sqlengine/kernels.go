@@ -19,18 +19,20 @@ import (
 //     evaluator's own rule for the shape (compare, between, like, inList;
 //     IS NULL), chosen at Prepare, so no rule is written twice and a cell
 //     costs its rule alone;
-//   - for a conjunct pushed into a whole-table scan, a vector form: over a
-//     plain column, where there is no NOT around it and its literals are
-//     not NULL, a typed loop over the column's array (vector.go), which
+//   - for a conjunct pushed into a whole-table scan, over a plain column,
+//     where there is no NOT around it and its literals are not NULL, a
+//     vector form: a typed loop over the column's array (vector.go), which
 //     keeps the evaluator's semantics — NULL fails, harmonise's
-//     numeric/text coercion, Compare's order — in the column's own kind
-//     (a negation has none there: it passes most rows, so its filter is
-//     the cost of its output either way); over a coded column, every
-//     shape but a negated IS NULL, read from the codes — a comparison or
-//     BETWEEN against TEXT literals as the codes' range, found by a binary
-//     search of the dictionary (TEXT compares byte-wise, and the words are
-//     in byte order), and any other shape by the row form's rule evaluated
-//     once per word, remembered per dictionary.
+//     numeric/text coercion, Compare's order — in the column's own kind. A
+//     negation has none: it passes most rows, so its filter is the cost of
+//     its output either way;
+//   - for a conjunct over a coded column, in a whole-table scan or over an
+//     index bucket, a coded form for every shape but IS NULL, read from
+//     the codes without allocating: a comparison or BETWEEN against TEXT
+//     literals as the codes' range, found by a binary search of the
+//     dictionary (TEXT compares byte-wise, and the words are in byte
+//     order), and any other shape, negated or not, by the row form's rule
+//     evaluated once per word (LIKE and IN keep that per dictionary).
 //
 // Which form filters a row cannot be observed: each is the same truth.
 

@@ -323,8 +323,9 @@ func (s selection) keep(mask []uint64, n int) selection {
 // of the FROM row. A row fails at its first conjunct that is not TRUE — the
 // naive AND chain's reach; a WHERE that may not be split is one conjunct,
 // evaluated on every row in order. A compiled conjunct (kernels.go) reads
-// its column's typed array through its vector form where in is a whole
-// table, and its cell of each row through its row form otherwise; any
+// a coded column's codes through its coded form where in selects a table's
+// rows, its column's typed array through its vector form where in is a
+// whole table, and its cell of each row through its row form otherwise; any
 // other conjunct is the evaluator's, in one environment (and, over a join's
 // output, one pair buffer) built on first use. Survivors are marked in a
 // bitmask and the output is allocated once, at its exact size, or not at
@@ -347,10 +348,10 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 		switch kern := &f.c.kern; {
 		case f.c.scan != item:
 			continue
-		case in.all && in.src.cols != nil && kern.shape != noKernel:
+		case in.src.cols != nil && in.right == nil && kern.shape != noKernel:
 			col := &in.src.cols[kern.col]
 			var coded bool
-			if f.coded, coded = kern.coded(col); !coded {
+			if f.coded, coded = kern.coded(col); !coded && in.all {
 				f.test = kern.test(col)
 			}
 			fallthrough

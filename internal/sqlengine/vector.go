@@ -183,47 +183,58 @@ func worthCoding(n, d int) bool {
 }
 
 // code turns an n-row typed TEXT column into a coded one when worthCoding
-// says so: its distinct strings, copied into one block, sorted, become the
-// dictionary, and each row's string its code. Any other column is left as
-// it is.
+// says so, in one pass: each row takes the number of its string in order of
+// first appearance, and once the strings are sorted and copied into one
+// block, the dictionary, each number is replaced by its string's place
+// there. The pass gives up as soon as the distinct strings are too many.
+// Any other column is left as it is.
 func (c *column) code(n int) {
 	if c.kind != KindText || c.vals != nil || c.dict != nil {
 		return
 	}
 	ids := make(map[string]uint32)
-	for i, s := range c.strs {
-		if !c.null(i) {
-			ids[s] = 0
-		}
-	}
-	if !worthCoding(n, len(ids)) {
-		return
-	}
-	words := make([]string, 0, len(ids))
-	size := 0
-	for s := range ids {
-		words = append(words, s)
-		size += len(s)
-	}
-	slices.Sort(words)
-	var b strings.Builder
-	b.Grow(size)
-	for _, s := range words {
-		b.WriteString(s)
-	}
-	block, at := b.String(), 0
-	for i, s := range words {
-		words[i] = block[at : at+len(s)]
-		at += len(s)
-		ids[s] = uint32(i)
-	}
+	var words []string
 	codes := make([]uint32, n)
 	for i, s := range c.strs {
+		if c.null(i) {
+			continue
+		}
+		id, ok := ids[s]
+		if !ok {
+			if !worthCoding(n, len(words)+1) {
+				return
+			}
+			id = uint32(len(words))
+			ids[s] = id
+			words = append(words, s)
+		}
+		codes[i] = id
+	}
+	order := make([]uint32, len(words)) // sorted place -> first-seen number
+	size := 0
+	for i, s := range words {
+		order[i] = uint32(i)
+		size += len(s)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(words[a], words[b]) })
+	var b strings.Builder
+	b.Grow(size)
+	for _, id := range order {
+		b.WriteString(words[id])
+	}
+	block, at := b.String(), 0
+	sorted, place := make([]string, len(words)), make([]uint32, len(words))
+	for k, id := range order {
+		l := len(words[id])
+		sorted[k], place[id] = block[at:at+l], uint32(k)
+		at += l
+	}
+	for i, id := range codes {
 		if !c.null(i) {
-			codes[i] = ids[s]
+			codes[i] = place[id]
 		}
 	}
-	c.strs, c.dict = nil, &textDict{codes: codes, words: words}
+	c.strs, c.dict = nil, &textDict{codes: codes, words: sorted}
 }
 
 // compact drops the room the column's arrays have past its n cells: a
