@@ -43,6 +43,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "no database %q; available: %v\n", *dbName, names)
 		os.Exit(2)
 	}
+	eng, err := unfrozen(db.Engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	db.Engine = eng
 	fmt.Printf("connected to %s (%d tables); end statements with ';', .schema prints DDL, .timing toggles timing, .trace on|off prints span trees, .quit exits\n",
 		db.Name, len(db.Engine.Tables()))
 
@@ -213,4 +219,26 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 		fmt.Println(strings.Join(parts, " | "))
 	}
 	fmt.Printf("(%d rows, cost %d)\n", rows.Len(), res.Cost)
+}
+
+// unfrozen copies db's tables, cell for cell, into a database that DML may
+// change: the corpus builders freeze what they serve, and a shell may write.
+func unfrozen(db *sqlengine.Database) (*sqlengine.Database, error) {
+	out := sqlengine.NewDatabase(db.Name)
+	for _, t := range db.Tables() {
+		if _, err := out.Exec(schema.TableDDL(t)); err != nil {
+			return nil, err
+		}
+		rows := make([][]sqlengine.Value, t.Len())
+		for i := range rows {
+			rows[i] = make([]sqlengine.Value, len(t.Columns))
+			for c := range rows[i] {
+				rows[i][c] = t.Cell(i, c)
+			}
+		}
+		if _, err := out.BulkInsert(t.Name, rows); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
