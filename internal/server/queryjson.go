@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"strconv"
@@ -150,64 +151,52 @@ func rowsLen(rows *sqlengine.Rows, n, limit int) int {
 	return l
 }
 
-// rowBound is an upper bound of rowLen for rows, read without measuring
-// a row: fixed bounds the brackets, commas and the cells of the typed
-// numeric and all-NULL columns, an INTEGER at its widest; the cells of the
-// other columns, TEXT or mixed, are read (read is set when there are any).
+// rowBound is an upper bound of rowLen for a result's rows, read without
+// measuring a row: fixed bounds the brackets, commas and the cells of the
+// typed numeric and all-NULL columns, an INTEGER at its widest; the cells
+// of the other columns, TEXT or mixed, are read (cellBound). read marks
+// those among the first 64 columns; every later column is read.
 type rowBound struct {
 	fixed int
-	read  bool
+	read  uint64
 }
 
 func boundRows(rows *sqlengine.Rows) rowBound {
 	rb := rowBound{fixed: 3 + len(rows.Columns)}
-	for k := range rows.Columns {
-		if w := fixedWidth(rows, k); w >= 0 {
-			rb.fixed += w
+	for k := range min(len(rows.Columns), 64) {
+		if kind, typed := rows.ColumnKind(k); typed && kind != sqlengine.KindText {
+			// Its cells are of kind, or NULL.
+			rb.fixed += max(cellBound(sqlengine.Value{Kind: kind}), cellBound(sqlengine.Null()))
 		} else {
-			rb.read = true
+			rb.read |= 1 << k
 		}
 	}
 	return rb
 }
 
-// fixedWidth is the most a cell of column k takes, or -1 when the column
-// is TEXT or mixed and its cells must be read.
-func fixedWidth(rows *sqlengine.Rows, k int) int {
-	switch kind, typed := rows.ColumnKind(k); {
-	case !typed || kind == sqlengine.KindText:
-		return -1
-	case kind == sqlengine.KindInt:
-		return 2 + maxIntLen
-	case kind == sqlengine.KindFloat:
-		return 2 + 24
-	}
-	return 4
-}
-
-// row is the bound of row i: rowLen, with each INTEGER counted at its
-// widest.
+// row is the bound of row i.
 func (rb rowBound) row(rows *sqlengine.Rows, i int) int {
 	n := rb.fixed
-	if !rb.read {
-		return n
+	for m := rb.read; m != 0; m &= m - 1 {
+		n += cellBound(rows.Cell(i, bits.TrailingZeros64(m)))
 	}
-	for k := range rows.Columns {
-		if fixedWidth(rows, k) >= 0 {
-			continue
-		}
-		switch v := rows.Cell(i, k); v.Kind {
-		case sqlengine.KindNull:
-			n += 4
-		case sqlengine.KindInt:
-			n += 2 + maxIntLen
-		case sqlengine.KindFloat:
-			n += 2 + 24
-		default:
-			n += 2 + len(v.S)
-		}
+	for k := 64; k < len(rows.Columns); k++ {
+		n += cellBound(rows.Cell(i, k))
 	}
 	return n
+}
+
+// cellBound is rowLen's share of cell v with an INTEGER at its widest.
+func cellBound(v sqlengine.Value) int {
+	switch v.Kind {
+	case sqlengine.KindNull:
+		return 4
+	case sqlengine.KindInt:
+		return 2 + maxIntLen
+	case sqlengine.KindFloat:
+		return 2 + 24
+	}
+	return 2 + len(v.S)
 }
 
 // maxIntLen is the length of the widest INTEGER in decimal.

@@ -74,6 +74,16 @@ func checkWriter(t *testing.T, label string, resp api.QueryResponse, rows *sqlen
 		t.Fatalf("%s: bodies differ at byte %d\n  writer:        %q\n  encoding/json: %q",
 			label, i, g[lo:min(i+40, len(g))], w[lo:min(i+40, len(w))])
 	}
+	// appendRows skips measuring a row its bound says fits, so the bound
+	// may never be under the row's length.
+	if rows != nil {
+		rb := boundRows(rows)
+		for i := range rows.Len() {
+			if b, l := rb.row(rows, i), rowLen(rows, i); b < l {
+				t.Fatalf("%s: row %d's bound %d is under its length %d", label, i, b, l)
+			}
+		}
+	}
 }
 
 // TestWriteQueryResponseMatchesEncodingJSON is the writer's gate: its body
