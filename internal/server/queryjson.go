@@ -153,7 +153,7 @@ func rowsLen(rows *sqlengine.Rows, n, limit int) int {
 
 // rowBound is an upper bound of rowLen for a result's rows, read without
 // measuring a row: fixed bounds the brackets, commas and the cells of the
-// typed numeric and all-NULL columns, an INTEGER at its widest; the cells
+// typed columns of any class but TEXT, an INTEGER at its widest; the cells
 // of the other columns, TEXT or mixed, are read (cellBound). read marks
 // those among the first 64 columns; every later column is read.
 type rowBound struct {
@@ -186,7 +186,9 @@ func (rb rowBound) row(rows *sqlengine.Rows, i int) int {
 	return n
 }
 
-// cellBound is rowLen's share of cell v with an INTEGER at its widest.
+// cellBound is rowLen's share of cell v with an INTEGER counted at its
+// widest: null for NULL, and any other cell in quotes, a REAL at its widest
+// and TEXT unescaped.
 func cellBound(v sqlengine.Value) int {
 	switch v.Kind {
 	case sqlengine.KindNull:
@@ -206,15 +208,10 @@ const maxIntLen = len("-9223372036854775808")
 func rowLen(rows *sqlengine.Rows, i int) int {
 	n := 3 + len(rows.Columns) // brackets and commas
 	for k := range rows.Columns {
-		switch v := rows.Cell(i, k); v.Kind {
-		case sqlengine.KindNull:
-			n += 4
-		case sqlengine.KindInt:
+		if v := rows.Cell(i, k); v.Kind == sqlengine.KindInt {
 			n += 2 + intLen(v.I)
-		case sqlengine.KindFloat:
-			n += 2 + 24
-		default:
-			n += 2 + len(v.S)
+		} else {
+			n += cellBound(v)
 		}
 	}
 	return n
