@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"math/bits"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -26,8 +24,9 @@ import (
 // formatting, and a trailing newline.
 
 // A pooled body buffer starts at 4 KiB, enough for an answer of a few
-// rows, and keeps at most 64 KiB: a larger answer is written out through it
-// in pieces of at most that, so the pool never pins more.
+// rows. A longer answer grows it once, straight to 64 KiB, and an answer
+// longer than that is written out through it in pieces of at most 64 KiB
+// (makeRoom), so the pool never pins more.
 const maxPooledBody = 64 << 10
 
 var bodyPool = sync.Pool{New: func() any {
@@ -60,8 +59,8 @@ func writeQueryResponse(w http.ResponseWriter, resp *api.QueryResponse, rows *sq
 }
 
 // appendQueryResponse appends the body writeQueryResponse sends to b, and
-// returns what is left of it once the rows have written their pieces to w
-// (appendRows). Its memory_confidence is finite.
+// returns what is left of it once its pieces have been written to w
+// (makeRoom). Its memory_confidence is finite.
 func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) []byte {
 	b = append(b, `{"db":`...)
 	b = appendString(b, resp.DB)
@@ -104,12 +103,9 @@ func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *s
 	if rows == nil {
 		b = append(b, "null"...)
 	} else {
-		// One allocation for a large answer, not a chain of regrowths, and
-		// none past what the pool keeps.
-		room := max(maxPooledBody-len(b), 0)
-		b = slices.Grow(b, min(rowsLen(rows, shown, room)+maxTailLen, room))
 		b = appendRows(w, b, rows, shown)
 	}
+	b = makeRoom(w, b) // the tail never regrows b
 	b = append(b, `,"row_count":`...)
 	b = strconv.AppendInt(b, int64(n), 10)
 	if truncated {
@@ -136,116 +132,35 @@ func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *s
 	return append(b, "}}\n"...)
 }
 
-// maxTailLen bounds what follows the rows: row_count, truncated, cost and
-// timing at their widest.
-const maxTailLen = 320
+// rowRoom is the room b is given (makeRoom) before each row and before the
+// tail: the tail (row_count to timing, at most 320 bytes) and an ordinary
+// row. A fresh 4 KiB buffer holds a body of up to 3.5 KiB without growing.
+const rowRoom = 512
 
-// rowsLen is the length appendRows writes for the first n rows when no
-// text needs escaping (a REAL counted at its widest), counted only until it
-// passes limit.
-func rowsLen(rows *sqlengine.Rows, n, limit int) int {
-	l := 2
-	for i := 0; i < n && l <= limit; i++ {
-		l += rowLen(rows, i)
+// makeRoom returns b with at least rowRoom bytes free within maxPooledBody:
+// written to w and emptied once it holds more than that leaves, and grown,
+// once and straight to maxPooledBody, when its capacity runs short.
+func makeRoom(w io.Writer, b []byte) []byte {
+	if len(b) > maxPooledBody-rowRoom {
+		_, _ = w.Write(b)
+		b = b[:0]
 	}
-	return l
-}
-
-// rowBound is an upper bound of rowLen for a result's rows, read without
-// measuring a row: fixed bounds the brackets, commas and the cells of the
-// typed columns of any class but TEXT, an INTEGER at its widest; the cells
-// of the other columns, TEXT or mixed, are read (cellBound). read marks
-// those among the first 64 columns; every later column is read.
-type rowBound struct {
-	fixed int
-	read  uint64
-}
-
-func boundRows(rows *sqlengine.Rows) rowBound {
-	rb := rowBound{fixed: 3 + len(rows.Columns)}
-	for k := range min(len(rows.Columns), 64) {
-		if kind, typed := rows.ColumnKind(k); typed && kind != sqlengine.KindText {
-			// Its cells are of kind, or NULL.
-			rb.fixed += max(cellBound(sqlengine.Value{Kind: kind}), cellBound(sqlengine.Null()))
-		} else {
-			rb.read |= 1 << k
-		}
+	if cap(b)-len(b) < rowRoom {
+		b = append(make([]byte, 0, maxPooledBody), b...)
 	}
-	return rb
-}
-
-// row is the bound of row i.
-func (rb rowBound) row(rows *sqlengine.Rows, i int) int {
-	n := rb.fixed
-	for m := rb.read; m != 0; m &= m - 1 {
-		n += cellBound(rows.Cell(i, bits.TrailingZeros64(m)))
-	}
-	for k := 64; k < len(rows.Columns); k++ {
-		n += cellBound(rows.Cell(i, k))
-	}
-	return n
-}
-
-// cellBound is rowLen's share of cell v with an INTEGER counted at its
-// widest: null for NULL, and any other cell in quotes, a REAL at its widest
-// and TEXT unescaped.
-func cellBound(v sqlengine.Value) int {
-	switch v.Kind {
-	case sqlengine.KindNull:
-		return 4
-	case sqlengine.KindInt:
-		return 2 + maxIntLen
-	case sqlengine.KindFloat:
-		return 2 + 24
-	}
-	return 2 + len(v.S)
-}
-
-// maxIntLen is the length of the widest INTEGER in decimal.
-const maxIntLen = len("-9223372036854775808")
-
-// rowLen is rowsLen's share of row i, its comma included.
-func rowLen(rows *sqlengine.Rows, i int) int {
-	n := 3 + len(rows.Columns) // brackets and commas
-	for k := range rows.Columns {
-		if v := rows.Cell(i, k); v.Kind == sqlengine.KindInt {
-			n += 2 + intLen(v.I)
-		} else {
-			n += cellBound(v)
-		}
-	}
-	return n
-}
-
-// intLen is the length of i in decimal.
-func intLen(i int64) int {
-	n, u := 1, uint64(i)
-	if i < 0 {
-		n, u = 2, -u
-	}
-	for ; u >= 10; u /= 10 {
-		n++
-	}
-	return n
+	return b
 }
 
 // appendRows appends the first n rows of a result as a JSON array of
 // arrays, each cell read in place from its column: NULL as null, every
-// other cell as its text (Value.AppendText) in a string. b is written to w
-// and emptied before a row that would leave it no room for the body's tail
-// within maxPooledBody, so w is sent the body in pieces of at most that (a
-// row whose text needs escaping may overrun it) and b does not outgrow the
-// pool. A row is measured (rowLen) only when its bound says it may cross
-// that room: a result of typed numeric columns is measured only near the
-// end of each piece.
+// other cell as its text (Value.AppendText) in a string. No row is
+// measured: before each one b is given rowRoom (makeRoom), so w is sent the
+// body in pieces of at most maxPooledBody and b does not outgrow the pool;
+// a row wider than rowRoom may overrun both by less than its own length.
 func appendRows(w io.Writer, b []byte, rows *sqlengine.Rows, n int) []byte {
 	b = append(b, '[')
-	rb := boundRows(rows)
 	for i := 0; i < n; i++ {
-		if len(b) > 0 && len(b)+rb.row(rows, i)+maxTailLen > maxPooledBody && len(b)+rowLen(rows, i)+maxTailLen > maxPooledBody {
-			_, _ = w.Write(b)
-			b = b[:0]
-		}
+		b = makeRoom(w, b)
 		if i > 0 {
 			b = append(b, ',')
 		}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/api"
@@ -56,16 +57,21 @@ func referenceWrite(w http.ResponseWriter, resp api.QueryResponse, rows *sqlengi
 }
 
 // checkWriter fails t unless writeQueryResponse answers exactly what
-// referenceWrite does: status, content type and body bytes.
+// referenceWrite does: status, content type and body bytes. It holds the
+// pieces the body is written in, too: none is longer than maxPooledBody (or
+// the head before the first row, when that is longer) plus the widest row,
+// and when the head fits a fresh pooled buffer and every row fits rowRoom,
+// no piece is written from a buffer larger than the pool keeps.
 func checkWriter(t *testing.T, label string, resp api.QueryResponse, rows *sqlengine.Rows, maxRows int) {
 	t.Helper()
-	want, got := httptest.NewRecorder(), httptest.NewRecorder()
+	want, got := httptest.NewRecorder(), &pieceRecorder{ResponseRecorder: httptest.NewRecorder()}
 	referenceWrite(want, resp, rows, maxRows)
 	writeQueryResponse(got, &resp, rows, maxRows)
 	if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
 		t.Fatalf("%s: status %d %q, want %d %q", label, got.Code, got.Header().Get("Content-Type"), want.Code, want.Header().Get("Content-Type"))
 	}
-	if g, w := got.Body.Bytes(), want.Body.Bytes(); !bytes.Equal(g, w) {
+	g, w := got.Body.Bytes(), want.Body.Bytes()
+	if !bytes.Equal(g, w) {
 		i := 0
 		for i < len(g) && i < len(w) && g[i] == w[i] {
 			i++
@@ -74,16 +80,51 @@ func checkWriter(t *testing.T, label string, resp api.QueryResponse, rows *sqlen
 		t.Fatalf("%s: bodies differ at byte %d\n  writer:        %q\n  encoding/json: %q",
 			label, i, g[lo:min(i+40, len(g))], w[lo:min(i+40, len(w))])
 	}
-	// appendRows skips measuring a row its bound says fits, so the bound
-	// may never be under the row's length.
-	if rows != nil {
-		rb := boundRows(rows)
-		for i := range rows.Len() {
-			if b, l := rb.row(rows, i), rowLen(rows, i); b < l {
-				t.Fatalf("%s: row %d's bound %d is under its length %d", label, i, b, l)
-			}
+	if got.Code != http.StatusOK {
+		return
+	}
+	head := bytes.Index(w, []byte(`,"rows":`)) + len(`,"rows":null`)
+	widest := widestRow(rows)
+	for i, p := range got.pieces {
+		if p.len > max(maxPooledBody, head)+widest {
+			t.Fatalf("%s: piece %d of %d is %d B, over %d B and a row of %d B", label, i, len(got.pieces), p.len, maxPooledBody, widest)
+		}
+		if head <= 4<<10 && widest < rowRoom && p.cap > maxPooledBody {
+			t.Fatalf("%s: piece %d of %d is written from a %d B buffer, which the pool drops", label, i, len(got.pieces), p.cap)
 		}
 	}
+}
+
+// pieceRecorder is a ResponseRecorder that also records the length and
+// capacity of each slice written to it.
+type pieceRecorder struct {
+	*httptest.ResponseRecorder
+	pieces []struct{ len, cap int }
+}
+
+func (r *pieceRecorder) Write(p []byte) (int, error) {
+	r.pieces = append(r.pieces, struct{ len, cap int }{len(p), cap(p)})
+	return r.ResponseRecorder.Write(p)
+}
+
+// widestRow is the length of the widest row of a result in the body, its
+// comma included: 0 for no result set.
+func widestRow(rows *sqlengine.Rows) int {
+	if rows == nil {
+		return 0
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	widest := 0
+	for _, row := range renderRows(rows, rows.Len()) {
+		buf.Reset()
+		if err := enc.Encode(row); err != nil {
+			panic(err)
+		}
+		widest = max(widest, buf.Len()) // the newline's byte is the comma's
+	}
+	return widest
 }
 
 // TestWriteQueryResponseMatchesEncodingJSON is the writer's gate: its body
@@ -217,6 +258,29 @@ func TestWriteQueryResponseLargeAllocations(t *testing.T) {
 	}
 }
 
+// TestAppendQueryResponseGrowsOnce: a fresh 4 KiB pooled buffer holds a
+// body of up to 4 KiB less rowRoom as it is, and a longer body whose head
+// fits it grows it once, straight to maxPooledBody — neither a row nor the
+// tail regrows it, for a nil, an empty and a non-empty result alike.
+func TestAppendQueryResponseGrowsOnce(t *testing.T) {
+	const fresh = 4 << 10
+	for _, n := range []int{-1, 0, 1, 100, 2_000} { // -1: no result set
+		var rows *sqlengine.Rows
+		if n >= 0 {
+			rows = wideRows(n)
+		}
+		for pad := 2_800; pad < 3_940; pad += 7 {
+			resp := api.QueryResponse{DB: "financial", Source: api.SourceCache, Evidence: strings.Repeat("e", pad)}
+			var w countWriter
+			b := appendQueryResponse(&w, make([]byte, 0, fresh), &resp, rows, 0)
+			body := w.n + len(b)
+			if c := cap(b); c != fresh && c != maxPooledBody || c != fresh && body <= fresh-rowRoom {
+				t.Fatalf("%d-byte body over %d rows: buffer capacity %d", body, n, c)
+			}
+		}
+	}
+}
+
 // wideRows is n rows of an INTEGER and a TEXT column, as the served ORDER
 // BY statements answer them: wideData's cells under wideColumns.
 func wideRows(n int) *sqlengine.Rows { return sqlengine.NewRows(wideColumns, wideData(n)) }
@@ -232,14 +296,10 @@ func wideData(n int) [][]sqlengine.Value {
 	return data
 }
 
-// FuzzWriteRows holds the writer to encoding/json over engine rows read
-// from fuzzer bytes (fuzzRows: every cell kind, arbitrary text bytes and
-// float bits, nil and ragged rows), with the same bytes as the evidence
-// string and the fuzzer's max_rows. The seeds cover each escape rule.
 // TestAppendRowsReals pins the body text of the REALs whose every reading
 // sqlengine's TestRealReadings pins (both zeros, NaN, both infinities, the
 // float64 extremes and two inexact values), recorded when a REAL still had
-// a float64 field of its own, and that rowsLen bounds it.
+// a float64 field of its own.
 func TestAppendRowsReals(t *testing.T) {
 	var row []sqlengine.Value
 	for _, f := range []float64{
@@ -253,11 +313,12 @@ func TestAppendRowsReals(t *testing.T) {
 	if got := appendRows(io.Discard, nil, rows, 1); string(got) != want {
 		t.Errorf("appendRows = %s, want %s", got, want)
 	}
-	if n := rowsLen(rows, 1, math.MaxInt); n < len(want) {
-		t.Errorf("rowsLen = %d, below the body's %d bytes", n, len(want))
-	}
 }
 
+// FuzzWriteRows holds the writer to encoding/json over engine rows read
+// from fuzzer bytes (fuzzRows: every cell kind, arbitrary text bytes and
+// float bits, nil and ragged rows), with the same bytes as the evidence
+// string and the fuzzer's max_rows. The seeds cover each escape rule.
 func FuzzWriteRows(f *testing.F) {
 	for _, seed := range [][]byte{
 		nil,
@@ -516,9 +577,10 @@ func (d discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d discardWriter) WriteHeader(int)             {}
 
 // BenchmarkWriteQueryResponse is the writer's layer number: the appender
-// against the encoding/json reference it replaced, at 0, 5 and 20k rows of
-// an INTEGER and a TEXT column (the ORDER BY statements that lost their
-// LIMIT on scan100k_warm answer 18-24k rows).
+// against the encoding/json reference it replaced, at 0, 5, 2,000 and 20k
+// rows of an INTEGER and a TEXT column (2,000 rows is a ~57 KB body, one
+// piece; the ORDER BY statements that lost their LIMIT on scan100k_warm
+// answer 18-24k rows).
 func BenchmarkWriteQueryResponse(b *testing.B) {
 	resp := api.QueryResponse{
 		DB: "financial", ExampleID: "synth-0007", Question: "List the accounts of the district with the most clients.",
@@ -526,7 +588,7 @@ func BenchmarkWriteQueryResponse(b *testing.B) {
 		SQL: "SELECT account_id, frequency FROM account ORDER BY date DESC", Cost: 100_000,
 		Timing: api.QueryTiming{EvidenceMicros: 3, GenerateMicros: 40, PrepareMicros: 2, ExecuteMicros: 9000},
 	}
-	for _, n := range []int{0, 5, 20_000} {
+	for _, n := range []int{0, 5, 2_000, 20_000} {
 		rows := wideRows(n)
 		w := discardWriter{h: http.Header{}}
 		b.Run(fmt.Sprintf("rows=%d/append", n), func(b *testing.B) {

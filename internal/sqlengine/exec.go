@@ -49,13 +49,6 @@ func (r *Rows) Len() int { return r.n }
 // Cell returns the value of column col in row i.
 func (r *Rows) Cell(i, col int) Value { return r.cols[col].value(i) }
 
-// ColumnKind returns the storage class every non-NULL cell of column col
-// has, KindNull when all are NULL, read from the column's storage; typed is
-// false, and the kind KindNull, when it holds cells of two classes.
-func (r *Rows) ColumnKind(col int) (k Kind, typed bool) {
-	return r.cols[col].kind, r.cols[col].vals == nil
-}
-
 // rowData copies the result out as rows, for the interpreter, which
 // combines and sorts rows as rows.
 func (r *Rows) rowData() [][]Value {
