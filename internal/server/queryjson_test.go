@@ -83,6 +83,7 @@ func checkWriter(t *testing.T, label string, resp api.QueryResponse, rows *sqlen
 	if got.Code != http.StatusOK {
 		return
 	}
+	// The head: what precedes the first row, or the tail, at its longest.
 	head := bytes.Index(w, []byte(`,"rows":`)) + len(`,"rows":null`)
 	widest := widestRow(rows)
 	for i, p := range got.pieces {
