@@ -6,10 +6,11 @@
 //
 // Layout: an inverted index. Each stemmed term maps to a posting list of
 // (document, term frequency) pairs in document order, and each document
-// keeps only its token count — neither its text nor its tokens are
-// retained. A term's document frequency is the length of its list. New
-// carves every list out of one backing array; Add appends one document
-// and grows only the lists it touches.
+// keeps its term ids in token order — its text is not retained, and a
+// term's key is a copy, not a slice of the document it came from. A term's
+// document frequency is the length of its list. New carves every list out
+// of one backing array; Add appends one document and grows only the lists
+// it touches.
 //
 // Contract callers may rely on: a document's score is
 //
@@ -17,18 +18,18 @@
 //	idf(q) * tf * (k1+1) / (tf + k1*(1-b+b*len/avgLen))
 //	idf(q) = ln(1 + (N-df+0.5)/(df+0.5))
 //
-// computed in float64 in exactly that order, so Score and TopK agree to
-// the bit and do not depend on how the index was built (New or Add).
+// computed in float64 in exactly that order, so Score, SelfScore and TopK
+// agree to the bit and do not depend on how the index was built (New or
+// Add).
 // TopK ranks by (score descending, document index ascending), a total
 // order, so its result does not depend on visit order either.
 package bm25
 
 import (
 	"cmp"
-	"container/heap"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/textutil"
 )
@@ -48,6 +49,8 @@ type posting struct{ doc, tf int32 }
 type Index struct {
 	terms    map[string]int32 // stemmed term -> position in lists
 	lists    [][]posting      // per term, ascending doc
+	ids      []int32          // every document's term ids in token order, documents in order
+	starts   []int32          // document d's ids are ids[starts[d]:][:lens[d]]
 	lens     []int32          // token count per document
 	totalLen int
 	avgLen   float64 // totalLen / Len, floored at 1e-9 so all-empty corpora divide safely
@@ -56,16 +59,17 @@ type Index struct {
 // New builds an index over docs. Documents are tokenised and stemmed with
 // the textutil pipeline. docs is not retained.
 func New(docs []string) *Index {
-	idx := &Index{terms: make(map[string]int32), lens: make([]int32, 0, len(docs))}
-	// Tokenise each document once, keeping only term ids, so every list can
-	// be sized exactly and carved from one array.
-	var ids []int32
+	idx := &Index{terms: make(map[string]int32), starts: make([]int32, 0, len(docs)), lens: make([]int32, 0, len(docs))}
+	// Tokenise each document once, keeping only term ids; grouping a sorted
+	// copy of them sizes every list exactly, so all are carved from one
+	// array.
 	for _, d := range docs {
-		ids = idx.appendDoc(ids, d)
+		idx.appendDoc(d)
 	}
+	grouped := idx.grouped(0)
 	df := make([]int32, len(idx.terms))
 	total := 0
-	idx.postings(ids, 0, func(t int32, _ posting) { df[t]++; total++ })
+	idx.postings(grouped, 0, func(t int32, _ posting) { df[t]++; total++ })
 	backing := make([]posting, total)
 	idx.lists = make([][]posting, len(df))
 	off := 0
@@ -75,45 +79,58 @@ func New(docs []string) *Index {
 		idx.lists[t] = backing[off : off : off+int(n)]
 		off += int(n)
 	}
-	idx.postings(ids, 0, idx.post)
+	idx.postings(grouped, 0, idx.post)
 	return idx
 }
 
 // Add appends one document; its index is the previous Len.
 func (idx *Index) Add(doc string) {
 	first := len(idx.lens)
-	ids := idx.appendDoc(nil, doc)
+	idx.appendDoc(doc)
 	for len(idx.lists) < len(idx.terms) {
 		idx.lists = append(idx.lists, nil)
 	}
-	idx.postings(ids, first, idx.post)
+	idx.postings(idx.grouped(first), first, idx.post)
 }
 
 func (idx *Index) post(t int32, p posting) { idx.lists[t] = append(idx.lists[t], p) }
 
-// appendDoc records doc's length and appends its term ids, equal ids
-// adjacent, registering unseen terms. Sorting the tokens in place is what
-// groups them: documents are a handful of tokens, and a map per document
-// is what made building the index expensive.
-func (idx *Index) appendDoc(ids []int32, doc string) []int32 {
+// appendDoc records doc's length and appends its term ids in token order,
+// registering unseen terms under a copy of the token.
+func (idx *Index) appendDoc(doc string) {
 	toks := Terms(doc)
+	idx.starts = append(idx.starts, int32(len(idx.ids)))
 	idx.lens = append(idx.lens, int32(len(toks)))
 	idx.totalLen += len(toks)
 	idx.avgLen = math.Max(float64(idx.totalLen)/float64(len(idx.lens)), 1e-9)
-	slices.Sort(toks)
 	for _, tok := range toks {
 		t, ok := idx.terms[tok]
 		if !ok {
 			t = int32(len(idx.terms))
-			idx.terms[tok] = t
+			idx.terms[strings.Clone(tok)] = t
 		}
-		ids = append(ids, t)
+		idx.ids = append(idx.ids, t)
+	}
+}
+
+// grouped copies the term ids of documents first, first+1, ... with each
+// document's sorted, so equal ids sit together: documents are a handful
+// of tokens, and a map per document is what made building the index
+// expensive.
+func (idx *Index) grouped(first int) []int32 {
+	if first == len(idx.lens) {
+		return nil
+	}
+	base := idx.starts[first]
+	ids := slices.Clone(idx.ids[base:])
+	for d := first; d < len(idx.lens); d++ {
+		slices.Sort(ids[idx.starts[d]-base:][:idx.lens[d]])
 	}
 	return ids
 }
 
 // postings calls fn with each (term, document, frequency) in ids, which
-// holds the term ids of documents first, first+1, ... as appendDoc left
+// holds the term ids of documents first, first+1, ... as grouped left
 // them.
 func (idx *Index) postings(ids []int32, first int, fn func(t int32, p posting)) {
 	for d := first; d < len(idx.lens); d++ {
@@ -161,19 +178,36 @@ func (idx *Index) termScore(idf float64, p posting) float64 {
 func (idx *Index) Score(query string, i int) float64 {
 	var score float64
 	for _, q := range Terms(query) {
-		t, known := idx.terms[q]
-		if !known {
-			continue
-		}
-		list := idx.lists[t]
-		j, found := slices.BinarySearchFunc(list, int32(i), func(p posting, doc int32) int {
-			return cmp.Compare(p.doc, doc)
-		})
-		if found {
-			score += idx.termScore(idx.idf(len(list)), list[j])
+		if t, known := idx.terms[q]; known {
+			score += idx.docScore(t, i)
 		}
 	}
 	return score
+}
+
+// SelfScore is Score(text, i) for the text document i was indexed from:
+// the same terms in the same order, read from the ids the index kept
+// instead of tokenising the text again, so the same sum to the bit.
+func (idx *Index) SelfScore(i int) float64 {
+	var score float64
+	for _, t := range idx.ids[idx.starts[i]:][:idx.lens[i]] {
+		score += idx.docScore(t, i)
+	}
+	return score
+}
+
+// docScore is term t's contribution to document i, zero when i does not
+// hold t. Adding that zero changes no sum: every contribution is positive,
+// so a sum is never -0.
+func (idx *Index) docScore(t int32, i int) float64 {
+	list := idx.lists[t]
+	j, found := slices.BinarySearchFunc(list, int32(i), func(p posting, doc int32) int {
+		return cmp.Compare(p.doc, doc)
+	})
+	if !found {
+		return 0
+	}
+	return idx.termScore(idx.idf(len(list)), list[j])
 }
 
 // Result is one ranked retrieval hit.
@@ -204,13 +238,14 @@ func (idx *Index) TopKTerms(terms []string, k int) []Result {
 		idf  float64
 		rest []posting
 	}
-	cursors := make([]cursor, 0, len(terms))
+	var buf [16]cursor // a question's terms fit without allocating
+	cursors := buf[:0]
 	for _, q := range terms {
 		if t, known := idx.terms[q]; known {
 			cursors = append(cursors, cursor{idx.idf(len(idx.lists[t])), idx.lists[t]})
 		}
 	}
-	h := make(resultMinHeap, 0, k)
+	h := make([]Result, 0, k)
 	// Each pass scores the lowest pending document and finds the one after
 	// it; the first pass (no document is -1) only finds.
 	for doc, next := int32(-1), int32(0); next != math.MaxInt32; doc = next {
@@ -229,20 +264,22 @@ func (idx *Index) TopKTerms(terms []string, k int) []Result {
 		if r.Score <= 0 {
 			continue
 		}
-		if len(h) < k {
-			heap.Push(&h, r)
-			continue
-		}
-		// Replace the current worst only when r outranks it under the
-		// (score desc, index asc) total order.
-		if worse(h[0], r) {
-			h[0] = r
-			heap.Fix(&h, 0)
+		// Once k are kept, r replaces the current worst only when it
+		// outranks it under the (score desc, index asc) total order.
+		if len(h) < k || worse(h[0], r) {
+			h = offer(h, r, k)
 		}
 	}
-	results := []Result(h)
-	sort.Slice(results, func(a, c int) bool { return worse(results[c], results[a]) })
-	return results
+	slices.SortFunc(h, func(a, c Result) int {
+		switch {
+		case worse(c, a):
+			return -1
+		case worse(a, c):
+			return 1
+		}
+		return 0
+	})
+	return h
 }
 
 // worse reports whether a ranks strictly below b in the deterministic
@@ -254,18 +291,41 @@ func worse(a, b Result) bool {
 	return a.Index > b.Index
 }
 
-// resultMinHeap keeps the current top-k with the worst-ranked result at the
-// root, so one comparison decides whether a new document displaces it.
-type resultMinHeap []Result
+// offer keeps r in h, the current top-k: a min-heap under worse once it
+// holds k results, with the worst-ranked at the root, so one comparison
+// decides whether a new document displaces it. The first k results are
+// kept as they come and made a heap when the k-th arrives; after that r
+// replaces the root. No Result is boxed, as container/heap's interface
+// would box it. It is a call of its own, not code in TopKTerms' loop:
+// inlined there, the heap code slowed the merge by about a third.
+func offer(h []Result, r Result, k int) []Result {
+	if len(h) < k {
+		if h = append(h, r); len(h) == k {
+			for i := k/2 - 1; i >= 0; i-- {
+				siftDown(h, i)
+			}
+		}
+		return h
+	}
+	h[0] = r
+	siftDown(h, 0)
+	return h
+}
 
-func (h resultMinHeap) Len() int            { return len(h) }
-func (h resultMinHeap) Less(i, j int) bool  { return worse(h[i], h[j]) }
-func (h resultMinHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultMinHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultMinHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// siftDown moves h[i] down to its place in the min-heap under worse.
+func siftDown(h []Result, i int) {
+	for {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && worse(h[l], h[least]) {
+			least = l
+		}
+		if r < len(h) && worse(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }

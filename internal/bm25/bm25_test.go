@@ -2,6 +2,7 @@ package bm25
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -197,6 +198,42 @@ func TestTopKEquivalenceProperty(t *testing.T) {
 			for i := 0; i < n; i += 1 + n/50 {
 				if a, g := built.Score(query, i), grown.Score(query, i); a != g {
 					t.Fatalf("Score(%q, %d): New %v, Add %v", query, i, a, g)
+				}
+			}
+		}
+	}
+}
+
+// TestSelfScoreMatchesScore: SelfScore(i) is Score(docs[i], i) to the
+// bit, over indexes built by New and grown by Add (read after every Add,
+// while the corpus statistics still move), on random corpora with
+// repeated and empty documents and on text the tokenizer and stemmer
+// rewrite (case, punctuation, plurals, non-ASCII, invalid UTF-8).
+func TestSelfScoreMatchesScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	corpora := [][]string{
+		append(append([]string{}, corpus...), "", "Schools' SCHOOLS schooling, school!",
+			"İstanbul ÉCOLE école \xffbad\xff bytes", "cities city cities_2 TR024 tr024"),
+		valueDocs(300),
+	}
+	for _, vocab := range []int{5, 40, 500} {
+		corpora = append(corpora, randomDocs(rng, vocab, 400))
+	}
+	for c, docs := range corpora {
+		built, grown := New(docs), New(nil)
+		for i, d := range docs {
+			grown.Add(d)
+			for j := 0; j <= i; j += 1 + i/20 {
+				if got, want := grown.SelfScore(j), grown.Score(docs[j], j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("corpus %d after Add %d: SelfScore(%d) = %v, Score = %v", c, i, j, got, want)
+				}
+			}
+		}
+		for i, d := range docs {
+			want := built.Score(d, i)
+			for name, idx := range map[string]*Index{"New": built, "Add": grown} {
+				if got := idx.SelfScore(i); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("corpus %d %s: SelfScore(%d) = %v, Score(%q) = %v", c, name, i, got, d, want)
 				}
 			}
 		}

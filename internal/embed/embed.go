@@ -11,7 +11,6 @@ package embed
 
 import (
 	"cmp"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -134,26 +133,33 @@ func embedDense(text string) [Dim]float32 {
 	var v [Dim]float32
 	words := textutil.Tokenize(text)
 	for _, w := range words {
-		addFeature(&v, "w:"+textutil.Stem(w), 1.0)
+		addFeature(&v, 1.0, "w:", textutil.Stem(w))
 	}
 	for i := 0; i+1 < len(words); i++ {
-		addFeature(&v, "b:"+words[i]+"_"+words[i+1], 0.7)
+		addFeature(&v, 0.7, "b:", words[i], "_", words[i+1])
 	}
 	for _, w := range words {
 		for _, g := range textutil.NGrams(w, 3) {
-			addFeature(&v, "g:"+g, 0.3)
+			addFeature(&v, 0.3, "g:", g)
 		}
 	}
 	normalise(&v)
 	return v
 }
 
-// addFeature hashes a feature into two buckets with opposite signs
-// (feature hashing with sign trick) to reduce collision bias.
-func addFeature(v *[Dim]float32, feat string, weight float32) {
-	h := fnv.New64a()
-	h.Write([]byte(feat))
-	sum := h.Sum64()
+// addFeature hashes a feature, the concatenation of parts, into two
+// buckets with opposite signs (feature hashing with sign trick) to reduce
+// collision bias. The hash is 64-bit FNV-1a (hash/fnv's New64a) run over
+// the parts in turn, so nothing is concatenated.
+func addFeature(v *[Dim]float32, weight float32, parts ...string) {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	sum := uint64(offset64)
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			sum ^= uint64(p[i])
+			sum *= prime64
+		}
+	}
 	idx := int(sum % Dim)
 	sign := float32(1)
 	if (sum>>32)&1 == 1 {

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 )
 
 // Model describes one simulated LLM.
@@ -99,10 +100,23 @@ func ModelNames() []string {
 // CountTokens approximates API tokenisation: one token per word piece,
 // where long words count one token per 4 characters. It over-counts
 // slightly versus real BPE, which keeps window enforcement conservative.
+// It walks the fields strings.Fields would return (runs of runes that are
+// not unicode.IsSpace) without building them.
 func CountTokens(s string) int {
-	n := 0
-	for _, f := range strings.Fields(s) {
-		n += tokenCost(f)
+	n, start := 0, -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			n += tokenCost(s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		n += tokenCost(s[start:])
 	}
 	return n
 }

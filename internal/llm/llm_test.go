@@ -2,6 +2,7 @@ package llm
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +142,52 @@ func TestCountTokens(t *testing.T) {
 	long := CountTokens("antidisestablishmentarianism")
 	if long < 2 {
 		t.Errorf("long words cost more than 1 token: %d", long)
+	}
+}
+
+// fieldsCountTokens is CountTokens as written before it walked its
+// fields: over the strings strings.Fields allocates.
+func fieldsCountTokens(s string) int {
+	n := 0
+	for _, f := range strings.Fields(s) {
+		n += tokenCost(f)
+	}
+	return n
+}
+
+// TestCountTokensMatchesFields: the walk counts what strings.Fields
+// counts — ASCII and Unicode spaces (NEL, NBSP, the U+2000 run, ideographic
+// space), invalid UTF-8 (never a space), runs of spaces at either end —
+// and allocates nothing.
+func TestCountTokensMatchesFields(t *testing.T) {
+	cases := []string{
+		"", " ", "one", " one  two\tthree\n", "antidisestablishmentarianism is long",
+		"a\vb\fc\rd", "x\u0085y\u00a0z", "wide\u2003spaces\u3000here\u2028and\u2029there",
+		"\xffbad\xfe bytes\xc3", "日本語のテキスト と 空白", "\u200bzero-width is not a space",
+		"trailing   ", "   leading", "mixé\u00a0\u00a0café",
+	}
+	spaces := []string{" ", "\t", "\n", "\u0085", "\u00a0", "\u2003", "\u3000", "\u1680"}
+	words := []string{"a", "select", "antidisestablishment", "é", "日本", "\xff", "x_y"}
+	rng := rand.New(rand.NewSource(48))
+	for i := 0; i < 1000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(10); n > 0; n-- {
+			if rng.Intn(2) == 0 {
+				b.WriteString(spaces[rng.Intn(len(spaces))])
+			} else {
+				b.WriteString(words[rng.Intn(len(words))])
+			}
+		}
+		cases = append(cases, b.String())
+	}
+	for _, s := range cases {
+		if got, want := CountTokens(s), fieldsCountTokens(s); got != want {
+			t.Fatalf("CountTokens(%q) = %d, strings.Fields form %d", s, got, want)
+		}
+	}
+	prompt := strings.Repeat("Question: how many clients opened accounts\u00a0in 1996?\n", 40)
+	if n := testing.AllocsPerRun(20, func() { CountTokens(prompt) }); n != 0 {
+		t.Errorf("CountTokens allocates %.0f times", n)
 	}
 }
 

@@ -40,24 +40,29 @@ var stopwords = map[string]bool{
 
 // Tokenize lower-cases s and splits it into alphanumeric word tokens.
 // Punctuation separates tokens; digits stay attached to adjacent letters
-// only when contiguous (so "TR024" stays one token).
+// only when contiguous (so "TR024" stays one token). The tokens are
+// substrings of one lower-cased copy of s, so a caller that keeps one
+// beyond the call should clone it rather than pin the whole text.
 func Tokenize(s string) []string {
+	// strings.ToLower returns valid UTF-8 (each invalid byte becomes
+	// U+FFFD), so a token sliced out of it holds exactly the runes a
+	// rune-by-rune copy would.
+	lower := strings.ToLower(s)
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range strings.ToLower(s) {
+	start := -1
+	for i, r := range lower {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			cur.WriteRune(r)
-		} else {
-			flush()
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			out = append(out, lower[start:i])
+			start = -1
 		}
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, lower[start:])
+	}
 	return out
 }
 
@@ -234,21 +239,34 @@ func LongestCommonSubstring(a, b string) (string, int) {
 }
 
 // NGrams returns the character n-grams of s (lower-cased, including
-// word-boundary markers) used by the embedding substrate.
+// word-boundary markers) used by the embedding substrate. The grams are
+// substrings of one padded, lower-cased copy of s, which is valid UTF-8
+// (see Tokenize), so each is exactly its n runes.
 func NGrams(s string, n int) []string {
 	if n <= 0 {
 		return nil
 	}
 	padded := " " + strings.ToLower(s) + " "
-	runes := []rune(padded)
-	if len(runes) < n {
-		return []string{string(runes)}
+	runes := utf8.RuneCountInString(padded)
+	if runes < n {
+		return []string{padded}
 	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
+	out := make([]string, 0, runes-n+1)
+	end := 0
+	for range n {
+		_, w := utf8.DecodeRuneInString(padded[end:])
+		end += w
 	}
-	return out
+	for start := 0; ; {
+		out = append(out, padded[start:end])
+		if end == len(padded) {
+			return out
+		}
+		_, w := utf8.DecodeRuneInString(padded[start:])
+		start += w
+		_, w = utf8.DecodeRuneInString(padded[end:])
+		end += w
+	}
 }
 
 // NormalizeIdent splits a schema identifier (CamelCase, snake_case or

@@ -2,10 +2,12 @@ package textutil
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -313,4 +315,96 @@ func TestEditDistanceWithinAllocationFree(t *testing.T) {
 			t.Errorf("EditDistance(%q, %q) allocates %.0f times", c[0], c[1], n)
 		}
 	}
+}
+
+// builderTokenize is Tokenize as it was written before tokens were sliced
+// out of the lower-cased text: each token built rune by rune. It is the
+// reference Tokenize must equal.
+func builderTokenize(s string) []string {
+	var out []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			out = append(out, cur.String())
+			cur.Reset()
+		}
+	}
+	for _, r := range strings.ToLower(s) {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
+			cur.WriteRune(r)
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// runeNGrams is NGrams as it was written before grams were sliced: each
+// gram converted back from a []rune window.
+func runeNGrams(s string, n int) []string {
+	if n <= 0 {
+		return nil
+	}
+	runes := []rune(" " + strings.ToLower(s) + " ")
+	if len(runes) < n {
+		return []string{string(runes)}
+	}
+	out := make([]string, 0, len(runes)-n+1)
+	for i := 0; i+n <= len(runes); i++ {
+		out = append(out, string(runes[i:i+n]))
+	}
+	return out
+}
+
+// tokenizeSeeds are the inputs where slicing and building could part:
+// invalid UTF-8 (each bad byte is one U+FFFD to a rune range), a capital
+// whose lower case is shorter in bytes (İ), combining marks (not letters,
+// so separators), digits, underscores, and a token running to the end.
+var tokenizeSeeds = []string{
+	"", " ", "How many cards?", "molecule TR024", "a-b_c", "__x__",
+	"\xff", "ab\xffcd", "\xe2\x82", "ok\xed\xa0\x80ok", "x\xc3",
+	"İstanbul İİ", "ÉCOLE école", "école", "á́b",
+	"12 34ab 5_6", "日本語 テキスト", "ǅemal ǲ", "ẞ straße", "end_",
+	" nbsp sep", "KK", "ΣΑΣ",
+}
+
+// checkTokenize holds Tokenize and NGrams to their builder references.
+func checkTokenize(t *testing.T, s string) {
+	t.Helper()
+	if got, want := Tokenize(s), builderTokenize(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+	}
+	for _, n := range []int{1, 2, 3, 5} {
+		if got, want := NGrams(s, n), runeNGrams(s, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("NGrams(%q, %d) = %q, want %q", s, n, got, want)
+		}
+	}
+}
+
+// TestTokenizeMatchesBuilder: the sliced Tokenize and NGrams equal the
+// rune-by-rune builders they replaced, on the seeds and on random strings
+// over a mixed alphabet.
+func TestTokenizeMatchesBuilder(t *testing.T) {
+	for _, s := range tokenizeSeeds {
+		checkTokenize(t, s)
+	}
+	alphabet := []string{"a", "Z", "7", "_", " ", "-", "İ", "é", "́", "\xff", "\xe2\x82", "Σ", "日", " "}
+	rng := rand.New(rand.NewSource(48))
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		checkTokenize(t, b.String())
+	}
+}
+
+// FuzzTokenize holds Tokenize and NGrams to their builder references over
+// arbitrary bytes.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkTokenize)
 }
