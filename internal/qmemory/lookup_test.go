@@ -151,20 +151,54 @@ func synthQueries(tb testing.TB, n int) []synth.Query {
 
 // checkLookup asserts Lookup returns the reference's (Hit, ok), the
 // similarity to the bit.
-func checkLookup(t *testing.T, m *Memory, step int, question string, exclude ...string) Hit {
+func checkLookup(t *testing.T, m *Memory, step int, question string) Hit {
 	t.Helper()
-	want, wantOK := referenceLookup(m, "financial", question, exclude...)
-	got, ok := m.Lookup("financial", question, exclude...)
+	want, wantOK := referenceLookup(m, "financial", question)
+	got, ok := m.Lookup("financial", question)
 	if ok != wantOK || got != want || math.Float64bits(got.Similarity) != math.Float64bits(want.Similarity) {
-		t.Fatalf("step %d Lookup(%q, exclude %v):\n got %+v %v\nwant %+v %v", step, question, exclude, got, ok, want, wantOK)
+		t.Fatalf("step %d Lookup(%q):\n got %+v %v\nwant %+v %v", step, question, got, ok, want, wantOK)
 	}
 	return got
 }
 
+// checkCursor walks a Cursor over question as the serve path does and
+// asserts each Next returns what the reference returns with every
+// candidate offered before it excluded, the similarity to the bit. After
+// an exact candidate, fail (when set) records a failed verification, as
+// the serve path does. It returns the first candidate.
+func checkCursor(t *testing.T, m *Memory, step int, question string, fail func(Hit) bool) Hit {
+	t.Helper()
+	c := m.Cursor("financial", question)
+	var first Hit
+	var exclude []string
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		want, wantOK := referenceLookup(m, "financial", question, exclude...)
+		got, ok := c.Next()
+		if ok != wantOK || got != want || math.Float64bits(got.Similarity) != math.Float64bits(want.Similarity) {
+			t.Fatalf("step %d attempt %d Next(%q), %v offered:\n got %+v %v\nwant %+v %v", step, attempt, question, exclude, got, ok, want, wantOK)
+		}
+		if !ok {
+			break
+		}
+		if attempt == 0 {
+			first = got
+		}
+		exclude = append(exclude, got.PatternID)
+		if got.Similarity == 1 && fail != nil && fail(got) {
+			m.Failure(got.PatternID)
+		}
+	}
+	if hit, ok := c.Next(); ok {
+		t.Fatalf("step %d: Next(%q) offered %+v after %v", step, question, hit, exclude)
+	}
+	return first
+}
+
 // TestLookupMatchesReference drives a seeded interleaving of Admit,
-// Success, Failure, Inject-replace and Lookup (with and without exclude)
-// over synth.Workload paraphrases and checks every look-up against the
-// reference.
+// Success, Failure, Inject-replace, Lookup and Cursor walks (each
+// candidate after the first excluding those before it, as the serve path
+// skips candidates that failed verification) over synth.Workload
+// paraphrases and checks every look-up against the reference.
 func TestLookupMatchesReference(t *testing.T) {
 	qs := synthQueries(t, 60)
 	rng := rand.New(rand.NewSource(16))
@@ -178,7 +212,8 @@ func TestLookupMatchesReference(t *testing.T) {
 		}
 		return q.Question
 	}
-	hits, exact := 0, 0
+	sometimes := func(Hit) bool { return rng.Intn(4) == 0 }
+	hits, exact, walks := 0, 0, 0
 	for step := 0; step < 700; step++ {
 		q := qs[rng.Intn(len(qs))]
 		id := PatternID("financial", q.SQL)
@@ -202,27 +237,60 @@ func TestLookupMatchesReference(t *testing.T) {
 					t.Fatalf("step %d: Inject applied=%v err=%v", step, applied, err)
 				}
 			}
+		case op == 6:
+			checkLookup(t, m, step, anyPhrasing(q))
 		default:
-			question := anyPhrasing(q)
-			hit := checkLookup(t, m, step, question)
+			hit := checkCursor(t, m, step, anyPhrasing(q), sometimes)
+			walks++
 			if hit.PatternID != "" {
 				hits++
 				if hit.Similarity == 1 {
 					exact++
 				}
-				// What the serve path does after a failed verification.
-				second := checkLookup(t, m, step, question, hit.PatternID)
-				if second.PatternID != "" {
-					checkLookup(t, m, step, question, hit.PatternID, second.PatternID)
-				}
 			}
 		}
 	}
 	if hits < 60 || exact == 0 || exact == hits {
-		t.Fatalf("driver exercised too little: %d hits, %d exact", hits, exact)
+		t.Fatalf("driver exercised too little: %d hits, %d exact over %d walks", hits, exact, walks)
 	}
 	if st := m.Stats(); st.ExactHits == 0 || st.ExactHits >= st.Hits || st.Hits+st.Misses != st.Lookups {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestCursorSkipsReplaced: a pattern replaced after a Cursor ranked it is
+// not offered from that ranking, so a peer's demotion that lands between
+// two candidates of one request is not served around.
+func TestCursorSkipsReplaced(t *testing.T) {
+	m, _ := New(Options{})
+	m.Admit("shop", "How many orders have status 'shipped'?", "", "SELECT COUNT(*) FROM orders WHERE status = 'shipped'", "fp")
+	m.Admit("shop", "How many orders in the north have status 'shipped'?", "", "SELECT COUNT(*) FROM orders WHERE status = 'shipped' AND region = 'north'", "fp")
+	const question = "Count the orders in the north whose status is 'shipped'"
+	walk := m.Cursor("shop", question)
+	first, ok1 := walk.Next()
+	second, ok2 := walk.Next()
+	if !ok1 || !ok2 {
+		t.Fatalf("want two semantic candidates: %+v %v, %+v %v", first, ok1, second, ok2)
+	}
+
+	c := m.Cursor("shop", question)
+	if hit, ok := c.Next(); !ok || hit != first {
+		t.Fatalf("first Next: %+v %v, want %+v", hit, ok, first)
+	}
+	for _, rec := range m.Patterns() {
+		if rec.ID == second.PatternID {
+			rec.Failures++
+			rec.Confidence *= failureDecay
+			if applied, err := m.Inject(rec); err != nil || !applied {
+				t.Fatalf("Inject applied=%v err=%v", applied, err)
+			}
+		}
+	}
+	if hit, ok := c.Next(); ok {
+		t.Fatalf("offered a pattern demoted after the ranking: %+v", hit)
+	}
+	if hit, ok := referenceLookup(m, "shop", question, first.PatternID); ok {
+		t.Fatalf("reference offers %+v", hit)
 	}
 }
 
@@ -307,6 +375,45 @@ func TestExactHitAllocations(t *testing.T) {
 	}
 }
 
+// TestSemanticLookupAllocations: a paraphrase look-up and a miss each
+// allocate a small constant, the same at 200 patterns and at 2,000 — the
+// ranking is a fixed array and the lexical side self-scores from the
+// index's term ids, so nothing is allocated per stored phrasing or per
+// matched pattern. Both memories are asked the same questions, each
+// embedded once beforehand, as BenchmarkLookup's repeating streams are:
+// what is left is the question's tokens and the BM25 hits.
+func TestSemanticLookupAllocations(t *testing.T) {
+	qs := synthQueries(t, 2064)
+	streams := map[string][]string{}
+	for i := 0; i < 64; i++ {
+		streams["paraphrase"] = append(streams["paraphrase"], "Tell me: "+strings.ToLower(qs[i*3].Question))
+		streams["miss"] = append(streams["miss"], qs[2000+i].Question)
+	}
+	var allocs [2]map[string]float64
+	for i, n := range []int{200, 2000} {
+		m := taught(t, qs, n)
+		allocs[i] = map[string]float64{}
+		for path, questions := range streams {
+			for _, q := range questions {
+				if hit, ok := m.Lookup("financial", q); path == "paraphrase" && q == questions[0] && (!ok || hit.Similarity == 1) {
+					t.Fatalf("n=%d: %q is not a paraphrase hit: %+v %v", n, q, hit, ok)
+				}
+			}
+			k := 0
+			allocs[i][path] = testing.AllocsPerRun(len(questions)-1, func() {
+				m.Lookup("financial", questions[k])
+				k++
+			})
+		}
+	}
+	for _, path := range []string{"paraphrase", "miss"} {
+		t.Logf("%s look-up: %.0f allocs at 200 patterns, %.0f at 2,000", path, allocs[0][path], allocs[1][path])
+		if a, b := allocs[0][path], allocs[1][path]; a != b || b > 16 {
+			t.Errorf("%s look-up allocs: %.0f at 200 patterns, %.0f at 2,000; want equal and at most 16", path, a, b)
+		}
+	}
+}
+
 // TestConcurrentHammer runs look-ups, Stats and Patterns from
 // four goroutines against four writers, each admitting, reinforcing,
 // failing and replacing its own patterns. Mutations touch one pattern
@@ -357,8 +464,11 @@ func TestConcurrentHammer(t *testing.T) {
 				default:
 				}
 				q := qs[rng.Intn(len(qs))]
-				if hit, ok := m.Lookup("financial", q.Paraphrases[0]); ok {
-					m.Lookup("financial", q.Paraphrases[0], hit.PatternID)
+				c := m.Cursor("financial", q.Paraphrases[0])
+				for {
+					if _, ok := c.Next(); !ok {
+						break
+					}
 				}
 				if r == 0 && i%8 == 0 {
 					m.Stats()
@@ -394,7 +504,7 @@ var sinkHit Hit
 // patterns: exact (a learned paraphrase), paraphrase (a phrasing the
 // memory has not seen, same literals) and miss (a question of another
 // pattern the memory does not hold).
-func benchQuestions(b *testing.B, n int) (m *Memory, streams map[string][]string) {
+func benchQuestions(b testing.TB, n int) (m *Memory, streams map[string][]string) {
 	qs := synthQueries(b, n+64)
 	m = taught(b, qs, n)
 	streams = map[string][]string{}

@@ -22,6 +22,7 @@
 package qmemory
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -61,8 +62,12 @@ const (
 	// 0.405 — below the serve threshold until it re-earns trust through
 	// admissions.
 	failureDecay = 0.45
-	// topK bounds the BM25 candidate pool per lookup.
+	// topK bounds the BM25 candidate pool per look-up, and the ranked
+	// candidates a look-up walks.
 	topK = 8
+	// maxAttempts is how many candidates one question is offered
+	// (Cursor.Next) before it falls through to generation.
+	maxAttempts = 3
 	// maxPhrasings bounds the stored phrasings per pattern.
 	maxPhrasings = 16
 )
@@ -158,6 +163,10 @@ type Hit struct {
 type pattern struct {
 	rec  Record
 	lits []string // rec.SQL's literals, lower-cased, for the literal-overlap gate
+	// replaced is set, under the write lock, when a newer version of the
+	// record takes this one's place (applyHeld): a Cursor that ranked
+	// this version no longer offers it.
+	replaced bool
 }
 
 func (p *pattern) hit(similarity float64) Hit {
@@ -278,110 +287,216 @@ func (m *Memory) Close() error {
 	return m.opts.Store.Close()
 }
 
-// Lookup finds the best servable pattern for a question. A question that
-// is a stored phrasing costs one map probe; any other costs the posting
-// lists of its terms plus one cosine per stored phrasing of the database,
-// gated by similarity floor, literal overlap and pattern confidence.
-// Patterns named in exclude are skipped — the serve path passes the
-// candidates that already failed verification for this question, so a
-// look-alike outscoring the right pattern costs one engine execution
-// rather than suppressing the hit.
-func (m *Memory) Lookup(db, question string, exclude ...string) (Hit, bool) {
-	m.lookups.Add(1)
-	qLower := strings.ToLower(question)
-	servable := func(p *pattern) bool {
-		return !slices.Contains(exclude, p.rec.ID) &&
-			p.rec.Confidence >= serveThreshold && literalsCovered(p.lits, qLower)
-	}
+// Lookup is the first candidate of Cursor(db, question): the best
+// servable pattern for a question.
+func (m *Memory) Lookup(db, question string) (Hit, bool) {
+	c := Cursor{m: m, db: db, question: question, qLower: strings.ToLower(question)}
+	return c.Next()
+}
 
+// Cursor walks one question's candidates, best first, for a caller that
+// verifies each before serving it: Next offers the next servable pattern,
+// skipping those it has offered already, so a look-alike outscoring the
+// right pattern costs one engine execution rather than suppressing the
+// hit. It offers at most maxAttempts candidates. Keep it in a variable
+// and call Next on it; it is not safe for concurrent use.
+type Cursor struct {
+	m                    *Memory
+	db, question, qLower string
+	// offered holds the IDs of the first n candidates Next returned; a
+	// miss sets n to maxAttempts, as the walk is over.
+	offered [maxAttempts]string
+	n       int
+	// ranked is set once the semantic ranking has run, at most once per
+	// Cursor: best holds the first nbest patterns by (score desc, ID asc).
+	// maxAttempts-1 slots beyond topK leave topK to walk after the
+	// candidates already offered are skipped.
+	ranked bool
+	best   [topK + maxAttempts - 1]candidate
+	nbest  int
+}
+
+// candidate is a pattern's best hybrid score over its phrasings.
+type candidate struct {
+	p     *pattern
+	score float64
+}
+
+// outranks is the ranking's total order: higher score first, lower
+// pattern ID on ties.
+func (a candidate) outranks(b candidate) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.p.rec.ID < b.p.rec.ID
+}
+
+// Cursor starts a walk over question's candidates in db. Nothing is
+// looked up until Next.
+func (m *Memory) Cursor(db, question string) Cursor {
+	return Cursor{m: m, db: db, question: question, qLower: strings.ToLower(question)}
+}
+
+// Next returns the best servable pattern not yet offered. A question that
+// is a stored phrasing of one costs one map probe. Otherwise the first
+// call that gets past the probe ranks the database's patterns — the
+// posting lists of the question's terms plus one cosine per stored
+// phrasing — and later calls walk that ranking again; the gates
+// (similarity floor, literal overlap, pattern confidence) are read at
+// each call. Every call counts one look-up and its hit or miss.
+func (c *Cursor) Next() (Hit, bool) {
+	if c.n == maxAttempts {
+		return Hit{}, false
+	}
+	m := c.m
+	m.lookups.Add(1)
+	p, score, exact := c.next()
+	if p == nil {
+		m.mu.RUnlock()
+		m.misses.Add(1)
+		c.n = maxAttempts
+		return Hit{}, false
+	}
+	hit := p.hit(score)
+	m.mu.RUnlock()
+	m.hits.Add(1)
+	if exact {
+		m.exactHits.Add(1)
+	}
+	c.offered[c.n] = hit.PatternID
+	c.n++
+	return hit, true
+}
+
+// next is Next's look-up: the pattern to offer and its score, or nil, and
+// whether the question is its stored phrasing. It returns holding m.mu
+// for reading, so the caller reads the pattern's record under the lock.
+func (c *Cursor) next() (p *pattern, score float64, exact bool) {
+	m := c.m
 	// Exact-phrasing fast path: a question that IS a recorded successful
 	// phrasing of a confident pattern serves that pattern outright —
 	// repeat traffic is the common case, and semantic ranking can only
 	// add noise on top of an exact prior success.
 	m.mu.RLock()
-	di := m.dbs[db]
+	di := m.dbs[c.db]
 	if di == nil || len(di.docs) == 0 {
-		m.mu.RUnlock()
-		m.misses.Add(1)
-		return Hit{}, false
+		return nil, 0, false
 	}
-	for _, p := range di.exact[question] {
-		if servable(p) {
-			hit := p.hit(1)
-			m.mu.RUnlock()
-			m.hits.Add(1)
-			m.exactHits.Add(1)
-			return hit, true
+	for _, p := range di.exact[c.question] {
+		if c.servable(p) {
+			return p, 1, true
 		}
 	}
-	m.mu.RUnlock()
-
-	// What depends only on the question is computed outside the lock.
-	terms, q := bm25.Terms(question), m.model.Embed(question).Dense()
-	m.mu.RLock()
-	for di.idx == nil {
+	if !c.ranked {
 		m.mu.RUnlock()
-		m.reindex(di)
+		// What depends only on the question is computed outside the lock.
+		terms, q := bm25.Terms(c.question), m.model.Embed(c.question).Dense()
 		m.mu.RLock()
+		for di.idx == nil {
+			m.mu.RUnlock()
+			m.reindex(di)
+			m.mu.RLock()
+		}
+		c.rank(di, terms, &q)
 	}
-	defer m.mu.RUnlock()
+	p, score = c.walk()
+	return p, score, false
+}
 
+// rank fills c.best from di, whose read lock is held.
+func (c *Cursor) rank(di *dbIndex, terms []string, q *[embed.Dim]float32) {
+	c.ranked = true
 	// BM25 side: lexical score for the top-K entries, zero elsewhere, each
 	// normalized by the entry's score against itself under the same corpus
 	// statistics — an absolute scale, so a weak best match reads as weak
-	// instead of being inflated to 1.0 by top-score normalization.
-	lex := make(map[int]float64, topK)
-	for _, r := range di.idx.TopKTerms(terms, topK) {
-		if norm := di.idx.Score(di.docs[r.Index], r.Index); norm > 0 {
-			lex[r.Index] = min(r.Score/norm, 1)
+	// instead of being inflated to 1.0 by top-score normalization. Sorted
+	// by entry, the hits are read in the same pass as the embeddings.
+	lex := di.idx.TopKTerms(terms, topK)
+	for j := range lex {
+		if norm := di.idx.SelfScore(lex[j].Index); norm > 0 {
+			lex[j].Score = min(lex[j].Score/norm, 1)
+		} else {
+			lex[j].Score = 0
 		}
 	}
+	slices.SortFunc(lex, func(a, b bm25.Result) int { return cmp.Compare(a.Index, b.Index) })
 
 	// Embedding side: cosine against every phrasing of the db, fused
 	// with the lexical score into one hybrid score per pattern (a
 	// pattern's best phrasing wins).
-	bestOf := make(map[*pattern]float64)
 	for i := range di.vecs {
-		score := 0.65*di.vecs[i].Dot(&q) + 0.35*lex[i]
-		if p := di.pats[i]; score >= minSimilarity && score > bestOf[p] && !slices.Contains(exclude, p.rec.ID) {
-			bestOf[p] = score
+		var l float64
+		if len(lex) > 0 && lex[0].Index == i {
+			l, lex = lex[0].Score, lex[1:]
+		}
+		if score := 0.65*di.vecs[i].Dot(q) + 0.35*l; score >= minSimilarity {
+			c.keep(candidate{di.pats[i], score})
 		}
 	}
-	// Candidates ranked by score. Templated workloads make near-ties
-	// common — a differently-parameterized question phrased the same way
-	// often outscores the right pattern — so the serve decision walks the
-	// ranking and takes the FIRST candidate that clears both the
-	// confidence and the literal-overlap gate, not just the argmax. The
-	// literal gate is what tells the look-alikes apart.
-	type cand struct {
-		p     *pattern
-		score float64
-	}
-	ranked := make([]cand, 0, len(bestOf))
-	for p, s := range bestOf {
-		ranked = append(ranked, cand{p, s})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
-		}
-		return ranked[i].p.rec.ID < ranked[j].p.rec.ID
-	})
-	if len(ranked) > topK {
-		ranked = ranked[:topK]
-	}
-	for _, c := range ranked {
-		if servable(c.p) {
-			m.hits.Add(1)
-			return c.p.hit(c.score), true
-		}
-	}
-	m.misses.Add(1)
-	return Hit{}, false
 }
 
+// keep records cd in c.best if it ranks among the best, as its pattern's
+// best score so far. A pattern that drops out cannot come back with a
+// lower score, as the worst kept score only rises, so c.best ends as the
+// best patterns by their best scores.
+func (c *Cursor) keep(cd candidate) {
+	best := c.best[:c.nbest]
+	if len(best) == len(c.best) && !cd.outranks(best[len(best)-1]) {
+		return
+	}
+	for i := range best {
+		if best[i].p == cd.p {
+			if cd.score <= best[i].score {
+				return
+			}
+			best = append(best[:i], best[i+1:]...)
+			break
+		}
+	}
+	if len(best) == len(c.best) {
+		best = best[:len(best)-1]
+	}
+	i := len(best)
+	for i > 0 && cd.outranks(best[i-1]) {
+		i--
+	}
+	best = slices.Insert(best, i, cd)
+	c.nbest = len(best)
+}
+
+// walk returns the first servable candidate among the first topK of
+// c.best not yet offered, and its score: near-ties are common in
+// templated workloads — a differently-parameterized question phrased the
+// same way often outscores the right pattern — and the literal gate is
+// what tells the look-alikes apart. It runs under the read lock.
+func (c *Cursor) walk() (*pattern, float64) {
+	walked := 0
+	for _, cd := range c.best[:c.nbest] {
+		if c.wasOffered(cd.p.rec.ID) {
+			continue
+		}
+		if walked == topK {
+			break
+		}
+		walked++
+		if !cd.p.replaced && c.servable(cd.p) {
+			return cd.p, cd.score
+		}
+	}
+	return nil, 0
+}
+
+// servable reports whether p may be offered for c's question: not offered
+// already, confident, and its SQL's literals all in the question.
+func (c *Cursor) servable(p *pattern) bool {
+	return !c.wasOffered(p.rec.ID) && p.rec.Confidence >= serveThreshold && literalsCovered(p.lits, c.qLower)
+}
+
+func (c *Cursor) wasOffered(id string) bool { return slices.Contains(c.offered[:c.n], id) }
+
 // reindex rebuilds di's postings after a replace discarded them. It takes
-// the write lock itself: Lookup calls it between two read-locked sections.
+// the write lock itself: Cursor.Next calls it between two read-locked
+// sections.
 func (m *Memory) reindex(di *dbIndex) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -555,6 +670,9 @@ func (m *Memory) applyHeld(rec Record, persist bool) error {
 		return fmt.Errorf("qmemory: record missing id/db/sql")
 	}
 	old := m.patterns[rec.ID]
+	if old != nil {
+		old.replaced = true
+	}
 	rec = cloneRecord(rec)
 	p := &pattern{rec: rec, lits: lowerLiterals(rec.SQL)}
 	m.patterns[rec.ID] = p

@@ -518,32 +518,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // memoryTier answers with a stored pattern's SQL once it verifies: the
 // SQL still executes, its result fingerprint matches the stored one, and
 // the judge scores it correct. A rejected candidate is skipped and the
-// lookup retried a bounded number of times, so a look-alike outscoring the
-// right pattern costs one engine execution, not a pipeline run. On a
-// decline the memory.lookup span names the reason, and the answer carries
-// only the lookup-plus-verification time.
+// memory's next one tried, up to the budget qmemory.Cursor keeps, so a
+// look-alike outscoring the right pattern costs one engine execution, not
+// a pipeline run. On a decline the memory.lookup span names the reason,
+// and the answer carries only the lookup-plus-verification time.
 func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Example) (answer, bool) {
 	mem := s.memories[sess.Corpus]
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "memory.lookup")
 	defer span.End()
 
-	const maxVerifyAttempts = 3
 	var (
-		hit   qmemory.Hit
-		res   *sqlengine.Result
-		tried []string
+		hit      qmemory.Hit
+		res      *sqlengine.Result
+		attempts int
 	)
 	// decline is why the last offered candidate was rejected, or
 	// "no_candidate" while none was offered; empty once one verifies.
 	decline := "no_candidate"
-	for attempt := 0; attempt < maxVerifyAttempts && decline != ""; attempt++ {
+	cands := mem.Cursor(e.DB, e.Question)
+	for decline != "" {
 		var ok bool
-		hit, ok = mem.Lookup(e.DB, e.Question, tried...)
-		if !ok {
+		if hit, ok = cands.Next(); !ok {
 			break
 		}
-		tried = append(tried, hit.PatternID)
+		attempts++
 
 		stmt, _, err := prepareRead(sess, hit.SQL)
 		if err != nil {
@@ -583,7 +582,7 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 			mem.Failure(hit.PatternID)
 		}
 	}
-	span.SetAttr("attempts", len(tried))
+	span.SetAttr("attempts", attempts)
 	if decline != "" {
 		span.SetAttr("match", "none")
 		span.SetAttr("decline", decline)
