@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"runtime/debug"
@@ -99,10 +100,14 @@ func (s *Server) wrap(route string, admit bool, h http.HandlerFunc) http.Handler
 				s.traces.Add(trec)
 				s.slowlog.Record(trec, sqlOfTrace(trec))
 			}
-			s.log.Info("request",
-				"method", r.Method, "route", route, "status", rec.status,
-				"duration_us", d.Microseconds(), "remote", r.RemoteAddr,
-				"request_id", reqID, "trace_id", tr.ID())
+			// The line's arguments are built only for a logger that keeps
+			// it: boxing them costs allocations on every request.
+			if s.log.Enabled(context.Background(), slog.LevelInfo) {
+				s.log.Info("request",
+					"method", r.Method, "route", route, "status", rec.status,
+					"duration_us", d.Microseconds(), "remote", r.RemoteAddr,
+					"request_id", reqID, "trace_id", tr.ID())
+			}
 		}()
 
 		if admit {

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -137,6 +139,44 @@ func TestRequestIDEchoedOnShed(t *testing.T) {
 	}
 	if !sawShed {
 		t.Fatal("no request was shed; the echo-under-shed path went unexercised")
+	}
+}
+
+// keepAll is a slog handler that enables every level and drops each
+// record: a logger that pays for the request line without writing it.
+type keepAll struct{}
+
+func (keepAll) Enabled(context.Context, slog.Level) bool  { return true }
+func (keepAll) Handle(context.Context, slog.Record) error { return nil }
+func (h keepAll) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h keepAll) WithGroup(string) slog.Handler           { return h }
+
+// headerWriter is an http.ResponseWriter that keeps only its header, so
+// serving through it allocates nothing of its own.
+type headerWriter struct{ h http.Header }
+
+func (w headerWriter) Header() http.Header       { return w.h }
+func (headerWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (headerWriter) WriteHeader(int)             {}
+
+// TestRequestLogBuiltOnlyWhenEnabled: under a logger whose handler drops
+// Info (slog.DiscardHandler, as the bench's quiet logger is), wrap does
+// not build the request line's arguments, which cost at least five
+// allocations a request under a logger that keeps them.
+func TestRequestLogBuiltOnlyWhenEnabled(t *testing.T) {
+	srv, _ := newTestServer(t, func(c *Config) { c.Logger = slog.New(slog.DiscardHandler) })
+	h := srv.wrap(pathHealthz, false, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	req := httptest.NewRequest(http.MethodGet, pathHealthz, nil)
+	req.Header.Set(obs.RequestIDHeader, "log-req")
+	w := headerWriter{http.Header{}}
+	quiet := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) })
+	srv.log = slog.New(keepAll{})
+	kept := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, req) })
+	t.Logf("a request allocates %.0f times under DiscardHandler, %.0f under a handler that keeps Info", quiet, kept)
+	if kept-quiet < 5 {
+		t.Errorf("a request allocates %.0f times when its log line is discarded, %.0f when kept: the line's arguments are still built", quiet, kept)
 	}
 }
 

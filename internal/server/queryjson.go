@@ -60,8 +60,11 @@ func writeQueryResponse(w http.ResponseWriter, resp *api.QueryResponse, rows *sq
 
 // appendQueryResponse appends the body writeQueryResponse sends to b, and
 // returns what is left of it once its pieces have been written to w
-// (makeRoom). Its memory_confidence is finite.
+// (makeRoom). Its memory_confidence is finite. The head — db to sql — is
+// given its room before it is appended (headRoom), so a long one grows b
+// once rather than in append's steps and then again.
 func appendQueryResponse(w io.Writer, b []byte, resp *api.QueryResponse, rows *sqlengine.Rows, maxRows int) []byte {
+	b = grow(b, headRoom(resp)+rowRoom)
 	b = append(b, `{"db":`...)
 	b = appendString(b, resp.DB)
 	b = append(b, `,"example_id":`...)
@@ -145,10 +148,40 @@ func makeRoom(w io.Writer, b []byte) []byte {
 		_, _ = w.Write(b)
 		b = b[:0]
 	}
-	if cap(b)-len(b) < rowRoom {
-		b = append(make([]byte, 0, maxPooledBody), b...)
+	return grow(b, rowRoom)
+}
+
+// grow returns b with at least n bytes free: b itself when it has them,
+// else b copied once into a buffer of maxPooledBody, or of just enough
+// when n needs more.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) < n {
+		b = append(make([]byte, 0, max(maxPooledBody, len(b)+n)), b...)
 	}
 	return b
+}
+
+// stageRoom is a trace stage's bytes besides its strings: its keys, three
+// numbers and the cache_hit flag.
+const stageRoom = 160
+
+// headRoom is the head's length when none of its strings needs escaping,
+// less its keys, its memory_confidence and a trace's own numbers, which
+// the rowRoom given with it covers. A string that needs escaping can still
+// make append grow b.
+func headRoom(resp *api.QueryResponse) int {
+	n := len(resp.DB) + len(resp.ExampleID) + len(resp.Question) + len(resp.Source) + len(resp.Evidence) + len(resp.SQL)
+	if tr := resp.EvidenceTrace; tr != nil {
+		n += len(tr.Graph)
+		for i := range tr.Stages {
+			st := &tr.Stages[i]
+			n += stageRoom + len(st.Stage) + len(st.Err)
+			for _, d := range st.Deps {
+				n += len(d) + len(`"",`)
+			}
+		}
+	}
+	return n
 }
 
 // appendRows appends the first n rows of a result as a JSON array of

@@ -260,9 +260,10 @@ func TestWriteQueryResponseLargeAllocations(t *testing.T) {
 }
 
 // TestAppendQueryResponseGrowsOnce: a fresh 4 KiB pooled buffer holds a
-// body of up to 4 KiB less rowRoom as it is, and a longer body whose head
-// fits it grows it once, straight to maxPooledBody — neither a row nor the
-// tail regrows it, for a nil, an empty and a non-empty result alike.
+// body of up to 4 KiB less rowRoom as it is, and a longer body grows it
+// once — straight to maxPooledBody, or for a head longer than that to just
+// enough for it — neither the head, a row nor the tail regrows it, for a
+// nil, an empty and a non-empty result alike.
 func TestAppendQueryResponseGrowsOnce(t *testing.T) {
 	const fresh = 4 << 10
 	for _, n := range []int{-1, 0, 1, 100, 2_000} { // -1: no result set
@@ -277,6 +278,23 @@ func TestAppendQueryResponseGrowsOnce(t *testing.T) {
 			body := w.n + len(b)
 			if c := cap(b); c != fresh && c != maxPooledBody || c != fresh && body <= fresh-rowRoom {
 				t.Fatalf("%d-byte body over %d rows: buffer capacity %d", body, n, c)
+			}
+		}
+		// A head past the fresh buffer, one near maxPooledBody, and one
+		// over it: the one growth is the only allocation.
+		for _, pad := range []int{4_100, 64_000, 65_400, 70_000} {
+			resp := api.QueryResponse{DB: "financial", Source: api.SourceCache, Evidence: strings.Repeat("e", pad),
+				EvidenceTrace: &pipeline.Trace{Graph: "seed", Stages: []pipeline.StageTrace{
+					{Stage: "extract_keywords", WallMicros: 1},
+					{Stage: "generate", Deps: []string{"extract_keywords", "sample_execution"}, StartMicros: -1 << 63, WallMicros: 1 << 62, Tokens: 1 << 31, CacheHit: true, Err: "none"},
+				}}}
+			var w countWriter
+			buf := make([]byte, 0, fresh)
+			if allocs := testing.AllocsPerRun(5, func() { appendQueryResponse(&w, buf[:0], &resp, rows, 0) }); allocs != 1 {
+				t.Errorf("%d-byte evidence over %d rows: %.0f allocations, want the one growth", pad, n, allocs)
+			}
+			if c, want := cap(appendQueryResponse(&w, buf[:0], &resp, rows, 0)), max(maxPooledBody, headRoom(&resp)+rowRoom); c != want {
+				t.Errorf("%d-byte evidence over %d rows: buffer capacity %d, want %d", pad, n, c, want)
 			}
 		}
 	}
