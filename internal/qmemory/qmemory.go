@@ -290,7 +290,7 @@ func (m *Memory) Close() error {
 // Lookup is the first candidate of Cursor(db, question): the best
 // servable pattern for a question.
 func (m *Memory) Lookup(db, question string) (Hit, bool) {
-	c := Cursor{m: m, db: db, question: question, qLower: strings.ToLower(question)}
+	c := m.Cursor(db, question)
 	return c.Next()
 }
 
