@@ -279,13 +279,19 @@ func TestResultPath(t *testing.T) {
 		{"SELECT id FROM m WHERE a > (SELECT 1)", "positions/gather"},
 		{"SELECT COUNT(*) FROM m WHERE a = 1 AND EXISTS (SELECT 1 FROM g)", "positions/agg"},
 		{"SELECT id + 1 FROM m ORDER BY a LIMIT 3", "rows(projection)"},
-		{"SELECT a + 1, COUNT(*) FROM m GROUP BY a", "rows(projection)"},
+		{"SELECT a + 1, COUNT(*) FROM m GROUP BY a", "positions/agg"},
 		{"SELECT id FROM m ORDER BY a + b LIMIT 3", "rows(order-by)"},
-		{"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY COUNT(*)", "rows(order-by)"},
+		{"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY COUNT(*)", "positions/agg"},
+		{"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY COUNT(*) DESC, 1 LIMIT 1", "positions/agg"},
+		{"SELECT a, COUNT(*) FROM m GROUP BY a ORDER BY (SELECT 1)", "rows(order-by)"},
 		{"SELECT id FROM m ORDER BY a LIMIT 1 + 2", "rows(limit)"},
-		{"SELECT COUNT(DISTINCT a) FROM m", "rows(aggregate)"},
+		{"SELECT COUNT(DISTINCT a) FROM m", "positions/agg"},
+		{"SELECT MAX(v / a), SUM(a * b) FROM m", "positions/agg"},
+		{"SELECT GROUP_CONCAT(a) FROM m", "rows(aggregate)"},
+		{"SELECT a, (SELECT 1) FROM m GROUP BY a", "rows(projection)"},
 		{"SELECT COUNT(*) FROM m GROUP BY a + 1", "rows(group-by)"},
-		{"SELECT a, COUNT(*) FROM m GROUP BY a HAVING COUNT(*) > 1", "rows(having)"},
+		{"SELECT a, COUNT(*) FROM m GROUP BY a HAVING COUNT(*) > 1", "positions/agg"},
+		{"SELECT a FROM m GROUP BY a HAVING SUM(b) > (SELECT 1)", "rows(having)"},
 		{"SELECT 1 FROM m WHERE a = 1", "positions/gather"},
 		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp LIMIT 2", "pairs/gather"},
 		{"SELECT t.id, g.label FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY g.weight DESC, t.id LIMIT 3", "pairs/topk"},
@@ -297,7 +303,7 @@ func TestResultPath(t *testing.T) {
 		{"SELECT UPPER(g.label) FROM t JOIN g ON t.grp = g.grp WHERE t.id = 99999", "rows(projection)"},
 		{"SELECT t.id + 1 FROM t JOIN g ON t.grp = g.grp", "rows(projection)"},
 		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight", "rows(order-by)"},
-		{"SELECT COUNT(DISTINCT g.label) FROM t JOIN g ON t.grp = g.grp", "rows(aggregate)"},
+		{"SELECT COUNT(DISTINCT g.label) FROM t JOIN g ON t.grp = g.grp", "pairs/agg"},
 		// One-sided selections that are not a table's: a nested loop's rows,
 		// a sub-select's, the single empty row of a SELECT without FROM.
 		{"SELECT t.id, g.weight FROM t JOIN g ON t.num > g.weight WHERE t.id < 12", "positions/gather"},
@@ -528,7 +534,7 @@ func TestFilterAllocations(t *testing.T) {
 		var out selection
 		allocs := testing.AllocsPerRun(10, func() {
 			var err error
-			if out, err = ec.filter(tc.in, p, 0, 0, nil, false); err != nil {
+			if out, err = ec.filter(tc.in, p, 0, 0, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

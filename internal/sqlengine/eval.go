@@ -87,6 +87,12 @@ func (env *evalEnv) eval(e Expr) (Value, error) {
 		}
 		return env.evalBinary(x)
 	case *FuncCall:
+		if g := env.group; x.agg != aggNone && g != nil && g.ap != nil {
+			if k := g.ap.slot(x); k >= 0 {
+				return g.accs[k], nil
+			}
+			return Value{}, fmt.Errorf("sqlengine: misuse of aggregate function %s", x.Name)
+		}
 		if x.agg != aggNone {
 			return env.evalAggregate(x)
 		}

@@ -128,7 +128,8 @@ func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int
 // hashJoin executes the join on ja's equalities and residual and returns
 // its output as a two-sided selection over the inputs' relations: (left,
 // right) position pairs in emission order, no joined row built — or, with
-// count set, a counted selection of as many pairs, none listed. The left
+// fold set, a counted selection of as many pairs, none listed, each folded
+// into fold (emit). The left
 // input's rows are nl cells wide, the right's nr. hashed is false, and
 // nothing charged, when newJoinKeys refuses the inputs.
 //
@@ -139,7 +140,7 @@ func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int
 // With the right side smaller the left rows find their slot during the
 // probe; with the left side smaller they are given it up front and it is
 // the right rows that look theirs up.
-func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja *joinAnalysis, outer *scope, count bool) (s selection, hashed bool, err error) {
+func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja *joinAnalysis, outer *scope, fold *aggRun) (s selection, hashed bool, err error) {
 	// A join on one or two conditions addresses its key columns on the
 	// stack.
 	var lbuf, rbuf [2]colAt
@@ -194,9 +195,14 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 		return slot
 	}
 	ec.countBatches(ln)
-	out := selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, counted: count}
-	if !count {
+	out := selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, counted: fold != nil}
+	switch {
+	case fold == nil:
 		out.pairs = make([]pair, 0, pairsGuess(ln, jt == JoinLeft, head, next, slotOf))
+	case fold.ap.count:
+		fold = nil // the tally is all the tail reads
+	default:
+		fold.start(&out, ln)
 	}
 	for li := 0; li < ln; li++ {
 		lp, slot := left.at(li), slotOf(li)
@@ -226,14 +232,14 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 					}
 				}
 				matched = true
-				out.emit(lp, int(rp))
+				out.emit(lp, int(rp), fold)
 			}
 			if err := ec.charge(tested); err != nil {
 				return selection{}, true, err
 			}
 		}
 		if jt == JoinLeft && !matched {
-			out.emit(lp, -1)
+			out.emit(lp, -1, fold)
 		}
 	}
 	return out, true, nil
@@ -266,10 +272,14 @@ func pairsGuess(ln int, left bool, head, next []int32, slot func(li int) int32) 
 }
 
 // emit adds the pair (l, r) to a join's output: to its list, doubled when
-// full, or to its tally when it is counted.
-func (s *selection) emit(l, r int) {
+// full, or to its tally when it is counted, folding it into fold where that
+// is set.
+func (s *selection) emit(l, r int, fold *aggRun) {
 	if s.counted {
 		s.n++
+		if fold != nil {
+			fold.add(l, r)
+		}
 		return
 	}
 	if len(s.pairs) == cap(s.pairs) {

@@ -55,7 +55,7 @@ func checkJoinCase(t *testing.T, data []byte) {
 	checkAgainstNaive(t, append([]string{
 		"CREATE TABLE l (id INTEGER, ki INTEGER, kr REAL, kt TEXT, v INTEGER)",
 		"CREATE TABLE r (ki INTEGER, kr REAL, kt TEXT, w INTEGER, tag INTEGER)",
-	}, inserts...), query)
+	}, inserts...), query, false)
 }
 
 // Property: whatever the two tables hold, however they are joined and
@@ -78,8 +78,9 @@ func FuzzSelectJoin(f *testing.F) {
 	// COUNT(*) over l LEFT JOIN r ON l.ki = r.kt (INTEGER cells against
 	// TEXT '1' and '01') WHERE NOT (w = 1): three left rows, one NULL-keyed;
 	// two right rows. ON columns, residual, join, WHERE, tail kind, two
-	// aggregates, GROUP BY, DISTINCT, LIMIT; then the rows.
-	f.Add([]byte{0, 2, 0, 1, 4, 0, 0, 0, 0, 0, 0, 2, 0, 0, 6, 0, 3, 1, 7, 1, 1, 0, 0, 0, 1, 6, 0, 6, 0, 0, 0, 7, 2, 0})
+	// aggregates, GROUP BY, DISTINCT, LIMIT, expression aggregate, HAVING,
+	// most-rows order; then the rows.
+	f.Add([]byte{0, 2, 0, 1, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 6, 0, 3, 1, 7, 1, 1, 0, 0, 0, 1, 6, 0, 6, 0, 0, 0, 7, 2, 0})
 	// INTEGER-only keys on both sides (the int64 map): l.ki = r.ki AND
 	// l.id > r.w behind the uncorrelated EXISTS, l.ki and tag ordered by tag DESC
 	// LIMIT 3 OFFSET 1, four left rows against three right.

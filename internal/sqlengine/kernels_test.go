@@ -74,7 +74,7 @@ func TestNegationKernelTruthTable(t *testing.T) {
 			"full scan": {src: tab.rel(), all: true},
 			"positions": {src: tab.rel(), pos: every},
 		} {
-			out, err := ec.filter(in, conj, 0, 0, nil, false)
+			out, err := ec.filter(in, conj, 0, 0, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

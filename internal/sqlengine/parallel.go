@@ -53,12 +53,14 @@ func (ec *execCtx) countBatches(nRows int) {
 // consumers of positions.go read cells through it.
 //
 // A counted selection (counted set) is n rows that the operator which made
-// them tallied and never listed: what a COUNT(*)-only tail is handed
-// (selectPlan.count), by the last filter or hash-join probe before it. It
-// has a length and no positions, so every reader of one panics: at, row,
-// colAt of a column, materialise, pick, keep with a mask. Only that tail,
-// aggregatePositions, and settleExists, which reads its length and may
-// empty it (keep(nil, 0)), ever hold one.
+// them tallied and never listed: what an aggregate tail is handed by the
+// last filter or hash-join probe before it, which folded each row into the
+// tail's run (aggtail.go) as it passed it — or, for a tail that reads only
+// the count (aggPlan.count), folded nothing. It has a length and no
+// positions, so every reader of one panics: at, row, colAt of a column,
+// materialise, pick, keep with a mask. Only that tail, aggregatePositions,
+// and settleExists, which reads its length and may empty it (keep(nil, 0)),
+// ever hold one.
 type selection struct {
 	src     rel
 	pos     []int
@@ -329,9 +331,9 @@ func (s selection) keep(mask []uint64, n int) selection {
 // other conjunct is the evaluator's, in one environment (and, over a join's
 // output, one pair buffer) built on first use. Survivors are marked in a
 // bitmask and the output is allocated once, at its exact size, or not at
-// all when everything passes; with count set they are only tallied, into a
-// counted selection.
-func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *scope, count bool) (selection, error) {
+// all when everything passes; with fold set they are only tallied, into a
+// counted selection, and folded into fold unless it reads only their count.
+func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *scope, fold *aggRun) (selection, error) {
 	// How each of item's conjuncts reads a row; a short conjunction's stay
 	// on the stack.
 	type form struct {
@@ -365,8 +367,12 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 	}
 	n := in.len()
 	var mask []uint64
-	if !count {
+	folds := fold != nil && !fold.ap.count
+	switch {
+	case fold == nil:
 		mask = make([]uint64, (n+63)/64)
+	case folds:
+		fold.start(&in, n)
 	}
 	total := 0
 rows:
@@ -398,10 +404,12 @@ rows:
 		}
 		if mask != nil {
 			mask[i/64] |= 1 << (i % 64)
+		} else if folds {
+			fold.add(l, r)
 		}
 		total++
 	}
-	if count {
+	if fold != nil {
 		return selection{src: in.src, right: in.right, n: total, counted: true}, nil
 	}
 	return in.keep(mask, total), nil

@@ -81,10 +81,6 @@ type selectPlan struct {
 	rowTail *rowTailPlan
 	aggTail *aggPlan
 	reason  string
-	// count marks an ungrouped aggregate tail whose every item is COUNT(*):
-	// it reads only how many rows reach it, so the operator before it
-	// tallies them instead of listing them (execSelectPlanned).
-	count bool
 }
 
 // conjunct is one AND-term of a WHERE or ON clause.
@@ -176,10 +172,6 @@ func planSelect(sel *SelectStmt) {
 	sel.bound.grouped = len(sel.GroupBy) > 0 || anyAggregate(&core)
 	if sel.bound.grouped {
 		pl.aggTail, pl.reason = planAggTail(&core)
-		pl.count = pl.aggTail != nil && len(pl.aggTail.groupCols) == 0
-		for i := 0; pl.count && i < len(pl.aggTail.items); i++ {
-			pl.count = pl.aggTail.items[i].fn == aggCountStar
-		}
 	} else {
 		pl.rowTail, pl.reason = planRowTail(&core)
 	}
@@ -258,6 +250,17 @@ func collectRefs(e Expr, dst []*ColumnRef) []*ColumnRef {
 // Prepare compiled it: every column reference is bound, so reading one cannot
 // fail, every operator is an opcode and every call resolved (resolveCall).
 func exprSafeTotal(e Expr) bool {
+	if !nodeSafe(e) {
+		return false
+	}
+	safe := true
+	eachOperand(e, func(x Expr) { safe = safe && exprSafeTotal(x) })
+	return safe
+}
+
+// nodeSafe reports whether e's own node is pure and total over operands
+// that are (exprSafeTotal).
+func nodeSafe(e Expr) bool {
 	switch x := e.(type) {
 	case *ColumnRef:
 		// A bare `t.*` outside COUNT() is an evaluation error.
@@ -288,9 +291,7 @@ func exprSafeTotal(e Expr) bool {
 		// ExistsExpr, SubqueryExpr, anything unknown.
 		return false
 	}
-	safe := true
-	eachOperand(e, func(x Expr) { safe = safe && exprSafeTotal(x) })
-	return safe
+	return true
 }
 
 // literalDateFormat is STRFTIME's total test: its format is a literal that

@@ -17,30 +17,36 @@ import "slices"
 //     Without a LIMIT every position is sorted, as packed machine words
 //     radix-sorted in place (sortwords.go) where words order every key, and
 //     by the Compare-based comparator — the reference — where they do not.
-//   - aggregates: COUNT/SUM/TOTAL/AVG/MIN/MAX over a bare column, ungrouped
-//     or grouped by bare columns, fold each selected cell into a typed
-//     accumulator in position order — the order evalAggregate adds floats
-//     in and the order groups are first seen in. A COUNT(*) tail reads only
-//     the count: where it is all the tail reads (selectPlan.count), it is
-//     handed a counted selection, which lists no row (parallel.go). Each
-//     group's row is written into the result's columns; DISTINCT, ORDER BY
-//     and LIMIT over those few rows are the interpreter's.
+//   - aggregates (aggtail.go): a grouped SELECT — GROUP BY bare columns,
+//     or none — whose aggregates are COUNT(*) or COUNT/SUM/TOTAL/AVG/MIN/
+//     MAX, DISTINCT or not, over a bare column or a safe-total expression,
+//     and whose select items, HAVING and ORDER BY terms are bare columns,
+//     such aggregates or safe-total expressions over both, folds each
+//     selected row into typed accumulators in position order — the order
+//     evalAggregate adds floats in and the order groups are first seen
+//     in. The last filter or hash-join probe before it folds the rows it
+//     passes and hands on a counted selection, which lists no row
+//     (parallel.go). HAVING, DISTINCT, ORDER BY — through a heap of
+//     LIMIT+OFFSET groups — and the window run over the groups, and only
+//     the window's rows are written into the result.
 //   - gather: a projection of bare columns copies the returned window into
 //     the result, a column at a time.
 //
 // All three are serial and read cells at positions (selection.row and
 // colAt.read: a table's or a sub-select's column, or a row of rows, on the
-// left or the right of a join's pair). They charge nothing: the rows they read were charged when
-// the FROM read them.
+// left or the right of a join's pair). They charge nothing: the rows they
+// read were charged when the FROM read them.
 //
-// A consumer applies only where evaluating less than the interpreter does
-// cannot be observed: every expression it skips is a column read that
-// cannot fail, and LIMIT/OFFSET are constants. Everything else — expression
-// keys or projections, DISTINCT aggregates, HAVING, an ORDER BY that needs
-// the row's environment, a computed LIMIT — continues on projectTail, the
-// interpreter's tail, which reads the selected rows in place, is the naive
-// executor's and stays the reference implementation. Which consumer runs is decided at
-// Prepare, from the bound select list (planSelect).
+// A consumer applies only where evaluating less, or in another order, than
+// the interpreter does cannot be observed: every expression it skips or
+// moves is safe-total (planner.go), and a row tail's LIMIT/OFFSET are
+// constants. Everything else — a non-grouped projection or ORDER BY that is
+// not a column read, a computed LIMIT over rows, a GROUP BY expression
+// (`GROUP BY num % 10`), GROUP_CONCAT, a select item, HAVING or ORDER BY
+// over groups that may fail or runs a subquery — continues on projectTail,
+// the interpreter's tail, which reads the selected rows in place, is the
+// naive executor's and stays the reference implementation. Which consumer
+// runs is decided at Prepare, from the bound select list (planSelect).
 
 // Result.Path values: the consumer, prefixed by what it consumed — one
 // relation's positions or a join's pairs — or rows with the clause that sent
@@ -74,7 +80,7 @@ func (ec *execCtx) notePath(sel *SelectStmt, path string) {
 // the plan chose, or projectTail over the materialised selection. anyRow
 // (an EXISTS body, which is asked only whether it has a row) has a consumer
 // return the first row of its result and no more.
-func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl *selectPlan) (*Rows, error) {
+func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl *selectPlan, run *aggRun) (*Rows, error) {
 	path := func(positions, pairs string) string {
 		if s.right != nil {
 			return pairs
@@ -84,7 +90,7 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 	switch {
 	case pl.aggTail != nil:
 		ec.notePath(sel, path(pathAgg, pathPairsAgg))
-		return ec.aggregatePositions(sel, s, pl.aggTail, outer, pl.anyRow)
+		return ec.aggregatePositions(sel, s, run, pl.anyRow)
 	case pl.rowTail != nil:
 		if len(pl.rowTail.keys) > 0 {
 			ec.notePath(sel, path(pathTopK, pathPairsTopK))
@@ -107,8 +113,9 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 // vector form, and otherwise — over a bucket — reading each cell of the
 // bucket (kernels.go).
 // The scan is charged the rows it reads: the bucket, or the table. With
-// count set its filter hands on a counted selection.
-func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope, count bool) (selection, error) {
+// fold set its filter folds the rows it keeps into it and hands on a
+// counted selection.
+func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope, fold *aggRun) (selection, error) {
 	s := selection{src: t.rel(), all: true}
 	pushed := false
 	for k := range pl.where {
@@ -129,7 +136,7 @@ func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *sc
 		return s, err
 	}
 	ec.countBatches(s.len())
-	return ec.filter(s, pl.where, i, off, outer, count)
+	return ec.filter(s, pl.where, i, off, outer, fold)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---
@@ -238,20 +245,29 @@ func gatherRows(s *selection, lo, hi int, rp *rowTailPlan, columns []string) *Ro
 
 // distinctPositions keeps the first of every distinct projected row —
 // dedupeOutput's rule, applied before anything is projected. Literal
-// columns (negative ixs) are the same in every row and tell none apart.
+// columns (negative ixs) are the same in every row and tell none apart. A
+// row of one column is keyed by its cell (valueSet), with no allocation; a
+// wider one by its cells' Keys.
 func distinctPositions(s selection, ixs []int) selection {
-	seen := make(map[string]struct{})
 	var at [8]colAt
 	cols := s.colsAt(at[:0], ixs)
 	var kept []int
+	cols = slices.DeleteFunc(cols, func(c colAt) bool { return c.col < 0 })
+	if len(cols) == 1 {
+		var seen valueSet
+		for i, n := 0, s.len(); i < n; i++ {
+			if seen.add(0, cols[0].read(s.row(i))) {
+				kept = append(kept, i)
+			}
+		}
+		return s.pick(kept)
+	}
+	seen := make(map[string]struct{})
 	var buf []byte
 	for i, n := 0, s.len(); i < n; i++ {
 		l, r := s.row(i)
 		buf = buf[:0]
 		for k := range cols {
-			if cols[k].col < 0 {
-				continue
-			}
 			buf = cols[k].read(l, r).AppendKey(buf)
 			buf = append(buf, '\x00')
 		}
@@ -303,26 +319,10 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 		h[i] = i
 	}
 	if k < n {
-		// siftDown restores the heap below i: every parent sorts after its
-		// children, so h[0] is the worst position kept.
-		siftDown := func(i int) {
-			for {
-				worst := i
-				if l := 2*i + 1; l < k && before(h[worst], h[l]) {
-					worst = l
-				}
-				if r := 2*i + 2; r < k && before(h[worst], h[r]) {
-					worst = r
-				}
-				if worst == i {
-					return
-				}
-				h[i], h[worst] = h[worst], h[i]
-				i = worst
-			}
-		}
+		// A max-heap: every parent sorts after its children, so h[0] is the
+		// worst position kept.
 		for i := k/2 - 1; i >= 0; i-- {
-			siftDown(i)
+			heapDown(h, i, before)
 		}
 		// Admission compares row i's first key with the root's, read once per
 		// replacement: two INTEGER or two REAL cells that differ decide it
@@ -350,7 +350,7 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 			}
 			if admit {
 				h[0] = i
-				siftDown(0)
+				heapDown(h, 0, before)
 				root = first(h[0])
 			}
 		}
@@ -362,287 +362,4 @@ func topPositions(s *selection, keys []orderKey, k int) []int {
 		return 1 // indexes are distinct, so never equal
 	})
 	return h
-}
-
-// --- aggregates ---
-
-// aggFn is what one output column of an aggregate tail computes.
-type aggFn uint8
-
-const (
-	// aggNone is no aggregate: a scalar call; in an aggregate tail, a bare
-	// column, read from the group's first row.
-	aggNone      aggFn = iota
-	aggCountStar       // COUNT(*), in an aggregate tail
-	aggCount
-	aggSum
-	aggTotal
-	aggAvg
-	aggMin
-	aggMax
-	aggGroupConcat
-)
-
-type aggItem struct {
-	fn  aggFn
-	col int // source column; -1 (none) for COUNT(*)
-}
-
-// aggPlan is a grouped SELECT whose tail runs on positions: groups keyed
-// by the source columns in groupCols (none: one group over everything),
-// one aggItem per output column.
-type aggPlan struct {
-	groupCols []int
-	items     []aggItem
-}
-
-// planAggTail proves a grouped select list runs on typed accumulators, or
-// names the clause that prevents it: GROUP BY bare columns only; every
-// select item a bare column or one of COUNT(*), COUNT/SUM/TOTAL/AVG/MIN/
-// MAX(bare column) without DISTINCT; no HAVING; ORDER BY by ordinal or
-// output column name only, because finishSelect sorts the group rows
-// without an environment to evaluate anything else in. Every column must be
-// the FROM row's, so no item can fail.
-func planAggTail(sel *SelectStmt) (*aggPlan, string) {
-	ap := &aggPlan{}
-	for _, ge := range sel.GroupBy {
-		col, ok := localCol(ge)
-		if !ok {
-			return nil, pathRowsGroupBy
-		}
-		ap.groupCols = append(ap.groupCols, col)
-	}
-	for _, item := range sel.Columns {
-		if item.Star {
-			return nil, pathRowsProjection
-		}
-		if col, ok := localCol(item.Expr); ok {
-			ap.items = append(ap.items, aggItem{fn: aggNone, col: col})
-			continue
-		}
-		fc, ok := item.Expr.(*FuncCall)
-		if !ok || fc.agg == aggNone {
-			return nil, pathRowsProjection
-		}
-		it, ok := aggItemOf(fc)
-		if !ok {
-			return nil, pathRowsAggregate
-		}
-		ap.items = append(ap.items, it)
-	}
-	if sel.Having != nil {
-		return nil, pathRowsHaving
-	}
-	for j := range sel.OrderBy {
-		if sel.bound.order[j] < 0 {
-			return nil, pathRowsOrderBy
-		}
-	}
-	return ap, ""
-}
-
-func aggItemOf(fc *FuncCall) (aggItem, bool) {
-	if fc.Distinct || fc.agg == aggGroupConcat {
-		return aggItem{}, false
-	}
-	if fc.Star {
-		return aggItem{fn: aggCountStar, col: -1}, fc.agg == aggCount
-	}
-	if len(fc.Args) != 1 {
-		return aggItem{}, false
-	}
-	col, ok := localCol(fc.Args[0])
-	return aggItem{fn: fc.agg, col: col}, ok
-}
-
-// aggState accumulates one aggregate over one group. n counts what the
-// aggregate counts: rows for COUNT(*), non-NULL cells otherwise. sumI and
-// sumF are evalAggregate's two running sums (SUM answers with sumI only
-// while every cell was an integer); best is MIN/MAX's current pick.
-type aggState struct {
-	n      int64
-	sumI   int64
-	sumF   float64
-	nonInt bool
-	best   Value
-}
-
-// add folds one cell in, in evalAggregate's order of operations. COUNT(*)
-// reads no cell: aggregatePositions counts its rows itself.
-func (st *aggState) add(fn aggFn, v Value) {
-	if v.Kind == KindNull {
-		return
-	}
-	st.n++
-	switch fn {
-	case aggSum, aggTotal, aggAvg:
-		if v.Kind == KindInt {
-			st.sumI += v.I
-			st.sumF += float64(v.I)
-		} else {
-			st.nonInt = true
-			st.sumF += v.AsFloat()
-		}
-	case aggMin:
-		if st.n == 1 || Compare(v, st.best) < 0 {
-			st.best = v
-		}
-	case aggMax:
-		if st.n == 1 || Compare(v, st.best) > 0 {
-			st.best = v
-		}
-	}
-}
-
-// result is the aggregate's value over what was added.
-func (st *aggState) result(fn aggFn) Value {
-	switch fn {
-	case aggCountStar, aggCount:
-		return Int(st.n)
-	case aggTotal:
-		return Float(st.sumF)
-	}
-	if st.n == 0 {
-		return Null()
-	}
-	switch fn {
-	case aggSum:
-		if st.nonInt {
-			return Float(st.sumF)
-		}
-		return Int(st.sumI)
-	case aggAvg:
-		return Float(st.sumF / float64(st.n))
-	default: // aggMin, aggMax
-		return st.best
-	}
-}
-
-// aggregatePositions runs an aggPlan over the selection: one pass in
-// position order assigns each row its group (first-seen order, keyed as
-// projectGrouped keys them) and folds its cells into that group's
-// accumulators; then one output row per group, and the interpreter's own
-// DISTINCT/ORDER BY/LIMIT over those few rows, of which anyRow keeps the
-// first.
-func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, ap *aggPlan, outer *scope, anyRow bool) (*Rows, error) {
-	w := len(ap.items)
-	var (
-		states []aggState // w per group, group-major
-		reps   []int      // each group's first row, as an index into s
-		groups map[string]int
-		kb     []byte
-	)
-	var gbuf, ibuf [8]colAt
-	groupAt, itemAt := s.colsAt(gbuf[:0], ap.groupCols), ibuf[:0]
-	for _, it := range ap.items {
-		itemAt = append(itemAt, s.colAt(it.col))
-	}
-	if len(ap.groupCols) == 0 {
-		// One implicit group, present even over no rows; its
-		// representative is then an all-NULL row.
-		states, reps = make([]aggState, w), []int{-1}
-		if s.len() > 0 {
-			reps[0] = 0
-		}
-	} else {
-		groups = make(map[string]int)
-	}
-	// One implicit group folds item by item, each column's cells in position
-	// order in a loop of their own: COUNT(*) reads no cell, its count is the
-	// selection's length, and over a join's pairs nothing else may be
-	// folded so.
-	columnwise := groups == nil
-	for _, it := range ap.items {
-		columnwise = columnwise && (s.right == nil || it.fn == aggCountStar)
-	}
-	for k, it := range ap.items {
-		switch {
-		case !columnwise || it.fn == aggNone:
-		case it.fn == aggCountStar:
-			states[k].n = int64(s.len())
-		default:
-			for i, n := 0, s.len(); i < n; i++ {
-				states[k].add(it.fn, itemAt[k].at(s.at(i)))
-			}
-		}
-	}
-	for i, n := 0, s.len(); i < n && !columnwise; i++ {
-		l, r := s.row(i)
-		g := 0
-		if groups != nil {
-			kb = kb[:0]
-			for k := range groupAt {
-				kb = groupAt[k].read(l, r).AppendKey(kb)
-				kb = append(kb, '\x00')
-			}
-			var seen bool
-			if g, seen = groups[string(kb)]; !seen {
-				g = len(reps)
-				groups[string(kb)] = g
-				reps = append(reps, i)
-				for range ap.items {
-					states = append(states, aggState{})
-				}
-			}
-		}
-		st := states[g*w : (g+1)*w]
-		for k, it := range ap.items {
-			switch {
-			case it.fn == aggNone:
-			case it.fn == aggCountStar:
-				st[k].n++
-			case itemAt[k].side == 0:
-				st[k].add(it.fn, itemAt[k].at(l))
-			default:
-				st[k].add(it.fn, itemAt[k].read(l, r))
-			}
-		}
-	}
-
-	// One output row per group; cell is its k'th cell.
-	cell := func(g, k int) Value {
-		switch {
-		case ap.items[k].fn != aggNone:
-			return states[g*w+k].result(ap.items[k].fn)
-		case reps[g] >= 0:
-			return itemAt[k].read(s.row(reps[g]))
-		}
-		return Value{}
-	}
-	var out *Rows
-	if sel.Distinct || len(sel.OrderBy) > 0 {
-		// The interpreter's own tail, over the group rows.
-		o := &selOutput{columns: sel.bound.columns}
-		backing := make([]Value, len(reps)*w)
-		for g := range reps {
-			vals := backing[g*w : (g+1)*w : (g+1)*w]
-			for k := range vals {
-				vals[k] = cell(g, k)
-			}
-			o.add(vals, nil)
-		}
-		if sel.Distinct {
-			dedupeOutput(o)
-		}
-		if err := ec.finishSelect(sel, o, outer); err != nil {
-			return nil, err
-		}
-		out = o.rows()
-	} else {
-		out = newRows(sel.bound.columns, len(reps), cell)
-		if sel.Limit != nil {
-			// finishSelect's window, built only where it drops a row.
-			limit, offset, err := ec.evalLimit(sel, outer)
-			if err != nil {
-				return nil, err
-			}
-			if lo, hi := limitWindow(out.n, limit, offset); hi-lo < out.n {
-				out = NewRows(out.Columns, out.rowData()[lo:hi])
-			}
-		}
-	}
-	if anyRow && out.n > 1 {
-		out.n = 1
-	}
-	return out, nil
 }

@@ -105,9 +105,16 @@ var resultCases = []resultCase{
 	{"SELECT COUNT(*), COUNT(r), SUM(id), TOTAL(r), AVG(id), MIN(s), MAX(m), MIN(z) FROM t", "positions/agg", `8 cols: I:6 I:5 I:21 R:1e+21 R:3.5 T:"a" T:"two" N`, "424ef3877290294f"},
 	{"SELECT g, COUNT(*), SUM(r) FROM t GROUP BY g ORDER BY 1", "positions/agg", `3 cols: N I:1 N | T:"x" I:3 R:1e+21 | T:"y" I:2 R:2.5`, "2075bdea74bc6969"},
 	{"SELECT SUM(id) FROM t WHERE id > 100", "positions/agg", `1 cols: N`, "02ae5cfd3f95d5b8"},
+	// DISTINCT aggregates, HAVING over an aggregate that is and one that is
+	// not in the select list, aggregates over expressions, and ORDER BY an
+	// aggregate over groups.
+	{"SELECT COUNT(DISTINCT g) FROM t", "positions/agg", `1 cols: I:2`, "4dcb68ccf269912b"},
+	{"SELECT g, SUM(id) FROM t GROUP BY g HAVING SUM(id) > 4", "positions/agg", `2 cols: T:"x" I:10 | T:"y" I:7`, "ccb21fbee1066fe0"},
+	{"SELECT g FROM t GROUP BY g HAVING COUNT(*) > 1", "positions/agg", `1 cols: T:"x" | T:"y"`, "dc8d6a5d05140f22"},
+	{"SELECT MAX(id / r), SUM(id * m) FROM t", "positions/agg", `2 cols: R:10 R:23.5`, "900846f70081e42a"},
+	{"SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY COUNT(*) DESC, 1 LIMIT 1", "positions/agg", `2 cols: T:"x" I:3`, "b249c464b88878dd"},
 	// The interpreter's tail.
-	{"SELECT COUNT(DISTINCT g) FROM t", "rows(aggregate)", `1 cols: I:2`, "4dcb68ccf269912b"},
-	{"SELECT g, SUM(id) FROM t GROUP BY g HAVING SUM(id) > 4", "rows(having)", `2 cols: T:"x" I:10 | T:"y" I:7`, "ccb21fbee1066fe0"},
+	{"SELECT GROUP_CONCAT(s) FROM t", "rows(aggregate)", `1 cols: T:"a,b,c\"q,a,é\n"`, "f1e0ad3b746c9e75"},
 	{"SELECT id FROM t ORDER BY id * -1 LIMIT 4", "rows(order-by)", `1 cols: I:6 | I:5 | I:4 | I:3`, "b62a994b31d8165b"},
 	{"SELECT id + 0.5, upper(s), r * 0 FROM t WHERE id < 4", "rows(projection)", `3 cols: R:1.5 T:"A" R:-0 | R:2.5 T:"B" R:0 | R:3.5 N R:0`, "8f84d6dbcf31c727"},
 	// Compounds.
