@@ -13,7 +13,9 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/textutil"
 )
@@ -139,12 +141,61 @@ func embedDense(text string) [Dim]float32 {
 		addFeature(&v, 0.7, "b:", words[i], "_", words[i+1])
 	}
 	for _, w := range words {
-		for _, g := range textutil.NGrams(w, 3) {
-			addFeature(&v, 0.3, "g:", g)
-		}
+		addTrigrams(&v, w)
 	}
 	normalise(&v)
 	return v
+}
+
+// addTrigrams hashes word w's character trigrams — textutil.NGrams(w, 3)'s
+// grams, the windows of three runes over w lower-cased with a space at
+// each end — each as addFeature's parts, the padding among them, so that
+// neither the padded word nor its grams are built. A word of one rune is
+// one gram, the padded word itself. Tokenize's words are lower case
+// already, and lower-casing one again allocates nothing.
+func addTrigrams(v *[Dim]float32, w string) {
+	w = strings.ToLower(w)
+	// gram hashes the window [start, end) of the padded word, of n bytes.
+	n := len(w) + 2
+	gram := func(start, end int) {
+		lead, tail := "", ""
+		if start == 0 {
+			lead, start = " ", 1
+		}
+		if end == n {
+			tail, end = " ", n-1
+		}
+		addFeature(v, 0.3, "g:", lead, w[start-1:end-1], tail)
+	}
+	if len(w) == 0 {
+		gram(0, n)
+		return
+	}
+	// The window starts at rune start of the padded word and ends after the
+	// rune that end begins.
+	start, end := 0, n
+	if _, size := utf8.DecodeRuneInString(w); size < len(w) {
+		_, next := utf8.DecodeRuneInString(w[size:])
+		end = 1 + size + next
+	}
+	for {
+		gram(start, end)
+		if end == n {
+			return
+		}
+		if start == 0 {
+			start = 1
+		} else {
+			_, size := utf8.DecodeRuneInString(w[start-1:])
+			start += size
+		}
+		if end == n-1 {
+			end = n
+		} else {
+			_, size := utf8.DecodeRuneInString(w[end-1:])
+			end += size
+		}
+	}
 }
 
 // addFeature hashes a feature, the concatenation of parts, into two

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dataset"
+	"repro/internal/textutil"
 )
 
 func TestEmbedDeterministic(t *testing.T) {
@@ -184,6 +185,50 @@ func denseDot(a, b *[Dim]float32) float64 {
 		dot += float64(a[i]) * float64(b[i])
 	}
 	return dot
+}
+
+// ngramDense is embedDense with each word's trigrams taken from
+// textutil.NGrams, as they were before addTrigrams hashed them in place:
+// the reference TestTrigramsMatchNGrams holds it to.
+func ngramDense(text string) [Dim]float32 {
+	var v [Dim]float32
+	words := textutil.Tokenize(text)
+	for _, w := range words {
+		addFeature(&v, 1.0, "w:", textutil.Stem(w))
+	}
+	for i := 0; i+1 < len(words); i++ {
+		addFeature(&v, 0.7, "b:", words[i], "_", words[i+1])
+	}
+	for _, w := range words {
+		for _, g := range textutil.NGrams(w, 3) {
+			addFeature(&v, 0.3, "g:", g)
+		}
+	}
+	normalise(&v)
+	return v
+}
+
+// TestTrigramsMatchNGrams holds the embedding, whose trigrams addTrigrams
+// hashes in place, to the NGrams-based reference bit for bit: every
+// question of BIRD's and Spider's splits at seed 7, and words of one, two
+// and three runes, multi-byte runes, digits and underscores.
+func TestTrigramsMatchNGrams(t *testing.T) {
+	texts := []string{"a", "ab", "abc", "é", "éa", "aé", "日本語", "x_1 2 ÀÉÎ straße ΣΑΣ", "İstanbul K", ""}
+	for _, c := range []*dataset.Corpus{dataset.BuildBIRD(dataset.BIRDOptions{Seed: 7}), dataset.BuildSpider(7)} {
+		for _, split := range [][]dataset.Example{c.Train, c.Dev, c.Test} {
+			for _, e := range split {
+				texts = append(texts, e.Question)
+			}
+		}
+	}
+	for _, q := range texts {
+		if got, want := embedDense(q), ngramDense(q); got != want {
+			t.Fatalf("%q embeds apart from the NGrams reference", q)
+		}
+	}
+	if len(texts) < 1000 {
+		t.Fatalf("only %d texts", len(texts))
+	}
 }
 
 // TestSparseDotMatchesDense checks the gather-dot over stored non-zeros
