@@ -30,8 +30,8 @@ var fallbackCeiling = map[string]int{
 }
 
 // fallbackShapes names every statement shape — its SQL with the literals
-// replaced — that the tally still finds on the interpreter's tail, and why
-// no consumer takes it.
+// replaced — that the tally may find on the interpreter's tail, and why no
+// consumer takes it. Every shape of the corpora runs on a consumer.
 var fallbackShapes = map[string]string{}
 
 // TestFallbackTally is the tally of finding M7 (ROADMAP.md) as a test: every
@@ -51,11 +51,11 @@ func TestFallbackTally(t *testing.T) {
 	for _, c := range []*dataset.Corpus{dataset.BuildBIRD(dataset.BIRDOptions{Seed: 7}), dataset.BuildSpider(7)} {
 		seen := make(map[string]bool)
 		count := func(db, sql string) {
-			if key := db + "\x00" + sql; sql == "" || seen[key] {
+			key := db + "\x00" + sql
+			if sql == "" || seen[key] {
 				return
-			} else {
-				seen[key] = true
 			}
+			seen[key] = true
 			d, ok := c.DB(db)
 			if !ok {
 				t.Fatalf("%s: no database %s", c.Name, db)
@@ -103,11 +103,6 @@ func TestFallbackTally(t *testing.T) {
 			t.Logf("%3d  %s  (%s)", shapes[shape], shape, why)
 		} else {
 			t.Errorf("%d statements of a shape with no reason on the interpreter's tail: %s", shapes[shape], shape)
-		}
-	}
-	for sql := range fallbackShapes {
-		if !slices.ContainsFunc(slices.Collect(maps.Keys(shapes)), func(s string) bool { return strings.HasSuffix(s, "  "+sql) }) {
-			t.Logf("no longer on the interpreter's tail: %s", sql)
 		}
 	}
 }
