@@ -72,6 +72,11 @@ var groupQueries = []string{
 	"SELECT cd, COUNT(*) FROM g WHERE cd = 'c1' GROUP BY cd",
 	"SELECT cd, SUM(i) FROM g WHERE i > 3 GROUP BY cd ORDER BY SUM(i) DESC LIMIT 2",
 	"SELECT COUNT(DISTINCT i), COUNT(DISTINCT cd), COUNT(DISTINCT r), COUNT(DISTINCT m), SUM(DISTINCT i) FROM g WHERE id > 5",
+	// Columns outside GROUP BY, read at each group's first row, and the one
+	// group of no rows, whose first row is all NULL.
+	"SELECT cd, COUNT(*) FROM g GROUP BY cd HAVING id % 2 = 0 ORDER BY pl DESC LIMIT 3",
+	"SELECT COUNT(*), MAX(id) + 1, id, pl || 'x' FROM g WHERE id < 0 HAVING id IS NULL",
+	"SELECT DISTINCT i % 3, COUNT(*) > 5 FROM g GROUP BY i ORDER BY 1, 2 DESC",
 }
 
 // TestGroupKeyForms holds every key form to the naive reference, on a
