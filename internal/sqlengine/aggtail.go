@@ -393,8 +393,7 @@ const (
 	keysNone  groupKeys = iota // no GROUP BY: one group
 	keysInt                    // one INTEGER column: its cell in ints
 	keysCode                   // one coded TEXT column: its code in codes
-	keysCodes                  // one coded TEXT column of a larger dictionary: its code in ints
-	keysText                   // one plain TEXT column: its string in strs
+	keysText                   // one TEXT column: its string in strs
 	keysBytes                  // anything else: AppendKey's bytes in strs
 )
 
@@ -433,16 +432,15 @@ type aggRun struct {
 	// err is the first error an expression argument raised.
 	err error
 	// columnwise marks a run of one group whose every accumulator counts or
-	// reads a column, without DISTINCT: it folds the rows handed to it a
-	// batch at a time.
+	// reads a column, without DISTINCT: foldAll folds a listed selection of
+	// one relation column by column.
 	columnwise bool
-	batched    int
-	batch      [64]pair
 }
 
 // start readies the run to fold positions of s's relation, about rows of
 // them, whatever it folded before. A coded key column whose dictionary has
-// more words than that keys a map, not an array of a group a word.
+// more words than that keys a map on its words, not an array of a group a
+// word.
 func (a *aggRun) start(s *selection, rows int) {
 	*a = aggRun{ec: a.ec, ap: a.ap, outer: a.outer, view: selection{src: s.src, right: s.right}, null: -1}
 	ap := a.ap
@@ -470,11 +468,9 @@ func (a *aggRun) start(s *selection, rows int) {
 			for i := range a.codes {
 				a.codes[i] = -1
 			}
-		case c.dict != nil:
-			a.keys, a.ints = keysCodes, make(map[int64]int32)
 		case c.kind == KindInt:
 			a.keys, a.ints = keysInt, make(map[int64]int32)
-		case c.kind == KindText:
+		case c.kind == KindText: // plain, or coded with more words than rows
 			a.keys, a.strs = keysText, make(map[string]int32)
 		default:
 			a.keys, a.strs = keysBytes, make(map[string]int32)
@@ -520,58 +516,8 @@ func (a *aggRun) rep(g int) pair {
 	return a.rep0
 }
 
-// add folds the row at positions (l, r) in: for a columnwise run into its
-// batch, folded when full (flush), for any other at once.
+// add folds the row at positions (l, r) into its group.
 func (a *aggRun) add(l, r int) {
-	if !a.columnwise || a.batched == len(a.batch) {
-		a.addFull(l, r)
-		return
-	}
-	a.batch[a.batched] = pair{l: int32(l), r: int32(r)}
-	a.batched++
-}
-
-// addFull is add where the row does not go into a batch with room.
-func (a *aggRun) addFull(l, r int) {
-	if !a.columnwise {
-		a.addRow(l, r)
-		return
-	}
-	a.flush()
-	a.add(l, r)
-}
-
-// flush folds a columnwise run's batch in, accumulator by accumulator, each
-// over the rows in their order.
-func (a *aggRun) flush() {
-	rows := a.batch[:a.batched]
-	if a.batched = 0; len(rows) == 0 {
-		return
-	}
-	if a.rows == 0 {
-		a.rep0 = rows[0]
-	}
-	a.rows += len(rows)
-	for k := range a.ap.accs {
-		acc, st := &a.ap.accs[k], a.state(0, k)
-		if acc.fn == aggCountStar {
-			st.n += int64(len(rows))
-			continue
-		}
-		if at := a.col(acc.at); at.side == 0 {
-			for _, p := range rows {
-				st.add(acc.fn, at.at(int(p.l)))
-			}
-		} else {
-			for _, p := range rows {
-				st.add(acc.fn, at.read(int(p.l), int(p.r)))
-			}
-		}
-	}
-}
-
-// addRow folds the row at positions (l, r) into its group.
-func (a *aggRun) addRow(l, r int) {
 	g := 0
 	if a.keys != keysNone {
 		g = a.group(l, r)
@@ -649,19 +595,19 @@ func (a *aggRun) group(l, r int) int {
 		}
 		return int(g)
 	case keysText:
-		s := at.c.strs[p]
+		var s string
+		if d := at.c.dict; d != nil {
+			s = d.words[d.codes[p]]
+		} else {
+			s = at.c.strs[p]
+		}
 		if g, ok = a.strs[s]; !ok {
 			g = a.newGroup(l, r)
 			a.strs[s] = g
 		}
 		return int(g)
 	}
-	var i int64
-	if a.keys == keysInt {
-		i = at.c.nums[p]
-	} else {
-		i = int64(at.c.dict.codes[p])
-	}
+	i := at.c.nums[p]
 	if g, ok = a.ints[i]; !ok {
 		g = a.newGroup(l, r)
 		a.ints[i] = g
@@ -690,7 +636,6 @@ func (a *aggRun) foldAll(s *selection) {
 		for i := 0; i < n; i++ {
 			a.add(s.row(i))
 		}
-		a.flush()
 		return
 	}
 	if a.rows = n; n > 0 && !s.counted {
@@ -763,8 +708,6 @@ func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, run *aggRun,
 	if !s.counted || ap.count {
 		run.start(&s, s.len())
 		run.foldAll(&s)
-	} else {
-		run.flush()
 	}
 	if run.err != nil {
 		return nil, run.err

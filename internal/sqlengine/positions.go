@@ -245,29 +245,20 @@ func gatherRows(s *selection, lo, hi int, rp *rowTailPlan, columns []string) *Ro
 
 // distinctPositions keeps the first of every distinct projected row —
 // dedupeOutput's rule, applied before anything is projected. Literal
-// columns (negative ixs) are the same in every row and tell none apart. A
-// row of one column is keyed by its cell (valueSet), with no allocation; a
-// wider one by its cells' Keys.
+// columns (negative ixs) are the same in every row and tell none apart.
 func distinctPositions(s selection, ixs []int) selection {
+	seen := make(map[string]struct{})
 	var at [8]colAt
 	cols := s.colsAt(at[:0], ixs)
 	var kept []int
-	cols = slices.DeleteFunc(cols, func(c colAt) bool { return c.col < 0 })
-	if len(cols) == 1 {
-		var seen valueSet
-		for i, n := 0, s.len(); i < n; i++ {
-			if seen.add(0, cols[0].read(s.row(i))) {
-				kept = append(kept, i)
-			}
-		}
-		return s.pick(kept)
-	}
-	seen := make(map[string]struct{})
 	var buf []byte
 	for i, n := 0, s.len(); i < n; i++ {
 		l, r := s.row(i)
 		buf = buf[:0]
 		for k := range cols {
+			if cols[k].col < 0 {
+				continue
+			}
 			buf = cols[k].read(l, r).AppendKey(buf)
 			buf = append(buf, '\x00')
 		}
