@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -60,8 +61,8 @@ func groupFixture(n, groups int) *Database {
 }
 
 // groupQueries group by every key form, with DISTINCT aggregates, HAVING,
-// expressions and ORDER BY over groups, over every row and behind a filter
-// and an index bucket.
+// expressions and ORDER BY over groups, over every row, behind a filter and
+// an index bucket, and over a hash join's pairs.
 var groupQueries = []string{
 	"SELECT i, COUNT(*), SUM(r), COUNT(DISTINCT cd) FROM g GROUP BY i",
 	"SELECT cd, COUNT(*), MAX(i / r), COUNT(DISTINCT pl) FROM g GROUP BY cd",
@@ -70,6 +71,8 @@ var groupQueries = []string{
 	"SELECT m, COUNT(DISTINCT m) FROM g GROUP BY m ORDER BY 2, m",
 	"SELECT i, cd, COUNT(*) FROM g GROUP BY i, cd HAVING SUM(id) > 10",
 	"SELECT cd, COUNT(*) FROM g WHERE cd = 'c1' GROUP BY cd",
+	// A coded key over fewer rows than its dictionary has words keys its words.
+	"SELECT b.cd, COUNT(*), MIN(b.id) FROM g a JOIN g b ON a.i = b.i WHERE a.id < 10 GROUP BY b.cd",
 	"SELECT cd, SUM(i) FROM g WHERE i > 3 GROUP BY cd ORDER BY SUM(i) DESC LIMIT 2",
 	"SELECT COUNT(DISTINCT i), COUNT(DISTINCT cd), COUNT(DISTINCT r), COUNT(DISTINCT m), SUM(DISTINCT i) FROM g WHERE id > 5",
 	// Columns outside GROUP BY, read at each group's first row, and the one
@@ -77,6 +80,14 @@ var groupQueries = []string{
 	"SELECT cd, COUNT(*) FROM g GROUP BY cd HAVING id % 2 = 0 ORDER BY pl DESC LIMIT 3",
 	"SELECT COUNT(*), MAX(id) + 1, id, pl || 'x' FROM g WHERE id < 0 HAVING id IS NULL",
 	"SELECT DISTINCT i % 3, COUNT(*) > 5 FROM g GROUP BY i ORDER BY 1, 2 DESC",
+	// Stars in a grouped select list read each group's first row, the empty
+	// group's all NULL: over a table, and either side of a join's pairs,
+	// where a LEFT JOIN's unmatched right side is NULL too.
+	"SELECT * FROM g GROUP BY cd",
+	"SELECT *, COUNT(*) FROM g WHERE 1 = 0",
+	"SELECT a.*, COUNT(*) FROM g a JOIN g b ON a.id = b.id GROUP BY b.cd",
+	"SELECT b.*, SUM(a.i) FROM g a JOIN g b ON a.i = b.id GROUP BY a.pl HAVING COUNT(*) > 0 ORDER BY a.pl DESC LIMIT 20",
+	"SELECT b.*, COUNT(*) FROM g a LEFT JOIN g b ON a.pl = b.cd GROUP BY a.i",
 }
 
 // TestGroupKeyForms holds every key form to the naive reference, on a
@@ -86,8 +97,12 @@ func TestGroupKeyForms(t *testing.T) {
 		db := groupFixture(1200, groups)
 		for _, q := range groupQueries {
 			crossCheck(t, db, q)
-			if res := db.MustExec(q); res.Path != "positions/agg" {
-				t.Errorf("%s: path %s, want positions/agg", q, res.Path)
+			want := "positions/agg"
+			if strings.Contains(q, " JOIN ") {
+				want = "pairs/agg"
+			}
+			if res := db.MustExec(q); res.Path != want {
+				t.Errorf("%s: path %s, want %s", q, res.Path, want)
 			}
 		}
 	}

@@ -291,6 +291,8 @@ func TestResultPath(t *testing.T) {
 		{"SELECT a, (SELECT 1) FROM m GROUP BY a", "rows(projection)"},
 		{"SELECT COUNT(*) FROM m GROUP BY a + 1", "rows(group-by)"},
 		{"SELECT a, COUNT(*) FROM m GROUP BY a HAVING COUNT(*) > 1", "positions/agg"},
+		{"SELECT * FROM m GROUP BY a", "positions/agg"},
+		{"SELECT *, COUNT(*) FROM m WHERE 1 = 0", "positions/agg"},
 		{"SELECT a FROM m GROUP BY a HAVING SUM(b) > (SELECT 1)", "rows(having)"},
 		{"SELECT 1 FROM m WHERE a = 1", "positions/gather"},
 		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp LIMIT 2", "pairs/gather"},
@@ -304,6 +306,7 @@ func TestResultPath(t *testing.T) {
 		{"SELECT t.id + 1 FROM t JOIN g ON t.grp = g.grp", "rows(projection)"},
 		{"SELECT t.id FROM t JOIN g ON t.grp = g.grp ORDER BY t.num + g.weight", "rows(order-by)"},
 		{"SELECT COUNT(DISTINCT g.label) FROM t JOIN g ON t.grp = g.grp", "pairs/agg"},
+		{"SELECT g.*, COUNT(*) FROM t JOIN g ON t.grp = g.grp GROUP BY t.grp", "pairs/agg"},
 		// One-sided selections that are not a table's: a nested loop's rows,
 		// a sub-select's, the single empty row of a SELECT without FROM.
 		{"SELECT t.id, g.weight FROM t JOIN g ON t.num > g.weight WHERE t.id < 12", "positions/gather"},
