@@ -21,7 +21,8 @@ import (
 // are added in evalAggregate's order, and groups are numbered in the
 // first-seen order projectGrouped gives them. A group's key allocates
 // nothing: one INTEGER column keys an int64 map, one coded TEXT column a
-// slice indexed by its code, one plain TEXT column a map keyed by the cell's
+// slice indexed by its code (a map keyed by its word over fewer rows than
+// its dictionary holds), one plain TEXT column a map keyed by the cell's
 // own string, and a NULL key has a slot of its own; only several columns or
 // one REAL, mixed or row-stored column build Value.AppendKey's bytes. A
 // DISTINCT aggregate keeps one set of (group, value) pairs with Value.Key's
