@@ -122,7 +122,7 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 	var root *obs.Span
 	ctx := context.Background()
 	if tracing {
-		ctx, tr = obs.NewTrace(ctx, "", "")
+		tr = obs.NewTrace("", "")
 		root = tr.StartRoot("statement", "")
 		root.SetAttr("sql", sql)
 		ctx = obs.ContextWithSpan(ctx, root)
@@ -132,7 +132,7 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 		// parse/plan (amortised by the plan cache) and execution — are
 		// separable, and the cache verdict is per-call rather than
 		// inferred from stats deltas.
-		_, psp := obs.StartSpan(ctx, "sqlengine.prepare")
+		psp := obs.StartSpan(ctx, "sqlengine.prepare")
 		start := time.Now()
 		var stmt *sqlengine.Stmt
 		stmt, cacheHit, err = db.Engine.PrepareCached(sql)
@@ -142,7 +142,7 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 			psp.Fail(err)
 		} else {
 			psp.End()
-			_, esp := obs.StartSpan(ctx, "sqlengine.execute")
+			esp := obs.StartSpan(ctx, "sqlengine.execute")
 			start = time.Now()
 			res, err = stmt.Exec()
 			execTime = time.Since(start)

@@ -272,7 +272,7 @@ func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evid
 	if err != nil || ev.CacheHit {
 		return ev, err
 	}
-	_, sp := obs.StartSpan(ctx, "evserve.lookup")
+	sp := obs.StartSpan(ctx, "evserve.lookup")
 	sp.SetAttr("cache_hit", false)
 	// Generation/append timings escape the closure through t (one struct,
 	// so one allocation). The closure writes t before the call's done
@@ -335,9 +335,9 @@ func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evid
 		return Evidence{}, ctx.Err()
 	}
 	if !shared {
-		sp.Child("evserve.generate", t.genStart, t.genDur, nil)
+		sp.Child("evserve.generate", t.genStart, t.genDur)
 		if t.appendDur > 0 {
-			sp.Child("evstore.append", t.appendStart, t.appendDur, nil)
+			sp.Child("evstore.append", t.appendStart, t.appendDur)
 		}
 	}
 	if c.err != nil {
@@ -367,7 +367,7 @@ func (s *Service) probe(ctx context.Context, db, question string) (Evidence, Key
 		if e, ok := s.cache.Get(k); ok {
 			// Opened after the read so that a miss leaves no span behind: a
 			// hit is sub-microsecond, below the span clock's resolution.
-			_, sp := obs.StartSpan(ctx, "evserve.lookup")
+			sp := obs.StartSpan(ctx, "evserve.lookup")
 			sp.SetAttr("cache_hit", true)
 			sp.End()
 			return Evidence{Text: e.Evidence, Trace: e.Trace, CacheHit: true}, k, nil

@@ -39,9 +39,11 @@ import (
 
 // Header names used for cross-process propagation. TraceparentHeader
 // follows the W3C trace-context shape (version-traceid-spanid-flags);
-// RequestIDHeader is the log-join key echoed on every response.
+// RequestIDHeader is the log-join key echoed on every response. Each is
+// spelled in net/http's canonical form, so reading or setting it does not
+// allocate a canonical copy of the name.
 const (
-	TraceparentHeader = "traceparent"
+	TraceparentHeader = "Traceparent"
 	RequestIDHeader   = "X-Request-Id"
 	// TraceIDHeader is stamped on responses by traced servers so a client
 	// (or a CI smoke) can fetch the trace it just produced from
@@ -62,18 +64,30 @@ var (
 	idRand = rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
 )
 
-func randHex(nBytes int) string {
-	b := make([]byte, nBytes)
+// maxBlockIDs bounds the span IDs one randHexBlock draws, so its buffers
+// stay on the stack.
+const maxBlockIDs = 16
+
+// randHexBlock draws lead random bytes and then spanIDs 8-byte span IDs,
+// hex-encoded into one string: the lead's 2*lead chars, then 16 per span
+// ID. A trace cuts its IDs from such blocks, one allocation per block.
+func randHexBlock(lead, spanIDs int) string {
+	var raw [16 + 8*maxBlockIDs]byte
+	var dst [2 * len(raw)]byte
+	n := lead + 8*spanIDs
 	idMu.Lock()
-	for i := 0; i < nBytes; i += 8 {
+	for i := 0; i < n; i += 8 {
 		v := idRand.Uint64()
-		for j := 0; j < 8 && i+j < nBytes; j++ {
-			b[i+j] = byte(v >> (8 * j))
+		for j := 0; j < 8 && i+j < n; j++ {
+			raw[i+j] = byte(v >> (8 * j))
 		}
 	}
 	idMu.Unlock()
-	return hex.EncodeToString(b)
+	hex.Encode(dst[:], raw[:n])
+	return string(dst[:2*n])
 }
+
+func randHex(nBytes int) string { return randHexBlock(nBytes, 0) }
 
 // NewTraceID returns a fresh 16-byte trace ID in lowercase hex.
 func NewTraceID() string { return randHex(16) }

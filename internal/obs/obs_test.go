@@ -56,18 +56,18 @@ func TestRequestIDFreshWhenAbsent(t *testing.T) {
 }
 
 func TestSpanTreeAndFinish(t *testing.T) {
-	ctx, tr := NewTrace(context.Background(), "", "req1")
+	tr := NewTrace("", "req1")
 	root := tr.StartRoot("request", "remoteparent0000")
-	ctx = context.WithValue(ctx, spanKey{}, root)
+	ctx := ContextWithSpan(context.Background(), root)
 
-	cctx, child := StartSpan(ctx, "stage.a")
+	child := StartSpan(ctx, "stage.a")
 	child.SetAttr("cache_hit", true)
-	_, grand := StartSpan(cctx, "stage.a.inner")
+	grand := StartSpan(ContextWithSpan(ctx, child), "stage.a.inner")
 	grand.End()
 	child.End()
-	_, failed := StartSpan(ctx, "stage.b")
+	failed := StartSpan(ctx, "stage.b")
 	failed.Fail("boom")
-	root.Child("measured", time.Now().Add(-time.Millisecond), time.Millisecond, map[string]any{"rows": 3})
+	root.Child("measured", time.Now().Add(-time.Millisecond), time.Millisecond).SetAttr("rows", 3)
 	root.End()
 
 	rec := tr.Finish("/v1/query", 200, "")
@@ -96,7 +96,7 @@ func TestSpanTreeAndFinish(t *testing.T) {
 	if byName["stage.b"].Err != "boom" {
 		t.Errorf("stage.b error = %q, want boom", byName["stage.b"].Err)
 	}
-	if byName["stage.a"].Attrs["cache_hit"] != true {
+	if byName["stage.a"].Attrs.Get("cache_hit") != true {
 		t.Errorf("stage.a attrs = %v", byName["stage.a"].Attrs)
 	}
 	if !rec.Errored() {
@@ -113,18 +113,18 @@ func TestSpanTreeAndFinish(t *testing.T) {
 
 func TestDisabledTracingIsNoop(t *testing.T) {
 	ctx := context.Background()
-	ctx2, sp := StartSpan(ctx, "anything")
+	sp := StartSpan(ctx, "anything")
 	if sp != nil {
 		t.Fatal("StartSpan without collector should return nil span")
 	}
-	if ctx2 != ctx {
-		t.Fatal("StartSpan without collector should not derive a new context")
+	if ContextWithSpan(ctx, sp) != ctx {
+		t.Fatal("ContextWithSpan of a nil span should not derive a new context")
 	}
 	// All nil-receiver operations must be safe.
 	sp.End()
 	sp.Fail("x")
 	sp.SetAttr("k", 1)
-	sp.Child("c", time.Now(), time.Millisecond, nil)
+	sp.Child("c", time.Now(), time.Millisecond).SetAttr("k", 1)
 	var tr *Trace
 	if tr.Finish("x", 0, "") != nil {
 		t.Fatal("nil trace Finish should return nil")

@@ -72,8 +72,8 @@ func renderSpan(b *strings.Builder, sp *Span, children map[string][]*Span, prefi
 		connector, childPrefix = "└─ ", prefix+"   "
 	}
 	fmt.Fprintf(b, "%s%s%s %s", prefix, connector, sp.Name, fmtMicros(sp.DurationMicros))
-	for _, k := range sortedAttrKeys(sp.Attrs) {
-		fmt.Fprintf(b, " %s=%v", k, sp.Attrs[k])
+	for _, a := range sp.Attrs.sorted() {
+		fmt.Fprintf(b, " %s=%v", a.Key, a.Value())
 	}
 	if sp.Err != "" {
 		fmt.Fprintf(b, " error=%q", sp.Err)
@@ -83,18 +83,6 @@ func renderSpan(b *strings.Builder, sp *Span, children map[string][]*Span, prefi
 	for i, kid := range kids {
 		renderSpan(b, kid, children, childPrefix, i == len(kids)-1)
 	}
-}
-
-func sortedAttrKeys(attrs map[string]any) []string {
-	if len(attrs) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func fmtMicros(us int64) string {

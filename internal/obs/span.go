@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 )
@@ -10,6 +11,11 @@ import (
 // Span is one timed operation inside a trace. Spans form a tree through
 // ParentID; times are absolute unix microseconds so spans recorded by
 // different components of one process line up without shared state.
+//
+// A *Span returned by StartSpan, StartRoot or Child is a handle into its
+// trace's storage: set its outcome through the methods. Its IDs, parent
+// and name are fixed when it opens; read durations, attributes and
+// errors from the finished TraceRecord.
 type Span struct {
 	TraceID  string `json:"trace_id"`
 	SpanID   string `json:"span_id"`
@@ -20,44 +26,60 @@ type Span struct {
 	// DurationMicros is the span wall time; 0 while the span is open.
 	DurationMicros int64 `json:"duration_us"`
 	// Attrs carries span attributes (plan-cache hit, row count, cost,
-	// batch fill, ...). Values are JSON-friendly scalars.
-	Attrs map[string]any `json:"attrs,omitempty"`
+	// batch fill, ...), scalars encoded as one JSON object.
+	Attrs Attrs `json:"attrs,omitempty"`
 	// Err is the span failure, empty on success.
 	Err string `json:"error,omitempty"`
 
-	start time.Time
-	tr    *Trace
+	tr   *Trace
+	mono int64 // start, in nanoseconds after tr.t0 on the monotonic clock
+	idx  int32 // slot in tr.spans
 }
 
-// Trace collects the spans of one request. It is carried through
-// context.Context; a nil *Trace (no collector installed) makes every span
-// operation a no-op, which is the tracing-disabled fast path.
+// Trace collects the spans of one request and becomes its record. A nil
+// *Trace (no collector installed) makes every span operation a no-op,
+// which is the tracing-disabled fast path.
+//
+// Its storage is sized by the traffic it serves: spans live in one slab
+// of 3 (a memory hit), grown by copying to 7 (an evidence-cache hit), 15
+// (a generation), 31, ...; span IDs are cut from hex blocks drawn once
+// per slab; attributes are one list in set order, tagged with their
+// span's slot. Finish groups that storage into the record in place.
 type Trace struct {
-	id        string
-	requestID string
+	rec TraceRecord // what Finish returns; ID and RequestID set at NewTrace
+	t0  time.Time
+	hdr [1]string // X-Trace-Id's value slice, shared with response headers
 
 	mu    sync.Mutex
-	spans []*Span
+	spans []Span
+	attrs Attrs
+	ids   string // drawn span IDs not yet used, 16 hex chars each
+	done  bool
 }
 
-type traceKey struct{}
+// firstSlab spans fit a memory hit (request, admission, memory.lookup);
+// each growth doubles and adds one: 7 fit an evidence-cache hit, 15 a
+// generation. firstAttrs attributes fit a memory hit (9) and an
+// evidence-cache hit (10).
+const (
+	firstSlab  = 3
+	firstAttrs = 10
+)
+
 type spanKey struct{}
 
-// NewTrace installs a new trace collector in ctx. traceID may come from
-// an incoming traceparent header; empty generates a fresh one. requestID
-// is attached to the finished record for log joining.
-func NewTrace(ctx context.Context, traceID, requestID string) (context.Context, *Trace) {
+// NewTrace starts a trace collector. traceID may come from an incoming
+// traceparent header; empty generates a fresh one. requestID is attached
+// to the finished record for log joining. Install its root span in a
+// context with ContextWithSpan.
+func NewTrace(traceID, requestID string) *Trace {
+	t := &Trace{t0: time.Now()}
 	if traceID == "" {
-		traceID = NewTraceID()
+		block := randHexBlock(16, firstSlab)
+		traceID, t.ids = block[:32], block[32:]
 	}
-	tr := &Trace{id: traceID, requestID: requestID}
-	return context.WithValue(ctx, traceKey{}, tr), tr
-}
-
-// TraceFrom returns the trace collector installed in ctx, or nil.
-func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
-	return tr
+	t.rec.ID, t.rec.RequestID = traceID, requestID
+	return t
 }
 
 // CurrentSpan returns the innermost open span in ctx, or nil. Nil is safe
@@ -68,8 +90,9 @@ func CurrentSpan(ctx context.Context) *Span {
 }
 
 // ContextWithSpan returns ctx carrying sp as the innermost span — how a
-// server installs its root span so StartSpan calls below parent to it.
-// A nil sp returns ctx unchanged.
+// server installs its root span so StartSpan calls below parent to it,
+// and how a span that has children passes itself on. A nil sp returns
+// ctx unchanged.
 func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
@@ -82,24 +105,29 @@ func (t *Trace) ID() string {
 	if t == nil {
 		return ""
 	}
-	return t.id
+	return t.rec.ID
+}
+
+// SetHeader stamps the trace ID on h as X-Trace-Id. The value's slice is
+// the trace's own, so stamping allocates nothing.
+func (t *Trace) SetHeader(h http.Header) {
+	if t == nil {
+		return
+	}
+	t.hdr[0] = t.rec.ID
+	h[TraceIDHeader] = t.hdr[:]
 }
 
 // StartSpan opens a span named name as a child of the innermost span in
-// ctx (or as a root when there is none) and returns a derived context
-// carrying it. Without a collector in ctx it returns (ctx, nil) — the
-// disabled path allocates nothing.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	tr := TraceFrom(ctx)
-	if tr == nil {
-		return ctx, nil
+// ctx. It derives no context: a span that has children of its own is
+// passed on with ContextWithSpan. Without a span in ctx it returns nil —
+// the disabled path allocates nothing.
+func StartSpan(ctx context.Context, name string) *Span {
+	parent := CurrentSpan(ctx)
+	if parent == nil {
+		return nil
 	}
-	parent := ""
-	if cur := CurrentSpan(ctx); cur != nil {
-		parent = cur.SpanID
-	}
-	sp := tr.newSpan(name, parent, time.Now())
-	return context.WithValue(ctx, spanKey{}, sp), sp
+	return parent.tr.open(name, parent.SpanID, time.Now(), 0)
 }
 
 // StartRoot opens a span with an explicit parent span ID — the entry
@@ -109,23 +137,57 @@ func (t *Trace) StartRoot(name, parentSpanID string) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(name, parentSpanID, time.Now())
+	return t.open(name, parentSpanID, time.Now(), 0)
 }
 
-func (t *Trace) newSpan(name, parent string, start time.Time) *Span {
-	sp := &Span{
-		TraceID:     t.id,
-		SpanID:      NewSpanID(),
-		ParentID:    parent,
-		Name:        name,
-		StartMicros: start.UnixMicro(),
-		start:       start,
-		tr:          t,
-	}
+// open adds a span to the trace: open when durMicros is 0, else finished
+// with that duration. It returns nil once the trace has finished.
+func (t *Trace) open(name, parent string, start time.Time, durMicros int64) *Span {
 	t.mu.Lock()
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.done {
+		return nil
+	}
+	if len(t.spans) == cap(t.spans) {
+		grown := make([]Span, len(t.spans), nextSlab(cap(t.spans)))
+		copy(grown, t.spans)
+		t.spans = grown
+	}
+	if t.ids == "" {
+		t.ids = randHexBlock(0, min(cap(t.spans)-len(t.spans), maxBlockIDs))
+	}
+	i := len(t.spans)
+	t.spans = t.spans[:i+1]
+	sp := &t.spans[i]
+	*sp = Span{
+		TraceID:        t.rec.ID,
+		SpanID:         t.ids[:16],
+		ParentID:       parent,
+		Name:           name,
+		StartMicros:    start.UnixMicro(),
+		DurationMicros: durMicros,
+		tr:             t,
+		mono:           int64(start.Sub(t.t0)),
+		idx:            int32(i),
+	}
+	t.ids = t.ids[16:]
 	return sp
+}
+
+// nextSlab is the capacity a full slab of c spans grows to: 3, 7, 15, 31.
+func nextSlab(c int) int {
+	if c == 0 {
+		return firstSlab
+	}
+	return 2*c + 1
+}
+
+// closeAt fixes an open span's duration at elapsed after the trace began.
+func (sp *Span) closeAt(elapsed time.Duration) {
+	if sp.DurationMicros == 0 {
+		// A closed span is never mistaken for an open one.
+		sp.DurationMicros = max((elapsed.Nanoseconds()-sp.mono)/1000, 1)
+	}
 }
 
 // End closes the span, fixing its duration. Idempotent; no-op on nil.
@@ -133,14 +195,13 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	if s.DurationMicros == 0 {
-		s.DurationMicros = time.Since(s.start).Microseconds()
-		if s.DurationMicros == 0 {
-			s.DurationMicros = 1 // a closed span is never mistaken for an open one
-		}
+	t := s.tr
+	elapsed := time.Since(t.t0)
+	t.mu.Lock()
+	if !t.done {
+		t.spans[s.idx].closeAt(elapsed)
 	}
-	s.tr.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // Fail records an error on the span (stringified) and closes it.
@@ -148,74 +209,92 @@ func (s *Span) Fail(v any) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	s.Err = fmt.Sprint(v)
-	s.tr.mu.Unlock()
-	s.End()
+	t := s.tr
+	msg := fmt.Sprint(v)
+	elapsed := time.Since(t.t0)
+	t.mu.Lock()
+	if !t.done {
+		sp := &t.spans[s.idx]
+		sp.Err = msg
+		sp.closeAt(elapsed)
+	}
+	t.mu.Unlock()
 }
 
-// SetAttr sets one attribute; no-op on nil.
+// SetAttr sets one attribute; a later set of the same key replaces the
+// earlier value. value is a string, bool, int, int64 or float64, kept
+// unboxed; any other type is a bug and panics. No-op on nil.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]any, 4)
+	a := Attr{Key: key, span: s.idx}
+	a.set(value)
+	t := s.tr
+	t.mu.Lock()
+	if !t.done {
+		if t.attrs == nil {
+			t.attrs = make(Attrs, 0, firstAttrs)
+		}
+		t.attrs.put(a)
 	}
-	s.Attrs[key] = value
-	s.tr.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // Child records an already-measured operation as a finished child span —
 // used to absorb externally timed work (pipeline stage traces, the
 // single-flight leader's generation and store-append timings) into the
 // span tree. start/duration are the operation's own measurements.
-func (s *Span) Child(name string, start time.Time, duration time.Duration, attrs map[string]any) *Span {
+func (s *Span) Child(name string, start time.Time, duration time.Duration) *Span {
 	if s == nil {
 		return nil
 	}
-	sp := s.tr.newSpan(name, s.SpanID, start)
-	s.tr.mu.Lock()
-	sp.DurationMicros = duration.Microseconds()
-	if sp.DurationMicros == 0 {
-		sp.DurationMicros = 1
+	d := duration.Microseconds()
+	if d == 0 {
+		d = 1 // a finished span is never mistaken for an open one
 	}
-	if len(attrs) > 0 {
-		sp.Attrs = attrs
-	}
-	s.tr.mu.Unlock()
-	return sp
+	return s.tr.open(name, s.SpanID, start, d)
 }
 
-// Finish snapshots the trace into an immutable TraceRecord. Open spans
-// are closed at the snapshot instant. name/status/err describe the
-// request outcome the record is filed under.
+// Finish files the trace as its immutable TraceRecord: open spans are
+// closed at this instant, each span's attributes are grouped in place,
+// and later span operations on the trace are no-ops. name/status/err
+// describe the request outcome the record is filed under. A second call
+// returns the same record.
 func (t *Trace) Finish(name string, status int, errMsg string) *TraceRecord {
 	if t == nil {
 		return nil
 	}
+	elapsed := time.Since(t.t0)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec := &TraceRecord{
-		ID:        t.id,
-		RequestID: t.requestID,
-		Name:      name,
-		Status:    status,
-		Err:       errMsg,
-		Spans:     make([]Span, len(t.spans)),
+	rec := &t.rec
+	if t.done {
+		return rec
 	}
-	now := time.Now()
-	for i, sp := range t.spans {
-		if sp.DurationMicros == 0 {
-			sp.DurationMicros = now.Sub(sp.start).Microseconds()
-			if sp.DurationMicros == 0 {
-				sp.DurationMicros = 1
-			}
+	t.done = true
+	rec.Name, rec.Status, rec.Err = name, status, errMsg
+	rec.Spans = t.spans[:len(t.spans):len(t.spans)]
+	if rec.Spans == nil {
+		rec.Spans = []Span{}
+	}
+	for i := range rec.Spans {
+		rec.Spans[i].closeAt(elapsed)
+	}
+	// Group the attributes by span, each span's in set order.
+	as := t.attrs
+	for i := 1; i < len(as); i++ {
+		for j := i; j > 0 && as[j].span < as[j-1].span; j-- {
+			as[j], as[j-1] = as[j-1], as[j]
 		}
-		cp := *sp
-		cp.tr = nil
-		rec.Spans[i] = cp
+	}
+	for i := 0; i < len(as); {
+		j := i + 1
+		for j < len(as) && as[j].span == as[i].span {
+			j++
+		}
+		rec.Spans[as[i].span].Attrs = as[i:j:j]
+		i = j
 	}
 	if len(rec.Spans) > 0 {
 		rec.StartMicros = rec.Spans[0].StartMicros

@@ -20,6 +20,8 @@ type TraceRecord struct {
 	// StartMicros / DurationMicros are the envelope over all spans.
 	StartMicros    int64 `json:"start_us"`
 	DurationMicros int64 `json:"duration_us"`
+
+	older *TraceRecord // the store's previous record with this ID
 }
 
 // Slow reports whether the trace took at least threshold (threshold <= 0
@@ -66,7 +68,7 @@ type TraceStore struct {
 	mu     sync.RWMutex
 	recent ring
 	kept   ring
-	byID   map[string][]*TraceRecord
+	byID   map[string]*TraceRecord // newest with each ID; older ones chain
 }
 
 // ring is a fixed-capacity FIFO of trace records.
@@ -123,7 +125,7 @@ func NewTraceStore(capacity int, slowThreshold time.Duration) *TraceStore {
 		slowThreshold: slowThreshold,
 		recent:        newRing(capacity),
 		kept:          newRing(capacity),
-		byID:          make(map[string][]*TraceRecord),
+		byID:          make(map[string]*TraceRecord),
 	}
 }
 
@@ -147,22 +149,27 @@ func (s *TraceStore) Add(rec *TraceRecord) {
 }
 
 func (s *TraceStore) indexAdd(rec *TraceRecord) {
-	s.byID[rec.ID] = append(s.byID[rec.ID], rec)
+	rec.older = s.byID[rec.ID]
+	s.byID[rec.ID] = rec
 }
 
 func (s *TraceStore) indexRemove(rec *TraceRecord) {
-	recs := s.byID[rec.ID]
-	for i, r := range recs {
-		if r == rec {
-			recs = append(recs[:i], recs[i+1:]...)
-			break
+	head := s.byID[rec.ID]
+	if head == rec {
+		if rec.older == nil {
+			delete(s.byID, rec.ID)
+		} else {
+			s.byID[rec.ID] = rec.older
+		}
+	} else {
+		for r := head; r != nil; r = r.older {
+			if r.older == rec {
+				r.older = rec.older
+				break
+			}
 		}
 	}
-	if len(recs) == 0 {
-		delete(s.byID, rec.ID)
-	} else {
-		s.byID[rec.ID] = recs
-	}
+	rec.older = nil
 }
 
 // Get returns the most recently filed trace with the given ID, or nil.
@@ -172,11 +179,7 @@ func (s *TraceStore) Get(id string) *TraceRecord {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	recs := s.byID[id]
-	if len(recs) == 0 {
-		return nil
-	}
-	return recs[len(recs)-1]
+	return s.byID[id]
 }
 
 // List returns summaries of retained traces, newest first, slow/error
@@ -232,8 +235,10 @@ func (s *TraceStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, recs := range s.byID {
-		n += len(recs)
+	for _, r := range s.byID {
+		for ; r != nil; r = r.older {
+			n++
+		}
 	}
 	return n
 }

@@ -116,9 +116,10 @@ func TestConcurrentRegistryAndTraceRing(t *testing.T) {
 					h.Quantile(0.99)
 				}
 
-				ctx, tr := NewTrace(context.Background(), "", NewRequestID())
-				sctx, sp := StartSpan(context.WithValue(ctx, spanKey{}, tr.StartRoot("request", "")), "work")
-				_, inner := StartSpan(sctx, "inner")
+				tr := NewTrace("", NewRequestID())
+				ctx := ContextWithSpan(context.Background(), tr.StartRoot("request", ""))
+				sp := StartSpan(ctx, "work")
+				inner := StartSpan(ContextWithSpan(ctx, sp), "inner")
 				inner.SetAttr("i", i)
 				inner.End()
 				sp.End()

@@ -35,14 +35,13 @@ var (
 // IDs are checked for form and parent links, then replaced by their
 // position; times are zeroed.
 func TestTraceWireFormat(t *testing.T) {
-	ctx := context.Background()
-	ctx, tr := NewTrace(ctx, "", "req-wire")
+	tr := NewTrace("", "req-wire")
 	root := tr.StartRoot("request", remoteSpan)
-	ctx = ContextWithSpan(ctx, root)
+	ctx := ContextWithSpan(context.Background(), root)
 	root.SetAttr("db", "financial")
 	root.SetAttr("example_id", 1234)
 
-	actx, a := StartSpan(ctx, "stage.a")
+	a := StartSpan(ctx, "stage.a")
 	a.SetAttr("match", "none")
 	a.SetAttr("attempts", 3)
 	a.SetAttr("cost", int64(70000))
@@ -53,16 +52,17 @@ func TestTraceWireFormat(t *testing.T) {
 	a.SetAttr("path", "positions/agg\u2028\t")
 	a.SetAttr("delta", -42)
 	a.SetAttr("match", "exact")
-	_, inner := StartSpan(actx, "stage.a.inner")
+	inner := StartSpan(ContextWithSpan(ctx, a), "stage.a.inner")
 	inner.End()
 	a.End()
 
-	_, b := StartSpan(ctx, "stage.b")
+	b := StartSpan(ctx, "stage.b")
 	b.SetAttr("plan_cache_hit", false)
 	b.Fail(errors.New(`no such column: "nosuch"`))
 
-	root.Child("measured", time.Now().Add(-time.Hour), 1500*time.Microsecond,
-		map[string]any{"tokens": 321, "rows": 3})
+	m := root.Child("measured", time.Now().Add(-time.Hour), 1500*time.Microsecond)
+	m.SetAttr("tokens", 321)
+	m.SetAttr("rows", 3)
 	root.End()
 
 	rec := tr.Finish("/v1/query", 502, "upstream <failed>")

@@ -44,6 +44,15 @@ func spansNamed(rec *obs.TraceRecord, prefix string) []obs.Span {
 	return out
 }
 
+// attrMap returns a span's attributes as a map of their values.
+func attrMap(as obs.Attrs) map[string]any {
+	m := make(map[string]any, len(as))
+	for _, a := range as {
+		m[a.Key] = a.Value()
+	}
+	return m
+}
+
 func childNames(rec *obs.TraceRecord, parent obs.Span) map[string]int {
 	names := make(map[string]int)
 	for _, sp := range rec.Spans {
@@ -67,7 +76,7 @@ func TestEvidenceSpansHitAndMiss(t *testing.T) {
 	lookup := func(t *testing.T, rec *obs.TraceRecord, hit bool) obs.Span {
 		t.Helper()
 		lks := spansNamed(rec, "evserve.lookup")
-		if len(lks) != 1 || lks[0].Attrs["cache_hit"] != hit {
+		if len(lks) != 1 || lks[0].Attrs.Get("cache_hit") != hit {
 			t.Fatalf("hit=%v: evserve.lookup spans %+v, want one with cache_hit=%v", hit, lks, hit)
 		}
 		want := map[string]int{"evserve.generate": 1}
@@ -93,7 +102,7 @@ func TestEvidenceSpansHitAndMiss(t *testing.T) {
 				t.Fatalf("hit=%v: response cache_hit %v, evidence_trace %v", hit, qr.EvidenceCacheHit, qr.EvidenceTrace)
 			}
 			evs := spansNamed(rec, "evidence")
-			if len(evs) != 1 || evs[0].Attrs["cache_hit"] != hit {
+			if len(evs) != 1 || evs[0].Attrs.Get("cache_hit") != hit {
 				t.Fatalf("hit=%v: evidence spans %+v", hit, evs)
 			}
 			if lk := lookup(t, rec, hit); lk.ParentID != evs[0].SpanID {

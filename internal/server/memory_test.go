@@ -101,7 +101,7 @@ func TestMemoryServesRepeatWithZeroLLMCalls(t *testing.T) {
 		var attrs map[string]any
 		for _, sp := range rec.Spans {
 			if sp.Name == "memory.lookup" {
-				attrs = sp.Attrs
+				attrs = attrMap(sp.Attrs)
 			}
 		}
 		if attrs["match"] != "exact" || attrs["attempts"] != float64(1) || attrs["path"] == nil {
@@ -460,7 +460,7 @@ func TestMemoryDeclineReasons(t *testing.T) {
 			var attrs map[string]any
 			for _, sp := range rec.Spans {
 				if sp.Name == "memory.lookup" {
-					attrs = sp.Attrs
+					attrs = attrMap(sp.Attrs)
 				}
 			}
 			if attrs["decline"] != tc.decline || attrs["match"] != "none" {
@@ -532,7 +532,7 @@ func TestMemoryNeverWrites(t *testing.T) {
 		}
 		for _, sp := range tr.Spans {
 			if sp.Name == "memory.lookup" {
-				return sp.Attrs
+				return attrMap(sp.Attrs)
 			}
 		}
 		t.Fatal("no memory.lookup span")

@@ -58,8 +58,8 @@ func (s *Server) wrap(route string, admit bool, h http.HandlerFunc) http.Handler
 		// telling anyone where a query spent its time.
 		if admit && s.traces != nil {
 			traceID, parent, _ := obs.Extract(r.Header)
-			ctx, tr = obs.NewTrace(ctx, traceID, reqID)
-			rec.Header().Set(obs.TraceIDHeader, tr.ID())
+			tr = obs.NewTrace(traceID, reqID)
+			tr.SetHeader(rec.Header())
 			if att := r.Header.Get(obs.FleetAttemptHeader); att != "" {
 				// The router's hop becomes a span in this replica's trace
 				// (the trace store lives here, not on the router): attempt>0
@@ -111,7 +111,7 @@ func (s *Server) wrap(route string, admit bool, h http.HandlerFunc) http.Handler
 		}()
 
 		if admit {
-			_, asp := obs.StartSpan(ctx, "admission")
+			asp := obs.StartSpan(ctx, "admission")
 			release, status, retryAfter := s.adm.admit()
 			if release == nil {
 				asp.SetAttr("shed", true)

@@ -119,7 +119,7 @@ func sqlOfTrace(rec *obs.TraceRecord) string {
 		return ""
 	}
 	for i := range rec.Spans {
-		if v, ok := rec.Spans[i].Attrs["sql"].(string); ok {
+		if v, ok := rec.Spans[i].Attrs.Str("sql"); ok {
 			return v
 		}
 	}

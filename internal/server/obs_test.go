@@ -91,7 +91,7 @@ func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 		if sp.Name == "sqlengine.execute" {
 			// The execute span must describe the physical execution mode.
 			for _, attr := range []string{"batches", "path"} {
-				if _, ok := sp.Attrs[attr]; !ok {
+				if sp.Attrs.Get(attr) == nil {
 					t.Errorf("sqlengine.execute span missing %q attr (got %v)", attr, sp.Attrs)
 				}
 			}

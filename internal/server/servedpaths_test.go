@@ -61,8 +61,8 @@ func TestServedSynthPaths(t *testing.T) {
 		path, batches := "", 0.0
 		for _, sp := range rec.Spans {
 			if sp.Name == "sqlengine.execute" {
-				path, _ = sp.Attrs["path"].(string)
-				batches, _ = sp.Attrs["batches"].(float64)
+				path, _ = sp.Attrs.Get("path").(string)
+				batches, _ = sp.Attrs.Get("batches").(float64)
 			}
 		}
 		if path == "" {

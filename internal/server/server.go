@@ -525,7 +525,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Example) (answer, bool) {
 	mem := s.memories[sess.Corpus]
 	start := time.Now()
-	_, span := obs.StartSpan(ctx, "memory.lookup")
+	span := obs.StartSpan(ctx, "memory.lookup")
 	defer span.End()
 
 	var (
@@ -612,6 +612,15 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 	}, true
 }
 
+// stageSpanNames are SEED's stage spans' names, joined once.
+var stageSpanNames = map[string]string{
+	seed.StageKeywords: "stage:" + seed.StageKeywords,
+	seed.StageSamples:  "stage:" + seed.StageSamples,
+	seed.StageSchema:   "stage:" + seed.StageSchema,
+	seed.StageShots:    "stage:" + seed.StageShots,
+	seed.StageGenerate: "stage:" + seed.StageGenerate,
+}
+
 // pipelineTier answers with SEED evidence, text-to-SQL generation and
 // execution, adding its phases to timing (which holds the memory tier's
 // time, if any). It writes its own error responses and reports false
@@ -619,8 +628,8 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 // paraphrase of this intent can skip this tier entirely.
 func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Session, e dataset.Example, timing api.QueryTiming) (answer, bool) {
 	evStart := time.Now()
-	evCtx, evSpan := obs.StartSpan(r.Context(), "evidence")
-	ev, err := s.services[sess.Corpus].GenerateTraced(evCtx, e.DB, e.Question)
+	evSpan := obs.StartSpan(r.Context(), "evidence")
+	ev, err := s.services[sess.Corpus].GenerateTraced(obs.ContextWithSpan(r.Context(), evSpan), e.DB, e.Question)
 	timing.EvidenceMicros = time.Since(evStart).Microseconds()
 	if err != nil {
 		evSpan.Fail(err)
@@ -637,19 +646,22 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 	// evidence came from.
 	if ev.Trace != nil && !ev.CacheHit {
 		for _, st := range ev.Trace.Stages {
-			var attrs map[string]any
-			if st.Tokens > 0 {
-				attrs = map[string]any{"tokens": st.Tokens}
+			name, ok := stageSpanNames[st.Stage]
+			if !ok {
+				name = "stage:" + st.Stage
 			}
-			evSpan.Child("stage:"+st.Stage,
+			sp := evSpan.Child(name,
 				evStart.Add(time.Duration(st.StartMicros)*time.Microsecond),
-				time.Duration(st.WallMicros)*time.Microsecond, attrs)
+				time.Duration(st.WallMicros)*time.Microsecond)
+			if st.Tokens > 0 {
+				sp.SetAttr("tokens", st.Tokens)
+			}
 		}
 	}
 	evSpan.End()
 
 	genStart := time.Now()
-	_, genSpan := obs.StartSpan(r.Context(), "generate")
+	genSpan := obs.StartSpan(r.Context(), "generate")
 	sql, err := sess.Gen.Generate(texttosql.Task{Example: e, DB: sess.DB, Evidence: ev.Text})
 	timing.GenerateMicros = time.Since(genStart).Microseconds()
 	if err != nil {
@@ -665,7 +677,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 	}
 
 	prepStart := time.Now()
-	_, prepSpan := obs.StartSpan(r.Context(), "sqlengine.prepare")
+	prepSpan := obs.StartSpan(r.Context(), "sqlengine.prepare")
 	stmt, planHit, err := prepareRead(sess, sql)
 	timing.PrepareMicros = time.Since(prepStart).Microseconds()
 	if err != nil {
@@ -681,7 +693,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 	prepSpan.End()
 
 	execStart := time.Now()
-	_, execSpan := obs.StartSpan(r.Context(), "sqlengine.execute")
+	execSpan := obs.StartSpan(r.Context(), "sqlengine.execute")
 	res, err := stmt.Exec()
 	timing.ExecuteMicros = time.Since(execStart).Microseconds()
 	if err != nil {
