@@ -24,7 +24,7 @@ func (p *Pipeline) generate(db *schema.DB, question string, visible []tableView,
 // generateCounted is generate plus the request's token spend, for stage
 // traces.
 func (p *Pipeline) generateCounted(db *schema.DB, question string, visible []tableView, samples []Sample, shots []Shot) (string, int, error) {
-	prompt := buildPrompt(db, question, visible, samples, shots)
+	prompt := p.buildPrompt(db, question, visible, samples, shots)
 	resp, err := p.client.Complete(llm.Request{
 		Model:  p.cfg.GenerateModel,
 		Prompt: prompt,
@@ -52,27 +52,64 @@ const (
 
 func tableMarker(name string) string { return "[TBL:" + strings.ToLower(name) + "]" }
 
-func buildPrompt(db *schema.DB, question string, visible []tableView, samples []Sample, shots []Shot) string {
+// renderTableBlock renders one table's schema section: its marker, its
+// CREATE TABLE statement and its description CSV.
+func renderTableBlock(tv tableView) string {
+	s := tableMarker(tv.Table.Name) + "\n" + schema.TableDDL(tv.Table) + "\n"
+	if tv.Doc != nil {
+		s += tv.Doc.CSV()
+	}
+	return s
+}
+
+const promptHead = "Generate the evidence needed to write SQL for the question, in the style of the examples.\n"
+
+// buildPrompt assembles the generation prompt into one buffer sized up
+// front. Each table's block is rendered once per database (promptParts),
+// not per question.
+func (p *Pipeline) buildPrompt(db *schema.DB, question string, visible []tableView, samples []Sample, shots []Shot) string {
+	dp := p.promptParts(db)
+	n := len(promptHead) + len(markShots) + len(markSamples) + len(markSchema) + len(markQuestion) + len(question) + 5
+	for _, s := range shots {
+		n += len(s.Question) + len(s.Evidence) + len("Q: \nEvidence: \n")
+	}
+	for _, s := range samples {
+		n += len(s.Table)*2 + len(s.Column) + len(s.Value) + len(s.Keyword) + len("[TBL:]  . contains '' (matches keyword '')\n")
+	}
+	for _, tv := range visible {
+		n += len(dp.block(tv))
+	}
 	var b strings.Builder
-	b.WriteString("Generate the evidence needed to write SQL for the question, in the style of the examples.\n")
+	b.Grow(n)
+	b.WriteString(promptHead)
 	b.WriteString(markShots + "\n")
 	for _, s := range shots {
-		fmt.Fprintf(&b, "Q: %s\nEvidence: %s\n", s.Question, s.Evidence)
+		b.WriteString("Q: ")
+		b.WriteString(s.Question)
+		b.WriteString("\nEvidence: ")
+		b.WriteString(s.Evidence)
+		b.WriteString("\n")
 	}
 	b.WriteString(markSamples + "\n")
 	for _, s := range samples {
-		fmt.Fprintf(&b, "%s %s.%s contains '%s' (matches keyword '%s')\n",
-			tableMarker(s.Table), s.Table, s.Column, s.Value, s.Keyword)
+		b.WriteString(tableMarker(s.Table))
+		b.WriteString(" ")
+		b.WriteString(s.Table)
+		b.WriteString(".")
+		b.WriteString(s.Column)
+		b.WriteString(" contains '")
+		b.WriteString(s.Value)
+		b.WriteString("' (matches keyword '")
+		b.WriteString(s.Keyword)
+		b.WriteString("')\n")
 	}
 	b.WriteString(markSchema + "\n")
 	for _, tv := range visible {
-		b.WriteString(tableMarker(tv.Table.Name) + "\n")
-		b.WriteString(schema.TableDDL(tv.Table) + "\n")
-		if tv.Doc != nil {
-			b.WriteString(tv.Doc.CSV())
-		}
+		b.WriteString(dp.block(tv))
 	}
-	b.WriteString(markQuestion + "\n" + question + "\n")
+	b.WriteString(markQuestion + "\n")
+	b.WriteString(question)
+	b.WriteString("\n")
 	return b.String()
 }
 

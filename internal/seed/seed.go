@@ -105,10 +105,10 @@ type Pipeline struct {
 	trainPool *embed.Pool      // corpus.Train questions, in split order
 	trainByDB map[string][]int // corpus.Train indices per database
 
-	// ddl pins each database's rendered schema (*schema.DB -> string) for
-	// the summarize_schema prompt; it assumes a database's schema is fixed
+	// prompts pins what each database contributes to prompts
+	// (*schema.DB -> *dbPrompt); it assumes a database's schema is fixed
 	// once the pipeline has seen it.
-	ddl sync.Map
+	prompts sync.Map
 }
 
 // New builds a pipeline over a corpus. Train-split questions are embedded
@@ -168,14 +168,46 @@ type tableView struct {
 	Doc   *schema.TableDoc
 }
 
-// schemaDDL returns db.DDL(), rendered once per database.
-func (p *Pipeline) schemaDDL(db *schema.DB) string {
-	if s, ok := p.ddl.Load(db); ok {
-		return s.(string)
+// dbPrompt is what one database contributes to prompts, rendered once:
+// the whole schema's DDL for summarize_schema, and each table's block
+// (marker, CREATE TABLE and description CSV) for generate, with the doc
+// it was rendered from.
+type dbPrompt struct {
+	ddl    string
+	tables map[*sqlengine.Table]tableBlock
+}
+
+type tableBlock struct {
+	doc  *schema.TableDoc
+	text string
+}
+
+// promptParts returns db's prompt parts, rendering them on first use.
+func (p *Pipeline) promptParts(db *schema.DB) *dbPrompt {
+	if v, ok := p.prompts.Load(db); ok {
+		return v.(*dbPrompt)
 	}
 	// Two first callers may both render; the text is the same either way.
-	s, _ := p.ddl.LoadOrStore(db, db.DDL())
-	return s.(string)
+	tables := db.Engine.Tables()
+	dp := &dbPrompt{ddl: db.DDL(), tables: make(map[*sqlengine.Table]tableBlock, len(tables))}
+	for _, t := range tables {
+		tv := tableView{Table: t}
+		if td, ok := db.Doc(t.Name); ok {
+			tv.Doc = td
+		}
+		dp.tables[t] = tableBlock{doc: tv.Doc, text: renderTableBlock(tv)}
+	}
+	v, _ := p.prompts.LoadOrStore(db, dp)
+	return v.(*dbPrompt)
+}
+
+// block returns tv's prompt block: the pinned one, or, for a view whose
+// doc is not the one pinned (a doc installed since), a fresh rendering.
+func (dp *dbPrompt) block(tv tableView) string {
+	if b, ok := dp.tables[tv.Table]; ok && b.doc == tv.Doc {
+		return b.text
+	}
+	return renderTableBlock(tv)
 }
 
 // stemsWithSynonyms returns the stemmed content words of text expanded

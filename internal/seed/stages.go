@@ -250,7 +250,7 @@ func (p *Pipeline) SummarizeSchema(db *schema.DB, question string, visible []tab
 // summarizeSchema is SummarizeSchema plus the request's token spend, for
 // stage traces.
 func (p *Pipeline) summarizeSchema(db *schema.DB, question string, visible []tableView) ([]tableView, int, error) {
-	prompt := "Remove schema information irrelevant to the question.\nSchema: " + p.schemaDDL(db) + "\nQuestion: " + question
+	prompt := "Remove schema information irrelevant to the question.\nSchema: " + p.promptParts(db).ddl + "\nQuestion: " + question
 	type scored struct {
 		tv    tableView
 		score float64
