@@ -5,14 +5,19 @@
 //
 // The design splits into four independent pieces:
 //
-//   - Tracing: a request gets one Trace (collector) carried through
-//     context; code under it opens Spans (StartSpan / Span.Child). The
-//     trace ID and parent span ID cross process boundaries in a
-//     W3C-traceparent-style header (Inject/Extract), so a query that
-//     enters at seedrouter and is served by a seedd replica is one trace.
-//     With no collector in the context every span operation is a no-op on
-//     a nil *Span — instrumented code pays near nothing when tracing is
-//     off.
+//   - Tracing: a request gets one Trace (collector) whose root span is
+//     carried through context; code under it opens Spans (StartSpan /
+//     Span.Child). The trace ID and parent span ID cross process
+//     boundaries in a W3C-traceparent-style header (Inject/Extract), so a
+//     query that enters at seedrouter and is served by a seedd replica is
+//     one trace. With no span in the context every span operation is a
+//     no-op on a nil *Span — instrumented code pays nothing when tracing
+//     is off. With it on, a trace keeps its spans, span IDs and unboxed
+//     attributes in its own storage and becomes its record in place, so
+//     a traced /v1/query costs a few allocations over an untraced one: 5
+//     (1.3 KB) on a memory hit, 8 (2.4 KB) on an evidence-cache hit, 11
+//     (5.9 KB) on a generation, and a retained 7-span record keeps about
+//     1.9 KB (TestTraceAllocations, go1.24.0).
 //
 //   - Metrics: a Registry of counters, gauges, gauge callbacks and
 //     lock-free exact-quantile histograms, rendered in Prometheus text
@@ -121,14 +126,17 @@ func Extract(h http.Header) (traceID, parentSpanID string, ok bool) {
 	if v == "" {
 		return "", "", false
 	}
-	parts := strings.Split(v, "-")
-	if len(parts) != 4 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+	// Four dash-separated fields, cut in place.
+	_, rest, _ := strings.Cut(v, "-")
+	traceID, rest, _ = strings.Cut(rest, "-")
+	parentSpanID, flags, four := strings.Cut(rest, "-")
+	if !four || strings.Contains(flags, "-") || len(traceID) != 32 || len(parentSpanID) != 16 {
 		return "", "", false
 	}
-	if !isHex(parts[1]) || !isHex(parts[2]) || allZero(parts[1]) || allZero(parts[2]) {
+	if !isHex(traceID) || !isHex(parentSpanID) || allZero(traceID) || allZero(parentSpanID) {
 		return "", "", false
 	}
-	return parts[1], parts[2], true
+	return traceID, parentSpanID, true
 }
 
 func isHex(s string) bool {

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -27,10 +29,11 @@ func TestExtractRejectsMalformed(t *testing.T) {
 	cases := []string{
 		"",
 		"00-abc-def-01",
-		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("a", 16) + "-01", // all-zero trace id
-		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("0", 16) + "-01", // all-zero span id
-		"00-" + strings.Repeat("g", 32) + "-" + strings.Repeat("a", 16) + "-01", // non-hex
-		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16),         // 3 parts
+		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("a", 16) + "-01",    // all-zero trace id
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("0", 16) + "-01",    // all-zero span id
+		"00-" + strings.Repeat("g", 32) + "-" + strings.Repeat("a", 16) + "-01",    // non-hex
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16),            // 3 parts
+		"00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 16) + "-01-02", // 5 parts
 	}
 	for _, v := range cases {
 		h := http.Header{}
@@ -131,5 +134,65 @@ func TestDisabledTracingIsNoop(t *testing.T) {
 	}
 	if tr.StartRoot("x", "") != nil {
 		t.Fatal("nil trace StartRoot should return nil")
+	}
+}
+
+// TestSpanHandlesOutliveSlabGrowth opens spans of one trace from several
+// goroutines, each setting attributes and ending its spans through
+// handles whose slab the others grow under them, and one span after
+// Finish. Every span lands once in the record, under its parent, with
+// its own attributes; the late span changes nothing.
+func TestSpanHandlesOutliveSlabGrowth(t *testing.T) {
+	tr := NewTrace("", "req")
+	root := tr.StartRoot("request", "")
+	ctx := ContextWithSpan(context.Background(), root)
+	const goroutines, perG = 4, 20
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perG {
+				sp := StartSpan(ctx, fmt.Sprintf("g%d.%d", g, i))
+				sp.SetAttr("g", g)
+				sp.SetAttr("i", i)
+				sp.SetAttr("g", int64(g)) // replaces the first g
+				if i%5 == 0 {
+					sp.Fail("boom")
+				} else {
+					sp.End()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	root.End()
+	rec := tr.Finish("/x", 200, "")
+	if late := StartSpan(ctx, "late"); late != nil {
+		t.Error("a span opened after Finish is not nil")
+	}
+	root.SetAttr("late", true)
+	if got, want := len(rec.Spans), 1+goroutines*perG; got != want {
+		t.Fatalf("%d spans, want %d", got, want)
+	}
+	seen := map[string]bool{}
+	for _, sp := range rec.Spans[1:] {
+		var g, i int
+		if _, err := fmt.Sscanf(sp.Name, "g%d.%d", &g, &i); err != nil || seen[sp.Name] {
+			t.Fatalf("span %q unexpected or repeated", sp.Name)
+		}
+		seen[sp.Name] = true
+		if sp.ParentID != rec.Spans[0].SpanID || sp.DurationMicros <= 0 {
+			t.Errorf("%s: parent %q duration %d", sp.Name, sp.ParentID, sp.DurationMicros)
+		}
+		if len(sp.Attrs) != 2 || sp.Attrs.Get("g") != int64(g) || sp.Attrs.Get("i") != i {
+			t.Errorf("%s: attrs %+v", sp.Name, sp.Attrs)
+		}
+		if (sp.Err == "boom") != (i%5 == 0) {
+			t.Errorf("%s: error %q", sp.Name, sp.Err)
+		}
+	}
+	if len(rec.Spans[0].Attrs) != 0 {
+		t.Errorf("root attrs %+v after Finish, want none", rec.Spans[0].Attrs)
 	}
 }
