@@ -5,7 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Attr is one span attribute: a key and a scalar value kept unboxed.
@@ -105,8 +106,8 @@ func (as *Attrs) put(a Attr) {
 
 // sorted returns the attributes ordered by key.
 func (as Attrs) sorted() Attrs {
-	out := append(Attrs(nil), as...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := slices.Clone(as)
+	slices.SortFunc(out, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -283,11 +285,7 @@ func (t *Trace) Finish(name string, status int, errMsg string) *TraceRecord {
 	}
 	// Group the attributes by span, each span's in set order.
 	as := t.attrs
-	for i := 1; i < len(as); i++ {
-		for j := i; j > 0 && as[j].span < as[j-1].span; j-- {
-			as[j], as[j-1] = as[j-1], as[j]
-		}
-	}
+	slices.SortStableFunc(as, func(a, b Attr) int { return cmp.Compare(a.span, b.span) })
 	for i := 0; i < len(as); {
 		j := i + 1
 		for j < len(as) && as[j].span == as[i].span {
