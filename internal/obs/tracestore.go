@@ -129,14 +129,17 @@ func NewTraceStore(capacity int, slowThreshold time.Duration) *TraceStore {
 	}
 }
 
-// Add files a finished trace. Nil records (tracing disabled) are ignored.
+// Add files a finished trace. Nil records (tracing disabled) and records
+// already filed are ignored.
 func (s *TraceStore) Add(rec *TraceRecord) {
 	if s == nil || rec == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.indexAdd(rec)
+	if !s.indexAdd(rec) {
+		return
+	}
 	var evicted *TraceRecord
 	if rec.Errored() || rec.Slow(s.slowThreshold) {
 		evicted = s.kept.push(rec)
@@ -148,9 +151,19 @@ func (s *TraceStore) Add(rec *TraceRecord) {
 	}
 }
 
-func (s *TraceStore) indexAdd(rec *TraceRecord) {
-	rec.older = s.byID[rec.ID]
+// indexAdd chains rec in front of the records filed under its ID. It
+// reports false, changing nothing, when rec is in the chain already: a
+// record linked to itself would make every walk of the chain endless.
+func (s *TraceStore) indexAdd(rec *TraceRecord) bool {
+	head := s.byID[rec.ID]
+	for r := head; r != nil; r = r.older {
+		if r == rec {
+			return false
+		}
+	}
+	rec.older = head
 	s.byID[rec.ID] = rec
+	return true
 }
 
 func (s *TraceStore) indexRemove(rec *TraceRecord) {

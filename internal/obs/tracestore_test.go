@@ -43,6 +43,40 @@ func TestTraceStoreGetAndList(t *testing.T) {
 	}
 }
 
+// TestTraceStoreFilesARecordOnce files records a second time — a
+// finished trace's record (Finish returns the same one again) and one
+// deep in the chain of its ID — and checks each is retained once and
+// rotates out cleanly.
+func TestTraceStoreFilesARecordOnce(t *testing.T) {
+	s := NewTraceStore(2, 0)
+	tr := NewTrace("", "")
+	tr.StartRoot("request", "").End()
+	rec := tr.Finish("/v1/query", 200, "")
+	s.Add(rec)
+	s.Add(tr.Finish("/v1/query", 200, ""))
+	if n, l := s.Len(), len(s.List(0)); n != 1 || l != 1 {
+		t.Fatalf("a record filed twice: Len %d, List %d, want 1 and 1", n, l)
+	}
+	older, newer := mkRecord("dup", 200, time.Millisecond, ""), mkRecord("dup", 200, time.Millisecond, "")
+	s = NewTraceStore(2, 0)
+	s.Add(older)
+	s.Add(newer)
+	s.Add(older)
+	s.Add(newer)
+	if n, l := s.Len(), len(s.List(0)); n != 2 || l != 2 {
+		t.Fatalf("two records of one ID, each filed twice: Len %d, List %d, want 2 and 2", n, l)
+	}
+	if s.Get("dup") != newer {
+		t.Fatal("Get does not return the newest record of the ID")
+	}
+	for i := 0; i < 4; i++ {
+		s.Add(mkRecord(fmt.Sprintf("fast%d", i), 200, time.Millisecond, ""))
+	}
+	if n := s.Len(); n != 2 || s.Get("dup") != nil {
+		t.Fatalf("after churn: Len %d, Get(dup) %v, want 2 and nil", n, s.Get("dup"))
+	}
+}
+
 func TestTraceStoreKeepsSlowAndErrorUnderChurn(t *testing.T) {
 	s := NewTraceStore(4, 50*time.Millisecond)
 	s.Add(mkRecord("slow", 200, 80*time.Millisecond, ""))
@@ -120,7 +154,7 @@ func TestConcurrentRegistryAndTraceRing(t *testing.T) {
 				ctx := ContextWithSpan(context.Background(), tr.StartRoot("request", ""))
 				sp := StartSpan(ctx, "work")
 				inner := StartSpan(ContextWithSpan(ctx, sp), "inner")
-				inner.SetAttr("i", i)
+				inner.SetInt("i", i)
 				inner.End()
 				sp.End()
 				status := 200
