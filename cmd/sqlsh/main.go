@@ -124,7 +124,7 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 	if tracing {
 		tr = obs.NewTrace("", "")
 		root = tr.StartRoot("statement", "")
-		root.SetAttr("sql", sql)
+		root.SetStr("sql", sql)
 		ctx = obs.ContextWithSpan(ctx, root)
 	}
 	if timing || tracing {
@@ -137,7 +137,7 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 		var stmt *sqlengine.Stmt
 		stmt, cacheHit, err = db.Engine.PrepareCached(sql)
 		prepTime = time.Since(start)
-		psp.SetAttr("plan_cache_hit", cacheHit)
+		psp.SetBool("plan_cache_hit", cacheHit)
 		if err != nil {
 			psp.Fail(err)
 		} else {
@@ -150,11 +150,11 @@ func run(db *schema.DB, sql string, timing, tracing bool) {
 				esp.Fail(err)
 			} else {
 				if res.Rows != nil {
-					esp.SetAttr("rows", res.Rows.Len())
+					esp.SetInt("rows", res.Rows.Len())
 				}
-				esp.SetAttr("cost", res.Cost)
-				esp.SetAttr("batches", res.Batches)
-				esp.SetAttr("path", res.Path)
+				esp.SetInt64("cost", res.Cost)
+				esp.SetInt64("batches", res.Batches)
+				esp.SetStr("path", res.Path)
 				esp.End()
 			}
 		}

@@ -273,7 +273,7 @@ func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evid
 		return ev, err
 	}
 	sp := obs.StartSpan(ctx, "evserve.lookup")
-	sp.SetAttr("cache_hit", false)
+	sp.SetBool("cache_hit", false)
 	// Generation/append timings escape the closure through t (one struct,
 	// so one allocation). The closure writes t before the call's done
 	// channel closes, so the caller that started the generation may read
@@ -326,7 +326,7 @@ func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evid
 	}
 	if shared {
 		s.dedups.Add(1)
-		sp.SetAttr("deduped", true)
+		sp.SetBool("deduped", true)
 	}
 	select {
 	case <-c.done:
@@ -368,7 +368,7 @@ func (s *Service) probe(ctx context.Context, db, question string) (Evidence, Key
 			// Opened after the read so that a miss leaves no span behind: a
 			// hit is sub-microsecond, below the span clock's resolution.
 			sp := obs.StartSpan(ctx, "evserve.lookup")
-			sp.SetAttr("cache_hit", true)
+			sp.SetBool("cache_hit", true)
 			sp.End()
 			return Evidence{Text: e.Evidence, Trace: e.Trace, CacheHit: true}, k, nil
 		}

@@ -28,28 +28,6 @@ const (
 	attrFloat
 )
 
-// set stores value unboxed. The kinds are the serving path's; any other
-// is a bug at the call site.
-func (a *Attr) set(value any) {
-	switch v := value.(type) {
-	case string:
-		a.kind, a.str = attrString, v
-	case bool:
-		a.kind = attrBool
-		if v {
-			a.num = 1
-		}
-	case int:
-		a.kind, a.num = attrInt, uint64(v)
-	case int64:
-		a.kind, a.num = attrInt64, uint64(v)
-	case float64:
-		a.kind, a.num = attrFloat, math.Float64bits(v)
-	default:
-		panic("obs: a span attribute is a string, bool, int, int64 or float64")
-	}
-}
-
 // Value returns the attribute's value as the type it was set with (a
 // decoded record's numbers are float64, as encoding/json decodes them).
 func (a Attr) Value() any {
@@ -138,8 +116,15 @@ func (as *Attrs) UnmarshalJSON(data []byte) error {
 	for k, v := range m {
 		a := Attr{Key: k}
 		switch v := v.(type) {
-		case string, bool, float64:
-			a.set(v)
+		case string:
+			a.kind, a.str = attrString, v
+		case bool:
+			a.kind = attrBool
+			if v {
+				a.num = 1
+			}
+		case float64:
+			a.kind, a.num = attrFloat, math.Float64bits(v)
 		default:
 			return fmt.Errorf("obs: span attribute %q is not a scalar", k)
 		}

@@ -64,13 +64,13 @@ func TestSpanTreeAndFinish(t *testing.T) {
 	ctx := ContextWithSpan(context.Background(), root)
 
 	child := StartSpan(ctx, "stage.a")
-	child.SetAttr("cache_hit", true)
+	child.SetBool("cache_hit", true)
 	grand := StartSpan(ContextWithSpan(ctx, child), "stage.a.inner")
 	grand.End()
 	child.End()
 	failed := StartSpan(ctx, "stage.b")
 	failed.Fail("boom")
-	root.Child("measured", time.Now().Add(-time.Millisecond), time.Millisecond).SetAttr("rows", 3)
+	root.Child("measured", time.Now().Add(-time.Millisecond), time.Millisecond).SetInt("rows", 3)
 	root.End()
 
 	rec := tr.Finish("/v1/query", 200, "")
@@ -126,8 +126,8 @@ func TestDisabledTracingIsNoop(t *testing.T) {
 	// All nil-receiver operations must be safe.
 	sp.End()
 	sp.Fail("x")
-	sp.SetAttr("k", 1)
-	sp.Child("c", time.Now(), time.Millisecond).SetAttr("k", 1)
+	sp.SetInt("k", 1)
+	sp.Child("c", time.Now(), time.Millisecond).SetInt("k", 1)
 	var tr *Trace
 	if tr.Finish("x", 0, "") != nil {
 		t.Fatal("nil trace Finish should return nil")
@@ -154,9 +154,9 @@ func TestSpanHandlesOutliveSlabGrowth(t *testing.T) {
 			defer wg.Done()
 			for i := range perG {
 				sp := StartSpan(ctx, fmt.Sprintf("g%d.%d", g, i))
-				sp.SetAttr("g", g)
-				sp.SetAttr("i", i)
-				sp.SetAttr("g", int64(g)) // replaces the first g
+				sp.SetInt("g", g)
+				sp.SetInt("i", i)
+				sp.SetInt64("g", int64(g)) // replaces the first g
 				if i%5 == 0 {
 					sp.Fail("boom")
 				} else {
@@ -171,7 +171,7 @@ func TestSpanHandlesOutliveSlabGrowth(t *testing.T) {
 	if late := StartSpan(ctx, "late"); late != nil {
 		t.Error("a span opened after Finish is not nil")
 	}
-	root.SetAttr("late", true)
+	root.SetBool("late", true)
 	if got, want := len(rec.Spans), 1+goroutines*perG; got != want {
 		t.Fatalf("%d spans, want %d", got, want)
 	}

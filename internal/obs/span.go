@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
@@ -43,10 +44,11 @@ type Span struct {
 // which is the tracing-disabled fast path.
 //
 // Its storage is sized by the traffic it serves: spans live in one slab
-// of 3 (a memory hit), grown by copying to 7 (an evidence-cache hit), 15
-// (a generation), 31, ...; span IDs are cut from hex blocks drawn once
-// per slab; attributes are one list in set order, tagged with their
-// span's slot. Finish groups that storage into the record in place.
+// of 3 (a memory hit), grown by copying to 8 (an evidence-cache hit, sent
+// directly or through fleet.Router), 18 (a generation), 38, ...; span
+// IDs are cut from hex blocks drawn once per slab; attributes are one
+// list in set order, tagged with their span's slot. Finish groups that
+// storage into the record in place.
 type Trace struct {
 	rec TraceRecord // what Finish returns; ID and RequestID set at NewTrace
 	t0  time.Time
@@ -59,10 +61,12 @@ type Trace struct {
 	done  bool
 }
 
-// firstSlab spans fit a memory hit (request, admission, memory.lookup);
-// each growth doubles and adds one: 7 fit an evidence-cache hit, 15 a
-// generation. firstAttrs attributes fit a memory hit (9) and an
-// evidence-cache hit (10).
+// firstSlab spans fit a memory hit (request, admission, memory.lookup).
+// firstAttrs attributes fit a memory hit (9) and a direct evidence-cache
+// hit (10). A routed cache hit (11) or a generation (12, 13 routed) grows
+// the list once, to 21; a first list of 11 or more would cost every
+// memory hit 96 B more, since past 512 B the runtime adds an 8-byte
+// header to an allocation that holds pointers and rounds to 576.
 const (
 	firstSlab  = 3
 	firstAttrs = 10
@@ -176,12 +180,15 @@ func (t *Trace) open(name, parent string, start time.Time, durMicros int64) *Spa
 	return sp
 }
 
-// nextSlab is the capacity a full slab of c spans grows to: 3, 7, 15, 31.
+// nextSlab is the capacity a full slab of c spans grows to: 3, 8, 18, 38.
+// An evidence-cache hit has 7 spans (8 routed, a router.forward span
+// added) and a generation 13 (14 routed); 8 and 18 spans, with the
+// runtime's 8-byte header, each fill their size class (1,280 and 2,688 B).
 func nextSlab(c int) int {
 	if c == 0 {
 		return firstSlab
 	}
-	return 2*c + 1
+	return 2*c + 2
 }
 
 // closeAt fixes an open span's duration at elapsed after the trace began.
@@ -223,15 +230,34 @@ func (s *Span) Fail(v any) {
 	t.mu.Unlock()
 }
 
-// SetAttr sets one attribute; a later set of the same key replaces the
-// earlier value. value is a string, bool, int, int64 or float64, kept
-// unboxed; any other type is a bug and panics. No-op on nil.
-func (s *Span) SetAttr(key string, value any) {
+// SetStr, SetBool, SetInt, SetInt64 and SetFloat set one attribute of
+// their type; a later set of the same key replaces the earlier value.
+// No-op on nil.
+func (s *Span) SetStr(key, v string) { s.setAttr(Attr{Key: key, kind: attrString, str: v}) }
+
+func (s *Span) SetBool(key string, v bool) {
+	a := Attr{Key: key, kind: attrBool}
+	if v {
+		a.num = 1
+	}
+	s.setAttr(a)
+}
+
+func (s *Span) SetInt(key string, v int) { s.setAttr(Attr{Key: key, kind: attrInt, num: uint64(v)}) }
+
+func (s *Span) SetInt64(key string, v int64) {
+	s.setAttr(Attr{Key: key, kind: attrInt64, num: uint64(v)})
+}
+
+func (s *Span) SetFloat(key string, v float64) {
+	s.setAttr(Attr{Key: key, kind: attrFloat, num: math.Float64bits(v)})
+}
+
+func (s *Span) setAttr(a Attr) {
 	if s == nil {
 		return
 	}
-	a := Attr{Key: key, span: s.idx}
-	a.set(value)
+	a.span = s.idx
 	t := s.tr
 	t.mu.Lock()
 	if !t.done {

@@ -38,31 +38,31 @@ func TestTraceWireFormat(t *testing.T) {
 	tr := NewTrace("", "req-wire")
 	root := tr.StartRoot("request", remoteSpan)
 	ctx := ContextWithSpan(context.Background(), root)
-	root.SetAttr("db", "financial")
-	root.SetAttr("example_id", 1234)
+	root.SetStr("db", "financial")
+	root.SetInt("example_id", 1234)
 
 	a := StartSpan(ctx, "stage.a")
-	a.SetAttr("match", "none")
-	a.SetAttr("attempts", 3)
-	a.SetAttr("cost", int64(70000))
-	a.SetAttr("confidence", 0.9)
-	a.SetAttr("tiny", 1e-7)
-	a.SetAttr("cache_hit", true)
-	a.SetAttr("sql", `SELECT "a" FROM t WHERE x < 3 & y > 2`)
-	a.SetAttr("path", "positions/agg\u2028\t")
-	a.SetAttr("delta", -42)
-	a.SetAttr("match", "exact")
+	a.SetStr("match", "none")
+	a.SetInt("attempts", 3)
+	a.SetInt64("cost", int64(70000))
+	a.SetFloat("confidence", 0.9)
+	a.SetFloat("tiny", 1e-7)
+	a.SetBool("cache_hit", true)
+	a.SetStr("sql", `SELECT "a" FROM t WHERE x < 3 & y > 2`)
+	a.SetStr("path", "positions/agg\u2028\t")
+	a.SetInt("delta", -42)
+	a.SetStr("match", "exact")
 	inner := StartSpan(ContextWithSpan(ctx, a), "stage.a.inner")
 	inner.End()
 	a.End()
 
 	b := StartSpan(ctx, "stage.b")
-	b.SetAttr("plan_cache_hit", false)
+	b.SetBool("plan_cache_hit", false)
 	b.Fail(errors.New(`no such column: "nosuch"`))
 
 	m := root.Child("measured", time.Now().Add(-time.Hour), 1500*time.Microsecond)
-	m.SetAttr("tokens", 321)
-	m.SetAttr("rows", 3)
+	m.SetInt("tokens", 321)
+	m.SetInt("rows", 3)
 	root.End()
 
 	rec := tr.Finish("/v1/query", 502, "upstream <failed>")

@@ -67,9 +67,9 @@ func (s *Server) wrap(route string, admit bool, h http.HandlerFunc) http.Handler
 				// trace shows the successor replica serving the request.
 				fw := tr.StartRoot("router.forward", parent)
 				if n, err := strconv.Atoi(att); err == nil {
-					fw.SetAttr("attempt", n)
+					fw.SetInt("attempt", n)
 					if n > 0 {
-						fw.SetAttr("retried", true)
+						fw.SetBool("retried", true)
 					}
 				}
 				parent = fw.SpanID
@@ -114,8 +114,8 @@ func (s *Server) wrap(route string, admit bool, h http.HandlerFunc) http.Handler
 			asp := obs.StartSpan(ctx, "admission")
 			release, status, retryAfter := s.adm.admit()
 			if release == nil {
-				asp.SetAttr("shed", true)
-				asp.SetAttr("status", status)
+				asp.SetBool("shed", true)
+				asp.SetInt("status", status)
 				asp.End()
 				// Retry-After is whole seconds per RFC 9110; round up so
 				// the client never retries before a token exists.

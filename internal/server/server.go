@@ -482,8 +482,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	root := obs.CurrentSpan(r.Context())
 	if root != nil {
-		root.SetAttr("db", e.DB)
-		root.SetAttr("example_id", e.ID)
+		root.SetStr("db", e.DB)
+		root.SetStr("example_id", e.ID)
 	}
 
 	var a answer
@@ -493,7 +493,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if hit {
 		if root != nil {
-			root.SetAttr("sql", a.sql)
+			root.SetStr("sql", a.sql)
 		}
 	} else if a, ok = s.pipelineTier(w, r, sess, e, a.timing); !ok {
 		return // the pipeline tier wrote its error
@@ -582,10 +582,10 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 			mem.Failure(hit.PatternID)
 		}
 	}
-	span.SetAttr("attempts", attempts)
+	span.SetInt("attempts", attempts)
 	if decline != "" {
-		span.SetAttr("match", "none")
-		span.SetAttr("decline", decline)
+		span.SetStr("match", "none")
+		span.SetStr("decline", decline)
 		return answer{timing: api.QueryTiming{MemoryMicros: time.Since(start).Microseconds()}}, false
 	}
 	// match says which retrieval path answered: repeat traffic ("exact",
@@ -594,13 +594,13 @@ func (s *Server) memoryTier(ctx context.Context, sess *Session, e dataset.Exampl
 	if hit.Similarity >= 1 {
 		match = "exact"
 	}
-	span.SetAttr("match", match)
-	span.SetAttr("pattern", hit.PatternID)
-	span.SetAttr("confidence", hit.Confidence)
-	span.SetAttr("similarity", hit.Similarity)
+	span.SetStr("match", match)
+	span.SetStr("pattern", hit.PatternID)
+	span.SetFloat("confidence", hit.Confidence)
+	span.SetFloat("similarity", hit.Similarity)
 	// Lookup, verification and execution are one fused phase: the engine's
 	// physical path rides on its span, and its time is the whole answer's.
-	span.SetAttr("path", res.Path)
+	span.SetStr("path", res.Path)
 	mem.Success(hit.PatternID, e.Question)
 	return answer{
 		source:     api.SourceMemory,
@@ -636,7 +636,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 		writeUpstreamError(w, r, "evidence generation", err)
 		return answer{}, false
 	}
-	evSpan.SetAttr("cache_hit", ev.CacheHit)
+	evSpan.SetBool("cache_hit", ev.CacheHit)
 	// A request that waited for a generation (its own or a single-flight
 	// leader's) gets the pipeline's stages as child spans: the generation
 	// runs under no request's context, so no per-request span can flow
@@ -654,7 +654,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 				evStart.Add(time.Duration(st.StartMicros)*time.Microsecond),
 				time.Duration(st.WallMicros)*time.Microsecond)
 			if st.Tokens > 0 {
-				sp.SetAttr("tokens", st.Tokens)
+				sp.SetInt("tokens", st.Tokens)
 			}
 		}
 	}
@@ -673,7 +673,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 	// Named before prepare, so the slow-query log names SQL that fails to
 	// prepare.
 	if root := obs.CurrentSpan(r.Context()); root != nil {
-		root.SetAttr("sql", sql)
+		root.SetStr("sql", sql)
 	}
 
 	prepStart := time.Now()
@@ -689,7 +689,7 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 		}
 		return answer{}, false
 	}
-	prepSpan.SetAttr("plan_cache_hit", planHit)
+	prepSpan.SetBool("plan_cache_hit", planHit)
 	prepSpan.End()
 
 	execStart := time.Now()
@@ -701,11 +701,11 @@ func (s *Server) pipelineTier(w http.ResponseWriter, r *http.Request, sess *Sess
 		writeError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, fmt.Sprintf("generated SQL does not execute: %v", err))
 		return answer{}, false
 	}
-	execSpan.SetAttr("cost", res.Cost)
-	execSpan.SetAttr("batches", res.Batches)
-	execSpan.SetAttr("path", res.Path)
+	execSpan.SetInt64("cost", res.Cost)
+	execSpan.SetInt64("batches", res.Batches)
+	execSpan.SetStr("path", res.Path)
 	if res.Rows != nil {
-		execSpan.SetAttr("rows", res.Rows.Len())
+		execSpan.SetInt("rows", res.Rows.Len())
 	}
 	execSpan.End()
 
