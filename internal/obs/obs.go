@@ -15,9 +15,10 @@
 //     is off. With it on, a trace keeps its spans, span IDs and unboxed
 //     attributes in its own storage and becomes its record in place, so
 //     a traced /v1/query costs a few allocations over an untraced one: 5
-//     (1.3 KB) on a memory hit, 8 (2.4 KB) on an evidence-cache hit, 11
-//     (5.9 KB) on a generation, and a retained 7-span record keeps about
-//     1.9 KB (TestTraceAllocations, go1.24.0).
+//     (1.3 KB) on a memory hit, 8 (2.7 KB) on an evidence-cache hit (9,
+//     3.8 KB, routed through fleet.Router), 11 (6.6 KB) on a generation,
+//     and a retained record keeps 1.3 KB (memory hit) to 4.3 KB
+//     (generation) (TestTraceAllocations, go1.24.0).
 //
 //   - Metrics: a Registry of counters, gauges, gauge callbacks and
 //     lock-free exact-quantile histograms, rendered in Prometheus text
