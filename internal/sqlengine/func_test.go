@@ -103,28 +103,6 @@ func TestRenderedSelectRoundTripsThroughEngine(t *testing.T) {
 	}
 }
 
-func TestReferencedColumnsAndTables(t *testing.T) {
-	sel, err := ParseSelect(`SELECT s.name FROM schools s JOIN satscores ON s.CDSCode = satscores.cds
-		WHERE satscores.NumTstTakr > (SELECT AVG(NumTstTakr) FROM satscores)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := ReferencedTables(sel)
-	if len(tables) != 2 {
-		t.Errorf("tables = %v, want schools+satscores", tables)
-	}
-	cols := ReferencedColumns(sel)
-	seen := map[string]bool{}
-	for _, c := range cols {
-		seen[c.Name] = true
-	}
-	for _, want := range []string{"name", "CDSCode", "cds", "NumTstTakr"} {
-		if !seen[want] {
-			t.Errorf("ReferencedColumns missing %s: %v", want, cols)
-		}
-	}
-}
-
 // Property: tokenize never panics and always terminates on arbitrary
 // input (it either errors or yields tokens).
 func TestTokenizeTotal(t *testing.T) {

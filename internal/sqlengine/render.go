@@ -105,87 +105,3 @@ func (s *SelectStmt) writeCore(b *strings.Builder) {
 		b.WriteString(" HAVING " + s.Having.SQL())
 	}
 }
-
-// ReferencedColumns walks a parsed statement and collects every
-// table-qualified and bare column reference. RSL-SQL's backward schema
-// linking extracts exactly this set from a preliminary SQL query.
-func ReferencedColumns(s *SelectStmt) []ColumnRef {
-	var out []ColumnRef
-	var walkExpr func(e Expr)
-	var walkSel func(sel *SelectStmt)
-	walkExpr = func(e Expr) {
-		switch x := e.(type) {
-		case *ColumnRef:
-			out = append(out, *x)
-		case *ExistsExpr:
-			walkSel(x.Sub)
-		case *SubqueryExpr:
-			walkSel(x.Sub)
-		}
-		eachOperand(e, walkExpr)
-		if in, ok := e.(*InExpr); ok && in.Sub != nil {
-			walkSel(in.Sub)
-		}
-	}
-	walkSel = func(sel *SelectStmt) {
-		for cur := sel; cur != nil; cur = cur.Next {
-			for _, c := range cur.Columns {
-				if c.Expr != nil {
-					walkExpr(c.Expr)
-				}
-			}
-			for _, f := range cur.From {
-				if f.On != nil {
-					walkExpr(f.On)
-				}
-				if f.Sub != nil {
-					walkSel(f.Sub)
-				}
-			}
-			if cur.Where != nil {
-				walkExpr(cur.Where)
-			}
-			for _, g := range cur.GroupBy {
-				walkExpr(g)
-			}
-			if cur.Having != nil {
-				walkExpr(cur.Having)
-			}
-			for _, ob := range cur.OrderBy {
-				walkExpr(ob.Expr)
-			}
-			if cur.Compound == CompoundNone {
-				break
-			}
-		}
-	}
-	walkSel(s)
-	return out
-}
-
-// ReferencedTables collects the base-table names a statement touches.
-func ReferencedTables(s *SelectStmt) []string {
-	seen := make(map[string]bool)
-	var out []string
-	var walk func(sel *SelectStmt)
-	walk = func(sel *SelectStmt) {
-		for cur := sel; cur != nil; cur = cur.Next {
-			for _, f := range cur.From {
-				if f.Sub != nil {
-					walk(f.Sub)
-					continue
-				}
-				k := strings.ToLower(f.Table)
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, f.Table)
-				}
-			}
-			if cur.Compound == CompoundNone {
-				break
-			}
-		}
-	}
-	walk(s)
-	return out
-}
