@@ -14,12 +14,12 @@ import (
 // aggregate, or a safe-total expression over both. Evaluating less, or in
 // another order, than projectGrouped does then cannot be observed.
 //
-// Rows are folded into typed accumulators one at a time, in the order the
-// selection lists them (aggRun.add): by the last filter or hash-join probe
-// as it passes them, which then lists no row (a counted selection,
-// parallel.go), or here, from a listed selection. So each group's floats
-// are added in evalAggregate's order, and groups are numbered in the
-// first-seen order projectGrouped gives them. A group's key allocates
+// Rows are folded into typed accumulators a vector at a time, in the order
+// the selection lists them (aggRun.fold): by the last filter or hash-join
+// probe, each vector of the rows it keeps (parallel.go), or here, a listed
+// selection's. Each accumulator reads a vector in a loop of its own, so each
+// group's floats are added in evalAggregate's order, and groups are numbered
+// in the first-seen order projectGrouped gives them. A group's key allocates
 // nothing: one INTEGER column keys an int64 map, one coded TEXT column a
 // slice indexed by its code (a map keyed by its word over fewer rows than
 // its dictionary holds), one plain TEXT column a map keyed by the cell's
@@ -104,10 +104,6 @@ type aggPlan struct {
 	// exprs reports that some value is an expression, evaluated in a group
 	// environment.
 	exprs bool
-	// count marks a tail that reads only how many rows reach it: one group,
-	// every item COUNT(*), no HAVING. The operator before it tallies its
-	// rows and folds none (execSelectPlanned).
-	count bool
 }
 
 // planAggTail proves a grouped SELECT's tail runs on typed accumulators, or
@@ -156,16 +152,6 @@ func planAggTail(sel *SelectStmt) (*aggPlan, string) {
 			return nil, pathRowsOrderBy
 		}
 		ap.order = append(ap.order, groupKey{v, ob.Desc})
-	}
-	ap.count = ap.nkeys == 0 && ap.having == nil && !ap.exprs
-	for _, a := range ap.accs {
-		ap.count = ap.count && a.fn == aggCountStar
-	}
-	for _, v := range ap.items {
-		ap.count = ap.count && v.acc >= 0
-	}
-	for _, t := range ap.order {
-		ap.count = ap.count && t.acc >= 0
 	}
 	if !ap.exprs {
 		ap.calls = nil
@@ -412,8 +398,10 @@ type aggRun struct {
 	view selection
 	ats  [4]colAt // the addresses of ap.cols, the first four here
 	atx  []colAt
-	// n is the number of groups, rows the rows folded.
+	// n is the number of groups, rows the rows folded; started reports
+	// that an operator folds its rows into the run (start).
 	n, rows int
+	started bool
 	rep0    pair // an ungrouped run's first row
 	reps    []pair
 	one     [4]aggState // an ungrouped run's states, when they fit
@@ -432,10 +420,6 @@ type aggRun struct {
 	nulls []Value
 	// err is the first error an expression argument raised.
 	err error
-	// columnwise marks a run of one group whose every accumulator counts or
-	// reads a column, without DISTINCT: foldAll folds a listed selection of
-	// one relation column by column.
-	columnwise bool
 }
 
 // start readies the run to fold positions of s's relation, about rows of
@@ -443,7 +427,7 @@ type aggRun struct {
 // more words than that keys a map on its words, not an array of a group a
 // word.
 func (a *aggRun) start(s *selection, rows int) {
-	*a = aggRun{ec: a.ec, ap: a.ap, outer: a.outer, view: selection{src: s.src, right: s.right}, null: -1}
+	*a = aggRun{ec: a.ec, ap: a.ap, outer: a.outer, started: true, view: selection{src: s.src, right: s.right}, null: -1}
 	ap := a.ap
 	if len(ap.cols) > len(a.ats) {
 		a.atx = make([]colAt, len(ap.cols)-len(a.ats))
@@ -477,9 +461,7 @@ func (a *aggRun) start(s *selection, rows int) {
 			a.keys, a.strs = keysBytes, make(map[string]int32)
 		}
 	}
-	a.columnwise = a.keys == keysNone
 	for k := range ap.accs {
-		a.columnwise = a.columnwise && !ap.accs[k].distinct && ap.accs[k].arg == nil
 		if ap.accs[k].distinct && a.sets == nil {
 			a.sets = make([]valueSet, w)
 		}
@@ -517,50 +499,9 @@ func (a *aggRun) rep(g int) pair {
 	return a.rep0
 }
 
-// add folds the row at positions (l, r) into its group.
-func (a *aggRun) add(l, r int) {
-	g := 0
-	if a.keys != keysNone {
-		g = a.group(l, r)
-	} else if a.rows == 0 {
-		a.rep0 = pair{l: int32(l), r: int32(r)}
-	}
-	a.rows++
-	for k := range a.ap.accs {
-		acc, st := &a.ap.accs[k], a.state(g, k)
-		if acc.fn == aggCountStar {
-			st.n++
-			continue
-		}
-		var v Value
-		if acc.arg != nil {
-			v = a.eval(acc.arg, l, r)
-		} else {
-			v = a.col(acc.at).read(l, r)
-		}
-		// A DISTINCT accumulator folds a value the first time its group
-		// sees it; NULL it never folds.
-		if acc.distinct && (v.IsNull() || !a.sets[k].add(int32(g), v)) {
-			continue
-		}
-		st.add(acc.fn, v)
-	}
-}
-
-// eval evaluates an expression argument on the row at (l, r), keeping the
-// first error.
-func (a *aggRun) eval(e Expr, l, r int) Value {
-	a.view.scopeAt(a.env.sc, l, r, a.buf)
-	v, err := a.env.eval(e)
-	if err != nil && a.err == nil {
-		a.err = err
-	}
-	return v
-}
-
 // group returns the group of the row at (l, r), giving a key not seen
 // before the next group.
-func (a *aggRun) group(l, r int) int {
+func (a *aggRun) group(l, r int) int32 {
 	if a.keys == keysBytes {
 		a.kb = a.kb[:0]
 		for i := range a.ap.nkeys {
@@ -572,7 +513,7 @@ func (a *aggRun) group(l, r int) int {
 			g = a.newGroup(l, r)
 			a.strs[string(a.kb)] = g
 		}
-		return int(g)
+		return g
 	}
 	at := a.col(0)
 	p := l
@@ -583,7 +524,7 @@ func (a *aggRun) group(l, r int) int {
 		if a.null < 0 {
 			a.null = a.newGroup(l, r)
 		}
-		return int(a.null)
+		return a.null
 	}
 	var g int32
 	var ok bool
@@ -594,7 +535,7 @@ func (a *aggRun) group(l, r int) int {
 			g = a.newGroup(l, r)
 			a.codes[code] = g
 		}
-		return int(g)
+		return g
 	case keysText:
 		var s string
 		if d := at.c.dict; d != nil {
@@ -606,14 +547,14 @@ func (a *aggRun) group(l, r int) int {
 			g = a.newGroup(l, r)
 			a.strs[s] = g
 		}
-		return int(g)
+		return g
 	}
 	i := at.c.nums[p]
 	if g, ok = a.ints[i]; !ok {
 		g = a.newGroup(l, r)
 		a.ints[i] = g
 	}
-	return int(g)
+	return g
 }
 
 // newGroup numbers a new group whose first row is at (l, r).
@@ -627,31 +568,64 @@ func (a *aggRun) newGroup(l, r int) int32 {
 	return g
 }
 
-// foldAll folds every row of s, a listed selection, in order — or, for a
-// count-only plan, reads only how many rows s has, counted or not. A
-// columnwise run over a relation's positions folds column by column, each
-// in a loop of its own.
-func (a *aggRun) foldAll(s *selection) {
-	n := s.len()
-	if !a.columnwise || s.right != nil && !s.counted {
-		for i := 0; i < n; i++ {
-			a.add(s.row(i))
+// fold folds the rows of s, a selection of the run's relation, that vec
+// lists by their index in s, in order. Each row's group is found first;
+// then each accumulator folds its column, or its expression's values, over
+// the vector in a loop of its own, and an ungrouped COUNT(*) adds the
+// vector's length.
+func (a *aggRun) fold(s *selection, vec []int32) {
+	n := len(vec)
+	var groups [vecRows]int32 // each row's; all 0 without GROUP BY
+	switch {
+	case a.keys != keysNone:
+		for j := range n {
+			groups[j] = a.group(s.row(int(vec[j])))
 		}
-		return
-	}
-	if a.rows = n; n > 0 && !s.counted {
-		l, r := s.row(0)
+	case a.rows == 0 && n > 0:
+		l, r := s.row(int(vec[0]))
 		a.rep0 = pair{l: int32(l), r: int32(r)}
 	}
-	for k, acc := range a.ap.accs {
-		st := a.state(0, k)
-		if acc.fn == aggCountStar {
-			st.n = int64(n)
+	a.rows += n
+	for k := range a.ap.accs {
+		acc := &a.ap.accs[k]
+		var at *colAt
+		if acc.fn != aggCountStar && acc.arg == nil {
+			at = a.col(acc.at)
+		}
+		switch {
+		case a.keys == keysNone && acc.fn == aggCountStar:
+			a.state(0, k).n += int64(n)
+			continue
+		case a.keys == keysNone && at != nil && !acc.distinct:
+			st := a.state(0, k)
+			for j := range n {
+				st.add(acc.fn, at.read(s.row(int(vec[j]))))
+			}
 			continue
 		}
-		at := a.col(acc.at)
-		for i := 0; i < n; i++ {
-			st.add(acc.fn, at.at(s.at(i)))
+		for j := range n {
+			g := groups[j]
+			st := a.state(int(g), k)
+			if acc.fn == aggCountStar {
+				st.n++
+				continue
+			}
+			var v Value
+			if l, r := s.row(int(vec[j])); at != nil {
+				v = at.read(l, r)
+			} else {
+				a.view.scopeAt(a.env.sc, l, r, a.buf)
+				var err error
+				if v, err = a.env.eval(acc.arg); err != nil && a.err == nil {
+					a.err = err // the first an expression argument raised
+				}
+			}
+			// A DISTINCT accumulator folds a value the first time its group
+			// sees it; NULL it never folds.
+			if acc.distinct && (v.IsNull() || !a.sets[k].add(g, v)) {
+				continue
+			}
+			st.add(acc.fn, v)
 		}
 	}
 }
@@ -698,17 +672,15 @@ func (a *aggRun) value(env *evalEnv, g int, v *groupVal) (Value, error) {
 	return a.col(v.at).read(int(rep.l), int(rep.r)), nil
 }
 
-// aggregatePositions produces a planned aggregate tail's result. Where the
-// operator before it did not fold the selection's rows into run as it
-// passed them — it is listed, or the plan reads only its count — they are
-// folded here. Then the groups HAVING keeps, less DISTINCT's duplicates,
-// are ordered and windowed, and the window — for anyRow its first row —
-// written into the result.
+// aggregatePositions produces a planned aggregate tail's result. Rows no
+// operator folded into run are folded here, by a filter of no conjunct.
+// Then the groups HAVING keeps, less DISTINCT's duplicates, are ordered
+// and windowed, and the window — for anyRow its first row — written into
+// the result.
 func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, run *aggRun, anyRow bool) (*Rows, error) {
 	ap := run.ap
-	if !s.counted || ap.count {
-		run.start(&s, s.len())
-		run.foldAll(&s)
+	if !run.started {
+		_, _ = ec.filter(s, nil, -1, 0, nil, run) // no conjunct, so no error
 	}
 	if run.err != nil {
 		return nil, run.err

@@ -147,10 +147,10 @@ func TestGroupKeyAllocations(t *testing.T) {
 	}
 }
 
-// TestFoldAllocations pins that an aggregate tail is handed a counted
-// selection by the filter or hash-join probe before it, which folds each
-// row it keeps instead of listing it: an aggregate over a filtered table or
-// a join allocates the same bytes over 10k rows and 100k.
+// TestFoldAllocations pins that the filter or hash-join probe before an
+// aggregate tail folds the rows it keeps into the tail a selection vector
+// at a time and lists none: an aggregate over a filtered table or a join
+// allocates the same bytes over 10k rows and 100k.
 func TestFoldAllocations(t *testing.T) {
 	queries := []struct{ sql, path string }{
 		{"SELECT SUM(num) FROM f WHERE NOT (grp = 'a')", "positions/agg"},

@@ -62,8 +62,8 @@ func TestCountOnlyBattery(t *testing.T) {
 }
 
 // TestCountAllocations pins what counting is for: a COUNT(*) whose last
-// operator is a filter or a hash join's probe tallies what it keeps and
-// lists nothing, so an execution allocates the same bytes (within 1 KiB)
+// operator is a filter or a hash join's probe adds up the vectors it keeps
+// and lists nothing, so an execution allocates the same bytes (within 1 KiB)
 // over 10k rows and over 100k. Listing cost 8 bytes a kept row or a left
 // row: 720 KiB more at 100k.
 func TestCountAllocations(t *testing.T) {
@@ -108,36 +108,4 @@ func bytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
-// TestCountedSelectionHasNoRows pins the counted selection's contract: a
-// length and nothing to read. Every reader of a position panics, and
-// keep(nil, 0) — a false EXISTS — empties it.
-func TestCountedSelectionHasNoRows(t *testing.T) {
-	db := buildEngineDB(3, 10)
-	tab, _ := db.Table("f")
-	s := selection{src: tab.rel(), n: 4, counted: true}
-	if s.len() != 4 {
-		t.Fatalf("len = %d, want 4", s.len())
-	}
-	if e := s.keep(nil, 0); e.len() != 0 {
-		t.Errorf("keep(nil, 0) has %d rows, want 0", e.len())
-	}
-	for name, read := range map[string]func(){
-		"at":          func() { s.at(0) },
-		"row":         func() { s.row(0) },
-		"colAt":       func() { s.colAt(1) },
-		"materialise": func() { s.materialise() },
-		"pick":        func() { s.pick([]int{0}) },
-		"keep":        func() { s.keep([]uint64{1}, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a counted selection did not panic", name)
-				}
-			}()
-			read()
-		}()
-	}
 }

@@ -361,10 +361,10 @@ func TestTopKAllocations(t *testing.T) {
 // TestSubGateAllocations pins that nothing in a planned statement looks at a
 // table's size. At 60, 400 and 800 rows — BIRD's sizes, all below the
 // 1,024-row gate that once kept them off the kernels — every filter runs
-// through the kernels (Batches >= 1), and the selection it leaves is counted,
-// summed, sorted through the heap and gathered in a constant number of
-// allocations: the same at every size, and no more than the interpreter's
-// filter took here behind that gate (23, 26, 16 and 22).
+// through the kernels (Batches >= 1), and the rows it keeps are counted or
+// summed from its vectors, or sorted through the heap and gathered, in a
+// constant number of allocations: the same at every size, and no more than
+// the interpreter's filter took here behind that gate (23, 26, 16 and 22).
 func TestSubGateAllocations(t *testing.T) {
 	queries := []struct {
 		sql  string

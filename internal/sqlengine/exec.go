@@ -364,23 +364,21 @@ func (o *selOutput) rows() *Rows { return NewRows(o.columns, o.data) }
 // unplanned execution, which then is the naive reference: full scans, nested
 // loops, the interpreter on every row.
 func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPlan) (*Rows, error) {
-	// An aggregate tail is handed a counted selection by the last operator
-	// before it, which folds each row it passes into the tail's run instead
-	// of listing it: the filter after the FROM where one runs, else the
+	// An aggregate tail's run is fed by the last operator before it, which
+	// then lists no row: the filter after the FROM where one runs, else the
 	// FROM's own — unless an EXISTS's reach proof may read the FROM's rows,
 	// which it does where a join under the EXISTS pushed nothing.
-	var fold *aggRun
+	var run, fromRun *aggRun
 	if pl != nil && pl.aggTail != nil {
-		fold = &aggRun{ec: ec, ap: pl.aggTail, outer: outer}
-	}
-	fromFold := fold
-	if sel.Where != nil && (pl == nil || !pl.whereSafe || pl.residual) || pl != nil && len(pl.exists) > 0 && !pl.pushed {
-		fromFold = nil
+		run = &aggRun{ec: ec, ap: pl.aggTail, outer: outer}
+		if fromRun = run; sel.Where != nil && (!pl.whereSafe || pl.residual) || len(pl.exists) > 0 && !pl.pushed {
+			fromRun = nil
+		}
 	}
 	// 1. FROM (with pushdown placement when the plan has one). What comes
 	// back is a selection: positions into a scanned table, every row of a
 	// sub-select or a nested-loop join, or a hash join's position pairs.
-	s, err := ec.execFrom(sel, outer, pl, fromFold)
+	s, err := ec.execFrom(sel, outer, pl, fromRun)
 	if err != nil {
 		return nil, err
 	}
@@ -401,13 +399,13 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 		}
 		if pl.residual {
 			ec.countBatches(s.len())
-			s, err = ec.filter(s, pl.where, -1, 0, outer, fold)
+			s, err = ec.filter(s, pl.where, -1, 0, outer, run)
 		}
 		if err == nil && len(pl.exists) > 0 {
-			s, err = ec.settleExists(outer, pl, from, s)
+			s, err = ec.settleExists(outer, pl, from, s, run)
 		}
 	case sel.Where != nil:
-		s, err = ec.filter(s, []conjunct{{expr: sel.Where, scan: -1}}, -1, 0, outer, fold)
+		s, err = ec.filter(s, []conjunct{{expr: sel.Where, scan: -1}}, -1, 0, outer, run)
 	}
 	if err != nil {
 		return nil, err
@@ -415,7 +413,7 @@ func (ec *execCtx) execSelectPlanned(sel *SelectStmt, outer *scope, pl *selectPl
 	// 3. The tail: planned, on the selection's consumers; unplanned, the
 	// interpreter's.
 	if pl != nil {
-		return ec.tailPositions(sel, s, outer, pl, fold)
+		return ec.tailPositions(sel, s, outer, pl, run)
 	}
 	return ec.projectTail(sel, s, outer)
 }
@@ -751,22 +749,21 @@ func localCol(e Expr) (slot int, ok bool) {
 // by a selection — a scan's positions, every row of a subquery or a
 // nested-loop join, or the position pairs of a hash join — whose rows are
 // laid out as the FROM row (bind.go). Rows are built only for what a join
-// reads as input. With fold set, the last operator — the one table's
-// pushed filter or the last hash join — folds its rows into it and hands on
-// a counted selection.
-func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, fold *aggRun) (selection, error) {
+// reads as input. With run set, the last operator — the one table's pushed
+// filter or the last hash join — folds its rows into it and hands on none.
+func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, run *aggRun) (selection, error) {
 	if len(sel.From) == 0 {
 		// SELECT without FROM: a single empty row.
 		return selection{src: rel{rows: [][]Value{{}}}, all: true}, nil
 	}
 	from, last := sel.bound.from, len(sel.From)-1
-	lastFold := func(i int) *aggRun {
+	runAt := func(i int) *aggRun {
 		if i == last {
-			return fold
+			return run
 		}
 		return nil
 	}
-	s, err := ec.execFromItem(sel, 0, outer, pl, lastFold(0))
+	s, err := ec.execFromItem(sel, 0, outer, pl, runAt(0))
 	for i := 1; i < len(sel.From) && err == nil; i++ {
 		var rs selection
 		if rs, err = ec.execFromItem(sel, i, outer, pl, nil); err != nil {
@@ -781,16 +778,16 @@ func (ec *execCtx) execFrom(sel *SelectStmt, outer *scope, pl *selectPlan, fold 
 		if s.right != nil {
 			s = selection{src: rel{rows: s.materialise()}, all: true}
 		}
-		s, err = ec.join(&s, &rs, from[i].off, len(from[i].cols), sel.From[i].Join, sel.From[i].On, outer, ja, lastFold(i))
+		s, err = ec.join(&s, &rs, from[i].off, len(from[i].cols), sel.From[i].Join, sel.From[i].On, outer, ja, runAt(i))
 	}
 	return s, err
 }
 
 // execFromItem evaluates FROM item i as a selection: all of a sub-select's
 // result or of an unfiltered table, or the positions the table's pushed
-// conjuncts keep (scanPositions), folded into fold where it is set. Only a
+// conjuncts keep (scanPositions), folded into run where it is set. Only a
 // plan pushes conjuncts, and never into a subquery item.
-func (ec *execCtx) execFromItem(sel *SelectStmt, i int, outer *scope, pl *selectPlan, fold *aggRun) (selection, error) {
+func (ec *execCtx) execFromItem(sel *SelectStmt, i int, outer *scope, pl *selectPlan, run *aggRun) (selection, error) {
 	if sub := sel.From[i].Sub; sub != nil {
 		rows, err := ec.execSelect(sub, outer)
 		if err != nil {
@@ -802,17 +799,17 @@ func (ec *execCtx) execFromItem(sel *SelectStmt, i int, outer *scope, pl *select
 	if pl == nil || !pl.pushed {
 		return selection{src: it.t.rel(), all: true}, ec.charge(int64(it.t.n))
 	}
-	return ec.scanPositions(it.t, pl, it.off, i, outer, fold)
+	return ec.scanPositions(it.t, pl, it.off, i, outer, run)
 }
 
 // join combines two relations, whose rows are nl and nr cells wide. With a
 // usable plan the join runs as a hash join, whose output is position pairs
-// (folded into fold where it is set); otherwise the nested loop below, charged its |L|·|R| pairs up front,
+// (folded into run where it is set); otherwise the nested loop below, charged its |L|·|R| pairs up front,
 // builds the joined rows, with one reusable pair buffer and environment
 // (fresh slices are allocated only for emitted rows).
-func (ec *execCtx) join(left, right *selection, nl, nr int, jt JoinType, on Expr, outer *scope, ja *joinAnalysis, fold *aggRun) (selection, error) {
+func (ec *execCtx) join(left, right *selection, nl, nr int, jt JoinType, on Expr, outer *scope, ja *joinAnalysis, run *aggRun) (selection, error) {
 	if ja != nil && ja.lcols != nil {
-		if s, hashed, err := ec.hashJoin(left, right, nl, nr, jt, ja, outer, fold); hashed {
+		if s, hashed, err := ec.hashJoin(left, right, nl, nr, jt, ja, outer, run); hashed {
 			return s, err
 		}
 	}

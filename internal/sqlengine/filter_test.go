@@ -185,3 +185,126 @@ func FuzzFilter(f *testing.F) {
 		checkFilterCase(t, data)
 	})
 }
+
+// TestSelectionVectorBoundaries holds every consumer of a selection vector
+// to the naive reference where vectors and morsels end: over inputs of 0, 1,
+// V-1, V, V+1 and 2V+1 rows (V = vecRows) and 4,095, 4,096 and 4,097, the
+// rows a filter keeps fall on both sides of each boundary. The sources are
+// a full scan (a typed array, a coded range, a row rule and the evaluator),
+// an equality-index bucket, a hash join's pairs, a LEFT JOIN's null
+// extensions, the pairs a residual filter thins, and a WHERE that may fail,
+// which fails on row V+1. The consumers are COUNT(*), an ungrouped fold with
+// the first row's cells beside it, grouped folds over a coded TEXT key and
+// an INTEGER key, COUNT(DISTINCT), a gather and a top-k. Each answer holds to
+// the reference's rows, order and error class at no greater Cost, on a
+// consumer of positions.go, and counts the morsels its filters and probes
+// read.
+func TestSelectionVectorBoundaries(t *testing.T) {
+	const V = vecRows
+	// Row i of t, and of b's bucket k = 1: a boundary row i = V, 2V or 4,096
+	// passes every conjunct below, and so do some of the V rows before it.
+	cells := func(i int) []Value {
+		row := []Value{Int(int64(i)), Int(int64(i % 10)), Text(fmt.Sprintf("c%d", i*7%5)), Int(int64(i * 7 % 10)), Float(float64((i+1)%8) / 2), Text("%Y")}
+		if i%17 == 5 {
+			row[2] = Null()
+		}
+		if i%13 == 4 {
+			row[4] = Null()
+		}
+		if i == V+1 {
+			row[5] = Text("%H")
+		}
+		return row
+	}
+	build := func(n int) *Database {
+		db := NewDatabase("vectors")
+		db.MustExec("CREATE TABLE t (id INTEGER, g INTEGER, c TEXT, x INTEGER, y REAL, fmt TEXT)")
+		db.MustExec("CREATE TABLE b (id INTEGER, g INTEGER, c TEXT, x INTEGER, y REAL, fmt TEXT, k INTEGER)")
+		db.MustExec("CREATE TABLE d (g INTEGER, w INTEGER)")
+		db.MustExec("INSERT INTO d VALUES (0, 10), (0, 11), (1, 12), (2, 13), (3, 14), (5, 15), (6, 16), (8, 17)")
+		trows, brows := make([][]Value, n), make([][]Value, 2*n)
+		for i := range n {
+			trows[i] = cells(i)
+			brows[2*i] = append(cells(n+i), Int(0))
+			brows[2*i+1] = append(cells(i), Int(1))
+		}
+		for name, rows := range map[string][][]Value{"t": trows, "b": brows} {
+			if _, err := db.BulkInsert(name, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Freeze()
+		return db
+	}
+	morsels := func(rows int64) int64 { return (rows + morselRows - 1) / morselRows }
+	const pairsSQL = "SELECT COUNT(*) FROM t JOIN d ON t.g = d.g"
+	sources := []struct {
+		from, w string // w: an INTEGER column of the source's rows
+		// keeps: the rows' input index is t.id; unsafe: fails past row V+1
+		keeps, unsafe bool
+	}{
+		{"t WHERE t.x <> 3 AND t.c <> 'c0' AND NOT (t.y < 0.5) AND (t.id * 7) % 11 <> 4", "t.x", true, false},
+		{"b AS t WHERE t.k = 1 AND t.x <> 3 AND t.c <> 'c0'", "t.x", true, false},
+		{"t JOIN d ON t.g = d.g", "d.w", false, false},
+		{"t LEFT JOIN d ON t.g = d.g", "d.w", false, false},
+		{"t JOIN d ON t.g = d.g WHERE t.x + d.w <> 15", "d.w", false, false},
+		{"t WHERE STRFTIME(t.fmt, '2020-01-01') = '2020' AND t.x <> 3", "t.x", false, true},
+	}
+	consumers := []string{
+		"SELECT COUNT(*) FROM %[1]s",
+		"SELECT SUM(t.x), MIN(t.c), AVG(t.y), MAX(%[2]s), t.id, %[2]s FROM %[1]s",
+		"SELECT t.c, COUNT(*), SUM(%[2]s) FROM %[1]s GROUP BY t.c",
+		"SELECT %[2]s, COUNT(*), MIN(t.y) FROM %[1]s GROUP BY %[2]s",
+		"SELECT COUNT(DISTINCT %[2]s), COUNT(DISTINCT t.c) FROM %[1]s",
+		"SELECT t.id, %[2]s FROM %[1]s",
+		"SELECT t.id, %[2]s FROM %[1]s ORDER BY t.x DESC, t.id LIMIT 7",
+	}
+	for _, n := range []int{0, 1, V - 1, V, V + 1, 2*V + 1, 4095, 4096, 4097} {
+		db := build(n)
+		pairs, err := refExec(db, pairsSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, src := range sources {
+			want := morsels(int64(n))
+			switch {
+			case src.unsafe:
+				want = 0 // an unsafe WHERE filters serially
+			case strings.Contains(src.from, "WHERE t.x + d.w"):
+				want += morsels(pairs.Rows.Cell(0, 0).I)
+			}
+			for _, form := range consumers {
+				sql := fmt.Sprintf(form, src.from, src.w)
+				pr, perr := db.Exec(sql)
+				nr, nerr := refExec(db, sql)
+				if msg := divergence(sql, pr, perr, nr, nerr); msg != "" {
+					t.Fatalf("%d rows: %s", n, msg)
+				}
+				if fails := src.unsafe && n > V+1; (nerr != nil) != fails {
+					t.Fatalf("%d rows: %s: reference error %v, want one iff the WHERE reaches row %d", n, sql, nerr, V+1)
+				}
+				if perr != nil {
+					continue
+				}
+				if strings.HasPrefix(pr.Path, "rows") || pr.Batches != want {
+					t.Errorf("%d rows: %s: path %s, %d morsels, want a consumer's path and %d", n, sql, pr.Path, pr.Batches, want)
+				}
+				if !src.keeps || !strings.HasPrefix(form, "SELECT t.id, %[2]s FROM %[1]s") || strings.Contains(form, "LIMIT") {
+					continue
+				}
+				// The kept rows fall on both sides of each boundary.
+				for _, b := range []int{V, 2 * V, 4096} {
+					before, after := false, false
+					for i := range nr.Rows.Len() {
+						id := int(nr.Rows.Cell(i, 0).I)
+						before = before || id >= b-V && id < b
+						after = after || id >= b && id < b+V
+					}
+					if b < n && !(before && after) {
+						t.Errorf("%d rows: source %d keeps no row on one side of row %d", n, k, b)
+					}
+				}
+			}
+		}
+	}
+}

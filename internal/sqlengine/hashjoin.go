@@ -9,7 +9,8 @@ package sqlengine
 // the pair list, the tail consumers of positions.go read cells through it,
 // and only a consumer that needs rows (the interpreter's projection, a
 // further join) materialises them. The probe walks the whole left input in
-// one range, whatever its size, into one pair list.
+// one range, whatever its size, gathering its pairs a vector at a time
+// (parallel.go) into one pair list or an aggregate tail's fold.
 //
 // Equivalence with the nested loop is structural:
 //
@@ -128,8 +129,7 @@ func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int
 // hashJoin executes the join on ja's equalities and residual and returns
 // its output as a two-sided selection over the inputs' relations: (left,
 // right) position pairs in emission order, no joined row built — or, with
-// fold set, a counted selection of as many pairs, none listed, each folded
-// into fold (emit). The left
+// run set, folds the pairs into it and hands on none (emit). The left
 // input's rows are nl cells wide, the right's nr. hashed is false, and
 // nothing charged, when newJoinKeys refuses the inputs.
 //
@@ -140,7 +140,7 @@ func (k *joinKeys) slot(buf []byte, at []colAt, p int, insert bool) ([]byte, int
 // With the right side smaller the left rows find their slot during the
 // probe; with the left side smaller they are given it up front and it is
 // the right rows that look theirs up.
-func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja *joinAnalysis, outer *scope, fold *aggRun) (s selection, hashed bool, err error) {
+func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja *joinAnalysis, outer *scope, run *aggRun) (s selection, hashed bool, err error) {
 	// A join on one or two conditions addresses its key columns on the
 	// stack.
 	var lbuf, rbuf [2]colAt
@@ -184,8 +184,8 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 	}
 
 	// The probe: every left row in order, each following its slot's chain,
-	// into a tally, or into one pair list, sized by pairsGuess and doubled by
-	// emit whenever it fills.
+	// its pairs gathered in a vector and emitted whenever it fills — into
+	// run, or into one pair list, sized by pairsGuess.
 	slotOf := func(li int) int32 {
 		if leftSlot != nil {
 			return leftSlot[li]
@@ -195,14 +195,19 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 		return slot
 	}
 	ec.countBatches(ln)
-	out := selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}, counted: fold != nil}
-	switch {
-	case fold == nil:
+	out := selection{src: left.src, right: &rightSide{src: right.src, width: nr, left: nl}}
+	if run == nil {
 		out.pairs = make([]pair, 0, pairsGuess(ln, jt == JoinLeft, head, next, slotOf))
-	case fold.ap.count:
-		fold = nil // the tally is all the tail reads
-	default:
-		fold.start(&out, ln)
+	} else {
+		run.start(&out, ln)
+	}
+	var pairs [vecRows]pair
+	vec := pairs[:0]
+	add := func(l, r int) {
+		if vec = append(vec, pair{l: int32(l), r: int32(r)}); len(vec) == len(pairs) {
+			out.emit(vec, run)
+			vec = vec[:0]
+		}
 	}
 	for li := 0; li < ln; li++ {
 		lp, slot := left.at(li), slotOf(li)
@@ -232,16 +237,17 @@ func (ec *execCtx) hashJoin(left, right *selection, nl, nr int, jt JoinType, ja 
 					}
 				}
 				matched = true
-				out.emit(lp, int(rp), fold)
+				add(lp, rp)
 			}
 			if err := ec.charge(tested); err != nil {
 				return selection{}, true, err
 			}
 		}
 		if jt == JoinLeft && !matched {
-			out.emit(lp, -1, fold)
+			add(lp, -1)
 		}
 	}
+	out.emit(vec, run)
 	return out, true, nil
 }
 
@@ -271,19 +277,12 @@ func pairsGuess(ln int, left bool, head, next []int32, slot func(li int) int32) 
 	return min(ln, found*ln/morselRows*9/8)
 }
 
-// emit adds the pair (l, r) to a join's output: to its list, doubled when
-// full, or to its tally when it is counted, folding it into fold where that
-// is set.
-func (s *selection) emit(l, r int, fold *aggRun) {
-	if s.counted {
-		s.n++
-		if fold != nil {
-			fold.add(l, r)
-		}
+// emit hands a vector of a join's pairs to its consumer: run's fold, where
+// that is set, or the join's pair list.
+func (s *selection) emit(vec []pair, run *aggRun) {
+	if run != nil {
+		run.fold(&selection{src: s.src, right: s.right, pairs: vec}, everyRow[:len(vec)])
 		return
 	}
-	if len(s.pairs) == cap(s.pairs) {
-		s.pairs = grown(s.pairs, max(2*cap(s.pairs), 8))
-	}
-	s.pairs = append(s.pairs, pair{l: int32(l), r: int32(r)})
+	s.pairs = append(s.pairs, vec...)
 }

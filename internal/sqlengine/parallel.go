@@ -7,26 +7,42 @@ import (
 )
 
 // Selections and the filter. A FROM hands on a selection — positions into
-// one relation's rows, or a hash join's position pairs — and one filter loop
+// one relation's rows, or a hash join's position pairs — and one filter
 // thins it for every WHERE and pushed conjunct, planned or naive. Every
 // conjunct is compiled at Prepare for the one evaluator (eval.go); one of a
 // column-against-literals shape reads its cell in place and, in a
 // whole-table scan, may loop over the column's typed array (kernels.go).
-// A hash join probes its whole left input in one range
-// (hashjoin.go). Everything runs on the statement's own goroutine, whatever
-// the size of the input, and emits the same rows in the same order as the
-// naive reference.
+// A hash join probes its whole left input in one range (hashjoin.go).
+// Everything runs on the statement's own goroutine, whatever the size of
+// the input, and emits the same rows in the same order as the naive
+// reference.
+//
+// Both work a selection vector at a time, as MonetDB/X100 does (Boncz,
+// Zukowski and Nes, CIDR 2005): up to vecRows input indexes that each
+// conjunct narrows, or pairs the probe found. A vector goes to one
+// consumer: an aggregate tail's fold (aggRun.fold) or the operator's output.
 //
 // Only safe-total expressions (planner.go) are ever split into conjuncts,
 // pushed into a scan or run as a probe's residual: they cannot execute
 // subqueries (the one path by which evaluation touches the execCtx) and
 // cannot fail — their names were bound at Prepare — so evaluating them on
-// fewer rows, or through a vector, cannot be observed.
+// fewer rows, in another order or through a vector cannot be observed.
 
 // morselRows is the unit the batch operators' input is counted in
 // (Result.Batches): a filter or a probe over n rows processes
 // ceil(n/morselRows) morsels.
 const morselRows = 4096
+
+// vecRows is the length of a selection vector, a divisor of morselRows.
+const vecRows = 1024
+
+// everyRow is the vector that keeps every one of vecRows rows.
+var everyRow = func() (v [vecRows]int32) {
+	for i := range v {
+		v[i] = int32(i)
+	}
+	return v
+}()
 
 // engineBatchesTotal counts the morsels processed by batch operators,
 // engine-wide; exported to the metrics registry by RegisterEngineExecMetrics
@@ -52,23 +68,14 @@ func (ec *execCtx) countBatches(nRows int) {
 // only if materialise is called; filters thin the pair list and the tail
 // consumers of positions.go read cells through it.
 //
-// A counted selection (counted set) is n rows that the operator which made
-// them tallied and never listed: what an aggregate tail is handed by the
-// last filter or hash-join probe before it, which folded each row into the
-// tail's run (aggtail.go) as it passed it — or, for a tail that reads only
-// the count (aggPlan.count), folded nothing. It has a length and no
-// positions, so every reader of one panics: at, row, colAt of a column,
-// materialise, pick, keep with a mask. Only that tail, aggregatePositions,
-// and settleExists, which reads its length and may empty it (keep(nil, 0)),
-// ever hold one.
+// An operator that folds its rows into an aggregate tail's run hands on
+// none of them: a selection of its relation with no rows.
 type selection struct {
-	src     rel
-	pos     []int
-	all     bool
-	right   *rightSide
-	pairs   []pair
-	n       int
-	counted bool
+	src   rel
+	pos   []int
+	all   bool
+	right *rightSide
+	pairs []pair
 }
 
 // rel is a relation a selection's positions index: n rows of typed
@@ -127,13 +134,13 @@ type colAt struct {
 
 // read returns the cell of the selected row at positions (l, r).
 func (c *colAt) read(l, r int) Value {
-	if c.side == 0 {
-		return c.at(l)
+	if c.side != 0 {
+		l = r
 	}
-	if r < 0 {
+	if l < 0 {
 		return Value{}
 	}
-	return c.at(r)
+	return c.at(l)
 }
 
 // at returns the cell at position p of the relation on the column's side:
@@ -199,8 +206,6 @@ func (s *selection) colAt(col int) colAt {
 	}
 	switch {
 	case col < 0:
-	case s.counted:
-		panic("sqlengine: a column of a counted selection")
 	case src.cols != nil:
 		at.c = &src.cols[at.col]
 	default:
@@ -220,8 +225,6 @@ func (s *selection) colsAt(dst []colAt, cols []int) []colAt {
 
 func (s *selection) len() int {
 	switch {
-	case s.counted:
-		return s.n
 	case s.all:
 		return s.src.len()
 	case s.right != nil:
@@ -321,19 +324,20 @@ func (s selection) keep(mask []uint64, n int) selection {
 
 // filter returns the selection of in's rows on which every conjunct of conj
 // that the scan of FROM item item evaluates (conjunct.scan; -1: the filter
-// after the FROM) is TRUE, in input order. The rows' first column is slot off
-// of the FROM row. A row fails at its first conjunct that is not TRUE — the
+// after the FROM) is TRUE, in input order — or, with run set, folds them
+// into run and hands on none. The rows' first column is slot off of the
+// FROM row. Each conjunct narrows a vector of input indexes in a loop of its
+// own, so a row is tested up to its first conjunct that is not TRUE — the
 // naive AND chain's reach; a WHERE that may not be split is one conjunct,
-// evaluated on every row in order. A compiled conjunct (kernels.go) reads
-// a coded column's codes through its coded form where in selects a table's
+// evaluated on every row in order. A compiled conjunct (kernels.go) reads a
+// coded column's codes through its coded form where in selects a table's
 // rows, its column's typed array through its vector form where in is a
 // whole table, and its cell of each row through its row form otherwise; any
 // other conjunct is the evaluator's, in one environment (and, over a join's
-// output, one pair buffer) built on first use. Survivors are marked in a
-// bitmask and the output is allocated once, at its exact size, or not at
-// all when everything passes; with fold set they are only tallied, into a
-// counted selection, and folded into fold unless it reads only their count.
-func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *scope, fold *aggRun) (selection, error) {
+// output, one pair buffer) built on first use. A listed output is marked in
+// a bitmask and allocated once, at its exact size, or not at all when
+// everything passes.
+func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *scope, run *aggRun) (selection, error) {
 	// How each of item's conjuncts reads a row; a short conjunction's stay
 	// on the stack.
 	type form struct {
@@ -367,50 +371,66 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 	}
 	n := in.len()
 	var mask []uint64
-	folds := fold != nil && !fold.ap.count
-	switch {
-	case fold == nil:
+	if run == nil {
 		mask = make([]uint64, (n+63)/64)
-	case folds:
-		fold.start(&in, n)
+	} else {
+		run.start(&in, n)
 	}
+	var vec [vecRows]int32
 	total := 0
-rows:
-	for i := 0; i < n; i++ {
-		l, r := in.row(i)
+	for lo := 0; lo < n; lo += vecRows {
+		sel := vec[:min(vecRows, n-lo)]
+		for j := range sel {
+			sel[j] = int32(lo + j)
+		}
+		// Each loop keeps a row by writing its index over the vector's
+		// next kept slot, which never lies ahead of the row it reads.
 		for k := range forms {
-			f := &forms[k]
-			switch {
+			f, kept := &forms[k], 0
+			switch kern := &f.c.kern; {
 			case f.coded.codes != nil:
-				if !f.coded.holds(l) {
-					continue rows
+				for _, i := range sel {
+					sel[kept] = i
+					if f.coded.holds(in.at(int(i))) {
+						kept++
+					}
 				}
 			case f.test != nil:
-				if !f.test(l) {
-					continue rows
+				for _, i := range sel {
+					sel[kept] = i
+					if f.test(int(i)) {
+						kept++
+					}
 				}
-			case f.c.kern.shape != noKernel:
-				if t, known := f.c.kern.rule(&f.c.kern, f.at.read(l, r)); t == f.c.kern.not || !known {
-					continue rows
+			case kern.shape != noKernel:
+				for _, i := range sel {
+					sel[kept] = i
+					if t, known := kern.rule(kern, f.at.read(in.row(int(i)))); known && t != kern.not {
+						kept++
+					}
 				}
 			default:
-				in.scopeAt(env.sc, l, r, buf)
-				if ok, err := env.holds(f.c.expr); err != nil {
-					return selection{}, err
-				} else if !ok {
-					continue rows
+				for _, i := range sel {
+					l, r := in.row(int(i))
+					in.scopeAt(env.sc, l, r, buf)
+					sel[kept] = i
+					if ok, err := env.holds(f.c.expr); err != nil {
+						return selection{}, err
+					} else if ok {
+						kept++
+					}
 				}
 			}
+			sel = sel[:kept]
 		}
-		if mask != nil {
+		if run != nil {
+			run.fold(&in, sel)
+			continue
+		}
+		total += len(sel)
+		for _, i := range sel {
 			mask[i/64] |= 1 << (i % 64)
-		} else if folds {
-			fold.add(l, r)
 		}
-		total++
-	}
-	if fold != nil {
-		return selection{src: in.src, right: in.right, n: total, counted: true}, nil
 	}
 	return in.keep(mask, total), nil
 }

@@ -21,12 +21,11 @@ import "slices"
 //     or none — whose aggregates are COUNT(*) or COUNT/SUM/TOTAL/AVG/MIN/
 //     MAX, DISTINCT or not, over a bare column or a safe-total expression,
 //     and whose select items, HAVING and ORDER BY terms are bare columns,
-//     such aggregates or safe-total expressions over both, folds each
-//     selected row into typed accumulators in position order — the order
-//     evalAggregate adds floats in and the order groups are first seen
-//     in. The last filter or hash-join probe before it folds the rows it
-//     passes and hands on a counted selection, which lists no row
-//     (parallel.go). HAVING, DISTINCT, ORDER BY — through a heap of
+//     such aggregates or safe-total expressions over both, folds the
+//     selected rows into typed accumulators in position order — the order
+//     evalAggregate adds floats in and groups are first seen in — a vector
+//     at a time, as the last filter or hash-join probe before it keeps
+//     them (parallel.go). HAVING, DISTINCT, ORDER BY — through a heap of
 //     LIMIT+OFFSET groups — and the window run over the groups, and only
 //     the window's rows are written into the result.
 //   - gather: a projection of bare columns copies the returned window into
@@ -113,9 +112,8 @@ func (ec *execCtx) tailPositions(sel *SelectStmt, s selection, outer *scope, pl 
 // vector form, and otherwise — over a bucket — reading each cell of the
 // bucket (kernels.go).
 // The scan is charged the rows it reads: the bucket, or the table. With
-// fold set its filter folds the rows it keeps into it and hands on a
-// counted selection.
-func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope, fold *aggRun) (selection, error) {
+// run set, its filter folds the rows it keeps into run and hands on none.
+func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *scope, run *aggRun) (selection, error) {
 	s := selection{src: t.rel(), all: true}
 	pushed := false
 	for k := range pl.where {
@@ -136,7 +134,7 @@ func (ec *execCtx) scanPositions(t *Table, pl *selectPlan, off, i int, outer *sc
 		return s, err
 	}
 	ec.countBatches(s.len())
-	return ec.filter(s, pl.where, i, off, outer, fold)
+	return ec.filter(s, pl.where, i, off, outer, run)
 }
 
 // --- plain rows: gather, DISTINCT, top-k ---

@@ -34,18 +34,19 @@ func (env *evalEnv) execSub(sel *SelectStmt) (*Rows, error) {
 }
 
 // settleExists applies pl's EXISTS conjuncts to kept, the selection the
-// other conjuncts left of from, the FROM relation. The naive AND chain
-// evaluates an EXISTS — and raises its body's errors — on the first row
-// where no earlier conjunct is FALSE. A kept row is TRUE on every other
-// conjunct, so while kept is not empty each EXISTS is reached in turn until
-// one is false. Over an empty kept the result is empty either way, and
-// only the error is in question: the earlier conjuncts are tested for "not
-// FALSE" over the whole FROM relation. That proof charges nothing; it reads
-// rows the FROM already holds.
-func (ec *execCtx) settleExists(outer *scope, pl *selectPlan, from, kept selection) (selection, error) {
+// other conjuncts left of from, the FROM relation, or to the rows an
+// operator folded into run instead. The naive AND chain evaluates an EXISTS
+// — and raises its body's errors — on the first row where no earlier
+// conjunct is FALSE. A kept row is TRUE on every other conjunct, so while a
+// row is kept each EXISTS is reached in turn until one is false, which
+// empties kept and leaves run to fold nothing. With no row kept the result
+// is empty either way, and only the error is in question: the earlier
+// conjuncts are tested for "not FALSE" over the whole FROM relation. That
+// proof charges nothing; it reads rows the FROM already holds.
+func (ec *execCtx) settleExists(outer *scope, pl *selectPlan, from, kept selection, run *aggRun) (selection, error) {
 	env := evalEnv{ec: ec, sc: outer}
 	for _, c := range pl.exists {
-		if kept.len() == 0 {
+		if kept.len() == 0 && (run == nil || run.rows == 0) {
 			reached, err := ec.anyNotFalse(from, pl.where[:c.at], outer)
 			if err != nil || !reached {
 				return kept, err
@@ -54,6 +55,9 @@ func (ec *execCtx) settleExists(outer *scope, pl *selectPlan, from, kept selecti
 		if ok, err := env.holds(c.x); err != nil {
 			return selection{}, err
 		} else if !ok {
+			if run != nil {
+				run.started = false
+			}
 			return kept.keep(nil, 0), nil
 		}
 	}
