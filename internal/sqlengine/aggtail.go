@@ -156,6 +156,10 @@ func planAggTail(sel *SelectStmt) (*aggPlan, string) {
 	if !ap.exprs {
 		ap.calls = nil
 	}
+	// The plan is cached: it keeps no room its appends left.
+	ap.cols, ap.accs = exactly(ap.cols, len(ap.cols)), exactly(ap.accs, len(ap.accs))
+	ap.items, ap.order = exactly(ap.items, len(ap.items)), exactly(ap.order, len(ap.order))
+	ap.calls = exactly(ap.calls, len(ap.calls))
 	return ap, ""
 }
 

@@ -182,3 +182,24 @@ func TestFoldAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestAggPlanExact pins that a cached aggregate plan keeps no spare room:
+// three columns, three aggregates, three output columns and three ORDER BY
+// terms, which appends leave at a capacity of four, and expression
+// aggregates whose calls outgrow theirs.
+func TestAggPlanExact(t *testing.T) {
+	db := groupFixture(10, 4)
+	sql := "SELECT SUM(r) + 1, MIN(cd) || 'x', MAX(pl) FROM g GROUP BY i ORDER BY 1, 2, 3"
+	ap := preparedSelect(t, db, sql).bound.plan.aggTail
+	for name, lc := range map[string][2]int{
+		"cols":  {len(ap.cols), cap(ap.cols)},
+		"accs":  {len(ap.accs), cap(ap.accs)},
+		"items": {len(ap.items), cap(ap.items)},
+		"order": {len(ap.order), cap(ap.order)},
+		"calls": {len(ap.calls), cap(ap.calls)},
+	} {
+		if lc[0] != lc[1] || lc[0] < 2 {
+			t.Errorf("%s: %s holds %d of room for %d, want at least 2, exactly", sql, name, lc[0], lc[1])
+		}
+	}
+}
