@@ -406,7 +406,8 @@ type aggRun struct {
 	// that an operator folds its rows into the run (start).
 	n, rows int
 	started bool
-	rep0    pair // an ungrouped run's first row
+	groups  [vecRows]int32 // each row fold is folding's; all 0 without GROUP BY
+	rep0    pair           // an ungrouped run's first row
 	reps    []pair
 	one     [4]aggState // an ungrouped run's states, when they fit
 	states  []aggState  // group-major, len(ap.accs) a group
@@ -572,21 +573,23 @@ func (a *aggRun) newGroup(l, r int) int32 {
 	return g
 }
 
-// fold folds the rows of s, a selection of the run's relation, that vec
-// lists by their index in s, in order. Each row's group is found first;
-// then each accumulator folds its column, or its expression's values, over
-// the vector in a loop of its own, and an ungrouped COUNT(*) adds the
-// vector's length.
-func (a *aggRun) fold(s *selection, vec []int32) {
+// fold folds up to vecRows rows of s, a selection of the run's relation,
+// in order: those vec lists by their index in s, or with vec nil the rows
+// from lo on. Each row's group is found first; then each accumulator folds
+// its column, or its expression's values, over them in a loop of its own,
+// and an ungrouped COUNT(*) adds their number.
+func (a *aggRun) fold(s *selection, lo int, vec []int32) {
 	n := len(vec)
-	var groups [vecRows]int32 // each row's; all 0 without GROUP BY
+	if vec == nil {
+		n = min(vecRows, s.len()-lo)
+	}
 	switch {
 	case a.keys != keysNone:
 		for j := range n {
-			groups[j] = a.group(s.row(int(vec[j])))
+			a.groups[j] = a.group(s.row(nth(vec, lo, j)))
 		}
 	case a.rows == 0 && n > 0:
-		l, r := s.row(int(vec[0]))
+		l, r := s.row(nth(vec, lo, 0))
 		a.rep0 = pair{l: int32(l), r: int32(r)}
 	}
 	a.rows += n
@@ -600,22 +603,22 @@ func (a *aggRun) fold(s *selection, vec []int32) {
 		case a.keys == keysNone && acc.fn == aggCountStar:
 			a.state(0, k).n += int64(n)
 			continue
-		case a.keys == keysNone && at != nil && !acc.distinct:
+		case a.keys == keysNone && at != nil && !acc.distinct && s.right == nil:
 			st := a.state(0, k)
 			for j := range n {
-				st.add(acc.fn, at.read(s.row(int(vec[j]))))
+				st.add(acc.fn, at.at(s.at(nth(vec, lo, j))))
 			}
 			continue
 		}
 		for j := range n {
-			g := groups[j]
+			g := a.groups[j]
 			st := a.state(int(g), k)
 			if acc.fn == aggCountStar {
 				st.n++
 				continue
 			}
 			var v Value
-			if l, r := s.row(int(vec[j])); at != nil {
+			if l, r := s.row(nth(vec, lo, j)); at != nil {
 				v = at.read(l, r)
 			} else {
 				a.view.scopeAt(a.env.sc, l, r, a.buf)
@@ -632,6 +635,15 @@ func (a *aggRun) fold(s *selection, vec []int32) {
 			st.add(acc.fn, v)
 		}
 	}
+}
+
+// nth is the index in s of the j'th row fold folds: vec[j], or with vec nil
+// lo+j.
+func nth(vec []int32, lo, j int) int {
+	if vec == nil {
+		return lo + j
+	}
+	return int(vec[j])
 }
 
 // groupEnv returns the environment values over groups are evaluated in
@@ -677,14 +689,17 @@ func (a *aggRun) value(env *evalEnv, g int, v *groupVal) (Value, error) {
 }
 
 // aggregatePositions produces a planned aggregate tail's result. Rows no
-// operator folded into run are folded here, by a filter of no conjunct.
-// Then the groups HAVING keeps, less DISTINCT's duplicates, are ordered
-// and windowed, and the window — for anyRow its first row — written into
-// the result.
+// operator folded into run are folded here, vecRows at a time. Then the
+// groups HAVING keeps, less DISTINCT's duplicates, are ordered and
+// windowed, and the window — for anyRow its first row — written into the
+// result.
 func (ec *execCtx) aggregatePositions(sel *SelectStmt, s selection, run *aggRun, anyRow bool) (*Rows, error) {
 	ap := run.ap
 	if !run.started {
-		_, _ = ec.filter(s, nil, -1, 0, nil, run) // no conjunct, so no error
+		run.start(&s, s.len())
+		for lo := 0; lo < s.len(); lo += vecRows {
+			run.fold(&s, lo, nil)
+		}
 	}
 	if run.err != nil {
 		return nil, run.err

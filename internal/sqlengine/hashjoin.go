@@ -281,7 +281,7 @@ func pairsGuess(ln int, left bool, head, next []int32, slot func(li int) int32) 
 // that is set, or the join's pair list.
 func (s *selection) emit(vec []pair, run *aggRun) {
 	if run != nil {
-		run.fold(&selection{src: s.src, right: s.right, pairs: vec}, everyRow[:len(vec)])
+		run.fold(&selection{src: s.src, right: s.right, pairs: vec}, 0, nil)
 		return
 	}
 	s.pairs = append(s.pairs, vec...)

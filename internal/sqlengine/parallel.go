@@ -36,14 +36,6 @@ const morselRows = 4096
 // vecRows is the length of a selection vector, a divisor of morselRows.
 const vecRows = 1024
 
-// everyRow is the vector that keeps every one of vecRows rows.
-var everyRow = func() (v [vecRows]int32) {
-	for i := range v {
-		v[i] = int32(i)
-	}
-	return v
-}()
-
 // engineBatchesTotal counts the morsels processed by batch operators,
 // engine-wide; exported to the metrics registry by RegisterEngineExecMetrics
 // (obs.go).
@@ -424,7 +416,7 @@ func (ec *execCtx) filter(in selection, conj []conjunct, item, off int, outer *s
 			sel = sel[:kept]
 		}
 		if run != nil {
-			run.fold(&in, sel)
+			run.fold(&in, 0, sel)
 			continue
 		}
 		total += len(sel)
