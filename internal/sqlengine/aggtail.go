@@ -406,7 +406,7 @@ type aggRun struct {
 	// that an operator folds its rows into the run (start).
 	n, rows int
 	started bool
-	groups  [vecRows]int32 // each row fold is folding's; all 0 without GROUP BY
+	groups  [vecRows]int32 // the group of each row fold takes; 0 without GROUP BY
 	rep0    pair           // an ungrouped run's first row
 	reps    []pair
 	one     [4]aggState // an ungrouped run's states, when they fit
