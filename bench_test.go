@@ -178,7 +178,7 @@ func BenchmarkEvserveColdVsWarm(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		svc := evserve.New(evserve.Options{Variant: "bench", Generate: p.GenerateEvidence})
+		svc := evserve.New(evserve.Options{Variant: "bench", GenerateTraced: p.GenerateEvidenceTraced})
 		defer svc.Close()
 		ctx := context.Background()
 		for _, e := range dev {
@@ -219,9 +219,9 @@ func BenchmarkEvserveWorkerScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				svc := evserve.New(evserve.Options{
-					Variant:  "bench",
-					Generate: p.GenerateEvidence,
-					Workers:  workers,
+					Variant:        "bench",
+					GenerateTraced: p.GenerateEvidenceTraced,
+					Workers:        workers,
 				})
 				if _, err := svc.GenerateAll(context.Background(), reqs); err != nil {
 					b.Fatal(err)

@@ -64,7 +64,7 @@ type Entry struct {
 	// Evidence is the generated evidence text.
 	Evidence string
 	// Trace is the per-stage provenance of the original generation;
-	// nil when the wrapped generator is untraced.
+	// nil when the generator returned none.
 	Trace *pipeline.Trace
 }
 

@@ -1,6 +1,6 @@
 // Package evserve promotes SEED evidence generation from a test-time memo
 // into a serving subsystem: a concurrent evidence-generation service that
-// wraps a generation function (normally seed.Pipeline.GenerateEvidence)
+// wraps a traced generation function (seed.Pipeline.GenerateEvidenceTraced)
 // with three layers the paper's batch scripts lack:
 //
 //  1. A sharded LRU cache keyed by (db, variant, question-hash), so repeat
@@ -34,10 +34,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// GenerateFunc produces evidence for one (database, question) pair. It must
-// be safe for concurrent use; seed.Pipeline.GenerateEvidence qualifies.
-type GenerateFunc func(dbName, question string) (string, error)
-
 // TracedFunc produces evidence plus its per-stage provenance trace for
 // one (database, question) pair. It must be safe for concurrent use;
 // seed.Pipeline.GenerateEvidenceTraced qualifies.
@@ -67,12 +63,9 @@ type Options struct {
 	// "seed_gpt"). It becomes part of every cache key, so services with
 	// distinct variants never serve each other's entries.
 	Variant string
-	// Generate is the wrapped generation function. Required unless
-	// GenerateTraced is set.
-	Generate GenerateFunc
-	// GenerateTraced, when set, is preferred over Generate: generations
-	// then carry per-stage provenance traces, which the cache preserves
-	// and Stats aggregates into per-stage cost counters.
+	// GenerateTraced is the wrapped generation function. Required.
+	// Generations carry its per-stage provenance traces, which the cache
+	// preserves and Stats aggregates into per-stage cost counters.
 	GenerateTraced TracedFunc
 	// Workers bounds the worker pool; 0 defaults to GOMAXPROCS.
 	Workers int
@@ -110,7 +103,7 @@ type Result struct {
 	// Evidence is the generated (or cached) evidence; empty on error.
 	Evidence string
 	// Trace is the per-stage provenance of the evidence — preserved
-	// across cache hits, nil when the generator is untraced.
+	// across cache hits, nil when the generator returned none.
 	Trace *pipeline.Trace
 	// CacheHit reports the request was answered from the evidence cache.
 	CacheHit bool
@@ -126,7 +119,7 @@ type Evidence struct {
 	Text string
 	// Trace is the per-stage provenance of the generation that produced
 	// Text. On a cache hit it describes the original generation, not the
-	// lookup; it is nil when the wrapped generator is untraced.
+	// lookup; it is nil when the generator returned none.
 	Trace *pipeline.Trace
 	// CacheHit reports this request was served from the evidence cache.
 	CacheHit bool
@@ -137,7 +130,6 @@ type Evidence struct {
 // use by multiple goroutines.
 type Service struct {
 	opts   Options
-	gen    TracedFunc // normalized generator: Options.GenerateTraced or wrapped Options.Generate
 	cache  *Cache
 	flight flightGroup
 	stages *pipeline.Aggregator
@@ -174,11 +166,11 @@ type job struct {
 }
 
 // New builds and starts a Service; its worker pool runs until Close. It
-// panics if neither generation function is set, since a service with
-// nothing to wrap is a programming error, not a runtime condition.
+// panics if GenerateTraced is not set, since a service with nothing to
+// wrap is a programming error, not a runtime condition.
 func New(opts Options) *Service {
-	if opts.Generate == nil && opts.GenerateTraced == nil {
-		panic("evserve: Options.Generate or Options.GenerateTraced is required")
+	if opts.GenerateTraced == nil {
+		panic("evserve: Options.GenerateTraced is required")
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -188,14 +180,6 @@ func New(opts Options) *Service {
 		jobs:   make(chan job),
 		done:   make(chan struct{}),
 		stages: pipeline.NewAggregator(),
-	}
-	s.gen = opts.GenerateTraced
-	if s.gen == nil {
-		plain := opts.Generate
-		s.gen = func(ctx context.Context, db, question string) (string, *pipeline.Trace, error) {
-			ev, err := plain(db, question)
-			return ev, nil, err
-		}
 	}
 	if opts.CacheCapacity >= 0 {
 		s.cache = NewCache(opts.CacheCapacity, opts.CacheShards)
@@ -253,7 +237,7 @@ func (s *Service) worker() {
 // Generate returns evidence for one question: from the cache when present,
 // otherwise by running the wrapped generation function — at most once per
 // key across concurrent callers. It does not use the worker pool, so it is
-// safe to call from inside another Service's GenerateFunc.
+// safe to call from inside another Service's generation function.
 func (s *Service) Generate(ctx context.Context, db, question string) (string, error) {
 	ev, err := s.GenerateTraced(ctx, db, question)
 	return ev.Text, err
@@ -292,7 +276,7 @@ func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evid
 		// not run under any single caller's context: the leader hanging
 		// up would fail followers whose own contexts are alive. It runs to
 		// completion, and callers stop *waiting* via their own ctx.
-		ev, trace, err := s.gen(context.Background(), db, question)
+		ev, trace, err := s.opts.GenerateTraced(context.Background(), db, question)
 		t.genDur = time.Since(t.genStart)
 		s.genNanos.Add(t.genDur.Nanoseconds())
 		s.generations.Add(1)
@@ -506,9 +490,9 @@ type Stats struct {
 	// Injected counts entries landed in the cache via Inject (fleet
 	// replication); 0 outside a fleet.
 	Injected int64
-	// Stages aggregates the per-stage provenance traces of every traced
+	// Stages aggregates the per-stage provenance traces of every
 	// generation: count, wall time and token spend per pipeline stage.
-	// Empty when the wrapped generator is untraced.
+	// Generations that returned no trace add nothing.
 	Stages []pipeline.StageAgg
 }
 

@@ -16,9 +16,9 @@ import (
 // counts invocations.
 func echoService(t *testing.T, opts Options, calls *atomic.Int64) *Service {
 	t.Helper()
-	opts.Generate = func(db, question string) (string, error) {
+	opts.GenerateTraced = func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 		calls.Add(1)
-		return db + "/" + question, nil
+		return db + "/" + question, nil, nil
 	}
 	s := New(opts)
 	t.Cleanup(s.Close)
@@ -66,12 +66,12 @@ func TestSingleFlightDedup(t *testing.T) {
 	s := New(Options{
 		Variant: "v",
 		Workers: 4,
-		Generate: func(db, question string) (string, error) {
+		GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 			if calls.Add(1) == 1 {
 				close(started)
 			}
 			<-release
-			return "ev", nil
+			return "ev", nil, nil
 		},
 	})
 	defer s.Close()
@@ -153,11 +153,11 @@ func TestGenerateAllErrorsAreLocal(t *testing.T) {
 	s := New(Options{
 		Variant: "v",
 		Workers: 2,
-		Generate: func(db, question string) (string, error) {
+		GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 			if question == "bad" {
-				return "", boom
+				return "", nil, boom
 			}
-			return "ok", nil
+			return "ok", nil, nil
 		},
 	})
 	defer s.Close()
@@ -189,12 +189,12 @@ func TestGenerateAllCancellation(t *testing.T) {
 		Variant:       "v",
 		Workers:       1,
 		CacheCapacity: -1, // isolate pool behaviour from caching
-		Generate: func(db, question string) (string, error) {
+		GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 			if calls.Add(1) == 2 {
 				cancel() // cancel while the batch is mid-flight
 			}
 			time.Sleep(time.Millisecond)
-			return "ev", nil
+			return "ev", nil, nil
 		},
 	})
 	defer s.Close()
@@ -225,7 +225,7 @@ func TestGenerateAllCancellation(t *testing.T) {
 }
 
 func TestGenerateAfterCloseFails(t *testing.T) {
-	s := New(Options{Variant: "v", Generate: func(db, q string) (string, error) { return "ev", nil }})
+	s := New(Options{Variant: "v", GenerateTraced: func(_ context.Context, db, q string) (string, *pipeline.Trace, error) { return "ev", nil, nil }})
 	s.Close()
 	s.Close() // idempotent
 	if _, err := s.Generate(context.Background(), "db", "q"); !errors.Is(err, ErrClosed) {
@@ -245,10 +245,10 @@ func TestCloseIdempotentUnderConcurrency(t *testing.T) {
 	release := make(chan struct{})
 	var started sync.WaitGroup
 	started.Add(1)
-	s := New(Options{Variant: "v", Workers: 2, Generate: func(db, q string) (string, error) {
+	s := New(Options{Variant: "v", Workers: 2, GenerateTraced: func(_ context.Context, db, q string) (string, *pipeline.Trace, error) {
 		started.Done()
 		<-release
-		return "ev", nil
+		return "ev", nil, nil
 	}})
 
 	// One generation is mid-flight while the closes race.
@@ -326,9 +326,9 @@ func TestWarmLookupsBeatColdGeneration(t *testing.T) {
 	const genCost = 2 * time.Millisecond
 	s := New(Options{
 		Variant: "v",
-		Generate: func(db, question string) (string, error) {
+		GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 			time.Sleep(genCost)
-			return "ev", nil
+			return "ev", nil, nil
 		},
 	})
 	defer s.Close()
@@ -393,9 +393,9 @@ func BenchmarkWorkerScalingLatencyBound(b *testing.B) {
 				svc := New(Options{
 					Variant: "bench",
 					Workers: workers,
-					Generate: func(db, question string) (string, error) {
+					GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 						time.Sleep(latency)
-						return "ev", nil
+						return "ev", nil, nil
 					},
 				})
 				if _, err := svc.GenerateAll(context.Background(), reqs); err != nil {
@@ -525,11 +525,11 @@ func TestGenerateAllCarriesTraces(t *testing.T) {
 	}
 }
 
-// TestUntracedGeneratorStillWorks: services built on the plain
-// GenerateFunc keep their exact old behaviour, just with nil traces.
+// TestUntracedGeneratorStillWorks: a generator that returns no trace
+// still serves its evidence, with a nil Trace and no stage counters.
 func TestUntracedGeneratorStillWorks(t *testing.T) {
-	svc := New(Options{Variant: "t", Generate: func(db, q string) (string, error) {
-		return "ev", nil
+	svc := New(Options{Variant: "t", GenerateTraced: func(_ context.Context, db, q string) (string, *pipeline.Trace, error) {
+		return "ev", nil, nil
 	}})
 	defer svc.Close()
 	ev, err := svc.GenerateTraced(context.Background(), "db", "q")
@@ -602,11 +602,11 @@ func TestCancelledWaitersAbandonOneGeneration(t *testing.T) {
 	gate := make(chan struct{})
 	svc := New(Options{
 		Variant: "t",
-		Generate: func(db, q string) (string, error) {
+		GenerateTraced: func(_ context.Context, db, q string) (string, *pipeline.Trace, error) {
 			calls.Add(1)
 			close(started)
 			<-gate
-			return "ok", nil
+			return "ok", nil, nil
 		},
 	})
 	defer svc.Close()
@@ -680,12 +680,12 @@ func TestCloseWaitsForDirectGenerationThenFlushes(t *testing.T) {
 	svc := New(Options{
 		Variant: "t",
 		Store:   store,
-		Generate: func(db, q string) (string, error) {
+		GenerateTraced: func(_ context.Context, db, q string) (string, *pipeline.Trace, error) {
 			if q == "q" {
 				close(started)
 				<-gate
 			}
-			return "ok", nil
+			return "ok", nil, nil
 		},
 	})
 	ctx, cancel := context.WithCancel(context.Background())

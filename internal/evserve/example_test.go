@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/evserve"
+	"repro/internal/pipeline"
 )
 
 // ExampleService_Generate shows the request path: the first call runs the
@@ -14,9 +15,9 @@ func ExampleService_Generate() {
 	var pipelineRuns atomic.Int64
 	svc := evserve.New(evserve.Options{
 		Variant: "seed_gpt",
-		Generate: func(db, question string) (string, error) {
+		GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 			pipelineRuns.Add(1)
-			return "free rate = FreeMealCount / Enrollment", nil
+			return "free rate = FreeMealCount / Enrollment", nil, nil
 		},
 	})
 	defer svc.Close()
@@ -41,8 +42,8 @@ func ExampleService_GenerateAll() {
 	svc := evserve.New(evserve.Options{
 		Variant: "seed_gpt",
 		Workers: 4,
-		Generate: func(db, question string) (string, error) {
-			return "evidence for: " + question, nil
+		GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
+			return "evidence for: " + question, nil, nil
 		},
 	})
 	defer svc.Close()

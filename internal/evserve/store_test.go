@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/evserve"
 	"repro/internal/evstore"
@@ -143,40 +145,65 @@ func mustMarshal(t *testing.T, v any) []byte {
 }
 
 // TestCloseFlushesStoreBeforeReturn is the regression test for the
-// shutdown-ordering fix: Close must drain the worker pool and then flush
-// the store, so a batched-flush store loses nothing on clean shutdown.
+// shutdown ordering: Close waits for the generations in flight, whose
+// appends are write-through, and then flushes the store, so when Close
+// returns every accepted write is on disk — before the store's own Close.
 func TestCloseFlushesStoreBeforeReturn(t *testing.T) {
 	dir := t.TempDir()
-	// FlushEvery far above the write count: nothing reaches the OS unless
-	// someone flushes.
-	store, err := evstore.Open(dir, evstore.Options{FlushEvery: 1 << 20})
+	store, err := evstore.Open(dir, evstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	var calls atomic.Int64
+	const n = 8
+	var calls, started atomic.Int64
+	gate := make(chan struct{})
+	gen := tracedGen(&calls)
 	svc := evserve.New(evserve.Options{
-		Variant:        "flush",
-		GenerateTraced: tracedGen(&calls),
-		Workers:        4,
-		Store:          store,
+		Variant: "flush",
+		GenerateTraced: func(ctx context.Context, db, q string) (string, *pipeline.Trace, error) {
+			started.Add(1)
+			<-gate
+			return gen(ctx, db, q)
+		},
+		Store: store,
 	})
-	reqs := make([]evserve.Request, 8)
-	for i := range reqs {
-		reqs[i] = evserve.Request{DB: "db", Question: fmt.Sprintf("q%d", i)}
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before the deferred store.Close, should the test fail with the gate shut
+	for i := 0; i < n; i++ {
+		go svc.Generate(context.Background(), "db", fmt.Sprintf("q%d", i))
 	}
-	if _, err := svc.GenerateAll(context.Background(), reqs); err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(5 * time.Second)
+	for started.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d generations started", started.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	// Before Close, every append sits in the store's write buffer...
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while generations were running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	// While they run, nothing is on disk...
 	if wal := readFile(t, filepath.Join(dir, "wal.evs")); len(wal) != 0 {
-		t.Fatalf("appends reached disk before any flush: %d bytes", len(wal))
+		t.Fatalf("appends reached disk before any generation finished: %d bytes", len(wal))
 	}
-	svc.Close()
-	// ...and service Close alone (the store is still open, its own Close
-	// not yet called) must have pushed them all to the OS.
-	if wal := readFile(t, filepath.Join(dir, "wal.evs")); bytes.Count(wal, []byte{'\n'}) != len(reqs) {
-		t.Fatalf("service Close did not flush the store: %q", wal)
+	release()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the generations finished")
+	}
+	// ...and once service Close returns (the store is still open, its own
+	// Close not yet called), every generation's append is.
+	if wal := readFile(t, filepath.Join(dir, "wal.evs")); bytes.Count(wal, []byte{'\n'}) != n {
+		t.Fatalf("service Close returned before the appends were on disk: %q", wal)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -186,8 +213,8 @@ func TestCloseFlushesStoreBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if n := reopened.Len(); n != len(reqs) {
-		t.Fatalf("clean shutdown lost writes: %d of %d entries durable", n, len(reqs))
+	if got := reopened.Len(); got != n {
+		t.Fatalf("clean shutdown lost writes: %d of %d entries durable", got, n)
 	}
 }
 

@@ -328,42 +328,6 @@ func TestExplicitCompactIdempotent(t *testing.T) {
 	}
 }
 
-func TestBatchedFlushSurvivesOnlyAfterFlush(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{FlushEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := evserve.KeyFor("db", "v", "q")
-	if err := s.Append(k, testEntry("buffered", 1)); err != nil {
-		t.Fatal(err)
-	}
-	// What a SIGKILL right now would preserve is exactly the on-disk WAL:
-	// the append is still in the bufio buffer, so the file must be empty.
-	// (The flock forbids opening a second Store while this one is alive,
-	// so crash survival is asserted at the byte level.)
-	if wal := readWAL(t, filepath.Join(dir, files.WAL)); len(wal) != 0 {
-		t.Fatalf("unflushed append reached disk: %d bytes", len(wal))
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if wal := readWAL(t, filepath.Join(dir, files.WAL)); bytes.Count(wal, []byte{'\n'}) != 1 {
-		t.Fatalf("flushed append not on disk: %q", wal)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	if n := recovered.Len(); n != 1 {
-		t.Fatalf("flushed append lost: %d entries, want 1", n)
-	}
-}
-
 // TestSecondOpenRefusedWhileLocked: the one-process-per-directory rule is
 // enforced, not just documented — a concurrent Open fails fast instead of
 // interleaving WAL frames, and the directory is usable again after Close.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/evserve"
+	"repro/internal/wal"
 )
 
 // openLeaderFollower builds a leader store with an HTTP replication
@@ -178,12 +179,14 @@ func TestReplicationSurvivesLeaderRestart(t *testing.T) {
 
 // TestReplicationTornBodies: a flaky transport that truncates most
 // responses mid-frame must cost retries, never corrupt records — the
-// follower converges byte-exact and stays openable.
+// follower converges byte-exact and stays openable. The source URL bounds
+// each incremental chunk to 4096 bytes (max=), so catching up on the
+// records appended after the dump takes more than one chunk.
 func TestReplicationTornBodies(t *testing.T) {
-	leader, follower, url := openLeaderFollower(t)
+	leader, follower, _ := openLeaderFollower(t)
 	appendN(t, leader, 0, 60)
 
-	var calls atomic.Int64
+	var calls, chunks atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
 		rec := httptest.NewRecorder()
@@ -194,6 +197,12 @@ func TestReplicationTornBodies(t *testing.T) {
 			}
 		}
 		body := rec.Body.Bytes()
+		if rec.Header().Get(wal.HeaderReplicateFull) == "" && len(body) > 0 {
+			if len(body) > 4096 {
+				t.Errorf("chunk of %d bytes past the source URL's max=4096", len(body))
+			}
+			chunks.Add(1)
+		}
 		// Two of every three responses lose the second half of their body,
 		// tearing whatever frame straddles the cut.
 		if calls.Add(1)%3 != 0 && len(body) > 1 {
@@ -204,19 +213,26 @@ func TestReplicationTornBodies(t *testing.T) {
 	})
 	flaky := httptest.NewServer(mux)
 	t.Cleanup(flaky.Close)
-	_ = url
 
 	// A torn full dump is a failed poll (Run counts it); the next poll
 	// fetches the dump again, so only progress is asserted here.
-	tl := NewTailer(flaky.URL, follower, nil, TailerOptions{MaxBytes: 4096})
+	tl := NewTailer(flaky.URL+"/v1/replicate?max=4096", follower, nil, TailerOptions{})
 	deadline := time.Now().Add(5 * time.Second)
-	for follower.Len() < 60 {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at %d of 60 records (tailer %+v)", follower.Len(), tl.Stats())
+	poll := func(until func() bool) {
+		for !until() {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower stuck at %d records (tailer %+v)", follower.Len(), tl.Stats())
+			}
+			_, _ = tl.Poll(context.Background())
 		}
-		_, _ = tl.Poll(context.Background())
 	}
+	poll(func() bool { return tl.Stats().Gen != 0 })
+	appendN(t, leader, 60, 60)
+	poll(func() bool { return follower.Len() == 120 })
 	assertMirror(t, leader, follower)
+	if n := chunks.Load(); n < 2 {
+		t.Fatalf("catch-up after the dump took %d chunks, want more than one under max=4096", n)
+	}
 
 	// The shipped store must be as crash-safe as a written one.
 	if err := follower.Close(); err != nil {
@@ -230,8 +246,8 @@ func TestReplicationTornBodies(t *testing.T) {
 	if re.Stats().TailDropped != 0 {
 		t.Fatalf("follower WAL held %d corrupt frames — torn network bytes reached disk", re.Stats().TailDropped)
 	}
-	if re.Len() != 60 {
-		t.Fatalf("follower reopened with %d of 60 records", re.Len())
+	if re.Len() != 120 {
+		t.Fatalf("follower reopened with %d of 120 records", re.Len())
 	}
 }
 

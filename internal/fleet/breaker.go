@@ -22,17 +22,16 @@ var stateNames = [...]string{"closed", "open", "half_open"}
 // Breaker is a per-replica circuit breaker: Threshold consecutive
 // failures eject the replica for Probation; after probation one probe
 // request is admitted, and its outcome either re-admits the replica or
-// re-ejects it with doubled probation (capped at MaxProbation). Doubling
+// re-ejects it with doubled probation (capped at 16x its base). Doubling
 // is what keeps a flapping replica — one that answers the probe and then
 // fails again — from soaking up a retry per probation window forever.
 //
 // A Breaker is safe for concurrent use. The zero value is not usable;
 // construct with NewBreaker.
 type Breaker struct {
-	mu           sync.Mutex
-	threshold    int
-	probation    time.Duration
-	maxProbation time.Duration
+	mu        sync.Mutex
+	threshold int
+	probation time.Duration
 
 	state     int
 	fails     int           // consecutive failures while closed
@@ -44,19 +43,16 @@ type Breaker struct {
 }
 
 // NewBreaker builds a breaker. threshold <= 0 defaults to 5 consecutive
-// failures; probation <= 0 defaults to 1s; maxProbation <= probation
-// defaults to 16x probation.
-func NewBreaker(threshold int, probation, maxProbation time.Duration) *Breaker {
+// failures; probation <= 0 defaults to 1s. A flapping replica's probation
+// doubles up to 16x probation.
+func NewBreaker(threshold int, probation time.Duration) *Breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
 	if probation <= 0 {
 		probation = time.Second
 	}
-	if maxProbation <= probation {
-		maxProbation = 16 * probation
-	}
-	return &Breaker{threshold: threshold, probation: probation, maxProbation: maxProbation, current: probation}
+	return &Breaker{threshold: threshold, probation: probation, current: probation}
 }
 
 // Allow reports whether a request may be sent to this replica now. In the
@@ -108,10 +104,7 @@ func (b *Breaker) Record(success bool, now time.Time) {
 			b.current = b.probation
 			return
 		}
-		b.current *= 2
-		if b.current > b.maxProbation {
-			b.current = b.maxProbation
-		}
+		b.current = min(2*b.current, 16*b.probation)
 		b.trip(now)
 	case breakerOpen:
 		// A straggler from before the trip; the open timer already covers it.

@@ -9,7 +9,7 @@ import (
 
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(3, time.Second, 0)
+	b := NewBreaker(3, time.Second)
 	for i := 0; i < 2; i++ {
 		if !b.Allow(now) {
 			t.Fatalf("closed breaker refused request %d", i)
@@ -36,7 +36,7 @@ func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
 
 func TestBreakerProbationProbeAndReadmission(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(1, time.Second, 0)
+	b := NewBreaker(1, time.Second)
 	b.Record(false, now)
 	if b.Allow(now.Add(500 * time.Millisecond)) {
 		t.Fatal("breaker admitted a request during probation")
@@ -60,54 +60,45 @@ func TestBreakerProbationProbeAndReadmission(t *testing.T) {
 }
 
 func TestBreakerFlappingDoublesProbation(t *testing.T) {
+	const base, slack = 250 * time.Millisecond, 100 * time.Millisecond
 	now := time.Unix(0, 0)
-	b := NewBreaker(1, time.Second, 4*time.Second)
-	b.Record(false, now) // trip #1: probation 1s
+	b := NewBreaker(1, base)
+	b.Record(false, now) // trip #1: probation 250ms
 
-	// Probe fails: probation doubles to 2s.
-	now = now.Add(1100 * time.Millisecond)
-	if !b.Allow(now) {
-		t.Fatal("probe refused")
+	// Each failed probe doubles probation, up to 16x the base: 4s. The
+	// doubling after that would be 8s, and the cap pins 4s.
+	wait := base
+	for _, want := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second, 4 * time.Second} {
+		now = now.Add(wait + slack)
+		if !b.Allow(now) {
+			t.Fatalf("probe after %v probation refused", wait)
+		}
+		b.Record(false, now)
+		if b.Allow(now.Add(want - slack)) {
+			t.Fatalf("flapping replica re-admitted before its %v probation expired", want)
+		}
+		wait = want
 	}
-	b.Record(false, now)
-	if b.Allow(now.Add(1500 * time.Millisecond)) {
-		t.Fatal("flapping replica re-admitted before doubled probation expired")
-	}
-	// Probe fails again: 4s (the cap).
-	now = now.Add(2100 * time.Millisecond)
-	if !b.Allow(now) {
-		t.Fatal("second probe refused")
-	}
-	b.Record(false, now)
-	if b.Allow(now.Add(3900 * time.Millisecond)) {
-		t.Fatal("re-admitted before capped probation expired")
-	}
-	// Cap holds: the next doubling would be 8s, but maxProbation pins 4s.
-	now = now.Add(4100 * time.Millisecond)
-	if !b.Allow(now) {
-		t.Fatal("probe after capped probation refused")
-	}
-	b.Record(false, now)
-	if !b.Allow(now.Add(4100 * time.Millisecond)) {
-		t.Fatal("probation exceeded the configured cap")
+	if !b.Allow(now.Add(wait + slack)) {
+		t.Fatal("probation exceeded the 16x cap")
 	}
 
 	// A probe success resets probation back to the base, so a healed
 	// replica is not stuck with its flapping history.
-	b.Record(true, now.Add(4100*time.Millisecond))
+	b.Record(true, now.Add(wait+slack))
 	now = now.Add(5 * time.Second)
 	b.Record(false, now)
-	if b.Allow(now.Add(500 * time.Millisecond)) {
+	if b.Allow(now.Add(base - slack)) {
 		t.Fatal("probation did not apply after reset")
 	}
-	if !b.Allow(now.Add(1100 * time.Millisecond)) {
+	if !b.Allow(now.Add(base + slack)) {
 		t.Fatal("probation did not reset to base after a healthy stretch")
 	}
 }
 
 func TestBreakerForceOpen(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(5, time.Second, 0)
+	b := NewBreaker(5, time.Second)
 	b.ForceOpen(now)
 	if b.Allow(now) {
 		t.Fatal("force-opened breaker admitted a request")

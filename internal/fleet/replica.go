@@ -34,8 +34,8 @@ type replica struct {
 	probeErrs atomic.Int64 // health-probe round trips that failed
 }
 
-func newReplica(name string, threshold int, probation, maxProbation time.Duration) *replica {
-	r := &replica{name: name, breaker: NewBreaker(threshold, probation, maxProbation)}
+func newReplica(name string, threshold int, probation time.Duration) *replica {
+	r := &replica{name: name, breaker: NewBreaker(threshold, probation)}
 	r.alive.Store(true)
 	r.ready.Store(true)
 	return r

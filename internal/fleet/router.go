@@ -48,25 +48,18 @@ type Config struct {
 	// to half-to-full of its nominal value so synchronized clients spread
 	// out.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff; <= 0 defaults to 1s.
-	MaxBackoff time.Duration
 	// BreakerThreshold is the consecutive-failure count that ejects a
 	// replica (see NewBreaker); <= 0 defaults to 5.
 	BreakerThreshold int
 	// BreakerProbation is the initial ejection duration, doubling while
-	// the replica flaps; <= 0 defaults to 1s.
+	// the replica flaps up to 16x; <= 0 defaults to 1s.
 	BreakerProbation time.Duration
-	// BreakerMaxProbation caps the doubling; <= BreakerProbation defaults
-	// to 16x BreakerProbation.
-	BreakerMaxProbation time.Duration
 	// ProbeInterval is the per-replica health-probe period; <= 0 disables
 	// background probing (the serving path still learns from its own
 	// failures).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round trip; <= 0 defaults to 1s.
 	ProbeTimeout time.Duration
-	// Client is the backend HTTP client; nil builds a pooled default.
-	Client *http.Client
 	// Logger receives structured routing logs; nil uses slog.Default().
 	Logger *slog.Logger
 }
@@ -141,31 +134,22 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.BaseBackoff <= 0 {
 		cfg.BaseBackoff = 10 * time.Millisecond
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
-	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-		}}
-	}
 	rt := &Router{
 		cfg:      cfg,
 		ring:     NewRing(cfg.Replicas, cfg.VirtualNodes),
 		replicas: make(map[string]*replica, len(cfg.Replicas)),
-		client:   client,
+		client:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
 		log:      cfg.Logger,
 		start:    time.Now(),
 	}
 	for _, name := range rt.ring.Replicas() {
-		rt.replicas[name] = newReplica(name, cfg.BreakerThreshold, cfg.BreakerProbation, cfg.BreakerMaxProbation)
+		rt.replicas[name] = newReplica(name, cfg.BreakerThreshold, cfg.BreakerProbation)
 	}
 	rt.initObs()
 	rt.probeCtx, rt.probeCancel = context.WithCancel(context.Background())
@@ -479,16 +463,16 @@ func (rt *Router) attempt(ctx context.Context, rep *replica, r *http.Request, bo
 	out <- attemptResult{rep: rep, status: resp.StatusCode, header: resp.Header, body: buf, index: index}
 }
 
+// maxBackoff caps the exponential backoff between retry attempts.
+const maxBackoff = time.Second
+
 // backoff returns the jittered exponential delay before attempt n+1.
 func (rt *Router) backoff(n int) time.Duration {
 	d := rt.cfg.BaseBackoff
-	for i := 1; i < n && d < rt.cfg.MaxBackoff; i++ {
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > rt.cfg.MaxBackoff {
-		d = rt.cfg.MaxBackoff
-	}
-	return jittered(d)
+	return jittered(min(d, maxBackoff))
 }
 
 // jittered spreads a nominal delay over [d/2, d) so synchronized retries

@@ -7,9 +7,9 @@
 //  1. Context-window limits. DeepSeek-R1's API caps requests at 8,192
 //     tokens, which is the entire motivation for SEED's schema
 //     summarization stage (§III-A). The simulator enforces each model's
-//     window: requests either fail or are truncated per policy, and task
-//     logic only ever sees the post-truncation prompt, so exceeding the
-//     window genuinely loses information.
+//     window: an over-window prompt loses its front, and task logic only
+//     ever sees the prompt that is left, so exceeding the window
+//     genuinely loses information.
 //
 //  2. Capability-dependent behaviour. Each model carries capability
 //     parameters in [0,1]; task implementations draw from a deterministic,
@@ -86,17 +86,6 @@ func RegisterModel(m Model) {
 	registryMu.Unlock()
 }
 
-// ModelNames lists all registered model identifiers (unordered).
-func ModelNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	return out
-}
-
 // CountTokens approximates API tokenisation: one token per word piece,
 // where long words count one token per 4 characters. It over-counts
 // slightly versus real BPE, which keeps window enforcement conservative.
@@ -125,25 +114,6 @@ func CountTokens(s string) int {
 // 5-character chunk.
 func tokenCost(f string) int { return 1 + (len(f)-1)/5 }
 
-// TruncatePolicy selects what happens when a prompt exceeds the window.
-type TruncatePolicy int
-
-// Truncation policies.
-const (
-	// ErrorOnOverflow rejects over-window requests, like the DeepSeek-R1
-	// API does.
-	ErrorOnOverflow TruncatePolicy = iota
-	// TruncateHead keeps the end of the prompt (instructions usually
-	// trail), dropping the front.
-	TruncateHead
-	// TruncateTail keeps the front of the prompt, dropping the end.
-	TruncateTail
-)
-
-// ErrContextOverflow is returned when a request exceeds the model's context
-// window under ErrorOnOverflow.
-var ErrContextOverflow = errors.New("llm: prompt exceeds model context window")
-
 // TaskFunc implements the "brain" of a simulated completion: it receives
 // the (post-truncation) prompt, the model parameters and a deterministic
 // random source, and returns the completion text.
@@ -153,13 +123,13 @@ type TaskFunc func(prompt string, m Model, rng *Rand) (string, error)
 type Request struct {
 	// Model is the registered model identifier, e.g. "gpt-4o".
 	Model string
-	// Prompt is the full request text.
+	// Prompt is the full request text. A prompt over the model's context
+	// window keeps its end (instructions and the question trail) and
+	// loses its front.
 	Prompt string
 	// Salt differentiates repeated calls that must draw independent noise
 	// (e.g. C3's self-consistency votes).
 	Salt string
-	// Policy selects overflow handling; the zero value rejects overflows.
-	Policy TruncatePolicy
 	// Task computes the completion. Required.
 	Task TaskFunc
 }
@@ -171,8 +141,6 @@ type Response struct {
 	// PromptTokens and CompletionTokens count post-truncation usage.
 	PromptTokens     int
 	CompletionTokens int
-	// Truncated reports whether the prompt was cut to fit the window.
-	Truncated bool
 }
 
 // Client issues completion requests. Implementations must be safe for
@@ -224,30 +192,19 @@ func (s *Simulator) Complete(req Request) (Response, error) {
 	}
 	prompt := req.Prompt
 	tokens := CountTokens(prompt)
-	truncated := false
 	if tokens > m.ContextWindow {
-		switch req.Policy {
-		case ErrorOnOverflow:
-			return Response{PromptTokens: tokens}, fmt.Errorf("%w: %d tokens > %d (%s)", ErrContextOverflow, tokens, m.ContextWindow, m.Name)
-		case TruncateHead:
-			prompt = truncateToTokens(prompt, m.ContextWindow, true)
-			truncated = true
-		case TruncateTail:
-			prompt = truncateToTokens(prompt, m.ContextWindow, false)
-			truncated = true
-		}
+		prompt = truncateToTokens(prompt, m.ContextWindow)
 		tokens = CountTokens(prompt)
 	}
 	rng := NewRand(seedFor(m.Name, prompt, req.Salt))
 	text, err := req.Task(prompt, m, rng)
 	if err != nil {
-		return Response{PromptTokens: tokens, Truncated: truncated}, err
+		return Response{PromptTokens: tokens}, err
 	}
 	resp := Response{
 		Text:             text,
 		PromptTokens:     tokens,
 		CompletionTokens: CountTokens(text),
-		Truncated:        truncated,
 	}
 	s.mu.Lock()
 	s.ledger.record(m.Name, resp)
@@ -262,39 +219,22 @@ func (s *Simulator) LedgerSnapshot() Ledger {
 	return s.ledger.clone()
 }
 
-// ResetLedger clears accumulated usage.
-func (s *Simulator) ResetLedger() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ledger = Ledger{}
-}
-
-func truncateToTokens(prompt string, window int, keepTail bool) string {
+// truncateToTokens keeps the longest run of the prompt's last fields that
+// fits window tokens, joined by single spaces.
+func truncateToTokens(prompt string, window int) string {
 	fields := strings.Fields(prompt)
-	// Walk from the kept end accumulating token cost until the window fills.
+	// Walk from the end accumulating token cost until the window fills.
 	budget := window
-	if keepTail {
-		start := len(fields)
-		for i := len(fields) - 1; i >= 0; i-- {
-			cost := tokenCost(fields[i])
-			if budget-cost < 0 {
-				break
-			}
-			budget -= cost
-			start = i
-		}
-		return strings.Join(fields[start:], " ")
-	}
-	end := 0
-	for i := 0; i < len(fields); i++ {
+	start := len(fields)
+	for i := len(fields) - 1; i >= 0; i-- {
 		cost := tokenCost(fields[i])
 		if budget-cost < 0 {
 			break
 		}
 		budget -= cost
-		end = i + 1
+		start = i
 	}
-	return strings.Join(fields[:end], " ")
+	return strings.Join(fields[start:], " ")
 }
 
 func seedFor(parts ...string) uint64 {

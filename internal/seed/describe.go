@@ -22,7 +22,6 @@ func (p *Pipeline) DescribeDatabase(db *schema.DB) error {
 		resp, err := p.client.Complete(llm.Request{
 			Model:  p.cfg.ReviseModel,
 			Prompt: prompt,
-			Policy: llm.TruncateHead,
 			Task: func(prompt string, m llm.Model, rng *llm.Rand) (string, error) {
 				td := p.describeTable(db, table, m, rng)
 				return td.CSV(), nil

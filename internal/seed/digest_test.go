@@ -54,7 +54,7 @@ func TestEvidenceDigestBIRDDev(t *testing.T) {
 				writeField(evH, ex.ID)
 				writeField(evH, ev)
 
-				kws, err := p.ExtractKeywords(ex.Question)
+				kws, _, err := p.extractKeywords(ex.Question)
 				if err != nil {
 					t.Fatalf("%s keywords: %v", ex.ID, err)
 				}

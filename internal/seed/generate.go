@@ -28,7 +28,6 @@ func (p *Pipeline) generateCounted(db *schema.DB, question string, visible []tab
 	resp, err := p.client.Complete(llm.Request{
 		Model:  p.cfg.GenerateModel,
 		Prompt: prompt,
-		Policy: llm.TruncateHead,
 		Salt:   "evidence-gen",
 		Task: func(prompt string, m llm.Model, rng *llm.Rand) (string, error) {
 			return p.evidenceBrain(prompt, m, rng, db, question, visible, samples, shots), nil

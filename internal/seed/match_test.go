@@ -108,7 +108,7 @@ func TestMatchScoreMatchesStringReference(t *testing.T) {
 			if testing.Short() && i%8 != 0 {
 				continue
 			}
-			kws, err := p.ExtractKeywords(ex.Question)
+			kws, _, err := p.extractKeywords(ex.Question)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func BenchmarkColdStages(b *testing.B) {
 	kws := make([][]string, len(c.Dev))
 	for i, ex := range c.Dev {
 		var err error
-		if kws[i], err = p.ExtractKeywords(ex.Question); err != nil {
+		if kws[i], _, err = p.extractKeywords(ex.Question); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func BenchmarkColdStages(b *testing.B) {
 		sp := New(ConfigGPT(), llm.NewSimulator(), &dataset.Corpus{Name: "synth", DBs: map[string]*schema.DB{db.Name: db}, Dev: dev})
 		skws := make([][]string, len(dev))
 		for i, ex := range dev {
-			if skws[i], err = sp.ExtractKeywords(ex.Question); err != nil {
+			if skws[i], _, err = sp.extractKeywords(ex.Question); err != nil {
 				b.Fatal(err)
 			}
 		}

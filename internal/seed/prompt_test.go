@@ -78,7 +78,7 @@ func TestPromptTableBlocksPinnedPerDB(t *testing.T) {
 					}
 					views = append(views, kept)
 				}
-				kws, err := p.ExtractKeywords(q)
+				kws, _, err := p.extractKeywords(q)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -20,7 +20,6 @@ func (p *Pipeline) Revise(ev string) (string, error) {
 	resp, err := p.client.Complete(llm.Request{
 		Model:  p.cfg.ReviseModel,
 		Prompt: prompt,
-		Policy: llm.TruncateHead,
 		Task: func(prompt string, m llm.Model, rng *llm.Rand) (string, error) {
 			// Work from the prompt text so truncation is honoured.
 			body := ev

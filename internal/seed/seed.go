@@ -57,11 +57,12 @@ type Config struct {
 	// EmitJoinHints lets generated evidence spell out join paths; the
 	// deepseek variant does this (Table VI), the GPT variant does not.
 	EmitJoinHints bool
-	// FewShot is the number of training exemplars in the prompt: the
-	// most similar question overall plus same-database neighbours, five
-	// in total in the paper.
-	FewShot int
 }
+
+// fewShots is the number of training exemplars in the prompt: the most
+// similar question overall plus same-database neighbours, five in total
+// in the paper.
+const fewShots = 5
 
 // sampleValues is how many rows of each TEXT column's sorted distinct
 // values sample SQL execution and description generation read.
@@ -76,7 +77,6 @@ func ConfigGPT() Config {
 		ReviseModel:   "deepseek-v3",
 		Summarize:     false,
 		EmitJoinHints: false,
-		FewShot:       5,
 	}
 }
 
@@ -89,7 +89,6 @@ func ConfigDeepSeek() Config {
 		ReviseModel:   "deepseek-v3",
 		Summarize:     true,
 		EmitJoinHints: true,
-		FewShot:       5,
 	}
 }
 

@@ -33,7 +33,7 @@ func deepseekPipeline(t *testing.T) *Pipeline {
 
 func TestExtractKeywords(t *testing.T) {
 	p := gptPipeline(t)
-	kws, err := p.ExtractKeywords("Among the weekly issuance accounts, how many have a loan of under 200000?")
+	kws, _, err := p.extractKeywords("Among the weekly issuance accounts, how many have a loan of under 200000?")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestSummarizationDropsIrrelevantTables(t *testing.T) {
 	c := testCorpus(t)
 	db := c.DBs["financial"]
 	visible := p.visibleTables(db, "")
-	kept, err := p.SummarizeSchema(db, "How many loans belong to clients in debt?", visible)
+	kept, _, err := p.summarizeSchema(db, "How many loans belong to clients in debt?", visible)
 	if err != nil {
 		t.Fatal(err)
 	}

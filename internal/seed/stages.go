@@ -14,22 +14,15 @@ import (
 
 // --- Stage 1: keyword extraction (paper §III-B, first step) ---
 
-// ExtractKeywords asks the sample-stage model for the question's
+// extractKeywords asks the sample-stage model for the question's
 // column-like and value-like keywords: content words plus multi-word
-// phrases. Weaker models drop keywords occasionally.
-func (p *Pipeline) ExtractKeywords(question string) ([]string, error) {
-	kws, _, err := p.extractKeywords(question)
-	return kws, err
-}
-
-// extractKeywords is ExtractKeywords plus the request's token spend, for
-// stage traces.
+// phrases. Weaker models drop keywords occasionally. It also returns the
+// request's token spend, for stage traces.
 func (p *Pipeline) extractKeywords(question string) ([]string, int, error) {
 	prompt := "Extract the keywords naming database columns and values from the question.\nQuestion: " + question
 	resp, err := p.client.Complete(llm.Request{
 		Model:  p.cfg.SampleModel,
 		Prompt: prompt,
-		Policy: llm.TruncateHead,
 		Task: func(prompt string, m llm.Model, rng *llm.Rand) (string, error) {
 			q := question
 			if i := strings.LastIndex(prompt, "Question: "); i >= 0 {
@@ -238,17 +231,11 @@ func scoringDistance(m int) int {
 
 // --- Stage 3: schema summarization (paper §III-A) ---
 
-// SummarizeSchema prunes the schema to question-relevant tables using the
+// summarizeSchema prunes the schema to question-relevant tables using the
 // generation model. Mistakes are capability-gated: a weak model may drop a
 // borderline-relevant table, and anything dropped is genuinely invisible
-// to the downstream generation stage.
-func (p *Pipeline) SummarizeSchema(db *schema.DB, question string, visible []tableView) ([]tableView, error) {
-	kept, _, err := p.summarizeSchema(db, question, visible)
-	return kept, err
-}
-
-// summarizeSchema is SummarizeSchema plus the request's token spend, for
-// stage traces.
+// to the downstream generation stage. It also returns the request's token
+// spend, for stage traces.
 func (p *Pipeline) summarizeSchema(db *schema.DB, question string, visible []tableView) ([]tableView, int, error) {
 	prompt := "Remove schema information irrelevant to the question.\nSchema: " + p.promptParts(db).ddl + "\nQuestion: " + question
 	type scored struct {
@@ -259,7 +246,6 @@ func (p *Pipeline) summarizeSchema(db *schema.DB, question string, visible []tab
 	resp, err := p.client.Complete(llm.Request{
 		Model:  p.cfg.GenerateModel,
 		Prompt: prompt,
-		Policy: llm.TruncateHead,
 		Task: func(prompt string, m llm.Model, rng *llm.Rand) (string, error) {
 			qStems := stemsWithSynonyms(question)
 			var ranked []scored
@@ -363,10 +349,6 @@ type Shot struct {
 // embedding cosine similarity as in the paper (all-mpnet-base-v2 there,
 // the deterministic embedder here).
 func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
-	k := p.cfg.FewShot
-	if k <= 0 {
-		k = 5
-	}
 	if len(p.corpus.Train) == 0 {
 		return nil
 	}
@@ -406,7 +388,7 @@ func (p *Pipeline) SelectFewShots(question, dbName string) []Shot {
 		return a.idx - b.idx
 	})
 	for _, c := range cands {
-		if len(chosen) >= k {
+		if len(chosen) >= fewShots {
 			break
 		}
 		chosen = append(chosen, c.idx)

@@ -70,10 +70,29 @@ func newAdmission(rate float64, burst, maxInFlight int) *admission {
 	return a
 }
 
-// admit decides one request. On success it returns a non-nil release
-// function that must be called when the request finishes. On rejection it
-// returns the HTTP status to serve (429 or 503) and a Retry-After hint.
-func (a *admission) admit() (release func(), status int, retryAfter time.Duration) {
+// ticket is one admitted request's hold on the controller. The caller
+// keeps it on its stack; admit fills it and release frees it.
+type ticket struct {
+	a *admission // nil once released, or when never admitted
+}
+
+// release returns the ticket's in-flight slot. Only the first call of an
+// admitted ticket frees anything.
+func (t *ticket) release() {
+	if t.a == nil {
+		return
+	}
+	t.a.inflight.Add(-1)
+	if t.a.slots != nil {
+		<-t.a.slots
+	}
+	t.a = nil
+}
+
+// admit decides one request. On success it fills t, which must be
+// released when the request finishes, and returns status 0. On rejection
+// it returns the HTTP status to serve (429 or 503) and a Retry-After hint.
+func (a *admission) admit(t *ticket) (status int, retryAfter time.Duration) {
 	if a.bucket != nil {
 		ok, wait := a.bucket.take(time.Now())
 		if !ok {
@@ -81,7 +100,7 @@ func (a *admission) admit() (release func(), status int, retryAfter time.Duratio
 			// The token time is exact but every starved client computes the
 			// same one; jitter spreads their retries so the refilled token
 			// is not stampeded.
-			return nil, 429, jitterRetry(wait)
+			return 429, jitterRetry(wait)
 		}
 	}
 	if a.slots != nil {
@@ -95,20 +114,13 @@ func (a *admission) admit() (release func(), status int, retryAfter time.Duratio
 			// whenever some request finishes — so the jitter does double
 			// duty: it spreads retries AND decorrelates clients that were
 			// all rejected by the same full queue.
-			return nil, 503, jitterRetry(250 * time.Millisecond)
+			return 503, jitterRetry(250 * time.Millisecond)
 		}
 	}
 	a.admitted.Add(1)
 	a.inflight.Add(1)
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.inflight.Add(-1)
-			if a.slots != nil {
-				<-a.slots
-			}
-		})
-	}, 0, 0
+	t.a = a
+	return 0, 0
 }
 
 // jitterRetry spreads a nominal Retry-After hint over [d, 1.5d): never

@@ -39,12 +39,12 @@ func TestTokenBucketRefill(t *testing.T) {
 
 func TestAdmissionRateLimit(t *testing.T) {
 	a := newAdmission(1, 1, 0) // 1 req/s, burst 1, no in-flight cap
-	release, status, _ := a.admit()
-	if release == nil {
+	var tk ticket
+	if status, _ := a.admit(&tk); status != 0 {
 		t.Fatalf("first request rejected with %d", status)
 	}
-	release()
-	_, status, retry := a.admit()
+	tk.release()
+	status, retry := a.admit(new(ticket))
 	if status != 429 {
 		t.Fatalf("second immediate request status = %d, want 429", status)
 	}
@@ -59,15 +59,14 @@ func TestAdmissionRateLimit(t *testing.T) {
 
 func TestAdmissionInFlightBound(t *testing.T) {
 	a := newAdmission(0, 0, 2) // no rate limit, 2 slots
-	r1, status, _ := a.admit()
-	if r1 == nil {
+	var t1, t2, t3 ticket
+	if status, _ := a.admit(&t1); status != 0 {
 		t.Fatalf("first admit rejected: %d", status)
 	}
-	r2, _, _ := a.admit()
-	if r2 == nil {
+	if status, _ := a.admit(&t2); status != 0 {
 		t.Fatal("second admit rejected with a free slot")
 	}
-	_, status, retry := a.admit()
+	status, retry := a.admit(new(ticket))
 	if status != 503 {
 		t.Fatalf("over-capacity status = %d, want 503", status)
 	}
@@ -77,15 +76,15 @@ func TestAdmissionInFlightBound(t *testing.T) {
 	if got := a.stats().Inflight; got != 2 {
 		t.Fatalf("Inflight = %d, want 2", got)
 	}
-	r1()
-	r1() // double release must not free a second slot
-	if r3, _, _ := a.admit(); r3 == nil {
+	t1.release()
+	t1.release() // double release must not free a second slot
+	if status, _ := a.admit(&t3); status != 0 {
 		t.Fatal("admit after release rejected")
 	}
-	if _, status, _ := a.admit(); status != 503 {
+	if status, _ := a.admit(new(ticket)); status != 503 {
 		t.Fatalf("double release freed an extra slot (status %d, want 503)", status)
 	}
-	r2()
+	t2.release()
 	st := a.stats()
 	if st.Overloaded != 2 {
 		t.Errorf("Overloaded = %d, want 2", st.Overloaded)
@@ -95,10 +94,26 @@ func TestAdmissionInFlightBound(t *testing.T) {
 func TestAdmissionDisabled(t *testing.T) {
 	a := newAdmission(0, 0, 0)
 	for i := 0; i < 100; i++ {
-		release, status, _ := a.admit()
-		if release == nil {
+		var tk ticket
+		if status, _ := a.admit(&tk); status != 0 {
 			t.Fatalf("unlimited admission rejected request %d with %d", i, status)
 		}
-		defer release()
+		defer tk.release()
+	}
+}
+
+// TestAdmissionAllocations: admitting and releasing a request, through
+// both stages, allocates nothing — the ticket lives on the caller's stack.
+func TestAdmissionAllocations(t *testing.T) {
+	a := newAdmission(1e9, 1<<20, 4)
+	allocs := testing.AllocsPerRun(1000, func() {
+		var tk ticket
+		if status, _ := a.admit(&tk); status != 0 {
+			t.Fatalf("admit rejected with %d", status)
+		}
+		tk.release()
+	})
+	if allocs != 0 {
+		t.Errorf("admit plus release allocates %v times, want 0", allocs)
 	}
 }

@@ -112,8 +112,9 @@ func (s *Server) wrap(route string, admit bool, h http.HandlerFunc) http.Handler
 
 		if admit {
 			asp := obs.StartSpan(ctx, "admission")
-			release, status, retryAfter := s.adm.admit()
-			if release == nil {
+			var tk ticket
+			status, retryAfter := s.adm.admit(&tk)
+			if status != 0 {
 				asp.SetBool("shed", true)
 				asp.SetInt("status", status)
 				asp.End()
@@ -136,7 +137,7 @@ func (s *Server) wrap(route string, admit bool, h http.HandlerFunc) http.Handler
 				return
 			}
 			asp.End()
-			defer release()
+			defer tk.release()
 		}
 
 		if s.cfg.RequestTimeout > 0 {

@@ -154,7 +154,6 @@ func (p *pipeline) generateOnce(task Task, candidate int) (string, error) {
 	_, err := p.client.Complete(llm.Request{
 		Model:  p.opts.Model,
 		Prompt: prompt,
-		Policy: llm.TruncateHead,
 		Salt:   fmt.Sprintf("cand-%d", candidate),
 		Task: func(prompt string, m llm.Model, rng *llm.Rand) (string, error) {
 			out = p.assemble(task, m, candidate)

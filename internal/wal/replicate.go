@@ -88,11 +88,6 @@ func (l *Log[K, V]) ReplicationRead(gen, from int64, maxBytes int) (Chunk, error
 	if l.closed {
 		return Chunk{}, ErrClosed
 	}
-	// Expose everything accepted so far: replication lag should be one
-	// poll interval, not one FlushEvery batch.
-	if err := l.flushLocked(); err != nil {
-		return Chunk{}, err
-	}
 	if gen != l.walGen || from < 0 || from > l.walBytes {
 		var dump bytes.Buffer
 		if err := l.encodePairs(&dump, l.stageLocked()); err != nil {
@@ -157,11 +152,10 @@ type TailerOptions struct {
 	// consumed a full chunk re-polls immediately — catch-up is bounded by
 	// bandwidth, not by the poll interval.
 	Interval time.Duration
-	// Client is the HTTP client for polls; nil uses a 10s-timeout default.
-	Client *http.Client
-	// MaxBytes bounds one poll's chunk; 0 uses the server default.
-	MaxBytes int
 }
+
+// tailClient carries every Tailer's polls.
+var tailClient = &http.Client{Timeout: 10 * time.Second}
 
 // tailerStallLimit is how many consecutive zero-progress polls (with a
 // non-empty body) the Tailer tolerates before discarding its position and
@@ -204,13 +198,11 @@ type Tailer[K comparable, V any] struct {
 // a replica base URL (e.g. "http://127.0.0.1:8081" — the standard
 // /v1/replicate path is appended) or a full replication URL carrying its
 // own query parameters (e.g. ".../v1/replicate?corpus=bird&kind=memory"
-// for seedd's corpus- and kind-scoped feed).
+// for seedd's corpus- and kind-scoped feed, or "...&max=4096" to bound
+// each poll's chunk below the server default).
 func NewTailer[K comparable, V any](source string, codec Codec[K, V], land func(k K, v V) (applied bool, err error), opts TailerOptions) *Tailer[K, V] {
 	if opts.Interval <= 0 {
 		opts.Interval = 200 * time.Millisecond
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
 	}
 	// gen 0 never matches a real generation (they are UnixNano stamps), so
 	// the first poll always receives a full dump — a fresh follower needs
@@ -262,9 +254,6 @@ func (t *Tailer[K, V]) Poll(ctx context.Context) (progress bool, err error) {
 		base += "/v1/replicate"
 	}
 	url := fmt.Sprintf("%s%sgen=%d&from=%d", base, sep, gen, from)
-	if t.opts.MaxBytes > 0 {
-		url += fmt.Sprintf("&max=%d", t.opts.MaxBytes)
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return false, err
@@ -273,7 +262,7 @@ func (t *Tailer[K, V]) Poll(ctx context.Context) (progress bool, err error) {
 	// leader's request log groups one follower's whole replication stream.
 	obs.Inject(req.Header, obs.NewTraceID(), "")
 	req.Header.Set(obs.RequestIDHeader, t.requestID)
-	resp, err := t.opts.Client.Do(req)
+	resp, err := tailClient.Do(req)
 	if err != nil {
 		return false, err
 	}

@@ -16,10 +16,12 @@
 //	          compaction; removed once the snapshot lands
 //
 // Every line is "crc8hex payload\n" where the CRC is the Castagnoli CRC-32
-// of the payload bytes. Open replays snapshot, then tail, then WAL, newest
-// record per key winning; replay stops at the first torn or corrupt
-// record, recovering the longest valid prefix, and Open truncates the WAL
-// back to that prefix so subsequent appends never interleave with garbage.
+// of the payload bytes. Each append is flushed to the OS before Append
+// returns, so a SIGKILL loses at most the record being written. Open
+// replays snapshot, then tail, then WAL, newest record per key winning;
+// replay stops at the first torn or corrupt record, recovering the
+// longest valid prefix, and Open truncates the WAL back to that prefix so
+// subsequent appends never interleave with garbage.
 //
 // Compaction runs off the append path: crossing Options.CompactEvery
 // rotates the WAL to the tail file under the lock (cheap) and writes the
@@ -92,13 +94,7 @@ type Options struct {
 	// have accumulated in the WAL; 0 defaults to 1024, negative disables
 	// automatic compaction (Compact can still be called explicitly).
 	CompactEvery int
-	// FlushEvery batches buffered WAL appends: the writer is flushed to
-	// the OS every FlushEvery records. 0 or 1 flushes per append — the
-	// crash-safe default — so a SIGKILL loses at most the record being
-	// written. Values > 1 trade tail-loss risk for fewer write syscalls;
-	// Flush (which evserve.Service.Close calls) drains the batch.
-	FlushEvery int
-	// Sync additionally fsyncs the WAL after every flush and the log
+	// Sync additionally fsyncs the WAL after every append and the log
 	// directory after every rename/create/remove, extending durability
 	// from process death to power loss. Off by default.
 	Sync bool
@@ -129,7 +125,6 @@ type Log[K comparable, V any] struct {
 	lock       *os.File // holds the directory flock for the log's lifetime
 	wal        *os.File
 	w          *bufio.Writer
-	pending    int // appends buffered since the last flush
 	walRecords int // records in the current WAL generation
 	records    map[K]V
 	closed     bool
@@ -141,14 +136,11 @@ type Log[K comparable, V any] struct {
 	// that no longer exists detects the fact and resyncs from a full dump
 	// instead of misreading reused offsets.
 	walGen int64
-	// walWritten counts bytes accepted into the current WAL (including
-	// bytes still in the bufio buffer); walBytes counts bytes flushed to
-	// the OS — the replication-visible prefix. ReplicationRead never
-	// serves past walBytes, because buffered bytes can still be lost to a
-	// crash and a follower must not get ahead of the leader's own
+	// walBytes counts bytes flushed to the OS in the current WAL — the
+	// replication-visible prefix. An append whose flush failed is not
+	// counted: a follower must not get ahead of the leader's own
 	// durability.
-	walWritten int64
-	walBytes   int64
+	walBytes int64
 
 	// compactDone is the in-flight background compaction's completion
 	// latch, non-nil exactly while one runs. A channel per generation
@@ -173,9 +165,6 @@ type Log[K comparable, V any] struct {
 func Open[K comparable, V any](dir string, files Files, codec Codec[K, V], opts Options) (*Log[K, V], error) {
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = 1024
-	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = 1
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -272,7 +261,6 @@ func Open[K comparable, V any](dir string, files Files, codec Codec[K, V], opts 
 	// the torn tail may have moved the boundary — so followers of the old
 	// generation full-resync rather than resume.
 	l.walGen = time.Now().UnixNano()
-	l.walWritten = walValidLen
 	l.walBytes = walValidLen
 	if opts.Sync {
 		// Cover the WAL's own directory entry when Open just created it.
@@ -404,9 +392,10 @@ func checkFrame(line []byte) (payload []byte, ok bool) {
 	return payload, crc32.Checksum(payload, castagnoli) == uint32(want)
 }
 
-// Append persists one record write-through: it reaches the OS according
-// to Options.FlushEvery and triggers compaction when the WAL has grown
-// past Options.CompactEvery records. Re-appending a key overwrites its
+// Append persists one record write-through: it reaches the OS before
+// Append returns, so a SIGKILL loses at most the record being written,
+// and it triggers compaction when the WAL has grown past
+// Options.CompactEvery records. Re-appending a key overwrites its
 // live value, exactly like a cache Put.
 func (l *Log[K, V]) Append(k K, v V) error {
 	payload, err := l.codec.Encode(k, v)
@@ -424,15 +413,11 @@ func (l *Log[K, V]) Append(k K, v V) error {
 	if _, err := l.w.Write(line); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.walWritten += int64(len(line))
 	l.records[k] = v
 	l.appends++
 	l.walRecords++
-	l.pending++
-	if l.pending >= l.opts.FlushEvery {
-		if err := l.flushLocked(); err != nil {
-			return err
-		}
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	if l.opts.CompactEvery > 0 && l.walRecords >= l.opts.CompactEvery && l.compactDone == nil {
 		// Rotate under the lock (cheap: a rename and a fresh file), write
@@ -479,9 +464,7 @@ func (l *Log[K, V]) Load(fn func(K, V)) {
 // Flush drains buffered appends to the OS (and to stable storage when
 // Options.Sync is set), then waits for any in-flight background
 // compaction — so Flush returning means the log's on-disk state is a
-// complete, quiescent image of every accepted write. It is what makes
-// "accepted write" mean "survives SIGKILL" for batched FlushEvery
-// configurations.
+// complete, quiescent image of every accepted write.
 func (l *Log[K, V]) Flush() error {
 	l.mu.Lock()
 	if l.closed {
@@ -500,11 +483,13 @@ func (l *Log[K, V]) Flush() error {
 }
 
 func (l *Log[K, V]) flushLocked() error {
+	buffered := l.w.Buffered()
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.pending = 0
-	l.walBytes = l.walWritten
+	// Counted before the fsync: the bytes are in the file whether or not
+	// it succeeds, and later offsets must match the file.
+	l.walBytes += int64(buffered)
 	if l.opts.Sync {
 		if err := l.wal.Sync(); err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -615,14 +600,12 @@ func (l *Log[K, V]) beginCompactionLocked() ([]pair[K, V], chan struct{}, error)
 			}
 		}
 	}
-	l.pending = 0
 	l.walRecords = 0
 	// The WAL byte stream just changed identity (emptied in place or
 	// replaced by a fresh file): retire the replication generation so
 	// follower offsets into the old stream full-resync instead of reading
 	// new bytes at stale positions.
 	l.walGen = time.Now().UnixNano()
-	l.walWritten = 0
 	l.walBytes = 0
 	done := make(chan struct{})
 	l.compactDone = done
