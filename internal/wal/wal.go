@@ -2,8 +2,8 @@
 // durable reuse layer of the stack: the evidence store (evstore) and the
 // query-memory store (qmemory.Store). Each instance supplies a record
 // Codec and its file names; flock, manifest stamp, framing, replay,
-// flush/sync, compaction, the replication byte feed and its Tailer live
-// here once.
+// sync, compaction, the replication byte feed and its Tailer live here
+// once.
 //
 // On disk a log is one directory holding two files (plus a transient
 // third while a compaction is in flight), named by the instance's Files:
@@ -16,8 +16,8 @@
 //	          compaction; removed once the snapshot lands
 //
 // Every line is "crc8hex payload\n" where the CRC is the Castagnoli CRC-32
-// of the payload bytes. Each append is flushed to the OS before Append
-// returns, so a SIGKILL loses at most the record being written. Open
+// of the payload bytes. Each append reaches the OS in one write before
+// Append returns, so a SIGKILL loses at most the record being written. Open
 // replays snapshot, then tail, then WAL, newest record per key winning;
 // replay stops at the first torn or corrupt record, recovering the
 // longest valid prefix, and Open truncates the WAL back to that prefix so
@@ -124,10 +124,14 @@ type Log[K comparable, V any] struct {
 	mu         sync.Mutex
 	lock       *os.File // holds the directory flock for the log's lifetime
 	wal        *os.File
-	w          *bufio.Writer
-	walRecords int // records in the current WAL generation
+	buf        []byte // frame scratch, reused by every Append under mu
+	walRecords int    // records in the current WAL generation
 	records    map[K]V
 	closed     bool
+	// werr is the first failed WAL write. A short write leaves a torn
+	// frame at the end of the file, and replay would drop every record
+	// behind it, so the log takes no further appends.
+	werr error
 
 	// walGen identifies the current WAL byte stream for replication: a
 	// follower's byte offset is only meaningful against the generation it
@@ -136,10 +140,10 @@ type Log[K comparable, V any] struct {
 	// that no longer exists detects the fact and resyncs from a full dump
 	// instead of misreading reused offsets.
 	walGen int64
-	// walBytes counts bytes flushed to the OS in the current WAL — the
-	// replication-visible prefix. An append whose flush failed is not
-	// counted: a follower must not get ahead of the leader's own
-	// durability.
+	// walBytes counts bytes written to the OS in the current WAL — the
+	// replication-visible prefix, which ends on a frame boundary. A failed
+	// write is not counted: a follower must not get ahead of the leader's
+	// own durability.
 	walBytes int64
 
 	// compactDone is the in-flight background compaction's completion
@@ -254,7 +258,6 @@ func Open[K comparable, V any](dir string, files Files, codec Codec[K, V], opts 
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l.wal = f
-	l.w = bufio.NewWriter(f)
 	// The WAL now ends exactly at walValidLen (the corrupt tail, if any,
 	// was truncated above). Replication offsets start there, under a fresh
 	// generation: offsets handed out by a previous process are invalid —
@@ -407,16 +410,20 @@ func (l *Log[K, V]) Append(k K, v V) error {
 	if l.closed {
 		return ErrClosed
 	}
-	// Frame straight into the writer's free space: a record that fits
-	// costs no allocation and no copy.
-	line := appendFrame(l.w.AvailableBuffer(), payload)
-	if _, err := l.w.Write(line); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if l.werr != nil {
+		return l.werr
 	}
+	l.buf = appendFrame(l.buf[:0], payload)
+	n, err := l.wal.Write(l.buf)
+	if err != nil {
+		l.werr = fmt.Errorf("wal: %w", err)
+		return l.werr
+	}
+	l.walBytes += int64(n)
 	l.records[k] = v
 	l.appends++
 	l.walRecords++
-	if err := l.flushLocked(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		return err
 	}
 	if l.opts.CompactEvery > 0 && l.walRecords >= l.opts.CompactEvery && l.compactDone == nil {
@@ -461,17 +468,17 @@ func (l *Log[K, V]) Load(fn func(K, V)) {
 	}
 }
 
-// Flush drains buffered appends to the OS (and to stable storage when
-// Options.Sync is set), then waits for any in-flight background
-// compaction — so Flush returning means the log's on-disk state is a
-// complete, quiescent image of every accepted write.
+// Flush reports a failed WAL write, fsyncs the WAL when Options.Sync is
+// set, then waits for any in-flight background compaction — so Flush
+// returning nil means the log's on-disk state is a complete, quiescent
+// image of every accepted write.
 func (l *Log[K, V]) Flush() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	err := l.flushLocked()
+	err := l.syncLocked()
 	done := l.compactDone
 	l.mu.Unlock()
 	// Outside the lock: finishCompaction re-acquires l.mu to publish its
@@ -482,14 +489,12 @@ func (l *Log[K, V]) Flush() error {
 	return err
 }
 
-func (l *Log[K, V]) flushLocked() error {
-	buffered := l.w.Buffered()
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+// syncLocked returns the failed write that stopped the log, if any, and
+// otherwise fsyncs the WAL when Options.Sync is set.
+func (l *Log[K, V]) syncLocked() error {
+	if l.werr != nil {
+		return l.werr
 	}
-	// Counted before the fsync: the bytes are in the file whether or not
-	// it succeeds, and later offsets must match the file.
-	l.walBytes += int64(buffered)
 	if l.opts.Sync {
 		if err := l.wal.Sync(); err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -523,14 +528,14 @@ func (l *Log[K, V]) Compact() error {
 }
 
 // beginCompactionLocked is the cheap, mutex-held half of a compaction:
-// flush and rotate the current WAL to the tail file, open a fresh WAL for
+// sync and rotate the current WAL to the tail file, open a fresh WAL for
 // subsequent appends, and stage a point-in-time copy of the live set.
 // The expensive snapshot write happens in finishCompaction, off the
 // append path. Callers must hold l.mu and have checked that no compaction
 // is running. The returned channel is this compaction generation's
 // completion latch.
 func (l *Log[K, V]) beginCompactionLocked() ([]pair[K, V], chan struct{}, error) {
-	if err := l.flushLocked(); err != nil {
+	if err := l.syncLocked(); err != nil {
 		return nil, nil, err
 	}
 	walPath, tailPath := l.path(l.files.WAL), l.path(l.files.Tail)
@@ -563,7 +568,6 @@ func (l *Log[K, V]) beginCompactionLocked() ([]pair[K, V], chan struct{}, error)
 		if _, err := l.wal.Seek(0, 0); err != nil {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
-		l.w.Reset(l.wal)
 	} else {
 		// Rename before closing: the open handle follows the renamed file,
 		// so a rename failure leaves the log exactly as it was — still
@@ -582,7 +586,6 @@ func (l *Log[K, V]) beginCompactionLocked() ([]pair[K, V], chan struct{}, error)
 				if rf, oerr := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o644); oerr == nil {
 					if _, serr := rf.Seek(0, 2); serr == nil {
 						l.wal = rf
-						l.w.Reset(rf)
 						return nil, nil, fmt.Errorf("wal: reopening WAL after rotation (rolled back): %w", err)
 					}
 					rf.Close()
@@ -591,7 +594,6 @@ func (l *Log[K, V]) beginCompactionLocked() ([]pair[K, V], chan struct{}, error)
 			return nil, nil, fmt.Errorf("wal: WAL unavailable after failed rotation — log is no longer durable: %w", err)
 		}
 		l.wal = f
-		l.w.Reset(f)
 		if l.opts.Sync {
 			// The rename and the fresh WAL's directory entry must be as
 			// durable as the record fsyncs that follow.
@@ -692,7 +694,7 @@ func (l *Log[K, V]) writeSnapshot(staged []pair[K, V]) error {
 	return nil
 }
 
-// Close flushes, waits for any in-flight compaction, and closes the WAL.
+// Close waits for any in-flight compaction, fsyncs and closes the WAL.
 // Idempotent; Append and Flush fail with ErrClosed afterwards.
 func (l *Log[K, V]) Close() error {
 	l.mu.Lock()
@@ -700,7 +702,7 @@ func (l *Log[K, V]) Close() error {
 		l.mu.Unlock()
 		return nil
 	}
-	err := l.flushLocked()
+	err := l.werr
 	l.closed = true
 	done := l.compactDone
 	l.mu.Unlock()

@@ -86,8 +86,7 @@ func TestAppendDoesNotWaitForSnapshot(t *testing.T) {
 }
 
 // TestFrameFormat pins the bytes on disk: "%08x payload\n" with the
-// CRC-32C of the payload, for records smaller and larger than the
-// writer's buffer.
+// CRC-32C of the payload, for a short record and a 10,000-byte one.
 func TestFrameFormat(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, testFiles, gateCodec{}, Options{CompactEvery: -1})
@@ -118,5 +117,30 @@ func TestFrameFormat(t *testing.T) {
 	}
 	if payload, ok := checkFrame(got[:12]); !ok || string(payload) != "k=v" {
 		t.Fatalf("checkFrame = %q, %v", payload, ok)
+	}
+}
+
+// TestFailedWriteStopsAppends: after a WAL write fails, the log refuses
+// every later append and Flush reports the failure — a record written
+// behind a torn frame would be lost at the next replay.
+func TestFailedWriteStopsAppends(t *testing.T) {
+	l, err := Open(t.TempDir(), testFiles, gateCodec{}, Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.wal.Close() // every write now fails
+	first := l.Append("a", "v")
+	if first == nil {
+		t.Fatal("Append succeeded on a closed WAL file")
+	}
+	if err := l.Append("b", "v"); err != first {
+		t.Fatalf("second Append = %v, want the first failure %v", err, first)
+	}
+	if err := l.Flush(); err != first {
+		t.Fatalf("Flush = %v, want the first failure %v", err, first)
+	}
+	if l.Len() != 0 || l.Stats().Appends != 0 {
+		t.Fatalf("failed appends were accepted: %d records, %+v", l.Len(), l.Stats())
 	}
 }
