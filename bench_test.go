@@ -197,10 +197,11 @@ func BenchmarkEvserveColdVsWarm(b *testing.B) {
 }
 
 // BenchmarkEvserveWorkerScaling measures cold batch throughput of
-// GenerateAll across pool sizes. Each iteration uses a fresh cache so every
-// request pays for generation; the pipeline is shared (it is concurrency-
-// safe and its construction cost is not what is being measured). Simulated
-// generation is pure CPU, so throughput scales with pool size only up to
+// GenerateAll across Workers bounds. Each iteration uses a fresh cache so
+// every request pays for generation; the pipeline is shared (it is
+// concurrency-safe and its construction cost is not what is being
+// measured). Simulated
+// generation is pure CPU, so throughput scales with Workers only up to
 // GOMAXPROCS — on a single-core machine the curve is flat; see
 // evserve.BenchmarkWorkerScalingLatencyBound for the latency-bound curve.
 func BenchmarkEvserveWorkerScaling(b *testing.B) {

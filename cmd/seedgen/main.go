@@ -1,6 +1,6 @@
 // Command seedgen runs the SEED pipeline over a corpus split and prints
 // the generated evidence, one line per question. Generation goes through
-// the evserve service: a bounded worker pool fans the split out, identical
+// the evserve service: one bounded batch runs the split, identical
 // questions are deduplicated in flight, and repeats hit the evidence cache.
 //
 // Usage:
@@ -42,7 +42,7 @@ func main() {
 	limit := flag.Int("limit", 20, "maximum questions to process (0 = all)")
 	seedFlag := flag.Uint64("seed", 7, "corpus generation seed")
 	revise := flag.Bool("revise", false, "also print the SEED_revised form")
-	workers := flag.Int("workers", 0, "evidence worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "most evidence generations at a time (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 4096, "evidence cache capacity in entries (negative disables)")
 	stats := flag.Bool("stats", false, "print the per-stage pipeline cost table (runs, wall time, tokens)")
 	storeDir := flag.String("store-dir", "", "durable evidence store directory (same layout as seedd -store-dir; empty = in-memory only)")

@@ -10,10 +10,10 @@ import (
 // Key identifies one evidence request in the cache: the database name, the
 // SEED variant that generated the evidence, and a 64-bit FNV-1a hash of the
 // whole (db, variant, question) triple. Hashing the question keeps keys
-// fixed-size regardless of prompt length; at 64 bits the collision
-// probability is negligible for any realistic corpus. Always construct
-// through KeyFor — QHash doubles as the shard selector, so a hand-built
-// Key will not match one the cache stored.
+// fixed-size regardless of prompt length (evstore persists QHash in every
+// record); at 64 bits the collision probability is negligible for any
+// realistic corpus. Always construct through KeyFor, so a key matches the
+// one the cache and the store hold.
 type Key struct {
 	// DB is the target database name.
 	DB string
@@ -37,9 +37,7 @@ func CacheNamespace(variant, corpus string) string {
 	return variant
 }
 
-// KeyFor builds the cache key for a (db, variant, question) triple. The
-// hash covers all three components so it can double as the shard selector
-// without re-hashing on the hot lookup path.
+// KeyFor builds the cache key for a (db, variant, question) triple.
 func KeyFor(db, variant, question string) Key {
 	h := fnv.New64a()
 	h.Write([]byte(db))
@@ -50,9 +48,8 @@ func KeyFor(db, variant, question string) Key {
 	return Key{DB: db, Variant: variant, QHash: h.Sum64()}
 }
 
-// Cache is the sharded LRU of generated evidence: internal/lru keyed by
-// Key, sharded by a mask over the precomputed QHash so Get and Put cost
-// no hashing. Construct with NewCache.
+// Cache is the LRU of generated evidence: internal/lru keyed by Key.
+// Construct with NewCache.
 type Cache = lru.Cache[Key, Entry]
 
 // Entry is one cached evidence result: the evidence text plus the
@@ -68,11 +65,10 @@ type Entry struct {
 	Trace *pipeline.Trace
 }
 
-// NewCache builds an evidence cache of roughly capacity entries over the
-// given shard count; see lru.New for the rounding and the defaults
-// non-positive arguments fall back to.
-func NewCache(capacity, shards int) *Cache {
-	return lru.New[Key, Entry](capacity, shards, func(k Key) uint64 { return k.QHash })
+// NewCache builds an evidence cache of exactly capacity entries; see
+// lru.New for the default a non-positive capacity falls back to.
+func NewCache(capacity int) *Cache {
+	return lru.New[Key, Entry](capacity)
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters:

@@ -3,7 +3,7 @@
 // wraps a traced generation function (seed.Pipeline.GenerateEvidenceTraced)
 // with three layers the paper's batch scripts lack:
 //
-//  1. A sharded LRU cache keyed by (db, variant, question-hash), so repeat
+//  1. An LRU cache keyed by (db, variant, question-hash), so repeat
 //     questions — the common case for a deployed text-to-SQL assistant —
 //     cost a map lookup instead of a full pipeline run.
 //  2. Single-flight deduplication, so concurrent identical requests share
@@ -11,10 +11,10 @@
 //     invocation runs detached from every caller's context: a caller whose
 //     context ends stops waiting at once, and the generation still lands
 //     in the cache (and the store).
-//  3. A bounded worker pool with a batch API (GenerateAll) for offline
-//     splits, replacing unbounded per-split goroutine fan-out with
-//     backpressure and context cancellation. Single requests
-//     (GenerateTraced, what the server calls) never enter the pool.
+//  3. A batch API (GenerateAll) for offline splits: each batch runs at
+//     most Workers requests at a time, with context cancellation. A
+//     Service keeps no goroutine of its own; single requests
+//     (GenerateTraced, what the server calls) run on the caller's.
 //
 // Every layer exports counters (hits, misses, in-flight, dedups, batch
 // throughput) through Stats, which the benchrun CLI renders as the
@@ -67,14 +67,12 @@ type Options struct {
 	// Generations carry its per-stage provenance traces, which the cache
 	// preserves and Stats aggregates into per-stage cost counters.
 	GenerateTraced TracedFunc
-	// Workers bounds the worker pool; 0 defaults to GOMAXPROCS.
+	// Workers bounds the requests one GenerateAll batch runs at a time;
+	// 0 defaults to GOMAXPROCS.
 	Workers int
-	// CacheCapacity is the total cache size in entries; 0 defaults to
-	// 4096, negative disables caching entirely.
+	// CacheCapacity is the cache size in entries; 0 defaults to 4096,
+	// negative disables caching entirely.
 	CacheCapacity int
-	// CacheShards is the shard count (rounded up to a power of two);
-	// 0 defaults to 16.
-	CacheShards int
 	// Store, when set, makes the cache durable: New replays the store
 	// into the cache (traces included) before serving, every generation
 	// is persisted write-through, and Close flushes the store after the
@@ -134,8 +132,6 @@ type Service struct {
 	flight flightGroup
 	stages *pipeline.Aggregator
 
-	jobs      chan job
-	workersWG sync.WaitGroup
 	closeOnce sync.Once
 	flushOnce sync.Once
 	done      chan struct{}
@@ -156,18 +152,9 @@ type Service struct {
 	batchNanos    atomic.Int64
 }
 
-// job carries one batch request to a pool worker.
-type job struct {
-	ctx      context.Context
-	db       string
-	question string
-	out      *Result
-	wg       *sync.WaitGroup
-}
-
-// New builds and starts a Service; its worker pool runs until Close. It
-// panics if GenerateTraced is not set, since a service with nothing to
-// wrap is a programming error, not a runtime condition.
+// New builds a Service; it starts no goroutine. It panics if
+// GenerateTraced is not set, since a service with nothing to wrap is a
+// programming error, not a runtime condition.
 func New(opts Options) *Service {
 	if opts.GenerateTraced == nil {
 		panic("evserve: Options.GenerateTraced is required")
@@ -177,12 +164,11 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		opts:   opts,
-		jobs:   make(chan job),
 		done:   make(chan struct{}),
 		stages: pipeline.NewAggregator(),
 	}
 	if opts.CacheCapacity >= 0 {
-		s.cache = NewCache(opts.CacheCapacity, opts.CacheShards)
+		s.cache = NewCache(opts.CacheCapacity)
 		s.flight.cache = s.cache
 	}
 	if opts.Store != nil && s.cache != nil {
@@ -205,39 +191,13 @@ func New(opts Options) *Service {
 			s.storeErrors.Add(1)
 		}
 	}
-	s.workersWG.Add(opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
-		go s.worker()
-	}
 	return s
-}
-
-// worker drains the job channel until Close. The jobs channel is unbuffered
-// and never closed: a send only completes when a worker receives it, so
-// every job that enters the pool is guaranteed a wg.Done.
-func (s *Service) worker() {
-	defer s.workersWG.Done()
-	for {
-		select {
-		case <-s.done:
-			return
-		case j := <-s.jobs:
-			if err := j.ctx.Err(); err != nil {
-				j.out.Err = err
-				j.wg.Done()
-				continue
-			}
-			ev, err := s.GenerateTraced(j.ctx, j.db, j.question)
-			j.out.Evidence, j.out.Trace, j.out.CacheHit, j.out.Err = ev.Text, ev.Trace, ev.CacheHit, err
-			j.wg.Done()
-		}
-	}
 }
 
 // Generate returns evidence for one question: from the cache when present,
 // otherwise by running the wrapped generation function — at most once per
-// key across concurrent callers. It does not use the worker pool, so it is
-// safe to call from inside another Service's generation function.
+// key across concurrent callers. It is safe to call from inside another
+// Service's generation function.
 func (s *Service) Generate(ctx context.Context, db, question string) (string, error) {
 	ev, err := s.GenerateTraced(ctx, db, question)
 	return ev.Text, err
@@ -338,13 +298,8 @@ func (s *Service) GenerateTraced(ctx context.Context, db, question string) (Evid
 // generate under. Each request has one counted probe: cache_hits and
 // cache_misses move by one per request.
 func (s *Service) probe(ctx context.Context, db, question string) (Evidence, Key, error) {
-	if err := ctx.Err(); err != nil {
+	if err := s.stopped(ctx); err != nil {
 		return Evidence{}, Key{}, err
-	}
-	select {
-	case <-s.done:
-		return Evidence{}, Key{}, ErrClosed
-	default:
 	}
 	k := KeyFor(db, s.opts.Variant, question)
 	if s.cache != nil {
@@ -358,6 +313,20 @@ func (s *Service) probe(ctx context.Context, db, question string) (Evidence, Key
 		}
 	}
 	return Evidence{}, k, nil
+}
+
+// stopped reports why no request may start now: ctx.Err() when the caller
+// has gone, ErrClosed after Close, and nil otherwise.
+func (s *Service) stopped(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case <-s.done:
+		return ErrClosed
+	default:
+		return nil
+	}
 }
 
 // Inject lands an externally produced entry (typically one replicated
@@ -381,9 +350,9 @@ func (s *Service) Inject(k Key, e Entry) bool {
 	return true
 }
 
-// GenerateAll runs a batch of requests through the bounded worker pool and
+// GenerateAll runs a batch of requests, at most Workers at a time, and
 // returns one Result per request, in submission order. Cancelling ctx stops
-// submission and fails queued-but-unstarted requests with ctx.Err();
+// submission and fails the requests not yet started with ctx.Err();
 // requests already generating fail with ctx.Err() too, while their
 // generations run to completion and are cached. The returned error is
 // ctx.Err() when the batch was cancelled, ErrClosed when the service was
@@ -394,31 +363,34 @@ func (s *Service) GenerateAll(ctx context.Context, reqs []Request) ([]Result, er
 	results := make([]Result, len(reqs))
 	var wg sync.WaitGroup
 	var stopErr error
+	sem := make(chan struct{}, s.opts.Workers)
 	submitted := 0
-submit:
 	for i := range reqs {
 		results[i].Request = reqs[i]
-		wg.Add(1)
-		select {
-		case s.jobs <- job{ctx: ctx, db: reqs[i].DB, question: reqs[i].Question, out: &results[i], wg: &wg}:
-			submitted++
-		case <-ctx.Done():
-			wg.Done()
-			for j := i; j < len(reqs); j++ {
-				results[j].Request = reqs[j]
-				results[j].Err = ctx.Err()
-			}
-			stopErr = ctx.Err()
-			break submit
-		case <-s.done:
-			wg.Done()
-			for j := i; j < len(reqs); j++ {
-				results[j].Request = reqs[j]
-				results[j].Err = ErrClosed
-			}
-			stopErr = ErrClosed
-			break submit
+		if stopErr == nil {
+			stopErr = s.stopped(ctx)
 		}
+		if stopErr == nil {
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				stopErr = ctx.Err()
+			case <-s.done:
+				stopErr = ErrClosed
+			}
+		}
+		if stopErr != nil {
+			results[i].Err = stopErr
+			continue
+		}
+		submitted++
+		wg.Add(1)
+		go func(r *Result) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			ev, err := s.GenerateTraced(ctx, r.Request.DB, r.Request.Question)
+			r.Evidence, r.Trace, r.CacheHit, r.Err = ev.Text, ev.Trace, ev.CacheHit, err
+		}(&results[i])
 	}
 	wg.Wait()
 	s.batchCalls.Add(1)
@@ -427,17 +399,16 @@ submit:
 	return results, stopErr
 }
 
-// Close stops the worker pool and refuses new generations (they get
-// ErrClosed), waits for the generations already running — pool jobs and
-// direct calls alike, including those whose callers stopped waiting — and
-// then flushes the store (when one is attached) so every write accepted
-// before shutdown is durable: flushing earlier would race the last
-// generations' appends. It is idempotent. Batches submitted concurrently
-// with Close may observe ErrClosed on their remaining requests.
+// Close refuses new generations (they get ErrClosed), waits for the
+// generations already running — batch requests and direct calls alike,
+// including those whose callers stopped waiting — and then flushes the
+// store (when one is attached) so every write accepted before shutdown is
+// durable: flushing earlier would race the last generations' appends. It
+// is idempotent. Batches running concurrently with Close may observe
+// ErrClosed on their remaining requests.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() { close(s.done) })
 	s.flight.close()
-	s.workersWG.Wait()
 	if s.opts.Store != nil {
 		// Flushed once: a repeat Close after the store's owner closed it
 		// must not report a phantom StoreError.
@@ -453,7 +424,7 @@ func (s *Service) Close() {
 type Stats struct {
 	// Variant echoes Options.Variant.
 	Variant string
-	// Workers echoes the resolved pool size.
+	// Workers echoes the resolved Options.Workers.
 	Workers int
 	// Cache holds the cache counters; zero-valued when caching is off.
 	Cache CacheStats
@@ -471,9 +442,9 @@ type Stats struct {
 	GenerationTime time.Duration
 	// BatchCalls counts GenerateAll invocations.
 	BatchCalls int64
-	// BatchRequests counts requests actually handed to the pool across
-	// all batches; requests failed before submission (cancellation,
-	// Close) are excluded so Throughput is not overstated.
+	// BatchRequests counts requests actually started across all
+	// batches; requests failed before they started (cancellation, Close)
+	// are excluded so Throughput is not overstated.
 	BatchRequests int64
 	// BatchTime is the summed wall time of all GenerateAll calls.
 	BatchTime time.Duration

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,24 @@ func echoService(t *testing.T, opts Options, calls *atomic.Int64) *Service {
 	s := New(opts)
 	t.Cleanup(s.Close)
 	return s
+}
+
+// TestNewStartsNoGoroutine: a Service keeps no goroutine of its own, so
+// building and closing one leaves the goroutine count where it was. It is
+// the package's first test, so no earlier test's goroutine can be exiting
+// while it counts.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Options{Variant: "v", GenerateTraced: func(_ context.Context, db, q string) (string, *pipeline.Trace, error) {
+		return "ev", nil, nil
+	}})
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("New: %d goroutines, %d before", n, before)
+	}
+	s.Close()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("Close: %d goroutines, %d before New", n, before)
+	}
 }
 
 func TestGenerateCachesResult(t *testing.T) {
@@ -109,7 +128,7 @@ func TestSingleFlightDedup(t *testing.T) {
 
 func TestServiceEvictionRegenerates(t *testing.T) {
 	var calls atomic.Int64
-	s := echoService(t, Options{Variant: "v", CacheCapacity: 2, CacheShards: 1}, &calls)
+	s := echoService(t, Options{Variant: "v", CacheCapacity: 2}, &calls)
 	ctx := context.Background()
 	for _, q := range []string{"a", "b", "c", "a"} {
 		if _, err := s.Generate(ctx, "db", q); err != nil {
@@ -180,15 +199,15 @@ func TestGenerateAllErrorsAreLocal(t *testing.T) {
 }
 
 // TestGenerateAllCancellation cancels a batch mid-run: the call must return
-// ctx.Err(), abandoned requests must carry ctx.Err(), and the pool must not
-// process the whole batch.
+// ctx.Err(), abandoned requests must carry ctx.Err(), and the batch must not
+// run every request.
 func TestGenerateAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	s := New(Options{
 		Variant:       "v",
 		Workers:       1,
-		CacheCapacity: -1, // isolate pool behaviour from caching
+		CacheCapacity: -1, // isolate batch behaviour from caching
 		GenerateTraced: func(_ context.Context, db, question string) (string, *pipeline.Trace, error) {
 			if calls.Add(1) == 2 {
 				cancel() // cancel while the batch is mid-flight
@@ -217,7 +236,7 @@ func TestGenerateAllCancellation(t *testing.T) {
 		t.Error("no request carries the cancellation error")
 	}
 	if n := calls.Load(); n >= int64(len(reqs)) {
-		t.Errorf("pool processed all %d requests despite cancellation", n)
+		t.Errorf("batch ran all %d requests despite cancellation", n)
 	}
 	if st := s.Stats(); st.BatchRequests >= int64(len(reqs)) {
 		t.Errorf("BatchRequests = %d counts never-submitted requests (batch size %d)", st.BatchRequests, len(reqs))
@@ -240,7 +259,8 @@ func TestGenerateAfterCloseFails(t *testing.T) {
 // serving subsystem relies on: Close must be safe to call any number of
 // times from any number of goroutines — a server's shutdown path racing
 // experiments.Env.Close over the same service must not panic or deadlock,
-// and every Close call must return only after the pool has drained.
+// and every Close call must return only after the running generation has
+// finished.
 func TestCloseIdempotentUnderConcurrency(t *testing.T) {
 	release := make(chan struct{})
 	var started sync.WaitGroup
@@ -285,7 +305,7 @@ func TestCloseIdempotentUnderConcurrency(t *testing.T) {
 // overlapping keys; run under -race this is the service's race test.
 func TestConcurrentMixedLoad(t *testing.T) {
 	var calls atomic.Int64
-	s := echoService(t, Options{Variant: "v", Workers: 4, CacheCapacity: 8, CacheShards: 2}, &calls)
+	s := echoService(t, Options{Variant: "v", Workers: 4, CacheCapacity: 8}, &calls)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -380,7 +400,7 @@ func contains(s, sub string) bool {
 // BenchmarkWorkerScalingLatencyBound measures GenerateAll throughput over a
 // generator dominated by simulated latency (as a network-backed LLM would
 // be). Unlike CPU-bound generation, latency-bound work overlaps regardless
-// of GOMAXPROCS, so throughput must scale near-linearly with pool size.
+// of GOMAXPROCS, so throughput must scale near-linearly with Workers.
 func BenchmarkWorkerScalingLatencyBound(b *testing.B) {
 	const latency = time.Millisecond
 	reqs := make([]Request, 64)
@@ -408,10 +428,10 @@ func BenchmarkWorkerScalingLatencyBound(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheGet measures the warm-path cost in isolation: a sharded
-// cache hit under no contention.
+// BenchmarkCacheGet measures the warm-path cost in isolation: a cache hit
+// under no contention.
 func BenchmarkCacheGet(b *testing.B) {
-	c := NewCache(1024, 16)
+	c := NewCache(1024)
 	k := KeyFor("db", "v", "question")
 	c.Put(k, Entry{Evidence: "evidence"})
 	b.ResetTimer()

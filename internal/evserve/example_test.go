@@ -37,7 +37,8 @@ func ExampleService_Generate() {
 }
 
 // ExampleService_GenerateAll shows the batch API: a whole split goes
-// through the bounded worker pool and comes back in submission order.
+// through at most Workers generations at a time and comes back in
+// submission order.
 func ExampleService_GenerateAll() {
 	svc := evserve.New(evserve.Options{
 		Variant: "seed_gpt",
@@ -62,10 +63,10 @@ func ExampleService_GenerateAll() {
 	// evidence for: Which district has the most loans?
 }
 
-// ExampleCache shows the sharded LRU on its own: capacity bounds the
+// ExampleCache shows the LRU on its own: capacity bounds the
 // population and the least recently used entry is evicted first.
 func ExampleCache() {
-	c := evserve.NewCache(2, 1)
+	c := evserve.NewCache(2)
 	c.Put(evserve.KeyFor("db", "seed_gpt", "q1"), evserve.Entry{Evidence: "ev1"})
 	c.Put(evserve.KeyFor("db", "seed_gpt", "q2"), evserve.Entry{Evidence: "ev2"})
 	c.Get(evserve.KeyFor("db", "seed_gpt", "q1"))                                 // refresh q1

@@ -143,9 +143,9 @@ func mustMarshal(t *testing.T, v any) []byte {
 }
 
 // TestCloseFlushesStoreBeforeReturn is the regression test for the
-// shutdown-ordering fix: Close must drain the worker pool and then flush
-// the store, so every accepted write is on disk before the store's own
-// Close.
+// shutdown-ordering fix: Close must wait for running generations and then
+// flush the store, so every accepted write is on disk before the store's
+// own Close.
 func TestCloseFlushesStoreBeforeReturn(t *testing.T) {
 	dir := t.TempDir()
 	store, err := evstore.Open(dir, evstore.Options{})
@@ -265,7 +265,6 @@ func TestRestoreFiltersOtherVariants(t *testing.T) {
 		Variant:        "seed_deepseek",
 		GenerateTraced: tracedGen(&calls),
 		CacheCapacity:  perVariant,
-		CacheShards:    1,
 		Store:          reopened,
 	})
 	defer svc.Close()

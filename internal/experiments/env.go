@@ -220,8 +220,8 @@ func (e *Env) SpiderSeedEvidence() map[string]string {
 	return evidenceMap(svc, split)
 }
 
-// Close shuts down the worker pools of every evidence service built so
-// far (each flushes its store after its pool drains) and then closes the
+// Close closes every evidence service built so far (each flushes its
+// store after its running generations finish) and then closes the
 // durable stores. The Env is not usable for evidence generation
 // afterwards.
 func (e *Env) Close() {

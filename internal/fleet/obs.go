@@ -11,15 +11,14 @@ import (
 // initObs registers the router's counters into an obs.Registry so the
 // front tier speaks the same Prometheus exposition as the replicas. The
 // existing atomics stay the source of truth (the in-process Metrics
-// snapshot reads them directly); the registry wraps them in scrape-time
-// gauges.
+// snapshot reads them directly); the registry reads them at scrape time.
 func (rt *Router) initObs() {
 	rt.reg = obs.NewRegistry()
 	rt.reg.GaugeFunc("fleet_uptime_seconds", "Router process uptime.",
 		func() float64 { return time.Since(rt.start).Seconds() })
 
 	counter := func(name, help string, v *atomic.Int64) {
-		rt.reg.GaugeFunc(name, help, func() float64 { return float64(v.Load()) })
+		rt.reg.CounterFunc(name, help, v.Load)
 	}
 	counter("fleet_requests_total", "Client requests.", &rt.requests)
 	counter("fleet_attempts_total", "Backend round trips spent on client requests.", &rt.attempts)
@@ -45,7 +44,7 @@ func (rt *Router) initObs() {
 		rt.reg.GaugeFunc("fleet_replica_alive", "1 when the replica answers health probes.", bool01(&rep.alive), l)
 		rt.reg.GaugeFunc("fleet_replica_ready", "1 when the replica reports ready (not draining).", bool01(&rep.ready), l)
 		repCounter := func(mname, help string, v *atomic.Int64) {
-			rt.reg.GaugeFunc(mname, help, func() float64 { return float64(v.Load()) }, l)
+			rt.reg.CounterFunc(mname, help, v.Load, l)
 		}
 		repCounter("fleet_replica_attempts_total", "Requests sent to this replica.", &rep.attempts)
 		repCounter("fleet_replica_failures_total", "Transport errors and 5xx outcomes from this replica.", &rep.failures)

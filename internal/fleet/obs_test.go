@@ -136,7 +136,7 @@ func TestRouterMetricsPrometheusDefault(t *testing.T) {
 		t.Errorf("/metrics Content-Type = %q, want text/plain exposition", ct)
 	}
 	for _, want := range []string{
-		"# TYPE fleet_requests_total gauge",
+		"# TYPE fleet_requests_total counter",
 		"fleet_replica_alive{replica=",
 		"fleet_request_latency_us",
 	} {
@@ -152,7 +152,7 @@ func TestRouterMetricsPrometheusDefault(t *testing.T) {
 	jbody, _ := io.ReadAll(jresp.Body)
 	jresp.Body.Close()
 	if ct := jresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") ||
-		!strings.Contains(string(jbody), "# TYPE fleet_requests_total gauge") {
+		!strings.Contains(string(jbody), "# TYPE fleet_requests_total counter") {
 		t.Errorf("?format=json answered %q: %.80s; want the text exposition", ct, jbody)
 	}
 }

@@ -216,7 +216,7 @@ func TestRandChanceExtremes(t *testing.T) {
 }
 
 // TestLedgerConcurrentComplete hammers one simulator from many goroutines,
-// the access pattern the evserve worker pool produces. Run under -race this
+// the access pattern concurrent evserve generations produce. Run under -race this
 // guards the ledger's lock discipline; the final counts check that no
 // recording was lost.
 func TestLedgerConcurrentComplete(t *testing.T) {

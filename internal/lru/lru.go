@@ -1,36 +1,24 @@
-// Package lru is the one sharded LRU under both in-memory reuse layers of
-// the stack: the evidence cache (evserve.Cache) and the prepared-plan
-// cache (sqlengine). Each keeps its key type, its hash and its exported
-// stats type; the mechanics — power-of-two shards, one lock and one
-// recency list per shard, hit/miss/eviction counters — live here once.
+// Package lru is the one LRU under both in-memory reuse layers of the
+// stack: the evidence cache (evserve.Cache) and the prepared-plan cache
+// (sqlengine). Each keeps its key type and its exported stats type; the
+// mechanics — one lock, one map, one recency list, an exact capacity and
+// hit/miss/eviction counters — live here once.
 package lru
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Cache is a sharded LRU from K to V. Each shard has its own lock and
-// recency list, so concurrent lookups on different shards never contend.
-// The zero value is not usable; construct with New.
+// Cache is an LRU from K to V holding at most its capacity in entries.
+// One mutex guards the map, the recency list and the counters. The zero
+// value is not usable; construct with New.
 type Cache[K comparable, V any] struct {
-	shards []shard[K, V]
-	mask   uint64
-	hash   func(K) uint64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-// shard is one independently locked LRU segment. Its recency list is
-// intrusive and circular through root: root.next is the most recently
-// used node, root.prev the eviction candidate.
-type shard[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
 	entries  map[K]*node[K, V]
-	root     node[K, V]
+	// root anchors the intrusive circular recency list: root.next is the
+	// most recently used node, root.prev the eviction candidate.
+	root node[K, V]
+
+	hits, misses, evictions int64
 }
 
 // node is one entry; it carries its key so eviction can delete the map
@@ -41,48 +29,19 @@ type node[K comparable, V any] struct {
 	val        V
 }
 
-// New builds a sharded LRU of roughly capacity entries over the given
-// shard count. Shards is rounded up to a power of two and each shard
-// holds ceil(capacity/shards) entries, so the exact total bound is that
-// per-shard capacity times the shard count — slightly above capacity when
-// it doesn't divide evenly. Non-positive arguments fall back to defaults
-// (capacity 4096, 16 shards). hash picks a key's shard: it must be
-// deterministic per key and should spread keys evenly over its low bits.
-func New[K comparable, V any](capacity, shards int, hash func(K) uint64) *Cache[K, V] {
+// New builds an LRU of exactly capacity entries; a non-positive capacity
+// falls back to 4096.
+func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	if shards <= 0 {
-		shards = 16
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	perShard := (capacity + n - 1) / n
-	c := &Cache[K, V]{shards: make([]shard[K, V], n), mask: uint64(n - 1), hash: hash}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.capacity = perShard
-		s.entries = make(map[K]*node[K, V])
-		s.root.prev, s.root.next = &s.root, &s.root
-	}
+	c := &Cache[K, V]{capacity: capacity, entries: make(map[K]*node[K, V])}
+	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
 
-// HashString is 64-bit FNV-1a over s, the shard hash of the string-keyed
-// caches. Written out because hash/fnv only takes byte slices.
-func HashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (s *shard[K, V]) pushFront(n *node[K, V]) {
-	n.prev, n.next = &s.root, s.root.next
+func (c *Cache[K, V]) pushFront(n *node[K, V]) {
+	n.prev, n.next = &c.root, c.root.next
 	n.prev.next, n.next.prev = n, n
 }
 
@@ -91,83 +50,69 @@ func (n *node[K, V]) unlink() {
 }
 
 // touch marks n most recently used.
-func (s *shard[K, V]) touch(n *node[K, V]) {
-	if s.root.next != n {
+func (c *Cache[K, V]) touch(n *node[K, V]) {
+	if c.root.next != n {
 		n.unlink()
-		s.pushFront(n)
+		c.pushFront(n)
 	}
-}
-
-func (c *Cache[K, V]) shardFor(k K) *shard[K, V] {
-	return &c.shards[c.hash(k)&c.mask]
 }
 
 // Get returns the value cached under k, marking it most recently used.
 // The second result reports whether the key was present.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	n, ok := s.entries[k]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.entries[k]
 	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
+		c.misses++
 		var zero V
 		return zero, false
 	}
-	s.touch(n)
-	v := n.val
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
+	c.hits++
+	c.touch(n)
+	return n.val, true
 }
 
 // Peek returns the value cached under k without counting the lookup or
 // touching recency: for a caller re-reading a key whose lookup it has
 // already had counted by Get.
 func (c *Cache[K, V]) Peek(k K) (V, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n, ok := s.entries[k]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.entries[k]; ok {
 		return n.val, true
 	}
 	var zero V
 	return zero, false
 }
 
-// Put stores v under k, evicting the shard's least recently used entry
-// when the shard is full. Re-putting an existing key refreshes both the
-// value and its recency.
+// Put stores v under k, evicting the least recently used entry when the
+// cache is full. Re-putting an existing key refreshes both the value and
+// its recency.
 func (c *Cache[K, V]) Put(k K, v V) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n, ok := s.entries[k]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.entries[k]; ok {
 		n.val = v
-		s.touch(n)
+		c.touch(n)
 		return
 	}
-	if len(s.entries) >= s.capacity {
-		oldest := s.root.prev
+	if len(c.entries) >= c.capacity {
+		oldest := c.root.prev
 		oldest.unlink()
-		delete(s.entries, oldest.key)
-		c.evictions.Add(1)
+		delete(c.entries, oldest.key)
+		c.evictions++
 	}
 	n := &node[K, V]{key: k, val: v}
-	s.entries[k] = n
-	s.pushFront(n)
+	c.entries[k] = n
+	c.pushFront(n)
 }
 
-// Len returns the current number of cached entries across all shards.
+// Len returns the current number of cached entries.
 func (c *Cache[K, V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -186,10 +131,7 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (c *Cache[K, V]) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestEvictionOrderAndRefresh(t *testing.T) {
-	c := lru.New[string, int](2, 1, lru.HashString) // one shard, two entries
+	c := lru.New[string, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if _, ok := c.Get("a"); !ok {
@@ -46,7 +46,7 @@ func TestEvictionOrderAndRefresh(t *testing.T) {
 // TestPeekCountsAndRefreshesNothing: Peek reads a value and leaves both
 // the hit/miss counters and the eviction order as it found them.
 func TestPeekCountsAndRefreshesNothing(t *testing.T) {
-	c := lru.New[string, int](2, 1, lru.HashString)
+	c := lru.New[string, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if v, ok := c.Peek("a"); !ok || v != 1 {
@@ -64,28 +64,41 @@ func TestPeekCountsAndRefreshesNothing(t *testing.T) {
 	}
 }
 
-func TestShardRoundingAndPerShardCapacity(t *testing.T) {
-	// 3 shards round up to 4; ceil(10/4) = 3 per shard, so the exact
-	// bound is 12, and one shard alone never holds more than 3.
-	c := lru.New[uint64, int](10, 3, func(k uint64) uint64 { return k })
-	for k := uint64(0); k < 400; k++ {
-		c.Put(k, int(k))
+// TestCapacityIsExact: a cache of capacity n holds any n keys, and the
+// key after them evicts exactly one entry, the least recently used of all.
+func TestCapacityIsExact(t *testing.T) {
+	for _, n := range []int{1, 10, 100} {
+		c := lru.New[string, int](n)
+		for i := 0; i < n; i++ {
+			c.Put(fmt.Sprintf("k%d", i), i)
+		}
+		if st := c.Stats(); st.Entries != n || st.Evictions != 0 {
+			t.Fatalf("n=%d: %+v after n puts, want n entries and no eviction", n, st)
+		}
+		// Refresh k0, so k1 (or k0 itself when it is the only key) is the
+		// least recently used.
+		c.Get("k0")
+		oldest := "k1"
+		if n == 1 {
+			oldest = "k0"
+		}
+		c.Put("extra", -1)
+		if st := c.Stats(); st.Entries != n || st.Evictions != 1 {
+			t.Fatalf("n=%d: %+v after n+1 puts, want n entries and one eviction", n, st)
+		}
+		if _, ok := c.Peek(oldest); ok {
+			t.Errorf("n=%d: %s survived; it was the least recently used", n, oldest)
+		}
+		for i := 0; i < n; i++ {
+			if k := fmt.Sprintf("k%d", i); k != oldest {
+				if v, ok := c.Peek(k); !ok || v != i {
+					t.Errorf("n=%d: %s = %d, %v; want %d, true", n, k, v, ok, i)
+				}
+			}
+		}
 	}
-	if got := c.Len(); got != 12 {
-		t.Errorf("Len = %d, want 4 shards x 3 entries", got)
-	}
-	one := lru.New[uint64, int](10, 3, func(uint64) uint64 { return 5 })
-	for k := uint64(0); k < 50; k++ {
-		one.Put(k, int(k))
-	}
-	if got := one.Len(); got != 3 {
-		t.Errorf("Len = %d with every key in one shard, want 3", got)
-	}
-	if st := one.Stats(); st.Evictions != 47 {
-		t.Errorf("evictions = %d, want 47", st.Evictions)
-	}
-	// Non-positive arguments take the defaults: 4096 entries fit.
-	def := lru.New[uint64, int](0, 0, func(k uint64) uint64 { return k })
+	// A non-positive capacity takes the default: 4096 entries fit.
+	def := lru.New[uint64, int](0)
 	for k := uint64(0); k < 4096; k++ {
 		def.Put(k, 0)
 	}
@@ -94,23 +107,10 @@ func TestShardRoundingAndPerShardCapacity(t *testing.T) {
 	}
 }
 
-func TestHashStringIsFNV1a(t *testing.T) {
-	// Published FNV-1a 64 test vectors.
-	for s, want := range map[string]uint64{
-		"":       0xcbf29ce484222325,
-		"a":      0xaf63dc4c8601ec8c,
-		"foobar": 0x85944171f73967e8,
-	} {
-		if got := lru.HashString(s); got != want {
-			t.Errorf("HashString(%q) = %#x, want %#x", s, got, want)
-		}
-	}
-}
-
-// TestConcurrentHammer is the -race assertion: many goroutines over few
-// shards, every operation mixed.
+// TestConcurrentHammer is the -race assertion: many goroutines on one
+// cache, every operation mixed.
 func TestConcurrentHammer(t *testing.T) {
-	c := lru.New[string, int](64, 4, lru.HashString)
+	c := lru.New[string, int](64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -139,7 +139,7 @@ func TestConcurrentHammer(t *testing.T) {
 // TestHitAllocatesNothing pins the hot path of the two adapters: a hit
 // must not allocate.
 func TestHitAllocatesNothing(t *testing.T) {
-	cache := evserve.NewCache(16, 2)
+	cache := evserve.NewCache(16)
 	key := evserve.KeyFor("db", "seed_gpt", "question")
 	cache.Put(key, evserve.Entry{Evidence: "ev"})
 

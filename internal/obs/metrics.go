@@ -22,7 +22,7 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
+	kindCounterFunc
 	kindGaugeFunc
 	kindHistogram
 )
@@ -35,7 +35,7 @@ type metric struct {
 	labels []Label
 
 	counter *Counter
-	gauge   *Gauge
+	count   func() int64
 	fn      func() float64
 	hist    *Histogram
 }
@@ -82,15 +82,16 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return m.counter
 }
 
-// Gauge registers (or returns the existing) settable gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	m := r.register(&metric{name: name, help: help, kind: kindGauge, labels: labels, gauge: &Gauge{}})
-	return m.gauge
+// CounterFunc registers a counter whose value is read at exposition time:
+// how a subsystem's cumulative counts (evserve, evstore, plan caches,
+// admission, the router) surface without restructuring their counters.
+// fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	r.register(&metric{name: name, help: help, kind: kindCounterFunc, labels: labels, count: fn})
 }
 
-// GaugeFunc registers a gauge whose value is computed at exposition time.
-// This is how snapshot-style subsystem stats (evserve, evstore, plan
-// caches, admission) surface without restructuring their counters.
+// GaugeFunc registers a gauge whose value is computed at exposition time:
+// a level (entries, in-flight work, uptime), never a cumulative count.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(&metric{name: name, help: help, kind: kindGaugeFunc, labels: labels, fn: fn})
 }
@@ -108,20 +109,8 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be >= 0 to keep the counter monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a lock-free settable value.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefaultHistogramCapacity is the sample-ring size a zero capacity
 // requests: quantiles are exact up to this many observations and computed
@@ -179,17 +168,11 @@ func (h *Histogram) window() []int64 {
 	return out
 }
 
-// Quantile returns the exact q-quantile (nearest-rank: the smallest
+// Quantiles returns the exact qs-quantiles (nearest-rank: the smallest
 // sample such that at least ceil(q*n) samples are <= it) over the current
-// sample window. q is clamped to [0, 1]; q=0 is the minimum, q=1 the
-// maximum. It returns 0 before any observation.
-func (h *Histogram) Quantile(q float64) int64 {
-	snap := h.window()
-	return quantileOf(snap, q)
-}
-
-// Quantiles returns several quantiles from one snapshot+sort — cheaper
-// than repeated Quantile calls and consistent within one exposition.
+// sample window, from one snapshot and sort, so they are consistent within
+// one exposition. Each q is clamped to [0, 1]; q=0 is the minimum, q=1 the
+// maximum. Every quantile is 0 before any observation.
 func (h *Histogram) Quantiles(qs ...float64) []int64 {
 	snap := h.window()
 	if len(snap) == 0 {
@@ -201,14 +184,6 @@ func (h *Histogram) Quantiles(qs ...float64) []int64 {
 		out[i] = sortedQuantile(snap, q)
 	}
 	return out
-}
-
-func quantileOf(snap []int64, q float64) int64 {
-	if len(snap) == 0 {
-		return 0
-	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	return sortedQuantile(snap, q)
 }
 
 func sortedQuantile(sorted []int64, q float64) int64 {

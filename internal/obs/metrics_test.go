@@ -55,8 +55,8 @@ func TestHistogramQuantiles(t *testing.T) {
 				t.Fatalf("Count = %d, want %d", got, len(tc.observe))
 			}
 			for q, want := range tc.q {
-				if got := h.Quantile(q); got != want {
-					t.Errorf("Quantile(%v) = %d, want %d", q, got, want)
+				if got := h.Quantiles(q)[0]; got != want {
+					t.Errorf("Quantiles(%v) = %d, want %d", q, got, want)
 				}
 			}
 		})
@@ -98,8 +98,12 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("queries_total", "total queries", L("route", "/v1/query")).Add(7)
-	r.Gauge("inflight", "in-flight requests").Set(2.5)
+	c := r.Counter("queries_total", "total queries", L("route", "/v1/query"))
+	for i := 0; i < 7; i++ {
+		c.Inc()
+	}
+	r.CounterFunc("hits_total", "cache hits", func() int64 { return 12_345_678 })
+	r.GaugeFunc("inflight", "in-flight requests", func() float64 { return 2.5 })
 	r.GaugeFunc("cache_entries", "entries", func() float64 { return 31 })
 	h := r.Histogram("latency_us", "request latency", 16, L("route", "/v1/query"))
 	for _, v := range []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100} {
@@ -114,6 +118,8 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE queries_total counter",
 		`queries_total{route="/v1/query"} 7`,
+		"# TYPE hits_total counter",
+		"hits_total 12345678\n",
 		"# TYPE inflight gauge",
 		"inflight 2.5",
 		"cache_entries 31",

@@ -20,7 +20,7 @@
 //     and a retained record keeps 1.3 KB (memory hit) to 4.3 KB
 //     (generation) (TestTraceAllocations, go1.24.0).
 //
-//   - Metrics: a Registry of counters, gauges, gauge callbacks and
+//   - Metrics: a Registry of counters, counter and gauge callbacks and
 //     lock-free exact-quantile histograms, rendered in Prometheus text
 //     exposition format. Every subsystem (server routes, admission,
 //     evserve, evstore, sqlengine plan caches, the fleet router)

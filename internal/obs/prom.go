@@ -43,8 +43,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch m.kind {
 			case kindCounter:
 				fmt.Fprintf(&b, "%s%s %d\n", name, labelString(m.labels, nil), m.counter.Value())
-			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %s\n", name, labelString(m.labels, nil), formatFloat(m.gauge.Value()))
+			case kindCounterFunc:
+				fmt.Fprintf(&b, "%s%s %d\n", name, labelString(m.labels, nil), m.count())
 			case kindGaugeFunc:
 				fmt.Fprintf(&b, "%s%s %s\n", name, labelString(m.labels, nil), formatFloat(m.fn()))
 			case kindHistogram:
@@ -64,7 +64,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func promType(k metricKind) string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "summary"

@@ -142,12 +142,12 @@ func TestConcurrentRegistryAndTraceRing(t *testing.T) {
 			route := fmt.Sprintf("/r%d", g%3)
 			for i := 0; i < iters; i++ {
 				reg.Counter("reqs_total", "", L("route", route)).Inc()
-				reg.Gauge("inflight", "").Set(float64(i))
+				reg.CounterFunc(fmt.Sprintf("c%d_total", g), "", func() int64 { return int64(g) })
 				reg.GaugeFunc(fmt.Sprintf("g%d_stat", g), "", func() float64 { return float64(g) })
 				h := reg.Histogram("lat_us", "", 128, L("route", route))
 				h.Observe(int64(i))
 				if i%50 == 0 {
-					h.Quantile(0.99)
+					h.Quantiles(0.99)
 				}
 
 				tr := NewTrace("", NewRequestID())

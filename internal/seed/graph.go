@@ -155,8 +155,8 @@ func (r *run) fail(name string, err error) {
 }
 
 // recovered calls fn, turning a panic into an error: generation runs
-// inside serving worker pools, and one bad question must not take the
-// process down.
+// inside the evidence service's requests and batches, and one bad
+// question must not take the process down.
 func recovered(fn func() (int, error)) (tokens int, err error) {
 	defer func() {
 		if v := recover(); v != nil {

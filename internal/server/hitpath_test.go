@@ -128,8 +128,8 @@ func TestEvidenceSpansHitAndMiss(t *testing.T) {
 			if err := json.Unmarshal(data, &er); err != nil {
 				t.Fatal(err)
 			}
-			if er.CacheHit != hit {
-				t.Fatalf("hit=%v: response cache_hit %v", hit, er.CacheHit)
+			if er.CacheHit != hit || er.Variant != "seed_gpt" {
+				t.Fatalf("hit=%v: response cache_hit %v, variant %q", hit, er.CacheHit, er.Variant)
 			}
 			lookup(t, rec, hit)
 		}

@@ -29,12 +29,12 @@ func (s *Server) initObs() {
 
 	s.obsReg.GaugeFunc("server_uptime_seconds", "Process uptime.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	s.obsReg.GaugeFunc("server_admission_admitted_total", "Requests that passed admission.",
-		func() float64 { return float64(s.adm.stats().Admitted) })
-	s.obsReg.GaugeFunc("server_admission_rate_limited_total", "429 rejections from the token bucket.",
-		func() float64 { return float64(s.adm.stats().RateLimited) })
-	s.obsReg.GaugeFunc("server_admission_overloaded_total", "503 rejections from the in-flight semaphore.",
-		func() float64 { return float64(s.adm.stats().Overloaded) })
+	s.obsReg.CounterFunc("server_admission_admitted_total", "Requests that passed admission.",
+		func() int64 { return s.adm.stats().Admitted })
+	s.obsReg.CounterFunc("server_admission_rate_limited_total", "429 rejections from the token bucket.",
+		func() int64 { return s.adm.stats().RateLimited })
+	s.obsReg.CounterFunc("server_admission_overloaded_total", "503 rejections from the in-flight semaphore.",
+		func() int64 { return s.adm.stats().Overloaded })
 	s.obsReg.GaugeFunc("server_admission_inflight", "Admitted requests currently executing.",
 		func() float64 { return float64(s.adm.stats().Inflight) })
 
@@ -59,9 +59,6 @@ func (s *Server) initObs() {
 			return planCacheStats(corpus)
 		}, obs.L("corpus", name))
 	}
-	// Batch/parallel execution counters are engine-process globals, not
-	// per-corpus: register once.
-	sqlengine.RegisterEngineExecMetrics(s.obsReg)
 }
 
 // planCacheStats aggregates the prepared-plan cache counters of a

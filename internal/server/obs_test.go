@@ -298,3 +298,63 @@ func TestErroredTraceSurvivesChurn(t *testing.T) {
 		t.Errorf("errored trace %s evicted (GET = %d), want always-keep retention", traceID, tresp.StatusCode)
 	}
 }
+
+// TestMetricsCountersAreCounters: on a fully wired server (durable
+// evidence store, durable query memory, replication tailers for a peer)
+// and on a router in front of it, every family named *_total is exposed
+// as a counter, and no other family is.
+func TestMetricsCountersAreCounters(t *testing.T) {
+	peer := httptest.NewServer(http.NotFoundHandler())
+	t.Cleanup(peer.Close)
+	_, ts := newTestServer(t, func(c *Config) {
+		c.StoreDir = t.TempDir()
+		c.StoreSeed = 7
+		c.Memory = true
+		c.MemoryDir = t.TempDir()
+		c.Peers = []string{peer.URL}
+	})
+	rt, err := fleet.NewRouter(fleet.Config{Replicas: []string{ts.URL}, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	e := testCorpus(t).Dev[0]
+	postJSON(t, front.URL+"/v1/query", api.QueryRequest{DB: e.DB, Question: e.Question})
+
+	for _, tc := range []struct {
+		name, url string
+		want      []string
+	}{
+		{"server", ts.URL, []string{
+			"server_requests_total", "server_admission_admitted_total", "evserve_generations_total",
+			"evstore_appends_total", "evstore_tailer_polls_total", "qmemory_lookups_total",
+			"qmemory_store_appends_total", "qmemory_tailer_polls_total", "sqlengine_plan_cache_hits_total",
+		}},
+		{"router", front.URL, []string{"fleet_requests_total", "fleet_replica_attempts_total"}},
+	} {
+		resp, err := http.Get(tc.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		types := make(map[string]string)
+		for _, line := range strings.Split(string(body), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+				types[f[2]] = f[3]
+			}
+		}
+		for _, fam := range tc.want {
+			if _, ok := types[fam]; !ok {
+				t.Errorf("%s /metrics has no %s family", tc.name, fam)
+			}
+		}
+		for fam, typ := range types {
+			if strings.HasSuffix(fam, "_total") != (typ == "counter") {
+				t.Errorf("%s /metrics: %s is a %s", tc.name, fam, typ)
+			}
+		}
+	}
+}

@@ -146,9 +146,11 @@ type Server struct {
 	log *slog.Logger
 	reg *registry
 
-	// services and stores are keyed by corpus name; stores is empty when
-	// Config.StoreDir is unset.
+	// services, variants and stores are keyed by corpus name; variants
+	// holds each service's cache namespace (evserve.CacheNamespace), and
+	// stores is empty when Config.StoreDir is unset.
 	services map[string]*evserve.Service
+	variants map[string]string
 	stores   map[string]*evstore.Store
 	corpora  map[string]*dataset.Corpus
 
@@ -241,6 +243,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		log:      log,
 		services: make(map[string]*evserve.Service),
+		variants: make(map[string]string),
 		stores:   make(map[string]*evstore.Store),
 		corpora:  make(map[string]*dataset.Corpus),
 		memories: make(map[string]*qmemory.Memory),
@@ -262,7 +265,7 @@ func New(cfg Config) (*Server, error) {
 	gens := make(map[string]texttosql.Generator, len(cfg.Corpora))
 	for _, corpus := range cfg.Corpora {
 		if _, dup := s.corpora[corpus.Name]; dup {
-			s.Close() // stop pools and stores already started for earlier corpora
+			s.Close() // close the services and stores opened for earlier corpora
 			return nil, fmt.Errorf("server: corpus %q listed twice", corpus.Name)
 		}
 		s.corpora[corpus.Name] = corpus
@@ -273,7 +276,7 @@ func New(cfg Config) (*Server, error) {
 			// Env.SpiderSeedEvidence does.
 			for _, db := range corpus.DBs {
 				if err := p.DescribeDatabase(db); err != nil {
-					s.Close() // stop worker pools already started for earlier corpora
+					s.Close() // close the services opened for earlier corpora
 					return nil, fmt.Errorf("server: describing spider DB %s: %w", db.Name, err)
 				}
 			}
@@ -301,9 +304,10 @@ func New(cfg Config) (*Server, error) {
 		}
 		svc := evserve.New(svcOpts)
 		s.services[corpus.Name] = svc
+		s.variants[corpus.Name] = variant
 		gen, err := GeneratorFor(cfg.Generator, cfg.Client)
 		if err != nil {
-			s.Close() // svc is already registered; Close stops every pool so far
+			s.Close() // svc is already registered; Close closes every service so far
 			return nil, err
 		}
 		gens[corpus.Name] = gen
@@ -780,7 +784,7 @@ func (s *Server) handleEvidence(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.EvidenceResponse{
 		DB:       req.DB,
 		Question: question,
-		Variant:  s.services[sess.Corpus].Stats().Variant,
+		Variant:  s.variants[sess.Corpus],
 		Evidence: ev.Text,
 		Trace:    ev.Trace,
 		CacheHit: ev.CacheHit,

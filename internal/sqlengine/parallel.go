@@ -3,7 +3,6 @@ package sqlengine
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
 
 // Selections and the filter. A FROM hands on a selection — positions into
@@ -36,17 +35,10 @@ const morselRows = 4096
 // vecRows is the length of a selection vector, a divisor of morselRows.
 const vecRows = 1024
 
-// engineBatchesTotal counts the morsels processed by batch operators,
-// engine-wide; exported to the metrics registry by RegisterEngineExecMetrics
-// (obs.go).
-var engineBatchesTotal atomic.Int64
-
 // countBatches counts a batch operator's input of nRows rows, in morsels,
-// per statement (Result.Batches) and engine-wide.
+// per statement (Result.Batches).
 func (ec *execCtx) countBatches(nRows int) {
-	n := int64((nRows + morselRows - 1) / morselRows)
-	ec.batches += n
-	engineBatchesTotal.Add(n)
+	ec.batches += int64((nRows + morselRows - 1) / morselRows)
 }
 
 // selection is a set of rows of one relation, held as ascending positions

@@ -99,13 +99,12 @@ func (db *Database) PlanCacheStats() PlanCacheStats {
 }
 
 // planCache is the prepared-statement cache: internal/lru keyed by SQL
-// text, so concurrent evaluation workers preparing different statements
-// never contend on one lock.
+// text, one lock per database.
 type planCache = lru.Cache[string, *Stmt]
 
 // newPlanCache sizes the cache for evaluation workloads: the distinct
 // reads of a dev split (gold plus predicted queries, a few thousand at
 // most) fit without eviction. Writes never enter it (see Prepare).
 func newPlanCache() *planCache {
-	return lru.New[string, *Stmt](4096, 8, lru.HashString)
+	return lru.New[string, *Stmt](4096)
 }

@@ -391,12 +391,12 @@ func (t *Tailer[K, V]) RegisterMetrics(reg *obs.Registry, prefix string, labels 
 		return
 	}
 	labels = append([]obs.Label{obs.L("source", t.source)}, labels...)
-	gauge := func(name, help string, get func(TailerStats) float64) {
-		reg.GaugeFunc(prefix+name, help, func() float64 { return get(t.Stats()) }, labels...)
+	counter := func(name, help string, get func(TailerStats) int64) {
+		reg.CounterFunc(prefix+name, help, func() int64 { return get(t.Stats()) }, labels...)
 	}
-	gauge("_polls_total", "Replication round trips.", func(st TailerStats) float64 { return float64(st.Polls) })
-	gauge("_applied_total", "Replicated records landed locally.", func(st TailerStats) float64 { return float64(st.Applied) })
-	gauge("_duplicates_total", "Replicated records already held, or dominated by the local copy.", func(st TailerStats) float64 { return float64(st.Duplicates) })
-	gauge("_resyncs_total", "Full-dump restarts after stalled polls.", func(st TailerStats) float64 { return float64(st.Resyncs) })
-	gauge("_errors_total", "Failed polls.", func(st TailerStats) float64 { return float64(st.Errors) })
+	counter("_polls_total", "Replication round trips.", func(st TailerStats) int64 { return st.Polls })
+	counter("_applied_total", "Replicated records landed locally.", func(st TailerStats) int64 { return st.Applied })
+	counter("_duplicates_total", "Replicated records already held, or dominated by the local copy.", func(st TailerStats) int64 { return st.Duplicates })
+	counter("_resyncs_total", "Full-dump restarts after stalled polls.", func(st TailerStats) int64 { return st.Resyncs })
+	counter("_errors_total", "Failed polls.", func(st TailerStats) int64 { return st.Errors })
 }

@@ -796,7 +796,7 @@ func (l *Log[K, V]) Stats() Stats {
 	}
 }
 
-// RegisterMetrics publishes the log's counters into reg as gauge
+// RegisterMetrics publishes the log's counters and gauges into reg as
 // callbacks evaluated at scrape time, named prefix + "_records" and so
 // on, so every instance exports the same set under its own name.
 func (l *Log[K, V]) RegisterMetrics(reg *obs.Registry, prefix string, labels ...obs.Label) {
@@ -806,10 +806,13 @@ func (l *Log[K, V]) RegisterMetrics(reg *obs.Registry, prefix string, labels ...
 	gauge := func(name, help string, get func(Stats) float64) {
 		reg.GaugeFunc(prefix+name, help, func() float64 { return get(l.Stats()) }, labels...)
 	}
+	counter := func(name, help string, get func(Stats) int64) {
+		reg.CounterFunc(prefix+name, help, func() int64 { return get(l.Stats()) }, labels...)
+	}
 	gauge("_records", "Live records (latest per key).", func(st Stats) float64 { return float64(st.Records) })
 	gauge("_wal_records", "Records in the current WAL generation.", func(st Stats) float64 { return float64(st.WALRecords) })
-	gauge("_appends_total", "Accepted Append calls since Open.", func(st Stats) float64 { return float64(st.Appends) })
-	gauge("_compactions_total", "Completed snapshot rewrites since Open.", func(st Stats) float64 { return float64(st.Compactions) })
-	gauge("_compact_errors_total", "Abandoned compactions.", func(st Stats) float64 { return float64(st.CompactErrors) })
+	counter("_appends_total", "Accepted Append calls since Open.", func(st Stats) int64 { return st.Appends })
+	counter("_compactions_total", "Completed snapshot rewrites since Open.", func(st Stats) int64 { return st.Compactions })
+	counter("_compact_errors_total", "Abandoned compactions.", func(st Stats) int64 { return st.CompactErrors })
 	gauge("_snapshot_age_seconds", "Seconds since the last compaction (or Open).", func(st Stats) float64 { return st.SnapshotAgeSeconds })
 }
