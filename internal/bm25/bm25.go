@@ -18,8 +18,8 @@
 //	idf(q) * tf * (k1+1) / (tf + k1*(1-b+b*len/avgLen))
 //	idf(q) = ln(1 + (N-df+0.5)/(df+0.5))
 //
-// computed in float64 in exactly that order, so Score, SelfScore and TopK
-// agree to the bit and do not depend on how the index was built (New or
+// computed in float64 in exactly that order, so SelfScore and TopK agree
+// to the bit and do not depend on how the index was built (New or
 // Add).
 // TopK ranks by (score descending, document index ascending), a total
 // order, so its result does not depend on visit order either.
@@ -167,27 +167,17 @@ func (idx *Index) idf(df int) float64 {
 }
 
 // termScore is one query token's contribution to one document: the single
-// place the formula is written, so Score and TopK cannot drift apart.
+// place the formula is written, so SelfScore and TopK cannot drift apart.
 func (idx *Index) termScore(idf float64, p posting) float64 {
 	f, dl := float64(p.tf), float64(idx.lens[p.doc])
 	denom := f + k1*(1-b+b*dl/idx.avgLen)
 	return idf * f * (k1 + 1) / denom
 }
 
-// Score computes the BM25 score of query against document i.
-func (idx *Index) Score(query string, i int) float64 {
-	var score float64
-	for _, q := range Terms(query) {
-		if t, known := idx.terms[q]; known {
-			score += idx.docScore(t, i)
-		}
-	}
-	return score
-}
-
-// SelfScore is Score(text, i) for the text document i was indexed from:
-// the same terms in the same order, read from the ids the index kept
-// instead of tokenising the text again, so the same sum to the bit.
+// SelfScore is the BM25 score of the text document i was indexed from
+// against document i: its terms in order, read from the ids the index
+// kept instead of tokenising the text again. TestSelfScoreMatchesScore
+// holds it to the tokenising reference, Score, to the bit.
 func (idx *Index) SelfScore(i int) float64 {
 	var score float64
 	for _, t := range idx.ids[idx.starts[i]:][:idx.lens[i]] {

@@ -343,3 +343,15 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 }
+
+// Score computes the BM25 score of query against document i: the
+// reference SelfScore and TopK are checked against.
+func (idx *Index) Score(query string, i int) float64 {
+	var score float64
+	for _, q := range Terms(query) {
+		if t, known := idx.terms[q]; known {
+			score += idx.docScore(t, i)
+		}
+	}
+	return score
+}

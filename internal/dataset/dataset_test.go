@@ -281,9 +281,12 @@ func TestTrainSiblingsExist(t *testing.T) {
 	// Few-shot selection needs same-DB training questions; every dev
 	// example's database must appear in train.
 	c := buildTestBIRD(t)
-	trainByDB := c.TrainByDB()
+	trainDBs := map[string]bool{}
+	for _, e := range c.Train {
+		trainDBs[e.DB] = true
+	}
 	for _, e := range c.Dev {
-		if len(trainByDB[e.DB]) == 0 {
+		if !trainDBs[e.DB] {
 			t.Fatalf("dev example %s has no train siblings in DB %s", e.ID, e.DB)
 		}
 	}

@@ -122,13 +122,3 @@ func (c *Corpus) DB(name string) (*schema.DB, bool) {
 	db, ok := c.DBs[name]
 	return db, ok
 }
-
-// TrainByDB groups training examples by database name, the index few-shot
-// selection needs.
-func (c *Corpus) TrainByDB() map[string][]Example {
-	out := make(map[string][]Example)
-	for _, e := range c.Train {
-		out[e.DB] = append(out[e.DB], e)
-	}
-	return out
-}

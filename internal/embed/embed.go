@@ -10,7 +10,6 @@
 package embed
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"strings"
@@ -57,22 +56,15 @@ func (v Vector) Dot(q *[Dim]float32) float64 {
 	return dot
 }
 
-// Cosine returns the cosine similarity of two vectors in [-1, 1]. Vectors
-// from Embed are unit length, so this is their dot product.
-func Cosine(a, b Vector) float64 {
-	q := a.Dense()
-	return b.Dot(&q)
-}
-
 // Model converts text to vectors. The zero Model is ready to use; it exists
 // as a type (rather than free functions) so pipelines can hold it where the
 // paper holds an embedding model handle.
 //
 // Embed memoises: the embedding is deterministic, and the pipelines embed
 // the same texts over and over (every evidence variant re-embeds the same
-// dev questions; Rank re-embeds its candidate pool on every call), so a
-// bounded cache turns repeat embeddings into a map lookup. The memo is
-// concurrency-safe — evidence-service workers share one Model.
+// dev questions), so a bounded cache turns repeat embeddings into a map
+// lookup. The memo is concurrency-safe — evidence-service workers share
+// one Model.
 type Model struct {
 	mu   sync.Mutex
 	memo map[string]Vector
@@ -147,10 +139,10 @@ func embedDense(text string) [Dim]float32 {
 	return v
 }
 
-// addTrigrams hashes word w's character trigrams — textutil.NGrams(w, 3)'s
-// grams, the windows of three runes over w lower-cased with a space at
-// each end — each as addFeature's parts, the padding among them, so that
-// neither the padded word nor its grams are built. A word of one rune is
+// addTrigrams hashes word w's character trigrams — the windows of three
+// runes over w lower-cased with a space at each end — each as
+// addFeature's parts, the padding among them, so that neither the padded
+// word nor its grams are built. A word of one rune is
 // one gram, the padded word itself. Tokenize's words are lower case
 // already, and lower-casing one again allocates nothing.
 func addTrigrams(v *[Dim]float32, w string) {
@@ -258,30 +250,4 @@ func NewPool(texts []string) *Pool {
 func (p *Pool) At(i int) Vector {
 	lo, hi := p.off[i], p.off[i+1]
 	return Vector{p.idx[lo:hi:hi], p.val[lo:hi:hi]}
-}
-
-// Rank orders candidate texts by descending cosine similarity to query and
-// returns candidate indices. Ties break by lower index, keeping results
-// deterministic. Candidate embeddings come from the memo, so ranking the
-// same pool against many queries embeds each candidate once; callers that
-// already hold vectors should use RankVectors directly.
-func (m *Model) Rank(query string, candidates []string) []int {
-	vecs := make([]Vector, len(candidates))
-	for i, c := range candidates {
-		vecs[i] = m.Embed(c)
-	}
-	return m.RankVectors(query, vecs)
-}
-
-// RankVectors is Rank over precomputed candidate vectors: it orders the
-// candidates by descending cosine similarity to query and returns their
-// indices, ties broken by lower index.
-func (m *Model) RankVectors(query string, vecs []Vector) []int {
-	q := m.Embed(query).Dense()
-	out, sims := make([]int, len(vecs)), make([]float64, len(vecs))
-	for i, v := range vecs {
-		out[i], sims[i] = i, v.Dot(&q)
-	}
-	slices.SortStableFunc(out, func(a, b int) int { return cmp.Compare(sims[b], sims[a]) })
-	return out
 }

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 
 	"repro/internal/dataset"
 	"repro/internal/textutil"
@@ -34,6 +37,13 @@ func TestEmbedUnitNorm(t *testing.T) {
 	}
 }
 
+// Cosine returns the cosine similarity of two vectors in [-1, 1]. Vectors
+// from Embed are unit length, so this is their dot product.
+func Cosine(a, b Vector) float64 {
+	q := a.Dense()
+	return b.Dot(&q)
+}
+
 func TestCosineSelfIsOne(t *testing.T) {
 	m := NewModel()
 	v := m.Embed("List the elements with double bonds")
@@ -50,17 +60,12 @@ func TestSimilarQuestionsRankHigher(t *testing.T) {
 		"List all molecules with double bonds",                           // unrelated
 		"What is the highest eligible free rate in Alameda county?",      // unrelated
 	}
-	order := m.Rank(query, candidates)
-	if order[0] != 0 {
-		t.Errorf("near-duplicate should rank first, got order %v", order)
-	}
-}
-
-func TestRankStableUnderTies(t *testing.T) {
-	m := NewModel()
-	order := m.Rank("zzz unrelated", []string{"same text", "same text", "same text"})
-	if order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("tie-breaking should preserve index order: %v", order)
+	q := m.Embed(query)
+	near := Cosine(q, m.Embed(candidates[0]))
+	for _, c := range candidates[1:] {
+		if far := Cosine(q, m.Embed(c)); far >= near {
+			t.Errorf("near-duplicate cosine %v, unrelated %q %v; want the near-duplicate higher", near, c, far)
+		}
 	}
 }
 
@@ -104,31 +109,6 @@ func TestEmbedMemoised(t *testing.T) {
 		}
 		if !equal(m.Embed(s), fresh) {
 			t.Fatalf("memoised Embed(%q) differs from direct computation", s)
-		}
-	}
-}
-
-// TestRankVectorsMatchesRank pins that Rank and RankVectors agree.
-func TestRankVectorsMatchesRank(t *testing.T) {
-	m := NewModel()
-	cands := []string{
-		"weekly statement issuance",
-		"monthly loan payments",
-		"school district enrolment",
-		"weekly issuance of statements",
-	}
-	vecs := make([]Vector, len(cands))
-	for i, c := range cands {
-		vecs[i] = m.Embed(c)
-	}
-	q := "which accounts issue weekly statements"
-	a, b := m.Rank(q, cands), m.RankVectors(q, vecs)
-	if len(a) != len(b) {
-		t.Fatalf("length mismatch: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Rank %v != RankVectors %v", a, b)
 		}
 	}
 }
@@ -188,7 +168,7 @@ func denseDot(a, b *[Dim]float32) float64 {
 }
 
 // ngramDense is embedDense with each word's trigrams taken from
-// textutil.NGrams, as they were before addTrigrams hashed them in place:
+// NGrams, as they were before addTrigrams hashed them in place:
 // the reference TestTrigramsMatchNGrams holds it to.
 func ngramDense(text string) [Dim]float32 {
 	var v [Dim]float32
@@ -200,12 +180,82 @@ func ngramDense(text string) [Dim]float32 {
 		addFeature(&v, 0.7, "b:", words[i], "_", words[i+1])
 	}
 	for _, w := range words {
-		for _, g := range textutil.NGrams(w, 3) {
+		for _, g := range NGrams(w, 3) {
 			addFeature(&v, 0.3, "g:", g)
 		}
 	}
 	normalise(&v)
 	return v
+}
+
+// NGrams returns the character n-grams of s (lower-cased, including
+// word-boundary markers), the grams the embedding hashed before
+// addTrigrams. They are substrings of one padded, lower-cased copy of s,
+// which is valid UTF-8 (see textutil.Tokenize), so each is exactly its n
+// runes.
+func NGrams(s string, n int) []string {
+	if n <= 0 {
+		return nil
+	}
+	padded := " " + strings.ToLower(s) + " "
+	runes := utf8.RuneCountInString(padded)
+	if runes < n {
+		return []string{padded}
+	}
+	out := make([]string, 0, runes-n+1)
+	end := 0
+	for range n {
+		_, w := utf8.DecodeRuneInString(padded[end:])
+		end += w
+	}
+	for start := 0; ; {
+		out = append(out, padded[start:end])
+		if end == len(padded) {
+			return out
+		}
+		_, w := utf8.DecodeRuneInString(padded[start:])
+		start += w
+		_, w = utf8.DecodeRuneInString(padded[end:])
+		end += w
+	}
+}
+
+// runeNGrams is NGrams as it was written before grams were sliced: each
+// gram converted back from a []rune window.
+func runeNGrams(s string, n int) []string {
+	if n <= 0 {
+		return nil
+	}
+	runes := []rune(" " + strings.ToLower(s) + " ")
+	if len(runes) < n {
+		return []string{string(runes)}
+	}
+	out := make([]string, 0, len(runes)-n+1)
+	for i := 0; i+n <= len(runes); i++ {
+		out = append(out, string(runes[i:i+n]))
+	}
+	return out
+}
+
+// TestNGrams holds the sliced reference to the rune-window one, on text
+// where slicing and converting could part: invalid UTF-8, a capital whose
+// lower case is shorter in bytes, combining marks and multi-byte runes.
+func TestNGrams(t *testing.T) {
+	grams := NGrams("ab", 3)
+	want := []string{" ab", "ab "}
+	if !reflect.DeepEqual(grams, want) {
+		t.Errorf("NGrams = %v, want %v", grams, want)
+	}
+	if NGrams("x", 0) != nil {
+		t.Error("n=0 should return nil")
+	}
+	for _, s := range []string{"", "molecule TR024", "\xff", "ab\xffcd", "\xe2\x82", "İstanbul İİ", "ÉCOLE école", "á́b", "日本語", "ẞ straße", "ΣΑΣ"} {
+		for _, n := range []int{1, 2, 3, 5} {
+			if got, want := NGrams(s, n), runeNGrams(s, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("NGrams(%q, %d) = %q, want %q", s, n, got, want)
+			}
+		}
+	}
 }
 
 // TestTrigramsMatchNGrams holds the embedding, whose trigrams addTrigrams

@@ -97,19 +97,6 @@ func Compose(clauses []Clause) string {
 	return strings.Join(parts, "; ")
 }
 
-// StripJoins removes join-path clauses, producing the SEED_revised format
-// the paper builds with DeepSeek-V3 (Table VI).
-func StripJoins(ev string) string {
-	clauses := Parse(ev)
-	kept := clauses[:0]
-	for _, c := range clauses {
-		if !c.Join {
-			kept = append(kept, c)
-		}
-	}
-	return Compose(kept)
-}
-
 // HasJoins reports whether the evidence contains any join-path clause.
 func HasJoins(ev string) bool {
 	for _, c := range Parse(ev) {

@@ -16,6 +16,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	counter("evserve_cache_hits_total", "Evidence cache hits.", func(st Stats) int64 { return st.Cache.Hits })
 	counter("evserve_cache_misses_total", "Evidence cache misses.", func(st Stats) int64 { return st.Cache.Misses })
 	reg.GaugeFunc("evserve_cache_entries", "Evidence cache entries.", func() float64 { return float64(s.Stats().Cache.Entries) }, labels...)
+	counter("evserve_cache_evictions_total", "Evidence cache entries evicted to stay within capacity.", func(st Stats) int64 { return st.Cache.Evictions })
 	reg.GaugeFunc("evserve_inflight", "Generations running now.", func() float64 { return float64(s.Stats().Inflight) }, labels...)
 	counter("evserve_dedups_total", "Requests that shared an in-flight generation.", func(st Stats) int64 { return st.Dedups })
 	counter("evserve_generations_total", "Pipeline invocations.", func(st Stats) int64 { return st.Generations })

@@ -143,20 +143,11 @@ func (e *Env) BIRDSeedEvidence(v seed.Variant) map[string]string {
 	return evidenceMap(e.birdService(v), e.BIRD.Dev)
 }
 
-// BIRDSeedEvidenceFor generates (or serves from cache) evidence for one
-// BIRD question under the given variant. It is the per-request view of the
-// same pipeline BIRDSeedEvidence batches over a whole split — the serving
-// subsystem's golden-equivalence tests compare its online responses
-// against this entry point, and diagnostics can probe single questions
-// without paying for a full split.
-func (e *Env) BIRDSeedEvidenceFor(ctx context.Context, v seed.Variant, db, question string) (string, error) {
-	return e.birdService(v).Generate(ctx, db, question)
-}
-
-// BIRDSeedEvidenceTraced is BIRDSeedEvidenceFor plus provenance: the
-// returned evidence carries the per-stage trace of the generation that
-// produced it (preserved across the evidence cache). Diagnostics use it
-// to print per-question trace trees.
+// BIRDSeedEvidenceTraced generates (or serves from cache) evidence for one
+// BIRD question under the given variant, with the per-stage trace of the
+// generation that produced it (preserved across the evidence cache). It is
+// the per-request view of the same pipeline BIRDSeedEvidence batches over
+// a whole split: diagnostics use it to print per-question trace trees.
 func (e *Env) BIRDSeedEvidenceTraced(ctx context.Context, v seed.Variant, db, question string) (evserve.Evidence, error) {
 	return e.birdService(v).GenerateTraced(ctx, db, question)
 }

@@ -20,11 +20,11 @@ func TestEnvWithStoreSharesEvidenceAcrossRuns(t *testing.T) {
 	examples := env1.BIRD.Dev[:5]
 	want := make(map[string]string, len(examples))
 	for _, e := range examples {
-		ev, err := env1.BIRDSeedEvidenceFor(ctx, seed.VariantGPT, e.DB, e.Question)
+		ev, err := env1.BIRDSeedEvidenceTraced(ctx, seed.VariantGPT, e.DB, e.Question)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[e.ID] = ev
+		want[e.ID] = ev.Text
 	}
 	env1.Close()
 
@@ -32,12 +32,12 @@ func TestEnvWithStoreSharesEvidenceAcrossRuns(t *testing.T) {
 	defer env2.Close()
 	baseline := env2.Client.LedgerSnapshot().TotalCalls()
 	for _, e := range examples {
-		ev, err := env2.BIRDSeedEvidenceFor(ctx, seed.VariantGPT, e.DB, e.Question)
+		ev, err := env2.BIRDSeedEvidenceTraced(ctx, seed.VariantGPT, e.DB, e.Question)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev != want[e.ID] {
-			t.Fatalf("evidence for %s differs across store-backed envs:\n first  %q\n second %q", e.ID, want[e.ID], ev)
+		if ev.Text != want[e.ID] {
+			t.Fatalf("evidence for %s differs across store-backed envs:\n first  %q\n second %q", e.ID, want[e.ID], ev.Text)
 		}
 	}
 	if calls := env2.Client.LedgerSnapshot().TotalCalls() - baseline; calls != 0 {

@@ -1,28 +1,30 @@
-// Package chaos is the fault-injection layer for fleet testing: an HTTP
-// proxy that sits between the router and one replica and injects the
-// failure modes the fleet must absorb — latency spikes, 5xx bursts,
-// mid-body truncation, and total blackout. fleet's TestRouterMasksChaos
-// drives these knobs while asserting zero availability loss at the
-// router.
+package fleet
+
+import (
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// Proxy is the fault-injection layer for fleet testing: an HTTP proxy
+// that sits between the router and one replica and injects the failure
+// modes the fleet must absorb — latency spikes, 5xx bursts, mid-body
+// truncation, and total blackout. TestRouterMasksChaos drives these knobs
+// while asserting zero availability loss at the router.
 //
 // Faults are injected at the HTTP layer rather than in-process so the
 // proxied replica runs its real serving path: what the router observes
 // under chaos is exactly what it would observe against a genuinely
 // misbehaving node (slow responses, garbage from a dying process,
 // connections that reset mid-body).
-package chaos
-
-import (
-	"io"
-	"net"
-	"net/http"
-	"sync/atomic"
-	"time"
-)
-
-// Proxy is one fault-injecting hop in front of a target base URL. All
-// knobs are safe to flip concurrently with traffic. The zero value is not
-// usable; construct with NewProxy.
+//
+// All knobs are safe to flip concurrently with traffic. The zero value is
+// not usable; construct with NewProxy.
 type Proxy struct {
 	target string
 	ln     net.Listener
@@ -181,4 +183,139 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)
+}
+
+func newEcho(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Echo-Path", r.URL.Path)
+		_, _ = w.Write([]byte(`{"echo":"` + strings.ToUpper(string(body)) + `"}`))
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func newProxy(t *testing.T, target string) *Proxy {
+	t.Helper()
+	p, err := NewProxy(target)
+	if err != nil {
+		t.Fatalf("NewProxy: %v", err)
+	}
+	t.Cleanup(p.Close)
+	return p
+}
+
+func TestProxyTransparentWhenHealthy(t *testing.T) {
+	p := newProxy(t, newEcho(t).URL)
+	resp, err := http.Post(p.URL()+"/v1/query?x=1", "application/json", strings.NewReader("hello"))
+	if err != nil {
+		t.Fatalf("request through idle proxy: %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "HELLO") {
+		t.Fatalf("proxy mangled the exchange: %d %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Echo-Path"); got != "/v1/query" {
+		t.Fatalf("path forwarded as %q", got)
+	}
+	if p.Injected() != 0 {
+		t.Fatalf("idle proxy claims %d injected faults", p.Injected())
+	}
+}
+
+func TestProxyLatencySpike(t *testing.T) {
+	p := newProxy(t, newEcho(t).URL)
+	p.SpikeLatency(300*time.Millisecond, 2) // every 2nd request stalls
+
+	fast, slow := 0, 0
+	for i := 0; i < 4; i++ {
+		t0 := time.Now()
+		resp, err := http.Get(p.URL() + "/v1/dbs")
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		resp.Body.Close()
+		if time.Since(t0) >= 300*time.Millisecond {
+			slow++
+		} else {
+			fast++
+		}
+	}
+	if slow != 2 || fast != 2 {
+		t.Fatalf("latency spike hit %d of 4 requests, want exactly every 2nd", slow)
+	}
+	p.Reset()
+	t0 := time.Now()
+	resp, err := http.Get(p.URL() + "/v1/dbs")
+	if err != nil {
+		t.Fatalf("after reset: %v", err)
+	}
+	resp.Body.Close()
+	if time.Since(t0) >= 300*time.Millisecond {
+		t.Fatal("Reset did not clear the latency fault")
+	}
+}
+
+func TestProxy5xxBurst(t *testing.T) {
+	echo := newEcho(t)
+	p := newProxy(t, echo.URL)
+	p.Burst5xx(3)
+	for i := 0; i < 3; i++ {
+		resp, err := http.Get(p.URL() + "/v1/dbs")
+		if err != nil {
+			t.Fatalf("burst request %d: %v", i, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("burst request %d: status %d, want 500", i, resp.StatusCode)
+		}
+	}
+	// Burst exhausted: traffic flows again.
+	resp, err := http.Get(p.URL() + "/v1/dbs")
+	if err != nil {
+		t.Fatalf("post-burst request: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-burst status %d, want 200", resp.StatusCode)
+	}
+	if p.Injected() != 3 {
+		t.Fatalf("Injected() = %d, want 3", p.Injected())
+	}
+}
+
+func TestProxyTruncation(t *testing.T) {
+	p := newProxy(t, newEcho(t).URL)
+	p.TruncateEvery(1)
+	resp, err := http.Post(p.URL()+"/v1/query", "application/json", strings.NewReader("a long enough body to halve"))
+	if err == nil {
+		// The abort may surface on body read rather than on headers.
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("truncated response read cleanly; want a mid-body transport error")
+	}
+}
+
+func TestProxyDownAndRecovery(t *testing.T) {
+	p := newProxy(t, newEcho(t).URL)
+	p.SetDown(true)
+	client := &http.Client{Timeout: 2 * time.Second}
+	if resp, err := client.Get(p.URL() + "/v1/dbs"); err == nil {
+		resp.Body.Close()
+		t.Fatal("request through a down proxy succeeded")
+	}
+	p.SetDown(false)
+	resp, err := client.Get(p.URL() + "/v1/dbs")
+	if err != nil {
+		t.Fatalf("request after recovery: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-recovery status %d", resp.StatusCode)
+	}
 }

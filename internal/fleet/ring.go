@@ -128,16 +128,6 @@ func fmix64(h uint64) uint64 {
 // slice is shared; callers must not mutate it.
 func (r *Ring) Replicas() []string { return r.replicas }
 
-// Owner returns the replica that owns the key — the first ring point at
-// or clockwise after the key's hash. ok is false on an empty ring.
-func (r *Ring) Owner(key string) (string, bool) {
-	s := r.Successors(key, 1)
-	if len(s) == 0 {
-		return "", false
-	}
-	return s[0], true
-}
-
 // Successors returns up to n distinct replicas in ring order starting at
 // the key's owner. Index 0 is the owner; index 1 is where a hedged retry
 // goes when the owner fails — and, symmetrically, the peer whose shipped

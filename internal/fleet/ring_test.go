@@ -39,8 +39,7 @@ func TestRingMinimalRemapOnMembershipChange(t *testing.T) {
 		removed := replicaNames(n)[n-1]
 		moved := 0
 		for _, k := range keys {
-			before, _ := full.Owner(k)
-			after, _ := smaller.Owner(k)
+			before, after := owner(full, k), owner(smaller, k)
 			if before != after {
 				moved++
 				// Only keys the departed replica owned may move; everything
@@ -63,8 +62,7 @@ func TestRingMinimalRemapOnMembershipChange(t *testing.T) {
 		added := replicaNames(n + 1)[n]
 		moved := 0
 		for _, k := range keys {
-			before, _ := full.Owner(k)
-			after, _ := bigger.Owner(k)
+			before, after := owner(full, k), owner(bigger, k)
 			if before != after {
 				moved++
 				if after != added {
@@ -93,9 +91,7 @@ func TestRingStableAcrossConstruction(t *testing.T) {
 	shuffled := []string{names[3], names[0], names[4], names[2], names[1]}
 	c := NewRing(shuffled, 0)
 	for _, k := range keys {
-		oa, _ := a.Owner(k)
-		ob, _ := b.Owner(k)
-		oc, _ := c.Owner(k)
+		oa, ob, oc := owner(a, k), owner(b, k), owner(c, k)
 		if oa != ob {
 			t.Fatalf("key %q maps to %s then %s across identical constructions", k, oa, ob)
 		}
@@ -113,11 +109,7 @@ func TestRingBalance(t *testing.T) {
 	ring := NewRing(names, 0)
 	counts := make(map[string]int)
 	for _, k := range keys {
-		o, ok := ring.Owner(k)
-		if !ok {
-			t.Fatal("owner lookup failed on a populated ring")
-		}
-		counts[o]++
+		counts[owner(ring, k)]++
 	}
 	mean := float64(len(keys)) / float64(len(names))
 	for _, name := range names {
@@ -128,9 +120,9 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingSuccessors pins the failover order contract: the first
-// successor is the owner, entries are distinct, and the list is a prefix
-// of the full ring order (asking for fewer returns the same heads).
+// TestRingSuccessors pins the failover order contract: entries are
+// distinct, and the list is a prefix of the full ring order (asking for
+// fewer returns the same heads).
 func TestRingSuccessors(t *testing.T) {
 	names := replicaNames(4)
 	ring := NewRing(names, 0)
@@ -138,10 +130,6 @@ func TestRingSuccessors(t *testing.T) {
 		all := ring.Successors(k, len(names))
 		if len(all) != len(names) {
 			t.Fatalf("Successors returned %d replicas, want %d", len(all), len(names))
-		}
-		owner, _ := ring.Owner(k)
-		if all[0] != owner {
-			t.Fatalf("Successors[0] = %s, Owner = %s", all[0], owner)
 		}
 		seen := make(map[string]bool)
 		for _, r := range all {
@@ -159,7 +147,10 @@ func TestRingSuccessors(t *testing.T) {
 		t.Fatalf("Successors(0) = %v, want nil", got)
 	}
 	empty := NewRing(nil, 0)
-	if _, ok := empty.Owner("k"); ok {
-		t.Fatal("empty ring claimed an owner")
+	if got := empty.Successors("k", 1); got != nil {
+		t.Fatalf("empty ring: Successors = %v, want nil", got)
 	}
 }
+
+// owner is the replica that owns key: its first successor.
+func owner(r *Ring, key string) string { return r.Successors(key, 1)[0] }

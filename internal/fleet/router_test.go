@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/fleet/chaos"
 )
 
 // fakeReplica is a scriptable seedd stand-in: it counts hits and serves
@@ -109,15 +108,15 @@ func byURL(reps []*fakeReplica) map[string]*fakeReplica {
 }
 
 // questionOwnedBy finds a question whose shard owner is the given replica.
-func questionOwnedBy(t *testing.T, ring *Ring, db, owner string) string {
+func questionOwnedBy(t *testing.T, ring *Ring, db, want string) string {
 	t.Helper()
 	for i := 0; i < 100000; i++ {
 		q := fmt.Sprintf("synthetic question %d", i)
-		if o, _ := ring.Owner(ShardKey(db, q)); o == owner {
+		if owner(ring, ShardKey(db, q)) == want {
 			return q
 		}
 	}
-	t.Fatalf("no question found owned by %s", owner)
+	t.Fatalf("no question found owned by %s", want)
 	return ""
 }
 
@@ -386,11 +385,11 @@ func TestRouterRefusesOversizeBodies(t *testing.T) {
 // mid-flight — and no injected fault may reach a client: every routed
 // query answers 2xx and the router counts zero 5xx and zero exhaustions.
 func TestRouterMasksChaos(t *testing.T) {
-	var proxies []*chaos.Proxy
+	var proxies []*Proxy
 	rt, _ := newTestFleet(t, 3, func(cfg *Config) {
 		cfg.Logger = slog.New(slog.DiscardHandler) // 300+ access-log lines otherwise
 		for i, target := range cfg.Replicas {
-			p, err := chaos.NewProxy(target)
+			p, err := NewProxy(target)
 			if err != nil {
 				t.Fatal(err)
 			}

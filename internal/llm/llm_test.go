@@ -210,9 +210,6 @@ func TestRandChanceExtremes(t *testing.T) {
 	if !r.Chance(1) {
 		t.Error("Chance(1) must be true")
 	}
-	if r.Pick(0) != -1 {
-		t.Error("Pick(0) = -1")
-	}
 }
 
 // TestLedgerConcurrentComplete hammers one simulator from many goroutines,

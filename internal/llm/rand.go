@@ -41,12 +41,3 @@ func (r *Rand) Chance(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// Pick returns a uniformly chosen index into a slice of length n, or -1
-// when n is zero.
-func (r *Rand) Pick(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return r.Intn(n)
-}

@@ -50,16 +50,6 @@ func (a Attr) Value() any {
 // They encode as one JSON object with sorted keys.
 type Attrs []Attr
 
-// Get returns the value of key, or nil when the span has none.
-func (as Attrs) Get(key string) any {
-	for _, a := range as {
-		if a.Key == key {
-			return a.Value()
-		}
-	}
-	return nil
-}
-
 // Str returns key's value when it is a string.
 func (as Attrs) Str(key string) (string, bool) {
 	for _, a := range as {

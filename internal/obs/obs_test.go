@@ -99,7 +99,7 @@ func TestSpanTreeAndFinish(t *testing.T) {
 	if byName["stage.b"].Err != "boom" {
 		t.Errorf("stage.b error = %q, want boom", byName["stage.b"].Err)
 	}
-	if byName["stage.a"].Attrs.Get("cache_hit") != true {
+	if attrOf(byName["stage.a"].Attrs, "cache_hit") != true {
 		t.Errorf("stage.a attrs = %v", byName["stage.a"].Attrs)
 	}
 	if !rec.Errored() {
@@ -185,7 +185,7 @@ func TestSpanHandlesOutliveSlabGrowth(t *testing.T) {
 		if sp.ParentID != rec.Spans[0].SpanID || sp.DurationMicros <= 0 {
 			t.Errorf("%s: parent %q duration %d", sp.Name, sp.ParentID, sp.DurationMicros)
 		}
-		if len(sp.Attrs) != 2 || sp.Attrs.Get("g") != int64(g) || sp.Attrs.Get("i") != i {
+		if len(sp.Attrs) != 2 || attrOf(sp.Attrs, "g") != int64(g) || attrOf(sp.Attrs, "i") != i {
 			t.Errorf("%s: attrs %+v", sp.Name, sp.Attrs)
 		}
 		if (sp.Err == "boom") != (i%5 == 0) {
@@ -195,4 +195,14 @@ func TestSpanHandlesOutliveSlabGrowth(t *testing.T) {
 	if len(rec.Spans[0].Attrs) != 0 {
 		t.Errorf("root attrs %+v after Finish, want none", rec.Spans[0].Attrs)
 	}
+}
+
+// attrOf is the value of key in as, or nil when the span has none.
+func attrOf(as Attrs, key string) any {
+	for _, a := range as {
+		if a.Key == key {
+			return a.Value()
+		}
+	}
+	return nil
 }

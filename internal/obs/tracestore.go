@@ -239,19 +239,3 @@ func sortRecordsNewestFirst(recs []*TraceRecord) {
 		}
 	}
 }
-
-// Len reports how many traces are currently retained.
-func (s *TraceStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, r := range s.byID {
-		for ; r != nil; r = r.older {
-			n++
-		}
-	}
-	return n
-}

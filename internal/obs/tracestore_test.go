@@ -195,3 +195,20 @@ func TestConcurrentRegistryAndTraceRing(t *testing.T) {
 type sink struct{}
 
 func (sink) Write(p []byte) (int, error) { return len(p), nil }
+
+// Len reports how many traces the ID index holds, which tests compare
+// with what List walks in the rings.
+func (s *TraceStore) Len() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, r := range s.byID {
+		for ; r != nil; r = r.older {
+			n++
+		}
+	}
+	return n
+}

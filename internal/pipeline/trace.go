@@ -7,10 +7,8 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/lru"
 )
@@ -66,15 +64,6 @@ func (t *Trace) Stage(name string) *StageTrace {
 		}
 	}
 	return nil
-}
-
-// Tokens sums tokens spent across all stages.
-func (t *Trace) Tokens() int {
-	n := 0
-	for _, st := range t.Stages {
-		n += st.Tokens
-	}
-	return n
 }
 
 // Overlap is SerialMicros/WallMicros: how many stage-seconds ran per
@@ -156,9 +145,6 @@ type Aggregator struct {
 	mu     sync.Mutex
 	stages map[string]*StageAgg
 	order  []string // first-seen order, normally trace order
-
-	runs       int64
-	wallMicros int64
 }
 
 // NewAggregator returns an empty aggregator.
@@ -174,8 +160,6 @@ func (a *Aggregator) Observe(t *Trace) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.runs++
-	a.wallMicros += t.WallMicros
 	for _, st := range t.Stages {
 		agg, ok := a.stages[st.Stage]
 		if !ok {
@@ -197,21 +181,6 @@ func (a *Aggregator) Snapshot() []StageAgg {
 	for _, name := range a.order {
 		out = append(out, *a.stages[name])
 	}
-	return out
-}
-
-// Runs returns how many traces were observed and their summed wall time.
-func (a *Aggregator) Runs() (int64, time.Duration) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.runs, time.Duration(a.wallMicros) * time.Microsecond
-}
-
-// SortedSnapshot returns the per-stage totals sorted by descending total
-// wall time — the order a cost table wants.
-func (a *Aggregator) SortedSnapshot() []StageAgg {
-	out := a.Snapshot()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].WallMicros > out[j].WallMicros })
 	return out
 }
 

@@ -67,17 +67,4 @@ func TestAggregator(t *testing.T) {
 	if b.Stage != "b" || b.Tokens != 30 || b.WallMicros != 12 || b.MeanMicros() != 4 {
 		t.Errorf("b agg = %+v, want 30 tokens over 12us, mean 4us", b)
 	}
-	runs, wall := agg.Runs()
-	if runs != 3 || wall.Microseconds() != 24 {
-		t.Errorf("runs = %d over %v, want 3 over 24us", runs, wall)
-	}
-	sorted := agg.SortedSnapshot()
-	if sorted[0].Stage != "b" {
-		t.Errorf("SortedSnapshot leads with %s, want b", sorted[0].Stage)
-	}
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i].WallMicros > sorted[i-1].WallMicros {
-			t.Errorf("SortedSnapshot not descending by wall: %+v", sorted)
-		}
-	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/bm25"
 	"repro/internal/dataset"
-	"repro/internal/embed"
 	"repro/internal/synth"
 )
 
@@ -41,8 +40,8 @@ func referenceLookup(m *Memory, db, question string, exclude ...string) (Hit, bo
 	}
 	idx := bm25.New(di.docs)
 	selfNorm := make([]float64, len(di.docs))
-	for i, doc := range di.docs {
-		selfNorm[i] = idx.Score(doc, i)
+	for i := range di.docs {
+		selfNorm[i] = idx.SelfScore(i)
 	}
 	literalsCovered := func(sql, question string) bool {
 		q := strings.ToLower(question)
@@ -83,14 +82,14 @@ func referenceLookup(m *Memory, db, question string, exclude ...string) (Hit, bo
 		}, true
 	}
 
-	qv := m.model.Embed(question)
+	qv := m.model.Embed(question).Dense()
 	bestOf := make(map[string]float64)
 	for i, id := range ids {
 		p := m.patterns[id]
 		if p == nil || excluded[id] {
 			continue
 		}
-		cos := embed.Cosine(qv, m.model.Embed(di.docs[i]))
+		cos := m.model.Embed(di.docs[i]).Dot(&qv)
 		score := 0.65*cos + 0.35*lex[i]
 		if score >= minSimilarity && score > bestOf[id] {
 			bestOf[id] = score

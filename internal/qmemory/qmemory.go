@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -598,18 +597,6 @@ func (m *Memory) Stats() Stats {
 		s.HitRate = float64(s.Hits) / float64(s.Lookups)
 	}
 	return s
-}
-
-// Patterns returns a copy of every record, sorted by ID.
-func (m *Memory) Patterns() []Record {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Record, 0, len(m.patterns))
-	for _, p := range m.patterns {
-		out = append(out, cloneRecord(p.rec))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // touchLocked persists a mutated pattern write-through.

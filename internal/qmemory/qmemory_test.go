@@ -3,6 +3,7 @@ package qmemory
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/sqlengine"
@@ -354,4 +355,16 @@ func TestSQLLiterals(t *testing.T) {
 			t.Fatalf("literals %v, want %v", got, want)
 		}
 	}
+}
+
+// Patterns returns a copy of every record, sorted by ID.
+func (m *Memory) Patterns() []Record {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := make([]Record, 0, len(m.patterns))
+	for _, p := range m.patterns {
+		out = append(out, cloneRecord(p.rec))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }

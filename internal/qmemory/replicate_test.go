@@ -244,7 +244,7 @@ func TestResyncNeverLowersDemotion(t *testing.T) {
 	// Compaction starts a new generation: the follower's position no
 	// longer matches, so its next poll is a full dump of the leader's live
 	// set, which holds the pattern as it was before the demotion.
-	if err := leaderStore.Compact(); err != nil {
+	if err := leaderStore.log.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	before := tl.Stats()

@@ -81,10 +81,6 @@ func (s *Store) Flush() error { return s.log.Flush() }
 // Stats snapshots the log's counters.
 func (s *Store) Stats() wal.Stats { return s.log.Stats() }
 
-// Compact rewrites the live set as a snapshot now, rather than waiting
-// for the background threshold.
-func (s *Store) Compact() error { return s.log.Compact() }
-
 // Close flushes and closes the log, releasing the directory.
 func (s *Store) Close() error { return s.log.Close() }
 

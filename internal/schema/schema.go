@@ -283,24 +283,6 @@ func TableDDL(t *sqlengine.Table) string {
 	return b.String()
 }
 
-// PromptText renders the schema plus description files as the prompt block
-// SEED feeds its base model. With sampled values appended by the caller it
-// matches the evidence-generation prompt structure of Fig. 3.
-func (d *DB) PromptText(includeDocs bool) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- Database: %s\n", d.Name)
-	b.WriteString(d.DDL())
-	if includeDocs && d.HasDescriptions() {
-		b.WriteString("\n-- Description files:\n")
-		for _, t := range d.Engine.Tables() {
-			if td, ok := d.Doc(t.Name); ok {
-				fmt.Fprintf(&b, "-- %s.csv\n%s", td.Table, td.CSV())
-			}
-		}
-	}
-	return b.String()
-}
-
 // DependencyOrder returns the database's tables topologically sorted by
 // their foreign-key dependencies: every parent table precedes all of its
 // children, so rows inserted in this order can always resolve their
@@ -361,21 +343,6 @@ func DependencyOrder(db *sqlengine.Database) ([]*sqlengine.Table, error) {
 		return nil, fmt.Errorf("schema: foreign-key cycle among tables %v", cyclic)
 	}
 	return out, nil
-}
-
-// ForeignKeyOf looks up the foreign key linking childTable to parentTable,
-// if declared.
-func (d *DB) ForeignKeyOf(childTable, parentTable string) (sqlengine.ForeignKeyDef, bool) {
-	t, ok := d.Engine.Table(childTable)
-	if !ok {
-		return sqlengine.ForeignKeyDef{}, false
-	}
-	for _, fk := range t.ForeignKeys {
-		if strings.EqualFold(fk.ParentTable, parentTable) {
-			return fk, true
-		}
-	}
-	return sqlengine.ForeignKeyDef{}, false
 }
 
 func quote(s string) string {

@@ -88,35 +88,6 @@ func TestValueDescriptionRendersRangeAndCodes(t *testing.T) {
 	}
 }
 
-func TestPromptText(t *testing.T) {
-	db := testDB(t)
-	withDocs := db.PromptText(true)
-	withoutDocs := db.PromptText(false)
-	if !strings.Contains(withDocs, "weekly issuance") {
-		t.Error("prompt with docs must include value descriptions")
-	}
-	if strings.Contains(withoutDocs, "weekly issuance") {
-		t.Error("prompt without docs must not include value descriptions")
-	}
-	if !strings.Contains(withoutDocs, "CREATE TABLE account") {
-		t.Error("prompt must include DDL")
-	}
-}
-
-func TestForeignKeyOf(t *testing.T) {
-	db := testDB(t)
-	fk, ok := db.ForeignKeyOf("account", "district")
-	if !ok || fk.Column != "district_id" || fk.ParentColumn != "district_id" {
-		t.Errorf("ForeignKeyOf = %+v, %v", fk, ok)
-	}
-	if _, ok := db.ForeignKeyOf("district", "account"); ok {
-		t.Error("reverse FK should not exist")
-	}
-	if _, ok := db.ForeignKeyOf("nosuch", "district"); ok {
-		t.Error("unknown table should not report an FK")
-	}
-}
-
 func TestDocLookupCaseInsensitive(t *testing.T) {
 	db := testDB(t)
 	if _, ok := db.Doc("ACCOUNT"); !ok {

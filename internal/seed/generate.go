@@ -10,19 +10,13 @@ import (
 	"repro/internal/sqlengine"
 )
 
-// generate runs the evidence-generation stage: it assembles the paper's
-// prompt (instruction, few-shot exemplars, sample SQL results, schema and
-// question — §III-C) and completes it with the generation model. The task
-// logic derives evidence clauses only from what is visible in the
-// post-truncation prompt: description-file value maps and ranges, sampled
-// values, and exemplar formulas.
-func (p *Pipeline) generate(db *schema.DB, question string, visible []tableView, samples []Sample, shots []Shot) (string, error) {
-	ev, _, err := p.generateCounted(db, question, visible, samples, shots)
-	return ev, err
-}
-
-// generateCounted is generate plus the request's token spend, for stage
-// traces.
+// generateCounted runs the evidence-generation stage: it assembles the
+// paper's prompt (instruction, few-shot exemplars, sample SQL results,
+// schema and question — §III-C) and completes it with the generation
+// model. The task logic derives evidence clauses only from what is visible
+// in the post-truncation prompt: description-file value maps and ranges,
+// sampled values, and exemplar formulas. It returns the evidence and the
+// request's token spend, for stage traces.
 func (p *Pipeline) generateCounted(db *schema.DB, question string, visible []tableView, samples []Sample, shots []Shot) (string, int, error) {
 	prompt := p.buildPrompt(db, question, visible, samples, shots)
 	resp, err := p.client.Complete(llm.Request{

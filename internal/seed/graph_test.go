@@ -50,8 +50,12 @@ func TestGenerateEvidenceTraceShape(t *testing.T) {
 	if tr.WallMicros <= 0 || tr.SerialMicros <= 0 {
 		t.Errorf("degenerate wall accounting: wall=%d serial=%d", tr.WallMicros, tr.SerialMicros)
 	}
-	if tr.Tokens() <= 0 {
-		t.Errorf("trace total tokens = %d", tr.Tokens())
+	tokens := 0
+	for _, st := range tr.Stages {
+		tokens += st.Tokens
+	}
+	if tokens <= 0 {
+		t.Errorf("trace total tokens = %d", tokens)
 	}
 }
 

@@ -419,7 +419,8 @@ func TestMemoryDeclineReasons(t *testing.T) {
 		{decline: "judge", sql: "SELECT NULL"},
 	} {
 		t.Run(cmp.Or(tc.name, tc.decline), func(t *testing.T) {
-			srv, ts := newTestServer(t, func(cfg *Config) { cfg.Memory = true })
+			dir := t.TempDir()
+			srv, ts := newTestServer(t, func(cfg *Config) { cfg.Memory, cfg.MemoryDir = true, dir })
 			sess, _ := srv.reg.Session(e.DB)
 			mem := srv.memories["bird"]
 			if tc.sql != "" {
@@ -475,13 +476,26 @@ func TestMemoryDeclineReasons(t *testing.T) {
 			if tc.sql == "" {
 				return
 			}
+			// The memory's store holds each pattern's last state; closing
+			// the server releases it.
 			id := qmemory.PatternID(e.DB, tc.sql)
-			i := slices.IndexFunc(mem.Patterns(), func(p qmemory.Record) bool { return p.ID == id })
-			if i < 0 {
+			srv.Close()
+			st, err := qmemory.OpenStore(filepath.Join(dir, "bird"), wal.Options{Manifest: evstore.Manifest("bird", 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			failures := int64(-1)
+			st.Load(func(r qmemory.Record) {
+				if r.ID == id {
+					failures = r.Failures
+				}
+			})
+			if failures < 0 {
 				t.Fatal("planted pattern is gone")
 			}
-			if n := mem.Patterns()[i].Failures; n != 1 {
-				t.Errorf("planted pattern decayed %d times, want once", n)
+			if failures != 1 {
+				t.Errorf("planted pattern decayed %d times, want once", failures)
 			}
 		})
 	}
@@ -568,7 +582,7 @@ func TestMemoryNeverWrites(t *testing.T) {
 			t.Errorf("memory.lookup attrs %v; want decline=no_candidate", attrs)
 		}
 		mem := srv.memories["bird"]
-		if st := mem.Stats(); st.Refused != 1 || len(mem.Patterns()) != 0 {
+		if st := mem.Stats(); st.Refused != 1 || st.Patterns != 0 {
 			t.Errorf("memory stats %+v; want the stored write refused on replay and no pattern", st)
 		}
 	})

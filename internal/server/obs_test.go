@@ -91,7 +91,7 @@ func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 		if sp.Name == "sqlengine.execute" {
 			// The execute span must describe the physical execution mode.
 			for _, attr := range []string{"batches", "path"} {
-				if sp.Attrs.Get(attr) == nil {
+				if attrMap(sp.Attrs)[attr] == nil {
 					t.Errorf("sqlengine.execute span missing %q attr (got %v)", attr, sp.Attrs)
 				}
 			}
@@ -265,6 +265,36 @@ func TestMetricsPrometheusDefault(t *testing.T) {
 	if ct := jresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") ||
 		!strings.Contains(string(jbody), "# TYPE server_requests_total counter") {
 		t.Errorf("?format=json answered %q: %.80s; want the text exposition", ct, jbody)
+	}
+}
+
+// TestEvidenceCacheEvictionsExported: an evidence cache of two entries,
+// asked three distinct questions, evicts one, and both Metrics and
+// /metrics say so.
+func TestEvidenceCacheEvictionsExported(t *testing.T) {
+	srv, ts := newTestServer(t, func(cfg *Config) { cfg.EvidenceCache = 2 })
+	for _, e := range testCorpus(t).Dev[:3] {
+		if resp, body := postJSON(t, ts.URL+"/v1/evidence", api.QueryRequest{DB: e.DB, Question: e.Question}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/evidence = %d: %s", resp.StatusCode, body)
+		}
+	}
+	if ev := srv.Metrics().Evidence["bird"]; ev.Evictions != 1 || ev.Entries != 2 {
+		t.Errorf("Metrics: %d evictions, %d entries; want 1 and 2", ev.Evictions, ev.Entries)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var lines []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "evserve_cache_evictions_total") {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 1 || !strings.HasSuffix(lines[0], "} 1") {
+		t.Errorf("/metrics evserve_cache_evictions_total lines %q; want one reading 1", lines)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // shape: their literals.
 var servedLiteral = regexp.MustCompile(`'[^']*'|\b\d+(\.\d+)?\b`)
 
-// TestServedSynthPaths is the histogram ROADMAP 2(b) asks the kernel list to
-// be driven from: the financial schema at 10,000 rows, the bench's 40-question
+// TestServedSynthPaths is the histogram the engine's kernel list is driven
+// from: the financial schema at 10,000 rows, the bench's 40-question
 // workload, one server with seedd's defaults, every question asked once, and
 // the physical path the engine reports on each request's sqlengine.execute
 // span. The served SQL is the generator's, not the gold SQL, so this is
@@ -61,8 +61,8 @@ func TestServedSynthPaths(t *testing.T) {
 		path, batches := "", 0.0
 		for _, sp := range rec.Spans {
 			if sp.Name == "sqlengine.execute" {
-				path, _ = sp.Attrs.Get("path").(string)
-				batches, _ = sp.Attrs.Get("batches").(float64)
+				path, _ = attrMap(sp.Attrs)["path"].(string)
+				batches, _ = attrMap(sp.Attrs)["batches"].(float64)
 			}
 		}
 		if path == "" {

@@ -925,6 +925,7 @@ type EvidenceSnapshot struct {
 	CacheHits   int64  `json:"cache_hits"`
 	CacheMisses int64  `json:"cache_misses"`
 	Entries     int    `json:"cache_entries"`
+	Evictions   int64  `json:"cache_evictions"`
 	Dedups      int64  `json:"dedups"`
 	Generations int64  `json:"generations"`
 	Failures    int64  `json:"failures"`
@@ -956,6 +957,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 			CacheHits:    st.Cache.Hits,
 			CacheMisses:  st.Cache.Misses,
 			Entries:      st.Cache.Entries,
+			Evictions:    st.Cache.Evictions,
 			Dedups:       st.Dedups,
 			Generations:  st.Generations,
 			Failures:     st.Failures,

@@ -373,12 +373,12 @@ func TestQueryGoldenEquivalence(t *testing.T) {
 		e := env.BIRD.Dev[i]
 		resp, data := postJSON(t, ts.URL+"/v1/query", api.QueryRequest{DB: e.DB, Question: e.Question})
 
-		offlineEv, err := env.BIRDSeedEvidenceFor(context.Background(), seed.VariantGPT, e.DB, e.Question)
+		offlineEv, err := env.BIRDSeedEvidenceTraced(context.Background(), seed.VariantGPT, e.DB, e.Question)
 		if err != nil {
 			t.Fatalf("%s: offline evidence: %v", e.ID, err)
 		}
 		offlineSQL, genErr := offlineGen.Generate(texttosql.Task{
-			Example: e, DB: env.BIRD.DBs[e.DB], Evidence: offlineEv,
+			Example: e, DB: env.BIRD.DBs[e.DB], Evidence: offlineEv.Text,
 		})
 		if genErr != nil {
 			if resp.StatusCode == 200 {
@@ -402,8 +402,8 @@ func TestQueryGoldenEquivalence(t *testing.T) {
 		if err := json.Unmarshal(data, &qr); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if qr.Evidence != offlineEv {
-			t.Errorf("%s: evidence diverged\n  online:  %q\n  offline: %q", e.ID, qr.Evidence, offlineEv)
+		if qr.Evidence != offlineEv.Text {
+			t.Errorf("%s: evidence diverged\n  online:  %q\n  offline: %q", e.ID, qr.Evidence, offlineEv.Text)
 		}
 		if qr.SQL != offlineSQL {
 			t.Errorf("%s: SQL diverged\n  online:  %q\n  offline: %q", e.ID, qr.SQL, offlineSQL)

@@ -59,7 +59,7 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	for i := range a.rowData() {
 		for j := range a.rowData()[i] {
 			av, bv := a.Cell(i, j), b.Cell(i, j)
-			if av.Kind != bv.Kind || !DistinctEqual(av, bv) {
+			if av.Kind != bv.Kind || av.Key() != bv.Key() {
 				t.Fatalf("row %d col %d: insert %v (%v) vs bulk %v (%v)",
 					i, j, av, av.Kind, bv, bv.Kind)
 			}

@@ -63,8 +63,8 @@ func (k Kind) String() string {
 // The word I means what Kind says: an INTEGER's value, or a REAL's IEEE-754
 // bits, which Real reads back. Because a REAL is stored as its bits, two
 // REALs that are equal as numbers need not be == as structs: -0.0 and 0.0
-// differ, and a NaN is == to itself. Compare values with Compare or
-// DistinctEqual, never with ==.
+// differ, and a NaN is == to itself. Compare values with Compare or Key,
+// never with ==.
 type Value struct {
 	Kind Kind
 	I    int64 // INTEGER value, or a REAL's bits (see Real)
@@ -307,8 +307,8 @@ func compareRank(v Value) int {
 }
 
 // Equal reports SQL equality with NULL treated as not equal to anything
-// (including NULL). For result-set comparison that needs NULL==NULL, use
-// DistinctEqual.
+// (including NULL). For result-set comparison that needs NULL==NULL,
+// compare Keys.
 func Equal(a, b Value) (eq, known bool) {
 	if a.IsNull() || b.IsNull() {
 		return false, false
@@ -316,21 +316,9 @@ func Equal(a, b Value) (eq, known bool) {
 	return Compare(a, b) == 0, true
 }
 
-// DistinctEqual implements the IS NOT DISTINCT FROM notion of equality:
-// NULLs compare equal to each other. Used by GROUP BY, DISTINCT and the
-// execution-accuracy metric.
-func DistinctEqual(a, b Value) bool {
-	if a.IsNull() && b.IsNull() {
-		return true
-	}
-	if a.IsNull() || b.IsNull() {
-		return false
-	}
-	return Compare(a, b) == 0
-}
-
 // Key returns a canonical string key for grouping and DISTINCT. Two values
-// map to the same key iff DistinctEqual holds. Numeric values that are
+// map to the same key iff they are equal in the IS NOT DISTINCT FROM sense:
+// SQL equality, with NULLs equal to each other. Numeric values that are
 // integral collapse across INTEGER/REAL, matching SQL equality.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 

@@ -247,10 +247,10 @@ func TestCompareCrossKind(t *testing.T) {
 }
 
 func TestDistinctEqualAndKey(t *testing.T) {
-	if !DistinctEqual(Null(), Null()) {
+	if Null().Key() != Null().Key() {
 		t.Error("NULL is distinct-equal to NULL")
 	}
-	if DistinctEqual(Null(), Int(0)) {
+	if Null().Key() == Int(0).Key() {
 		t.Error("NULL != 0")
 	}
 	if Int(3).Key() != Float(3.0).Key() {

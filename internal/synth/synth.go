@@ -79,7 +79,7 @@ func generate(src *schema.DB, opts Options) (*schema.DB, error) {
 	}
 
 	// Fresh engine with the identical schema, created in the source's
-	// declaration order so DDL like PromptText renders the same.
+	// declaration order so the schema DDL renders the same.
 	dst := sqlengine.NewDatabase(src.Engine.Name)
 	for _, t := range src.Engine.Tables() {
 		if _, err := dst.Exec(schema.TableDDL(t)); err != nil {

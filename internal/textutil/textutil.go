@@ -1,13 +1,12 @@
 // Package textutil provides the lexical text-processing primitives shared
 // by the SEED pipeline and the text-to-SQL baselines: tokenisation,
-// stop-word filtering, a light stemmer, Levenshtein edit distance, longest
-// common substring, and character n-grams.
+// stop-word filtering, a light stemmer, Levenshtein edit distance and
+// longest common substring.
 //
 // Edit distance has one kernel, EditDistanceWithin: a single-row DP over
 // a caller-owned buffer that may stop as soon as the distance is known to
-// exceed a bound. EditDistance and Similarity are unbounded callers of it,
-// and SEED's value matcher calls it with the largest distance that still
-// scores.
+// exceed a bound. Similarity is an unbounded caller of it, and SEED's
+// value matcher calls it with the largest distance that still scores.
 //
 // The SEED paper relies on these in two places: sample SQL execution uses
 // LIKE patterns plus edit distance to find database values similar to
@@ -77,9 +76,6 @@ func ContentWords(s string) []string {
 	return out
 }
 
-// IsStopword reports whether the lower-case token w is a stop word.
-func IsStopword(w string) bool { return stopwords[strings.ToLower(w)] }
-
 // synonymTable is a compact world-knowledge dictionary: the lexical
 // equivalences an LLM brings to value matching (the paper's Table III
 // synonym-knowledge category: "female refers to gender = 'F'" answers a
@@ -128,14 +124,6 @@ func Stem(w string) string {
 	default:
 		return w
 	}
-}
-
-// EditDistance computes the Levenshtein distance between a and b over
-// runes (unit costs, O(len(a)*len(b))). It is EditDistanceWithin without a
-// bound.
-func EditDistance(a, b string) int {
-	var row [64]int
-	return EditDistanceWithin(a, b, -1, row[:])
 }
 
 // EditDistanceWithin is the package's one edit-distance kernel: the
@@ -236,37 +224,6 @@ func LongestCommonSubstring(a, b string) (string, int) {
 		}
 	}
 	return string(ra[bestEnd-best : bestEnd]), best
-}
-
-// NGrams returns the character n-grams of s (lower-cased, including
-// word-boundary markers) used by the embedding substrate. The grams are
-// substrings of one padded, lower-cased copy of s, which is valid UTF-8
-// (see Tokenize), so each is exactly its n runes.
-func NGrams(s string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	padded := " " + strings.ToLower(s) + " "
-	runes := utf8.RuneCountInString(padded)
-	if runes < n {
-		return []string{padded}
-	}
-	out := make([]string, 0, runes-n+1)
-	end := 0
-	for range n {
-		_, w := utf8.DecodeRuneInString(padded[end:])
-		end += w
-	}
-	for start := 0; ; {
-		out = append(out, padded[start:end])
-		if end == len(padded) {
-			return out
-		}
-		_, w := utf8.DecodeRuneInString(padded[start:])
-		start += w
-		_, w = utf8.DecodeRuneInString(padded[end:])
-		end += w
-	}
 }
 
 // NormalizeIdent splits a schema identifier (CamelCase, snake_case or

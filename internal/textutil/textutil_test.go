@@ -31,7 +31,7 @@ func TestTokenize(t *testing.T) {
 func TestContentWords(t *testing.T) {
 	got := ContentWords("How many clients opened their accounts in the Jesenik branch?")
 	for _, w := range got {
-		if IsStopword(w) {
+		if stopwords[w] {
 			t.Errorf("stopword %q leaked through", w)
 		}
 	}
@@ -75,8 +75,8 @@ func TestEditDistance(t *testing.T) {
 		{"fremont", "freemont", 1},
 	}
 	for _, c := range cases {
-		if got := EditDistance(c.a, c.b); got != c.want {
-			t.Errorf("EditDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := EditDistanceWithin(c.a, c.b, -1, nil); got != c.want {
+			t.Errorf("EditDistanceWithin(%q, %q, -1, nil) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -92,15 +92,16 @@ func TestEditDistanceMetricProperties(t *testing.T) {
 	}
 	f := func(a, b, c string) bool {
 		a, b, c = clip(a), clip(b), clip(c)
-		dab := EditDistance(a, b)
-		dba := EditDistance(b, a)
+		dist := func(x, y string) int { return EditDistanceWithin(x, y, -1, nil) }
+		dab := dist(a, b)
+		dba := dist(b, a)
 		if dab != dba {
 			return false
 		}
-		if EditDistance(a, a) != 0 {
+		if dist(a, a) != 0 {
 			return false
 		}
-		return EditDistance(a, c) <= dab+EditDistance(b, c)
+		return dist(a, c) <= dab+dist(b, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -178,17 +179,6 @@ func TestLCSProperties(t *testing.T) {
 	}
 }
 
-func TestNGrams(t *testing.T) {
-	grams := NGrams("ab", 3)
-	want := []string{" ab", "ab "}
-	if !reflect.DeepEqual(grams, want) {
-		t.Errorf("NGrams = %v, want %v", grams, want)
-	}
-	if NGrams("x", 0) != nil {
-		t.Error("n=0 should return nil")
-	}
-}
-
 func TestNormalizeIdent(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -209,8 +199,8 @@ func TestNormalizeIdent(t *testing.T) {
 	}
 }
 
-// editDistanceRef is the two-row, []rune, allocating DP EditDistance ran
-// before the bounded kernel: the reference the kernel is checked against.
+// editDistanceRef is the two-row, []rune, allocating DP the unbounded edit
+// distance ran before the bounded kernel: the reference the kernel is checked against.
 func editDistanceRef(a, b string) int {
 	ra, rb := []rune(a), []rune(b)
 	if len(ra) == 0 {
@@ -264,7 +254,7 @@ func TestEditDistanceWithinMatchesFullDP(t *testing.T) {
 	f := func(pa, pb []uint8, ascii bool) bool {
 		a, b := kernelString(pa, ascii), kernelString(pb, ascii)
 		want := editDistanceRef(a, b)
-		if EditDistance(a, b) != want || EditDistanceWithin(a, b, -1, nil) != want {
+		if EditDistanceWithin(a, b, -1, nil) != want {
 			t.Logf("unbounded %q %q: want %d", a, b, want)
 			return false
 		}
@@ -303,16 +293,15 @@ func TestEditDistanceWithinMatchesFullDP(t *testing.T) {
 }
 
 // TestEditDistanceWithinAllocationFree pins the kernel's point: with a
-// caller-owned row it allocates nothing, and neither do its unbounded
-// callers on short text.
+// caller-owned row it allocates nothing, bounded or not.
 func TestEditDistanceWithinAllocationFree(t *testing.T) {
 	var row [64]int
 	for _, c := range [][2]string{{"jesennik", "jesenik"}, {"École", "ecole"}, {"weekly issuance", "poplatek tydne"}} {
 		if n := testing.AllocsPerRun(50, func() { EditDistanceWithin(c[0], c[1], 2, row[:]) }); n != 0 {
 			t.Errorf("EditDistanceWithin(%q, %q) allocates %.0f times", c[0], c[1], n)
 		}
-		if n := testing.AllocsPerRun(50, func() { EditDistance(c[0], c[1]) }); n != 0 {
-			t.Errorf("EditDistance(%q, %q) allocates %.0f times", c[0], c[1], n)
+		if n := testing.AllocsPerRun(50, func() { EditDistanceWithin(c[0], c[1], -1, row[:]) }); n != 0 {
+			t.Errorf("EditDistanceWithin(%q, %q, -1) allocates %.0f times", c[0], c[1], n)
 		}
 	}
 }
@@ -340,23 +329,6 @@ func builderTokenize(s string) []string {
 	return out
 }
 
-// runeNGrams is NGrams as it was written before grams were sliced: each
-// gram converted back from a []rune window.
-func runeNGrams(s string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	runes := []rune(" " + strings.ToLower(s) + " ")
-	if len(runes) < n {
-		return []string{string(runes)}
-	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
-	}
-	return out
-}
-
 // tokenizeSeeds are the inputs where slicing and building could part:
 // invalid UTF-8 (each bad byte is one U+FFFD to a rune range), a capital
 // whose lower case is shorter in bytes (İ), combining marks (not letters,
@@ -369,21 +341,16 @@ var tokenizeSeeds = []string{
 	" nbsp sep", "KK", "ΣΑΣ",
 }
 
-// checkTokenize holds Tokenize and NGrams to their builder references.
+// checkTokenize holds Tokenize to its builder reference.
 func checkTokenize(t *testing.T, s string) {
 	t.Helper()
 	if got, want := Tokenize(s), builderTokenize(s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
 	}
-	for _, n := range []int{1, 2, 3, 5} {
-		if got, want := NGrams(s, n), runeNGrams(s, n); !reflect.DeepEqual(got, want) {
-			t.Fatalf("NGrams(%q, %d) = %q, want %q", s, n, got, want)
-		}
-	}
 }
 
-// TestTokenizeMatchesBuilder: the sliced Tokenize and NGrams equal the
-// rune-by-rune builders they replaced, on the seeds and on random strings
+// TestTokenizeMatchesBuilder: the sliced Tokenize equals the rune-by-rune
+// builder it replaced, on the seeds and on random strings
 // over a mixed alphabet.
 func TestTokenizeMatchesBuilder(t *testing.T) {
 	for _, s := range tokenizeSeeds {
@@ -400,8 +367,8 @@ func TestTokenizeMatchesBuilder(t *testing.T) {
 	}
 }
 
-// FuzzTokenize holds Tokenize and NGrams to their builder references over
-// arbitrary bytes.
+// FuzzTokenize holds Tokenize to its builder reference over arbitrary
+// bytes.
 func FuzzTokenize(f *testing.F) {
 	for _, s := range tokenizeSeeds {
 		f.Add(s)

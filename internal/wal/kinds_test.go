@@ -22,7 +22,7 @@ type store interface {
 	get(i int) (text string, ok bool)
 	Len() int
 	Stats() wal.Stats
-	Compact() error
+	Flush() error
 	Close() error
 }
 
@@ -251,9 +251,10 @@ func TestSnapshotDamageRecovery(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k kind) {
 		for _, tc := range tests {
 			t.Run(tc.name, func(t *testing.T) {
-				// Four records in the snapshot, two more in the WAL.
+				// Four records in the snapshot, two more in the WAL: the
+				// fourth append starts a compaction, and Flush waits for it.
 				dir := t.TempDir()
-				s, err := k.open(dir, wal.Options{CompactEvery: -1})
+				s, err := k.open(dir, wal.Options{CompactEvery: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,7 +263,7 @@ func TestSnapshotDamageRecovery(t *testing.T) {
 						t.Fatal(err)
 					}
 					if i == 3 {
-						if err := s.Compact(); err != nil {
+						if err := s.Flush(); err != nil {
 							t.Fatal(err)
 						}
 					}
